@@ -33,6 +33,21 @@ fn bench_most_critical_first(c: &mut Criterion) {
             })
         });
     }
+    // The `offline_dcfs` cell of `perf/`: at k=4 the per-link interval scans
+    // are invisible, at 800 flows on k=8 they are the cost.
+    let topo = builders::fat_tree_with_capacity(8, 100.0);
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, 100.0);
+    let flows = UniformWorkload::paper_defaults(800, 7)
+        .generate(topo.hosts())
+        .expect("workload generates");
+    group.bench_with_input(BenchmarkId::new("k8", 800), &flows, |b, flows| {
+        let mut ctx = SolverContext::from_network(&topo.network).expect("fat-tree validates");
+        let mut algo = RoutedMcf::shortest_path();
+        b.iter(|| {
+            algo.solve(&mut ctx, black_box(flows), &power)
+                .expect("sp-mcf succeeds")
+        })
+    });
     group.finish();
 }
 

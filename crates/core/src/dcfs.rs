@@ -33,6 +33,24 @@
 //! for DCFS; the rate bumps of phase 2 only trigger on instances where the
 //! paper's virtual-circuit assumption itself is unsatisfiable.
 //!
+//! **Cost.** Both the critical-interval search of phase 1 and the (P1)
+//! repair sweep of phase 2 look at every interval `[a, b]` between two of a
+//! link's `P` endpoints and at the flows contained in it. Containment is
+//! tabulated once per (flow, endpoint) by [`dcn_solver::IntervalScan`] —
+//! `n * P` availability queries per link refresh instead of `2 * n * P^2` —
+//! and the sweep divides `volume / rate` once per flow per link, again only
+//! for flows whose rate it has just raised. What is *not* restructured is
+//! the order of the floating-point sums: the weights of an interval are
+//! added in the link's list order, exactly as a filter over the whole list
+//! adds them, because the `1e-15` tie-break between intervals and the
+//! `1e-9` repair threshold see the rounding, and a schedule that differs in
+//! the last bit is a different (if equally good) schedule. The sweep leaves a
+//! start point `a` as soon as the in-order sum over *all* flows released
+//! from `a` on fits `[a, b]`: the sum over any subset of them adds fewer of
+//! the same positive terms in the same order, and rounded addition is
+//! monotone in both operands, so no subset sum can exceed it — the bound is
+//! exact, not a tolerance — and a later, wider `b` only has more room.
+//!
 //! The maximum-rate constraint is intentionally ignored (the paper relaxes
 //! it for DCFS); [`crate::schedule::Schedule::verify`] reports capacity
 //! violations separately if callers care.
@@ -40,7 +58,7 @@
 use crate::schedule::{FlowSchedule, Schedule};
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_solver::TimeAvailability;
+use dcn_solver::{IntervalScan, TimeAvailability};
 use dcn_topology::{LinkId, Network, Path};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,14 +106,6 @@ impl fmt::Display for DcfsError {
 
 impl std::error::Error for DcfsError {}
 
-/// A candidate critical interval on one link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate {
-    intensity: f64,
-    start: f64,
-    end: f64,
-}
-
 /// Runs Most-Critical-First on a DCFS instance.
 ///
 /// `paths[i]` must be the routing path of the flow with id `i`. The returned
@@ -140,72 +150,82 @@ pub fn most_critical_first(
         .map(|f| f.volume * (paths[f.id].len() as f64).powf(1.0 / alpha))
         .collect();
 
-    // Per-link remaining flows and availability.
-    let mut link_flows: BTreeMap<LinkId, Vec<FlowId>> = BTreeMap::new();
+    // Per-link state, indexed by link id. The flow lists are never edited:
+    // phase 1 reads them through the `remaining` mask, phase 2 whole.
+    let link_count = paths
+        .iter()
+        .flat_map(|p| p.links())
+        .map(|l| l.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut link_flows: Vec<Vec<FlowId>> = vec![Vec::new(); link_count];
     for flow in flows.iter() {
         for &l in paths[flow.id].links() {
-            link_flows.entry(l).or_default().push(flow.id);
+            link_flows[l.index()].push(flow.id);
         }
     }
-    let mut availability: BTreeMap<LinkId, TimeAvailability> = link_flows
-        .keys()
-        .map(|&l| (l, TimeAvailability::new()))
-        .collect();
+    let mut availability = vec![TimeAvailability::new(); link_count];
 
     let mut remaining: Vec<bool> = vec![true; flows.len()];
     let mut remaining_count = flows.len();
     let mut rates: Vec<f64> = vec![0.0; flows.len()];
 
-    // Cached best candidate per link; recomputed only when the link is dirty.
-    let mut candidates: BTreeMap<LinkId, Option<Candidate>> = BTreeMap::new();
-    let mut dirty: Vec<LinkId> = link_flows.keys().copied().collect();
+    // Cached densest `(intensity, start, end)` per link; recomputed only when
+    // the link is dirty.
+    let mut candidates: Vec<Option<(f64, f64, f64)>> = vec![None; link_count];
+    let mut dirty = vec![true; link_count];
 
     // Phase 1: fix the transmission rate of every flow.
     while remaining_count > 0 {
         // Refresh candidates of dirty links.
-        for link in dirty.drain(..) {
-            let flows_on_link = &link_flows[&link];
-            let cand =
-                best_candidate_on_link(flows, flows_on_link, &virtual_weight, &availability[&link]);
-            candidates.insert(link, cand);
+        for l in 0..link_count {
+            if std::mem::take(&mut dirty[l]) {
+                candidates[l] = best_candidate_on_link(
+                    flows,
+                    &link_flows[l],
+                    &remaining,
+                    &virtual_weight,
+                    &availability[l],
+                );
+            }
         }
 
-        // Global critical interval.
-        let Some((&critical_link, candidate)) = candidates
+        // Global critical interval: highest intensity, lowest link id.
+        let Some((critical, (intensity, start, end))) = candidates
             .iter()
-            .filter_map(|(l, c)| c.as_ref().map(|c| (l, *c)))
+            .enumerate()
+            .filter_map(|(l, c)| c.map(|c| (l, c)))
             .max_by(|a, b| {
-                a.1.intensity
-                    .partial_cmp(&b.1.intensity)
+                (a.1 .0)
+                    .partial_cmp(&b.1 .0)
                     .expect("intensities are comparable")
-                    .then_with(|| b.0.cmp(a.0))
+                    .then_with(|| b.0.cmp(&a.0))
             })
         else {
             // No candidate but flows remain: they sit on links with no
             // remaining flows, which cannot happen — treat as infeasible.
-            let link = *link_flows.keys().next().expect("at least one link");
-            return Err(DcfsError::Infeasible { link });
-        };
-        if !candidate.intensity.is_finite() {
+            let link = link_flows.iter().position(|list| !list.is_empty());
             return Err(DcfsError::Infeasible {
-                link: critical_link,
+                link: LinkId(link.expect("at least one link")),
+            });
+        };
+        if !intensity.is_finite() {
+            return Err(DcfsError::Infeasible {
+                link: LinkId(critical),
             });
         }
 
         // Flows of the critical interval on the critical link: their whole
         // remaining (available) span lies inside the interval.
-        let critical_avail = &availability[&critical_link];
-        let selected: Vec<FlowId> = link_flows[&critical_link]
+        let critical_avail = &mut availability[critical];
+        let selected: Vec<FlowId> = link_flows[critical]
             .iter()
             .copied()
             .filter(|&id| {
+                let span = flows.flow(id).span();
                 remaining[id]
-                    && contained_in_available(
-                        flows.flow(id),
-                        candidate.start,
-                        candidate.end,
-                        critical_avail,
-                    )
+                    && starts_in_available(span, start, critical_avail)
+                    && ends_in_available(span, end, critical_avail)
             })
             .collect();
         debug_assert!(!selected.is_empty(), "critical interval without flows");
@@ -213,79 +233,43 @@ pub fn most_critical_first(
         for &id in &selected {
             let hops = paths[id].len() as f64;
             // Rate of the flow from the critical intensity (Theorem 1 / Eq. 13).
-            rates[id] = candidate.intensity / hops.powf(1.0 / alpha);
+            rates[id] = intensity / hops.powf(1.0 / alpha);
 
             remaining[id] = false;
             remaining_count -= 1;
-            // Remove the flow from its links and mark them dirty.
             for &l in paths[id].links() {
-                if let Some(list) = link_flows.get_mut(&l) {
-                    list.retain(|&other| other != id);
-                }
-                if !dirty.contains(&l) {
-                    dirty.push(l);
-                }
+                dirty[l.index()] = true;
             }
         }
 
         // Consume the critical interval on the critical link (the classical
         // YDS removal step, expressed as blocked time).
-        let slots =
-            availability[&critical_link].available_subintervals(candidate.start, candidate.end);
-        let avail = availability
-            .get_mut(&critical_link)
-            .expect("availability exists for the critical link");
-        for (s, e) in slots {
-            avail.block(s, e);
+        for (s, e) in critical_avail.available_subintervals(start, end) {
+            critical_avail.block(s, e);
         }
-        if !dirty.contains(&critical_link) {
-            dirty.push(critical_link);
-        }
+        dirty[critical] = true;
     }
 
     // Phase 2: per-link preemptive EDF packing at the fixed rates, with a
     // bounded rate-raising loop for the (rare) flows that do not fit.
-    let link_profiles = pack_links(flows, paths, &link_flows_all(flows, paths), &mut rates)?;
+    let mut link_profiles = pack_links(flows, &link_flows, &mut rates)?;
 
     let flow_schedules = flows
         .iter()
         .map(|f| {
-            let per_link: BTreeMap<LinkId, RateProfile> = paths[f.id]
-                .links()
-                .iter()
-                .map(|&l| {
-                    (
-                        l,
-                        link_profiles
-                            .get(&l)
-                            .and_then(|per_flow| per_flow.get(&f.id))
-                            .cloned()
-                            .unwrap_or_default(),
-                    )
-                })
-                .collect();
+            let path = &paths[f.id];
+            let per_link = std::mem::take(&mut link_profiles[f.id]);
             // Nominal (destination-arrival) profile: the profile on the last
             // link of the path.
-            let nominal = paths[f.id]
+            let nominal = path
                 .links()
                 .last()
                 .and_then(|l| per_link.get(l).cloned())
                 .unwrap_or_default();
-            FlowSchedule::per_link(f.id, paths[f.id].clone(), nominal, per_link)
+            FlowSchedule::per_link(f.id, path.clone(), nominal, per_link)
         })
         .collect();
     Ok(Schedule::new(flow_schedules, horizon))
-}
-
-/// All flows per link (regardless of scheduling state), for phase 2.
-fn link_flows_all(flows: &FlowSet, paths: &[Path]) -> BTreeMap<LinkId, Vec<FlowId>> {
-    let mut map: BTreeMap<LinkId, Vec<FlowId>> = BTreeMap::new();
-    for flow in flows.iter() {
-        for &l in paths[flow.id].links() {
-            map.entry(l).or_default().push(flow.id);
-        }
-    }
-    map
 }
 
 /// Phase 2: turn the fixed rates into an explicit, feasible per-link timing.
@@ -299,15 +283,14 @@ fn link_flows_all(flows: &FlowSet, paths: &[Path]) -> BTreeMap<LinkId, Vec<FlowI
 /// preemptive EDF at the final rates, which is guaranteed to meet every
 /// deadline.
 ///
-/// Returns, per link, the transmission profile of every flow on that link.
+/// `link_flows[l]` lists the flows on link `l`. Returns, per flow, its
+/// transmission profile on every link of its path.
 fn pack_links(
     flows: &FlowSet,
-    paths: &[Path],
-    link_flows: &BTreeMap<LinkId, Vec<FlowId>>,
+    link_flows: &[Vec<FlowId>],
     rates: &mut [f64],
-) -> Result<BTreeMap<LinkId, BTreeMap<FlowId, RateProfile>>, DcfsError> {
+) -> Result<Vec<BTreeMap<LinkId, RateProfile>>, DcfsError> {
     use dcn_solver::yds::{edf_schedule, Job};
-    let _ = paths;
 
     // Repair pass: the phase-1 rates satisfy the per-link demand condition
     // (program (P1): for every link and every interval, the transmission
@@ -319,37 +302,41 @@ fn pack_links(
     // times, so the repair converges monotonically.
     for _pass in 0..16 {
         let mut changed = false;
-        for flow_ids in link_flows.values() {
-            let mut points: Vec<f64> = flow_ids
+        for flow_ids in link_flows.iter().filter(|list| !list.is_empty()) {
+            let spans: Vec<(f64, f64)> = flow_ids.iter().map(|&id| flows.flow(id).span()).collect();
+            let scan = IntervalScan::new(
+                &spans,
+                |(release, _), a| release >= a - 1e-12,
+                |(_, deadline), b| deadline <= b + 1e-12,
+            );
+            // Transmission time of each flow on this link at its current rate.
+            let mut time: Vec<f64> = flow_ids
                 .iter()
-                .flat_map(|&id| {
-                    let f = flows.flow(id);
-                    [f.release, f.deadline]
-                })
+                .map(|&id| flows.flow(id).volume / rates[id])
                 .collect();
-            points.sort_by(|a, b| a.partial_cmp(b).expect("finite flow times"));
-            points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-            for (ia, &a) in points.iter().enumerate() {
-                for &b in &points[ia + 1..] {
-                    let contained: Vec<FlowId> = flow_ids
-                        .iter()
-                        .copied()
-                        .filter(|&id| {
-                            let f = flows.flow(id);
-                            f.release >= a - 1e-12 && f.deadline <= b + 1e-12
-                        })
-                        .collect();
-                    let total: f64 = contained
-                        .iter()
-                        .map(|&id| flows.flow(id).volume / rates[id])
-                        .sum();
+            for (ia, &a) in scan.points().iter().enumerate() {
+                // In-order sum over every flow released from `a` on: an upper
+                // bound of the sum over any subset of them (rounding is
+                // monotone and the terms are positive).
+                let from_a = scan.starting_at(ia);
+                let mut bound: f64 = from_a.iter().map(|&i| time[i]).sum();
+                for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
                     let capacity_time = b - a;
-                    if total > capacity_time * (1.0 + 1e-9) {
+                    let room = capacity_time * (1.0 + 1e-9);
+                    if bound <= room {
+                        // Fits here, so it fits for every later (wider) b.
+                        break;
+                    }
+                    let total: f64 = scan.within(ia, ib).map(|i| time[i]).sum();
+                    if total > room {
                         let factor = total / capacity_time;
-                        for id in contained {
+                        for i in scan.within(ia, ib) {
+                            let id = flow_ids[i];
                             rates[id] *= factor * (1.0 + 1e-12);
+                            time[i] = flows.flow(id).volume / rates[id];
                         }
                         changed = true;
+                        bound = from_a.iter().map(|&i| time[i]).sum();
                     }
                 }
             }
@@ -360,8 +347,12 @@ fn pack_links(
     }
 
     // Per-link EDF packing at the final rates.
-    let mut result: BTreeMap<LinkId, BTreeMap<FlowId, RateProfile>> = BTreeMap::new();
-    for (&link, flow_ids) in link_flows {
+    let mut result: Vec<BTreeMap<LinkId, RateProfile>> = vec![BTreeMap::new(); flows.len()];
+    for (link, flow_ids) in link_flows.iter().enumerate() {
+        if flow_ids.is_empty() {
+            continue;
+        }
+        let link = LinkId(link);
         // Jobs processed at unit speed whose work is the transmission time
         // of the flow on this link.
         let jobs: Vec<Job> = flow_ids
@@ -378,7 +369,6 @@ fn pack_links(
             .fold(f64::NEG_INFINITY, f64::max);
         let placements = edf_schedule(&jobs, 1.0, &[(horizon_start, horizon_end)]);
 
-        let mut per_flow = BTreeMap::new();
         for placement in placements {
             let id = placement.id;
             let flow = flows.flow(id);
@@ -402,81 +392,51 @@ fn pack_links(
                     profile.add_rate(s, e, rates[id]);
                 }
             }
-            per_flow.insert(id, profile);
+            result[id].insert(link, profile);
         }
-        result.insert(link, per_flow);
     }
     Ok(result)
 }
 
-/// Returns `true` when the *available* part of the flow's span on a link
-/// lies entirely inside `[a, b]` — the containment notion the critical
-/// interval uses once earlier critical intervals have been removed
-/// (equivalent to the time-contraction step of classical YDS).
-fn contained_in_available(
-    flow: &dcn_flow::Flow,
-    a: f64,
-    b: f64,
-    availability: &TimeAvailability,
-) -> bool {
-    availability.available_between(flow.release, a.min(flow.deadline)) < 1e-9
-        && availability.available_between(b.max(flow.release), flow.deadline) < 1e-9
+/// A span lies in `[a, b]` on a link when its *available* part does — the
+/// containment notion the critical interval uses once earlier critical
+/// intervals have been removed (equivalent to the time-contraction step of
+/// classical YDS). This half: no available time of the span precedes `a`.
+fn starts_in_available((release, deadline): (f64, f64), a: f64, avail: &TimeAvailability) -> bool {
+    avail.available_between(release, a.min(deadline)) < 1e-9
 }
 
-/// The maximum-intensity interval on one link, over the flows that remain on
-/// it.
+/// The other half: no available time of the span follows `b`.
+fn ends_in_available((release, deadline): (f64, f64), b: f64, avail: &TimeAvailability) -> bool {
+    avail.available_between(b.max(release), deadline) < 1e-9
+}
+
+/// The maximum-intensity interval `(intensity, start, end)` on one link, over
+/// the flows that remain on it.
 fn best_candidate_on_link(
     flows: &FlowSet,
     flows_on_link: &[FlowId],
+    remaining: &[bool],
     virtual_weight: &[f64],
     availability: &TimeAvailability,
-) -> Option<Candidate> {
-    if flows_on_link.is_empty() {
-        return None;
-    }
-    let mut points: Vec<f64> = flows_on_link
+) -> Option<(f64, f64, f64)> {
+    let (spans, weights): (Vec<(f64, f64)>, Vec<f64>) = flows_on_link
         .iter()
-        .flat_map(|&id| {
-            let f = flows.flow(id);
-            [f.release, f.deadline]
-        })
-        .collect();
-    points.sort_by(|a, b| a.partial_cmp(b).expect("finite flow times"));
-    points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-    let mut best: Option<Candidate> = None;
-    for (ia, &a) in points.iter().enumerate() {
-        for &b in &points[ia + 1..] {
-            let work: f64 = flows_on_link
-                .iter()
-                .filter(|&&id| contained_in_available(flows.flow(id), a, b, availability))
-                .map(|&id| virtual_weight[id])
-                .sum();
-            if work <= 0.0 {
-                continue;
-            }
-            let available = availability.available_between(a, b);
-            if available <= 1e-12 {
-                // Nothing can be placed here any more; the contained flows'
-                // remaining spans are empty only if they were already
-                // scheduled, so skip the degenerate interval.
-                continue;
-            }
-            let intensity = work / available;
-            let better = match &best {
-                None => true,
-                Some(c) => intensity > c.intensity + 1e-15,
-            };
-            if better {
-                best = Some(Candidate {
-                    intensity,
-                    start: a,
-                    end: b,
-                });
-            }
-        }
-    }
-    best
+        .filter(|&&id| remaining[id])
+        .map(|&id| (flows.flow(id).span(), virtual_weight[id]))
+        .unzip();
+    IntervalScan::new(
+        &spans,
+        |span, a| starts_in_available(span, a, availability),
+        |span, b| ends_in_available(span, b, availability),
+    )
+    .densest(&weights, |work, a, b| {
+        // Without available time nothing can be placed here any more; the
+        // contained flows' remaining spans are empty only if they were
+        // already scheduled, so skip the degenerate interval.
+        let available = availability.available_between(a, b);
+        (available > 1e-12).then(|| work / available)
+    })
 }
 
 #[cfg(test)]

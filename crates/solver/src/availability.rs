@@ -5,7 +5,8 @@
 //! an interval is computed with respect to the *available* time `a ~ b`
 //! (paper, Definition 1), and newly scheduled flows may only occupy
 //! available time. [`TimeAvailability`] maintains the set of blocked
-//! intervals and answers those queries.
+//! intervals and answers those queries; [`IntervalScan`] is the scan over
+//! candidate intervals that both algorithms run on top of it.
 
 /// The set of blocked (unavailable) time intervals on a resource, starting
 /// from a fully available timeline.
@@ -48,23 +49,27 @@ impl TimeAvailability {
         if end == start {
             return;
         }
-        self.blocked.push((start, end));
-        self.normalize();
-    }
-
-    fn normalize(&mut self) {
-        self.blocked
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite intervals"));
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(self.blocked.len());
-        for &(s, e) in &self.blocked {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 + 1e-12 => {
-                    last.1 = last.1.max(e);
-                }
-                _ => merged.push((s, e)),
+        // Sorted insert: the list is already disjoint and sorted, so the new
+        // interval either extends the neighbour on its left or becomes an
+        // entry of its own, and then absorbs every neighbour on its right
+        // that it touches (same `1e-12` tolerance either way).
+        let pos = self.blocked.partition_point(|&(s, _)| s <= start);
+        let at = match pos.checked_sub(1) {
+            Some(left) if start <= self.blocked[left].1 + 1e-12 => {
+                self.blocked[left].1 = self.blocked[left].1.max(end);
+                left
             }
+            _ => {
+                self.blocked.insert(pos, (start, end));
+                pos
+            }
+        };
+        let mut next = at + 1;
+        while next < self.blocked.len() && self.blocked[next].0 <= self.blocked[at].1 + 1e-12 {
+            self.blocked[at].1 = self.blocked[at].1.max(self.blocked[next].1);
+            next += 1;
         }
-        self.blocked = merged;
+        self.blocked.drain(at + 1..next);
     }
 
     /// The blocked intervals, disjoint and sorted.
@@ -77,13 +82,13 @@ impl TimeAvailability {
     /// An empty or reversed window (`end <= start`) contains no time, so
     /// the result is `0.0`.
     pub fn blocked_between(&self, start: f64, end: f64) -> f64 {
-        self.blocked
+        // Only the intervals overlapping the window are summed: every other
+        // one would contribute exactly `+0.0`.
+        let first = self.blocked.partition_point(|&(_, e)| e <= start);
+        self.blocked[first..]
             .iter()
-            .map(|&(s, e)| {
-                let lo = s.max(start);
-                let hi = e.min(end);
-                (hi - lo).max(0.0)
-            })
+            .take_while(|&&(s, _)| s < end)
+            .map(|&(s, e)| (e.min(end) - s.max(start)).max(0.0))
             .sum()
     }
 
@@ -128,6 +133,101 @@ impl TimeAvailability {
     /// Returns `true` if the instant `t` lies inside a blocked interval.
     pub fn is_blocked_at(&self, t: f64) -> bool {
         self.blocked.iter().any(|&(s, e)| t >= s && t < e)
+    }
+}
+
+/// Containment of a list of spans in every interval `[a, b]` between two of
+/// their endpoints — the one scan behind the critical interval of
+/// [`crate::yds_schedule`], of Most-Critical-First and of its (P1) repair.
+///
+/// Whether span `i` lies in `[a, b]` is the conjunction of a test on
+/// `(i, a)` and a test on `(i, b)`, so both are decided once per (span,
+/// endpoint) — `n * P` evaluations of each test instead of one per (span,
+/// a, b) — and a pair is then answered from the per-`a` member list and the
+/// per-`b` row alone. Members always come back **in list order**, so a sum
+/// over them rounds exactly as a filter over the whole list would.
+#[derive(Debug)]
+pub struct IntervalScan {
+    points: Vec<f64>,
+    /// `starts[offsets[ia]..offsets[ia + 1]]`: the spans that may start at
+    /// `points[ia]`, in list order.
+    starts: Vec<usize>,
+    offsets: Vec<usize>,
+    /// `ends[ib * spans + i]`: span `i` ends by `points[ib]`.
+    ends: Vec<bool>,
+    spans: usize,
+}
+
+impl IntervalScan {
+    /// Tabulates `starts_at(span, a)` and `ends_by(span, b)` over the sorted,
+    /// `1e-12`-deduplicated endpoints of `spans`.
+    pub fn new(
+        spans: &[(f64, f64)],
+        mut starts_at: impl FnMut((f64, f64), f64) -> bool,
+        mut ends_by: impl FnMut((f64, f64), f64) -> bool,
+    ) -> Self {
+        let mut points: Vec<f64> = spans.iter().flat_map(|&(r, d)| [r, d]).collect();
+        points.sort_by(|a, b| a.partial_cmp(b).expect("finite span endpoints"));
+        points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let mut starts = Vec::new();
+        let mut offsets = vec![0];
+        let mut ends = Vec::with_capacity(points.len() * spans.len());
+        for &p in &points {
+            starts.extend((0..spans.len()).filter(|&i| starts_at(spans[i], p)));
+            offsets.push(starts.len());
+            ends.extend(spans.iter().map(|&span| ends_by(span, p)));
+        }
+        Self {
+            points,
+            starts,
+            offsets,
+            ends,
+            spans: spans.len(),
+        }
+    }
+
+    /// The candidate interval endpoints, ascending.
+    pub fn points(&self) -> &[f64] {
+        &self.points
+    }
+
+    /// The spans that may start at `points[ia]`, in list order.
+    pub fn starting_at(&self, ia: usize) -> &[usize] {
+        &self.starts[self.offsets[ia]..self.offsets[ia + 1]]
+    }
+
+    /// The spans contained in `[points[ia], points[ib]]`, in list order.
+    pub fn within(&self, ia: usize, ib: usize) -> impl Iterator<Item = usize> + '_ {
+        let ends = &self.ends[ib * self.spans..(ib + 1) * self.spans];
+        self.starting_at(ia).iter().copied().filter(|&i| ends[i])
+    }
+
+    /// The interval maximising `intensity(work, a, b)`, `work` being the
+    /// in-order sum of `weights` over the spans it contains; intervals
+    /// without work, or for which `intensity` is `None`, are skipped, and a
+    /// later interval wins only by more than `1e-15`. Returns `(intensity,
+    /// a, b)`.
+    pub fn densest(
+        &self,
+        weights: &[f64],
+        mut intensity: impl FnMut(f64, f64, f64) -> Option<f64>,
+    ) -> Option<(f64, f64, f64)> {
+        let mut best: Option<(f64, f64, f64)> = None;
+        for (ia, &a) in self.points.iter().enumerate() {
+            for (ib, &b) in self.points.iter().enumerate().skip(ia + 1) {
+                let work: f64 = self.within(ia, ib).map(|i| weights[i]).sum();
+                if work <= 0.0 {
+                    continue;
+                }
+                let Some(intensity) = intensity(work, a, b) else {
+                    continue;
+                };
+                if best.is_none_or(|(top, ..)| intensity > top + 1e-15) {
+                    best = Some((intensity, a, b));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -237,5 +337,91 @@ mod tests {
         b.block(0.0, 5.0);
         b.block(5.0 + 1e-13, 10.0);
         assert!(b.available_subintervals(0.0, 10.0).is_empty());
+    }
+
+    /// `block` as it was: append, stable-sort by start, merge left to right.
+    fn block_by_resorting(blocked: &mut Vec<(f64, f64)>, start: f64, end: f64) {
+        blocked.push((start, end));
+        blocked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut merged: Vec<(f64, f64)> = Vec::new();
+        for &(s, e) in blocked.iter() {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 + 1e-12 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        *blocked = merged;
+    }
+
+    #[test]
+    fn sorted_insert_matches_resorting_on_random_intervals() {
+        // Half-integer grid with sub-tolerance jitter, so that intervals
+        // abut, nest, bridge several neighbours and miss by a hair.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % modulus
+        };
+        let mut a = TimeAvailability::new();
+        let mut expected: Vec<(f64, f64)> = Vec::new();
+        for _ in 0..1000 {
+            let jitter = [0.0, 1e-13, -1e-13, 3e-12][next(4) as usize];
+            let start = next(4000) as f64 * 0.5 + jitter;
+            let end = start + next(12) as f64 * 0.5 + 0.25;
+            a.block(start, end);
+            block_by_resorting(&mut expected, start, end);
+            assert_eq!(a.blocked_intervals(), expected.as_slice());
+
+            // The overlap-only sum is the sum over the whole list (`==` on
+            // floats is exact up to the sign of zero).
+            let (lo, hi) = (next(2000) as f64, next(2000) as f64);
+            let whole: f64 = expected
+                .iter()
+                .map(|&(s, e)| (e.min(hi) - s.max(lo)).max(0.0))
+                .sum();
+            assert_eq!(a.blocked_between(lo, hi), whole);
+        }
+        assert!(expected.len() > 100, "the timeline never fragmented");
+    }
+
+    /// Spans (0,4) (1,3) (2,8) (1,3): plain containment, duplicates included.
+    fn plain_scan() -> IntervalScan {
+        IntervalScan::new(
+            &[(0.0, 4.0), (1.0, 3.0), (2.0, 8.0), (1.0, 3.0)],
+            |(release, _), a| release >= a - 1e-12,
+            |(_, deadline), b| deadline <= b + 1e-12,
+        )
+    }
+
+    #[test]
+    fn interval_scan_lists_members_in_list_order() {
+        let scan = plain_scan();
+        assert_eq!(scan.points(), &[0.0, 1.0, 2.0, 3.0, 4.0, 8.0]);
+        assert_eq!(scan.starting_at(1), &[1, 2, 3]);
+        assert_eq!(scan.within(0, 4).collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert_eq!(scan.within(1, 3).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(scan.within(2, 5).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(scan.within(3, 4).count(), 0);
+    }
+
+    #[test]
+    fn densest_keeps_the_first_of_tied_intervals_and_skips_none() {
+        let scan = plain_scan();
+        let weights = [2.0, 1.0, 3.0, 1.0];
+        // [1,3] holds work 2 in length 2; [0,4] holds 4 in 4: a tie at 1,
+        // broken in favour of the pair met first, [0,4]. [0,8] (7 in 8)
+        // and [2,8] (3 in 6) are less dense.
+        let best = scan.densest(&weights, |work, a, b| Some(work / (b - a)));
+        assert_eq!(best, Some((1.0, 0.0, 4.0)));
+        // Intervals the caller rejects are skipped, not counted as zero.
+        let best = scan.densest(&weights, |work, a, b| (a >= 1.0).then(|| work / (b - a)));
+        assert_eq!(best, Some((1.0, 1.0, 3.0)));
+        assert_eq!(scan.densest(&weights, |_, _, _| None), None);
+        assert_eq!(
+            IntervalScan::new(&[], |_, _| true, |_, _| true).densest(&[], |w, _, _| Some(w)),
+            None
+        );
     }
 }

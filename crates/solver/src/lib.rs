@@ -17,8 +17,9 @@
 //!   per-commodity edge flow into weighted paths (Algorithm 2, line 4).
 //!
 //! Two auxiliary modules support them: [`availability`] tracks blocked /
-//! available time on a resource (needed by the critical-interval machinery),
-//! and [`brute`] contains small exact or exhaustive solvers used by the test
+//! available time on a resource and tabulates which spans each candidate
+//! interval contains (the critical-interval machinery of YDS and
+//! Most-Critical-First), and [`brute`] contains small exact or exhaustive solvers used by the test
 //! suite to certify optimality on micro instances.
 
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ pub mod decompose;
 pub mod fmcf;
 pub mod yds;
 
-pub use availability::TimeAvailability;
+pub use availability::{IntervalScan, TimeAvailability};
 pub use decompose::{decompose_flow, WeightedPath};
 pub use fmcf::{Commodity, FlowCost, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost};
 pub use yds::{edf_schedule, yds_schedule, Job, JobPlacement, YdsSchedule};

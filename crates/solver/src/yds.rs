@@ -14,8 +14,17 @@
 //! this algorithm applied per *link* with virtual weights
 //! `w'_i = w_i * |P_i|^(1/alpha)`; the core crate builds directly on the
 //! primitives exported here.
+//!
+//! **Cost.** A round of [`yds_schedule`] over `n` jobs with `P` distinct
+//! endpoints scans `P^2 / 2` intervals. Which jobs an interval contains is
+//! decided once per (job, endpoint) by [`IntervalScan`], and each interval
+//! then sums the works of its members **in job order** — the same terms in
+//! the same order as a filter over the whole job list, so intensities, the
+//! `1e-15` tie-break between intervals and therefore the schedule are bit
+//! for bit those of the plain scan (an incrementally updated sum would
+//! round differently and pick other critical intervals on ties).
 
-use crate::TimeAvailability;
+use crate::{IntervalScan, TimeAvailability};
 use dcn_power::PowerFunction;
 
 /// A job for the single-processor speed-scaling problem.
@@ -281,41 +290,22 @@ pub fn yds_schedule(jobs: &[Job]) -> YdsSchedule {
     let mut placements = Vec::with_capacity(jobs.len());
 
     while !remaining.is_empty() {
-        // Candidate interval endpoints: all releases and deadlines.
-        let mut points: Vec<f64> = remaining
-            .iter()
-            .flat_map(|j| [j.release, j.deadline])
-            .collect();
-        points.sort_by(|a, b| a.partial_cmp(b).expect("finite job times"));
-        points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-        // Find the interval of maximum intensity.
-        let mut best: Option<(f64, f64, f64)> = None; // (intensity, a, b)
-        for (ia, &a) in points.iter().enumerate() {
-            for &b in &points[ia + 1..] {
-                let work: f64 = remaining
-                    .iter()
-                    .filter(|j| j.release >= a - 1e-12 && j.deadline <= b + 1e-12)
-                    .map(|j| j.work)
-                    .sum();
-                if work <= 0.0 {
-                    continue;
-                }
-                let available = avail.available_between(a, b);
-                let intensity = if available > 1e-12 {
-                    work / available
-                } else {
-                    f64::INFINITY
-                };
-                let better = match best {
-                    None => true,
-                    Some((bi, ..)) => intensity > bi + 1e-15,
-                };
-                if better {
-                    best = Some((intensity, a, b));
-                }
-            }
-        }
+        // The interval of maximum intensity.
+        let spans: Vec<(f64, f64)> = remaining.iter().map(|j| (j.release, j.deadline)).collect();
+        let works: Vec<f64> = remaining.iter().map(|j| j.work).collect();
+        let best = IntervalScan::new(
+            &spans,
+            |(release, _), a| release >= a - 1e-12,
+            |(_, deadline), b| deadline <= b + 1e-12,
+        )
+        .densest(&works, |work, a, b| {
+            let available = avail.available_between(a, b);
+            Some(if available > 1e-12 {
+                work / available
+            } else {
+                f64::INFINITY
+            })
+        });
         let (intensity, a, b) =
             best.expect("at least one job remains, so a candidate interval exists");
         debug_assert!(

@@ -1,0 +1,511 @@
+//! The critical-interval kernel (`dcn_solver::IntervalScan`) against the
+//! brute-force scans it replaced, and Most-Critical-First against the
+//! paper's own claims.
+//!
+//! * **Differential** — `most_critical_first` and `yds_schedule` must equal,
+//!   bit for bit (`==` on rates and windows, no tolerance), the pre-kernel
+//!   algorithms kept in [`reference`], whose three scans all go through the
+//!   one surviving copy of the pairwise scan, [`reference::pairwise_scan`].
+//!   A pinned instance takes the rate-raising branch of the (P1) repair
+//!   sweep, so the sweep is not only ever compared in its no-op form.
+//! * **Oracle** — the final rates satisfy program (P1) on every link
+//!   (`brute::speeds_feasible`), and on instances small enough to enumerate
+//!   the energy is the brute-force optimum (Theorem 1 / Corollary 1).
+
+use deadline_dcn::core::{most_critical_first, Routing, Schedule};
+use deadline_dcn::flow::workload::UniformWorkload;
+use deadline_dcn::flow::{Flow, FlowSet};
+use deadline_dcn::power::PowerFunction;
+use deadline_dcn::solver::brute::{brute_force_optimal_energy, speeds_feasible};
+use deadline_dcn::solver::{yds_schedule, Job};
+use deadline_dcn::topology::builders::{self, BuiltTopology};
+use deadline_dcn::topology::{LinkId, Path};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The algorithms as they were before the kernel: every `(a, b)` endpoint
+/// pair re-decides containment for every item on the list.
+mod reference {
+    use deadline_dcn::core::{DcfsError, FlowSchedule, Schedule};
+    use deadline_dcn::flow::{Flow, FlowId, FlowSet};
+    use deadline_dcn::power::{PowerFunction, RateProfile};
+    use deadline_dcn::solver::{edf_schedule, Job, JobPlacement, TimeAvailability};
+    use deadline_dcn::topology::{LinkId, Path};
+    use std::collections::BTreeMap;
+
+    /// The pairwise scan: calls `visit(a, b, contained)` for every pair
+    /// `a < b` of the sorted, `1e-12`-deduplicated endpoints of `spans`, with
+    /// the indices of the items for which `contained(i, a, b)` holds, in list
+    /// order.
+    pub fn pairwise_scan(
+        spans: &[(f64, f64)],
+        contained: impl Fn(usize, f64, f64) -> bool,
+        mut visit: impl FnMut(f64, f64, &[usize]),
+    ) {
+        let mut points: Vec<f64> = spans.iter().flat_map(|&(r, d)| [r, d]).collect();
+        points.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        for (ia, &a) in points.iter().enumerate() {
+            for &b in &points[ia + 1..] {
+                let members: Vec<usize> =
+                    (0..spans.len()).filter(|&i| contained(i, a, b)).collect();
+                visit(a, b, &members);
+            }
+        }
+    }
+
+    fn span_within((release, deadline): (f64, f64), a: f64, b: f64) -> bool {
+        release >= a - 1e-12 && deadline <= b + 1e-12
+    }
+
+    /// Pre-kernel `yds_schedule`; returns the placements.
+    pub fn yds_schedule(jobs: &[Job]) -> Vec<JobPlacement> {
+        let mut remaining: Vec<Job> = jobs.to_vec();
+        let mut avail = TimeAvailability::new();
+        let mut placements = Vec::with_capacity(jobs.len());
+        while !remaining.is_empty() {
+            let spans: Vec<(f64, f64)> =
+                remaining.iter().map(|j| (j.release, j.deadline)).collect();
+            let mut best: Option<(f64, f64, f64)> = None;
+            pairwise_scan(
+                &spans,
+                |i, a, b| span_within(spans[i], a, b),
+                |a, b, members| {
+                    let work: f64 = members.iter().map(|&i| remaining[i].work).sum();
+                    if work <= 0.0 {
+                        return;
+                    }
+                    let available = avail.available_between(a, b);
+                    let intensity = if available > 1e-12 {
+                        work / available
+                    } else {
+                        f64::INFINITY
+                    };
+                    let better = match best {
+                        None => true,
+                        Some((bi, ..)) => intensity > bi + 1e-15,
+                    };
+                    if better {
+                        best = Some((intensity, a, b));
+                    }
+                },
+            );
+            let (intensity, a, b) = best.expect("a job remains");
+            let (critical, rest): (Vec<Job>, Vec<Job>) = remaining
+                .into_iter()
+                .partition(|j| span_within((j.release, j.deadline), a, b));
+            remaining = rest;
+            let slots = avail.available_subintervals(a, b);
+            placements.extend(edf_schedule(&critical, intensity, &slots));
+            for (s, e) in slots {
+                avail.block(s, e);
+            }
+        }
+        placements
+    }
+
+    fn contained_in_available(flow: &Flow, a: f64, b: f64, avail: &TimeAvailability) -> bool {
+        avail.available_between(flow.release, a.min(flow.deadline)) < 1e-9
+            && avail.available_between(b.max(flow.release), flow.deadline) < 1e-9
+    }
+
+    fn best_candidate_on_link(
+        flows: &FlowSet,
+        flows_on_link: &[FlowId],
+        virtual_weight: &[f64],
+        avail: &TimeAvailability,
+    ) -> Option<(f64, f64, f64)> {
+        let spans: Vec<(f64, f64)> = flows_on_link
+            .iter()
+            .map(|&id| flows.flow(id).span())
+            .collect();
+        let mut best: Option<(f64, f64, f64)> = None;
+        pairwise_scan(
+            &spans,
+            |i, a, b| contained_in_available(flows.flow(flows_on_link[i]), a, b, avail),
+            |a, b, members| {
+                let work: f64 = members
+                    .iter()
+                    .map(|&i| virtual_weight[flows_on_link[i]])
+                    .sum();
+                if work <= 0.0 {
+                    return;
+                }
+                let available = avail.available_between(a, b);
+                if available <= 1e-12 {
+                    return;
+                }
+                let intensity = work / available;
+                let better = match best {
+                    None => true,
+                    Some((bi, ..)) => intensity > bi + 1e-15,
+                };
+                if better {
+                    best = Some((intensity, a, b));
+                }
+            },
+        );
+        best
+    }
+
+    /// Pre-kernel `most_critical_first` (valid paths assumed); returns the
+    /// phase-1 rates next to the schedule, so a test can tell whether the
+    /// repair sweep raised any of them.
+    pub fn most_critical_first(
+        flows: &FlowSet,
+        paths: &[Path],
+        power: &PowerFunction,
+    ) -> Result<(Vec<f64>, Schedule), DcfsError> {
+        let alpha = power.alpha();
+        let virtual_weight: Vec<f64> = flows
+            .iter()
+            .map(|f| f.volume * (paths[f.id].len() as f64).powf(1.0 / alpha))
+            .collect();
+        let mut link_flows: BTreeMap<LinkId, Vec<FlowId>> = BTreeMap::new();
+        for flow in flows.iter() {
+            for &l in paths[flow.id].links() {
+                link_flows.entry(l).or_default().push(flow.id);
+            }
+        }
+        let all_link_flows = link_flows.clone();
+        let mut availability: BTreeMap<LinkId, TimeAvailability> = link_flows
+            .keys()
+            .map(|&l| (l, TimeAvailability::new()))
+            .collect();
+        let mut remaining = vec![true; flows.len()];
+        let mut remaining_count = flows.len();
+        let mut rates = vec![0.0; flows.len()];
+        let mut candidates: BTreeMap<LinkId, Option<(f64, f64, f64)>> = BTreeMap::new();
+        let mut dirty: Vec<LinkId> = link_flows.keys().copied().collect();
+
+        while remaining_count > 0 {
+            for link in dirty.drain(..) {
+                let cand = best_candidate_on_link(
+                    flows,
+                    &link_flows[&link],
+                    &virtual_weight,
+                    &availability[&link],
+                );
+                candidates.insert(link, cand);
+            }
+            let (&critical_link, (intensity, start, end)) = candidates
+                .iter()
+                .filter_map(|(l, c)| c.map(|c| (l, c)))
+                .max_by(|a, b| {
+                    (a.1 .0)
+                        .partial_cmp(&b.1 .0)
+                        .expect("intensities are comparable")
+                        .then_with(|| b.0.cmp(a.0))
+                })
+                .expect("a flow remains");
+            if !intensity.is_finite() {
+                return Err(DcfsError::Infeasible {
+                    link: critical_link,
+                });
+            }
+            let selected: Vec<FlowId> = link_flows[&critical_link]
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    remaining[id]
+                        && contained_in_available(
+                            flows.flow(id),
+                            start,
+                            end,
+                            &availability[&critical_link],
+                        )
+                })
+                .collect();
+            for &id in &selected {
+                let hops = paths[id].len() as f64;
+                rates[id] = intensity / hops.powf(1.0 / alpha);
+                remaining[id] = false;
+                remaining_count -= 1;
+                for &l in paths[id].links() {
+                    if let Some(list) = link_flows.get_mut(&l) {
+                        list.retain(|&other| other != id);
+                    }
+                    if !dirty.contains(&l) {
+                        dirty.push(l);
+                    }
+                }
+            }
+            let slots = availability[&critical_link].available_subintervals(start, end);
+            let avail = availability.get_mut(&critical_link).expect("link exists");
+            for (s, e) in slots {
+                avail.block(s, e);
+            }
+            if !dirty.contains(&critical_link) {
+                dirty.push(critical_link);
+            }
+        }
+        let phase1_rates = rates.clone();
+
+        // (P1) repair sweep.
+        for _pass in 0..16 {
+            let mut changed = false;
+            for flow_ids in all_link_flows.values() {
+                let spans: Vec<(f64, f64)> =
+                    flow_ids.iter().map(|&id| flows.flow(id).span()).collect();
+                pairwise_scan(
+                    &spans,
+                    |i, a, b| span_within(spans[i], a, b),
+                    |a, b, members| {
+                        let total: f64 = members
+                            .iter()
+                            .map(|&i| flows.flow(flow_ids[i]).volume / rates[flow_ids[i]])
+                            .sum();
+                        let capacity_time = b - a;
+                        if total > capacity_time * (1.0 + 1e-9) {
+                            let factor = total / capacity_time;
+                            for &i in members {
+                                rates[flow_ids[i]] *= factor * (1.0 + 1e-12);
+                            }
+                            changed = true;
+                        }
+                    },
+                );
+            }
+            if !changed {
+                break;
+            }
+        }
+
+        // Per-link EDF packing at the final rates.
+        let mut link_profiles: BTreeMap<LinkId, BTreeMap<FlowId, RateProfile>> = BTreeMap::new();
+        for (&link, flow_ids) in &all_link_flows {
+            let jobs: Vec<Job> = flow_ids
+                .iter()
+                .map(|&id| {
+                    let f = flows.flow(id);
+                    Job::new(id, f.release, f.deadline, f.volume / rates[id])
+                })
+                .collect();
+            let horizon_start = jobs.iter().map(|j| j.release).fold(f64::INFINITY, f64::min);
+            let horizon_end = jobs
+                .iter()
+                .map(|j| j.deadline)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut per_flow = BTreeMap::new();
+            for placement in edf_schedule(&jobs, 1.0, &[(horizon_start, horizon_end)]) {
+                let id = placement.id;
+                let flow = flows.flow(id);
+                let needed = flow.volume / rates[id];
+                let inside: f64 = placement
+                    .windows
+                    .iter()
+                    .map(|&(s, e)| (e.min(flow.deadline) - s.max(flow.release)).max(0.0))
+                    .sum();
+                if inside + 1e-6 * needed.max(1.0) < needed {
+                    return Err(DcfsError::Infeasible { link });
+                }
+                let mut profile = RateProfile::new();
+                for &(s, e) in &placement.windows {
+                    let s = s.max(flow.release);
+                    let e = e.min(flow.deadline);
+                    if e > s {
+                        profile.add_rate(s, e, rates[id]);
+                    }
+                }
+                per_flow.insert(id, profile);
+            }
+            link_profiles.insert(link, per_flow);
+        }
+        let flow_schedules = flows
+            .iter()
+            .map(|f| {
+                let per_link: BTreeMap<LinkId, RateProfile> = paths[f.id]
+                    .links()
+                    .iter()
+                    .map(|&l| {
+                        let profile = link_profiles
+                            .get(&l)
+                            .and_then(|per_flow| per_flow.get(&f.id))
+                            .cloned()
+                            .unwrap_or_default();
+                        (l, profile)
+                    })
+                    .collect();
+                let nominal = paths[f.id]
+                    .links()
+                    .last()
+                    .and_then(|l| per_link.get(l).cloned())
+                    .unwrap_or_default();
+                FlowSchedule::per_link(f.id, paths[f.id].clone(), nominal, per_link)
+            })
+            .collect();
+        Ok((phase1_rates, Schedule::new(flow_schedules, flows.horizon())))
+    }
+}
+
+const ALPHAS: [f64; 3] = [1.5, 2.0, 3.0];
+
+fn power(alpha: f64) -> PowerFunction {
+    PowerFunction::speed_scaling_only(1.0, alpha, 1e9)
+}
+
+fn topology(which: usize) -> BuiltTopology {
+    match which {
+        0 => builders::fat_tree_with_capacity(4, 1e9),
+        1 => builders::leaf_spine_with_capacity(4, 2, 3, 1e9),
+        _ => builders::line_with_capacity(5, 1e9),
+    }
+}
+
+/// `raw` as a flow set over the hosts of `topo`. With `grid` the times and
+/// volumes are rounded to integers, which makes endpoints coincide and
+/// intensities tie — the cases the `1e-12` / `1e-15` thresholds decide.
+fn flow_set(topo: &BuiltTopology, raw: &[(usize, usize, f64, f64, f64)], grid: bool) -> FlowSet {
+    let hosts = topo.hosts();
+    let snap = |x: f64| if grid { x.round().max(1.0) } else { x };
+    let flows = raw
+        .iter()
+        .enumerate()
+        .map(|(id, &(s, d, release, span, volume))| {
+            let (s, d) = (s % hosts.len(), d % hosts.len());
+            let d = if s == d { (d + 1) % hosts.len() } else { d };
+            let release = snap(release);
+            Flow::new(
+                id,
+                hosts[s],
+                hosts[d],
+                release,
+                release + snap(span),
+                snap(volume),
+            )
+            .expect("valid by construction")
+        })
+        .collect();
+    FlowSet::from_flows(flows).expect("dense ids by construction")
+}
+
+fn shortest_paths(topo: &BuiltTopology, flows: &FlowSet) -> Vec<Path> {
+    Routing::ShortestPath
+        .compute_on(&topo.csr(), flows)
+        .expect("connected topology")
+}
+
+/// The flows on every link as single-link jobs, with their final rates.
+fn per_link_jobs(flows: &FlowSet, schedule: &Schedule) -> BTreeMap<LinkId, (Vec<Job>, Vec<f64>)> {
+    let mut links: BTreeMap<LinkId, (Vec<Job>, Vec<f64>)> = BTreeMap::new();
+    for fs in schedule.flow_schedules() {
+        let f = flows.flow(fs.flow);
+        for &l in fs.path.links() {
+            let (jobs, speeds) = links.entry(l).or_default();
+            jobs.push(Job::new(f.id, f.release, f.deadline, f.volume));
+            speeds.push(fs.link_profile(l).expect("a profile per link").max_rate());
+        }
+    }
+    links
+}
+
+/// An instance on which the repair sweep raises phase-1 rates: fat-tree(4)
+/// at 90 flows with spans of 5–15 over a horizon of 40.
+fn rate_raising_instance() -> (BuiltTopology, FlowSet) {
+    let topo = topology(0);
+    let flows = UniformWorkload {
+        horizon_end: 40.0,
+        ..UniformWorkload::paper_defaults(90, 3)
+    }
+    .generate(topo.hosts())
+    .expect("workload generates");
+    (topo, flows)
+}
+
+#[test]
+fn repair_sweep_raises_rates_identically() {
+    let (topo, flows) = rate_raising_instance();
+    let paths = shortest_paths(&topo, &flows);
+    for alpha in ALPHAS {
+        let (phase1_rates, expected) =
+            reference::most_critical_first(&flows, &paths, &power(alpha)).unwrap();
+        let raised = expected
+            .flow_schedules()
+            .iter()
+            .filter(|fs| fs.profile.max_rate() != phase1_rates[fs.flow])
+            .count();
+        assert!(raised > 0, "alpha {alpha}: the repair sweep was a no-op");
+        let schedule = most_critical_first(&topo.network, &flows, &paths, &power(alpha)).unwrap();
+        assert_eq!(schedule, expected, "alpha {alpha}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 72, ..ProptestConfig::default() })]
+
+    #[test]
+    fn most_critical_first_equals_the_pairwise_reference(
+        which in 0usize..3,
+        alpha in 0usize..3,
+        grid in 0usize..2,
+        raw in prop::collection::vec(
+            (0usize..64, 0usize..64, 0.0f64..60.0, 1.0f64..25.0, 0.5f64..20.0),
+            2..121,
+        ),
+    ) {
+        let topo = topology(which);
+        let flows = flow_set(&topo, &raw, grid == 1);
+        let paths = shortest_paths(&topo, &flows);
+        let power = power(ALPHAS[alpha]);
+        let expected = reference::most_critical_first(&flows, &paths, &power).map(|(_, s)| s);
+        let schedule = most_critical_first(&topo.network, &flows, &paths, &power);
+        prop_assert!(schedule == expected, "schedules differ");
+
+        // Program (P1) holds on every link at the final rates.
+        for (link, (jobs, speeds)) in per_link_jobs(&flows, &schedule.unwrap()) {
+            prop_assert!(speeds_feasible(&jobs, &speeds), "(P1) violated on link {link}");
+        }
+    }
+
+    #[test]
+    fn yds_equals_the_pairwise_reference(
+        grid in 0usize..2,
+        raw in prop::collection::vec((0.0f64..60.0, 1.0f64..25.0, 0.5f64..20.0), 2..121),
+    ) {
+        let snap = |x: f64| if grid == 1 { x.round().max(1.0) } else { x };
+        let jobs: Vec<Job> = raw
+            .iter()
+            .enumerate()
+            .map(|(id, &(release, span, work))| {
+                Job::new(id, snap(release), snap(release) + snap(span), snap(work))
+            })
+            .collect();
+        let schedule = yds_schedule(&jobs);
+        prop_assert!(schedule.placements() == reference::yds_schedule(&jobs).as_slice());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Corollary 1 on instances the grid search can enumerate: every flow
+    /// crosses the same `hops` links of a line, so each link sees the same
+    /// single-link problem and the optimum is `hops` times its optimum.
+    #[test]
+    fn energy_is_the_brute_force_optimum_on_small_instances(
+        hops in 1usize..4,
+        alpha in 0usize..3,
+        raw in prop::collection::vec((0.0f64..10.0, 2.0f64..10.0, 1.0f64..10.0), 1..5),
+    ) {
+        let topo = builders::line_with_capacity(hops + 1, 1e9);
+        let (src, dst) = (topo.hosts()[0], topo.hosts()[hops]);
+        let flows = FlowSet::from_tuples(
+            raw.iter().map(|&(release, span, volume)| (src, dst, release, release + span, volume)),
+        )
+        .unwrap();
+        let paths = shortest_paths(&topo, &flows);
+        let power = power(ALPHAS[alpha]);
+        let schedule = most_critical_first(&topo.network, &flows, &paths, &power).unwrap();
+        let energy = schedule.energy(&power).total();
+
+        let jobs: Vec<Job> = flows
+            .iter()
+            .map(|f| Job::new(f.id, f.release, f.deadline, f.volume))
+            .collect();
+        let resolution = if jobs.len() == 4 { 9 } else { 15 };
+        let brute = hops as f64 * brute_force_optimal_energy(&jobs, &power, resolution);
+        // The grid never beats the optimum, and gets within its resolution.
+        prop_assert!(brute >= energy * (1.0 - 1e-9), "brute {brute} < mcf {energy}");
+        prop_assert!(brute <= energy * 1.08, "brute {brute} vs mcf {energy}");
+    }
+}
