@@ -13,8 +13,6 @@ use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
 use dcn_sim::Simulator;
 use dcn_solver::fmcf::{Commodity, FmcfProblem, FmcfScratch, FmcfSolverConfig, PowerFlowCost};
-#[allow(deprecated)] // the classic one-shot Dijkstra is the benchmark's baseline
-use dcn_topology::dijkstra;
 use dcn_topology::{builders, GraphCsr, ShortestPathEngine};
 use std::hint::black_box;
 
@@ -22,8 +20,9 @@ fn power() -> PowerFunction {
     PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY)
 }
 
-/// Raw shortest-path cost: the classic allocate-per-call Dijkstra versus
-/// the arena-reuse engine, and the engine's batched multi-target search.
+/// Raw shortest-path cost: a per-call rebuild of the CSR view and the
+/// engine versus the arena-reuse engine, and the engine's batched
+/// multi-target search.
 fn bench_dijkstra(c: &mut Criterion) {
     let mut group = c.benchmark_group("dijkstra");
     group.sample_size(50);
@@ -36,8 +35,10 @@ fn bench_dijkstra(c: &mut Criterion) {
 
         group.bench_function(&format!("classic_per_call/fat_tree{k}"), |b| {
             b.iter(|| {
-                #[allow(deprecated)] // the classic one-shot path is the benchmark's baseline
-                dijkstra(black_box(&topo.network), src, dst, weight).expect("connected")
+                let graph = GraphCsr::from_network(black_box(&topo.network));
+                ShortestPathEngine::new()
+                    .shortest_path(&graph, src, dst, weight)
+                    .expect("connected")
             })
         });
         group.bench_function(&format!("engine_reused/fat_tree{k}"), |b| {
@@ -108,7 +109,7 @@ fn bench_fmcf_iteration(c: &mut Criterion) {
 
 /// One full pipeline instance: one context, Random-Schedule (relaxation
 /// included), SP+MCF, and simulator verification of both (the body of
-/// `run_flow_set`).
+/// `run_flow_set_algorithms_threads`).
 fn pipeline(topo: &builders::BuiltTopology, flows: &dcn_flow::FlowSet, seed: u64) {
     let power = power();
     let mut ctx = SolverContext::from_network(&topo.network).expect("fat-tree validates");

@@ -4,9 +4,9 @@
 //!
 //! The crate is an experiment-runner subsystem in three layers:
 //!
-//! * **this module** — the solving primitives ([`run_instance`],
-//!   [`run_flow_set`], [`run_flow_set_algorithms`], and
-//!   [`run_online_flow_set`] for the event-driven online sweeps, with the
+//! * **this module** — the solving primitives
+//!   ([`run_flow_set_algorithms_threads`], and [`run_online_flow_set`] for
+//!   the event-driven online sweeps, with the
 //!   policy selected by name through the
 //!   [`dcn_core::online::PolicyRegistry`]) and
 //!   the declarative [`Experiment`] descriptor (name, topologies, workload
@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub mod report;
 pub mod runner;
@@ -131,28 +130,6 @@ pub fn harness_registry() -> AlgorithmRegistry {
     registry
 }
 
-/// Runs one instance with the default algorithm pair
-/// ([`DEFAULT_ALGORITHMS`]) through [`harness_registry`].
-///
-/// # Panics
-///
-/// See [`run_flow_set_algorithms`].
-pub fn run_flow_set(
-    topo: &BuiltTopology,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    seed: u64,
-) -> InstanceResult {
-    run_flow_set_algorithms(
-        topo,
-        flows,
-        power,
-        seed,
-        &default_algorithms(),
-        &harness_registry(),
-    )
-}
-
 /// Runs one instance of an experiment on an arbitrary topology and flow
 /// set, with an explicit algorithm selection.
 ///
@@ -166,6 +143,14 @@ pub fn run_flow_set(
 ///
 /// `seed` re-seeds every algorithm's randomness ([`dcn_core::Algorithm::set_seed`]).
 ///
+/// The instance's context solves independent relaxation intervals on
+/// `solver_threads` pool workers ([`ParallelConfig`]). The solution is
+/// bit-identical at any `solver_threads` — parallelism only changes
+/// wall-clock (and the opt-in [`InstanceResult::solve_wall_ms`]
+/// measurement). When instances are themselves sharded across `--threads`
+/// workers, the nested interval pools run inline, so the two axes compose
+/// without oversubscription.
+///
 /// # Panics
 ///
 /// Panics when fewer than two algorithms are selected, when a name is not
@@ -173,30 +158,6 @@ pub fn run_flow_set(
 /// when a scheduler fails, or when a primary/reference schedule misses a
 /// deadline — these are invariants of the experiments, so a violation
 /// indicates a bug rather than an expected error path.
-pub fn run_flow_set_algorithms(
-    topo: &BuiltTopology,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    seed: u64,
-    algorithms: &[String],
-    registry: &AlgorithmRegistry,
-) -> InstanceResult {
-    run_flow_set_algorithms_threads(topo, flows, power, seed, algorithms, registry, 1)
-}
-
-/// [`run_flow_set_algorithms`] with the instance's [`SolverContext`]
-/// configured to solve independent relaxation intervals on
-/// `solver_threads` pool workers ([`ParallelConfig`]).
-///
-/// The solution is bit-identical at any `solver_threads` — parallelism
-/// only changes wall-clock (and the opt-in
-/// [`InstanceResult::solve_wall_ms`] measurement). When instances are
-/// themselves sharded across `--threads` workers, the nested interval
-/// pools run inline, so the two axes compose without oversubscription.
-///
-/// # Panics
-///
-/// See [`run_flow_set_algorithms`].
 pub fn run_flow_set_algorithms_threads(
     topo: &BuiltTopology,
     flows: &FlowSet,
@@ -513,20 +474,6 @@ pub fn run_online_flow_set_with_events(
     }
 }
 
-/// Generates the paper's uniform workload and runs one instance with the
-/// default algorithm pair.
-pub fn run_instance(
-    topo: &BuiltTopology,
-    num_flows: usize,
-    seed: u64,
-    power: &PowerFunction,
-) -> InstanceResult {
-    let flows = UniformWorkload::paper_defaults(num_flows, seed)
-        .generate(topo.hosts())
-        .expect("workload generation succeeds on topologies with >= 2 hosts");
-    run_flow_set(topo, &flows, power, seed)
-}
-
 /// The two power functions of the paper's Fig. 2: `x^2` and `x^4` on links
 /// of capacity 10 (the builders' default).
 pub fn fig2_power_functions() -> Vec<PowerFunction> {
@@ -677,7 +624,7 @@ impl Experiment {
     /// Panics when an algorithm name is not registered in
     /// [`harness_registry`], when an instance references a topology index
     /// out of range, when workload generation fails, or when a scheduler
-    /// violates its invariants (see [`run_flow_set_algorithms`]).
+    /// violates its invariants (see [`run_flow_set_algorithms_threads`]).
     pub fn run(&self, threads: usize) -> RunOutcome {
         let registry = harness_registry();
         for name in &self.algorithms {
@@ -812,10 +759,21 @@ mod tests {
     use dcn_topology::builders;
 
     #[test]
-    fn run_instance_produces_sane_numbers() {
+    fn default_algorithm_pair_produces_sane_numbers() {
         let topo = builders::fat_tree(4);
         let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
-        let r = run_instance(&topo, 15, 3, &power);
+        let flows = UniformWorkload::paper_defaults(15, 3)
+            .generate(topo.hosts())
+            .unwrap();
+        let r = run_flow_set_algorithms_threads(
+            &topo,
+            &flows,
+            &power,
+            3,
+            &default_algorithms(),
+            &harness_registry(),
+            1,
+        );
         assert_eq!(r.flows, 15);
         assert!(r.lower_bound > 0.0);
         assert!(r.rs_energy >= r.lower_bound - 1e-6);
@@ -837,7 +795,15 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let r = run_flow_set_algorithms(&topo, &flows, &power, 3, &names, &harness_registry());
+        let r = run_flow_set_algorithms_threads(
+            &topo,
+            &flows,
+            &power,
+            3,
+            &names,
+            &harness_registry(),
+            1,
+        );
         assert_eq!(r.extra_energies.len(), 2);
         assert_eq!(r.extra_energies[0].0, "ecmp_energy");
         assert_eq!(r.extra_energies[1].0, "least-loaded_energy");
@@ -856,7 +822,15 @@ mod tests {
             .generate(topo.hosts())
             .unwrap();
         let names: Vec<String> = ["sp-mcf", "ecmp"].iter().map(|s| s.to_string()).collect();
-        let r = run_flow_set_algorithms(&topo, &flows, &power, 5, &names, &harness_registry());
+        let r = run_flow_set_algorithms_threads(
+            &topo,
+            &flows,
+            &power,
+            5,
+            &names,
+            &harness_registry(),
+            1,
+        );
         assert!(r.lower_bound > 0.0);
         assert!(r.rs_energy >= r.lower_bound - 1e-6);
     }

@@ -591,11 +591,12 @@ mod tests {
         algo.set_seed(5);
         let solution = algo.solve(&mut ctx, &flows, &power).unwrap();
 
-        let relaxation = crate::relaxation::interval_relaxation_on(
+        let relaxation = crate::relaxation::interval_relaxation_with(
             &topo.csr(),
             &flows,
             &power,
             &FmcfSolverConfig::default(),
+            &mut dcn_solver::fmcf::FmcfScratch::new(),
         );
         let legacy = RandomSchedule::new(RandomScheduleConfig {
             seed: 5,
@@ -680,7 +681,97 @@ mod tests {
     }
 
     #[test]
-    fn greedy_delivers_everything_at_line_rate() {
+    fn empty_flow_set_is_rejected_uniformly() {
+        let topo = builders::line(3);
+        let flows = FlowSet::from_flows(vec![]).unwrap();
+        let power = x2(10.0);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let registry = AlgorithmRegistry::with_defaults();
+        for name in registry.names() {
+            let err = registry
+                .create(name)
+                .unwrap()
+                .solve(&mut ctx, &flows, &power)
+                .unwrap_err();
+            assert_eq!(err, SolveError::EmptyFlowSet, "{name}");
+        }
+    }
+
+    #[test]
+    fn sp_mcf_meets_all_deadlines() {
+        let topo = builders::fat_tree(4);
+        let power = x2(1e9);
+        let flows = UniformWorkload::paper_defaults(40, 13)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        ctx.verify(solution.schedule.as_ref().unwrap(), &flows, &power)
+            .unwrap();
+    }
+
+    #[test]
+    fn sp_mcf_energy_is_at_least_the_fractional_lower_bound() {
+        let topo = builders::fat_tree(4);
+        let power = x2(10.0);
+        let flows = UniformWorkload::paper_defaults(30, 21)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let rs = Dcfsr::default().solve(&mut ctx, &flows, &power).unwrap();
+        let sp = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        assert!(sp.total_energy().unwrap() >= rs.lower_bound.unwrap() - 1e-6);
+    }
+
+    #[test]
+    fn ecmp_and_least_loaded_also_meet_deadlines() {
+        let topo = builders::fat_tree(4);
+        let power = x2(1e9);
+        let flows = UniformWorkload::paper_defaults(25, 3)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut schemes: Vec<Box<dyn Algorithm>> = vec![
+            Box::new(RoutedMcf::ecmp(4)),
+            Box::new(RoutedMcf::least_loaded(4)),
+            Box::new(ConsolidatingMcf::new(4)),
+        ];
+        for algo in &mut schemes {
+            let solution = algo.solve(&mut ctx, &flows, &power).unwrap();
+            ctx.verify(solution.schedule.as_ref().unwrap(), &flows, &power)
+                .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+        }
+    }
+
+    #[test]
+    fn consolidation_uses_no_more_links_than_ecmp() {
+        // The whole point of the consolidation baseline is a smaller active
+        // link set; ECMP spreads load over many equal-cost paths.
+        let topo = builders::fat_tree(4);
+        let power = x2(1e9);
+        let flows = UniformWorkload::paper_defaults(40, 12)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let consolidated = ConsolidatingMcf::new(4)
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        let ecmp = RoutedMcf::ecmp(12).solve(&mut ctx, &flows, &power).unwrap();
+        let consolidated_links = consolidated.schedule.unwrap().active_links().len();
+        let ecmp_links = ecmp.schedule.unwrap().active_links().len();
+        assert!(
+            consolidated_links <= ecmp_links,
+            "consolidation ({consolidated_links}) should not activate more links than \
+             ECMP ({ecmp_links})"
+        );
+    }
+
+    #[test]
+    fn full_rate_greedy_delivers_all_volume() {
         let topo = builders::fat_tree(4);
         let power = x2(10.0);
         let flows = UniformWorkload::paper_defaults(10, 17)
@@ -698,20 +789,38 @@ mod tests {
     }
 
     #[test]
-    fn empty_flow_set_is_rejected_uniformly() {
-        let topo = builders::line(3);
-        let flows = FlowSet::from_flows(vec![]).unwrap();
+    fn greedy_uses_more_energy_than_the_optimal_scheduler() {
+        // With a superadditive power function, blasting at line rate costs
+        // strictly more dynamic energy than stretching transmissions.
+        let topo = builders::fat_tree(4);
         let power = x2(10.0);
+        let flows = UniformWorkload::paper_defaults(20, 8)
+            .generate(topo.hosts())
+            .unwrap();
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let registry = AlgorithmRegistry::with_defaults();
-        for name in registry.names() {
-            let err = registry
-                .create(name)
-                .unwrap()
-                .solve(&mut ctx, &flows, &power)
-                .unwrap_err();
-            assert_eq!(err, SolveError::EmptyFlowSet, "{name}");
-        }
+        let greedy = FullRateGreedy.solve(&mut ctx, &flows, &power).unwrap();
+        let optimal = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        assert!(
+            greedy.energy.unwrap().dynamic > optimal.energy.unwrap().dynamic,
+            "greedy {} vs optimal {}",
+            greedy.energy.unwrap().dynamic,
+            optimal.energy.unwrap().dynamic
+        );
+    }
+
+    #[test]
+    fn baseline_errors_are_propagated() {
+        let mut net = dcn_topology::Network::new();
+        let a = net.add_node(dcn_topology::NodeKind::Host, "a");
+        let b = net.add_node(dcn_topology::NodeKind::Host, "b");
+        let flows = FlowSet::from_tuples([(a, b, 0.0, 1.0, 1.0)]).unwrap();
+        let mut ctx = SolverContext::from_network(&net).unwrap();
+        let err = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &x2(10.0))
+            .unwrap_err();
+        assert_eq!(err, crate::SolveError::Unroutable { flow: 0 });
     }
 
     use dcn_flow::FlowSet;

@@ -425,11 +425,12 @@ mod tests {
             .unwrap();
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
         let via_ctx = ctx.relax(&flows, &x2(), &Default::default()).unwrap();
-        let direct = crate::relaxation::interval_relaxation_on(
+        let direct = interval_relaxation_with(
             &topo.csr(),
             &flows,
             &x2(),
             &Default::default(),
+            &mut FmcfScratch::new(),
         );
         assert_eq!(via_ctx.lower_bound, direct.lower_bound);
         assert_eq!(via_ctx.intervals.len(), direct.intervals.len());

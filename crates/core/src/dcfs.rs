@@ -52,7 +52,7 @@
 //! exact, not a tolerance — and a later, wider `b` only has more room.
 //!
 //! The maximum-rate constraint is intentionally ignored (the paper relaxes
-//! it for DCFS); [`crate::schedule::Schedule::verify`] reports capacity
+//! it for DCFS); [`crate::schedule::Schedule::verify_on`] reports capacity
 //! violations separately if callers care.
 
 use crate::schedule::{FlowSchedule, Schedule};

@@ -23,7 +23,7 @@
 //! capacity, the implementation re-samples a bounded number of times and
 //! keeps the least-violating draw, as the paper suggests.
 
-use crate::relaxation::{interval_relaxation_on, RelaxationSummary};
+use crate::relaxation::RelaxationSummary;
 use crate::schedule::{FlowSchedule, Schedule};
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
@@ -34,7 +34,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::fmt;
 
-/// Errors raised by [`RandomSchedule::run`].
+/// Errors raised by [`RandomSchedule::run_with_relaxation`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DcfsrError {
     /// A flow has no routing path at all between its endpoints.
@@ -125,41 +125,6 @@ impl RandomSchedule {
     /// The configuration in use.
     pub fn config(&self) -> &RandomScheduleConfig {
         &self.config
-    }
-
-    /// Runs the full pipeline: relaxation, decomposition, rounding and
-    /// scheduling, building all solver state from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfsrError::Unroutable`] if some flow has no path in the
-    /// network.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SolverContext and run the `dcfsr` algorithm (`Dcfsr::solve`)"
-    )]
-    pub fn run(
-        &self,
-        network: &Network,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        if flows.is_empty() {
-            return Ok(RandomScheduleOutcome {
-                schedule: Schedule::new(Vec::new(), (0.0, 0.0)),
-                lower_bound: 0.0,
-                attempts: 0,
-                capacity_excess: 0.0,
-                candidates: Vec::new(),
-            });
-        }
-        let relaxation = interval_relaxation_on(
-            &dcn_topology::GraphCsr::from_network(network),
-            flows,
-            power,
-            &self.config.fmcf,
-        );
-        self.run_with_relaxation(network, flows, power, &relaxation)
     }
 
     /// Runs decomposition, rounding and scheduling on a precomputed
@@ -424,8 +389,10 @@ mod tests {
         let flows = UniformWorkload::paper_defaults(15, 2)
             .generate(topo.hosts())
             .unwrap();
-        let relaxation =
-            interval_relaxation_on(&topo.csr(), &flows, &power, &FmcfSolverConfig::default());
+        let relaxation = SolverContext::from_network(&topo.network)
+            .unwrap()
+            .relax(&flows, &power, &FmcfSolverConfig::default())
+            .unwrap();
         let outcome = RandomSchedule::default()
             .run_with_relaxation(&topo.network, &flows, &power, &relaxation)
             .unwrap();
@@ -474,18 +441,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_instance_is_handled_by_the_legacy_delegate() {
-        // The deprecated one-shot entry keeps its historical semantics
-        // (empty outcome); the context API rejects empty sets with a typed
-        // error instead.
+    fn empty_instance_is_a_typed_error() {
         let topo = builders::line(3);
         let flows = FlowSet::from_flows(vec![]).unwrap();
-        #[allow(deprecated)]
-        let outcome = RandomSchedule::default()
-            .run(&topo.network, &flows, &x2(10.0))
-            .unwrap();
-        assert!(outcome.schedule.is_empty());
-        assert_eq!(outcome.lower_bound, 0.0);
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
         assert_eq!(
             Dcfsr::default()

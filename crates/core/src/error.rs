@@ -3,11 +3,10 @@
 //! Every [`crate::Algorithm`] reports failures through one typed
 //! [`SolveError`], replacing the mix of per-module error enums, `Option`s
 //! and panics the one-shot entry points grew over time. The per-module
-//! errors ([`DcfsError`], [`DcfsrError`], [`RoutingError`], [`ExactError`],
-//! [`BaselineError`]) still exist on the deprecated paths and convert into
+//! errors ([`DcfsError`], [`DcfsrError`], [`RoutingError`], [`ExactError`])
+//! are what the graph-level primitives return; they convert into
 //! `SolveError` losslessly via `From`.
 
-use crate::baselines::BaselineError;
 use crate::dcfs::DcfsError;
 use crate::dcfsr::DcfsrError;
 use crate::exact::ExactError;
@@ -188,15 +187,6 @@ impl From<ExactError> for SolveError {
     }
 }
 
-impl From<BaselineError> for SolveError {
-    fn from(value: BaselineError) -> Self {
-        match value {
-            BaselineError::Routing(e) => e.into(),
-            BaselineError::Scheduling(e) => e.into(),
-        }
-    }
-}
-
 impl From<FlowError> for SolveError {
     fn from(value: FlowError) -> Self {
         SolveError::InvalidInput {
@@ -289,12 +279,6 @@ mod tests {
         assert_eq!(
             SolveError::from(ExactError::NoFeasibleAssignment),
             SolveError::NoFeasibleAssignment
-        );
-        assert_eq!(
-            SolveError::from(BaselineError::Routing(RoutingError::Unreachable {
-                flow: 9
-            })),
-            SolveError::Unroutable { flow: 9 }
         );
         let flow_err = dcn_flow::Flow::new(
             0,

@@ -19,7 +19,7 @@ use dcn_power::PowerFunction;
 use dcn_topology::{k_shortest_paths_on, Network, Path};
 use std::fmt;
 
-/// Errors raised by [`exact_dcfsr`].
+/// Errors raised by [`exact_dcfsr_ctx`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExactError {
     /// The instance is too large for exhaustive enumeration.
@@ -73,36 +73,10 @@ pub struct ExactOutcome {
     pub assignments_tried: usize,
 }
 
-/// Computes the exact DCFSR optimum of a tiny instance by enumerating up to
-/// `paths_per_flow` candidate paths per flow (Yen's k-shortest by hop
-/// count) and solving DCFS for every assignment.
-///
-/// # Errors
-///
-/// * [`ExactError::TooLarge`] when `paths_per_flow^n` exceeds
-///   `max_assignments`.
-/// * [`ExactError::Unroutable`] when some flow has no path at all.
-/// * [`ExactError::NoFeasibleAssignment`] when every assignment fails
-///   (possible only under extreme contention).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a SolverContext and run the `exact` algorithm (ExactBrute) or exact_dcfsr_ctx"
-)]
-pub fn exact_dcfsr(
-    network: &Network,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    paths_per_flow: usize,
-    max_assignments: u128,
-) -> Result<ExactOutcome, ExactError> {
-    let mut ctx = crate::SolverContext::from_network(network)
-        .expect("networks built through the public API validate");
-    exact_dcfsr_ctx(&mut ctx, flows, power, paths_per_flow, max_assignments)
-}
-
-/// [`crate::ExactBrute`]'s engine room: exhaustive enumeration on a shared
-/// [`crate::SolverContext`] (candidate paths reuse the context's CSR view
-/// and shortest-path arenas).
+/// [`crate::ExactBrute`]'s engine room: computes the exact DCFSR optimum of
+/// a tiny instance by enumerating up to `paths_per_flow` candidate paths
+/// per flow (Yen's k-shortest by hop count, on the context's CSR view and
+/// shortest-path arenas) and solving DCFS for every assignment.
 ///
 /// # Errors
 ///

@@ -19,9 +19,9 @@
 //!
 //! # The session API
 //!
-//! Every scheme — the two paper algorithms, the five baselines of
-//! [`baselines`], the fractional lower bound and the exhaustive optimum of
-//! [`exact`] — is exposed behind one pluggable interface:
+//! Every scheme — the two paper algorithms, the five comparison baselines
+//! of [`algorithm`], the fractional lower bound and the exhaustive optimum
+//! of [`exact`] — is exposed behind one pluggable interface:
 //!
 //! * [`SolverContext`] is built **once** per network and owns all warm
 //!   solver state (the CSR graph view, the arena-reuse shortest-path
@@ -75,10 +75,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub mod algorithm;
-pub mod baselines;
 pub mod context;
 pub mod dcfs;
 pub mod dcfsr;
@@ -107,20 +105,11 @@ pub use online::{
 };
 pub use pool::ParallelConfig;
 pub use relaxation::{
-    interval_relaxation_on, interval_relaxation_threads, interval_relaxation_with,
-    IntervalRelaxation, RelaxationSummary,
+    interval_relaxation_threads, interval_relaxation_with, IntervalRelaxation, RelaxationSummary,
 };
 pub use routing::{Routing, RoutingError};
 pub use schedule::{FlowSchedule, Schedule, ScheduleError, ScheduleViolation};
 pub use solution::{Diagnostics, Solution};
-
-#[allow(deprecated)]
-pub use exact::exact_dcfsr;
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use online::{AdmissionPolicy, OnlineScheduler};
-#[allow(deprecated)]
-pub use relaxation::interval_relaxation;
 
 /// Convenient glob import of the crate's main types.
 pub mod prelude {
@@ -128,7 +117,6 @@ pub mod prelude {
         Algorithm, AlgorithmRegistry, ConsolidatingMcf, Dcfsr, ExactBrute, FullRateGreedy,
         RelaxationLb, RoutedMcf,
     };
-    pub use crate::baselines;
     pub use crate::context::SolverContext;
     pub use crate::dcfs::most_critical_first;
     pub use crate::dcfsr::{RandomSchedule, RandomScheduleConfig, RandomScheduleOutcome};

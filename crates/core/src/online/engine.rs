@@ -762,29 +762,6 @@ impl OnlineEngine {
         EngineConfig::default()
     }
 
-    /// Creates the engine around a (registry-created) algorithm and policy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `OnlineEngine::builder()` — it also carries the warm-start, \
-                epoch and shard knobs"
-    )]
-    pub fn new(
-        algorithm: Box<dyn Algorithm>,
-        policy: Box<dyn OnlinePolicy>,
-        admission: AdmissionRule,
-    ) -> Self {
-        Self {
-            algorithm,
-            policy,
-            admission,
-            seed: 0,
-            warm_start: false,
-            epoch: 0.0,
-            shards: ShardMode::Off,
-            shard_factory: None,
-        }
-    }
-
     /// Re-seeds the engine and its policy. Event batch `k` re-seeds the
     /// wrapped algorithm with `seed + k`, so the first batch — and
     /// therefore the full-knowledge run with a single arrival event — uses
@@ -903,11 +880,46 @@ impl OnlineEngine {
             }
         }
         // Snapshot the entry link state so the net effect of the stream
-        // can be rolled back on return.
+        // can be rolled back on return, whether the run succeeds or fails.
         let initial_down: BTreeSet<LinkId> = ctx.graph().down_links().collect();
         // The engine owns the scratch's warm flag for the duration of the
         // run (disabling also drops any stale cache from a previous run).
         ctx.set_warm_start(self.warm_start);
+        let outcome = self.drive_events(ctx, flows, power, events);
+
+        // Roll the context's topology back to its entry state on success
+        // and on error alike: restore every link the stream left down,
+        // re-fail every link it left up. (The shard contexts are built per
+        // run and dropped with it, so only `ctx` outlives the stream.)
+        let horizon_end = flows.horizon().1;
+        let final_down: Vec<LinkId> = ctx.graph().down_links().collect();
+        for link in final_down {
+            if !initial_down.contains(&link) {
+                ctx.apply_topology_event(TopologyEvent::LinkUp {
+                    time: horizon_end,
+                    link,
+                });
+            }
+        }
+        for &link in &initial_down {
+            ctx.apply_topology_event(TopologyEvent::LinkDown {
+                time: horizon_end,
+                link,
+            });
+        }
+        outcome
+    }
+
+    /// The event loop of [`OnlineEngine::run_with_events`], on validated
+    /// events. Returns early on errors; the caller rolls the topology back
+    /// on either outcome.
+    fn drive_events(
+        &mut self,
+        ctx: &mut SolverContext<'_>,
+        flows: &FlowSet,
+        power: &PowerFunction,
+        events: &[TopologyEvent],
+    ) -> Result<OnlineOutcome, SolveError> {
         let groups = arrival_events(flows, self.epoch);
         // A policy that keeps requesting timers without progress would spin
         // forever; built-in policies need at most a handful of batches per
@@ -1268,39 +1280,6 @@ impl OnlineEngine {
         for (id, s) in state.iter_mut().enumerate() {
             if s.admitted && s.delivered < flows.flow(id).volume * (1.0 - 1e-6) {
                 s.missed = true;
-            }
-        }
-
-        // Roll the context's topology back to its entry state: restore
-        // every link the stream left down, re-fail every link it left up.
-        let final_down: Vec<LinkId> = ctx.graph().down_links().collect();
-        let horizon_end = flows.horizon().1;
-        for link in final_down {
-            if !initial_down.contains(&link) {
-                let undo = TopologyEvent::LinkUp {
-                    time: horizon_end,
-                    link,
-                };
-                ctx.apply_topology_event(undo);
-                if let Some(shard_state) = shards.as_mut() {
-                    for sctx in &mut shard_state.contexts {
-                        sctx.apply_topology_event(undo);
-                    }
-                }
-            }
-        }
-        for &link in &initial_down {
-            if ctx.graph().is_link_up(link) {
-                let undo = TopologyEvent::LinkDown {
-                    time: horizon_end,
-                    link,
-                };
-                ctx.apply_topology_event(undo);
-                if let Some(shard_state) = shards.as_mut() {
-                    for sctx in &mut shard_state.contexts {
-                        sctx.apply_topology_event(undo);
-                    }
-                }
             }
         }
 
@@ -2287,6 +2266,76 @@ mod tests {
         // Even though the stream never recovered the link, the run rolls
         // the context back to the pristine fabric.
         assert_eq!(ctx.graph().down_link_count(), 0);
+    }
+
+    #[test]
+    fn an_erroring_run_still_rolls_the_topology_back() {
+        /// Resolves until a batch carries a topology event, then errors —
+        /// after the engine already applied the event to the context.
+        #[derive(Debug)]
+        struct FailsOnTopology;
+        impl OnlinePolicy for FailsOnTopology {
+            fn name(&self) -> &str {
+                "fails-on-topology"
+            }
+            fn on_event(
+                &mut self,
+                _ctx: &mut SolverContext<'_>,
+                _power: &PowerFunction,
+                event: &OnlineEvent,
+                _world: &WorldView<'_>,
+            ) -> Result<PolicyAction, SolveError> {
+                if event.topology.is_empty() {
+                    Ok(PolicyAction::Resolve)
+                } else {
+                    Err(SolveError::InvalidInput {
+                        reason: "policy gave up".to_string(),
+                    })
+                }
+            }
+        }
+
+        let topo = builders::fat_tree(4);
+        let (a, c) = (topo.hosts()[0], topo.hosts()[15]);
+        let flows = FlowSet::from_tuples([(a, c, 0.0, 10.0, 4.0)]).unwrap();
+        let power = x2(10.0);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let path = ctx.graph().shortest_path(a, c).unwrap();
+        // Enter with one link already down: the rollback must restore the
+        // entry state, not the pristine fabric.
+        let entry_down = TopologyEvent::LinkDown {
+            time: 0.0,
+            link: path.links()[2],
+        };
+        assert!(ctx.apply_topology_event(entry_down));
+        let capacities = |ctx: &SolverContext<'_>| -> Vec<u64> {
+            (0..ctx.graph().link_count())
+                .map(|l| ctx.graph().capacity(LinkId(l)).to_bits())
+                .collect()
+        };
+        let at_entry = capacities(&ctx);
+
+        let events = [
+            TopologyEvent::LinkUp {
+                time: 1.0,
+                link: path.links()[2],
+            },
+            TopologyEvent::LinkDown {
+                time: 1.0,
+                link: path.links()[3],
+            },
+        ];
+        let mut engine = OnlineEngine::builder()
+            .algorithm("sp-mcf")
+            .policy_instance(Box::new(FailsOnTopology))
+            .build()
+            .unwrap();
+        let err = engine
+            .run_with_events(&mut ctx, &flows, &power, &events)
+            .unwrap_err();
+        assert!(matches!(err, SolveError::InvalidInput { .. }));
+        assert_eq!(ctx.graph().down_link_count(), 1);
+        assert_eq!(capacities(&ctx), at_entry);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! The paper's DCFSR model is *clairvoyant*: the whole flow set
 //! `[release, deadline, volume]` is known at time zero. Its motivating
 //! workloads (partition–aggregate search traffic, MapReduce shuffles)
-//! arrive online, so this module evaluates every [`Algorithm`] under
-//! dynamic arrivals through a policy-pluggable event loop:
+//! arrive online, so this module evaluates every
+//! [`Algorithm`](crate::Algorithm) under dynamic arrivals through a
+//! policy-pluggable event loop:
 //!
 //! * [`engine`] hosts the [`OnlineEngine`]: a typed event queue over
 //!   **arrivals**, predicted **flow completions** and **deadline-slack
@@ -16,8 +17,8 @@
 //!   `admission`) and the string-keyed [`PolicyRegistry`] mirroring
 //!   [`crate::AlgorithmRegistry`];
 //! * [`policies`] ships five implementations: `resolve` (full residual
-//!   re-solve at every arrival — the pre-split `OnlineScheduler` behaviour,
-//!   bit for bit), preemptive `edf` and `srpt` rate reassignment, `rcd`
+//!   re-solve at every arrival — the pre-split rolling-horizon loop, bit
+//!   for bit), preemptive `edf` and `srpt` rate reassignment, `rcd`
 //!   (rapid-close-to-deadline deferral) and `hybrid` (EDF until any flow's
 //!   slack falls under a threshold, then one DCFSR re-solve);
 //! * [`ledger`] exposes the [`InFlightLedger`]: the snapshotable
@@ -67,8 +68,6 @@
 //! # }
 //! ```
 
-#[cfg(feature = "legacy-api")]
-use crate::algorithm::Algorithm;
 use crate::context::SolverContext;
 use crate::error::SolveError;
 use dcn_flow::{Flow, FlowId, FlowSet};
@@ -90,84 +89,6 @@ pub use policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy
 pub use policy::{
     CapacityLedger, OnlinePolicy, PathCache, PolicyAction, PolicyRegistry, RateAssignment, RatePlan,
 };
-
-/// The pre-split online loop, kept as a thin delegate over
-/// [`OnlineEngine`] with the [`ResolvePolicy`]: re-solves the full
-/// residual instance at every arrival event. Byte-for-byte equivalent to
-/// the engine (pinned by `tests/policy_equivalence.rs`). Gated behind the
-/// on-by-default `legacy-api` cargo feature.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `OnlineEngine::builder()` with the default \"resolve\" policy instead"
-)]
-#[derive(Debug)]
-pub struct OnlineScheduler {
-    engine: OnlineEngine,
-}
-
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-impl OnlineScheduler {
-    /// Creates the online loop around a (registry-created) algorithm.
-    pub fn new(algorithm: Box<dyn Algorithm>, policy: AdmissionRule) -> Self {
-        Self {
-            engine: OnlineEngine::new(algorithm, Box::new(ResolvePolicy), policy),
-        }
-    }
-
-    /// Re-seeds the loop (see [`OnlineEngine::set_seed`]).
-    pub fn set_seed(&mut self, seed: u64) {
-        self.engine.set_seed(seed);
-    }
-
-    /// The wrapped algorithm.
-    pub fn algorithm(&self) -> &dyn Algorithm {
-        self.engine.algorithm()
-    }
-
-    /// The admission rule in use.
-    pub fn policy(&self) -> &AdmissionRule {
-        self.engine.admission()
-    }
-
-    /// Executes the instance online (see [`OnlineEngine::run`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`OnlineEngine::run`].
-    pub fn run(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<OnlineOutcome, SolveError> {
-        self.engine.run(ctx, flows, power)
-    }
-
-    /// Runs online, then solves the clairvoyant instance for comparison
-    /// (see [`OnlineEngine::run_vs_offline`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`OnlineEngine::run_vs_offline`].
-    pub fn run_vs_offline(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<OnlineOutcome, SolveError> {
-        self.engine.run_vs_offline(ctx, flows, power)
-    }
-}
-
-/// The pre-split name of [`AdmissionRule`]. The variants, constructors and
-/// names are unchanged — only the type was renamed when admission became
-/// one input of the policy-pluggable engine rather than the only policy
-/// axis of the loop. Gated behind the on-by-default `legacy-api` feature.
-#[cfg(feature = "legacy-api")]
-#[deprecated(since = "0.1.0", note = "renamed to `AdmissionRule`")]
-pub type AdmissionPolicy = AdmissionRule;
 
 /// Builds the residual copy of `flow` as seen at online time `now`: the
 /// release is advanced to `now`, the deadline is kept, and the volume is
@@ -238,10 +159,6 @@ pub fn fractionally_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "legacy-api")]
-    use crate::algorithm::AlgorithmRegistry;
-    #[cfg(feature = "legacy-api")]
-    use dcn_topology::builders;
 
     #[test]
     fn residual_flow_after_the_deadline_is_a_typed_error() {
@@ -272,38 +189,5 @@ mod tests {
             residual_flow(&flow, 1.0, 0.0, 0).unwrap_err(),
             SolveError::InvalidInput { .. }
         ));
-    }
-
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_delegate_matches_the_engine_bit_for_bit() {
-        let topo = builders::fat_tree(4);
-        let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
-        let flows = dcn_flow::workload::UniformWorkload::paper_defaults(12, 9)
-            .generate(topo.hosts())
-            .unwrap();
-        let registry = AlgorithmRegistry::with_defaults();
-        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-
-        let mut legacy =
-            OnlineScheduler::new(registry.create("dcfsr").unwrap(), AdmissionRule::AdmitAll);
-        legacy.set_seed(9);
-        let old = legacy.run(&mut ctx, &flows, &power).unwrap();
-
-        let mut engine = engine::OnlineEngine::builder()
-            .algorithm("dcfsr")
-            .seed(9)
-            .build()
-            .unwrap();
-        let new = engine.run(&mut ctx, &flows, &power).unwrap();
-
-        assert_eq!(old.schedule, new.schedule);
-        assert_eq!(old.report.online_energy, new.report.online_energy);
-        assert_eq!(old.report.decisions, new.report.decisions);
-        assert_eq!(old.report.events, new.report.events);
-        assert_eq!(old.report.resolves, new.report.resolves);
-        assert_eq!(legacy.policy().name(), "admit-all");
-        assert_eq!(legacy.algorithm().name(), "dcfsr");
     }
 }

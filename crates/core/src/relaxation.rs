@@ -19,7 +19,7 @@ use dcn_power::PowerFunction;
 use dcn_solver::fmcf::{
     Commodity, FmcfProblem, FmcfScratch, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
 };
-use dcn_topology::{GraphCsr, Network};
+use dcn_topology::GraphCsr;
 
 /// A [`FlowId`] that marks "not active in this interval" in the prebuilt
 /// commodity lookup of [`IntervalRelaxation`].
@@ -107,7 +107,12 @@ impl RelaxationSummary {
     }
 }
 
-/// Solves the per-interval F-MCF relaxation of a DCFSR instance.
+/// Solves the per-interval F-MCF relaxation of a DCFSR instance on a
+/// prebuilt CSR view. The interval loop shares the caller-provided
+/// [`FmcfScratch`] (one shortest-path engine and one set of Frank–Wolfe
+/// buffers) across every interval's solve, and the buffers persist across
+/// *calls* as well. This is the primitive [`crate::SolverContext::relax`]
+/// builds on.
 ///
 /// The cost function is [`PowerFlowCost`]: the paper's speed-scaling cost
 /// `mu * x^alpha`, plus a `sigma * x / C` term that lower-bounds the idle
@@ -118,48 +123,8 @@ impl RelaxationSummary {
 /// # Panics
 ///
 /// Panics if some active flow's destination is unreachable from its source
-/// (propagated from the Frank–Wolfe solver). The replacement API validates
-/// first and returns [`crate::SolveError::Unroutable`] instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a SolverContext and call `SolverContext::relax` (or run the `lb` algorithm)"
-)]
-pub fn interval_relaxation(
-    network: &Network,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    fmcf_config: &FmcfSolverConfig,
-) -> RelaxationSummary {
-    interval_relaxation_on(&GraphCsr::from_network(network), flows, power, fmcf_config)
-}
-
-/// [`crate::SolverContext::relax`] on a prebuilt CSR view with a fresh
-/// scratch; the interval loop still shares one [`FmcfScratch`] (and
-/// therefore one shortest-path engine and one set of Frank–Wolfe buffers)
-/// across every interval's solve.
-///
-/// # Panics
-///
-/// Panics if some active flow's destination is unreachable from its source
 /// (propagated from the Frank–Wolfe solver); validate the flow set first
 /// — [`crate::SolverContext::relax`] does.
-pub fn interval_relaxation_on(
-    graph: &GraphCsr,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    fmcf_config: &FmcfSolverConfig,
-) -> RelaxationSummary {
-    interval_relaxation_with(graph, flows, power, fmcf_config, &mut FmcfScratch::new())
-}
-
-/// [`interval_relaxation_on`] with a caller-provided scratch, so the
-/// Frank–Wolfe buffers persist across *calls* as well as across intervals.
-/// This is the primitive [`crate::SolverContext::relax`] builds on.
-///
-/// # Panics
-///
-/// Panics if some active flow's destination is unreachable from its source
-/// (propagated from the Frank–Wolfe solver); validate the flow set first.
 pub fn interval_relaxation_with(
     graph: &GraphCsr,
     flows: &FlowSet,
@@ -270,21 +235,26 @@ fn summarize(intervals: Vec<IntervalRelaxation>) -> RelaxationSummary {
 mod tests {
     use super::*;
     use dcn_flow::workload::UniformWorkload;
-    use dcn_topology::builders;
+    use dcn_topology::{builders, Network};
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
     }
 
-    /// The one-shot call path of the pre-context API, expressed through
-    /// the non-deprecated `_on` primitive.
+    /// A one-shot relaxation: fresh CSR view, fresh scratch.
     fn relax_network(
         network: &Network,
         flows: &FlowSet,
         power: &PowerFunction,
         config: &FmcfSolverConfig,
     ) -> RelaxationSummary {
-        interval_relaxation_on(&GraphCsr::from_network(network), flows, power, config)
+        interval_relaxation_with(
+            &GraphCsr::from_network(network),
+            flows,
+            power,
+            config,
+            &mut FmcfScratch::new(),
+        )
     }
 
     #[test]
@@ -324,18 +294,33 @@ mod tests {
     }
 
     #[test]
-    fn relaxation_on_prebuilt_graph_matches_one_shot() {
+    fn relaxation_on_a_reused_scratch_matches_one_shot() {
         let topo = builders::fat_tree(4);
         let power = x2(10.0);
         let flows = UniformWorkload::paper_defaults(12, 5)
             .generate(topo.hosts())
             .unwrap();
         let one_shot = relax_network(&topo.network, &flows, &power, &FmcfSolverConfig::default());
-        let shared = super::interval_relaxation_on(
-            &topo.csr(),
+        // The same solve on a prebuilt view with a scratch an earlier,
+        // different instance already ran on.
+        let mut scratch = FmcfScratch::new();
+        let graph = topo.csr();
+        let other = UniformWorkload::paper_defaults(7, 2)
+            .generate(topo.hosts())
+            .unwrap();
+        interval_relaxation_with(
+            &graph,
+            &other,
+            &power,
+            &FmcfSolverConfig::default(),
+            &mut scratch,
+        );
+        let shared = interval_relaxation_with(
+            &graph,
             &flows,
             &power,
             &FmcfSolverConfig::default(),
+            &mut scratch,
         );
         assert_eq!(one_shot.lower_bound, shared.lower_bound);
         assert_eq!(one_shot.intervals.len(), shared.intervals.len());

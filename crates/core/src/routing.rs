@@ -17,7 +17,7 @@
 
 use dcn_flow::FlowSet;
 use dcn_topology::{
-    all_shortest_paths_on, k_shortest_paths_on, GraphCsr, Network, Path, ShortestPathEngine,
+    all_shortest_paths_on, k_shortest_paths_on, GraphCsr, Path, ShortestPathEngine,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -64,23 +64,8 @@ pub enum Routing {
 }
 
 impl Routing {
-    /// Computes one path per flow, indexed by flow id.
-    ///
-    /// Builds a one-shot [`GraphCsr`] view on every call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RoutingError::Unreachable`] if some flow has no path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SolverContext and call `SolverContext::route` (or `Routing::compute_on`)"
-    )]
-    pub fn compute(&self, network: &Network, flows: &FlowSet) -> Result<Vec<Path>, RoutingError> {
-        self.compute_on(&GraphCsr::from_network(network), flows)
-    }
-
-    /// Computes one path per flow on a prebuilt CSR view, sharing one
-    /// shortest-path engine across all per-flow queries.
+    /// Computes one path per flow, indexed by flow id, on a prebuilt CSR
+    /// view, sharing one shortest-path engine across all per-flow queries.
     ///
     /// # Errors
     ///
@@ -227,25 +212,6 @@ mod tests {
         used.sort();
         used.dedup();
         assert_eq!(used.len(), 4, "each flow should use a distinct link");
-    }
-
-    #[test]
-    fn compute_on_matches_compute_for_every_strategy() {
-        let topo = builders::fat_tree(4);
-        let graph = topo.csr();
-        let flows = UniformWorkload::paper_defaults(25, 9)
-            .generate(topo.hosts())
-            .unwrap();
-        for strategy in [
-            Routing::ShortestPath,
-            Routing::Ecmp { seed: 4 },
-            Routing::LeastLoadedKsp { k: 4 },
-        ] {
-            #[allow(deprecated)] // pins the deprecated delegate against the blessed path
-            let classic = strategy.compute(&topo.network, &flows).unwrap();
-            let on = strategy.compute_on(&graph, &flows).unwrap();
-            assert_eq!(classic, on, "{strategy:?} diverges on the CSR view");
-        }
     }
 
     #[test]

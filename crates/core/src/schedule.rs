@@ -11,7 +11,7 @@
 
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{EnergyBreakdown, EnergyMeter, PowerFunction, RateProfile};
-use dcn_topology::{GraphCsr, LinkId, Network, Path};
+use dcn_topology::{GraphCsr, LinkId, Path};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -175,7 +175,7 @@ impl fmt::Display for ScheduleViolation {
     }
 }
 
-/// The error returned by [`Schedule::verify`], wrapping every violation
+/// The error returned by [`Schedule::verify_on`], wrapping every violation
 /// found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleError {
@@ -286,29 +286,11 @@ impl Schedule {
             .fold(0.0, f64::max)
     }
 
-    /// Verifies the schedule against the instance it is supposed to solve:
-    /// every flow must be fully delivered, inside its span, along a path
-    /// from its source to its destination, every link of the path must carry
-    /// the full volume, and no link may exceed its capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScheduleError`] listing every violation found.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SolverContext::verify` (or `Schedule::verify_on` with a prebuilt CSR view)"
-    )]
-    pub fn verify(
-        &self,
-        network: &Network,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<(), ScheduleError> {
-        self.verify_impl(|l| network.link(l).capacity, flows, power)
-    }
-
-    /// [`Schedule::verify`] against a prebuilt CSR view of the network
-    /// (capacities are read from the flat per-link array).
+    /// Verifies the schedule against the instance it is supposed to solve,
+    /// on a prebuilt CSR view of the network: every flow must be fully
+    /// delivered, inside its span, along a path from its source to its
+    /// destination, every link of the path must carry the full volume, and
+    /// no link may exceed its capacity.
     ///
     /// # Errors
     ///
@@ -316,15 +298,6 @@ impl Schedule {
     pub fn verify_on(
         &self,
         graph: &GraphCsr,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<(), ScheduleError> {
-        self.verify_impl(|l| graph.capacity(l), flows, power)
-    }
-
-    fn verify_impl(
-        &self,
-        link_capacity: impl Fn(LinkId) -> f64,
         flows: &FlowSet,
         power: &PowerFunction,
     ) -> Result<(), ScheduleError> {
@@ -375,7 +348,7 @@ impl Schedule {
         // Link capacities.
         for (link, profile) in self.link_profiles() {
             let max_rate = profile.max_rate();
-            let capacity = link_capacity(link).min(power.capacity());
+            let capacity = graph.capacity(link).min(power.capacity());
             if max_rate > capacity * (1.0 + 1e-9) + 1e-9 {
                 violations.push(ScheduleViolation::CapacityExceeded {
                     link,
@@ -433,25 +406,7 @@ mod tests {
     #[test]
     fn valid_schedule_verifies() {
         let (topo, flows, schedule) = simple_instance();
-        // The deprecated one-shot delegate reports the same verdict as the
-        // blessed CSR read path.
-        #[allow(deprecated)]
-        schedule.verify(&topo.network, &flows, &power()).unwrap();
         schedule.verify_on(&topo.csr(), &flows, &power()).unwrap();
-    }
-
-    #[test]
-    fn verify_on_detects_the_same_capacity_violation() {
-        let (topo, flows, _) = simple_instance();
-        let schedule = rebuild_with_profile(&topo, RateProfile::constant(0.0, 0.4, 20.0));
-        #[allow(deprecated)]
-        let classic = schedule
-            .verify(&topo.network, &flows, &power())
-            .unwrap_err();
-        let on_csr = schedule
-            .verify_on(&topo.csr(), &flows, &power())
-            .unwrap_err();
-        assert_eq!(classic, on_csr);
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub mod failure;
 mod flow;

@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 mod function;
 mod meter;

@@ -28,7 +28,6 @@
 //! (`--stdio`) or a TCP listener (`--listen`).
 
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 pub mod protocol;

@@ -55,7 +55,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 mod report;
 mod simulator;

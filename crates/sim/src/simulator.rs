@@ -4,7 +4,7 @@ use crate::report::{FlowOutcome, LinkLoad, SimReport};
 use dcn_core::Schedule;
 use dcn_flow::FlowSet;
 use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
-use dcn_topology::{GraphCsr, LinkId, Network};
+use dcn_topology::{GraphCsr, LinkId};
 use std::collections::BTreeMap;
 
 /// Executes schedules on a topology at fluid (flow-level) granularity.
@@ -30,30 +30,10 @@ impl Simulator {
         &self.power
     }
 
-    /// Runs `schedule` for the given instance and reports what actually
-    /// happened.
-    ///
-    /// Deprecated because it rebuilds a one-shot [`GraphCsr`] read view of
-    /// the network on **every** call, defeating the warm-state reuse the
-    /// [`SolverContext`](dcn_core::SolverContext) session API provides —
-    /// in a loop (experiment sweeps, the online rolling-horizon
-    /// re-solves) that rebuild dominates the simulation itself. Use
-    /// [`Simulator::run_ctx`] with the context the schedule was solved on;
-    /// [`Simulator::run_on`] accepts a prebuilt CSR view directly, and
-    /// [`Simulator::run_admitted`] is the admission-aware variant for
-    /// online schedules.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Simulator::run_ctx` with a SolverContext (or `Simulator::run_on` \
-                with a prebuilt CSR view); both avoid the per-call CSR rebuild"
-    )]
-    pub fn run(&self, network: &Network, flows: &FlowSet, schedule: &Schedule) -> SimReport {
-        self.run_on(&GraphCsr::from_network(network), flows, schedule)
-    }
-
-    /// Runs `schedule` on the CSR view owned by a
-    /// [`SolverContext`](dcn_core::SolverContext) — the natural follow-up
-    /// to [`dcn_core::Algorithm::solve`] on the same context.
+    /// Runs `schedule` for the given instance on the CSR view owned by a
+    /// [`SolverContext`](dcn_core::SolverContext) and reports what actually
+    /// happened — the natural follow-up to [`dcn_core::Algorithm::solve`]
+    /// on the same context.
     pub fn run_ctx(
         &self,
         ctx: &dcn_core::SolverContext<'_>,
@@ -339,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_run_matches_run_on_and_run_ctx() {
+    fn run_ctx_matches_run_on() {
         let topo = builders::fat_tree(4);
         let power = x2(10.0);
         let flows = UniformWorkload::paper_defaults(20, 11)
@@ -351,12 +331,9 @@ mod tests {
             .unwrap();
         let schedule = solution.schedule.as_ref().unwrap();
         let simulator = Simulator::new(power);
-        #[allow(deprecated)] // pins the legacy delegate against the blessed paths
-        let classic = simulator.run(&topo.network, &flows, schedule);
         let on_csr = simulator.run_on(&topo.csr(), &flows, schedule);
         let on_ctx = simulator.run_ctx(&ctx, &flows, schedule);
-        assert_eq!(classic, on_csr);
-        assert_eq!(classic, on_ctx);
+        assert_eq!(on_csr, on_ctx);
     }
 
     #[test]

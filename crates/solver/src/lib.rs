@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub mod availability;
 pub mod brute;

@@ -19,8 +19,8 @@
 //!   a caller-provided buffer, so the steady state performs **zero heap
 //!   allocations**.
 //!
-//! Results are bit-for-bit identical to the classic per-call
-//! [`crate::dijkstra`]: the same heap ordering (min distance, ties broken
+//! Results are bit-for-bit identical to a textbook per-call Dijkstra on a
+//! freshly allocated heap: the same heap ordering (min distance, ties broken
 //! by smallest node id), the same strict-improvement relaxation, and the
 //! same link insertion order via the CSR adjacency.
 //!
@@ -338,9 +338,9 @@ impl ShortestPathEngine {
         self.extract_path_links(graph, dst, links)
     }
 
-    /// Single-target Dijkstra returning an owned [`Path`] (the drop-in
-    /// engine counterpart of [`crate::dijkstra`]). Returns `None` when
-    /// `dst` is unreachable.
+    /// Single-target Dijkstra returning an owned [`Path`] (what
+    /// [`crate::dijkstra_on`] calls). Returns `None` when `dst` is
+    /// unreachable.
     pub fn shortest_path(
         &mut self,
         graph: &GraphCsr,
@@ -371,9 +371,18 @@ impl ShortestPathEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::dijkstra;
     use crate::{builders, Network, NodeKind};
+
+    /// One query on a graph view and engine built for it alone: the
+    /// reference a reused engine must reproduce.
+    fn one_shot(
+        net: &Network,
+        src: NodeId,
+        dst: NodeId,
+        weight: impl FnMut(LinkId) -> f64,
+    ) -> Option<Path> {
+        ShortestPathEngine::new().shortest_path(&GraphCsr::from_network(net), src, dst, weight)
+    }
 
     fn diamond() -> (Network, NodeId, NodeId, NodeId, NodeId) {
         let mut net = Network::new();
@@ -389,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_classic_dijkstra() {
+    fn reused_engine_matches_one_shot_engines() {
         let topo = builders::fat_tree(4);
         let g = GraphCsr::from_network(&topo.network);
         let mut engine = ShortestPathEngine::new();
@@ -398,8 +407,7 @@ mod tests {
         let weight = |l: LinkId| 1.0 + (l.index() % 3) as f64 * 0.25;
         for &a in hosts.iter().step_by(2) {
             for &b in hosts.iter().step_by(3) {
-                #[allow(deprecated)] // pins the engine against the classic one-shot path
-                let classic = dijkstra(&topo.network, a, b, weight);
+                let classic = one_shot(&topo.network, a, b, weight);
                 let engined = engine.shortest_path(&g, a, b, weight);
                 assert_eq!(classic, engined, "paths {a} -> {b} diverge");
             }
@@ -450,8 +458,7 @@ mod tests {
             assert!(engine.settled(t));
             assert!(engine.extract_path_links(&g, t, &mut links));
             let path = g.path_from_links(src, &links).unwrap();
-            #[allow(deprecated)]
-            let classic = dijkstra(&topo.network, src, t, |_| 1.0).unwrap();
+            let classic = one_shot(&topo.network, src, t, |_| 1.0).unwrap();
             assert_eq!(path, classic);
             assert_eq!(engine.distance(t), Some(classic.len() as f64));
         }

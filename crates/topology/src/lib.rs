@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub mod builders;
 mod csr;
@@ -62,6 +61,4 @@ pub use event::TopologyEvent;
 pub use ids::{LinkId, NodeId, NodeKind};
 pub use network::{Link, LinkEndpoints, Network, Node};
 pub use path::{Path, PathError};
-#[allow(deprecated)]
-pub use routing::{all_shortest_paths, dijkstra, k_shortest_paths};
 pub use routing::{all_shortest_paths_on, dijkstra_on, k_shortest_paths_on};

@@ -10,47 +10,21 @@
 //! Every algorithm runs on the flat [`GraphCsr`] view through the reusable
 //! [`ShortestPathEngine`]; the `*_on` variants take both explicitly so
 //! callers with many queries (per-flow routing loops, Frank–Wolfe
-//! iterations) amortise the CSR build and the engine's arenas. The classic
-//! `&Network` entry points remain as thin wrappers that build a one-shot
-//! view — results are identical either way.
+//! iterations) amortise the CSR build and the engine's arenas.
 
-use crate::{GraphCsr, LinkId, Network, NodeId, Path, ShortestPathEngine};
+use crate::{GraphCsr, LinkId, NodeId, Path, ShortestPathEngine};
 use std::cmp::Ordering;
 
 /// Weighted shortest path from `src` to `dst` under a non-negative per-link
-/// weight function.
+/// weight function, on a prebuilt [`GraphCsr`] and reusing the engine's
+/// scratch arenas.
 ///
 /// Returns `None` if `dst` is unreachable. Weights must be non-negative and
 /// finite; `f64::INFINITY` may be used to forbid a link.
 ///
-/// Convenience wrapper over [`dijkstra_on`] that builds a one-shot
-/// [`GraphCsr`] and engine; batch callers should hold their own.
-///
 /// # Panics
 ///
 /// Panics (in debug builds) if a weight is negative or NaN.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `dijkstra_on` with a shared GraphCsr and engine"
-)]
-pub fn dijkstra(
-    network: &Network,
-    src: NodeId,
-    dst: NodeId,
-    link_weight: impl FnMut(LinkId) -> f64,
-) -> Option<Path> {
-    let graph = GraphCsr::from_network(network);
-    dijkstra_on(
-        &graph,
-        &mut ShortestPathEngine::new(),
-        src,
-        dst,
-        link_weight,
-    )
-}
-
-/// Weighted shortest path on a prebuilt [`GraphCsr`], reusing the engine's
-/// scratch arenas. See [`dijkstra`] for the semantics.
 pub fn dijkstra_on(
     graph: &GraphCsr,
     engine: &mut ShortestPathEngine,
@@ -62,20 +36,9 @@ pub fn dijkstra_on(
 }
 
 /// Enumerates **all** hop-count shortest paths from `src` to `dst`
-/// (the ECMP path set), up to `limit` paths.
+/// (the ECMP path set), up to `limit` paths, on a prebuilt [`GraphCsr`].
 ///
 /// Paths are produced in a deterministic order (lexicographic by link id).
-///
-/// Convenience wrapper over [`all_shortest_paths_on`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `all_shortest_paths_on` with a shared GraphCsr"
-)]
-pub fn all_shortest_paths(network: &Network, src: NodeId, dst: NodeId, limit: usize) -> Vec<Path> {
-    all_shortest_paths_on(&GraphCsr::from_network(network), src, dst, limit)
-}
-
-/// ECMP enumeration on a prebuilt [`GraphCsr`]. See [`all_shortest_paths`].
 pub fn all_shortest_paths_on(
     graph: &GraphCsr,
     src: NodeId,
@@ -143,35 +106,11 @@ pub fn all_shortest_paths_on(
 }
 
 /// Yen's algorithm: the `k` loop-free shortest paths from `src` to `dst`
-/// under a per-link weight function.
+/// under a per-link weight function, on a prebuilt [`GraphCsr`] and reusing
+/// the engine across the spur searches.
 ///
 /// Returns fewer than `k` paths when the graph does not contain that many
 /// distinct simple paths. Weights must be non-negative.
-///
-/// Convenience wrapper over [`k_shortest_paths_on`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `k_shortest_paths_on` with a shared GraphCsr and engine"
-)]
-pub fn k_shortest_paths(
-    network: &Network,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    link_weight: impl FnMut(LinkId) -> f64,
-) -> Vec<Path> {
-    k_shortest_paths_on(
-        &GraphCsr::from_network(network),
-        &mut ShortestPathEngine::new(),
-        src,
-        dst,
-        k,
-        link_weight,
-    )
-}
-
-/// Yen's algorithm on a prebuilt [`GraphCsr`], reusing the engine across
-/// the spur searches. See [`k_shortest_paths`].
 pub fn k_shortest_paths_on(
     graph: &GraphCsr,
     engine: &mut ShortestPathEngine,
@@ -247,7 +186,7 @@ pub fn k_shortest_paths_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{builders, NodeKind};
+    use crate::{builders, Network, NodeKind};
 
     fn diamond() -> (Network, NodeId, NodeId, NodeId, NodeId) {
         // a -> b -> d (cheap), a -> c -> d (expensive)
@@ -391,17 +330,20 @@ mod tests {
             if a == b {
                 continue;
             }
+            // A graph view and engine built for this one query are the
+            // reference the shared pair must reproduce.
+            let fresh_graph = GraphCsr::from_network(&ft.network);
+            let mut fresh = ShortestPathEngine::new();
             let on = dijkstra_on(&graph, &mut engine, a, b, |_| 1.0).unwrap();
-            #[allow(deprecated)] // pins the deprecated one-shot wrappers against the `_on` path
-            let classic = dijkstra(&ft.network, a, b, |_| 1.0).unwrap();
-            assert_eq!(on, classic);
+            let one_shot = dijkstra_on(&fresh_graph, &mut fresh, a, b, |_| 1.0).unwrap();
+            assert_eq!(on, one_shot);
             let ksp_on = k_shortest_paths_on(&graph, &mut engine, a, b, 3, |_| 1.0);
-            #[allow(deprecated)]
-            let ksp = k_shortest_paths(&ft.network, a, b, 3, |_| 1.0);
+            let ksp = k_shortest_paths_on(&fresh_graph, &mut fresh, a, b, 3, |_| 1.0);
             assert_eq!(ksp_on, ksp);
-            #[allow(deprecated)]
-            let all_classic = all_shortest_paths(&ft.network, a, b, 16);
-            assert_eq!(all_shortest_paths_on(&graph, a, b, 16), all_classic);
+            assert_eq!(
+                all_shortest_paths_on(&graph, a, b, 16),
+                all_shortest_paths_on(&fresh_graph, a, b, 16)
+            );
         }
     }
 }

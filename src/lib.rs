@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![deny(deprecated)]
 
 pub use dcn_core as core;
 pub use dcn_flow as flow;

@@ -15,9 +15,9 @@ use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::fmcf::{
     Commodity, FlowCost, FmcfProblem, FmcfSolverConfig, PowerFlowCost,
 };
-#[allow(deprecated)] // the deprecated one-shot wrapper is this suite's pinned oracle
-use deadline_dcn::topology::dijkstra;
-use deadline_dcn::topology::{GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine};
+use deadline_dcn::topology::{
+    dijkstra_on, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
+};
 use proptest::prelude::*;
 
 /// The pre-refactor adjacency-list algorithms, copied verbatim (modulo
@@ -185,7 +185,7 @@ mod reference {
             let m = network.link_count();
             let mut assignment = vec![vec![0.0; m]; commodities.len()];
             for (ci, c) in commodities.iter().enumerate() {
-                #[allow(deprecated)] // the deprecated one-shot wrapper is the pinned oracle
+                // This module's own `dijkstra`, not the engine under test.
                 let path = dijkstra(network, c.src, c.dst, |l| weights[l.index()])?;
                 for &l in path.links() {
                     assignment[ci][l.index()] = c.demand;
@@ -323,9 +323,10 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The engine's weighted shortest paths — and the `dijkstra` wrapper on
-    /// top of it — equal the pre-refactor adjacency-list Dijkstra,
-    /// bit-for-bit in path choice, on random multigraphs with ties.
+    /// The engine's weighted shortest paths — through `dijkstra_on` on a
+    /// one-shot view and through a reused engine — equal the pre-refactor
+    /// adjacency-list Dijkstra, bit-for-bit in path choice, on random
+    /// multigraphs with ties.
     #[test]
     fn engine_matches_prerefactor_dijkstra(
         spec in arb_topo(),
@@ -339,9 +340,14 @@ proptest! {
         let dst = NodeId(t % spec.n);
 
         let oracle = reference::dijkstra(&net, src, dst, |l| weights[l.index()]);
-        #[allow(deprecated)] // the deprecated one-shot wrapper is pinned against the engine
-        let wrapper = dijkstra(&net, src, dst, |l| weights[l.index()]);
-        prop_assert_eq!(&oracle, &wrapper);
+        let one_shot = dijkstra_on(
+            &GraphCsr::from_network(&net),
+            &mut ShortestPathEngine::new(),
+            src,
+            dst,
+            |l| weights[l.index()],
+        );
+        prop_assert_eq!(&oracle, &one_shot);
 
         let graph = GraphCsr::from_network(&net);
         let mut engine = ShortestPathEngine::new();

@@ -6,7 +6,10 @@
 //!   versions of the same dependency;
 //! * the root manifest actually declares those shared dependencies;
 //! * every workspace member (including the offline stand-ins under
-//!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root.
+//!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root;
+//! * the product crates keep one call path per operation: a superseded
+//!   entry point is deleted, never kept alive behind `#[deprecated]` or a
+//!   cargo feature.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -170,6 +173,52 @@ fn no_member_pins_its_own_external_registry_version() {
                     manifest_path.display()
                 );
             }
+        }
+    }
+}
+
+/// All `.rs` files under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+    {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
+    // A replaced entry point is removed in the PR that replaces it. Kept
+    // "for the transition" it needs an attribute here, an `allow` at every
+    // internal caller, a feature to switch it off and a CI leg for the
+    // feature.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("src"), &mut sources);
+    let crates = fs::read_dir(root.join("crates")).expect("crates/ must exist");
+    for entry in crates {
+        let crate_dir = entry.expect("readable dir entry").path();
+        rust_sources(&crate_dir.join("src"), &mut sources);
+        let manifest = fs::read_to_string(crate_dir.join("Cargo.toml")).expect("manifest readable");
+        assert!(
+            !manifest.lines().any(|l| l.trim() == "[features]"),
+            "{}: no cargo features in product crates",
+            crate_dir.display()
+        );
+    }
+    assert!(!sources.is_empty());
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in ["#[deprecated", "cfg(feature"] {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — delete the superseded item instead",
+                path.display()
+            );
         }
     }
 }
