@@ -25,8 +25,8 @@
 //!
 //! `--rates` sets the swept failure rates; `--downtime` the mean outage
 //! duration; `--load` the (single) arrival load factor; `--flows`,
-//! `--runs`, `--policies`, `--algorithms`, `--epoch`, `--shards` and
-//! `--solver-threads` behave exactly as in the `online` binary.
+//! `--runs`, `--policies`, `--algorithms` and `--solver-threads` behave
+//! exactly as in the `online` binary.
 //!
 //! **`BENCH_failures.json` schema:** the standard artifact (current
 //! schema version). Groups are `"<topology>|<policy>|<admission>"`, `x` is the
@@ -42,13 +42,12 @@
 //! ["run", r]]`. Same determinism contract as every artifact: the failure
 //! stream is a pure function of the seed (per-link derived RNG streams),
 //! so without `--timings`, fixed seed ⇒ byte-identical JSON for any
-//! `--threads`, `--solver-threads` and `--shards`.
+//! `--threads` and `--solver-threads`.
 
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
 use dcn_bench::{
     harness_fmcf_config, harness_registry, print_table, run_online_flow_set_with_events,
-    OnlineKnobs,
 };
 use dcn_core::online::{AdmissionRule, PolicyRegistry};
 use dcn_flow::failure::FailureProcess;
@@ -101,11 +100,6 @@ fn main() {
             vec!["resolve".to_string(), "hybrid".to_string()]
         }
     });
-    for name in &policy_names {
-        policy_registry
-            .create(name)
-            .unwrap_or_else(|e| panic!("[failures] {e}"));
-    }
     let rates: Vec<f64> = cli.rates.clone().unwrap_or_else(|| {
         if cli.quick {
             vec![0.0, 0.05]
@@ -128,7 +122,6 @@ fn main() {
         AdmissionRule::AdmitAll,
         AdmissionRule::reject_infeasible(harness_fmcf_config()),
     ];
-    let knobs = OnlineKnobs::from_cli(cli.epoch, cli.shards, cli.solver_threads);
 
     println!(
         "Failure/recovery sweep: {algorithm} re-solves behind policies [{}] under Poisson \
@@ -166,9 +159,6 @@ fn main() {
 
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
     let registry = harness_registry();
-    registry
-        .create(&algorithm)
-        .unwrap_or_else(|e| panic!("[failures] {e}"));
 
     let (records, elapsed_seconds) = timed(|| {
         run_indexed(grid.len(), cli.threads, |i| {
@@ -202,7 +192,7 @@ fn main() {
                 &algorithm,
                 &cell.policy,
                 cell.admission.clone(),
-                knobs,
+                cli.solver_threads,
                 &events,
                 &registry,
                 &policy_registry,

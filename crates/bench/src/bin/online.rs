@@ -25,13 +25,7 @@
 //! policies (default: every registered policy); `--algorithms` selects the
 //! wrapped re-solve scheduler (first name; further names are ignored here
 //! — the reference is always the same algorithm with clairvoyant
-//! knowledge). `--epoch W` batches arrivals into epoch windows of width
-//! `W` and `--shards N` solves residuals pod-sharded on `N` worker
-//! threads; supplying either also warm-starts consecutive Frank–Wolfe
-//! re-solves from the previous event's flow matrix. The artifact is
-//! byte-identical at any `--shards` width (sharding only changes the
-//! worker-thread count, never the partition), which the CI pins by
-//! `cmp`-ing runs at widths 1, 2 and 4.
+//! knowledge). Unknown policy or algorithm names are usage errors.
 //!
 //! **`BENCH_online.json` schema:** the standard artifact (schema version
 //! 1). Groups are `"<topology>|<policy>|<admission>"` (e.g.
@@ -48,21 +42,19 @@
 //! only under `--timings`, because wall clock varies run to run —
 //! `events_per_second` and `arrivals_per_second` throughput columns.
 //! Same determinism contract as every artifact: without `--timings`,
-//! fixed seed ⇒ byte-identical JSON for any `--threads` (and any
-//! `--shards`).
+//! fixed seed ⇒ byte-identical JSON for any `--threads` and
+//! `--solver-threads`.
 //!
 //! Under `--quick` the sweep is followed by a throughput smoke: 100 000
-//! arrivals on a fat-tree(k=16) pushed through the epoch-batched event
-//! loop (solver-free `edf` policy, so the runtime measures the engine,
+//! arrivals on a fat-tree(k=16) pushed through the event loop
+//! (solver-free `edf` policy, so the runtime measures the engine,
 //! not Frank–Wolfe). It prints its arrivals-per-second rate and is kept
 //! out of the JSON artifact — wall clock is not deterministic.
 
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
-use dcn_bench::{
-    harness_fmcf_config, harness_registry, print_table, run_online_flow_set, OnlineKnobs,
-};
-use dcn_core::online::{AdmissionRule, OnlineEngine, PolicyRegistry, ShardMode};
+use dcn_bench::{harness_fmcf_config, harness_registry, print_table, run_online_flow_set};
+use dcn_core::online::{AdmissionRule, OnlineEngine, PolicyRegistry};
 use dcn_core::SolverContext;
 use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
 use dcn_power::PowerFunction;
@@ -109,11 +101,6 @@ fn main() {
             .map(|n| n.to_string())
             .collect()
     });
-    for name in &policy_names {
-        policy_registry
-            .create(name)
-            .unwrap_or_else(|e| panic!("[online] {e}"));
-    }
     let loads: Vec<f64> = cli.load.clone().unwrap_or_else(|| {
         if cli.quick {
             vec![1.0, 3.0]
@@ -136,7 +123,6 @@ fn main() {
         AdmissionRule::AdmitAll,
         AdmissionRule::reject_infeasible(harness_fmcf_config()),
     ];
-    let knobs = OnlineKnobs::from_cli(cli.epoch, cli.shards, cli.solver_threads);
 
     println!(
         "Online event-driven sweep: {algorithm} re-solves behind policies [{}] under Poisson \
@@ -173,9 +159,6 @@ fn main() {
 
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
     let registry = harness_registry();
-    registry
-        .create(&algorithm)
-        .unwrap_or_else(|e| panic!("[online] {e}"));
 
     let (records, elapsed_seconds) = timed(|| {
         run_indexed(grid.len(), cli.threads, |i| {
@@ -199,7 +182,7 @@ fn main() {
                     &algorithm,
                     &cell.policy,
                     cell.admission.clone(),
-                    knobs,
+                    cli.solver_threads,
                     &registry,
                     &policy_registry,
                 )
@@ -355,12 +338,10 @@ fn main() {
 }
 
 /// The `--quick` throughput smoke: 100 000 Poisson arrivals on a
-/// fat-tree(k=16) through the epoch-batched event loop. The solver-free
-/// `edf` policy bounds the runtime by the engine itself rather than by
-/// Frank–Wolfe; warm starts and shard workers are enabled so the full
-/// incremental pipeline is on the measured path. Results go to stdout
-/// only — wall clock varies run to run, so the smoke never touches the
-/// JSON artifact.
+/// fat-tree(k=16) through the event loop. The solver-free `edf` policy
+/// bounds the runtime by the engine itself rather than by Frank–Wolfe.
+/// Results go to stdout only — wall clock varies run to run, so the smoke
+/// never touches the JSON artifact.
 fn throughput_smoke() {
     const ARRIVALS: usize = 100_000;
     let topo = builders::fat_tree(16);
@@ -375,9 +356,6 @@ fn throughput_smoke() {
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
     let mut engine = OnlineEngine::builder()
         .policy("edf")
-        .warm_start(true)
-        .epoch(0.05)
-        .shards(ShardMode::Auto)
         .seed(42)
         .build()
         .expect("the smoke configuration is valid");

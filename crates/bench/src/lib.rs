@@ -32,7 +32,7 @@
 pub mod report;
 pub mod runner;
 
-use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome, PolicyRegistry, ShardMode};
+use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome, PolicyRegistry};
 use dcn_core::{
     AlgorithmRegistry, Dcfsr, ParallelConfig, RandomScheduleConfig, RelaxationLb, SolverContext,
 };
@@ -292,63 +292,14 @@ impl OnlineInstanceResult {
     }
 }
 
-/// The engine knobs the `online` binary threads from its CLI into
-/// [`run_online_flow_set`]: incremental warm starts, epoch batching of
-/// arrivals, and pod-sharded residual solving. The default is the plain
-/// event loop (cold solves, no batching, no shards) — the configuration
-/// every pre-existing sweep ran under.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlineKnobs {
-    /// Warm-start consecutive Frank–Wolfe re-solves from the previous
-    /// event's flow matrix ([`dcn_core::online::EngineConfig::warm_start`]).
-    pub warm_start: bool,
-    /// Epoch window for batching arrivals; `0.0` disables batching
-    /// ([`dcn_core::online::EngineConfig::epoch`]).
-    pub epoch: f64,
-    /// Pod-sharded residual solving ([`ShardMode`]). The artifact is
-    /// byte-identical at any shard width — `Fixed(n)` only sets the
-    /// worker-thread count.
-    pub shards: ShardMode,
-    /// Interval-parallel offline/cold solving ([`ParallelConfig`]); `1`
-    /// keeps every solve sequential. Warm-started re-solves always run
-    /// sequentially regardless of this knob, so the artifact stays
-    /// byte-identical at any value.
-    pub solver_threads: usize,
-}
-
-impl Default for OnlineKnobs {
-    fn default() -> Self {
-        Self {
-            warm_start: false,
-            epoch: 0.0,
-            shards: ShardMode::Off,
-            solver_threads: 1,
-        }
-    }
-}
-
-impl OnlineKnobs {
-    /// Builds the knob set from the CLI's optional `--epoch`/`--shards`
-    /// values plus the `--solver-threads` pool width: supplying either of
-    /// the first two flags also enables warm starts (the incremental
-    /// pipeline is one feature from the harness's viewpoint).
-    pub fn from_cli(epoch: Option<f64>, shards: Option<usize>, solver_threads: usize) -> Self {
-        Self {
-            warm_start: epoch.is_some() || shards.is_some(),
-            epoch: epoch.unwrap_or(0.0),
-            shards: shards.map_or(ShardMode::Off, ShardMode::Fixed),
-            solver_threads: solver_threads.max(1),
-        }
-    }
-}
-
 /// Runs one **online** instance: executes `flows` through an
 /// [`OnlineEngine`] wrapping the named algorithm, driven by the named
-/// [`dcn_core::OnlinePolicy`] under `admission` with the warm-start /
-/// epoch / shard `knobs`, solves the same instance offline with
-/// clairvoyant knowledge as the reference, and verifies both schedules
-/// with the fluid simulator. One [`SolverContext`] is shared by every
-/// re-solve, the offline solve and both simulations.
+/// [`dcn_core::OnlinePolicy`] under `admission`, solves the same instance
+/// offline with clairvoyant knowledge as the reference, and verifies both
+/// schedules with the fluid simulator. One [`SolverContext`] is shared by
+/// every re-solve, the offline solve and both simulations; it solves
+/// independent relaxation intervals on `solver_threads` pool workers
+/// ([`ParallelConfig`]), bit-identically at any width.
 ///
 /// The lower bound is taken from the offline solution when the algorithm
 /// computes one (`dcfsr`); otherwise the `lb` algorithm is run
@@ -370,7 +321,7 @@ pub fn run_online_flow_set(
     algorithm: &str,
     policy: &str,
     admission: AdmissionRule,
-    knobs: OnlineKnobs,
+    solver_threads: usize,
     registry: &AlgorithmRegistry,
     policies: &PolicyRegistry,
 ) -> OnlineInstanceResult {
@@ -382,7 +333,7 @@ pub fn run_online_flow_set(
         algorithm,
         policy,
         admission,
-        knobs,
+        solver_threads,
         &[],
         registry,
         policies,
@@ -410,23 +361,20 @@ pub fn run_online_flow_set_with_events(
     algorithm: &str,
     policy: &str,
     admission: AdmissionRule,
-    knobs: OnlineKnobs,
+    solver_threads: usize,
     events: &[dcn_topology::TopologyEvent],
     registry: &AlgorithmRegistry,
     policies: &PolicyRegistry,
 ) -> OnlineInstanceResult {
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
-    ctx.set_parallelism(ParallelConfig::with_threads(knobs.solver_threads));
+    ctx.set_parallelism(ParallelConfig::with_threads(solver_threads));
     let mut online = OnlineEngine::builder()
         .algorithm(algorithm)
         .algorithms(registry.clone())
         .policy(policy)
         .policies(policies.clone())
         .admission(admission)
-        .warm_start(knobs.warm_start)
-        .epoch(knobs.epoch)
-        .shards(knobs.shards)
         .seed(seed)
         .build()
         .unwrap_or_else(|e| panic!("cannot configure the online engine: {e}"));
@@ -853,7 +801,7 @@ mod tests {
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            OnlineKnobs::default(),
+            1,
             &harness_registry(),
             &PolicyRegistry::with_defaults(),
         );
@@ -895,7 +843,7 @@ mod tests {
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            OnlineKnobs::default(),
+            1,
             &harness_registry(),
             &PolicyRegistry::with_defaults(),
         );

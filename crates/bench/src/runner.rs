@@ -16,6 +16,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::report::ExperimentReport;
+use dcn_core::online::PolicyRegistry;
+use dcn_server::ServePolicy;
 
 pub use dcn_core::pool::{default_threads, run_indexed, run_indexed_with};
 
@@ -43,7 +45,8 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 --threads x --solver-threads never oversubscribes
 /// --algorithms L  comma-separated registry names to compare (primary,
 ///                 reference, extras), e.g. dcfsr,sp-mcf,ecmp,greedy;
-///                 defaults to the experiment's own selection
+///                 defaults to the experiment's own selection; a name the
+///                 harness registry does not know is a usage error
 /// --load L        comma-separated load factors swept by the `online`
 ///                 binary, e.g. 0.5,1,2,4
 /// --rates L       comma-separated link failure rates (failures per link
@@ -52,14 +55,10 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 /// --downtime D    mean outage duration of the `failures` binary's
 ///                 alternating-renewal process (positive, finite)
 /// --policies L    comma-separated online-policy registry names compared
-///                 by the `online` binary, e.g. resolve,edf,hybrid;
-///                 defaults to the binary's own selection
-/// --epoch W       arrival-batching window of the `online` binary in
-///                 release-time units (0 disables batching); supplying
-///                 the flag also turns warm starts on
-/// --shards N      pod-shard worker threads of the `online` binary; the
-///                 artifact is byte-identical at any N (supplying the
-///                 flag also turns warm starts on)
+///                 by the `online` binary, e.g. resolve,edf,hybrid (the
+///                 `serve` bench takes the daemon's policy names);
+///                 defaults to the binary's own selection; an unknown
+///                 name is a usage error
 /// --shard-workers N
 ///                 worker threads of the `serve` bench's in-process
 ///                 daemon; the artifact is byte-identical at any N
@@ -111,12 +110,6 @@ pub struct ExperimentCli {
     /// there is no primary/reference pairing); `None` keeps the binary's
     /// default selection.
     pub policies: Option<Vec<String>>,
-    /// `--epoch W`: arrival-batching window of the `online` binary; `None`
-    /// keeps batching (and warm starts) off.
-    pub epoch: Option<f64>,
-    /// `--shards N`: pod-shard worker threads of the `online` binary;
-    /// `None` keeps sharding (and warm starts) off.
-    pub shards: Option<usize>,
     /// `--shard-workers N`: worker threads of the `serve` bench's
     /// in-process daemon; `None` keeps the binary's default (1).
     pub shard_workers: Option<usize>,
@@ -151,8 +144,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--rates",
     "--downtime",
     "--policies",
-    "--epoch",
-    "--shards",
     "--shard-workers",
     "--queue-depth",
     "--admission",
@@ -173,7 +164,7 @@ impl ExperimentCli {
                     "usage: {experiment} [--runs N] [--seeds N] [--flows N] [--step N] \
                      [--threads N] [--solver-threads N] [--algorithms a,b,...] \
                      [--load a,b,...] [--rates a,b,...] [--downtime D] \
-                     [--policies a,b,...] [--epoch W] [--shards N] \
+                     [--policies a,b,...] \
                      [--shard-workers N] [--queue-depth N] [--admission R] \
                      [--quick] [--full] [--small] [--json-out [PATH]] [--timings]"
                 );
@@ -186,7 +177,8 @@ impl ExperimentCli {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown flags, missing or malformed values.
+    /// Returns a message for unknown flags, missing or malformed values,
+    /// and algorithm or policy names no registry knows.
     pub fn from_args(experiment: &str, args: &[String]) -> Result<Self, String> {
         let mut cli = Self {
             experiment: experiment.to_string(),
@@ -201,8 +193,6 @@ impl ExperimentCli {
             rates: None,
             downtime: None,
             policies: None,
-            epoch: None,
-            shards: None,
             shard_workers: None,
             queue_depth: None,
             admission: None,
@@ -252,6 +242,7 @@ impl ExperimentCli {
                                  (comma-separated), got {value:?}"
                             ));
                         }
+                        check_known("algorithm", &names, &crate::harness_registry().names())?;
                         cli.algorithms = Some(names);
                     }
                     "--load" => {
@@ -301,16 +292,6 @@ impl ExperimentCli {
                         }
                         cli.downtime = Some(downtime);
                     }
-                    "--epoch" => {
-                        let window: f64 = parse_value(flag, value)?;
-                        if !window.is_finite() || window < 0.0 {
-                            return Err(format!(
-                                "--epoch expects a finite non-negative window, got {value:?}"
-                            ));
-                        }
-                        cli.epoch = Some(window);
-                    }
-                    "--shards" => cli.shards = Some(parse_value(flag, value)?),
                     "--shard-workers" => cli.shard_workers = Some(parse_value(flag, value)?),
                     "--queue-depth" => cli.queue_depth = Some(parse_value(flag, value)?),
                     "--admission" => {
@@ -332,6 +313,19 @@ impl ExperimentCli {
                             return Err(format!(
                                 "--policies expects comma-separated policy names, got {value:?}"
                             ));
+                        }
+                        if experiment == "serve" {
+                            // The serve bench compares the daemon's own
+                            // policies, not the engine registry's.
+                            for name in &names {
+                                ServePolicy::parse(name)?;
+                            }
+                        } else {
+                            check_known(
+                                "policy",
+                                &names,
+                                &PolicyRegistry::with_defaults().names(),
+                            )?;
                         }
                         cli.policies = Some(names);
                     }
@@ -370,9 +364,6 @@ impl ExperimentCli {
         }
         if cli.seeds == Some(0) {
             return Err("--seeds must be at least 1".to_string());
-        }
-        if cli.shards == Some(0) {
-            return Err("--shards must be at least 1".to_string());
         }
         if cli.shard_workers == Some(0) {
             return Err("--shard-workers must be at least 1".to_string());
@@ -413,6 +404,17 @@ impl ExperimentCli {
             .write(path)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("[{}] report written to {}", self.experiment, path.display());
+    }
+}
+
+/// Rejects the first of `names` that is not among `known`.
+fn check_known(kind: &str, names: &[String], known: &[&str]) -> Result<(), String> {
+    match names.iter().find(|name| !known.contains(&name.as_str())) {
+        Some(bad) => Err(format!(
+            "unknown {kind} {bad:?} (expected one of {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -479,6 +481,14 @@ mod tests {
         // A single name cannot form a primary/reference pair.
         assert!(ExperimentCli::from_args("fig2", &args(&["--algorithms", "dcfsr"])).is_err());
         assert!(ExperimentCli::from_args("fig2", &args(&["--algorithms"])).is_err());
+        // A name the harness registry cannot create is a usage error, not
+        // a panic inside the sweep.
+        let err =
+            ExperimentCli::from_args("fig2", &args(&["--algorithms", "nope,sp-mcf"])).unwrap_err();
+        assert!(
+            err.starts_with("unknown algorithm \"nope\" (expected one of dcfsr, "),
+            "{err}"
+        );
     }
 
     #[test]
@@ -528,27 +538,20 @@ mod tests {
         assert_eq!(cli.policies, Some(vec!["hybrid".to_string()]));
         assert!(ExperimentCli::from_args("online", &args(&["--policies", ","])).is_err());
         assert!(ExperimentCli::from_args("online", &args(&["--policies"])).is_err());
-    }
-
-    #[test]
-    fn cli_parses_the_online_engine_knobs() {
-        let cli = ExperimentCli::from_args("online", &args(&["--epoch", "0.05", "--shards", "4"]))
-            .unwrap();
-        assert_eq!(cli.epoch, Some(0.05));
-        assert_eq!(cli.shards, Some(4));
-        // Defaults keep both knobs off.
-        let cli = ExperimentCli::from_args("online", &args(&[])).unwrap();
-        assert_eq!(cli.epoch, None);
-        assert_eq!(cli.shards, None);
-        // An epoch of zero is valid (explicitly "no batching, warm only").
-        let cli = ExperimentCli::from_args("online", &args(&["--epoch", "0"])).unwrap();
-        assert_eq!(cli.epoch, Some(0.0));
-        // Malformed values are rejected.
-        assert!(ExperimentCli::from_args("online", &args(&["--epoch", "-1"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--epoch", "nan"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--epoch"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--shards", "0"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--shards", "two"])).is_err());
+        // Unknown names are usage errors on every binary, including the
+        // ones that never read the flag.
+        for experiment in ["online", "failures", "fig2"] {
+            let err = ExperimentCli::from_args(experiment, &args(&["--policies", "edf,nope"]))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                "unknown policy \"nope\" (expected one of resolve, edf, srpt, rcd, hybrid)"
+            );
+        }
+        // The serve bench speaks the daemon's policy names instead.
+        let cli = ExperimentCli::from_args("serve", &args(&["--policies", "greedy"])).unwrap();
+        assert_eq!(cli.policies, Some(vec!["greedy".to_string()]));
+        assert!(ExperimentCli::from_args("serve", &args(&["--policies", "hybrid"])).is_err());
     }
 
     #[test]
@@ -575,6 +578,13 @@ mod tests {
     #[test]
     fn cli_rejects_unknown_and_malformed_flags() {
         assert!(ExperimentCli::from_args("x", &args(&["--frobnicate"])).is_err());
+        // The online engine has no batching or sharding flags.
+        for removed in [["--epoch", "0.05"], ["--shards", "2"]] {
+            assert_eq!(
+                ExperimentCli::from_args("online", &args(&removed)).unwrap_err(),
+                format!("unknown flag {:?}", removed[0])
+            );
+        }
         assert!(ExperimentCli::from_args("x", &args(&["--runs"])).is_err());
         assert!(ExperimentCli::from_args("x", &args(&["--runs", "many"])).is_err());
         assert!(ExperimentCli::from_args("x", &args(&["--threads", "0"])).is_err());

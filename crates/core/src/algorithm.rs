@@ -37,8 +37,8 @@ use std::fmt;
 /// Implementations are cheap, reusable objects: construct (or
 /// [`AlgorithmRegistry::create`]) once, call [`Algorithm::solve`] many
 /// times. The context carries all warm per-network state; the algorithm
-/// object only carries configuration. The `Send` bound lets the online
-/// engine dispatch registry-created instances to pod-shard worker threads.
+/// object only carries configuration. The `Send` bound lets `dcn-server`
+/// move registry-created instances into its shard worker threads.
 pub trait Algorithm: Send {
     /// The registry name of the algorithm (stable, lowercase, kebab-case).
     fn name(&self) -> &str;

@@ -101,7 +101,7 @@ pub use error::SolveError;
 pub use exact::{ExactError, ExactOutcome};
 pub use online::{
     AdmissionRule, EngineConfig, FlowDecision, InFlightLedger, LedgerEntry, OnlineEngine,
-    OnlineOutcome, OnlinePolicy, OnlineReport, PolicyRegistry, ShardMode,
+    OnlineOutcome, OnlinePolicy, OnlineReport, PolicyRegistry,
 };
 pub use pool::ParallelConfig;
 pub use relaxation::{
@@ -123,7 +123,7 @@ pub mod prelude {
     pub use crate::error::SolveError;
     pub use crate::online::{
         AdmissionRule, EngineConfig, InFlightLedger, OnlineEngine, OnlineOutcome, OnlinePolicy,
-        OnlineReport, PolicyRegistry, ShardMode,
+        OnlineReport, PolicyRegistry,
     };
     pub use crate::pool::ParallelConfig;
     pub use crate::routing::Routing;

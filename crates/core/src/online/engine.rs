@@ -19,25 +19,12 @@
 //! bit-identical to it.
 //!
 //! Engines are assembled through the [`EngineConfig`] builder
-//! ([`OnlineEngine::builder`]), which also carries the three throughput
-//! levers of the online loop:
-//!
-//! * **warm starts** ([`EngineConfig::warm_start`]) — the context's
-//!   Frank–Wolfe scratch caches the previous event's flow matrix and seeds
-//!   every re-solve from it, re-routing only commodities whose cached rows
-//!   touch links dirtied by committed rates since the last solve;
-//! * **epoch batching** ([`EngineConfig::epoch`]) — arrival times are
-//!   quantised up to a configurable window so arrivals within one window
-//!   share a single re-solve;
-//! * **pod sharding** ([`EngineConfig::shards`]) — on pod-labelled
-//!   topologies the residual instance is partitioned into per-pod buckets
-//!   plus one cross-pod bucket, buckets are solved concurrently on scoped
-//!   worker threads (each with its own warm context and algorithm
-//!   instance), and a bounded fix-up pass jointly re-solves the flows
-//!   touching any link the merged bucket schedules overload. The partition
-//!   and every per-bucket seed depend only on the event index and the pod
-//!   labels — never on the shard count — so artifacts are byte-identical
-//!   at any `--shards` width.
+//! ([`OnlineEngine::builder`]), which also carries the one throughput
+//! lever of the online loop: **warm starts**
+//! ([`EngineConfig::warm_start`]) — the context's Frank–Wolfe scratch
+//! caches the previous event's flow matrix and seeds every re-solve from
+//! it, re-routing only commodities whose cached rows touch links dirtied
+//! by committed rates since the last solve.
 
 use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry};
 use super::{fractionally_feasible, residual_flow};
@@ -46,7 +33,7 @@ use crate::context::SolverContext;
 use crate::error::SolveError;
 use crate::schedule::{FlowSchedule, Schedule};
 use crate::solution::Solution;
-use dcn_flow::{Flow, FlowId, FlowSet};
+use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
@@ -501,45 +488,8 @@ impl EventQueue {
     }
 }
 
-/// How residual re-solves are partitioned across pod-local shards (see
-/// [`EngineConfig::shards`]).
-///
-/// The shard mode only controls *worker-thread width*: the pod partition
-/// and the per-bucket seeds are fixed by the topology's pod labels and the
-/// event index, so every mode other than [`ShardMode::Off`] produces the
-/// same schedules — byte for byte — at any width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// No sharding: every residual instance is solved whole on the main
-    /// context (the default, and the only behaviour before sharding
-    /// existed).
-    #[default]
-    Off,
-    /// Shard by pod, with one worker thread per available CPU (capped by
-    /// the number of occupied buckets).
-    Auto,
-    /// Shard by pod, with exactly this many worker threads (clamped to at
-    /// least 1 and at most the number of occupied buckets).
-    Fixed(usize),
-}
-
-impl ShardMode {
-    /// The worker-thread width for `jobs` occupied buckets.
-    fn width(self, jobs: usize) -> usize {
-        let cap = jobs.max(1);
-        match self {
-            ShardMode::Off => 1,
-            ShardMode::Auto => std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(cap),
-            ShardMode::Fixed(n) => n.clamp(1, cap),
-        }
-    }
-}
-
 /// The wrapped re-solve backend of an [`EngineConfig`]: resolved by
-/// registry name (which keeps the name around for per-shard instances) or
-/// injected as a ready-made instance.
+/// registry name or injected as a ready-made instance.
 #[derive(Debug)]
 enum AlgorithmChoice {
     Name(String),
@@ -555,26 +505,24 @@ enum PolicyChoice {
 
 /// The builder assembling an [`OnlineEngine`]: which algorithm re-solves
 /// residual instances, which [`OnlinePolicy`] decides per event, which
-/// [`AdmissionRule`] gates arrivals, and the warm-start / epoch-batching /
-/// pod-sharding throughput levers (see the [module docs](self)).
+/// [`AdmissionRule`] gates arrivals, and whether re-solves are warm-started
+/// (see the [module docs](self)).
 ///
 /// Obtained from [`OnlineEngine::builder`]; every knob has a safe default
-/// (`dcfsr` re-solves, `resolve` policy, admit-all, no warm starts, no
-/// batching, no sharding, seed 0):
+/// (`dcfsr` re-solves, `resolve` policy, admit-all, no warm starts,
+/// seed 0):
 ///
 /// ```
-/// use dcn_core::online::{OnlineEngine, ShardMode};
+/// use dcn_core::online::OnlineEngine;
 ///
 /// # fn main() -> Result<(), dcn_core::SolveError> {
 /// let mut engine = OnlineEngine::builder()
 ///     .policy("hybrid")
 ///     .warm_start(true)
-///     .epoch(0.05)
-///     .shards(ShardMode::Auto)
 ///     .seed(7)
 ///     .build()?;
 /// assert_eq!(engine.policy().name(), "hybrid");
-/// assert_eq!(engine.shards(), ShardMode::Auto);
+/// assert!(engine.warm_start());
 /// # Ok(())
 /// # }
 /// ```
@@ -584,8 +532,6 @@ pub struct EngineConfig {
     policy: PolicyChoice,
     admission: AdmissionRule,
     warm_start: bool,
-    epoch: f64,
-    shards: ShardMode,
     seed: u64,
     algorithms: Option<AlgorithmRegistry>,
     policies: Option<PolicyRegistry>,
@@ -598,8 +544,6 @@ impl Default for EngineConfig {
             policy: PolicyChoice::Name("resolve".into()),
             admission: AdmissionRule::default(),
             warm_start: false,
-            epoch: 0.0,
-            shards: ShardMode::Off,
             seed: 0,
             algorithms: None,
             policies: None,
@@ -609,16 +553,12 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Selects the re-solve algorithm by registry name (default `"dcfsr"`).
-    /// Name-based selection is what enables pod sharding: the engine keeps
-    /// the name and registry around to create one instance per shard.
     pub fn algorithm(mut self, name: impl Into<String>) -> Self {
         self.algorithm = AlgorithmChoice::Name(name.into());
         self
     }
 
-    /// Injects a ready-made re-solve algorithm. Instance-injected
-    /// algorithms cannot be replicated per shard, so sharding falls back
-    /// to whole-instance solves.
+    /// Injects a ready-made re-solve algorithm.
     pub fn algorithm_instance(mut self, algorithm: Box<dyn Algorithm>) -> Self {
         self.algorithm = AlgorithmChoice::Instance(algorithm);
         self
@@ -651,22 +591,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the epoch batching window in time units (default `0.0`, i.e.
-    /// off): arrival times are quantised *up* to the next multiple of the
-    /// window, so arrivals within one window share a single event batch
-    /// and re-solve. An arrival whose deadline falls inside the window it
-    /// is deferred across is admitted but counted as missed.
-    pub fn epoch(mut self, window: f64) -> Self {
-        self.epoch = window;
-        self
-    }
-
-    /// Sets the pod-sharding mode (default [`ShardMode::Off`]).
-    pub fn shards(mut self, shards: ShardMode) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Sets the seed handed to [`OnlineEngine::set_seed`] on build
     /// (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -692,28 +616,15 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// * [`SolveError::UnknownAlgorithm`] / [`SolveError::UnknownPolicy`]
-    ///   for a name the (default or supplied) registry does not know.
-    /// * [`SolveError::InvalidInput`] for a non-finite or negative epoch
-    ///   window.
+    /// [`SolveError::UnknownAlgorithm`] / [`SolveError::UnknownPolicy`] for
+    /// a name the (default or supplied) registry does not know.
     pub fn build(self) -> Result<OnlineEngine, SolveError> {
-        if !self.epoch.is_finite() || self.epoch < 0.0 {
-            return Err(SolveError::InvalidInput {
-                reason: format!(
-                    "epoch window must be finite and non-negative, got {}",
-                    self.epoch
-                ),
-            });
-        }
-        let (algorithm, shard_factory) = match self.algorithm {
-            AlgorithmChoice::Name(name) => {
-                let registry = self
-                    .algorithms
-                    .unwrap_or_else(AlgorithmRegistry::with_defaults);
-                let instance = registry.create(&name)?;
-                (instance, Some((name, registry)))
-            }
-            AlgorithmChoice::Instance(instance) => (instance, None),
+        let algorithm = match self.algorithm {
+            AlgorithmChoice::Name(name) => self
+                .algorithms
+                .unwrap_or_else(AlgorithmRegistry::with_defaults)
+                .create(&name)?,
+            AlgorithmChoice::Instance(instance) => instance,
         };
         let policy = match self.policy {
             PolicyChoice::Name(name) => self
@@ -728,9 +639,6 @@ impl EngineConfig {
             admission: self.admission,
             seed: 0,
             warm_start: self.warm_start,
-            epoch: self.epoch,
-            shards: self.shards,
-            shard_factory,
         };
         engine.set_seed(self.seed);
         Ok(engine)
@@ -748,12 +656,6 @@ pub struct OnlineEngine {
     admission: AdmissionRule,
     seed: u64,
     warm_start: bool,
-    epoch: f64,
-    shards: ShardMode,
-    /// The registry name the algorithm was created under, kept to create
-    /// per-shard instances. `None` for instance-injected algorithms, which
-    /// disables sharding.
-    shard_factory: Option<(String, AlgorithmRegistry)>,
 }
 
 impl OnlineEngine {
@@ -789,16 +691,6 @@ impl OnlineEngine {
     /// Whether warm-started re-solves are enabled.
     pub fn warm_start(&self) -> bool {
         self.warm_start
-    }
-
-    /// The epoch batching window (`0.0` means off).
-    pub fn epoch(&self) -> f64 {
-        self.epoch
-    }
-
-    /// The pod-sharding mode.
-    pub fn shards(&self) -> ShardMode {
-        self.shards
     }
 
     /// Executes the instance online: reveals flows at their release times,
@@ -889,8 +781,7 @@ impl OnlineEngine {
 
         // Roll the context's topology back to its entry state on success
         // and on error alike: restore every link the stream left down,
-        // re-fail every link it left up. (The shard contexts are built per
-        // run and dropped with it, so only `ctx` outlives the stream.)
+        // re-fail every link it left up.
         let horizon_end = flows.horizon().1;
         let final_down: Vec<LinkId> = ctx.graph().down_links().collect();
         for link in final_down {
@@ -920,7 +811,7 @@ impl OnlineEngine {
         power: &PowerFunction,
         events: &[TopologyEvent],
     ) -> Result<OnlineOutcome, SolveError> {
-        let groups = arrival_events(flows, self.epoch);
+        let groups = arrival_events(flows);
         // A policy that keeps requesting timers without progress would spin
         // forever; built-in policies need at most a handful of batches per
         // flow (one completion, one deadline watchdog, one deferral wake).
@@ -953,9 +844,8 @@ impl OnlineEngine {
         // Admitted flows currently disconnected by link failures.
         let mut stranded: BTreeSet<FlowId> = BTreeSet::new();
         // Links whose committed rates changed since the last re-solve; fed
-        // into the warm scratches as the dirty set before the next one.
+        // into the warm scratch as the dirty set before the next one.
         let mut dirty: Vec<LinkId> = Vec::new();
-        let mut shards = self.shard_state(ctx)?;
 
         while let Some((now, entries)) = queue.pop_batch() {
             let k = batches;
@@ -993,8 +883,7 @@ impl OnlineEngine {
 
             // Apply the batch's topology changes before anything routes:
             // the policy, the admission probe and the re-solve below must
-            // all see the new link state. Shard contexts mirror the main
-            // context's view.
+            // all see the new link state.
             let mut topology_changed = false;
             for &topo in &event.topology {
                 // A severed committed path means the plan the flow was
@@ -1013,11 +902,6 @@ impl OnlineEngine {
                 if ctx.apply_topology_event(topo) {
                     topology_changed = true;
                     topology_applied += 1;
-                    if let Some(shard_state) = shards.as_mut() {
-                        for sctx in &mut shard_state.contexts {
-                            sctx.apply_topology_event(topo);
-                        }
-                    }
                 }
             }
             if topology_changed {
@@ -1093,15 +977,6 @@ impl OnlineEngine {
                         continue;
                     }
                 }
-                if flows.flow(id).deadline <= now {
-                    // Epoch batching deferred the arrival past its own
-                    // deadline (only reachable with a window > 0): the flow
-                    // is admitted but can no longer be served, so it is a
-                    // miss without ever going in flight.
-                    state[id].admitted = true;
-                    state[id].missed = true;
-                    continue;
-                }
                 let admit = {
                     let world = WorldView {
                         flows,
@@ -1151,33 +1026,19 @@ impl OnlineEngine {
                     };
                     resolves += 1;
                     // Feed the links whose committed rates changed since
-                    // the last solve into every warm scratch as its dirty
+                    // the last solve into the warm scratch as its dirty
                     // set (a no-op with warm starts off).
                     if self.warm_start && !dirty.is_empty() {
-                        if let Some(state) = shards.as_mut() {
-                            for sctx in &mut state.contexts {
-                                sctx.mark_dirty_links(dirty.iter().copied());
-                            }
-                        }
                         ctx.mark_dirty_links(dirty.drain(..));
                     }
                     dirty.clear();
-                    let solved = match shards.as_mut() {
-                        Some(state) => self.solve_sharded(state, ctx, &residual, power, k),
-                        None => {
-                            self.algorithm.set_seed(self.seed.wrapping_add(k as u64));
-                            match self.algorithm.solve(ctx, &residual, power) {
-                                Ok(solution) => match solution.schedule {
-                                    Some(schedule) => Ok(Some(schedule)),
-                                    None => Err(no_schedule_error(self.algorithm.name())),
-                                },
-                                Err(_) => Ok(None),
-                            }
-                        }
-                    };
-                    let Some(schedule) = solved? else {
+                    self.algorithm.set_seed(self.seed.wrapping_add(k as u64));
+                    let Ok(solution) = self.algorithm.solve(ctx, &residual, power) else {
                         solve_failures += 1;
                         continue;
+                    };
+                    let Some(schedule) = solution.schedule else {
+                        return Err(no_schedule_error(self.algorithm.name()));
                     };
 
                     // Commit the slice of the fresh schedule up to the next
@@ -1354,227 +1215,6 @@ impl OnlineEngine {
         outcome.offline = Some(offline);
         Ok(outcome)
     }
-
-    /// Builds the per-bucket contexts and algorithm instances for pod
-    /// sharding, or `None` when sharding is off, the algorithm was
-    /// instance-injected (no registry name to replicate), or the topology
-    /// has fewer than two pods.
-    fn shard_state<'net>(
-        &self,
-        ctx: &SolverContext<'net>,
-    ) -> Result<Option<ShardState<'net>>, SolveError> {
-        if self.shards == ShardMode::Off {
-            return Ok(None);
-        }
-        let Some((name, registry)) = &self.shard_factory else {
-            return Ok(None);
-        };
-        let pods = ctx.graph().pod_count();
-        if pods < 2 {
-            return Ok(None);
-        }
-        // One bucket per pod plus the cross-pod bucket.
-        let buckets = pods + 1;
-        let mut contexts = Vec::with_capacity(buckets);
-        let mut algorithms = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
-            let mut shard_ctx = SolverContext::from_network(ctx.network())?;
-            shard_ctx.set_warm_start(self.warm_start);
-            contexts.push(shard_ctx);
-            algorithms.push(registry.create(name)?);
-        }
-        Ok(Some(ShardState {
-            contexts,
-            algorithms,
-            mode: self.shards,
-        }))
-    }
-
-    /// Solves one residual instance sharded by pod: partitions the
-    /// commodities into per-pod buckets (source and destination in the
-    /// same pod) plus one cross-pod bucket, solves the occupied buckets on
-    /// scoped worker threads — each bucket on its own warm context and
-    /// algorithm instance, seeded by `(seed, event index, bucket)` only —
-    /// merges the bucket schedules, and runs one bounded fix-up pass: the
-    /// flows touching any link whose merged load exceeds its capacity are
-    /// jointly re-solved on the main context.
-    ///
-    /// Returns `Ok(None)` when any bucket (or the fix-up) solve fails —
-    /// the caller counts it as one solve failure, exactly like an
-    /// unsharded failure.
-    fn solve_sharded(
-        &mut self,
-        state: &mut ShardState<'_>,
-        ctx: &mut SolverContext<'_>,
-        residual: &FlowSet,
-        power: &PowerFunction,
-        k: usize,
-    ) -> Result<Option<Schedule>, SolveError> {
-        let graph = ctx.graph();
-        let pods = graph.pod_count();
-        let buckets = pods + 1;
-        let mut members: Vec<Vec<Flow>> = vec![Vec::new(); buckets];
-        // Bucket-local id -> residual id, per bucket.
-        let mut owners: Vec<Vec<FlowId>> = vec![Vec::new(); buckets];
-        for flow in residual.iter() {
-            let bucket = match (graph.pod_of(flow.src), graph.pod_of(flow.dst)) {
-                (Some(a), Some(b)) if a == b => a,
-                _ => pods,
-            };
-            let local = members[bucket].len();
-            members[bucket].push(
-                Flow::new(
-                    local,
-                    flow.src,
-                    flow.dst,
-                    flow.release,
-                    flow.deadline,
-                    flow.volume,
-                )
-                .expect("residual flows stay valid under relabelling"),
-            );
-            owners[bucket].push(flow.id);
-        }
-
-        // One job per occupied bucket, in bucket order. The per-bucket
-        // seed is a function of (engine seed, event index, bucket) only,
-        // never of the shard width.
-        let mut jobs: Vec<ShardJob<'_, '_>> = Vec::new();
-        for (bucket, (shard_ctx, algorithm)) in state
-            .contexts
-            .iter_mut()
-            .zip(state.algorithms.iter_mut())
-            .enumerate()
-        {
-            if members[bucket].is_empty() {
-                continue;
-            }
-            let set = FlowSet::from_flows(std::mem::take(&mut members[bucket]))
-                .map_err(SolveError::from)?;
-            let seed = self
-                .seed
-                .wrapping_add(k as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(bucket as u64 + 1);
-            jobs.push(ShardJob {
-                ctx: shard_ctx,
-                algorithm,
-                set,
-                seed,
-                bucket,
-                result: None,
-            });
-        }
-
-        let width = state.mode.width(jobs.len());
-        if width <= 1 {
-            for job in &mut jobs {
-                job.run(power);
-            }
-        } else {
-            let chunk = jobs.len().div_ceil(width);
-            std::thread::scope(|scope| {
-                for chunk_jobs in jobs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for job in chunk_jobs {
-                            job.run(power);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Merge, relabelling bucket-local ids back to residual ids.
-        let mut flow_schedules: Vec<FlowSchedule> = Vec::new();
-        for job in jobs {
-            match job.result.expect("every job ran") {
-                Ok(solution) => {
-                    let Some(schedule) = solution.schedule else {
-                        return Err(no_schedule_error(job.algorithm.name()));
-                    };
-                    for fs in schedule.flow_schedules() {
-                        let mut fs = fs.clone();
-                        fs.flow = owners[job.bucket][fs.flow];
-                        flow_schedules.push(fs);
-                    }
-                }
-                Err(_) => return Ok(None),
-            }
-        }
-        flow_schedules.sort_by_key(|fs| fs.flow);
-
-        // Bounded fix-up: buckets solve independently, so their schedules
-        // can jointly overload a shared link (core links, and pod links
-        // shared with the cross-pod bucket). Re-solve the flows touching
-        // any overloaded link together on the main context — one pass.
-        let overloaded = overloaded_links(&flow_schedules, graph);
-        if !overloaded.is_empty() {
-            let (touching, keeping): (Vec<FlowSchedule>, Vec<FlowSchedule>) = flow_schedules
-                .into_iter()
-                .partition(|fs| touches_any(fs, &overloaded));
-            let mut fix = Vec::with_capacity(touching.len());
-            let mut fix_owner = Vec::with_capacity(touching.len());
-            for fs in &touching {
-                let flow = residual.flow(fs.flow);
-                fix.push(
-                    Flow::new(
-                        fix.len(),
-                        flow.src,
-                        flow.dst,
-                        flow.release,
-                        flow.deadline,
-                        flow.volume,
-                    )
-                    .expect("residual flows stay valid under relabelling"),
-                );
-                fix_owner.push(fs.flow);
-            }
-            let fix_set = FlowSet::from_flows(fix).map_err(SolveError::from)?;
-            self.algorithm.set_seed(self.seed.wrapping_add(k as u64));
-            let solution = match self.algorithm.solve(ctx, &fix_set, power) {
-                Ok(solution) => solution,
-                Err(_) => return Ok(None),
-            };
-            let Some(schedule) = solution.schedule else {
-                return Err(no_schedule_error(self.algorithm.name()));
-            };
-            flow_schedules = keeping;
-            for fs in schedule.flow_schedules() {
-                let mut fs = fs.clone();
-                fs.flow = fix_owner[fs.flow];
-                flow_schedules.push(fs);
-            }
-            flow_schedules.sort_by_key(|fs| fs.flow);
-        }
-
-        Ok(Some(Schedule::new(flow_schedules, residual.horizon())))
-    }
-}
-
-/// The persistent per-bucket solver state of one sharded run: one warm
-/// context and one algorithm instance per bucket (pods, then the cross-pod
-/// bucket last), reused across every event of the run.
-struct ShardState<'net> {
-    contexts: Vec<SolverContext<'net>>,
-    algorithms: Vec<Box<dyn Algorithm>>,
-    mode: ShardMode,
-}
-
-/// One bucket solve, dispatched to a scoped worker thread.
-struct ShardJob<'x, 'net> {
-    ctx: &'x mut SolverContext<'net>,
-    algorithm: &'x mut Box<dyn Algorithm>,
-    set: FlowSet,
-    seed: u64,
-    bucket: usize,
-    result: Option<Result<Solution, SolveError>>,
-}
-
-impl ShardJob<'_, '_> {
-    fn run(&mut self, power: &PowerFunction) {
-        self.algorithm.set_seed(self.seed);
-        self.result = Some(self.algorithm.solve(self.ctx, &self.set, power));
-    }
 }
 
 /// The typed error for a bound-only backend that produces no schedule to
@@ -1585,52 +1225,12 @@ fn no_schedule_error(name: &str) -> SolveError {
     }
 }
 
-/// Relative slack tolerated when checking merged shard loads against link
-/// capacities: the fractional relaxation enforces capacities through a
-/// penalty, so even a single-bucket solution can overshoot by a hair.
-const SHARD_CAP_TOL: f64 = 1e-3;
-
-/// The links whose merged load across `flow_schedules` exceeds capacity.
-fn overloaded_links(
-    flow_schedules: &[FlowSchedule],
-    graph: &dcn_topology::GraphCsr,
-) -> BTreeSet<LinkId> {
-    let mut loads: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
-    for fs in flow_schedules {
-        if fs.link_profiles.is_empty() {
-            for &link in fs.path.links() {
-                loads.entry(link).or_default().merge(&fs.profile);
-            }
-        } else {
-            for (&link, profile) in &fs.link_profiles {
-                loads.entry(link).or_default().merge(profile);
-            }
-        }
-    }
-    loads
-        .into_iter()
-        .filter(|(link, profile)| {
-            profile.max_rate() > graph.capacity(*link) * (1.0 + SHARD_CAP_TOL)
-        })
-        .map(|(link, _)| link)
-        .collect()
-}
-
 /// Whether one committed flow schedule transmits on `link`.
 fn commit_uses_link(fs: &FlowSchedule, link: LinkId) -> bool {
     if fs.link_profiles.is_empty() {
         fs.path.links().contains(&link)
     } else {
         fs.link_profiles.contains_key(&link)
-    }
-}
-
-/// Whether one flow schedule transmits on any of `links`.
-fn touches_any(fs: &FlowSchedule, links: &BTreeSet<LinkId>) -> bool {
-    if fs.link_profiles.is_empty() {
-        fs.path.links().iter().any(|link| links.contains(link))
-    } else {
-        fs.link_profiles.keys().any(|link| links.contains(link))
     }
 }
 
@@ -1665,27 +1265,20 @@ fn push_commit(
 
 /// Groups the flows of the instance by release time: one `(time, flow
 /// ids)` event per distinct release, in time order (ids ascending within
-/// an event). With `epoch > 0` the release times are first quantised *up*
-/// to the next multiple of the window, so arrivals within one window share
-/// an event (with `epoch == 0` the quantisation is the identity).
-fn arrival_events(flows: &FlowSet, epoch: f64) -> Vec<(f64, Vec<FlowId>)> {
-    let quantise = |t: f64| {
-        if epoch > 0.0 {
-            (t / epoch).ceil() * epoch
-        } else {
-            t
-        }
-    };
+/// an event).
+fn arrival_events(flows: &FlowSet) -> Vec<(f64, Vec<FlowId>)> {
     let mut order: Vec<FlowId> = (0..flows.len()).collect();
     order.sort_by(|&a, &b| {
-        quantise(flows.flow(a).release)
-            .partial_cmp(&quantise(flows.flow(b).release))
+        flows
+            .flow(a)
+            .release
+            .partial_cmp(&flows.flow(b).release)
             .expect("flow times are finite")
             .then(a.cmp(&b))
     });
     let mut events: Vec<(f64, Vec<FlowId>)> = Vec::new();
     for id in order {
-        let release = quantise(flows.flow(id).release);
+        let release = flows.flow(id).release;
         match events.last_mut() {
             Some((t, ids)) if *t == release => ids.push(id),
             _ => events.push((release, vec![id])),
@@ -1769,30 +1362,10 @@ mod tests {
             (a, c, 2.0, 8.0, 1.0),
         ])
         .unwrap();
-        let events = arrival_events(&flows, 0.0);
+        let events = arrival_events(&flows);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], (0.0, vec![1]));
         assert_eq!(events[1], (2.0, vec![0, 2]));
-    }
-
-    #[test]
-    fn epoch_batching_quantises_releases_up_and_merges_windows() {
-        let topo = builders::line(3);
-        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
-        let flows = FlowSet::from_tuples([
-            (a, c, 0.3, 6.0, 1.0),
-            (a, c, 0.0, 4.0, 1.0),
-            (a, c, 0.9, 8.0, 1.0),
-            (a, c, 1.2, 9.0, 1.0),
-        ])
-        .unwrap();
-        // Window 1.0: releases 0.3 and 0.9 both quantise to 1.0; 0.0 stays
-        // at 0.0 (already on the grid); 1.2 lands on 2.0.
-        let events = arrival_events(&flows, 1.0);
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0], (0.0, vec![1]));
-        assert_eq!(events[1], (1.0, vec![0, 2]));
-        assert_eq!(events[2], (2.0, vec![3]));
     }
 
     #[test]
@@ -1802,16 +1375,12 @@ mod tests {
         assert_eq!(engine.policy().name(), "resolve");
         assert_eq!(engine.admission().name(), "admit-all");
         assert!(!engine.warm_start());
-        assert_eq!(engine.epoch(), 0.0);
-        assert_eq!(engine.shards(), ShardMode::Off);
 
         let engine = OnlineEngine::builder()
             .algorithm("sp-mcf")
             .policy("hybrid")
             .admission(AdmissionRule::reject_infeasible(Default::default()))
             .warm_start(true)
-            .epoch(0.05)
-            .shards(ShardMode::Fixed(4))
             .seed(7)
             .build()
             .unwrap();
@@ -1819,12 +1388,10 @@ mod tests {
         assert_eq!(engine.policy().name(), "hybrid");
         assert_eq!(engine.admission().name(), "reject-infeasible");
         assert!(engine.warm_start());
-        assert_eq!(engine.epoch(), 0.05);
-        assert_eq!(engine.shards(), ShardMode::Fixed(4));
     }
 
     #[test]
-    fn builder_rejects_unknown_names_and_bad_epochs() {
+    fn builder_rejects_unknown_names() {
         assert!(matches!(
             OnlineEngine::builder().algorithm("no-such").build(),
             Err(SolveError::UnknownAlgorithm { .. })
@@ -1833,100 +1400,6 @@ mod tests {
             OnlineEngine::builder().policy("no-such").build(),
             Err(SolveError::UnknownPolicy { .. })
         ));
-        assert!(matches!(
-            OnlineEngine::builder().epoch(-1.0).build(),
-            Err(SolveError::InvalidInput { .. })
-        ));
-        assert!(matches!(
-            OnlineEngine::builder().epoch(f64::NAN).build(),
-            Err(SolveError::InvalidInput { .. })
-        ));
-    }
-
-    #[test]
-    fn epoch_batching_reduces_events_and_flags_window_crossed_deadlines() {
-        let topo = builders::line(3);
-        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
-        let flows = FlowSet::from_tuples([
-            (a, c, 0.1, 10.0, 1.0),
-            (a, c, 0.2, 12.0, 1.0),
-            // Deadline 0.8 falls inside the window its arrival is deferred
-            // across: admitted, missed, never in flight.
-            (a, c, 0.3, 0.8, 1.0),
-        ])
-        .unwrap();
-        let power = x2(10.0);
-        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let mut engine = OnlineEngine::builder()
-            .algorithm("sp-mcf")
-            .epoch(1.0)
-            .build()
-            .unwrap();
-        let outcome = engine.run(&mut ctx, &flows, &power).unwrap();
-        // All three arrivals collapse into the single t = 1.0 batch.
-        assert_eq!(outcome.report.events, 1);
-        assert_eq!(outcome.report.resolves, 1);
-        assert_eq!(outcome.report.admitted(), 3);
-        assert_eq!(outcome.report.missed(), 1);
-        assert!(outcome.report.decisions[2].missed);
-        assert_eq!(outcome.report.decisions[2].delivered, 0.0);
-        // The surviving flows still deliver fully.
-        for d in &outcome.report.decisions[..2] {
-            assert!((d.delivered - 1.0).abs() <= 1e-6);
-        }
-    }
-
-    #[test]
-    fn sharded_resolves_match_the_partition_at_any_width() {
-        let topo = builders::fat_tree(4);
-        let power = x2(10.0);
-        let flows = dcn_flow::workload::UniformWorkload::paper_defaults(12, 5)
-            .generate(topo.hosts())
-            .unwrap();
-        let run = |mode: ShardMode| {
-            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-            let mut engine = OnlineEngine::builder()
-                .algorithm("sp-mcf")
-                .warm_start(true)
-                .shards(mode)
-                .seed(5)
-                .build()
-                .unwrap();
-            engine.run(&mut ctx, &flows, &power).unwrap()
-        };
-        let one = run(ShardMode::Fixed(1));
-        let two = run(ShardMode::Fixed(2));
-        let four = run(ShardMode::Fixed(4));
-        // The shard width is thread width only: identical schedules,
-        // decisions and energy, bit for bit.
-        assert_eq!(one.schedule, two.schedule);
-        assert_eq!(one.schedule, four.schedule);
-        assert_eq!(one.report.decisions, two.report.decisions);
-        assert_eq!(one.report.decisions, four.report.decisions);
-        assert_eq!(one.report.online_energy, four.report.online_energy);
-        assert_eq!(one.report.missed(), 0);
-    }
-
-    #[test]
-    fn sharding_without_pod_labels_falls_back_to_whole_solves() {
-        // line(3) carries no pod labels, so sharding must not change
-        // anything relative to the unsharded engine.
-        let topo = builders::line(3);
-        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
-        let flows = FlowSet::from_tuples([(a, c, 0.0, 8.0, 8.0), (a, c, 4.0, 12.0, 8.0)]).unwrap();
-        let power = x2(10.0);
-        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let plain = resolve_engine("sp-mcf", AdmissionRule::AdmitAll)
-            .run(&mut ctx, &flows, &power)
-            .unwrap();
-        let mut sharded_engine = OnlineEngine::builder()
-            .algorithm("sp-mcf")
-            .shards(ShardMode::Auto)
-            .build()
-            .unwrap();
-        let sharded = sharded_engine.run(&mut ctx, &flows, &power).unwrap();
-        assert_eq!(plain.schedule, sharded.schedule);
-        assert_eq!(plain.report.online_energy, sharded.report.online_energy);
     }
 
     #[test]

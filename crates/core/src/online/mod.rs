@@ -40,7 +40,7 @@
 //! event loop on staggered arrivals.
 //!
 //! ```
-//! use dcn_core::online::{OnlineEngine, ShardMode};
+//! use dcn_core::online::OnlineEngine;
 //! use dcn_core::SolverContext;
 //! use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
 //! use dcn_power::PowerFunction;
@@ -57,7 +57,6 @@
 //!     .algorithm("dcfsr")
 //!     .policy("hybrid")
 //!     .warm_start(true)
-//!     .shards(ShardMode::Auto)
 //!     .seed(7)
 //!     .build()?;
 //! let outcome = online.run_vs_offline(&mut ctx, &flows, &power)?;
@@ -82,7 +81,7 @@ pub mod policy;
 
 pub use engine::{
     AdmissionRule, EngineConfig, FlowDecision, OnlineEngine, OnlineEvent, OnlineOutcome,
-    OnlineReport, ShardMode, WorldView,
+    OnlineReport, WorldView,
 };
 pub use ledger::{InFlightLedger, LedgerEntry};
 pub use policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};

@@ -1,8 +1,8 @@
-//! Equivalence guard for the incremental warm-start pipeline (and its
-//! pod-sharded execution): warm starts are an *acceleration*, never a
-//! change of answer.
+//! Equivalence guard for the incremental warm-start pipeline: warm starts
+//! are an *acceleration*, never a change of answer.
 //!
-//! Three contracts are pinned, each across 3 seeds × 2 topologies:
+//! Two contracts are pinned bit for bit, each across 3 seeds × 2
+//! topologies, plus one end-to-end check of the engine:
 //!
 //! * **Fingerprint shortcut** — re-solving the *identical* fractional
 //!   relaxation with warm starts enabled returns the cached solution bit
@@ -12,16 +12,12 @@
 //! * **Dirty invalidation** — marking every link dirty denies both the
 //!   shortcut and the row seeding, so the re-solve degenerates to the
 //!   cold path, bit for bit.
-//! * **Shard-width invariance** — a warm-started, pod-sharded online run
-//!   produces the byte-identical outcome (schedule, decisions, energy,
-//!   counters) at shard widths 1, 2 and 4: the partition and the
-//!   per-bucket seeds depend only on the event index, never on the
-//!   worker-thread count. Alongside, a warm run misses exactly as many
-//!   deadlines as a cold run and lands within Frank–Wolfe tolerance of
-//!   its energy — warm seeding moves the iterate's starting point, not
+//! * **Warm vs cold** — a warm online run misses exactly as many
+//!   deadlines as a cold run and lands within Frank–Wolfe tolerance (5 %)
+//!   of its energy — warm seeding moves the iterate's starting point, not
 //!   the feasible set.
 
-use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, ShardMode};
+use deadline_dcn::core::online::OnlineEngine;
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
 use deadline_dcn::flow::{Flow, FlowSet};
@@ -112,60 +108,6 @@ fn dirty_links_invalidate_the_cache_back_to_the_cold_path() {
                 "{} seed {seed}: an all-dirty re-solve must be the cold path",
                 topo.name
             );
-        }
-    }
-}
-
-/// One warm-started, pod-sharded online run per shard width; all widths
-/// must agree byte for byte.
-fn run_sharded(
-    topo: &BuiltTopology,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    seed: u64,
-    shards: ShardMode,
-) -> OnlineOutcome {
-    let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-    let mut engine = OnlineEngine::builder()
-        .algorithm("sp-mcf")
-        .policy("resolve")
-        .warm_start(true)
-        .shards(shards)
-        .seed(seed)
-        .build()
-        .unwrap();
-    engine.run(&mut ctx, flows, power).unwrap()
-}
-
-#[test]
-fn warm_sharded_runs_are_bit_identical_across_shard_widths() {
-    let power = x2(10.0);
-    for topo in topologies() {
-        for seed in [2u64, 13, 977] {
-            let base = UniformWorkload::paper_defaults(14, seed)
-                .generate(topo.hosts())
-                .unwrap();
-            let flows = ArrivalProcess::with_load(2.0, seed).apply(&base).unwrap();
-            let one = run_sharded(&topo, &flows, &power, seed, ShardMode::Fixed(1));
-            for width in [2usize, 4] {
-                let wide = run_sharded(&topo, &flows, &power, seed, ShardMode::Fixed(width));
-                let tag = format!("{} seed {seed} width {width}", topo.name);
-                assert_eq!(one.schedule, wide.schedule, "{tag}: schedules diverge");
-                assert_eq!(
-                    one.report.decisions, wide.report.decisions,
-                    "{tag}: decisions diverge"
-                );
-                assert_eq!(
-                    one.report.online_energy, wide.report.online_energy,
-                    "{tag}: energies diverge"
-                );
-                assert_eq!(one.report.events, wide.report.events, "{tag}: events");
-                assert_eq!(one.report.resolves, wide.report.resolves, "{tag}: resolves");
-                assert_eq!(
-                    one.report.solve_failures, wide.report.solve_failures,
-                    "{tag}: solve failures"
-                );
-            }
         }
     }
 }
