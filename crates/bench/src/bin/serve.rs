@@ -48,10 +48,11 @@ use std::time::Instant;
 use dcn_bench::print_table;
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{timed, ExperimentCli};
+use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
 use dcn_server::{
-    Request, RequestBody, ResponseBody, ServeAdmission, ServePolicy, Server, ServerConfig,
+    serve_fmcf_config, Request, RequestBody, ResponseBody, ServePolicy, Server, ServerConfig,
     SubmitFlow, TopologySpec,
 };
 use dcn_topology::builders;
@@ -82,11 +83,11 @@ fn main() {
     let cli = ExperimentCli::parse("serve");
     let runs: u64 = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 }) as u64;
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 1000 } else { 2000 });
-    let admission = cli
-        .admission
-        .as_deref()
-        .map(|name| ServeAdmission::parse(name).unwrap_or_else(|e| panic!("[serve] {e}")))
-        .unwrap_or(ServeAdmission::AdmitAll);
+    // `ExperimentCli` already turned any other name into a usage error.
+    let admission = match cli.admission.as_deref() {
+        Some("reject-infeasible") => AdmissionRule::reject_infeasible(serve_fmcf_config()),
+        _ => AdmissionRule::AdmitAll,
+    };
     let policy_names: Vec<String> = cli.policies.clone().unwrap_or_else(|| {
         let mut names = vec!["edf".to_string(), "greedy".to_string()];
         if cli.full {
@@ -320,7 +321,7 @@ fn main() {
 fn run_pass(
     spec: TopologySpec,
     policy: ServePolicy,
-    admission: &ServeAdmission,
+    admission: &AdmissionRule,
     cli: &ExperimentCli,
     flows: usize,
     seed: u64,
@@ -339,7 +340,7 @@ fn run_pass(
 
     let mut config = ServerConfig::new(spec);
     config.policy = policy;
-    config.admission = *admission;
+    config.admission = admission.clone();
     config.seed = seed;
     config.shard_workers = cli.shard_workers.unwrap_or(1);
     if let Some(depth) = cli.queue_depth {

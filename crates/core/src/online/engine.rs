@@ -6,9 +6,10 @@
 //! events that rate-assigning policies predict. At every event batch the
 //! engine retires served and expired flows, admits new arrivals through the
 //! [`AdmissionRule`], asks the [`OnlinePolicy`] what to do, and commits the
-//! resulting rates — either a policy-computed
-//! [`RatePlan`](super::policy::RatePlan) or the slice of
-//! a full residual re-solve — up to the next queued event.
+//! resulting rates — either a policy-computed [`RatePlan`] or the slice of
+//! a full residual re-solve — up to the next queued event. The per-flow
+//! state all of this reads and writes is the shared
+//! [`InFlightLedger`](super::ledger).
 //!
 //! Every decision invalidates all previously predicted completions and
 //! timers (a lazy generation counter — stale events are skipped on pop, not
@@ -26,23 +27,20 @@
 //! it, re-routing only commodities whose cached rows touch links dirtied
 //! by committed rates since the last solve.
 
-use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry};
-use super::{fractionally_feasible, residual_flow};
+use super::fractionally_feasible;
+use super::ledger::InFlightLedger;
+use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry, RatePlan};
 use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
 use crate::schedule::{FlowSchedule, Schedule};
 use crate::solution::Solution;
-use dcn_flow::{FlowId, FlowSet};
+use dcn_flow::{Flow, FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-
-/// Relative volume tolerance under which an in-flight flow counts as fully
-/// served (matches the verification tolerance of [`Schedule`]).
-const VOLUME_TOL: f64 = 1e-9;
 
 /// How the online loop decides whether a newly arrived flow is accepted.
 #[derive(Debug, Clone, Default)]
@@ -209,100 +207,55 @@ pub struct OnlineOutcome {
     pub offline: Option<Solution>,
 }
 
-/// Per-flow bookkeeping of the event loop.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowState {
-    admitted: bool,
-    /// Admitted, not yet fully served, deadline not yet passed.
-    in_flight: bool,
-    missed: bool,
-    delivered: f64,
-    /// Admitted but currently disconnected by link failures: out of
-    /// `live` until a recovery reconnects the endpoints (or the deadline
-    /// expires first).
-    stranded: bool,
-    /// A failure stranded this flow or severed a path its committed rates
-    /// were riding; a final miss is then attributed to the failure.
-    failure_touched: bool,
-}
-
-/// A read-only snapshot of the engine's per-flow state, handed to
-/// [`OnlinePolicy`] callbacks: which flows are in flight, how much each has
-/// received, and the residual-instance constructor the `resolve` path and
-/// the admission probe share.
+/// A read-only view of a driver's [`InFlightLedger`] at one instant, handed
+/// to [`OnlinePolicy`] callbacks and to [`AdmissionRule::evaluate`]: which
+/// flows are in flight, how much each has received, and the
+/// residual-instance constructor the `resolve` path and the admission probe
+/// share.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldView<'a> {
-    flows: &'a FlowSet,
-    states: &'a [FlowState],
-    /// The ids with `in_flight` set, mirrored by the event loop so
-    /// per-event work scales with the in-flight population instead of the
-    /// whole instance (100k-arrival traces make a full scan per event the
-    /// dominant cost).
-    live: &'a BTreeSet<FlowId>,
+    ledger: &'a InFlightLedger,
     now: f64,
 }
 
-impl WorldView<'_> {
-    /// The full instance (ids, endpoints, spans, volumes).
-    pub fn flows(&self) -> &FlowSet {
-        self.flows
+impl<'a> WorldView<'a> {
+    /// Views `ledger` at clock `now`.
+    pub fn new(ledger: &'a InFlightLedger, now: f64) -> Self {
+        Self { ledger, now }
     }
 
-    /// The engine clock: the time of the event batch being processed.
+    /// The revealed flow `id` (endpoints, span, volume).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ledger never saw `id`.
+    pub fn flow(&self, id: FlowId) -> &'a Flow {
+        &self.ledger.entries()[id].flow
+    }
+
+    /// The driver clock: the time of the event batch being processed.
     pub fn now(&self) -> f64 {
         self.now
     }
 
-    /// Whether `flow` is admitted, not fully served, and not expired.
-    pub fn is_in_flight(&self, flow: FlowId) -> bool {
-        self.states[flow].in_flight
-    }
-
     /// The in-flight flows, in ascending id order.
-    pub fn in_flight(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.live.iter().copied()
-    }
-
-    /// Volume committed for `flow` so far.
-    pub fn delivered(&self, flow: FlowId) -> f64 {
-        self.states[flow].delivered
+    pub fn in_flight(&self) -> impl Iterator<Item = FlowId> + 'a {
+        self.ledger.live()
     }
 
     /// Volume `flow` still has to receive (never negative).
     pub fn remaining(&self, flow: FlowId) -> f64 {
-        (self.flows.flow(flow).volume - self.states[flow].delivered).max(0.0)
+        let entry = &self.ledger.entries()[flow];
+        (entry.flow.volume - entry.delivered).max(0.0)
     }
 
-    /// Builds the residual instance at the current clock from every
-    /// in-flight flow (plus `extra`, a not-yet-admitted candidate), in
-    /// original-id order, and the residual-id → original-id map.
+    /// [`InFlightLedger::residual`] at the view's clock.
     ///
     /// # Errors
     ///
-    /// * [`SolveError::EmptyFlowSet`] when nothing is in flight.
-    /// * [`residual_flow`] errors for an expired or fully served flow.
+    /// Propagates [`InFlightLedger::residual`] errors.
     pub fn residual(&self, extra: Option<FlowId>) -> Result<(FlowSet, Vec<FlowId>), SolveError> {
-        let mut map: Vec<FlowId> = self.live.iter().copied().collect();
-        if let Some(id) = extra {
-            if let Err(slot) = map.binary_search(&id) {
-                map.insert(slot, id);
-            }
-        }
-        if map.is_empty() {
-            return Err(SolveError::EmptyFlowSet);
-        }
-        let mut residual = Vec::with_capacity(map.len());
-        for (rid, &orig) in map.iter().enumerate() {
-            let flow = self.flows.flow(orig);
-            residual.push(residual_flow(
-                flow,
-                self.now,
-                flow.volume - self.states[orig].delivered,
-                rid,
-            )?);
-        }
-        let set = FlowSet::from_flows(residual).map_err(SolveError::from)?;
-        Ok((set, map))
+        self.ledger.residual(self.now, extra)
     }
 }
 
@@ -811,365 +764,11 @@ impl OnlineEngine {
         power: &PowerFunction,
         events: &[TopologyEvent],
     ) -> Result<OnlineOutcome, SolveError> {
-        let groups = arrival_events(flows);
-        // A policy that keeps requesting timers without progress would spin
-        // forever; built-in policies need at most a handful of batches per
-        // flow (one completion, one deadline watchdog, one deferral wake).
-        let max_batches = groups.len() + events.len() + 16 * flows.len() + 16;
-        let mut queue = EventQueue::default();
-        for (group, (time, _)) in groups.iter().enumerate() {
-            queue.push_arrival(*time, group);
+        let mut run = EngineRun::new(self, ctx, flows, power, events);
+        while let Some(batch) = run.queue.pop_batch() {
+            run.step(batch)?;
         }
-        for (index, event) in events.iter().enumerate() {
-            queue.push_topology(event.time(), index);
-        }
-        let mut state = vec![FlowState::default(); flows.len()];
-        // The in-flight ids, mirroring `state[..].in_flight`: retiring,
-        // admission and the policy callbacks all walk this set instead of
-        // scanning the full instance at every event.
-        let mut live: BTreeSet<FlowId> = BTreeSet::new();
-        let mut retired: Vec<FlowId> = Vec::new();
-        // Per-flow dedup stamps for the rate-plan passes, allocated once:
-        // `stamp[f] == generation` marks `f` as seen in the current pass.
-        let mut stamp = vec![0u64; flows.len()];
-        let mut generation = 0u64;
-        // Committed slices per flow, in first-commitment order so a
-        // single-event run reproduces the inner schedule's layout exactly.
-        let mut commits: Vec<(FlowId, Vec<FlowSchedule>)> = Vec::new();
-        let mut commit_index: BTreeMap<FlowId, usize> = BTreeMap::new();
-        let mut batches = 0usize;
-        let mut resolves = 0usize;
-        let mut solve_failures = 0usize;
-        let mut topology_applied = 0usize;
-        // Admitted flows currently disconnected by link failures.
-        let mut stranded: BTreeSet<FlowId> = BTreeSet::new();
-        // Links whose committed rates changed since the last re-solve; fed
-        // into the warm scratch as the dirty set before the next one.
-        let mut dirty: Vec<LinkId> = Vec::new();
-
-        while let Some((now, entries)) = queue.pop_batch() {
-            let k = batches;
-            batches += 1;
-            if batches > max_batches {
-                return Err(SolveError::InvalidInput {
-                    reason: format!(
-                        "online policy {:?} did not converge: over {max_batches} event \
-                         batches for {} flows",
-                        self.policy.name(),
-                        flows.len()
-                    ),
-                });
-            }
-
-            let mut event = OnlineEvent {
-                time: now,
-                index: k,
-                arrivals: Vec::new(),
-                completions: Vec::new(),
-                timers: Vec::new(),
-                topology: Vec::new(),
-            };
-            for entry in entries {
-                match entry.kind {
-                    QueuedKind::Topology { index } => event.topology.push(events[index]),
-                    QueuedKind::Arrival { group } => {
-                        event.arrivals.extend(groups[group].1.iter().copied());
-                    }
-                    QueuedKind::Completion { flow } => event.completions.push(flow),
-                    QueuedKind::SlackTimer { flow } => event.timers.push(flow),
-                }
-            }
-            event.arrivals.sort_unstable();
-
-            // Apply the batch's topology changes before anything routes:
-            // the policy, the admission probe and the re-solve below must
-            // all see the new link state.
-            let mut topology_changed = false;
-            for &topo in &event.topology {
-                // A severed committed path means the plan the flow was
-                // riding is gone at this instant (the commit window ends
-                // here); attribute a later miss to the failure.
-                if topo.is_down() && ctx.graph().is_link_up(topo.link()) {
-                    for &id in &live {
-                        if let Some(&slot) = commit_index.get(&id) {
-                            let last = commits[slot].1.last().expect("commit lists stay non-empty");
-                            if commit_uses_link(last, topo.link()) {
-                                state[id].failure_touched = true;
-                            }
-                        }
-                    }
-                }
-                if ctx.apply_topology_event(topo) {
-                    topology_changed = true;
-                    topology_applied += 1;
-                }
-            }
-            if topology_changed {
-                // Strand the in-flight flows the failures disconnected...
-                retired.clear();
-                for &id in &live {
-                    let flow = flows.flow(id);
-                    if ctx.graph().shortest_path(flow.src, flow.dst).is_none() {
-                        retired.push(id);
-                    }
-                }
-                for id in retired.drain(..) {
-                    live.remove(&id);
-                    stranded.insert(id);
-                    state[id].in_flight = false;
-                    state[id].stranded = true;
-                    state[id].failure_touched = true;
-                }
-                // ... and revive the stranded flows the recoveries
-                // reconnected, if they still have time and volume left.
-                retired.clear();
-                for &id in &stranded {
-                    let flow = flows.flow(id);
-                    if flow.deadline > now
-                        && state[id].delivered < flow.volume * (1.0 - VOLUME_TOL)
-                        && ctx.graph().shortest_path(flow.src, flow.dst).is_some()
-                    {
-                        retired.push(id);
-                    }
-                }
-                for id in retired.drain(..) {
-                    stranded.remove(&id);
-                    live.insert(id);
-                    state[id].in_flight = true;
-                    state[id].stranded = false;
-                }
-            }
-
-            // Retire in-flight flows: fully served, or out of time.
-            retired.clear();
-            for &id in &live {
-                let s = &mut state[id];
-                let flow = flows.flow(id);
-                if s.delivered >= flow.volume * (1.0 - VOLUME_TOL) {
-                    s.in_flight = false;
-                    retired.push(id);
-                } else if flow.deadline <= now {
-                    s.in_flight = false;
-                    s.missed = true;
-                    retired.push(id);
-                }
-            }
-            for id in retired.drain(..) {
-                live.remove(&id);
-            }
-
-            // Admission of the new arrivals, in flow-id order.
-            for &id in &event.arrivals {
-                if ctx.graph().down_link_count() > 0 {
-                    let flow = flows.flow(id);
-                    if ctx.graph().shortest_path(flow.src, flow.dst).is_none() {
-                        // Disconnected by the current failures: under
-                        // admit-all the flow is accepted and immediately
-                        // stranded (it revives if a recovery reconnects it
-                        // in time); reject-infeasible turns it away — a
-                        // commodity with no route is never feasible.
-                        if matches!(self.admission, AdmissionRule::AdmitAll) {
-                            state[id].admitted = true;
-                            state[id].stranded = true;
-                            state[id].failure_touched = true;
-                            stranded.insert(id);
-                        }
-                        continue;
-                    }
-                }
-                let admit = {
-                    let world = WorldView {
-                        flows,
-                        states: &state,
-                        live: &live,
-                        now,
-                    };
-                    self.policy
-                        .admission(ctx, power, &world, id, &self.admission)?
-                };
-                if admit {
-                    state[id].admitted = true;
-                    state[id].in_flight = true;
-                    live.insert(id);
-                }
-            }
-
-            let action = {
-                let world = WorldView {
-                    flows,
-                    states: &state,
-                    live: &live,
-                    now,
-                };
-                self.policy.on_event(ctx, power, &event, &world)?
-            };
-
-            // Whatever the policy decided supersedes every previously
-            // predicted completion and timer.
-            queue.invalidate_dynamic();
-
-            match action {
-                PolicyAction::Resolve => {
-                    let residual = {
-                        let world = WorldView {
-                            flows,
-                            states: &state,
-                            live: &live,
-                            now,
-                        };
-                        world.residual(None)
-                    };
-                    let (residual, map) = match residual {
-                        Ok(pair) => pair,
-                        Err(SolveError::EmptyFlowSet) => continue, // nothing to re-solve
-                        Err(e) => return Err(e),
-                    };
-                    resolves += 1;
-                    // Feed the links whose committed rates changed since
-                    // the last solve into the warm scratch as its dirty
-                    // set (a no-op with warm starts off).
-                    if self.warm_start && !dirty.is_empty() {
-                        ctx.mark_dirty_links(dirty.drain(..));
-                    }
-                    dirty.clear();
-                    self.algorithm.set_seed(self.seed.wrapping_add(k as u64));
-                    let Ok(solution) = self.algorithm.solve(ctx, &residual, power) else {
-                        solve_failures += 1;
-                        continue;
-                    };
-                    let Some(schedule) = solution.schedule else {
-                        return Err(no_schedule_error(self.algorithm.name()));
-                    };
-
-                    // Commit the slice of the fresh schedule up to the next
-                    // event (or all of it after the last event). The
-                    // last-window commit clones the inner flow schedules
-                    // verbatim, which is what makes a single-event run
-                    // bit-identical to the offline solve.
-                    let next = queue.peek_valid_time();
-                    for fs in schedule.flow_schedules() {
-                        let orig = map[fs.flow];
-                        let committed = match next {
-                            None => {
-                                let mut clone = fs.clone();
-                                clone.flow = orig;
-                                clone
-                            }
-                            Some(until) => clip_flow_schedule(fs, orig, now, until),
-                        };
-                        push_commit(
-                            committed,
-                            &mut state,
-                            &mut commits,
-                            &mut commit_index,
-                            &mut dirty,
-                        );
-                    }
-                }
-                PolicyAction::Assign(plan) => {
-                    // First pass: predict the decision points the plan
-                    // implies (per-flow completion, or a deadline watchdog
-                    // when the rate cannot finish in time), so the commit
-                    // window below can end at the earliest of them.
-                    generation += 1;
-                    for a in &plan.rates {
-                        if !a.rate.is_finite() || a.rate <= 0.0 {
-                            continue;
-                        }
-                        if a.flow >= flows.len()
-                            || !state[a.flow].in_flight
-                            || stamp[a.flow] == generation
-                        {
-                            continue;
-                        }
-                        stamp[a.flow] = generation;
-                        let flow = flows.flow(a.flow);
-                        let remaining = (flow.volume - state[a.flow].delivered).max(0.0);
-                        if remaining <= 0.0 {
-                            continue;
-                        }
-                        let completion = now + remaining / a.rate;
-                        if completion <= flow.deadline {
-                            queue.push_completion(completion, a.flow);
-                        } else {
-                            queue.push_timer(flow.deadline, a.flow);
-                        }
-                    }
-                    for &(time, flow) in &plan.timers {
-                        if time.is_finite() && time > now && flow < flows.len() {
-                            queue.push_timer(time, flow);
-                        }
-                    }
-
-                    // Second pass: commit each assigned rate from now until
-                    // the next queued event, clamped to the flow's deadline.
-                    let next = queue.peek_valid_time();
-                    generation += 1;
-                    for a in plan.rates {
-                        if !a.rate.is_finite() || a.rate <= 0.0 {
-                            continue;
-                        }
-                        if a.flow >= flows.len()
-                            || !state[a.flow].in_flight
-                            || stamp[a.flow] == generation
-                        {
-                            continue;
-                        }
-                        stamp[a.flow] = generation;
-                        let flow = flows.flow(a.flow);
-                        let until = next.unwrap_or(flow.deadline).min(flow.deadline);
-                        if until <= now {
-                            continue;
-                        }
-                        let profile = RateProfile::constant(now, until, a.rate);
-                        let committed = FlowSchedule::uniform(a.flow, a.path, profile);
-                        push_commit(
-                            committed,
-                            &mut state,
-                            &mut commits,
-                            &mut commit_index,
-                            &mut dirty,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Final accounting: an admitted flow that never received its full
-        // volume missed its deadline; misses of failure-touched flows are
-        // attributed to the failures.
-        for (id, s) in state.iter_mut().enumerate() {
-            if s.admitted && s.delivered < flows.flow(id).volume * (1.0 - 1e-6) {
-                s.missed = true;
-            }
-        }
-
-        let schedule = stitch(commits, flows.horizon());
-        let online_energy = schedule.energy(power).total();
-        let decisions = state
-            .iter()
-            .enumerate()
-            .map(|(id, s)| FlowDecision {
-                flow: id,
-                admitted: s.admitted,
-                delivered: s.delivered,
-                missed: s.missed,
-                failure_missed: s.missed && s.failure_touched,
-            })
-            .collect();
-        Ok(OnlineOutcome {
-            schedule,
-            report: OnlineReport {
-                decisions,
-                events: batches,
-                resolves,
-                solve_failures,
-                online_energy,
-                offline_energy: None,
-                topology_events: topology_applied,
-            },
-            offline: None,
-        })
+        Ok(run.finish(flows.horizon()))
     }
 
     /// [`OnlineEngine::run`], then solves the full instance with the same
@@ -1234,31 +833,362 @@ fn commit_uses_link(fs: &FlowSchedule, link: LinkId) -> bool {
     }
 }
 
-/// Appends one committed slice to the per-flow commit lists, keeping the
-/// delivered-volume accounting and the first-commitment ordering, and
-/// records the links the slice transmits on in the warm-start dirty set.
-fn push_commit(
-    committed: FlowSchedule,
-    state: &mut [FlowState],
-    commits: &mut Vec<(FlowId, Vec<FlowSchedule>)>,
-    commit_index: &mut BTreeMap<FlowId, usize>,
-    dirty: &mut Vec<LinkId>,
-) {
-    if committed.profile.is_empty() && committed.link_profiles.is_empty() {
-        return;
+/// The state of one [`OnlineEngine::run_with_events`] call: the ledger, the
+/// event queue, the committed slices and the counters, advanced one event
+/// batch at a time by [`EngineRun::step`].
+struct EngineRun<'r, 'net> {
+    engine: &'r mut OnlineEngine,
+    ctx: &'r mut SolverContext<'net>,
+    power: &'r PowerFunction,
+    events: &'r [TopologyEvent],
+    groups: Vec<(f64, Vec<FlowId>)>,
+    /// A policy that keeps requesting timers without progress would spin
+    /// forever; built-in policies need at most a handful of batches per
+    /// flow (one completion, one deadline watchdog, one deferral wake).
+    max_batches: usize,
+    queue: EventQueue,
+    ledger: InFlightLedger,
+    /// Per-flow dedup stamps for rate plans, allocated once:
+    /// `stamp[f] == generation` marks `f` as seen in the current plan.
+    stamp: Vec<u64>,
+    generation: u64,
+    /// Committed slices per flow, in first-commitment order so a
+    /// single-event run reproduces the inner schedule's layout exactly.
+    commits: Vec<(FlowId, Vec<FlowSchedule>)>,
+    commit_index: BTreeMap<FlowId, usize>,
+    /// Links whose committed rates changed since the last re-solve; fed
+    /// into the warm scratch as the dirty set before the next one.
+    dirty: Vec<LinkId>,
+    batches: usize,
+    resolves: usize,
+    solve_failures: usize,
+    topology_applied: usize,
+}
+
+impl<'r, 'net> EngineRun<'r, 'net> {
+    fn new(
+        engine: &'r mut OnlineEngine,
+        ctx: &'r mut SolverContext<'net>,
+        flows: &FlowSet,
+        power: &'r PowerFunction,
+        events: &'r [TopologyEvent],
+    ) -> Self {
+        let groups = arrival_events(flows);
+        let mut queue = EventQueue::default();
+        for (group, (time, _)) in groups.iter().enumerate() {
+            queue.push_arrival(*time, group);
+        }
+        for (index, event) in events.iter().enumerate() {
+            queue.push_topology(event.time(), index);
+        }
+        let mut ledger = InFlightLedger::new();
+        for flow in flows.iter() {
+            let id = ledger.reveal(flow.clone());
+            debug_assert_eq!(id, flow.id, "validated flow sets have dense ids");
+        }
+        Self {
+            engine,
+            ctx,
+            power,
+            events,
+            max_batches: groups.len() + events.len() + 16 * flows.len() + 16,
+            groups,
+            queue,
+            ledger,
+            stamp: vec![0; flows.len()],
+            generation: 0,
+            commits: Vec::new(),
+            commit_index: BTreeMap::new(),
+            dirty: Vec::new(),
+            batches: 0,
+            resolves: 0,
+            solve_failures: 0,
+            topology_applied: 0,
+        }
     }
-    if committed.link_profiles.is_empty() {
-        dirty.extend_from_slice(committed.path.links());
-    } else {
-        dirty.extend(committed.link_profiles.keys().copied());
+
+    /// Processes one event batch: apply its topology changes, retire,
+    /// admit the arrivals, ask the policy, commit its decision up to the
+    /// next queued event.
+    fn step(&mut self, (now, entries): (f64, Vec<QueuedEvent>)) -> Result<(), SolveError> {
+        let index = self.batches;
+        self.batches += 1;
+        if self.batches > self.max_batches {
+            return Err(SolveError::InvalidInput {
+                reason: format!(
+                    "online policy {:?} did not converge: over {} event batches for {} flows",
+                    self.engine.policy.name(),
+                    self.max_batches,
+                    self.ledger.entries().len()
+                ),
+            });
+        }
+        let mut event = OnlineEvent {
+            time: now,
+            index,
+            arrivals: Vec::new(),
+            completions: Vec::new(),
+            timers: Vec::new(),
+            topology: Vec::new(),
+        };
+        for entry in entries {
+            match entry.kind {
+                QueuedKind::Topology { index } => event.topology.push(self.events[index]),
+                QueuedKind::Arrival { group } => {
+                    event.arrivals.extend(self.groups[group].1.iter().copied());
+                }
+                QueuedKind::Completion { flow } => event.completions.push(flow),
+                QueuedKind::SlackTimer { flow } => event.timers.push(flow),
+            }
+        }
+        event.arrivals.sort_unstable();
+
+        // Topology changes go first: the policy, the admission probe and
+        // the re-solve below must all see the new link state.
+        self.apply_topology(&event);
+        self.ledger.retire(now);
+        self.admit_arrivals(&event)?;
+        let world = WorldView::new(&self.ledger, now);
+        let action = self
+            .engine
+            .policy
+            .on_event(self.ctx, self.power, &event, &world)?;
+        // Whatever the policy decided supersedes every previously
+        // predicted completion and timer.
+        self.queue.invalidate_dynamic();
+        match action {
+            PolicyAction::Resolve => self.commit_resolve(&event),
+            PolicyAction::Assign(plan) => {
+                self.commit_plan(now, plan);
+                Ok(())
+            }
+        }
     }
-    let orig = committed.flow;
-    state[orig].delivered += committed.profile.volume();
-    match commit_index.get(&orig) {
-        Some(&slot) => commits[slot].1.push(committed),
-        None => {
-            commit_index.insert(orig, commits.len());
-            commits.push((orig, vec![committed]));
+
+    /// Applies the batch's topology events to the context and re-triages
+    /// the ledger when the link state actually changed.
+    fn apply_topology(&mut self, event: &OnlineEvent) {
+        let mut changed = false;
+        for &topo in &event.topology {
+            // A severed committed path means the plan the flow was riding
+            // is gone at this instant (the commit window ends here);
+            // attribute a later miss to the failure.
+            if topo.is_down() && self.ctx.graph().is_link_up(topo.link()) {
+                let riding: Vec<FlowId> = self
+                    .ledger
+                    .live()
+                    .filter(|id| {
+                        self.commit_index.get(id).is_some_and(|&slot| {
+                            let last = self.commits[slot].1.last();
+                            commit_uses_link(
+                                last.expect("commit lists stay non-empty"),
+                                topo.link(),
+                            )
+                        })
+                    })
+                    .collect();
+                for id in riding {
+                    self.ledger.mark_failure_touched(id);
+                }
+            }
+            if self.ctx.apply_topology_event(topo) {
+                changed = true;
+                self.topology_applied += 1;
+            }
+        }
+        if changed {
+            let graph = self.ctx.graph();
+            self.ledger
+                .triage(event.time, |f| graph.shortest_path(f.src, f.dst).is_some());
+        }
+    }
+
+    /// Admission of the batch's arrivals, in flow-id order.
+    fn admit_arrivals(&mut self, event: &OnlineEvent) -> Result<(), SolveError> {
+        for &id in &event.arrivals {
+            if self.ctx.graph().down_link_count() > 0 {
+                let flow = &self.ledger.entries()[id].flow;
+                if self.ctx.graph().shortest_path(flow.src, flow.dst).is_none() {
+                    // Disconnected by the current failures: under
+                    // admit-all the flow is accepted and immediately
+                    // stranded (it revives if a recovery reconnects it in
+                    // time); reject-infeasible turns it away — a
+                    // commodity with no route is never feasible.
+                    if matches!(self.engine.admission, AdmissionRule::AdmitAll) {
+                        self.ledger.admit(id);
+                        self.ledger.strand(id);
+                    }
+                    continue;
+                }
+            }
+            let world = WorldView::new(&self.ledger, event.time);
+            let admit = self.engine.policy.admission(
+                self.ctx,
+                self.power,
+                &world,
+                id,
+                &self.engine.admission,
+            )?;
+            if admit {
+                self.ledger.admit(id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-solves the residual instance with the wrapped algorithm and
+    /// commits the slice of the fresh schedule up to the next event (or all
+    /// of it after the last event). A failing solve is counted, not fatal.
+    fn commit_resolve(&mut self, event: &OnlineEvent) -> Result<(), SolveError> {
+        let (residual, map) = match self.ledger.residual(event.time, None) {
+            Ok(pair) => pair,
+            Err(SolveError::EmptyFlowSet) => return Ok(()), // nothing to re-solve
+            Err(e) => return Err(e),
+        };
+        self.resolves += 1;
+        // Feed the links whose committed rates changed since the last
+        // solve into the warm scratch as its dirty set (a no-op with warm
+        // starts off).
+        if self.engine.warm_start && !self.dirty.is_empty() {
+            self.ctx.mark_dirty_links(self.dirty.drain(..));
+        }
+        self.dirty.clear();
+        let algorithm = &mut self.engine.algorithm;
+        algorithm.set_seed(self.engine.seed.wrapping_add(event.index as u64));
+        let Ok(solution) = algorithm.solve(self.ctx, &residual, self.power) else {
+            self.solve_failures += 1;
+            return Ok(());
+        };
+        let Some(schedule) = solution.schedule else {
+            return Err(no_schedule_error(algorithm.name()));
+        };
+        // The last-window commit clones the inner flow schedules verbatim,
+        // which is what makes a single-event run bit-identical to the
+        // offline solve.
+        let next = self.queue.peek_valid_time();
+        for fs in schedule.flow_schedules() {
+            let orig = map[fs.flow];
+            let committed = match next {
+                None => {
+                    let mut clone = fs.clone();
+                    clone.flow = orig;
+                    clone
+                }
+                Some(until) => clip_flow_schedule(fs, orig, event.time, until),
+            };
+            self.push_commit(committed);
+        }
+        Ok(())
+    }
+
+    /// Commits a policy-computed rate plan from `now` until the next
+    /// queued event.
+    fn commit_plan(&mut self, now: f64, plan: RatePlan) {
+        // One assignment per flow: the first with a positive finite rate
+        // for a known in-flight flow.
+        self.generation += 1;
+        let mut rates = plan.rates;
+        rates.retain(|a| {
+            let usable = a.rate.is_finite()
+                && a.rate > 0.0
+                && self
+                    .ledger
+                    .entries()
+                    .get(a.flow)
+                    .is_some_and(|e| e.in_flight)
+                && self.stamp[a.flow] != self.generation;
+            if usable {
+                self.stamp[a.flow] = self.generation;
+            }
+            usable
+        });
+        // Predict the decision points the plan implies (per-flow
+        // completion, or a deadline watchdog when the rate cannot finish in
+        // time), so the commit window below can end at the earliest of them.
+        for a in &rates {
+            let entry = &self.ledger.entries()[a.flow];
+            let remaining = (entry.flow.volume - entry.delivered).max(0.0);
+            if remaining <= 0.0 {
+                continue;
+            }
+            let completion = now + remaining / a.rate;
+            if completion <= entry.flow.deadline {
+                self.queue.push_completion(completion, a.flow);
+            } else {
+                self.queue.push_timer(entry.flow.deadline, a.flow);
+            }
+        }
+        for &(time, flow) in &plan.timers {
+            if time.is_finite() && time > now && flow < self.ledger.entries().len() {
+                self.queue.push_timer(time, flow);
+            }
+        }
+        // Commit each assigned rate from now until the next queued event,
+        // clamped to the flow's deadline.
+        let next = self.queue.peek_valid_time();
+        for a in rates {
+            let deadline = self.ledger.entries()[a.flow].flow.deadline;
+            let until = next.unwrap_or(deadline).min(deadline);
+            if until > now {
+                let profile = RateProfile::constant(now, until, a.rate);
+                self.push_commit(FlowSchedule::uniform(a.flow, a.path, profile));
+            }
+        }
+    }
+
+    /// Appends one committed slice to the per-flow commit lists, keeping
+    /// the delivered-volume accounting and the first-commitment ordering,
+    /// and records the links the slice transmits on in the warm-start
+    /// dirty set.
+    fn push_commit(&mut self, committed: FlowSchedule) {
+        if committed.profile.is_empty() && committed.link_profiles.is_empty() {
+            return;
+        }
+        if committed.link_profiles.is_empty() {
+            self.dirty.extend_from_slice(committed.path.links());
+        } else {
+            self.dirty.extend(committed.link_profiles.keys().copied());
+        }
+        let orig = committed.flow;
+        self.ledger.credit(orig, committed.profile.volume());
+        match self.commit_index.get(&orig) {
+            Some(&slot) => self.commits[slot].1.push(committed),
+            None => {
+                self.commit_index.insert(orig, self.commits.len());
+                self.commits.push((orig, vec![committed]));
+            }
+        }
+    }
+
+    /// Closes the run: final miss accounting, stitching, energy.
+    fn finish(mut self, horizon: (f64, f64)) -> OnlineOutcome {
+        self.ledger.settle();
+        let schedule = stitch(self.commits, horizon);
+        let online_energy = schedule.energy(self.power).total();
+        let decisions = self
+            .ledger
+            .entries()
+            .iter()
+            .map(|e| FlowDecision {
+                flow: e.flow.id,
+                admitted: e.admitted,
+                delivered: e.delivered,
+                missed: e.missed,
+                failure_missed: e.missed && e.failure_touched,
+            })
+            .collect();
+        OnlineOutcome {
+            schedule,
+            report: OnlineReport {
+                decisions,
+                events: self.batches,
+                resolves: self.resolves,
+                solve_failures: self.solve_failures,
+                online_energy,
+                offline_energy: None,
+                topology_events: self.topology_applied,
+            },
+            offline: None,
         }
     }
 }

@@ -1,73 +1,80 @@
-//! A snapshotable ledger of in-flight flows for long-lived serving loops.
+//! The in-flight ledger: the one per-flow state both online drivers run on.
 //!
-//! [`super::engine::OnlineEngine`] keeps its per-flow bookkeeping private
-//! because a batch run owns the whole timeline: it sees every arrival up
-//! front and retires state as the event queue drains. A *serving* loop
-//! (the `dcn-server` daemon) has the opposite shape — flows arrive one
-//! request at a time over a wire protocol, the process may be restarted
-//! mid-run, and whatever state decides future admissions must be
-//! externalizable. [`InFlightLedger`] is that state, factored out of the
-//! engine's `FlowState` + live-set bookkeeping:
+//! [`InFlightLedger`] is a dense table (`Vec` indexed by flow id) of every
+//! flow a driver has seen, each [`LedgerEntry`] carrying the flow itself
+//! plus its admit/deliver/miss state, and the id sets of the flows
+//! currently *live* (admitted, not fully served, not expired) and
+//! *stranded* (admitted but disconnected by link failures). It has two
+//! users:
 //!
-//! * one [`LedgerEntry`] per admitted flow (original request, volume
-//!   delivered so far, retired/missed flags);
-//! * [`InFlightLedger::retire`] mirrors the engine's retirement rule —
-//!   a live flow leaves the set when it is delivered to within the
-//!   volume tolerance or its deadline has passed (the latter marks it
-//!   missed);
-//! * [`InFlightLedger::residual_set`] builds the dense residual
-//!   [`FlowSet`] (remaining volume, clamped release) that admission
-//!   checks and re-solves operate on, exactly like the engine's world
-//!   view does via [`super::residual_flow`];
-//! * [`InFlightLedger::entries`] iterates every entry in flow-id order
-//!   and [`InFlightLedger::restore`] rebuilds the ledger from such a
-//!   dump, so a snapshot/restore cycle is a plain round-trip.
+//! * [`super::engine::OnlineEngine`] reveals the whole instance up front
+//!   and drives one ledger through a batch run;
+//! * every `dcn-server` shard keeps one under bucket-local dense ids,
+//!   reveals flows one submission at a time, and dumps/restores it
+//!   through snapshots ([`InFlightLedger::entries`] /
+//!   [`InFlightLedger::restore`]).
+//!
+//! What a flow's state *means* is decided here and nowhere else: the
+//! retire rule ([`InFlightLedger::retire`]: delivered to within the volume
+//! tolerance, or out of time — the latter is a miss), the strand/revive
+//! triage after a topology change, the final miss accounting, and the
+//! residual-instance builder ([`InFlightLedger::residual`]) that admission
+//! probes and re-solves operate on.
 //!
 //! The ledger never touches wall-clock time: `now` is always supplied by
-//! the caller, so decisions stay a pure function of the request stream.
+//! the caller, so decisions stay a pure function of the event stream.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use dcn_flow::{Flow, FlowId, FlowSet};
 
+use super::residual_flow;
 use crate::error::SolveError;
 
-/// Relative volume tolerance under which a flow counts as fully
-/// delivered (mirrors the engine's internal tolerance).
+/// Relative volume tolerance under which a flow counts as fully delivered
+/// (matches the verification tolerance of [`crate::Schedule`]).
 const VOLUME_TOL: f64 = 1e-9;
 
-/// One admitted flow tracked by an [`InFlightLedger`].
+/// One flow tracked by an [`InFlightLedger`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
-    /// The admitted flow, exactly as requested (full volume).
+    /// The flow, exactly as revealed (full volume).
     pub flow: Flow,
-    /// Volume delivered so far, in `[0, flow.volume]`.
-    pub delivered: f64,
-    /// Whether the flow has left the live set.
-    pub retired: bool,
-    /// Whether the flow retired with undelivered volume at its deadline.
+    /// Whether the flow was admitted.
+    pub admitted: bool,
+    /// Admitted, not yet fully served, deadline not yet passed.
+    pub in_flight: bool,
+    /// Whether the flow ran out of time with volume outstanding.
     pub missed: bool,
+    /// Volume credited so far.
+    pub delivered: f64,
+    /// Admitted but currently disconnected by link failures: out of the
+    /// live set until a recovery reconnects the endpoints (or the deadline
+    /// expires first).
+    pub stranded: bool,
+    /// A failure stranded this flow or severed a path its committed rates
+    /// were riding; a final miss is then attributed to the failure.
+    pub failure_touched: bool,
 }
 
 impl LedgerEntry {
-    /// Volume still to deliver (never negative).
-    pub fn remaining(&self) -> f64 {
-        (self.flow.volume - self.delivered).max(0.0)
-    }
-
-    /// Whether the flow is delivered to within the volume tolerance.
-    pub fn done(&self) -> bool {
-        self.remaining() <= VOLUME_TOL * self.flow.volume
+    /// The delivered half of the retire rule.
+    fn served(&self) -> bool {
+        self.delivered >= self.flow.volume * (1.0 - VOLUME_TOL)
     }
 }
 
-/// The in-flight residual state of a serving scheduler: every admitted
-/// flow plus how much of it has been delivered. See the module docs for
-/// the contract.
+/// The per-flow state of an online driver. See the module docs for the
+/// contract.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InFlightLedger {
-    entries: BTreeMap<FlowId, LedgerEntry>,
+    entries: Vec<LedgerEntry>,
+    /// The ids with `in_flight` set, so per-event work scales with the
+    /// in-flight population instead of the whole table (100k-arrival
+    /// traces make a full scan per event the dominant cost).
     live: BTreeSet<FlowId>,
+    /// The ids with `stranded` set.
+    stranded: BTreeSet<FlowId>,
 }
 
 impl InFlightLedger {
@@ -76,150 +83,184 @@ impl InFlightLedger {
         Self::default()
     }
 
-    /// Admits a flow into the live set. Returns `false` (and leaves the
-    /// ledger untouched) when an entry with the same id already exists.
-    pub fn admit(&mut self, flow: Flow) -> bool {
-        if self.entries.contains_key(&flow.id) {
-            return false;
-        }
-        let id = flow.id;
-        self.entries.insert(
-            id,
-            LedgerEntry {
-                flow,
-                delivered: 0.0,
-                retired: false,
-                missed: false,
-            },
-        );
-        self.live.insert(id);
-        true
+    /// Appends a not-yet-admitted flow and returns its ledger id: the
+    /// entry's index, which every other method addresses it by. (The core
+    /// engine reveals a validated flow set in order, so `flow.id` is the
+    /// same number; a shard keeps the flow's global id there.)
+    pub fn reveal(&mut self, flow: Flow) -> FlowId {
+        self.entries.push(LedgerEntry {
+            flow,
+            admitted: false,
+            in_flight: false,
+            missed: false,
+            delivered: 0.0,
+            stranded: false,
+            failure_touched: false,
+        });
+        self.entries.len() - 1
     }
 
-    /// Removes a flow entirely (e.g. to roll back a failed admission).
-    /// Returns the entry, if one existed.
-    pub fn remove(&mut self, id: FlowId) -> Option<LedgerEntry> {
+    /// Removes the most recently revealed flow again (a candidate that was
+    /// turned away leaves no trace). Returns the entry, if one existed.
+    pub fn pop(&mut self) -> Option<LedgerEntry> {
+        let entry = self.entries.pop()?;
+        self.live.remove(&self.entries.len());
+        self.stranded.remove(&self.entries.len());
+        Some(entry)
+    }
+
+    /// Admits a revealed flow into the live set. Unknown ids are ignored.
+    pub fn admit(&mut self, id: FlowId) {
+        if let Some(entry) = self.entries.get_mut(id) {
+            entry.admitted = true;
+            entry.in_flight = true;
+            self.live.insert(id);
+        }
+    }
+
+    /// Takes an admitted flow out of the live set because no route connects
+    /// its endpoints.
+    pub(crate) fn strand(&mut self, id: FlowId) {
+        let entry = &mut self.entries[id];
+        entry.in_flight = false;
+        entry.stranded = true;
+        entry.failure_touched = true;
         self.live.remove(&id);
-        self.entries.remove(&id)
+        self.stranded.insert(id);
     }
 
-    /// Credits delivered volume to a live flow, clamped to the flow's
-    /// total volume. Delivery to retired or unknown flows is ignored.
-    pub fn deliver(&mut self, id: FlowId, volume: f64) {
-        if !self.live.contains(&id) {
-            return;
-        }
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.delivered = (entry.delivered + volume.max(0.0)).min(entry.flow.volume);
+    /// Records that a failure severed a path `id`'s committed rates were
+    /// riding.
+    pub(crate) fn mark_failure_touched(&mut self, id: FlowId) {
+        self.entries[id].failure_touched = true;
+    }
+
+    /// Credits delivered volume to a live flow. Credit to retired or
+    /// unknown flows is ignored.
+    pub fn credit(&mut self, id: FlowId, volume: f64) {
+        if let Some(entry) = self.entries.get_mut(id) {
+            if entry.in_flight {
+                entry.delivered += volume;
+            }
         }
     }
 
-    /// Retires every live flow that is done or whose deadline has passed
-    /// at `now` (the latter is marked missed). Returns the retired ids in
-    /// ascending order.
+    /// Re-triages after a topology change: strands every live flow whose
+    /// endpoints `connected` reports cut off, then revives the stranded
+    /// flows a recovery reconnected, if they still have time and volume
+    /// left at `now`.
+    pub(crate) fn triage(&mut self, now: f64, mut connected: impl FnMut(&Flow) -> bool) {
+        let unreachable = |id: &FlowId| !connected(&self.entries[*id].flow);
+        let cut: Vec<FlowId> = self.live().filter(unreachable).collect();
+        for id in cut {
+            self.strand(id);
+        }
+        let revivable = |id: &FlowId| {
+            let entry = &self.entries[*id];
+            entry.flow.deadline > now && !entry.served() && connected(&entry.flow)
+        };
+        let back: Vec<FlowId> = self.stranded.iter().copied().filter(revivable).collect();
+        for id in back {
+            self.stranded.remove(&id);
+            self.live.insert(id);
+            self.entries[id].in_flight = true;
+            self.entries[id].stranded = false;
+        }
+    }
+
+    /// Retires every live flow that is fully served or whose deadline has
+    /// passed at `now` (the latter is marked missed). Returns the retired
+    /// ids in ascending order.
     pub fn retire(&mut self, now: f64) -> Vec<FlowId> {
         let mut retired = Vec::new();
         for &id in &self.live {
-            let entry = &self.entries[&id];
-            if entry.done() || entry.flow.deadline <= now {
+            let entry = &mut self.entries[id];
+            let served = entry.served();
+            if served || entry.flow.deadline <= now {
+                entry.in_flight = false;
+                entry.missed = !served;
                 retired.push(id);
             }
         }
-        for &id in &retired {
-            self.live.remove(&id);
-            let entry = self.entries.get_mut(&id).expect("retired id exists");
-            entry.retired = true;
-            entry.missed = !entry.done();
+        for id in &retired {
+            self.live.remove(id);
         }
         retired
     }
 
-    /// Looks an entry up by flow id.
-    pub fn get(&self, id: FlowId) -> Option<&LedgerEntry> {
-        self.entries.get(&id)
-    }
-
-    /// Whether the flow is currently live (admitted and not retired).
-    pub fn is_live(&self, id: FlowId) -> bool {
-        self.live.contains(&id)
-    }
-
-    /// The live entries, in ascending flow-id order.
-    pub fn live(&self) -> impl Iterator<Item = &LedgerEntry> {
-        self.live.iter().map(|id| &self.entries[id])
-    }
-
-    /// Number of live flows.
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Every entry ever admitted (live and retired), in ascending
-    /// flow-id order. This is the snapshot view: feeding the cloned
-    /// entries to [`InFlightLedger::restore`] reproduces the ledger.
-    pub fn entries(&self) -> impl Iterator<Item = &LedgerEntry> {
-        self.entries.values()
-    }
-
-    /// Total number of entries (live and retired).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ledger has no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Rebuilds a ledger from dumped entries; the live set is derived
-    /// from the `retired` flags.
-    pub fn restore(entries: impl IntoIterator<Item = LedgerEntry>) -> Self {
-        let mut ledger = Self::new();
-        for entry in entries {
-            let id = entry.flow.id;
-            if !entry.retired {
-                ledger.live.insert(id);
+    /// Final accounting of a finished run: an admitted flow that never
+    /// received its full volume (to the schedule verification tolerance)
+    /// missed its deadline, whether or not it was ever retired.
+    pub(crate) fn settle(&mut self) {
+        for entry in &mut self.entries {
+            if entry.admitted && entry.delivered < entry.flow.volume * (1.0 - 1e-6) {
+                entry.missed = true;
             }
-            ledger.entries.insert(id, entry);
         }
-        ledger
     }
 
-    /// The dense residual instance of the live flows at `now`, optionally
-    /// including a not-yet-admitted `candidate`: residual ids are
-    /// `0..n` in ascending original-id order (candidate last) and the
-    /// returned map translates residual id back to the original.
+    /// Every revealed flow, indexed by ledger id. This is the snapshot view:
+    /// feeding the cloned entries to [`InFlightLedger::restore`]
+    /// reproduces the ledger.
+    pub fn entries(&self) -> &[LedgerEntry] {
+        &self.entries
+    }
+
+    /// The live flow ids, in ascending order.
+    pub fn live(&self) -> impl Iterator<Item = FlowId> + '_ {
+        self.live.iter().copied()
+    }
+
+    /// Rebuilds a ledger from dumped entries; the live and stranded sets
+    /// are derived from the flags.
+    pub fn restore(entries: Vec<LedgerEntry>) -> Self {
+        let ids_where = |flag: fn(&LedgerEntry) -> bool| {
+            (0..entries.len())
+                .filter(|&id| flag(&entries[id]))
+                .collect()
+        };
+        Self {
+            live: ids_where(|e| e.in_flight),
+            stranded: ids_where(|e| e.stranded),
+            entries,
+        }
+    }
+
+    /// Builds the residual instance at `now` from every live flow (plus
+    /// `extra`, a revealed but not-yet-admitted candidate), in flow-id
+    /// order with remaining volumes and releases clamped to `now`, and the
+    /// residual-id → ledger-id map.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::DeadlinePassed`] when a live flow (or the
-    /// candidate) can no longer meet its deadline at `now`, and the
-    /// underlying flow-construction error if a residual flow would be
-    /// degenerate.
-    pub fn residual_set(
+    /// * [`SolveError::EmptyFlowSet`] when nothing is live.
+    /// * [`residual_flow`] errors for an expired or fully served flow.
+    pub fn residual(
         &self,
         now: f64,
-        candidate: Option<&Flow>,
+        extra: Option<FlowId>,
     ) -> Result<(FlowSet, Vec<FlowId>), SolveError> {
-        let mut flows = Vec::with_capacity(self.live.len() + 1);
-        let mut originals = Vec::with_capacity(self.live.len() + 1);
-        for entry in self.live() {
-            let residual_id = flows.len();
-            flows.push(super::residual_flow(
+        let mut map: Vec<FlowId> = self.live().collect();
+        if let Some(id) = extra {
+            if let Err(slot) = map.binary_search(&id) {
+                map.insert(slot, id);
+            }
+        }
+        if map.is_empty() {
+            return Err(SolveError::EmptyFlowSet);
+        }
+        let mut residual = Vec::with_capacity(map.len());
+        for (rid, &orig) in map.iter().enumerate() {
+            let entry = &self.entries[orig];
+            residual.push(residual_flow(
                 &entry.flow,
                 now,
-                entry.remaining(),
-                residual_id,
+                entry.flow.volume - entry.delivered,
+                rid,
             )?);
-            originals.push(entry.flow.id);
         }
-        if let Some(flow) = candidate {
-            let residual_id = flows.len();
-            flows.push(super::residual_flow(flow, now, flow.volume, residual_id)?);
-            originals.push(flow.id);
-        }
-        let set = FlowSet::from_flows(flows)?;
-        Ok((set, originals))
+        let set = FlowSet::from_flows(residual).map_err(SolveError::from)?;
+        Ok((set, map))
     }
 }
 
@@ -232,70 +273,95 @@ mod tests {
         Flow::new(id, NodeId(0), NodeId(1), release, deadline, volume).expect("valid test flow")
     }
 
-    #[test]
-    fn admit_deliver_retire_cycle() {
+    /// A ledger with every given flow revealed and admitted.
+    fn admitted(flows: impl IntoIterator<Item = Flow>) -> InFlightLedger {
         let mut ledger = InFlightLedger::new();
-        assert!(ledger.admit(flow(0, 0.0, 10.0, 5.0)));
-        assert!(!ledger.admit(flow(0, 0.0, 10.0, 5.0)), "duplicate id");
-        assert!(ledger.admit(flow(1, 0.0, 2.0, 4.0)));
-        assert_eq!(ledger.live_len(), 2);
+        for flow in flows {
+            let id = ledger.reveal(flow);
+            ledger.admit(id);
+        }
+        ledger
+    }
 
-        ledger.deliver(0, 5.0);
+    #[test]
+    fn admit_credit_retire_cycle() {
+        let mut ledger = InFlightLedger::new();
+        assert_eq!(ledger.reveal(flow(0, 0.0, 10.0, 5.0)), 0);
+        assert_eq!(ledger.reveal(flow(1, 0.0, 2.0, 4.0)), 1);
+        assert_eq!(ledger.live().count(), 0, "revealed is not admitted");
+        ledger.admit(0);
+        ledger.admit(1);
+        assert_eq!(ledger.live().collect::<Vec<_>>(), vec![0, 1]);
+
+        ledger.credit(0, 5.0);
         // Flow 1 misses: deadline 2.0 passes with volume outstanding.
         let retired = ledger.retire(3.0);
         assert_eq!(retired, vec![0, 1]);
-        assert!(!ledger.get(0).unwrap().missed);
-        assert!(ledger.get(1).unwrap().missed);
-        assert_eq!(ledger.live_len(), 0);
-        assert_eq!(ledger.len(), 2);
+        assert!(!ledger.entries()[0].missed);
+        assert!(ledger.entries()[1].missed);
+        assert!(ledger.entries().iter().all(|e| e.admitted && !e.in_flight));
+        assert_eq!(ledger.live().count(), 0);
+        assert_eq!(ledger.entries().len(), 2);
+
+        // A rejected candidate leaves no trace.
+        assert_eq!(ledger.reveal(flow(2, 3.0, 9.0, 1.0)), 2);
+        assert_eq!(ledger.pop().unwrap().flow.id, 2);
+        assert_eq!(ledger.entries().len(), 2);
     }
 
     #[test]
-    fn delivery_is_clamped_and_ignores_retired_flows() {
-        let mut ledger = InFlightLedger::new();
-        ledger.admit(flow(0, 0.0, 10.0, 5.0));
-        ledger.deliver(0, 7.0);
-        assert_eq!(ledger.get(0).unwrap().delivered, 5.0);
+    fn credit_ignores_retired_and_unknown_flows() {
+        let mut ledger = admitted([flow(0, 0.0, 10.0, 5.0)]);
+        ledger.credit(0, 5.0);
         ledger.retire(1.0);
-        ledger.deliver(0, 1.0);
-        assert_eq!(ledger.get(0).unwrap().delivered, 5.0);
+        ledger.credit(0, 1.0);
+        assert_eq!(ledger.entries()[0].delivered, 5.0);
         // Unknown ids are a no-op, not a panic.
-        ledger.deliver(9, 1.0);
+        ledger.credit(9, 1.0);
+        ledger.admit(9);
+        assert_eq!(ledger.entries().len(), 1);
     }
 
     #[test]
-    fn residual_set_translates_ids_and_clamps_release() {
+    fn residual_translates_ids_and_clamps_release() {
         let mut ledger = InFlightLedger::new();
-        ledger.admit(flow(3, 0.0, 10.0, 6.0));
-        ledger.admit(flow(7, 4.0, 12.0, 2.0));
-        ledger.deliver(3, 1.5);
+        // Ledger ids are positions, whatever id the flow itself carries:
+        // 0 and 2 are live, 1 was never admitted, 3 is the candidate.
+        ledger.reveal(flow(10, 0.0, 10.0, 6.0));
+        ledger.reveal(flow(11, 0.0, 10.0, 1.0));
+        ledger.reveal(flow(12, 4.0, 12.0, 2.0));
+        ledger.reveal(flow(13, 2.0, 8.0, 1.0));
+        ledger.admit(0);
+        ledger.admit(2);
+        ledger.credit(0, 1.5);
 
-        let candidate = flow(9, 2.0, 8.0, 1.0);
-        let (set, originals) = ledger
-            .residual_set(2.0, Some(&candidate))
-            .expect("residual set builds");
-        assert_eq!(originals, vec![3, 7, 9]);
+        let (set, originals) = ledger.residual(2.0, Some(3)).expect("residual builds");
+        assert_eq!(originals, vec![0, 2, 3]);
         assert_eq!(set.len(), 3);
         assert_eq!(set.flow(0).volume, 4.5);
         assert_eq!(set.flow(0).release, 2.0, "release clamped to now");
         assert_eq!(set.flow(1).release, 4.0, "future release kept");
+        assert_eq!(set.flow(2).volume, 1.0, "the candidate owes all of it");
 
-        let err = ledger.residual_set(11.0, None).unwrap_err();
+        let err = ledger.residual(11.0, None).unwrap_err();
         assert!(matches!(err, SolveError::DeadlinePassed { .. }));
+        assert_eq!(
+            InFlightLedger::new().residual(0.0, None).unwrap_err(),
+            SolveError::EmptyFlowSet
+        );
     }
 
     #[test]
     fn restore_round_trips_the_ledger() {
-        let mut ledger = InFlightLedger::new();
-        ledger.admit(flow(0, 0.0, 10.0, 5.0));
-        ledger.admit(flow(1, 0.0, 1.0, 4.0));
-        ledger.deliver(0, 2.0);
+        let flows = [(10.0, 5.0), (1.0, 4.0), (10.0, 3.0)];
+        let mut ledger = admitted((0..3).map(|id| flow(id, 0.0, flows[id].0, flows[id].1)));
+        ledger.credit(0, 2.0);
         ledger.retire(2.0);
+        ledger.triage(2.0, |f| f.id != 2);
 
-        let dumped: Vec<LedgerEntry> = ledger.entries().cloned().collect();
-        let restored = InFlightLedger::restore(dumped);
+        let restored = InFlightLedger::restore(ledger.entries().to_vec());
         assert_eq!(restored, ledger);
-        assert!(restored.is_live(0));
-        assert!(!restored.is_live(1));
+        assert_eq!(restored.live().collect::<Vec<_>>(), vec![0]);
+        assert!(restored.entries()[2].stranded);
     }
 }

@@ -21,10 +21,11 @@
 //!   for bit), preemptive `edf` and `srpt` rate reassignment, `rcd`
 //!   (rapid-close-to-deadline deferral) and `hybrid` (EDF until any flow's
 //!   slack falls under a threshold, then one DCFSR re-solve);
-//! * [`ledger`] exposes the [`InFlightLedger`]: the snapshotable
-//!   in-flight residual view that long-lived serving loops (the
-//!   `dcn-server` daemon) keep per shard, factored out of the engine's
-//!   private per-flow bookkeeping.
+//! * [`ledger`] holds the [`InFlightLedger`]: the one per-flow state
+//!   (admit/deliver/miss flags, live and stranded sets, the retire rule,
+//!   the residual-instance builder) with two users — the engine drives one
+//!   through a batch run, and every `dcn-server` shard keeps one per pod
+//!   bucket and snapshots it. [`WorldView`] is a ledger plus a clock.
 //!
 //! Only the slice of each policy decision up to the next event is
 //! **committed**; the [`OnlineOutcome`] stitches the committed slices into

@@ -30,16 +30,15 @@ pub(crate) fn edf_plan(
     let mut order: Vec<FlowId> = world.in_flight().collect();
     order.sort_by(|&a, &b| {
         world
-            .flows()
             .flow(a)
             .deadline
-            .total_cmp(&world.flows().flow(b).deadline)
+            .total_cmp(&world.flow(b).deadline)
             .then(a.cmp(&b))
     });
     ledger.reset(ctx, power);
     let mut plan = RatePlan::default();
     for id in order {
-        let flow = world.flows().flow(id);
+        let flow = world.flow(id);
         let remaining = world.remaining(id);
         if remaining <= 0.0 {
             continue;

@@ -63,7 +63,7 @@ impl OnlinePolicy for HybridPolicy {
     ) -> Result<PolicyAction, SolveError> {
         self.ledger.reset(ctx, power);
         for id in world.in_flight() {
-            let flow = world.flows().flow(id);
+            let flow = world.flow(id);
             let remaining = world.remaining(id);
             if remaining <= 0.0 {
                 continue;

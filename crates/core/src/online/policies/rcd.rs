@@ -69,7 +69,7 @@ impl OnlinePolicy for RcdPolicy {
         // *uncontended* path rate, then grant capacity in urgency order.
         let mut urgency: Vec<(f64, FlowId)> = Vec::new();
         for id in world.in_flight() {
-            let flow = world.flows().flow(id);
+            let flow = world.flow(id);
             let remaining = world.remaining(id);
             if remaining <= 0.0 {
                 continue;
@@ -86,7 +86,7 @@ impl OnlinePolicy for RcdPolicy {
 
         let mut plan = RatePlan::default();
         for (latest, id) in urgency {
-            let flow = world.flows().flow(id);
+            let flow = world.flow(id);
             if latest > world.now() {
                 // Not urgent yet: stay dark, wake exactly at the deferral
                 // point. The wake-up re-plans everything, so the latest

@@ -45,7 +45,7 @@ impl OnlinePolicy for SrptPolicy {
         self.ledger.reset(ctx, power);
         let mut plan = RatePlan::default();
         for id in order {
-            let flow = world.flows().flow(id);
+            let flow = world.flow(id);
             if world.remaining(id) <= 0.0 {
                 continue;
             }

@@ -11,11 +11,12 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
+use dcn_server::{serve_fmcf_config, ServePolicy};
 use dcn_server::{
     write_frame, Request, RequestBody, ServeOutcome, Server, ServerConfig, SubmitFlow, TopologySpec,
 };
-use dcn_server::{ServeAdmission, ServePolicy};
 
 const USAGE: &str = "\
 dcn-serve: scheduler-as-a-service daemon
@@ -83,7 +84,18 @@ fn parse_args() -> Result<Cli, String> {
                 cli.config.shard_workers = parse_num(&value("--shard-workers")?, "--shard-workers")?
             }
             "--policy" => cli.config.policy = ServePolicy::parse(&value("--policy")?)?,
-            "--admission" => cli.config.admission = ServeAdmission::parse(&value("--admission")?)?,
+            "--admission" => {
+                cli.config.admission = match value("--admission")?.as_str() {
+                    "admit-all" => AdmissionRule::AdmitAll,
+                    "reject-infeasible" => AdmissionRule::reject_infeasible(serve_fmcf_config()),
+                    other => {
+                        return Err(format!(
+                            "unknown admission rule {other:?} (expected admit-all or \
+                             reject-infeasible)"
+                        ))
+                    }
+                }
+            }
             "--algorithm" => cli.config.algorithm = value("--algorithm")?,
             "--queue-depth" => {
                 cli.config.queue_depth = parse_num(&value("--queue-depth")?, "--queue-depth")?

@@ -17,7 +17,7 @@
 //!   request/response envelope ([`Request`]/[`Response`]); malformed
 //!   input becomes a typed error reply, never a panic.
 //! - [`worker`] — the per-shard engine: logical clock, delivery
-//!   crediting, admission ([`ServeAdmission`]) and rate planning
+//!   crediting, admission (the core `AdmissionRule`) and rate planning
 //!   ([`ServePolicy`]).
 //! - [`server`] — the router, bounded worker queues with `Busy`
 //!   backpressure, and the connection loop ([`Server::serve_connection`]).
@@ -26,6 +26,25 @@
 //!
 //! The `dcn-serve` binary wires a [`Server`] to stdin/stdout
 //! (`--stdio`) or a TCP listener (`--listen`).
+//!
+//! # What the daemon does not guarantee
+//!
+//! **Link capacity.** Every bucket plans independently on the *full*
+//! fabric, and the `edf`/`greedy` planners pace each flow once, at
+//! admission, without a per-link account — so the plans the daemon commits
+//! can add up to more than a link carries. On the benchmark's
+//! `serve_closed` stream (fat-tree k=8, 8000 submissions, load 128,
+//! capacity 10) `edf` admits 8000 of 8000, misses none by its own
+//! accounting, and the worst link peaks 1.23 / 0.86 / 5.82 above capacity
+//! (seeds 1/2/3); `greedy` peaks at a link rate of 50–60; `--admission
+//! reject-infeasible` probes each bucket's residual alone and, at load
+//! 160, rejected nothing while the excess stood at 2.49–6.68. Nothing
+//! gates this: the `serve --quick` artifact CI uploads carries
+//! `rs_capacity_excess` 14.17 for `fat-tree:8|edf|admit-all`. The core engine's `edf` policy keeps that
+//! account (0 missed, 0 excess on the same instance) but costs 3.5–3.8×
+//! the whole served operation; EXPERIMENTS.md, "Why `dcn-server` keeps its
+//! own planners (PR 16)", has the readings, and ROADMAP lists a
+//! capacity-safe serving mode under *Correctness*.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,4 +63,4 @@ pub use server::{ServeOutcome, Server, ServerConfig, ServerError, TopologySpec};
 pub use snapshot::{
     BucketState, FlowRecord, PlanRecord, SnapshotError, SnapshotFile, SNAPSHOT_VERSION,
 };
-pub use worker::{serve_fmcf_config, AdmitOutcome, EngineSettings, ServeAdmission, ServePolicy};
+pub use worker::{serve_fmcf_config, EngineSettings, ServePolicy};

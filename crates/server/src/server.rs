@@ -35,6 +35,7 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
+use dcn_core::online::AdmissionRule;
 use dcn_flow::Flow;
 use dcn_power::PowerFunction;
 use dcn_topology::{builders, BuiltTopology, GraphCsr, LinkId, NodeId};
@@ -43,7 +44,7 @@ use crate::protocol::{
     write_frame, AdmitReply, Request, RequestBody, Response, ResponseBody, StatusReply,
 };
 use crate::snapshot::{BucketState, SnapshotFile, SNAPSHOT_VERSION};
-use crate::worker::{EngineSettings, ServeAdmission, ServePolicy, ShardEngine};
+use crate::worker::{EngineSettings, ServePolicy, ShardEngine};
 
 /// A parsed `--topology` specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +143,7 @@ pub struct ServerConfig {
     /// Rate-planning policy of every shard.
     pub policy: ServePolicy,
     /// Admission rule of every shard.
-    pub admission: ServeAdmission,
+    pub admission: AdmissionRule,
     /// Registry algorithm behind the `resolve` policy.
     pub algorithm: String,
     /// The power function energy and capacities are accounted under.
@@ -169,7 +170,7 @@ impl ServerConfig {
         Self {
             topology,
             policy: ServePolicy::Edf,
-            admission: ServeAdmission::AdmitAll,
+            admission: AdmissionRule::AdmitAll,
             algorithm: "dcfsr".to_string(),
             power: PowerFunction::speed_scaling_only(1.0, 2.0, 10.0),
             shard_workers: 1,
@@ -321,7 +322,7 @@ impl Server {
         let settings = EngineSettings {
             power: config.power,
             policy: config.policy,
-            admission: config.admission,
+            admission: config.admission.clone(),
             algorithm: config.algorithm.clone(),
             seed: config.seed,
         };
@@ -875,14 +876,17 @@ fn run_worker(jobs: &Receiver<Job>, engines: &mut BTreeMap<usize, ShardEngine<'_
                 let flow_id = flow.id as u64;
                 let response = match engines.get_mut(&bucket) {
                     Some(engine) => {
-                        let outcome = engine.submit(flow);
+                        let (plan, reason) = match engine.submit(flow) {
+                            Ok(plan) => (Some(plan), None),
+                            Err(reason) => (None, Some(reason)),
+                        };
                         Response::new(
                             req_id,
                             ResponseBody::Admit(AdmitReply {
                                 flow: flow_id,
-                                admitted: outcome.admitted,
-                                reason: outcome.reason,
-                                plan: outcome.plan,
+                                admitted: plan.is_some(),
+                                reason,
+                                plan,
                             }),
                         )
                     }

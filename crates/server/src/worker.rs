@@ -13,16 +13,25 @@
 //! shard's decisions are a pure function of the subsequence of requests
 //! routed to it — the bedrock of the daemon's determinism contract (same
 //! request stream, same replies, at any `--shard-workers` width).
+//!
+//! The flow state itself (retire rule, residual builder, volume tolerance)
+//! is the core [`InFlightLedger`], and admission is the core
+//! [`AdmissionRule`]; the *planners* are the shard's own, because they are
+//! a different algorithm from the core policies of the same name: `edf` and
+//! `greedy` pace only the newcomer, O(1) per submission, and keep **no
+//! per-link account** — see "What the daemon does not guarantee" in
+//! [`crate`]'s docs and EXPERIMENTS.md ("Why `dcn-server` keeps its own
+//! planners") for the measured price of the alternative.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use dcn_core::online::{fractionally_feasible, InFlightLedger, PathCache};
-use dcn_core::{Algorithm, AlgorithmRegistry, SolveError, SolverContext};
+use dcn_core::online::{AdmissionRule, InFlightLedger, PathCache, WorldView};
+use dcn_core::{Algorithm, AlgorithmRegistry, LedgerEntry, SolveError, SolverContext};
 use dcn_flow::{Flow, FlowId};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
-use dcn_topology::{LinkId, Network, Path, TopologyEvent};
+use dcn_topology::{LinkId, Network, NodeId, Path, TopologyEvent};
 
 use crate::protocol::{PlanSegment, WirePlan};
 use crate::snapshot::{BucketState, FlowRecord, PlanRecord};
@@ -71,45 +80,6 @@ impl ServePolicy {
     }
 }
 
-/// How a shard decides admission.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServeAdmission {
-    /// Admit every routable flow.
-    AdmitAll,
-    /// Probe the LP relaxation of the candidate residual instance and
-    /// reject flows whose addition is fractionally infeasible (the online
-    /// engine's `RejectInfeasible` rule).
-    RejectInfeasible {
-        /// Relative capacity slack tolerated in the fractional loads.
-        slack: f64,
-    },
-}
-
-impl ServeAdmission {
-    /// The stable name used by `--admission`, snapshots and artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServeAdmission::AdmitAll => "admit-all",
-            ServeAdmission::RejectInfeasible { .. } => "reject-infeasible",
-        }
-    }
-
-    /// Parses an `--admission` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "admit-all" => Ok(ServeAdmission::AdmitAll),
-            "reject-infeasible" => Ok(ServeAdmission::RejectInfeasible { slack: 1e-3 }),
-            other => Err(format!(
-                "unknown admission rule {other:?} (expected admit-all or reject-infeasible)"
-            )),
-        }
-    }
-}
-
 /// The per-engine settings shared by every shard of a daemon.
 #[derive(Debug, Clone)]
 pub struct EngineSettings {
@@ -117,8 +87,9 @@ pub struct EngineSettings {
     pub power: PowerFunction,
     /// Rate-planning policy.
     pub policy: ServePolicy,
-    /// Admission rule.
-    pub admission: ServeAdmission,
+    /// Admission rule (`reject-infeasible` probes with
+    /// [`serve_fmcf_config`] and a `1e-3` capacity slack).
+    pub admission: AdmissionRule,
     /// Registry name of the algorithm behind [`ServePolicy::Resolve`].
     pub algorithm: String,
     /// Base seed; per-solve seeds derive from it, the bucket id and the
@@ -134,29 +105,8 @@ struct Plan {
     profile: RateProfile,
 }
 
-/// The admission decision of one submission, ready to put on the wire.
-#[derive(Debug, Clone)]
-pub struct AdmitOutcome {
-    /// Whether the flow was admitted.
-    pub admitted: bool,
-    /// Why not, when rejected.
-    pub reason: Option<String>,
-    /// The committed plan, when admitted.
-    pub plan: Option<WirePlan>,
-}
-
-impl AdmitOutcome {
-    fn rejected(reason: impl Into<String>) -> Self {
-        Self {
-            admitted: false,
-            reason: Some(reason.into()),
-            plan: None,
-        }
-    }
-}
-
-/// The Frank–Wolfe configuration shards use for admission probes and
-/// `resolve` re-solves: the benchmark harness's serving-grade settings
+/// The Frank–Wolfe configuration shards use for admission probes: the
+/// benchmark harness's serving-grade settings
 /// (fewer iterations and a looser tolerance than the offline default).
 pub fn serve_fmcf_config() -> FmcfSolverConfig {
     FmcfSolverConfig {
@@ -173,11 +123,16 @@ pub struct ShardEngine<'net> {
     bucket: usize,
     ctx: SolverContext<'net>,
     settings: EngineSettings,
-    fmcf: FmcfSolverConfig,
     algorithm: Option<Box<dyn Algorithm>>,
+    /// The bucket's admitted flows. A ledger id is bucket-local (`plans`
+    /// and `committed` are keyed by it); the entry's `flow.id` is the
+    /// global id. Submissions reach a bucket in ascending global id, so
+    /// local → global is an index and global → local a binary search.
     ledger: InFlightLedger,
     plans: BTreeMap<FlowId, Plan>,
     committed: BTreeMap<FlowId, Plan>,
+    /// Global ids of the flows turned away (snapshots carry no flow data
+    /// for them, so they never stay in the ledger).
     rejected: BTreeSet<FlowId>,
     paths: PathCache,
     clock: f64,
@@ -207,7 +162,6 @@ impl<'net> ShardEngine<'net> {
             bucket,
             ctx,
             settings,
-            fmcf: serve_fmcf_config(),
             algorithm,
             ledger: InFlightLedger::new(),
             plans: BTreeMap::new(),
@@ -217,11 +171,6 @@ impl<'net> ShardEngine<'net> {
             clock: f64::NEG_INFINITY,
             events: 0,
         })
-    }
-
-    /// The shard's logical clock (the last submission time seen).
-    pub fn clock(&self) -> f64 {
-        self.clock
     }
 
     /// Advances the shard to `now`: credits every live flow with the
@@ -235,7 +184,7 @@ impl<'net> ShardEngine<'net> {
         for (&id, plan) in &self.plans {
             let delivered = plan.profile.volume_between(from, now);
             if delivered > 0.0 {
-                self.ledger.deliver(id, delivered);
+                self.ledger.credit(id, delivered);
                 let slice = plan.profile.restricted(from, now);
                 match self.committed.get_mut(&id) {
                     Some(history) => {
@@ -261,9 +210,9 @@ impl<'net> ShardEngine<'net> {
     }
 
     /// Handles one flow submission: advance, admission check, plan, and
-    /// commit. Never panics; every failure mode becomes a rejection with
-    /// a reason.
-    pub fn submit(&mut self, flow: Flow) -> AdmitOutcome {
+    /// commit. Answers the committed plan, or why the flow was turned
+    /// away. Never panics; every failure mode becomes a rejection.
+    pub fn submit(&mut self, flow: Flow) -> Result<WirePlan, String> {
         self.events += 1;
         let now = flow.release.max(if self.clock.is_finite() {
             self.clock
@@ -271,80 +220,72 @@ impl<'net> ShardEngine<'net> {
             flow.release
         });
         self.advance(now);
-        if flow.deadline <= now {
-            self.rejected.insert(flow.id);
-            return AdmitOutcome::rejected(format!(
+        let global = flow.id;
+        let last = self.ledger.entries().last().map(|e| e.flow.id);
+        let verdict = if flow.deadline <= now {
+            Err(format!(
                 "deadline {} is not after the shard clock {now}",
                 flow.deadline
-            ));
-        }
-        let mut flow = flow;
-        // The shard clock only moves forward; a release in the past is
-        // served from now on.
-        flow.release = now;
-
-        if let ServeAdmission::RejectInfeasible { slack } = self.settings.admission {
-            match self.ledger.residual_set(now, Some(&flow)) {
-                Ok((set, _)) => {
-                    match fractionally_feasible(
-                        &mut self.ctx,
-                        &set,
-                        &self.settings.power,
-                        &self.fmcf,
-                        slack,
-                    ) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            self.rejected.insert(flow.id);
-                            return AdmitOutcome::rejected(
-                                "candidate residual instance is fractionally infeasible",
-                            );
-                        }
-                        Err(e) => {
-                            self.rejected.insert(flow.id);
-                            return AdmitOutcome::rejected(format!(
-                                "feasibility probe failed: {e}"
-                            ));
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.rejected.insert(flow.id);
-                    return AdmitOutcome::rejected(format!("residual instance is degenerate: {e}"));
-                }
+            ))
+        } else if last.is_some_and(|last| global <= last) {
+            Err(format!(
+                "flow id {global} does not ascend past the bucket's last admitted id"
+            ))
+        } else {
+            // The shard clock only moves forward; a release in the past is
+            // served from now on.
+            let local = self.ledger.reveal(Flow {
+                release: now,
+                ..flow
+            });
+            let verdict = self.admit_and_plan(local);
+            if verdict.is_err() {
+                // A rejected candidate leaves no trace in the ledger.
+                self.ledger.pop();
+                self.plans.remove(&local);
             }
-        }
-
-        let id = flow.id;
-        self.ledger.admit(flow.clone());
-        let planned = match self.settings.policy {
-            ServePolicy::Edf => self.plan_paced(&flow, false),
-            ServePolicy::Greedy => self.plan_paced(&flow, true),
-            ServePolicy::Resolve => self.plan_resolved(),
+            verdict
         };
-        match planned {
-            Ok(()) => {
-                let plan = &self.plans[&id];
-                AdmitOutcome {
-                    admitted: true,
-                    reason: None,
-                    plan: Some(wire_plan(plan)),
-                }
-            }
-            Err(e) => {
-                self.ledger.remove(id);
-                self.plans.remove(&id);
-                self.rejected.insert(id);
-                AdmitOutcome::rejected(format!("planning failed: {e}"))
-            }
+        if verdict.is_err() {
+            self.rejected.insert(global);
         }
+        verdict
+    }
+
+    /// The ledger id of global flow id `id`.
+    fn local(&self, id: FlowId) -> Option<FlowId> {
+        let entries = self.ledger.entries();
+        entries.binary_search_by_key(&id, |e| e.flow.id).ok()
+    }
+
+    /// Runs the admission rule on the revealed candidate `local` and, when
+    /// it passes, admits and plans it. The error is the rejection reason.
+    fn admit_and_plan(&mut self, local: FlowId) -> Result<WirePlan, String> {
+        let world = WorldView::new(&self.ledger, self.clock);
+        let feasible = self
+            .settings
+            .admission
+            .evaluate(&mut self.ctx, &self.settings.power, &world, local)
+            .map_err(|e| format!("feasibility probe failed: {e}"))?;
+        if !feasible {
+            return Err("candidate residual instance is fractionally infeasible".to_string());
+        }
+        self.ledger.admit(local);
+        match self.settings.policy {
+            ServePolicy::Edf => self.plan_paced(local, false),
+            ServePolicy::Greedy => self.plan_paced(local, true),
+            ServePolicy::Resolve => self.plan_resolved(),
+        }
+        .map_err(|e| format!("planning failed: {e}"))?;
+        Ok(wire_plan(&self.plans[&local]))
     }
 
     /// Plans the new flow alone at a constant rate on its fewest-hop
     /// path: the required rate (EDF pacing) or the path bottleneck
     /// (greedy full blast). Existing plans are untouched — under constant
     /// pacing, a flow that tracks its plan keeps its required rate.
-    fn plan_paced(&mut self, flow: &Flow, full_blast: bool) -> Result<(), SolveError> {
+    fn plan_paced(&mut self, local: FlowId, full_blast: bool) -> Result<(), SolveError> {
+        let flow = &self.ledger.entries()[local].flow;
         let path = self
             .paths
             .shortest(&self.ctx, flow.id, flow.src, flow.dst)?;
@@ -361,14 +302,14 @@ impl<'net> ShardEngine<'net> {
         };
         let duration = (flow.volume / rate).min(span);
         let profile = RateProfile::constant(flow.release, flow.release + duration, rate);
-        self.plans.insert(flow.id, Plan { path, profile });
+        self.plans.insert(local, Plan { path, profile });
         Ok(())
     }
 
     /// Re-solves the whole residual instance and replaces every live
     /// flow's plan with the fresh schedule.
     fn plan_resolved(&mut self) -> Result<(), SolveError> {
-        let (set, originals) = self.ledger.residual_set(self.clock, None)?;
+        let (set, originals) = self.ledger.residual(self.clock, None)?;
         let algorithm = self
             .algorithm
             .as_mut()
@@ -411,17 +352,18 @@ impl<'net> ShardEngine<'net> {
         if self.rejected.contains(&id) {
             return ("rejected", 0.0, 0.0);
         }
-        match self.ledger.get(id) {
-            Some(entry) if !entry.retired => ("in-flight", entry.delivered, entry.remaining()),
-            Some(entry) if entry.missed => ("missed", entry.delivered, entry.remaining()),
-            Some(entry) => ("delivered", entry.delivered, entry.remaining()),
-            None => ("unknown", 0.0, 0.0),
-        }
-    }
-
-    /// Number of submissions this shard has processed.
-    pub fn events(&self) -> u64 {
-        self.events
+        let Some(entry) = self.local(id).map(|local| &self.ledger.entries()[local]) else {
+            return ("unknown", 0.0, 0.0);
+        };
+        let state = if entry.in_flight {
+            "in-flight"
+        } else if entry.missed {
+            "missed"
+        } else {
+            "delivered"
+        };
+        let delivered = rendered_delivery(entry);
+        (state, delivered, entry.flow.volume - delivered)
     }
 
     /// Applies a link failure or recovery to the shard's solver context.
@@ -447,15 +389,10 @@ impl<'net> ShardEngine<'net> {
         let plan_records = |plans: &BTreeMap<FlowId, Plan>| -> Vec<PlanRecord> {
             plans
                 .iter()
-                .map(|(&flow, plan)| PlanRecord {
-                    flow: flow as u64,
+                .map(|(&local, plan)| PlanRecord {
+                    flow: self.ledger.entries()[local].flow.id as u64,
                     path: plan.path.nodes().iter().map(|n| n.0).collect(),
-                    segments: plan
-                        .profile
-                        .segments()
-                        .into_iter()
-                        .map(|(start, end, rate)| PlanSegment { start, end, rate })
-                        .collect(),
+                    segments: plan_segments(plan),
                 })
                 .collect()
         };
@@ -471,6 +408,7 @@ impl<'net> ShardEngine<'net> {
             flows: self
                 .ledger
                 .entries()
+                .iter()
                 .map(|entry| FlowRecord {
                     id: entry.flow.id as u64,
                     src: entry.flow.src.0,
@@ -478,8 +416,8 @@ impl<'net> ShardEngine<'net> {
                     release: entry.flow.release,
                     deadline: entry.flow.deadline,
                     volume: entry.flow.volume,
-                    delivered: entry.delivered,
-                    retired: entry.retired,
+                    delivered: rendered_delivery(entry),
+                    retired: !entry.in_flight,
                     missed: entry.missed,
                 })
                 .collect(),
@@ -492,8 +430,11 @@ impl<'net> ShardEngine<'net> {
     ///
     /// # Errors
     ///
-    /// Propagates construction errors and rejects records that do not
-    /// describe valid flows or paths on this network.
+    /// Propagates construction errors and answers every record that does
+    /// not describe a valid flow, delivery state, path or rate segment on
+    /// this network with a [`SolveError::InvalidInput`] naming the bucket,
+    /// the flow and the field — a damaged file never panics a worker and
+    /// is never believed.
     pub fn restore(
         network: &'net Network,
         settings: EngineSettings,
@@ -503,72 +444,132 @@ impl<'net> ShardEngine<'net> {
         engine.clock = state.clock.unwrap_or(f64::NEG_INFINITY);
         engine.events = state.events;
         engine.rejected = state.rejected.iter().map(|&id| id as FlowId).collect();
-        let entries = state
-            .flows
-            .iter()
-            .map(|record| record.to_entry())
-            .collect::<Result<Vec<_>, SolveError>>()?;
+        let mut entries: Vec<LedgerEntry> = Vec::with_capacity(state.flows.len());
+        for record in &state.flows {
+            let entry = record.to_entry(state.bucket)?;
+            if entries
+                .last()
+                .is_some_and(|last| entry.flow.id <= last.flow.id)
+            {
+                return Err(damaged(state.bucket, record.id, "id", "ids must ascend"));
+            }
+            entries.push(entry);
+        }
         engine.ledger = InFlightLedger::restore(entries);
-        engine.plans = restore_plans(network, &state.plans)?;
-        engine.committed = restore_plans(network, &state.committed)?;
+        engine.plans = engine.restore_plans(network, &state.plans, "plans")?;
+        engine.committed = engine.restore_plans(network, &state.committed, "committed")?;
         Ok(engine)
+    }
+
+    /// Rebuilds one plan map of a snapshot dump against a network, keyed
+    /// by the ledger's local ids.
+    fn restore_plans(
+        &self,
+        network: &Network,
+        records: &[PlanRecord],
+        field: &str,
+    ) -> Result<BTreeMap<FlowId, Plan>, SolveError> {
+        let mut plans = BTreeMap::new();
+        for record in records {
+            let local = self.local(record.flow as FlowId).ok_or_else(|| {
+                damaged(self.bucket, record.flow, field, "flow is not in `flows`")
+            })?;
+            plans.insert(local, record.to_plan(network, self.bucket, field)?);
+        }
+        Ok(plans)
     }
 }
 
-/// Rebuilds the plan map of a snapshot dump against a network.
-fn restore_plans(
-    network: &Network,
-    records: &[PlanRecord],
-) -> Result<BTreeMap<FlowId, Plan>, SolveError> {
-    let mut plans = BTreeMap::new();
-    for record in records {
-        plans.insert(record.flow as FlowId, record.to_plan(network)?);
+/// The typed error for a snapshot record that cannot be believed.
+fn damaged(bucket: usize, flow: u64, field: &str, why: impl std::fmt::Display) -> SolveError {
+    SolveError::InvalidInput {
+        reason: format!("snapshot bucket {bucket} flow {flow}: `{field}` is invalid: {why}"),
     }
-    Ok(plans)
 }
 
 impl PlanRecord {
-    fn to_plan(&self, network: &Network) -> Result<Plan, SolveError> {
-        let nodes: Vec<_> = self.path.iter().map(|&n| dcn_topology::NodeId(n)).collect();
-        let path = Path::from_nodes(network, &nodes).map_err(|e| SolveError::InvalidInput {
-            reason: format!("snapshot path of flow {} is invalid: {e}", self.flow),
-        })?;
+    fn to_plan(&self, network: &Network, bucket: usize, field: &str) -> Result<Plan, SolveError> {
+        let nodes: Vec<_> = self.path.iter().map(|&n| NodeId(n)).collect();
+        let path = Path::from_nodes(network, &nodes)
+            .map_err(|e| damaged(bucket, self.flow, &format!("{field}.path"), e))?;
         let mut profile = RateProfile::new();
         for segment in &self.segments {
-            profile.add_rate(segment.start, segment.end, segment.rate);
+            let (start, end, rate) = (segment.start, segment.end, segment.rate);
+            // Exactly what `RateProfile::add_rate` would assert.
+            let sound = start.is_finite() && end.is_finite() && end >= start;
+            if !(sound && rate.is_finite() && rate >= 0.0) {
+                return Err(damaged(
+                    bucket,
+                    self.flow,
+                    &format!("{field}.segments"),
+                    format_args!("[{start}, {end}) at rate {rate}"),
+                ));
+            }
+            profile.add_rate(start, end, rate);
         }
         Ok(Plan { path, profile })
     }
 }
 
 impl FlowRecord {
-    fn to_entry(&self) -> Result<dcn_core::LedgerEntry, SolveError> {
+    fn to_entry(&self, bucket: usize) -> Result<LedgerEntry, SolveError> {
         let flow = Flow::new(
             self.id as FlowId,
-            dcn_topology::NodeId(self.src),
-            dcn_topology::NodeId(self.dst),
+            NodeId(self.src),
+            NodeId(self.dst),
             self.release,
             self.deadline,
             self.volume,
-        )?;
-        Ok(dcn_core::LedgerEntry {
+        )
+        .map_err(|e| damaged(bucket, self.id, "flow", e))?;
+        if !(self.delivered >= 0.0 && self.delivered <= self.volume) {
+            return Err(damaged(
+                bucket,
+                self.id,
+                "delivered",
+                format_args!("{} is outside [0, {}]", self.delivered, self.volume),
+            ));
+        }
+        if self.missed && !self.retired {
+            return Err(damaged(
+                bucket,
+                self.id,
+                "missed",
+                "a missed flow is retired",
+            ));
+        }
+        Ok(LedgerEntry {
             flow,
-            delivered: self.delivered,
-            retired: self.retired,
+            admitted: true,
+            in_flight: !self.retired,
             missed: self.missed,
+            delivered: self.delivered,
+            stranded: false,
+            failure_touched: false,
         })
     }
+}
+
+/// The delivered volume as replies and snapshots render it. The ledger's
+/// credit rule is the engine's (unclamped), so float drift in the last
+/// slice can overshoot the volume by an ulp; the wire never shows that.
+fn rendered_delivery(entry: &LedgerEntry) -> f64 {
+    entry.delivered.min(entry.flow.volume)
+}
+
+/// The constant-rate segments of a plan, in time order.
+fn plan_segments(plan: &Plan) -> Vec<PlanSegment> {
+    plan.profile
+        .segments()
+        .into_iter()
+        .map(|(start, end, rate)| PlanSegment { start, end, rate })
+        .collect()
 }
 
 /// Renders a plan for the wire.
 fn wire_plan(plan: &Plan) -> WirePlan {
     WirePlan {
         path: plan.path.nodes().iter().map(|n| n.0).collect(),
-        segments: plan
-            .profile
-            .segments()
-            .into_iter()
-            .map(|(start, end, rate)| PlanSegment { start, end, rate })
-            .collect(),
+        segments: plan_segments(plan),
     }
 }

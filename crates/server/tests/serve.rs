@@ -1,16 +1,22 @@
 //! Behavioral pins of the daemon: reply streams are byte-identical at
 //! every `--shard-workers` width, a snapshot/restore cycle continues
 //! bit-identically to an uninterrupted run, full queues answer `Busy`
-//! with the configured retry hint, and incompatible snapshots are
-//! refused at startup.
+//! with the configured retry hint, and incompatible or damaged snapshots
+//! are refused at startup with a typed error.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
+use dcn_core::online::{
+    OnlineEngine, OnlineEvent, OnlinePolicy, PolicyAction, RatePlan, WorldView,
+};
+use dcn_core::{SolveError, SolverContext};
 use dcn_flow::workload::UniformWorkload;
+use dcn_flow::FlowSet;
+use dcn_power::PowerFunction;
 use dcn_server::{
-    encode_frame, read_frame, Request, RequestBody, Response, ResponseBody, ServePolicy, Server,
-    ServerConfig, SnapshotFile, SubmitFlow, TopologySpec,
+    encode_frame, read_frame, BucketState, Request, RequestBody, Response, ResponseBody,
+    ServePolicy, Server, ServerConfig, SnapshotFile, StatusReply, SubmitFlow, TopologySpec,
 };
 use dcn_topology::GraphCsr;
 
@@ -327,4 +333,200 @@ fn shutdown_request_gets_bye_and_ends_the_connection() {
     let last = replies.last().expect("bye reply");
     assert_eq!(last.id, 500);
     assert!(matches!(last.body, ResponseBody::Bye));
+}
+
+/// Serves a few flows, snapshots, lets `damage` edit the first bucket
+/// that holds a committed plan, and returns the startup error of a daemon
+/// restarted on the damaged file.
+fn restart_on_damaged_snapshot(name: &str, damage: impl FnOnce(&mut BucketState)) -> String {
+    let snapshot_path = temp_path(name);
+    let mut cfg = config();
+    cfg.snapshot_path = Some(snapshot_path.clone());
+    let mut server = Server::start(cfg.clone()).expect("server starts");
+    for request in canned_requests(10, 2) {
+        server.request(request);
+    }
+    server.request(Request::new(9_000, RequestBody::Snapshot));
+    server.shutdown();
+
+    let mut file = SnapshotFile::load(&snapshot_path).expect("snapshot loads");
+    let bucket = file
+        .buckets
+        .iter_mut()
+        .find(|b| !b.plans.is_empty())
+        .expect("some bucket holds a live plan");
+    damage(bucket);
+    file.save(&snapshot_path).expect("snapshot saves");
+
+    let err = match Server::start(cfg) {
+        Ok(_) => panic!("a damaged snapshot must be refused"),
+        Err(e) => e.to_string(),
+    };
+    let _ = std::fs::remove_file(&snapshot_path);
+    err
+}
+
+#[test]
+fn snapshot_with_a_negative_rate_is_a_typed_startup_error() {
+    let mut named = (0, 0);
+    let err = restart_on_damaged_snapshot("negative-rate", |bucket| {
+        bucket.plans[0].segments[0].rate = -3.0;
+        named = (bucket.bucket, bucket.plans[0].flow);
+    });
+    let (bucket, flow) = named;
+    assert!(
+        err.contains(&format!("failed to start bucket {bucket}:"))
+            && err.contains(&format!("bucket {bucket} flow {flow}: `plans.segments`"))
+            && err.contains("at rate -3"),
+        "unhelpful refusal: {err}"
+    );
+}
+
+#[test]
+fn snapshot_with_a_reversed_segment_is_a_typed_startup_error() {
+    let mut named = (0, 0);
+    let err = restart_on_damaged_snapshot("reversed-segment", |bucket| {
+        bucket.plans[0].segments[0].end = -4.0;
+        named = (bucket.bucket, bucket.plans[0].flow);
+    });
+    let (bucket, flow) = named;
+    assert!(
+        err.contains(&format!("bucket {bucket} flow {flow}: `plans.segments`"))
+            && err.contains(", -4)"),
+        "unhelpful refusal: {err}"
+    );
+}
+
+#[test]
+fn snapshot_with_a_negative_delivery_is_a_typed_startup_error() {
+    let mut named = (0, 0);
+    let err = restart_on_damaged_snapshot("negative-delivered", |bucket| {
+        bucket.flows[0].delivered = -5.0;
+        named = (bucket.bucket, bucket.flows[0].id);
+    });
+    let (bucket, flow) = named;
+    assert!(
+        err.contains(&format!("bucket {bucket} flow {flow}: `delivered`")),
+        "unhelpful refusal: {err}"
+    );
+}
+
+/// The one retire rule, seen from both drivers: a flow delivered to
+/// exactly `volume * (1 - 1e-9)` counts as served by the core engine and
+/// reads `delivered` from a shard.
+#[test]
+fn both_drivers_retire_a_flow_delivered_to_exactly_the_volume_tolerance() {
+    /// Serves every in-flight flow at one fixed rate on its shortest path.
+    #[derive(Debug)]
+    struct Pace(f64);
+    impl OnlinePolicy for Pace {
+        fn name(&self) -> &str {
+            "pace"
+        }
+        fn on_event(
+            &mut self,
+            ctx: &mut SolverContext<'_>,
+            _power: &PowerFunction,
+            _event: &OnlineEvent,
+            world: &WorldView<'_>,
+        ) -> Result<PolicyAction, SolveError> {
+            let mut plan = RatePlan::default();
+            for id in world.in_flight() {
+                let flow = world.flow(id);
+                let path = ctx
+                    .graph()
+                    .shortest_path(flow.src, flow.dst)
+                    .expect("fat-tree hosts are connected");
+                plan.assign(id, path, self.0);
+            }
+            Ok(PolicyAction::Assign(plan))
+        }
+    }
+
+    let volume = 4.0;
+    let exactly = volume * (1.0 - 1e-9);
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let (src, dst) = (built.hosts[0], built.hosts[5]);
+
+    // Core engine: one commit over the unit span delivers `exactly`.
+    let flows = FlowSet::from_tuples([(src, dst, 0.0, 1.0, volume)]).expect("valid flow");
+    let mut ctx = SolverContext::from_network(&built.network).expect("valid network");
+    let outcome = OnlineEngine::builder()
+        .policy_instance(Box::new(Pace(exactly)))
+        .build()
+        .expect("engine builds")
+        .run(&mut ctx, &flows, &config().power)
+        .expect("run succeeds");
+    let decision = outcome.report.decisions[0];
+    assert_eq!(decision.delivered, exactly);
+    assert!(decision.admitted && !decision.missed);
+
+    // Shard: the same delivery state, restored from a snapshot, retires as
+    // delivered on the next advance of the bucket clock.
+    let status = status_after_edited_restart("tolerance", volume, |bucket| {
+        bucket.plans.clear();
+        bucket.flows[0].delivered = exactly;
+    });
+    assert!(
+        status.state == "delivered"
+            && status.delivered == exactly
+            && status.remaining == volume - exactly,
+        "the shard disagrees with the engine: {status:?}"
+    );
+}
+
+/// Admits one flow of `volume` over `[1, 50]`, snapshots, lets `edit`
+/// rewrite its bucket in the file, restarts on the edited file, advances
+/// the bucket clock to 30 with a second submission and returns the first
+/// flow's status.
+fn status_after_edited_restart(
+    name: &str,
+    volume: f64,
+    edit: impl FnOnce(&mut BucketState),
+) -> StatusReply {
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let submit = |release: f64| {
+        RequestBody::SubmitFlow(SubmitFlow {
+            src: built.hosts[0].0,
+            dst: built.hosts[5].0,
+            release,
+            deadline: 50.0,
+            volume,
+        })
+    };
+    let snapshot_path = temp_path(name);
+    let mut cfg = config();
+    cfg.snapshot_path = Some(snapshot_path.clone());
+    let mut server = Server::start(cfg.clone()).expect("server starts");
+    server.request(Request::new(0, submit(1.0)));
+    server.request(Request::new(1, RequestBody::Snapshot));
+    server.shutdown();
+    let mut file = SnapshotFile::load(&snapshot_path).expect("snapshot loads");
+    let bucket = file.buckets.iter_mut().find(|b| !b.flows.is_empty());
+    edit(bucket.expect("the admitted flow is in some bucket"));
+    file.save(&snapshot_path).expect("snapshot saves");
+
+    let mut server = Server::start(cfg).expect("server restores");
+    server.request(Request::new(2, submit(30.0)));
+    let status = server.request(Request::new(3, RequestBody::QueryFlow { flow: 0 }));
+    server.shutdown();
+    let _ = std::fs::remove_file(&snapshot_path);
+    match status.body {
+        ResponseBody::Status(status) => status,
+        other => panic!("expected a status reply, got {other:?}"),
+    }
+}
+
+/// The ledger credits what a plan delivered, unclamped; a plan that
+/// overshoots the volume must still read as exactly the volume on the wire.
+#[test]
+fn replies_never_show_more_than_the_volume_delivered() {
+    let status = status_after_edited_restart("overshoot", 4.0, |bucket| {
+        // Twice the paced rate: by t = 30 the plan has moved 4.7 of 4.
+        bucket.plans[0].segments[0].rate *= 2.0;
+    });
+    assert!(
+        status.state == "delivered" && status.delivered == 4.0 && status.remaining == 0.0,
+        "overshoot leaked into the reply: {status:?}"
+    );
 }

@@ -9,7 +9,7 @@
 //!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root;
 //! * the product crates keep one call path per operation: a superseded
 //!   entry point is deleted, never kept alive behind `#[deprecated]` or a
-//!   cargo feature.
+//!   cargo feature, and the online drivers share one in-flight ledger.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -211,14 +211,32 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
         );
     }
     assert!(!sources.is_empty());
+    // The in-flight state of both online drivers lives in
+    // `crates/core/src/online/ledger.rs` alone (PR 16): the second ledger,
+    // the second admission rule and the second volume tolerance stay gone.
+    let mut volume_tolerances = Vec::new();
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
-        for banned in ["#[deprecated", "cfg(feature"] {
+        for banned in [
+            "#[deprecated",
+            "cfg(feature",
+            "ServeAdmission",
+            "struct FlowState",
+            "fn residual_set",
+        ] {
             assert!(
                 !source.contains(banned),
                 "{}: `{banned}` is banned — delete the superseded item instead",
                 path.display()
             );
         }
+        if source.contains("const VOLUME_TOL") {
+            volume_tolerances.push(path);
+        }
     }
+    assert_eq!(
+        volume_tolerances,
+        [root.join("crates/core/src/online/ledger.rs")],
+        "the retire rule and its `VOLUME_TOL` are defined once, in the ledger"
+    );
 }
