@@ -107,13 +107,8 @@ impl Algorithm for Dcfsr {
         power: &PowerFunction,
     ) -> Result<Solution, SolveError> {
         let relaxation = ctx.relax(flows, power, &self.config.fmcf)?;
-        let outcome = RandomSchedule::new(self.config).run_with_relaxation_threads(
-            ctx.network(),
-            flows,
-            power,
-            &relaxation,
-            ctx.parallelism().threads,
-        )?;
+        let outcome =
+            RandomSchedule::new(self.config).run_in_context(ctx, flows, power, &relaxation)?;
         let energy = outcome.schedule.energy(power);
         let mut solution = Solution::scheduled(self.name(), outcome.schedule, energy);
         solution.lower_bound = Some(relaxation.lower_bound);

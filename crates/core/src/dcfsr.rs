@@ -23,13 +23,14 @@
 //! capacity, the implementation re-samples a bounded number of times and
 //! keeps the least-violating draw, as the paper suggests.
 
-use crate::relaxation::RelaxationSummary;
+use crate::relaxation::{IntervalRelaxation, RelaxationSummary};
 use crate::schedule::{FlowSchedule, Schedule};
-use dcn_flow::{FlowId, FlowSet};
+use crate::SolverContext;
+use dcn_flow::{Flow, FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_solver::decompose::decompose_flow;
+use dcn_solver::decompose::{decompose_flow_with, DecomposeScratch, WeightedPath};
 use dcn_solver::fmcf::FmcfSolverConfig;
-use dcn_topology::{Network, Path};
+use dcn_topology::{Network, NodeId, Path};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::fmt;
@@ -129,7 +130,9 @@ impl RandomSchedule {
 
     /// Runs decomposition, rounding and scheduling on a precomputed
     /// relaxation (useful when the caller also needs the lower bound, as the
-    /// benchmark harness does).
+    /// benchmark harness does). `network` is taken as the live topology;
+    /// callers whose [`SolverContext`] has links down use
+    /// [`RandomSchedule::run_in_context`].
     ///
     /// # Errors
     ///
@@ -142,30 +145,52 @@ impl RandomSchedule {
         power: &PowerFunction,
         relaxation: &RelaxationSummary,
     ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        self.run_with_relaxation_threads(network, flows, power, relaxation, 1)
+        let live_path = |src, dst| network.shortest_path(src, dst);
+        self.run(network, &live_path, flows, power, relaxation, 1)
     }
 
-    /// [`RandomSchedule::run_with_relaxation`] with the per-interval path
-    /// decomposition fanned out across `threads` pool workers (each
-    /// interval's Raghavan–Tompson decompositions are independent; the
-    /// weight merge and the rounding loop stay sequential, so the outcome
-    /// is bit-identical at any thread count). This is the entry point the
-    /// [`crate::Dcfsr`] algorithm's `solve` drives from the context's
-    /// [`crate::SolverContext::parallelism`] knob.
+    /// [`RandomSchedule::run_with_relaxation`] on a solver context: a flow
+    /// whose decomposition comes up empty is routed on the context's live
+    /// graph, never across a link that is down there, and the per-interval
+    /// path decomposition fans out across the context's
+    /// [`SolverContext::parallelism`] pool workers (each interval's
+    /// Raghavan–Tompson decompositions are independent; the weight merge
+    /// and the rounding loop stay sequential, so the outcome is
+    /// bit-identical at any thread count). This is the entry point the
+    /// [`crate::Dcfsr`] algorithm's `solve` drives.
     ///
     /// # Errors
     ///
     /// Returns [`DcfsrError::Unroutable`] if some flow has no path in the
-    /// network.
-    pub fn run_with_relaxation_threads(
+    /// context's graph.
+    pub fn run_in_context(
+        &self,
+        ctx: &SolverContext<'_>,
+        flows: &FlowSet,
+        power: &PowerFunction,
+        relaxation: &RelaxationSummary,
+    ) -> Result<RandomScheduleOutcome, DcfsrError> {
+        let live_path = |src, dst| ctx.graph().shortest_path(src, dst);
+        self.run(
+            ctx.network(),
+            &live_path,
+            flows,
+            power,
+            relaxation,
+            ctx.parallelism().threads,
+        )
+    }
+
+    fn run(
         &self,
         network: &Network,
+        live_path: &dyn Fn(NodeId, NodeId) -> Option<Path>,
         flows: &FlowSet,
         power: &PowerFunction,
         relaxation: &RelaxationSummary,
         threads: usize,
     ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        let candidates = self.candidate_paths(network, flows, relaxation, threads)?;
+        let candidates = self.candidate_paths(network, live_path, flows, relaxation, threads)?;
 
         // Randomized rounding with capacity re-draws.
         let mut best: Option<(Schedule, f64)> = None;
@@ -202,66 +227,78 @@ impl RandomSchedule {
     /// `w̄_P` (Algorithm 2, lines 4–7).
     ///
     /// The per-interval decompositions are independent and fan out across
-    /// `threads` pool workers; the weight merge then walks the per-interval
-    /// results in interval order, flow order, path order — the exact
-    /// floating-point sequence of the sequential loop, so the candidate
-    /// sets are bit-identical at any thread count.
+    /// `threads` pool workers (one [`DecomposeScratch`] each); the weight
+    /// merge then walks the per-interval results in interval order, flow
+    /// order, path order — the exact floating-point sequence of the
+    /// sequential loop, so the candidate sets are bit-identical at any
+    /// thread count.
     fn candidate_paths(
         &self,
         network: &Network,
+        live_path: &dyn Fn(NodeId, NodeId) -> Option<Path>,
         flows: &FlowSet,
         relaxation: &RelaxationSummary,
         threads: usize,
     ) -> Result<Vec<Vec<CandidatePath>>, DcfsrError> {
         let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
+        let epsilon = self.config.decompose_epsilon;
 
-        let decomposed = crate::pool::run_indexed(relaxation.intervals.len(), threads, |k| {
-            let iv = &relaxation.intervals[k];
-            iv.flow_ids
-                .iter()
-                .enumerate()
-                .map(|(ci, &flow_id)| {
-                    let flow = flows.flow(flow_id);
-                    decompose_flow(
-                        network,
-                        flow.src,
-                        flow.dst,
-                        iv.solution.commodity_flows(ci),
-                        self.config.decompose_epsilon,
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
+        let decomposed = crate::pool::run_indexed_with(
+            relaxation.intervals.len(),
+            threads,
+            DecomposeScratch::default,
+            |scratch, k| {
+                let iv = &relaxation.intervals[k];
+                iv.flow_ids
+                    .iter()
+                    .enumerate()
+                    .map(|(ci, &flow_id)| {
+                        let flow = flows.flow(flow_id);
+                        let edge_flow = iv.solution.commodity_flows(ci);
+                        decompose_flow_with(
+                            network, flow.src, flow.dst, edge_flow, epsilon, scratch,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
 
         for (iv, interval_parts) in relaxation.intervals.iter().zip(decomposed) {
-            let interval_share = iv.interval.length();
             for (&flow_id, parts) in iv.flow_ids.iter().zip(interval_parts) {
-                let flow = flows.flow(flow_id);
-                let density = flow.density();
-                for part in parts {
-                    // w_P(k): the fraction of the flow routed on this path
-                    // in interval k; merged weight adds |I_k| / (d_i - r_i).
-                    let fraction = part.weight / density;
-                    let merged = fraction * interval_share / flow.span_length();
-                    match candidates[flow_id].iter_mut().find(|c| c.path == part.path) {
-                        Some(existing) => existing.weight += merged,
-                        None => candidates[flow_id].push(CandidatePath {
-                            path: part.path,
-                            weight: merged,
-                        }),
-                    }
-                }
+                merge_parts(&mut candidates[flow_id], parts, iv, flows.flow(flow_id));
             }
         }
 
-        // Normalise; flows whose decomposition produced nothing (possible
-        // only through numerical degeneration) fall back to a shortest path.
+        // Normalise. A flow whose decomposition produced nothing carries
+        // less than the absolute threshold on every link (a nearly
+        // delivered residual flow, say): decompose it again with the
+        // threshold relative to its density, and only if the relaxation
+        // holds no flow for it at all fall back to a shortest path of the
+        // live graph.
+        let total_weight = |entry: &[CandidatePath]| entry.iter().map(|c| c.weight).sum::<f64>();
+        let mut scratch = DecomposeScratch::default();
         for flow in flows.iter() {
             let entry = &mut candidates[flow.id];
-            let total: f64 = entry.iter().map(|c| c.weight).sum();
-            if entry.is_empty() || total <= 0.0 {
-                let path = network
-                    .shortest_path(flow.src, flow.dst)
+            let mut total = total_weight(entry);
+            if total <= 0.0 {
+                entry.clear();
+                for iv in &relaxation.intervals {
+                    if let Some(ci) = iv.commodity_index(flow.id) {
+                        let parts = decompose_flow_with(
+                            network,
+                            flow.src,
+                            flow.dst,
+                            iv.solution.commodity_flows(ci),
+                            epsilon * flow.density(),
+                            &mut scratch,
+                        );
+                        merge_parts(entry, parts, iv, flow);
+                    }
+                }
+                total = total_weight(entry);
+            }
+            if total <= 0.0 {
+                let path = live_path(flow.src, flow.dst)
                     .ok_or(DcfsrError::Unroutable { flow: flow.id })?;
                 entry.clear();
                 entry.push(CandidatePath { path, weight: 1.0 });
@@ -272,6 +309,29 @@ impl RandomSchedule {
             }
         }
         Ok(candidates)
+    }
+}
+
+/// Adds one interval's decomposition of `flow` to its candidate set:
+/// `w_P(k)` is the fraction of the flow routed on the path in interval
+/// `k`, and the merged weight adds `w_P(k) * |I_k| / (d_i - r_i)`.
+fn merge_parts(
+    entry: &mut Vec<CandidatePath>,
+    parts: Vec<WeightedPath>,
+    iv: &IntervalRelaxation,
+    flow: &Flow,
+) {
+    let density = flow.density();
+    for part in parts {
+        let fraction = part.weight / density;
+        let merged = fraction * iv.interval.length() / flow.span_length();
+        match entry.iter_mut().find(|c| c.path == part.path) {
+            Some(existing) => existing.weight += merged,
+            None => entry.push(CandidatePath {
+                path: part.path,
+                weight: merged,
+            }),
+        }
     }
 }
 

@@ -10,7 +10,6 @@
 //! randomized rounding step samples a single path per flow.
 
 use dcn_topology::{LinkId, Network, NodeId, Path};
-use std::collections::VecDeque;
 
 /// A candidate routing path together with the amount of fractional flow it
 /// carries.
@@ -21,6 +20,28 @@ pub struct WeightedPath {
     /// The fractional flow assigned to the path (the Raghavan–Tompson
     /// bottleneck weight).
     pub weight: f64,
+}
+
+/// Reusable buffers of [`decompose_flow_with`]: the residual copy of the
+/// edge flow and the search state of the path extraction. One scratch can
+/// serve every commodity of an interval sweep; it grows to the largest
+/// network seen and allocates nothing per extracted path afterwards.
+#[derive(Debug, Clone, Default)]
+pub struct DecomposeScratch {
+    /// The flow not yet assigned to an extracted path, per link.
+    residual: Vec<f64>,
+    /// The link each node was reached by in the current search; valid
+    /// where `reached` carries the current `round`.
+    parent: Vec<LinkId>,
+    /// Round in which each node was last reached (a generation stamp, so
+    /// a new search does not re-zero the arena).
+    reached: Vec<u32>,
+    /// The current search's stamp.
+    round: u32,
+    /// FIFO of the current search.
+    queue: Vec<NodeId>,
+    /// Link sequence of the path being extracted.
+    links: Vec<LinkId>,
 }
 
 /// Decomposes a per-link fractional flow of a single commodity into weighted
@@ -44,21 +65,47 @@ pub fn decompose_flow(
     edge_flow: &[f64],
     epsilon: f64,
 ) -> Vec<WeightedPath> {
+    decompose_flow_with(
+        network,
+        src,
+        dst,
+        edge_flow,
+        epsilon,
+        &mut DecomposeScratch::default(),
+    )
+}
+
+/// [`decompose_flow`] on the caller's reusable buffers; the result does
+/// not depend on what the scratch was used for before.
+///
+/// # Panics
+///
+/// Panics if `edge_flow` is shorter than the network's link count.
+pub fn decompose_flow_with(
+    network: &Network,
+    src: NodeId,
+    dst: NodeId,
+    edge_flow: &[f64],
+    epsilon: f64,
+    scratch: &mut DecomposeScratch,
+) -> Vec<WeightedPath> {
     assert!(
         edge_flow.len() >= network.link_count(),
         "edge_flow has {} entries but the network has {} links",
         edge_flow.len(),
         network.link_count()
     );
-    let mut residual: Vec<f64> = edge_flow.to_vec();
+    scratch.residual.clear();
+    scratch.residual.extend_from_slice(edge_flow);
     let mut out = Vec::new();
 
     // Safety valve: each extraction zeroes at least one link, so the number
     // of iterations is bounded by the number of links.
     for _ in 0..network.link_count() + 1 {
-        let Some(path) = positive_flow_path(network, src, dst, &residual, epsilon) else {
+        let Some(path) = positive_flow_path(network, src, dst, epsilon, scratch) else {
             break;
         };
+        let residual = &mut scratch.residual;
         let bottleneck = path
             .links()
             .iter()
@@ -85,36 +132,55 @@ fn positive_flow_path(
     network: &Network,
     src: NodeId,
     dst: NodeId,
-    residual: &[f64],
     epsilon: f64,
+    scratch: &mut DecomposeScratch,
 ) -> Option<Path> {
+    let DecomposeScratch {
+        residual,
+        parent,
+        reached,
+        round,
+        queue,
+        links,
+    } = scratch;
     let n = network.node_count();
-    let mut parent: Vec<Option<LinkId>> = vec![None; n];
-    let mut visited = vec![false; n];
-    visited[src.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
+    if reached.len() < n {
+        reached.resize(n, 0);
+        parent.resize(n, LinkId(0));
+    }
+    *round = round.wrapping_add(1);
+    if *round == 0 {
+        // The stamp wrapped: stale marks could collide, so pay one reset.
+        reached.fill(0);
+        *round = 1;
+    }
+    reached[src.index()] = *round;
+    queue.clear();
+    queue.push(src);
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
         for &lid in network.out_links(u) {
             if residual[lid.index()] <= epsilon {
                 continue;
             }
             let v = network.link(lid).dst;
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                parent[v.index()] = Some(lid);
+            if reached[v.index()] != *round {
+                reached[v.index()] = *round;
+                parent[v.index()] = lid;
                 if v == dst {
-                    let mut links_rev = Vec::new();
+                    links.clear();
                     let mut cur = dst;
                     while cur != src {
-                        let l = parent[cur.index()].expect("BFS parent chain is complete");
-                        links_rev.push(l);
+                        let l = parent[cur.index()];
+                        links.push(l);
                         cur = network.link(l).src;
                     }
-                    links_rev.reverse();
-                    return Path::from_links(network, src, &links_rev).ok();
+                    links.reverse();
+                    return Path::from_links(network, src, links).ok();
                 }
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }
@@ -190,6 +256,45 @@ mod tests {
             assert_eq!(wp.path.source(), hosts[0]);
             assert_eq!(wp.path.destination(), hosts[15]);
             assert!(wp.weight > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_decomposes_like_a_fresh_one() {
+        let t = builders::fat_tree(4);
+        let hosts = t.hosts();
+        let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 2.0, 1e9));
+        let mut scratch = DecomposeScratch::default();
+        // A larger network first, so the arenas are oversized and stamped.
+        let big = builders::fat_tree(6);
+        let flow = vec![0.0; big.network.link_count()];
+        decompose_flow_with(
+            &big.network,
+            big.source(),
+            big.sink(),
+            &flow,
+            1e-9,
+            &mut scratch,
+        );
+        for (a, b) in [(0usize, 15usize), (3, 4), (15, 0), (2, 3)] {
+            let problem = FmcfProblem::new(
+                &t.network,
+                vec![Commodity {
+                    id: 0,
+                    src: hosts[a],
+                    dst: hosts[b],
+                    demand: 2.0,
+                }],
+            );
+            let sol = problem.solve(&cost, &FmcfSolverConfig::default());
+            let flows = sol.commodity_flows(0);
+            let reused =
+                decompose_flow_with(&t.network, hosts[a], hosts[b], flows, 1e-9, &mut scratch);
+            assert!(!reused.is_empty());
+            assert_eq!(
+                reused,
+                decompose_flow(&t.network, hosts[a], hosts[b], flows, 1e-9)
+            );
         }
     }
 

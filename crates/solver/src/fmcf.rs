@@ -16,14 +16,28 @@
 //! the mixing coefficient chosen by exact (golden-section) line search on
 //! the convex objective.
 //!
+//! # Start point
+//!
+//! Frank–Wolfe adds one path per commodity per iteration, so a start on a
+//! single path needs at least as many iterations as there are equal-cost
+//! paths to touch them all (16 between pods of a k=8 fat-tree). The solver
+//! therefore starts at the **ECMP split**: every commodity's demand divided
+//! equally, node by node, over its hop-count shortest-path DAG. On a
+//! symmetric fabric (a failure-free fat-tree) that point satisfies the
+//! optimality conditions of the convex problem — every used path has the
+//! same, minimal marginal cost — so the first iteration finds a zero
+//! Frank–Wolfe gap and stops; on any other graph it is still a feasible
+//! point, usually a far better one than a single path, and the iterations
+//! take it from there.
+//!
 //! # Hot-path layout
 //!
 //! The solver runs on the flat [`GraphCsr`] view and keeps every
 //! per-iteration buffer in a reusable [`FmcfScratch`]:
 //!
-//! * the all-or-nothing step groups commodities by source and runs **one**
-//!   multi-target Dijkstra per distinct source (not per commodity) through
-//!   the arena-reuse [`ShortestPathEngine`];
+//! * the start and the all-or-nothing step group commodities by source and
+//!   run **one** multi-target Dijkstra per distinct source (not per
+//!   commodity) through the arena-reuse [`ShortestPathEngine`];
 //! * chosen paths are stored as spans into one shared link buffer, and the
 //!   per-commodity flow matrix is a single flat `n x m` array, so blending
 //!   and load accumulation are sequential passes;
@@ -38,6 +52,7 @@
 
 use dcn_power::PowerFunction;
 use dcn_topology::{GraphCsr, LinkId, Network, NodeId, ShortestPathEngine};
+use std::collections::HashMap;
 
 /// One commodity of the multi-commodity flow problem: `demand` units of
 /// traffic per unit time from `src` to `dst`.
@@ -201,6 +216,39 @@ struct WarmEntry {
     cost_bits: [u64; 3],
 }
 
+/// The ECMP splits of a unit demand computed so far on one graph state,
+/// keyed by `(src, dst)`. A flow is active in many intervals of an offline
+/// sweep and re-solved on every online arrival; its split depends on the
+/// graph and the endpoints alone.
+#[derive(Debug, Clone, Default)]
+struct SplitCache {
+    /// Epoch of the graph the splits were computed on (epochs are globally
+    /// unique per graph instance and mutation state).
+    graph_epoch: u64,
+    /// `(src, dst)` -> `(start, len)` span into `shares`.
+    spans: HashMap<(NodeId, NodeId), (usize, usize)>,
+    /// Concatenated `(link, share of a unit demand)` lists, each in the
+    /// order the backward pass wrote it.
+    shares: Vec<(LinkId, f64)>,
+}
+
+impl SplitCache {
+    /// Link shares kept before the cache is dropped and refilled (16 MB);
+    /// the distinct pairs of a long online run on a large fabric would
+    /// otherwise grow it without bound.
+    const MAX_SHARES: usize = 1 << 20;
+
+    /// Drops every split computed on another graph state, or all of them
+    /// once the cache is full. Refilling recomputes identical splits.
+    fn start_solve(&mut self, graph_epoch: u64) {
+        if self.graph_epoch != graph_epoch || self.shares.len() > Self::MAX_SHARES {
+            self.graph_epoch = graph_epoch;
+            self.spans.clear();
+            self.shares.clear();
+        }
+    }
+}
+
 /// Reusable solver state: the shortest-path engine arenas and every
 /// per-iteration buffer. One scratch can (and should) be shared across the
 /// many [`FmcfProblem::solve_with`] calls of an interval sweep; it grows to
@@ -215,7 +263,7 @@ struct WarmEntry {
 /// touching the cached flows) returns the cached solution bit-for-bit
 /// without iterating. Otherwise commodities carried over from the cached
 /// problem whose flows avoid every dirty link are *seeded* from their
-/// previous rows (scaled to the new demand) instead of hop-count paths, so
+/// previous rows (scaled to the new demand) instead of the ECMP split, so
 /// Frank–Wolfe starts near the old optimum and converges in fewer
 /// iterations; freshly arrived or dirty-path commodities are re-routed
 /// from scratch. Warm starts are off by default: the cold path is
@@ -231,10 +279,22 @@ pub struct FmcfScratch {
     blended: Vec<f64>,
     /// Commodity indices grouped by source node (sorted by `(src, index)`).
     order: Vec<usize>,
-    /// Concatenated link sequences of the chosen all-or-nothing paths.
+    /// Concatenated per-commodity link lists: the links of the chosen
+    /// all-or-nothing path during an iteration, and before the first one
+    /// the support of the commodity's ECMP split (its shortest-path DAG).
     path_links: Vec<LinkId>,
     /// Per-commodity `(start, len)` span into `path_links`.
     path_spans: Vec<(usize, usize)>,
+    /// The ECMP unit splits computed so far on the current graph state.
+    splits: SplitCache,
+    /// Share of a unit demand arriving at each node during the backward
+    /// pass of an ECMP split (all zero between passes).
+    node_share: Vec<f64>,
+    /// Membership mask of `dag_queue` (all `false` between passes).
+    node_queued: Vec<bool>,
+    /// Nodes of the current pair's shortest-path DAG, in the order the
+    /// backward pass reached them (farthest from the source first).
+    dag_queue: Vec<NodeId>,
     /// Destination batch of the current source group.
     targets: Vec<NodeId>,
     /// Links touched by any chosen path so far, sorted ascending; the
@@ -339,6 +399,62 @@ impl FmcfScratch {
         if !sparse {
             self.active.extend((0..m).map(LinkId));
         }
+    }
+
+    /// Appends the ECMP split of a unit demand from `src` to `dst` (a pair
+    /// not cached yet) to the split cache, reading hop distances from the
+    /// engine's latest search, which must have been a unit-weight search
+    /// from `src` that settled `dst`.
+    ///
+    /// A link `u -> v` lies on the pair's shortest-path DAG iff it is
+    /// *tight*, `dist(u) + 1 == dist(v)` (exact: unit-weight distances are
+    /// small integers), and every node closer to the source than a settled
+    /// target is itself settled. One backward pass from `dst` divides what
+    /// arrives at a node equally over its tight in-links — linear in the
+    /// DAG, however many paths it holds. A node's tight in-neighbours are
+    /// one hop closer to the source than the node, so the FIFO order
+    /// finishes every level before the next one starts and a node's share
+    /// is complete when the node is reached.
+    fn cache_unit_split(&mut self, graph: &GraphCsr, src: NodeId, dst: NodeId) {
+        let FmcfScratch {
+            engine,
+            splits,
+            node_share,
+            node_queued,
+            dag_queue,
+            ..
+        } = self;
+        let start = splits.shares.len();
+        dag_queue.clear();
+        dag_queue.push(dst);
+        node_queued[dst.index()] = true;
+        node_share[dst.index()] = 1.0;
+        let mut head = 0;
+        while head < dag_queue.len() {
+            let v = dag_queue[head];
+            head += 1;
+            // At the source (distance zero) nothing is tight.
+            let closer = engine.distance(v).map(|d| d - 1.0);
+            let tight = |l: &&LinkId| engine.distance(graph.link_src(**l)) == closer;
+            let ways = graph.in_links(v).iter().filter(tight).count();
+            let part = node_share[v.index()] / ways as f64;
+            for &l in graph.in_links(v).iter().filter(tight) {
+                splits.shares.push((l, part));
+                let u = graph.link_src(l);
+                node_share[u.index()] += part;
+                if !node_queued[u.index()] {
+                    node_queued[u.index()] = true;
+                    dag_queue.push(u);
+                }
+            }
+        }
+        for v in dag_queue.iter() {
+            node_share[v.index()] = 0.0;
+            node_queued[v.index()] = false;
+        }
+        splits
+            .spans
+            .insert((src, dst), (start, splits.shares.len() - start));
     }
 
     /// Adds every link of the freshly chosen paths to the active set,
@@ -508,7 +624,74 @@ impl<'a> FmcfProblem<'a> {
         true
     }
 
-    /// The chosen path of commodity `c` after [`Self::all_or_nothing`].
+    /// Writes the ECMP split of every commodity into its row of `flows`
+    /// (all zero on entry) and records the row's support as the
+    /// commodity's span in `scratch`. Returns `false` if some commodity
+    /// has no path at all.
+    ///
+    /// The split of a unit demand depends on the graph state and the
+    /// endpoints alone, so it is computed once per `(src, dst)` and graph
+    /// epoch ([`SplitCache`]) — one unit-weight search per distinct source
+    /// with a pair still missing — and every row is the cached split
+    /// scaled by the demand: a warmed-up, a fresh and a per-worker scratch
+    /// write the same bits.
+    fn ecmp_split(&self, scratch: &mut FmcfScratch, flows: &mut [f64], m: usize) -> bool {
+        let graph = self.graph.get();
+        scratch.splits.start_solve(graph.epoch());
+        scratch.node_share.resize(graph.node_count(), 0.0);
+        scratch.node_queued.resize(graph.node_count(), false);
+
+        let mut i = 0;
+        while i < scratch.order.len() {
+            let src = self.commodities[scratch.order[i]].src;
+            let mut j = i;
+            scratch.targets.clear();
+            while j < scratch.order.len() && self.commodities[scratch.order[j]].src == src {
+                let dst = self.commodities[scratch.order[j]].dst;
+                if !scratch.splits.spans.contains_key(&(src, dst))
+                    && !scratch.targets.contains(&dst)
+                {
+                    scratch.targets.push(dst);
+                }
+                j += 1;
+            }
+            if !scratch.targets.is_empty() {
+                scratch
+                    .engine
+                    .single_source_all_targets(graph, src, &scratch.targets, |_| 1.0);
+                for t in 0..scratch.targets.len() {
+                    let dst = scratch.targets[t];
+                    if !scratch.engine.settled(dst) {
+                        return false;
+                    }
+                    scratch.cache_unit_split(graph, src, dst);
+                }
+            }
+            i = j;
+        }
+
+        let FmcfScratch {
+            splits,
+            path_links,
+            path_spans,
+            ..
+        } = scratch;
+        path_links.clear();
+        for (c, commodity) in self.commodities.iter().enumerate() {
+            let (start, len) = splits.spans[&(commodity.src, commodity.dst)];
+            let row = &mut flows[c * m..(c + 1) * m];
+            path_spans[c] = (path_links.len(), len);
+            for &(l, share) in &splits.shares[start..start + len] {
+                row[l.index()] = commodity.demand * share;
+                path_links.push(l);
+            }
+        }
+        true
+    }
+
+    /// The link list of commodity `c`: its chosen path after
+    /// [`Self::all_or_nothing`], the support of its start after
+    /// [`Self::ecmp_split`].
     fn span<'s>(&self, scratch: &'s FmcfScratch, c: usize) -> &'s [LinkId] {
         let (start, len) = scratch.path_spans[c];
         &scratch.path_links[start..start + len]
@@ -577,18 +760,13 @@ impl<'a> FmcfProblem<'a> {
         let mut flows = vec![0.0; n * m];
         let mut loads = vec![0.0; m];
 
-        // Initial feasible point: hop-count shortest paths.
-        scratch.weights.fill(1.0);
+        // Initial feasible point: the ECMP split, every demand divided
+        // equally over its hop-count shortest-path DAG.
         assert!(
-            self.all_or_nothing(scratch),
+            self.ecmp_split(scratch, &mut flows, m),
             "every commodity must have a path in the network"
         );
         scratch.register_active_paths();
-        for (c, commodity) in self.commodities.iter().enumerate() {
-            for &l in self.span(scratch, c) {
-                flows[c * m + l.index()] = commodity.demand;
-            }
-        }
         if warm {
             self.seed_from_cache(cost, config, scratch, &mut flows, m);
         }
@@ -753,10 +931,10 @@ impl<'a> FmcfProblem<'a> {
         })
     }
 
-    /// Overwrites the hop-count initial rows of commodities carried over
-    /// from the cached problem with their previous converged flows (scaled
-    /// to the new demand), skipping commodities whose cached flows touch a
-    /// dirty link. Registers the seeded links as active.
+    /// Overwrites the ECMP-split rows of commodities carried over from the
+    /// cached problem with their previous converged flows (scaled to the
+    /// new demand), skipping commodities whose cached flows touch a dirty
+    /// link. Registers the seeded links as active.
     fn seed_from_cache(
         &self,
         cost: &impl FlowCost,
@@ -777,7 +955,7 @@ impl<'a> FmcfProblem<'a> {
             {
                 return;
             }
-            let index: std::collections::HashMap<usize, usize> = entry
+            let index: HashMap<usize, usize> = entry
                 .keys
                 .iter()
                 .enumerate()
@@ -803,12 +981,12 @@ impl<'a> FmcfProblem<'a> {
                 {
                     continue;
                 }
-                // Replace the hop-count initial path with the scaled cached
-                // row; scaling a valid flow preserves conservation at the
-                // new demand.
+                // Replace the whole initial row — the span is its support,
+                // and the cached row need not cover it — with the scaled
+                // cached row; scaling a valid flow preserves conservation
+                // at the new demand.
                 let scale = commodity.demand / old_demand;
-                let (start, len) = scratch.path_spans[c];
-                for &l in &scratch.path_links[start..start + len] {
+                for &l in self.span(scratch, c) {
                     flows[c * m + l.index()] = 0.0;
                 }
                 for &l in &entry.active {
@@ -970,7 +1148,7 @@ fn golden_section_min(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, steps: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_topology::builders;
+    use dcn_topology::{builders, NodeKind};
 
     fn quadratic_cost() -> PowerFlowCost {
         PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 2.0, 1e9))
@@ -1394,6 +1572,363 @@ mod tests {
         let after = problem.solve_with(&cost, &config, &mut scratch);
         let fresh = problem.solve_with(&cost, &config, &mut FmcfScratch::new());
         assert_eq!(after, fresh);
+    }
+
+    /// The start point alone: zero iterations return the ECMP split.
+    fn start_of(problem: &FmcfProblem<'_>, scratch: &mut FmcfScratch) -> FmcfSolution {
+        let config = FmcfSolverConfig {
+            max_iterations: 0,
+            ..Default::default()
+        };
+        problem.solve_with(&quadratic_cost(), &config, scratch)
+    }
+
+    /// Asserts per-commodity conservation at every node of `graph`, to
+    /// `tolerance` relative to the demand.
+    fn assert_conserves(
+        graph: &GraphCsr,
+        sol: &FmcfSolution,
+        commodities: &[Commodity],
+        tolerance: f64,
+    ) {
+        for (ci, c) in commodities.iter().enumerate() {
+            for v in (0..graph.node_count()).map(NodeId) {
+                let out: f64 = graph
+                    .out_links(v)
+                    .iter()
+                    .map(|&l| sol.commodity_flow(ci, l))
+                    .sum();
+                let into: f64 = graph
+                    .in_links(v)
+                    .iter()
+                    .map(|&l| sol.commodity_flow(ci, l))
+                    .sum();
+                let expected = if v == c.src {
+                    c.demand
+                } else if v == c.dst {
+                    -c.demand
+                } else {
+                    0.0
+                };
+                assert!(
+                    (out - into - expected).abs() <= tolerance * c.demand,
+                    "commodity {ci} violates conservation at {v}: {} vs {expected}",
+                    out - into
+                );
+            }
+        }
+    }
+
+    /// A deterministic spread of host pairs with uneven demands.
+    fn host_pairs(hosts: &[NodeId], count: usize) -> Vec<Commodity> {
+        (0..count)
+            .map(|id| Commodity {
+                id,
+                src: hosts[(id * 7) % hosts.len()],
+                dst: hosts[(id * 7 + 1 + id * 3) % hosts.len()],
+                demand: 0.5 + (id % 5) as f64 * 0.7,
+            })
+            .filter(|c| c.src != c.dst)
+            .collect()
+    }
+
+    #[test]
+    fn ecmp_start_conserves_every_commodity_at_every_node() {
+        for topo in [
+            builders::fat_tree(4),
+            builders::fat_tree(6),
+            builders::bcube(3, 1),
+            builders::leaf_spine(4, 3, 4),
+            builders::parallel(3, 10.0),
+            builders::line(4),
+        ] {
+            let graph = topo.csr();
+            let commodities = host_pairs(topo.hosts(), 14);
+            let problem = FmcfProblem::with_graph(&graph, commodities.clone());
+            let start = start_of(&problem, &mut FmcfScratch::new());
+            assert_eq!(start.iterations, 0);
+            assert_conserves(&graph, &start, &commodities, 1e-12);
+        }
+    }
+
+    #[test]
+    fn fat_tree_start_splits_equally_over_every_shortest_path() {
+        for k in [4usize, 8] {
+            let half = k / 2;
+            let t = builders::fat_tree(k);
+            let hosts = t.hosts();
+            let graph = t.csr();
+            let kind = |v: NodeId| t.network.node(v).kind;
+            let demand = 3.0;
+            // (destination, loaded links, loaded links touching a core
+            // switch, flow on every link between switches).
+            let cases = [
+                // Another pod: (k/2)^2 core paths.
+                (
+                    hosts[hosts.len() - 1],
+                    2 + 2 * half + 2 * half * half,
+                    2 * half * half,
+                    None,
+                ),
+                // Same pod, another edge switch: k/2 aggregation paths.
+                (hosts[half], 2 + 2 * half, 0, Some(demand / half as f64)),
+                // Same edge switch: the one two-hop path.
+                (hosts[1], 2, 0, None),
+            ];
+            for (dst, loaded, through_core, fabric_flow) in cases {
+                let commodity = Commodity {
+                    id: 0,
+                    src: hosts[0],
+                    dst,
+                    demand,
+                };
+                let problem = FmcfProblem::with_graph(&graph, vec![commodity]);
+                let start = start_of(&problem, &mut FmcfScratch::new());
+                let used: Vec<LinkId> = (0..graph.link_count())
+                    .map(LinkId)
+                    .filter(|&l| start.commodity_flow(0, l) != 0.0)
+                    .collect();
+                assert_eq!(used.len(), loaded, "k={k} to {dst}");
+                let core: Vec<LinkId> = used
+                    .iter()
+                    .copied()
+                    .filter(|&l| {
+                        kind(graph.link_src(l)) == NodeKind::CoreSwitch
+                            || kind(graph.link_dst(l)) == NodeKind::CoreSwitch
+                    })
+                    .collect();
+                assert_eq!(core.len(), through_core, "k={k} to {dst}");
+                for &l in &core {
+                    assert_eq!(
+                        start.commodity_flow(0, l),
+                        demand / (half * half) as f64,
+                        "k={k}: every core path carries d/(k/2)^2"
+                    );
+                }
+                for &l in &used {
+                    let on_host =
+                        kind(graph.link_src(l)).is_host() || kind(graph.link_dst(l)).is_host();
+                    if on_host {
+                        assert_eq!(start.commodity_flow(0, l), demand);
+                    } else if let Some(expected) = fabric_flow {
+                        assert_eq!(start.commodity_flow(0, l), expected, "k={k} to {dst}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_links_share_the_start_equally() {
+        let t = builders::parallel(4, 100.0);
+        let graph = t.csr();
+        let problem = FmcfProblem::with_graph(
+            &graph,
+            vec![Commodity {
+                id: 0,
+                src: t.source(),
+                dst: t.sink(),
+                demand: 6.0,
+            }],
+        );
+        let start = start_of(&problem, &mut FmcfScratch::new());
+        let forward: Vec<LinkId> = graph.links_between(t.source(), t.sink()).collect();
+        assert_eq!(forward.len(), 4);
+        for l in forward {
+            assert_eq!(start.commodity_flow(0, l), 1.5);
+        }
+    }
+
+    /// ECMP is optimal on the symmetric fat-tree, as an executable oracle:
+    /// at the start every used path already has the minimal marginal cost,
+    /// so the Frank–Wolfe gap `sum_e w_e (x_e - s_e)` is zero up to
+    /// rounding and the first iteration stops.
+    #[test]
+    fn ecmp_start_has_zero_frank_wolfe_gap_on_the_symmetric_fat_tree() {
+        for k in [4usize, 8] {
+            let t = builders::fat_tree(k);
+            let graph = t.csr();
+            let commodities = host_pairs(t.hosts(), 24);
+            let problem = FmcfProblem::with_graph(&graph, commodities.clone());
+            for (alpha, sigma) in [(2.0, 0.0), (4.0, 0.0), (2.0, 3.0), (4.0, 3.0)] {
+                let cost = PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
+                // Capacity 1 is below most link loads, so the quadratic
+                // penalty is active; no capacity switches it off.
+                for capacity in [None, Some(1.0)] {
+                    let config = FmcfSolverConfig {
+                        capacity,
+                        ..Default::default()
+                    };
+                    let mut scratch = FmcfScratch::new();
+                    let start = start_of(&problem, &mut scratch);
+                    let loads = start.total_loads();
+                    if capacity.is_some() {
+                        assert!(loads.iter().any(|&x| x > 1.5), "the penalty must be active");
+                    }
+                    let weights: Vec<f64> = loads
+                        .iter()
+                        .enumerate()
+                        .map(|(e, &x)| {
+                            cost.marginal(LinkId(e), x) + problem.penalty_marginal(x, &config)
+                        })
+                        .collect();
+                    let at_start: f64 = weights.iter().zip(loads).map(|(w, x)| w * x).sum();
+                    let mut engine = ShortestPathEngine::new();
+                    let all_or_nothing: f64 = commodities
+                        .iter()
+                        .map(|c| {
+                            let path = engine
+                                .shortest_path(&graph, c.src, c.dst, |l| weights[l.index()])
+                                .unwrap();
+                            c.demand * path.weight(|l| weights[l.index()])
+                        })
+                        .sum();
+                    let objective: f64 = loads
+                        .iter()
+                        .enumerate()
+                        .map(|(e, &x)| cost.cost(LinkId(e), x) + problem.penalty(x, &config))
+                        .sum();
+                    let gap = at_start - all_or_nothing;
+                    assert!(
+                        gap.abs() <= 1e-12 * objective,
+                        "k={k} alpha={alpha} sigma={sigma} capacity={capacity:?}: \
+                         gap {gap} at objective {objective}"
+                    );
+
+                    let solved = problem.solve_with(&cost, &config, &mut scratch);
+                    assert_eq!(solved.iterations, 1);
+                    assert!(solved.converged);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn start_avoids_a_failed_link_and_follows_the_graph_epoch() {
+        let t = builders::fat_tree(4);
+        let hosts = t.hosts();
+        let mut graph = t.csr();
+        let commodities = vec![
+            Commodity {
+                id: 0,
+                src: hosts[0],
+                dst: hosts[15],
+                demand: 2.0,
+            },
+            Commodity {
+                id: 1,
+                src: hosts[1],
+                dst: hosts[9],
+                demand: 1.0,
+            },
+        ];
+        let mut scratch = FmcfScratch::new();
+        let pristine = start_of(
+            &FmcfProblem::with_graph(&graph, commodities.clone()),
+            &mut scratch,
+        );
+
+        // Fail an aggregation-to-core link the first commodity's split uses.
+        let victim = (0..graph.link_count())
+            .map(LinkId)
+            .find(|&l| {
+                pristine.commodity_flow(0, l) != 0.0
+                    && t.network.node(graph.link_dst(l)).kind == NodeKind::CoreSwitch
+            })
+            .unwrap();
+        graph.fail_link(victim);
+        let problem = FmcfProblem::with_graph(&graph, commodities.clone());
+        // The scratch's splits were computed on the previous graph state:
+        // they must not be served again.
+        let degraded = start_of(&problem, &mut scratch);
+        assert_eq!(degraded.edge_load(victim), 0.0);
+        assert_ne!(degraded, pristine);
+        assert_conserves(&graph, &degraded, &commodities, 1e-12);
+        assert_eq!(degraded, start_of(&problem, &mut FmcfScratch::new()));
+
+        graph.restore_link(victim);
+        let problem = FmcfProblem::with_graph(&graph, commodities);
+        assert_eq!(start_of(&problem, &mut scratch), pristine);
+    }
+
+    #[test]
+    fn start_does_not_depend_on_what_the_scratch_solved_before() {
+        let t = builders::fat_tree(4);
+        let graph = t.csr();
+        let all = host_pairs(t.hosts(), 20);
+        let mut scratch = FmcfScratch::new();
+        // Another problem first: its pairs fill the split cache, grouped
+        // under other sources than the second problem's.
+        start_of(
+            &FmcfProblem::with_graph(&graph, all[..12].to_vec()),
+            &mut scratch,
+        );
+        let problem = FmcfProblem::with_graph(&graph, all[6..].to_vec());
+        assert_eq!(
+            start_of(&problem, &mut scratch),
+            start_of(&problem, &mut FmcfScratch::new())
+        );
+    }
+
+    #[test]
+    fn a_full_split_cache_is_dropped_and_refilled() {
+        let t = builders::fat_tree(4);
+        let graph = t.csr();
+        let problem = FmcfProblem::with_graph(&graph, host_pairs(t.hosts(), 10));
+        let mut scratch = FmcfScratch::new();
+        let first = start_of(&problem, &mut scratch);
+        let filled = scratch.splits.shares.len();
+        assert!(filled > 0);
+        scratch
+            .splits
+            .shares
+            .resize(SplitCache::MAX_SHARES + 1, (LinkId(0), 0.0));
+        assert_eq!(start_of(&problem, &mut scratch), first);
+        assert_eq!(scratch.splits.shares.len(), filled);
+    }
+
+    #[test]
+    fn warm_seeded_resolve_on_a_degraded_fat_tree_conserves_flow() {
+        // With a link down the cached rows and the ECMP split of a
+        // commodity need not cover the same links: a warm seed must
+        // replace the whole initial row, not a part of it.
+        let t = builders::fat_tree(4);
+        let hosts = t.hosts();
+        let mut graph = t.csr();
+        let up = graph
+            .shortest_path(hosts[0], hosts[15])
+            .unwrap()
+            .links()
+            .to_vec();
+        graph.fail_link(up[2]);
+        let cost = quadratic_cost();
+        let config = FmcfSolverConfig::default();
+        let base: Vec<Commodity> = [(0usize, 15usize, 3.0), (1, 14, 1.5), (2, 9, 2.5)]
+            .iter()
+            .enumerate()
+            .map(|(id, &(a, b, demand))| Commodity {
+                id,
+                src: hosts[a],
+                dst: hosts[b],
+                demand,
+            })
+            .collect();
+        let mut grown = base.clone();
+        grown[1].demand = 2.25;
+        grown.push(Commodity {
+            id: 3,
+            src: hosts[3],
+            dst: hosts[12],
+            demand: 2.0,
+        });
+
+        let mut scratch = FmcfScratch::new();
+        scratch.set_warm_start(true);
+        FmcfProblem::with_graph(&graph, base).solve_with(&cost, &config, &mut scratch);
+        let warm =
+            FmcfProblem::with_graph(&graph, grown.clone()).solve_with(&cost, &config, &mut scratch);
+        assert_eq!(warm.edge_load(up[2]), 0.0);
+        assert_conserves(&graph, &warm, &grown, 1e-9);
     }
 
     #[test]

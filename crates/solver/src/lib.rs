@@ -32,6 +32,6 @@ pub mod fmcf;
 pub mod yds;
 
 pub use availability::{IntervalScan, TimeAvailability};
-pub use decompose::{decompose_flow, WeightedPath};
+pub use decompose::{decompose_flow, decompose_flow_with, DecomposeScratch, WeightedPath};
 pub use fmcf::{Commodity, FlowCost, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost};
 pub use yds::{edf_schedule, yds_schedule, Job, JobPlacement, YdsSchedule};

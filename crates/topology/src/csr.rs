@@ -510,12 +510,8 @@ impl GraphCsr {
             cur = self.link_dst(lid);
             nodes.push(cur);
         }
-        let mut sorted = nodes.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(PathError::Loop { node: w[0] });
-            }
+        if let Some(node) = crate::path::repeated_node(&nodes) {
+            return Err(PathError::Loop { node });
         }
         Ok(Path::from_parts(source, links.to_vec(), nodes))
     }

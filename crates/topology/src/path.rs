@@ -40,6 +40,28 @@ impl fmt::Display for PathError {
 
 impl std::error::Error for PathError {}
 
+/// The simplicity check of the path constructors: the smallest node id
+/// that occurs more than once in `nodes`, if any.
+///
+/// Data-center paths are a handful of hops and almost always simple, and
+/// the path decomposition builds tens of thousands of them per solve, so a
+/// short sequence is first scanned in place; the allocating sort runs only
+/// when that scan found a repeat or the sequence is long.
+pub(crate) fn repeated_node(nodes: &[NodeId]) -> Option<NodeId> {
+    const SCAN_LIMIT: usize = 16;
+    if nodes.len() <= SCAN_LIMIT
+        && nodes
+            .iter()
+            .enumerate()
+            .all(|(i, node)| !nodes[..i].contains(node))
+    {
+        return None;
+    }
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 /// A simple (loop-free) directed path through a [`Network`].
 ///
 /// A path stores its source node and the ordered list of directed links it
@@ -83,13 +105,8 @@ impl Path {
             cur = link.dst;
             nodes.push(cur);
         }
-        // Simplicity check.
-        let mut sorted = nodes.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(PathError::Loop { node: w[0] });
-            }
+        if let Some(node) = repeated_node(&nodes) {
+            return Err(PathError::Loop { node });
         }
         Ok(Path {
             source,
@@ -229,6 +246,20 @@ mod tests {
         let cb = net.find_link(ns[2], ns[1]).unwrap();
         let err = Path::from_links(&net, ns[0], &[ab, cb]).unwrap_err();
         assert!(matches!(err, PathError::Disconnected { .. }));
+    }
+
+    #[test]
+    fn repeated_node_reports_the_smallest_repeat_at_any_length() {
+        let ids = |v: &[usize]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(repeated_node(&ids(&[4, 2, 9, 0])), None);
+        // Two repeated nodes, the larger one first in path order.
+        assert_eq!(repeated_node(&ids(&[7, 3, 7, 5, 3])), Some(NodeId(3)));
+        // Past the in-place scan's length limit.
+        let mut long: Vec<usize> = (0..40).collect();
+        assert_eq!(repeated_node(&ids(&long)), None);
+        long.push(31);
+        long.push(12);
+        assert_eq!(repeated_node(&ids(&long)), Some(NodeId(12)));
     }
 
     #[test]

@@ -10,13 +10,24 @@
 //! identical — bit for bit, including deterministic tie-breaking — to what
 //! the original adjacency-list algorithms produced. The originals are
 //! preserved verbatim in [`reference`] below as the oracle.
+//!
+//! The Frank–Wolfe *loop* of the oracle is the pre-refactor one; its start
+//! point is not. The solver now starts at the ECMP split (every demand
+//! divided equally over its hop-count shortest-path DAG) instead of on one
+//! hop-count shortest path per commodity, so [`reference::solve`] takes
+//! the start as a parameter: [`reference::Start::EcmpSplit`] — an
+//! independent adjacency-list implementation of the same split — keeps the
+//! solver pinned bit for bit, and the original
+//! [`reference::Start::SinglePath`] stays as the reference of the quality
+//! oracle at the bottom of this file (the new start must never end at a
+//! worse objective than the old one did).
 
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::fmcf::{
     Commodity, FlowCost, FmcfProblem, FmcfSolverConfig, PowerFlowCost,
 };
 use deadline_dcn::topology::{
-    dijkstra_on, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
+    builders, dijkstra_on, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
 };
 use proptest::prelude::*;
 
@@ -27,7 +38,7 @@ mod reference {
     use super::*;
     use deadline_dcn::topology::Path;
     use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+    use std::collections::{BinaryHeap, VecDeque};
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct HeapEntry {
@@ -157,14 +168,92 @@ mod reference {
         best
     }
 
+    /// The initial feasible point of [`solve`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Start {
+        /// The pre-refactor start: every commodity entirely on one
+        /// hop-count shortest path.
+        SinglePath,
+        /// The solver's start: every demand divided equally over its
+        /// hop-count shortest-path DAG.
+        EcmpSplit,
+    }
+
+    /// Hop distance of every node from `src` by breadth-first search over
+    /// the adjacency lists (`usize::MAX` = unreachable).
+    fn hop_distances_from(network: &Network, src: NodeId) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; network.node_count()];
+        dist[src.index()] = 0;
+        let mut queue = VecDeque::from([src]);
+        while let Some(u) = queue.pop_front() {
+            for &lid in network.out_links(u) {
+                let v = network.link(lid).dst;
+                if dist[v.index()] == usize::MAX {
+                    dist[v.index()] = dist[u.index()] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// The ECMP split on the adjacency lists, written independently of the
+    /// solver (integer BFS distances instead of the engine's unit-weight
+    /// Dijkstra, one search per commodity instead of one per source, no
+    /// cache): walking back from the destination in FIFO order, what
+    /// arrives at a node is divided equally over its in-links from nodes
+    /// one hop closer to the source; the split of a unit demand is scaled
+    /// by the demand.
+    fn ecmp_split(network: &Network, commodities: &[Commodity]) -> Option<Vec<Vec<f64>>> {
+        let n = network.node_count();
+        commodities
+            .iter()
+            .map(|c| {
+                let dist = hop_distances_from(network, c.src);
+                if dist[c.dst.index()] == usize::MAX {
+                    return None;
+                }
+                let mut row = vec![0.0; network.link_count()];
+                let mut share = vec![0.0; n];
+                let mut queued = vec![false; n];
+                share[c.dst.index()] = 1.0;
+                queued[c.dst.index()] = true;
+                let mut queue = VecDeque::from([c.dst]);
+                while let Some(v) = queue.pop_front() {
+                    let tight: Vec<LinkId> = network
+                        .in_links(v)
+                        .iter()
+                        .copied()
+                        .filter(|&l| {
+                            let du = dist[network.link(l).src.index()];
+                            du != usize::MAX && du + 1 == dist[v.index()]
+                        })
+                        .collect();
+                    let part = share[v.index()] / tight.len() as f64;
+                    for l in tight {
+                        row[l.index()] = c.demand * part;
+                        let u = network.link(l).src;
+                        share[u.index()] += part;
+                        if !queued[u.index()] {
+                            queued[u.index()] = true;
+                            queue.push_back(u);
+                        }
+                    }
+                }
+                Some(row)
+            })
+            .collect()
+    }
+
     /// The original Frank–Wolfe solve over `Vec<Vec<f64>>` flow matrices,
-    /// one Dijkstra per commodity per iteration. Returns the per-commodity
-    /// flows plus `(iterations, converged)`.
+    /// one Dijkstra per commodity per iteration, from the given start.
+    /// Returns the per-commodity flows plus `(iterations, converged)`.
     pub fn solve(
         network: &Network,
         commodities: &[Commodity],
         cost: &impl FlowCost,
         config: &FmcfSolverConfig,
+        start: Start,
     ) -> (Vec<Vec<f64>>, usize, bool) {
         let penalty = |load: f64| match config.capacity {
             Some(cap) if load > cap => config.capacity_penalty * (load - cap).powi(2),
@@ -200,8 +289,11 @@ mod reference {
             return (Vec::new(), 0, true);
         }
 
-        let hop_weights = vec![1.0; m];
-        let mut flows = all_or_nothing(&hop_weights).expect("path exists");
+        let mut flows = match start {
+            Start::SinglePath => all_or_nothing(&vec![1.0; m]),
+            Start::EcmpSplit => ecmp_split(network, commodities),
+        }
+        .expect("path exists");
 
         let mut loads = column_sums(&flows, m);
         let mut obj = objective(&loads);
@@ -305,6 +397,23 @@ fn build(spec: &TopoSpec) -> Network {
     net
 }
 
+/// Commodities between the nodes of an `n`-node graph from raw proptest
+/// draws (endpoints taken modulo `n`, equal endpoints dropped).
+fn commodities_on(raw: &[(usize, usize, f64)], n: usize) -> Vec<Commodity> {
+    raw.iter()
+        .enumerate()
+        .filter_map(|(id, &(a, b, demand))| {
+            let (src, dst) = (a % n, b % n);
+            (src != dst).then_some(Commodity {
+                id,
+                src: NodeId(src),
+                dst: NodeId(dst),
+                demand,
+            })
+        })
+        .collect()
+}
+
 /// Deterministic per-link weights with ties (many equal values), zero
 /// weights and occasional forbidden links — the adversarial cases for
 /// tie-break equivalence.
@@ -382,8 +491,8 @@ proptest! {
 
     /// Full Frank–Wolfe F-MCF solutions (per-commodity flows, iteration
     /// count, convergence flag) are **bit-for-bit identical** to the
-    /// pre-refactor per-commodity-Dijkstra solver, under both pure
-    /// speed-scaling and idle-share costs.
+    /// pre-refactor per-commodity-Dijkstra solver started at the reference
+    /// ECMP split, under both pure speed-scaling and idle-share costs.
     #[test]
     fn fmcf_matches_prerefactor_solver(
         spec in arb_topo(),
@@ -392,19 +501,7 @@ proptest! {
         sigma_pick in 0u8..2,
     ) {
         let net = build(&spec);
-        let commodities: Vec<Commodity> = raw
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &(a, b, demand))| {
-                let (src, dst) = (a % spec.n, b % spec.n);
-                (src != dst).then_some(Commodity {
-                    id,
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    demand,
-                })
-            })
-            .collect();
+        let commodities = commodities_on(&raw, spec.n);
         let alpha = [2.0, 4.0][alpha_pick as usize];
         let sigma = [0.0, 3.0][sigma_pick as usize];
         let power = PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap();
@@ -418,7 +515,7 @@ proptest! {
         };
 
         let (oracle_flows, oracle_iters, oracle_converged) =
-            reference::solve(&net, &commodities, &cost, &config);
+            reference::solve(&net, &commodities, &cost, &config, reference::Start::EcmpSplit);
         let solution = FmcfProblem::new(&net, commodities.clone()).solve(&cost, &config);
 
         prop_assert_eq!(solution.commodity_count(), commodities.len());
@@ -433,6 +530,172 @@ proptest! {
             for e in 0..net.link_count() {
                 let expected: f64 = oracle_flows.iter().map(|row| row[e]).sum();
                 prop_assert_eq!(solution.total_loads()[e], expected);
+            }
+        }
+    }
+
+    /// Quality oracle on the random multigraphs: the solver, started at
+    /// the ECMP split, never ends at a worse objective than the same loop
+    /// started on single hop-count shortest paths.
+    #[test]
+    fn ecmp_start_is_no_worse_on_random_multigraphs(
+        spec in arb_topo(),
+        raw in prop::collection::vec((0usize..1000, 0usize..1000, 0.5f64..4.0), 1..6),
+        alpha_pick in 0u8..2,
+        sigma_pick in 0u8..2,
+    ) {
+        let net = build(&spec);
+        let commodities = commodities_on(&raw, spec.n);
+        let power = PowerFunction::new(
+            [0.0, 3.0][sigma_pick as usize],
+            1.0,
+            [2.0, 4.0][alpha_pick as usize],
+            10.0,
+        )
+        .unwrap();
+        let config = FmcfSolverConfig {
+            capacity: Some(8.0),
+            ..Default::default()
+        };
+        let (new, old, _) = objectives(&net, &commodities, &PowerFlowCost::new(power), &config);
+        prop_assert!(new <= old * (1.0 + 1e-3), "ECMP start {} vs single-path start {}", new, old);
+    }
+}
+
+/// The penalised objective the solver minimises, from per-link loads.
+fn objective(
+    loads: impl Iterator<Item = f64>,
+    cost: &impl FlowCost,
+    config: &FmcfSolverConfig,
+) -> f64 {
+    loads
+        .enumerate()
+        .map(|(e, x)| {
+            let over = config.capacity.map_or(0.0, |cap| (x - cap).max(0.0));
+            cost.cost(LinkId(e), x) + config.capacity_penalty * over * over
+        })
+        .sum()
+}
+
+/// The final objectives of one problem under the solver and under the
+/// single-path-start reference, and whether both stopped on the stall
+/// test rather than on the iteration cap.
+fn objectives(
+    net: &Network,
+    commodities: &[Commodity],
+    cost: &impl FlowCost,
+    config: &FmcfSolverConfig,
+) -> (f64, f64, bool) {
+    let solution = FmcfProblem::new(net, commodities.to_vec()).solve(cost, config);
+    let new = objective(solution.total_loads().iter().copied(), cost, config);
+    let (flows, _, reference_converged) =
+        reference::solve(net, commodities, cost, config, reference::Start::SinglePath);
+    let loads = (0..net.link_count()).map(|e| flows.iter().map(|row| row[e]).sum());
+    (
+        new,
+        objective(loads, cost, config),
+        solution.converged && reference_converged,
+    )
+}
+
+/// A copy of `net` without the given directed links: the adjacency-list
+/// reference has no notion of a link being down, so an asymmetric fabric
+/// is built as a network of its own.
+fn without_links(net: &Network, down: &[LinkId]) -> Network {
+    let mut out = Network::new();
+    for node in net.nodes() {
+        out.add_node(node.kind, node.label.clone());
+    }
+    for link in net.links().filter(|l| !down.contains(&l.id)) {
+        out.add_link(link.src, link.dst, link.capacity);
+    }
+    out
+}
+
+/// Quality oracle on the asymmetric corpus — fat-trees with one to three
+/// switch-to-switch links removed, BCube, leaf–spine (whole and with a
+/// spine link removed) — under the default solver configuration: on every
+/// problem where both solves stop on the stall test, the solver's
+/// objective is within 0.1 % of, or below, what the pre-refactor start
+/// reaches. Where a solve runs out of iterations (a dozen of the 108
+/// problems; on BCube at `alpha = 4` under either start, 60 iterations
+/// leaving it 3 % above the optimum) two unconverged iterates are being
+/// compared, which differ by a percent or so in either direction; there
+/// the bound is 1 %. (On the symmetric fat-tree the ECMP split is the
+/// optimum itself; that is pinned by the solver's own zero-gap tests.)
+#[test]
+fn ecmp_start_is_no_worse_than_the_single_path_start_on_asymmetric_fabrics() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut corpus: Vec<(String, Network, Vec<NodeId>)> = Vec::new();
+    for k in [4, 6] {
+        let ft = builders::fat_tree(k);
+        let fabric: Vec<LinkId> = ft
+            .network
+            .links()
+            .filter(|l| {
+                !ft.network.node(l.src).kind.is_host() && !ft.network.node(l.dst).kind.is_host()
+            })
+            .map(|l| l.id)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(k as u64);
+        for failed in 1..=3 {
+            let down: Vec<LinkId> = (0..failed)
+                .map(|_| fabric[rng.gen_range(0..fabric.len())])
+                .collect();
+            corpus.push((
+                format!("{} without {down:?}", ft.name),
+                without_links(&ft.network, &down),
+                ft.hosts.clone(),
+            ));
+        }
+    }
+    for topo in [builders::bcube(4, 1), builders::leaf_spine(4, 2, 6)] {
+        corpus.push((topo.name.clone(), topo.network.clone(), topo.hosts.clone()));
+    }
+    let ls = builders::leaf_spine(4, 3, 4);
+    let spine_link = ls
+        .network
+        .links()
+        .find(|l| !ls.network.node(l.src).kind.is_host() && !ls.network.node(l.dst).kind.is_host())
+        .unwrap()
+        .id;
+    corpus.push((
+        format!("{} without {spine_link}", ls.name),
+        without_links(&ls.network, &[spine_link]),
+        ls.hosts.clone(),
+    ));
+
+    for (name, net, hosts) in &corpus {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let commodities: Vec<Commodity> = (0..12)
+                .filter_map(|id| {
+                    let src = hosts[rng.gen_range(0..hosts.len())];
+                    let dst = hosts[rng.gen_range(0..hosts.len())];
+                    let demand = rng.gen_range(0.5..4.0);
+                    (src != dst).then_some(Commodity {
+                        id,
+                        src,
+                        dst,
+                        demand,
+                    })
+                })
+                .collect();
+            for (alpha, sigma) in [(2.0, 0.0), (4.0, 0.0), (2.0, 3.0)] {
+                let cost = PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
+                let config = FmcfSolverConfig {
+                    capacity: Some(10.0),
+                    ..Default::default()
+                };
+                let (new, old, both_converged) = objectives(net, &commodities, &cost, &config);
+                let tolerance = if both_converged { 1e-3 } else { 1e-2 };
+                assert!(
+                    new <= old * (1.0 + tolerance),
+                    "{name}, seed {seed}, alpha {alpha}, sigma {sigma}: \
+                     ECMP start ends at {new}, single-path start at {old}"
+                );
             }
         }
     }
