@@ -7,8 +7,9 @@
 //! engine retires served and expired flows, admits new arrivals through the
 //! [`AdmissionRule`], asks the [`OnlinePolicy`] what to do, and commits the
 //! resulting rates — either a policy-computed [`RatePlan`] or the slice of
-//! a full residual re-solve — up to the next queued event. The per-flow
-//! state all of this reads and writes is the shared
+//! a full residual re-solve — up to the next queued event, appending them
+//! to that flow's [`FlowSchedule`] in the schedule the run returns. The
+//! per-flow state all of this reads and writes is the shared
 //! [`InFlightLedger`](super::ledger).
 //!
 //! Every decision invalidates all previously predicted completions and
@@ -40,7 +41,7 @@ use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// How the online loop decides whether a newly arrived flow is accepted.
 #[derive(Debug, Clone, Default)]
@@ -128,7 +129,7 @@ pub struct FlowDecision {
 }
 
 /// What the online loop did: per-flow decisions, event/re-solve counters
-/// and the energy of the stitched schedule, with the offline clairvoyant
+/// and the energy of the committed schedule, with the offline clairvoyant
 /// energy alongside when [`OnlineEngine::run_vs_offline`] computed it.
 #[derive(Debug, Clone)]
 pub struct OnlineReport {
@@ -143,7 +144,7 @@ pub struct OnlineReport {
     /// Number of re-solves that returned an error (the loop then keeps the
     /// previous commitments and the affected flows may miss).
     pub solve_failures: usize,
-    /// Energy of the stitched online schedule (the paper's objective).
+    /// Energy of the committed online schedule (the paper's objective).
     pub online_energy: f64,
     /// Energy of the wrapped algorithm solving the full instance with
     /// clairvoyant knowledge, when computed.
@@ -192,13 +193,13 @@ impl OnlineReport {
     }
 }
 
-/// The result of one online run: the stitched executable schedule, the
+/// The result of one online run: the committed executable schedule, the
 /// report, and (after [`OnlineEngine::run_vs_offline`]) the offline
 /// clairvoyant solution for comparison.
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
-    /// The committed slices of every event, stitched into one schedule
-    /// over the instance horizon.
+    /// Everything the run committed over the instance horizon, one entry
+    /// per flow (with the path of the flow's *last* decision).
     pub schedule: Schedule,
     /// What the loop decided and measured.
     pub report: OnlineReport,
@@ -648,7 +649,7 @@ impl OnlineEngine {
 
     /// Executes the instance online: reveals flows at their release times,
     /// drains the event queue, applies the policy's decision at every
-    /// batch and stitches the committed slices into one schedule.
+    /// batch and appends each committed slice to its flow's schedule.
     ///
     /// A re-solve *error* (e.g. an infeasible residual under `AdmitAll`
     /// overload) is not fatal: the loop counts it in
@@ -824,18 +825,9 @@ fn no_schedule_error(name: &str) -> SolveError {
     }
 }
 
-/// Whether one committed flow schedule transmits on `link`.
-fn commit_uses_link(fs: &FlowSchedule, link: LinkId) -> bool {
-    if fs.link_profiles.is_empty() {
-        fs.path.links().contains(&link)
-    } else {
-        fs.link_profiles.contains_key(&link)
-    }
-}
-
 /// The state of one [`OnlineEngine::run_with_events`] call: the ledger, the
-/// event queue, the committed slices and the counters, advanced one event
-/// batch at a time by [`EngineRun::step`].
+/// event queue, the schedule committed so far and the counters, advanced
+/// one event batch at a time by [`EngineRun::step`].
 struct EngineRun<'r, 'net> {
     engine: &'r mut OnlineEngine,
     ctx: &'r mut SolverContext<'net>,
@@ -852,13 +844,19 @@ struct EngineRun<'r, 'net> {
     /// `stamp[f] == generation` marks `f` as seen in the current plan.
     stamp: Vec<u64>,
     generation: u64,
-    /// Committed slices per flow, in first-commitment order so a
-    /// single-event run reproduces the inner schedule's layout exactly.
-    commits: Vec<(FlowId, Vec<FlowSchedule>)>,
-    commit_index: BTreeMap<FlowId, usize>,
+    /// The schedule committed so far: one entry per flow, in
+    /// first-commitment order so a single-event run reproduces the inner
+    /// schedule's layout exactly. `slot[f]` is flow `f`'s entry.
+    schedules: Vec<FlowSchedule>,
+    slot: Vec<Option<usize>>,
+    /// Per flow id: the links its *latest* committed slice transmits on —
+    /// the plan a `LinkDown` severs.
+    latest_links: Vec<Vec<LinkId>>,
     /// Links whose committed rates changed since the last re-solve; fed
-    /// into the warm scratch as the dirty set before the next one.
+    /// into the warm scratch as the dirty set before the next one. Only
+    /// recorded under warm starts, each link once (`dirty_mark`).
     dirty: Vec<LinkId>,
+    dirty_mark: Vec<bool>,
     batches: usize,
     resolves: usize,
     solve_failures: usize,
@@ -886,6 +884,7 @@ impl<'r, 'net> EngineRun<'r, 'net> {
             let id = ledger.reveal(flow.clone());
             debug_assert_eq!(id, flow.id, "validated flow sets have dense ids");
         }
+        let link_count = ctx.graph().link_count();
         Self {
             engine,
             ctx,
@@ -897,9 +896,11 @@ impl<'r, 'net> EngineRun<'r, 'net> {
             ledger,
             stamp: vec![0; flows.len()],
             generation: 0,
-            commits: Vec::new(),
-            commit_index: BTreeMap::new(),
+            schedules: Vec::new(),
+            slot: vec![None; flows.len()],
+            latest_links: vec![Vec::new(); flows.len()],
             dirty: Vec::new(),
+            dirty_mark: vec![false; link_count],
             batches: 0,
             resolves: 0,
             solve_failures: 0,
@@ -977,15 +978,7 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 let riding: Vec<FlowId> = self
                     .ledger
                     .live()
-                    .filter(|id| {
-                        self.commit_index.get(id).is_some_and(|&slot| {
-                            let last = self.commits[slot].1.last();
-                            commit_uses_link(
-                                last.expect("commit lists stay non-empty"),
-                                topo.link(),
-                            )
-                        })
-                    })
+                    .filter(|&id| self.latest_links[id].contains(&topo.link()))
                     .collect();
                 for id in riding {
                     self.ledger.mark_failure_touched(id);
@@ -1047,12 +1040,13 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         };
         self.resolves += 1;
         // Feed the links whose committed rates changed since the last
-        // solve into the warm scratch as its dirty set (a no-op with warm
-        // starts off).
-        if self.engine.warm_start && !self.dirty.is_empty() {
-            self.ctx.mark_dirty_links(self.dirty.drain(..));
+        // solve into the warm scratch as its dirty set — here and not at
+        // commit time, or the admission probe, which shares the scratch,
+        // would consume them first.
+        for &link in &self.dirty {
+            self.dirty_mark[link.index()] = false;
         }
-        self.dirty.clear();
+        self.ctx.mark_dirty_links(self.dirty.drain(..));
         let algorithm = &mut self.engine.algorithm;
         algorithm.set_seed(self.engine.seed.wrapping_add(event.index as u64));
         let Ok(solution) = algorithm.solve(self.ctx, &residual, self.power) else {
@@ -1074,7 +1068,7 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                     clone.flow = orig;
                     clone
                 }
-                Some(until) => clip_flow_schedule(fs, orig, event.time, until),
+                Some(until) => fs.restricted(orig, event.time, until),
             };
             self.push_commit(committed);
         }
@@ -1136,34 +1130,38 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         }
     }
 
-    /// Appends one committed slice to the per-flow commit lists, keeping
-    /// the delivered-volume accounting and the first-commitment ordering,
-    /// and records the links the slice transmits on in the warm-start
-    /// dirty set.
+    /// Appends one committed slice to its flow's schedule (a first commit
+    /// opens the entry), credits the delivered volume, and records the
+    /// slice's links as the flow's latest plan and as warm-start dirt.
     fn push_commit(&mut self, committed: FlowSchedule) {
-        if committed.profile.is_empty() && committed.link_profiles.is_empty() {
+        if committed.profile.is_empty() && committed.link_profiles().next().is_none() {
             return;
         }
-        if committed.link_profiles.is_empty() {
-            self.dirty.extend_from_slice(committed.path.links());
-        } else {
-            self.dirty.extend(committed.link_profiles.keys().copied());
+        let flow = committed.flow;
+        let latest = &mut self.latest_links[flow];
+        latest.clear();
+        latest.extend(committed.link_profiles().map(|(link, _)| link));
+        if self.engine.warm_start {
+            for &link in latest.iter() {
+                if !std::mem::replace(&mut self.dirty_mark[link.index()], true) {
+                    self.dirty.push(link);
+                }
+            }
         }
-        let orig = committed.flow;
-        self.ledger.credit(orig, committed.profile.volume());
-        match self.commit_index.get(&orig) {
-            Some(&slot) => self.commits[slot].1.push(committed),
+        self.ledger.credit(flow, committed.profile.volume());
+        match self.slot[flow] {
+            Some(slot) => self.schedules[slot].append(committed),
             None => {
-                self.commit_index.insert(orig, self.commits.len());
-                self.commits.push((orig, vec![committed]));
+                self.slot[flow] = Some(self.schedules.len());
+                self.schedules.push(committed);
             }
         }
     }
 
-    /// Closes the run: final miss accounting, stitching, energy.
+    /// Closes the run: final miss accounting, energy.
     fn finish(mut self, horizon: (f64, f64)) -> OnlineOutcome {
         self.ledger.settle();
-        let schedule = stitch(self.commits, horizon);
+        let schedule = Schedule::new(self.schedules, horizon);
         let online_energy = schedule.energy(self.power).total();
         let decisions = self
             .ledger
@@ -1217,58 +1215,13 @@ fn arrival_events(flows: &FlowSet) -> Vec<(f64, Vec<FlowId>)> {
     events
 }
 
-/// Restricts one inner flow schedule to the commit window `[from, to)`,
-/// relabelling it with the original flow id. Links whose restricted
-/// profile is empty are dropped.
-fn clip_flow_schedule(fs: &FlowSchedule, orig: FlowId, from: f64, to: f64) -> FlowSchedule {
-    let link_profiles: BTreeMap<LinkId, RateProfile> = fs
-        .link_profiles
-        .iter()
-        .map(|(&link, profile)| (link, profile.restricted(from, to)))
-        .filter(|(_, profile)| profile.is_active())
-        .collect();
-    FlowSchedule::per_link(
-        orig,
-        fs.path.clone(),
-        fs.profile.restricted(from, to),
-        link_profiles,
-    )
-}
-
-/// Merges each flow's committed slices into one [`FlowSchedule`] and
-/// assembles the final schedule over `horizon`. A flow served by a single
-/// commit keeps that commit verbatim; a multi-commit flow keeps the path
-/// of its *last* decision (the profiles carry the links actually used in
-/// every window, so energy and simulation see the true loads even when the
-/// routing changed between decisions).
-fn stitch(commits: Vec<(FlowId, Vec<FlowSchedule>)>, horizon: (f64, f64)) -> Schedule {
-    let mut flow_schedules = Vec::with_capacity(commits.len());
-    for (flow, mut parts) in commits {
-        if parts.len() == 1 {
-            flow_schedules.push(parts.pop().expect("one part"));
-            continue;
-        }
-        let path = parts.last().expect("non-empty parts").path.clone();
-        let mut profile = RateProfile::new();
-        let mut link_profiles: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
-        for part in &parts {
-            profile.merge(&part.profile);
-            for (&link, slice) in &part.link_profiles {
-                link_profiles.entry(link).or_default().merge(slice);
-            }
-        }
-        flow_schedules.push(FlowSchedule::per_link(flow, path, profile, link_profiles));
-    }
-    Schedule::new(flow_schedules, horizon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::Dcfsr;
     use crate::online::policies::ResolvePolicy;
     use dcn_flow::Flow;
-    use dcn_topology::{builders, GraphCsr};
+    use dcn_topology::{builders, GraphCsr, Path};
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
@@ -1582,17 +1535,8 @@ mod tests {
             .flow_schedules()
             .iter()
             .map(|fs| {
-                if fs.link_profiles.is_empty() {
-                    if fs.path.links().contains(&link) {
-                        fs.profile.volume_between(from, to)
-                    } else {
-                        0.0
-                    }
-                } else {
-                    fs.link_profiles
-                        .get(&link)
-                        .map_or(0.0, |p| p.volume_between(from, to))
-                }
+                fs.link_profile(link)
+                    .map_or(0.0, |p| p.volume_between(from, to))
             })
             .sum()
     }
@@ -1669,6 +1613,114 @@ mod tests {
         // Even though the stream never recovered the link, the run rolls
         // the context back to the pristine fabric.
         assert_eq!(ctx.graph().down_link_count(), 0);
+    }
+
+    #[test]
+    fn a_failure_is_attributed_through_the_latest_slice_only() {
+        /// Serves both flows too slowly to finish: flow 0 on `first` until
+        /// the wake-up at `t = 1` and on `second` after it, flow 1 on
+        /// `first` throughout; nothing once the link has failed.
+        #[derive(Debug)]
+        struct Scripted {
+            first: [Path; 2],
+            second: Path,
+        }
+        impl OnlinePolicy for Scripted {
+            fn name(&self) -> &str {
+                "scripted"
+            }
+            fn on_event(
+                &mut self,
+                _ctx: &mut SolverContext<'_>,
+                _power: &PowerFunction,
+                event: &OnlineEvent,
+                _world: &WorldView<'_>,
+            ) -> Result<PolicyAction, SolveError> {
+                let mut plan = RatePlan::default();
+                if event.time < 2.0 {
+                    let moved = event.time >= 1.0;
+                    let route = if moved { &self.second } else { &self.first[0] };
+                    plan.assign(0, route.clone(), 0.5);
+                    plan.assign(1, self.first[1].clone(), 0.5);
+                    plan.wake_at(1.0, 0);
+                }
+                Ok(PolicyAction::Assign(plan))
+            }
+        }
+
+        // Two flows from the same edge switch to the same remote one ride
+        // the same fabric links; the second route avoids the link that
+        // fails.
+        let topo = builders::fat_tree(4);
+        let hosts = topo.hosts();
+        let flows = FlowSet::from_tuples([
+            (hosts[0], hosts[15], 0.0, 10.0, 50.0),
+            (hosts[1], hosts[14], 0.0, 10.0, 50.0),
+        ])
+        .unwrap();
+        let power = x2(10.0);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let first = [
+            ctx.graph().shortest_path(hosts[0], hosts[15]).unwrap(),
+            ctx.graph().shortest_path(hosts[1], hosts[14]).unwrap(),
+        ];
+        let link = first[0].links()[2];
+        assert!(first[1].contains_link(link));
+        let mut detour = GraphCsr::from_network(&topo.network);
+        detour.fail_link(link);
+        let second = detour.shortest_path(hosts[0], hosts[15]).unwrap();
+
+        let events = [TopologyEvent::LinkDown { time: 2.0, link }];
+        let outcome = OnlineEngine::builder()
+            .policy_instance(Box::new(Scripted { first, second }))
+            .build()
+            .unwrap()
+            .run_with_events(&mut ctx, &flows, &power, &events)
+            .unwrap();
+        assert_eq!(outcome.report.events, 3);
+        assert_eq!(outcome.report.missed(), 2);
+        // Flow 0 rode the link in its first window but had left it when it
+        // failed; flow 1 was on it.
+        assert!(link_volume_between(&outcome.schedule, link, 0.0, 1.0) > 0.5);
+        assert!(!outcome.report.decisions[0].failure_missed);
+        assert!(outcome.report.decisions[1].failure_missed);
+    }
+
+    #[test]
+    fn the_dirty_buffer_is_bounded_by_the_link_count_and_idle_without_warm_starts() {
+        // `edf` never re-solves, so nothing ever drains the buffer.
+        let topo = builders::fat_tree(4);
+        let power = x2(10.0);
+        let base = dcn_flow::workload::UniformWorkload::paper_defaults(500, 3)
+            .generate(topo.hosts())
+            .unwrap();
+        let flows = dcn_flow::workload::ArrivalProcess::with_load(8.0, 3)
+            .apply(&base)
+            .unwrap();
+        for warm in [false, true] {
+            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+            let link_count = ctx.graph().link_count();
+            let mut engine = OnlineEngine::builder()
+                .policy("edf")
+                .warm_start(warm)
+                .build()
+                .unwrap();
+            let mut run = EngineRun::new(&mut engine, &mut ctx, &flows, &power, &[]);
+            let mut peak = 0;
+            while let Some(batch) = run.queue.pop_batch() {
+                run.step(batch).unwrap();
+                peak = peak.max(run.dirty.len());
+            }
+            assert!(run.batches >= 500);
+            if warm {
+                assert!(
+                    0 < peak && peak <= link_count,
+                    "{peak} dirty of {link_count} links"
+                );
+            } else {
+                assert_eq!(peak, 0, "no warm scratch to feed");
+            }
+        }
     }
 
     #[test]

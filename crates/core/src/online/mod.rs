@@ -28,10 +28,11 @@
 //!   bucket and snapshots it. [`WorldView`] is a ledger plus a clock.
 //!
 //! Only the slice of each policy decision up to the next event is
-//! **committed**; the [`OnlineOutcome`] stitches the committed slices into
-//! one executable [`crate::Schedule`] and an [`OnlineReport`] records the
-//! per-flow admit/miss decisions, the event/re-solve counters and the
-//! online energy versus the offline clairvoyant bound.
+//! **committed**, appended on the spot to that flow's entry of the one
+//! executable [`crate::Schedule`] the [`OnlineOutcome`] returns; an
+//! [`OnlineReport`] records the per-flow admit/miss decisions, the
+//! event/re-solve counters and the online energy versus the offline
+//! clairvoyant bound.
 //!
 //! With every flow released at the same instant there is exactly one
 //! arrival event, the residual instance *is* the full instance and the

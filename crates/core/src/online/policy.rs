@@ -257,15 +257,6 @@ impl PathCache {
 /// `min(link capacity, power-function capacity)` on every link, then
 /// [`CapacityLedger::reserve`] each granted assignment so later (lower
 /// priority) flows only see what is left.
-///
-/// The ledger doubles as the engine's *dirty-link* tracker for warm-started
-/// re-solves: every reservation (and explicit [`CapacityLedger::mark_dirty`])
-/// records the touched links, and the engine drains the set into
-/// [`dcn_solver::fmcf::FmcfScratch::mark_dirty_links`] before the next
-/// residual solve, so only commodities whose flows cross changed links are
-/// re-routed from scratch. [`CapacityLedger::reset`] deliberately keeps the
-/// dirty set — capacities are re-initialised per event, but dirt
-/// accumulates until a re-solve consumes it.
 #[derive(Debug, Default)]
 pub struct CapacityLedger {
     available: Vec<f64>,
@@ -285,11 +276,6 @@ pub struct CapacityLedger {
     /// [`CapacityLedger::reset`] (duplicates allowed — restoring twice is
     /// idempotent).
     touched: Vec<dcn_topology::LinkId>,
-    /// Links whose reservations changed since the last
-    /// [`CapacityLedger::take_dirty`], deduplicated.
-    dirty: Vec<dcn_topology::LinkId>,
-    /// Membership mask of `dirty`, grown on demand.
-    dirty_mark: Vec<bool>,
 }
 
 impl CapacityLedger {
@@ -298,8 +284,7 @@ impl CapacityLedger {
         Self::default()
     }
 
-    /// Re-initialises every link to its usable capacity. The dirty set is
-    /// preserved (see the type docs).
+    /// Re-initialises every link to its usable capacity.
     pub fn reset(&mut self, ctx: &SolverContext<'_>, power: &PowerFunction) {
         let graph = ctx.graph();
         let cap = power.capacity();
@@ -331,43 +316,13 @@ impl CapacityLedger {
     }
 
     /// Subtracts `rate` from every link of `path` (clamped at zero against
-    /// float drift) and marks the links dirty.
+    /// float drift).
     pub fn reserve(&mut self, path: &Path, rate: f64) {
         for link in path.links() {
             let slot = &mut self.available[link.index()];
             *slot = (*slot - rate).max(0.0);
         }
         self.touched.extend_from_slice(path.links());
-        self.mark_dirty(path);
-    }
-
-    /// Marks every link of `path` dirty without reserving capacity — used
-    /// for committed schedule slices and retired flows, whose rate changes
-    /// invalidate cached per-commodity flows on those links.
-    pub fn mark_dirty(&mut self, path: &Path) {
-        for &link in path.links() {
-            if self.dirty_mark.len() <= link.index() {
-                self.dirty_mark.resize(link.index() + 1, false);
-            }
-            if !self.dirty_mark[link.index()] {
-                self.dirty_mark[link.index()] = true;
-                self.dirty.push(link);
-            }
-        }
-    }
-
-    /// The links dirtied since the last [`CapacityLedger::take_dirty`], in
-    /// first-touch order.
-    pub fn dirty(&self) -> &[dcn_topology::LinkId] {
-        &self.dirty
-    }
-
-    /// Drains and returns the dirty set.
-    pub fn take_dirty(&mut self) -> Vec<dcn_topology::LinkId> {
-        for &l in &self.dirty {
-            self.dirty_mark[l.index()] = false;
-        }
-        std::mem::take(&mut self.dirty)
     }
 }
 
@@ -512,33 +467,5 @@ mod tests {
             pristine,
             "recovery restores the exact pre-failure capacity"
         );
-    }
-
-    #[test]
-    fn ledger_dirty_set_survives_reset_and_drains_once() {
-        let topo = builders::line(3);
-        let ctx = SolverContext::from_network(&topo.network).unwrap();
-        let power = PowerFunction::speed_scaling_only(1.0, 2.0, 4.0);
-        let mut ledger = CapacityLedger::new();
-        ledger.reset(&ctx, &power);
-        let path = ctx
-            .graph()
-            .shortest_path(topo.hosts()[0], topo.hosts()[2])
-            .unwrap();
-        assert!(ledger.dirty().is_empty());
-        ledger.reserve(&path, 1.0);
-        ledger.mark_dirty(&path); // idempotent: no duplicates
-        assert_eq!(ledger.dirty().len(), path.links().len());
-        ledger.reset(&ctx, &power);
-        assert_eq!(
-            ledger.dirty().len(),
-            path.links().len(),
-            "reset keeps accumulated dirt"
-        );
-        let drained = ledger.take_dirty();
-        assert_eq!(drained.len(), path.links().len());
-        assert!(ledger.dirty().is_empty());
-        ledger.reserve(&path, 1.0);
-        assert_eq!(ledger.dirty().len(), path.links().len(), "re-dirties");
     }
 }

@@ -1,13 +1,18 @@
 //! The schedule data model: per-flow routing paths and rate profiles,
 //! feasibility verification and energy accounting.
 //!
-//! A flow's schedule records both its *nominal* transmission profile (the
-//! rate at which data arrives at the destination, used for volume and
-//! deadline checks) and one profile per link of its path. For
-//! Random-Schedule and simple hand-built schedules all links share the same
-//! profile ([`FlowSchedule::uniform`]); Most-Critical-First packs each link
-//! independently (store-and-forward), so the windows may differ per link
-//! while the rate and the total transmission time are the same everywhere.
+//! A flow's schedule records its *nominal* transmission profile (the rate
+//! at which data arrives at the destination, used for volume and deadline
+//! checks) and its profile on every link. For Random-Schedule, the
+//! rate-assigning online policies and simple hand-built schedules all links
+//! share the nominal profile ([`FlowSchedule::uniform`]), which is then
+//! stored once; Most-Critical-First packs each link independently
+//! (store-and-forward), so the windows may differ per link while the rate
+//! and the total transmission time are the same everywhere
+//! ([`FlowSchedule::per_link`]). The layout is private to this module:
+//! readers use [`FlowSchedule::link_profile`] / [`FlowSchedule::link_profiles`],
+//! and the online engine grows a flow's schedule one committed slice at a
+//! time.
 
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{EnergyBreakdown, EnergyMeter, PowerFunction, RateProfile};
@@ -17,7 +22,7 @@ use std::fmt;
 
 /// How a single flow is served: the path it follows and its transmission
 /// rate over time, on every link of the path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FlowSchedule {
     /// The flow this schedule serves.
     pub flow: FlowId,
@@ -26,8 +31,25 @@ pub struct FlowSchedule {
     /// The nominal transmission profile (arrival of data at the
     /// destination); used for volume and deadline verification.
     pub profile: RateProfile,
-    /// The transmission profile of the flow on every link of its path.
-    pub link_profiles: BTreeMap<LinkId, RateProfile>,
+    /// The profile on every link the flow transmits on, where those are
+    /// not simply `profile` on every link of `path` (`None`).
+    per_link: Option<BTreeMap<LinkId, RateProfile>>,
+}
+
+impl PartialEq for FlowSchedule {
+    /// By content — the same flow, path, nominal profile and profile on
+    /// every link — whichever way either side is stored.
+    fn eq(&self, other: &Self) -> bool {
+        self.flow == other.flow
+            && self.path == other.path
+            && self.profile == other.profile
+            // Each side lists a link once, so with equal counts the match
+            // below is one-to-one.
+            && self.link_profiles().count() == other.link_profiles().count()
+            && self
+                .link_profiles()
+                .all(|(link, profile)| other.link_profile(link) == Some(profile))
+    }
 }
 
 impl FlowSchedule {
@@ -35,12 +57,11 @@ impl FlowSchedule {
     /// on every link of its path (cut-through / fluid semantics, as used by
     /// Random-Schedule).
     pub fn uniform(flow: FlowId, path: Path, profile: RateProfile) -> Self {
-        let link_profiles = path.links().iter().map(|&l| (l, profile.clone())).collect();
         Self {
             flow,
             path,
             profile,
-            link_profiles,
+            per_link: None,
         }
     }
 
@@ -56,7 +77,7 @@ impl FlowSchedule {
             flow,
             path,
             profile,
-            link_profiles,
+            per_link: Some(link_profiles),
         }
     }
 
@@ -67,14 +88,31 @@ impl FlowSchedule {
 
     /// The profile of the flow on a particular link of its path, if any.
     pub fn link_profile(&self, link: LinkId) -> Option<&RateProfile> {
-        self.link_profiles.get(&link)
+        match &self.per_link {
+            Some(map) => map.get(&link),
+            None => self.path.contains_link(link).then_some(&self.profile),
+        }
+    }
+
+    /// Every link the flow transmits on with its profile there, each link
+    /// once (in path order for a uniform schedule, else by link id).
+    pub fn link_profiles(&self) -> impl Iterator<Item = (LinkId, &RateProfile)> + '_ {
+        let uniform: &[LinkId] = match self.per_link {
+            None => self.path.links(),
+            Some(_) => &[],
+        };
+        let mapped = self.per_link.iter().flatten();
+        uniform
+            .iter()
+            .map(|&link| (link, &self.profile))
+            .chain(mapped.map(|(&link, profile)| (link, profile)))
     }
 
     /// The earliest and latest instants at which the flow transmits on any
     /// link, or `None` for an all-zero schedule.
     pub fn activity_span(&self) -> Option<(f64, f64)> {
         let mut span: Option<(f64, f64)> = self.profile.span();
-        for p in self.link_profiles.values() {
+        for p in self.per_link.iter().flat_map(BTreeMap::values) {
             if let Some((s, e)) = p.span() {
                 span = Some(match span {
                     None => (s, e),
@@ -83,6 +121,56 @@ impl FlowSchedule {
             }
         }
         span
+    }
+
+    /// The part of this schedule inside the commit window `[from, to)`,
+    /// relabelled as `flow` (re-solves number the residual flows afresh).
+    /// Links idle in the window are dropped.
+    pub(crate) fn restricted(&self, flow: FlowId, from: f64, to: f64) -> FlowSchedule {
+        let profile = self.profile.restricted(from, to);
+        let per_link = match &self.per_link {
+            // Every link carries `profile`: all of them are idle in the
+            // window, or none is.
+            None if profile.is_active() => None,
+            None => Some(BTreeMap::new()),
+            Some(map) => Some(
+                map.iter()
+                    .map(|(&link, profile)| (link, profile.restricted(from, to)))
+                    .filter(|(_, profile)| profile.is_active())
+                    .collect(),
+            ),
+        };
+        FlowSchedule {
+            flow,
+            path: self.path.clone(),
+            profile,
+            per_link,
+        }
+    }
+
+    /// Appends a later committed `slice` of the same flow: the nominal
+    /// profile and every link the slice transmits on gain its pieces behind
+    /// the ones already there, and the path becomes the slice's — the
+    /// routing of the latest decision (the per-link profiles keep the links
+    /// of every earlier window, so energy and simulation see the true loads
+    /// when the routing changed). Pieces are never sorted, coalesced or
+    /// dropped: [`RateProfile::segments`] sums overlapping pieces in piece
+    /// order, so commit order is what keeps an online run's energy bit-stable.
+    pub(crate) fn append(&mut self, slice: FlowSchedule) {
+        debug_assert_eq!(self.flow, slice.flow, "slices of one flow");
+        // Uniform slices along one path stay one stored profile; anything
+        // else is spelled out per link first.
+        if self.per_link.is_some() || slice.per_link.is_some() || self.path != slice.path {
+            let (path, profile) = (&self.path, &self.profile);
+            let map = self.per_link.get_or_insert_with(|| {
+                path.links().iter().map(|&l| (l, profile.clone())).collect()
+            });
+            for (link, pieces) in slice.link_profiles() {
+                map.entry(link).or_default().merge(pieces);
+            }
+        }
+        self.profile.merge(&slice.profile);
+        self.path = slice.path;
     }
 }
 
@@ -247,7 +335,7 @@ impl Schedule {
     pub fn link_profiles(&self) -> BTreeMap<LinkId, RateProfile> {
         let mut profiles: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
         for fs in &self.flows {
-            for (&link, profile) in &fs.link_profiles {
+            for (link, profile) in fs.link_profiles() {
                 profiles.entry(link).or_default().merge(profile);
             }
         }
@@ -370,6 +458,8 @@ mod tests {
     use super::*;
     use dcn_flow::FlowSet;
     use dcn_topology::builders;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
 
     fn power() -> PowerFunction {
         PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap()
@@ -593,5 +683,262 @@ mod tests {
         let fs =
             FlowSchedule::per_link(0, path, RateProfile::constant(3.0, 5.0, 1.0), link_profiles);
         assert_eq!(fs.activity_span(), Some((1.0, 5.0)));
+    }
+
+    /// Three routes between one inter-pod host pair of a `k = 4` fat-tree:
+    /// the same first and last hop, different links in between.
+    fn routes(topo: &builders::BuiltTopology, src: usize, dst: usize) -> Vec<Path> {
+        let mut graph = topo.csr();
+        (0..3)
+            .map(|_| {
+                let path = graph
+                    .shortest_path(topo.hosts()[src], topo.hosts()[dst])
+                    .unwrap();
+                graph.fail_link(path.links()[2]);
+                path
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equality_is_by_content_whichever_way_a_side_is_stored() {
+        let topo = builders::line(3);
+        let path = topo
+            .network
+            .shortest_path(topo.hosts()[0], topo.hosts()[2])
+            .unwrap();
+        let profile = RateProfile::constant(0.0, 4.0, 2.0);
+        let uniform = FlowSchedule::uniform(0, path.clone(), profile.clone());
+        let mut map: BTreeMap<LinkId, RateProfile> =
+            path.links().iter().map(|&l| (l, profile.clone())).collect();
+        let spelled_out = FlowSchedule::per_link(0, path.clone(), profile.clone(), map.clone());
+        assert_eq!(uniform, spelled_out);
+        assert_eq!(spelled_out, uniform);
+        // One link with another window, or one link missing, is a
+        // different schedule.
+        map.insert(path.links()[1], RateProfile::constant(1.0, 5.0, 2.0));
+        let shifted = FlowSchedule::per_link(0, path.clone(), profile.clone(), map.clone());
+        assert_ne!(uniform, shifted);
+        map.remove(&path.links()[1]);
+        assert_ne!(uniform, FlowSchedule::per_link(0, path, profile, map));
+    }
+
+    #[test]
+    fn uniform_appends_on_one_path_keep_one_stored_profile() {
+        let topo = builders::fat_tree(4);
+        let path = routes(&topo, 0, 15).remove(0);
+        let window = |k: usize| RateProfile::constant(k as f64, k as f64 + 1.0, 2.0);
+        let mut fs = FlowSchedule::uniform(0, path.clone(), window(0));
+        for k in 1..10 {
+            fs.append(FlowSchedule::uniform(0, path.clone(), window(k)));
+        }
+        assert!(fs.per_link.is_none());
+        assert_eq!(fs.profile.volume(), 20.0);
+        let links: Vec<LinkId> = fs.link_profiles().map(|(link, _)| link).collect();
+        assert_eq!(links, path.links());
+        assert!(fs
+            .link_profiles()
+            .all(|(_, p)| std::ptr::eq(p, &fs.profile)));
+    }
+
+    #[test]
+    fn a_path_change_expands_to_the_map_and_loses_no_piece() {
+        let topo = builders::fat_tree(4);
+        let paths = routes(&topo, 0, 15);
+        let (old, new) = (&paths[0], &paths[2]);
+        let mut fs = FlowSchedule::uniform(0, old.clone(), RateProfile::constant(0.0, 1.0, 2.0));
+        fs.append(FlowSchedule::uniform(
+            0,
+            new.clone(),
+            RateProfile::constant(1.0, 2.0, 3.0),
+        ));
+        assert_eq!(&fs.path, new, "the latest decision's routing");
+        assert_eq!(fs.profile.volume(), 5.0);
+        let mut links: Vec<LinkId> = old.links().iter().chain(new.links()).copied().collect();
+        links.sort_unstable();
+        links.dedup();
+        assert!(links.len() > new.len(), "the routes differ");
+        assert_eq!(fs.link_profiles().count(), links.len());
+        for link in links {
+            let mut expected = 0.0;
+            if old.contains_link(link) {
+                expected += 2.0;
+            }
+            if new.contains_link(link) {
+                expected += 3.0;
+            }
+            assert_eq!(fs.link_profile(link).unwrap().volume(), expected);
+        }
+    }
+
+    #[test]
+    fn restricted_drops_links_idle_in_the_window() {
+        let topo = builders::line(3);
+        let path = topo
+            .network
+            .shortest_path(topo.hosts()[0], topo.hosts()[2])
+            .unwrap();
+        let (first, second) = (path.links()[0], path.links()[1]);
+        let mut link_profiles = BTreeMap::new();
+        link_profiles.insert(first, RateProfile::constant(0.0, 1.0, 4.0));
+        link_profiles.insert(second, RateProfile::constant(2.0, 3.0, 4.0));
+        let stored = FlowSchedule::per_link(
+            0,
+            path.clone(),
+            RateProfile::constant(2.0, 3.0, 4.0),
+            link_profiles,
+        );
+        let clipped = stored.restricted(5, 0.0, 1.5);
+        assert_eq!(clipped.flow, 5);
+        assert_eq!(clipped.path, path);
+        assert!(clipped.profile.is_empty());
+        let links: Vec<LinkId> = clipped.link_profiles().map(|(link, _)| link).collect();
+        assert_eq!(links, [first]);
+
+        // A uniform schedule is idle on all of its links or on none, and a
+        // window it is active in leaves it stored once.
+        let uniform = FlowSchedule::uniform(0, path, RateProfile::constant(0.0, 1.0, 4.0));
+        let idle = uniform.restricted(5, 2.0, 3.0);
+        assert!(idle.profile.is_empty());
+        assert_eq!(idle.link_profiles().count(), 0);
+        let half = uniform.restricted(5, 0.5, 3.0);
+        assert!(half.per_link.is_none());
+        assert_eq!(half.profile.volume(), 2.0);
+    }
+
+    /// The engine's commit primitive before `FlowSchedule::restricted`,
+    /// verbatim on the public constructors.
+    fn oracle_clip(fs: &FlowSchedule, orig: FlowId, from: f64, to: f64) -> FlowSchedule {
+        let link_profiles: BTreeMap<LinkId, RateProfile> = fs
+            .link_profiles()
+            .map(|(link, profile)| (link, profile.restricted(from, to)))
+            .filter(|(_, profile)| profile.is_active())
+            .collect();
+        FlowSchedule::per_link(
+            orig,
+            fs.path.clone(),
+            fs.profile.restricted(from, to),
+            link_profiles,
+        )
+    }
+
+    /// The engine's end-of-run merge of per-flow slice lists before
+    /// `FlowSchedule::append`, verbatim on the public constructors.
+    fn oracle_stitch(commits: Vec<(FlowId, Vec<FlowSchedule>)>, horizon: (f64, f64)) -> Schedule {
+        let mut flow_schedules = Vec::with_capacity(commits.len());
+        for (flow, mut parts) in commits {
+            if parts.len() == 1 {
+                flow_schedules.push(parts.pop().expect("one part"));
+                continue;
+            }
+            let path = parts.last().expect("non-empty parts").path.clone();
+            let mut profile = RateProfile::new();
+            let mut link_profiles: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
+            for part in &parts {
+                profile.merge(&part.profile);
+                for (link, slice) in part.link_profiles() {
+                    link_profiles.entry(link).or_default().merge(slice);
+                }
+            }
+            flow_schedules.push(FlowSchedule::per_link(flow, path, profile, link_profiles));
+        }
+        Schedule::new(flow_schedules, horizon)
+    }
+
+    /// One inner schedule as a re-solve at time `from` could return it for
+    /// residual flow 0: uniform, per-link with its own window on every
+    /// link (some idle), or nothing at all; activity may start after the
+    /// unit commit window, so its clip can be empty on some or all links.
+    fn random_inner(rng: &mut StdRng, path: &Path, from: f64) -> FlowSchedule {
+        let piece = |rng: &mut StdRng| {
+            let start = from + rng.gen_range(0.0..1.5);
+            let end = start + rng.gen_range(0.1..1.5);
+            RateProfile::constant(start, end, rng.gen_range(0.1..2.0))
+        };
+        match rng.gen_range(0..5) {
+            0 => FlowSchedule::per_link(0, path.clone(), RateProfile::new(), BTreeMap::new()),
+            1 | 2 => {
+                let mut nominal = RateProfile::new();
+                let mut link_profiles = BTreeMap::new();
+                for &link in path.links() {
+                    if rng.gen_bool(0.8) {
+                        nominal = piece(rng);
+                        link_profiles.insert(link, nominal.clone());
+                    }
+                }
+                FlowSchedule::per_link(0, path.clone(), nominal, link_profiles)
+            }
+            _ => {
+                let mut profile = piece(rng);
+                if rng.gen_bool(0.3) {
+                    profile.merge(&piece(rng));
+                }
+                FlowSchedule::uniform(0, path.clone(), profile)
+            }
+        }
+    }
+
+    #[test]
+    fn appended_slices_match_the_stitched_slice_lists() {
+        let topo = builders::fat_tree(4);
+        let graph = topo.csr();
+        let power = power();
+        let horizon = (0.0, 50.0);
+        let endpoints = [(0, 15), (1, 14), (4, 11), (0, 9)];
+        let flows = FlowSet::from_tuples(
+            endpoints.map(|(s, d)| (topo.hosts()[s], topo.hosts()[d], 0.0, horizon.1, 1.0)),
+        )
+        .unwrap();
+        let routes = endpoints.map(|(src, dst)| routes(&topo, src, dst));
+        for seed in 0..60 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut appended: Vec<FlowSchedule> = Vec::new();
+            let mut commits: Vec<(FlowId, Vec<FlowSchedule>)> = Vec::new();
+            for (flow, routes) in routes.iter().enumerate() {
+                let mut route = 0;
+                let slices = rng.gen_range(1..=40);
+                commits.push((flow, Vec::new()));
+                for k in 0..slices {
+                    if rng.gen_bool(0.3) {
+                        route = rng.gen_range(0..routes.len());
+                    }
+                    let from = k as f64;
+                    let inner = random_inner(&mut rng, &routes[route], from);
+                    // Commit as the engine does: every window clipped to
+                    // the next event, the last one taken whole.
+                    let (slice, part) = if k + 1 < slices {
+                        (
+                            inner.restricted(flow, from, from + 1.0),
+                            oracle_clip(&inner, flow, from, from + 1.0),
+                        )
+                    } else {
+                        let mut whole = inner;
+                        whole.flow = flow;
+                        (whole.clone(), whole)
+                    };
+                    assert_eq!(slice, part, "seed {seed} flow {flow} slice {k}");
+                    if k == 0 {
+                        appended.push(slice);
+                    } else {
+                        appended[flow].append(slice);
+                    }
+                    commits[flow].1.push(part);
+                }
+            }
+            let appended = Schedule::new(appended, horizon);
+            let stitched = oracle_stitch(commits, horizon);
+            assert_eq!(appended, stitched, "seed {seed}");
+            let (new, old) = (appended.energy(&power), stitched.energy(&power));
+            assert_eq!(new.dynamic.to_bits(), old.dynamic.to_bits(), "seed {seed}");
+            assert_eq!(new.idle.to_bits(), old.idle.to_bits(), "seed {seed}");
+            assert_eq!(
+                appended.verify_on(&graph, &flows, &power),
+                stitched.verify_on(&graph, &flows, &power),
+                "seed {seed}"
+            );
+            for (new, old) in appended.flows.iter().zip(&stitched.flows) {
+                assert_eq!(new.activity_span(), old.activity_span(), "seed {seed}");
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! Schedules produced by the event-driven online engine
 //! ([`dcn_core::online`]) are executed the same way — the slices a policy
 //! commits between events, whether solver re-solves or direct rate
-//! assignments, stitch into ordinary rate profiles — with one
+//! assignments, are appended to ordinary per-flow rate profiles — with one
 //! admission-aware entry point: [`Simulator::run_admitted`] excludes
 //! flows the admission rule rejected from the deadline-miss count, so
 //! online reports measure scheduling quality rather than admission

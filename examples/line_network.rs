@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             flow.deadline
         );
         println!("          rate = {rate:.6}   (paper: {expected:.6})");
-        for (&link, profile) in &fs.link_profiles {
+        for (link, profile) in fs.link_profiles() {
             let l = topo.network.link(link);
             for (s, e, r) in profile.segments() {
                 println!(

@@ -188,24 +188,14 @@ fn assert_relaxed_policy_invariants(
 }
 
 /// Total volume transmitted on `link` inside `[from, to]` across a
-/// stitched schedule: per-link profiles where the stitcher split them,
-/// the uniform flow profile otherwise.
+/// schedule.
 fn link_volume_between(schedule: &Schedule, link: LinkId, from: f64, to: f64) -> f64 {
     schedule
         .flow_schedules()
         .iter()
         .map(|fs| {
-            if fs.link_profiles.is_empty() {
-                if fs.path.links().contains(&link) {
-                    fs.profile.volume_between(from, to)
-                } else {
-                    0.0
-                }
-            } else {
-                fs.link_profiles
-                    .get(&link)
-                    .map_or(0.0, |p| p.volume_between(from, to))
-            }
+            fs.link_profile(link)
+                .map_or(0.0, |p| p.volume_between(from, to))
         })
         .sum()
 }
@@ -489,6 +479,60 @@ proptest! {
                 prop_assert!(ctx.graph().capacity(LinkId(index)).to_bits() == capacity.to_bits());
             }
             prop_assert!(*ctx.graph() == pristine);
+        }
+    }
+}
+
+/// A flow that transmits with its nominal profile on every link of its
+/// path stores that profile once: what `link_profiles()` hands out per
+/// link *is* the flow's `profile`, not a copy of it — for a schedule the
+/// engine assembled window by window (`edf`) as for one solved offline
+/// (`dcfsr`). Most-Critical-First (`sp-mcf`) packs every link on its own
+/// and keeps a profile per link.
+#[test]
+fn a_uniform_schedule_stores_one_profile_per_flow() {
+    let topo = builders::fat_tree_with_capacity(4, CAPACITY);
+    let power = power();
+    let base = UniformWorkload::paper_defaults(12, 7)
+        .generate(topo.hosts())
+        .unwrap();
+    let flows = ArrivalProcess::with_load(4.0, 7).apply(&base).unwrap();
+    let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+    let links_sharing_the_profile = |fs: &FlowSchedule| {
+        let shared = fs
+            .link_profiles()
+            .filter(|&(_, profile)| std::ptr::eq(profile, &fs.profile))
+            .count();
+        (shared, fs.path.len())
+    };
+
+    let outcome = OnlineEngine::builder()
+        .policy("edf")
+        .build()
+        .unwrap()
+        .run(&mut ctx, &flows, &power)
+        .unwrap();
+    assert!(
+        outcome.report.events > flows.len(),
+        "flows are committed in several windows"
+    );
+    assert_eq!(outcome.schedule.len(), flows.len());
+    for fs in outcome.schedule.flow_schedules() {
+        let (shared, hops) = links_sharing_the_profile(fs);
+        assert_eq!(shared, hops, "edf flow {}", fs.flow);
+    }
+
+    let registry = AlgorithmRegistry::with_defaults();
+    for (name, one_copy) in [("dcfsr", true), ("sp-mcf", false)] {
+        let solution = registry
+            .create(name)
+            .unwrap()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        for fs in solution.schedule.as_ref().unwrap().flow_schedules() {
+            let (shared, hops) = links_sharing_the_profile(fs);
+            assert_eq!(fs.link_profiles().count(), hops);
+            assert_eq!(shared, if one_copy { hops } else { 0 }, "{name}");
         }
     }
 }

@@ -124,7 +124,7 @@ fn legacy_run(
                 }
                 Some(until) => clip_flow_schedule(fs, orig, *now, until),
             };
-            if committed.profile.is_empty() && committed.link_profiles.is_empty() {
+            if committed.profile.is_empty() && committed.link_profiles().next().is_none() {
                 continue;
             }
             state[orig].delivered += committed.profile.volume();
@@ -222,9 +222,8 @@ fn residual_instance(
 
 fn clip_flow_schedule(fs: &FlowSchedule, orig: FlowId, from: f64, to: f64) -> FlowSchedule {
     let link_profiles: BTreeMap<LinkId, RateProfile> = fs
-        .link_profiles
-        .iter()
-        .map(|(&link, profile)| (link, profile.restricted(from, to)))
+        .link_profiles()
+        .map(|(link, profile)| (link, profile.restricted(from, to)))
         .filter(|(_, profile)| profile.is_active())
         .collect();
     FlowSchedule::per_link(
@@ -247,7 +246,7 @@ fn stitch(commits: Vec<(FlowId, Vec<FlowSchedule>)>, horizon: (f64, f64)) -> Sch
         let mut link_profiles: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
         for part in &parts {
             profile.merge(&part.profile);
-            for (&link, slice) in &part.link_profiles {
+            for (link, slice) in part.link_profiles() {
                 link_profiles.entry(link).or_default().merge(slice);
             }
         }

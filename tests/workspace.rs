@@ -214,6 +214,10 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
     // The in-flight state of both online drivers lives in
     // `crates/core/src/online/ledger.rs` alone (PR 16): the second ledger,
     // the second admission rule and the second volume tolerance stay gone.
+    // A flow's schedule is stored once, in a layout only `schedule.rs`
+    // knows (PR 20): the engine's per-flow slice lists, the public
+    // per-link map with its "empty means uniform" convention and the
+    // capacity ledger's unread dirty tracker stay gone.
     let mut volume_tolerances = Vec::new();
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
@@ -223,6 +227,11 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
             "ServeAdmission",
             "struct FlowState",
             "fn residual_set",
+            "fn stitch(",
+            "commit_index",
+            "pub link_profiles:",
+            "link_profiles.is_empty()",
+            "fn take_dirty",
         ] {
             assert!(
                 !source.contains(banned),
