@@ -12,10 +12,19 @@
 //! per-flow state all of this reads and writes is the shared
 //! [`InFlightLedger`](super::ledger).
 //!
+//! A commit costs what it changes. The flows a plan re-commits at an
+//! unchanged rate along an unchanged path — under `edf`, all but the one
+//! that arrived or left — have the new window appended to their stored
+//! profile in place, where it extends the last piece
+//! ([`RateProfile::append_rate`], which also states the tolerance); only a
+//! first commit or a changed route builds a slice. The plan itself shares
+//! the policy's cached paths ([`RateAssignment::path`]).
+//!
 //! Every decision invalidates all previously predicted completions and
-//! timers (a lazy generation counter — stale events are skipped on pop, not
-//! searched for), so the queue always reflects only the *current* rate
-//! plan. With a policy that always resolves ([`super::ResolvePolicy`]) the
+//! timers, so they are kept apart from the arrivals and topology events in
+//! a `Vec` that each decision clears and refills: the queue always reflects
+//! only the *current* rate plan and holds nothing that is never popped.
+//! With a policy that always resolves ([`super::ResolvePolicy`]) the
 //! queue holds arrival events only and the engine replays the pre-split
 //! `OnlineScheduler` loop exactly, which is what keeps the `resolve` policy
 //! bit-identical to it.
@@ -30,7 +39,7 @@
 
 use super::fractionally_feasible;
 use super::ledger::InFlightLedger;
-use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry, RatePlan};
+use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry, RateAssignment, RatePlan};
 use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
@@ -40,8 +49,7 @@ use dcn_flow::{Flow, FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 /// How the online loop decides whether a newly arrived flow is accepted.
 #[derive(Debug, Clone, Default)]
@@ -317,127 +325,83 @@ impl QueuedKind {
     }
 }
 
-/// One queued event. Dynamic events (completions, timers) carry the
-/// generation they were predicted under; bumping the queue's generation
-/// lazily invalidates them.
+/// One queued event.
 #[derive(Debug, Clone, Copy)]
 struct QueuedEvent {
     time: f64,
-    generation: u64,
     kind: QueuedKind,
 }
 
-impl QueuedEvent {
-    fn tie_break(&self) -> (u8, usize, u64) {
-        (self.kind.rank(), self.kind.key(), self.generation)
-    }
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for QueuedEvent {}
-
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.tie_break().cmp(&other.tie_break()))
-    }
-}
-
-/// The typed event queue: a min-heap with lazy generation invalidation of
-/// dynamic events. Arrival events are never invalidated.
-#[derive(Debug, Default)]
+/// The typed event queue, in two halves. Arrival and topology events are
+/// all known when the run starts and are never invalidated: `fixed` holds
+/// them sorted by `(time, rank, key)` and `next_fixed` is the first one not
+/// popped yet. Completions and timers are predictions of the *current*
+/// plan only — every step supersedes them, so at most the earliest instant
+/// of one plan is ever popped — and live in a `Vec` that
+/// [`EventQueue::invalidate_dynamic`] clears.
+#[derive(Debug)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<QueuedEvent>>,
-    generation: u64,
+    fixed: Vec<QueuedEvent>,
+    next_fixed: usize,
+    predicted: Vec<QueuedEvent>,
 }
 
 impl EventQueue {
-    fn push_arrival(&mut self, time: f64, group: usize) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            generation: 0,
-            kind: QueuedKind::Arrival { group },
-        }));
-    }
-
-    fn push_topology(&mut self, time: f64, index: usize) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            generation: 0,
-            kind: QueuedKind::Topology { index },
-        }));
+    fn new(fixed: impl Iterator<Item = (f64, QueuedKind)>) -> Self {
+        let mut fixed: Vec<_> = fixed
+            .map(|(time, kind)| QueuedEvent { time, kind })
+            .collect();
+        fixed.sort_by(|a, b| {
+            let order = |e: &QueuedEvent| (e.kind.rank(), e.kind.key());
+            a.time.total_cmp(&b.time).then(order(a).cmp(&order(b)))
+        });
+        Self {
+            fixed,
+            next_fixed: 0,
+            predicted: Vec::new(),
+        }
     }
 
     fn push_completion(&mut self, time: f64, flow: FlowId) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            generation: self.generation,
-            kind: QueuedKind::Completion { flow },
-        }));
+        let kind = QueuedKind::Completion { flow };
+        self.predicted.push(QueuedEvent { time, kind });
     }
 
     fn push_timer(&mut self, time: f64, flow: FlowId) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            generation: self.generation,
-            kind: QueuedKind::SlackTimer { flow },
-        }));
+        let kind = QueuedKind::SlackTimer { flow };
+        self.predicted.push(QueuedEvent { time, kind });
     }
 
-    /// Marks every queued completion and timer stale. Called once per
-    /// processed batch, *before* the new plan's events are pushed.
+    /// Drops every queued completion and timer. Called once per processed
+    /// batch, *before* the new plan's events are pushed.
     fn invalidate_dynamic(&mut self) {
-        self.generation += 1;
+        self.predicted.clear();
     }
 
-    fn is_live(&self, event: &QueuedEvent) -> bool {
-        matches!(
-            event.kind,
-            QueuedKind::Arrival { .. } | QueuedKind::Topology { .. }
-        ) || event.generation == self.generation
+    /// The time of the next event.
+    fn peek_valid_time(&self) -> Option<f64> {
+        let fixed = self.fixed.get(self.next_fixed);
+        let events = fixed.into_iter().chain(&self.predicted);
+        events.map(|e| e.time).min_by(f64::total_cmp)
     }
 
-    /// The time of the next live event, discarding stale ones on the way.
-    fn peek_valid_time(&mut self) -> Option<f64> {
-        loop {
-            let (live, time) = match self.heap.peek() {
-                Some(Reverse(event)) => (self.is_live(event), event.time),
-                None => return None,
-            };
-            if live {
-                return Some(time);
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Pops every live event at the earliest live time, in deterministic
-    /// (rank, key) order.
+    /// Pops every event at the earliest queued time, in deterministic
+    /// (rank, key) order; later predictions stay queued.
     fn pop_batch(&mut self) -> Option<(f64, Vec<QueuedEvent>)> {
         let time = self.peek_valid_time()?;
-        let mut batch = Vec::new();
-        loop {
-            let live = match self.heap.peek() {
-                Some(Reverse(event)) if event.time == time => self.is_live(event),
-                _ => break,
-            };
-            let Reverse(event) = self.heap.pop().expect("peeked event pops");
-            if live {
-                batch.push(event);
+        let due = self.fixed[self.next_fixed..]
+            .iter()
+            .take_while(|e| e.time == time);
+        let mut batch: Vec<QueuedEvent> = due.copied().collect();
+        self.next_fixed += batch.len();
+        self.predicted.retain(|e| {
+            let due = e.time == time;
+            if due {
+                batch.push(*e);
             }
-        }
+            !due
+        });
+        batch.sort_unstable_by_key(|e| (e.kind.rank(), e.kind.key()));
         Some((time, batch))
     }
 }
@@ -872,13 +836,11 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         events: &'r [TopologyEvent],
     ) -> Self {
         let groups = arrival_events(flows);
-        let mut queue = EventQueue::default();
-        for (group, (time, _)) in groups.iter().enumerate() {
-            queue.push_arrival(*time, group);
-        }
-        for (index, event) in events.iter().enumerate() {
-            queue.push_topology(event.time(), index);
-        }
+        let arrivals = (groups.iter().enumerate())
+            .map(|(group, (time, _))| (*time, QueuedKind::Arrival { group }));
+        let topology = (events.iter().enumerate())
+            .map(|(index, event)| (event.time(), QueuedKind::Topology { index }));
+        let queue = EventQueue::new(arrivals.chain(topology));
         let mut ledger = InFlightLedger::new();
         for flow in flows.iter() {
             let id = ledger.reveal(flow.clone());
@@ -1124,9 +1086,24 @@ impl<'r, 'net> EngineRun<'r, 'net> {
             let deadline = self.ledger.entries()[a.flow].flow.deadline;
             let until = next.unwrap_or(deadline).min(deadline);
             if until > now {
-                let profile = RateProfile::constant(now, until, a.rate);
-                self.push_commit(FlowSchedule::uniform(a.flow, a.path, profile));
+                self.commit_rate(a, now, until);
             }
+        }
+    }
+
+    /// Commits one assignment over `[now, until)`. A flow whose stored
+    /// schedule is uniform along the assignment's path — the plan of the
+    /// previous event, carried on — has the window appended to it in
+    /// place: same schedule, same credit and the same latest links as
+    /// [`EngineRun::push_commit`] of the one-piece slice, which is built
+    /// only for a first commit or a changed route.
+    fn commit_rate(&mut self, a: RateAssignment, now: f64, until: f64) {
+        let stored = self.slot[a.flow].map(|slot| &mut self.schedules[slot]);
+        if stored.is_some_and(|fs| fs.append_uniform(&a.path, now, until, a.rate)) {
+            self.credit_commit(a.flow, (until - now) * a.rate);
+        } else {
+            let profile = RateProfile::constant(now, until, a.rate);
+            self.push_commit(FlowSchedule::uniform(a.flow, (*a.path).clone(), profile));
         }
     }
 
@@ -1141,14 +1118,7 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         let latest = &mut self.latest_links[flow];
         latest.clear();
         latest.extend(committed.link_profiles().map(|(link, _)| link));
-        if self.engine.warm_start {
-            for &link in latest.iter() {
-                if !std::mem::replace(&mut self.dirty_mark[link.index()], true) {
-                    self.dirty.push(link);
-                }
-            }
-        }
-        self.ledger.credit(flow, committed.profile.volume());
+        self.credit_commit(flow, committed.profile.volume());
         match self.slot[flow] {
             Some(slot) => self.schedules[slot].append(committed),
             None => {
@@ -1156,6 +1126,19 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 self.schedules.push(committed);
             }
         }
+    }
+
+    /// Credits `flow` with the `volume` of a slice on its latest links and
+    /// records those links as warm-start dirt.
+    fn credit_commit(&mut self, flow: FlowId, volume: f64) {
+        if self.engine.warm_start {
+            for &link in &self.latest_links[flow] {
+                if !std::mem::replace(&mut self.dirty_mark[link.index()], true) {
+                    self.dirty.push(link);
+                }
+            }
+        }
+        self.ledger.credit(flow, volume);
     }
 
     /// Closes the run: final miss accounting, energy.
@@ -1222,6 +1205,7 @@ mod tests {
     use crate::online::policies::ResolvePolicy;
     use dcn_flow::Flow;
     use dcn_topology::{builders, GraphCsr, Path};
+    use std::sync::Arc;
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
@@ -1286,10 +1270,9 @@ mod tests {
     }
 
     #[test]
-    fn queue_batches_are_deterministic_and_generation_scoped() {
-        let mut queue = EventQueue::default();
-        queue.push_arrival(0.0, 0);
-        queue.push_arrival(4.0, 1);
+    fn queue_batches_are_deterministic_and_plan_scoped() {
+        let arrival = |time, group| (time, QueuedKind::Arrival { group });
+        let mut queue = EventQueue::new([arrival(4.0, 1), arrival(0.0, 0)].into_iter());
         queue.push_completion(2.0, 5);
         queue.push_timer(2.0, 3);
         queue.push_completion(2.0, 1);
@@ -1684,6 +1667,85 @@ mod tests {
         assert!(link_volume_between(&outcome.schedule, link, 0.0, 1.0) > 0.5);
         assert!(!outcome.report.decisions[0].failure_missed);
         assert!(outcome.report.decisions[1].failure_missed);
+    }
+
+    #[test]
+    fn a_window_appended_in_place_equals_its_pushed_slice() {
+        // Two flows between the same edge switches of a k=4 fat-tree, in
+        // abutting, re-rated and gapped windows; flow 0 changes route
+        // mid-flow, after which its schedule is per link and every later
+        // window takes the `push_commit` fallback.
+        let topo = builders::fat_tree(4);
+        let hosts = topo.hosts();
+        let flows = FlowSet::from_tuples([
+            (hosts[0], hosts[15], 0.0, 10.0, 50.0),
+            (hosts[1], hosts[14], 0.0, 10.0, 50.0),
+        ])
+        .unwrap();
+        let power = x2(10.0);
+        let mut graph = GraphCsr::from_network(&topo.network);
+        let first = graph.shortest_path(hosts[0], hosts[15]).unwrap();
+        let other = graph.shortest_path(hosts[1], hosts[14]).unwrap();
+        graph.fail_link(first.links()[2]);
+        let second = graph.shortest_path(hosts[0], hosts[15]).unwrap();
+        let windows = [
+            (0, &first, 0.0, 1.0, 2.0),
+            (1, &other, 0.0, 1.0, 1.0),
+            (0, &first, 1.0, 2.0, 2.0),  // carried on: extends the piece
+            (1, &other, 1.0, 2.0, 1.5),  // re-rated: a second piece
+            (0, &second, 2.0, 3.0, 2.0), // re-routed: expands per link
+            (1, &other, 2.5, 3.0, 1.5),  // after a gap: a third piece
+            (0, &second, 3.0, 4.0, 2.0),
+            (1, &other, 3.0, 4.0, 1.5),
+        ];
+        let commit = |in_place: bool| {
+            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+            let mut engine = OnlineEngine::builder()
+                .policy("edf")
+                .warm_start(true)
+                .build()
+                .unwrap();
+            let mut run = EngineRun::new(&mut engine, &mut ctx, &flows, &power, &[]);
+            run.ledger.admit(0);
+            run.ledger.admit(1);
+            let mut dirty = Vec::new();
+            for &(flow, route, now, until, rate) in &windows {
+                if in_place {
+                    let path = Arc::new(route.clone());
+                    run.commit_rate(RateAssignment { flow, path, rate }, now, until);
+                } else {
+                    let profile = RateProfile::constant(now, until, rate);
+                    run.push_commit(FlowSchedule::uniform(flow, route.clone(), profile));
+                }
+                // What a re-solve after this window would be handed.
+                dirty.push(std::mem::take(&mut run.dirty));
+                run.dirty_mark.fill(false);
+            }
+            let entries = run.ledger.entries().iter();
+            let delivered: Vec<u64> = entries.map(|e| e.delivered.to_bits()).collect();
+            (run.schedules, delivered, run.latest_links, dirty)
+        };
+        let in_place = commit(true);
+        assert_eq!(in_place, commit(false));
+
+        let (schedules, delivered, latest_links, dirty) = in_place;
+        assert_eq!(delivered, [8.0f64, 4.75].map(f64::to_bits));
+        assert_eq!(latest_links, [second.links(), other.links()]);
+        assert!(dirty.iter().all(|links| !links.is_empty()));
+        // Flow 1 never left its route: one stored profile, a piece per
+        // constant-rate run. Flow 0 is one run end to end, spread over the
+        // links of both routes.
+        let pieces = [(0.0, 1.0, 1.0), (1.0, 2.0, 1.5), (2.5, 4.0, 1.5)];
+        assert_eq!(schedules[1].profile.pieces(), pieces);
+        assert!(schedules[1]
+            .link_profiles()
+            .all(|(_, p)| std::ptr::eq(p, &schedules[1].profile)));
+        assert_eq!(schedules[0].profile.pieces(), [(0.0, 4.0, 2.0)]);
+        for (link, profile) in schedules[0].link_profiles() {
+            let start = if first.contains_link(link) { 0.0 } else { 2.0 };
+            let end = if second.contains_link(link) { 4.0 } else { 2.0 };
+            assert_eq!(profile.pieces(), [(start, end, 2.0)], "link {link}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! with, the string-keyed [`PolicyRegistry`] mirroring
 //! [`crate::AlgorithmRegistry`], and two small shared helpers
 //! ([`PathCache`], [`CapacityLedger`]) the rate-assigning policies build
-//! their plans with.
+//! their plans with. A plan is rebuilt at every event for every in-flight
+//! flow, so it shares what does not change: [`RateAssignment::path`] is the
+//! cache's `Arc<Path>`, not a copy of it.
 
 use super::engine::{AdmissionRule, OnlineEvent, WorldView};
 use super::policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};
@@ -14,6 +16,7 @@ use dcn_power::PowerFunction;
 use dcn_topology::{NodeId, Path};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One constant-rate assignment of a [`RatePlan`]: serve `flow` along
 /// `path` at `rate` until the next event.
@@ -21,8 +24,9 @@ use std::fmt;
 pub struct RateAssignment {
     /// The flow to serve (original instance id).
     pub flow: FlowId,
-    /// The routing of the assignment.
-    pub path: Path,
+    /// The routing of the assignment: a shared handle, so that a plan
+    /// built from [`PathCache`] routes copies no path.
+    pub path: Arc<Path>,
     /// The constant rate, in volume per unit time. Assignments with a
     /// non-positive or non-finite rate are ignored by the engine.
     pub rate: f64,
@@ -46,7 +50,8 @@ pub struct RatePlan {
 
 impl RatePlan {
     /// Adds one assignment.
-    pub fn assign(&mut self, flow: FlowId, path: Path, rate: f64) {
+    pub fn assign(&mut self, flow: FlowId, path: impl Into<Arc<Path>>, rate: f64) {
+        let path = path.into();
         self.rates.push(RateAssignment { flow, path, rate });
     }
 
@@ -208,14 +213,16 @@ impl fmt::Debug for PolicyRegistry {
 /// A memo of fewest-hop paths per endpoint pair. The rate-assigning
 /// policies route every flow on its BFS shortest path (the same
 /// tie-breaking as [`dcn_topology::GraphCsr::shortest_path`]); the cache
-/// makes that a one-time cost per endpoint pair per run.
+/// makes that a one-time cost per endpoint pair per run, and hands the
+/// route out as a shared handle (`Arc`, because policies are `Send`), so
+/// re-planning a flow at every event copies no path.
 ///
 /// Memoised paths are keyed to the graph's [`dcn_topology::GraphCsr::epoch`]:
 /// a link failure or recovery bumps the epoch and clears the memo, so a
 /// cached route can never survive the topology change that invalidated it.
 #[derive(Debug, Default)]
 pub struct PathCache {
-    paths: HashMap<(NodeId, NodeId), Option<Path>>,
+    paths: HashMap<(NodeId, NodeId), Option<Arc<Path>>>,
     /// Epoch of the graph the memo was filled from (0 = empty).
     epoch: u64,
 }
@@ -239,7 +246,7 @@ impl PathCache {
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
-    ) -> Result<Path, SolveError> {
+    ) -> Result<Arc<Path>, SolveError> {
         let epoch = ctx.graph().epoch();
         if self.epoch != epoch {
             self.paths.clear();
@@ -247,7 +254,7 @@ impl PathCache {
         }
         self.paths
             .entry((src, dst))
-            .or_insert_with(|| ctx.graph().shortest_path(src, dst))
+            .or_insert_with(|| ctx.graph().shortest_path(src, dst).map(Arc::new))
             .clone()
             .ok_or(SolveError::Unroutable { flow })
     }
@@ -376,8 +383,8 @@ mod tests {
         let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
         let first = cache.shortest(&ctx, 0, a, c).unwrap();
         let second = cache.shortest(&ctx, 1, a, c).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(first, ctx.graph().shortest_path(a, c).unwrap());
+        assert!(Arc::ptr_eq(&first, &second), "one shared route");
+        assert_eq!(*first, ctx.graph().shortest_path(a, c).unwrap());
         assert_eq!(cache.paths.len(), 1);
     }
 

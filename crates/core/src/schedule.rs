@@ -12,12 +12,18 @@
 //! ([`FlowSchedule::per_link`]). The layout is private to this module:
 //! readers use [`FlowSchedule::link_profile`] / [`FlowSchedule::link_profiles`],
 //! and the online engine grows a flow's schedule one committed slice at a
-//! time.
+//! time. A slice that carries on where the flow's last one ended, at its
+//! rate, extends the stored piece ([`RateProfile::append_rate`]), so what a
+//! flow stores grows with its rate changes, not with the events it lived
+//! through: every flow's own `segments()` is what one piece per slice gave,
+//! to the bit; a link's aggregate adds a constant-rate run's first rate
+//! where it used to add the rate of each slice (1 ulp apart at most —
+//! ≤ 2.3e-16 relative in every energy the bench artifacts record).
 
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{EnergyBreakdown, EnergyMeter, PowerFunction, RateProfile};
 use dcn_topology::{GraphCsr, LinkId, Path};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// How a single flow is served: the path it follows and its transmission
@@ -153,9 +159,13 @@ impl FlowSchedule {
     /// the ones already there, and the path becomes the slice's — the
     /// routing of the latest decision (the per-link profiles keep the links
     /// of every earlier window, so energy and simulation see the true loads
-    /// when the routing changed). Pieces are never sorted, coalesced or
+    /// when the routing changed). Every piece goes through
+    /// [`RateProfile::append_rate`]: a slice that carries on where the last
+    /// one ended, at its rate, extends the stored piece instead of adding
+    /// one, so a flow served at a constant rate over many windows stores one
+    /// piece (see there for the tolerance). Pieces are never sorted or
     /// dropped: [`RateProfile::segments`] sums overlapping pieces in piece
-    /// order, so commit order is what keeps an online run's energy bit-stable.
+    /// order, so commit order is what keeps an online run's energy stable.
     pub(crate) fn append(&mut self, slice: FlowSchedule) {
         debug_assert_eq!(self.flow, slice.flow, "slices of one flow");
         // Uniform slices along one path stay one stored profile; anything
@@ -166,11 +176,30 @@ impl FlowSchedule {
                 path.links().iter().map(|&l| (l, profile.clone())).collect()
             });
             for (link, pieces) in slice.link_profiles() {
-                map.entry(link).or_default().merge(pieces);
+                append_pieces(map.entry(link).or_default(), pieces);
             }
         }
-        self.profile.merge(&slice.profile);
+        append_pieces(&mut self.profile, &slice.profile);
         self.path = slice.path;
+    }
+
+    /// [`FlowSchedule::append`] of the uniform slice at `rate` over
+    /// `[start, end)` along `path`, without building it, when that leaves
+    /// this schedule stored once: it is uniform along `path` already.
+    /// Returns `false`, with nothing done, when it is not.
+    pub(crate) fn append_uniform(&mut self, path: &Path, start: f64, end: f64, rate: f64) -> bool {
+        let stays_uniform = self.per_link.is_none() && self.path == *path;
+        if stays_uniform {
+            self.profile.append_rate(start, end, rate);
+        }
+        stays_uniform
+    }
+}
+
+/// Appends every piece of the later slice `later` to `profile`.
+fn append_pieces(profile: &mut RateProfile, later: &RateProfile) {
+    for &(start, end, rate) in later.pieces() {
+        profile.append_rate(start, end, rate);
     }
 }
 
@@ -354,8 +383,10 @@ impl Schedule {
     /// Builds an [`EnergyMeter`] loaded with this schedule's link activity.
     pub fn energy_meter(&self, power: &PowerFunction) -> EnergyMeter {
         let mut meter = EnergyMeter::new(*power, self.horizon.0, self.horizon.1);
-        for (link, profile) in self.link_profiles() {
-            meter.add_profile(link, &profile);
+        for fs in &self.flows {
+            for (link, profile) in fs.link_profiles() {
+                meter.add_profile(link, profile);
+            }
         }
         meter
     }
@@ -390,8 +421,12 @@ impl Schedule {
         power: &PowerFunction,
     ) -> Result<(), ScheduleError> {
         let mut violations = Vec::new();
+        // One id -> entry index per call (the first entry of an id wins, as
+        // in `flow_schedule`), not a linear search per flow.
+        let by_id: HashMap<FlowId, &FlowSchedule> =
+            self.flows.iter().rev().map(|fs| (fs.flow, fs)).collect();
         for flow in flows.iter() {
-            let Some(fs) = self.flow_schedule(flow.id) else {
+            let Some(&fs) = by_id.get(&flow.id) else {
                 violations.push(ScheduleViolation::MissingFlow(flow.id));
                 continue;
             };

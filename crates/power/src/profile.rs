@@ -64,6 +64,40 @@ impl RateProfile {
         }
     }
 
+    /// Appends `rate` over `[start, end)` to a profile that is built in time
+    /// order: a piece that starts where the last stored piece ends
+    /// (`|Δt| < 1e-12`) at that piece's rate (`|Δrate| < 1e-12`, against
+    /// the rate the run *retains*, its first) extends that piece in place;
+    /// anything else is [`RateProfile::add_rate`]. This is the predicate
+    /// [`RateProfile::segments`] merges by, so for time-ordered appends
+    /// `segments()` is what `add_rate` would have given, to the bit, from
+    /// one stored piece per constant-rate run instead of one per append.
+    /// What it trades: a sum over several such profiles (a link's
+    /// aggregate) adds a run's first rate where it used to add its k-th.
+    ///
+    /// # Panics
+    ///
+    /// As [`RateProfile::add_rate`].
+    pub fn append_rate(&mut self, start: f64, end: f64, rate: f64) {
+        match self.pieces.last_mut() {
+            Some((_, last_end, last_rate))
+                if end > start
+                    && end.is_finite()
+                    && (*last_end - start).abs() < 1e-12
+                    && (*last_rate - rate).abs() < 1e-12 =>
+            {
+                *last_end = end;
+            }
+            _ => self.add_rate(start, end, rate),
+        }
+    }
+
+    /// The stored `(start, end, rate)` pieces, in insertion order — not
+    /// necessarily disjoint; [`RateProfile::segments`] is the function.
+    pub fn pieces(&self) -> &[(f64, f64, f64)] {
+        &self.pieces
+    }
+
     /// Returns `true` if the profile is identically zero.
     pub fn is_empty(&self) -> bool {
         self.pieces.is_empty()
@@ -391,6 +425,80 @@ mod tests {
         p.add_rate(0.5, 1.0, 3.0);
         assert!(close(p.capacity_excess(5.0), 2.0));
         assert_eq!(p.capacity_excess(10.0), 0.0);
+    }
+
+    #[test]
+    fn time_ordered_appends_are_the_merged_function_in_fewer_pieces() {
+        // splitmix64: a seeded stream with no dev-dependency.
+        fn unit(state: &mut u64) -> f64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+        let bits = |p: &RateProfile| -> Vec<[u64; 3]> {
+            let segments = p.segments().into_iter();
+            segments
+                .map(|(s, e, r)| [s, e, r].map(f64::to_bits))
+                .collect()
+        };
+        let (mut stored, mut pushed) = (0, 0);
+        for seed in 0..300u64 {
+            let state = &mut seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let (mut appended, mut merged) = (RateProfile::new(), RateProfile::new());
+            let mut now = unit(state);
+            let mut rate = 1.0 + unit(state);
+            for _ in 0..1 + (40.0 * unit(state)) as usize {
+                // Abutting or gapped; at the same rate, 1e-13 or 1e-9 off
+                // it (below and above the merge tolerance), or a fresh one.
+                if unit(state) < 0.25 {
+                    now += unit(state);
+                }
+                match (5.0 * unit(state)) as u32 {
+                    0 | 1 => {}
+                    2 => rate += 1e-13,
+                    3 => rate += 1e-9,
+                    _ => rate = 1.0 + unit(state),
+                }
+                let until = now + 0.01 + unit(state);
+                appended.append_rate(now, until, rate);
+                merged.merge(&RateProfile::constant(now, until, rate));
+                now = until;
+            }
+            assert_eq!(bits(&appended), bits(&merged), "seed {seed}");
+            let (a, m) = (appended.volume(), merged.volume());
+            assert!((a - m).abs() <= 1e-12 * m, "seed {seed}: {a} vs {m}");
+            assert!(appended.pieces().len() <= merged.pieces().len());
+            assert_eq!(appended.pieces().len(), appended.segments().len());
+            stored += appended.pieces().len();
+            pushed += merged.pieces().len();
+        }
+        assert!(
+            3 * stored < 2 * pushed,
+            "{stored} of {pushed} pieces stored"
+        );
+    }
+
+    #[test]
+    fn append_rate_rejects_what_add_rate_rejects() {
+        let bad: [(f64, f64, f64); 4] = [
+            (1.0, f64::INFINITY, 2.0),
+            (1.0, 0.5, 2.0),
+            (1.0, 2.0, -2.0),
+            (f64::NAN, 2.0, 2.0),
+        ];
+        for (start, end, rate) in bad {
+            let refused = std::panic::catch_unwind(|| {
+                RateProfile::constant(0.0, 1.0, 2.0).append_rate(start, end, rate)
+            });
+            assert!(refused.is_err(), "[{start}, {end}) at {rate}");
+        }
+        // Empty and zero-rate appends are ignored, like additions.
+        let mut p = RateProfile::constant(0.0, 1.0, 2.0);
+        p.append_rate(1.0, 1.0, 2.0);
+        p.append_rate(1.0, 2.0, 0.0);
+        assert_eq!(p.pieces(), [(0.0, 1.0, 2.0)]);
     }
 
     #[test]

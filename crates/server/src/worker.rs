@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use dcn_core::online::{AdmissionRule, InFlightLedger, PathCache, WorldView};
 use dcn_core::{Algorithm, AlgorithmRegistry, LedgerEntry, SolveError, SolverContext};
@@ -101,7 +102,7 @@ pub struct EngineSettings {
 /// from the shard clock onwards.
 #[derive(Debug, Clone)]
 struct Plan {
-    path: Path,
+    path: Arc<Path>,
     profile: RateProfile,
 }
 
@@ -188,7 +189,11 @@ impl<'net> ShardEngine<'net> {
                 let slice = plan.profile.restricted(from, now);
                 match self.committed.get_mut(&id) {
                     Some(history) => {
-                        history.profile.merge(&slice);
+                        // A plan that is carried on extends the history's
+                        // last piece instead of adding one per submission.
+                        for &(start, end, rate) in slice.pieces() {
+                            history.profile.append_rate(start, end, rate);
+                        }
                         history.path = plan.path.clone();
                     }
                     None => {
@@ -336,7 +341,7 @@ impl<'net> ShardEngine<'net> {
             fresh.insert(
                 original,
                 Plan {
-                    path: fs.path.clone(),
+                    path: Arc::new(fs.path.clone()),
                     profile: fs.profile.clone(),
                 },
             );
@@ -491,6 +496,7 @@ impl PlanRecord {
     fn to_plan(&self, network: &Network, bucket: usize, field: &str) -> Result<Plan, SolveError> {
         let nodes: Vec<_> = self.path.iter().map(|&n| NodeId(n)).collect();
         let path = Path::from_nodes(network, &nodes)
+            .map(Arc::new)
             .map_err(|e| damaged(bucket, self.flow, &format!("{field}.path"), e))?;
         let mut profile = RateProfile::new();
         for segment in &self.segments {

@@ -536,3 +536,64 @@ fn a_uniform_schedule_stores_one_profile_per_flow() {
         }
     }
 }
+
+/// A flow `edf` serves at its required rate is one virtual circuit at one
+/// rate between population changes, and is stored that way: a window that
+/// carries on where the flow's last one ended, at its rate, extends the
+/// stored piece, so a run keeps about one nominal piece per flow (plus one
+/// per capacity-clipped re-rate) — not one per event the flow was in flight
+/// for. That is also what makes replaying a 1000-flow run affordable: the
+/// simulator sees no deadline miss, no link above capacity, and the energy
+/// the engine reported.
+#[test]
+fn an_edf_run_stores_one_piece_per_constant_rate_run_and_replays() {
+    // Capacity 10 (the busiest link peaks near half of it), so the
+    // capacity check of the replay is not vacuous.
+    let topo = builders::fat_tree_with_capacity(4, 10.0);
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
+    let base = UniformWorkload::paper_defaults(1000, 3)
+        .generate(topo.hosts())
+        .unwrap();
+    let flows = ArrivalProcess::with_load(8.0, 3).apply(&base).unwrap();
+    let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+    let outcome = OnlineEngine::builder()
+        .policy("edf")
+        .build()
+        .unwrap()
+        .run(&mut ctx, &flows, &power)
+        .unwrap();
+    let report = &outcome.report;
+    assert_eq!((report.admitted(), report.missed()), (flows.len(), 0));
+    assert!(
+        report.events >= 2 * flows.len(),
+        "an arrival and a completion per flow"
+    );
+
+    let pieces: usize = outcome
+        .schedule
+        .flow_schedules()
+        .iter()
+        .map(|fs| fs.profile.pieces().len())
+        .sum();
+    assert!(
+        flows.len() <= pieces && 10 * pieces <= 11 * flows.len(),
+        "{pieces} nominal pieces stored for {} flows over {} events",
+        flows.len(),
+        report.events
+    );
+
+    let replay = Simulator::new(power).run_admitted(
+        ctx.graph(),
+        &flows,
+        &outcome.schedule,
+        &report.admitted_mask(),
+    );
+    assert_eq!(replay.deadline_misses, 0);
+    assert_eq!(replay.capacity_violations, 0);
+    let energy = report.online_energy;
+    assert!(
+        (replay.energy.total() - energy).abs() <= 1e-9 * energy,
+        "the simulator measures {}, the engine reported {energy}",
+        replay.energy.total()
+    );
+}

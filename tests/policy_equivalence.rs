@@ -234,7 +234,18 @@ fn clip_flow_schedule(fs: &FlowSchedule, orig: FlowId, from: f64, to: f64) -> Fl
     )
 }
 
+/// Accumulates each flow's slice list as the engine accumulates commits
+/// since PR 21: the first slice is kept as committed and every later one is
+/// appended piece by piece with `RateProfile::append_rate` (where this loop
+/// used to `merge`), so a slice that carries on at the rate of the previous
+/// one extends its last piece. Same function per flow and per link; the
+/// stored layout is the engine's, which is what `==` compares.
 fn stitch(commits: Vec<(FlowId, Vec<FlowSchedule>)>, horizon: (f64, f64)) -> Schedule {
+    fn append(profile: &mut RateProfile, later: &RateProfile) {
+        for &(start, end, rate) in later.pieces() {
+            profile.append_rate(start, end, rate);
+        }
+    }
     let mut flow_schedules = Vec::with_capacity(commits.len());
     for (flow, mut parts) in commits {
         if parts.len() == 1 {
@@ -242,12 +253,16 @@ fn stitch(commits: Vec<(FlowId, Vec<FlowSchedule>)>, horizon: (f64, f64)) -> Sch
             continue;
         }
         let path = parts.last().expect("non-empty parts").path.clone();
-        let mut profile = RateProfile::new();
-        let mut link_profiles: BTreeMap<LinkId, RateProfile> = BTreeMap::new();
-        for part in &parts {
-            profile.merge(&part.profile);
+        let (first, later) = parts.split_first().expect("non-empty parts");
+        let mut profile = first.profile.clone();
+        let mut link_profiles: BTreeMap<LinkId, RateProfile> = first
+            .link_profiles()
+            .map(|(link, slice)| (link, slice.clone()))
+            .collect();
+        for part in later {
+            append(&mut profile, &part.profile);
             for (link, slice) in part.link_profiles() {
-                link_profiles.entry(link).or_default().merge(slice);
+                append(link_profiles.entry(link).or_default(), slice);
             }
         }
         flow_schedules.push(FlowSchedule::per_link(flow, path, profile, link_profiles));

@@ -217,7 +217,9 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
     // A flow's schedule is stored once, in a layout only `schedule.rs`
     // knows (PR 20): the engine's per-flow slice lists, the public
     // per-link map with its "empty means uniform" convention and the
-    // capacity ledger's unread dirty tracker stay gone.
+    // capacity ledger's unread dirty tracker stay gone. The event queue
+    // holds only what can still be popped (PR 21): predicted events are
+    // cleared with the plan that made them, not skipped lazily on pop.
     let mut volume_tolerances = Vec::new();
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
@@ -232,6 +234,7 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
             "pub link_profiles:",
             "link_profiles.is_empty()",
             "fn take_dirty",
+            "fn is_live(",
         ] {
             assert!(
                 !source.contains(banned),
