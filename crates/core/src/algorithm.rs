@@ -70,7 +70,7 @@ impl fmt::Debug for dyn Algorithm {
 }
 
 /// **Random-Schedule** (paper Algorithm 2) as an [`Algorithm`]: relaxation
-/// → decomposition → randomized rounding → density scheduling.
+/// → candidate paths → randomized rounding → density scheduling.
 ///
 /// The solution carries the fractional lower bound (computed as a
 /// by-product of the relaxation) and the rounding diagnostics.
@@ -107,8 +107,12 @@ impl Algorithm for Dcfsr {
         power: &PowerFunction,
     ) -> Result<Solution, SolveError> {
         let relaxation = ctx.relax(flows, power, &self.config.fmcf)?;
-        let outcome =
-            RandomSchedule::new(self.config).run_in_context(ctx, flows, power, &relaxation)?;
+        let outcome = RandomSchedule::new(self.config).run_with_relaxation(
+            ctx.network(),
+            flows,
+            power,
+            &relaxation,
+        )?;
         let energy = outcome.schedule.energy(power);
         let mut solution = Solution::scheduled(self.name(), outcome.schedule, energy);
         solution.lower_bound = Some(relaxation.lower_bound);
@@ -592,7 +596,8 @@ mod tests {
             &power,
             &FmcfSolverConfig::default(),
             &mut dcn_solver::fmcf::FmcfScratch::new(),
-        );
+        )
+        .unwrap();
         let legacy = RandomSchedule::new(RandomScheduleConfig {
             seed: 5,
             ..Default::default()

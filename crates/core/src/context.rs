@@ -101,12 +101,12 @@ impl<'net> SolverContext<'net> {
     }
 
     /// Sets the interval-parallelism knob: solves whose subproblems are
-    /// independent (the per-interval relaxation, DCFSR's per-interval path
-    /// decomposition, `exact`'s assignment enumeration) fan out across
-    /// `parallel.threads` pool workers. The default — one thread — is the
-    /// sequential behaviour bit for bit, and any other width produces
-    /// byte-identical results (see [`crate::pool`] and
-    /// [`interval_relaxation_threads`]); the knob only changes wall-clock.
+    /// independent (the per-interval relaxation, `exact`'s assignment
+    /// enumeration) fan out across `parallel.threads` pool workers. The
+    /// default — one thread — is the sequential behaviour bit for bit, and
+    /// any other width produces byte-identical results (see
+    /// [`crate::pool`] and [`interval_relaxation_threads`]); the knob only
+    /// changes wall-clock.
     ///
     /// Warm-started relaxations ([`SolverContext::set_warm_start`]) always
     /// run sequentially regardless of this knob: the warm cache on the
@@ -136,7 +136,7 @@ impl<'net> SolverContext<'net> {
     /// change bumps the graph's [`GraphCsr::epoch`] (invalidating every
     /// epoch-keyed cache downstream) and marks the link dirty for
     /// warm-started re-solves, so commodities routed across it are
-    /// re-routed rather than served from the stale warm matrix.
+    /// re-routed rather than served from the stale warm solution.
     ///
     /// The borrowed [`Network`] is never touched: the event stream is a
     /// property of a run, not of the topology, and
@@ -239,10 +239,9 @@ impl<'net> SolverContext<'net> {
 
     /// The cheap half of [`SolverContext::validate_flows`]: non-empty set,
     /// endpoints inside the node range. Algorithms whose next step already
-    /// detects disconnected commodities (every routing-based scheduler)
-    /// use this instead of paying the reachability sweep twice; the
-    /// relaxation path needs the full check because the Frank–Wolfe solver
-    /// would panic on a disconnected commodity.
+    /// detects disconnected commodities (every routing-based scheduler,
+    /// and the relaxation, whose solver names the commodity it cannot
+    /// route) use this instead of paying the reachability sweep twice.
     ///
     /// # Errors
     ///
@@ -285,38 +284,26 @@ impl<'net> SolverContext<'net> {
     /// with one private scratch each, returning byte-identical results
     /// (see [`interval_relaxation_threads`]).
     ///
-    /// Validates the flow set first, so the underlying solver — which
-    /// panics on disconnected commodities — is never reached with bad
-    /// input.
-    ///
     /// # Errors
     ///
-    /// Propagates [`SolverContext::validate_flows`] errors.
+    /// Propagates [`SolverContext::validate_flow_shape`] errors; a flow the
+    /// Frank–Wolfe solver finds no path for is
+    /// [`SolveError::Unroutable`].
     pub fn relax(
         &mut self,
         flows: &FlowSet,
         power: &PowerFunction,
         config: &FmcfSolverConfig,
     ) -> Result<RelaxationSummary, SolveError> {
-        self.validate_flows(flows)?;
+        self.validate_flow_shape(flows)?;
         // The warm cache lives on the shared scratch and is order-dependent
         // by design, so warm-started contexts keep the sequential path.
-        if self.parallel.threads > 1 && !self.fmcf.warm_start() {
-            return Ok(interval_relaxation_threads(
-                &self.graph,
-                flows,
-                power,
-                config,
-                self.parallel.threads,
-            ));
-        }
-        Ok(interval_relaxation_with(
-            &self.graph,
-            flows,
-            power,
-            config,
-            &mut self.fmcf,
-        ))
+        let relaxation = if self.parallel.threads > 1 && !self.fmcf.warm_start() {
+            interval_relaxation_threads(&self.graph, flows, power, config, self.parallel.threads)
+        } else {
+            interval_relaxation_with(&self.graph, flows, power, config, &mut self.fmcf)
+        };
+        Ok(relaxation?)
     }
 
     /// Verifies a schedule against its instance on the context's CSR view
@@ -409,8 +396,7 @@ mod tests {
             ctx.validate_flows(&flows).unwrap_err(),
             SolveError::Unroutable { flow: 1 }
         );
-        // The relaxation surfaces the same typed error instead of the
-        // Frank–Wolfe solver's panic.
+        // The relaxation surfaces the solver's own typed error.
         assert_eq!(
             ctx.relax(&flows, &x2(), &Default::default()).unwrap_err(),
             SolveError::Unroutable { flow: 1 }
@@ -431,7 +417,8 @@ mod tests {
             &x2(),
             &Default::default(),
             &mut FmcfScratch::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(via_ctx.lower_bound, direct.lower_bound);
         assert_eq!(via_ctx.intervals.len(), direct.intervals.len());
         for (a, b) in via_ctx.intervals.iter().zip(&direct.intervals) {

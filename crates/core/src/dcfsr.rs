@@ -7,10 +7,12 @@
 //!
 //! 1. **Relax** to a per-interval fractional multi-commodity flow problem
 //!    ([`crate::relaxation`]).
-//! 2. **Decompose** each flow's fractional solution into weighted candidate
-//!    paths `Q_i(k)` per interval (Raghavan–Tompson,
-//!    [`dcn_solver::decompose`]), and merge them across intervals with
-//!    weights `w̄_P = sum_k w_P(k) * |I_k| / (d_i - r_i)`.
+//! 2. **Candidates**: each flow's fractional solution in an interval is a
+//!    set of weighted paths `Q_i(k)` — the Frank–Wolfe solver keeps its
+//!    iterate in exactly that form
+//!    ([`dcn_solver::fmcf::FmcfSolution::paths`]), so nothing is extracted
+//!    from link flows here — merged across intervals with weights
+//!    `w̄_P = sum_k w_P(k) * |I_k| / (d_i - r_i)`.
 //! 3. **Round**: sample one routing path per flow, using `w̄_P` as the
 //!    probability distribution.
 //! 4. **Schedule**: inside every interval, every flow transmits at the
@@ -23,14 +25,12 @@
 //! capacity, the implementation re-samples a bounded number of times and
 //! keeps the least-violating draw, as the paper suggests.
 
-use crate::relaxation::{IntervalRelaxation, RelaxationSummary};
+use crate::relaxation::RelaxationSummary;
 use crate::schedule::{FlowSchedule, Schedule};
-use crate::SolverContext;
-use dcn_flow::{Flow, FlowId, FlowSet};
+use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_solver::decompose::{decompose_flow_with, DecomposeScratch, WeightedPath};
 use dcn_solver::fmcf::FmcfSolverConfig;
-use dcn_topology::{Network, NodeId, Path};
+use dcn_topology::{Network, Path};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::fmt;
@@ -38,7 +38,8 @@ use std::fmt;
 /// Errors raised by [`RandomSchedule::run_with_relaxation`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DcfsrError {
-    /// A flow has no routing path at all between its endpoints.
+    /// The relaxation routes nothing for a flow: it has no routing path
+    /// between its endpoints, or the relaxation is not the instance's.
     Unroutable {
         /// The flow in question.
         flow: FlowId,
@@ -68,7 +69,10 @@ pub struct RandomScheduleConfig {
     /// Seed of the rounding randomness; the whole algorithm is deterministic
     /// for a fixed seed.
     pub seed: u64,
-    /// Residual flow below which decomposition stops extracting paths.
+    /// The residual at which a caller's own Raghavan–Tompson extraction
+    /// ([`dcn_solver::decompose`]) from a relaxed row should stop.
+    /// Random-Schedule reads its candidates from the relaxation's path
+    /// form and does not read this.
     pub decompose_epsilon: f64,
 }
 
@@ -128,69 +132,25 @@ impl RandomSchedule {
         &self.config
     }
 
-    /// Runs decomposition, rounding and scheduling on a precomputed
-    /// relaxation (useful when the caller also needs the lower bound, as the
-    /// benchmark harness does). `network` is taken as the live topology;
-    /// callers whose [`SolverContext`] has links down use
-    /// [`RandomSchedule::run_in_context`].
+    /// Merges, rounds and schedules a precomputed relaxation of `flows` —
+    /// what [`crate::Dcfsr`] runs after [`crate::SolverContext::relax`];
+    /// split from it for callers that also need the lower bound or the
+    /// candidate sets. Every candidate is a path of the relaxation, which
+    /// was solved on the context's live graph, so no flow is routed across
+    /// a link that is down there; the network itself is not read.
     ///
     /// # Errors
     ///
-    /// Returns [`DcfsrError::Unroutable`] if some flow has no path in the
-    /// network.
+    /// Returns [`DcfsrError::Unroutable`] if the relaxation holds no path
+    /// for some flow.
     pub fn run_with_relaxation(
         &self,
-        network: &Network,
+        _network: &Network,
         flows: &FlowSet,
         power: &PowerFunction,
         relaxation: &RelaxationSummary,
     ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        let live_path = |src, dst| network.shortest_path(src, dst);
-        self.run(network, &live_path, flows, power, relaxation, 1)
-    }
-
-    /// [`RandomSchedule::run_with_relaxation`] on a solver context: a flow
-    /// whose decomposition comes up empty is routed on the context's live
-    /// graph, never across a link that is down there, and the per-interval
-    /// path decomposition fans out across the context's
-    /// [`SolverContext::parallelism`] pool workers (each interval's
-    /// Raghavan–Tompson decompositions are independent; the weight merge
-    /// and the rounding loop stay sequential, so the outcome is
-    /// bit-identical at any thread count). This is the entry point the
-    /// [`crate::Dcfsr`] algorithm's `solve` drives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfsrError::Unroutable`] if some flow has no path in the
-    /// context's graph.
-    pub fn run_in_context(
-        &self,
-        ctx: &SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-        relaxation: &RelaxationSummary,
-    ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        let live_path = |src, dst| ctx.graph().shortest_path(src, dst);
-        self.run(
-            ctx.network(),
-            &live_path,
-            flows,
-            power,
-            relaxation,
-            ctx.parallelism().threads,
-        )
-    }
-
-    fn run(
-        &self,
-        network: &Network,
-        live_path: &dyn Fn(NodeId, NodeId) -> Option<Path>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-        relaxation: &RelaxationSummary,
-        threads: usize,
-    ) -> Result<RandomScheduleOutcome, DcfsrError> {
-        let candidates = self.candidate_paths(network, live_path, flows, relaxation, threads)?;
+        let candidates = candidate_paths(flows, relaxation)?;
 
         // Randomized rounding with capacity re-draws.
         let mut best: Option<(Schedule, f64)> = None;
@@ -222,117 +182,47 @@ impl RandomSchedule {
             candidates,
         })
     }
-
-    /// Builds every flow's candidate path set `Q_i` with merged weights
-    /// `w̄_P` (Algorithm 2, lines 4–7).
-    ///
-    /// The per-interval decompositions are independent and fan out across
-    /// `threads` pool workers (one [`DecomposeScratch`] each); the weight
-    /// merge then walks the per-interval results in interval order, flow
-    /// order, path order — the exact floating-point sequence of the
-    /// sequential loop, so the candidate sets are bit-identical at any
-    /// thread count.
-    fn candidate_paths(
-        &self,
-        network: &Network,
-        live_path: &dyn Fn(NodeId, NodeId) -> Option<Path>,
-        flows: &FlowSet,
-        relaxation: &RelaxationSummary,
-        threads: usize,
-    ) -> Result<Vec<Vec<CandidatePath>>, DcfsrError> {
-        let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
-        let epsilon = self.config.decompose_epsilon;
-
-        let decomposed = crate::pool::run_indexed_with(
-            relaxation.intervals.len(),
-            threads,
-            DecomposeScratch::default,
-            |scratch, k| {
-                let iv = &relaxation.intervals[k];
-                iv.flow_ids
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &flow_id)| {
-                        let flow = flows.flow(flow_id);
-                        let edge_flow = iv.solution.commodity_flows(ci);
-                        decompose_flow_with(
-                            network, flow.src, flow.dst, edge_flow, epsilon, scratch,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-
-        for (iv, interval_parts) in relaxation.intervals.iter().zip(decomposed) {
-            for (&flow_id, parts) in iv.flow_ids.iter().zip(interval_parts) {
-                merge_parts(&mut candidates[flow_id], parts, iv, flows.flow(flow_id));
-            }
-        }
-
-        // Normalise. A flow whose decomposition produced nothing carries
-        // less than the absolute threshold on every link (a nearly
-        // delivered residual flow, say): decompose it again with the
-        // threshold relative to its density, and only if the relaxation
-        // holds no flow for it at all fall back to a shortest path of the
-        // live graph.
-        let total_weight = |entry: &[CandidatePath]| entry.iter().map(|c| c.weight).sum::<f64>();
-        let mut scratch = DecomposeScratch::default();
-        for flow in flows.iter() {
-            let entry = &mut candidates[flow.id];
-            let mut total = total_weight(entry);
-            if total <= 0.0 {
-                entry.clear();
-                for iv in &relaxation.intervals {
-                    if let Some(ci) = iv.commodity_index(flow.id) {
-                        let parts = decompose_flow_with(
-                            network,
-                            flow.src,
-                            flow.dst,
-                            iv.solution.commodity_flows(ci),
-                            epsilon * flow.density(),
-                            &mut scratch,
-                        );
-                        merge_parts(entry, parts, iv, flow);
-                    }
-                }
-                total = total_weight(entry);
-            }
-            if total <= 0.0 {
-                let path = live_path(flow.src, flow.dst)
-                    .ok_or(DcfsrError::Unroutable { flow: flow.id })?;
-                entry.clear();
-                entry.push(CandidatePath { path, weight: 1.0 });
-                continue;
-            }
-            for c in entry.iter_mut() {
-                c.weight /= total;
-            }
-        }
-        Ok(candidates)
-    }
 }
 
-/// Adds one interval's decomposition of `flow` to its candidate set:
-/// `w_P(k)` is the fraction of the flow routed on the path in interval
-/// `k`, and the merged weight adds `w_P(k) * |I_k| / (d_i - r_i)`.
-fn merge_parts(
-    entry: &mut Vec<CandidatePath>,
-    parts: Vec<WeightedPath>,
-    iv: &IntervalRelaxation,
-    flow: &Flow,
-) {
-    let density = flow.density();
-    for part in parts {
-        let fraction = part.weight / density;
-        let merged = fraction * iv.interval.length() / flow.span_length();
-        match entry.iter_mut().find(|c| c.path == part.path) {
-            Some(existing) => existing.weight += merged,
-            None => entry.push(CandidatePath {
-                path: part.path,
-                weight: merged,
-            }),
+/// Builds every flow's candidate path set `Q_i` with merged weights `w̄_P`
+/// (Algorithm 2, lines 4–7): `w_P(k)` is the fraction of the flow's
+/// density the relaxation routes on `P` in interval `k` — relative to the
+/// density, so a nearly delivered flow keeps its whole candidate set — and
+/// the merged weight adds `w_P(k) * |I_k| / (d_i - r_i)`. Paths are merged
+/// by content, in interval, flow and path order, so solutions that share
+/// no allocation (per-worker solves) give the same candidates bit for bit.
+fn candidate_paths(
+    flows: &FlowSet,
+    relaxation: &RelaxationSummary,
+) -> Result<Vec<Vec<CandidatePath>>, DcfsrError> {
+    let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
+    for iv in &relaxation.intervals {
+        for (c, &flow_id) in iv.flow_ids.iter().enumerate() {
+            let flow = flows.flow(flow_id);
+            let entry = &mut candidates[flow_id];
+            for (path, rate) in iv.solution.paths(c) {
+                let fraction = rate / flow.density();
+                let merged = fraction * iv.interval.length() / flow.span_length();
+                match entry.iter_mut().find(|c| c.path.links() == path.links()) {
+                    Some(existing) => existing.weight += merged,
+                    None => entry.push(CandidatePath {
+                        path: path.clone(),
+                        weight: merged,
+                    }),
+                }
+            }
         }
     }
+    for (flow, entry) in flows.iter().zip(&mut candidates) {
+        let total: f64 = entry.iter().map(|c| c.weight).sum();
+        if total <= 0.0 {
+            return Err(DcfsrError::Unroutable { flow: flow.id });
+        }
+        for c in entry.iter_mut() {
+            c.weight /= total;
+        }
+    }
+    Ok(candidates)
 }
 
 /// Samples one path per flow according to the candidate weights.
@@ -473,6 +363,40 @@ mod tests {
         }
     }
 
+    /// A nearly delivered residual flow keeps the relaxation's whole
+    /// candidate set: weights are fractions of the flow's density, not
+    /// absolute amounts an absolute threshold could round away (at
+    /// density 1e-13 every per-link flow used to be zeroed as residue and
+    /// the flow was routed on one BFS path whatever the relaxation said).
+    #[test]
+    fn a_nearly_delivered_flow_keeps_its_candidates() {
+        let topo = builders::fat_tree(4);
+        let hosts = topo.hosts();
+        let power = x2(10.0);
+        let flows = FlowSet::from_tuples([
+            (hosts[0], hosts[15], 0.0, 10.0, 10.0),
+            (hosts[1], hosts[14], 0.0, 10.0, 1e-12),
+        ])
+        .unwrap();
+        assert_eq!(flows.flow(1).density(), 1e-13);
+        let relaxation = SolverContext::from_network(&topo.network)
+            .unwrap()
+            .relax(&flows, &power, &FmcfSolverConfig::default())
+            .unwrap();
+        let outcome = RandomSchedule::default()
+            .run_with_relaxation(&topo.network, &flows, &power, &relaxation)
+            .unwrap();
+        let tiny = &outcome.candidates[1];
+        assert_eq!(tiny.len(), 4, "the pair's four ECMP paths: {tiny:?}");
+        for (i, candidate) in tiny.iter().enumerate() {
+            assert_eq!(candidate.weight, 0.25);
+            assert_eq!(candidate.path.len(), 6);
+            assert_eq!(candidate.path.source(), hosts[1]);
+            assert_eq!(candidate.path.destination(), hosts[14]);
+            assert!(tiny[..i].iter().all(|other| other.path != candidate.path));
+        }
+    }
+
     #[test]
     fn parallel_links_get_balanced_by_rounding() {
         // Many identical flows between two hosts joined by parallel links:
@@ -522,7 +446,7 @@ mod tests {
         net.add_duplex_link(a, b, 10.0);
         // c is disconnected.
         let flows = FlowSet::from_tuples([(a, c, 0.0, 1.0, 1.0)]).unwrap();
-        // The relaxation itself panics on unreachable commodities, so check
+        // The relaxation itself refuses unreachable commodities, so check
         // the error path through candidate_paths with an empty relaxation.
         let relaxation = RelaxationSummary {
             intervals: Vec::new(),

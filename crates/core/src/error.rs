@@ -171,6 +171,15 @@ impl From<DcfsrError> for SolveError {
     }
 }
 
+/// The relaxation names its commodities by flow id.
+impl From<dcn_solver::fmcf::Disconnected> for SolveError {
+    fn from(value: dcn_solver::fmcf::Disconnected) -> Self {
+        SolveError::Unroutable {
+            flow: value.commodity,
+        }
+    }
+}
+
 impl From<ExactError> for SolveError {
     fn from(value: ExactError) -> Self {
         match value {

@@ -8,7 +8,10 @@
 //! consecutive release times / deadlines, and the traffic inside each
 //! interval is constant — so each interval is an independent fractional
 //! multi-commodity flow (F-MCF) problem with convex link costs, solved here
-//! with the Frank–Wolfe solver of [`dcn_solver::fmcf`].
+//! with the Frank–Wolfe solver of [`dcn_solver::fmcf`]. Each interval's
+//! solution holds every active flow's density as weighted paths
+//! ([`FmcfSolution::paths`]) — the per-interval candidate sets
+//! Random-Schedule merges and rounds ([`crate::dcfsr`]).
 //!
 //! The total relaxation cost `sum_k |I_k| * cost_k` is the lower bound
 //! ("LB") that the paper's Fig. 2 uses to normalise every algorithm's
@@ -17,19 +20,12 @@
 use dcn_flow::{FlowId, FlowSet, Interval};
 use dcn_power::PowerFunction;
 use dcn_solver::fmcf::{
-    Commodity, FmcfProblem, FmcfScratch, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
+    Commodity, Disconnected, FmcfProblem, FmcfScratch, FmcfSolution, FmcfSolverConfig,
+    PowerFlowCost,
 };
 use dcn_topology::GraphCsr;
 
-/// A [`FlowId`] that marks "not active in this interval" in the prebuilt
-/// commodity lookup of [`IntervalRelaxation`].
-const NOT_ACTIVE: u32 = u32::MAX;
-
 /// The fractional solution of one interval's F-MCF subproblem.
-///
-/// Build one with [`IntervalRelaxation::new`]; the constructor prebuilds
-/// the `FlowId -> commodity` lookup that makes
-/// [`IntervalRelaxation::commodity_index`] O(1) on the DCFSR hot path.
 #[derive(Debug, Clone)]
 pub struct IntervalRelaxation {
     /// The interval `I_k`.
@@ -41,48 +37,13 @@ pub struct IntervalRelaxation {
     pub solution: FmcfSolution,
     /// The relaxation cost of the interval **per unit of time**.
     pub cost_rate: f64,
-    /// Dense `FlowId -> commodity index` lookup ([`NOT_ACTIVE`] marks flows
-    /// outside the interval). Flow ids are dense per-instance indices, so a
-    /// flat vector beats a hash map here.
-    commodity_of: Vec<u32>,
 }
 
 impl IntervalRelaxation {
-    /// Assembles one interval's relaxation, prebuilding the
-    /// `FlowId -> commodity` lookup from `flow_ids`.
-    pub fn new(
-        interval: Interval,
-        flow_ids: Vec<FlowId>,
-        solution: FmcfSolution,
-        cost_rate: f64,
-    ) -> Self {
-        let size = flow_ids.iter().map(|&f| f + 1).max().unwrap_or(0);
-        let mut commodity_of = vec![NOT_ACTIVE; size];
-        for (c, &f) in flow_ids.iter().enumerate() {
-            commodity_of[f] = u32::try_from(c).expect("commodity counts fit in u32");
-        }
-        Self {
-            interval,
-            flow_ids,
-            solution,
-            cost_rate,
-            commodity_of,
-        }
-    }
-
     /// The relaxation cost contributed by this interval
     /// (`cost_rate * |I_k|`).
     pub fn cost(&self) -> f64 {
         self.cost_rate * self.interval.length()
-    }
-
-    /// The commodity index of a flow inside this interval, if the flow is
-    /// active here. O(1) through the lookup prebuilt at solve time.
-    pub fn commodity_index(&self, flow: FlowId) -> Option<usize> {
-        match self.commodity_of.get(flow) {
-            Some(&c) if c != NOT_ACTIVE => Some(c as usize),
-            _ => None,
-        }
     }
 }
 
@@ -120,26 +81,24 @@ impl RelaxationSummary {
 /// configured with the link capacity so the relaxation respects
 /// `x_e(t) <= C`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some active flow's destination is unreachable from its source
-/// (propagated from the Frank–Wolfe solver); validate the flow set first
-/// — [`crate::SolverContext::relax`] does.
+/// Returns [`Disconnected`], naming the flow, if some flow's destination
+/// is unreachable from its source on `graph`.
 pub fn interval_relaxation_with(
     graph: &GraphCsr,
     flows: &FlowSet,
     power: &PowerFunction,
     fmcf_config: &FmcfSolverConfig,
     scratch: &mut FmcfScratch,
-) -> RelaxationSummary {
+) -> Result<RelaxationSummary, Disconnected> {
     let cost = PowerFlowCost::new(*power);
     let config = effective_config(fmcf_config, power);
-    let intervals: Vec<IntervalRelaxation> = flows
+    let intervals = flows
         .intervals()
         .into_iter()
-        .map(|interval| solve_interval(graph, flows, &cost, &config, interval, scratch))
-        .collect();
-    summarize(intervals)
+        .map(|interval| solve_interval(graph, flows, &cost, &config, interval, scratch));
+    intervals.collect::<Result<_, _>>().map(summarize)
 }
 
 /// [`interval_relaxation_with`] fanned out across intervals on the
@@ -161,17 +120,17 @@ pub fn interval_relaxation_with(
 /// nested under the benchmark harness's instance sharding), the solve runs
 /// inline and is the sequential path.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some active flow's destination is unreachable from its source
-/// (propagated from the Frank–Wolfe solver); validate the flow set first.
+/// Returns [`Disconnected`] for the first interval (in interval order) in
+/// which some flow's destination is unreachable from its source.
 pub fn interval_relaxation_threads(
     graph: &GraphCsr,
     flows: &FlowSet,
     power: &PowerFunction,
     fmcf_config: &FmcfSolverConfig,
     threads: usize,
-) -> RelaxationSummary {
+) -> Result<RelaxationSummary, Disconnected> {
     let cost = PowerFlowCost::new(*power);
     let config = effective_config(fmcf_config, power);
     let spans = flows.intervals();
@@ -179,7 +138,10 @@ pub fn interval_relaxation_threads(
         crate::pool::run_indexed_with(spans.len(), threads, FmcfScratch::new, |scratch, k| {
             solve_interval(graph, flows, &cost, &config, spans[k], scratch)
         });
-    summarize(intervals)
+    intervals
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map(summarize)
 }
 
 /// The solver configuration with the link capacity defaulted from the
@@ -200,7 +162,7 @@ fn solve_interval(
     config: &FmcfSolverConfig,
     interval: Interval,
     scratch: &mut FmcfScratch,
-) -> IntervalRelaxation {
+) -> Result<IntervalRelaxation, Disconnected> {
     let flow_ids = flows.active_in_interval(&interval);
     let commodities: Vec<Commodity> = flow_ids
         .iter()
@@ -215,9 +177,14 @@ fn solve_interval(
         })
         .collect();
     let problem = FmcfProblem::with_graph(graph, commodities);
-    let solution = problem.solve_with(cost, config, scratch);
+    let solution = problem.solve_with(cost, config, scratch)?;
     let cost_rate = solution.total_cost(cost);
-    IntervalRelaxation::new(interval, flow_ids, solution, cost_rate)
+    Ok(IntervalRelaxation {
+        interval,
+        flow_ids,
+        solution,
+        cost_rate,
+    })
 }
 
 /// Folds per-interval solutions into a summary, summing the lower bound in
@@ -255,6 +222,7 @@ mod tests {
             config,
             &mut FmcfScratch::new(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -314,14 +282,16 @@ mod tests {
             &power,
             &FmcfSolverConfig::default(),
             &mut scratch,
-        );
+        )
+        .unwrap();
         let shared = interval_relaxation_with(
             &graph,
             &flows,
             &power,
             &FmcfSolverConfig::default(),
             &mut scratch,
-        );
+        )
+        .unwrap();
         assert_eq!(one_shot.lower_bound, shared.lower_bound);
         assert_eq!(one_shot.intervals.len(), shared.intervals.len());
         for (a, b) in one_shot.intervals.iter().zip(&shared.intervals) {
@@ -329,26 +299,6 @@ mod tests {
             assert_eq!(a.solution, b.solution);
             assert_eq!(a.cost_rate, b.cost_rate);
         }
-    }
-
-    #[test]
-    fn commodity_index_maps_flows() {
-        let topo = builders::line_with_capacity(4, 100.0);
-        let flows = dcn_flow::FlowSet::from_tuples([
-            (topo.hosts()[0], topo.hosts()[3], 0.0, 4.0, 4.0),
-            (topo.hosts()[1], topo.hosts()[2], 0.0, 4.0, 4.0),
-        ])
-        .unwrap();
-        let summary = relax_network(
-            &topo.network,
-            &flows,
-            &x2(100.0),
-            &FmcfSolverConfig::default(),
-        );
-        let iv = &summary.intervals[0];
-        assert_eq!(iv.commodity_index(0), Some(0));
-        assert_eq!(iv.commodity_index(1), Some(1));
-        assert_eq!(iv.commodity_index(7), None);
     }
 
     #[test]

@@ -8,8 +8,14 @@
 //! The weights of the extracted paths sum to the routed demand, so after
 //! normalisation they form the probability distribution from which the
 //! randomized rounding step samples a single path per flow.
+//!
+//! The Frank–Wolfe solver keeps its iterate as weighted paths to begin
+//! with ([`crate::fmcf`]), so nothing is extracted per solve: it runs this
+//! once per node pair, on the pair's unit ECMP split, to put its start in
+//! path form. The public [`decompose_flow`] is the oracle the tests hold
+//! those path mixtures against.
 
-use dcn_topology::{LinkId, Network, NodeId, Path};
+use dcn_topology::{GraphCsr, LinkId, Network, NodeId, Path};
 
 /// A candidate routing path together with the amount of fractional flow it
 /// carries.
@@ -23,11 +29,11 @@ pub struct WeightedPath {
 }
 
 /// Reusable buffers of [`decompose_flow_with`]: the residual copy of the
-/// edge flow and the search state of the path extraction. One scratch can
-/// serve every commodity of an interval sweep; it grows to the largest
-/// network seen and allocates nothing per extracted path afterwards.
+/// edge flow and the search state of the path extraction. One scratch
+/// serves every decomposition of a solver scratch; it grows to the largest
+/// graph seen and allocates nothing per extracted path afterwards.
 #[derive(Debug, Clone, Default)]
-pub struct DecomposeScratch {
+pub(crate) struct DecomposeScratch {
     /// The flow not yet assigned to an extracted path, per link.
     residual: Vec<f64>,
     /// The link each node was reached by in the current search; valid
@@ -55,6 +61,11 @@ pub struct DecomposeScratch {
 /// The returned weights sum to the amount of flow that actually travels from
 /// `src` to `dst` (up to `epsilon` per extracted path).
 ///
+/// This is the one-shot form (it builds a [`GraphCsr`] view of the network
+/// per call) — an oracle for tests and probes. The Frank–Wolfe solver
+/// decomposes one unit split per node pair on its own view and keeps every
+/// solution in path form ([`crate::fmcf::FmcfSolution::paths`]).
+///
 /// # Panics
 ///
 /// Panics if `edge_flow` is shorter than the network's link count.
@@ -66,7 +77,7 @@ pub fn decompose_flow(
     epsilon: f64,
 ) -> Vec<WeightedPath> {
     decompose_flow_with(
-        network,
+        &GraphCsr::from_network(network),
         src,
         dst,
         edge_flow,
@@ -75,14 +86,11 @@ pub fn decompose_flow(
     )
 }
 
-/// [`decompose_flow`] on the caller's reusable buffers; the result does
-/// not depend on what the scratch was used for before.
-///
-/// # Panics
-///
-/// Panics if `edge_flow` is shorter than the network's link count.
-pub fn decompose_flow_with(
-    network: &Network,
+/// [`decompose_flow`] on a CSR view (links that are down there are not
+/// walked) and the caller's reusable buffers; the result does not depend
+/// on what the scratch was used for before.
+pub(crate) fn decompose_flow_with(
+    network: &GraphCsr,
     src: NodeId,
     dst: NodeId,
     edge_flow: &[f64],
@@ -129,7 +137,7 @@ pub fn decompose_flow_with(
 /// exceeds `epsilon`. Ties are broken by link insertion order, which keeps
 /// the decomposition deterministic.
 fn positive_flow_path(
-    network: &Network,
+    network: &GraphCsr,
     src: NodeId,
     dst: NodeId,
     epsilon: f64,
@@ -165,7 +173,7 @@ fn positive_flow_path(
             if residual[lid.index()] <= epsilon {
                 continue;
             }
-            let v = network.link(lid).dst;
+            let v = network.link_dst(lid);
             if reached[v.index()] != *round {
                 reached[v.index()] = *round;
                 parent[v.index()] = lid;
@@ -175,10 +183,10 @@ fn positive_flow_path(
                     while cur != src {
                         let l = parent[cur.index()];
                         links.push(l);
-                        cur = network.link(l).src;
+                        cur = network.link_src(l);
                     }
                     links.reverse();
-                    return Path::from_links(network, src, links).ok();
+                    return network.path_from_links(src, links).ok();
                 }
                 queue.push(v);
             }
@@ -238,7 +246,7 @@ mod tests {
             }],
         );
         let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 2.0, 1e9));
-        let sol = problem.solve(&cost, &FmcfSolverConfig::default());
+        let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
         let parts = decompose_flow(
             &t.network,
             hosts[0],
@@ -269,7 +277,7 @@ mod tests {
         let big = builders::fat_tree(6);
         let flow = vec![0.0; big.network.link_count()];
         decompose_flow_with(
-            &big.network,
+            &big.csr(),
             big.source(),
             big.sink(),
             &flow,
@@ -286,10 +294,10 @@ mod tests {
                     demand: 2.0,
                 }],
             );
-            let sol = problem.solve(&cost, &FmcfSolverConfig::default());
+            let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
             let flows = sol.commodity_flows(0);
             let reused =
-                decompose_flow_with(&t.network, hosts[a], hosts[b], flows, 1e-9, &mut scratch);
+                decompose_flow_with(&t.csr(), hosts[a], hosts[b], flows, 1e-9, &mut scratch);
             assert!(!reused.is_empty());
             assert_eq!(
                 reused,

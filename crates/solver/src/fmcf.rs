@@ -30,6 +30,24 @@
 //! point, usually a far better one than a single path, and the iterations
 //! take it from there.
 //!
+//! # Stopping on the gap
+//!
+//! The all-or-nothing assignment `s` minimises the linearisation of the
+//! objective `F` at the iterate `x`, so the gap `g = ∇F(x)·(x − s)` bounds
+//! `F(x) − F*` from above on any graph, and both sums are at hand right
+//! after the shortest-path step: when `g <= tolerance · |F(x)|` the solve
+//! is converged and the line search is not run.
+//!
+//! # The iterate is a path mixture
+//!
+//! A Frank–Wolfe iterate is `β · start + Σ_t c_t · (path of step t)` per
+//! commodity — the distribution over paths Random-Schedule rounds from
+//! (Algorithm 2, lines 4–7) — and the solver keeps it in that form: the
+//! loop carries the aggregate link loads, the coefficients and the step
+//! paths, and a commodity's start is a shared handle to its pair's cached
+//! unit split. No per-commodity, per-link matrix exists on the solve
+//! path; [`FmcfSolution::commodity_flows`] builds one on demand.
+//!
 //! # Hot-path layout
 //!
 //! The solver runs on the flat [`GraphCsr`] view and keeps every
@@ -38,11 +56,11 @@
 //! * the start and the all-or-nothing step group commodities by source and
 //!   run **one** multi-target Dijkstra per distinct source (not per
 //!   commodity) through the arena-reuse [`ShortestPathEngine`];
-//! * chosen paths are stored as spans into one shared link buffer, and the
-//!   per-commodity flow matrix is a single flat `n x m` array, so blending
-//!   and load accumulation are sequential passes;
+//! * chosen paths are stored as spans into one shared link buffer, and
+//!   blending is one pass over the loaded links;
 //! * after the first iteration has warmed the arenas up, a Frank–Wolfe
-//!   iteration performs **zero heap allocations**.
+//!   iteration performs **zero heap allocations**; the step paths become
+//!   [`Path`]s once, when the solve ends.
 //!
 //! Callers solving many problems on one network (the per-interval
 //! relaxation) should build one [`GraphCsr`], construct problems with
@@ -50,9 +68,12 @@
 //! [`FmcfProblem::solve_with`]; [`FmcfProblem::new`] and
 //! [`FmcfProblem::solve`] remain as one-shot conveniences.
 
+use crate::decompose::{decompose_flow_with, DecomposeScratch, WeightedPath};
 use dcn_power::PowerFunction;
-use dcn_topology::{GraphCsr, LinkId, Network, NodeId, ShortestPathEngine};
+use dcn_topology::{GraphCsr, LinkId, Network, NodeId, Path, ShortestPathEngine};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One commodity of the multi-commodity flow problem: `demand` units of
 /// traffic per unit time from `src` to `dst`.
@@ -186,34 +207,121 @@ pub struct FmcfProblem<'a> {
     commodities: Vec<Commodity>,
 }
 
+/// The error of a solve: a commodity whose destination cannot be reached
+/// from its source on the problem's graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Disconnected {
+    /// The [`Commodity::id`] of the commodity without a path.
+    pub commodity: usize,
+}
+
+impl fmt::Display for Disconnected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "commodity {} has no path in the network", self.commodity)
+    }
+}
+
+impl std::error::Error for Disconnected {}
+
+/// The share of a demand below which a mixture entry is not carried (and
+/// the residual at which the decomposition of a *unit* split stops):
+/// thresholds on the solve path are relative to the demand, so a
+/// commodity's routing does not depend on how small its demand is.
+const NEGLIGIBLE: f64 = 1e-12;
+
+/// One commodity's fractional routing in the form Frank–Wolfe builds it:
+/// a multiple of its pair's unit split plus explicit step paths.
+#[derive(Debug, Clone, PartialEq)]
+struct Mixture {
+    /// The pair's cached unit split — shared with the cache and with every
+    /// other solution on the pair — and the flow per unit of it.
+    split: Option<(Arc<[WeightedPath]>, f64)>,
+    /// All-or-nothing paths, distinct, with the flow on each.
+    steps: Vec<WeightedPath>,
+}
+
+impl Mixture {
+    /// Every path with the flow it carries: the split's in cache order,
+    /// then the steps in the order Frank–Wolfe first chose them.
+    fn paths(&self) -> impl Iterator<Item = (&Path, f64)> + '_ {
+        let split = self.split.iter().flat_map(|(paths, flow)| {
+            paths
+                .iter()
+                .map(move |part| (&part.path, part.weight * flow))
+        });
+        split.chain(self.steps.iter().map(|part| (&part.path, part.weight)))
+    }
+
+    fn scale(&mut self, factor: f64) {
+        if let Some((_, flow)) = &mut self.split {
+            *flow *= factor;
+        }
+        for part in &mut self.steps {
+            part.weight *= factor;
+        }
+    }
+
+    /// Adds the mixture's flow to a link-indexed vector.
+    fn add_to(&self, out: &mut [f64]) {
+        for (path, flow) in self.paths() {
+            for &l in path.links() {
+                out[l.index()] += flow;
+            }
+        }
+    }
+
+    /// Drops the split and every step carrying under [`NEGLIGIBLE`] of
+    /// `demand`, and rescales what is left to the demand.
+    fn prune(&mut self, demand: f64) {
+        let floor = NEGLIGIBLE * demand;
+        let entries = self.steps.len() + usize::from(self.split.is_some());
+        self.split.take_if(|(_, flow)| *flow < floor);
+        self.steps.retain(|part| part.weight >= floor);
+        if self.steps.len() + usize::from(self.split.is_some()) < entries {
+            let kept: f64 = self.paths().map(|(_, flow)| flow).sum();
+            self.scale(demand / kept);
+        }
+    }
+}
+
 /// A converged solution cached by a warm-start-enabled scratch, together
 /// with the fingerprint of the problem that produced it.
 #[derive(Debug, Clone)]
 struct WarmEntry {
     /// Per-commodity `(id, src, dst, demand bits)` of the cached problem.
     keys: Vec<(usize, usize, usize, u64)>,
-    /// The converged flow matrix (`keys.len() x link_count`, row-major).
-    flows: Vec<f64>,
-    /// The converged aggregate loads.
-    loads: Vec<f64>,
-    /// Row stride of `flows`.
-    link_count: usize,
-    /// Epoch of the graph the cached solve ran on. Epochs are globally
-    /// unique and bumped on every topology mutation, so this pins the
-    /// cache to one graph *instance and state* — a recycled allocation
-    /// hosting a same-size graph, or an in-place link failure, can never
-    /// replay a stale solution.
+    /// The cached solve's result.
+    solution: FmcfSolution,
+    /// Epoch of the graph the cached solve ran on: unique per graph
+    /// *instance and mutation state*, so neither a recycled allocation
+    /// hosting a same-size graph nor an in-place link failure can replay a
+    /// stale solution.
     graph_epoch: u64,
-    /// Iteration count of the cached solve.
-    iterations: usize,
-    /// Convergence flag of the cached solve.
-    converged: bool,
-    /// Links with nonzero load in the cached solution, ascending.
-    active: Vec<LinkId>,
     /// Bit-pattern fingerprint of the solver configuration.
     config_bits: [u64; 5],
     /// Bit-pattern probe of the cost function (see [`cost_fingerprint`]).
     cost_bits: [u64; 3],
+}
+
+impl WarmEntry {
+    /// Whether the cached solve ran on this graph state under this
+    /// configuration and cost.
+    fn matches(&self, graph: &GraphCsr, config: &FmcfSolverConfig, cost: &impl FlowCost) -> bool {
+        self.graph_epoch == graph.epoch()
+            && self.config_bits == config_fingerprint(config)
+            && self.cost_bits == cost_fingerprint(cost)
+    }
+}
+
+/// The ECMP split of a unit demand between one pair of nodes.
+#[derive(Debug, Clone)]
+struct UnitSplit {
+    /// Per link: the `(start, len)` span into [`SplitCache::shares`].
+    shares: (usize, usize),
+    /// Per path: the Raghavan–Tompson decomposition of those shares, so
+    /// paths come in the order, and at the relative weights, a
+    /// decomposition of any multiple of the split yields.
+    paths: Arc<[WeightedPath]>,
 }
 
 /// The ECMP splits of a unit demand computed so far on one graph state,
@@ -225,26 +333,29 @@ struct SplitCache {
     /// Epoch of the graph the splits were computed on (epochs are globally
     /// unique per graph instance and mutation state).
     graph_epoch: u64,
-    /// `(src, dst)` -> `(start, len)` span into `shares`.
-    spans: HashMap<(NodeId, NodeId), (usize, usize)>,
+    pairs: HashMap<(NodeId, NodeId), UnitSplit>,
     /// Concatenated `(link, share of a unit demand)` lists, each in the
     /// order the backward pass wrote it.
     shares: Vec<(LinkId, f64)>,
+    /// Links held by the cached paths.
+    path_links: usize,
 }
 
 impl SplitCache {
-    /// Link shares kept before the cache is dropped and refilled (16 MB);
-    /// the distinct pairs of a long online run on a large fabric would
-    /// otherwise grow it without bound.
+    /// Link shares and path links kept before the cache is dropped and
+    /// refilled (16 MB of shares); the distinct pairs of a long online run
+    /// on a large fabric would otherwise grow it without bound.
     const MAX_SHARES: usize = 1 << 20;
 
     /// Drops every split computed on another graph state, or all of them
     /// once the cache is full. Refilling recomputes identical splits.
     fn start_solve(&mut self, graph_epoch: u64) {
-        if self.graph_epoch != graph_epoch || self.shares.len() > Self::MAX_SHARES {
+        if self.graph_epoch != graph_epoch || self.shares.len() + self.path_links > Self::MAX_SHARES
+        {
             self.graph_epoch = graph_epoch;
-            self.spans.clear();
+            self.pairs.clear();
             self.shares.clear();
+            self.path_links = 0;
         }
     }
 }
@@ -257,17 +368,17 @@ impl SplitCache {
 /// # Warm starts
 ///
 /// With [`FmcfScratch::set_warm_start`] enabled the scratch additionally
-/// caches the last converged solution. A re-solve of the *identical*
-/// problem (same commodities, demands, graph size, configuration and cost
-/// fingerprint, and no [dirty links](FmcfScratch::mark_dirty_links)
-/// touching the cached flows) returns the cached solution bit-for-bit
-/// without iterating. Otherwise commodities carried over from the cached
-/// problem whose flows avoid every dirty link are *seeded* from their
-/// previous rows (scaled to the new demand) instead of the ECMP split, so
-/// Frank–Wolfe starts near the old optimum and converges in fewer
-/// iterations; freshly arrived or dirty-path commodities are re-routed
-/// from scratch. Warm starts are off by default: the cold path is
-/// bit-for-bit identical to a fresh scratch.
+/// caches the last solution. A re-solve of the *identical* problem (same
+/// commodities, demands, graph state, configuration and cost fingerprint,
+/// and no [dirty links](FmcfScratch::mark_dirty_links) touching the cached
+/// flows) returns the cached solution bit-for-bit without iterating.
+/// Otherwise commodities carried over from the cached problem whose flows
+/// avoid every dirty link are *seeded* with their previous path mixture
+/// (scaled to the new demand) instead of the ECMP split, so Frank–Wolfe
+/// starts near the old optimum and converges in fewer iterations; freshly
+/// arrived or dirty-path commodities are re-routed from scratch. Warm
+/// starts are off by default: the cold path is bit-for-bit identical to a
+/// fresh scratch.
 #[derive(Debug, Clone, Default)]
 pub struct FmcfScratch {
     engine: ShortestPathEngine,
@@ -279,12 +390,17 @@ pub struct FmcfScratch {
     blended: Vec<f64>,
     /// Commodity indices grouped by source node (sorted by `(src, index)`).
     order: Vec<usize>,
-    /// Concatenated per-commodity link lists: the links of the chosen
-    /// all-or-nothing path during an iteration, and before the first one
-    /// the support of the commodity's ECMP split (its shortest-path DAG).
+    /// Concatenated per-commodity link lists of the current all-or-nothing
+    /// step (before the first one: the links the start loads).
     path_links: Vec<LinkId>,
     /// Per-commodity `(start, len)` span into `path_links`.
     path_spans: Vec<(usize, usize)>,
+    /// The link lists of every blended step so far, concatenated.
+    step_links: Vec<LinkId>,
+    /// `(start, len)` spans into `step_links`, one per commodity per step.
+    step_spans: Vec<(usize, usize)>,
+    /// The share of every demand each blended step carries by now.
+    step_shares: Vec<f64>,
     /// The ECMP unit splits computed so far on the current graph state.
     splits: SplitCache,
     /// Share of a unit demand arriving at each node during the backward
@@ -295,6 +411,11 @@ pub struct FmcfScratch {
     /// Nodes of the current pair's shortest-path DAG, in the order the
     /// backward pass reached them (farthest from the source first).
     dag_queue: Vec<NodeId>,
+    /// A unit split as a link-indexed row, for its decomposition into
+    /// paths (all zero between passes).
+    unit_row: Vec<f64>,
+    /// Buffers of that decomposition.
+    decompose: DecomposeScratch,
     /// Destination batch of the current source group.
     targets: Vec<NodeId>,
     /// Links touched by any chosen path so far, sorted ascending; the
@@ -364,11 +485,6 @@ impl FmcfScratch {
         }
     }
 
-    /// `true` if `link` is currently marked dirty.
-    fn is_dirty(&self, link: LinkId) -> bool {
-        self.dirty_mark.get(link.index()).copied().unwrap_or(false)
-    }
-
     /// Clears the dirty set after a warm solve has consumed it.
     fn consume_dirty(&mut self) {
         for &l in &self.dirty {
@@ -377,18 +493,24 @@ impl FmcfScratch {
         self.dirty.clear();
     }
 
-    /// Sizes the buffers for a problem with `n` commodities and `m` links
-    /// and rebuilds the source-grouped commodity order.
+    /// Sizes the buffers for `commodities` on `graph` and rebuilds the
+    /// source-grouped commodity order.
     ///
     /// With `sparse` set, the active-link set starts empty and grows with
     /// the chosen paths; otherwise every link is active and the solver's
     /// passes stay dense.
-    fn prepare(&mut self, commodities: &[Commodity], m: usize, sparse: bool) {
-        let n = commodities.len();
+    fn prepare(&mut self, commodities: &[Commodity], graph: &GraphCsr, sparse: bool) {
+        let (n, m) = (commodities.len(), graph.link_count());
         self.weights.resize(m, 0.0);
         self.target_loads.resize(m, 0.0);
         self.blended.resize(m, 0.0);
+        self.unit_row.resize(m, 0.0);
+        self.node_share.resize(graph.node_count(), 0.0);
+        self.node_queued.resize(graph.node_count(), false);
         self.path_spans.resize(n, (0, 0));
+        self.step_links.clear();
+        self.step_spans.clear();
+        self.step_shares.clear();
         self.order.clear();
         self.order.extend(0..n);
         self.order
@@ -401,7 +523,7 @@ impl FmcfScratch {
         }
     }
 
-    /// Appends the ECMP split of a unit demand from `src` to `dst` (a pair
+    /// Adds the ECMP split of a unit demand from `src` to `dst` (a pair
     /// not cached yet) to the split cache, reading hop distances from the
     /// engine's latest search, which must have been a unit-weight search
     /// from `src` that settled `dst`.
@@ -414,7 +536,8 @@ impl FmcfScratch {
     /// DAG, however many paths it holds. A node's tight in-neighbours are
     /// one hop closer to the source than the node, so the FIFO order
     /// finishes every level before the next one starts and a node's share
-    /// is complete when the node is reached.
+    /// is complete when the node is reached. The path form is the
+    /// decomposition of those link shares.
     fn cache_unit_split(&mut self, graph: &GraphCsr, src: NodeId, dst: NodeId) {
         let FmcfScratch {
             engine,
@@ -422,6 +545,8 @@ impl FmcfScratch {
             node_share,
             node_queued,
             dag_queue,
+            unit_row,
+            decompose,
             ..
         } = self;
         let start = splits.shares.len();
@@ -452,14 +577,26 @@ impl FmcfScratch {
             node_share[v.index()] = 0.0;
             node_queued[v.index()] = false;
         }
-        splits
-            .spans
-            .insert((src, dst), (start, splits.shares.len() - start));
+
+        let shares = &splits.shares[start..];
+        for &(l, share) in shares {
+            unit_row[l.index()] = share;
+        }
+        let paths = decompose_flow_with(graph, src, dst, unit_row, NEGLIGIBLE, decompose);
+        for &(l, _) in shares {
+            unit_row[l.index()] = 0.0;
+        }
+        splits.path_links += paths.iter().map(|part| part.path.len()).sum::<usize>();
+        let split = UnitSplit {
+            shares: (start, shares.len()),
+            paths: paths.into(),
+        };
+        splits.pairs.insert((src, dst), split);
     }
 
-    /// Adds every link of the freshly chosen paths to the active set,
-    /// keeping it sorted (ascending link id, the historical summation
-    /// order of the dense passes).
+    /// Adds every link of `path_links` to the active set, keeping it
+    /// sorted (ascending link id, the summation order of the dense
+    /// passes).
     fn register_active_paths(&mut self) {
         let mut added = false;
         for &l in &self.path_links {
@@ -475,24 +612,39 @@ impl FmcfScratch {
     }
 }
 
-/// The fractional solution: per-commodity, per-link flow values in one flat
-/// row-major matrix, plus the aggregate per-link loads maintained by the
-/// solve loop.
-#[derive(Debug, Clone, PartialEq)]
+/// The fractional solution: the aggregate per-link loads and, per
+/// commodity, the weighted paths that carry its demand.
+#[derive(Debug, Clone)]
 pub struct FmcfSolution {
-    /// `flows[c * link_count + e]` = amount of commodity `c`'s demand
-    /// routed over link `e`.
-    flows: Vec<f64>,
-    /// Aggregate per-link loads (always consistent with `flows`).
+    /// Aggregate per-link loads: the per-link sum of `mixtures`.
     loads: Vec<f64>,
-    /// Number of commodities.
-    commodities: usize,
-    /// Number of links (the row stride of `flows`).
-    link_count: usize,
+    /// Per commodity, its demand as a path mixture.
+    mixtures: Vec<Mixture>,
     /// Number of Frank–Wolfe iterations performed.
     pub iterations: usize,
-    /// Whether the relative-improvement stopping criterion was reached.
+    /// Whether a stopping criterion (the gap, or the relative-improvement
+    /// stall test) was reached before the iteration limit.
     pub converged: bool,
+    /// The Frank–Wolfe gap over `|F(x)|` at the last iterate it was
+    /// evaluated at — the final one when the solve stopped on it, else the
+    /// one before the last blend; `F` never rises, so the final objective
+    /// times `1 - relative_gap` bounds the optimum from below either way.
+    /// Infinite when no iteration ran.
+    pub relative_gap: f64,
+    /// The mixtures as a `commodities x links` row-major matrix, built on
+    /// first use by the per-link accessors.
+    dense: OnceLock<Vec<f64>>,
+}
+
+/// Equality of what was solved, whether or not the dense view was built.
+impl PartialEq for FmcfSolution {
+    fn eq(&self, other: &Self) -> bool {
+        self.loads == other.loads
+            && self.mixtures == other.mixtures
+            && self.iterations == other.iterations
+            && self.converged == other.converged
+            && self.relative_gap == other.relative_gap
+    }
 }
 
 impl<'a> FmcfProblem<'a> {
@@ -577,9 +729,8 @@ impl<'a> FmcfProblem<'a> {
 
     /// Routes every commodity on its cheapest path under
     /// `scratch.weights`, one multi-target Dijkstra per distinct source,
-    /// recording the chosen paths as spans in `scratch`. Returns `false`
-    /// if some commodity has no path at all.
-    fn all_or_nothing(&self, scratch: &mut FmcfScratch) -> bool {
+    /// recording the chosen paths as spans in `scratch`.
+    fn all_or_nothing(&self, scratch: &mut FmcfScratch) -> Result<(), Disconnected> {
         let FmcfScratch {
             engine,
             weights,
@@ -603,9 +754,9 @@ impl<'a> FmcfProblem<'a> {
             }
             engine.single_source_all_targets(graph, src, targets, |l| weights[l.index()]);
             for &c in &order[i..j] {
-                let dst = self.commodities[c].dst;
+                let Commodity { id, dst, .. } = self.commodities[c];
                 if !engine.settled(dst) {
-                    return false;
+                    return Err(Disconnected { commodity: id });
                 }
                 let start = path_links.len();
                 let mut cur = dst;
@@ -621,25 +772,21 @@ impl<'a> FmcfProblem<'a> {
             }
             i = j;
         }
-        true
+        Ok(())
     }
 
-    /// Writes the ECMP split of every commodity into its row of `flows`
-    /// (all zero on entry) and records the row's support as the
-    /// commodity's span in `scratch`. Returns `false` if some commodity
-    /// has no path at all.
+    /// Makes sure the split cache holds the ECMP split of every
+    /// commodity's pair on the current graph state.
     ///
     /// The split of a unit demand depends on the graph state and the
     /// endpoints alone, so it is computed once per `(src, dst)` and graph
     /// epoch ([`SplitCache`]) — one unit-weight search per distinct source
-    /// with a pair still missing — and every row is the cached split
+    /// with a pair still missing — and every start is the cached split
     /// scaled by the demand: a warmed-up, a fresh and a per-worker scratch
-    /// write the same bits.
-    fn ecmp_split(&self, scratch: &mut FmcfScratch, flows: &mut [f64], m: usize) -> bool {
+    /// start at the same bits.
+    fn cache_splits(&self, scratch: &mut FmcfScratch) -> Result<(), Disconnected> {
         let graph = self.graph.get();
         scratch.splits.start_solve(graph.epoch());
-        scratch.node_share.resize(graph.node_count(), 0.0);
-        scratch.node_queued.resize(graph.node_count(), false);
 
         let mut i = 0;
         while i < scratch.order.len() {
@@ -648,7 +795,7 @@ impl<'a> FmcfProblem<'a> {
             scratch.targets.clear();
             while j < scratch.order.len() && self.commodities[scratch.order[j]].src == src {
                 let dst = self.commodities[scratch.order[j]].dst;
-                if !scratch.splits.spans.contains_key(&(src, dst))
+                if !scratch.splits.pairs.contains_key(&(src, dst))
                     && !scratch.targets.contains(&dst)
                 {
                     scratch.targets.push(dst);
@@ -659,53 +806,110 @@ impl<'a> FmcfProblem<'a> {
                 scratch
                     .engine
                     .single_source_all_targets(graph, src, &scratch.targets, |_| 1.0);
-                for t in 0..scratch.targets.len() {
-                    let dst = scratch.targets[t];
-                    if !scratch.engine.settled(dst) {
-                        return false;
+                for &c in &scratch.order[i..j] {
+                    let Commodity { id, dst, .. } = self.commodities[c];
+                    if scratch.targets.contains(&dst) && !scratch.engine.settled(dst) {
+                        return Err(Disconnected { commodity: id });
                     }
-                    scratch.cache_unit_split(graph, src, dst);
+                }
+                for t in 0..scratch.targets.len() {
+                    scratch.cache_unit_split(graph, src, scratch.targets[t]);
                 }
             }
             i = j;
         }
+        Ok(())
+    }
 
+    /// The initial feasible point, accumulated into `loads` (all zero on
+    /// entry) with its links registered as active: every commodity at the
+    /// ECMP split of its pair or, under warm starts, at its mixture in the
+    /// cached solution scaled to the new demand — unless the commodity is
+    /// new, changed endpoints, or its cached flow touches a dirty link.
+    fn start(
+        &self,
+        cost: &impl FlowCost,
+        config: &FmcfSolverConfig,
+        scratch: &mut FmcfScratch,
+        loads: &mut [f64],
+    ) -> Result<Vec<Mixture>, Disconnected> {
+        self.cache_splits(scratch)?;
         let FmcfScratch {
             splits,
             path_links,
-            path_spans,
+            warm,
+            dirty,
+            dirty_mark,
             ..
-        } = scratch;
-        path_links.clear();
-        for (c, commodity) in self.commodities.iter().enumerate() {
-            let (start, len) = splits.spans[&(commodity.src, commodity.dst)];
-            let row = &mut flows[c * m..(c + 1) * m];
-            path_spans[c] = (path_links.len(), len);
-            for &(l, share) in &splits.shares[start..start + len] {
-                row[l.index()] = commodity.demand * share;
-                path_links.push(l);
-            }
-        }
-        true
-    }
+        } = &mut *scratch;
+        let cached = warm
+            .as_ref()
+            .filter(|entry| entry.matches(self.graph.get(), config, cost));
+        let rows: HashMap<usize, usize> = cached
+            .iter()
+            .flat_map(|entry| entry.keys.iter().enumerate().map(|(row, key)| (key.0, row)))
+            .collect();
+        let is_dirty = |l: &LinkId| dirty_mark.get(l.index()).copied().unwrap_or(false);
 
-    /// The link list of commodity `c`: its chosen path after
-    /// [`Self::all_or_nothing`], the support of its start after
-    /// [`Self::ecmp_split`].
-    fn span<'s>(&self, scratch: &'s FmcfScratch, c: usize) -> &'s [LinkId] {
-        let (start, len) = scratch.path_spans[c];
-        &scratch.path_links[start..start + len]
+        path_links.clear();
+        let mut mixtures = Vec::with_capacity(self.commodities.len());
+        for commodity in &self.commodities {
+            let seed = cached.and_then(|entry| {
+                let row = *rows.get(&commodity.id)?;
+                let (_, src, dst, demand_bits) = entry.keys[row];
+                let old = &entry.solution.mixtures[row];
+                let carried = src == commodity.src.index()
+                    && dst == commodity.dst.index()
+                    && (dirty.is_empty()
+                        || !old
+                            .paths()
+                            .any(|(path, _)| path.links().iter().any(is_dirty)));
+                // Scaling a routing of the old demand preserves
+                // conservation at the new one.
+                carried.then(|| {
+                    let mut seed = old.clone();
+                    seed.scale(commodity.demand / f64::from_bits(demand_bits));
+                    seed
+                })
+            });
+            let mixture = match seed {
+                Some(seed) => {
+                    seed.add_to(loads);
+                    path_links.extend(seed.paths().flat_map(|(path, _)| path.links()));
+                    seed
+                }
+                None => {
+                    let split = &splits.pairs[&(commodity.src, commodity.dst)];
+                    let (start, len) = split.shares;
+                    for &(l, share) in &splits.shares[start..start + len] {
+                        loads[l.index()] += commodity.demand * share;
+                        path_links.push(l);
+                    }
+                    Mixture {
+                        split: Some((split.paths.clone(), commodity.demand)),
+                        steps: Vec::new(),
+                    }
+                }
+            };
+            mixtures.push(mixture);
+        }
+        scratch.register_active_paths();
+        Ok(mixtures)
     }
 
     /// Solves the problem with Frank–Wolfe under the given convex cost,
     /// using a fresh scratch (one-shot convenience for
     /// [`FmcfProblem::solve_with`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if some commodity's destination is unreachable from its
-    /// source.
-    pub fn solve(&self, cost: &impl FlowCost, config: &FmcfSolverConfig) -> FmcfSolution {
+    /// Returns [`Disconnected`] if some commodity's destination is
+    /// unreachable from its source.
+    pub fn solve(
+        &self,
+        cost: &impl FlowCost,
+        config: &FmcfSolverConfig,
+    ) -> Result<FmcfSolution, Disconnected> {
         self.solve_with(cost, config, &mut FmcfScratch::new())
     }
 
@@ -713,29 +917,30 @@ impl<'a> FmcfProblem<'a> {
     /// buffers; after the scratch has warmed up, each Frank–Wolfe
     /// iteration is allocation-free.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if some commodity's destination is unreachable from its
-    /// source.
+    /// Returns [`Disconnected`] if some commodity's destination is
+    /// unreachable from its source.
     pub fn solve_with(
         &self,
         cost: &impl FlowCost,
         config: &FmcfSolverConfig,
         scratch: &mut FmcfScratch,
-    ) -> FmcfSolution {
-        let m = self.graph.get().link_count();
+    ) -> Result<FmcfSolution, Disconnected> {
+        let graph = self.graph.get();
         let n = self.commodities.len();
+        // Loads stay link-indexed even with no commodities so `edge_load`
+        // keeps returning 0.0 for every link.
+        let mut solution = FmcfSolution {
+            loads: vec![0.0; graph.link_count()],
+            mixtures: Vec::new(),
+            iterations: 0,
+            converged: n == 0,
+            relative_gap: if n == 0 { 0.0 } else { f64::INFINITY },
+            dense: OnceLock::new(),
+        };
         if n == 0 {
-            return FmcfSolution {
-                flows: Vec::new(),
-                // Loads stay link-indexed even with no commodities so
-                // `edge_load` keeps returning 0.0 for every link.
-                loads: vec![0.0; m],
-                commodities: 0,
-                link_count: m,
-                iterations: 0,
-                converged: true,
-            };
+            return Ok(solution);
         }
         // Warm shortcut: an identical problem with an untouched cache
         // returns the cached solution verbatim.
@@ -743,7 +948,7 @@ impl<'a> FmcfProblem<'a> {
         if warm {
             if let Some(cached) = self.try_warm_shortcut(cost, config, scratch) {
                 scratch.consume_dirty();
-                return cached;
+                return Ok(cached);
             }
         }
 
@@ -751,148 +956,132 @@ impl<'a> FmcfProblem<'a> {
         // blending and load passes can be confined to the links actually
         // touched by some chosen path: every other load stays exactly 0.0
         // and contributes exactly +0.0, so the restriction is bit-for-bit
-        // neutral while cutting the per-iteration work from O(n·m) to
-        // O(n·|active|).
+        // neutral while keeping the per-iteration passes at O(|active|).
         let sparse = cost.zero_load_is_free() && config.capacity.is_none_or(|c| c >= 0.0);
-        scratch.prepare(&self.commodities, m, sparse);
+        scratch.prepare(&self.commodities, graph, sparse);
 
-        // The solution buffers are the only per-solve allocations.
-        let mut flows = vec![0.0; n * m];
-        let mut loads = vec![0.0; m];
-
-        // Initial feasible point: the ECMP split, every demand divided
-        // equally over its hop-count shortest-path DAG.
-        assert!(
-            self.ecmp_split(scratch, &mut flows, m),
-            "every commodity must have a path in the network"
-        );
-        scratch.register_active_paths();
-        if warm {
-            self.seed_from_cache(cost, config, scratch, &mut flows, m);
-        }
-        column_sums_over(&flows, m, &scratch.active, &mut loads);
-        let mut objective = self.objective_over(&loads, &scratch.active, cost, config);
-        let mut converged = false;
-        let mut iterations = 0;
+        let loads = &mut solution.loads;
+        let mut mixtures = self.start(cost, config, scratch, loads)?;
+        let mut objective = self.objective_over(loads, &scratch.active, cost, config);
+        // The share of every demand still on the start.
+        let mut start_share = 1.0;
 
         for it in 0..config.max_iterations {
-            iterations = it + 1;
+            solution.iterations = it + 1;
             // Marginal costs at the current loads (Dijkstra may traverse
             // any link, so the weights stay dense).
             for (e, w) in scratch.weights.iter_mut().enumerate() {
                 *w = (cost.marginal(LinkId(e), loads[e]) + self.penalty_marginal(loads[e], config))
                     .max(0.0);
             }
-            assert!(
-                self.all_or_nothing(scratch),
-                "every commodity must have a path in the network"
-            );
+            self.all_or_nothing(scratch)?;
             scratch.register_active_paths();
-            {
-                // Disjoint field borrows: read the path spans while
-                // accumulating into the load buffer.
-                let FmcfScratch {
-                    path_links,
-                    path_spans,
-                    target_loads,
-                    ..
-                } = &mut *scratch;
-                target_loads.fill(0.0);
-                for (c, commodity) in self.commodities.iter().enumerate() {
-                    let (start, len) = path_spans[c];
-                    for &l in &path_links[start..start + len] {
-                        target_loads[l.index()] += commodity.demand;
-                    }
+
+            // The Frank–Wolfe gap: the linearised cost of the iterate less
+            // that of the all-or-nothing assignment.
+            let weight = |l: &LinkId| scratch.weights[l.index()];
+            let active = scratch.active.iter();
+            let at_iterate: f64 = active.map(|l| weight(l) * loads[l.index()]).sum();
+            let spans = self.commodities.iter().zip(&scratch.path_spans);
+            let at_target: f64 = spans
+                .map(|(commodity, &(start, len))| {
+                    let path = &scratch.path_links[start..start + len];
+                    commodity.demand * path.iter().map(weight).sum::<f64>()
+                })
+                .sum();
+            // (0/0, an instance of no cost at all, is a zero gap.)
+            solution.relative_gap = ((at_iterate - at_target) / objective.abs()).max(0.0);
+            if solution.relative_gap <= config.tolerance {
+                solution.converged = true;
+                break;
+            }
+
+            scratch.target_loads.fill(0.0);
+            for (commodity, &(start, len)) in self.commodities.iter().zip(&scratch.path_spans) {
+                for &l in &scratch.path_links[start..start + len] {
+                    scratch.target_loads[l.index()] += commodity.demand;
                 }
             }
 
             // Golden-section line search on gamma in [0, 1].
-            let blended = &mut scratch.blended;
-            let target_loads = &scratch.target_loads;
-            let active = &scratch.active;
             let eval = |gamma: f64| {
-                for &l in active {
-                    let e = l.index();
-                    blended[e] = (1.0 - gamma) * loads[e] + gamma * target_loads[e];
+                for e in scratch.active.iter().map(|l| l.index()) {
+                    scratch.blended[e] = (1.0 - gamma) * loads[e] + gamma * scratch.target_loads[e];
                 }
-                self.objective_over(blended, active, cost, config)
+                self.objective_over(&scratch.blended, &scratch.active, cost, config)
             };
             let gamma = golden_section_min(eval, 0.0, 1.0, config.line_search_steps);
             if gamma <= 1e-12 {
-                converged = true;
+                solution.converged = true;
                 break;
             }
 
-            // Blend: scale the matrix (inactive columns are exactly zero),
-            // then add the assignment back on the (sparse) chosen paths.
-            // Bit-identical to the dense two-matrix blend because the
-            // assignment is zero elsewhere.
-            let keep = 1.0 - gamma;
-            for row in flows.chunks_exact_mut(m) {
-                for &l in &scratch.active {
-                    row[l.index()] *= keep;
-                }
+            // Blend the aggregate loads, and the mixture by its
+            // coefficients: what was there keeps `1 - gamma` of its share,
+            // the step's paths enter at `gamma`.
+            for e in scratch.active.iter().map(|l| l.index()) {
+                loads[e] = (1.0 - gamma) * loads[e] + gamma * scratch.target_loads[e];
             }
-            for (c, commodity) in self.commodities.iter().enumerate() {
-                for &l in self.span(scratch, c) {
-                    flows[c * m + l.index()] += gamma * commodity.demand;
-                }
+            start_share *= 1.0 - gamma;
+            for share in scratch.step_shares.iter_mut() {
+                *share *= 1.0 - gamma;
             }
-            column_sums_over(&flows, m, &scratch.active, &mut loads);
-            let new_objective = self.objective_over(&loads, &scratch.active, cost, config);
+            let offset = scratch.step_links.len();
+            scratch.step_links.extend_from_slice(&scratch.path_links);
+            scratch
+                .step_spans
+                .extend(scratch.path_spans.iter().map(|&(s, len)| (offset + s, len)));
+            scratch.step_shares.push(gamma);
+
+            let new_objective = self.objective_over(loads, &scratch.active, cost, config);
             let improvement = (objective - new_objective) / objective.abs().max(1e-12);
             objective = new_objective;
             if improvement.abs() < config.tolerance {
-                converged = true;
+                solution.converged = true;
                 break;
             }
         }
 
-        // Clean tiny numerical residue so that path decomposition
-        // terminates, and refresh the loads to stay consistent.
-        for row in flows.chunks_exact_mut(m) {
-            for &l in &scratch.active {
-                let fe = &mut row[l.index()];
-                if *fe < 1e-12 {
-                    *fe = 0.0;
+        // The mixtures: the start at what is left of its share, then each
+        // step's path at the step's share (equal paths merged), without
+        // the negligible entries. The loads are their per-link sum.
+        for (c, (mixture, commodity)) in mixtures.iter_mut().zip(&self.commodities).enumerate() {
+            mixture.scale(start_share);
+            for (t, &share) in scratch.step_shares.iter().enumerate() {
+                let (start, len) = scratch.step_spans[t * n + c];
+                let links = &scratch.step_links[start..start + len];
+                let flow = share * commodity.demand;
+                match mixture.steps.iter_mut().find(|p| p.path.links() == links) {
+                    Some(part) => part.weight += flow,
+                    None => mixture.steps.push(WeightedPath {
+                        path: graph
+                            .path_from_links(commodity.src, links)
+                            .expect("a walk up a shortest-path tree is a simple path"),
+                        weight: flow,
+                    }),
                 }
             }
+            mixture.prune(commodity.demand);
         }
-        column_sums_over(&flows, m, &scratch.active, &mut loads);
+        for &l in &scratch.active {
+            loads[l.index()] = 0.0;
+        }
+        for mixture in &mixtures {
+            mixture.add_to(loads);
+        }
+        solution.mixtures = mixtures;
 
         if warm {
             scratch.warm = Some(WarmEntry {
-                keys: self
-                    .commodities
-                    .iter()
-                    .map(|c| (c.id, c.src.index(), c.dst.index(), c.demand.to_bits()))
-                    .collect(),
-                flows: flows.clone(),
-                loads: loads.clone(),
-                link_count: m,
-                graph_epoch: self.graph.get().epoch(),
-                iterations,
-                converged,
-                active: scratch
-                    .active
-                    .iter()
-                    .copied()
-                    .filter(|&l| loads[l.index()] != 0.0)
-                    .collect(),
+                keys: self.commodities.iter().map(warm_key).collect(),
+                solution: solution.clone(),
+                graph_epoch: graph.epoch(),
                 config_bits: config_fingerprint(config),
                 cost_bits: cost_fingerprint(cost),
             });
             scratch.consume_dirty();
         }
-
-        FmcfSolution {
-            flows,
-            loads,
-            commodities: n,
-            link_count: m,
-            iterations,
-            converged,
-        }
+        Ok(solution)
     }
 
     /// Returns the cached solution when the problem is bit-identical to
@@ -904,114 +1093,20 @@ impl<'a> FmcfProblem<'a> {
         scratch: &FmcfScratch,
     ) -> Option<FmcfSolution> {
         let entry = scratch.warm.as_ref()?;
-        let m = self.graph.get().link_count();
-        if entry.link_count != m
-            || entry.graph_epoch != self.graph.get().epoch()
-            || entry.keys.len() != self.commodities.len()
-            || entry.config_bits != config_fingerprint(config)
-            || entry.cost_bits != cost_fingerprint(cost)
-        {
-            return None;
-        }
-        let same = self
-            .commodities
-            .iter()
-            .zip(&entry.keys)
-            .all(|(c, k)| *k == (c.id, c.src.index(), c.dst.index(), c.demand.to_bits()));
-        if !same || entry.active.iter().any(|&l| scratch.is_dirty(l)) {
-            return None;
-        }
-        Some(FmcfSolution {
-            flows: entry.flows.clone(),
-            loads: entry.loads.clone(),
-            commodities: entry.keys.len(),
-            link_count: m,
-            iterations: entry.iterations,
-            converged: entry.converged,
-        })
+        let loads = &entry.solution.loads;
+        let loaded = |l: &LinkId| loads.get(l.index()).is_some_and(|&x| x != 0.0);
+        let keys = self.commodities.iter().map(warm_key);
+        let same = entry.matches(self.graph.get(), config, cost)
+            && keys.eq(entry.keys.iter().copied())
+            && !scratch.dirty.iter().any(loaded);
+        same.then(|| entry.solution.clone())
     }
+}
 
-    /// Overwrites the ECMP-split rows of commodities carried over from the
-    /// cached problem with their previous converged flows (scaled to the
-    /// new demand), skipping commodities whose cached flows touch a dirty
-    /// link. Registers the seeded links as active.
-    fn seed_from_cache(
-        &self,
-        cost: &impl FlowCost,
-        config: &FmcfSolverConfig,
-        scratch: &mut FmcfScratch,
-        flows: &mut [f64],
-        m: usize,
-    ) {
-        let mut seeded_links: Vec<LinkId> = Vec::new();
-        {
-            let Some(entry) = scratch.warm.as_ref() else {
-                return;
-            };
-            if entry.link_count != m
-                || entry.graph_epoch != self.graph.get().epoch()
-                || entry.config_bits != config_fingerprint(config)
-                || entry.cost_bits != cost_fingerprint(cost)
-            {
-                return;
-            }
-            let index: HashMap<usize, usize> = entry
-                .keys
-                .iter()
-                .enumerate()
-                .map(|(row, k)| (k.0, row))
-                .collect();
-            for (c, commodity) in self.commodities.iter().enumerate() {
-                let Some(&row) = index.get(&commodity.id) else {
-                    continue;
-                };
-                let (_, src, dst, demand_bits) = entry.keys[row];
-                if src != commodity.src.index() || dst != commodity.dst.index() {
-                    continue;
-                }
-                let old_demand = f64::from_bits(demand_bits);
-                if !old_demand.is_finite() || old_demand <= 0.0 {
-                    continue;
-                }
-                let cached = &entry.flows[row * m..(row + 1) * m];
-                if entry
-                    .active
-                    .iter()
-                    .any(|&l| cached[l.index()] != 0.0 && scratch.is_dirty(l))
-                {
-                    continue;
-                }
-                // Replace the whole initial row — the span is its support,
-                // and the cached row need not cover it — with the scaled
-                // cached row; scaling a valid flow preserves conservation
-                // at the new demand.
-                let scale = commodity.demand / old_demand;
-                for &l in self.span(scratch, c) {
-                    flows[c * m + l.index()] = 0.0;
-                }
-                for &l in &entry.active {
-                    let v = cached[l.index()];
-                    if v != 0.0 {
-                        flows[c * m + l.index()] = v * scale;
-                        if !scratch.active_mark[l.index()] {
-                            seeded_links.push(l);
-                        }
-                    }
-                }
-            }
-        }
-        let mut added = false;
-        for l in seeded_links {
-            if !scratch.active_mark[l.index()] {
-                scratch.active_mark[l.index()] = true;
-                scratch.active.push(l);
-                added = true;
-            }
-        }
-        if added {
-            scratch.active.sort_unstable();
-        }
-    }
+/// The `(id, src, dst, demand bits)` fingerprint of a commodity in the
+/// warm cache.
+fn warm_key(c: &Commodity) -> (usize, usize, usize, u64) {
+    (c.id, c.src.index(), c.dst.index(), c.demand.to_bits())
 }
 
 /// Bit-pattern fingerprint of a solver configuration for warm-cache
@@ -1040,18 +1135,39 @@ fn cost_fingerprint(cost: &impl FlowCost) -> [u64; 3] {
 impl FmcfSolution {
     /// Number of commodities in the solution.
     pub fn commodity_count(&self) -> usize {
-        self.commodities
+        self.mixtures.len()
     }
 
-    /// The flow of commodity index `c` (position in the problem's commodity
-    /// list) on `link`.
+    /// The paths carrying commodity index `c` (position in the problem's
+    /// commodity list) with the flow on each; the flows sum to the demand.
+    /// A path may occur twice: once in the commodity's start, once as a
+    /// Frank–Wolfe step.
+    pub fn paths(&self, c: usize) -> impl Iterator<Item = (&Path, f64)> + '_ {
+        self.mixtures[c].paths()
+    }
+
+    /// The `commodities x links` matrix of per-link flows, built from the
+    /// path lists on first use. Nothing on a solve's path reads it.
+    fn dense(&self) -> &[f64] {
+        self.dense.get_or_init(|| {
+            let m = self.loads.len();
+            let mut flows = vec![0.0; self.mixtures.len() * m];
+            for (mixture, row) in self.mixtures.iter().zip(flows.chunks_exact_mut(m.max(1))) {
+                mixture.add_to(row);
+            }
+            flows
+        })
+    }
+
+    /// The flow of commodity index `c` on `link`.
     pub fn commodity_flow(&self, c: usize, link: LinkId) -> f64 {
-        self.flows[c * self.link_count + link.index()]
+        self.commodity_flows(c)[link.index()]
     }
 
     /// The full per-link flow vector of commodity index `c`.
     pub fn commodity_flows(&self, c: usize) -> &[f64] {
-        &self.flows[c * self.link_count..(c + 1) * self.link_count]
+        let m = self.loads.len();
+        &self.dense()[c * m..(c + 1) * m]
     }
 
     /// The aggregate load on `link` over all commodities.
@@ -1059,8 +1175,7 @@ impl FmcfSolution {
         self.loads[link.index()]
     }
 
-    /// Aggregate loads on all links, maintained by the solve loop (no
-    /// recomputation).
+    /// Aggregate loads on all links.
     pub fn total_loads(&self) -> &[f64] {
         &self.loads
     }
@@ -1088,22 +1203,6 @@ impl FmcfSolution {
             .map(|&l| self.commodity_flow(c, l))
             .sum();
         outgoing - incoming
-    }
-}
-
-/// Accumulates the per-link column sums of the flat row-major flow matrix
-/// into `out`, visiting only `active` columns (rows in commodity order,
-/// preserving the historical per-link summation order bit-for-bit; the
-/// skipped columns are exactly zero in every row).
-fn column_sums_over(rows: &[f64], m: usize, active: &[LinkId], out: &mut [f64]) {
-    out.fill(0.0);
-    if m == 0 {
-        return;
-    }
-    for row in rows.chunks_exact(m) {
-        for &l in active {
-            out[l.index()] += row[l.index()];
-        }
     }
 }
 
@@ -1189,7 +1288,7 @@ mod tests {
                 demand: 8.0,
             }],
         );
-        let sol = problem.solve(&quadratic_cost(), &tight_config());
+        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
         let cost = sol.total_cost(&quadratic_cost());
         assert!(
             close(cost, 8.0 * 8.0 / 4.0, 0.02),
@@ -1230,7 +1329,7 @@ mod tests {
             },
         ];
         let problem = FmcfProblem::new(&t.network, commodities.clone());
-        let sol = problem.solve(&quadratic_cost(), &tight_config());
+        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
         for (ci, c) in commodities.iter().enumerate() {
             for node in t.network.nodes() {
                 let net = sol.net_outflow(&t.network, ci, node.id);
@@ -1272,7 +1371,7 @@ mod tests {
                 },
             ],
         );
-        let sol = problem.solve(&quadratic_cost(), &tight_config());
+        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
         // Total forward load 4 split over 2 links: 2 each, cost 8 (vs 16 if
         // they shared one link).
         let cost = sol.total_cost(&quadratic_cost());
@@ -1294,7 +1393,7 @@ mod tests {
             }],
         );
         let cost_fn = quadratic_cost();
-        let sol = problem.solve(&cost_fn, &tight_config());
+        let sol = problem.solve(&cost_fn, &tight_config()).unwrap();
         let single_path_cost = demand * demand; // all on one link
         assert!(sol.total_cost(&cost_fn) <= single_path_cost + 1e-6);
     }
@@ -1317,7 +1416,7 @@ mod tests {
             capacity: Some(2.0),
             ..Default::default()
         };
-        let sol = problem.solve(&cost, &config);
+        let sol = problem.solve(&cost, &config).unwrap();
         for l in t.network.find_links(t.source(), t.sink()) {
             assert!(
                 sol.edge_load(l) <= 2.0 + 0.05,
@@ -1331,7 +1430,7 @@ mod tests {
     fn empty_problem_solves_trivially() {
         let t = builders::line(2);
         let problem = FmcfProblem::new(&t.network, vec![]);
-        let sol = problem.solve(&quadratic_cost(), &tight_config());
+        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
         assert!(sol.converged);
         assert_eq!(sol.commodity_count(), 0);
     }
@@ -1353,12 +1452,12 @@ mod tests {
                 dst: hosts[b],
                 demand: d,
             }];
-            let shared = FmcfProblem::with_graph(&graph, commodities.clone()).solve_with(
-                &cost,
-                &config,
-                &mut scratch,
-            );
-            let one_shot = FmcfProblem::new(&t.network, commodities).solve(&cost, &config);
+            let shared = FmcfProblem::with_graph(&graph, commodities.clone())
+                .solve_with(&cost, &config, &mut scratch)
+                .unwrap();
+            let one_shot = FmcfProblem::new(&t.network, commodities)
+                .solve(&cost, &config)
+                .unwrap();
             assert_eq!(shared, one_shot);
         }
     }
@@ -1384,7 +1483,7 @@ mod tests {
                 },
             ],
         );
-        let sol = problem.solve(&quadratic_cost(), &tight_config());
+        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
         let loads = sol.total_loads();
         assert_eq!(loads.len(), t.network.link_count());
         for (e, &load) in loads.iter().enumerate() {
@@ -1432,16 +1531,14 @@ mod tests {
                 demand: 1.5,
             },
         ];
-        let cold = FmcfProblem::with_graph(&graph, commodities.clone()).solve_with(
-            &cost,
-            &config,
-            &mut FmcfScratch::new(),
-        );
+        let cold = FmcfProblem::with_graph(&graph, commodities.clone())
+            .solve_with(&cost, &config, &mut FmcfScratch::new())
+            .unwrap();
         let mut scratch = FmcfScratch::new();
         scratch.set_warm_start(true);
         let problem = FmcfProblem::with_graph(&graph, commodities);
-        let first = problem.solve_with(&cost, &config, &mut scratch);
-        let second = problem.solve_with(&cost, &config, &mut scratch);
+        let first = problem.solve_with(&cost, &config, &mut scratch).unwrap();
+        let second = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         assert_eq!(first, cold, "warm-enabled first solve must stay cold");
         assert_eq!(second, cold, "warm re-solve must return the cache verbatim");
     }
@@ -1462,7 +1559,7 @@ mod tests {
         let mut scratch = FmcfScratch::new();
         scratch.set_warm_start(true);
         let problem = FmcfProblem::with_graph(&graph, commodities);
-        let first = problem.solve_with(&cost, &config, &mut scratch);
+        let first = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         // Dirty every link the solution uses: the commodity is re-routed
         // fresh, which for a single commodity lands on the same optimum.
         let used: Vec<LinkId> = (0..graph.link_count())
@@ -1470,7 +1567,7 @@ mod tests {
             .filter(|&l| first.edge_load(l) != 0.0)
             .collect();
         scratch.mark_dirty_links(used);
-        let resolved = problem.solve_with(&cost, &config, &mut scratch);
+        let resolved = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         assert!(resolved.iterations >= 1, "shortcut must not fire");
         assert!(close(
             resolved.total_cost(&cost),
@@ -1478,7 +1575,7 @@ mod tests {
             1e-6
         ));
         // The dirty set was consumed: the next re-solve shortcuts again.
-        let third = problem.solve_with(&cost, &config, &mut scratch);
+        let third = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         assert_eq!(third, resolved);
     }
 
@@ -1513,14 +1610,15 @@ mod tests {
 
         let mut scratch = FmcfScratch::new();
         scratch.set_warm_start(true);
-        FmcfProblem::with_graph(&graph, base).solve_with(&cost, &config, &mut scratch);
-        let warm =
-            FmcfProblem::with_graph(&graph, grown.clone()).solve_with(&cost, &config, &mut scratch);
-        let cold = FmcfProblem::with_graph(&graph, grown.clone()).solve_with(
-            &cost,
-            &config,
-            &mut FmcfScratch::new(),
-        );
+        FmcfProblem::with_graph(&graph, base)
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
+        let warm = FmcfProblem::with_graph(&graph, grown.clone())
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
+        let cold = FmcfProblem::with_graph(&graph, grown.clone())
+            .solve_with(&cost, &config, &mut FmcfScratch::new())
+            .unwrap();
 
         // The seeded start is a different (better) initial point, so the
         // converged matrices differ in the low bits — but conservation is
@@ -1565,12 +1663,14 @@ mod tests {
         let mut scratch = FmcfScratch::new();
         scratch.set_warm_start(true);
         let problem = FmcfProblem::with_graph(&graph, commodities);
-        problem.solve_with(&cost, &config, &mut scratch);
+        problem.solve_with(&cost, &config, &mut scratch).unwrap();
         scratch.set_warm_start(false);
         assert!(!scratch.warm_start());
         // Cold again: must match a fresh scratch bit-for-bit.
-        let after = problem.solve_with(&cost, &config, &mut scratch);
-        let fresh = problem.solve_with(&cost, &config, &mut FmcfScratch::new());
+        let after = problem.solve_with(&cost, &config, &mut scratch).unwrap();
+        let fresh = problem
+            .solve_with(&cost, &config, &mut FmcfScratch::new())
+            .unwrap();
         assert_eq!(after, fresh);
     }
 
@@ -1580,7 +1680,9 @@ mod tests {
             max_iterations: 0,
             ..Default::default()
         };
-        problem.solve_with(&quadratic_cost(), &config, scratch)
+        problem
+            .solve_with(&quadratic_cost(), &config, scratch)
+            .unwrap()
     }
 
     /// Asserts per-commodity conservation at every node of `graph`, to
@@ -1795,7 +1897,7 @@ mod tests {
                          gap {gap} at objective {objective}"
                     );
 
-                    let solved = problem.solve_with(&cost, &config, &mut scratch);
+                    let solved = problem.solve_with(&cost, &config, &mut scratch).unwrap();
                     assert_eq!(solved.iterations, 1);
                     assert!(solved.converged);
                 }
@@ -1885,6 +1987,18 @@ mod tests {
             .resize(SplitCache::MAX_SHARES + 1, (LinkId(0), 0.0));
         assert_eq!(start_of(&problem, &mut scratch), first);
         assert_eq!(scratch.splits.shares.len(), filled);
+        // The cached paths count against the same bound.
+        let held = scratch.splits.path_links;
+        assert!(held > 0);
+        scratch.splits.path_links = SplitCache::MAX_SHARES;
+        let stale = scratch.splits.pairs.values().next().unwrap().paths.clone();
+        assert_eq!(start_of(&problem, &mut scratch), first);
+        assert_eq!(scratch.splits.path_links, held);
+        assert!(scratch
+            .splits
+            .pairs
+            .values()
+            .all(|split| !Arc::ptr_eq(&split.paths, &stale)));
     }
 
     #[test]
@@ -1924,11 +2038,137 @@ mod tests {
 
         let mut scratch = FmcfScratch::new();
         scratch.set_warm_start(true);
-        FmcfProblem::with_graph(&graph, base).solve_with(&cost, &config, &mut scratch);
-        let warm =
-            FmcfProblem::with_graph(&graph, grown.clone()).solve_with(&cost, &config, &mut scratch);
+        FmcfProblem::with_graph(&graph, base)
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
+        let warm = FmcfProblem::with_graph(&graph, grown.clone())
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
         assert_eq!(warm.edge_load(up[2]), 0.0);
         assert_conserves(&graph, &warm, &grown, 1e-9);
+    }
+
+    /// The mixture is the matrix: on the quality-oracle graphs (fat-trees
+    /// with fabric links down, leaf–spine, BCube — where Frank–Wolfe does
+    /// blend) every commodity's paths carry its demand, run from its
+    /// source to its destination over live links without a loop, and sum
+    /// per link to the dense view, whose own decomposition carries the
+    /// same total.
+    #[test]
+    fn the_path_mixture_is_the_link_flow_matrix() {
+        let mut corpus: Vec<(GraphCsr, Vec<NodeId>)> = [
+            builders::fat_tree(4),
+            builders::leaf_spine(4, 3, 4),
+            builders::bcube(4, 1),
+        ]
+        .into_iter()
+        .map(|t| (t.csr(), t.hosts))
+        .collect();
+        for failed in 1..=3usize {
+            let t = builders::fat_tree(6);
+            let mut graph = t.csr();
+            let fabric = |l: &LinkId| {
+                !t.network.node(graph.link_src(*l)).kind.is_host()
+                    && !t.network.node(graph.link_dst(*l)).kind.is_host()
+            };
+            let down: Vec<LinkId> = (0..graph.link_count())
+                .map(LinkId)
+                .filter(fabric)
+                .step_by(37)
+                .take(failed)
+                .collect();
+            for l in down {
+                graph.fail_link(l);
+            }
+            corpus.push((graph, t.hosts));
+        }
+
+        let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 4.0, 10.0));
+        let config = FmcfSolverConfig {
+            capacity: Some(10.0),
+            ..Default::default()
+        };
+        let mut blended = 0;
+        for (graph, hosts) in &corpus {
+            let commodities = host_pairs(hosts, 14);
+            let sol = FmcfProblem::with_graph(graph, commodities.clone())
+                .solve(&cost, &config)
+                .unwrap();
+            blended += usize::from(sol.iterations > 1);
+            assert_conserves(graph, &sol, &commodities, 1e-12);
+            for (c, commodity) in commodities.iter().enumerate() {
+                let demand = commodity.demand;
+                let mut row = vec![0.0; graph.link_count()];
+                let mut total = 0.0;
+                for (path, flow) in sol.paths(c) {
+                    assert!(flow >= NEGLIGIBLE * demand);
+                    assert_eq!(path.source(), commodity.src);
+                    assert_eq!(path.destination(), commodity.dst);
+                    // `Path` construction rejects loops; links must be live.
+                    assert!(path.links().iter().all(|&l| graph.is_link_up(l)));
+                    assert_eq!(
+                        graph
+                            .path_from_links(commodity.src, path.links())
+                            .ok()
+                            .as_ref(),
+                        Some(path)
+                    );
+                    total += flow;
+                    for &l in path.links() {
+                        row[l.index()] += flow;
+                    }
+                }
+                assert!(
+                    (total - demand).abs() <= 1e-12 * demand,
+                    "{total} vs {demand}"
+                );
+                for (e, (&dense, &summed)) in sol.commodity_flows(c).iter().zip(&row).enumerate() {
+                    assert!((dense - summed).abs() <= 1e-12 * demand, "link {e}");
+                }
+                let decomposed: f64 = decompose_flow_with(
+                    graph,
+                    commodity.src,
+                    commodity.dst,
+                    sol.commodity_flows(c),
+                    NEGLIGIBLE * demand,
+                    &mut DecomposeScratch::default(),
+                )
+                .iter()
+                .map(|part| part.weight)
+                .sum();
+                assert!((decomposed - demand).abs() <= 1e-9 * demand, "{decomposed}");
+            }
+        }
+        assert!(blended >= 3, "the corpus must exercise blended mixtures");
+    }
+
+    #[test]
+    fn a_disconnected_commodity_is_an_error_naming_it() {
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Host, "a");
+        let b = net.add_node(NodeKind::Host, "b");
+        let c = net.add_node(NodeKind::Host, "c");
+        net.add_duplex_link(a, b, 10.0);
+        let commodity = |id, dst| Commodity {
+            id,
+            src: a,
+            dst,
+            demand: 1.0,
+        };
+        let problem = FmcfProblem::new(&net, vec![commodity(4, b), commodity(7, c)]);
+        let mut scratch = FmcfScratch::new();
+        for _ in 0..2 {
+            assert_eq!(
+                problem.solve_with(&quadratic_cost(), &tight_config(), &mut scratch),
+                Err(Disconnected { commodity: 7 })
+            );
+        }
+        // The scratch is none the worse for it.
+        let routable = FmcfProblem::new(&net, vec![commodity(4, b)]);
+        assert_eq!(
+            routable.solve_with(&quadratic_cost(), &tight_config(), &mut scratch),
+            routable.solve(&quadratic_cost(), &tight_config())
+        );
     }
 
     #[test]

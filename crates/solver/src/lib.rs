@@ -12,9 +12,12 @@
 //!   costs, solved by the Frank–Wolfe (conditional-gradient) method with
 //!   marginal-cost shortest paths and golden-section line search. This is
 //!   the "solved by convex programming" step of Random-Schedule
-//!   (Algorithm 2, line 3).
+//!   (Algorithm 2, line 3); its solutions are path mixtures, which is the
+//!   form line 4 asks for.
 //! * [`decompose`] — Raghavan–Tompson flow-path decomposition of a
-//!   per-commodity edge flow into weighted paths (Algorithm 2, line 4).
+//!   per-commodity edge flow into weighted paths (Algorithm 2, line 4):
+//!   the solver runs it once per node pair, on the pair's unit ECMP
+//!   split; tests use it as the oracle of the path mixtures.
 //!
 //! Two auxiliary modules support them: [`availability`] tracks blocked /
 //! available time on a resource and tabulates which spans each candidate
@@ -32,6 +35,8 @@ pub mod fmcf;
 pub mod yds;
 
 pub use availability::{IntervalScan, TimeAvailability};
-pub use decompose::{decompose_flow, decompose_flow_with, DecomposeScratch, WeightedPath};
-pub use fmcf::{Commodity, FlowCost, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost};
+pub use decompose::{decompose_flow, WeightedPath};
+pub use fmcf::{
+    Commodity, Disconnected, FlowCost, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
+};
 pub use yds::{edf_schedule, yds_schedule, Job, JobPlacement, YdsSchedule};

@@ -44,9 +44,10 @@ impl std::error::Error for PathError {}
 /// that occurs more than once in `nodes`, if any.
 ///
 /// Data-center paths are a handful of hops and almost always simple, and
-/// the path decomposition builds tens of thousands of them per solve, so a
-/// short sequence is first scanned in place; the allocating sort runs only
-/// when that scan found a repeat or the sequence is long.
+/// path-building loops (k shortest paths, flow decomposition) construct
+/// them by the thousand, so a short sequence is first scanned in place;
+/// the allocating sort runs only when that scan found a repeat or the
+/// sequence is long.
 pub(crate) fn repeated_node(nodes: &[NodeId]) -> Option<NodeId> {
     const SCAN_LIMIT: usize = 16;
     if nodes.len() <= SCAN_LIMIT

@@ -11,16 +11,26 @@
 //! the original adjacency-list algorithms produced. The originals are
 //! preserved verbatim in [`reference`] below as the oracle.
 //!
-//! The Frank–Wolfe *loop* of the oracle is the pre-refactor one; its start
-//! point is not. The solver now starts at the ECMP split (every demand
-//! divided equally over its hop-count shortest-path DAG) instead of on one
-//! hop-count shortest path per commodity, so [`reference::solve`] takes
-//! the start as a parameter: [`reference::Start::EcmpSplit`] — an
-//! independent adjacency-list implementation of the same split — keeps the
-//! solver pinned bit for bit, and the original
+//! The Frank–Wolfe *loop* of the oracle is the pre-refactor one — a
+//! `Vec<Vec<f64>>` flow matrix blended entry by entry — with the two
+//! changes the solver made to *what* it computes. It starts at the ECMP
+//! split (every demand divided equally over its hop-count shortest-path
+//! DAG) instead of on one hop-count shortest path per commodity, so
+//! [`reference::solve`] takes the start as a parameter:
+//! [`reference::Start::EcmpSplit`] is an independent adjacency-list
+//! implementation of the same split, and the original
 //! [`reference::Start::SinglePath`] stays as the reference of the quality
 //! oracle at the bottom of this file (the new start must never end at a
-//! worse objective than the old one did).
+//! worse objective than the old one did). And it stops on the Frank–Wolfe
+//! gap before the line search, as the solver does.
+//!
+//! The solver no longer holds the matrix: it keeps each commodity as a
+//! mixture of paths and blends only the aggregate loads. Up to the first
+//! blend its arithmetic is the oracle's, bit for bit; a blend of the
+//! aggregate (`(1-γ)·Σ_c f_c + γ·Σ_c t_c`) rounds differently from the
+//! sum of blended rows (`Σ_c ((1-γ)·f_c + γ·t_c)`), so from there the two
+//! are compared to 1e-9 — of the objective, and of the demand for loads
+//! and per-commodity rows — instead of to the bit.
 
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::fmcf::{
@@ -246,15 +256,16 @@ mod reference {
     }
 
     /// The original Frank–Wolfe solve over `Vec<Vec<f64>>` flow matrices,
-    /// one Dijkstra per commodity per iteration, from the given start.
-    /// Returns the per-commodity flows plus `(iterations, converged)`.
+    /// one Dijkstra per commodity per iteration, from the given start,
+    /// stopping on the Frank–Wolfe gap like the solver. Returns the
+    /// per-commodity flows plus `(iterations, converged, blends)`.
     pub fn solve(
         network: &Network,
         commodities: &[Commodity],
         cost: &impl FlowCost,
         config: &FmcfSolverConfig,
         start: Start,
-    ) -> (Vec<Vec<f64>>, usize, bool) {
+    ) -> (Vec<Vec<f64>>, usize, bool, usize) {
         let penalty = |load: f64| match config.capacity {
             Some(cap) if load > cap => config.capacity_penalty * (load - cap).powi(2),
             _ => 0.0,
@@ -286,7 +297,7 @@ mod reference {
         let m = network.link_count();
         let n = commodities.len();
         if n == 0 {
-            return (Vec::new(), 0, true);
+            return (Vec::new(), 0, true, 0);
         }
 
         let mut flows = match start {
@@ -299,6 +310,7 @@ mod reference {
         let mut obj = objective(&loads);
         let mut converged = false;
         let mut iterations = 0;
+        let mut blends = 0;
 
         for it in 0..config.max_iterations {
             iterations = it + 1;
@@ -309,6 +321,15 @@ mod reference {
                 .collect();
             let target = all_or_nothing(&weights).expect("path exists");
             let target_loads = column_sums(&target, m);
+
+            // The Frank–Wolfe gap, from the matrices.
+            let linearised =
+                |loads: &[f64]| -> f64 { loads.iter().zip(&weights).map(|(x, w)| w * x).sum() };
+            let gap = linearised(&loads) - linearised(&target_loads);
+            if (gap / obj.abs()).max(0.0) <= config.tolerance {
+                converged = true;
+                break;
+            }
 
             let eval = |gamma: f64| {
                 let blended: Vec<f64> = loads
@@ -324,6 +345,7 @@ mod reference {
                 break;
             }
 
+            blends += 1;
             for (fc, tc) in flows.iter_mut().zip(&target) {
                 for (fe, te) in fc.iter_mut().zip(tc) {
                     *fe = (1.0 - gamma) * *fe + gamma * *te;
@@ -346,7 +368,7 @@ mod reference {
                 }
             }
         }
-        (flows, iterations, converged)
+        (flows, iterations, converged, blends)
     }
 }
 
@@ -489,10 +511,14 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Full Frank–Wolfe F-MCF solutions (per-commodity flows, iteration
-    /// count, convergence flag) are **bit-for-bit identical** to the
-    /// pre-refactor per-commodity-Dijkstra solver started at the reference
-    /// ECMP split, under both pure speed-scaling and idle-share costs.
+    /// Full Frank–Wolfe F-MCF solutions equal the pre-refactor
+    /// per-commodity-Dijkstra matrix solver started at the reference ECMP
+    /// split, under both pure speed-scaling and idle-share costs: the
+    /// iteration count and the convergence flag exactly wherever the
+    /// oracle never blended, and the penalised objective, the loads and
+    /// every commodity's per-link flows (the solver's dense view of its
+    /// path mixture) to 1e-9 — the tolerance the module docs trade for
+    /// blending the aggregate instead of the matrix.
     #[test]
     fn fmcf_matches_prerefactor_solver(
         spec in arb_topo(),
@@ -514,24 +540,37 @@ proptest! {
             ..Default::default()
         };
 
-        let (oracle_flows, oracle_iters, oracle_converged) =
+        let (oracle_flows, oracle_iters, oracle_converged, oracle_blends) =
             reference::solve(&net, &commodities, &cost, &config, reference::Start::EcmpSplit);
-        let solution = FmcfProblem::new(&net, commodities.clone()).solve(&cost, &config);
+        let solution = FmcfProblem::new(&net, commodities.clone())
+            .solve(&cost, &config)
+            .unwrap();
 
         prop_assert_eq!(solution.commodity_count(), commodities.len());
-        prop_assert_eq!(solution.iterations, oracle_iters);
-        prop_assert_eq!(solution.converged, oracle_converged);
-        for (c, oracle_row) in oracle_flows.iter().enumerate() {
-            prop_assert_eq!(solution.commodity_flows(c), oracle_row.as_slice());
+        if oracle_blends == 0 {
+            prop_assert_eq!(solution.iterations, oracle_iters);
+            prop_assert_eq!(solution.converged, oracle_converged);
         }
-        // The maintained loads equal the recomputed column sums exactly
-        // (an empty problem exposes no loads, matching the old behavior).
-        if !commodities.is_empty() {
-            for e in 0..net.link_count() {
-                let expected: f64 = oracle_flows.iter().map(|row| row[e]).sum();
-                prop_assert_eq!(solution.total_loads()[e], expected);
+        let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
+        for ((c, oracle_row), commodity) in oracle_flows.iter().enumerate().zip(&commodities) {
+            for (e, (&mine, &theirs)) in solution.commodity_flows(c).iter().zip(oracle_row).enumerate() {
+                prop_assert!(
+                    close(mine, theirs, commodity.demand),
+                    "commodity {} on link {}: {} vs {}", c, e, mine, theirs
+                );
             }
         }
+        // An empty problem exposes all-zero loads and no rows.
+        let total: f64 = commodities.iter().map(|c| c.demand).sum();
+        let oracle_loads: Vec<f64> = (0..net.link_count())
+            .map(|e| oracle_flows.iter().map(|row| row[e]).sum())
+            .collect();
+        for (e, (&mine, &theirs)) in solution.total_loads().iter().zip(&oracle_loads).enumerate() {
+            prop_assert!(close(mine, theirs, total), "link {}: {} vs {}", e, mine, theirs);
+        }
+        let mine = objective(solution.total_loads().iter().copied(), &cost, &config);
+        let theirs = objective(oracle_loads.into_iter(), &cost, &config);
+        prop_assert!(close(mine, theirs, theirs), "objective {} vs {}", mine, theirs);
     }
 
     /// Quality oracle on the random multigraphs: the solver, started at
@@ -586,9 +625,11 @@ fn objectives(
     cost: &impl FlowCost,
     config: &FmcfSolverConfig,
 ) -> (f64, f64, bool) {
-    let solution = FmcfProblem::new(net, commodities.to_vec()).solve(cost, config);
+    let solution = FmcfProblem::new(net, commodities.to_vec())
+        .solve(cost, config)
+        .unwrap();
     let new = objective(solution.total_loads().iter().copied(), cost, config);
-    let (flows, _, reference_converged) =
+    let (flows, _, reference_converged, _) =
         reference::solve(net, commodities, cost, config, reference::Start::SinglePath);
     let loads = (0..net.link_count()).map(|e| flows.iter().map(|row| row[e]).sum());
     (

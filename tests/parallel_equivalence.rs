@@ -122,11 +122,12 @@ fn interval_relaxation_is_thread_count_invariant() {
         let flows = UniformWorkload::paper_defaults(24, 11)
             .generate(topo.hosts())
             .unwrap();
-        let sequential = interval_relaxation_threads(&topo.csr(), &flows, &power, &config, 1);
+        let sequential =
+            interval_relaxation_threads(&topo.csr(), &flows, &power, &config, 1).unwrap();
         assert!(sequential.intervals.len() > 1, "need a real fan-out");
         for threads in THREAD_COUNTS {
             let parallel =
-                interval_relaxation_threads(&topo.csr(), &flows, &power, &config, threads);
+                interval_relaxation_threads(&topo.csr(), &flows, &power, &config, threads).unwrap();
             assert_eq!(
                 sequential.lower_bound.to_bits(),
                 parallel.lower_bound.to_bits(),
@@ -142,8 +143,10 @@ fn interval_relaxation_is_thread_count_invariant() {
             {
                 assert_eq!(seq.interval, par.interval);
                 assert_eq!(seq.flow_ids, par.flow_ids);
-                // FmcfSolution equality covers flows, loads, convergence
-                // *and* the iteration counter: the parallel path must run
+                // FmcfSolution equality covers the path mixtures (by
+                // content: every worker fills its own split cache), loads,
+                // convergence, the gap *and* the iteration counter: the
+                // parallel path must run
                 // Frank–Wolfe through the exact same trajectory.
                 assert_eq!(
                     seq.solution, par.solution,

@@ -252,3 +252,26 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
         "the retire rule and its `VOLUME_TOL` are defined once, in the ledger"
     );
 }
+
+#[test]
+fn the_relaxation_hands_random_schedule_its_paths() {
+    // A Frank–Wolfe iterate is a path mixture and stays one from the solve
+    // loop to the rounding (PR 22): the rounding never extracts paths from
+    // link flows nor falls back to a path of its own, and the solver holds
+    // no commodities-by-links matrix outside the on-demand dense view.
+    let read = |file: &str| {
+        fs::read_to_string(workspace_root().join(file))
+            .unwrap_or_else(|e| panic!("cannot read {file}: {e}"))
+    };
+    let dcfsr = read("crates/core/src/dcfsr.rs");
+    for banned in ["decompose_flow", "live_path"] {
+        assert!(
+            !dcfsr.contains(banned),
+            "dcfsr.rs: `{banned}` — candidates come from `FmcfSolution::paths`"
+        );
+    }
+    assert!(
+        !read("crates/solver/src/fmcf.rs").contains("vec![0.0; n * m]"),
+        "fmcf.rs: no dense flow matrix on the solve path"
+    );
+}
