@@ -48,8 +48,11 @@
 //! Under `--quick` the sweep is followed by a throughput smoke: 100 000
 //! arrivals on a fat-tree(k=16) pushed through the event loop
 //! (solver-free `edf` policy, so the runtime measures the engine,
-//! not Frank–Wolfe). It prints its arrivals-per-second rate and is kept
-//! out of the JSON artifact — wall clock is not deterministic.
+//! not Frank–Wolfe), then replayed by the simulator, which must see no
+//! deadline miss, no link above capacity and the energy the engine
+//! reported, to the bit. It prints its arrivals-per-second rate and the
+//! replay seconds and is kept out of the JSON artifact — wall clock is not
+//! deterministic.
 
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
@@ -58,6 +61,7 @@ use dcn_core::online::{AdmissionRule, OnlineEngine, PolicyRegistry};
 use dcn_core::SolverContext;
 use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
 use dcn_power::PowerFunction;
+use dcn_sim::Simulator;
 use dcn_topology::builders::{self, BuiltTopology};
 
 /// One cell of the online sweep grid.
@@ -339,7 +343,8 @@ fn main() {
 
 /// The `--quick` throughput smoke: 100 000 Poisson arrivals on a
 /// fat-tree(k=16) through the event loop. The solver-free `edf` policy
-/// bounds the runtime by the engine itself rather than by Frank–Wolfe.
+/// bounds the runtime by the engine itself rather than by Frank–Wolfe, and
+/// the simulator replays the whole schedule as the end-to-end check.
 /// Results go to stdout only — wall clock varies run to run, so the smoke
 /// never touches the JSON artifact.
 fn throughput_smoke() {
@@ -364,14 +369,37 @@ fn throughput_smoke() {
             .run(&mut ctx, &instance, &power)
             .expect("the smoke instance runs to completion")
     });
+    // The end-to-end hard-deadline check: replay what was committed.
+    let report = &outcome.report;
+    let (replay, replay_seconds) = timed(|| {
+        Simulator::new(power).run_admitted(
+            ctx.graph(),
+            &instance,
+            &outcome.schedule,
+            &report.admitted_mask(),
+        )
+    });
+    assert_eq!(replay.deadline_misses, 0, "the replay saw a deadline miss");
+    assert_eq!(
+        replay.capacity_violations, 0,
+        "the replay saw a link above capacity"
+    );
+    assert_eq!(
+        replay.energy.total().to_bits(),
+        report.online_energy.to_bits(),
+        "the replay measures {}, the engine reported {}",
+        replay.energy.total(),
+        report.online_energy
+    );
     println!(
         "[online] quick smoke: {} on {} arrivals — {} events, {} missed, {:.2}s \
-         ({:.0} arrivals/s)",
+         ({:.0} arrivals/s), replayed in {:.2}s",
         topo.name,
         instance.len(),
-        outcome.report.events,
-        outcome.report.missed(),
+        report.events,
+        report.missed(),
         seconds,
-        instance.len() as f64 / seconds.max(f64::MIN_POSITIVE)
+        instance.len() as f64 / seconds.max(f64::MIN_POSITIVE),
+        replay_seconds
     );
 }

@@ -21,7 +21,7 @@
 //! ≤ 2.3e-16 relative in every energy the bench artifacts record).
 
 use dcn_flow::{FlowId, FlowSet};
-use dcn_power::{EnergyBreakdown, EnergyMeter, PowerFunction, RateProfile};
+use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
 use dcn_topology::{GraphCsr, LinkId, Path};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -203,6 +203,14 @@ fn append_pieces(profile: &mut RateProfile, later: &RateProfile) {
     }
 }
 
+/// The hard constraint `x_e(t) ≤ C` (Eq. 5) as every check of it reads it:
+/// `rate` is above `capacity` by more than rounding, relative and absolute
+/// (1e-9 each) — the one tolerance of [`Schedule::verify_on`] and of the
+/// simulator's replay.
+pub fn exceeds_capacity(rate: f64, capacity: f64) -> bool {
+    rate > capacity * (1.0 + 1e-9) + 1e-9
+}
+
 /// A violation detected when verifying a schedule against its instance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleViolation {
@@ -380,20 +388,19 @@ impl Schedule {
             .collect()
     }
 
-    /// Builds an [`EnergyMeter`] loaded with this schedule's link activity.
-    pub fn energy_meter(&self, power: &PowerFunction) -> EnergyMeter {
-        let mut meter = EnergyMeter::new(*power, self.horizon.0, self.horizon.1);
-        for fs in &self.flows {
-            for (link, profile) in fs.link_profiles() {
-                meter.add_profile(link, profile);
-            }
-        }
-        meter
-    }
-
-    /// The energy of the schedule under the paper's objective (Eq. 5).
+    /// The energy of the schedule under the paper's objective (Eq. 5):
+    /// every link that is ever active pays the idle power `σ` for the whole
+    /// horizon — a link may be powered down only if it carries nothing at
+    /// all — plus `∫ μ·x_e(t)^α dt` of its aggregate rate.
     pub fn energy(&self, power: &PowerFunction) -> EnergyBreakdown {
-        self.energy_meter(power).breakdown()
+        let horizon = self.horizon.1 - self.horizon.0;
+        let mut energy = EnergyBreakdown::default();
+        for profile in self.link_profiles().values().filter(|p| p.is_active()) {
+            energy.active_links += 1;
+            energy.idle += power.sigma() * horizon;
+            energy.dynamic += profile.dynamic_energy(power);
+        }
+        energy
     }
 
     /// The largest factor by which any link's aggregate rate exceeds the
@@ -472,7 +479,7 @@ impl Schedule {
         for (link, profile) in self.link_profiles() {
             let max_rate = profile.max_rate();
             let capacity = graph.capacity(link).min(power.capacity());
-            if max_rate > capacity * (1.0 + 1e-9) + 1e-9 {
+            if exceeds_capacity(max_rate, capacity) {
                 violations.push(ScheduleViolation::CapacityExceeded {
                     link,
                     max_rate,
@@ -543,6 +550,20 @@ mod tests {
         assert!((e.dynamic - 32.0).abs() < 1e-9);
         assert!((e.idle - 8.0).abs() < 1e-9);
         assert!((e.total() - 40.0).abs() < 1e-9);
+        // Even a short burst keeps both links up for the whole horizon.
+        let (topo, _, _) = simple_instance();
+        let burst = rebuild_with_profile(&topo, RateProfile::constant(1.0, 1.5, 2.0));
+        let e = burst.energy(&power());
+        assert_eq!((e.active_links, e.idle, e.dynamic), (2, 8.0, 4.0));
+        // Nothing scheduled, nothing charged.
+        let idle = Schedule::new(vec![], (0.0, 4.0)).energy(&power());
+        assert_eq!((idle.active_links, idle.total()), (0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon is reversed")]
+    fn reversed_horizon_rejected() {
+        Schedule::new(vec![], (10.0, 0.0));
     }
 
     #[test]
@@ -670,6 +691,10 @@ mod tests {
         assert_eq!(shared.rate_at(2.5), 2.0);
         // Flow 0 uses one link, flow 1 uses two; one of them is shared.
         assert_eq!(schedule.active_links().len(), 2);
+        // The shared link pays for the aggregate (1 + 3^2 + 2^2), not for
+        // each flow's rate on its own; flow 1's second link for 2^2 * 2.
+        let e = schedule.energy(&power());
+        assert_eq!((e.active_links, e.idle, e.dynamic), (2, 6.0, 14.0 + 8.0));
     }
 
     #[test]

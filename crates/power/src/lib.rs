@@ -21,8 +21,10 @@
 //!   rate `f(x)/x`, marginal cost for the Frank–Wolfe solver).
 //! * [`RateProfile`] — a piecewise-constant rate over time, with exact
 //!   integration of both volume and energy.
-//! * [`EnergyMeter`] — per-link energy accounting over a whole schedule,
-//!   split into idle and dynamic energy, as needed to evaluate `Phi_f`.
+//! * [`EnergyBreakdown`] — the value of `Phi_f` split into idle and dynamic
+//!   energy. The accounting itself is `dcn_core::Schedule::energy`, the one
+//!   place that knows which flows share a link: it folds `sigma * |horizon|`
+//!   and [`RateProfile::dynamic_energy`] over the link aggregates.
 //!
 //! # Example
 //!
@@ -49,5 +51,5 @@ mod meter;
 mod profile;
 
 pub use function::{PowerFunction, PowerFunctionError};
-pub use meter::{EnergyBreakdown, EnergyMeter};
+pub use meter::EnergyBreakdown;
 pub use profile::RateProfile;

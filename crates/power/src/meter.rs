@@ -1,9 +1,7 @@
-//! Network-wide energy accounting over a scheduling horizon.
+//! The energy of a schedule over its horizon, split as the paper's
+//! objective splits it.
 
-use crate::{PowerFunction, RateProfile};
-use dcn_topology::LinkId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The energy consumed by a schedule, split the way the paper's objective
 /// (Eq. 5) splits it.
@@ -25,229 +23,5 @@ impl EnergyBreakdown {
     /// Total energy `Phi_f = idle + dynamic`.
     pub fn total(&self) -> f64 {
         self.idle + self.dynamic
-    }
-}
-
-/// Accumulates per-link transmission activity and evaluates the paper's
-/// energy objective `Phi_f` over a fixed horizon `[T0, T1]`.
-///
-/// # Example
-///
-/// ```
-/// use dcn_power::{EnergyMeter, PowerFunction};
-/// use dcn_topology::LinkId;
-///
-/// let f = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
-/// let mut meter = EnergyMeter::new(f, 0.0, 10.0);
-/// meter.add_transmission(LinkId(0), 0.0, 5.0, 2.0);
-///
-/// let e = meter.breakdown();
-/// assert_eq!(e.active_links, 1);
-/// assert_eq!(e.idle, 10.0);        // sigma * horizon for one active link
-/// assert_eq!(e.dynamic, 20.0);     // 2^2 * 5
-/// assert_eq!(e.total(), 30.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EnergyMeter {
-    power: PowerFunction,
-    horizon_start: f64,
-    horizon_end: f64,
-    links: BTreeMap<LinkId, RateProfile>,
-}
-
-impl EnergyMeter {
-    /// Creates a meter for the horizon `[start, end]` under the given power
-    /// function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn new(power: PowerFunction, start: f64, end: f64) -> Self {
-        assert!(end >= start, "horizon end {end} precedes start {start}");
-        Self {
-            power,
-            horizon_start: start,
-            horizon_end: end,
-            links: BTreeMap::new(),
-        }
-    }
-
-    /// The power function in effect.
-    pub fn power_function(&self) -> &PowerFunction {
-        &self.power
-    }
-
-    /// The scheduling horizon `[T0, T1]`.
-    pub fn horizon(&self) -> (f64, f64) {
-        (self.horizon_start, self.horizon_end)
-    }
-
-    /// Records that `link` transmits at `rate` during `[start, end)`.
-    /// Multiple recordings on the same link accumulate (the link's rate is
-    /// the sum of the rates of the flows it carries).
-    pub fn add_transmission(&mut self, link: LinkId, start: f64, end: f64, rate: f64) {
-        self.links
-            .entry(link)
-            .or_default()
-            .add_rate(start, end, rate);
-    }
-
-    /// Merges an entire per-link profile into the meter.
-    pub fn add_profile(&mut self, link: LinkId, profile: &RateProfile) {
-        self.links.entry(link).or_default().merge(profile);
-    }
-
-    /// The aggregate rate profile recorded for `link`, if any.
-    pub fn link_profile(&self, link: LinkId) -> Option<&RateProfile> {
-        self.links.get(&link)
-    }
-
-    /// Ids of the links that carry any traffic (the active set `E_a`).
-    pub fn active_links(&self) -> Vec<LinkId> {
-        self.links
-            .iter()
-            .filter(|(_, p)| p.is_active())
-            .map(|(&l, _)| l)
-            .collect()
-    }
-
-    /// The largest factor by which any link exceeds its capacity `C`
-    /// (zero if no link ever does).
-    pub fn max_capacity_excess(&self) -> f64 {
-        self.links
-            .values()
-            .map(|p| p.capacity_excess(self.power.capacity()))
-            .fold(0.0, f64::max)
-    }
-
-    /// Evaluates the paper's objective (Eq. 5) for everything recorded so
-    /// far.
-    pub fn breakdown(&self) -> EnergyBreakdown {
-        let horizon = self.horizon_end - self.horizon_start;
-        let mut idle = 0.0;
-        let mut dynamic = 0.0;
-        let mut active = 0usize;
-        for profile in self.links.values() {
-            if !profile.is_active() {
-                continue;
-            }
-            active += 1;
-            idle += self.power.sigma() * horizon;
-            dynamic += profile.dynamic_energy(&self.power);
-        }
-        EnergyBreakdown {
-            idle,
-            dynamic,
-            active_links: active,
-        }
-    }
-
-    /// Total energy `Phi_f` (idle + dynamic).
-    pub fn total_energy(&self) -> f64 {
-        self.breakdown().total()
-    }
-
-    /// Per-link total energy (idle share + dynamic), sorted by link id.
-    pub fn per_link_energy(&self) -> Vec<(LinkId, f64)> {
-        let horizon = self.horizon_end - self.horizon_start;
-        self.links
-            .iter()
-            .filter(|(_, p)| p.is_active())
-            .map(|(&l, p)| {
-                (
-                    l,
-                    self.power.sigma() * horizon + p.dynamic_energy(&self.power),
-                )
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() < 1e-9
-    }
-
-    #[test]
-    fn empty_meter_reports_zero() {
-        let f = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
-        let meter = EnergyMeter::new(f, 0.0, 100.0);
-        let e = meter.breakdown();
-        assert_eq!(e.total(), 0.0);
-        assert_eq!(e.active_links, 0);
-        assert!(meter.active_links().is_empty());
-    }
-
-    #[test]
-    fn idle_energy_charged_for_whole_horizon() {
-        // Even a short burst makes the link active for the whole period.
-        let f = PowerFunction::new(2.0, 1.0, 2.0, 10.0).unwrap();
-        let mut meter = EnergyMeter::new(f, 0.0, 50.0);
-        meter.add_transmission(LinkId(3), 10.0, 11.0, 1.0);
-        let e = meter.breakdown();
-        assert!(close(e.idle, 2.0 * 50.0));
-        assert!(close(e.dynamic, 1.0));
-        assert_eq!(e.active_links, 1);
-    }
-
-    #[test]
-    fn multiple_links_and_flows_accumulate() {
-        let f = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
-        let mut meter = EnergyMeter::new(f, 0.0, 10.0);
-        // Two flows share link 0 during [0,5): aggregate rate 3.
-        meter.add_transmission(LinkId(0), 0.0, 5.0, 1.0);
-        meter.add_transmission(LinkId(0), 0.0, 5.0, 2.0);
-        // Link 1 runs alone.
-        meter.add_transmission(LinkId(1), 0.0, 10.0, 1.0);
-        let e = meter.breakdown();
-        assert_eq!(e.active_links, 2);
-        assert!(close(e.idle, 2.0 * 10.0));
-        assert!(close(e.dynamic, 9.0 * 5.0 + 1.0 * 10.0));
-        // The aggregation on link 0 must be 3, not two separate rates.
-        assert!(close(
-            meter.link_profile(LinkId(0)).unwrap().max_rate(),
-            3.0
-        ));
-    }
-
-    #[test]
-    fn per_link_energy_sums_to_total() {
-        let f = PowerFunction::new(1.5, 2.0, 3.0, 10.0).unwrap();
-        let mut meter = EnergyMeter::new(f, 0.0, 20.0);
-        meter.add_transmission(LinkId(0), 0.0, 5.0, 2.0);
-        meter.add_transmission(LinkId(7), 3.0, 9.0, 1.0);
-        meter.add_transmission(LinkId(2), 0.0, 1.0, 3.0);
-        let per_link: f64 = meter.per_link_energy().iter().map(|(_, e)| e).sum();
-        assert!(close(per_link, meter.total_energy()));
-    }
-
-    #[test]
-    fn capacity_excess_detection() {
-        let f = PowerFunction::new(0.5, 1.0, 2.0, 5.0).unwrap();
-        let mut meter = EnergyMeter::new(f, 0.0, 10.0);
-        meter.add_transmission(LinkId(0), 0.0, 4.0, 3.0);
-        assert_eq!(meter.max_capacity_excess(), 0.0);
-        meter.add_transmission(LinkId(0), 2.0, 3.0, 4.0);
-        assert!(close(meter.max_capacity_excess(), 2.0));
-    }
-
-    #[test]
-    fn add_profile_equivalent_to_add_transmission() {
-        let f = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
-        let mut a = EnergyMeter::new(f, 0.0, 10.0);
-        let mut b = EnergyMeter::new(f, 0.0, 10.0);
-        a.add_transmission(LinkId(0), 1.0, 4.0, 2.0);
-        b.add_profile(LinkId(0), &RateProfile::constant(1.0, 4.0, 2.0));
-        assert!(close(a.total_energy(), b.total_energy()));
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes start")]
-    fn reversed_horizon_rejected() {
-        let f = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
-        EnergyMeter::new(f, 10.0, 0.0);
     }
 }

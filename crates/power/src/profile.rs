@@ -225,31 +225,12 @@ impl RateProfile {
             .fold(0.0, f64::max)
     }
 
-    /// Total time during which the rate is strictly positive.
-    pub fn active_duration(&self) -> f64 {
-        self.segments().iter().map(|&(s, e, _)| e - s).sum()
-    }
-
     /// The energy of the *dynamic* (speed-scaling) term:
     /// `integral of mu * rate(t)^alpha dt`.
     pub fn dynamic_energy(&self, power: &PowerFunction) -> f64 {
         self.segments()
             .iter()
             .map(|&(s, e, r)| power.dynamic_power(r) * (e - s))
-            .sum()
-    }
-
-    /// The full energy `integral of f(rate(t)) dt` where the idle power is
-    /// only charged while the rate is positive.
-    ///
-    /// Note that the paper's objective (Eq. 5) instead charges idle power for
-    /// the whole horizon on every link that is ever active; that accounting
-    /// lives in [`crate::EnergyMeter`]. This method is the "ideal power
-    /// down at every idle instant" variant used for lower bounds.
-    pub fn energy_with_instantaneous_powerdown(&self, power: &PowerFunction) -> f64 {
-        self.segments()
-            .iter()
-            .map(|&(s, e, r)| power.power(r) * (e - s))
             .sum()
     }
 
@@ -357,7 +338,6 @@ mod tests {
         p.add_rate(1.0, 2.0, 2.0);
         let segs = p.segments();
         assert_eq!(segs, vec![(0.0, 2.0, 2.0)]);
-        assert!(close(p.active_duration(), 2.0));
     }
 
     #[test]
@@ -366,7 +346,6 @@ mod tests {
         p.add_rate(0.0, 1.0, 1.0);
         p.add_rate(3.0, 4.0, 1.0);
         assert_eq!(p.rate_at(2.0), 0.0);
-        assert!(close(p.active_duration(), 2.0));
         assert_eq!(p.segments().len(), 2);
     }
 
@@ -408,14 +387,6 @@ mod tests {
         p.add_rate(0.0, 2.0, 3.0); // 2 * 9 = 18
         p.add_rate(2.0, 3.0, 1.0); // 1 * 1 = 1
         assert!(close(p.dynamic_energy(&f), 19.0));
-    }
-
-    #[test]
-    fn powerdown_energy_includes_sigma_only_when_active() {
-        let f = PowerFunction::new(5.0, 1.0, 2.0, 100.0).unwrap();
-        let p = RateProfile::constant(0.0, 2.0, 1.0);
-        // 2 seconds active: (5 + 1) * 2 = 12; no charge for idle time.
-        assert!(close(p.energy_with_instantaneous_powerdown(&f), 12.0));
     }
 
     #[test]

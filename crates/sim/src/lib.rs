@@ -14,11 +14,16 @@
 //! * energy: the paper's objective (idle energy for every active link over
 //!   the whole horizon, plus the speed-scaling energy integrated over time).
 //!
-//! Because the simulator only looks at the schedule's piecewise-constant
-//! rate profiles and sweeps the global breakpoint list, its energy figure
-//! must agree with [`dcn_core::Schedule::energy`] to floating-point
-//! accuracy; the test suites use that agreement as a cross-check of both
-//! implementations.
+//! A replay is one walk per link over the segments of its aggregate rate
+//! `x_e(t)` ([`dcn_core::Schedule::link_profiles`]) and one walk per flow
+//! over the segments of its arrival profile: between a profile's own
+//! breakpoints nothing of that profile changes, so there is no global
+//! breakpoint list and the cost is linear in what the schedule stores.
+//! The energy folds the same segments in the same order as
+//! [`dcn_core::Schedule::energy`], so the two figures are equal to the bit
+//! (the test suites assert exactly that), and a link is over capacity by
+//! the one predicate [`dcn_core::Schedule::verify_on`] uses
+//! ([`dcn_core::schedule::exceeds_capacity`]).
 //!
 //! Schedules produced by the event-driven online engine
 //! ([`dcn_core::online`]) are executed the same way — the slices a policy
@@ -48,7 +53,7 @@
 //!
 //! let report = Simulator::new(power).run_ctx(&ctx, &flows, schedule);
 //! assert_eq!(report.deadline_misses, 0);
-//! assert!((report.energy.total() - schedule.energy(&power).total()).abs() < 1e-6);
+//! assert_eq!(report.energy.total(), schedule.energy(&power).total());
 //! # Ok(())
 //! # }
 //! ```

@@ -9,8 +9,8 @@
 //! * (b) every flow's delivered volume equals its demand;
 //! * (c) no flow transmits outside its `[release, deadline]` span;
 //! * (d) the reported (analytic) energy equals the simulator's re-measured
-//!   energy to 1e-9 relative — the two accountings are independent
-//!   implementations, so agreement pins both.
+//!   energy to the bit — both fold the segments of the same link
+//!   aggregates `x_e(t)` in the same order, so a difference is a bug.
 //!
 //! The bound-only `lb` algorithm is held to its own invariant (it lower
 //! bounds every scheduler), and the `exact` enumerator to its optimality
@@ -26,11 +26,12 @@
 
 use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, PolicyRegistry};
 use deadline_dcn::core::prelude::*;
+use deadline_dcn::core::schedule::exceeds_capacity;
 use deadline_dcn::flow::failure::FailureProcess;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
 use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
+use deadline_dcn::sim::{SimReport, Simulator};
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 use deadline_dcn::topology::{GraphCsr, LinkId, TopologyEvent};
 use proptest::prelude::*;
@@ -84,7 +85,7 @@ fn assert_schedule_invariants(
         let capacity = ctx.graph().capacity(link).min(power.capacity());
         for (start, end, rate) in profile.segments() {
             assert!(
-                rate <= capacity * (1.0 + 1e-9) + 1e-9,
+                !exceeds_capacity(rate, capacity),
                 "{context}: link {link} carries rate {rate} > capacity {capacity} \
                  on [{start}, {end})"
             );
@@ -115,13 +116,39 @@ fn assert_schedule_invariants(
             );
         }
     }
-    // (d) Reported energy == simulator re-measured energy (1e-9 relative).
     let report = Simulator::new(*power).run_ctx(ctx, flows, schedule);
     assert_eq!(report.deadline_misses, 0, "{context}: simulator saw misses");
-    assert!(
-        (report.energy.total() - reported_energy).abs() <= 1e-9 * (1.0 + reported_energy.abs()),
-        "{context}: simulator measures {} but the algorithm reported {reported_energy}",
-        report.energy.total()
+    assert_eq!(
+        report.capacity_violations, 0,
+        "{context}: replay over capacity"
+    );
+    assert_replayed_energy(context, &report, schedule, reported_energy, power);
+}
+
+/// (d) The replay measures the schedule's own energy — idle and dynamic,
+/// to the bit — and that is what was reported.
+fn assert_replayed_energy(
+    context: &str,
+    replay: &SimReport,
+    schedule: &Schedule,
+    reported: f64,
+    power: &PowerFunction,
+) {
+    let analytic = schedule.energy(power);
+    assert_eq!(
+        (
+            replay.energy.idle.to_bits(),
+            replay.energy.dynamic.to_bits()
+        ),
+        (analytic.idle.to_bits(), analytic.dynamic.to_bits()),
+        "{context}: simulator measures {:?}, the schedule accounts {analytic:?}",
+        replay.energy
+    );
+    assert_eq!(
+        replay.energy.total().to_bits(),
+        reported.to_bits(),
+        "{context}: simulator measures {} but {reported} was reported",
+        replay.energy.total()
     );
 }
 
@@ -142,7 +169,7 @@ fn assert_relaxed_policy_invariants(
         let capacity = ctx.graph().capacity(link).min(power.capacity());
         for (start, end, rate) in profile.segments() {
             assert!(
-                rate <= capacity * (1.0 + 1e-9) + 1e-9,
+                !exceeds_capacity(rate, capacity),
                 "{context}: link {link} carries rate {rate} > capacity {capacity} \
                  on [{start}, {end})"
             );
@@ -180,11 +207,7 @@ fn assert_relaxed_policy_invariants(
     }
     let report = Simulator::new(*power).run_ctx(ctx, flows, schedule);
     let reported = outcome.report.online_energy;
-    assert!(
-        (report.energy.total() - reported).abs() <= 1e-9 * (1.0 + reported.abs()),
-        "{context}: simulator measures {} but the engine reported {reported}",
-        report.energy.total()
-    );
+    assert_replayed_energy(context, &report, schedule, reported, power);
 }
 
 /// Total volume transmitted on `link` inside `[from, to]` across a
@@ -466,7 +489,7 @@ proptest! {
                 let capacity = ctx.graph().capacity(link).min(power.capacity());
                 for (start, end, rate) in profile.segments() {
                     prop_assert!(
-                        rate <= capacity * (1.0 + 1e-9) + 1e-9,
+                        !exceeds_capacity(rate, capacity),
                         "{}: link {} carries rate {} > capacity {} on [{}, {})",
                         name, link, rate, capacity, start, end
                     );
@@ -542,19 +565,19 @@ fn a_uniform_schedule_stores_one_profile_per_flow() {
 /// carries on where the flow's last one ended, at its rate, extends the
 /// stored piece, so a run keeps about one nominal piece per flow (plus one
 /// per capacity-clipped re-rate) — not one per event the flow was in flight
-/// for. That is also what makes replaying a 1000-flow run affordable: the
-/// simulator sees no deadline miss, no link above capacity, and the energy
-/// the engine reported.
+/// for. The replay walks each stored profile once, so it is affordable at the
+/// size of the `online_edf` benchmark workload (fat-tree k=8, capacity 10,
+/// 5000 flows at load 32): the simulator sees no deadline miss, no link
+/// above capacity, and the energy the engine reported.
 #[test]
 fn an_edf_run_stores_one_piece_per_constant_rate_run_and_replays() {
-    // Capacity 10 (the busiest link peaks near half of it), so the
-    // capacity check of the replay is not vacuous.
-    let topo = builders::fat_tree_with_capacity(4, 10.0);
+    // Capacity 10, so the capacity check of the replay is not vacuous.
+    let topo = builders::fat_tree_with_capacity(8, 10.0);
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
-    let base = UniformWorkload::paper_defaults(1000, 3)
+    let base = UniformWorkload::paper_defaults(5000, 3)
         .generate(topo.hosts())
         .unwrap();
-    let flows = ArrivalProcess::with_load(8.0, 3).apply(&base).unwrap();
+    let flows = ArrivalProcess::with_load(32.0, 3).apply(&base).unwrap();
     let mut ctx = SolverContext::from_network(&topo.network).unwrap();
     let outcome = OnlineEngine::builder()
         .policy("edf")
@@ -590,10 +613,12 @@ fn an_edf_run_stores_one_piece_per_constant_rate_run_and_replays() {
     );
     assert_eq!(replay.deadline_misses, 0);
     assert_eq!(replay.capacity_violations, 0);
-    let energy = report.online_energy;
-    assert!(
-        (replay.energy.total() - energy).abs() <= 1e-9 * energy,
-        "the simulator measures {}, the engine reported {energy}",
-        replay.energy.total()
+    assert!(replay.max_utilization > 0.5, "the capacity check bites");
+    assert_replayed_energy(
+        "edf replay",
+        &replay,
+        &outcome.schedule,
+        report.online_energy,
+        &power,
     );
 }

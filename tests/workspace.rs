@@ -9,7 +9,8 @@
 //!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root;
 //! * the product crates keep one call path per operation: a superseded
 //!   entry point is deleted, never kept alive behind `#[deprecated]` or a
-//!   cargo feature, and the online drivers share one in-flight ledger.
+//!   cargo feature, the online drivers share one in-flight ledger, and the
+//!   link load is accounted in one place and replayed segment by segment.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -220,6 +221,9 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
     // capacity ledger's unread dirty tracker stay gone. The event queue
     // holds only what can still be popped (PR 21): predicted events are
     // cleared with the plan that made them, not skipped lazily on pop.
+    // The link load `x_e(t)` is accounted once, by
+    // `Schedule::link_profiles` (PR 23): `dcn-power` keeps no second
+    // per-link map with a meter around it.
     let mut volume_tolerances = Vec::new();
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
@@ -235,6 +239,8 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
             "link_profiles.is_empty()",
             "fn take_dirty",
             "fn is_live(",
+            "EnergyMeter",
+            "fn energy_meter",
         ] {
             assert!(
                 !source.contains(banned),
@@ -251,6 +257,24 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
         [root.join("crates/core/src/online/ledger.rs")],
         "the retire rule and its `VOLUME_TOL` are defined once, in the ledger"
     );
+}
+
+#[test]
+fn the_replay_reads_each_profile_by_its_segments() {
+    // Between a profile's own breakpoints nothing of it changes (PR 23):
+    // the simulator walks `segments()` once per link and per flow, and asks
+    // no profile for its rate window by window. The global sweep it
+    // replaced lives on below `#[cfg(test)]`, as the reference.
+    let simulator = fs::read_to_string(workspace_root().join("crates/sim/src/simulator.rs"))
+        .expect("simulator.rs readable");
+    let (product, tests) = simulator
+        .split_once("#[cfg(test)]")
+        .expect("simulator.rs keeps its unit tests");
+    assert!(
+        !product.contains("rate_at("),
+        "simulator.rs: `rate_at(` outside the tests — walk `segments()` instead"
+    );
+    assert!(tests.contains("fn run_on_reference("));
 }
 
 #[test]
