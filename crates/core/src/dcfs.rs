@@ -34,22 +34,47 @@
 //! paper's virtual-circuit assumption itself is unsatisfiable.
 //!
 //! **Cost.** Both the critical-interval search of phase 1 and the (P1)
-//! repair sweep of phase 2 look at every interval `[a, b]` between two of a
-//! link's `P` endpoints and at the flows contained in it. Containment is
-//! tabulated once per (flow, endpoint) by [`dcn_solver::IntervalScan`] —
-//! `n * P` availability queries per link refresh instead of `2 * n * P^2` —
-//! and the sweep divides `volume / rate` once per flow per link, again only
-//! for flows whose rate it has just raised. What is *not* restructured is
-//! the order of the floating-point sums: the weights of an interval are
-//! added in the link's list order, exactly as a filter over the whole list
-//! adds them, because the `1e-15` tie-break between intervals and the
-//! `1e-9` repair threshold see the rounding, and a schedule that differs in
-//! the last bit is a different (if equally good) schedule. The sweep leaves a
-//! start point `a` as soon as the in-order sum over *all* flows released
-//! from `a` on fits `[a, b]`: the sum over any subset of them adds fewer of
-//! the same positive terms in the same order, and rounded addition is
-//! monotone in both operands, so no subset sum can exceed it — the bound is
-//! exact, not a tolerance — and a later, wider `b` only has more room.
+//! repair sweep of phase 2 range over every interval `[a, b]` between two of
+//! a link's `P` endpoints, but sum the flows of an interval only when it can
+//! win. Containment is tabulated once per (flow, endpoint) by
+//! [`dcn_solver::IntervalScan`], whose `work_bounds` gives, for one `a` and
+//! all `b` together, an upper bound on the sum over `[a, b]` from a single
+//! running sum; the search takes the exact sum of an interval only if the
+//! bound's intensity beats the incumbent, the sweep only if the bound
+//! exceeds the room in `[a, b]` (it leaves a start point `a` as soon as the
+//! bound over *all* flows released from `a` on fits: a later, wider `b` only
+//! has more room), and the sweep divides `volume / rate` once per flow per
+//! link, again only for flows whose rate it has just raised. What is *not*
+//! restructured is the order of the floating-point sums that are taken: the
+//! weights of an interval are added in the link's list order, exactly as a
+//! filter over the whole list adds them, because the `1e-15` tie-break
+//! between intervals and the `1e-9` repair threshold see the rounding, and
+//! a schedule that differs in the last bit is a different (if equally good)
+//! schedule. The bounds only decide which of those sums are skipped, with a
+//! slack that covers their own rounding (see `dcn_solver::availability`).
+//!
+//! Phase 1 is lazy in the same way across links. A link is *dirty* once a
+//! flow on it has been fixed elsewhere; its last intensity then remains a
+//! ceiling on its next one, because the link only lost flows at unchanged
+//! availability: every interval keeps its available time and sums a subset
+//! of the same positive weights in the same order, and rounded addition and
+//! division are monotone, so no interval's intensity can rise. A round
+//! starts from the best up-to-date candidate, refreshes a dirty link only
+//! if its ceiling is not below the best candidate seen so far, and takes
+//! the maximum over up-to-date candidates only; a link left dirty could
+//! neither win nor tie, so the selected `(link, intensity, start, end)`
+//! sequence is that of refreshing every dirty link every round. The link
+//! whose critical interval was just blocked lost *available time*, which
+//! raises intensities, so it has no ceiling and is always refreshed. Two
+//! effects make a ceiling slightly soft, and `STALE_SLACK` plus an absolute
+//! `1e-15` cover them: the scan returns an intensity within `1e-15` of the
+//! link's maximum, not the maximum (its tie-break), and when the flows that
+//! left take an endpoint with them, an endpoint less than `1e-12` away may
+//! replace it (the scan's dedup), which moves an interval's available time
+//! by less than `1e-12` and its intensity by less than `1e-12 / available`
+//! relative — below `STALE_SLACK` for any interval with more than a
+//! thousandth of a time unit left, and zero on inputs whose endpoints
+//! coincide exactly or not at all.
 //!
 //! The maximum-rate constraint is intentionally ignored (the paper relaxes
 //! it for DCFS); [`crate::schedule::Schedule::verify_on`] reports capacity
@@ -105,6 +130,13 @@ impl fmt::Display for DcfsError {
 }
 
 impl std::error::Error for DcfsError {}
+
+/// Relative slack on the ceiling a dirty link's last intensity puts on its
+/// next one (module docs, **Cost**): a link is left unrefreshed only if its
+/// ceiling, inflated by this much and by `1e-15`, is still below the best
+/// up-to-date candidate. A larger value costs a few more refreshes per
+/// round and nothing else.
+const STALE_SLACK: f64 = 1e-9;
 
 /// Runs Most-Critical-First on a DCFS instance.
 ///
@@ -170,44 +202,58 @@ pub fn most_critical_first(
     let mut remaining_count = flows.len();
     let mut rates: Vec<f64> = vec![0.0; flows.len()];
 
-    // Cached densest `(intensity, start, end)` per link; recomputed only when
-    // the link is dirty.
+    // Densest `(intensity, start, end)` per link. `ceiling[l]` is the
+    // intensity of that candidate (`-inf` without one) while the link is up
+    // to date, and an upper bound on its next one while it is dirty.
     let mut candidates: Vec<Option<(f64, f64, f64)>> = vec![None; link_count];
     let mut dirty = vec![true; link_count];
+    let mut ceiling = vec![f64::INFINITY; link_count];
+
+    // Whether up-to-date link `l` is a better critical link than `best`:
+    // higher intensity, then lower link id.
+    let leads = |ceiling: &[f64], l: usize, best: Option<usize>| {
+        best.is_none_or(|b| ceiling[l] > ceiling[b] || (ceiling[l] == ceiling[b] && l < b))
+    };
 
     // Phase 1: fix the transmission rate of every flow.
     while remaining_count > 0 {
-        // Refresh candidates of dirty links.
-        for l in 0..link_count {
-            if std::mem::take(&mut dirty[l]) {
-                candidates[l] = best_candidate_on_link(
-                    flows,
-                    &link_flows[l],
-                    &remaining,
-                    &virtual_weight,
-                    &availability[l],
-                );
+        // Global critical interval: the best up-to-date link first, then the
+        // dirty links that could still beat or tie the best seen so far,
+        // refreshed and compared as they come.
+        let mut best = None;
+        for l in (0..link_count).filter(|&l| !dirty[l]) {
+            if leads(&ceiling, l, best) {
+                best = Some(l);
             }
         }
-
-        // Global critical interval: highest intensity, lowest link id.
-        let Some((critical, (intensity, start, end))) = candidates
-            .iter()
-            .enumerate()
-            .filter_map(|(l, c)| c.map(|c| (l, c)))
-            .max_by(|a, b| {
-                (a.1 .0)
-                    .partial_cmp(&b.1 .0)
-                    .expect("intensities are comparable")
-                    .then_with(|| b.0.cmp(&a.0))
-            })
-        else {
-            // No candidate but flows remain: they sit on links with no
-            // remaining flows, which cannot happen — treat as infeasible.
-            let link = link_flows.iter().position(|list| !list.is_empty());
-            return Err(DcfsError::Infeasible {
-                link: LinkId(link.expect("at least one link")),
-            });
+        for l in 0..link_count {
+            let hopeless = |b: usize| ceiling[l] * (1.0 + STALE_SLACK) + 1e-15 < ceiling[b];
+            if !dirty[l] || best.is_some_and(hopeless) {
+                continue;
+            }
+            dirty[l] = false;
+            candidates[l] = best_candidate_on_link(
+                flows,
+                &link_flows[l],
+                &remaining,
+                &virtual_weight,
+                &availability[l],
+            );
+            ceiling[l] = candidates[l].map_or(f64::NEG_INFINITY, |(intensity, ..)| intensity);
+            if leads(&ceiling, l, best) {
+                best = Some(l);
+            }
+        }
+        let critical = best.expect("a flow remains, and its path has a link");
+        let Some((intensity, start, end)) = candidates[critical] else {
+            // The best link has no candidate, so none has (and none is left
+            // dirty), but flows remain: they have no available time left on
+            // some link.
+            let link = link_flows
+                .iter()
+                .position(|list| list.iter().any(|&id| remaining[id]))
+                .unwrap_or(critical);
+            return Err(DcfsError::Infeasible { link: LinkId(link) });
         };
         if !intensity.is_finite() {
             return Err(DcfsError::Infeasible {
@@ -228,7 +274,13 @@ pub fn most_critical_first(
                     && ends_in_available(span, end, critical_avail)
             })
             .collect();
-        debug_assert!(!selected.is_empty(), "critical interval without flows");
+        if selected.is_empty() {
+            // A critical interval without flows would block time, fix no
+            // rate and come back for ever.
+            return Err(DcfsError::Infeasible {
+                link: LinkId(critical),
+            });
+        }
 
         for &id in &selected {
             let hops = paths[id].len() as f64;
@@ -247,7 +299,9 @@ pub fn most_critical_first(
         for (s, e) in critical_avail.available_subintervals(start, end) {
             critical_avail.block(s, e);
         }
+        // Less available time can raise intensities: no ceiling survives.
         dirty[critical] = true;
+        ceiling[critical] = f64::INFINITY;
     }
 
     // Phase 2: per-link preemptive EDF packing at the fixed rates, with a
@@ -300,6 +354,7 @@ fn pack_links(
     // of their flows; scale the rates of the offending flows up just enough
     // to restore the condition. Raising rates only shrinks transmission
     // times, so the repair converges monotonically.
+    let mut bounds = Vec::new();
     for _pass in 0..16 {
         let mut changed = false;
         for flow_ids in link_flows.iter().filter(|list| !list.is_empty()) {
@@ -315,17 +370,17 @@ fn pack_links(
                 .map(|&id| flows.flow(id).volume / rates[id])
                 .collect();
             for (ia, &a) in scan.points().iter().enumerate() {
-                // In-order sum over every flow released from `a` on: an upper
-                // bound of the sum over any subset of them (rounding is
-                // monotone and the terms are positive).
-                let from_a = scan.starting_at(ia);
-                let mut bound: f64 = from_a.iter().map(|&i| time[i]).sum();
+                scan.work_bounds(ia, &time, &mut bounds);
                 for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
                     let capacity_time = b - a;
                     let room = capacity_time * (1.0 + 1e-9);
-                    if bound <= room {
-                        // Fits here, so it fits for every later (wider) b.
+                    if bounds.last().is_some_and(|&all| all <= room) {
+                        // Every flow released from `a` on fits here, so any
+                        // of them fit every later (wider) b.
                         break;
+                    }
+                    if bounds[ib] <= room {
+                        continue;
                     }
                     let total: f64 = scan.within(ia, ib).map(|i| time[i]).sum();
                     if total > room {
@@ -336,7 +391,7 @@ fn pack_links(
                             time[i] = flows.flow(id).volume / rates[id];
                         }
                         changed = true;
-                        bound = from_a.iter().map(|&i| time[i]).sum();
+                        scan.work_bounds(ia, &time, &mut bounds);
                     }
                 }
             }

@@ -7,6 +7,23 @@
 //! available time. [`TimeAvailability`] maintains the set of blocked
 //! intervals and answers those queries; [`IntervalScan`] is the scan over
 //! candidate intervals that both algorithms run on top of it.
+//!
+//! **Which sums the scan computes.** The work of an interval is the sum of
+//! its members' weights *in list order* — thresholds downstream see the
+//! rounding, so that order is part of the result — and it costs one pass
+//! over the spans starting at `a` per pair `(a, b)`. Most pairs cannot
+//! matter, and [`IntervalScan::work_bounds`] says so from one running sum
+//! per `a`: each span is bucketed at the first endpoint by which it ends,
+//! and the prefix sum of the buckets up to `b` covers a superset of the
+//! members of `[a, b]`. Both sums add at most `n` non-negative terms with
+//! `n - 1` rounded additions each, whatever the association, so each is
+//! within a factor `(1 ± u)^(n-1)` of its exact value (`u = 2^-53`); the
+//! in-order sum of the subset is therefore at most the prefix sum times
+//! `((1 + u) / (1 - u))^(n-1) ≈ 1 + 2nu`. `SUM_SLACK` is that factor's
+//! excess with room to spare, and every bound is scaled by `1 + SUM_SLACK`
+//! before it is compared, so a skipped pair is one whose exact in-order sum
+//! could not have passed the comparison either: the bound prunes work, never
+//! changes a result.
 
 /// The set of blocked (unavailable) time intervals on a resource, starting
 /// from a fully available timeline.
@@ -110,10 +127,8 @@ impl TimeAvailability {
     pub fn available_subintervals(&self, start: f64, end: f64) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
         let mut cursor = start;
-        for &(s, e) in &self.blocked {
-            if e <= start {
-                continue;
-            }
+        let first = self.blocked.partition_point(|&(_, e)| e <= start);
+        for &(s, e) in &self.blocked[first..] {
             if s >= end {
                 break;
             }
@@ -132,9 +147,17 @@ impl TimeAvailability {
 
     /// Returns `true` if the instant `t` lies inside a blocked interval.
     pub fn is_blocked_at(&self, t: f64) -> bool {
-        self.blocked.iter().any(|&(s, e)| t >= s && t < e)
+        // The only interval that can hold `t` is the first one ending after it.
+        let first = self.blocked.partition_point(|&(_, e)| e <= t);
+        self.blocked.get(first).is_some_and(|&(s, _)| t >= s)
     }
 }
+
+/// Relative slack by which a prefix-sum bound of [`IntervalScan::work_bounds`]
+/// is inflated before it stands in for an in-order sum: `2nu ≈ 2.2e-16 * n`
+/// (module docs) stays below it for lists of up to four million spans, far
+/// beyond where a scan over `P^2 / 2` intervals is practical.
+const SUM_SLACK: f64 = 1e-9;
 
 /// Containment of a list of spans in every interval `[a, b]` between two of
 /// their endpoints — the one scan behind the critical interval of
@@ -145,7 +168,8 @@ impl TimeAvailability {
 /// endpoint) — `n * P` evaluations of each test instead of one per (span,
 /// a, b) — and a pair is then answered from the per-`a` member list and the
 /// per-`b` row alone. Members always come back **in list order**, so a sum
-/// over them rounds exactly as a filter over the whole list would.
+/// over them rounds exactly as a filter over the whole list would; whether
+/// that sum is worth taking is decided first from [`Self::work_bounds`].
 #[derive(Debug)]
 pub struct IntervalScan {
     points: Vec<f64>,
@@ -155,6 +179,9 @@ pub struct IntervalScan {
     offsets: Vec<usize>,
     /// `ends[ib * spans + i]`: span `i` ends by `points[ib]`.
     ends: Vec<bool>,
+    /// `first_end[i]`: the first index into `points` at which span `i` ends
+    /// (`points.len()` if it never does).
+    first_end: Vec<usize>,
     spans: usize,
 }
 
@@ -172,16 +199,24 @@ impl IntervalScan {
         let mut starts = Vec::new();
         let mut offsets = vec![0];
         let mut ends = Vec::with_capacity(points.len() * spans.len());
-        for &p in &points {
+        let mut first_end = vec![points.len(); spans.len()];
+        for (ip, &p) in points.iter().enumerate() {
             starts.extend((0..spans.len()).filter(|&i| starts_at(spans[i], p)));
             offsets.push(starts.len());
-            ends.extend(spans.iter().map(|&span| ends_by(span, p)));
+            for (i, &span) in spans.iter().enumerate() {
+                let ended = ends_by(span, p);
+                ends.push(ended);
+                if ended {
+                    first_end[i] = first_end[i].min(ip);
+                }
+            }
         }
         Self {
             points,
             starts,
             offsets,
             ends,
+            first_end,
             spans: spans.len(),
         }
     }
@@ -202,19 +237,58 @@ impl IntervalScan {
         self.starting_at(ia).iter().copied().filter(|&i| ends[i])
     }
 
+    /// Fills `bounds[ib]`, for every endpoint index `ib`, with an upper
+    /// bound on the in-order sum of `weights` over `within(ia, ib)`: the
+    /// running sum of the weights of `starting_at(ia)`, each bucketed at
+    /// the first endpoint by which its span ends, scaled by `1 + SUM_SLACK`
+    /// (module docs). It holds whether or not `ends_by` is monotone in the
+    /// endpoint, never decreases with `ib`, is `0.0` exactly where no span
+    /// from `ia` on has ended yet, and costs `|starting_at(ia)| + P` for
+    /// all `ib` together. `weights` must be non-negative.
+    pub fn work_bounds(&self, ia: usize, weights: &[f64], bounds: &mut Vec<f64>) {
+        bounds.clear();
+        bounds.resize(self.points.len(), 0.0);
+        for &i in self.starting_at(ia) {
+            if let Some(bucket) = bounds.get_mut(self.first_end[i]) {
+                *bucket += weights[i];
+            }
+        }
+        let mut running = 0.0;
+        for bound in bounds.iter_mut() {
+            running += *bound;
+            *bound = running * (1.0 + SUM_SLACK);
+        }
+    }
+
     /// The interval maximising `intensity(work, a, b)`, `work` being the
-    /// in-order sum of `weights` over the spans it contains; intervals
-    /// without work, or for which `intensity` is `None`, are skipped, and a
-    /// later interval wins only by more than `1e-15`. Returns `(intensity,
-    /// a, b)`.
+    /// in-order sum of the (non-negative) `weights` over the spans it
+    /// contains; intervals without work, or for which `intensity` is
+    /// `None`, are skipped, and a later interval wins only by more than
+    /// `1e-15`. Returns `(intensity, a, b)`.
+    ///
+    /// `intensity` must be non-decreasing in `work`, and where it is `None`
+    /// for some work it must be `None` for every smaller one (both callers
+    /// compute `work / available`, rejecting on `a` and `b` alone): it is
+    /// asked about the [`Self::work_bounds`] bound first, and the in-order
+    /// sum of an interval is taken only if that answer beats the incumbent.
     pub fn densest(
         &self,
         weights: &[f64],
         mut intensity: impl FnMut(f64, f64, f64) -> Option<f64>,
     ) -> Option<(f64, f64, f64)> {
         let mut best: Option<(f64, f64, f64)> = None;
+        let mut bounds = Vec::new();
         for (ia, &a) in self.points.iter().enumerate() {
+            self.work_bounds(ia, weights, &mut bounds);
             for (ib, &b) in self.points.iter().enumerate().skip(ia + 1) {
+                if bounds[ib] <= 0.0 {
+                    continue;
+                }
+                if let Some((top, ..)) = best {
+                    if !intensity(bounds[ib], a, b).is_some_and(|cap| cap > top + 1e-15) {
+                        continue;
+                    }
+                }
                 let work: f64 = self.within(ia, ib).map(|i| weights[i]).sum();
                 if work <= 0.0 {
                     continue;
@@ -382,6 +456,27 @@ mod tests {
                 .map(|&(s, e)| (e.min(hi) - s.max(lo)).max(0.0))
                 .sum();
             assert_eq!(a.blocked_between(lo, hi), whole);
+
+            // So are the two other queries that start at the first interval
+            // the window can touch instead of at the head of the list.
+            let t = lo * 0.5 + [0.0, 0.25][next(2) as usize];
+            assert_eq!(
+                a.is_blocked_at(t),
+                expected.iter().any(|&(s, e)| t >= s && t < e)
+            );
+            let mut gaps = Vec::new();
+            let mut cursor = lo;
+            for &(s, e) in expected.iter().filter(|&&(s, e)| e > lo && s < hi) {
+                if s.max(lo) > cursor {
+                    gaps.push((cursor, s.max(lo)));
+                }
+                cursor = cursor.max(e.min(hi));
+            }
+            if cursor < hi {
+                gaps.push((cursor, hi));
+            }
+            gaps.retain(|&(s, e)| e - s > 1e-12);
+            assert_eq!(a.available_subintervals(lo, hi), gaps);
         }
         assert!(expected.len() > 100, "the timeline never fragmented");
     }
@@ -423,5 +518,127 @@ mod tests {
             IntervalScan::new(&[], |_, _| true, |_, _| true).densest(&[], |w, _, _| Some(w)),
             None
         );
+    }
+
+    /// `densest` as a plain loop: the in-order sum of every pair.
+    fn densest_over_all_pairs(
+        scan: &IntervalScan,
+        weights: &[f64],
+        mut intensity: impl FnMut(f64, f64, f64) -> Option<f64>,
+    ) -> Option<(f64, f64, f64)> {
+        let mut best: Option<(f64, f64, f64)> = None;
+        for (ia, &a) in scan.points().iter().enumerate() {
+            for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
+                let work: f64 = scan.within(ia, ib).map(|i| weights[i]).sum();
+                if work <= 0.0 {
+                    continue;
+                }
+                let Some(intensity) = intensity(work, a, b) else {
+                    continue;
+                };
+                if best.is_none_or(|(top, ..)| intensity > top + 1e-15) {
+                    best = Some((intensity, a, b));
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn bounded_densest_equals_the_all_pairs_loop() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % modulus
+        };
+        for case in 0..200 {
+            // A coarse grid, so endpoints repeat and intensities tie; every
+            // other case draws weights that do not sum exactly.
+            let n = 1 + next(40) as usize;
+            let spans: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    let release = next(12) as f64;
+                    (release, release + 1.0 + next(6) as f64)
+                })
+                .collect();
+            let weights: Vec<f64> = (0..n)
+                .map(|_| match case % 2 {
+                    0 => 1.0 + next(3) as f64,
+                    _ => (1 + next(1000)) as f64 / 7.0,
+                })
+                .collect();
+            // Containment up to some blocked time, as phase 1 of
+            // Most-Critical-First asks for it: not monotone in the endpoint.
+            let mut avail = TimeAvailability::new();
+            for _ in 0..next(4) {
+                let start = next(16) as f64;
+                avail.block(start, start + 1.0 + next(3) as f64);
+            }
+            let scans = [
+                IntervalScan::new(
+                    &spans,
+                    |(release, _), a| release >= a - 1e-12,
+                    |(_, deadline), b| deadline <= b + 1e-12,
+                ),
+                IntervalScan::new(
+                    &spans,
+                    |(r, d), a| avail.available_between(r, a.min(d)) < 1e-9,
+                    |(r, d), b| avail.available_between(b.max(r), d) < 1e-9,
+                ),
+            ];
+            for scan in &scans {
+                let available = |a, b| avail.available_between(a, b);
+                // The two callers' closures, and one that rejects a start.
+                let or_none = |w: f64, a, b| (available(a, b) > 1e-12).then(|| w / available(a, b));
+                let or_infinity = |w: f64, a, b| {
+                    Some(if available(a, b) > 1e-12 {
+                        w / available(a, b)
+                    } else {
+                        f64::INFINITY
+                    })
+                };
+                let late_only = |w: f64, a: f64, b: f64| (a >= 3.0).then(|| w / (b - a));
+                assert_eq!(
+                    scan.densest(&weights, or_none),
+                    densest_over_all_pairs(scan, &weights, or_none),
+                    "case {case}"
+                );
+                assert_eq!(
+                    scan.densest(&weights, or_infinity),
+                    densest_over_all_pairs(scan, &weights, or_infinity),
+                    "case {case}"
+                );
+                assert_eq!(
+                    scan.densest(&weights, late_only),
+                    densest_over_all_pairs(scan, &weights, late_only),
+                    "case {case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn densest_never_sums_an_interval_its_bound_rules_out() {
+        // [0,1] holds 100 in length 1; [0,10] holds 101 in length 10 and is
+        // met second: its bound, 101 and a little, already loses, so the
+        // exact 101 is never asked about.
+        let scan = IntervalScan::new(
+            &[(0.0, 1.0), (0.0, 10.0)],
+            |(release, _), a| release >= a - 1e-12,
+            |(_, deadline), b| deadline <= b + 1e-12,
+        );
+        let mut asked = Vec::new();
+        let best = scan.densest(&[100.0, 1.0], |work, a, b| {
+            asked.push(work);
+            Some(work / (b - a))
+        });
+        assert_eq!(best, Some((100.0, 0.0, 1.0)));
+        assert!(
+            asked.contains(&100.0) && !asked.contains(&101.0),
+            "{asked:?}"
+        );
+        assert!(asked.iter().any(|&w| w > 101.0 && w < 101.001), "{asked:?}");
     }
 }

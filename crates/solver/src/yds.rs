@@ -16,13 +16,18 @@
 //! primitives exported here.
 //!
 //! **Cost.** A round of [`yds_schedule`] over `n` jobs with `P` distinct
-//! endpoints scans `P^2 / 2` intervals. Which jobs an interval contains is
-//! decided once per (job, endpoint) by [`IntervalScan`], and each interval
-//! then sums the works of its members **in job order** — the same terms in
-//! the same order as a filter over the whole job list, so intensities, the
+//! endpoints ranges over `P^2 / 2` intervals. Which jobs an interval
+//! contains is decided once per (job, endpoint) by [`IntervalScan`], which
+//! also bounds the work of every interval from one running sum per start
+//! point; only an interval whose bound could beat the incumbent sums the
+//! works of its members, and then **in job order** — the same terms in the
+//! same order as a filter over the whole job list, so intensities, the
 //! `1e-15` tie-break between intervals and therefore the schedule are bit
-//! for bit those of the plain scan (an incrementally updated sum would
-//! round differently and pick other critical intervals on ties).
+//! for bit those of the plain scan (the bound decides which sums are
+//! skipped, with a slack that covers its own rounding; a sum updated
+//! incrementally and *used* would round differently and pick other critical
+//! intervals on ties). [`edf_schedule`] makes one pass over the jobs per
+//! step.
 
 use crate::{IntervalScan, TimeAvailability};
 use dcn_power::PowerFunction;
@@ -200,31 +205,23 @@ pub fn edf_schedule(jobs: &[Job], speed: f64, slots: &[(f64, f64)]) -> Vec<JobPl
     for &(slot_start, slot_end) in slots {
         let mut t = slot_start;
         while t < slot_end - 1e-12 {
-            // Jobs released by time t and not finished.
+            // One pass over the unfinished jobs: the earliest deadline among
+            // those released by time t (the first of equals), and the next
+            // release among the others.
             let mut candidate: Option<usize> = None;
+            let mut next_release = f64::INFINITY;
             for (idx, job) in jobs.iter().enumerate() {
-                if remaining[idx] > 1e-12 && job.release <= t + 1e-12 {
-                    candidate = match candidate {
-                        None => Some(idx),
-                        Some(best) => {
-                            if job.deadline < jobs[best].deadline {
-                                Some(idx)
-                            } else {
-                                Some(best)
-                            }
-                        }
-                    };
+                if remaining[idx] > 1e-12 {
+                    if job.release > t + 1e-12 {
+                        next_release = next_release.min(job.release);
+                    } else if candidate.is_none_or(|best| job.deadline < jobs[best].deadline) {
+                        candidate = Some(idx);
+                    }
                 }
             }
             match candidate {
                 None => {
                     // Jump to the next release inside this slot, if any.
-                    let next_release = jobs
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, j)| remaining[*idx] > 1e-12 && j.release > t)
-                        .map(|(_, j)| j.release)
-                        .fold(f64::INFINITY, f64::min);
                     if next_release >= slot_end {
                         break;
                     }
@@ -234,14 +231,6 @@ pub fn edf_schedule(jobs: &[Job], speed: f64, slots: &[(f64, f64)]) -> Vec<JobPl
                     let finish_at = t + remaining[idx] / speed;
                     // Run until the job finishes, a new job is released, or
                     // the slot ends — whichever comes first.
-                    let next_release = jobs
-                        .iter()
-                        .enumerate()
-                        .filter(|(other, j)| {
-                            *other != idx && remaining[*other] > 1e-12 && j.release > t + 1e-12
-                        })
-                        .map(|(_, j)| j.release)
-                        .fold(f64::INFINITY, f64::min);
                     let run_until = finish_at.min(next_release).min(slot_end);
                     if run_until <= t + 1e-15 {
                         break;

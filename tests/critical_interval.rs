@@ -7,10 +7,17 @@
 //!   algorithms kept in [`reference`], whose three scans all go through the
 //!   one surviving copy of the pairwise scan, [`reference::pairwise_scan`].
 //!   A pinned instance takes the rate-raising branch of the (P1) repair
-//!   sweep, so the sweep is not only ever compared in its no-op form.
+//!   sweep, so the sweep is not only ever compared in its no-op form; one
+//!   made of ties (`common::tie_heavy_instance`) has per-link lists long
+//!   enough, and intensities equal often enough, for the bounds that skip
+//!   sums and refreshes to decide something; and the `offline_dcfs`
+//!   benchmark's own instances run `#[ignore]`d, in CI's release leg. The
+//!   reference packs with its own `edf_schedule`, three scans per step.
 //! * **Oracle** — the final rates satisfy program (P1) on every link
 //!   (`brute::speeds_feasible`), and on instances small enough to enumerate
 //!   the energy is the brute-force optimum (Theorem 1 / Corollary 1).
+
+mod common;
 
 use deadline_dcn::core::{most_critical_first, Routing, Schedule};
 use deadline_dcn::flow::workload::UniformWorkload;
@@ -29,7 +36,7 @@ mod reference {
     use deadline_dcn::core::{DcfsError, FlowSchedule, Schedule};
     use deadline_dcn::flow::{Flow, FlowId, FlowSet};
     use deadline_dcn::power::{PowerFunction, RateProfile};
-    use deadline_dcn::solver::{edf_schedule, Job, JobPlacement, TimeAvailability};
+    use deadline_dcn::solver::{Job, JobPlacement, TimeAvailability};
     use deadline_dcn::topology::{LinkId, Path};
     use std::collections::BTreeMap;
 
@@ -56,6 +63,68 @@ mod reference {
 
     fn span_within((release, deadline): (f64, f64), a: f64, b: f64) -> bool {
         release >= a - 1e-12 && deadline <= b + 1e-12
+    }
+
+    /// `edf_schedule` with its three scans of the job list per step: the
+    /// earliest deadline among the released jobs, and the next release
+    /// once with and once without a running job.
+    pub fn edf_schedule(jobs: &[Job], speed: f64, slots: &[(f64, f64)]) -> Vec<JobPlacement> {
+        let mut remaining: Vec<f64> = jobs.iter().map(|j| j.work).collect();
+        let mut windows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); jobs.len()];
+        for &(slot_start, slot_end) in slots {
+            let mut t = slot_start;
+            while t < slot_end - 1e-12 {
+                let mut candidate: Option<usize> = None;
+                for (idx, job) in jobs.iter().enumerate() {
+                    if remaining[idx] > 1e-12
+                        && job.release <= t + 1e-12
+                        && candidate.is_none_or(|best| job.deadline < jobs[best].deadline)
+                    {
+                        candidate = Some(idx);
+                    }
+                }
+                let Some(idx) = candidate else {
+                    let next_release = jobs
+                        .iter()
+                        .enumerate()
+                        .filter(|(idx, j)| remaining[*idx] > 1e-12 && j.release > t)
+                        .map(|(_, j)| j.release)
+                        .fold(f64::INFINITY, f64::min);
+                    if next_release >= slot_end {
+                        break;
+                    }
+                    t = next_release;
+                    continue;
+                };
+                let finish_at = t + remaining[idx] / speed;
+                let next_release = jobs
+                    .iter()
+                    .enumerate()
+                    .filter(|(other, j)| {
+                        *other != idx && remaining[*other] > 1e-12 && j.release > t + 1e-12
+                    })
+                    .map(|(_, j)| j.release)
+                    .fold(f64::INFINITY, f64::min);
+                let run_until = finish_at.min(next_release).min(slot_end);
+                if run_until <= t + 1e-15 {
+                    break;
+                }
+                match windows[idx].last_mut() {
+                    Some(last) if (last.1 - t).abs() < 1e-12 => last.1 = run_until,
+                    _ => windows[idx].push((t, run_until)),
+                }
+                remaining[idx] -= (run_until - t) * speed;
+                t = run_until;
+            }
+        }
+        jobs.iter()
+            .zip(windows)
+            .map(|(job, windows)| JobPlacement {
+                id: job.id,
+                speed,
+                windows,
+            })
+            .collect()
     }
 
     /// Pre-kernel `yds_schedule`; returns the placements.
@@ -410,6 +479,53 @@ fn rate_raising_instance() -> (BuiltTopology, FlowSet) {
     .generate(topo.hosts())
     .expect("workload generates");
     (topo, flows)
+}
+
+#[test]
+fn tie_heavy_instance_equals_the_pairwise_reference() {
+    let (topo, flows) = common::tie_heavy_instance();
+    let paths = shortest_paths(&topo, &flows);
+    let mut on_link: BTreeMap<LinkId, usize> = BTreeMap::new();
+    for &link in paths.iter().flat_map(|p| p.links()) {
+        *on_link.entry(link).or_default() += 1;
+    }
+    let busiest = on_link.values().copied().max().unwrap_or(0);
+    assert!(busiest > 30, "busiest link carries {busiest} flows");
+    for alpha in ALPHAS {
+        let (_, expected) = reference::most_critical_first(&flows, &paths, &power(alpha)).unwrap();
+        let schedule = most_critical_first(&topo.network, &flows, &paths, &power(alpha)).unwrap();
+        assert_eq!(schedule, expected, "alpha {alpha}");
+    }
+    // The same spans and a few distinct works as one single-processor
+    // instance.
+    let jobs: Vec<Job> = flows
+        .iter()
+        .map(|f| Job::new(f.id, f.release, f.deadline, (1 + f.id % 3) as f64))
+        .collect();
+    assert_eq!(
+        yds_schedule(&jobs).placements(),
+        reference::yds_schedule(&jobs).as_slice()
+    );
+}
+
+/// The instance the `offline_dcfs` benchmark solves (fat-tree k=8 at
+/// capacity 100, 800 paper-default flows), against the same reference. The
+/// pairwise reference needs an optimised build: CI runs this with
+/// `cargo test --release --test critical_interval -- --ignored`.
+#[test]
+#[ignore = "benchmark-size differential; run in release"]
+fn benchmark_size_instances_equal_the_pairwise_reference() {
+    let topo = builders::fat_tree_with_capacity(8, 100.0);
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, 100.0);
+    for seed in 1..=3 {
+        let flows = UniformWorkload::paper_defaults(800, seed)
+            .generate(topo.hosts())
+            .expect("workload generates");
+        let paths = shortest_paths(&topo, &flows);
+        let (_, expected) = reference::most_critical_first(&flows, &paths, &power).unwrap();
+        let schedule = most_critical_first(&topo.network, &flows, &paths, &power).unwrap();
+        assert_eq!(schedule, expected, "seed {seed}");
+    }
 }
 
 #[test]

@@ -24,6 +24,8 @@
 //! energy accounting) plus full delivery of every flow they did not
 //! declare missed.
 
+mod common;
+
 use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, PolicyRegistry};
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::core::schedule::exceeds_capacity;
@@ -512,6 +514,32 @@ proptest! {
 /// engine assembled window by window (`edf`) as for one solved offline
 /// (`dcfsr`). Most-Critical-First (`sp-mcf`) packs every link on its own
 /// and keeps a profile per link.
+/// `sp-mcf` on the instance made of ties that `tests/critical_interval.rs`
+/// pins to the bit against the pairwise reference. Capacity 100, so the
+/// capacity checks are not vacuous.
+#[test]
+fn sp_mcf_obeys_the_physics_on_a_tie_heavy_instance() {
+    let (topo, flows) = common::tie_heavy_instance();
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, 100.0);
+
+    let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+    let solution = AlgorithmRegistry::with_defaults()
+        .create("sp-mcf")
+        .unwrap()
+        .solve(&mut ctx, &flows, &power)
+        .unwrap();
+    let schedule = solution.schedule.as_ref().expect("sp-mcf schedules");
+    ctx.verify(schedule, &flows, &power).unwrap();
+    assert_schedule_invariants(
+        "sp-mcf on the tie-heavy instance",
+        &ctx,
+        &flows,
+        schedule,
+        solution.total_energy().unwrap(),
+        &power,
+    );
+}
+
 #[test]
 fn a_uniform_schedule_stores_one_profile_per_flow() {
     let topo = builders::fat_tree_with_capacity(4, CAPACITY);
