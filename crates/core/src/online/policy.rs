@@ -13,7 +13,7 @@ use crate::context::SolverContext;
 use crate::error::SolveError;
 use dcn_flow::FlowId;
 use dcn_power::PowerFunction;
-use dcn_topology::{NodeId, Path};
+use dcn_topology::{BfsTree, NodeId, Path};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -217,12 +217,20 @@ impl fmt::Debug for PolicyRegistry {
 /// route out as a shared handle (`Arc`, because policies are `Send`), so
 /// re-planning a flow at every event copies no path.
 ///
-/// Memoised paths are keyed to the graph's [`dcn_topology::GraphCsr::epoch`]:
-/// a link failure or recovery bumps the epoch and clears the memo, so a
-/// cached route can never survive the topology change that invalidated it.
+/// A pair miss is read off the source's [`BfsTree`], grown once per source
+/// and kept at four bytes per node: a fabric with `h` hosts costs at most
+/// `h` traversals however many of its `h²` pairs the flows use. The tree
+/// is the same traversal as `shortest_path` run to the end, so every route
+/// and tie-break is the one `shortest_path` returns.
+///
+/// Paths and trees are keyed to the graph's
+/// [`dcn_topology::GraphCsr::epoch`]: a link failure or recovery bumps the
+/// epoch and clears both, so a cached route can never survive the topology
+/// change that invalidated it.
 #[derive(Debug, Default)]
 pub struct PathCache {
     paths: HashMap<(NodeId, NodeId), Option<Arc<Path>>>,
+    trees: HashMap<NodeId, BfsTree>,
     /// Epoch of the graph the memo was filled from (0 = empty).
     epoch: u64,
 }
@@ -247,14 +255,19 @@ impl PathCache {
         src: NodeId,
         dst: NodeId,
     ) -> Result<Arc<Path>, SolveError> {
-        let epoch = ctx.graph().epoch();
-        if self.epoch != epoch {
+        let graph = ctx.graph();
+        if self.epoch != graph.epoch() {
             self.paths.clear();
-            self.epoch = epoch;
+            self.trees.clear();
+            self.epoch = graph.epoch();
         }
+        let trees = &mut self.trees;
         self.paths
             .entry((src, dst))
-            .or_insert_with(|| ctx.graph().shortest_path(src, dst).map(Arc::new))
+            .or_insert_with(|| {
+                let tree = trees.entry(src).or_insert_with(|| graph.bfs_tree(src));
+                tree.path_to(graph, dst).map(Arc::new)
+            })
             .clone()
             .ok_or(SolveError::Unroutable { flow })
     }
@@ -386,6 +399,96 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "one shared route");
         assert_eq!(*first, ctx.graph().shortest_path(a, c).unwrap());
         assert_eq!(cache.paths.len(), 1);
+    }
+
+    /// Every ordered node pair through `cache` against the graph's own
+    /// early-exit BFS; returns how many pairs are cut off.
+    fn assert_cache_routes_like_the_graph(ctx: &SolverContext<'_>, cache: &mut PathCache) -> usize {
+        let graph = ctx.graph();
+        let nodes = (0..graph.node_count()).map(NodeId);
+        let mut cut = 0;
+        for (flow, (src, dst)) in nodes
+            .clone()
+            .flat_map(|s| nodes.clone().map(move |d| (s, d)))
+            .enumerate()
+        {
+            match (
+                cache.shortest(ctx, flow, src, dst),
+                graph.shortest_path(src, dst),
+            ) {
+                (Ok(cached), Some(expected)) => {
+                    assert_eq!(cached.links(), expected.links(), "{src:?} -> {dst:?}");
+                    assert_eq!(cached.nodes(), expected.nodes(), "{src:?} -> {dst:?}");
+                    assert_eq!(*cached, expected);
+                }
+                (Err(e), None) => {
+                    assert_eq!(e, SolveError::Unroutable { flow });
+                    cut += 1;
+                }
+                (cached, expected) => {
+                    panic!("{src:?} -> {dst:?}: cache {cached:?}, graph {expected:?}")
+                }
+            }
+        }
+        // One tree per source, four bytes per node: the cache never holds
+        // more than `n²` u32 entries of trees.
+        let n = graph.node_count();
+        assert!(cache.trees.len() <= n);
+        for tree in cache.trees.values() {
+            assert_eq!(tree.bytes(), n * std::mem::size_of::<u32>());
+        }
+        cut
+    }
+
+    #[test]
+    fn route_trees_give_every_pair_the_graph_shortest_path_across_link_events() {
+        use dcn_topology::TopologyEvent;
+        for topo in [
+            builders::fat_tree(4),
+            builders::leaf_spine(4, 2, 3),
+            builders::bcube(4, 1),
+            builders::dumbbell(3, 10.0),
+        ] {
+            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+            let mut cache = PathCache::new();
+            assert_eq!(assert_cache_routes_like_the_graph(&ctx, &mut cache), 0);
+            assert_eq!(cache.trees.len(), ctx.graph().node_count());
+
+            // The middle link of a host-to-host route: on the dumbbell it is
+            // the bottleneck, so half of the pairs lose their only route.
+            let hosts = topo.hosts();
+            let route = ctx
+                .graph()
+                .shortest_path(hosts[0], hosts[hosts.len() - 1])
+                .unwrap();
+            let link = route.links()[route.links().len() / 2];
+            for event in [
+                TopologyEvent::LinkDown { time: 1.0, link },
+                TopologyEvent::LinkUp { time: 2.0, link },
+            ] {
+                assert!(ctx.apply_topology_event(event));
+                cache.shortest(&ctx, 0, hosts[0], hosts[1]).unwrap();
+                assert_eq!(
+                    cache.trees.len(),
+                    1,
+                    "{}: the epoch bump drops the trees",
+                    topo.name
+                );
+                assert_eq!(cache.paths.len(), 1);
+                let cut = assert_cache_routes_like_the_graph(&ctx, &mut cache);
+                let down = matches!(event, TopologyEvent::LinkDown { .. });
+                if topo.name.starts_with("dumbbell") && down {
+                    assert_eq!(
+                        cut,
+                        4 * 4,
+                        "the left side (3 hosts + switch) loses the right side; the \
+                         reverse direction is a link of its own"
+                    );
+                } else if !down {
+                    assert_eq!(cut, 0);
+                }
+            }
+        }
     }
 
     #[test]

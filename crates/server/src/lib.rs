@@ -27,6 +27,18 @@
 //! The `dcn-serve` binary wires a [`Server`] to stdin/stdout
 //! (`--stdio`) or a TCP listener (`--listen`).
 //!
+//! # What a frame costs
+//!
+//! Nothing in a served frame grows with the input seen so far: the codec
+//! is linear in the frame's bytes, a route is read off the source's
+//! breadth-first tree, and a submission touches each live plan of its
+//! bucket once. On the benchmark's `serve_closed` stream (one closed-loop
+//! client, fat-tree k=8, 10 000 frames) the loop takes 0.106 s — about
+//! 4.5 µs a frame of router → worker thread hop, 4.5–5 µs of JSON codec at
+//! both ends and 1.7 µs of shard work — and the 5.5 MB snapshot of that
+//! stream restores in 0.05 s (EXPERIMENTS.md, "Where a served request goes
+//! (PR 25)").
+//!
 //! # What the daemon does not guarantee
 //!
 //! **Link capacity.** Every bucket plans independently on the *full*

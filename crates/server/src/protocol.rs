@@ -316,13 +316,9 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FrameErr
 
 /// Encodes one value as a frame (length prefix + JSON payload).
 pub fn encode_frame<T: Serialize>(value: &T) -> Vec<u8> {
-    let payload =
-        serde_json::to_string(value).expect("protocol types serialize to JSON infallibly");
-    let mut frame = Vec::with_capacity(payload.len() + 16);
-    frame.extend_from_slice(payload.len().to_string().as_bytes());
-    frame.push(b'\n');
-    frame.extend_from_slice(payload.as_bytes());
-    frame.push(b'\n');
+    let payload = json_payload(value);
+    let mut frame = Vec::with_capacity(payload.len() + 24);
+    put_frame(&mut frame, &payload).expect("writing into a Vec cannot fail");
     frame
 }
 
@@ -332,7 +328,19 @@ pub fn encode_frame<T: Serialize>(value: &T) -> Vec<u8> {
 ///
 /// Propagates the writer's I/O errors.
 pub fn write_frame<T: Serialize>(writer: &mut impl Write, value: &T) -> std::io::Result<()> {
-    writer.write_all(&encode_frame(value))
+    put_frame(writer, &json_payload(value))
+}
+
+fn json_payload<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("protocol types serialize to JSON infallibly")
+}
+
+/// Writes prefix, payload and closing newline straight to `writer`, with
+/// no frame buffer in between.
+fn put_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()> {
+    writeln!(writer, "{}", payload.len())?;
+    writer.write_all(payload.as_bytes())?;
+    writer.write_all(b"\n")
 }
 
 /// Decodes a frame payload into a [`Request`], staging the parse so that

@@ -744,7 +744,7 @@ impl Server {
                         }
                     };
                     if let Some(response) = immediate {
-                        pending.insert(seq, response);
+                        deliver(&mut pending, &mut next_write, writer, seq, response)?;
                     }
                     self.drain_replies(&mut pending, &mut next_write, writer, false)?;
                     if outcome == ServeOutcome::Shutdown {
@@ -776,9 +776,9 @@ impl Server {
         Ok(outcome)
     }
 
-    /// Moves worker replies into the order buffer and writes out every
-    /// response that is next in sequence. With `block`, waits until all
-    /// outstanding sequence numbers have been written.
+    /// Delivers worker replies in sequence order (see [`deliver`]). With
+    /// `block`, waits until all outstanding sequence numbers have been
+    /// written.
     fn drain_replies(
         &mut self,
         pending: &mut BTreeMap<u64, Response>,
@@ -788,19 +788,13 @@ impl Server {
     ) -> io::Result<()> {
         loop {
             while let Ok((seq, response)) = self.reply_rx.try_recv() {
-                pending.insert(seq, response);
-            }
-            while let Some(response) = pending.remove(next_write) {
-                write_frame(writer, &response)?;
-                *next_write += 1;
+                deliver(pending, next_write, writer, seq, response)?;
             }
             if !block || *next_write >= self.seq {
                 return Ok(());
             }
             match self.reply_rx.recv() {
-                Ok((seq, response)) => {
-                    pending.insert(seq, response);
-                }
+                Ok((seq, response)) => deliver(pending, next_write, writer, seq, response)?,
                 Err(_) => {
                     // Workers are gone; answer what we can and stop.
                     while *next_write < self.seq {
@@ -836,6 +830,29 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_workers();
     }
+}
+
+/// Writes `response` at once when it is the next in sequence — then every
+/// buffered reply that follows it — and otherwise buffers it in `pending`
+/// until its turn. A closed-loop client's replies never touch the buffer.
+fn deliver(
+    pending: &mut BTreeMap<u64, Response>,
+    next_write: &mut u64,
+    writer: &mut impl Write,
+    seq: u64,
+    response: Response,
+) -> io::Result<()> {
+    if seq != *next_write {
+        pending.insert(seq, response);
+        return Ok(());
+    }
+    write_frame(writer, &response)?;
+    *next_write += 1;
+    while let Some(response) = pending.remove(next_write) {
+        write_frame(writer, &response)?;
+        *next_write += 1;
+    }
+    Ok(())
 }
 
 /// Verifies a snapshot was produced under this configuration.

@@ -23,6 +23,7 @@
 //! [`crate`]'s docs and EXPERIMENTS.md ("Why `dcn-server` keeps its own
 //! planners") for the measured price of the alternative.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -131,7 +132,10 @@ pub struct ShardEngine<'net> {
     /// local → global is an index and global → local a binary search.
     ledger: InFlightLedger,
     plans: BTreeMap<FlowId, Plan>,
-    committed: BTreeMap<FlowId, Plan>,
+    /// The stitched history of every flow that delivered anything,
+    /// indexed by ledger id like the ledger itself (a dense table: every
+    /// live plan's history is one index away at each submission).
+    committed: Vec<Option<Plan>>,
     /// Global ids of the flows turned away (snapshots carry no flow data
     /// for them, so they never stay in the ledger).
     rejected: BTreeSet<FlowId>,
@@ -166,7 +170,7 @@ impl<'net> ShardEngine<'net> {
             algorithm,
             ledger: InFlightLedger::new(),
             plans: BTreeMap::new(),
-            committed: BTreeMap::new(),
+            committed: Vec::new(),
             rejected: BTreeSet::new(),
             paths: PathCache::new(),
             clock: f64::NEG_INFINITY,
@@ -177,6 +181,13 @@ impl<'net> ShardEngine<'net> {
     /// Advances the shard to `now`: credits every live flow with the
     /// volume its plan delivered over `[clock, now)`, stitches that slice
     /// into the committed history, and retires done or expired flows.
+    ///
+    /// The slice is appended segment by segment, clipped to the window —
+    /// what `RateProfile::restricted` would build, without building it. A
+    /// paced plan is one stored piece, which is its own segment list; only
+    /// a re-solved plan with several pieces has them merged first. A
+    /// carried-on plan extends its history's last piece instead of adding
+    /// one per submission.
     fn advance(&mut self, now: f64) {
         if now <= self.clock {
             return;
@@ -184,27 +195,29 @@ impl<'net> ShardEngine<'net> {
         let from = self.clock;
         for (&id, plan) in &self.plans {
             let delivered = plan.profile.volume_between(from, now);
-            if delivered > 0.0 {
-                self.ledger.credit(id, delivered);
-                let slice = plan.profile.restricted(from, now);
-                match self.committed.get_mut(&id) {
-                    Some(history) => {
-                        // A plan that is carried on extends the history's
-                        // last piece instead of adding one per submission.
-                        for &(start, end, rate) in slice.pieces() {
-                            history.profile.append_rate(start, end, rate);
-                        }
-                        history.path = plan.path.clone();
-                    }
-                    None => {
-                        self.committed.insert(
-                            id,
-                            Plan {
-                                path: plan.path.clone(),
-                                profile: slice,
-                            },
-                        );
-                    }
+            if delivered <= 0.0 {
+                continue;
+            }
+            self.ledger.credit(id, delivered);
+            let segments = match plan.profile.pieces() {
+                one @ [_] => Cow::Borrowed(one),
+                _ => Cow::Owned(plan.profile.segments()),
+            };
+            if self.committed.len() <= id {
+                self.committed.resize_with(id + 1, || None);
+            }
+            let history = self.committed[id].get_or_insert_with(|| Plan {
+                path: plan.path.clone(),
+                profile: RateProfile::new(),
+            });
+            // Only a re-solve moves a flow to another path.
+            if !Arc::ptr_eq(&history.path, &plan.path) {
+                history.path = plan.path.clone();
+            }
+            for &(start, end, rate) in segments.iter() {
+                let (lo, hi) = (start.max(from), end.min(now));
+                if hi > lo {
+                    history.profile.append_rate(lo, hi, rate);
                 }
             }
         }
@@ -391,10 +404,9 @@ impl<'net> ShardEngine<'net> {
 
     /// Dumps the shard's full state for a snapshot.
     pub fn state(&self) -> BucketState {
-        let plan_records = |plans: &BTreeMap<FlowId, Plan>| -> Vec<PlanRecord> {
+        let plan_records = |plans: &mut dyn Iterator<Item = (FlowId, &Plan)>| -> Vec<PlanRecord> {
             plans
-                .iter()
-                .map(|(&local, plan)| PlanRecord {
+                .map(|(local, plan)| PlanRecord {
                     flow: self.ledger.entries()[local].flow.id as u64,
                     path: plan.path.nodes().iter().map(|n| n.0).collect(),
                     segments: plan_segments(plan),
@@ -426,8 +438,11 @@ impl<'net> ShardEngine<'net> {
                     missed: entry.missed,
                 })
                 .collect(),
-            plans: plan_records(&self.plans),
-            committed: plan_records(&self.committed),
+            plans: plan_records(&mut self.plans.iter().map(|(&local, plan)| (local, plan))),
+            committed: plan_records(
+                &mut (self.committed.iter().enumerate())
+                    .filter_map(|(local, history)| Some((local, history.as_ref()?))),
+            ),
         }
     }
 
@@ -462,7 +477,12 @@ impl<'net> ShardEngine<'net> {
         }
         engine.ledger = InFlightLedger::restore(entries);
         engine.plans = engine.restore_plans(network, &state.plans, "plans")?;
-        engine.committed = engine.restore_plans(network, &state.committed, "committed")?;
+        engine
+            .committed
+            .resize_with(engine.ledger.entries().len(), || None);
+        for (local, history) in engine.restore_plans(network, &state.committed, "committed")? {
+            engine.committed[local] = Some(history);
+        }
         Ok(engine)
     }
 

@@ -27,7 +27,12 @@ fn config() -> ServerConfig {
 /// A deterministic request stream: `n` submissions from the paper's
 /// uniform workload in release order, a query after every fifth.
 fn canned_requests(n: usize, seed: u64) -> Vec<Request> {
-    let built = TopologySpec::FatTree { k: 4 }.build();
+    canned_requests_on(TopologySpec::FatTree { k: 4 }, n, seed)
+}
+
+/// [`canned_requests`] on the hosts of `spec`.
+fn canned_requests_on(spec: TopologySpec, n: usize, seed: u64) -> Vec<Request> {
+    let built = spec.build();
     let flows = UniformWorkload::paper_defaults(n, seed)
         .generate(&built.hosts)
         .expect("workload generates");
@@ -134,11 +139,43 @@ fn policies_differ_but_each_is_width_invariant() {
 #[test]
 fn snapshot_restore_continues_bit_identically() {
     let requests = canned_requests(40, 17);
-    let split = requests.len() / 2;
-    let snapshot_path = temp_path("roundtrip");
+    restart_continues_bit_identically(config(), &requests, requests.len() / 2, "roundtrip");
+}
+
+/// The benchmark-size restart: a fat-tree:8 daemon restarted from the
+/// snapshot of 8000 submissions — a file of several megabytes, the size
+/// of `serve_closed`'s own — continues byte-identically. The parser that
+/// re-validated the remaining input for every string character took
+/// minutes to load such a file; it is well under a second now.
+#[test]
+#[ignore = "benchmark-size (seconds in debug): cargo test --release -p dcn-server -- --ignored"]
+fn a_benchmark_size_snapshot_restores_and_continues_bit_identically() {
+    let spec = TopologySpec::FatTree { k: 8 };
+    let requests = canned_requests_on(spec, 8_400, 29);
+    // 8000 submissions and their 1600 queries before the snapshot.
+    let split = 8_000 * 6 / 5;
+    let bytes = restart_continues_bit_identically(
+        ServerConfig::new(spec),
+        &requests,
+        split,
+        "benchmark-size",
+    );
+    assert!(bytes > 4 << 20, "the snapshot is only {bytes} bytes");
+}
+
+/// Serves `requests[..split]`, snapshots, restarts from the file and
+/// serves the rest; both halves must equal an uninterrupted run reply
+/// for reply. Returns the snapshot's size in bytes.
+fn restart_continues_bit_identically(
+    config: ServerConfig,
+    requests: &[Request],
+    split: usize,
+    name: &str,
+) -> u64 {
+    let snapshot_path = temp_path(name);
 
     // The uninterrupted reference run.
-    let mut reference = Server::start(config()).expect("server starts");
+    let mut reference = Server::start(config.clone()).expect("server starts");
     let full: Vec<Vec<u8>> = requests
         .iter()
         .map(|r| encode_frame(&reference.request(r.clone())))
@@ -146,19 +183,22 @@ fn snapshot_restore_continues_bit_identically() {
     reference.shutdown();
 
     // First half, snapshot, kill.
-    let mut cfg = config();
+    let mut cfg = config;
     cfg.snapshot_path = Some(snapshot_path.clone());
     let mut first = Server::start(cfg.clone()).expect("server starts");
     let head: Vec<Vec<u8>> = requests[..split]
         .iter()
         .map(|r| encode_frame(&first.request(r.clone())))
         .collect();
-    let done = first.request(Request::new(9_000, RequestBody::Snapshot));
+    let done = first.request(Request::new(9_000_000, RequestBody::Snapshot));
     assert!(
         matches!(done.body, ResponseBody::SnapshotDone { .. }),
         "snapshot failed: {done:?}"
     );
     first.shutdown();
+    let bytes = std::fs::metadata(&snapshot_path)
+        .expect("snapshot written")
+        .len();
 
     // Restart from the snapshot and serve the second half.
     let mut second = Server::start(cfg).expect("server restores");
@@ -179,6 +219,7 @@ fn snapshot_restore_continues_bit_identically() {
         "post-restore replies diverged"
     );
     let _ = std::fs::remove_file(&snapshot_path);
+    bytes
 }
 
 #[test]

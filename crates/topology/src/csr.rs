@@ -130,6 +130,48 @@ impl PartialEq for GraphCsr {
     }
 }
 
+/// The parent-link entry of a node a [`BfsTree`] did not reach (and of its
+/// source).
+const NO_PARENT: u32 = u32::MAX;
+
+/// The breadth-first search tree of one source ([`GraphCsr::bfs_tree`]).
+/// Each node's parent link is stored as a compact `u32` link index — a
+/// tree costs four bytes per node — and [`BfsTree::path_to`] reads the
+/// fewest-hop path to any node off it.
+#[derive(Debug, Clone)]
+pub struct BfsTree {
+    source: NodeId,
+    /// `parent[v]` is the index of the link `v` was discovered over, or
+    /// [`NO_PARENT`].
+    parent: Vec<u32>,
+}
+
+impl BfsTree {
+    /// The tree's memory footprint in bytes (its parent array).
+    pub fn bytes(&self) -> usize {
+        self.parent.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The fewest-hop path from the source to `dst` in `graph` (the graph
+    /// the tree was grown on), or `None` when the traversal never reached
+    /// `dst`.
+    pub fn path_to(&self, graph: &GraphCsr, dst: NodeId) -> Option<Path> {
+        let mut links_rev = Vec::new();
+        let mut cur = dst;
+        while cur != self.source {
+            let lid = *self.parent.get(cur.index())?;
+            if lid == NO_PARENT {
+                return None;
+            }
+            let lid = LinkId(lid as usize);
+            links_rev.push(lid);
+            cur = graph.link_src(lid);
+        }
+        links_rev.reverse();
+        graph.path_from_links(self.source, &links_rev).ok()
+    }
+}
+
 impl GraphCsr {
     /// Builds the CSR view of a network.
     ///
@@ -432,40 +474,46 @@ impl GraphCsr {
     /// Breadth-first shortest path (fewest hops) from `src` to `dst`.
     ///
     /// Identical tie-breaking (link insertion order) and results as
-    /// [`Network::shortest_path`]; this is the flat-array read path.
+    /// [`Network::shortest_path`]; this is the flat-array read path. It
+    /// reads the path off a [`GraphCsr::bfs_tree`] traversal that stops as
+    /// soon as `dst` is discovered.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        if src == dst {
-            return self.path_from_links(src, &[]).ok();
-        }
-        let n = self.node_count();
-        let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[src.index()] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &lid in self.out_links(u) {
-                let v = self.link_dst(lid);
-                if !visited[v.index()] {
-                    visited[v.index()] = true;
-                    parent_link[v.index()] = Some(lid);
-                    if v == dst {
-                        let mut links_rev = Vec::new();
-                        let mut cur = dst;
-                        while cur != src {
-                            let lid = parent_link[cur.index()]
-                                .expect("path reconstruction reached a dead end");
-                            links_rev.push(lid);
-                            cur = self.link_src(lid);
+        self.bfs(src, Some(dst)).path_to(self, dst)
+    }
+
+    /// The breadth-first search tree of `src`: every node's parent link,
+    /// the link it was *first* discovered over. The path to any node read
+    /// off the tree is the one [`GraphCsr::shortest_path`] returns, because
+    /// both are the same traversal, this one run to the end.
+    pub fn bfs_tree(&self, src: NodeId) -> BfsTree {
+        self.bfs(src, None)
+    }
+
+    /// The one BFS of the view: visits out-links in adjacency order and
+    /// stops once `stop_at` (if any) has been discovered.
+    fn bfs(&self, src: NodeId, stop_at: Option<NodeId>) -> BfsTree {
+        let mut parent = vec![NO_PARENT; self.node_count()];
+        if stop_at != Some(src) {
+            let mut queue = Vec::with_capacity(self.node_count());
+            queue.push(src);
+            let mut head = 0;
+            'search: while let Some(&u) = queue.get(head) {
+                head += 1;
+                for (lid, v) in self.out_links_with_dsts(u) {
+                    if v != src && parent[v.index()] == NO_PARENT {
+                        parent[v.index()] = lid.index() as u32;
+                        if Some(v) == stop_at {
+                            break 'search;
                         }
-                        links_rev.reverse();
-                        return self.path_from_links(src, &links_rev).ok();
+                        queue.push(v);
                     }
-                    queue.push_back(v);
                 }
             }
         }
-        None
+        BfsTree {
+            source: src,
+            parent,
+        }
     }
 
     /// BFS hop distance from every node *to* `dst` (`usize::MAX` =
@@ -558,13 +606,20 @@ mod tests {
     }
 
     #[test]
-    fn bfs_shortest_path_matches_network() {
-        for topo in [builders::fat_tree(4), builders::bcube(2, 1)] {
+    fn bfs_paths_and_trees_match_the_network_bfs() {
+        for topo in [
+            builders::fat_tree(4),
+            builders::bcube(2, 1),
+            builders::line(4),
+        ] {
             let g = GraphCsr::from_network(&topo.network);
-            let hosts = topo.hosts();
-            for (i, &a) in hosts.iter().enumerate().step_by(3) {
-                for &b in hosts.iter().skip(i) {
-                    assert_eq!(g.shortest_path(a, b), topo.network.shortest_path(a, b));
+            for src in topo.network.nodes().map(|n| n.id) {
+                let tree = g.bfs_tree(src);
+                assert_eq!(tree.bytes(), 4 * g.node_count());
+                for dst in topo.network.nodes().map(|n| n.id) {
+                    let expected = topo.network.shortest_path(src, dst);
+                    assert_eq!(tree.path_to(&g, dst), expected);
+                    assert_eq!(g.shortest_path(src, dst), expected);
                 }
             }
         }

@@ -55,7 +55,7 @@ mod path;
 mod routing;
 
 pub use builders::BuiltTopology;
-pub use csr::GraphCsr;
+pub use csr::{BfsTree, GraphCsr};
 pub use engine::ShortestPathEngine;
 pub use event::TopologyEvent;
 pub use ids::{LinkId, NodeId, NodeKind};
