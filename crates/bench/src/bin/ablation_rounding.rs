@@ -51,7 +51,6 @@ fn main() {
         // expensive serial prefix, solved once on one context; the rounding
         // draws (cheap, independent) fan out across the worker pool.
         let mut ctx = SolverContext::from_network(&topo.network).expect("fat-tree validates");
-        ctx.set_parallelism(dcn_core::ParallelConfig::with_threads(cli.solver_threads));
         let relaxation = ctx
             .relax(&flow_set, &power, &harness_fmcf_config())
             .expect("relaxation succeeds on connected instances");

@@ -31,7 +31,6 @@ fn main() {
         // The optimal DCFS schedule on the (forced) shortest paths is
         // exactly the `sp-mcf` algorithm of the registry.
         let mut ctx = SolverContext::from_network(&topo.network).expect("line network validates");
-        ctx.set_parallelism(dcn_core::ParallelConfig::with_threads(cli.solver_threads));
         let solution = RoutedMcf::shortest_path()
             .solve(&mut ctx, &flows, &power)
             .expect("example instance is feasible");

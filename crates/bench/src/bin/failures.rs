@@ -25,8 +25,8 @@
 //!
 //! `--rates` sets the swept failure rates; `--downtime` the mean outage
 //! duration; `--load` the (single) arrival load factor; `--flows`,
-//! `--runs`, `--policies`, `--algorithms` and `--solver-threads` behave
-//! exactly as in the `online` binary.
+//! `--runs`, `--policies` and `--algorithms` behave exactly as in the
+//! `online` binary.
 //!
 //! **`BENCH_failures.json` schema:** the standard artifact (current
 //! schema version). Groups are `"<topology>|<policy>|<admission>"`, `x` is the
@@ -42,13 +42,11 @@
 //! ["run", r]]`. Same determinism contract as every artifact: the failure
 //! stream is a pure function of the seed (per-link derived RNG streams),
 //! so without `--timings`, fixed seed ⇒ byte-identical JSON for any
-//! `--threads` and `--solver-threads`.
+//! `--threads`.
 
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
-use dcn_bench::{
-    harness_fmcf_config, harness_registry, print_table, run_online_flow_set_with_events,
-};
+use dcn_bench::{harness_fmcf_config, harness_registry, print_table, run_online_flow_set};
 use dcn_core::online::{AdmissionRule, PolicyRegistry};
 use dcn_flow::failure::FailureProcess;
 use dcn_flow::workload::{ArrivalProcess, SizeDistribution, UniformWorkload};
@@ -184,7 +182,7 @@ fn main() {
                 Vec::new()
             };
             let link_downs = events.iter().filter(|e| e.is_down()).count();
-            let result = run_online_flow_set_with_events(
+            let result = run_online_flow_set(
                 topo,
                 &instance,
                 &power,
@@ -192,7 +190,6 @@ fn main() {
                 &algorithm,
                 &cell.policy,
                 cell.admission.clone(),
-                cli.solver_threads,
                 &events,
                 &registry,
                 &policy_registry,

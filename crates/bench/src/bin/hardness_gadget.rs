@@ -38,7 +38,6 @@ fn main() {
                 .expect("gadget flows are valid");
 
             let mut ctx = SolverContext::from_network(&topo.network).expect("gadget validates");
-            ctx.set_parallelism(dcn_core::ParallelConfig::with_threads(cli.solver_threads));
             let rs = Dcfsr::new(RandomScheduleConfig {
                 max_rounding_attempts: 50,
                 ..Default::default()

@@ -42,8 +42,7 @@
 //! only under `--timings`, because wall clock varies run to run —
 //! `events_per_second` and `arrivals_per_second` throughput columns.
 //! Same determinism contract as every artifact: without `--timings`,
-//! fixed seed ⇒ byte-identical JSON for any `--threads` and
-//! `--solver-threads`.
+//! fixed seed ⇒ byte-identical JSON for any `--threads`.
 //!
 //! Under `--quick` the sweep is followed by a throughput smoke: 100 000
 //! arrivals on a fat-tree(k=16) pushed through the event loop
@@ -186,7 +185,7 @@ fn main() {
                     &algorithm,
                     &cell.policy,
                     cell.admission.clone(),
-                    cli.solver_threads,
+                    &[],
                     &registry,
                     &policy_registry,
                 )

@@ -68,7 +68,6 @@ fn main() {
     if let Some(algorithms) = cli.algorithms.clone() {
         exp.algorithms = algorithms;
     }
-    exp.solver_threads = cli.solver_threads;
     exp.record_timings = cli.timings;
     let outcome = exp.run(cli.threads);
     for &k in ks {

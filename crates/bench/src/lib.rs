@@ -5,14 +5,13 @@
 //! The crate is an experiment-runner subsystem in three layers:
 //!
 //! * **this module** — the solving primitives
-//!   ([`run_flow_set_algorithms_threads`], and [`run_online_flow_set`] for
-//!   the event-driven online sweeps, with the
-//!   policy selected by name through the
-//!   [`dcn_core::online::PolicyRegistry`]) and
-//!   the declarative [`Experiment`] descriptor (name, topologies, workload
-//!   template, **algorithm list**, instance grid);
-//! * **[`runner`]** — the scoped worker pool that fans independent
-//!   `(seed, flow-count)` instances out across cores, plus the
+//!   ([`run_flow_set_algorithms`], and [`run_online_flow_set`] for the
+//!   event-driven online sweeps, with the policy selected by name through
+//!   the [`dcn_core::online::PolicyRegistry`]) and the declarative
+//!   [`Experiment`] descriptor (name, topologies, workload template,
+//!   **algorithm list**, instance grid);
+//! * **[`runner`]** — the harness's one worker pool, which fans
+//!   independent `(seed, flow-count)` instances out across cores, plus the
 //!   [`runner::ExperimentCli`] shared by every binary;
 //! * **[`report`]** — the versioned, canonical JSON artifact
 //!   (`BENCH_<name>.json`) each run can be serialized to.
@@ -32,10 +31,10 @@
 pub mod report;
 pub mod runner;
 
+use std::borrow::Cow;
+
 use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome, PolicyRegistry};
-use dcn_core::{
-    AlgorithmRegistry, Dcfsr, ParallelConfig, RandomScheduleConfig, RelaxationLb, SolverContext,
-};
+use dcn_core::{AlgorithmRegistry, Dcfsr, RandomScheduleConfig, RelaxationLb, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
@@ -143,14 +142,6 @@ pub fn harness_registry() -> AlgorithmRegistry {
 ///
 /// `seed` re-seeds every algorithm's randomness ([`dcn_core::Algorithm::set_seed`]).
 ///
-/// The instance's context solves independent relaxation intervals on
-/// `solver_threads` pool workers ([`ParallelConfig`]). The solution is
-/// bit-identical at any `solver_threads` — parallelism only changes
-/// wall-clock (and the opt-in [`InstanceResult::solve_wall_ms`]
-/// measurement). When instances are themselves sharded across `--threads`
-/// workers, the nested interval pools run inline, so the two axes compose
-/// without oversubscription.
-///
 /// # Panics
 ///
 /// Panics when fewer than two algorithms are selected, when a name is not
@@ -158,14 +149,13 @@ pub fn harness_registry() -> AlgorithmRegistry {
 /// when a scheduler fails, or when a primary/reference schedule misses a
 /// deadline — these are invariants of the experiments, so a violation
 /// indicates a bug rather than an expected error path.
-pub fn run_flow_set_algorithms_threads(
+pub fn run_flow_set_algorithms(
     topo: &BuiltTopology,
     flows: &FlowSet,
     power: &PowerFunction,
     seed: u64,
     algorithms: &[String],
     registry: &AlgorithmRegistry,
-    solver_threads: usize,
 ) -> InstanceResult {
     assert!(
         algorithms.len() >= 2,
@@ -173,7 +163,6 @@ pub fn run_flow_set_algorithms_threads(
     );
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
-    ctx.set_parallelism(ParallelConfig::with_threads(solver_threads));
     let simulator = Simulator::new(*power);
 
     struct Ran {
@@ -297,9 +286,15 @@ impl OnlineInstanceResult {
 /// [`dcn_core::OnlinePolicy`] under `admission`, solves the same instance
 /// offline with clairvoyant knowledge as the reference, and verifies both
 /// schedules with the fluid simulator. One [`SolverContext`] is shared by
-/// every re-solve, the offline solve and both simulations; it solves
-/// independent relaxation intervals on `solver_threads` pool workers
-/// ([`ParallelConfig`]), bit-identically at any width.
+/// every re-solve, the offline solve and both simulations.
+///
+/// The typed failure/recovery `events` (empty for a static fabric) are
+/// merged into the engine's event queue
+/// ([`OnlineEngine::run_vs_offline_with_events`]). The clairvoyant
+/// offline reference and both simulator verifications run on the
+/// *pristine* fabric — the engine rolls its topology changes back before
+/// returning — so the energy gap and the failure-attributed misses
+/// isolate exactly what the outages cost the online loop.
 ///
 /// The lower bound is taken from the offline solution when the algorithm
 /// computes one (`dcfsr`); otherwise the `lb` algorithm is run
@@ -307,7 +302,8 @@ impl OnlineInstanceResult {
 ///
 /// # Panics
 ///
-/// Panics when the algorithm or policy name is not registered, when the
+/// Panics when the algorithm or policy name is not registered, when an
+/// event is malformed (non-finite time or out-of-range link), when the
 /// online loop or the offline solve fails (connected benchmark instances
 /// must solve), or when the *offline* clairvoyant schedule misses a
 /// deadline — offline feasibility is an invariant of the experiments;
@@ -321,54 +317,12 @@ pub fn run_online_flow_set(
     algorithm: &str,
     policy: &str,
     admission: AdmissionRule,
-    solver_threads: usize,
-    registry: &AlgorithmRegistry,
-    policies: &PolicyRegistry,
-) -> OnlineInstanceResult {
-    run_online_flow_set_with_events(
-        topo,
-        flows,
-        power,
-        seed,
-        algorithm,
-        policy,
-        admission,
-        solver_threads,
-        &[],
-        registry,
-        policies,
-    )
-}
-
-/// [`run_online_flow_set`] with a dynamic topology: the typed
-/// failure/recovery `events` are merged into the engine's event queue
-/// ([`OnlineEngine::run_vs_offline_with_events`]). The clairvoyant
-/// offline reference and both simulator verifications run on the
-/// *pristine* fabric — the engine rolls its topology changes back before
-/// returning — so the energy gap and the failure-attributed misses
-/// isolate exactly what the outages cost the online loop.
-///
-/// # Panics
-///
-/// As [`run_online_flow_set`], plus when an event is malformed (non-finite
-/// time or out-of-range link).
-#[allow(clippy::too_many_arguments)]
-pub fn run_online_flow_set_with_events(
-    topo: &BuiltTopology,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    seed: u64,
-    algorithm: &str,
-    policy: &str,
-    admission: AdmissionRule,
-    solver_threads: usize,
     events: &[dcn_topology::TopologyEvent],
     registry: &AlgorithmRegistry,
     policies: &PolicyRegistry,
 ) -> OnlineInstanceResult {
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
-    ctx.set_parallelism(ParallelConfig::with_threads(solver_threads));
     let mut online = OnlineEngine::builder()
         .algorithm(algorithm)
         .algorithms(registry.clone())
@@ -520,11 +474,6 @@ pub struct Experiment {
     pub algorithms: Vec<String>,
     /// The instance grid, in deterministic order.
     pub instances: Vec<InstanceSpec>,
-    /// Pool workers each instance's offline solves use for independent
-    /// relaxation intervals (the `--solver-threads` CLI knob). `1` — the
-    /// default — is today's fully sequential behaviour; any value yields
-    /// the same bytes in the artifact's deterministic columns.
-    pub solver_threads: usize,
     /// Emit the wall-clock columns ([`report::InstanceRecord::solve_wall_ms`]
     /// and [`report::InstanceRecord::intervals_per_second`]) into the
     /// artifact (the `--timings` CLI knob). Off by default because timing
@@ -554,7 +503,6 @@ impl Experiment {
             workload: None,
             algorithms: default_algorithms(),
             instances: Vec::new(),
-            solver_threads: 1,
             record_timings: false,
         }
     }
@@ -572,7 +520,7 @@ impl Experiment {
     /// Panics when an algorithm name is not registered in
     /// [`harness_registry`], when an instance references a topology index
     /// out of range, when workload generation fails, or when a scheduler
-    /// violates its invariants (see [`run_flow_set_algorithms_threads`]).
+    /// violates its invariants (see [`run_flow_set_algorithms`]).
     pub fn run(&self, threads: usize) -> RunOutcome {
         let registry = harness_registry();
         for name in &self.algorithms {
@@ -620,7 +568,7 @@ impl Experiment {
     fn solve(&self, i: usize, registry: &AlgorithmRegistry) -> InstanceResult {
         let spec = &self.instances[i];
         let topo = &self.topologies[spec.topology];
-        match &spec.input {
+        let flow_set = match &spec.input {
             InstanceInput::Uniform { flows } => {
                 let mut workload = self
                     .workload
@@ -628,29 +576,22 @@ impl Experiment {
                     .unwrap_or_else(|| UniformWorkload::paper_defaults(*flows, spec.seed));
                 workload.num_flows = *flows;
                 workload.seed = spec.seed;
-                let flow_set = workload
-                    .generate(topo.hosts())
-                    .expect("workload generation succeeds on topologies with >= 2 hosts");
-                run_flow_set_algorithms_threads(
-                    topo,
-                    &flow_set,
-                    &spec.power,
-                    spec.seed,
-                    &self.algorithms,
-                    registry,
-                    self.solver_threads,
+                Cow::Owned(
+                    workload
+                        .generate(topo.hosts())
+                        .expect("workload generation succeeds on topologies with >= 2 hosts"),
                 )
             }
-            InstanceInput::Explicit(flow_set) => run_flow_set_algorithms_threads(
-                topo,
-                flow_set,
-                &spec.power,
-                spec.seed,
-                &self.algorithms,
-                registry,
-                self.solver_threads,
-            ),
-        }
+            InstanceInput::Explicit(flow_set) => Cow::Borrowed(flow_set),
+        };
+        run_flow_set_algorithms(
+            topo,
+            &flow_set,
+            &spec.power,
+            spec.seed,
+            &self.algorithms,
+            registry,
+        )
     }
 
     /// Builds the artifact record of one solved instance; energies of
@@ -713,14 +654,13 @@ mod tests {
         let flows = UniformWorkload::paper_defaults(15, 3)
             .generate(topo.hosts())
             .unwrap();
-        let r = run_flow_set_algorithms_threads(
+        let r = run_flow_set_algorithms(
             &topo,
             &flows,
             &power,
             3,
             &default_algorithms(),
             &harness_registry(),
-            1,
         );
         assert_eq!(r.flows, 15);
         assert!(r.lower_bound > 0.0);
@@ -743,15 +683,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let r = run_flow_set_algorithms_threads(
-            &topo,
-            &flows,
-            &power,
-            3,
-            &names,
-            &harness_registry(),
-            1,
-        );
+        let r = run_flow_set_algorithms(&topo, &flows, &power, 3, &names, &harness_registry());
         assert_eq!(r.extra_energies.len(), 2);
         assert_eq!(r.extra_energies[0].0, "ecmp_energy");
         assert_eq!(r.extra_energies[1].0, "least-loaded_energy");
@@ -770,15 +702,7 @@ mod tests {
             .generate(topo.hosts())
             .unwrap();
         let names: Vec<String> = ["sp-mcf", "ecmp"].iter().map(|s| s.to_string()).collect();
-        let r = run_flow_set_algorithms_threads(
-            &topo,
-            &flows,
-            &power,
-            5,
-            &names,
-            &harness_registry(),
-            1,
-        );
+        let r = run_flow_set_algorithms(&topo, &flows, &power, 5, &names, &harness_registry());
         assert!(r.lower_bound > 0.0);
         assert!(r.rs_energy >= r.lower_bound - 1e-6);
     }
@@ -801,7 +725,7 @@ mod tests {
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            1,
+            &[],
             &harness_registry(),
             &PolicyRegistry::with_defaults(),
         );
@@ -843,7 +767,7 @@ mod tests {
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            1,
+            &[],
             &harness_registry(),
             &PolicyRegistry::with_defaults(),
         );

@@ -3,23 +3,77 @@
 //!
 //! The sweeps in this crate are embarrassingly parallel: every
 //! `(seed, flow-count)` instance is independent and internally seeded, so
-//! [`run_indexed`] fans instances out across the scoped worker pool of
-//! [`dcn_core::pool`] and collects results **in input order**, which makes
-//! the output of a run — and therefore its JSON report — independent of the
-//! thread count. That is the determinism contract the CI relies on: same
-//! seed ⇒ byte-identical `BENCH_*.json` regardless of `--threads` *and*
-//! `--solver-threads` (instance sharding and interval-parallel solving
-//! share one pool implementation and compose without oversubscription: a
-//! solver pool nested under an instance worker runs inline).
+//! [`run_indexed`] fans instances out across scoped worker threads and
+//! collects results **in input order**, which makes the output of a run —
+//! and therefore its JSON report — independent of the thread count. That
+//! is the determinism contract the CI relies on: same seed ⇒
+//! byte-identical `BENCH_*.json` regardless of `--threads`. This is the
+//! only worker pool of the harness; each instance's solves run
+//! sequentially inside its worker.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::report::ExperimentReport;
 use dcn_core::online::PolicyRegistry;
 use dcn_server::ServePolicy;
 
-pub use dcn_core::pool::{default_threads, run_indexed, run_indexed_with};
+/// The number of worker threads to use by default: every available core.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Runs `job(i)` for every `i in 0..count` on `threads` scoped worker
+/// threads and returns the results **in index order**.
+///
+/// Workers claim indices from an atomic cursor, so long and short jobs mix
+/// freely; every result is put back at its own index, so the returned
+/// vector — unlike the execution schedule — does not depend on `threads`.
+/// With `threads <= 1` the jobs run inline on the calling thread.
+///
+/// # Panics
+///
+/// Propagates a panic from any job.
+pub fn run_indexed<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.clamp(1, count.max(1));
+    if threads == 1 {
+        return (0..count).map(job).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return claimed;
+                        }
+                        claimed.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
 
 /// Runs a closure and measures its wall-clock time in seconds.
 pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
@@ -37,12 +91,6 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 /// --step N        flow-count step of the fig2 sweep
 /// --threads N     worker threads for instance sharding (default: all
 ///                 cores)
-/// --solver-threads N
-///                 interval-parallel solver threads *inside* each
-///                 instance (default 1 = sequential solves); artifacts
-///                 are byte-identical at any value, and a solver pool
-///                 nested under an instance worker runs inline, so
-///                 --threads x --solver-threads never oversubscribes
 /// --algorithms L  comma-separated registry names to compare (primary,
 ///                 reference, extras), e.g. dcfsr,sp-mcf,ecmp,greedy;
 ///                 defaults to the experiment's own selection; a name the
@@ -87,10 +135,6 @@ pub struct ExperimentCli {
     pub step: Option<usize>,
     /// `--threads N`: worker-pool size; defaults to every available core.
     pub threads: usize,
-    /// `--solver-threads N`: interval-parallel solver threads inside each
-    /// instance; defaults to 1 (sequential solves, bit-for-bit the
-    /// historical behaviour).
-    pub solver_threads: usize,
     /// `--algorithms a,b,...`: registry names to compare (primary,
     /// reference, extras); `None` keeps the experiment's default.
     pub algorithms: Option<Vec<String>>,
@@ -138,7 +182,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--flows",
     "--step",
     "--threads",
-    "--solver-threads",
     "--algorithms",
     "--load",
     "--rates",
@@ -162,7 +205,7 @@ impl ExperimentCli {
                 eprintln!("{experiment}: {message}");
                 eprintln!(
                     "usage: {experiment} [--runs N] [--seeds N] [--flows N] [--step N] \
-                     [--threads N] [--solver-threads N] [--algorithms a,b,...] \
+                     [--threads N] [--algorithms a,b,...] \
                      [--load a,b,...] [--rates a,b,...] [--downtime D] \
                      [--policies a,b,...] \
                      [--shard-workers N] [--queue-depth N] [--admission R] \
@@ -187,7 +230,6 @@ impl ExperimentCli {
             flows: None,
             step: None,
             threads: default_threads(),
-            solver_threads: 1,
             algorithms: None,
             load: None,
             rates: None,
@@ -228,7 +270,6 @@ impl ExperimentCli {
                     "--flows" => cli.flows = Some(parse_value(flag, value)?),
                     "--step" => cli.step = Some(parse_value(flag, value)?),
                     "--threads" => cli.threads = parse_value(flag, value)?,
-                    "--solver-threads" => cli.solver_threads = parse_value(flag, value)?,
                     "--algorithms" => {
                         let names: Vec<String> = value
                             .split(',')
@@ -348,9 +389,6 @@ impl ExperimentCli {
         if cli.threads == 0 {
             return Err("--threads must be at least 1".to_string());
         }
-        if cli.solver_threads == 0 {
-            return Err("--solver-threads must be at least 1".to_string());
-        }
         // Zero sweep sizes produce empty (schema-invalid) artifacts, NaN
         // averages, or a step_by(0) panic downstream; fail fast instead.
         for (flag, value) in [
@@ -434,12 +472,26 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_is_reexported_from_the_core_pool() {
-        // The pool itself is tested in `dcn_core::pool`; this pins the
-        // delegation so the harness and the solvers share one
-        // implementation (and therefore one nested-execution guard).
-        assert_eq!(run_indexed(5, 3, |i| i + 1), vec![1, 2, 3, 4, 5]);
+    fn run_indexed_preserves_input_order() {
+        let serial = run_indexed(17, 1, |i| i * i);
+        assert_eq!(serial, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        // Widths above the job count included.
+        for threads in [2, 3, 8, 64] {
+            assert_eq!(run_indexed(17, threads, |i| i * i), serial);
+        }
+        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn run_indexed_runs_every_job_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        let results = run_indexed(100, 7, |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(results, (0..100).collect::<Vec<_>>());
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -555,17 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_solver_threads() {
-        let cli = ExperimentCli::from_args("fig2", &args(&["--solver-threads", "4"])).unwrap();
-        assert_eq!(cli.solver_threads, 4);
-        // The default keeps solves sequential regardless of --threads.
-        let cli = ExperimentCli::from_args("fig2", &args(&["--threads", "8"])).unwrap();
-        assert_eq!(cli.solver_threads, 1);
-        assert!(ExperimentCli::from_args("fig2", &args(&["--solver-threads", "0"])).is_err());
-        assert!(ExperimentCli::from_args("fig2", &args(&["--solver-threads"])).is_err());
-    }
-
-    #[test]
     fn cli_json_out_path_is_optional() {
         let cli = ExperimentCli::from_args("fig2", &args(&["--json-out", "--quick"])).unwrap();
         assert_eq!(cli.json_out, Some(PathBuf::from("BENCH_fig2.json")));
@@ -578,8 +619,13 @@ mod tests {
     #[test]
     fn cli_rejects_unknown_and_malformed_flags() {
         assert!(ExperimentCli::from_args("x", &args(&["--frobnicate"])).is_err());
-        // The online engine has no batching or sharding flags.
-        for removed in [["--epoch", "0.05"], ["--shards", "2"]] {
+        // The online engine has no batching or sharding flags, and solves
+        // have no thread count of their own.
+        for removed in [
+            ["--epoch", "0.05"],
+            ["--shards", "2"],
+            ["--solver-threads", "2"],
+        ] {
             assert_eq!(
                 ExperimentCli::from_args("online", &args(&removed)).unwrap_err(),
                 format!("unknown flag {:?}", removed[0])

@@ -9,6 +9,11 @@
 //! buffers warm up once, and every algorithm — including one-off callers —
 //! gets the allocation-free hot path by default.
 //!
+//! A context serves one solve at a time, on the calling thread: the
+//! relaxation's intervals run one after another on the one scratch.
+//! Parallelism lives a level up, across independent instances with a
+//! context each (the benchmark harness's `--threads`).
+//!
 //! ```
 //! use dcn_core::{Algorithm, Dcfsr, SolverContext};
 //! use dcn_flow::workload::UniformWorkload;
@@ -29,8 +34,7 @@
 //! ```
 
 use crate::error::SolveError;
-use crate::pool::ParallelConfig;
-use crate::relaxation::{interval_relaxation_threads, interval_relaxation_with, RelaxationSummary};
+use crate::relaxation::{interval_relaxation_with, RelaxationSummary};
 use crate::routing::Routing;
 use crate::schedule::Schedule;
 use dcn_flow::FlowSet;
@@ -52,7 +56,6 @@ pub struct SolverContext<'net> {
     graph: GraphCsr,
     engine: ShortestPathEngine,
     fmcf: FmcfScratch,
-    parallel: ParallelConfig,
 }
 
 impl<'net> SolverContext<'net> {
@@ -89,35 +92,7 @@ impl<'net> SolverContext<'net> {
             graph: GraphCsr::from_network(network),
             engine: ShortestPathEngine::new(),
             fmcf: FmcfScratch::new(),
-            parallel: ParallelConfig::default(),
         })
-    }
-
-    /// Builder-style [`SolverContext::set_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.set_parallelism(parallel);
-        self
-    }
-
-    /// Sets the interval-parallelism knob: solves whose subproblems are
-    /// independent (the per-interval relaxation, `exact`'s assignment
-    /// enumeration) fan out across `parallel.threads` pool workers. The
-    /// default — one thread — is the sequential behaviour bit for bit, and
-    /// any other width produces byte-identical results (see
-    /// [`crate::pool`] and [`interval_relaxation_threads`]); the knob only
-    /// changes wall-clock.
-    ///
-    /// Warm-started relaxations ([`SolverContext::set_warm_start`]) always
-    /// run sequentially regardless of this knob: the warm cache on the
-    /// shared scratch is order-dependent by design.
-    pub fn set_parallelism(&mut self, parallel: ParallelConfig) {
-        self.parallel = ParallelConfig::with_threads(parallel.threads);
-    }
-
-    /// The interval-parallelism knob in effect.
-    pub fn parallelism(&self) -> ParallelConfig {
-        self.parallel
     }
 
     /// The network the context was built from.
@@ -275,14 +250,10 @@ impl<'net> SolverContext<'net> {
             .map_err(SolveError::from)
     }
 
-    /// Solves the per-interval fractional relaxation of the instance. At
-    /// the default parallelism the interval loop shares the context's
-    /// Frank–Wolfe scratch (one shortest-path engine and one buffer set
-    /// across every interval and every call); with
-    /// [`SolverContext::set_parallelism`] above one thread — and warm
-    /// starts off — the independent intervals fan out across pool workers
-    /// with one private scratch each, returning byte-identical results
-    /// (see [`interval_relaxation_threads`]).
+    /// Solves the per-interval fractional relaxation of the instance. The
+    /// interval loop shares the context's Frank–Wolfe scratch (one
+    /// shortest-path engine and one buffer set across every interval and
+    /// every call).
     ///
     /// # Errors
     ///
@@ -296,14 +267,13 @@ impl<'net> SolverContext<'net> {
         config: &FmcfSolverConfig,
     ) -> Result<RelaxationSummary, SolveError> {
         self.validate_flow_shape(flows)?;
-        // The warm cache lives on the shared scratch and is order-dependent
-        // by design, so warm-started contexts keep the sequential path.
-        let relaxation = if self.parallel.threads > 1 && !self.fmcf.warm_start() {
-            interval_relaxation_threads(&self.graph, flows, power, config, self.parallel.threads)
-        } else {
-            interval_relaxation_with(&self.graph, flows, power, config, &mut self.fmcf)
-        };
-        Ok(relaxation?)
+        Ok(interval_relaxation_with(
+            &self.graph,
+            flows,
+            power,
+            config,
+            &mut self.fmcf,
+        )?)
     }
 
     /// Verifies a schedule against its instance on the context's CSR view

@@ -16,7 +16,7 @@ use crate::dcfs::most_critical_first;
 use crate::schedule::Schedule;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
-use dcn_topology::{k_shortest_paths_on, Network, Path};
+use dcn_topology::{k_shortest_paths_on, Path};
 use std::fmt;
 
 /// Errors raised by [`exact_dcfsr_ctx`].
@@ -93,7 +93,6 @@ pub fn exact_dcfsr_ctx(
     max_assignments: u128,
 ) -> Result<ExactOutcome, ExactError> {
     let paths_per_flow = paths_per_flow.max(1);
-    let threads = ctx.parallelism().threads;
     let network = ctx.network();
     // Candidate paths per flow, over the context's CSR view and engine.
     let (graph, engine, _) = ctx.parts();
@@ -111,12 +110,6 @@ pub fn exact_dcfsr_ctx(
             combinations,
             budget: max_assignments,
         });
-    }
-
-    if threads > 1 {
-        if let Ok(total) = usize::try_from(combinations) {
-            return exact_parallel(network, flows, power, &candidates, total, threads);
-        }
     }
 
     let mut best: Option<ExactOutcome> = None;
@@ -165,67 +158,12 @@ pub fn exact_dcfsr_ctx(
     }
 }
 
-/// The `i`-th path assignment of the mixed-radix enumeration (digit 0 is
-/// the least significant, matching the sequential counter's order).
-fn assignment_paths(candidates: &[Vec<Path>], index: usize) -> Vec<Path> {
-    let mut rest = index;
-    candidates
-        .iter()
-        .map(|c| {
-            let choice = rest % c.len();
-            rest /= c.len();
-            c[choice].clone()
-        })
-        .collect()
-}
-
-/// Assignment-parallel enumeration: every assignment's DCFS evaluation is
-/// independent, so the energies fan out across pool workers; the winner is
-/// then selected by a sequential scan in enumeration order with a strict
-/// `<` (first-better-wins) — the same tie-breaking as the sequential loop —
-/// and only the winning assignment's schedule is rebuilt.
-fn exact_parallel(
-    network: &Network,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    candidates: &[Vec<Path>],
-    total: usize,
-    threads: usize,
-) -> Result<ExactOutcome, ExactError> {
-    let energies: Vec<Option<f64>> = crate::pool::run_indexed(total, threads, |i| {
-        let paths = assignment_paths(candidates, i);
-        most_critical_first(network, flows, &paths, power)
-            .ok()
-            .map(|schedule| schedule.energy(power).total())
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for (i, energy) in energies.iter().enumerate() {
-        let Some(energy) = energy else { continue };
-        let better = best.map(|(_, e)| *energy < e).unwrap_or(true);
-        if better {
-            best = Some((i, *energy));
-        }
-    }
-    let Some((winner, energy)) = best else {
-        return Err(ExactError::NoFeasibleAssignment);
-    };
-    let paths = assignment_paths(candidates, winner);
-    let schedule = most_critical_first(network, flows, &paths, power)
-        .expect("the winning assignment was feasible during enumeration");
-    Ok(ExactOutcome {
-        schedule,
-        energy,
-        paths,
-        assignments_tried: total,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dcfsr::RandomScheduleConfig;
     use crate::Algorithm;
-    use dcn_topology::builders;
+    use dcn_topology::{builders, Network};
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)

@@ -26,7 +26,9 @@
 //! * [`SolverContext`] is built **once** per network and owns all warm
 //!   solver state (the CSR graph view, the arena-reuse shortest-path
 //!   engine, the Frank–Wolfe scratch), so every caller gets the
-//!   allocation-free hot path by default;
+//!   allocation-free hot path by default. A solve runs sequentially on
+//!   the calling thread; callers that want parallelism run independent
+//!   instances side by side, as the benchmark harness does;
 //! * [`Algorithm`] is the scheduler trait (`solve(ctx, flows, power)`),
 //!   returning one [`Solution`] (schedule + energy + lower bound +
 //!   diagnostics) or one typed [`SolveError`];
@@ -36,10 +38,7 @@
 //!
 //! Supporting modules: [`schedule`] (the schedule data model, feasibility
 //! verification and energy accounting), [`routing`] (path selection
-//! strategies for the DCFS input and the SP+MCF baseline), [`pool`] (the
-//! deterministic index-ordered worker pool behind interval-parallel solves
-//! and the benchmark sweeps, with a [`ParallelConfig`] knob on the
-//! [`SolverContext`]), and [`online`]
+//! strategies for the DCFS input and the SP+MCF baseline), and [`online`]
 //! (the event-driven engine that reveals flows at their release times and
 //! re-plans their rates per event through a pluggable [`OnlinePolicy`] —
 //! from full residual re-solves with any wrapped [`Algorithm`] down to
@@ -83,7 +82,6 @@ pub mod dcfsr;
 pub mod error;
 pub mod exact;
 pub mod online;
-pub mod pool;
 pub mod registry;
 pub mod relaxation;
 pub mod routing;
@@ -103,10 +101,7 @@ pub use online::{
     AdmissionRule, EngineConfig, FlowDecision, InFlightLedger, LedgerEntry, OnlineEngine,
     OnlineOutcome, OnlinePolicy, OnlineReport, PolicyRegistry,
 };
-pub use pool::ParallelConfig;
-pub use relaxation::{
-    interval_relaxation_threads, interval_relaxation_with, IntervalRelaxation, RelaxationSummary,
-};
+pub use relaxation::{interval_relaxation_with, IntervalRelaxation, RelaxationSummary};
 pub use routing::{Routing, RoutingError};
 pub use schedule::{FlowSchedule, Schedule, ScheduleError, ScheduleViolation};
 pub use solution::{Diagnostics, Solution};
@@ -125,7 +120,6 @@ pub mod prelude {
         AdmissionRule, EngineConfig, InFlightLedger, OnlineEngine, OnlineOutcome, OnlinePolicy,
         OnlineReport, PolicyRegistry,
     };
-    pub use crate::pool::ParallelConfig;
     pub use crate::routing::Routing;
     pub use crate::schedule::{FlowSchedule, Schedule};
     pub use crate::solution::{Diagnostics, Solution};

@@ -93,65 +93,18 @@ pub fn interval_relaxation_with(
     scratch: &mut FmcfScratch,
 ) -> Result<RelaxationSummary, Disconnected> {
     let cost = PowerFlowCost::new(*power);
-    let config = effective_config(fmcf_config, power);
+    let mut config = *fmcf_config;
+    config.capacity.get_or_insert(power.capacity());
     let intervals = flows
         .intervals()
         .into_iter()
-        .map(|interval| solve_interval(graph, flows, &cost, &config, interval, scratch));
-    intervals.collect::<Result<_, _>>().map(summarize)
-}
-
-/// [`interval_relaxation_with`] fanned out across intervals on the
-/// index-ordered worker pool of [`crate::pool`]: each of the `threads`
-/// workers builds one private [`FmcfScratch`] and reuses it across every
-/// interval it drains.
-///
-/// **Determinism.** The result is byte-identical to the sequential path at
-/// any thread count: each interval is an independent F-MCF problem, a cold
-/// (non-warm-started) scratch solve is history-independent (pinned by the
-/// solver's own equivalence tests), the per-interval solutions are
-/// collected in interval order, and the lower bound is summed in
-/// interval-index order so the floating-point addition sequence is fixed.
-/// Callers that enable warm starts on a shared scratch must use the
-/// sequential path instead — the warm cache is order-dependent by design
-/// ([`crate::SolverContext::relax`] makes that choice automatically).
-///
-/// With `threads <= 1`, or when already running inside a pool worker (e.g.
-/// nested under the benchmark harness's instance sharding), the solve runs
-/// inline and is the sequential path.
-///
-/// # Errors
-///
-/// Returns [`Disconnected`] for the first interval (in interval order) in
-/// which some flow's destination is unreachable from its source.
-pub fn interval_relaxation_threads(
-    graph: &GraphCsr,
-    flows: &FlowSet,
-    power: &PowerFunction,
-    fmcf_config: &FmcfSolverConfig,
-    threads: usize,
-) -> Result<RelaxationSummary, Disconnected> {
-    let cost = PowerFlowCost::new(*power);
-    let config = effective_config(fmcf_config, power);
-    let spans = flows.intervals();
-    let intervals =
-        crate::pool::run_indexed_with(spans.len(), threads, FmcfScratch::new, |scratch, k| {
-            solve_interval(graph, flows, &cost, &config, spans[k], scratch)
-        });
-    intervals
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map(summarize)
-}
-
-/// The solver configuration with the link capacity defaulted from the
-/// power function, as every relaxation entry point applies it.
-fn effective_config(fmcf_config: &FmcfSolverConfig, power: &PowerFunction) -> FmcfSolverConfig {
-    let mut config = *fmcf_config;
-    if config.capacity.is_none() {
-        config.capacity = Some(power.capacity());
-    }
-    config
+        .map(|interval| solve_interval(graph, flows, &cost, &config, interval, scratch))
+        .collect::<Result<Vec<_>, _>>()?;
+    let lower_bound = intervals.iter().map(IntervalRelaxation::cost).sum();
+    Ok(RelaxationSummary {
+        intervals,
+        lower_bound,
+    })
 }
 
 /// Solves one interval's independent F-MCF subproblem on the given scratch.
@@ -185,17 +138,6 @@ fn solve_interval(
         solution,
         cost_rate,
     })
-}
-
-/// Folds per-interval solutions into a summary, summing the lower bound in
-/// interval-index order (a fixed floating-point sequence, so the bound is
-/// identical however the solves were scheduled).
-fn summarize(intervals: Vec<IntervalRelaxation>) -> RelaxationSummary {
-    let lower_bound = intervals.iter().map(IntervalRelaxation::cost).sum();
-    RelaxationSummary {
-        intervals,
-        lower_bound,
-    }
 }
 
 #[cfg(test)]

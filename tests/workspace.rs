@@ -10,7 +10,9 @@
 //! * the product crates keep one call path per operation: a superseded
 //!   entry point is deleted, never kept alive behind `#[deprecated]` or a
 //!   cargo feature, the online drivers share one in-flight ledger, and the
-//!   link load is accounted in one place and replayed segment by segment.
+//!   link load is accounted in one place and replayed segment by segment;
+//! * solves run sequentially: the bench runner owns the only worker pool,
+//!   and `perf/` is the only benchmark harness.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -21,14 +23,7 @@ use std::path::{Path, PathBuf};
 
 /// External dependencies that must be version-unified through the
 /// workspace table.
-const SHARED_DEPS: &[&str] = &[
-    "rand",
-    "rand_distr",
-    "serde",
-    "serde_json",
-    "proptest",
-    "criterion",
-];
+const SHARED_DEPS: &[&str] = &["rand", "rand_distr", "serde", "serde_json", "proptest"];
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -257,6 +252,45 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
         [root.join("crates/core/src/online/ledger.rs")],
         "the retire rule and its `VOLUME_TOL` are defined once, in the ledger"
     );
+}
+
+#[test]
+fn solves_are_sequential_and_the_harness_owns_the_only_pool() {
+    // Interval-parallel solving had no caller that won by it: a solve runs
+    // on its caller's thread, the bench runner's `run_indexed` is the one
+    // worker pool, and `perf/` is the one benchmark harness.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("src"), &mut sources);
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut sources,
+        );
+    }
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in [
+            "ParallelConfig",
+            "set_parallelism",
+            "interval_relaxation_threads",
+            "run_indexed_with",
+            "in_pool_worker",
+            "solver_threads",
+        ] {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — solves run sequentially",
+                path.display()
+            );
+        }
+    }
+    for gone in ["vendor/criterion", "crates/bench/benches"] {
+        assert!(
+            !root.join(gone).exists(),
+            "{gone}/ is gone — benchmarks live in perf/"
+        );
+    }
 }
 
 #[test]
