@@ -218,9 +218,9 @@ pub struct OnlineOutcome {
 
 /// A read-only view of a driver's [`InFlightLedger`] at one instant, handed
 /// to [`OnlinePolicy`] callbacks and to [`AdmissionRule::evaluate`]: which
-/// flows are in flight, how much each has received, and the
-/// residual-instance constructor the `resolve` path and the admission probe
-/// share.
+/// flows are in flight (by id, or by deadline without a sort), how much
+/// each has received, and the residual-instance constructor the `resolve`
+/// path and the admission probe share.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldView<'a> {
     ledger: &'a InFlightLedger,
@@ -250,6 +250,13 @@ impl<'a> WorldView<'a> {
     /// The in-flight flows, in ascending id order.
     pub fn in_flight(&self) -> impl Iterator<Item = FlowId> + 'a {
         self.ledger.live()
+    }
+
+    /// The in-flight flows by deadline, ties by id
+    /// ([`InFlightLedger::live_by_deadline`]): the ledger keeps this order
+    /// as flows come and go, so reading it costs no sort.
+    pub fn in_flight_by_deadline(&self) -> &'a [FlowId] {
+        self.ledger.live_by_deadline()
     }
 
     /// Volume `flow` still has to receive (never negative).

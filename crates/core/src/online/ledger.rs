@@ -4,8 +4,13 @@
 //! flow a driver has seen, each [`LedgerEntry`] carrying the flow itself
 //! plus its admit/deliver/miss state, and the id sets of the flows
 //! currently *live* (admitted, not fully served, not expired) and
-//! *stranded* (admitted but disconnected by link failures). It has two
-//! users:
+//! *stranded* (admitted but disconnected by link failures). The live set
+//! is indexed twice: by id ([`InFlightLedger::live`], what the residual
+//! builder and the shard walk) and by `(deadline, id)`
+//! ([`InFlightLedger::live_by_deadline`], the order `edf` packs in), both
+//! kept in step by every transition, so no event re-sorts the live set.
+//! The deadline index is derived state: snapshots carry the entries only,
+//! and [`InFlightLedger::restore`] rebuilds it. It has two users:
 //!
 //! * [`super::engine::OnlineEngine`] reveals the whole instance up front
 //!   and drives one ledger through a batch run;
@@ -24,6 +29,7 @@
 //! The ledger never touches wall-clock time: `now` is always supplied by
 //! the caller, so decisions stay a pure function of the event stream.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use dcn_flow::{Flow, FlowId, FlowSet};
@@ -73,6 +79,10 @@ pub struct InFlightLedger {
     /// in-flight population instead of the whole table (100k-arrival
     /// traces make a full scan per event the dominant cost).
     live: BTreeSet<FlowId>,
+    /// The same ids sorted by `(deadline.total_cmp, id)`: the earliest-
+    /// deadline-first order, maintained by binary search on every
+    /// transition instead of re-sorted at every event.
+    by_deadline: Vec<FlowId>,
     /// The ids with `stranded` set.
     stranded: BTreeSet<FlowId>,
 }
@@ -103,10 +113,10 @@ impl InFlightLedger {
     /// Removes the most recently revealed flow again (a candidate that was
     /// turned away leaves no trace). Returns the entry, if one existed.
     pub fn pop(&mut self) -> Option<LedgerEntry> {
-        let entry = self.entries.pop()?;
-        self.live.remove(&self.entries.len());
-        self.stranded.remove(&self.entries.len());
-        Some(entry)
+        let id = self.entries.len().checked_sub(1)?;
+        self.live_remove(id);
+        self.stranded.remove(&id);
+        self.entries.pop()
     }
 
     /// Admits a revealed flow into the live set. Unknown ids are ignored.
@@ -114,8 +124,33 @@ impl InFlightLedger {
         if let Some(entry) = self.entries.get_mut(id) {
             entry.admitted = true;
             entry.in_flight = true;
-            self.live.insert(id);
+            self.live_insert(id);
         }
+    }
+
+    /// Adds `id` to both indexes of the live set (a no-op when it is live).
+    fn live_insert(&mut self, id: FlowId) {
+        if self.live.insert(id) {
+            if let Err(slot) = self.deadline_slot(id) {
+                self.by_deadline.insert(slot, id);
+            }
+        }
+    }
+
+    /// Removes `id` from both indexes of the live set (a no-op when it is
+    /// not live).
+    fn live_remove(&mut self, id: FlowId) {
+        if self.live.remove(&id) {
+            if let Ok(slot) = self.deadline_slot(id) {
+                self.by_deadline.remove(slot);
+            }
+        }
+    }
+
+    /// Where `id` sits (`Ok`) or belongs (`Err`) in `by_deadline`.
+    fn deadline_slot(&self, id: FlowId) -> Result<usize, usize> {
+        self.by_deadline
+            .binary_search_by(|&other| deadline_order(&self.entries, other, id))
     }
 
     /// Takes an admitted flow out of the live set because no route connects
@@ -125,7 +160,7 @@ impl InFlightLedger {
         entry.in_flight = false;
         entry.stranded = true;
         entry.failure_touched = true;
-        self.live.remove(&id);
+        self.live_remove(id);
         self.stranded.insert(id);
     }
 
@@ -162,7 +197,7 @@ impl InFlightLedger {
         let back: Vec<FlowId> = self.stranded.iter().copied().filter(revivable).collect();
         for id in back {
             self.stranded.remove(&id);
-            self.live.insert(id);
+            self.live_insert(id);
             self.entries[id].in_flight = true;
             self.entries[id].stranded = false;
         }
@@ -182,8 +217,8 @@ impl InFlightLedger {
                 retired.push(id);
             }
         }
-        for id in &retired {
-            self.live.remove(id);
+        for &id in &retired {
+            self.live_remove(id);
         }
         retired
     }
@@ -211,16 +246,26 @@ impl InFlightLedger {
         self.live.iter().copied()
     }
 
+    /// The live flow ids by deadline, ties by id: the order
+    /// earliest-deadline-first serves them in.
+    pub fn live_by_deadline(&self) -> &[FlowId] {
+        &self.by_deadline
+    }
+
     /// Rebuilds a ledger from dumped entries; the live and stranded sets
-    /// are derived from the flags.
+    /// and the deadline index are derived from the flags.
     pub fn restore(entries: Vec<LedgerEntry>) -> Self {
         let ids_where = |flag: fn(&LedgerEntry) -> bool| {
             (0..entries.len())
                 .filter(|&id| flag(&entries[id]))
                 .collect()
         };
+        let live: BTreeSet<FlowId> = ids_where(|e| e.in_flight);
+        let mut by_deadline: Vec<FlowId> = live.iter().copied().collect();
+        by_deadline.sort_by(|&a, &b| deadline_order(&entries, a, b));
         Self {
-            live: ids_where(|e| e.in_flight),
+            live,
+            by_deadline,
             stranded: ids_where(|e| e.stranded),
             entries,
         }
@@ -262,6 +307,13 @@ impl InFlightLedger {
         let set = FlowSet::from_flows(residual).map_err(SolveError::from)?;
         Ok((set, map))
     }
+}
+
+/// The earliest-deadline-first order of ledger ids `a` and `b`: by
+/// deadline, ties by id.
+fn deadline_order(entries: &[LedgerEntry], a: FlowId, b: FlowId) -> Ordering {
+    let deadline = |id: FlowId| entries[id].flow.deadline;
+    deadline(a).total_cmp(&deadline(b)).then(a.cmp(&b))
 }
 
 #[cfg(test)]
@@ -363,5 +415,84 @@ mod tests {
         assert_eq!(restored, ledger);
         assert_eq!(restored.live().collect::<Vec<_>>(), vec![0]);
         assert!(restored.entries()[2].stranded);
+
+        // The deadline index is rebuilt, and maintained alike afterwards:
+        // an earlier deadline goes in front, a revived flow back in place.
+        assert_eq!(restored.live_by_deadline(), ledger.live_by_deadline());
+        let (mut ledger, mut restored) = (ledger, restored);
+        for ledger in [&mut ledger, &mut restored] {
+            let id = ledger.reveal(flow(3, 2.0, 6.0, 1.0));
+            ledger.admit(id);
+            ledger.triage(2.0, |_| true);
+        }
+        assert_eq!(restored, ledger);
+        assert_eq!(restored.live_by_deadline(), [3, 0, 2]);
+    }
+
+    /// The live set collected and sorted by deadline, ties by id.
+    fn sorted_live(ledger: &InFlightLedger) -> Vec<FlowId> {
+        let mut live: Vec<FlowId> = ledger.live().collect();
+        let deadline = |id: FlowId| ledger.entries()[id].flow.deadline;
+        live.sort_by(|&a, &b| deadline(a).total_cmp(&deadline(b)).then(a.cmp(&b)));
+        live
+    }
+
+    #[test]
+    fn the_deadline_index_is_the_sorted_live_set_after_every_operation() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let (mut checked, mut ties, mut widest) = ([0usize; 6], 0, 0);
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ledger = InFlightLedger::new();
+            let mut now = 0.0;
+            for step in 0..120 {
+                let op = rng.gen_range(0..6);
+                let ids = ledger.entries().len();
+                match op {
+                    // Deadlines on a half-unit grid collide often, and a
+                    // clock on the same grid lands on them exactly.
+                    0 => {
+                        let deadline = now + f64::from(rng.gen_range(1..6)) * 0.5;
+                        ledger.reveal(flow(ids, now, deadline, 1.0));
+                    }
+                    1 if ids > 0 => ledger.admit(rng.gen_range(0..ids)),
+                    // Full credit (then served when the deadline also
+                    // passes) or a part of it.
+                    2 if ids > 0 => {
+                        let volume = if rng.gen_bool(0.5) { 1.0 } else { 0.25 };
+                        ledger.credit(rng.gen_range(0..ids), volume);
+                    }
+                    3 => {
+                        now += f64::from(rng.gen_range(0..2)) * 0.5;
+                        ledger.retire(now);
+                    }
+                    4 => ledger.triage(now, |f| (f.id + step) % 3 != 0),
+                    5 if rng.gen_bool(0.3) => {
+                        ledger.pop();
+                    }
+                    _ => continue,
+                }
+                checked[op] += 1;
+                assert_eq!(
+                    ledger.live_by_deadline(),
+                    sorted_live(&ledger),
+                    "seed {seed}, step {step}, operation {op}"
+                );
+                let index = ledger.live_by_deadline();
+                let deadline = |id: &FlowId| ledger.entries()[*id].flow.deadline;
+                ties += index
+                    .windows(2)
+                    .filter(|w| deadline(&w[0]) == deadline(&w[1]))
+                    .count();
+                widest = widest.max(index.len());
+            }
+            assert_eq!(InFlightLedger::restore(ledger.entries().to_vec()), ledger);
+        }
+        assert!(checked.iter().all(|&n| n > 1000), "{checked:?}");
+        assert!(
+            ties > 1000 && widest >= 8,
+            "{ties} ties, {widest} live at most"
+        );
     }
 }

@@ -53,10 +53,12 @@
 //! 160, rejected nothing while the excess stood at 2.49–6.68. Nothing
 //! gates this: the `serve --quick` artifact CI uploads carries
 //! `rs_capacity_excess` 14.17 for `fat-tree:8|edf|admit-all`. The core engine's `edf` policy keeps that
-//! account (0 missed, 0 excess on the same instance) but costs 3.5–3.8×
-//! the whole served operation; EXPERIMENTS.md, "Why `dcn-server` keeps its
-//! own planners (PR 16)", has the readings, and ROADMAP lists a
-//! capacity-safe serving mode under *Correctness*.
+//! account (0 missed, 0 excess on the same instance); run per pod bucket,
+//! the engine alone costs 0.36–0.39× of the whole served operation (it
+//! cost 3.5–3.8× when first measured, before the commit by extension, the
+//! route trees and the ledger's deadline index). EXPERIMENTS.md, "Why
+//! `dcn-server` keeps its own planners", has both readings, and ROADMAP
+//! item 2 lists serving through the core policies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,9 @@
 //!   cargo feature, the online drivers share one in-flight ledger, and the
 //!   link load is accounted in one place and replayed segment by segment;
 //! * solves run sequentially: the bench runner owns the only worker pool,
-//!   and `perf/` is the only benchmark harness.
+//!   and `perf/` is the only benchmark harness;
+//! * `edf` re-plans without sorting or hashing: it walks the ledger's
+//!   deadline index, and the route memo hashes node ids without SipHash.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -309,6 +311,49 @@ fn the_replay_reads_each_profile_by_its_segments() {
         "simulator.rs: `rate_at(` outside the tests — walk `segments()` instead"
     );
     assert!(tests.contains("fn run_on_reference("));
+}
+
+/// The product half of a source file: everything before its first
+/// `#[cfg(test)]`.
+fn product_part(file: &str) -> String {
+    let source = fs::read_to_string(workspace_root().join(file))
+        .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+    match source.split_once("#[cfg(test)]") {
+        Some((product, _)) => product.to_string(),
+        None => source,
+    }
+}
+
+#[test]
+fn edf_walks_the_ledgers_deadline_order_and_sorts_nothing() {
+    // The in-flight ledger keeps the live set in deadline order, so
+    // `edf` sorts nothing per event; the sorting planner it replaced lives
+    // on below `#[cfg(test)]`, as the differential reference.
+    assert!(
+        !product_part("crates/core/src/online/policies/edf.rs").contains(".sort"),
+        "edf.rs: no `.sort` outside the tests — walk `WorldView::in_flight_by_deadline`"
+    );
+}
+
+#[test]
+fn the_route_memo_hashes_node_ids_without_siphash() {
+    // `PathCache` is probed once per in-flight flow per event: its
+    // maps hash node ids with the multiply–xor `NodeHash`, never with the
+    // default SipHash of `HashMap<K, V>`.
+    let policy = product_part("crates/core/src/online/policy.rs");
+    let (_, cache) = policy
+        .split_once("pub struct PathCache {")
+        .expect("policy.rs declares PathCache");
+    let fields = &cache[..cache.find('}').expect("PathCache has a closing brace")];
+    let maps: Vec<&str> = fields.lines().filter(|l| l.contains("HashMap<")).collect();
+    assert!(!maps.is_empty(), "PathCache keeps its pair map");
+    for map in maps {
+        assert!(
+            map.contains(", NodeHash>"),
+            "policy.rs: `{}` uses the default hasher — name `NodeHash`",
+            map.trim()
+        );
+    }
 }
 
 #[test]
