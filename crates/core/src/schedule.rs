@@ -11,14 +11,16 @@
 //! and the total transmission time are the same everywhere
 //! ([`FlowSchedule::per_link`]). The layout is private to this module:
 //! readers use [`FlowSchedule::link_profile`] / [`FlowSchedule::link_profiles`],
-//! and the online engine grows a flow's schedule one committed slice at a
-//! time. A slice that carries on where the flow's last one ended, at its
-//! rate, extends the stored piece ([`RateProfile::append_rate`]), so what a
-//! flow stores grows with its rate changes, not with the events it lived
-//! through: every flow's own `segments()` is what one piece per slice gave,
-//! to the bit; a link's aggregate adds a constant-rate run's first rate
-//! where it used to add the rate of each slice (1 ulp apart at most —
-//! ≤ 2.3e-16 relative in every energy the bench artifacts record).
+//! the online engine grows a flow's schedule one committed slice at a
+//! time, and a `dcn-server` shard cuts it at its clock whenever it
+//! re-plans the flow ([`FlowSchedule::replan`]). A slice that carries on
+//! where the flow's last one ended, at its rate, extends the stored piece
+//! ([`RateProfile::append_rate`]), so what a flow stores grows with its
+//! rate changes, not with the events it lived through: every flow's own
+//! `segments()` is what one piece per slice gave, to the bit; a link's
+//! aggregate adds a constant-rate run's first rate where it used to add the
+//! rate of each slice (1 ulp apart at most — ≤ 2.3e-16 relative in every
+//! energy the bench artifacts record).
 
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
@@ -168,6 +170,18 @@ impl FlowSchedule {
     /// order, so commit order is what keeps an online run's energy stable.
     pub(crate) fn append(&mut self, slice: FlowSchedule) {
         debug_assert_eq!(self.flow, slice.flow, "slices of one flow");
+        self.append_with(&slice, RateProfile::append_rate);
+        self.path = slice.path;
+    }
+
+    /// [`FlowSchedule::append`], storing each piece of `slice` with `add`,
+    /// except that the path stays the caller's to set.
+    fn append_with(&mut self, slice: &FlowSchedule, add: impl Fn(&mut RateProfile, f64, f64, f64)) {
+        let add_all = |profile: &mut RateProfile, later: &RateProfile| {
+            for &(start, end, rate) in later.pieces() {
+                add(profile, start, end, rate);
+            }
+        };
         // Uniform slices along one path stay one stored profile; anything
         // else is spelled out per link first.
         if self.per_link.is_some() || slice.per_link.is_some() || self.path != slice.path {
@@ -176,11 +190,63 @@ impl FlowSchedule {
                 path.links().iter().map(|&l| (l, profile.clone())).collect()
             });
             for (link, pieces) in slice.link_profiles() {
-                append_pieces(map.entry(link).or_default(), pieces);
+                add_all(map.entry(link).or_default(), pieces);
             }
         }
-        append_pieces(&mut self.profile, &slice.profile);
-        self.path = slice.path;
+        add_all(&mut self.profile, &slice.profile);
+    }
+
+    /// Re-plans the flow at `at`: keeps what the schedule transmits before
+    /// `at`, on the links it used then, and appends `leg`'s part from `at` on
+    /// — the flow's new plan, or nothing. A flow that transmitted nothing
+    /// before `at` becomes the clipped leg alone (or nothing on its current
+    /// path).
+    ///
+    /// A schedule whose pieces are in time order — every profile's pieces
+    /// each start at or after the end of the one before, as a plan and
+    /// every leg of the registry's algorithms are — stays so, and the cost
+    /// is the pieces after `at` plus the leg's. The past is cut with
+    /// [`RateProfile::truncate`], which folds a rate that held across the
+    /// cut into one piece, as the online engine's commits store it. The
+    /// leg's own pieces are clipped to `[at, ∞)` and never merged into the
+    /// past, so until the next re-plan what the schedule delivers over a
+    /// window after `at` is what the leg gives there, to the bit. (A leg out
+    /// of time order is stored as its merged segments instead.)
+    pub fn replan(&mut self, at: f64, leg: Option<&FlowSchedule>) {
+        self.profile.truncate(at);
+        if let Some(map) = &mut self.per_link {
+            map.retain(|_, profile| {
+                profile.truncate(at);
+                profile.is_active()
+            });
+        }
+        let kept = self.profile.is_active() || self.per_link.iter().any(|map| !map.is_empty());
+        let Some(leg) = leg else {
+            if !kept {
+                // Idle everywhere: uniform along its path.
+                self.per_link = None;
+            }
+            return;
+        };
+        let in_order = |p: &RateProfile| p.pieces().windows(2).all(|w| w[0].1 <= w[1].0);
+        let mut links = leg.per_link.iter().flat_map(BTreeMap::values);
+        if !(in_order(&leg.profile) && links.all(in_order)) {
+            return self.replan(at, Some(&leg.restricted(self.flow, at, f64::INFINITY)));
+        }
+        if !kept {
+            // Nothing kept: the schedule becomes the leg alone.
+            self.per_link = leg.per_link.as_ref().map(|_| BTreeMap::new());
+            self.path.clone_from(&leg.path);
+        }
+        self.append_with(leg, |profile, start, end, rate| {
+            if end > at {
+                profile.add_rate(start.max(at), end, rate);
+            }
+        });
+        if self.path != leg.path {
+            // A move: `append_with` spelled the past out on its links.
+            self.path.clone_from(&leg.path);
+        }
     }
 
     /// [`FlowSchedule::append`] of the uniform slice at `rate` over
@@ -193,13 +259,6 @@ impl FlowSchedule {
             self.profile.append_rate(start, end, rate);
         }
         stays_uniform
-    }
-}
-
-/// Appends every piece of the later slice `later` to `profile`.
-fn append_pieces(profile: &mut RateProfile, later: &RateProfile) {
-    for &(start, end, rate) in later.pieces() {
-        profile.append_rate(start, end, rate);
     }
 }
 
@@ -829,6 +888,83 @@ mod tests {
             }
             assert_eq!(fs.link_profile(link).unwrap().volume(), expected);
         }
+    }
+
+    #[test]
+    fn a_replan_keeps_the_past_on_its_links_and_stores_the_leg_unmerged() {
+        let topo = builders::fat_tree(4);
+        let paths = routes(&topo, 0, 15);
+        let (old, new) = (&paths[0], &paths[2]);
+        let planned = RateProfile::constant(0.0, 4.0, 2.0);
+        let mut fs = FlowSchedule::uniform(7, old.clone(), planned.clone());
+        // The same route at a rate 1e-14 off, in two abutting pieces, one
+        // straddling the cut: `append` and `segments` would join runs, a
+        // re-plan stores the leg's own pieces, clipped.
+        let rate = 2.0 + 1e-14;
+        let mut pieces = RateProfile::constant(0.5, 1.5, rate);
+        pieces.add_rate(1.5, 2.5, rate);
+        let leg = FlowSchedule::uniform(0, old.clone(), pieces);
+        fs.replan(1.0, Some(&leg));
+        assert!(fs.per_link.is_none());
+        assert_eq!(fs.flow, 7);
+        let cut = [(0.0, 1.0, 2.0), (1.0, 1.5, rate), (1.5, 2.5, rate)];
+        assert_eq!(fs.profile.pieces(), cut);
+        // After the cut the schedule delivers what the leg does, to the bit.
+        for (from, to) in [(1.0, 2.5), (1.2, 2.0), (2.0, 3.0)] {
+            let stored = fs.profile.volume_between(from, to);
+            let planned = leg.profile.volume_between(from, to);
+            assert_eq!(stored.to_bits(), planned.to_bits(), "[{from}, {to})");
+        }
+
+        // A move keeps the past on the old route's links. Once past, the
+        // runs 1e-14 apart fold into one piece, as `append_rate` folds them.
+        let moved = FlowSchedule::uniform(0, new.clone(), RateProfile::constant(2.0, 5.0, 1.0));
+        fs.replan(2.0, Some(&moved));
+        assert_eq!(&fs.path, new);
+        for (link, profile) in fs.link_profiles() {
+            let mut expected = Vec::new();
+            if old.contains_link(link) {
+                expected.push((0.0, 2.0, 2.0));
+            }
+            if new.contains_link(link) {
+                expected.push((2.0, 5.0, 1.0));
+            }
+            assert_eq!(profile.pieces(), expected, "link {link}");
+        }
+
+        // Cut without a leg; and a flow that sent nothing becomes its leg.
+        fs.replan(3.0, None);
+        assert_eq!(fs.activity_span(), Some((0.0, 3.0)));
+        let mut fresh = FlowSchedule::uniform(7, old.clone(), RateProfile::new());
+        fresh.replan(1.0, Some(&moved));
+        assert_eq!(
+            fresh,
+            FlowSchedule {
+                flow: 7,
+                ..moved.clone()
+            }
+        );
+        let mut idle = FlowSchedule::uniform(7, old.clone(), planned.clone());
+        idle.replan(0.0, None);
+        assert_eq!(
+            idle,
+            FlowSchedule::uniform(7, old.clone(), RateProfile::new())
+        );
+
+        // A leg out of time order is stored as its segments, so the
+        // schedule stays in time order.
+        let mut shuffled = RateProfile::constant(3.0, 4.0, 1.0);
+        shuffled.add_rate(1.0, 3.5, 1.0);
+        let leg = FlowSchedule::uniform(0, old.clone(), shuffled);
+        let mut fs = FlowSchedule::uniform(7, old.clone(), planned);
+        fs.replan(2.0, Some(&leg));
+        let stored = [
+            (0.0, 2.0, 2.0),
+            (2.0, 3.0, 1.0),
+            (3.0, 3.5, 2.0),
+            (3.5, 4.0, 1.0),
+        ];
+        assert_eq!(fs.profile.pieces(), stored);
     }
 
     #[test]

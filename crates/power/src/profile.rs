@@ -265,6 +265,40 @@ impl RateProfile {
         }
         out
     }
+
+    /// Ends a profile built in time order — each piece starting at or after
+    /// the end of the one before, as [`RateProfile::append_rate`] builds it
+    /// — at `at`, in place: the pieces that start at or after `at` go, and
+    /// the one that straddles `at` ends there. Then the last piece is folded
+    /// into the one before it for as long as `append_rate` would have
+    /// extended that one by it, so a rate that holds across many cuts is
+    /// stored as one piece, at its first rate. It reads only the pieces that
+    /// end after `at` and the ones it folds, from the back.
+    pub fn truncate(&mut self, at: f64) {
+        debug_assert!(
+            self.pieces.windows(2).all(|w| w[0].1 <= w[1].0),
+            "truncate needs pieces in time order"
+        );
+        while let Some(last) = self.pieces.last_mut() {
+            if last.1 <= at {
+                break;
+            }
+            if last.0 < at {
+                last.1 = at;
+                break;
+            }
+            self.pieces.pop();
+        }
+        while let [.., (_, end, rate), (start, last_end, last_rate)] = self.pieces[..] {
+            if (end - start).abs() >= 1e-12 || (rate - last_rate).abs() >= 1e-12 {
+                break;
+            }
+            self.pieces.pop();
+            if let Some(piece) = self.pieces.last_mut() {
+                piece.1 = last_end;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +324,44 @@ mod tests {
         assert_eq!(p.restricted(-10.0, 10.0).segments(), p.segments());
         // A window outside the activity is empty.
         assert!(p.restricted(10.0, 20.0).is_empty());
+    }
+
+    #[test]
+    fn truncate_cuts_the_tail_and_folds_a_rate_that_held() {
+        // Abutting runs 1e-14 apart (`append_rate` would join them), a gap.
+        let mut p = RateProfile::new();
+        p.add_rate(0.0, 1.0, 0.1);
+        p.add_rate(1.0, 3.0, 0.1 + 1e-14);
+        p.add_rate(3.0, 4.0, 0.7);
+        p.add_rate(6.0, 8.0, 1.0);
+        // Cut inside a piece that ends no run: nothing before `at` changes.
+        let mut cut = p.clone();
+        cut.truncate(3.5);
+        assert_eq!(
+            cut.pieces(),
+            [(0.0, 1.0, 0.1), (1.0, 3.0, 0.1 + 1e-14), (3.0, 3.5, 0.7)]
+        );
+        for (from, to) in [(0.0, 3.5), (0.5, 2.0), (2.5, 3.25)] {
+            let (before, kept) = (p.volume_between(from, to), cut.volume_between(from, to));
+            assert_eq!(before.to_bits(), kept.to_bits(), "[{from}, {to})");
+        }
+        // The run that ends the cut profile folds as `append_rate` folds it;
+        // at a breakpoint, in a gap, past the end and before the start.
+        let mut appended = RateProfile::new();
+        for &(start, end, rate) in &p.pieces()[..2] {
+            appended.append_rate(start, end, rate);
+        }
+        for (at, stored) in [
+            (3.0, appended.pieces().to_vec()),
+            (2.0, vec![(0.0, 2.0, 0.1)]),
+            (5.0, p.pieces()[..3].to_vec()),
+            (9.0, p.pieces().to_vec()),
+            (0.0, Vec::new()),
+        ] {
+            let mut cut = p.clone();
+            cut.truncate(at);
+            assert_eq!(cut.pieces(), stored, "at {at}");
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   ([`ServePolicy`]).
 //! - [`server`] — the router, bounded worker queues with `Busy`
 //!   backpressure, and the connection loop ([`Server::serve_connection`]).
-//! - [`snapshot`] — JSON persistence of the complete in-flight state;
-//!   a restarted daemon resumes its admitted flows bit-identically.
+//! - [`snapshot`] — JSON persistence of the complete in-flight state, one
+//!   record per flow; a restarted daemon resumes its admitted flows
+//!   bit-identically.
 //!
 //! The `dcn-serve` binary wires a [`Server`] to stdin/stdout
 //! (`--stdio`) or a TCP listener (`--listen`).
@@ -31,13 +32,17 @@
 //!
 //! Nothing in a served frame grows with the input seen so far: the codec
 //! is linear in the frame's bytes, a route is read off the source's
-//! breadth-first tree, and a submission touches each live plan of its
-//! bucket once. On the benchmark's `serve_closed` stream (one closed-loop
-//! client, fat-tree k=8, 10 000 frames) the loop takes 0.106 s — about
-//! 4.5 µs a frame of router → worker thread hop, 4.5–5 µs of JSON codec at
-//! both ends and 1.7 µs of shard work — and the 5.5 MB snapshot of that
-//! stream restores in 0.05 s (EXPERIMENTS.md, "Where a served request goes
-//! (PR 25)").
+//! breadth-first tree, and a submission reads each live schedule of its
+//! bucket once. A schedule stores a piece per rate change of its flow —
+//! one under `edf`/`greedy` until a link event re-plans it — and, for a
+//! flow that moved, its pieces on every link it used. On the benchmark's
+//! `serve_closed` stream
+//! (one closed-loop client, fat-tree k=8, 10 000 frames) the loop takes
+//! about 0.09 s — per frame about 4.5 µs of router → worker thread hop,
+//! 4.5–5 µs of JSON codec at both ends and under 1.7 µs of shard work —
+//! and the 5.3 MB snapshot of that stream restores in 0.05 s
+//! (EXPERIMENTS.md, "Where a served request goes" and "Why the daemon
+//! keeps its pacer").
 //!
 //! # What the daemon does not guarantee
 //!
@@ -52,13 +57,15 @@
 //! reject-infeasible` probes each bucket's residual alone and, at load
 //! 160, rejected nothing while the excess stood at 2.49–6.68. Nothing
 //! gates this: the `serve --quick` artifact CI uploads carries
-//! `rs_capacity_excess` 14.17 for `fat-tree:8|edf|admit-all`. The core engine's `edf` policy keeps that
-//! account (0 missed, 0 excess on the same instance); run per pod bucket,
-//! the engine alone costs 0.36–0.39× of the whole served operation (it
-//! cost 3.5–3.8× when first measured, before the commit by extension, the
-//! route trees and the ledger's deadline index). EXPERIMENTS.md, "Why
-//! `dcn-server` keeps its own planners", has both readings, and ROADMAP
-//! item 2 lists serving through the core policies.
+//! `rs_capacity_excess` 14.17 for `fat-tree:8|edf|admit-all`. The core
+//! engine's `edf` run per bucket keeps each bucket, not their union,
+//! within capacity (still 1.08 / 0.82 / 5.83 over), at 4.7–4.8× the
+//! shard's own planning time (EXPERIMENTS.md, "Why the daemon keeps its
+//! pacer"): capacity safety needs one per-link account shared by the
+//! buckets. Link churn, by contrast, is safe: a failure re-plans from
+//! the shard clock every admitted flow whose plan rides the failed link,
+//! and a flow left without a route plans nothing until a recovery
+//! re-plans it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +81,5 @@ pub use protocol::{
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{ServeOutcome, Server, ServerConfig, ServerError, TopologySpec};
-pub use snapshot::{
-    BucketState, FlowRecord, PlanRecord, SnapshotError, SnapshotFile, SNAPSHOT_VERSION,
-};
+pub use snapshot::{BucketState, FlowRecord, SnapshotError, SnapshotFile, SNAPSHOT_VERSION};
 pub use worker::{serve_fmcf_config, EngineSettings, ServePolicy};

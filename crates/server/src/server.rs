@@ -293,7 +293,7 @@ impl Server {
             return Err(ServerError::Config("--queue-depth must be positive".into()));
         }
         let built = config.topology.build();
-        let graph = GraphCsr::from_network(&built.network);
+        let mut graph = GraphCsr::from_network(&built.network);
         let mut hosts = vec![false; built.network.node_count()];
         for &h in &built.hosts {
             hosts[h.index()] = true;
@@ -308,16 +308,25 @@ impl Server {
             }
             _ => None,
         };
-        let (flows_assigned, assignments, mut states) = match snapshot {
+        let (flows_assigned, assignments, mut states, down) = match snapshot {
             Some(file) => {
                 let mut states: BTreeMap<usize, BucketState> = BTreeMap::new();
                 for bucket in file.buckets {
                     states.insert(bucket.bucket, bucket);
                 }
-                (file.flows_assigned, file.assignments, states)
+                let down: Vec<LinkId> = file.down_links.into_iter().map(LinkId).collect();
+                (file.flows_assigned, file.assignments, states, down)
             }
-            None => (0, Vec::new(), BTreeMap::new()),
+            None => (0, Vec::new(), BTreeMap::new(), Vec::new()),
         };
+        // The fabric the daemon left: the router and every shard route on it.
+        for &link in &down {
+            if link.0 >= graph.link_count() {
+                let why = format!("snapshot down link {} does not exist", link.0);
+                return Err(ServerError::Config(why));
+            }
+            graph.fail_link(link);
+        }
 
         let settings = EngineSettings {
             power: config.power,
@@ -342,6 +351,7 @@ impl Server {
                 .collect();
             let spec = config.topology;
             let settings = settings.clone();
+            let down = down.clone();
             let ready = ready_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("shard-worker-{worker}"))
@@ -358,7 +368,8 @@ impl Server {
                             None => ShardEngine::new(&built.network, settings.clone(), bucket),
                         };
                         match engine {
-                            Ok(engine) => {
+                            Ok(mut engine) => {
+                                engine.restore_down_links(&down);
                                 engines.insert(bucket, engine);
                             }
                             Err(e) => {
@@ -680,6 +691,7 @@ impl Server {
             seed: self.config.seed,
             flows_assigned: self.flows_assigned,
             assignments: self.assignments.clone(),
+            down_links: self.graph.down_links().map(|link| link.0).collect(),
             buckets,
         })
     }

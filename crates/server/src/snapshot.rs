@@ -2,48 +2,52 @@
 //!
 //! A snapshot captures everything a restarted daemon needs to keep
 //! making *bit-identical* decisions: per-bucket logical clocks, event
-//! counters (they seed `resolve` re-solves), the full flow ledgers with
-//! delivered volumes, the currently committed plans, and the stitched
-//! history of what those plans already delivered. The file also pins the
-//! configuration the state was produced under (topology, policy,
-//! admission, seed); [`crate::Server`] refuses to restore a snapshot
-//! whose configuration does not match its own, because the state would
-//! silently mean something else.
+//! counters (they seed `resolve` re-solves), and one record per admitted
+//! flow — the flow, its delivery state and its schedule. The file also
+//! pins the configuration the state was produced under (topology, policy,
+//! admission, seed); [`crate::Server`] refuses to restore a snapshot whose
+//! configuration does not match its own, because the state would silently
+//! mean something else.
+//!
+//! # Layout version 2
+//!
+//! The file records the links down in the fabric once, and a shard
+//! stores each flow's schedule once, as one [`FlowSchedule`]: what
+//! it delivered up to the bucket clock and what it plans after, in one
+//! profile. A [`FlowRecord`] carries that schedule losslessly — the
+//! flow's latest path, its stored pieces in stored order, and, only for a
+//! flow that moved (a `resolve` re-solve or a link event re-planned it
+//! onto another route), its stored pieces on every link it used, so what
+//! it delivered before the move stays on the links it took then. Version 1
+//! kept a second, stitched copy of each flow's past on one path; a version
+//! 1 file is refused with the typed version error of [`SnapshotFile::load`].
 //!
 //! The same dump doubles as the daemon's audit artifact: the serve bench
-//! reads the final snapshot back and rebuilds the stitched [`Schedule`]
-//! (committed history plus each live flow's remaining plan) to account
-//! energy, misses and capacity excess — see [`SnapshotFile::schedule`].
+//! reads the final snapshot back and turns each record into its
+//! [`FlowSchedule`] to account energy, misses and capacity excess — see
+//! [`SnapshotFile::schedule`].
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path as FsPath;
 
-use dcn_core::{FlowSchedule, Schedule};
+use dcn_core::{FlowSchedule, LedgerEntry, Schedule};
+use dcn_flow::{Flow, FlowId};
 use dcn_power::RateProfile;
-use dcn_topology::{Network, NodeId, Path};
+use dcn_topology::{LinkId, Network, NodeId, Path};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::PlanSegment;
+use crate::worker::rendered_delivery;
 
-/// Typed errors of [`SnapshotFile::schedule`] — everything that can make
-/// a dump unreconstructable on the restore host.
+/// Typed errors of a snapshot's records — everything that can make a dump
+/// unbelievable on the restore host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// A recorded flow id does not fit the platform's `usize`. Flow ids
-    /// are `u64` on the wire; on 32-bit targets an `as usize` cast would
-    /// silently truncate and alias two distinct flows, so the overflow is
-    /// an error instead.
-    FlowIdOverflow {
-        /// The id that does not fit.
-        id: u64,
-    },
-    /// A recorded routing path does not exist on the restore network.
-    InvalidPath {
-        /// The flow whose path is broken.
-        flow: u64,
-        /// What the path validation rejected.
-        reason: String,
-    },
+    /// A record does not describe a valid flow, delivery state, path or
+    /// rate piece on the restore network; the message names the bucket, the
+    /// flow and the field.
+    InvalidRecord(String),
     /// The snapshot contains no served flows, so there is no schedule to
     /// rebuild.
     Empty,
@@ -52,15 +56,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::FlowIdOverflow { id } => {
-                write!(
-                    f,
-                    "snapshot flow id {id} does not fit this platform's usize"
-                )
-            }
-            Self::InvalidPath { flow, reason } => {
-                write!(f, "snapshot path of flow {flow} is invalid: {reason}")
-            }
+            Self::InvalidRecord(why) => f.write_str(why),
             Self::Empty => write!(f, "snapshot holds no served flows"),
         }
     }
@@ -69,10 +65,10 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Version stamp of the snapshot layout.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// One admitted flow as dumped by a shard: the original request plus its
-/// delivery state.
+/// One admitted flow as dumped by a shard: the original request, its
+/// delivery state and its schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowRecord {
     /// Server-assigned flow id.
@@ -93,18 +89,128 @@ pub struct FlowRecord {
     pub retired: bool,
     /// Whether it retired with undelivered volume.
     pub missed: bool,
+    /// Node ids of the flow's routing path (its latest), source first.
+    pub path: Vec<usize>,
+    /// The stored pieces of the flow's schedule — delivered up to the
+    /// bucket clock, planned after it — in stored (time) order.
+    pub pieces: Vec<PlanSegment>,
+    /// For a flow that moved: every link it used, by link id, with its
+    /// stored pieces there. Empty when the flow runs `pieces` on every link
+    /// of `path` and nowhere else.
+    pub links: Vec<(usize, Vec<PlanSegment>)>,
 }
 
-/// A rate plan as dumped by a shard: path (node ids) plus constant-rate
-/// segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlanRecord {
-    /// The flow the plan belongs to.
-    pub flow: u64,
-    /// Node ids of the routing path, source first.
-    pub path: Vec<usize>,
-    /// Constant-rate segments, in time order.
-    pub segments: Vec<PlanSegment>,
+impl FlowRecord {
+    /// The record of an admitted ledger entry and its schedule.
+    pub(crate) fn new(entry: &LedgerEntry, schedule: &FlowSchedule) -> Self {
+        let flow = &entry.flow;
+        let (path, profile) = (schedule.path.clone(), schedule.profile.clone());
+        let moved = *schedule != FlowSchedule::uniform(flow.id, path, profile);
+        let links = schedule.link_profiles().filter(|_| moved);
+        Self {
+            id: flow.id as u64,
+            src: flow.src.0,
+            dst: flow.dst.0,
+            release: flow.release,
+            deadline: flow.deadline,
+            volume: flow.volume,
+            delivered: rendered_delivery(entry),
+            retired: !entry.in_flight,
+            missed: entry.missed,
+            path: schedule.path.nodes().iter().map(|n| n.0).collect(),
+            pieces: pieces(&schedule.profile),
+            links: links.map(|(link, p)| (link.0, pieces(p))).collect(),
+        }
+    }
+
+    /// The ledger entry and the schedule, on `network`, the record
+    /// describes — the schedule exactly as the shard stored it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::InvalidRecord`] for an invalid flow, delivery state
+    /// or path, an unknown or repeated link, or a piece that is not a finite
+    /// forward interval at a finite non-negative rate after the previous
+    /// one.
+    pub(crate) fn restore(
+        &self,
+        bucket: usize,
+        network: &Network,
+    ) -> Result<(LedgerEntry, FlowSchedule), SnapshotError> {
+        let invalid = |field: &str, why: &dyn fmt::Display| {
+            let flow = self.id;
+            let why = format!("snapshot bucket {bucket} flow {flow}: `{field}` is invalid: {why}");
+            SnapshotError::InvalidRecord(why)
+        };
+        // Refused where it does not fit, never truncated into another id.
+        let id = FlowId::try_from(self.id).map_err(|e| invalid("id", &e))?;
+        let (src, dst) = (NodeId(self.src), NodeId(self.dst));
+        let flow = Flow::new(id, src, dst, self.release, self.deadline, self.volume)
+            .map_err(|e| invalid("flow", &e))?;
+        if !(0.0..=self.volume).contains(&self.delivered) {
+            let why = format_args!("{} is outside [0, {}]", self.delivered, self.volume);
+            return Err(invalid("delivered", &why));
+        }
+        if self.missed && !self.retired {
+            return Err(invalid("missed", &"a missed flow is retired"));
+        }
+        let nodes: Vec<NodeId> = self.path.iter().map(|&n| NodeId(n)).collect();
+        let path = Path::from_nodes(network, &nodes).map_err(|e| invalid("path", &e))?;
+        let nominal = profile(&self.pieces).map_err(|e| invalid("pieces", &e))?;
+        let mut link_profiles = BTreeMap::new();
+        for (link, pieces) in &self.links {
+            if *link >= network.link_count() || link_profiles.contains_key(&LinkId(*link)) {
+                let why = format_args!("link {link} is unknown or repeated");
+                return Err(invalid("links", &why));
+            }
+            let pieces = profile(pieces).map_err(|e| invalid("links.pieces", &e))?;
+            link_profiles.insert(LinkId(*link), pieces);
+        }
+        let schedule = if self.links.is_empty() {
+            FlowSchedule::uniform(id, path, nominal)
+        } else {
+            FlowSchedule::per_link(id, path, nominal, link_profiles)
+        };
+        let entry = LedgerEntry {
+            flow,
+            admitted: true,
+            in_flight: !self.retired,
+            missed: self.missed,
+            delivered: self.delivered,
+            stranded: false,
+            failure_touched: false,
+        };
+        Ok((entry, schedule))
+    }
+}
+
+/// The stored pieces of a profile, in stored order.
+fn pieces(profile: &RateProfile) -> Vec<PlanSegment> {
+    let pieces = profile.pieces().iter();
+    pieces
+        .map(|&(start, end, rate)| PlanSegment { start, end, rate })
+        .collect()
+}
+
+/// Stored pieces back into a profile, refusing what
+/// [`RateProfile::add_rate`] would assert and a piece that starts before
+/// the previous one ends: a shard stores its pieces in time order, and
+/// re-plans cut them from the back.
+fn profile(pieces: &[PlanSegment]) -> Result<RateProfile, String> {
+    let mut profile = RateProfile::new();
+    let mut previous_end = f64::NEG_INFINITY;
+    for &PlanSegment { start, end, rate } in pieces {
+        let sound = start.is_finite() && end.is_finite() && end >= start;
+        if !(sound && rate.is_finite() && rate >= 0.0) {
+            return Err(format!("[{start}, {end}) at rate {rate}"));
+        }
+        if start < previous_end {
+            return Err(format!("[{start}, {end}) starts before {previous_end}"));
+        }
+        profile.add_rate(start, end, rate);
+        previous_end = end;
+    }
+    Ok(profile)
 }
 
 /// The complete dump of one logical shard (pod bucket).
@@ -120,10 +226,6 @@ pub struct BucketState {
     pub rejected: Vec<u64>,
     /// Every admitted flow, live and retired, in id order.
     pub flows: Vec<FlowRecord>,
-    /// The plan currently committed for each live flow.
-    pub plans: Vec<PlanRecord>,
-    /// The stitched already-delivered history per flow.
-    pub committed: Vec<PlanRecord>,
 }
 
 /// The snapshot file: configuration pin plus every bucket's state.
@@ -143,8 +245,18 @@ pub struct SnapshotFile {
     pub flows_assigned: u64,
     /// Bucket owning each assigned flow id, dense by id.
     pub assignments: Vec<usize>,
+    /// Ids of the links down in the fabric. A link event reaches every
+    /// shard, so this is the router's view and each bucket's alike; a
+    /// restarted daemon routes and plans on the fabric it left.
+    pub down_links: Vec<usize>,
     /// Per-bucket dumps, in bucket order.
     pub buckets: Vec<BucketState>,
+}
+
+/// The one field every snapshot layout shares.
+#[derive(Deserialize)]
+struct Layout {
+    version: u32,
 }
 
 impl SnapshotFile {
@@ -179,85 +291,55 @@ impl SnapshotFile {
     /// # Errors
     ///
     /// Returns a message for unreadable files, invalid JSON, or an
-    /// unsupported layout version.
+    /// unsupported layout version (also when that layout does not decode
+    /// as this one).
     pub fn load(path: &FsPath) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))?;
-        let snapshot: SnapshotFile = serde_json::from_str(&text)
-            .map_err(|e| format!("snapshot {} is not valid JSON: {e}", path.display()))?;
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot {} has layout version {} (this build reads {SNAPSHOT_VERSION})",
-                path.display(),
-                snapshot.version
-            ));
+        let unsupported = |version: u32| {
+            format!(
+                "snapshot {} has layout version {version} (this build reads {SNAPSHOT_VERSION})",
+                path.display()
+            )
+        };
+        match serde_json::from_str::<SnapshotFile>(&text) {
+            Ok(snapshot) if snapshot.version == SNAPSHOT_VERSION => Ok(snapshot),
+            Ok(snapshot) => Err(unsupported(snapshot.version)),
+            Err(e) => Err(match serde_json::from_str::<Layout>(&text) {
+                Ok(Layout { version }) if version != SNAPSHOT_VERSION => unsupported(version),
+                _ => format!("snapshot {} is not valid JSON: {e}", path.display()),
+            }),
         }
-        Ok(snapshot)
     }
 
-    /// Rebuilds the stitched schedule the daemon has committed to: per
-    /// flow, the already-delivered history plus the current plan's
-    /// remaining tail (from the bucket clock onwards). The horizon spans
-    /// the earliest release to the latest of deadline and plan end, so
-    /// idle energy is accounted the same way the batch harness does.
+    /// The schedule the daemon has committed to: every record's
+    /// [`FlowSchedule`] — delivered past and planned future — in bucket and
+    /// id order. The horizon spans the earliest release to the latest of
+    /// deadline and activity, so idle energy is accounted the same way the
+    /// batch harness does.
     ///
     /// # Errors
     ///
-    /// Rejects snapshots whose paths do not exist on `network`, whose
-    /// flow ids overflow `usize`, or that hold no served flows.
+    /// Rejects records that do not describe a valid flow and schedule on
+    /// `network`, and snapshots that hold no served flows.
     pub fn schedule(&self, network: &Network) -> Result<Schedule, SnapshotError> {
-        let mut flow_schedules = Vec::new();
-        let mut start = f64::INFINITY;
-        let mut end = f64::NEG_INFINITY;
+        let mut flow_schedules = Vec::with_capacity(self.flow_count());
+        let (mut start, mut end) = (f64::INFINITY, f64::NEG_INFINITY);
         for bucket in &self.buckets {
-            let clock = bucket.clock.unwrap_or(f64::NEG_INFINITY);
             for record in &bucket.flows {
-                start = start.min(record.release);
-                end = end.max(record.deadline);
-                let committed = bucket.committed.iter().find(|p| p.flow == record.id);
-                let plan = bucket.plans.iter().find(|p| p.flow == record.id);
-                let mut profile = RateProfile::new();
-                if let Some(history) = committed {
-                    add_segments(&mut profile, &history.segments, f64::NEG_INFINITY, clock);
+                let (entry, schedule) = record.restore(bucket.bucket, network)?;
+                start = start.min(entry.flow.release);
+                end = end.max(entry.flow.deadline);
+                if let Some((_, active_end)) = schedule.activity_span() {
+                    end = end.max(active_end);
                 }
-                if let Some(plan) = plan {
-                    // Only the not-yet-delivered tail: the slice before
-                    // the clock is already part of the history.
-                    add_segments(&mut profile, &plan.segments, clock, f64::INFINITY);
-                }
-                let path_record = plan.or(committed);
-                let Some(path_record) = path_record else {
-                    continue; // Admitted but never served (zero-length plan).
-                };
-                let flow_id = usize::try_from(record.id)
-                    .map_err(|_| SnapshotError::FlowIdOverflow { id: record.id })?;
-                let nodes: Vec<NodeId> = path_record.path.iter().map(|&n| NodeId(n)).collect();
-                let path =
-                    Path::from_nodes(network, &nodes).map_err(|e| SnapshotError::InvalidPath {
-                        flow: record.id,
-                        reason: e.to_string(),
-                    })?;
-                if let Some((_, profile_end)) = profile.span() {
-                    end = end.max(profile_end);
-                }
-                flow_schedules.push(FlowSchedule::uniform(flow_id, path, profile));
+                flow_schedules.push(schedule);
             }
         }
         if flow_schedules.is_empty() {
             return Err(SnapshotError::Empty);
         }
         Ok(Schedule::new(flow_schedules, (start, end)))
-    }
-}
-
-/// Adds the segments clipped to `[from, to]` to a profile.
-fn add_segments(profile: &mut RateProfile, segments: &[PlanSegment], from: f64, to: f64) {
-    for segment in segments {
-        let start = segment.start.max(from);
-        let end = segment.end.min(to);
-        if end > start && segment.rate > 0.0 {
-            profile.add_rate(start, end, segment.rate);
-        }
     }
 }
 
@@ -275,7 +357,39 @@ mod tests {
             seed: 1,
             flows_assigned: 1,
             assignments: vec![0],
+            down_links: Vec::new(),
             buckets,
+        }
+    }
+
+    fn record(path: Vec<usize>) -> FlowRecord {
+        FlowRecord {
+            id: 7,
+            src: 0,
+            dst: 2,
+            release: 0.0,
+            deadline: 2.0,
+            volume: 1.0,
+            delivered: 0.0,
+            retired: false,
+            missed: false,
+            path,
+            pieces: vec![PlanSegment {
+                start: 0.0,
+                end: 1.0,
+                rate: 1.0,
+            }],
+            links: Vec::new(),
+        }
+    }
+
+    fn bucket(flows: Vec<FlowRecord>) -> BucketState {
+        BucketState {
+            bucket: 0,
+            clock: Some(0.0),
+            events: 1,
+            rejected: Vec::new(),
+            flows,
         }
     }
 
@@ -292,47 +406,86 @@ mod tests {
     #[test]
     fn broken_paths_yield_a_typed_error_naming_the_flow() {
         let built = builders::line(3);
-        let snapshot = snapshot_with(vec![BucketState {
-            bucket: 0,
-            clock: Some(0.0),
-            events: 1,
-            rejected: Vec::new(),
-            flows: vec![FlowRecord {
-                id: 7,
-                src: 0,
-                dst: 2,
-                release: 0.0,
-                deadline: 2.0,
-                volume: 1.0,
-                delivered: 0.0,
-                retired: false,
-                missed: false,
-            }],
-            plans: vec![PlanRecord {
-                flow: 7,
-                // Node 99 does not exist on a 3-node line.
-                path: vec![0, 99, 2],
-                segments: vec![PlanSegment {
-                    start: 0.0,
-                    end: 1.0,
-                    rate: 1.0,
-                }],
-            }],
-            committed: Vec::new(),
-        }]);
-        match snapshot.schedule(&built.network).unwrap_err() {
-            SnapshotError::InvalidPath { flow, .. } => assert_eq!(flow, 7),
-            other => panic!("expected InvalidPath, got {other:?}"),
-        }
+        // Node 99 does not exist on a 3-node line.
+        let snapshot = snapshot_with(vec![bucket(vec![record(vec![0, 99, 2])])]);
+        let err = snapshot.schedule(&built.network).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::InvalidRecord(why)
+                if why.starts_with("snapshot bucket 0 flow 7: `path` is invalid")),
+            "expected an invalid path, got {err:?}"
+        );
     }
 
     #[test]
-    fn overflow_errors_render_the_offending_id() {
-        // `usize::try_from(u64)` cannot fail on 64-bit hosts, so the
-        // variant is exercised directly: what matters is that the error
-        // names the id instead of silently truncating it like the old
-        // `as usize` cast did on 32-bit targets.
-        let err = SnapshotError::FlowIdOverflow { id: u64::MAX };
-        assert!(err.to_string().contains(&u64::MAX.to_string()));
+    fn records_carry_a_moved_schedule_losslessly() {
+        let built = builders::fat_tree(4);
+        let mut graph = built.csr();
+        let (src, dst) = (built.hosts[0], built.hosts[15]);
+        let first = graph.shortest_path(src, dst).unwrap();
+        graph.fail_link(first.links()[2]);
+        let second = graph.shortest_path(src, dst).unwrap();
+        let flow = Flow::new(3, src, dst, 0.0, 10.0, 8.0).unwrap();
+        let planned = RateProfile::constant(0.0, 10.0, 0.8);
+        let mut schedule = FlowSchedule::uniform(3, first.clone(), planned);
+        let leg = FlowSchedule::uniform(3, second, RateProfile::constant(4.0, 9.0, 1.28));
+        schedule.replan(4.0, Some(&leg));
+        let entry = LedgerEntry {
+            flow,
+            admitted: true,
+            in_flight: true,
+            missed: false,
+            delivered: 3.2,
+            stranded: false,
+            failure_touched: false,
+        };
+        let written = FlowRecord::new(&entry, &schedule);
+        assert!(!written.links.is_empty(), "a moved flow lists its links");
+        let text = serde_json::to_string(&written).unwrap();
+        let read: FlowRecord = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            read.restore(0, &built.network).unwrap(),
+            (entry.clone(), schedule)
+        );
+
+        // A flow that never moved is its path and pieces alone.
+        let still = FlowSchedule::uniform(3, first, RateProfile::constant(0.0, 10.0, 0.8));
+        let written = FlowRecord::new(&entry, &still);
+        assert!(written.links.is_empty());
+        assert_eq!(written.restore(0, &built.network).unwrap(), (entry, still));
+    }
+
+    #[test]
+    fn pieces_out_of_time_order_are_refused() {
+        let built = builders::line(3);
+        let mut overlapping = record(vec![0, 1, 2]);
+        overlapping.pieces.push(PlanSegment {
+            start: 0.5,
+            end: 1.5,
+            rate: 1.0,
+        });
+        let err = overlapping.restore(0, &built.network).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("`pieces` is invalid: [0.5, 1.5) starts before 1"));
+    }
+
+    #[test]
+    fn a_version_1_file_gets_the_version_error() {
+        // Version 1 kept `plans` and a `committed` history beside records
+        // without a schedule: it does not decode as version 2.
+        let v1 = r#"{"version": 1, "topology": "line:3", "policy": "edf",
+            "admission": "admit-all", "seed": 1, "flows_assigned": 1, "assignments": [0],
+            "buckets": [{"bucket": 0, "clock": 1.0, "events": 1, "rejected": [],
+              "flows": [{"id": 0, "src": 0, "dst": 2, "release": 0.0, "deadline": 2.0,
+                "volume": 1.0, "delivered": 0.5, "retired": false, "missed": false}],
+              "plans": [], "committed": []}]}"#;
+        let path = std::env::temp_dir().join(format!("dcn-snapshot-v1-{}", std::process::id()));
+        std::fs::write(&path, v1).unwrap();
+        let err = SnapshotFile::load(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            err.ends_with("has layout version 1 (this build reads 2)"),
+            "{err}"
+        );
     }
 }

@@ -3,16 +3,22 @@
 //! time.
 //!
 //! A [`ShardEngine`] owns everything one logical shard (pod bucket)
-//! needs to answer requests: the residual state of its admitted flows,
-//! the rate plan currently committed for each, and the stitched history
-//! of what those plans already delivered. Time is the *logical* clock of
-//! the request stream — each submission advances the shard to the flow's
-//! release time, credits every live flow with the volume its plan
-//! delivered in the meantime, retires completed or expired flows, and
-//! only then decides admission. Nothing reads the wall clock, so a
-//! shard's decisions are a pure function of the subsequence of requests
-//! routed to it — the bedrock of the daemon's determinism contract (same
-//! request stream, same replies, at any `--shard-workers` width).
+//! needs to answer requests: the residual state of its admitted flows and
+//! one [`FlowSchedule`] per flow, stored once — the path and rate it
+//! delivered on up to the shard clock and the plan it follows after. Time
+//! is the *logical* clock of the request stream — each submission advances
+//! the shard to the flow's release time, credits every live flow with the
+//! volume its schedule delivers in the meantime, retires completed or
+//! expired flows, and only then decides admission. Nothing reads the wall
+//! clock, so a shard's decisions are a pure function of the subsequence of
+//! requests routed to it — the bedrock of the daemon's determinism
+//! contract (same request stream, same replies, at any `--shard-workers`
+//! width).
+//!
+//! A plan is written once, at admission. Every re-plan — a `resolve`
+//! re-solve, or a link event that severs a plan — cuts the schedule at the
+//! clock and appends the new leg ([`FlowSchedule::replan`]), so a flow that
+//! moves keeps what it delivered on the links it delivered it on.
 //!
 //! The flow state itself (retire rule, residual builder, volume tolerance)
 //! is the core [`InFlightLedger`], and admission is the core
@@ -21,22 +27,22 @@
 //! `greedy` pace only the newcomer, O(1) per submission, and keep **no
 //! per-link account** — see "What the daemon does not guarantee" in
 //! [`crate`]'s docs and EXPERIMENTS.md ("Why `dcn-server` keeps its own
-//! planners") for the measured price of the alternative.
+//! planners", "Why the daemon keeps its pacer") for the measured price of
+//! the alternative.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use dcn_core::online::{AdmissionRule, InFlightLedger, PathCache, WorldView};
-use dcn_core::{Algorithm, AlgorithmRegistry, LedgerEntry, SolveError, SolverContext};
+use dcn_core::{
+    Algorithm, AlgorithmRegistry, FlowSchedule, LedgerEntry, SolveError, SolverContext,
+};
 use dcn_flow::{Flow, FlowId};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
-use dcn_topology::{LinkId, Network, NodeId, Path, TopologyEvent};
+use dcn_topology::{LinkId, Network, Path, TopologyEvent};
 
 use crate::protocol::{PlanSegment, WirePlan};
-use crate::snapshot::{BucketState, FlowRecord, PlanRecord};
+use crate::snapshot::{BucketState, FlowRecord};
 
 /// How a shard plans rates for admitted flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,14 +105,6 @@ pub struct EngineSettings {
     pub seed: u64,
 }
 
-/// The committed plan of one live flow: its path and the rate profile
-/// from the shard clock onwards.
-#[derive(Debug, Clone)]
-struct Plan {
-    path: Arc<Path>,
-    profile: RateProfile,
-}
-
 /// The Frank–Wolfe configuration shards use for admission probes: the
 /// benchmark harness's serving-grade settings
 /// (fewer iterations and a looser tolerance than the offline default).
@@ -126,16 +124,15 @@ pub struct ShardEngine<'net> {
     ctx: SolverContext<'net>,
     settings: EngineSettings,
     algorithm: Option<Box<dyn Algorithm>>,
-    /// The bucket's admitted flows. A ledger id is bucket-local (`plans`
-    /// and `committed` are keyed by it); the entry's `flow.id` is the
-    /// global id. Submissions reach a bucket in ascending global id, so
-    /// local → global is an index and global → local a binary search.
+    /// The bucket's admitted flows. A ledger id is bucket-local
+    /// (`schedules` is indexed by it); the entry's `flow.id` is the global
+    /// id. Submissions reach a bucket in ascending global id, so local →
+    /// global is an index and global → local a binary search.
     ledger: InFlightLedger,
-    plans: BTreeMap<FlowId, Plan>,
-    /// The stitched history of every flow that delivered anything,
-    /// indexed by ledger id like the ledger itself (a dense table: every
-    /// live plan's history is one index away at each submission).
-    committed: Vec<Option<Plan>>,
+    /// Each admitted flow's schedule, by ledger id and labelled with the
+    /// global id, its pieces in time order: a plan is one piece, and a
+    /// re-plan cuts at the clock before it appends the leg.
+    schedules: Vec<FlowSchedule>,
     /// Global ids of the flows turned away (snapshots carry no flow data
     /// for them, so they never stay in the ledger).
     rejected: BTreeSet<FlowId>,
@@ -169,8 +166,7 @@ impl<'net> ShardEngine<'net> {
             settings,
             algorithm,
             ledger: InFlightLedger::new(),
-            plans: BTreeMap::new(),
-            committed: Vec::new(),
+            schedules: Vec::new(),
             rejected: BTreeSet::new(),
             paths: PathCache::new(),
             clock: f64::NEG_INFINITY,
@@ -178,65 +174,33 @@ impl<'net> ShardEngine<'net> {
         })
     }
 
-    /// Advances the shard to `now`: credits every live flow with the
-    /// volume its plan delivered over `[clock, now)`, stitches that slice
-    /// into the committed history, and retires done or expired flows.
-    ///
-    /// The slice is appended segment by segment, clipped to the window —
-    /// what `RateProfile::restricted` would build, without building it. A
-    /// paced plan is one stored piece, which is its own segment list; only
-    /// a re-solved plan with several pieces has them merged first. A
-    /// carried-on plan extends its history's last piece instead of adding
-    /// one per submission.
+    /// Advances the shard to `now`: credits every live flow with what its
+    /// schedule delivers over `[clock, now)`, then retires done or expired
+    /// flows — a retired flow keeps what it delivered and drops what it
+    /// still planned after `now`.
     fn advance(&mut self, now: f64) {
         if now <= self.clock {
             return;
         }
-        let from = self.clock;
-        for (&id, plan) in &self.plans {
-            let delivered = plan.profile.volume_between(from, now);
-            if delivered <= 0.0 {
-                continue;
-            }
-            self.ledger.credit(id, delivered);
-            let segments = match plan.profile.pieces() {
-                one @ [_] => Cow::Borrowed(one),
-                _ => Cow::Owned(plan.profile.segments()),
-            };
-            if self.committed.len() <= id {
-                self.committed.resize_with(id + 1, || None);
-            }
-            let history = self.committed[id].get_or_insert_with(|| Plan {
-                path: plan.path.clone(),
-                profile: RateProfile::new(),
-            });
-            // Only a re-solve moves a flow to another path.
-            if !Arc::ptr_eq(&history.path, &plan.path) {
-                history.path = plan.path.clone();
-            }
-            for &(start, end, rate) in segments.iter() {
-                let (lo, hi) = (start.max(from), end.min(now));
-                if hi > lo {
-                    history.profile.append_rate(lo, hi, rate);
-                }
+        let live: Vec<FlowId> = self.ledger.live().collect();
+        for id in live {
+            let delivered = self.schedules[id].profile.volume_between(self.clock, now);
+            if delivered > 0.0 {
+                self.ledger.credit(id, delivered);
             }
         }
         self.clock = now;
         for id in self.ledger.retire(now) {
-            self.plans.remove(&id);
+            self.schedules[id].replan(now, None);
         }
     }
 
     /// Handles one flow submission: advance, admission check, plan, and
-    /// commit. Answers the committed plan, or why the flow was turned
+    /// commit. Answers the newcomer's plan, or why the flow was turned
     /// away. Never panics; every failure mode becomes a rejection.
     pub fn submit(&mut self, flow: Flow) -> Result<WirePlan, String> {
         self.events += 1;
-        let now = flow.release.max(if self.clock.is_finite() {
-            self.clock
-        } else {
-            flow.release
-        });
+        let now = flow.release.max(self.clock);
         self.advance(now);
         let global = flow.id;
         let last = self.ledger.entries().last().map(|e| e.flow.id);
@@ -260,7 +224,6 @@ impl<'net> ShardEngine<'net> {
             if verdict.is_err() {
                 // A rejected candidate leaves no trace in the ledger.
                 self.ledger.pop();
-                self.plans.remove(&local);
             }
             verdict
         };
@@ -277,7 +240,8 @@ impl<'net> ShardEngine<'net> {
     }
 
     /// Runs the admission rule on the revealed candidate `local` and, when
-    /// it passes, admits and plans it. The error is the rejection reason.
+    /// it passes, admits and plans it. The error is the rejection reason;
+    /// a rejected candidate leaves every schedule as it was.
     fn admit_and_plan(&mut self, local: FlowId) -> Result<WirePlan, String> {
         let world = WorldView::new(&self.ledger, self.clock);
         let feasible = self
@@ -290,43 +254,47 @@ impl<'net> ShardEngine<'net> {
         }
         self.ledger.admit(local);
         match self.settings.policy {
-            ServePolicy::Edf => self.plan_paced(local, false),
-            ServePolicy::Greedy => self.plan_paced(local, true),
-            ServePolicy::Resolve => self.plan_resolved(),
+            ServePolicy::Edf | ServePolicy::Greedy => {
+                self.paced(local).map(|plan| self.schedules.push(plan))
+            }
+            ServePolicy::Resolve => self.replan_resolved(),
         }
         .map_err(|e| format!("planning failed: {e}"))?;
-        Ok(wire_plan(&self.plans[&local]))
+        Ok(wire_plan(&self.schedules[local]))
     }
 
-    /// Plans the new flow alone at a constant rate on its fewest-hop
-    /// path: the required rate (EDF pacing) or the path bottleneck
-    /// (greedy full blast). Existing plans are untouched — under constant
-    /// pacing, a flow that tracks its plan keeps its required rate.
-    fn plan_paced(&mut self, local: FlowId, full_blast: bool) -> Result<(), SolveError> {
-        let flow = &self.ledger.entries()[local].flow;
+    /// The paced leg of live flow `id` from the clock on: its remaining
+    /// volume at the required rate (EDF pacing) or at its path's bottleneck
+    /// (greedy full blast), at a constant rate on its fewest-hop path of the
+    /// current fabric. Other flows are untouched — under constant pacing, a
+    /// flow that tracks its plan keeps its required rate.
+    fn paced(&mut self, id: FlowId) -> Result<FlowSchedule, SolveError> {
+        let entry = &self.ledger.entries()[id];
+        let flow = &entry.flow;
         let path = self
             .paths
             .shortest(&self.ctx, flow.id, flow.src, flow.dst)?;
-        let span = flow.deadline - flow.release;
-        let rate = if full_blast {
+        let (start, volume) = (self.clock, flow.volume - entry.delivered);
+        let span = flow.deadline - start;
+        let rate = if self.settings.policy == ServePolicy::Greedy {
             let bottleneck = path
                 .links()
                 .iter()
                 .map(|&l| self.ctx.graph().capacity(l))
                 .fold(self.settings.power.capacity(), f64::min);
-            bottleneck.max(flow.volume / span)
+            bottleneck.max(volume / span)
         } else {
-            flow.volume / span
+            volume / span
         };
-        let duration = (flow.volume / rate).min(span);
-        let profile = RateProfile::constant(flow.release, flow.release + duration, rate);
-        self.plans.insert(local, Plan { path, profile });
-        Ok(())
+        let duration = (volume / rate).min(span);
+        let profile = RateProfile::constant(start, start + duration, rate);
+        Ok(FlowSchedule::uniform(flow.id, Path::clone(&path), profile))
     }
 
-    /// Re-solves the whole residual instance and replaces every live
-    /// flow's plan with the fresh schedule.
-    fn plan_resolved(&mut self) -> Result<(), SolveError> {
+    /// Re-solves the whole residual instance and re-plans every live flow
+    /// onto its fresh leg from the clock (a newcomer's schedule is its leg
+    /// alone). A failed solve changes nothing.
+    fn replan_resolved(&mut self) -> Result<(), SolveError> {
         let (set, originals) = self.ledger.residual(self.clock, None)?;
         let algorithm = self
             .algorithm
@@ -343,23 +311,24 @@ impl<'net> ShardEngine<'net> {
         let schedule = solution.schedule.ok_or_else(|| SolveError::InvalidInput {
             reason: "the resolve algorithm produced no schedule".to_string(),
         })?;
-        let mut fresh: BTreeMap<FlowId, Plan> = BTreeMap::new();
-        for (residual_id, &original) in originals.iter().enumerate() {
-            let fs =
+        let legs = (0..originals.len())
+            .map(|residual_id| {
                 schedule
                     .flow_schedule(residual_id)
                     .ok_or_else(|| SolveError::InvalidInput {
                         reason: format!("re-solve left residual flow {residual_id} unscheduled"),
-                    })?;
-            fresh.insert(
-                original,
-                Plan {
-                    path: Arc::new(fs.path.clone()),
-                    profile: fs.profile.clone(),
-                },
-            );
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        for (&id, leg) in originals.iter().zip(legs) {
+            if id == self.schedules.len() {
+                let global = self.ledger.entries()[id].flow.id;
+                let path = leg.path.clone();
+                self.schedules
+                    .push(FlowSchedule::uniform(global, path, RateProfile::new()));
+            }
+            self.schedules[id].replan(self.clock, Some(leg));
         }
-        self.plans = fresh;
         Ok(())
     }
 
@@ -384,65 +353,68 @@ impl<'net> ShardEngine<'net> {
         (state, delivered, entry.flow.volume - delivered)
     }
 
-    /// Applies a link failure or recovery to the shard's solver context.
-    /// Subsequent plans and re-solves see the updated fabric (the graph
-    /// epoch bump invalidates the path cache and warm-start fingerprints
-    /// automatically). Returns whether the link state actually changed.
+    /// Applies a link failure or recovery to the shard's solver context
+    /// (the graph epoch bump invalidates the path cache and warm-start
+    /// fingerprints automatically) and, when the fabric changed, re-plans
+    /// from the clock every live flow whose schedule after the clock rides
+    /// a down link or that plans nothing after the clock: `edf`/`greedy`
+    /// pace it afresh on its new fewest-hop path, `resolve` re-solves the
+    /// residual once. A flow the fabric cannot route keeps nothing after
+    /// the clock, and retires missed at its deadline unless a later
+    /// recovery re-plans it. Returns whether the link state changed.
     pub fn apply_link_event(&mut self, link: LinkId, down: bool) -> bool {
-        let time = if self.clock.is_finite() {
-            self.clock
-        } else {
-            0.0
-        };
+        // Only the link matters to the context; the time is a label.
+        let time = self.clock.max(0.0);
         let event = if down {
             TopologyEvent::LinkDown { time, link }
         } else {
             TopologyEvent::LinkUp { time, link }
         };
-        self.ctx.apply_topology_event(event)
+        let changed = self.ctx.apply_topology_event(event);
+        if changed {
+            self.replan_severed();
+        }
+        changed
+    }
+
+    /// The re-plan of [`ShardEngine::apply_link_event`].
+    fn replan_severed(&mut self) {
+        let (graph, clock) = (self.ctx.graph(), self.clock);
+        let plans_past_clock =
+            |profile: &RateProfile| profile.span().is_some_and(|(_, end)| end > clock);
+        let severed: Vec<FlowId> = (self.ledger.live())
+            .filter(|&id| {
+                let schedule = &self.schedules[id];
+                !plans_past_clock(&schedule.profile)
+                    || (schedule.link_profiles())
+                        .any(|(link, p)| !graph.is_link_up(link) && plans_past_clock(p))
+            })
+            .collect();
+        if severed.is_empty()
+            || (self.settings.policy == ServePolicy::Resolve && self.replan_resolved().is_ok())
+        {
+            return;
+        }
+        for id in severed {
+            let leg = match self.settings.policy {
+                ServePolicy::Resolve => None,
+                ServePolicy::Edf | ServePolicy::Greedy => self.paced(id).ok(),
+            };
+            self.schedules[id].replan(clock, leg.as_ref());
+        }
     }
 
     /// Dumps the shard's full state for a snapshot.
     pub fn state(&self) -> BucketState {
-        let plan_records = |plans: &mut dyn Iterator<Item = (FlowId, &Plan)>| -> Vec<PlanRecord> {
-            plans
-                .map(|(local, plan)| PlanRecord {
-                    flow: self.ledger.entries()[local].flow.id as u64,
-                    path: plan.path.nodes().iter().map(|n| n.0).collect(),
-                    segments: plan_segments(plan),
-                })
-                .collect()
-        };
         BucketState {
             bucket: self.bucket,
-            clock: if self.clock.is_finite() {
-                Some(self.clock)
-            } else {
-                None
-            },
+            clock: self.clock.is_finite().then_some(self.clock),
             events: self.events,
             rejected: self.rejected.iter().map(|&id| id as u64).collect(),
-            flows: self
-                .ledger
-                .entries()
-                .iter()
-                .map(|entry| FlowRecord {
-                    id: entry.flow.id as u64,
-                    src: entry.flow.src.0,
-                    dst: entry.flow.dst.0,
-                    release: entry.flow.release,
-                    deadline: entry.flow.deadline,
-                    volume: entry.flow.volume,
-                    delivered: rendered_delivery(entry),
-                    retired: !entry.in_flight,
-                    missed: entry.missed,
-                })
+            flows: (self.ledger.entries().iter())
+                .zip(&self.schedules)
+                .map(|(entry, schedule)| FlowRecord::new(entry, schedule))
                 .collect(),
-            plans: plan_records(&mut self.plans.iter().map(|(&local, plan)| (local, plan))),
-            committed: plan_records(
-                &mut (self.committed.iter().enumerate())
-                    .filter_map(|(local, history)| Some((local, history.as_ref()?))),
-            ),
         }
     }
 
@@ -451,7 +423,7 @@ impl<'net> ShardEngine<'net> {
     /// # Errors
     ///
     /// Propagates construction errors and answers every record that does
-    /// not describe a valid flow, delivery state, path or rate segment on
+    /// not describe a valid flow, delivery state, path or rate piece on
     /// this network with a [`SolveError::InvalidInput`] naming the bucket,
     /// the flow and the field — a damaged file never panics a worker and
     /// is never believed.
@@ -460,142 +432,192 @@ impl<'net> ShardEngine<'net> {
         settings: EngineSettings,
         state: &BucketState,
     ) -> Result<Self, SolveError> {
-        let mut engine = Self::new(network, settings, state.bucket)?;
+        let bucket = state.bucket;
+        let mut engine = Self::new(network, settings, bucket)?;
         engine.clock = state.clock.unwrap_or(f64::NEG_INFINITY);
         engine.events = state.events;
         engine.rejected = state.rejected.iter().map(|&id| id as FlowId).collect();
+        let invalid = |reason: String| SolveError::InvalidInput { reason };
         let mut entries: Vec<LedgerEntry> = Vec::with_capacity(state.flows.len());
         for record in &state.flows {
-            let entry = record.to_entry(state.bucket)?;
-            if entries
-                .last()
-                .is_some_and(|last| entry.flow.id <= last.flow.id)
-            {
-                return Err(damaged(state.bucket, record.id, "id", "ids must ascend"));
+            let (entry, schedule) =
+                (record.restore(bucket, network)).map_err(|e| invalid(e.to_string()))?;
+            if (entries.last()).is_some_and(|last| entry.flow.id <= last.flow.id) {
+                let flow = record.id;
+                return Err(invalid(format!(
+                    "snapshot bucket {bucket} flow {flow}: `id` is invalid: ids must ascend"
+                )));
             }
+            engine.schedules.push(schedule);
             entries.push(entry);
         }
         engine.ledger = InFlightLedger::restore(entries);
-        engine.plans = engine.restore_plans(network, &state.plans, "plans")?;
-        engine
-            .committed
-            .resize_with(engine.ledger.entries().len(), || None);
-        for (local, history) in engine.restore_plans(network, &state.committed, "committed")? {
-            engine.committed[local] = Some(history);
-        }
         Ok(engine)
     }
 
-    /// Rebuilds one plan map of a snapshot dump against a network, keyed
-    /// by the ledger's local ids.
-    fn restore_plans(
-        &self,
-        network: &Network,
-        records: &[PlanRecord],
-        field: &str,
-    ) -> Result<BTreeMap<FlowId, Plan>, SolveError> {
-        let mut plans = BTreeMap::new();
-        for record in records {
-            let local = self.local(record.flow as FlowId).ok_or_else(|| {
-                damaged(self.bucket, record.flow, field, "flow is not in `flows`")
-            })?;
-            plans.insert(local, record.to_plan(network, self.bucket, field)?);
+    /// Marks `links` down without re-planning anything: the fabric a
+    /// restored shard left, whose schedules already route around it.
+    pub(crate) fn restore_down_links(&mut self, links: &[LinkId]) {
+        for &link in links {
+            (self.ctx).apply_topology_event(TopologyEvent::LinkDown { time: 0.0, link });
         }
-        Ok(plans)
-    }
-}
-
-/// The typed error for a snapshot record that cannot be believed.
-fn damaged(bucket: usize, flow: u64, field: &str, why: impl std::fmt::Display) -> SolveError {
-    SolveError::InvalidInput {
-        reason: format!("snapshot bucket {bucket} flow {flow}: `{field}` is invalid: {why}"),
-    }
-}
-
-impl PlanRecord {
-    fn to_plan(&self, network: &Network, bucket: usize, field: &str) -> Result<Plan, SolveError> {
-        let nodes: Vec<_> = self.path.iter().map(|&n| NodeId(n)).collect();
-        let path = Path::from_nodes(network, &nodes)
-            .map(Arc::new)
-            .map_err(|e| damaged(bucket, self.flow, &format!("{field}.path"), e))?;
-        let mut profile = RateProfile::new();
-        for segment in &self.segments {
-            let (start, end, rate) = (segment.start, segment.end, segment.rate);
-            // Exactly what `RateProfile::add_rate` would assert.
-            let sound = start.is_finite() && end.is_finite() && end >= start;
-            if !(sound && rate.is_finite() && rate >= 0.0) {
-                return Err(damaged(
-                    bucket,
-                    self.flow,
-                    &format!("{field}.segments"),
-                    format_args!("[{start}, {end}) at rate {rate}"),
-                ));
-            }
-            profile.add_rate(start, end, rate);
-        }
-        Ok(Plan { path, profile })
-    }
-}
-
-impl FlowRecord {
-    fn to_entry(&self, bucket: usize) -> Result<LedgerEntry, SolveError> {
-        let flow = Flow::new(
-            self.id as FlowId,
-            NodeId(self.src),
-            NodeId(self.dst),
-            self.release,
-            self.deadline,
-            self.volume,
-        )
-        .map_err(|e| damaged(bucket, self.id, "flow", e))?;
-        if !(self.delivered >= 0.0 && self.delivered <= self.volume) {
-            return Err(damaged(
-                bucket,
-                self.id,
-                "delivered",
-                format_args!("{} is outside [0, {}]", self.delivered, self.volume),
-            ));
-        }
-        if self.missed && !self.retired {
-            return Err(damaged(
-                bucket,
-                self.id,
-                "missed",
-                "a missed flow is retired",
-            ));
-        }
-        Ok(LedgerEntry {
-            flow,
-            admitted: true,
-            in_flight: !self.retired,
-            missed: self.missed,
-            delivered: self.delivered,
-            stranded: false,
-            failure_touched: false,
-        })
     }
 }
 
 /// The delivered volume as replies and snapshots render it. The ledger's
 /// credit rule is the engine's (unclamped), so float drift in the last
 /// slice can overshoot the volume by an ulp; the wire never shows that.
-fn rendered_delivery(entry: &LedgerEntry) -> f64 {
+pub(crate) fn rendered_delivery(entry: &LedgerEntry) -> f64 {
     entry.delivered.min(entry.flow.volume)
 }
 
-/// The constant-rate segments of a plan, in time order.
-fn plan_segments(plan: &Plan) -> Vec<PlanSegment> {
-    plan.profile
-        .segments()
-        .into_iter()
-        .map(|(start, end, rate)| PlanSegment { start, end, rate })
-        .collect()
+/// Renders a flow's schedule for the wire: its path and its constant-rate
+/// segments, in time order.
+fn wire_plan(schedule: &FlowSchedule) -> WirePlan {
+    WirePlan {
+        path: schedule.path.nodes().iter().map(|n| n.0).collect(),
+        segments: (schedule.profile.segments().into_iter())
+            .map(|(start, end, rate)| PlanSegment { start, end, rate })
+            .collect(),
+    }
 }
 
-/// Renders a plan for the wire.
-fn wire_plan(plan: &Plan) -> WirePlan {
-    WirePlan {
-        path: plan.path.nodes().iter().map(|n| n.0).collect(),
-        segments: plan_segments(plan),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::{SnapshotFile, SNAPSHOT_VERSION};
+    use dcn_core::Schedule;
+    use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
+    use dcn_topology::{builders, NodeId};
+    use std::collections::BTreeMap;
+
+    /// The shard's state as the audit reads it.
+    fn audit(engine: &ShardEngine<'_>, network: &Network) -> Option<Schedule> {
+        let file = SnapshotFile {
+            version: SNAPSHOT_VERSION,
+            topology: String::new(),
+            policy: String::new(),
+            admission: String::new(),
+            seed: 0,
+            flows_assigned: 0,
+            assignments: Vec::new(),
+            down_links: Vec::new(),
+            buckets: vec![engine.state()],
+        };
+        file.schedule(network).ok()
+    }
+
+    /// `a` and `b` agree to 1e-12, relative.
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
+    /// Drives one shard through 120 flows of fat-tree(4) at load 8 with
+    /// link 6 → 4 down from the 40th submission to the 80th. Before every
+    /// submission it logs the links each flow's schedule rides up to the
+    /// submission, and after it the volume the shard credited the flow
+    /// over that window. The final audit must carry the logged volume on
+    /// every link, and every flow's schedule up to the clock its ledger's
+    /// delivery. Returns the path moves seen.
+    fn credits_against_the_audit(policy: ServePolicy, seed: u64) -> usize {
+        let built = builders::fat_tree(4);
+        let network = &built.network;
+        let base = UniformWorkload::paper_defaults(120, seed).generate(&built.hosts);
+        let flows = ArrivalProcess::with_load(8.0, seed).apply(&base.expect("workload"));
+        let settings = EngineSettings {
+            power: PowerFunction::speed_scaling_only(1.0, 2.0, 10.0),
+            policy,
+            admission: AdmissionRule::AdmitAll,
+            algorithm: "dcfsr".to_string(),
+            seed,
+        };
+        let mut engine = ShardEngine::new(network, settings, 0).expect("engine builds");
+        let failed = network
+            .find_link(NodeId(6), NodeId(4))
+            .expect("fat-tree link");
+        let mut logged: BTreeMap<LinkId, f64> = BTreeMap::new();
+        let mut paths: BTreeMap<FlowId, Path> = BTreeMap::new();
+        let (mut moves, mut clock) = (0, f64::NEG_INFINITY);
+        for (k, flow) in flows.expect("arrivals").iter().enumerate() {
+            if k == 40 || k == 80 {
+                assert!(engine.apply_link_event(failed, k == 40));
+            }
+            let now = flow.release.max(clock);
+            let mut windows = Vec::new();
+            for fs in audit(&engine, network)
+                .iter()
+                .flat_map(Schedule::flow_schedules)
+            {
+                if paths
+                    .insert(fs.flow, fs.path.clone())
+                    .is_some_and(|p| p != fs.path)
+                {
+                    moves += 1;
+                }
+                let links: Vec<LinkId> = (fs.link_profiles())
+                    .filter(|(_, profile)| profile.volume_between(clock, now) > 0.0)
+                    .map(|(link, _)| link)
+                    .collect();
+                if (40..80).contains(&k) {
+                    assert!(
+                        !links.contains(&failed),
+                        "flow {} rides a down link",
+                        fs.flow
+                    );
+                }
+                windows.push((fs.flow, links, engine.query(fs.flow).1));
+            }
+            engine.submit(flow.clone()).expect("admit-all admits");
+            for (id, links, before) in windows {
+                let credited = engine.query(id).1 - before;
+                for link in links {
+                    *logged.entry(link).or_default() += credited;
+                }
+            }
+            clock = now;
+        }
+
+        let schedule = audit(&engine, network).expect("the audit rebuilds");
+        let mut audited: BTreeMap<LinkId, f64> = BTreeMap::new();
+        for fs in schedule.flow_schedules() {
+            for (link, profile) in fs.link_profiles() {
+                *audited.entry(link).or_default() +=
+                    profile.volume_between(f64::NEG_INFINITY, clock);
+            }
+            let (_, delivered, _) = engine.query(fs.flow);
+            let scheduled = fs.profile.volume_between(f64::NEG_INFINITY, clock);
+            assert!(
+                close(delivered, scheduled),
+                "{} seed {seed}: flow {} delivered {delivered}, its schedule {scheduled}",
+                policy.name(),
+                fs.flow
+            );
+        }
+        audited.retain(|_, volume| *volume > 0.0);
+        logged.retain(|_, volume| *volume > 0.0);
+        assert_eq!(
+            audited.keys().collect::<Vec<_>>(),
+            logged.keys().collect::<Vec<_>>()
+        );
+        for (link, volume) in &logged {
+            assert!(
+                close(audited[link], *volume),
+                "{} seed {seed}: link {link} audited {}, credited {volume}",
+                policy.name(),
+                audited[link]
+            );
+        }
+        moves
+    }
+
+    #[test]
+    fn the_audit_carries_what_the_shard_credited_on_the_links_it_used() {
+        let mut moves = 0;
+        for seed in 1..=3 {
+            for policy in [ServePolicy::Resolve, ServePolicy::Edf] {
+                moves += credits_against_the_audit(policy, seed);
+            }
+        }
+        assert!(moves > 50, "only {moves} path moves: the check is vacuous");
     }
 }

@@ -10,15 +10,16 @@ use std::path::PathBuf;
 use dcn_core::online::{
     OnlineEngine, OnlineEvent, OnlinePolicy, PolicyAction, RatePlan, WorldView,
 };
-use dcn_core::{SolveError, SolverContext};
+use dcn_core::{FlowSchedule, SolveError, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
-use dcn_power::PowerFunction;
+use dcn_power::{PowerFunction, RateProfile};
 use dcn_server::{
-    encode_frame, read_frame, BucketState, Request, RequestBody, Response, ResponseBody,
-    ServePolicy, Server, ServerConfig, SnapshotFile, StatusReply, SubmitFlow, TopologySpec,
+    encode_frame, read_frame, AdmitReply, BucketState, Request, RequestBody, Response,
+    ResponseBody, ServePolicy, Server, ServerConfig, SnapshotFile, StatusReply, SubmitFlow,
+    TopologySpec,
 };
-use dcn_topology::GraphCsr;
+use dcn_topology::{BuiltTopology, GraphCsr, LinkId, NodeId};
 
 fn config() -> ServerConfig {
     ServerConfig::new(TopologySpec::FatTree { k: 4 })
@@ -139,7 +140,50 @@ fn policies_differ_but_each_is_width_invariant() {
 #[test]
 fn snapshot_restore_continues_bit_identically() {
     let requests = canned_requests(40, 17);
-    restart_continues_bit_identically(config(), &requests, requests.len() / 2, "roundtrip");
+    let split = requests.len() / 2;
+    restart_continues_bit_identically(config(), &requests, split, "roundtrip");
+
+    // Across re-solves that move flows from route to route.
+    let mut resolve = config();
+    resolve.policy = ServePolicy::Resolve;
+    restart_continues_bit_identically(resolve, &requests, split, "roundtrip-resolve");
+
+    // Across a link failure before the snapshot and its recovery after it:
+    // the failed link is one a live flow has been delivering on.
+    let snapshot_after = |requests: &[Request]| {
+        let mut server = Server::start(config()).expect("server starts");
+        for request in requests {
+            server.request(request.clone());
+        }
+        let snapshot = server.collect_snapshot().expect("snapshot collects");
+        server.shutdown();
+        snapshot
+    };
+    let fails_at = split / 2;
+    let before = snapshot_after(&requests[..fails_at]);
+    let ridden = (before.buckets.iter().flat_map(|b| &b.flows))
+        .find(|f| !f.retired && f.delivered > 0.0 && f.path.len() > 3)
+        .expect("some live flow leaves its edge switch");
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let link = link_id(&built, ridden.path[1], ridden.path[2]);
+    let event = |down: bool| Request::new(8_000_000, RequestBody::LinkEvent { link, down });
+    let mut churned = requests.clone();
+    churned.insert(fails_at, event(true));
+    churned.insert(split + 1 + (requests.len() - split) / 2, event(false));
+    restart_continues_bit_identically(config(), &churned, split + 1, "roundtrip-link");
+    // The snapshot holds the failure once, and that the flow moved: its
+    // past stays on the failed link.
+    let moved = snapshot_after(&churned[..=split]);
+    assert_eq!(moved.down_links, [link]);
+    let moved = (moved.buckets.iter().flat_map(|b| &b.flows)).find(|f| f.id == ridden.id);
+    let moved = moved.expect("the ridden flow is still recorded");
+    assert!(moved.links.iter().any(|&(l, _)| l == link), "{moved:?}");
+}
+
+/// The id of the directed link `a → b` of `built`.
+fn link_id(built: &BuiltTopology, a: usize, b: usize) -> usize {
+    let link = built.network.find_link(NodeId(a), NodeId(b));
+    link.expect("the link exists").0
 }
 
 /// The benchmark-size restart: a fat-tree:8 daemon restarted from the
@@ -211,12 +255,12 @@ fn restart_continues_bit_identically(
     assert_eq!(
         head,
         full[..split].to_vec(),
-        "pre-snapshot replies diverged"
+        "{name}: pre-snapshot replies diverged"
     );
     assert_eq!(
         tail,
         full[split..].to_vec(),
-        "post-restore replies diverged"
+        "{name}: post-restore replies diverged"
     );
     let _ = std::fs::remove_file(&snapshot_path);
     bytes
@@ -242,6 +286,31 @@ fn snapshot_file_rebuilds_an_auditable_schedule() {
     let energy = schedule.energy(&power);
     assert!(energy.idle.is_finite() && energy.dynamic > 0.0);
     let _ = std::fs::remove_file(&snapshot_path);
+
+    // Each flow's audited schedule delivered, up to its bucket's clock,
+    // what the daemon answers for it.
+    let mut server = Server::start(config()).expect("server starts");
+    for request in canned_requests(30, 5) {
+        server.request(request);
+    }
+    for bucket in &file.buckets {
+        let clock = bucket.clock.unwrap_or(f64::NEG_INFINITY);
+        for record in &bucket.flows {
+            let audited = schedule.flow_schedule(record.id as usize).expect("audited");
+            let audited = audited.profile.volume_between(f64::NEG_INFINITY, clock);
+            let query = Request::new(0, RequestBody::QueryFlow { flow: record.id });
+            let ResponseBody::Status(status) = server.request(query).body else {
+                panic!("a query answers a status");
+            };
+            assert!(
+                (audited - status.delivered).abs() <= 1e-9 * record.volume,
+                "flow {}: audited {audited}, answered {}",
+                record.id,
+                status.delivered
+            );
+        }
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -377,9 +446,18 @@ fn shutdown_request_gets_bye_and_ends_the_connection() {
 }
 
 /// Serves a few flows, snapshots, lets `damage` edit the first bucket
-/// that holds a committed plan, and returns the startup error of a daemon
-/// restarted on the damaged file.
+/// that holds a flow, and returns the startup error of a daemon restarted
+/// on the damaged file.
 fn restart_on_damaged_snapshot(name: &str, damage: impl FnOnce(&mut BucketState)) -> String {
+    restart_on_damaged_file(name, |file| {
+        let bucket = file.buckets.iter_mut().find(|b| !b.flows.is_empty());
+        damage(bucket.expect("some bucket holds a flow"));
+    })
+}
+
+/// Serves a few flows, snapshots, lets `damage` edit the file, and
+/// returns the startup error of a daemon restarted on the damaged file.
+fn restart_on_damaged_file(name: &str, damage: impl FnOnce(&mut SnapshotFile)) -> String {
     let snapshot_path = temp_path(name);
     let mut cfg = config();
     cfg.snapshot_path = Some(snapshot_path.clone());
@@ -391,12 +469,7 @@ fn restart_on_damaged_snapshot(name: &str, damage: impl FnOnce(&mut BucketState)
     server.shutdown();
 
     let mut file = SnapshotFile::load(&snapshot_path).expect("snapshot loads");
-    let bucket = file
-        .buckets
-        .iter_mut()
-        .find(|b| !b.plans.is_empty())
-        .expect("some bucket holds a live plan");
-    damage(bucket);
+    damage(&mut file);
     file.save(&snapshot_path).expect("snapshot saves");
 
     let err = match Server::start(cfg) {
@@ -411,13 +484,13 @@ fn restart_on_damaged_snapshot(name: &str, damage: impl FnOnce(&mut BucketState)
 fn snapshot_with_a_negative_rate_is_a_typed_startup_error() {
     let mut named = (0, 0);
     let err = restart_on_damaged_snapshot("negative-rate", |bucket| {
-        bucket.plans[0].segments[0].rate = -3.0;
-        named = (bucket.bucket, bucket.plans[0].flow);
+        bucket.flows[0].pieces[0].rate = -3.0;
+        named = (bucket.bucket, bucket.flows[0].id);
     });
     let (bucket, flow) = named;
     assert!(
         err.contains(&format!("failed to start bucket {bucket}:"))
-            && err.contains(&format!("bucket {bucket} flow {flow}: `plans.segments`"))
+            && err.contains(&format!("bucket {bucket} flow {flow}: `pieces`"))
             && err.contains("at rate -3"),
         "unhelpful refusal: {err}"
     );
@@ -427,13 +500,21 @@ fn snapshot_with_a_negative_rate_is_a_typed_startup_error() {
 fn snapshot_with_a_reversed_segment_is_a_typed_startup_error() {
     let mut named = (0, 0);
     let err = restart_on_damaged_snapshot("reversed-segment", |bucket| {
-        bucket.plans[0].segments[0].end = -4.0;
-        named = (bucket.bucket, bucket.plans[0].flow);
+        bucket.flows[0].pieces[0].end = -4.0;
+        named = (bucket.bucket, bucket.flows[0].id);
     });
     let (bucket, flow) = named;
     assert!(
-        err.contains(&format!("bucket {bucket} flow {flow}: `plans.segments`"))
-            && err.contains(", -4)"),
+        err.contains(&format!("bucket {bucket} flow {flow}: `pieces`")) && err.contains(", -4)"),
+        "unhelpful refusal: {err}"
+    );
+}
+
+#[test]
+fn snapshot_with_an_unknown_down_link_is_a_typed_startup_error() {
+    let err = restart_on_damaged_file("unknown-down-link", |file| file.down_links.push(9_999));
+    assert!(
+        err.contains("snapshot down link 9999 does not exist"),
         "unhelpful refusal: {err}"
     );
 }
@@ -505,7 +586,7 @@ fn both_drivers_retire_a_flow_delivered_to_exactly_the_volume_tolerance() {
     // Shard: the same delivery state, restored from a snapshot, retires as
     // delivered on the next advance of the bucket clock.
     let status = status_after_edited_restart("tolerance", volume, |bucket| {
-        bucket.plans.clear();
+        bucket.flows[0].pieces.clear();
         bucket.flows[0].delivered = exactly;
     });
     assert!(
@@ -564,10 +645,78 @@ fn status_after_edited_restart(
 fn replies_never_show_more_than_the_volume_delivered() {
     let status = status_after_edited_restart("overshoot", 4.0, |bucket| {
         // Twice the paced rate: by t = 30 the plan has moved 4.7 of 4.
-        bucket.plans[0].segments[0].rate *= 2.0;
+        bucket.flows[0].pieces[0].rate *= 2.0;
     });
     assert!(
         status.state == "delivered" && status.delivered == 4.0 && status.remaining == 0.0,
         "overshoot leaked into the reply: {status:?}"
     );
+}
+
+/// Flow 0 of fat-tree:4, 8 → 35 over `[1, 50]`, is admitted on
+/// `[8, 6, 4, 0, 28, 31, 35]`; then link `a → b` fails and a same-pod flow
+/// moves the bucket clock to 60. Returns flow 0's status and its audited
+/// schedule.
+fn after_a_failure_under_flow_0(a: usize, b: usize) -> (StatusReply, FlowSchedule) {
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let submit = |src: usize, dst: usize, release: f64, deadline: f64| {
+        RequestBody::SubmitFlow(SubmitFlow {
+            src,
+            dst,
+            release,
+            deadline,
+            volume: 4.0,
+        })
+    };
+    let mut server = Server::start(config()).expect("server starts");
+    let admit = server.request(Request::new(0, submit(8, 35, 1.0, 50.0)));
+    let ResponseBody::Admit(AdmitReply {
+        plan: Some(plan), ..
+    }) = admit.body
+    else {
+        panic!("flow 0 is admitted: {admit:?}");
+    };
+    assert_eq!(plan.path, [8, 6, 4, 0, 28, 31, 35]);
+    let link = link_id(&built, a, b);
+    let ack = server.request(Request::new(1, RequestBody::LinkEvent { link, down: true }));
+    assert!(matches!(
+        ack.body,
+        ResponseBody::LinkAck { changed: true, .. }
+    ));
+    server.request(Request::new(2, submit(10, 11, 60.0, 70.0)));
+    let status = server.request(Request::new(3, RequestBody::QueryFlow { flow: 0 }));
+    let snapshot = server.collect_snapshot().expect("snapshot collects");
+    server.shutdown();
+    let ResponseBody::Status(status) = status.body else {
+        panic!("a query answers a status");
+    };
+    let schedule = snapshot
+        .schedule(&built.network)
+        .expect("the audit rebuilds");
+    (
+        status,
+        schedule
+            .flow_schedule(0)
+            .expect("flow 0 is audited")
+            .clone(),
+    )
+}
+
+#[test]
+fn a_link_event_re_plans_what_it_severs() {
+    // A failed fabric link: flow 0 moves off it at t = 1 and still delivers.
+    let (status, schedule) = after_a_failure_under_flow_0(6, 4);
+    assert_eq!(status.state, "delivered");
+    assert!((status.delivered - 4.0).abs() < 1e-12, "{status:?}");
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let failed = LinkId(link_id(&built, 6, 4));
+    let after = |p: &RateProfile| p.volume_between(1.0, f64::INFINITY);
+    assert_eq!(schedule.link_profile(failed).map_or(0.0, after), 0.0);
+    assert!((after(&schedule.profile) - 4.0).abs() < 1e-12);
+    assert!(!schedule.path.contains_link(failed));
+
+    // Host 8's access link: nothing routes flow 0, which misses.
+    let (status, schedule) = after_a_failure_under_flow_0(8, 6);
+    assert_eq!((status.state.as_str(), status.delivered), ("missed", 0.0));
+    assert_eq!(schedule.activity_span(), None);
 }

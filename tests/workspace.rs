@@ -14,7 +14,9 @@
 //! * solves run sequentially: the bench runner owns the only worker pool,
 //!   and `perf/` is the only benchmark harness;
 //! * `edf` re-plans without sorting or hashing: it walks the ledger's
-//!   deadline index, and the route memo hashes node ids without SipHash.
+//!   deadline index, and the route memo hashes node ids without SipHash;
+//! * a served flow is stored once: a `dcn-server` shard keeps one
+//!   `FlowSchedule` per flow and its snapshot one record per flow.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -352,6 +354,50 @@ fn the_route_memo_hashes_node_ids_without_siphash() {
             map.contains(", NodeHash>"),
             "policy.rs: `{}` uses the default hasher — name `NodeHash`",
             map.trim()
+        );
+    }
+}
+
+#[test]
+fn a_served_flow_is_stored_once() {
+    // A shard keeps one `FlowSchedule` per admitted flow: no
+    // private plan type, no second, stitched history of what the plans
+    // delivered, and no snapshot split between the two.
+    let mut sources = Vec::new();
+    rust_sources(&workspace_root().join("crates/server/src"), &mut sources);
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        // The tests may still spell out a version 1 snapshot.
+        let product = source.split("#[cfg(test)]").next().unwrap_or_default();
+        for line in product.lines() {
+            let code = line.split("//").next().unwrap_or_default();
+            let plan_type = code
+                .split("struct Plan")
+                .skip(1)
+                .any(|rest| !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_'));
+            for (banned, present) in [
+                ("struct Plan", plan_type),
+                ("committed", code.contains("committed")),
+                ("restore_plans", code.contains("restore_plans")),
+                ("plan_records", code.contains("plan_records")),
+            ] {
+                assert!(
+                    !present,
+                    "{}: `{banned}` is banned — a served flow is stored once",
+                    path.display()
+                );
+            }
+        }
+    }
+    let snapshot = product_part("crates/server/src/snapshot.rs");
+    let (_, bucket) = snapshot
+        .split_once("pub struct BucketState {")
+        .expect("snapshot.rs declares BucketState");
+    let fields = &bucket[..bucket.find("\n}").expect("BucketState has a closing brace")];
+    for field in ["pub plans:", "pub committed:"] {
+        assert!(
+            !fields.contains(field),
+            "snapshot.rs: BucketState keeps `{field}` — one record per flow"
         );
     }
 }
