@@ -6,8 +6,10 @@
 //! cargo run --release -p dcn-bench --bin report_lint -- BENCH_*.json
 //! ```
 //!
-//! Exits non-zero when any file is missing, malformed, or violates a
-//! schema invariant (see `dcn_bench::report::ExperimentReport::validate`).
+//! Exits non-zero when any file is missing, malformed, violates a schema
+//! invariant (see `dcn_bench::report::ExperimentReport::validate`), or
+//! does not write back to its own bytes — so every CI run also checks the
+//! JSON writer and reader against each artifact.
 
 use dcn_bench::report::ExperimentReport;
 
@@ -21,6 +23,10 @@ fn main() {
     for path in &paths {
         match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
             Ok(text) => match ExperimentReport::from_json(&text) {
+                Ok(report) if report.to_json() != text => {
+                    eprintln!("FAIL {path}: does not write back byte for byte");
+                    failures += 1;
+                }
                 Ok(report) => println!(
                     "ok {path}: {} (schema v{}, {} instance(s), {} sweep point(s))",
                     report.experiment,

@@ -269,24 +269,58 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// The longest length-prefix line [`read_frame`] reads: the prefix of a
+/// [`MAX_FRAME_BYTES`] payload takes 7 digits.
+const MAX_PREFIX_BYTES: usize = 32;
+
 /// Reads one frame's JSON payload. Returns `Ok(None)` on a clean
 /// end-of-stream (EOF between frames).
 ///
 /// # Errors
 ///
 /// See [`FrameError`]; none of the failure modes panic or allocate
-/// according to untrusted lengths.
+/// according to untrusted lengths. A prefix line longer than
+/// [`MAX_PREFIX_BYTES`] is [`FrameError::Oversized`] when it is all
+/// digits and [`FrameError::Malformed`] otherwise; the rest of it is not
+/// read.
 pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut prefix = Vec::new();
-    let n = reader.read_until(b'\n', &mut prefix)?;
-    if n == 0 {
-        return Ok(None);
+    let mut prefix = [0u8; MAX_PREFIX_BYTES + 1];
+    let mut filled = 0;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if buf.is_empty() {
+            return if filled == 0 {
+                Ok(None)
+            } else {
+                Err(FrameError::Truncated)
+            };
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(buf.len()).min(prefix.len() - filled);
+        prefix[filled..filled + take].copy_from_slice(&buf[..take]);
+        filled += take;
+        if filled > MAX_PREFIX_BYTES {
+            return Err(if prefix.iter().all(u8::is_ascii_digit) {
+                FrameError::Oversized(usize::MAX)
+            } else {
+                FrameError::Malformed(format!(
+                    "length prefix is longer than {MAX_PREFIX_BYTES} bytes"
+                ))
+            });
+        }
+        match newline {
+            Some(at) => {
+                reader.consume(at + 1);
+                break;
+            }
+            None => reader.consume(take),
+        }
     }
-    if prefix.last() != Some(&b'\n') {
-        return Err(FrameError::Truncated);
-    }
-    prefix.pop();
-    let text = std::str::from_utf8(&prefix)
+    let text = std::str::from_utf8(&prefix[..filled])
         .map_err(|_| FrameError::Malformed("length prefix is not UTF-8".to_string()))?;
     let len: usize = text
         .trim()
@@ -343,9 +377,20 @@ fn put_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()> {
     writer.write_all(b"\n")
 }
 
-/// Decodes a frame payload into a [`Request`], staging the parse so that
-/// every malformed input maps to a typed error reply instead of a panic:
-/// first JSON, then the envelope (`v`, `id`), then the body.
+/// A [`Request`] whose version is read as it was written, so that a `v`
+/// the staged checks of [`decode_request`] refuse (`1.0`, say) is told
+/// apart from `1`.
+#[derive(Deserialize)]
+struct Envelope {
+    v: Value,
+    id: u64,
+    body: RequestBody,
+}
+
+/// Decodes a frame payload into a [`Request`]. A well-formed request at
+/// this version decodes in one pass; anything else is staged so that every
+/// malformed input maps to a typed error reply instead of a panic: first
+/// JSON, then the envelope (`v`, `id`), then the body.
 ///
 /// # Errors
 ///
@@ -353,6 +398,16 @@ fn put_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()> {
 pub fn decode_request(payload: &[u8]) -> Result<Request, Response> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| Response::error(0, "bad-json", format!("payload is not UTF-8: {e}")))?;
+    if let Ok(Envelope {
+        v: Value::U64(version),
+        id,
+        body,
+    }) = serde_json::from_str(text)
+    {
+        if version == u64::from(PROTOCOL_VERSION) {
+            return Ok(Request::new(id, body));
+        }
+    }
     let value: Value = serde_json::from_str(text)
         .map_err(|e| Response::error(0, "bad-json", format!("invalid JSON: {e}")))?;
     let Value::Map(ref fields) = value else {
@@ -389,7 +444,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, Response> {
             format!("request version {version} is not supported (this daemon speaks {PROTOCOL_VERSION})"),
         ));
     }
-    Request::from_value(&value)
+    serde_json::from_str::<Request>(text)
         .map_err(|e| Response::error(id, "bad-request", format!("unrecognized request: {e}")))
 }
 
@@ -515,6 +570,63 @@ mod tests {
             code_of("{\"v\":1,\"id\":4,\"body\":{\"Launch\":{}}}"),
             "bad-request"
         );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_bad_requests_not_saturated() {
+        let code_and_id = |payload: &str| match decode_request(payload.as_bytes()) {
+            Err(Response {
+                id,
+                body: ResponseBody::Error(e),
+                ..
+            }) => (e.code, id),
+            other => panic!("expected error reply, got {other:?}"),
+        };
+        // The staged check echoes no id it cannot read as an integer.
+        for (payload, id) in [
+            (
+                r#"{"v":1,"id":18446744073709551616,"body":{"QueryFlow":{"flow":3}}}"#,
+                0,
+            ),
+            (
+                r#"{"v":1,"id":4,"body":{"QueryFlow":{"flow":1.8446744073709552e19}}}"#,
+                4,
+            ),
+        ] {
+            assert_eq!(code_and_id(payload), ("bad-request".to_string(), id));
+        }
+        // 2^64 - 2048 is the largest float below 2^64: it still decodes.
+        let request =
+            decode_request(br#"{"v":1,"id":18446744073709549568.0,"body":"Snapshot"}"#).unwrap();
+        assert_eq!(request.id, 18_446_744_073_709_549_568);
+        // A version written as a float is refused, as the staged check does.
+        assert_eq!(
+            code_and_id(r#"{"v":1.0,"id":4,"body":"Snapshot"}"#),
+            ("bad-envelope".to_string(), 4)
+        );
+    }
+
+    #[test]
+    fn a_length_prefix_line_is_read_no_further_than_its_cap() {
+        let mut digits = vec![b'7'; 10 << 20];
+        digits.push(b'\n');
+        let mut reader = Cursor::new(digits);
+        assert!(matches!(
+            read_frame(&mut reader),
+            Err(FrameError::Oversized(usize::MAX))
+        ));
+        assert!(reader.position() <= 64, "read {} bytes", reader.position());
+
+        let mut noise = vec![b'7'; 10 << 20];
+        noise[20] = b'x';
+        assert!(matches!(
+            read_frame(&mut Cursor::new(noise)),
+            Err(FrameError::Malformed(_))
+        ));
+        // A padded prefix within the cap still reads.
+        let padded = format!("{:0>32}\n{{}}\n", 2);
+        let payload = read_frame(&mut Cursor::new(padded.into_bytes())).unwrap();
+        assert_eq!(payload.as_deref(), Some(&b"{}"[..]));
     }
 
     #[test]

@@ -424,3 +424,33 @@ fn the_relaxation_hands_random_schedule_its_paths() {
         "fmcf.rs: no dense flow matrix on the solve path"
     );
 }
+
+#[test]
+fn the_json_codec_streams_without_a_value_tree() {
+    // Derived types write straight into the output and read straight off
+    // the parser's cursor: the tree round trip and its lookup
+    // helper stay gone from the vendored serde and every product crate.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    for dir in [
+        "vendor/serde/src",
+        "vendor/serde_derive/src",
+        "vendor/serde_json/src",
+    ] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(&entry.expect("readable dir entry").path(), &mut sources);
+    }
+    assert!(sources.len() > 20);
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in ["to_value", "from_value", "map_field", "DeError"] {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — types stream to and from the text",
+                path.display()
+            );
+        }
+    }
+}
