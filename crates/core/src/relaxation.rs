@@ -199,7 +199,7 @@ mod tests {
         );
         assert_eq!(summary.intervals.len(), 3);
         assert_eq!(summary.intervals[1].flow_ids.len(), 0);
-        assert_eq!(summary.intervals[1].cost_rate, 0.0);
+        assert_eq!(summary.intervals[1].cost_rate.to_bits(), 0.0f64.to_bits());
         assert!(summary.lower_bound > 0.0);
     }
 

@@ -58,6 +58,11 @@
 //!   commodity) through the arena-reuse [`ShortestPathEngine`];
 //! * chosen paths are stored as spans into one shared link buffer, and
 //!   blending is one pass over the loaded links;
+//! * with a cost whose zero-load marginal is the same on every link
+//!   ([`FlowCost::uniform_zero_load_marginal`]) the link weights are
+//!   refreshed on the loaded links only: every other link keeps the
+//!   zero-load weight, which the scratch restores on the links an earlier
+//!   solve loaded rather than refilling all of them;
 //! * after the first iteration has warmed the arenas up, a Frank–Wolfe
 //!   iteration performs **zero heap allocations**; the step paths become
 //!   [`Path`]s once, when the solve ends.
@@ -108,6 +113,18 @@ pub trait FlowCost {
     fn zero_load_is_free(&self) -> bool {
         false
     }
+
+    /// The marginal cost at zero load when it is the same on every link:
+    /// `marginal(link, 0.0)` must return exactly these bits for **every**
+    /// link.
+    ///
+    /// With it and [`FlowCost::zero_load_is_free`], the Frank–Wolfe solver
+    /// refreshes the link weights of an iteration on the loaded links
+    /// only; every other link keeps the weight at zero load. The
+    /// conservative default keeps the dense refresh.
+    fn uniform_zero_load_marginal(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// The power-model cost used throughout the reproduction:
@@ -152,6 +169,10 @@ impl FlowCost for PowerFlowCost {
 
     fn zero_load_is_free(&self) -> bool {
         true
+    }
+
+    fn uniform_zero_load_marginal(&self) -> Option<f64> {
+        Some(self.marginal(LinkId(0), 0.0))
     }
 }
 
@@ -384,6 +405,10 @@ pub struct FmcfScratch {
     engine: ShortestPathEngine,
     /// Per-link weights of the current all-or-nothing step.
     weights: Vec<f64>,
+    /// Bits of the weight every link outside `active` holds in `weights`
+    /// (the weight at zero load) while solves refresh the active links
+    /// only; `None` after a dense refresh.
+    idle_weight: Option<u64>,
     /// Aggregate loads of the all-or-nothing assignment.
     target_loads: Vec<f64>,
     /// Line-search evaluation buffer.
@@ -498,10 +523,31 @@ impl FmcfScratch {
     ///
     /// With `sparse` set, the active-link set starts empty and grows with
     /// the chosen paths; otherwise every link is active and the solver's
-    /// passes stay dense.
-    fn prepare(&mut self, commodities: &[Commodity], graph: &GraphCsr, sparse: bool) {
+    /// passes stay dense. With an `idle_weight` (sparse solves only) every
+    /// weight off the active set is left at it: the links the previous
+    /// solve refreshed — its active set — are reset, or all of them when
+    /// the previous solve left another idle weight or link count.
+    fn prepare(
+        &mut self,
+        commodities: &[Commodity],
+        graph: &GraphCsr,
+        sparse: bool,
+        idle_weight: Option<f64>,
+    ) {
         let (n, m) = (commodities.len(), graph.link_count());
-        self.weights.resize(m, 0.0);
+        match idle_weight {
+            Some(w) if self.idle_weight == Some(w.to_bits()) && self.weights.len() == m => {
+                for &l in &self.active {
+                    self.weights[l.index()] = w;
+                }
+            }
+            Some(w) => {
+                self.weights.clear();
+                self.weights.resize(m, w);
+            }
+            None => self.weights.resize(m, 0.0),
+        }
+        self.idle_weight = idle_weight.map(f64::to_bits);
         self.target_loads.resize(m, 0.0);
         self.blended.resize(m, 0.0);
         self.unit_row.resize(m, 0.0);
@@ -958,7 +1004,13 @@ impl<'a> FmcfProblem<'a> {
         // and contributes exactly +0.0, so the restriction is bit-for-bit
         // neutral while keeping the per-iteration passes at O(|active|).
         let sparse = cost.zero_load_is_free() && config.capacity.is_none_or(|c| c >= 0.0);
-        scratch.prepare(&self.commodities, graph, sparse);
+        // The weight of an unloaded link, when it is the same on every
+        // link: then only the active links ever need another one.
+        let idle_weight = sparse
+            .then(|| cost.uniform_zero_load_marginal())
+            .flatten()
+            .map(|marginal| (marginal + self.penalty_marginal(0.0, config)).max(0.0));
+        scratch.prepare(&self.commodities, graph, sparse, idle_weight);
 
         let loads = &mut solution.loads;
         let mut mixtures = self.start(cost, config, scratch, loads)?;
@@ -968,11 +1020,21 @@ impl<'a> FmcfProblem<'a> {
 
         for it in 0..config.max_iterations {
             solution.iterations = it + 1;
-            // Marginal costs at the current loads (Dijkstra may traverse
-            // any link, so the weights stay dense).
-            for (e, w) in scratch.weights.iter_mut().enumerate() {
-                *w = (cost.marginal(LinkId(e), loads[e]) + self.penalty_marginal(loads[e], config))
-                    .max(0.0);
+            // Marginal costs at the current loads. Dijkstra may traverse
+            // any link; off the active set the load is zero, so under an
+            // idle weight those links already hold their weight.
+            let weight_at = |e: usize| {
+                (cost.marginal(LinkId(e), loads[e]) + self.penalty_marginal(loads[e], config))
+                    .max(0.0)
+            };
+            if idle_weight.is_some() {
+                for &l in &scratch.active {
+                    scratch.weights[l.index()] = weight_at(l.index());
+                }
+            } else {
+                for (e, w) in scratch.weights.iter_mut().enumerate() {
+                    *w = weight_at(e);
+                }
             }
             self.all_or_nothing(scratch)?;
             scratch.register_active_paths();
@@ -1181,12 +1243,29 @@ impl FmcfSolution {
     }
 
     /// The objective value under a cost function (no capacity penalty).
+    ///
+    /// Under a [zero-load-free](FlowCost::zero_load_is_free) cost the sum
+    /// runs over the loaded links only and is the dense sum to the bit: an
+    /// unloaded link adds `+0.0`, which changes no partial sum but `-0.0`,
+    /// so one `+ 0.0` at the end stands for all of them.
     pub fn total_cost(&self, cost: &impl FlowCost) -> f64 {
-        self.loads
-            .iter()
-            .enumerate()
+        let terms = self.loads.iter().enumerate();
+        if !cost.zero_load_is_free() {
+            return terms.map(|(e, &x)| cost.cost(LinkId(e), x)).sum();
+        }
+        let mut unloaded = false;
+        let sum: f64 = terms
+            .filter(|&(_, &x)| {
+                unloaded |= x == 0.0;
+                x != 0.0
+            })
             .map(|(e, &x)| cost.cost(LinkId(e), x))
-            .sum()
+            .sum();
+        if unloaded {
+            sum + 0.0
+        } else {
+            sum
+        }
     }
 
     /// Net out-flow minus in-flow of commodity `c` at `node` — used to check
@@ -2179,5 +2258,133 @@ mod tests {
         assert!(close(cost.cost(LinkId(0), 3.0), 9.0 + 6.0, 1e-12));
         assert!(close(cost.marginal(LinkId(0), 3.0), 6.0 + 2.0, 1e-12));
         assert_eq!(cost.cost(LinkId(0), 0.0), 0.0);
+    }
+
+    /// A zero-load-free cost that does not vouch for a uniform zero-load
+    /// marginal: the solver refreshes every link weight.
+    struct DenseWeights(PowerFlowCost);
+
+    impl FlowCost for DenseWeights {
+        fn cost(&self, link: LinkId, load: f64) -> f64 {
+            self.0.cost(link, load)
+        }
+
+        fn marginal(&self, link: LinkId, load: f64) -> f64 {
+            self.0.marginal(link, load)
+        }
+
+        fn zero_load_is_free(&self) -> bool {
+            true
+        }
+    }
+
+    /// Solves `pairs` host pairs on `graph` with `scratch` and with a fresh
+    /// scratch: the solutions must be equal, and so must every link weight
+    /// the last iteration searched under. Returns the iteration count.
+    fn reused_equals_fresh(
+        graph: &GraphCsr,
+        hosts: &[NodeId],
+        pairs: usize,
+        cost: &impl FlowCost,
+        capacity: Option<f64>,
+        scratch: &mut FmcfScratch,
+    ) -> usize {
+        let problem = FmcfProblem::with_graph(graph, host_pairs(hosts, pairs));
+        let config = FmcfSolverConfig {
+            capacity,
+            ..Default::default()
+        };
+        let mut fresh_scratch = FmcfScratch::new();
+        let reused = problem.solve_with(cost, &config, scratch).unwrap();
+        let fresh = problem
+            .solve_with(cost, &config, &mut fresh_scratch)
+            .unwrap();
+        assert_eq!(reused, fresh);
+        let bits = |weights: &[f64]| weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scratch.weights), bits(&fresh_scratch.weights));
+        reused.iterations
+    }
+
+    /// A reused scratch refreshes weights on the links a solve loads and
+    /// restores the ones an earlier solve loaded; no weight an earlier
+    /// solve wrote may be read. One scratch runs a sequence of solves — the
+    /// weight at zero load 0, then non-zero (σ > 0), then 0 again; α 2 and
+    /// 3; a capacity the penalty bites at; links failed between solves;
+    /// fat-tree 4 → 8 → 4; a cost that takes the dense refresh — and each
+    /// solution equals a fresh scratch's, gap and iteration count included.
+    #[test]
+    fn a_reused_scratch_never_reads_a_stale_weight() {
+        let power =
+            |sigma, alpha| PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
+        let (t4, t8) = (builders::fat_tree(4), builders::fat_tree(8));
+        let (mut g4, g8) = (t4.csr(), t8.csr());
+        let (h4, h8) = (t4.hosts(), t8.hosts());
+        let up = g4.shortest_path(h4[0], h4[15]).unwrap().links().to_vec();
+        let mut scratch = FmcfScratch::new();
+        let mut iterations = vec![
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0), None, &mut scratch),
+            reused_equals_fresh(&g4, h4, 9, &power(3.0, 2.0), Some(1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0), Some(1.0), &mut scratch),
+        ];
+        g4.fail_link(up[1]);
+        g4.fail_link(up[2]);
+        iterations.extend([
+            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0), Some(1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0), None, &mut scratch),
+            reused_equals_fresh(&g8, h8, 9, &power(0.0, 2.0), None, &mut scratch),
+            reused_equals_fresh(
+                &g8,
+                h8,
+                14,
+                &DenseWeights(power(0.0, 2.0)),
+                None,
+                &mut scratch,
+            ),
+            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0), Some(1.0), &mut scratch),
+        ]);
+        g4.restore_link(up[1]);
+        g4.restore_link(up[2]);
+        iterations.extend([
+            reused_equals_fresh(
+                &g4,
+                h4,
+                14,
+                &DenseWeights(power(3.0, 3.0)),
+                None,
+                &mut scratch,
+            ),
+            reused_equals_fresh(&g4, h4, 9, &power(3.0, 3.0), Some(1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0), None, &mut scratch),
+        ]);
+        // Frank–Wolfe blends on the degraded fabric, so weights moved off
+        // the idle weight within a solve, not only at its start.
+        assert!(iterations.iter().any(|&i| i > 1), "{iterations:?}");
+    }
+
+    /// `total_cost` sums the loaded links only and equals the dense sum to
+    /// the bit, including the `+0.0` of a problem with no commodity.
+    #[test]
+    fn total_cost_is_the_dense_sum_to_the_bit() {
+        let t = builders::fat_tree(4);
+        let graph = t.csr();
+        for cost in [
+            PowerFlowCost::new(PowerFunction::new(3.0, 1.0, 2.0, 10.0).unwrap()),
+            quadratic_cost(),
+        ] {
+            for count in [0, 1, 14] {
+                let problem = FmcfProblem::with_graph(&graph, host_pairs(t.hosts(), count));
+                let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
+                let loads = sol.total_loads().iter().enumerate();
+                let dense: f64 = loads.map(|(e, &x)| cost.cost(LinkId(e), x)).sum();
+                assert_eq!(sol.total_cost(&cost).to_bits(), dense.to_bits(), "{count}");
+            }
+        }
+        let empty = FmcfProblem::with_graph(&graph, Vec::new())
+            .solve(&quadratic_cost(), &FmcfSolverConfig::default())
+            .unwrap();
+        assert_eq!(
+            empty.total_cost(&quadratic_cost()).to_bits(),
+            0.0f64.to_bits()
+        );
     }
 }

@@ -13,6 +13,13 @@
 //! * the priority queue — a flat 4-ary heap over `(distance bits, node)`
 //!   integer keys, see [`HeapKey`] — is `clear()`ed, keeping its
 //!   allocation;
+//! * the search settles one **distance level** at a time: when the heap's
+//!   minimum key comes up, every heap entry at that key is drained into a
+//!   per-node bitset, the level is settled lowest node id first, and a
+//!   relaxation that lands exactly on the level's key sets the node's bit
+//!   instead of taking a heap round trip. Under Frank–Wolfe's marginal
+//!   costs an unloaded link weighs exactly zero, so whole regions of a
+//!   fabric share one distance and most of their settles skip the heap;
 //! * [`ShortestPathEngine::single_source_all_targets`] settles a whole
 //!   batch of targets in a single search with multi-target early exit, and
 //!   [`ShortestPathEngine::extract_path_links`] walks the parent arena into
@@ -20,9 +27,11 @@
 //!   allocations**.
 //!
 //! Results are bit-for-bit identical to a textbook per-call Dijkstra on a
-//! freshly allocated heap: the same heap ordering (min distance, ties broken
-//! by smallest node id), the same strict-improvement relaxation, and the
-//! same link insertion order via the CSR adjacency.
+//! freshly allocated heap: the same settle order (min distance, ties broken
+//! by smallest node id — the level's lowest set bit *is* the heap's next
+//! pop, because every other live entry has a larger key), the same
+//! strict-improvement relaxation, and the same link insertion order via the
+//! CSR adjacency.
 //!
 //! # Example
 //!
@@ -76,7 +85,8 @@ struct NodeState {
 /// order on this pair is a *strict total order* over all live entries — a
 /// node is re-pushed only with a strictly smaller distance — so every
 /// correct priority queue pops the exact same sequence; the engine can use
-/// a flat 4-ary heap with integer comparisons without changing any result.
+/// a flat 4-ary heap with integer comparisons, and take the entries of one
+/// key out of the heap into a bitset, without changing any result.
 type HeapKey = (u64, u32);
 
 /// A minimal 4-ary min-heap over [`HeapKey`]s: shallower than a binary
@@ -136,6 +146,95 @@ impl QuadHeap {
         }
         Some(top)
     }
+
+    /// Pops the minimum entry's node if the entry's distance bits are `key`.
+    #[inline]
+    fn pop_at(&mut self, key: u64) -> Option<u32> {
+        if self.items.first()?.0 != key {
+            return None;
+        }
+        self.pop().map(|(_, node)| node)
+    }
+}
+
+/// The nodes of the distance level being settled, one bit per node id.
+/// Every set bit lies in the words `lo..=hi`; between levels every word is
+/// clear.
+#[derive(Debug, Clone)]
+struct LevelSet {
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for LevelSet {
+    fn default() -> Self {
+        Self {
+            words: Vec::new(),
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl LevelSet {
+    /// Makes room for node ids below `n`.
+    fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, node: usize) {
+        let w = node / 64;
+        self.words[w] |= 1 << (node % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    /// Removes and returns the lowest node of the level, or `None` once
+    /// the level is empty.
+    #[inline]
+    fn pop_lowest(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let word = self.words[self.lo];
+            if word != 0 {
+                self.words[self.lo] = word & (word - 1);
+                return Some(self.lo * 64 + word.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
+        None
+    }
+
+    /// Empties the level: a search that stops inside one.
+    fn clear(&mut self) {
+        if self.lo <= self.hi {
+            self.words[self.lo..=self.hi].fill(0);
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
+    }
+}
+
+/// What the runs of an engine did, counted in tests only.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counters {
+    /// Nodes settled.
+    settles: u64,
+    /// Entries pushed onto the heap.
+    pushes: u64,
+    /// Levels that settled two or more nodes.
+    wide_levels: u64,
+    /// Levels whose drain took two or more heap entries.
+    wide_drains: u64,
+    /// Relaxations the leaf skip kept off the queue.
+    leaf_skips: u64,
 }
 
 /// A reusable Dijkstra engine: owns the per-node state arena, the epoch
@@ -149,8 +248,13 @@ pub struct ShortestPathEngine {
     epoch: u32,
     /// Reused priority queue.
     heap: QuadHeap,
+    /// The distance level being settled (empty between runs).
+    level: LevelSet,
     /// Source of the most recent run.
     src: NodeId,
+    /// Work counters of every run so far.
+    #[cfg(test)]
+    counters: Counters,
 }
 
 impl Default for ShortestPathEngine {
@@ -167,15 +271,26 @@ impl ShortestPathEngine {
             states: Vec::new(),
             epoch: 0,
             heap: QuadHeap::default(),
+            level: LevelSet::default(),
             src: NodeId(0),
+            #[cfg(test)]
+            counters: Counters::default(),
         }
     }
 
-    /// Starts a new generation, growing the arena to `n` nodes if needed.
-    fn prepare(&mut self, n: usize) {
+    /// Starts a run from `src`: a new generation (growing the arenas to
+    /// the graph), the targets marked, the source queued at distance zero.
+    /// Returns the number of distinct targets.
+    fn start(&mut self, graph: &GraphCsr, src: NodeId, targets: &[NodeId]) -> usize {
+        debug_assert!(
+            graph.node_count() < u32::MAX as usize && graph.link_count() < NO_PARENT as usize,
+            "graph exceeds the engine's u32 id range"
+        );
+        let n = graph.node_count();
         if self.states.len() < n {
             self.states.resize(n, NodeState::default());
         }
+        self.level.grow(n);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped: stale stamps could collide, so pay one full
@@ -184,6 +299,32 @@ impl ShortestPathEngine {
             self.epoch = 1;
         }
         self.heap.clear();
+        self.src = src;
+        let epoch = self.epoch;
+
+        let mut remaining = 0usize;
+        for &t in targets {
+            let st = &mut self.states[t.index()];
+            if st.target != epoch {
+                st.target = epoch;
+                remaining += 1;
+            }
+        }
+        let st = &mut self.states[src.index()];
+        st.dist = 0.0;
+        st.parent = NO_PARENT;
+        st.seen = epoch;
+        self.push((0.0f64.to_bits(), src.index() as u32));
+        remaining
+    }
+
+    #[inline]
+    fn push(&mut self, key: HeapKey) {
+        self.heap.push(key);
+        #[cfg(test)]
+        {
+            self.counters.pushes += 1;
+        }
     }
 
     /// Runs Dijkstra from `src`. With a non-empty `targets` list the search
@@ -202,78 +343,96 @@ impl ShortestPathEngine {
         targets: &[NodeId],
         mut link_weight: impl FnMut(LinkId) -> f64,
     ) {
-        debug_assert!(
-            graph.node_count() < u32::MAX as usize && graph.link_count() < NO_PARENT as usize,
-            "graph exceeds the engine's u32 id range"
-        );
-        self.prepare(graph.node_count());
-        self.src = src;
+        let mut remaining = self.start(graph, src, targets);
+        let early_exit = !targets.is_empty();
         let epoch = self.epoch;
 
-        let mut remaining = 0usize;
-        for &t in targets {
-            let st = &mut self.states[t.index()];
-            if st.target != epoch {
-                st.target = epoch;
-                remaining += 1;
-            }
-        }
-        let early_exit = !targets.is_empty();
-
-        {
-            let st = &mut self.states[src.index()];
-            st.dist = 0.0;
-            st.parent = NO_PARENT;
-            st.seen = epoch;
-        }
-        self.heap.push((0.0f64.to_bits(), src.index() as u32));
-
-        while let Some((key, u)) = self.heap.pop() {
-            let d = f64::from_bits(key);
-            let st = &mut self.states[u as usize];
-            if st.done == epoch {
+        while let Some((key, first)) = self.heap.pop() {
+            if self.states[first as usize].done == epoch {
                 continue;
             }
-            st.done = epoch;
-            if early_exit && st.target == epoch {
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
+            // Drain the level: every other live entry at this key.
+            self.level.insert(first as usize);
+            #[cfg(test)]
+            let mut drained = 1;
+            while let Some(v) = self.heap.pop_at(key) {
+                #[cfg(test)]
+                {
+                    drained += 1;
+                }
+                if self.states[v as usize].done != epoch {
+                    self.level.insert(v as usize);
                 }
             }
-            for (lid, v) in graph.out_links_with_dsts(NodeId(u as usize)) {
-                let w = link_weight(lid);
-                debug_assert!(
-                    !w.is_nan() && w >= 0.0,
-                    "link weight must be non-negative, got {w}"
-                );
-                if w.is_infinite() {
-                    continue;
+            #[cfg(test)]
+            let mut settled = 0;
+            let d = f64::from_bits(key);
+            while let Some(u) = self.level.pop_lowest() {
+                let st = &mut self.states[u];
+                st.done = epoch;
+                #[cfg(test)]
+                {
+                    self.counters.settles += 1;
+                    settled += 1;
                 }
-                let nd = d + w;
-                let sv = &mut self.states[v.index()];
-                if sv.seen != epoch || nd < sv.dist {
-                    sv.seen = epoch;
-                    sv.dist = nd;
-                    sv.parent = lid.index() as u32;
-                    // Leaf skip: if `v` is not a target and its only
-                    // outgoing edge returns to `u` — which is settled, so
-                    // that relaxation could never improve anything — then
-                    // popping `v` would have no observable effect. Skip
-                    // the heap round-trip (a large saving on host-heavy
-                    // data-center topologies where most nodes are
-                    // degree-1 leaves). If a *different* node later
-                    // improves `v`, the condition fails and `v` is pushed
-                    // normally. Only valid under early exit: a full
-                    // sweep promises to settle every reachable node.
-                    if early_exit
-                        && sv.target != epoch
-                        && graph.sole_out_neighbor(v) == Some(NodeId(u as usize))
-                    {
+                if early_exit && st.target == epoch {
+                    remaining -= 1;
+                    if remaining == 0 {
+                        self.level.clear();
+                        return;
+                    }
+                }
+                for (lid, v) in graph.out_links_with_dsts(NodeId(u)) {
+                    let w = link_weight(lid);
+                    debug_assert!(
+                        !w.is_nan() && w >= 0.0,
+                        "link weight must be non-negative, got {w}"
+                    );
+                    if w.is_infinite() {
                         continue;
                     }
-                    self.heap.push((nd.to_bits(), v.index() as u32));
+                    let nd = d + w;
+                    let sv = &mut self.states[v.index()];
+                    if sv.seen != epoch || nd < sv.dist {
+                        sv.seen = epoch;
+                        sv.dist = nd;
+                        sv.parent = lid.index() as u32;
+                        // Leaf skip: if `v` is not a target and its only
+                        // outgoing edge returns to `u` — which is settled,
+                        // so that relaxation could never improve anything
+                        // — then settling `v` would have no observable
+                        // effect. Skip the queue (a large saving on
+                        // host-heavy data-center topologies where most
+                        // nodes are degree-1 leaves). If a *different*
+                        // node later improves `v`, the condition fails and
+                        // `v` is queued normally. Only valid under early
+                        // exit: a full sweep promises to settle every
+                        // reachable node.
+                        if early_exit
+                            && sv.target != epoch
+                            && graph.sole_out_neighbor(v) == Some(NodeId(u))
+                        {
+                            #[cfg(test)]
+                            {
+                                self.counters.leaf_skips += 1;
+                            }
+                            continue;
+                        }
+                        // At the level's own distance `v` would be the
+                        // heap's next pop: it joins the level instead.
+                        let nkey = nd.to_bits();
+                        if nkey == key {
+                            self.level.insert(v.index());
+                        } else {
+                            self.push((nkey, v.index() as u32));
+                        }
+                    }
                 }
+            }
+            #[cfg(test)]
+            {
+                self.counters.wide_levels += u64::from(settled >= 2);
+                self.counters.wide_drains += u64::from(drained >= 2);
             }
         }
     }
@@ -365,6 +524,58 @@ impl ShortestPathEngine {
         let extracted = self.extract_path_links(graph, dst, &mut links);
         debug_assert!(extracted);
         graph.path_from_links(self.src, &links).ok()
+    }
+
+    /// The search before the level bitset, where every settle goes through
+    /// the heap: the reference the level queue must reproduce bit for bit.
+    #[cfg(test)]
+    fn single_source_reference(
+        &mut self,
+        graph: &GraphCsr,
+        src: NodeId,
+        targets: &[NodeId],
+        mut link_weight: impl FnMut(LinkId) -> f64,
+    ) {
+        let mut remaining = self.start(graph, src, targets);
+        let early_exit = !targets.is_empty();
+        let epoch = self.epoch;
+
+        while let Some((key, u)) = self.heap.pop() {
+            let d = f64::from_bits(key);
+            let st = &mut self.states[u as usize];
+            if st.done == epoch {
+                continue;
+            }
+            st.done = epoch;
+            self.counters.settles += 1;
+            if early_exit && st.target == epoch {
+                remaining -= 1;
+                if remaining == 0 {
+                    break;
+                }
+            }
+            for (lid, v) in graph.out_links_with_dsts(NodeId(u as usize)) {
+                let w = link_weight(lid);
+                if w.is_infinite() {
+                    continue;
+                }
+                let nd = d + w;
+                let sv = &mut self.states[v.index()];
+                if sv.seen != epoch || nd < sv.dist {
+                    sv.seen = epoch;
+                    sv.dist = nd;
+                    sv.parent = lid.index() as u32;
+                    if early_exit
+                        && sv.target != epoch
+                        && graph.sole_out_neighbor(v) == Some(NodeId(u as usize))
+                    {
+                        self.counters.leaf_skips += 1;
+                        continue;
+                    }
+                    self.push((nd.to_bits(), v.index() as u32));
+                }
+            }
+        }
     }
 }
 
@@ -505,5 +716,202 @@ mod tests {
             .shortest_path(&gb, big.hosts()[0], big.hosts()[15], |_| 1.0)
             .unwrap();
         assert_eq!(p.len(), 6);
+    }
+
+    /// SplitMix64: the seeded stream of the level-queue property test.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random multigraph: a core of switches joined by random one-way
+    /// links (parallel links and self-loops included), host leaves hanging
+    /// off the core by one duplex link each, and a few isolated nodes.
+    fn random_multigraph(rng: &mut SplitMix) -> GraphCsr {
+        let mut net = Network::new();
+        let core: Vec<NodeId> = (0..2 + rng.below(24))
+            .map(|i| net.add_node(NodeKind::Switch, format!("s{i}")))
+            .collect();
+        for _ in 0..rng.below(4 * core.len()) {
+            let (a, b) = (core[rng.below(core.len())], core[rng.below(core.len())]);
+            net.add_link(a, b, 1.0);
+        }
+        for i in 0..rng.below(3 * core.len()) {
+            let host = net.add_node(NodeKind::Host, format!("h{i}"));
+            net.add_duplex_link(host, core[rng.below(core.len())], 1.0);
+        }
+        for i in 0..rng.below(3) {
+            net.add_node(NodeKind::Host, format!("isolated{i}"));
+        }
+        GraphCsr::from_network(&net)
+    }
+
+    /// Mostly zero weights, a few forbidden links, and the rest from a
+    /// short list, so distances tie at zero and above it.
+    fn random_weights(rng: &mut SplitMix, links: usize) -> Vec<f64> {
+        (0..links)
+            .map(|_| match rng.below(20) {
+                0..=11 => 0.0,
+                12 => f64::INFINITY,
+                r => [0.25, 0.5, 1.0, 1.0, 1.5, 2.0, 0.1][r - 13],
+            })
+            .collect()
+    }
+
+    /// Asserts that two engines hold the same run: every node's settled
+    /// flag, distance bits and parent link, and every target's path.
+    fn assert_same_run(
+        level: &ShortestPathEngine,
+        heap: &ShortestPathEngine,
+        graph: &GraphCsr,
+        targets: &[NodeId],
+        case: usize,
+    ) {
+        for v in (0..graph.node_count()).map(NodeId) {
+            assert_eq!(level.settled(v), heap.settled(v), "case {case}: {v}");
+            assert_eq!(
+                level.distance(v).map(f64::to_bits),
+                heap.distance(v).map(f64::to_bits),
+                "case {case}: {v}"
+            );
+            assert_eq!(
+                level.parent_link(v),
+                heap.parent_link(v),
+                "case {case}: {v}"
+            );
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for &t in targets {
+            assert_eq!(
+                level.extract_path_links(graph, t, &mut a),
+                heap.extract_path_links(graph, t, &mut b),
+                "case {case}: {t}"
+            );
+            assert_eq!(a, b, "case {case}: {t}");
+        }
+    }
+
+    /// The level queue is the heap, bit for bit: on seeded random
+    /// multigraphs with mostly zero weights, parallel and forbidden links —
+    /// full sweeps, duplicated targets, the source as a target, unreachable
+    /// targets — every node's state and every target's path equal the
+    /// heap-only reference's, and so does the number of settles. Both
+    /// engines are reused across cases.
+    #[test]
+    fn the_level_queue_settles_what_the_heap_settles() {
+        let mut rng = SplitMix(0x5EED_0001);
+        let mut level = ShortestPathEngine::new();
+        let mut heap = ShortestPathEngine::new();
+        let mut targets = Vec::new();
+        for case in 0..600 {
+            let graph = random_multigraph(&mut rng);
+            let weights = random_weights(&mut rng, graph.link_count());
+            let n = graph.node_count();
+            let src = NodeId(rng.below(n));
+            targets.clear();
+            if rng.below(4) != 0 {
+                for _ in 0..1 + rng.below(6) {
+                    targets.push(NodeId(rng.below(n)));
+                }
+                if rng.below(3) == 0 {
+                    targets.push(src);
+                }
+                if rng.below(3) == 0 {
+                    targets.push(targets[rng.below(targets.len())]);
+                }
+            }
+            let before = (level.counters, heap.counters);
+            level.single_source_all_targets(&graph, src, &targets, |l| weights[l.index()]);
+            heap.single_source_reference(&graph, src, &targets, |l| weights[l.index()]);
+            assert_same_run(&level, &heap, &graph, &targets, case);
+            assert_eq!(
+                level.counters.settles - before.0.settles,
+                heap.counters.settles - before.1.settles,
+                "case {case}"
+            );
+            assert_eq!(level.counters.leaf_skips, heap.counters.leaf_skips);
+        }
+        // Not vacuous: levels held several nodes, drains took several heap
+        // entries, and leaf skips fired.
+        let c = level.counters;
+        assert!(c.wide_levels > 100, "{c:?}");
+        assert!(c.wide_drains > 100, "{c:?}");
+        assert!(c.leaf_skips > 100, "{c:?}");
+        assert!(c.pushes < heap.counters.pushes, "{c:?}");
+    }
+
+    /// The clock-free gate of the level queue: Frank–Wolfe-like searches on
+    /// the k = 8 fat-tree — zero weight on unloaded links, `2·load` on the
+    /// shortest-path DAGs of a few loaded host pairs, one multi-target
+    /// search per host — settle exactly what the heap-only loop settles,
+    /// with at most half as many heap pushes as settles (measured: 2724
+    /// pushes for 5812 settles, 46.9 %; the reference pushes 6642, 114 %).
+    #[test]
+    fn frank_wolfe_like_searches_settle_mostly_off_the_heap() {
+        let topo = builders::fat_tree(8);
+        let graph = topo.csr();
+        let hosts = topo.hosts();
+        let mut probe = ShortestPathEngine::new();
+        let mut loads = vec![0.0; graph.link_count()];
+        for i in 0..6 {
+            let (src, dst) = (
+                hosts[i * 19 % hosts.len()],
+                hosts[(i * 37 + 5) % hosts.len()],
+            );
+            probe.single_source_all_targets(&graph, src, &[], |_| 1.0);
+            // Walk the pair's DAG back from `dst`: a link is on it when it
+            // is tight under unit weights.
+            let mut frontier = vec![dst];
+            let mut reached = vec![false; graph.node_count()];
+            while let Some(v) = frontier.pop() {
+                let closer = probe.distance(v).map(|d| d - 1.0);
+                for &l in graph.in_links(v) {
+                    let u = graph.link_src(l);
+                    if probe.distance(u) == closer {
+                        loads[l.index()] += 1.0 + i as f64 * 0.5;
+                        if !std::mem::replace(&mut reached[u.index()], true) {
+                            frontier.push(u);
+                        }
+                    }
+                }
+            }
+        }
+        let weights: Vec<f64> = loads.iter().map(|&x| 2.0 * x).collect();
+        let unloaded = weights.iter().filter(|&&w| w == 0.0).count();
+        assert!(
+            unloaded > graph.link_count() / 2,
+            "{unloaded} unloaded links"
+        );
+
+        let mut level = ShortestPathEngine::new();
+        let mut heap = ShortestPathEngine::new();
+        for (i, &src) in hosts.iter().enumerate() {
+            let targets: Vec<NodeId> = (1..4).map(|j| hosts[(i + j * 29) % hosts.len()]).collect();
+            level.single_source_all_targets(&graph, src, &targets, |l| weights[l.index()]);
+            heap.single_source_reference(&graph, src, &targets, |l| weights[l.index()]);
+            assert_same_run(&level, &heap, &graph, &targets, i);
+        }
+        let (c, reference) = (level.counters, heap.counters);
+        assert_eq!(c.settles, reference.settles);
+        assert!(c.settles > 10 * hosts.len() as u64, "{c:?}");
+        assert!(
+            c.pushes * 2 <= c.settles,
+            "{} pushes for {} settles (the reference: {} for {})",
+            c.pushes,
+            c.settles,
+            reference.pushes,
+            reference.settles
+        );
     }
 }

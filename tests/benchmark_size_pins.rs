@@ -1,0 +1,107 @@
+//! Benchmark-size pins of the relaxation's shortest-path step.
+//!
+//! The instances of the `online_resolve` and `offline_dcfsr` benchmark
+//! workloads, solved here as the benchmark solves them, keep the bits
+//! recorded before the search settled distance levels off its heap and
+//! before a Frank–Wolfe step refreshed only the weights of loaded links:
+//! online, the committed energy and an FNV-1a digest of the committed
+//! schedule; offline, `dcfsr`'s energy and lower bound. Both changes
+//! reorder work, never a result. `#[ignore]`d outside CI's release leg.
+
+use deadline_dcn::core::online::OnlineEngine;
+use deadline_dcn::core::prelude::*;
+use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
+use deadline_dcn::power::PowerFunction;
+use deadline_dcn::topology::builders::{self, BuiltTopology};
+
+/// Both workloads' fabric and power: fat-tree k = 8 at link capacity 10,
+/// `P(x) = x^2`.
+fn setting() -> (BuiltTopology, PowerFunction) {
+    (
+        builders::fat_tree_with_capacity(8, 10.0),
+        PowerFunction::speed_scaling_only(1.0, 2.0, 10.0),
+    )
+}
+
+/// FNV-1a over every flow's id, path links and rate segments.
+fn digest(schedule: &Schedule) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |word: u64| {
+        for b in word.to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for flow in schedule.flow_schedules() {
+        feed(flow.flow as u64);
+        for link in flow.path.links() {
+            feed(link.index() as u64);
+        }
+        for (start, end, rate) in flow.profile.segments() {
+            feed(start.to_bits());
+            feed(end.to_bits());
+            feed(rate.to_bits());
+        }
+    }
+    hash
+}
+
+#[test]
+#[ignore = "benchmark-size pin; run in release"]
+fn online_resolve_instances_keep_their_energy_and_schedule() {
+    let (topo, power) = setting();
+    for (seed, energy, schedule) in [
+        (1, 9029.720832751735, 0xf9cd_5ea7_fdd6_5734u64),
+        (2, 9016.167651448915, 0xacbd_149f_07b3_68da),
+        (3, 8018.46778328344, 0x8d41_18c3_acc8_e49f),
+    ] {
+        let base = UniformWorkload::paper_defaults(300, seed)
+            .generate(topo.hosts())
+            .unwrap();
+        let flows = ArrivalProcess::with_load(8.0, seed).apply(&base).unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut engine = OnlineEngine::builder()
+            .policy("resolve")
+            .warm_start(true)
+            .build()
+            .unwrap();
+        let outcome = engine.run(&mut ctx, &flows, &power).unwrap();
+        let got = outcome.report.online_energy;
+        assert_eq!(got.to_bits(), f64::to_bits(energy), "seed {seed}: {got}");
+        assert_eq!(digest(&outcome.schedule), schedule, "seed {seed}");
+    }
+}
+
+#[test]
+#[ignore = "benchmark-size pin; run in release"]
+fn offline_dcfsr_instances_keep_their_energy_and_lower_bound() {
+    let (topo, power) = setting();
+    let registry = AlgorithmRegistry::with_defaults();
+    for (seed, energy, lower_bound) in [
+        (1, 1847.2441566533253, 951.7047201591002),
+        (2, 1750.394680865243, 881.9755339313115),
+        (3, 1487.0611047498028, 775.5062233251904),
+    ] {
+        let flows = UniformWorkload::paper_defaults(60, seed)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = registry
+            .create("dcfsr")
+            .unwrap()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        assert_eq!(
+            bits(solution.total_energy()),
+            bits(Some(energy)),
+            "seed {seed}: {:?}",
+            solution.total_energy()
+        );
+        assert_eq!(
+            bits(solution.lower_bound),
+            bits(Some(lower_bound)),
+            "seed {seed}: {:?}",
+            solution.lower_bound
+        );
+    }
+}
