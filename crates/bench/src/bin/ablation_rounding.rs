@@ -88,11 +88,10 @@ fn main() {
         (relaxation, sp_sim, outcomes)
     });
 
-    let mut report = ExperimentReport::new("ablation_rounding", &topo.name);
-    report.workload = Some(workload);
+    let mut records = Vec::with_capacity(jobs.len());
     let mut coordinates = Vec::with_capacity(jobs.len());
     for (&(budget, seed), &(energy, attempts, excess, rs_sim)) in jobs.iter().zip(&outcomes) {
-        report.instances.push(InstanceRecord {
+        records.push(InstanceRecord {
             label: format!("budget={budget} seed={seed}"),
             flows,
             seed,
@@ -117,7 +116,13 @@ fn main() {
         });
         coordinates.push(("budget".to_string(), budget as f64));
     }
-    report.aggregate_points(&coordinates);
+    let report = ExperimentReport::assemble(
+        "ablation_rounding",
+        &topo.name,
+        Some(workload),
+        records,
+        &coordinates,
+    );
 
     let rows: Vec<Vec<String>> = BUDGETS
         .iter()

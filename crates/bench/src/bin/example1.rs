@@ -49,8 +49,7 @@ fn main() {
             .run_ctx(&ctx, &flows, schedule)
             .summary();
 
-        let mut report = ExperimentReport::new("example1", &topo.name);
-        report.instances.push(InstanceRecord {
+        let record = InstanceRecord {
             label: "example1".to_string(),
             flows: flows.len(),
             seed: 0,
@@ -74,8 +73,14 @@ fn main() {
                 ("s2_measured".to_string(), s2),
                 ("s2_paper".to_string(), s2_paper),
             ],
-        });
-        report.aggregate_points(&[("example1".to_string(), 1.0)]);
+        };
+        let report = ExperimentReport::assemble(
+            "example1",
+            &topo.name,
+            None,
+            vec![record],
+            &[("example1".to_string(), 1.0)],
+        );
 
         let rows = vec![
             vec![

@@ -74,13 +74,17 @@ fn main() {
         })
     });
 
-    let mut report = ExperimentReport::new("hardness_gadget", "parallel(2m)");
     let coordinates: Vec<(String, f64)> = sizes
         .iter()
         .map(|&m| ("gadget".to_string(), m as f64))
         .collect();
-    report.instances = solved;
-    report.aggregate_points(&coordinates);
+    let report = ExperimentReport::assemble(
+        "hardness_gadget",
+        "parallel(2m)",
+        None,
+        solved,
+        &coordinates,
+    );
 
     let rows: Vec<Vec<String>> = report
         .instances

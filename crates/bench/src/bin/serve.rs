@@ -122,17 +122,17 @@ fn main() {
     };
     let shard_workers = cli.shard_workers.unwrap_or(1);
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
+    let names = topologies
+        .iter()
+        .map(|t| t.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
 
     println!(
-        "Scheduler-as-a-service closed loop: policies [{}] under {} on {} \
+        "Scheduler-as-a-service closed loop: policies [{}] under {} on {names} \
          ({} submission(s), {} run(s) per cell, {shard_workers} shard worker(s))\n",
         policy_names.join(", "),
         admission.name(),
-        topologies
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
         flows,
         runs
     );
@@ -233,16 +233,6 @@ fn main() {
             .collect::<Vec<InstanceRecord>>()
     });
 
-    let mut report = ExperimentReport::new(
-        "serve",
-        topologies
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    report.workload = Some(UniformWorkload::paper_defaults(0, 0));
-    report.instances = records;
     let coordinates: Vec<(String, f64)> = grid
         .iter()
         .map(|cell| {
@@ -257,9 +247,15 @@ fn main() {
             )
         })
         .collect();
-    report.aggregate_points(&coordinates);
+    let report = ExperimentReport::assemble(
+        "serve",
+        names,
+        Some(UniformWorkload::paper_defaults(0, 0)),
+        records,
+        &coordinates,
+    );
 
-    for (ti, spec) in topologies.iter().enumerate() {
+    for spec in &topologies {
         let rows: Vec<Vec<String>> = policies
             .iter()
             .map(|policy| {
@@ -269,16 +265,7 @@ fn main() {
                     .iter()
                     .find(|p| p.group == group)
                     .expect("every cell aggregated into a sweep point");
-                let members: Vec<&InstanceRecord> = report
-                    .instances
-                    .iter()
-                    .zip(&grid)
-                    .filter(|(_, c)| c.topology == ti && c.policy == *policy)
-                    .map(|(r, _)| r)
-                    .collect();
-                let mean = |key: &str| {
-                    members.iter().filter_map(|r| r.extra(key)).sum::<f64>() / members.len() as f64
-                };
+                let mean = |key: &str| report.mean_extra(&coordinates, &group, point.x, key);
                 vec![
                     policy.name().to_string(),
                     format!("{:.3}", point.rs),

@@ -4,12 +4,13 @@
 //!
 //! The crate is an experiment-runner subsystem in three layers:
 //!
-//! * **this module** — the solving primitives
-//!   ([`run_flow_set_algorithms`], and [`run_online_flow_set`] for the
-//!   event-driven online sweeps, with the policy selected by name through
-//!   the [`dcn_core::online::PolicyRegistry`]) and the declarative
+//! * **this module** — the solving primitives ([`run_flow_set_algorithms`],
+//!   and [`run_online_flow_set`], which runs one instance through the
+//!   online engine and solves its clairvoyant reference), the declarative
 //!   [`Experiment`] descriptor (name, topologies, workload template,
-//!   **algorithm list**, instance grid);
+//!   **algorithm list**, instance grid), and [`run_online_sweep`], the one
+//!   driver of the online sweeps, to which `online` and `failures` each
+//!   hand an [`OnlineSweep`] description;
 //! * **[`runner`]** — the harness's one worker pool, which fans
 //!   independent `(seed, flow-count)` instances out across cores, plus the
 //!   [`runner::ExperimentCli`] shared by every binary;
@@ -33,14 +34,17 @@ pub mod runner;
 
 use std::borrow::Cow;
 
-use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome, PolicyRegistry};
-use dcn_core::{AlgorithmRegistry, Dcfsr, RandomScheduleConfig, RelaxationLb, SolverContext};
+use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome};
+use dcn_core::{
+    AlgorithmRegistry, Dcfsr, RandomScheduleConfig, RelaxationLb, Solution, SolverContext,
+};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
 use dcn_sim::{SimSummary, Simulator};
 use dcn_solver::fmcf::FmcfSolverConfig;
-use dcn_topology::builders::BuiltTopology;
+use dcn_topology::builders::{self, BuiltTopology};
+use dcn_topology::TopologyEvent;
 use serde::Serialize;
 
 use report::{ExperimentReport, InstanceRecord};
@@ -88,18 +92,6 @@ pub struct InstanceResult {
     /// Total relaxation intervals solved across the instance's algorithms
     /// (summed over every algorithm that reports the diagnostic).
     pub relaxation_intervals: usize,
-}
-
-impl InstanceResult {
-    /// Primary-algorithm energy normalised by the lower bound.
-    pub fn rs_normalized(&self) -> f64 {
-        self.rs_energy / self.lower_bound
-    }
-
-    /// Reference-algorithm energy normalised by the lower bound.
-    pub fn sp_normalized(&self) -> f64 {
-        self.sp_energy / self.lower_bound
-    }
 }
 
 /// A Frank–Wolfe configuration tuned for the benchmark harness: slightly
@@ -207,15 +199,10 @@ pub fn run_flow_set_algorithms(
         }
     }
 
-    let lower_bound = ran.iter().find_map(|r| r.lower_bound).unwrap_or_else(|| {
-        registry
-            .create("lb")
-            .expect("lb is always registered")
-            .solve(&mut ctx, flows, power)
-            .expect("the relaxation solves on connected instances")
-            .lower_bound
-            .expect("lb reports a bound")
-    });
+    let lower_bound = ran
+        .iter()
+        .find_map(|r| r.lower_bound)
+        .unwrap_or_else(|| relaxation_bound(registry, &mut ctx, flows, power));
 
     let rs_sim = ran[0]
         .sim
@@ -254,49 +241,69 @@ pub fn run_flow_set_algorithms(
     }
 }
 
-/// The result of one online rolling-horizon instance: the online outcome,
-/// the offline clairvoyant reference and the artifact-ready measurements.
+/// The fractional lower bound of `flows`, from the registry's `lb`: the
+/// normaliser when the solved algorithms compute none.
+fn relaxation_bound(
+    registry: &AlgorithmRegistry,
+    ctx: &mut SolverContext<'_>,
+    flows: &FlowSet,
+    power: &PowerFunction,
+) -> f64 {
+    registry
+        .create("lb")
+        .expect("lb is always registered")
+        .solve(ctx, flows, power)
+        .expect("the relaxation solves on connected instances")
+        .lower_bound
+        .expect("lb reports a bound")
+}
+
+/// One online instance: the flows, released at their arrival times, and
+/// the link failure/recovery stream merged into the run (empty on a
+/// static fabric).
+#[derive(Debug, Clone)]
+pub struct OnlineInstance {
+    /// The flow set, in the engine's arrival order (release times).
+    pub flows: FlowSet,
+    /// Typed failure/recovery events, in time order.
+    pub events: Vec<TopologyEvent>,
+}
+
+/// The result of one online instance: the online outcome, the clairvoyant
+/// reference and the artifact-ready measurements.
 #[derive(Debug, Clone)]
 pub struct OnlineInstanceResult {
-    /// What the online loop decided and stitched together.
+    /// What the online loop decided and committed.
     pub outcome: OnlineOutcome,
+    /// The clairvoyant reference: the same seeded algorithm solving the
+    /// full instance.
+    pub offline: Solution,
     /// The fractional lower bound of the (clairvoyant) instance.
     pub lower_bound: f64,
-    /// Simulator verification of the stitched online schedule
+    /// Simulator verification of the committed online schedule
     /// (deadline misses counted over admitted flows only).
     pub online_sim: SimSummary,
     /// Simulator verification of the offline clairvoyant schedule.
     pub offline_sim: SimSummary,
 }
 
-impl OnlineInstanceResult {
-    /// Simulated online energy normalised by the lower bound.
-    pub fn online_normalized(&self) -> f64 {
-        self.online_sim.energy / self.lower_bound
-    }
-
-    /// Simulated offline energy normalised by the lower bound.
-    pub fn offline_normalized(&self) -> f64 {
-        self.offline_sim.energy / self.lower_bound
-    }
-}
-
-/// Runs one **online** instance: executes `flows` through an
-/// [`OnlineEngine`] wrapping the named algorithm, driven by the named
-/// [`dcn_core::OnlinePolicy`] under `admission`, solves the same instance
-/// offline with clairvoyant knowledge as the reference, and verifies both
-/// schedules with the fluid simulator. One [`SolverContext`] is shared by
-/// every re-solve, the offline solve and both simulations.
+/// Runs one **online** instance: executes its flows and events through an
+/// [`OnlineEngine`] wrapping the named algorithm of [`harness_registry`],
+/// driven by the named [`dcn_core::OnlinePolicy`] under `admission`
+/// ([`OnlineEngine::run_with_events`]); then solves the same instance with
+/// clairvoyant knowledge — the same algorithm, created afresh and seeded
+/// with `seed` — as the reference, and verifies both schedules with the
+/// fluid simulator. One [`SolverContext`] is shared by every re-solve, the
+/// reference solve and both simulations.
 ///
-/// The typed failure/recovery `events` (empty for a static fabric) are
-/// merged into the engine's event queue
-/// ([`OnlineEngine::run_vs_offline_with_events`]). The clairvoyant
-/// offline reference and both simulator verifications run on the
-/// *pristine* fabric — the engine rolls its topology changes back before
-/// returning — so the energy gap and the failure-attributed misses
-/// isolate exactly what the outages cost the online loop.
+/// The harness never turns warm starts on, so the reference solve starts
+/// cold and no cache of the online run seeds it. The engine rolls its
+/// topology changes back before returning, so the reference and both
+/// simulations see the *pristine* fabric, and the energy gap and the
+/// failure-attributed misses isolate exactly what the outages cost the
+/// online loop.
 ///
-/// The lower bound is taken from the offline solution when the algorithm
+/// The lower bound is taken from the reference solution when the algorithm
 /// computes one (`dcfsr`); otherwise the `lb` algorithm is run
 /// additionally.
 ///
@@ -304,51 +311,43 @@ impl OnlineInstanceResult {
 ///
 /// Panics when the algorithm or policy name is not registered, when an
 /// event is malformed (non-finite time or out-of-range link), when the
-/// online loop or the offline solve fails (connected benchmark instances
-/// must solve), or when the *offline* clairvoyant schedule misses a
-/// deadline — offline feasibility is an invariant of the experiments;
-/// online misses and rejections are data, not bugs.
-#[allow(clippy::too_many_arguments)]
+/// online loop or the reference solve fails (connected benchmark instances
+/// must solve), or when the *clairvoyant* schedule misses a deadline —
+/// offline feasibility is an invariant of the experiments; online misses
+/// and rejections are data, not bugs.
 pub fn run_online_flow_set(
     topo: &BuiltTopology,
-    flows: &FlowSet,
+    instance: &OnlineInstance,
     power: &PowerFunction,
     seed: u64,
     algorithm: &str,
     policy: &str,
     admission: AdmissionRule,
-    events: &[dcn_topology::TopologyEvent],
-    registry: &AlgorithmRegistry,
-    policies: &PolicyRegistry,
 ) -> OnlineInstanceResult {
+    let (flows, registry) = (&instance.flows, harness_registry());
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
-    let mut online = OnlineEngine::builder()
+    let outcome = OnlineEngine::builder()
         .algorithm(algorithm)
         .algorithms(registry.clone())
         .policy(policy)
-        .policies(policies.clone())
         .admission(admission)
         .seed(seed)
         .build()
-        .unwrap_or_else(|e| panic!("cannot configure the online engine: {e}"));
-    let outcome = online
-        .run_vs_offline_with_events(&mut ctx, flows, power, events)
+        .unwrap_or_else(|e| panic!("cannot configure the online engine: {e}"))
+        .run_with_events(&mut ctx, flows, power, &instance.events)
         .unwrap_or_else(|e| panic!("{algorithm} must run connected online instances: {e}"));
 
-    let offline = outcome
-        .offline
-        .as_ref()
-        .expect("run_vs_offline computes the clairvoyant solution");
-    let lower_bound = offline.lower_bound.unwrap_or_else(|| {
-        registry
-            .create("lb")
-            .expect("lb is always registered")
-            .solve(&mut ctx, flows, power)
-            .expect("the relaxation solves on connected instances")
-            .lower_bound
-            .expect("lb reports a bound")
-    });
+    let mut reference = registry
+        .create(algorithm)
+        .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
+    reference.set_seed(seed);
+    let offline = reference
+        .solve(&mut ctx, flows, power)
+        .unwrap_or_else(|e| panic!("{algorithm} must solve connected instances: {e}"));
+    let lower_bound = offline
+        .lower_bound
+        .unwrap_or_else(|| relaxation_bound(&registry, &mut ctx, flows, power));
 
     let simulator = Simulator::new(*power);
     let online_sim = simulator
@@ -363,16 +362,273 @@ pub fn run_online_flow_set(
         .schedule
         .as_ref()
         .expect("the clairvoyant reference produces a schedule");
-    let offline_sim = simulator.run_ctx(&ctx, flows, offline_schedule);
+    let offline_sim = simulator.run_ctx(&ctx, flows, offline_schedule).summary();
     assert_eq!(
         offline_sim.deadline_misses, 0,
         "{algorithm} must meet every deadline with clairvoyant knowledge"
     );
     OnlineInstanceResult {
         outcome,
+        offline,
         lower_bound,
         online_sim,
-        offline_sim: offline_sim.summary(),
+        offline_sim,
+    }
+}
+
+/// What an online sweep varies: `online` sweeps the arrival load,
+/// `failures` the link failure rate at one load. [`run_online_sweep`]
+/// owns everything else.
+#[derive(Debug, Clone)]
+pub struct OnlineSweep {
+    /// Experiment name: names the artifact, tags the progress lines and,
+    /// capitalised, opens every table title.
+    pub name: &'static str,
+    /// The headline's opening words (`"Online event-driven sweep"`).
+    pub headline: &'static str,
+    /// What the headline says of the instances after "under Poisson
+    /// arrivals" (empty when the arrivals say it all).
+    pub setting: String,
+    /// Name of the swept axis: the first table column, the label's
+    /// `<axis>=<x>` and the `extra` key holding `x`.
+    pub axis: &'static str,
+    /// The swept values, in order.
+    pub xs: Vec<f64>,
+    /// The compared policies when `--policies` is not given.
+    pub policies: Vec<String>,
+    /// The record's `extra` keys, in order (the names
+    /// [`run_online_sweep`] knows, the axis, or a key of `fixed`).
+    pub extra: Vec<&'static str>,
+    /// Sweep-wide `extra` dimensions, by key.
+    pub fixed: Vec<(&'static str, f64)>,
+    /// The table columns after the energies and their ratio: `(header,
+    /// extra key)`, each the key's mean over a point's runs.
+    pub columns: Vec<(&'static str, &'static str)>,
+}
+
+/// One cell of an online sweep's grid.
+struct SweepCell<'a> {
+    topology: usize,
+    policy: &'a str,
+    admission: &'a AdmissionRule,
+    /// Index of the cell's `x` — the seed derives from it, not from the
+    /// float, so arbitrary values never collide or overflow.
+    x_index: usize,
+    run: u64,
+}
+
+/// Runs an online sweep and prints its tables: every topology × policy ×
+/// admission rule × `x` × run cell, fanned out over [`runner::run_indexed`]
+/// and assembled into the artifact (one [`InstanceRecord`] per cell, in
+/// grid order). `instance` turns a cell's topology, uniform base workload,
+/// `x` and seed into what the cell runs ([`run_online_flow_set`], on
+/// `x^2` links of capacity 10).
+///
+/// The seed is `10_000 * (x index + 1) + run`, shared across topologies,
+/// policies and admissions so the comparison columns are like for like.
+/// The record's `rs_*` fields are the online run, `sp_*` the clairvoyant
+/// reference. The `extra` keys it knows are the engine's counters
+/// (`events`, `topology_events`, `resolves`, `solve_failures`,
+/// `admitted`, `rejected`, `missed`, `failure_missed`), `admission`
+/// (0 = admit-all, 1 = reject-infeasible), `link_downs` (the instance's
+/// `LinkDown` events), `run`, and the wall-clock `events_per_second` and
+/// `arrivals_per_second`.
+///
+/// The caller prints its notes and emits the returned report.
+///
+/// # Panics
+///
+/// Panics on an `extra` key it does not know, and where
+/// [`run_online_flow_set`] does.
+pub fn run_online_sweep(
+    cli: &runner::ExperimentCli,
+    sweep: &OnlineSweep,
+    instance: impl Fn(&BuiltTopology, &FlowSet, f64, u64) -> OnlineInstance + Sync,
+) -> RunOutcome {
+    let runs = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 }) as u64;
+    let flows = cli.flows.unwrap_or(if cli.quick { 10 } else { 20 });
+    let algorithm = cli.algorithms.as_ref().map_or("dcfsr", |names| &names[0]);
+    let policies = cli.policies.as_ref().unwrap_or(&sweep.policies);
+    let topologies = if cli.quick {
+        vec![builders::fat_tree(4)]
+    } else if cli.full {
+        vec![
+            builders::fat_tree(4),
+            builders::leaf_spine(4, 2, 6),
+            builders::fat_tree(8),
+        ]
+    } else {
+        vec![builders::fat_tree(4), builders::leaf_spine(4, 2, 6)]
+    };
+    let names = topologies
+        .iter()
+        .map(|t| t.name.as_str())
+        .collect::<Vec<_>>()
+        .join(", ");
+    let admissions = [
+        AdmissionRule::AdmitAll,
+        AdmissionRule::reject_infeasible(harness_fmcf_config()),
+    ];
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
+    println!(
+        "{}: {algorithm} re-solves behind policies [{}] under Poisson arrivals{} on {names} \
+         ({flows} flows, {runs} run(s) per point)\n",
+        sweep.headline,
+        policies.join(", "),
+        sweep.setting,
+    );
+
+    let group = |cell: &SweepCell| {
+        let topo = &topologies[cell.topology].name;
+        format!("{topo}|{}|{}", cell.policy, cell.admission.name())
+    };
+    let mut grid = Vec::new();
+    for topology in 0..topologies.len() {
+        for policy in policies {
+            for admission in &admissions {
+                for x_index in 0..sweep.xs.len() {
+                    for run in 0..runs {
+                        grid.push(SweepCell {
+                            topology,
+                            policy,
+                            admission,
+                            x_index,
+                            run,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    let (records, elapsed_seconds) = runner::timed(|| {
+        runner::run_indexed(grid.len(), cli.threads, |i| {
+            let cell = &grid[i];
+            let topo = &topologies[cell.topology];
+            let x = sweep.xs[cell.x_index];
+            let seed = 10_000 * (cell.x_index as u64 + 1) + cell.run;
+            let base = UniformWorkload::paper_defaults(flows, seed)
+                .generate(topo.hosts())
+                .expect("workload generation succeeds on topologies with >= 2 hosts");
+            let instance = instance(topo, &base, x, seed);
+            let (result, seconds) = runner::timed(|| {
+                let admission = cell.admission.clone();
+                run_online_flow_set(
+                    topo,
+                    &instance,
+                    &power,
+                    seed,
+                    algorithm,
+                    cell.policy,
+                    admission,
+                )
+            });
+            let label = format!("{} {}={x} seed={seed}", group(cell), sweep.axis);
+            eprintln!("  [{}] {}/{} {label}", sweep.name, i + 1, grid.len());
+            let report = &result.outcome.report;
+            let per_second = |count: usize| count as f64 / seconds.max(f64::MIN_POSITIVE);
+            let value = |key: &str| match key {
+                key if key == sweep.axis => x,
+                "admission" => match cell.admission {
+                    AdmissionRule::AdmitAll => 0.0,
+                    _ => 1.0,
+                },
+                "events" => report.events as f64,
+                "topology_events" => report.topology_events as f64,
+                "link_downs" => instance.events.iter().filter(|e| e.is_down()).count() as f64,
+                "resolves" => report.resolves as f64,
+                "solve_failures" => report.solve_failures as f64,
+                "admitted" => report.admitted() as f64,
+                "rejected" => report.rejected() as f64,
+                "missed" => report.missed() as f64,
+                "failure_missed" => report.failure_missed() as f64,
+                "run" => cell.run as f64,
+                "events_per_second" => per_second(report.events),
+                "arrivals_per_second" => per_second(instance.flows.len()),
+                other => match sweep.fixed.iter().find(|(key, _)| *key == other) {
+                    Some(&(_, value)) => value,
+                    None => panic!("[{}] no extra dimension named {other:?}", sweep.name),
+                },
+            };
+            InstanceRecord {
+                label,
+                flows: instance.flows.len(),
+                seed,
+                alpha: power.alpha(),
+                lower_bound: result.lower_bound,
+                rs_energy: result.online_sim.energy,
+                sp_energy: result.offline_sim.energy,
+                rs_normalized: result.online_sim.energy / result.lower_bound,
+                sp_normalized: result.offline_sim.energy / result.lower_bound,
+                deadline_misses: report.missed(),
+                rs_capacity_excess: result
+                    .outcome
+                    .schedule
+                    .max_capacity_excess(&topo.network, &power),
+                rs_sim: Some(result.online_sim),
+                sp_sim: Some(result.offline_sim),
+                solve_wall_ms: None,
+                intervals_per_second: None,
+                requests_per_second: None,
+                p99_latency_ms: None,
+                extra: sweep
+                    .extra
+                    .iter()
+                    .map(|&key| (key.to_string(), value(key)))
+                    .collect(),
+            }
+        })
+    });
+
+    let coordinates: Vec<(String, f64)> = grid
+        .iter()
+        .map(|cell| (group(cell), sweep.xs[cell.x_index]))
+        .collect();
+    let report = ExperimentReport::assemble(
+        sweep.name,
+        names,
+        Some(UniformWorkload::paper_defaults(0, 0)),
+        records,
+        &coordinates,
+    );
+
+    let title = sweep.name[..1].to_uppercase() + &sweep.name[1..];
+    let mut header = vec![sweep.axis, "online/LB", "offline/LB", "ratio"];
+    header.extend(sweep.columns.iter().map(|&(name, _)| name));
+    // One table per group, in grid order: the cells of its first point.
+    for cell in grid.iter().filter(|c| c.x_index == 0 && c.run == 0) {
+        let group = group(cell);
+        let rows: Vec<Vec<String>> = report
+            .points
+            .iter()
+            .filter(|p| p.group == group)
+            .map(|p| {
+                let mut row = vec![
+                    format!("{}", p.x),
+                    format!("{:.3}", p.rs),
+                    format!("{:.3}", p.sp),
+                    format!("{:.3}", p.rs / p.sp),
+                ];
+                row.extend(sweep.columns.iter().map(|&(_, key)| {
+                    let mean = report.mean_extra(&coordinates, &group, p.x, key);
+                    format!("{mean:.1}")
+                }));
+                row
+            })
+            .collect();
+        let (topo, admission) = (&topologies[cell.topology].name, cell.admission.name());
+        print_table(
+            &format!(
+                "{title} {algorithm}, {topo} ({} / {admission})",
+                cell.policy
+            ),
+            &header,
+            &rows,
+        );
+    }
+    RunOutcome {
+        report,
+        elapsed_seconds,
     }
 }
 
@@ -542,24 +798,29 @@ impl Experiment {
                 result
             })
         });
-        let mut report = ExperimentReport::new(&self.name, self.topology_description());
         // Record the workload template the uniform instances were drawn
         // from (num_flows/seed are the per-instance overrides, so the
         // template's own values for those two fields are zeroed).
-        report.workload = self.workload.clone().or_else(|| {
+        let workload = self.workload.clone().or_else(|| {
             self.instances
                 .iter()
                 .any(|s| matches!(s.input, InstanceInput::Uniform { .. }))
                 .then(|| UniformWorkload::paper_defaults(0, 0))
         });
-        let mut coordinates = Vec::with_capacity(self.instances.len());
-        for (spec, result) in self.instances.iter().zip(&results) {
-            report.instances.push(self.record(spec, result));
-            coordinates.push((spec.group.clone(), spec.x));
-        }
-        report.aggregate_points(&coordinates);
+        let (records, coordinates): (Vec<_>, Vec<_>) = self
+            .instances
+            .iter()
+            .zip(&results)
+            .map(|(spec, result)| (self.record(spec, result), (spec.group.clone(), spec.x)))
+            .unzip();
         RunOutcome {
-            report,
+            report: ExperimentReport::assemble(
+                &self.name,
+                self.topology_description(),
+                workload,
+                records,
+                &coordinates,
+            ),
             elapsed_seconds,
         }
     }
@@ -618,8 +879,8 @@ impl Experiment {
             lower_bound: result.lower_bound,
             rs_energy: result.rs_energy,
             sp_energy: result.sp_energy,
-            rs_normalized: result.rs_normalized(),
-            sp_normalized: result.sp_normalized(),
+            rs_normalized: result.rs_energy / result.lower_bound,
+            sp_normalized: result.sp_energy / result.lower_bound,
             deadline_misses: result.deadline_misses,
             rs_capacity_excess: result.rs_capacity_excess,
             rs_sim: Some(result.rs_sim),
@@ -666,8 +927,8 @@ mod tests {
         assert!(r.lower_bound > 0.0);
         assert!(r.rs_energy >= r.lower_bound - 1e-6);
         assert!(r.sp_energy >= r.lower_bound - 1e-6);
-        assert!(r.rs_normalized() >= 1.0 - 1e-9);
-        assert!(r.sp_normalized() >= 1.0 - 1e-9);
+        assert!(r.rs_energy / r.lower_bound >= 1.0 - 1e-9);
+        assert!(r.sp_energy / r.lower_bound >= 1.0 - 1e-9);
         assert_eq!(r.deadline_misses, 0);
         assert!(r.extra_energies.is_empty());
     }
@@ -707,6 +968,13 @@ mod tests {
         assert!(r.rs_energy >= r.lower_bound - 1e-6);
     }
 
+    fn static_instance(flows: FlowSet) -> OnlineInstance {
+        OnlineInstance {
+            flows,
+            events: Vec::new(),
+        }
+    }
+
     #[test]
     fn online_instance_produces_sane_numbers() {
         let topo = builders::fat_tree(4);
@@ -719,25 +987,22 @@ mod tests {
             .unwrap();
         let r = run_online_flow_set(
             &topo,
-            &flows,
+            &static_instance(flows),
             &power,
             6,
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            &[],
-            &harness_registry(),
-            &PolicyRegistry::with_defaults(),
         );
         assert!(r.lower_bound > 0.0);
         assert_eq!(r.outcome.report.admitted(), 12);
         assert!(r.outcome.report.resolves >= 1);
-        assert!(r.online_normalized() >= 1.0 - 1e-9);
-        assert!(r.offline_normalized() >= 1.0 - 1e-9);
+        assert!(r.online_sim.energy / r.lower_bound >= 1.0 - 1e-9);
+        assert!(r.offline_sim.energy / r.lower_bound >= 1.0 - 1e-9);
         assert_eq!(r.offline_sim.deadline_misses, 0);
-        // The report's competitive ratio is consistent with the simulated
-        // energies up to the analytic/simulated agreement.
-        let ratio = r.outcome.report.competitive_ratio().unwrap();
+        // The engine's and the reference's energies agree with their
+        // replays up to the analytic/simulated agreement.
+        let ratio = r.outcome.report.online_energy / r.offline.total_energy().unwrap();
         let simulated = r.online_sim.energy / r.offline_sim.energy;
         assert!((ratio - simulated).abs() < 1e-6 * (1.0 + simulated));
     }
@@ -761,19 +1026,19 @@ mod tests {
         .unwrap();
         let r = run_online_flow_set(
             &topo,
-            &zeroed,
+            &static_instance(zeroed),
             &power,
             3,
             "dcfsr",
             "resolve",
             AdmissionRule::AdmitAll,
-            &[],
-            &harness_registry(),
-            &PolicyRegistry::with_defaults(),
         );
         assert_eq!(r.outcome.report.events, 1);
         assert_eq!(r.outcome.report.resolves, 1);
-        assert_eq!(r.outcome.report.competitive_ratio(), Some(1.0));
+        assert_eq!(
+            r.outcome.report.online_energy.to_bits(),
+            r.offline.total_energy().unwrap().to_bits()
+        );
         assert_eq!(r.online_sim.energy, r.offline_sim.energy);
     }
 

@@ -148,6 +148,41 @@ impl ExperimentReport {
         }
     }
 
+    /// A report of `instances` under the `workload` template, with the
+    /// sweep points averaged per `(group, x)` coordinate: `coordinates`
+    /// holds one pair per instance, in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `coordinates` and `instances` have different lengths.
+    pub fn assemble(
+        experiment: impl Into<String>,
+        topology: impl Into<String>,
+        workload: Option<UniformWorkload>,
+        instances: Vec<InstanceRecord>,
+        coordinates: &[(String, f64)],
+    ) -> Self {
+        let mut report = Self::new(experiment, topology);
+        report.workload = workload;
+        report.instances = instances;
+        report.aggregate_points(coordinates);
+        report
+    }
+
+    /// The mean of the `key` dimension of [`InstanceRecord::extra`] over
+    /// the instances at `(group, x)`, given the `coordinates` the report
+    /// was assembled with; an instance without the key adds zero.
+    pub fn mean_extra(&self, coordinates: &[(String, f64)], group: &str, x: f64, key: &str) -> f64 {
+        let members: Vec<&InstanceRecord> = self
+            .instances
+            .iter()
+            .zip(coordinates)
+            .filter(|(_, (g, gx))| g == group && *gx == x)
+            .map(|(r, _)| r)
+            .collect();
+        members.iter().filter_map(|r| r.extra(key)).sum::<f64>() / members.len() as f64
+    }
+
     /// Serializes the report to canonical pretty-printed JSON (trailing
     /// newline included).
     pub fn to_json(&self) -> String {
@@ -281,11 +316,7 @@ impl ExperimentReport {
     ///
     /// `coordinates` supplies the `(group, x)` pair of every instance, in
     /// the same order as `self.instances`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `coordinates` and `instances` have different lengths.
-    pub fn aggregate_points(&mut self, coordinates: &[(String, f64)]) {
+    fn aggregate_points(&mut self, coordinates: &[(String, f64)]) {
         assert_eq!(
             coordinates.len(),
             self.instances.len(),

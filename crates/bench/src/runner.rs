@@ -96,7 +96,7 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 defaults to the experiment's own selection; a name the
 ///                 harness registry does not know is a usage error
 /// --load L        comma-separated load factors swept by the `online`
-///                 binary, e.g. 0.5,1,2,4
+///                 binary, e.g. 0.5,1,2,4 (`failures` runs at one)
 /// --rates L       comma-separated link failure rates (failures per link
 ///                 per unit time) swept by the `failures` binary, e.g.
 ///                 0,0.01,0.05; 0 means the link never fails
@@ -121,7 +121,7 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 varies run to run, so this intentionally opts out of
 ///                 the byte-determinism contract
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentCli {
     /// Name of the experiment (used for the default JSON path).
     pub experiment: String,
@@ -138,8 +138,8 @@ pub struct ExperimentCli {
     /// `--algorithms a,b,...`: registry names to compare (primary,
     /// reference, extras); `None` keeps the experiment's default.
     pub algorithms: Option<Vec<String>>,
-    /// `--load a,b,...`: load factors for the `online` sweep; `None` keeps
-    /// the binary's default grid.
+    /// `--load a,b,...`: load factors for the `online` sweep (one value for
+    /// `failures`); `None` keeps the binary's default.
     pub load: Option<Vec<f64>>,
     /// `--rates a,b,...`: link failure rates (failures per link per unit
     /// time) for the `failures` sweep; `None` keeps the binary's default
@@ -225,24 +225,8 @@ impl ExperimentCli {
     pub fn from_args(experiment: &str, args: &[String]) -> Result<Self, String> {
         let mut cli = Self {
             experiment: experiment.to_string(),
-            runs: None,
-            seeds: None,
-            flows: None,
-            step: None,
             threads: default_threads(),
-            algorithms: None,
-            load: None,
-            rates: None,
-            downtime: None,
-            policies: None,
-            shard_workers: None,
-            queue_depth: None,
-            admission: None,
-            quick: false,
-            full: false,
-            small: false,
-            timings: false,
-            json_out: None,
+            ..Self::default()
         };
         let mut i = 0;
         while i < args.len() {
@@ -271,12 +255,7 @@ impl ExperimentCli {
                     "--step" => cli.step = Some(parse_value(flag, value)?),
                     "--threads" => cli.threads = parse_value(flag, value)?,
                     "--algorithms" => {
-                        let names: Vec<String> = value
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|n| !n.is_empty())
-                            .map(str::to_string)
-                            .collect();
+                        let names: Vec<String> = split_list(value).map(str::to_string).collect();
                         if names.len() < 2 {
                             return Err(format!(
                                 "--algorithms expects at least a primary and a reference \
@@ -287,41 +266,14 @@ impl ExperimentCli {
                         cli.algorithms = Some(names);
                     }
                     "--load" => {
-                        let loads = value
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|l| !l.is_empty())
-                            .map(|l| parse_value::<f64>(flag, l))
-                            .collect::<Result<Vec<f64>, String>>()?;
-                        if loads.is_empty() {
-                            return Err(format!(
-                                "--load expects comma-separated load factors, got {value:?}"
-                            ));
-                        }
-                        if let Some(bad) = loads.iter().find(|l| !l.is_finite() || **l <= 0.0) {
-                            return Err(format!(
-                                "--load factors must be positive and finite, got {bad}"
-                            ));
-                        }
-                        cli.load = Some(loads);
+                        let valid = |l: f64| l.is_finite() && l > 0.0;
+                        cli.load =
+                            Some(parse_list(flag, value, "load factors", "positive", valid)?);
                     }
                     "--rates" => {
-                        let rates = value
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|r| !r.is_empty())
-                            .map(|r| parse_value::<f64>(flag, r))
-                            .collect::<Result<Vec<f64>, String>>()?;
-                        if rates.is_empty() {
-                            return Err(format!(
-                                "--rates expects comma-separated failure rates, got {value:?}"
-                            ));
-                        }
-                        if let Some(bad) = rates.iter().find(|r| !r.is_finite() || **r < 0.0) {
-                            return Err(format!(
-                                "--rates must be non-negative and finite, got {bad}"
-                            ));
-                        }
+                        let valid = |r: f64| r.is_finite() && r >= 0.0;
+                        let rates =
+                            parse_list(flag, value, "failure rates", "non-negative", valid)?;
                         cli.rates = Some(rates);
                     }
                     "--downtime" => {
@@ -344,12 +296,7 @@ impl ExperimentCli {
                         cli.admission = Some(value.clone());
                     }
                     "--policies" => {
-                        let names: Vec<String> = value
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|n| !n.is_empty())
-                            .map(str::to_string)
-                            .collect();
+                        let names: Vec<String> = split_list(value).map(str::to_string).collect();
                         if names.is_empty() {
                             return Err(format!(
                                 "--policies expects comma-separated policy names, got {value:?}"
@@ -393,21 +340,23 @@ impl ExperimentCli {
         // averages, or a step_by(0) panic downstream; fail fast instead.
         for (flag, value) in [
             ("--runs", cli.runs),
+            ("--seeds", cli.seeds.map(|seeds| seeds as usize)),
             ("--flows", cli.flows),
             ("--step", cli.step),
+            ("--shard-workers", cli.shard_workers),
+            ("--queue-depth", cli.queue_depth),
         ] {
             if value == Some(0) {
                 return Err(format!("{flag} must be at least 1"));
             }
         }
-        if cli.seeds == Some(0) {
-            return Err("--seeds must be at least 1".to_string());
-        }
-        if cli.shard_workers == Some(0) {
-            return Err("--shard-workers must be at least 1".to_string());
-        }
-        if cli.queue_depth == Some(0) {
-            return Err("--queue-depth must be at least 1".to_string());
+        // The failure sweep runs at one load; a list would silently run
+        // its first value and drop the rest.
+        let loads = cli.load.as_ref().map_or(0, Vec::len);
+        if experiment == "failures" && loads > 1 {
+            return Err(format!(
+                "--load takes a single load factor for failures, got {loads} values"
+            ));
         }
         Ok(cli)
     }
@@ -453,6 +402,36 @@ fn check_known(kind: &str, names: &[String], known: &[&str]) -> Result<(), Strin
             known.join(", ")
         )),
         None => Ok(()),
+    }
+}
+
+/// The non-empty items of a comma-separated flag value, trimmed.
+fn split_list(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim).filter(|v| !v.is_empty())
+}
+
+/// Parses a comma-separated list of numbers, each of which must pass
+/// `valid` (a `bound`, finite value).
+fn parse_list(
+    flag: &str,
+    value: &str,
+    what: &str,
+    bound: &str,
+    valid: impl Fn(f64) -> bool,
+) -> Result<Vec<f64>, String> {
+    let list = split_list(value)
+        .map(|v| parse_value::<f64>(flag, v))
+        .collect::<Result<Vec<f64>, String>>()?;
+    if list.is_empty() {
+        return Err(format!(
+            "{flag} expects comma-separated {what}, got {value:?}"
+        ));
+    }
+    match list.iter().find(|&&v| !valid(v)) {
+        Some(bad) => Err(format!(
+            "{flag} values must be {bound} and finite, got {bad}"
+        )),
+        None => Ok(list),
     }
 }
 
@@ -634,6 +613,14 @@ mod tests {
         assert!(ExperimentCli::from_args("x", &args(&["--runs"])).is_err());
         assert!(ExperimentCli::from_args("x", &args(&["--runs", "many"])).is_err());
         assert!(ExperimentCli::from_args("x", &args(&["--threads", "0"])).is_err());
+        // The failure sweep runs at one load: a list is a usage error
+        // there, not a silent run at its first value.
+        assert_eq!(
+            ExperimentCli::from_args("failures", &args(&["--load", "1,2"])).unwrap_err(),
+            "--load takes a single load factor for failures, got 2 values"
+        );
+        let cli = ExperimentCli::from_args("failures", &args(&["--load", "3"])).unwrap();
+        assert_eq!(cli.load, Some(vec![3.0]));
         for flag in ["--runs", "--seeds", "--flows", "--step"] {
             assert!(
                 ExperimentCli::from_args("x", &args(&[flag, "0"])).is_err(),

@@ -1,0 +1,98 @@
+//! Byte pins of the experiment artifacts.
+//!
+//! Every line of `tests/data/artifact_digests.txt` names a benchmark
+//! binary, the flags it runs with and the FNV-1a digest of the JSON
+//! artifact that run writes (`<bin> <flags> <digest>`; `#` starts a
+//! comment). The test runs each line through the built binary into a
+//! temporary directory and compares digests, so a change that moves one
+//! byte of `BENCH_online.json`, `BENCH_failures.json`, `BENCH_serve.json`
+//! or `BENCH_fig2.json` fails here. Re-bless after an intentional change
+//! with `BLESS_GOLDEN=1 cargo test --release -p dcn-bench --test
+//! artifact_pins -- --ignored`. `#[ignore]`d outside CI's release leg:
+//! the runs need an optimised build.
+
+use std::fs;
+use std::path::PathBuf;
+use std::process::Command;
+
+/// The digest file, at the workspace root's `tests/data/`.
+fn digests_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/artifact_digests.txt")
+}
+
+/// The built binary of a pinned experiment.
+fn binary(name: &str) -> &'static str {
+    match name {
+        "online" => env!("CARGO_BIN_EXE_online"),
+        "failures" => env!("CARGO_BIN_EXE_failures"),
+        "serve" => env!("CARGO_BIN_EXE_serve"),
+        "fig2" => env!("CARGO_BIN_EXE_fig2"),
+        other => panic!("artifact_digests.txt names {other:?}, which has no pin"),
+    }
+}
+
+/// FNV-1a (64-bit) over the artifact's bytes.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `bin` with `flags`, writing its artifact into `dir`, and returns
+/// the artifact's digest.
+fn artifact_digest(bin: &str, flags: &[&str], dir: &std::path::Path) -> u64 {
+    let out = dir.join(format!("BENCH_{bin}.json"));
+    let status = Command::new(binary(bin))
+        .args(flags)
+        .arg("--json-out")
+        .arg(&out)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    assert!(status.success(), "{bin} {flags:?} exited with {status}");
+    digest(&fs::read(&out).unwrap_or_else(|e| panic!("{bin} wrote no artifact: {e}")))
+}
+
+#[test]
+#[ignore = "runs the benchmark binaries; release only"]
+fn quick_artifacts_keep_their_bytes() {
+    let path = digests_path();
+    let text = fs::read_to_string(&path).expect("tests/data/artifact_digests.txt exists");
+    let dir = std::env::temp_dir().join(format!("dcn-artifact-pins-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("temp dir");
+    let bless = std::env::var_os("BLESS_GOLDEN").is_some();
+    let mut blessed = String::new();
+    let mut diverged = Vec::new();
+    let mut pinned = 0;
+    for line in text.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if line.starts_with('#') || words.len() < 2 {
+            blessed.push_str(line);
+            blessed.push('\n');
+            continue;
+        }
+        let (bin, rest) = words.split_first().expect("two words or more");
+        let (recorded, flags) = rest.split_last().expect("a digest");
+        let got = artifact_digest(bin, flags, &dir);
+        let got = format!("{got:#018x}");
+        if got != *recorded {
+            diverged.push(format!("{bin} {}: {recorded} -> {got}", flags.join(" ")));
+        }
+        blessed.push_str(&format!("{bin} {} {got}\n", flags.join(" ")));
+        pinned += 1;
+    }
+    fs::remove_dir_all(&dir).ok();
+    assert!(pinned >= 4, "artifact_digests.txt pins {pinned} runs");
+    if bless {
+        fs::write(&path, blessed).expect("digest file writes");
+        return;
+    }
+    assert!(
+        diverged.is_empty(),
+        "artifacts diverged from tests/data/artifact_digests.txt:\n{}\n\
+         re-bless with BLESS_GOLDEN=1 if the change is intentional",
+        diverged.join("\n")
+    );
+}

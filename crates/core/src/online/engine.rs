@@ -44,7 +44,6 @@ use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
 use crate::schedule::{FlowSchedule, Schedule};
-use crate::solution::Solution;
 use dcn_flow::{Flow, FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
@@ -137,8 +136,7 @@ pub struct FlowDecision {
 }
 
 /// What the online loop did: per-flow decisions, event/re-solve counters
-/// and the energy of the committed schedule, with the offline clairvoyant
-/// energy alongside when [`OnlineEngine::run_vs_offline`] computed it.
+/// and the energy of the committed schedule.
 #[derive(Debug, Clone)]
 pub struct OnlineReport {
     /// One decision per flow of the instance, in flow-id order.
@@ -154,9 +152,6 @@ pub struct OnlineReport {
     pub solve_failures: usize,
     /// Energy of the committed online schedule (the paper's objective).
     pub online_energy: f64,
-    /// Energy of the wrapped algorithm solving the full instance with
-    /// clairvoyant knowledge, when computed.
-    pub offline_energy: Option<f64>,
     /// Number of [`TopologyEvent`]s that actually changed link state
     /// during the run (duplicate failures/recoveries are no-ops and not
     /// counted).
@@ -190,20 +185,10 @@ impl OnlineReport {
     pub fn admitted_mask(&self) -> Vec<bool> {
         self.decisions.iter().map(|d| d.admitted).collect()
     }
-
-    /// `online_energy / offline_energy`, when the offline bound was
-    /// computed and is positive.
-    pub fn competitive_ratio(&self) -> Option<f64> {
-        match self.offline_energy {
-            Some(offline) if offline > 0.0 => Some(self.online_energy / offline),
-            _ => None,
-        }
-    }
 }
 
-/// The result of one online run: the committed executable schedule, the
-/// report, and (after [`OnlineEngine::run_vs_offline`]) the offline
-/// clairvoyant solution for comparison.
+/// The result of one online run: the committed executable schedule and
+/// the report.
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// Everything the run committed over the instance horizon, one entry
@@ -211,9 +196,6 @@ pub struct OnlineOutcome {
     pub schedule: Schedule,
     /// What the loop decided and measured.
     pub report: OnlineReport,
-    /// The clairvoyant solution of the wrapped algorithm on the full
-    /// instance, when computed.
-    pub offline: Option<Solution>,
 }
 
 /// A read-only view of a driver's [`InFlightLedger`] at one instant, handed
@@ -663,9 +645,8 @@ impl OnlineEngine {
     ///
     /// The run leaves the context's topology exactly as it found it:
     /// whatever net link-state change the stream produced is rolled back
-    /// before returning, so follow-up solves (and
-    /// [`OnlineEngine::run_vs_offline_with_events`]'s clairvoyant
-    /// reference) see the pristine fabric.
+    /// before returning, so follow-up solves on the same context (a
+    /// clairvoyant reference solve, say) see the pristine fabric.
     ///
     /// # Errors
     ///
@@ -741,50 +722,6 @@ impl OnlineEngine {
             run.step(batch)?;
         }
         Ok(run.finish(flows.horizon()))
-    }
-
-    /// [`OnlineEngine::run`], then solves the full instance with the same
-    /// (re-seeded) algorithm and clairvoyant knowledge on the same warm
-    /// context, recording the offline energy in the report — the
-    /// denominator of [`OnlineReport::competitive_ratio`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors of the online run and of the offline solve.
-    pub fn run_vs_offline(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<OnlineOutcome, SolveError> {
-        self.run_vs_offline_with_events(ctx, flows, power, &[])
-    }
-
-    /// [`OnlineEngine::run_with_events`], then the clairvoyant offline
-    /// solve of [`OnlineEngine::run_vs_offline`]. The offline reference
-    /// sees the *pristine* fabric (the online run rolls its topology
-    /// changes back before returning), so the competitive ratio isolates
-    /// what the failures cost the online loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors of the online run and of the offline solve.
-    pub fn run_vs_offline_with_events(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-        events: &[TopologyEvent],
-    ) -> Result<OnlineOutcome, SolveError> {
-        let mut outcome = self.run_with_events(ctx, flows, power, events)?;
-        // The clairvoyant bound must not be seeded by the online run's
-        // warm cache (disabling drops it; the next `run` re-enables).
-        ctx.set_warm_start(false);
-        self.algorithm.set_seed(self.seed);
-        let offline = self.algorithm.solve(ctx, flows, power)?;
-        outcome.report.offline_energy = offline.total_energy();
-        outcome.offline = Some(offline);
-        Ok(outcome)
     }
 }
 
@@ -1173,10 +1110,8 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 resolves: self.resolves,
                 solve_failures: self.solve_failures,
                 online_energy,
-                offline_energy: None,
                 topology_events: self.topology_applied,
             },
-            offline: None,
         }
     }
 }
@@ -1210,6 +1145,7 @@ mod tests {
     use super::*;
     use crate::algorithm::Dcfsr;
     use crate::online::policies::ResolvePolicy;
+    use crate::solution::Solution;
     use dcn_flow::Flow;
     use dcn_topology::{builders, GraphCsr, Path};
     use std::sync::Arc;
@@ -1362,7 +1298,7 @@ mod tests {
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
         let mut engine = resolve_engine("dcfsr", AdmissionRule::AdmitAll);
         engine.set_seed(11);
-        let outcome = engine.run_vs_offline(&mut ctx, &zeroed, &power).unwrap();
+        let outcome = engine.run(&mut ctx, &zeroed, &power).unwrap();
         assert_eq!(outcome.report.events, 1);
         assert_eq!(outcome.report.resolves, 1);
         assert_eq!(outcome.report.solve_failures, 0);
@@ -1372,10 +1308,9 @@ mod tests {
         let clairvoyant = offline.solve(&mut ctx, &zeroed, &power).unwrap();
         assert_eq!(&outcome.schedule, clairvoyant.schedule.as_ref().unwrap());
         assert_eq!(
-            outcome.report.online_energy,
-            clairvoyant.total_energy().unwrap()
+            outcome.report.online_energy.to_bits(),
+            clairvoyant.total_energy().unwrap().to_bits()
         );
-        assert_eq!(outcome.report.competitive_ratio(), Some(1.0));
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! **committed**, appended on the spot to that flow's entry of the one
 //! executable [`crate::Schedule`] the [`OnlineOutcome`] returns; an
 //! [`OnlineReport`] records the per-flow admit/miss decisions, the
-//! event/re-solve counters and the online energy versus the offline
-//! clairvoyant bound.
+//! event/re-solve counters and the online energy. The engine knows
+//! nothing of the clairvoyant reference: a caller that wants the price of
+//! going online solves the full instance itself, on the same context
+//! (the `dcn-bench` harness's `run_online_flow_set` does).
 //!
 //! With every flow released at the same instant there is exactly one
 //! arrival event, the residual instance *is* the full instance and the
@@ -61,10 +63,10 @@
 //!     .warm_start(true)
 //!     .seed(7)
 //!     .build()?;
-//! let outcome = online.run_vs_offline(&mut ctx, &flows, &power)?;
+//! let outcome = online.run(&mut ctx, &flows, &power)?;
 //! assert_eq!(outcome.report.decisions.len(), flows.len());
 //! assert!(outcome.report.events >= 1);
-//! assert!(outcome.report.competitive_ratio().unwrap() > 0.0);
+//! assert!(outcome.report.online_energy > 0.0);
 //! # Ok(())
 //! # }
 //! ```

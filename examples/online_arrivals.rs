@@ -47,8 +47,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .policy("resolve")
             .seed(7)
             .build()?;
-        let outcome = online.run_vs_offline(&mut ctx, &flows, &power)?;
+        let outcome = online.run(&mut ctx, &flows, &power)?;
         let report = &outcome.report;
+        // The clairvoyant reference: the same seeded algorithm solving the
+        // whole instance on the same context.
+        let mut clairvoyant = AlgorithmRegistry::with_defaults().create("dcfsr")?;
+        clairvoyant.set_seed(7);
+        let offline = clairvoyant
+            .solve(&mut ctx, &flows, &power)?
+            .total_energy()
+            .expect("dcfsr produces a schedule");
 
         // Execute the stitched schedule in the fluid simulator; rejected
         // flows (none under AdmitAll) would be excluded from the misses.
@@ -66,8 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.events,
             report.resolves,
             report.online_energy,
-            report.offline_energy.unwrap(),
-            report.competitive_ratio().unwrap(),
+            offline,
+            report.online_energy / offline,
             report.missed()
         );
     }

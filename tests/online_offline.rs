@@ -151,8 +151,9 @@ fn online_full_knowledge_is_bit_identical_to_offline_sp_mcf() {
     }
 }
 
-/// `run_vs_offline` with full knowledge reports a competitive ratio of
-/// exactly 1.
+/// With full knowledge the online energy equals, to the bit, the
+/// `total_energy()` of the clairvoyant solve of the same seeded algorithm
+/// on the same context: the price of going online is exactly 1.
 #[test]
 fn full_knowledge_competitive_ratio_is_exactly_one() {
     let power = x2(10.0);
@@ -169,11 +170,13 @@ fn full_knowledge_competitive_ratio_is_exactly_one() {
         .seed(5)
         .build()
         .unwrap();
-    let outcome = online.run_vs_offline(&mut ctx, &flows, &power).unwrap();
-    assert_eq!(outcome.report.competitive_ratio(), Some(1.0));
+    let outcome = online.run(&mut ctx, &flows, &power).unwrap();
+    let mut reference = AlgorithmRegistry::with_defaults().create("dcfsr").unwrap();
+    reference.set_seed(5);
+    let clairvoyant = reference.solve(&mut ctx, &flows, &power).unwrap();
     assert_eq!(
-        outcome.report.offline_energy,
-        outcome.offline.as_ref().unwrap().total_energy()
+        outcome.report.online_energy.to_bits(),
+        clairvoyant.total_energy().unwrap().to_bits()
     );
 }
 

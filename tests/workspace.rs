@@ -16,7 +16,10 @@
 //! * `edf` re-plans without sorting or hashing: it walks the ledger's
 //!   deadline index, and the route memo hashes node ids without SipHash;
 //! * a served flow is stored once: a `dcn-server` shard keeps one
-//!   `FlowSchedule` per flow and its snapshot one record per flow.
+//!   `FlowSchedule` per flow and its snapshot one record per flow;
+//! * the online engine holds no clairvoyant reference: the bench harness
+//!   solves it, and the `online` and `failures` sweeps share its one
+//!   driver.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -463,5 +466,50 @@ fn the_json_codec_streams_without_a_value_tree() {
                 path.display()
             );
         }
+    }
+}
+
+#[test]
+fn the_online_comparison_lives_in_one_harness_driver() {
+    // `OnlineEngine` runs an instance and nothing else: the clairvoyant
+    // reference is solved by its one user, the bench harness, and the
+    // `online` and `failures` sweeps share one driver there, which builds
+    // every record of theirs in one place.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("src"), &mut sources);
+    rust_sources(&root.join("examples"), &mut sources);
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut sources,
+        );
+    }
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in ["run_vs_offline", "competitive_ratio", "offline_energy"] {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — the harness solves the reference",
+                path.display()
+            );
+        }
+    }
+    let mut bench = Vec::new();
+    rust_sources(&root.join("crates/bench/src"), &mut bench);
+    for path in bench {
+        let source = fs::read_to_string(&path).expect("source readable");
+        assert!(
+            !source.contains("too_many_arguments"),
+            "{}: `too_many_arguments` is banned — pass what the call needs",
+            path.display()
+        );
+    }
+    for bin in ["online", "failures"] {
+        let file = format!("crates/bench/src/bin/{bin}.rs");
+        assert!(
+            !product_part(&file).contains("InstanceRecord {"),
+            "{file}: builds an `InstanceRecord` — describe the sweep to `run_online_sweep`"
+        );
     }
 }
