@@ -5,8 +5,9 @@
 //! artifact that run writes (`<bin> <flags> <digest>`; `#` starts a
 //! comment). The test runs each line through the built binary into a
 //! temporary directory and compares digests, so a change that moves one
-//! byte of `BENCH_online.json`, `BENCH_failures.json`, `BENCH_serve.json`
-//! or `BENCH_fig2.json` fails here. Re-bless after an intentional change
+//! byte of any experiment's `--quick` artifact fails here; the runs with
+//! `--algorithms` / `--policies` lists send every scheduler name but
+//! `exact` through the name tables. Re-bless after an intentional change
 //! with `BLESS_GOLDEN=1 cargo test --release -p dcn-bench --test
 //! artifact_pins -- --ignored`. `#[ignore]`d outside CI's release leg:
 //! the runs need an optimised build.
@@ -27,6 +28,13 @@ fn binary(name: &str) -> &'static str {
         "failures" => env!("CARGO_BIN_EXE_failures"),
         "serve" => env!("CARGO_BIN_EXE_serve"),
         "fig2" => env!("CARGO_BIN_EXE_fig2"),
+        "example1" => env!("CARGO_BIN_EXE_example1"),
+        "hardness_gadget" => env!("CARGO_BIN_EXE_hardness_gadget"),
+        "scaling" => env!("CARGO_BIN_EXE_scaling"),
+        "ablation_alpha" => env!("CARGO_BIN_EXE_ablation_alpha"),
+        "ablation_lambda" => env!("CARGO_BIN_EXE_ablation_lambda"),
+        "ablation_rounding" => env!("CARGO_BIN_EXE_ablation_rounding"),
+        "ablation_topology" => env!("CARGO_BIN_EXE_ablation_topology"),
         other => panic!("artifact_digests.txt names {other:?}, which has no pin"),
     }
 }
@@ -84,7 +92,7 @@ fn quick_artifacts_keep_their_bytes() {
         pinned += 1;
     }
     fs::remove_dir_all(&dir).ok();
-    assert!(pinned >= 4, "artifact_digests.txt pins {pinned} runs");
+    assert!(pinned >= 14, "artifact_digests.txt pins {pinned} runs");
     if bless {
         fs::write(&path, blessed).expect("digest file writes");
         return;
