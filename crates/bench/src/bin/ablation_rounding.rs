@@ -13,13 +13,14 @@
 //!     [--flows N] [--seeds S] [--threads T] [--quick] [--json-out [PATH]]
 //! ```
 
+use dcn_bench::print_table;
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
-use dcn_bench::{harness_fmcf_config, print_table};
 use dcn_core::{Algorithm, RandomSchedule, RandomScheduleConfig, RoutedMcf, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
 use dcn_sim::Simulator;
+use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::builders;
 
 const BUDGETS: [usize; 3] = [1, 5, 25];
@@ -52,7 +53,7 @@ fn main() {
         // draws (cheap, independent) fan out across the worker pool.
         let mut ctx = SolverContext::from_network(&topo.network).expect("fat-tree validates");
         let relaxation = ctx
-            .relax(&flow_set, &power, &harness_fmcf_config())
+            .relax(&flow_set, &power, &FmcfSolverConfig::coarse())
             .expect("relaxation succeeds on connected instances");
         let sp = RoutedMcf::shortest_path()
             .solve(&mut ctx, &flow_set, &power)
@@ -68,7 +69,7 @@ fn main() {
         let outcomes = run_indexed(jobs.len(), cli.threads, |i| {
             let (budget, seed) = jobs[i];
             let outcome = RandomSchedule::new(RandomScheduleConfig {
-                fmcf: harness_fmcf_config(),
+                fmcf: FmcfSolverConfig::coarse(),
                 max_rounding_attempts: budget,
                 seed,
                 ..Default::default()

@@ -6,12 +6,12 @@
 //! release times with a Poisson arrival process at a given **load factor**
 //! (expected number of flows concurrently in flight), and executes it
 //! through the `dcn_core::online::OnlineEngine` — one warm
-//! `SolverContext`, one `OnlinePolicy` selected by name from the
-//! `PolicyRegistry` — under both admission rules. The offline clairvoyant
-//! solve of the same instance is the reference, so the artifact tracks the
-//! **competitive ratio** of each online policy versus offline DCFSR as a
-//! function of load, alongside its re-solve count (how often the policy
-//! fell back to a full Frank–Wolfe pass). The grid, the seeds, the
+//! `SolverContext`, one `OnlinePolicy` selected by name from
+//! `dcn_core::online::POLICY_NAMES` — under both admission rules. The
+//! offline clairvoyant solve of the same instance is the reference, so the
+//! artifact tracks the **competitive ratio** of each online policy versus
+//! offline DCFSR as a function of load, alongside its re-solve count (how
+//! often the policy fell back to a full Frank–Wolfe pass). The grid, the seeds, the
 //! reference solve, the records and the tables are the shared sweep
 //! driver's (`dcn_bench::run_online_sweep`, which `failures` runs too);
 //! this binary describes its instances, `extra` keys and columns.
@@ -58,7 +58,7 @@
 
 use dcn_bench::runner::{timed, ExperimentCli};
 use dcn_bench::{run_online_sweep, OnlineInstance, OnlineSweep};
-use dcn_core::online::{OnlineEngine, PolicyRegistry};
+use dcn_core::online::{OnlineEngine, POLICY_NAMES};
 use dcn_core::SolverContext;
 use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
 use dcn_power::PowerFunction;
@@ -96,11 +96,7 @@ fn main() {
                 vec![0.5, 1.0, 2.0, 4.0]
             }
         }),
-        policies: PolicyRegistry::with_defaults()
-            .names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect(),
+        policies: POLICY_NAMES.iter().map(|n| n.to_string()).collect(),
         extra,
         fixed: Vec::new(),
         columns: vec![

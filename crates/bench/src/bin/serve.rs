@@ -52,8 +52,7 @@ use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
 use dcn_server::{
-    serve_fmcf_config, Request, RequestBody, ResponseBody, ServePolicy, Server, ServerConfig,
-    SubmitFlow, TopologySpec,
+    Request, RequestBody, ResponseBody, ServePolicy, Server, ServerConfig, SubmitFlow, TopologySpec,
 };
 use dcn_topology::builders;
 use dcn_topology::GraphCsr;
@@ -83,11 +82,7 @@ fn main() {
     let cli = ExperimentCli::parse("serve");
     let runs: u64 = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 }) as u64;
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 1000 } else { 2000 });
-    // `ExperimentCli` already turned any other name into a usage error.
-    let admission = match cli.admission.as_deref() {
-        Some("reject-infeasible") => AdmissionRule::reject_infeasible(serve_fmcf_config()),
-        _ => AdmissionRule::AdmitAll,
-    };
+    let admission = cli.admission.clone().unwrap_or_default();
     let policy_names: Vec<String> = cli.policies.clone().unwrap_or_else(|| {
         let mut names = vec!["edf".to_string(), "greedy".to_string()];
         if cli.full {

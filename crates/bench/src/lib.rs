@@ -18,8 +18,8 @@
 //!   (`BENCH_<name>.json`) each run can be serialized to.
 //!
 //! Schedulers are selected **by name** through the
-//! [`dcn_core::AlgorithmRegistry`] ([`harness_registry`] re-registers
-//! `dcfsr` and `lb` with the harness-tuned Frank–Wolfe configuration).
+//! [`dcn_core::AlgorithmRegistry`] of [`harness_registry`], whose `dcfsr`
+//! and `lb` relax with the coarse Frank–Wolfe configuration.
 //! Every instance builds one [`SolverContext`] per solve, runs the
 //! experiment's algorithm list on it — the first algorithm is the
 //! **primary** (the `rs_*` artifact fields), the second the **reference**
@@ -35,9 +35,7 @@ pub mod runner;
 use std::borrow::Cow;
 
 use dcn_core::online::{AdmissionRule, OnlineEngine, OnlineOutcome};
-use dcn_core::{
-    AlgorithmRegistry, Dcfsr, RandomScheduleConfig, RelaxationLb, Solution, SolverContext,
-};
+use dcn_core::{AlgorithmRegistry, Solution, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
@@ -94,31 +92,12 @@ pub struct InstanceResult {
     pub relaxation_intervals: usize,
 }
 
-/// A Frank–Wolfe configuration tuned for the benchmark harness: slightly
-/// looser than the library default so the fat-tree(8) sweeps finish in
-/// minutes rather than hours, while keeping the lower bound within a couple
-/// of percent of the converged value.
-pub fn harness_fmcf_config() -> FmcfSolverConfig {
-    FmcfSolverConfig {
-        max_iterations: 25,
-        tolerance: 1e-3,
-        line_search_steps: 24,
-        ..Default::default()
-    }
-}
-
-/// The algorithm registry of the benchmark harness: the library defaults
-/// with `dcfsr` and `lb` re-registered on [`harness_fmcf_config`].
+/// The algorithm registry of the benchmark harness: `dcfsr` and `lb` relax
+/// with [`FmcfSolverConfig::coarse`].
 pub fn harness_registry() -> AlgorithmRegistry {
-    let mut registry = AlgorithmRegistry::with_defaults();
-    registry.register("dcfsr", || {
-        Box::new(Dcfsr::new(RandomScheduleConfig {
-            fmcf: harness_fmcf_config(),
-            ..Default::default()
-        }))
-    });
-    registry.register("lb", || Box::new(RelaxationLb::new(harness_fmcf_config())));
-    registry
+    AlgorithmRegistry {
+        fmcf: FmcfSolverConfig::coarse(),
+    }
 }
 
 /// Runs one instance of an experiment on an arbitrary topology and flow
@@ -327,9 +306,13 @@ pub fn run_online_flow_set(
     let (flows, registry) = (&instance.flows, harness_registry());
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
+    let create = || {
+        registry
+            .create(algorithm)
+            .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"))
+    };
     let outcome = OnlineEngine::builder()
-        .algorithm(algorithm)
-        .algorithms(registry.clone())
+        .algorithm_instance(create())
         .policy(policy)
         .admission(admission)
         .seed(seed)
@@ -338,9 +321,7 @@ pub fn run_online_flow_set(
         .run_with_events(&mut ctx, flows, power, &instance.events)
         .unwrap_or_else(|e| panic!("{algorithm} must run connected online instances: {e}"));
 
-    let mut reference = registry
-        .create(algorithm)
-        .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
+    let mut reference = create();
     reference.set_seed(seed);
     let offline = reference
         .solve(&mut ctx, flows, power)
@@ -467,7 +448,7 @@ pub fn run_online_sweep(
         .join(", ");
     let admissions = [
         AdmissionRule::AdmitAll,
-        AdmissionRule::reject_infeasible(harness_fmcf_config()),
+        AdmissionRule::reject_infeasible(FmcfSolverConfig::coarse()),
     ];
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
     println!(

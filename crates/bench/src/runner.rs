@@ -16,8 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::report::ExperimentReport;
-use dcn_core::online::PolicyRegistry;
+use dcn_core::online::{AdmissionRule, POLICY_NAMES};
+use dcn_core::AlgorithmRegistry;
 use dcn_server::ServePolicy;
+use dcn_solver::fmcf::FmcfSolverConfig;
 
 /// The number of worker threads to use by default: every available core.
 pub fn default_threads() -> usize {
@@ -102,7 +104,7 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 0,0.01,0.05; 0 means the link never fails
 /// --downtime D    mean outage duration of the `failures` binary's
 ///                 alternating-renewal process (positive, finite)
-/// --policies L    comma-separated online-policy registry names compared
+/// --policies L    comma-separated online-policy names compared
 ///                 by the `online` binary, e.g. resolve,edf,hybrid (the
 ///                 `serve` bench takes the daemon's policy names);
 ///                 defaults to the binary's own selection; an unknown
@@ -149,7 +151,7 @@ pub struct ExperimentCli {
     /// `--downtime D`: mean outage duration of the `failures` binary's
     /// failure process; `None` keeps the binary's default.
     pub downtime: Option<f64>,
-    /// `--policies a,b,...`: online-policy registry names compared by the
+    /// `--policies a,b,...`: online-policy names compared by the
     /// `online` binary (a single name is fine — unlike `--algorithms`,
     /// there is no primary/reference pairing); `None` keeps the binary's
     /// default selection.
@@ -160,9 +162,10 @@ pub struct ExperimentCli {
     /// `--queue-depth N`: per-worker queue bound of the `serve` bench's
     /// daemon; `None` keeps the daemon's default.
     pub queue_depth: Option<usize>,
-    /// `--admission R`: admission rule of the `serve` bench's daemon;
+    /// `--admission R`: admission rule of the `serve` bench's daemon
+    /// (`reject-infeasible` probes with [`FmcfSolverConfig::coarse`]);
     /// `None` keeps the binary's default (`admit-all`).
-    pub admission: Option<String>,
+    pub admission: Option<AdmissionRule>,
     /// `--quick`: CI smoke mode (smallest topology, one run per point).
     pub quick: bool,
     /// `--full`: paper-scale mode.
@@ -262,7 +265,7 @@ impl ExperimentCli {
                                  (comma-separated), got {value:?}"
                             ));
                         }
-                        check_known("algorithm", &names, &crate::harness_registry().names())?;
+                        check_known("algorithm", &names, &AlgorithmRegistry::NAMES)?;
                         cli.algorithms = Some(names);
                     }
                     "--load" => {
@@ -288,12 +291,14 @@ impl ExperimentCli {
                     "--shard-workers" => cli.shard_workers = Some(parse_value(flag, value)?),
                     "--queue-depth" => cli.queue_depth = Some(parse_value(flag, value)?),
                     "--admission" => {
-                        if !["admit-all", "reject-infeasible"].contains(&value.as_str()) {
-                            return Err(format!(
-                                "--admission expects admit-all or reject-infeasible, got {value:?}"
-                            ));
-                        }
-                        cli.admission = Some(value.clone());
+                        let rule = AdmissionRule::from_name(value, FmcfSolverConfig::coarse())
+                            .ok_or_else(|| {
+                                format!(
+                                    "--admission expects admit-all or reject-infeasible, got \
+                                     {value:?}"
+                                )
+                            })?;
+                        cli.admission = Some(rule);
                     }
                     "--policies" => {
                         let names: Vec<String> = split_list(value).map(str::to_string).collect();
@@ -309,11 +314,7 @@ impl ExperimentCli {
                                 ServePolicy::parse(name)?;
                             }
                         } else {
-                            check_known(
-                                "policy",
-                                &names,
-                                &PolicyRegistry::with_defaults().names(),
-                            )?;
+                            check_known("policy", &names, &POLICY_NAMES)?;
                         }
                         cli.policies = Some(names);
                     }

@@ -1,5 +1,6 @@
 //! The pluggable scheduler interface: one [`Algorithm`] trait, one
-//! implementation per scheme, and a string-keyed [`AlgorithmRegistry`].
+//! implementation per scheme, and the [`AlgorithmRegistry`] that builds
+//! one from its name.
 //!
 //! Every scheduling/routing scheme in the reproduction — the paper's two
 //! algorithms, the five comparison baselines, the fractional lower bound
@@ -38,9 +39,10 @@ use std::fmt;
 /// [`AlgorithmRegistry::create`]) once, call [`Algorithm::solve`] many
 /// times. The context carries all warm per-network state; the algorithm
 /// object only carries configuration. The `Send` bound lets `dcn-server`
-/// move registry-created instances into its shard worker threads.
+/// move instances into its shard worker threads.
 pub trait Algorithm: Send {
-    /// The registry name of the algorithm (stable, lowercase, kebab-case).
+    /// The name [`AlgorithmRegistry::create`] builds the algorithm by
+    /// (stable, lowercase, kebab-case).
     fn name(&self) -> &str;
 
     /// Re-seeds the algorithm's randomness, if it has any (`dcfsr`
@@ -428,94 +430,61 @@ impl Algorithm for ExactBrute {
     }
 }
 
-/// A string-keyed registry of [`Algorithm`] factories, backed by the
-/// shared [`Registry`](crate::registry::Registry).
-///
-/// [`AlgorithmRegistry::with_defaults`] registers every scheme shipped by
-/// this crate (see the [module docs](self) for the name table); harnesses
-/// can [`AlgorithmRegistry::register`] their own factories — or re-register
-/// a default name with different configuration — and select algorithms by
-/// name from CLI flags or experiment descriptors.
-#[derive(Clone)]
+/// Builds the built-in [`Algorithm`]s by name (see the
+/// [module docs](self) for the name table). The one setting callers vary
+/// is the Frank–Wolfe configuration of the relaxation behind `dcfsr` and
+/// `lb`; [`AlgorithmRegistry::with_defaults`] uses the library default.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AlgorithmRegistry {
-    inner: crate::registry::Registry<dyn Algorithm>,
+    /// The Frank–Wolfe configuration `dcfsr` and `lb` relax with.
+    pub fmcf: FmcfSolverConfig,
 }
 
 impl AlgorithmRegistry {
-    /// Creates an empty registry.
-    pub fn empty() -> Self {
-        Self {
-            inner: crate::registry::Registry::new("Algorithm::name()", |a| a.name()),
-        }
-    }
+    /// Every name [`AlgorithmRegistry::create`] knows, in the documented
+    /// order.
+    pub const NAMES: [&'static str; 8] = [
+        "dcfsr",
+        "sp-mcf",
+        "ecmp",
+        "least-loaded",
+        "consolidate",
+        "greedy",
+        "lb",
+        "exact",
+    ];
 
-    /// Creates a registry with every built-in algorithm registered, in the
-    /// documented order: `dcfsr`, `sp-mcf`, `ecmp`, `least-loaded`,
-    /// `consolidate`, `greedy`, `lb`, `exact`.
+    /// The registry on the library-default Frank–Wolfe configuration.
     pub fn with_defaults() -> Self {
-        let mut registry = Self::empty();
-        registry.register("dcfsr", || Box::new(Dcfsr::default()));
-        registry.register("sp-mcf", || Box::new(RoutedMcf::shortest_path()));
-        registry.register("ecmp", || Box::new(RoutedMcf::ecmp(0)));
-        registry.register("least-loaded", || Box::new(RoutedMcf::least_loaded(4)));
-        registry.register("consolidate", || Box::new(ConsolidatingMcf::default()));
-        registry.register("greedy", || Box::new(FullRateGreedy));
-        registry.register("lb", || Box::new(RelaxationLb::default()));
-        registry.register("exact", || Box::new(ExactBrute::default()));
-        registry
+        Self::default()
     }
 
-    /// Registers (or replaces) a factory under `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factory produces an algorithm whose
-    /// [`Algorithm::name`] differs from `name` — the registry's round-trip
-    /// invariant (`create(name).name() == name`).
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn() -> Box<dyn Algorithm> + Send + Sync + 'static,
-    ) {
-        self.inner.register(name, factory);
-    }
-
-    /// Instantiates the algorithm registered under `name`.
+    /// Instantiates the algorithm named `name`; its [`Algorithm::name`] is
+    /// `name`.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::UnknownAlgorithm`] for unregistered names.
+    /// Returns [`SolveError::UnknownAlgorithm`] for a name not in
+    /// [`AlgorithmRegistry::NAMES`].
     pub fn create(&self, name: &str) -> Result<Box<dyn Algorithm>, SolveError> {
-        self.inner
-            .create(name)
-            .ok_or_else(|| SolveError::UnknownAlgorithm {
-                name: name.to_string(),
-            })
-    }
-
-    /// Returns `true` if `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.inner.contains(name)
-    }
-
-    /// The registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.inner.names()
-    }
-}
-
-impl Default for AlgorithmRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl fmt::Debug for AlgorithmRegistry {
-    /// The factories are opaque closures, so print the registered names.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AlgorithmRegistry")
-            .field("names", &self.names())
-            .finish()
+        Ok(match name {
+            "dcfsr" => Box::new(Dcfsr::new(RandomScheduleConfig {
+                fmcf: self.fmcf,
+                ..Default::default()
+            })),
+            "sp-mcf" => Box::new(RoutedMcf::shortest_path()),
+            "ecmp" => Box::new(RoutedMcf::ecmp(0)),
+            "least-loaded" => Box::new(RoutedMcf::least_loaded(4)),
+            "consolidate" => Box::new(ConsolidatingMcf::default()),
+            "greedy" => Box::new(FullRateGreedy),
+            "lb" => Box::new(RelaxationLb::new(self.fmcf)),
+            "exact" => Box::new(ExactBrute::default()),
+            _ => {
+                return Err(SolveError::UnknownAlgorithm {
+                    name: name.to_string(),
+                })
+            }
+        })
     }
 }
 
@@ -532,21 +501,7 @@ mod tests {
     #[test]
     fn registry_defaults_cover_every_scheme() {
         let registry = AlgorithmRegistry::with_defaults();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "dcfsr",
-                "sp-mcf",
-                "ecmp",
-                "least-loaded",
-                "consolidate",
-                "greedy",
-                "lb",
-                "exact"
-            ]
-        );
-        for name in registry.names() {
-            assert!(registry.contains(name));
+        for name in AlgorithmRegistry::NAMES {
             assert_eq!(registry.create(name).unwrap().name(), name);
         }
         assert_eq!(
@@ -555,28 +510,6 @@ mod tests {
                 name: "nope".to_string()
             }
         );
-    }
-
-    #[test]
-    fn register_replaces_and_rejects_mismatched_names() {
-        let mut registry = AlgorithmRegistry::empty();
-        registry.register("dcfsr", || {
-            Box::new(Dcfsr::new(RandomScheduleConfig {
-                max_rounding_attempts: 3,
-                ..Default::default()
-            }))
-        });
-        assert_eq!(registry.names(), vec!["dcfsr"]);
-        // Replacing under the same name keeps a single entry.
-        registry.register("dcfsr", || Box::new(Dcfsr::default()));
-        assert_eq!(registry.names(), vec!["dcfsr"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "registry name must match")]
-    fn register_panics_on_name_mismatch() {
-        let mut registry = AlgorithmRegistry::empty();
-        registry.register("not-dcfsr", || Box::new(Dcfsr::default()));
     }
 
     #[test]
@@ -639,6 +572,38 @@ mod tests {
     }
 
     #[test]
+    fn the_registry_config_reaches_dcfsr_and_lb() {
+        // On BCube the coarse configuration stops short of the default's
+        // bound, so a registry that ignored its config would show here.
+        let topo = builders::bcube(2, 1);
+        let power = x2(10.0);
+        let flows = UniformWorkload::paper_defaults(12, 4)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let fmcf = FmcfSolverConfig::coarse();
+        let registry = AlgorithmRegistry { fmcf };
+        let mut bound = |algo: &mut dyn Algorithm| {
+            let solution = algo.solve(&mut ctx, &flows, &power).unwrap();
+            (solution.schedule, solution.lower_bound.unwrap().to_bits())
+        };
+        let default_lb = bound(&mut RelaxationLb::default()).1;
+        let mut direct: [Box<dyn Algorithm>; 2] = [
+            Box::new(Dcfsr::new(RandomScheduleConfig {
+                fmcf,
+                ..Default::default()
+            })),
+            Box::new(RelaxationLb::new(fmcf)),
+        ];
+        for algo in &mut direct {
+            let built = bound(algo.as_mut());
+            assert_ne!(built.1, default_lb, "{}", algo.name());
+            let named = bound(registry.create(algo.name()).unwrap().as_mut());
+            assert_eq!(named, built, "{}", algo.name());
+        }
+    }
+
+    #[test]
     fn lb_is_a_bound_for_every_scheduler() {
         let topo = builders::fat_tree(4);
         let power = x2(10.0);
@@ -688,7 +653,7 @@ mod tests {
         let power = x2(10.0);
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
         let registry = AlgorithmRegistry::with_defaults();
-        for name in registry.names() {
+        for name in AlgorithmRegistry::NAMES {
             let err = registry
                 .create(name)
                 .unwrap()

@@ -114,28 +114,14 @@ impl<'net> SolverContext<'net> {
     /// re-routed rather than served from the stale warm solution.
     ///
     /// The borrowed [`Network`] is never touched: the event stream is a
-    /// property of a run, not of the topology, and
-    /// [`SolverContext::restore_all_links`] rolls the view back to the
-    /// pristine built state.
+    /// property of a run, not of the topology, and a `LinkUp` for every
+    /// link still down rolls the view back to the pristine built state.
     pub fn apply_topology_event(&mut self, event: dcn_topology::TopologyEvent) -> bool {
         let changed = event.apply(&mut self.graph);
         if changed {
             self.fmcf.mark_dirty_links([event.link()]);
         }
         changed
-    }
-
-    /// Brings every failed link back up (exact pre-failure capacities),
-    /// returning how many links were restored. Used by harnesses that run
-    /// an offline reference on the same context after a failure-injected
-    /// online run.
-    pub fn restore_all_links(&mut self) -> usize {
-        let down: Vec<dcn_topology::LinkId> = self.graph.down_links().collect();
-        for &link in &down {
-            self.graph.restore_link(link);
-        }
-        self.fmcf.mark_dirty_links(down.iter().copied());
-        down.len()
     }
 
     /// Splits the context into its reusable parts — the CSR view, the

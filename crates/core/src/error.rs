@@ -81,13 +81,14 @@ pub enum SolveError {
         /// The online clock at which the flow was considered.
         time: f64,
     },
-    /// The requested algorithm name is not registered.
+    /// The requested algorithm name is not one of
+    /// [`crate::AlgorithmRegistry::NAMES`].
     UnknownAlgorithm {
         /// The name that failed to resolve.
         name: String,
     },
-    /// The requested online-policy name is not registered in the
-    /// [`crate::online::PolicyRegistry`].
+    /// The requested online-policy name is not one of
+    /// [`crate::online::POLICY_NAMES`].
     UnknownPolicy {
         /// The name that failed to resolve.
         name: String,

@@ -32,9 +32,9 @@
 //! * [`Algorithm`] is the scheduler trait (`solve(ctx, flows, power)`),
 //!   returning one [`Solution`] (schedule + energy + lower bound +
 //!   diagnostics) or one typed [`SolveError`];
-//! * [`AlgorithmRegistry`] resolves schedulers **by name** (`"dcfsr"`,
-//!   `"sp-mcf"`, `"ecmp"`, ...), which is how the benchmark harness and
-//!   its `--algorithms` flag select them.
+//! * [`AlgorithmRegistry`] builds schedulers **by name** (`"dcfsr"`,
+//!   `"sp-mcf"`, `"ecmp"`, ...) with one `match`, which is how the
+//!   benchmark harness and its `--algorithms` flag select them.
 //!
 //! Supporting modules: [`schedule`] (the schedule data model, feasibility
 //! verification and energy accounting), [`routing`] (path selection
@@ -42,8 +42,8 @@
 //! (the event-driven engine that reveals flows at their release times and
 //! re-plans their rates per event through a pluggable [`OnlinePolicy`] —
 //! from full residual re-solves with any wrapped [`Algorithm`] down to
-//! solver-free EDF/SRPT/rapid-close-to-deadline priority rules, resolved
-//! by name through the [`PolicyRegistry`] — recording admit/miss outcomes
+//! solver-free EDF/SRPT/rapid-close-to-deadline priority rules, built by
+//! name by [`online::create_policy`] — recording admit/miss outcomes
 //! against the offline clairvoyant bound).
 //!
 //! # Quick start
@@ -82,7 +82,6 @@ pub mod dcfsr;
 pub mod error;
 pub mod exact;
 pub mod online;
-pub mod registry;
 pub mod relaxation;
 pub mod routing;
 pub mod schedule;
@@ -99,7 +98,7 @@ pub use error::SolveError;
 pub use exact::{ExactError, ExactOutcome};
 pub use online::{
     AdmissionRule, EngineConfig, FlowDecision, InFlightLedger, LedgerEntry, OnlineEngine,
-    OnlineOutcome, OnlinePolicy, OnlineReport, PolicyRegistry,
+    OnlineOutcome, OnlinePolicy, OnlineReport,
 };
 pub use relaxation::{interval_relaxation_with, IntervalRelaxation, RelaxationSummary};
 pub use routing::{Routing, RoutingError};
@@ -118,7 +117,7 @@ pub mod prelude {
     pub use crate::error::SolveError;
     pub use crate::online::{
         AdmissionRule, EngineConfig, InFlightLedger, OnlineEngine, OnlineOutcome, OnlinePolicy,
-        OnlineReport, PolicyRegistry,
+        OnlineReport,
     };
     pub use crate::routing::Routing;
     pub use crate::schedule::{FlowSchedule, Schedule};

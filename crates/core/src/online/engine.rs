@@ -39,7 +39,7 @@
 
 use super::fractionally_feasible;
 use super::ledger::InFlightLedger;
-use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry, RateAssignment, RatePlan};
+use super::policy::{create_policy, OnlinePolicy, PolicyAction, RateAssignment, RatePlan};
 use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
@@ -51,7 +51,7 @@ use dcn_topology::{LinkId, TopologyEvent};
 use std::collections::BTreeSet;
 
 /// How the online loop decides whether a newly arrived flow is accepted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum AdmissionRule {
     /// Every arrival is admitted. Under overload the re-solves may fail or
     /// flows may run out of time; the [`OnlineReport`] records the misses.
@@ -87,6 +87,17 @@ impl AdmissionRule {
         match self {
             AdmissionRule::AdmitAll => "admit-all",
             AdmissionRule::RejectInfeasible { .. } => "reject-infeasible",
+        }
+    }
+
+    /// The inverse of [`AdmissionRule::name`]: the rule called `name`,
+    /// probing with `config` if it is `reject-infeasible`, or `None` for
+    /// any other name.
+    pub fn from_name(name: &str, config: FmcfSolverConfig) -> Option<Self> {
+        match name {
+            "admit-all" => Some(AdmissionRule::AdmitAll),
+            "reject-infeasible" => Some(AdmissionRule::reject_infeasible(config)),
+            _ => None,
         }
     }
 
@@ -395,8 +406,8 @@ impl EventQueue {
     }
 }
 
-/// The wrapped re-solve backend of an [`EngineConfig`]: resolved by
-/// registry name or injected as a ready-made instance.
+/// The wrapped re-solve backend of an [`EngineConfig`]: built by
+/// [`AlgorithmRegistry::create`] name or injected as a ready-made instance.
 #[derive(Debug)]
 enum AlgorithmChoice {
     Name(String),
@@ -440,8 +451,6 @@ pub struct EngineConfig {
     admission: AdmissionRule,
     warm_start: bool,
     seed: u64,
-    algorithms: Option<AlgorithmRegistry>,
-    policies: Option<PolicyRegistry>,
 }
 
 impl Default for EngineConfig {
@@ -452,14 +461,13 @@ impl Default for EngineConfig {
             admission: AdmissionRule::default(),
             warm_start: false,
             seed: 0,
-            algorithms: None,
-            policies: None,
         }
     }
 }
 
 impl EngineConfig {
-    /// Selects the re-solve algorithm by registry name (default `"dcfsr"`).
+    /// Selects the re-solve algorithm by [`AlgorithmRegistry::create`] name
+    /// (default `"dcfsr"`).
     pub fn algorithm(mut self, name: impl Into<String>) -> Self {
         self.algorithm = AlgorithmChoice::Name(name.into());
         self
@@ -471,7 +479,8 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the per-event policy by registry name (default `"resolve"`).
+    /// Selects the per-event policy by [`create_policy`] name (default
+    /// `"resolve"`).
     pub fn policy(mut self, name: impl Into<String>) -> Self {
         self.policy = PolicyChoice::Name(name.into());
         self
@@ -505,39 +514,20 @@ impl EngineConfig {
         self
     }
 
-    /// Resolves name-based algorithms against this registry instead of
-    /// [`AlgorithmRegistry::with_defaults`].
-    pub fn algorithms(mut self, registry: AlgorithmRegistry) -> Self {
-        self.algorithms = Some(registry);
-        self
-    }
-
-    /// Resolves name-based policies against this registry instead of
-    /// [`PolicyRegistry::with_defaults`].
-    pub fn policies(mut self, registry: PolicyRegistry) -> Self {
-        self.policies = Some(registry);
-        self
-    }
-
     /// Builds the engine.
     ///
     /// # Errors
     ///
     /// [`SolveError::UnknownAlgorithm`] / [`SolveError::UnknownPolicy`] for
-    /// a name the (default or supplied) registry does not know.
+    /// a name [`AlgorithmRegistry::create`] / [`create_policy`] does not
+    /// know.
     pub fn build(self) -> Result<OnlineEngine, SolveError> {
         let algorithm = match self.algorithm {
-            AlgorithmChoice::Name(name) => self
-                .algorithms
-                .unwrap_or_else(AlgorithmRegistry::with_defaults)
-                .create(&name)?,
+            AlgorithmChoice::Name(name) => AlgorithmRegistry::with_defaults().create(&name)?,
             AlgorithmChoice::Instance(instance) => instance,
         };
         let policy = match self.policy {
-            PolicyChoice::Name(name) => self
-                .policies
-                .unwrap_or_else(PolicyRegistry::with_defaults)
-                .create(&name)?,
+            PolicyChoice::Name(name) => create_policy(&name)?,
             PolicyChoice::Instance(policy) => policy,
         };
         let mut engine = OnlineEngine {
@@ -1152,6 +1142,18 @@ mod tests {
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
+    }
+
+    #[test]
+    fn admission_rules_round_trip_through_their_names() {
+        let config = FmcfSolverConfig::coarse();
+        for rule in [
+            AdmissionRule::AdmitAll,
+            AdmissionRule::reject_infeasible(config),
+        ] {
+            assert_eq!(AdmissionRule::from_name(rule.name(), config), Some(rule));
+        }
+        assert_eq!(AdmissionRule::from_name("nope", config), None);
     }
 
     fn resolve_engine(algorithm: &str, admission: AdmissionRule) -> OnlineEngine {

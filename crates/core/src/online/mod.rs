@@ -14,8 +14,8 @@
 //!   arenas, Frank–Wolfe buffers — no per-event graph rebuilds) and an
 //!   [`AdmissionRule`] deciding which arrivals are accepted;
 //! * [`policy`] defines the [`OnlinePolicy`] trait (`name`, `on_event`,
-//!   `admission`) and the string-keyed [`PolicyRegistry`] mirroring
-//!   [`crate::AlgorithmRegistry`];
+//!   `admission`) and [`create_policy`], which builds one of
+//!   [`POLICY_NAMES`] by name;
 //! * [`policies`] ships five implementations: `resolve` (full residual
 //!   re-solve at every arrival — the pre-split rolling-horizon loop, bit
 //!   for bit), preemptive `edf` and `srpt` rate reassignment, `rcd`
@@ -90,7 +90,8 @@ pub use engine::{
 pub use ledger::{InFlightLedger, LedgerEntry};
 pub use policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};
 pub use policy::{
-    CapacityLedger, OnlinePolicy, PathCache, PolicyAction, PolicyRegistry, RateAssignment, RatePlan,
+    create_policy, CapacityLedger, OnlinePolicy, PathCache, PolicyAction, RateAssignment, RatePlan,
+    POLICY_NAMES,
 };
 
 /// Builds the residual copy of `flow` as seen at online time `now`: the

@@ -1,11 +1,11 @@
 //! The policy abstraction of the online engine: the [`OnlinePolicy`]
 //! trait, the [`PolicyAction`] / [`RatePlan`] vocabulary policies answer
-//! with, the string-keyed [`PolicyRegistry`] mirroring
-//! [`crate::AlgorithmRegistry`], and two small shared helpers
-//! ([`PathCache`], [`CapacityLedger`]) the rate-assigning policies build
-//! their plans with. A plan is rebuilt at every event for every in-flight
-//! flow, so it shares what does not change: [`RateAssignment::path`] is the
-//! cache's `Arc<Path>`, not a copy of it.
+//! with, [`create_policy`], which builds a policy from its name, and two
+//! small shared helpers ([`PathCache`], [`CapacityLedger`]) the
+//! rate-assigning policies build their plans with. A plan is rebuilt at
+//! every event for every in-flight flow, so it shares what does not
+//! change: [`RateAssignment::path`] is the cache's `Arc<Path>`, not a copy
+//! of it.
 
 use super::engine::{AdmissionRule, OnlineEvent, WorldView};
 use super::policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};
@@ -84,8 +84,7 @@ pub enum PolicyAction {
 /// re-solve was already triggered — and are re-seeded together with the
 /// engine through [`OnlinePolicy::set_seed`].
 pub trait OnlinePolicy: fmt::Debug + Send {
-    /// The registry key of the policy (round-trip invariant of
-    /// [`PolicyRegistry::register`]).
+    /// The name [`create_policy`] builds the policy by.
     fn name(&self) -> &str;
 
     /// Re-seeds any internal randomness. The built-in policies are
@@ -126,89 +125,29 @@ pub trait OnlinePolicy: fmt::Debug + Send {
     }
 }
 
-/// A string-keyed registry of [`OnlinePolicy`] factories, mirroring
-/// [`crate::AlgorithmRegistry`] (both are thin wrappers over the shared
-/// [`Registry`](crate::registry::Registry)): harnesses select policies by
-/// name from CLI flags or experiment descriptors, and can register their
-/// own factories (or re-register a default name with different
-/// configuration).
-#[derive(Clone)]
-pub struct PolicyRegistry {
-    inner: crate::registry::Registry<dyn OnlinePolicy>,
-}
+/// Every name [`create_policy`] knows, in the documented order.
+pub const POLICY_NAMES: [&str; 5] = ["resolve", "edf", "srpt", "rcd", "hybrid"];
 
-impl PolicyRegistry {
-    /// Creates an empty registry.
-    pub fn empty() -> Self {
-        Self {
-            inner: crate::registry::Registry::new("OnlinePolicy::name()", |p| p.name()),
-        }
-    }
-
-    /// Creates a registry with every built-in policy registered, in the
-    /// documented order: `resolve`, `edf`, `srpt`, `rcd`, `hybrid`.
-    pub fn with_defaults() -> Self {
-        let mut registry = Self::empty();
-        registry.register("resolve", || Box::new(ResolvePolicy));
-        registry.register("edf", || Box::new(EdfPolicy::default()));
-        registry.register("srpt", || Box::new(SrptPolicy::default()));
-        registry.register("rcd", || Box::new(RcdPolicy::default()));
-        registry.register("hybrid", || Box::new(HybridPolicy::default()));
-        registry
-    }
-
-    /// Registers (or replaces) a factory under `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factory produces a policy whose [`OnlinePolicy::name`]
-    /// differs from `name` — the registry's round-trip invariant
-    /// (`create(name).name() == name`).
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn() -> Box<dyn OnlinePolicy> + Send + Sync + 'static,
-    ) {
-        self.inner.register(name, factory);
-    }
-
-    /// Instantiates the policy registered under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::UnknownPolicy`] for unregistered names.
-    pub fn create(&self, name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
-        self.inner
-            .create(name)
-            .ok_or_else(|| SolveError::UnknownPolicy {
+/// Instantiates the built-in policy named `name`; its
+/// [`OnlinePolicy::name`] is `name`.
+///
+/// # Errors
+///
+/// Returns [`SolveError::UnknownPolicy`] for a name not in
+/// [`POLICY_NAMES`].
+pub fn create_policy(name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
+    Ok(match name {
+        "resolve" => Box::new(ResolvePolicy),
+        "edf" => Box::new(EdfPolicy::default()),
+        "srpt" => Box::new(SrptPolicy::default()),
+        "rcd" => Box::new(RcdPolicy::default()),
+        "hybrid" => Box::new(HybridPolicy::default()),
+        _ => {
+            return Err(SolveError::UnknownPolicy {
                 name: name.to_string(),
             })
-    }
-
-    /// Returns `true` if `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.inner.contains(name)
-    }
-
-    /// The registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.inner.names()
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl fmt::Debug for PolicyRegistry {
-    /// The factories are opaque closures, so print the registered names.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
+        }
+    })
 }
 
 /// A memo of fewest-hop paths per endpoint pair. The rate-assigning
@@ -387,39 +326,15 @@ mod tests {
 
     #[test]
     fn registry_round_trips_every_default_policy() {
-        let registry = PolicyRegistry::with_defaults();
-        assert_eq!(
-            registry.names(),
-            vec!["resolve", "edf", "srpt", "rcd", "hybrid"]
-        );
-        for name in registry.names() {
-            assert!(registry.contains(name));
-            assert_eq!(registry.create(name).unwrap().name(), name);
+        for name in POLICY_NAMES {
+            assert_eq!(create_policy(name).unwrap().name(), name);
         }
-        assert!(!registry.contains("nope"));
         assert_eq!(
-            registry.create("nope").unwrap_err(),
+            create_policy("nope").unwrap_err(),
             SolveError::UnknownPolicy {
                 name: "nope".to_string()
             }
         );
-        let debug = format!("{registry:?}");
-        assert!(debug.contains("resolve") && debug.contains("hybrid"));
-    }
-
-    #[test]
-    fn registering_replaces_and_rejects_mismatched_names() {
-        let mut registry = PolicyRegistry::empty();
-        registry.register("edf", || Box::new(EdfPolicy::default()));
-        assert_eq!(registry.names(), vec!["edf"]);
-        // Re-registering the same name replaces instead of duplicating.
-        registry.register("edf", || Box::new(EdfPolicy::default()));
-        assert_eq!(registry.names(), vec!["edf"]);
-        let mismatched = std::panic::catch_unwind(|| {
-            let mut r = PolicyRegistry::empty();
-            r.register("not-edf", || Box::new(EdfPolicy::default()));
-        });
-        assert!(mismatched.is_err(), "mismatched name must panic");
     }
 
     #[test]

@@ -22,12 +22,6 @@ impl Interval {
     pub fn length(&self) -> f64 {
         self.end - self.start
     }
-
-    /// Midpoint of the interval (used to query "which flows are active
-    /// throughout this interval").
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.start + self.end)
-    }
 }
 
 /// A validated collection of deadline-constrained flows with dense ids.

@@ -13,10 +13,11 @@ use std::process::ExitCode;
 
 use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
-use dcn_server::{serve_fmcf_config, ServePolicy};
 use dcn_server::{
-    write_frame, Request, RequestBody, ServeOutcome, Server, ServerConfig, SubmitFlow, TopologySpec,
+    write_frame, Request, RequestBody, ServeOutcome, ServePolicy, Server, ServerConfig, SubmitFlow,
+    TopologySpec,
 };
+use dcn_solver::fmcf::FmcfSolverConfig;
 
 const USAGE: &str = "\
 dcn-serve: scheduler-as-a-service daemon
@@ -85,16 +86,14 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--policy" => cli.config.policy = ServePolicy::parse(&value("--policy")?)?,
             "--admission" => {
-                cli.config.admission = match value("--admission")?.as_str() {
-                    "admit-all" => AdmissionRule::AdmitAll,
-                    "reject-infeasible" => AdmissionRule::reject_infeasible(serve_fmcf_config()),
-                    other => {
-                        return Err(format!(
-                            "unknown admission rule {other:?} (expected admit-all or \
+                let name = value("--admission")?;
+                cli.config.admission = AdmissionRule::from_name(&name, FmcfSolverConfig::coarse())
+                    .ok_or_else(|| {
+                        format!(
+                            "unknown admission rule {name:?} (expected admit-all or \
                              reject-infeasible)"
-                        ))
-                    }
-                }
+                        )
+                    })?;
             }
             "--algorithm" => cli.config.algorithm = value("--algorithm")?,
             "--queue-depth" => {

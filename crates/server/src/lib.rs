@@ -82,4 +82,4 @@ pub use protocol::{
 };
 pub use server::{ServeOutcome, Server, ServerConfig, ServerError, TopologySpec};
 pub use snapshot::{BucketState, FlowRecord, SnapshotError, SnapshotFile, SNAPSHOT_VERSION};
-pub use worker::{serve_fmcf_config, EngineSettings, ServePolicy};
+pub use worker::{EngineSettings, ServePolicy};

@@ -36,6 +36,7 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
 use dcn_core::online::AdmissionRule;
+use dcn_core::AlgorithmRegistry;
 use dcn_flow::Flow;
 use dcn_power::PowerFunction;
 use dcn_topology::{builders, BuiltTopology, GraphCsr, LinkId, NodeId};
@@ -144,7 +145,9 @@ pub struct ServerConfig {
     pub policy: ServePolicy,
     /// Admission rule of every shard.
     pub admission: AdmissionRule,
-    /// Registry algorithm behind the `resolve` policy.
+    /// Algorithm behind the `resolve` policy, by
+    /// [`AlgorithmRegistry::create`] name; [`Server::start`] refuses an
+    /// unknown one under every policy.
     pub algorithm: String,
     /// The power function energy and capacities are accounted under.
     pub power: PowerFunction,
@@ -292,6 +295,10 @@ impl Server {
         if config.queue_depth == 0 {
             return Err(ServerError::Config("--queue-depth must be positive".into()));
         }
+        // Refused under every policy, not only by a `resolve` shard.
+        AlgorithmRegistry::with_defaults()
+            .create(&config.algorithm)
+            .map_err(|e| ServerError::Config(e.to_string()))?;
         let built = config.topology.build();
         let mut graph = GraphCsr::from_network(&built.network);
         let mut hosts = vec![false; built.network.node_count()];

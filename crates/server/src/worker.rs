@@ -38,7 +38,6 @@ use dcn_core::{
 };
 use dcn_flow::{Flow, FlowId};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, Network, Path, TopologyEvent};
 
 use crate::protocol::{PlanSegment, WirePlan};
@@ -96,25 +95,13 @@ pub struct EngineSettings {
     /// Rate-planning policy.
     pub policy: ServePolicy,
     /// Admission rule (`reject-infeasible` probes with
-    /// [`serve_fmcf_config`] and a `1e-3` capacity slack).
+    /// [`dcn_solver::fmcf::FmcfSolverConfig::coarse`] and a `1e-3` capacity slack).
     pub admission: AdmissionRule,
     /// Registry name of the algorithm behind [`ServePolicy::Resolve`].
     pub algorithm: String,
     /// Base seed; per-solve seeds derive from it, the bucket id and the
     /// bucket-local event index (never from thread identity).
     pub seed: u64,
-}
-
-/// The Frank–Wolfe configuration shards use for admission probes: the
-/// benchmark harness's serving-grade settings
-/// (fewer iterations and a looser tolerance than the offline default).
-pub fn serve_fmcf_config() -> FmcfSolverConfig {
-    FmcfSolverConfig {
-        max_iterations: 25,
-        tolerance: 1e-3,
-        line_search_steps: 24,
-        ..Default::default()
-    }
 }
 
 /// One logical shard: warm solver context + residual state. See the

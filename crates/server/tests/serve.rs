@@ -511,6 +511,20 @@ fn snapshot_with_a_reversed_segment_is_a_typed_startup_error() {
 }
 
 #[test]
+fn an_unknown_algorithm_is_refused_at_startup_under_every_policy() {
+    for policy in [ServePolicy::Edf, ServePolicy::Greedy, ServePolicy::Resolve] {
+        let mut config = config();
+        config.policy = policy;
+        config.algorithm = "nope".into();
+        let err = Server::start(config)
+            .err()
+            .unwrap_or_else(|| panic!("{policy:?} started on an unknown algorithm"))
+            .to_string();
+        assert!(err.contains("\"nope\""), "unhelpful refusal: {err}");
+    }
+}
+
+#[test]
 fn snapshot_with_an_unknown_down_link_is_a_typed_startup_error() {
     let err = restart_on_damaged_file("unknown-down-link", |file| file.down_links.push(9_999));
     assert!(

@@ -204,6 +204,22 @@ impl Default for FmcfSolverConfig {
     }
 }
 
+impl FmcfSolverConfig {
+    /// A coarser configuration than the default (25 iterations, tolerance
+    /// `1e-3`, 24 line-search steps): the benchmark harness relaxes with it
+    /// so the fat-tree(8) sweeps finish in minutes, keeping the lower bound
+    /// within a couple of percent of the converged value, and `dcn-server`
+    /// probes `reject-infeasible` admissions with it.
+    pub fn coarse() -> Self {
+        Self {
+            max_iterations: 25,
+            tolerance: 1e-3,
+            line_search_steps: 24,
+            ..Self::default()
+        }
+    }
+}
+
 /// The graph a problem runs on: borrowed from the caller (the amortised
 /// path) or built once from a `Network` (the one-shot convenience path).
 #[derive(Debug, Clone)]

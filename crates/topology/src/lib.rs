@@ -59,6 +59,6 @@ pub use csr::{BfsTree, GraphCsr};
 pub use engine::ShortestPathEngine;
 pub use event::TopologyEvent;
 pub use ids::{LinkId, NodeId, NodeKind};
-pub use network::{Link, LinkEndpoints, Network, Node};
+pub use network::{Link, Network, Node};
 pub use path::{Path, PathError};
 pub use routing::{all_shortest_paths_on, dijkstra_on, k_shortest_paths_on};

@@ -37,15 +37,6 @@ pub struct Link {
     pub capacity: f64,
 }
 
-/// The two endpoints of a link, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct LinkEndpoints {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-}
-
 /// A directed multigraph of switches, hosts and capacitated links.
 ///
 /// # Example
@@ -225,15 +216,6 @@ impl Network {
     /// Out-degree of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
         self.out_links[node.index()].len()
-    }
-
-    /// Returns the endpoints of a link.
-    pub fn endpoints(&self, link: LinkId) -> LinkEndpoints {
-        let l = self.link(link);
-        LinkEndpoints {
-            src: l.src,
-            dst: l.dst,
-        }
     }
 
     /// Finds a directed link from `src` to `dst`, if one exists.

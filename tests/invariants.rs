@@ -26,7 +26,7 @@
 
 mod common;
 
-use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, PolicyRegistry};
+use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, POLICY_NAMES};
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::core::schedule::exceeds_capacity;
 use deadline_dcn::flow::failure::FailureProcess;
@@ -362,7 +362,6 @@ proptest! {
     /// preemptive heuristics `srpt` and `rcd` get the relaxed variant.
     #[test]
     fn every_registered_policy_obeys_the_physics(seed in 0u64..10_000, load in 1u32..8) {
-        let policies = PolicyRegistry::with_defaults();
         let power = power();
         for topo in topologies() {
             let base = UniformWorkload::paper_defaults(10, seed)
@@ -370,7 +369,7 @@ proptest! {
                 .unwrap();
             let flows = ArrivalProcess::with_load(load as f64, seed).apply(&base).unwrap();
             let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-            for name in policies.names() {
+            for name in POLICY_NAMES {
                 let mut engine = OnlineEngine::builder()
                     .algorithm("dcfsr")
                     .policy(name)
@@ -418,7 +417,6 @@ proptest! {
     ///   the context back with the same pristine fabric.
     #[test]
     fn every_policy_survives_failure_churn(seed in 0u64..10_000, uptime_index in 0usize..3) {
-        let policies = PolicyRegistry::with_defaults();
         let power = power();
         // Mean uptimes chosen so a fat-tree(4)'s 48 links see a handful
         // to a few dozen events over the workload horizon — enough churn
@@ -462,7 +460,7 @@ proptest! {
 
         let windows = down_windows(&events, topo.network.link_count());
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        for name in policies.names() {
+        for name in POLICY_NAMES {
             let mut engine = OnlineEngine::builder()
                 .algorithm("dcfsr")
                 .policy(name)

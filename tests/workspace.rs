@@ -513,3 +513,42 @@ fn the_online_comparison_lives_in_one_harness_driver() {
         );
     }
 }
+
+#[test]
+fn schedulers_are_built_from_their_names_by_one_match() {
+    // Name → scheduler is a `match` over a `const` name list
+    // (`AlgorithmRegistry::create`, `online::create_policy`); the
+    // closure-factory registries, their registration hooks and the
+    // engine options that carried them are gone, and so are public items
+    // nothing called.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut sources,
+        );
+    }
+    let banned = [
+        "PolicyRegistry",
+        "mod registry",
+        "fn register(",
+        "fn algorithms(",
+        "fn policies(",
+        "fn midpoint",
+        "fn restore_all_links",
+        "LinkEndpoints",
+        "Arc<dyn Fn",
+    ];
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in banned {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — a name table builds schedulers, and unused \
+                 public items stay deleted",
+                path.display()
+            );
+        }
+    }
+}
