@@ -13,7 +13,7 @@ use dcn_power::PowerFunction;
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("ablation_alpha");
+    let cli = ExperimentCli::parse("ablation_alpha", &["--flows", "--runs", "--algorithms"]);
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 40 } else { 80 });
     let runs: usize = cli.runs.unwrap_or(if cli.quick { 1 } else { 3 });
 

@@ -40,7 +40,7 @@ fn quantize(flows: &FlowSet, grain: f64) -> FlowSet {
 }
 
 fn main() {
-    let cli = ExperimentCli::parse("ablation_lambda");
+    let cli = ExperimentCli::parse("ablation_lambda", &["--flows", "--runs", "--algorithms"]);
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 30 } else { 60 });
     let runs: usize = cli.runs.unwrap_or(if cli.quick { 1 } else { 3 });
 

@@ -26,7 +26,7 @@ use dcn_topology::builders;
 const BUDGETS: [usize; 3] = [1, 5, 25];
 
 fn main() {
-    let cli = ExperimentCli::parse("ablation_rounding");
+    let cli = ExperimentCli::parse("ablation_rounding", &["--flows", "--seeds"]);
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 30 } else { 60 });
     let seeds: u64 = cli.seeds.unwrap_or(if cli.quick { 3 } else { 8 });
 

@@ -13,7 +13,7 @@ use dcn_power::PowerFunction;
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("ablation_topology");
+    let cli = ExperimentCli::parse("ablation_topology", &["--flows", "--runs", "--algorithms"]);
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 30 } else { 60 });
     let runs: usize = cli.runs.unwrap_or(if cli.quick { 1 } else { 3 });
 

@@ -20,7 +20,7 @@ use dcn_sim::Simulator;
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("example1");
+    let cli = ExperimentCli::parse("example1", &[]);
     let ((schedule_rows, report), elapsed_seconds) = timed(|| {
         let topo = builders::line_with_capacity(3, 1e9);
         let (a, b, c) = (topo.hosts()[0], topo.hosts()[1], topo.hosts()[2]);

@@ -52,7 +52,18 @@ use dcn_flow::failure::FailureProcess;
 use dcn_flow::workload::{ArrivalProcess, SizeDistribution};
 
 fn main() {
-    let cli = ExperimentCli::parse("failures");
+    let cli = ExperimentCli::parse(
+        "failures",
+        &[
+            "--runs",
+            "--flows",
+            "--algorithms",
+            "--policies",
+            "--load",
+            "--rates",
+            "--downtime",
+        ],
+    );
     // `ExperimentCli` turns more than one `--load` value into a usage
     // error for this binary.
     let load = cli.load.as_ref().map_or(2.0, |loads| loads[0]);

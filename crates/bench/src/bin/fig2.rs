@@ -18,7 +18,7 @@ use dcn_bench::{fig2_power_functions, print_table, Experiment, InstanceInput, In
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("fig2");
+    let cli = ExperimentCli::parse("fig2", &["--runs", "--step", "--small", "--algorithms"]);
     let runs: usize = cli.runs.unwrap_or(if cli.quick {
         1
     } else if cli.full {

@@ -20,7 +20,7 @@ use dcn_power::PowerFunction;
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("hardness_gadget");
+    let cli = ExperimentCli::parse("hardness_gadget", &[]);
     let alpha = 2.0;
     let mu = 1.0;
     let b = 9.0_f64;

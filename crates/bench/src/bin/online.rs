@@ -66,7 +66,10 @@ use dcn_sim::Simulator;
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("online");
+    let cli = ExperimentCli::parse(
+        "online",
+        &["--runs", "--flows", "--algorithms", "--policies", "--load"],
+    );
     let mut extra = vec![
         "load",
         "admission",

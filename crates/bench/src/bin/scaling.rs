@@ -24,7 +24,7 @@ use dcn_bench::{fig2_power_functions, print_table, Experiment, InstanceInput, In
 use dcn_topology::builders;
 
 fn main() {
-    let cli = ExperimentCli::parse("scaling");
+    let cli = ExperimentCli::parse("scaling", &["--runs", "--algorithms"]);
     let runs: usize = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 });
     // One fat-tree per sweep group, smallest first.
     let ks: &[usize] = if cli.quick {

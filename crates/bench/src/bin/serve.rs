@@ -79,7 +79,17 @@ struct PassOutcome {
 }
 
 fn main() {
-    let cli = ExperimentCli::parse("serve");
+    let cli = ExperimentCli::parse(
+        "serve",
+        &[
+            "--runs",
+            "--flows",
+            "--policies",
+            "--admission",
+            "--shard-workers",
+            "--queue-depth",
+        ],
+    );
     let runs: u64 = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 }) as u64;
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 1000 } else { 2000 });
     let admission = cli.admission.clone().unwrap_or_default();

@@ -86,6 +86,10 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 
 /// The command line shared by all benchmark binaries.
 ///
+/// Every binary accepts `--quick`, `--full`, `--threads`, `--json-out` and
+/// `--timings`, plus the flags it reads, which it names to
+/// [`ExperimentCli::parse`]; any other flag is a usage error.
+///
 /// ```text
 /// --runs N        seeds averaged per sweep point
 /// --seeds N       rounding seeds (ablation_rounding)
@@ -178,54 +182,72 @@ pub struct ExperimentCli {
     pub json_out: Option<PathBuf>,
 }
 
-/// The flags [`ExperimentCli::from_args`] accepts a value for.
-const VALUE_FLAGS: &[&str] = &[
-    "--runs",
-    "--seeds",
-    "--flows",
-    "--step",
-    "--threads",
-    "--algorithms",
-    "--load",
-    "--rates",
-    "--downtime",
-    "--policies",
-    "--shard-workers",
-    "--queue-depth",
-    "--admission",
+/// The flags every binary accepts.
+const SHARED_FLAGS: &[&str] = &["--quick", "--full", "--threads", "--json-out", "--timings"];
+
+/// Every flag with the value it takes as the usage line shows it (empty
+/// for a switch), in usage order.
+const FLAGS: &[(&str, &str)] = &[
+    ("--runs", "N"),
+    ("--seeds", "N"),
+    ("--flows", "N"),
+    ("--step", "N"),
+    ("--threads", "N"),
+    ("--algorithms", "a,b,..."),
+    ("--load", "a,b,..."),
+    ("--rates", "a,b,..."),
+    ("--downtime", "D"),
+    ("--policies", "a,b,..."),
+    ("--shard-workers", "N"),
+    ("--queue-depth", "N"),
+    ("--admission", "R"),
+    ("--quick", ""),
+    ("--full", ""),
+    ("--small", ""),
+    ("--json-out", "[PATH]"),
+    ("--timings", ""),
 ];
 
-/// The boolean flags [`ExperimentCli::from_args`] accepts.
-const SWITCH_FLAGS: &[&str] = &["--quick", "--full", "--small", "--timings"];
+/// The usage line of a binary that reads `flags` besides the shared ones.
+fn usage(experiment: &str, flags: &[&str]) -> String {
+    let accepted = FLAGS
+        .iter()
+        .filter(|(flag, _)| SHARED_FLAGS.contains(flag) || flags.contains(flag))
+        .map(|(flag, value)| format!("[{flag} {value}]").replace(" ]", "]"))
+        .collect::<Vec<_>>();
+    format!("usage: {experiment} {}", accepted.join(" "))
+}
 
 impl ExperimentCli {
-    /// Parses the process's command line, exiting with usage on errors.
-    pub fn parse(experiment: &str) -> Self {
+    /// Parses the process's command line for a binary that reads `flags`
+    /// besides the shared ones, exiting with usage on errors.
+    pub fn parse(experiment: &str, flags: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(experiment, &args) {
+        match Self::from_args(experiment, flags, &args) {
             Ok(cli) => cli,
             Err(message) => {
                 eprintln!("{experiment}: {message}");
-                eprintln!(
-                    "usage: {experiment} [--runs N] [--seeds N] [--flows N] [--step N] \
-                     [--threads N] [--algorithms a,b,...] \
-                     [--load a,b,...] [--rates a,b,...] [--downtime D] \
-                     [--policies a,b,...] \
-                     [--shard-workers N] [--queue-depth N] [--admission R] \
-                     [--quick] [--full] [--small] [--json-out [PATH]] [--timings]"
-                );
+                eprintln!("{}", usage(experiment, flags));
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses an argument slice.
+    /// Parses an argument slice for a binary that reads `flags` besides
+    /// the shared ones.
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown flags, missing or malformed values,
-    /// and algorithm or policy names no registry knows.
-    pub fn from_args(experiment: &str, args: &[String]) -> Result<Self, String> {
+    /// Returns a message for unknown flags, flags the binary does not
+    /// read, missing or malformed values, and algorithm or policy names no
+    /// registry knows.
+    pub fn from_args(experiment: &str, flags: &[&str], args: &[String]) -> Result<Self, String> {
+        debug_assert!(
+            flags
+                .iter()
+                .all(|f| FLAGS.iter().any(|(flag, _)| flag == f)),
+            "{experiment} names a flag the CLI does not have: {flags:?}"
+        );
         let mut cli = Self {
             experiment: experiment.to_string(),
             threads: default_threads(),
@@ -234,6 +256,12 @@ impl ExperimentCli {
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
+            let Some(&(_, takes)) = FLAGS.iter().find(|&&(f, _)| f == flag) else {
+                return Err(format!("unknown flag {flag:?}"));
+            };
+            if !SHARED_FLAGS.contains(&flag) && !flags.contains(&flag) {
+                return Err(format!("{flag} is not read here"));
+            }
             if flag == "--json-out" {
                 // The path is optional: `--json-out --quick` and a trailing
                 // `--json-out` both mean "use the default path".
@@ -247,7 +275,7 @@ impl ExperimentCli {
                         i += 1;
                     }
                 }
-            } else if VALUE_FLAGS.contains(&flag) {
+            } else if !takes.is_empty() {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("{flag} expects a value"))?;
@@ -318,20 +346,18 @@ impl ExperimentCli {
                         }
                         cli.policies = Some(names);
                     }
-                    _ => unreachable!("flag is in VALUE_FLAGS"),
+                    _ => unreachable!("every flag that takes a value is matched"),
                 }
                 i += 2;
-            } else if SWITCH_FLAGS.contains(&flag) {
+            } else {
                 match flag {
                     "--quick" => cli.quick = true,
                     "--full" => cli.full = true,
                     "--small" => cli.small = true,
                     "--timings" => cli.timings = true,
-                    _ => unreachable!("flag is in SWITCH_FLAGS"),
+                    _ => unreachable!("every switch is matched"),
                 }
                 i += 1;
-            } else {
-                return Err(format!("unknown flag {flag:?}"));
             }
         }
         if cli.threads == 0 {
@@ -451,6 +477,32 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The flags some binaries read besides the shared ones, as their
+    /// `main`s name them.
+    const FIG2: &[&str] = &["--runs", "--step", "--small", "--algorithms"];
+    const ONLINE: &[&str] = &["--runs", "--flows", "--algorithms", "--policies", "--load"];
+    const FAILURES: &[&str] = &[
+        "--runs",
+        "--flows",
+        "--algorithms",
+        "--policies",
+        "--load",
+        "--rates",
+        "--downtime",
+    ];
+    const SERVE: &[&str] = &[
+        "--runs",
+        "--flows",
+        "--policies",
+        "--admission",
+        "--shard-workers",
+        "--queue-depth",
+    ];
+    /// Every flag a binary can read.
+    fn every() -> Vec<&'static str> {
+        FLAGS.iter().map(|&(flag, _)| flag).collect()
+    }
+
     #[test]
     fn run_indexed_preserves_input_order() {
         let serial = run_indexed(17, 1, |i| i * i);
@@ -478,6 +530,7 @@ mod tests {
     fn cli_parses_the_shared_flags() {
         let cli = ExperimentCli::from_args(
             "fig2",
+            FIG2,
             &args(&[
                 "--runs",
                 "5",
@@ -500,8 +553,9 @@ mod tests {
 
     #[test]
     fn cli_parses_the_algorithms_selector() {
-        let cli = ExperimentCli::from_args("fig2", &args(&["--algorithms", "dcfsr,sp-mcf,ecmp"]))
-            .unwrap();
+        let cli =
+            ExperimentCli::from_args("fig2", FIG2, &args(&["--algorithms", "dcfsr,sp-mcf,ecmp"]))
+                .unwrap();
         assert_eq!(
             cli.algorithms,
             Some(vec![
@@ -511,12 +565,12 @@ mod tests {
             ])
         );
         // A single name cannot form a primary/reference pair.
-        assert!(ExperimentCli::from_args("fig2", &args(&["--algorithms", "dcfsr"])).is_err());
-        assert!(ExperimentCli::from_args("fig2", &args(&["--algorithms"])).is_err());
+        assert!(ExperimentCli::from_args("fig2", FIG2, &args(&["--algorithms", "dcfsr"])).is_err());
+        assert!(ExperimentCli::from_args("fig2", FIG2, &args(&["--algorithms"])).is_err());
         // A name the harness registry cannot create is a usage error, not
         // a panic inside the sweep.
-        let err =
-            ExperimentCli::from_args("fig2", &args(&["--algorithms", "nope,sp-mcf"])).unwrap_err();
+        let err = ExperimentCli::from_args("fig2", FIG2, &args(&["--algorithms", "nope,sp-mcf"]))
+            .unwrap_err();
         assert!(
             err.starts_with("unknown algorithm \"nope\" (expected one of dcfsr, "),
             "{err}"
@@ -525,38 +579,54 @@ mod tests {
 
     #[test]
     fn cli_parses_the_load_sweep() {
-        let cli = ExperimentCli::from_args("online", &args(&["--load", "0.5,1,2,4"])).unwrap();
+        let cli =
+            ExperimentCli::from_args("online", ONLINE, &args(&["--load", "0.5,1,2,4"])).unwrap();
         assert_eq!(cli.load, Some(vec![0.5, 1.0, 2.0, 4.0]));
         // Non-positive, non-finite and empty lists are rejected.
-        assert!(ExperimentCli::from_args("online", &args(&["--load", "0"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--load", "-1"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--load", "nan"])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--load", ","])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--load"])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--load", "0"])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--load", "-1"])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--load", "nan"])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--load", ","])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--load"])).is_err());
     }
 
     #[test]
     fn cli_parses_the_failure_sweep_knobs() {
         let cli = ExperimentCli::from_args(
             "failures",
+            FAILURES,
             &args(&["--rates", "0,0.01,0.05", "--downtime", "2.5"]),
         )
         .unwrap();
         assert_eq!(cli.rates, Some(vec![0.0, 0.01, 0.05]));
         assert_eq!(cli.downtime, Some(2.5));
         // Rate 0 is the static baseline; negatives and NaN are rejected.
-        assert!(ExperimentCli::from_args("failures", &args(&["--rates", "-0.1"])).is_err());
-        assert!(ExperimentCli::from_args("failures", &args(&["--rates", "nan"])).is_err());
-        assert!(ExperimentCli::from_args("failures", &args(&["--rates", ","])).is_err());
-        assert!(ExperimentCli::from_args("failures", &args(&["--downtime", "0"])).is_err());
-        assert!(ExperimentCli::from_args("failures", &args(&["--downtime", "-1"])).is_err());
-        assert!(ExperimentCli::from_args("failures", &args(&["--downtime", "inf"])).is_err());
+        assert!(
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--rates", "-0.1"])).is_err()
+        );
+        assert!(
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--rates", "nan"])).is_err()
+        );
+        assert!(ExperimentCli::from_args("failures", FAILURES, &args(&["--rates", ","])).is_err());
+        assert!(
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--downtime", "0"])).is_err()
+        );
+        assert!(
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--downtime", "-1"])).is_err()
+        );
+        assert!(
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--downtime", "inf"])).is_err()
+        );
     }
 
     #[test]
     fn cli_parses_the_policies_selector() {
-        let cli = ExperimentCli::from_args("online", &args(&["--policies", "resolve,edf,hybrid"]))
-            .unwrap();
+        let cli = ExperimentCli::from_args(
+            "online",
+            ONLINE,
+            &args(&["--policies", "resolve,edf,hybrid"]),
+        )
+        .unwrap();
         assert_eq!(
             cli.policies,
             Some(vec![
@@ -566,39 +636,85 @@ mod tests {
             ])
         );
         // A single policy is a valid selection (no primary/reference pair).
-        let cli = ExperimentCli::from_args("online", &args(&["--policies", "hybrid"])).unwrap();
+        let cli =
+            ExperimentCli::from_args("online", ONLINE, &args(&["--policies", "hybrid"])).unwrap();
         assert_eq!(cli.policies, Some(vec!["hybrid".to_string()]));
-        assert!(ExperimentCli::from_args("online", &args(&["--policies", ","])).is_err());
-        assert!(ExperimentCli::from_args("online", &args(&["--policies"])).is_err());
-        // Unknown names are usage errors on every binary, including the
-        // ones that never read the flag.
-        for experiment in ["online", "failures", "fig2"] {
-            let err = ExperimentCli::from_args(experiment, &args(&["--policies", "edf,nope"]))
-                .unwrap_err();
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--policies", ","])).is_err());
+        assert!(ExperimentCli::from_args("online", ONLINE, &args(&["--policies"])).is_err());
+        // Unknown names are usage errors.
+        for (experiment, flags) in [("online", ONLINE), ("failures", FAILURES)] {
+            let err =
+                ExperimentCli::from_args(experiment, flags, &args(&["--policies", "edf,nope"]))
+                    .unwrap_err();
             assert_eq!(
                 err,
                 "unknown policy \"nope\" (expected one of resolve, edf, srpt, rcd, hybrid)"
             );
         }
         // The serve bench speaks the daemon's policy names instead.
-        let cli = ExperimentCli::from_args("serve", &args(&["--policies", "greedy"])).unwrap();
+        let cli =
+            ExperimentCli::from_args("serve", SERVE, &args(&["--policies", "greedy"])).unwrap();
         assert_eq!(cli.policies, Some(vec!["greedy".to_string()]));
-        assert!(ExperimentCli::from_args("serve", &args(&["--policies", "hybrid"])).is_err());
+        assert!(
+            ExperimentCli::from_args("serve", SERVE, &args(&["--policies", "hybrid"])).is_err()
+        );
     }
 
     #[test]
     fn cli_json_out_path_is_optional() {
-        let cli = ExperimentCli::from_args("fig2", &args(&["--json-out", "--quick"])).unwrap();
+        let cli =
+            ExperimentCli::from_args("fig2", FIG2, &args(&["--json-out", "--quick"])).unwrap();
         assert_eq!(cli.json_out, Some(PathBuf::from("BENCH_fig2.json")));
         assert!(cli.quick);
 
-        let cli = ExperimentCli::from_args("fig2", &args(&["--json-out"])).unwrap();
+        let cli = ExperimentCli::from_args("fig2", FIG2, &args(&["--json-out"])).unwrap();
         assert_eq!(cli.json_out, Some(PathBuf::from("BENCH_fig2.json")));
     }
 
     #[test]
     fn cli_rejects_unknown_and_malformed_flags() {
-        assert!(ExperimentCli::from_args("x", &args(&["--frobnicate"])).is_err());
+        assert!(ExperimentCli::from_args("x", &every(), &args(&["--frobnicate"])).is_err());
+        // A flag the binary does not read is a usage error, not a run that
+        // silently ignores it; the shared flags stay accepted everywhere.
+        for (experiment, flags, unread) in [
+            ("online", ONLINE, ["--admission", "reject-infeasible"]),
+            ("online", ONLINE, ["--shard-workers", "3"]),
+            ("online", ONLINE, ["--step", "7"]),
+            ("fig2", FIG2, ["--rates", "0.5"]),
+            ("fig2", FIG2, ["--downtime", "3"]),
+            ("fig2", FIG2, ["--admission", "reject-infeasible"]),
+            ("fig2", FIG2, ["--policies", "edf"]),
+            ("serve", SERVE, ["--algorithms", "dcfsr,sp-mcf"]),
+            ("example1", &[], ["--runs", "2"]),
+        ] {
+            let mut line = vec!["--quick"];
+            line.extend(unread);
+            assert_eq!(
+                ExperimentCli::from_args(experiment, flags, &args(&line)).unwrap_err(),
+                format!("{} is not read here", unread[0])
+            );
+        }
+        for (experiment, flags) in [("example1", &[][..]), ("online", ONLINE), ("fig2", FIG2)] {
+            let shared = [
+                "--quick",
+                "--full",
+                "--threads",
+                "2",
+                "--json-out",
+                "--timings",
+            ];
+            assert!(ExperimentCli::from_args(experiment, flags, &args(&shared)).is_ok());
+        }
+        // The usage line lists what the binary reads and nothing else.
+        assert_eq!(
+            usage("fig2", FIG2),
+            "usage: fig2 [--runs N] [--step N] [--threads N] [--algorithms a,b,...] [--quick] \
+             [--full] [--small] [--json-out [PATH]] [--timings]"
+        );
+        assert_eq!(
+            usage("example1", &[]),
+            "usage: example1 [--threads N] [--quick] [--full] [--json-out [PATH]] [--timings]"
+        );
         // The online engine has no batching or sharding flags, and solves
         // have no thread count of their own.
         for removed in [
@@ -607,24 +723,24 @@ mod tests {
             ["--solver-threads", "2"],
         ] {
             assert_eq!(
-                ExperimentCli::from_args("online", &args(&removed)).unwrap_err(),
+                ExperimentCli::from_args("online", ONLINE, &args(&removed)).unwrap_err(),
                 format!("unknown flag {:?}", removed[0])
             );
         }
-        assert!(ExperimentCli::from_args("x", &args(&["--runs"])).is_err());
-        assert!(ExperimentCli::from_args("x", &args(&["--runs", "many"])).is_err());
-        assert!(ExperimentCli::from_args("x", &args(&["--threads", "0"])).is_err());
+        assert!(ExperimentCli::from_args("x", &every(), &args(&["--runs"])).is_err());
+        assert!(ExperimentCli::from_args("x", &every(), &args(&["--runs", "many"])).is_err());
+        assert!(ExperimentCli::from_args("x", &every(), &args(&["--threads", "0"])).is_err());
         // The failure sweep runs at one load: a list is a usage error
         // there, not a silent run at its first value.
         assert_eq!(
-            ExperimentCli::from_args("failures", &args(&["--load", "1,2"])).unwrap_err(),
+            ExperimentCli::from_args("failures", FAILURES, &args(&["--load", "1,2"])).unwrap_err(),
             "--load takes a single load factor for failures, got 2 values"
         );
-        let cli = ExperimentCli::from_args("failures", &args(&["--load", "3"])).unwrap();
+        let cli = ExperimentCli::from_args("failures", FAILURES, &args(&["--load", "3"])).unwrap();
         assert_eq!(cli.load, Some(vec![3.0]));
         for flag in ["--runs", "--seeds", "--flows", "--step"] {
             assert!(
-                ExperimentCli::from_args("x", &args(&[flag, "0"])).is_err(),
+                ExperimentCli::from_args("x", &every(), &args(&[flag, "0"])).is_err(),
                 "{flag} 0 must be rejected"
             );
         }

@@ -11,6 +11,9 @@
 //! with `BLESS_GOLDEN=1 cargo test --release -p dcn-bench --test
 //! artifact_pins -- --ignored`. `#[ignore]`d outside CI's release leg:
 //! the runs need an optimised build.
+//!
+//! The same binaries also refuse, before any work, a flag they do not
+//! read: that check runs in every build.
 
 use std::fs;
 use std::path::PathBuf;
@@ -103,4 +106,47 @@ fn quick_artifacts_keep_their_bytes() {
          re-bless with BLESS_GOLDEN=1 if the change is intentional",
         diverged.join("\n")
     );
+}
+
+/// A flag each binary does not read, with a value: before it was refused,
+/// `online --quick --admission reject-infeasible` ran plain `--quick`.
+const UNREAD_FLAGS: &[(&str, &str, &str)] = &[
+    ("online", "--admission", "reject-infeasible"),
+    ("online", "--shard-workers", "3"),
+    ("online", "--step", "7"),
+    ("failures", "--admission", "reject-infeasible"),
+    ("fig2", "--rates", "0.5"),
+    ("fig2", "--downtime", "3"),
+    ("fig2", "--admission", "reject-infeasible"),
+    ("scaling", "--flows", "10"),
+    ("ablation_alpha", "--step", "5"),
+    ("ablation_lambda", "--seeds", "2"),
+    ("ablation_topology", "--policies", "edf"),
+    ("ablation_rounding", "--runs", "2"),
+    ("example1", "--runs", "2"),
+    ("hardness_gadget", "--flows", "4"),
+    ("serve", "--algorithms", "dcfsr,sp-mcf"),
+    ("serve", "--load", "2"),
+];
+
+#[test]
+fn every_binary_refuses_a_flag_it_does_not_read() {
+    for &(bin, flag, value) in UNREAD_FLAGS {
+        let out = Command::new(binary(bin))
+            .args(["--quick", flag, value])
+            .output()
+            .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{bin}: {flag} is not read here")),
+            "{bin} {flag}: {stderr}"
+        );
+        let usage = stderr
+            .lines()
+            .find(|l| l.starts_with("usage:"))
+            .unwrap_or_else(|| panic!("{bin} printed no usage line: {stderr}"));
+        assert!(!usage.contains(flag), "{bin}'s usage lists {flag}: {usage}");
+        assert!(usage.contains("[--quick]"), "{usage}");
+    }
 }

@@ -86,11 +86,6 @@ impl Dcfsr {
     pub fn new(config: RandomScheduleConfig) -> Self {
         Self { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RandomScheduleConfig {
-        &self.config
-    }
 }
 
 impl Algorithm for Dcfsr {
@@ -131,7 +126,7 @@ impl Algorithm for Dcfsr {
 /// its ECMP / least-loaded variants.
 #[derive(Debug, Clone)]
 pub struct RoutedMcf {
-    name: String,
+    name: &'static str,
     routing: Routing,
 }
 
@@ -139,7 +134,7 @@ impl RoutedMcf {
     /// The paper's `SP+MCF` baseline (registry name `sp-mcf`).
     pub fn shortest_path() -> Self {
         Self {
-            name: "sp-mcf".to_string(),
+            name: "sp-mcf",
             routing: Routing::ShortestPath,
         }
     }
@@ -147,7 +142,7 @@ impl RoutedMcf {
     /// Seeded ECMP routing + Most-Critical-First (registry name `ecmp`).
     pub fn ecmp(seed: u64) -> Self {
         Self {
-            name: "ecmp".to_string(),
+            name: "ecmp",
             routing: Routing::Ecmp { seed },
         }
     }
@@ -156,29 +151,15 @@ impl RoutedMcf {
     /// (registry name `least-loaded`).
     pub fn least_loaded(k: usize) -> Self {
         Self {
-            name: "least-loaded".to_string(),
+            name: "least-loaded",
             routing: Routing::LeastLoadedKsp { k },
         }
-    }
-
-    /// A custom-named pairing of any [`Routing`] strategy with
-    /// Most-Critical-First, for experiment-specific registrations.
-    pub fn custom(name: impl Into<String>, routing: Routing) -> Self {
-        Self {
-            name: name.into(),
-            routing,
-        }
-    }
-
-    /// The routing strategy in use.
-    pub fn routing(&self) -> &Routing {
-        &self.routing
     }
 }
 
 impl Algorithm for RoutedMcf {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -197,7 +178,7 @@ impl Algorithm for RoutedMcf {
         let paths = ctx.route(&self.routing, flows)?;
         let schedule = most_critical_first(ctx.network(), flows, &paths, power)?;
         let energy = schedule.energy(power);
-        Ok(Solution::scheduled(self.name.clone(), schedule, energy))
+        Ok(Solution::scheduled(self.name, schedule, energy))
     }
 }
 

@@ -129,11 +129,6 @@ impl RandomSchedule {
         Self { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RandomScheduleConfig {
-        &self.config
-    }
-
     /// Merges, rounds and schedules a precomputed relaxation of `flows` —
     /// what [`crate::Dcfsr`] runs after [`crate::SolverContext::relax`];
     /// split from it for callers that also need the lower bound or the

@@ -168,8 +168,8 @@ mod tests {
         Ok(plan)
     }
 
-    /// `HybridPolicy::on_event` at its default threshold over the reference
-    /// planner.
+    /// `HybridPolicy::on_event` (its 0.1 slack threshold) over the
+    /// reference planner.
     fn reference_hybrid(
         ctx: &SolverContext<'_>,
         power: &PowerFunction,

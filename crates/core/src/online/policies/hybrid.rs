@@ -11,8 +11,8 @@ use dcn_power::PowerFunction;
 /// flow has comfortable slack, and triggers a full residual re-solve with
 /// the engine's wrapped algorithm (DCFSR in the benchmarks) only when some
 /// flow's *slack fraction* — the share of its remaining time that is spare
-/// after transmitting at its path's full rate — drops below the
-/// configured threshold.
+/// after transmitting at its path's full rate — drops below
+/// 0.1 (`SLACK_THRESHOLD`).
 ///
 /// This is the refactor's payoff policy: on traces where deadlines are
 /// loose relative to fabric capacity (the paper's workload regime) nearly
@@ -21,33 +21,15 @@ use dcn_power::PowerFunction;
 /// `policy_arrivals` example and the acceptance gate pin hybrid at ≤ 25%
 /// of `resolve`'s re-solve count on a 200-event fat-tree trace with zero
 /// deadline misses.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HybridPolicy {
-    /// Re-solve when any flow's slack fraction falls below this value
-    /// (clamped to `[0, 1]`).
-    slack_threshold: f64,
     paths: PathCache,
     ledger: CapacityLedger,
 }
 
-impl HybridPolicy {
-    /// Creates the policy with the given slack-fraction threshold.
-    pub fn with_slack_threshold(slack_threshold: f64) -> Self {
-        Self {
-            slack_threshold: slack_threshold.clamp(0.0, 1.0),
-            paths: PathCache::new(),
-            ledger: CapacityLedger::new(),
-        }
-    }
-}
-
-impl Default for HybridPolicy {
-    /// The default threshold re-solves once a flow's spare time shrinks
-    /// under 10% of its remaining window.
-    fn default() -> Self {
-        Self::with_slack_threshold(0.1)
-    }
-}
+/// Re-solve once some flow's spare time shrinks under this share of its
+/// remaining window.
+const SLACK_THRESHOLD: f64 = 0.1;
 
 impl OnlinePolicy for HybridPolicy {
     fn name(&self) -> &str {
@@ -80,7 +62,7 @@ impl OnlinePolicy for HybridPolicy {
             } else {
                 flow.slack(world.now(), remaining, full) / time_left
             };
-            if fraction < self.slack_threshold {
+            if fraction < SLACK_THRESHOLD {
                 return Ok(PolicyAction::Resolve);
             }
         }

@@ -10,7 +10,7 @@ use dcn_power::PowerFunction;
 /// Rapid-close-to-deadline rate assignment (after RCD, Noormohammadpour
 /// et al.): each flow *defers* — transmits nothing — until the latest
 /// start time at which blasting its path's full rate still meets the
-/// deadline, padded by a safety `headroom` factor, then blasts.
+/// deadline, padded by a safety factor of 1.25 (`HEADROOM`), then blasts.
 ///
 /// Deferral is implemented with the engine's slack timers: a deferred
 /// flow's plan entry is a wake-up at its padded latest start, so the
@@ -23,34 +23,16 @@ use dcn_power::PowerFunction;
 /// motif of the paper), at the price of deadline risk when deferred flows
 /// collide on a link; the engine records such misses. No Frank–Wolfe
 /// solve, ever.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RcdPolicy {
-    /// Multiplier (≥ 1) on the minimum blast duration reserved before the
-    /// deadline: `latest start = deadline − headroom · remaining / rate`.
-    headroom: f64,
     paths: PathCache,
     ledger: CapacityLedger,
 }
 
-impl RcdPolicy {
-    /// Creates the policy with the given safety headroom factor (clamped
-    /// to at least 1).
-    pub fn with_headroom(headroom: f64) -> Self {
-        Self {
-            headroom: headroom.max(1.0),
-            paths: PathCache::new(),
-            ledger: CapacityLedger::new(),
-        }
-    }
-}
-
-impl Default for RcdPolicy {
-    /// The default 1.25 headroom reserves 25% more than the minimum blast
-    /// duration, absorbing capacity lost to overlapping blasts.
-    fn default() -> Self {
-        Self::with_headroom(1.25)
-    }
-}
+/// Multiplier on the minimum blast duration reserved before the deadline:
+/// `latest start = deadline − HEADROOM · remaining / rate`. It reserves 25%
+/// more than the minimum, absorbing capacity lost to overlapping blasts.
+const HEADROOM: f64 = 1.25;
 
 impl OnlinePolicy for RcdPolicy {
     fn name(&self) -> &str {
@@ -79,7 +61,7 @@ impl OnlinePolicy for RcdPolicy {
             if full <= 0.0 {
                 continue;
             }
-            let latest = flow.latest_start(remaining, full / self.headroom);
+            let latest = flow.latest_start(remaining, full / HEADROOM);
             urgency.push((latest, id));
         }
         urgency.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

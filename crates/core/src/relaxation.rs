@@ -58,16 +58,6 @@ pub struct RelaxationSummary {
     pub lower_bound: f64,
 }
 
-impl RelaxationSummary {
-    /// The relaxation of the interval with the given index, or `None` when
-    /// `index` is out of range (an instance with `n` release/deadline
-    /// events has at most `2n - 1` intervals, and degenerate instances can
-    /// have fewer — callers should not assume a particular count).
-    pub fn interval(&self, index: usize) -> Option<&IntervalRelaxation> {
-        self.intervals.get(index)
-    }
-}
-
 /// Solves the per-interval F-MCF relaxation of a DCFSR instance on a
 /// prebuilt CSR view. The interval loop shares the caller-provided
 /// [`FmcfScratch`] (one shortest-path engine and one set of Frank–Wolfe
@@ -241,24 +231,6 @@ mod tests {
             assert_eq!(a.solution, b.solution);
             assert_eq!(a.cost_rate, b.cost_rate);
         }
-    }
-
-    #[test]
-    fn interval_accessor_is_checked() {
-        let topo = builders::line_with_capacity(3, 100.0);
-        let flows =
-            dcn_flow::FlowSet::from_tuples([(topo.hosts()[0], topo.hosts()[2], 0.0, 4.0, 4.0)])
-                .unwrap();
-        let summary = relax_network(
-            &topo.network,
-            &flows,
-            &x2(100.0),
-            &FmcfSolverConfig::default(),
-        );
-        assert_eq!(summary.intervals.len(), 1);
-        assert!(summary.interval(0).is_some());
-        assert!(summary.interval(1).is_none());
-        assert!(summary.interval(usize::MAX).is_none());
     }
 
     #[test]

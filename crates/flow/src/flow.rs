@@ -122,12 +122,6 @@ impl Flow {
         self.volume / self.span_length()
     }
 
-    /// Returns `true` if the flow is active at time `t` (i.e. `t` lies in
-    /// its span).
-    pub fn is_active_at(&self, t: f64) -> bool {
-        t >= self.release && t <= self.deadline
-    }
-
     /// Returns `true` if the flow's span contains the whole interval
     /// `[start, end]`.
     pub fn spans_interval(&self, start: f64, end: f64) -> bool {
@@ -187,10 +181,6 @@ mod tests {
         assert_eq!(fl.span(), (1.0, 3.0));
         assert_eq!(fl.span_length(), 2.0);
         assert_eq!(fl.density(), 4.0);
-        assert!(fl.is_active_at(1.0));
-        assert!(fl.is_active_at(3.0));
-        assert!(!fl.is_active_at(3.5));
-        assert!(!fl.is_active_at(0.5));
     }
 
     #[test]

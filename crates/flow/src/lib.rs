@@ -19,8 +19,6 @@
 //!   [`failure::FailureProcess`] alternating-renewal model that generates
 //!   the typed topology-event stream the online engine merges into its
 //!   event queue.
-//! * [`trace`] — JSON (de)serialization of flow sets so experiments can be
-//!   replayed.
 //!
 //! # Example
 //!
@@ -45,7 +43,6 @@
 pub mod failure;
 mod flow;
 mod set;
-pub mod trace;
 pub mod workload;
 
 pub use flow::{Flow, FlowError, FlowId};

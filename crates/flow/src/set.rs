@@ -2,7 +2,6 @@
 //! DCFSR relaxation.
 
 use crate::{Flow, FlowError, FlowId};
-use dcn_topology::Network;
 use serde::{Deserialize, Serialize};
 
 /// A half-open time interval `I_k = [start, end)` between two consecutive
@@ -175,36 +174,10 @@ impl FlowSet {
             .collect()
     }
 
-    /// Ids of the flows active at time instant `t`.
-    pub fn active_at(&self, t: f64) -> Vec<FlowId> {
-        self.flows
-            .iter()
-            .filter(|f| f.is_active_at(t))
-            .map(|f| f.id)
-            .collect()
-    }
-
     /// The largest flow density `D = max_i D_i` (used in the approximation
     /// ratio), or zero for an empty set.
     pub fn max_density(&self) -> f64 {
         self.flows.iter().map(Flow::density).fold(0.0, f64::max)
-    }
-
-    /// Total data volume over all flows.
-    pub fn total_volume(&self) -> f64 {
-        self.flows.iter().map(|f| f.volume).sum()
-    }
-
-    /// Checks that every flow's endpoints exist in `network` and are
-    /// distinct nodes, returning the offending flow ids.
-    pub fn invalid_endpoints(&self, network: &Network) -> Vec<FlowId> {
-        self.flows
-            .iter()
-            .filter(|f| {
-                f.src.index() >= network.node_count() || f.dst.index() >= network.node_count()
-            })
-            .map(|f| f.id)
-            .collect()
     }
 }
 
@@ -220,7 +193,7 @@ impl<'a> IntoIterator for &'a FlowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_topology::{builders, NodeId};
+    use dcn_topology::NodeId;
 
     fn example1() -> FlowSet {
         FlowSet::from_tuples([
@@ -251,15 +224,11 @@ mod tests {
         assert_eq!(fs.active_in_interval(&ivs[0]), vec![1]);
         assert_eq!(fs.active_in_interval(&ivs[1]), vec![0, 1]);
         assert_eq!(fs.active_in_interval(&ivs[2]), vec![0]);
-        assert_eq!(fs.active_at(2.5), vec![0, 1]);
-        assert_eq!(fs.active_at(0.5), Vec::<FlowId>::new());
     }
 
     #[test]
-    fn densities_and_volumes() {
-        let fs = example1();
-        assert_eq!(fs.max_density(), 4.0);
-        assert_eq!(fs.total_volume(), 14.0);
+    fn max_density_is_the_largest_flow_density() {
+        assert_eq!(example1().max_density(), 4.0);
     }
 
     #[test]
@@ -291,16 +260,6 @@ mod tests {
         assert_eq!(fs.breakpoints(), vec![0.0, 5.0, 10.0]);
         assert_eq!(fs.intervals().len(), 2);
         assert_eq!(fs.lambda(), 2.0);
-    }
-
-    #[test]
-    fn endpoint_validation_against_network() {
-        let t = builders::line(3);
-        let ok = FlowSet::from_tuples([(t.hosts()[0], t.hosts()[2], 0.0, 1.0, 1.0)]).unwrap();
-        assert!(ok.invalid_endpoints(&t.network).is_empty());
-
-        let bad = FlowSet::from_tuples([(NodeId(99), t.hosts()[2], 0.0, 1.0, 1.0)]).unwrap();
-        assert_eq!(bad.invalid_endpoints(&t.network), vec![0]);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl PowerFunction {
         self.sigma
     }
 
-    /// The speed-scaling coefficient `mu`.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
     /// The speed-scaling exponent `alpha` (> 1).
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -109,15 +104,6 @@ impl PowerFunction {
     /// The maximum transmission rate `C` of a link.
     pub fn capacity(&self) -> f64 {
         self.capacity
-    }
-
-    /// Returns a copy with a different idle power.
-    pub fn with_sigma(mut self, sigma: f64) -> Result<Self, PowerFunctionError> {
-        if sigma < 0.0 || sigma.is_nan() {
-            return Err(PowerFunctionError::NegativeSigma(sigma));
-        }
-        self.sigma = sigma;
-        Ok(self)
     }
 
     /// Power drawn at transmission rate `rate` (Eq. 1): `0` when the rate is
@@ -163,14 +149,6 @@ impl PowerFunction {
     /// pure speed-scaling regime).
     pub fn optimal_rate(&self) -> f64 {
         (self.sigma / (self.mu * (self.alpha - 1.0))).powf(1.0 / self.alpha)
-    }
-
-    /// The optimal *achievable* operating rate: `min(R_opt, C)`.
-    ///
-    /// The paper notes `R_opt > C` is the realistic case; then a link should
-    /// simply run at capacity when it runs at all.
-    pub fn optimal_rate_capped(&self) -> f64 {
-        self.optimal_rate().min(self.capacity)
     }
 
     /// Marginal power `d f / d x = mu * alpha * x^(alpha - 1)` for `x > 0`.
@@ -329,13 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn optimal_rate_capped_by_capacity() {
-        let f = PowerFunction::new(1000.0, 1.0, 2.0, 5.0).unwrap();
-        assert!(f.optimal_rate() > 5.0);
-        assert_eq!(f.optimal_rate_capped(), 5.0);
-    }
-
-    #[test]
     fn speed_scaling_only_has_zero_optimal_rate() {
         let f = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
         assert_eq!(f.optimal_rate(), 0.0);
@@ -388,14 +359,5 @@ mod tests {
         for token in ["1", "2", "3", "4"] {
             assert!(s.contains(token), "{s} should mention {token}");
         }
-    }
-
-    #[test]
-    fn with_sigma_replaces_idle_power() {
-        let f = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
-        let g = f.with_sigma(5.0).unwrap();
-        assert_eq!(g.sigma(), 5.0);
-        assert_eq!(g.mu(), 1.0);
-        assert!(f.with_sigma(-1.0).is_err());
     }
 }

@@ -428,11 +428,6 @@ impl Server {
         &self.config
     }
 
-    /// Number of logical shards (pod buckets) of the topology.
-    pub fn bucket_count(&self) -> usize {
-        self.bucket_count
-    }
-
     /// The bucket a source node routes to: its pod, or the cross bucket.
     fn bucket_of(&self, src: usize) -> usize {
         self.graph

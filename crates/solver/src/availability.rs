@@ -89,11 +89,6 @@ impl TimeAvailability {
         self.blocked.drain(at + 1..next);
     }
 
-    /// The blocked intervals, disjoint and sorted.
-    pub fn blocked_intervals(&self) -> &[(f64, f64)] {
-        &self.blocked
-    }
-
     /// Total blocked time inside `[start, end)`.
     ///
     /// An empty or reversed window (`end <= start`) contains no time, so
@@ -143,13 +138,6 @@ impl TimeAvailability {
         }
         out.retain(|&(a, b)| b - a > 1e-12);
         out
-    }
-
-    /// Returns `true` if the instant `t` lies inside a blocked interval.
-    pub fn is_blocked_at(&self, t: f64) -> bool {
-        // The only interval that can hold `t` is the first one ending after it.
-        let first = self.blocked.partition_point(|&(_, e)| e <= t);
-        self.blocked.get(first).is_some_and(|&(s, _)| t >= s)
     }
 }
 
@@ -314,7 +302,7 @@ mod tests {
         let a = TimeAvailability::new();
         assert_eq!(a.available_between(0.0, 10.0), 10.0);
         assert_eq!(a.available_subintervals(0.0, 10.0), vec![(0.0, 10.0)]);
-        assert!(!a.is_blocked_at(5.0));
+        assert!(a.blocked.is_empty());
     }
 
     #[test]
@@ -328,9 +316,7 @@ mod tests {
             a.available_subintervals(0.0, 10.0),
             vec![(0.0, 2.0), (4.0, 6.0), (7.0, 10.0)]
         );
-        assert!(a.is_blocked_at(2.0));
-        assert!(a.is_blocked_at(3.9));
-        assert!(!a.is_blocked_at(4.0));
+        assert_eq!(a.blocked, [(2.0, 4.0), (6.0, 7.0)]);
     }
 
     #[test]
@@ -339,7 +325,7 @@ mod tests {
         a.block(1.0, 3.0);
         a.block(2.0, 5.0);
         a.block(5.0, 6.0);
-        assert_eq!(a.blocked_intervals(), &[(1.0, 6.0)]);
+        assert_eq!(a.blocked, [(1.0, 6.0)]);
         assert_eq!(a.available_between(0.0, 10.0), 5.0);
     }
 
@@ -365,7 +351,7 @@ mod tests {
     fn empty_block_is_ignored() {
         let mut a = TimeAvailability::new();
         a.block(3.0, 3.0);
-        assert!(a.blocked_intervals().is_empty());
+        assert!(a.blocked.is_empty());
     }
 
     #[test]
@@ -446,7 +432,7 @@ mod tests {
             let end = start + next(12) as f64 * 0.5 + 0.25;
             a.block(start, end);
             block_by_resorting(&mut expected, start, end);
-            assert_eq!(a.blocked_intervals(), expected.as_slice());
+            assert_eq!(a.blocked, expected);
 
             // The overlap-only sum is the sum over the whole list (`==` on
             // floats is exact up to the sign of zero).
@@ -457,13 +443,8 @@ mod tests {
                 .sum();
             assert_eq!(a.blocked_between(lo, hi), whole);
 
-            // So are the two other queries that start at the first interval
-            // the window can touch instead of at the head of the list.
-            let t = lo * 0.5 + [0.0, 0.25][next(2) as usize];
-            assert_eq!(
-                a.is_blocked_at(t),
-                expected.iter().any(|&(s, e)| t >= s && t < e)
-            );
+            // So is the other query that starts at the first interval the
+            // window can touch instead of at the head of the list.
             let mut gaps = Vec::new();
             let mut cursor = lo;
             for &(s, e) in expected.iter().filter(|&&(s, e)| e > lo && s < hi) {

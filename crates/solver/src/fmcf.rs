@@ -488,24 +488,19 @@ impl FmcfScratch {
     /// The cache probes the cost function at `LinkId(0)` to fingerprint it,
     /// which assumes link-homogeneous costs (true for [`PowerFlowCost`]);
     /// callers alternating *per-link heterogeneous* costs on one scratch
-    /// should call [`FmcfScratch::clear_warm_cache`] between them.
+    /// should disable and re-enable warm starts between them.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.warm_enabled = enabled;
         if !enabled {
-            self.clear_warm_cache();
+            self.warm = None;
+            self.dirty.clear();
+            self.dirty_mark.fill(false);
         }
     }
 
     /// Whether warm-started solves are enabled.
     pub fn warm_start(&self) -> bool {
         self.warm_enabled
-    }
-
-    /// Drops the cached previous solution and the dirty-link set.
-    pub fn clear_warm_cache(&mut self) {
-        self.warm = None;
-        self.dirty.clear();
-        self.dirty_mark.fill(false);
     }
 
     /// Marks `links` as having changed residual conditions (capacity
@@ -743,11 +738,6 @@ impl<'a> FmcfProblem<'a> {
             assert!(c.demand > 0.0, "commodity {} has non-positive demand", c.id);
             assert!(c.src != c.dst, "commodity {} has equal endpoints", c.id);
         }
-    }
-
-    /// The commodities of the problem.
-    pub fn commodities(&self) -> &[Commodity] {
-        &self.commodities
     }
 
     /// The CSR view the problem solves on.

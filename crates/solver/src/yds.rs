@@ -96,24 +96,6 @@ impl JobPlacement {
     pub fn work_done(&self) -> f64 {
         self.speed * self.duration()
     }
-
-    /// The first instant at which the job runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement has no windows.
-    pub fn start_time(&self) -> f64 {
-        self.windows.first().expect("placement has no windows").0
-    }
-
-    /// The instant at which the job finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement has no windows.
-    pub fn finish_time(&self) -> f64 {
-        self.windows.last().expect("placement has no windows").1
-    }
 }
 
 /// The output of [`yds_schedule`]: one placement per input job.
@@ -140,11 +122,6 @@ impl YdsSchedule {
             .iter()
             .map(|p| power.dynamic_power(p.speed) * p.duration())
             .sum()
-    }
-
-    /// The largest speed used by any job.
-    pub fn max_speed(&self) -> f64 {
-        self.placements.iter().map(|p| p.speed).fold(0.0, f64::max)
     }
 
     /// Checks the schedule against the original jobs: every job completes
@@ -380,9 +357,8 @@ mod tests {
         assert!(close(s.placement(0).unwrap().speed, expected));
         assert!(close(s.placement(1).unwrap().speed, expected));
         // EDF runs job 1 (deadline 3) before job 0 (deadline 4).
-        assert!(
-            s.placement(1).unwrap().finish_time() <= s.placement(0).unwrap().start_time() + 1e-9
-        );
+        let job1_finish = s.placement(1).unwrap().windows.last().unwrap().1;
+        assert!(job1_finish <= s.placement(0).unwrap().windows[0].0 + 1e-9);
     }
 
     #[test]
@@ -420,7 +396,6 @@ mod tests {
         for p in s.placements() {
             assert!(close(p.speed, 1.0));
         }
-        assert!(close(s.max_speed(), 1.0));
     }
 
     #[test]
@@ -429,7 +404,7 @@ mod tests {
         let s = yds_schedule(&jobs);
         s.validate(&jobs).unwrap();
         // Job 1 cannot start before its release at t=5.
-        assert!(s.placement(1).unwrap().start_time() >= 5.0 - 1e-9);
+        assert!(s.placement(1).unwrap().windows[0].0 >= 5.0 - 1e-9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Builders for the standard data-center topologies used by the paper and
 //! its evaluation: line networks (Example 1), parallel-link gadgets
 //! (hardness reductions), fat-tree (the Fig. 2 evaluation topology), BCube,
-//! leaf–spine, star and dumbbell.
+//! leaf–spine and dumbbell.
 //!
 //! All builders produce every physical cable as a pair of directed links and
 //! use a uniform link capacity, matching the paper's assumption of identical
@@ -287,185 +287,6 @@ pub fn leaf_spine_with_capacity(
     }
 }
 
-/// A VL2-style Clos fabric (Greenberg et al., SIGCOMM 2009): `d_i`
-/// intermediate switches fully meshed with `d_a` aggregation switches, each
-/// pair of aggregation switches serving one top-of-rack switch with
-/// `hosts_per_tor` hosts.
-///
-/// # Panics
-///
-/// Panics if any argument is zero or `d_a` is odd.
-pub fn vl2(d_a: usize, d_i: usize, hosts_per_tor: usize) -> BuiltTopology {
-    vl2_with_capacity(d_a, d_i, hosts_per_tor, DEFAULT_CAPACITY)
-}
-
-/// Same as [`vl2`] with an explicit uniform link capacity.
-pub fn vl2_with_capacity(
-    d_a: usize,
-    d_i: usize,
-    hosts_per_tor: usize,
-    capacity: f64,
-) -> BuiltTopology {
-    assert!(
-        d_a >= 2 && d_a.is_multiple_of(2),
-        "VL2 requires an even d_a >= 2, got {d_a}"
-    );
-    assert!(d_i > 0 && hosts_per_tor > 0);
-    let mut network = Network::new();
-    let intermediates: Vec<NodeId> = (0..d_i)
-        .map(|i| network.add_node(NodeKind::CoreSwitch, format!("int-{i}")))
-        .collect();
-    let aggregates: Vec<NodeId> = (0..d_a)
-        .map(|a| network.add_node(NodeKind::AggregationSwitch, format!("agg-{a}")))
-        .collect();
-    for &agg in &aggregates {
-        for &int in &intermediates {
-            network.add_duplex_link(agg, int, capacity);
-        }
-    }
-    let mut hosts = Vec::new();
-    let tor_count = d_a * d_i / 4;
-    for t in 0..tor_count.max(1) {
-        let tor = network.add_node(NodeKind::EdgeSwitch, format!("tor-{t}"));
-        // Each ToR dual-homes to two aggregation switches.
-        let a0 = aggregates[(2 * t) % d_a];
-        let a1 = aggregates[(2 * t + 1) % d_a];
-        network.add_duplex_link(tor, a0, capacity);
-        network.add_duplex_link(tor, a1, capacity);
-        for h in 0..hosts_per_tor {
-            let host = network.add_node(NodeKind::Host, format!("host-{t}-{h}"));
-            network.add_duplex_link(tor, host, capacity);
-            hosts.push(host);
-        }
-    }
-    BuiltTopology {
-        network,
-        hosts,
-        name: format!("vl2(da={d_a},di={d_i},{hosts_per_tor} hosts/tor)"),
-    }
-}
-
-/// A Jellyfish-style random regular graph of top-of-rack switches
-/// (Singla et al., NSDI 2012): `switches` ToR switches, each with `degree`
-/// switch-to-switch cables wired by a seeded random matching and
-/// `hosts_per_switch` hosts.
-///
-/// The construction is deterministic for a fixed `seed` (it uses an
-/// internal linear-congruential generator, so the topology crate needs no
-/// RNG dependency). If the random matching leaves the graph disconnected,
-/// extra links are added between consecutive switches to restore
-/// connectivity — real Jellyfish deployments do the analogous rewiring.
-///
-/// # Panics
-///
-/// Panics if `switches < 2` or `degree == 0`.
-pub fn jellyfish(
-    switches: usize,
-    degree: usize,
-    hosts_per_switch: usize,
-    seed: u64,
-) -> BuiltTopology {
-    jellyfish_with_capacity(switches, degree, hosts_per_switch, seed, DEFAULT_CAPACITY)
-}
-
-/// Same as [`jellyfish`] with an explicit uniform link capacity.
-pub fn jellyfish_with_capacity(
-    switches: usize,
-    degree: usize,
-    hosts_per_switch: usize,
-    seed: u64,
-    capacity: f64,
-) -> BuiltTopology {
-    assert!(switches >= 2, "Jellyfish needs at least two switches");
-    assert!(degree >= 1, "Jellyfish needs a positive switch degree");
-    let mut network = Network::new();
-    let tor: Vec<NodeId> = (0..switches)
-        .map(|s| network.add_node(NodeKind::Switch, format!("tor-{s}")))
-        .collect();
-
-    // Seeded LCG (numerical recipes constants) so the builder stays
-    // dependency-free yet reproducible.
-    let mut state = seed
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    let mut next = move |bound: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % bound
-    };
-
-    // Random matching over free ports.
-    let mut free_ports: Vec<usize> = (0..switches)
-        .flat_map(|s| std::iter::repeat_n(s, degree))
-        .collect();
-    let mut attempts = 0usize;
-    while free_ports.len() >= 2 && attempts < 50 * switches * degree {
-        attempts += 1;
-        let i = next(free_ports.len());
-        let j = next(free_ports.len());
-        if i == j {
-            continue;
-        }
-        let (a, b) = (free_ports[i], free_ports[j]);
-        if a == b || network.find_link(tor[a], tor[b]).is_some() {
-            continue;
-        }
-        network.add_duplex_link(tor[a], tor[b], capacity);
-        // Remove the two used ports (larger index first).
-        let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-        free_ports.swap_remove(hi);
-        free_ports.swap_remove(lo);
-    }
-    // Guarantee connectivity with a fallback ring over consecutive switches.
-    for s in 0..switches {
-        let t = (s + 1) % switches;
-        if network.find_link(tor[s], tor[t]).is_none() {
-            let reachable = network.hop_distances(tor[s])[tor[t].index()] != usize::MAX;
-            if !reachable {
-                network.add_duplex_link(tor[s], tor[t], capacity);
-            }
-        }
-    }
-
-    let mut hosts = Vec::new();
-    for (s, &sw) in tor.iter().enumerate() {
-        for h in 0..hosts_per_switch {
-            let host = network.add_node(NodeKind::Host, format!("host-{s}-{h}"));
-            network.add_duplex_link(sw, host, capacity);
-            hosts.push(host);
-        }
-    }
-    BuiltTopology {
-        network,
-        hosts,
-        name: format!("jellyfish(s={switches},d={degree},{hosts_per_switch} hosts/switch)"),
-    }
-}
-
-/// A star: one central switch with `n` hosts attached.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn star(n: usize, capacity: f64) -> BuiltTopology {
-    assert!(n > 0, "a star needs at least one host");
-    let mut network = Network::new();
-    let center = network.add_node(NodeKind::Switch, "center");
-    let hosts: Vec<NodeId> = (0..n)
-        .map(|i| {
-            let h = network.add_node(NodeKind::Host, format!("host-{i}"));
-            network.add_duplex_link(center, h, capacity);
-            h
-        })
-        .collect();
-    BuiltTopology {
-        network,
-        hosts,
-        name: format!("star(n={n})"),
-    }
-}
-
 /// A dumbbell: two switches joined by one (bottleneck) cable, with
 /// `hosts_per_side` hosts on each side.
 ///
@@ -589,7 +410,7 @@ mod tests {
     #[test]
     fn pod_free_builders_report_zero_pods() {
         assert_eq!(line(4).csr().pod_count(), 0);
-        assert_eq!(star(3, 1.0).csr().pod_count(), 0);
+        assert_eq!(dumbbell(3, 1.0).csr().pod_count(), 0);
     }
 
     #[test]
@@ -639,12 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn star_and_dumbbell() {
-        let s = star(6, 1.0);
-        assert_eq!(s.network.switch_count(), 1);
-        assert_eq!(s.network.host_count(), 6);
-        assert!(s.network.is_strongly_connected());
-
+    fn dumbbell_structure() {
         let d = dumbbell(3, 1.0);
         assert_eq!(d.network.switch_count(), 2);
         assert_eq!(d.network.host_count(), 6);
@@ -652,49 +468,6 @@ mod tests {
         // Crossing the dumbbell takes 3 hops.
         let p = d.network.shortest_path(d.hosts()[0], d.hosts()[5]).unwrap();
         assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn vl2_structure() {
-        let t = vl2(4, 4, 8);
-        // d_a * d_i / 4 = 4 ToRs, plus 4 agg + 4 intermediate switches.
-        assert_eq!(t.network.switch_count(), 4 + 4 + 4);
-        assert_eq!(t.network.host_count(), 32);
-        assert!(t.network.is_strongly_connected());
-        // Each ToR dual-homes: host-to-host across ToRs is at most 6 hops.
-        let p = t
-            .network
-            .shortest_path(t.hosts()[0], t.hosts()[31])
-            .unwrap();
-        assert!(p.len() <= 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "even d_a")]
-    fn vl2_rejects_odd_aggregation_count() {
-        vl2(3, 2, 1);
-    }
-
-    #[test]
-    fn jellyfish_is_connected_and_deterministic() {
-        let a = jellyfish(12, 3, 2, 42);
-        let b = jellyfish(12, 3, 2, 42);
-        let c = jellyfish(12, 3, 2, 43);
-        assert_eq!(a.network.link_count(), b.network.link_count());
-        assert!(a.network.is_strongly_connected());
-        assert!(c.network.is_strongly_connected());
-        assert_eq!(a.network.host_count(), 24);
-        assert_eq!(a.network.switch_count(), 12);
-        // Switch-to-switch degree stays close to the requested degree.
-        for sw in a.network.switch_ids() {
-            let switch_links = a
-                .network
-                .out_links(sw)
-                .iter()
-                .filter(|&&l| a.network.node(a.network.link(l).dst).kind.is_switch())
-                .count();
-            assert!(switch_links <= 3 + 2, "degree {switch_links} too large");
-        }
     }
 
     #[test]

@@ -425,13 +425,6 @@ impl GraphCsr {
         self.link_capacity[link.index()]
     }
 
-    /// The pristine built capacity of `link`, regardless of its up/down
-    /// state — what [`GraphCsr::capacity`] returns again after recovery.
-    #[inline]
-    pub fn base_capacity(&self, link: LinkId) -> f64 {
-        self.base_capacity[link.index()]
-    }
-
     /// The locality group (pod) of `node`, if the topology builder assigned
     /// one ([`Network::set_node_pod`]). `None` for shared infrastructure
     /// (core/spine switches) and pod-free topologies.
@@ -646,7 +639,7 @@ mod tests {
             assert!(g.fail_link(l));
             assert!(!g.is_link_up(l));
             assert_eq!(g.capacity(l), 0.0);
-            assert!(g.base_capacity(l) > 0.0);
+            assert!(g.base_capacity[l.index()] > 0.0);
         }
         assert!(!g.fail_link(victims[0]), "double-fail is a no-op");
         assert_eq!(g.down_link_count(), victims.len());

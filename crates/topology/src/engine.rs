@@ -52,9 +52,9 @@
 //!     assert!(!links.is_empty());
 //! }
 //!
-//! // Single target, allocation-free into a reused buffer.
-//! assert!(engine.dijkstra_into(&graph, hosts[0], hosts[15], |_| 1.0, &mut links));
-//! assert_eq!(links.len(), 6);
+//! // Single target, as an owned path.
+//! let path = engine.shortest_path(&graph, hosts[0], hosts[15], |_| 1.0).unwrap();
+//! assert_eq!(path.len(), 6);
 //! ```
 
 use crate::{GraphCsr, LinkId, NodeId, Path};
@@ -482,24 +482,9 @@ impl ShortestPathEngine {
         true
     }
 
-    /// Single-target Dijkstra with early exit, writing the path's links into
-    /// the caller's reused buffer. Returns `false` when `dst` is
-    /// unreachable. This is the allocation-free hot-path entry point.
-    pub fn dijkstra_into(
-        &mut self,
-        graph: &GraphCsr,
-        src: NodeId,
-        dst: NodeId,
-        link_weight: impl FnMut(LinkId) -> f64,
-        links: &mut Vec<LinkId>,
-    ) -> bool {
-        self.single_source_all_targets(graph, src, std::slice::from_ref(&dst), link_weight);
-        self.extract_path_links(graph, dst, links)
-    }
-
-    /// Single-target Dijkstra returning an owned [`Path`] (what
-    /// [`crate::dijkstra_on`] calls). Returns `None` when `dst` is
-    /// unreachable.
+    /// Single-target Dijkstra with early exit, returning an owned [`Path`].
+    /// Returns `None` when `dst` is unreachable. Weights are as for
+    /// [`ShortestPathEngine::single_source_all_targets`].
     pub fn shortest_path(
         &mut self,
         graph: &GraphCsr,
@@ -684,7 +669,8 @@ mod tests {
         let g = GraphCsr::from_network(&net);
         let mut engine = ShortestPathEngine::new();
         let mut links = vec![LinkId(0)];
-        assert!(!engine.dijkstra_into(&g, b, a, |_| 1.0, &mut links));
+        engine.single_source_all_targets(&g, b, &[a], |_| 1.0);
+        assert!(!engine.extract_path_links(&g, a, &mut links));
         assert!(links.is_empty(), "failed extraction clears the buffer");
         assert!(engine.shortest_path(&g, b, a, |_| 1.0).is_none());
         assert_eq!(engine.distance(a), None);
@@ -698,7 +684,8 @@ mod tests {
         let p = engine.shortest_path(&g, a, a, |_| 1.0).unwrap();
         assert!(p.is_empty());
         let mut links = Vec::new();
-        assert!(engine.dijkstra_into(&g, a, a, |_| 1.0, &mut links));
+        engine.single_source_all_targets(&g, a, &[a], |_| 1.0);
+        assert!(engine.extract_path_links(&g, a, &mut links));
         assert!(links.is_empty());
     }
 

@@ -61,4 +61,4 @@ pub use event::TopologyEvent;
 pub use ids::{LinkId, NodeId, NodeKind};
 pub use network::{Link, Network, Node};
 pub use path::{Path, PathError};
-pub use routing::{all_shortest_paths_on, dijkstra_on, k_shortest_paths_on};
+pub use routing::{all_shortest_paths_on, k_shortest_paths_on};

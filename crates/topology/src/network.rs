@@ -190,19 +190,6 @@ impl Network {
         self.links.iter()
     }
 
-    /// Iterates over the ids of all host nodes, in id order.
-    pub fn host_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().filter(|n| n.kind.is_host()).map(|n| n.id)
-    }
-
-    /// Iterates over the ids of all switch nodes, in id order.
-    pub fn switch_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind.is_switch())
-            .map(|n| n.id)
-    }
-
     /// Outgoing links of `node`, in insertion order.
     pub fn out_links(&self, node: NodeId) -> &[LinkId] {
         &self.out_links[node.index()]
@@ -211,11 +198,6 @@ impl Network {
     /// Incoming links of `node`, in insertion order.
     pub fn in_links(&self, node: NodeId) -> &[LinkId] {
         &self.in_links[node.index()]
-    }
-
-    /// Out-degree of `node`.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_links[node.index()].len()
     }
 
     /// Finds a directed link from `src` to `dst`, if one exists.
@@ -359,9 +341,9 @@ mod tests {
         assert_eq!(net.link_count(), 6);
         assert_eq!(net.host_count(), 2);
         assert_eq!(net.switch_count(), 1);
-        assert_eq!(net.out_degree(a), 2);
-        assert_eq!(net.out_degree(b), 2);
-        assert_eq!(net.out_degree(c), 2);
+        assert_eq!(net.out_links(a).len(), 2);
+        assert_eq!(net.out_links(b).len(), 2);
+        assert_eq!(net.out_links(c).len(), 2);
     }
 
     #[test]
@@ -476,14 +458,5 @@ mod tests {
     fn pod_label_rejects_unknown_node() {
         let (mut net, ..) = triangle();
         net.set_node_pod(NodeId(99), 0);
-    }
-
-    #[test]
-    fn host_and_switch_iterators() {
-        let (net, a, b, c) = triangle();
-        let hosts: Vec<_> = net.host_ids().collect();
-        assert_eq!(hosts, vec![a, c]);
-        let switches: Vec<_> = net.switch_ids().collect();
-        assert_eq!(switches, vec![b]);
     }
 }

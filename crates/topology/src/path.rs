@@ -194,16 +194,6 @@ impl Path {
     pub fn weight(&self, mut link_weight: impl FnMut(LinkId) -> f64) -> f64 {
         self.links.iter().map(|&l| link_weight(l)).sum()
     }
-
-    /// The minimum capacity over the links of the path (`f64::INFINITY` for
-    /// the empty path): the bottleneck rate at which the path can carry
-    /// traffic.
-    pub fn bottleneck_capacity(&self, network: &Network) -> f64 {
-        self.links
-            .iter()
-            .map(|&l| network.link(l).capacity)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 impl fmt::Display for Path {
@@ -285,14 +275,13 @@ mod tests {
         let p = Path::from_links(&net, ns[0], &[]).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.source(), p.destination());
-        assert_eq!(p.bottleneck_capacity(&net), f64::INFINITY);
+        assert_eq!(p.weight(|_| 1.0), 0.0);
     }
 
     #[test]
-    fn bottleneck_and_weight() {
+    fn weight_sums_the_link_weights() {
         let (net, ns) = line3();
         let p = Path::from_nodes(&net, &ns).unwrap();
-        assert_eq!(p.bottleneck_capacity(&net), 3.0);
         let hops = p.weight(|_| 1.0);
         assert_eq!(hops, 2.0);
     }

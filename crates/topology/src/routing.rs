@@ -7,33 +7,14 @@
 //! paths, and the randomized-rounding analysis benefits from bounded
 //! candidate path sets (k-shortest paths).
 //!
-//! Every algorithm runs on the flat [`GraphCsr`] view through the reusable
-//! [`ShortestPathEngine`]; the `*_on` variants take both explicitly so
-//! callers with many queries (per-flow routing loops, Frank–Wolfe
-//! iterations) amortise the CSR build and the engine's arenas.
+//! Every algorithm runs on the flat [`GraphCsr`] view. A weighted shortest
+//! path is [`ShortestPathEngine::shortest_path`]; the `*_on` functions here
+//! take the graph (and Yen's the engine) explicitly so callers with many
+//! queries (per-flow routing loops, Frank–Wolfe iterations) amortise the
+//! CSR build and the engine's arenas.
 
 use crate::{GraphCsr, LinkId, NodeId, Path, ShortestPathEngine};
 use std::cmp::Ordering;
-
-/// Weighted shortest path from `src` to `dst` under a non-negative per-link
-/// weight function, on a prebuilt [`GraphCsr`] and reusing the engine's
-/// scratch arenas.
-///
-/// Returns `None` if `dst` is unreachable. Weights must be non-negative and
-/// finite; `f64::INFINITY` may be used to forbid a link.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if a weight is negative or NaN.
-pub fn dijkstra_on(
-    graph: &GraphCsr,
-    engine: &mut ShortestPathEngine,
-    src: NodeId,
-    dst: NodeId,
-    link_weight: impl FnMut(LinkId) -> f64,
-) -> Option<Path> {
-    engine.shortest_path(graph, src, dst, link_weight)
-}
 
 /// Enumerates **all** hop-count shortest paths from `src` to `dst`
 /// (the ECMP path set), up to `limit` paths, on a prebuilt [`GraphCsr`].
@@ -207,15 +188,16 @@ mod tests {
         let (net, a, b, c, d) = diamond();
         let graph = GraphCsr::from_network(&net);
         let mut engine = ShortestPathEngine::new();
-        let p = dijkstra_on(&graph, &mut engine, a, d, |lid| {
-            let l = net.link(lid);
-            if l.src == c || l.dst == c {
-                10.0
-            } else {
-                1.0
-            }
-        })
-        .unwrap();
+        let p = engine
+            .shortest_path(&graph, a, d, |lid| {
+                let l = net.link(lid);
+                if l.src == c || l.dst == c {
+                    10.0
+                } else {
+                    1.0
+                }
+            })
+            .unwrap();
         assert!(p.contains_node(b));
         assert!(!p.contains_node(c));
     }
@@ -226,15 +208,16 @@ mod tests {
         let graph = GraphCsr::from_network(&net);
         let mut engine = ShortestPathEngine::new();
         // Forbid everything through b: must go through c.
-        let p = dijkstra_on(&graph, &mut engine, a, d, |lid| {
-            let l = net.link(lid);
-            if l.src == b || l.dst == b {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        })
-        .unwrap();
+        let p = engine
+            .shortest_path(&graph, a, d, |lid| {
+                let l = net.link(lid);
+                if l.src == b || l.dst == b {
+                    f64::INFINITY
+                } else {
+                    1.0
+                }
+            })
+            .unwrap();
         assert!(!p.contains_node(b));
     }
 
@@ -245,7 +228,9 @@ mod tests {
         let b = net.add_node(NodeKind::Host, "b");
         let _ = (a, b);
         let graph = GraphCsr::from_network(&net);
-        assert!(dijkstra_on(&graph, &mut ShortestPathEngine::new(), a, b, |_| 1.0).is_none());
+        assert!(ShortestPathEngine::new()
+            .shortest_path(&graph, a, b, |_| 1.0)
+            .is_none());
     }
 
     #[test]
@@ -334,8 +319,8 @@ mod tests {
             // reference the shared pair must reproduce.
             let fresh_graph = GraphCsr::from_network(&ft.network);
             let mut fresh = ShortestPathEngine::new();
-            let on = dijkstra_on(&graph, &mut engine, a, b, |_| 1.0).unwrap();
-            let one_shot = dijkstra_on(&fresh_graph, &mut fresh, a, b, |_| 1.0).unwrap();
+            let on = engine.shortest_path(&graph, a, b, |_| 1.0).unwrap();
+            let one_shot = fresh.shortest_path(&fresh_graph, a, b, |_| 1.0).unwrap();
             assert_eq!(on, one_shot);
             let ksp_on = k_shortest_paths_on(&graph, &mut engine, a, b, 3, |_| 1.0);
             let ksp = k_shortest_paths_on(&fresh_graph, &mut fresh, a, b, 3, |_| 1.0);

@@ -37,7 +37,7 @@ use deadline_dcn::solver::fmcf::{
     Commodity, FlowCost, FmcfProblem, FmcfSolverConfig, PowerFlowCost,
 };
 use deadline_dcn::topology::{
-    builders, dijkstra_on, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
+    builders, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
 };
 use proptest::prelude::*;
 
@@ -454,7 +454,7 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The engine's weighted shortest paths — through `dijkstra_on` on a
+    /// The engine's weighted shortest paths — through a fresh engine on a
     /// one-shot view and through a reused engine — equal the pre-refactor
     /// adjacency-list Dijkstra, bit-for-bit in path choice, on random
     /// multigraphs with ties.
@@ -471,9 +471,8 @@ proptest! {
         let dst = NodeId(t % spec.n);
 
         let oracle = reference::dijkstra(&net, src, dst, |l| weights[l.index()]);
-        let one_shot = dijkstra_on(
+        let one_shot = ShortestPathEngine::new().shortest_path(
             &GraphCsr::from_network(&net),
-            &mut ShortestPathEngine::new(),
             src,
             dst,
             |l| weights[l.index()],

@@ -231,9 +231,14 @@ fn shared_cli_round_trips_flags() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let cli = ExperimentCli::from_args("fig2", &args).expect("flags parse");
+    let cli = ExperimentCli::from_args(
+        "fig2",
+        &["--runs", "--step", "--small", "--algorithms"],
+        &args,
+    )
+    .expect("flags parse");
     assert!(cli.quick);
     assert_eq!(cli.threads, 2);
     assert_eq!(cli.json_out.as_deref(), Some(Path::new("BENCH_fig2.json")));
-    assert!(ExperimentCli::from_args("fig2", &["--nope".to_string()]).is_err());
+    assert!(ExperimentCli::from_args("fig2", &[], &["--nope".to_string()]).is_err());
 }

@@ -20,11 +20,15 @@
 //! * the online engine holds no clairvoyant reference: the bench harness
 //!   solves it, and the `online` and `failures` sweeps share its one
 //!   driver.
+//! * every public item of `crates/*/src` has a caller in product code
+//!   (`crates/*/src` outside its tests, `src/`, `examples/`, `perf/src`),
+//!   or is listed with a test that calls it.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
 //! manifests use is regular enough for this.
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -547,6 +551,587 @@ fn schedulers_are_built_from_their_names_by_one_match() {
                 !source.contains(banned),
                 "{}: `{banned}` is banned — a name table builds schedulers, and unused \
                  public items stay deleted",
+                path.display()
+            );
+        }
+    }
+}
+
+/// Public items of `crates/*/src` that no product line calls, each kept
+/// for the test named beside it (`file::fn`), which calls it: an oracle, a
+/// reference the fast path is compared against, or a check of state the
+/// product only writes. Everything else public has a product caller.
+const CALLED_ONLY_BY_TESTS: &[(&str, &str)] = &[
+    (
+        "EngineConfig::policy_instance",
+        "crates/core/src/online/engine.rs::admit_all_solve_failures_are_counted_and_surface_as_misses",
+    ),
+    (
+        "FlowSet::max_density",
+        "crates/flow/src/set.rs::max_density_is_the_largest_flow_density",
+    ),
+    (
+        "hardness::partition_flows",
+        "tests/hardness_gadget.rs::partition_gadget_deadlines_hold_even_at_capacity",
+    ),
+    (
+        "PowerFunction::power_rate",
+        "tests/properties.rs::optimal_rate_minimises_power_rate",
+    ),
+    (
+        "PowerFunction::optimal_rate",
+        "tests/properties.rs::optimal_rate_minimises_power_rate",
+    ),
+    (
+        "PowerFunction::energy_for_volume",
+        "tests/properties.rs::slower_transmission_never_costs_more",
+    ),
+    (
+        "RateProfile::rate_at",
+        "crates/core/src/schedule.rs::link_profiles_aggregate_sharing_flows",
+    ),
+    (
+        "Server::config",
+        "crates/server/tests/serve.rs::snapshot_restore_continues_bit_identically",
+    ),
+    (
+        "SimSummary::all_good",
+        "crates/sim/src/report.rs::summary_digests_the_report",
+    ),
+    (
+        "SimReport::all_good",
+        "tests/example1.rs::example1_closed_form_through_public_api",
+    ),
+    (
+        "brute_force_optimal_energy",
+        "tests/critical_interval.rs::energy_is_the_brute_force_optimum_on_small_instances",
+    ),
+    (
+        "FmcfSolution::commodity_count",
+        "tests/csr_equivalence.rs::fmcf_matches_prerefactor_solver",
+    ),
+    (
+        "FmcfSolution::edge_load",
+        "crates/solver/src/fmcf.rs::total_loads_is_consistent_with_commodity_flows",
+    ),
+    (
+        "FmcfSolution::net_outflow",
+        "crates/solver/src/fmcf.rs::flow_conservation_holds_at_every_node",
+    ),
+    (
+        "yds_schedule",
+        "tests/critical_interval.rs::yds_equals_the_pairwise_reference",
+    ),
+    (
+        "YdsSchedule::placements",
+        "tests/critical_interval.rs::yds_equals_the_pairwise_reference",
+    ),
+    (
+        "BuiltTopology::csr",
+        "tests/example1.rs::example1_energy_scales_with_alpha",
+    ),
+    (
+        "Network::node_pod",
+        "crates/topology/src/builders.rs::fat_tree_pod_labels_cover_pod_switches_and_hosts",
+    ),
+    (
+        "Network::find_links",
+        "crates/solver/src/decompose.rs::split_flow_decomposes_into_both_branches",
+    ),
+    (
+        "Network::reverse_link",
+        "crates/topology/src/csr.rs::path_from_links_validates_like_path_from_links",
+    ),
+    (
+        "Network::is_strongly_connected",
+        "crates/topology/src/builders.rs::bcube_counts",
+    ),
+    (
+        "Path::contains_node",
+        "crates/topology/src/routing.rs::dijkstra_prefers_cheap_route",
+    ),
+];
+
+/// A source file as the public-surface scan reads it.
+struct ScannedFile {
+    /// Path relative to the workspace root.
+    rel: String,
+    /// The lines, with every `#[cfg(test)]` item of `crates/*/src`
+    /// blanked (all of `perf/src` counts: the benchmark's own tests build
+    /// against the product).
+    lines: Vec<String>,
+    /// The same lines with comments, string contents and `use`
+    /// declarations blanked too: where a caller can appear.
+    code: Vec<String>,
+}
+
+/// A `pub fn`, `pub struct`, `pub enum` or `pub mod` of `crates/*/src`.
+struct PubItem {
+    file: usize,
+    line: usize,
+    kind: &'static str,
+    name: String,
+    /// `Owner::name` for an item inside an `impl` or inline `mod` block.
+    key: String,
+    /// Lines of `file` that belong to the item: its own text, and for a
+    /// type the `impl` blocks of that type.
+    span: Vec<(usize, usize)>,
+}
+
+fn indent(line: &str) -> usize {
+    line.len() - line.trim_start().len()
+}
+
+/// The last line of the item or block that starts at line `start`
+/// (rustfmt layout: a block closes on the first `}` at its indentation).
+fn item_end(lines: &[String], code: &[String], start: usize) -> usize {
+    let head = code[start].trim_end();
+    if head.ends_with(';') || head.ends_with(',') {
+        return start;
+    }
+    let close = " ".repeat(indent(&lines[start])) + "}";
+    (start + 1..lines.len())
+        .find(|&j| lines[j].trim_end().trim_end_matches([';', ',']) == close)
+        .unwrap_or(lines.len() - 1)
+}
+
+/// Comments and string contents blanked, line by line; a string may span
+/// lines.
+fn strip_comments_and_strings(lines: &[String]) -> Vec<String> {
+    let mut in_string = false;
+    lines
+        .iter()
+        .map(|line| {
+            let mut out = String::new();
+            let mut chars = line.chars().peekable();
+            while let Some(c) = chars.next() {
+                if in_string {
+                    match c {
+                        '\\' => {
+                            chars.next();
+                        }
+                        '"' => {
+                            in_string = false;
+                            out.push('"');
+                        }
+                        _ => {}
+                    }
+                } else if c == '"' {
+                    in_string = true;
+                    out.push('"');
+                } else if c == '/' && chars.peek() == Some(&'/') {
+                    break;
+                } else if c == '\'' && matches!(chars.peek(), Some('"' | '\\')) {
+                    // A char literal such as '"' or '\'': skip to its end.
+                    for d in chars.by_ref() {
+                        if d == '\'' {
+                            break;
+                        }
+                    }
+                } else {
+                    out.push(c);
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+fn scan_file(root: &Path, path: &Path) -> ScannedFile {
+    let rel = path
+        .strip_prefix(root)
+        .expect("scanned files lie in the workspace")
+        .to_string_lossy()
+        .replace('\\', "/");
+    let mut lines: Vec<String> = fs::read_to_string(path)
+        .expect("source readable")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let mut code = strip_comments_and_strings(&lines);
+    let mut i = 0;
+    while rel.starts_with("crates/") && i < lines.len() {
+        if lines[i].trim() != "#[cfg(test)]" {
+            i += 1;
+            continue;
+        }
+        let mut item = i + 1;
+        while lines[item].trim_start().starts_with("#[") {
+            item += 1;
+        }
+        let end = item_end(&lines, &code, item);
+        for j in i..=end {
+            lines[j].clear();
+            code[j].clear();
+        }
+        i = end + 1;
+    }
+    let mut in_use = false;
+    for line in &mut code {
+        let t = line.trim_start();
+        if in_use || t.starts_with("use ") || (t.starts_with("pub") && t.contains(" use ")) {
+            in_use = !line.trim_end().ends_with(';');
+            line.clear();
+        }
+    }
+    ScannedFile { rel, lines, code }
+}
+
+/// `impl<..> Trait for Type<..> {` or `impl<..> Type<..> {` → `Type`.
+fn impl_self_type(header: &str) -> Option<String> {
+    let mut rest = header.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            match c {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(i)
+        })?;
+        rest = &rest[end + 1..];
+    }
+    let rest = rest.split(" for ").last()?.trim();
+    let path = rest.split(['<', ' ', '{']).next()?;
+    Some(path.rsplit("::").next()?.to_string())
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Whether `line` uses `name`: any mention for a type, a call (`name(`,
+/// `name::<`) or a path (`Type::name`) for a function.
+fn mentions(line: &str, name: &str, kind: &str) -> bool {
+    line.match_indices(name).any(|(at, _)| {
+        let before = &line[..at];
+        let after = &line[at + name.len()..];
+        if before.ends_with(is_ident_char) || after.starts_with(is_ident_char) {
+            return false;
+        }
+        if kind != "fn" {
+            return true;
+        }
+        if before.trim_end().ends_with(" fn") || before.trim_end() == "fn" {
+            return false;
+        }
+        let after = after.trim_start();
+        before.ends_with("::") || after.starts_with('(') || after.starts_with("::<")
+    })
+}
+
+fn pub_items(files: &[ScannedFile]) -> Vec<PubItem> {
+    let mut items = Vec::new();
+    for (f, file) in files.iter().enumerate() {
+        if !file.rel.starts_with("crates/") {
+            continue;
+        }
+        for (line, text) in file.lines.iter().enumerate() {
+            let Some(rest) = text.trim_start().strip_prefix("pub ") else {
+                continue;
+            };
+            let Some((kind, rest)) = ["fn", "struct", "enum", "mod"]
+                .into_iter()
+                .find_map(|kind| Some((kind, rest.strip_prefix(kind)?.strip_prefix(' ')?)))
+            else {
+                continue;
+            };
+            let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
+            // The enclosing block, if any: an `impl` or an inline `mod`.
+            let owner = (0..line)
+                .rev()
+                .find(|&j| {
+                    !file.lines[j].trim().is_empty()
+                        && indent(&file.lines[j]) < indent(text)
+                        && file.code[j].trim_end().ends_with('{')
+                })
+                .and_then(|j| {
+                    let header = file.lines[j].trim();
+                    impl_self_type(header).or_else(|| {
+                        let module = header.strip_prefix("pub ").unwrap_or(header);
+                        Some(
+                            module
+                                .strip_prefix("mod ")?
+                                .trim_end_matches([' ', '{'])
+                                .into(),
+                        )
+                    })
+                });
+            let key = match owner {
+                Some(owner) => format!("{owner}::{name}"),
+                None => name.clone(),
+            };
+            let mut span = vec![(line, item_end(&file.lines, &file.code, line))];
+            if kind == "struct" || kind == "enum" {
+                for (j, header) in file.lines.iter().enumerate() {
+                    if header.starts_with("impl") && impl_self_type(header).as_ref() == Some(&name)
+                    {
+                        span.push((j, item_end(&file.lines, &file.code, j)));
+                    }
+                }
+            }
+            items.push(PubItem {
+                file: f,
+                line,
+                kind,
+                name,
+                key,
+                span,
+            });
+        }
+    }
+    items
+}
+
+/// Whether `file` belongs to module `name`, declared with `pub mod name;`
+/// in `declarer`: it is `name.rs` or lies under `name/`, next to a
+/// `lib.rs` or `mod.rs` declarer and below any other.
+fn in_module_file(file: &str, declarer: &str, name: &str) -> bool {
+    let (dir, stem) = declarer.rsplit_once('/').unwrap_or(("", declarer));
+    let stem = stem.trim_end_matches(".rs");
+    let base = if ["lib", "main", "mod"].contains(&stem) {
+        format!("{dir}/{name}")
+    } else {
+        format!("{dir}/{stem}/{name}")
+    };
+    file == format!("{base}.rs") || file.starts_with(&format!("{base}/"))
+}
+
+/// Every public item whose name no product line outside the item uses,
+/// with the uncalled items' own lines struck until nothing changes (an
+/// item called only from another uncalled item is uncalled too). A module
+/// is uncalled when every public item in it is. Items in `keep` count as
+/// called.
+fn uncalled_items(files: &[ScannedFile], items: &[PubItem], keep: &[&str]) -> Vec<usize> {
+    let in_span = |item: &PubItem, f: usize, line: usize| {
+        item.file == f && item.span.iter().any(|&(a, b)| (a..=b).contains(&line))
+    };
+    // The lines each identifier appears on, then where each item is
+    // mentioned outside its own span.
+    let mut lines_with: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (f, file) in files.iter().enumerate() {
+        for (line, code) in file.code.iter().enumerate() {
+            for word in code.split(|c| !is_ident_char(c)).filter(|w| !w.is_empty()) {
+                let at = lines_with.entry(word).or_default();
+                if at.last() != Some(&(f, line)) {
+                    at.push((f, line));
+                }
+            }
+        }
+    }
+    let uses: Vec<Vec<(usize, usize)>> = items
+        .iter()
+        .map(|item| {
+            let candidates = lines_with
+                .get(item.name.as_str())
+                .map_or(&[][..], Vec::as_slice);
+            candidates
+                .iter()
+                .copied()
+                .filter(|&(f, line)| {
+                    item.kind != "mod"
+                        && mentions(&files[f].code[line], &item.name, item.kind)
+                        && !in_span(item, f, line)
+                })
+                .collect()
+        })
+        .collect();
+    let members: Vec<Vec<usize>> = items
+        .iter()
+        .map(|module| {
+            if module.kind != "mod" {
+                return Vec::new();
+            }
+            let declarer = &files[module.file].rel;
+            (0..items.len())
+                .filter(|&i| {
+                    let file = &files[items[i].file].rel;
+                    items[i].kind != "mod"
+                        && (in_module_file(file, declarer, &module.name)
+                            || in_span(module, items[i].file, items[i].line))
+                })
+                .collect()
+        })
+        .collect();
+    let mut uncalled = vec![false; items.len()];
+    let mut struck: Vec<Vec<bool>> = files.iter().map(|f| vec![false; f.lines.len()]).collect();
+    loop {
+        let mut changed = false;
+        for i in 0..items.len() {
+            if uncalled[i] || keep.contains(&items[i].key.as_str()) {
+                continue;
+            }
+            let dead = if items[i].kind == "mod" {
+                !members[i].is_empty() && members[i].iter().all(|&m| uncalled[m])
+            } else {
+                uses[i].iter().all(|&(f, line)| struck[f][line])
+            };
+            if dead {
+                uncalled[i] = true;
+                changed = true;
+                for &(a, b) in &items[i].span {
+                    struck[items[i].file][a..=b].fill(true);
+                }
+            }
+        }
+        if !changed {
+            return (0..items.len()).filter(|&i| uncalled[i]).collect();
+        }
+    }
+}
+
+/// The body of test function `name` in `file`, if the file holds one in
+/// a test position (a test target, or below a `#[cfg(test)]`).
+fn test_body(root: &Path, file: &str, name: &str) -> Option<String> {
+    let source = fs::read_to_string(root.join(file)).ok()?;
+    let source = if file.contains("/src/") {
+        source.split_once("#[cfg(test)]")?.1
+    } else {
+        &source
+    };
+    let lines: Vec<&str> = source.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with(&format!("fn {name}(")))?;
+    let close = " ".repeat(indent(lines[start])) + "}";
+    let end = (start..lines.len()).find(|&j| lines[j] == close)?;
+    Some(lines[start..=end].join("\n"))
+}
+
+#[test]
+fn every_public_item_has_a_product_caller_or_a_named_test() {
+    // A public item that nothing calls is deleted, not kept "for later":
+    // the VL2 and Jellyfish builders, the flow-trace reader and writer and
+    // accessors only their own tests called went that way. An item kept
+    // for tests alone is listed in `CALLED_ONLY_BY_TESTS` with a test that
+    // calls it.
+    let root = workspace_root();
+    let mut paths = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut paths,
+        );
+    }
+    for dir in ["src", "examples", "perf/src"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    paths.sort();
+    let files: Vec<ScannedFile> = paths.iter().map(|p| scan_file(&root, p)).collect();
+    let items = pub_items(&files);
+    assert!(
+        items.len() > 300,
+        "the scan found only {} items",
+        items.len()
+    );
+    let keep: Vec<&str> = CALLED_ONLY_BY_TESTS.iter().map(|&(item, _)| item).collect();
+    let uncalled: Vec<String> = uncalled_items(&files, &items, &keep)
+        .into_iter()
+        .map(|i| {
+            let item = &items[i];
+            format!(
+                "{}:{} pub {} {}",
+                files[item.file].rel,
+                item.line + 1,
+                item.kind,
+                item.key
+            )
+        })
+        .collect();
+    assert!(
+        uncalled.is_empty(),
+        "public items with no product caller — delete them, or list a test that \
+         calls them in CALLED_ONLY_BY_TESTS:\n{}",
+        uncalled.join("\n")
+    );
+    // Each listed item exists, is kept for tests alone and is called by
+    // its test.
+    let without_keep = uncalled_items(&files, &items, &[]);
+    for &(key, test) in CALLED_ONLY_BY_TESTS {
+        let item = items
+            .iter()
+            .position(|item| item.key == key)
+            .unwrap_or_else(|| panic!("CALLED_ONLY_BY_TESTS lists `{key}`, which does not exist"));
+        assert!(
+            without_keep.contains(&item),
+            "`{key}` has a product caller — drop it from CALLED_ONLY_BY_TESTS"
+        );
+        let (file, name) = test.rsplit_once("::").expect("a test is `file::fn`");
+        let body = test_body(&root, file, name)
+            .unwrap_or_else(|| panic!("`{key}`: no test `{name}` in {file}"));
+        let item = &items[item];
+        assert!(
+            body.lines()
+                .skip(1)
+                .any(|l| mentions(l, &item.name, item.kind)),
+            "`{key}`: {test} does not call it"
+        );
+    }
+}
+
+#[test]
+fn public_items_nothing_called_stay_deleted() {
+    // The public items the surface guard above found uncalled, and the two
+    // policy knobs only `Default` set, stay gone: the flow-trace I/O, the
+    // VL2, Jellyfish and star builders, `dijkstra_on` and the accessors
+    // only their own tests called. RCD's headroom and hybrid's slack
+    // threshold are constants, not fields.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut sources,
+        );
+    }
+    let banned = [
+        "mod trace",
+        "TraceError",
+        "fn to_json_string",
+        "fn from_json_str",
+        "fn write_json",
+        "fn read_json",
+        "fn vl2",
+        "fn jellyfish",
+        "fn star(",
+        "fn active_at",
+        "fn is_active_at",
+        "fn total_volume",
+        "fn invalid_endpoints",
+        "fn blocked_intervals",
+        "fn is_blocked_at",
+        "fn start_time",
+        "fn finish_time",
+        "fn max_speed",
+        "fn host_ids",
+        "fn switch_ids",
+        "fn out_degree",
+        "fn mu(",
+        "fn with_sigma",
+        "fn optimal_rate_capped",
+        "fn bottleneck_capacity",
+        "fn base_capacity",
+        "fn dijkstra_into",
+        "fn dijkstra_on",
+        "fn custom(",
+        "fn routing(",
+        "-> &RandomScheduleConfig",
+        "fn interval(",
+        "fn commodities(",
+        "fn bucket_count",
+        "fn clear_warm_cache",
+        "with_headroom",
+        "headroom: f64",
+        "with_slack_threshold",
+        "slack_threshold: f64",
+    ];
+    for path in sources {
+        let source = fs::read_to_string(&path).expect("source readable");
+        for banned in banned {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` is banned — a public item nothing calls stays deleted",
                 path.display()
             );
         }
