@@ -228,7 +228,7 @@ impl Algorithm for ConsolidatingMcf {
                 .expect("finite volumes")
         });
 
-        let (graph, engine, _) = ctx.parts();
+        let (graph, engine) = ctx.parts();
         let mut active = vec![false; graph.link_count()];
         let mut committed = vec![0.0_f64; graph.link_count()];
         let mut paths: Vec<Option<Path>> = vec![None; flows.len()];

@@ -124,11 +124,10 @@ impl<'net> SolverContext<'net> {
         changed
     }
 
-    /// Splits the context into its reusable parts — the CSR view, the
-    /// shortest-path engine and the Frank–Wolfe scratch — for algorithms
-    /// that drive the low-level `*_on` APIs directly.
-    pub fn parts(&mut self) -> (&GraphCsr, &mut ShortestPathEngine, &mut FmcfScratch) {
-        (&self.graph, &mut self.engine, &mut self.fmcf)
+    /// Splits the context into the CSR view and the shortest-path engine,
+    /// for algorithms that drive the low-level `*_on` APIs directly.
+    pub fn parts(&mut self) -> (&GraphCsr, &mut ShortestPathEngine) {
+        (&self.graph, &mut self.engine)
     }
 
     /// Enables or disables warm-started Frank–Wolfe solves on the context's

@@ -95,7 +95,7 @@ pub fn exact_dcfsr_ctx(
     let paths_per_flow = paths_per_flow.max(1);
     let network = ctx.network();
     // Candidate paths per flow, over the context's CSR view and engine.
-    let (graph, engine, _) = ctx.parts();
+    let (graph, engine) = ctx.parts();
     let mut candidates: Vec<Vec<Path>> = Vec::with_capacity(flows.len());
     for flow in flows.iter() {
         let paths = k_shortest_paths_on(graph, engine, flow.src, flow.dst, paths_per_flow, |_| 1.0);

@@ -67,9 +67,9 @@ pub struct RelaxationSummary {
 ///
 /// The cost function is [`PowerFlowCost`]: the paper's speed-scaling cost
 /// `mu * x^alpha`, plus a `sigma * x / C` term that lower-bounds the idle
-/// energy share when the power function has `sigma > 0`. The solver is
-/// configured with the link capacity so the relaxation respects
-/// `x_e(t) <= C`.
+/// energy share when the power function has `sigma > 0`. The solver
+/// penalises load above the power function's capacity `C`, so the
+/// relaxation respects `x_e(t) <= C`.
 ///
 /// # Errors
 ///
@@ -83,12 +83,10 @@ pub fn interval_relaxation_with(
     scratch: &mut FmcfScratch,
 ) -> Result<RelaxationSummary, Disconnected> {
     let cost = PowerFlowCost::new(*power);
-    let mut config = *fmcf_config;
-    config.capacity.get_or_insert(power.capacity());
     let intervals = flows
         .intervals()
         .into_iter()
-        .map(|interval| solve_interval(graph, flows, &cost, &config, interval, scratch))
+        .map(|interval| solve_interval(graph, flows, &cost, fmcf_config, interval, scratch))
         .collect::<Result<Vec<_>, _>>()?;
     let lower_bound = intervals.iter().map(IntervalRelaxation::cost).sum();
     Ok(RelaxationSummary {
@@ -134,7 +132,7 @@ fn solve_interval(
 mod tests {
     use super::*;
     use dcn_flow::workload::UniformWorkload;
-    use dcn_topology::{builders, Network};
+    use dcn_topology::{builders, Network, NodeKind};
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
@@ -249,6 +247,29 @@ mod tests {
             relax_network(&topo.network, &large, &power, &FmcfSolverConfig::default()).lower_bound;
         assert!(lb_small > 0.0);
         assert!(lb_large > lb_small);
+    }
+
+    #[test]
+    fn the_power_functions_capacity_caps_the_relaxed_load() {
+        // A one-hop and a two-hop route from `a` to `b`. Under x^2 the
+        // uncapacitated optimum of density 6 puts 4 on the direct link.
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Host, "a");
+        let b = net.add_node(NodeKind::Host, "b");
+        let via = net.add_node(NodeKind::EdgeSwitch, "via");
+        let (direct, _) = net.add_duplex_link(a, b, 100.0);
+        net.add_duplex_link(a, via, 100.0);
+        net.add_duplex_link(via, b, 100.0);
+        let flows = FlowSet::from_tuples([(a, b, 0.0, 1.0, 6.0)]).unwrap();
+        let config = FmcfSolverConfig::default();
+        let direct_load = |capacity| {
+            let summary = relax_network(&net, &flows, &x2(capacity), &config);
+            summary.intervals[0].solution.edge_load(direct)
+        };
+        let capped = direct_load(3.0);
+        assert!((capped - 3.0).abs() < 0.01, "{capped} at capacity 3");
+        let free = direct_load(100.0);
+        assert!((free - 4.0).abs() < 0.01, "{free} at capacity 100");
     }
 
     #[test]

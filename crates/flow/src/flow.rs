@@ -24,7 +24,8 @@ pub enum FlowError {
     NonPositiveVolume(f64),
     /// Source and destination are the same node.
     SelfLoop(NodeId),
-    /// A time or volume is NaN or infinite.
+    /// A time or volume is NaN or infinite, or the span or density
+    /// overflows to infinity.
     NotFinite,
     /// A flow set contains duplicate flow ids.
     DuplicateId(FlowId),
@@ -41,7 +42,10 @@ impl fmt::Display for FlowError {
             ),
             FlowError::NonPositiveVolume(v) => write!(f, "flow volume must be positive, got {v}"),
             FlowError::SelfLoop(n) => write!(f, "flow source and destination are both {n}"),
-            FlowError::NotFinite => write!(f, "flow parameters must be finite numbers"),
+            FlowError::NotFinite => write!(
+                f,
+                "flow times and volume, and the span and density they give, must be finite"
+            ),
             FlowError::DuplicateId(id) => write!(f, "duplicate flow id {id}"),
             FlowError::NonDenseIds => write!(f, "flow ids must be dense (0..n)"),
         }
@@ -74,8 +78,8 @@ impl Flow {
     /// # Errors
     ///
     /// Returns an error if the span is empty (`deadline <= release`), the
-    /// volume is not positive, source equals destination, or any value is
-    /// not finite.
+    /// volume is not positive, source equals destination, or any value, the
+    /// span length or the density is not finite.
     pub fn new(
         id: FlowId,
         src: NodeId,
@@ -95,6 +99,10 @@ impl Flow {
         }
         if src == dst {
             return Err(FlowError::SelfLoop(src));
+        }
+        let span = deadline - release;
+        if !span.is_finite() || !(volume / span).is_finite() {
+            return Err(FlowError::NotFinite);
         }
         Ok(Self {
             id,
@@ -210,6 +218,22 @@ mod tests {
             Flow::new(0, NodeId(1), NodeId(2), f64::NAN, 3.0, 1.0),
             Err(FlowError::NotFinite)
         ));
+    }
+
+    #[test]
+    fn an_overflowing_span_or_density_is_not_finite() {
+        // Every value is finite, but the span overflows to infinity.
+        assert_eq!(
+            Flow::new(0, NodeId(1), NodeId(2), -1e308, 1e308, 1.0),
+            Err(FlowError::NotFinite)
+        );
+        // The span is finite, but the density overflows to infinity.
+        assert_eq!(
+            Flow::new(0, NodeId(1), NodeId(2), 0.0, 1e-300, 1e300),
+            Err(FlowError::NotFinite)
+        );
+        let largest = Flow::new(0, NodeId(1), NodeId(2), 0.0, 1.0, f64::MAX).unwrap();
+        assert_eq!(largest.density(), f64::MAX);
     }
 
     #[test]

@@ -162,7 +162,9 @@ pub struct ServerConfig {
     /// Snapshot file; written on `Snapshot` requests and read back on
     /// startup when present.
     pub snapshot_path: Option<PathBuf>,
-    /// Automatically snapshot after every N admitted submissions.
+    /// Automatically snapshot after every N submissions queued to a shard,
+    /// counted as the router queues them, whether the shard then admits
+    /// or rejects them.
     pub snapshot_every: Option<u64>,
 }
 
@@ -274,7 +276,7 @@ pub struct Server {
     flows_assigned: u64,
     /// Bucket owning each assigned flow id.
     assignments: Vec<usize>,
-    admitted_since_snapshot: u64,
+    queued_since_snapshot: u64,
 }
 
 impl Server {
@@ -419,7 +421,7 @@ impl Server {
             seq: 0,
             flows_assigned,
             assignments,
-            admitted_since_snapshot: 0,
+            queued_since_snapshot: 0,
         })
     }
 
@@ -514,10 +516,10 @@ impl Server {
                     Ok(()) => {
                         self.flows_assigned += 1;
                         self.assignments.push(bucket);
-                        self.admitted_since_snapshot += 1;
+                        self.queued_since_snapshot += 1;
                         if let Some(every) = self.config.snapshot_every {
-                            if self.admitted_since_snapshot >= every {
-                                self.admitted_since_snapshot = 0;
+                            if self.queued_since_snapshot >= every {
+                                self.queued_since_snapshot = 0;
                                 // Periodic persistence is best-effort; a
                                 // failed write must not take down serving.
                                 let _ = self.take_snapshot();

@@ -202,17 +202,20 @@ impl<'net> ShardEngine<'net> {
             ))
         } else {
             // The shard clock only moves forward; a release in the past is
-            // served from now on.
-            let local = self.ledger.reveal(Flow {
-                release: now,
-                ..flow
-            });
-            let verdict = self.admit_and_plan(local);
-            if verdict.is_err() {
-                // A rejected candidate leaves no trace in the ledger.
-                self.ledger.pop();
+            // served from now on, and the shorter span may overflow the
+            // rate the flow needs.
+            match Flow::new(global, flow.src, flow.dst, now, flow.deadline, flow.volume) {
+                Ok(revealed) => {
+                    let local = self.ledger.reveal(revealed);
+                    let verdict = self.admit_and_plan(local);
+                    if verdict.is_err() {
+                        // A rejected candidate leaves no trace in the ledger.
+                        self.ledger.pop();
+                    }
+                    verdict
+                }
+                Err(e) => Err(format!("at the shard clock {now}: {e}")),
             }
-            verdict
         };
         if verdict.is_err() {
             self.rejected.insert(global);
@@ -254,7 +257,9 @@ impl<'net> ShardEngine<'net> {
     /// volume at the required rate (EDF pacing) or at its path's bottleneck
     /// (greedy full blast), at a constant rate on its fewest-hop path of the
     /// current fabric. Other flows are untouched — under constant pacing, a
-    /// flow that tracks its plan keeps its required rate.
+    /// flow that tracks its plan keeps its required rate. A rate that
+    /// overflows to infinity (much volume left just before the deadline)
+    /// is an error: no leg is built.
     fn paced(&mut self, id: FlowId) -> Result<FlowSchedule, SolveError> {
         let entry = &self.ledger.entries()[id];
         let flow = &entry.flow;
@@ -273,6 +278,14 @@ impl<'net> ShardEngine<'net> {
         } else {
             volume / span
         };
+        if !rate.is_finite() {
+            return Err(SolveError::InvalidInput {
+                reason: format!(
+                    "flow {} needs an unbounded rate: {volume} left {span} before its deadline",
+                    flow.id
+                ),
+            });
+        }
         let duration = (volume / rate).min(span);
         let profile = RateProfile::constant(start, start + duration, rate);
         Ok(FlowSchedule::uniform(flow.id, Path::clone(&path), profile))
@@ -606,5 +619,56 @@ mod tests {
             }
         }
         assert!(moves > 50, "only {moves} path moves: the check is vacuous");
+    }
+
+    fn engine(network: &Network, policy: ServePolicy) -> ShardEngine<'_> {
+        let settings = EngineSettings {
+            power: PowerFunction::speed_scaling_only(1.0, 2.0, 10.0),
+            policy,
+            admission: AdmissionRule::AdmitAll,
+            algorithm: "dcfsr".to_string(),
+            seed: 1,
+        };
+        ShardEngine::new(network, settings, 0).expect("engine builds")
+    }
+
+    fn flow(id: FlowId, release: f64, deadline: f64, volume: f64) -> Flow {
+        Flow::new(id, NodeId(17), NodeId(26), release, deadline, volume).expect("valid flow")
+    }
+
+    /// A flow valid at its release whose required rate overflows at the
+    /// shard clock is turned away, and the shard keeps serving.
+    #[test]
+    fn a_rate_that_overflows_at_the_shard_clock_is_a_rejection() {
+        let network = builders::fat_tree(4).network;
+        for policy in [ServePolicy::Edf, ServePolicy::Greedy, ServePolicy::Resolve] {
+            let mut engine = engine(&network, policy);
+            assert!(engine.submit(flow(0, 5.0, 9.0, 1.0)).is_ok());
+            let late = flow(1, 0.0, 5.000000000000001, 1e300);
+            let reason = engine.submit(late).expect_err("the rate is unbounded");
+            assert!(reason.contains("finite"), "{}: {reason}", policy.name());
+            assert_eq!(engine.query(1).0, "rejected");
+            assert!(engine.submit(flow(2, 6.0, 9.0, 1.0)).is_ok());
+        }
+    }
+
+    /// A flow that could not be routed for most of its span is re-planned
+    /// on recovery with almost no time left: the rate it would need
+    /// overflows, so it keeps no plan and misses instead of panicking.
+    #[test]
+    fn a_replan_that_needs_an_unbounded_rate_leaves_the_flow_unplanned() {
+        let network = builders::fat_tree(4).network;
+        let uplink = network.out_links(NodeId(17))[0];
+        for policy in [ServePolicy::Edf, ServePolicy::Greedy] {
+            let mut engine = engine(&network, policy);
+            assert!(engine.submit(flow(0, 0.0, 10.0, 1e300)).is_ok());
+            assert!(engine.apply_link_event(uplink, true));
+            let other = Flow::new(1, NodeId(18), NodeId(26), 10.0 - 1e-14, 11.0, 1.0);
+            assert!(engine.submit(other.expect("valid flow")).is_ok());
+            assert!(engine.apply_link_event(uplink, false));
+            assert_eq!(engine.query(0).0, "in-flight", "{}", policy.name());
+            assert!(engine.submit(flow(2, 10.5, 12.0, 1.0)).is_ok());
+            assert_eq!(engine.query(0).0, "missed", "{}", policy.name());
+        }
     }
 }

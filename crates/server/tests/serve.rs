@@ -734,3 +734,78 @@ fn a_link_event_re_plans_what_it_severs() {
     assert_eq!((status.state.as_str(), status.delivered), ("missed", 0.0));
     assert_eq!(schedule.activity_span(), None);
 }
+
+/// The frames of `tests/data/serve_hostile_requests.txt`: a flow whose
+/// density overflows, one whose span overflows, and a flow valid at its
+/// release whose rate overflows at the shard clock the one before it set.
+fn hostile_requests() -> Vec<Request> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/serve_hostile_requests.txt"
+    );
+    let mut reader = Cursor::new(std::fs::read(path).expect("the hostile stream is committed"));
+    let mut requests = Vec::new();
+    while let Some(payload) = read_frame(&mut reader).expect("well-formed request frames") {
+        let text = std::str::from_utf8(&payload).expect("UTF-8 requests");
+        requests.push(serde_json::from_str(text).expect("valid Request"));
+    }
+    requests
+}
+
+#[test]
+fn overflowing_flows_get_a_typed_reply_under_every_policy_and_admission() {
+    use dcn_core::online::AdmissionRule;
+    use dcn_solver::FmcfSolverConfig;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let requests = hostile_requests();
+    assert_eq!(requests.len(), 4);
+    let admissions = [
+        AdmissionRule::AdmitAll,
+        AdmissionRule::reject_infeasible(FmcfSolverConfig::coarse()),
+    ];
+    for policy in [ServePolicy::Edf, ServePolicy::Greedy, ServePolicy::Resolve] {
+        for admission in &admissions {
+            let name = format!("{} {}", policy.name(), admission.name());
+            let mut cfg = config();
+            cfg.policy = policy;
+            cfg.admission = admission.clone();
+            // A dead shard worker leaves `request` waiting forever, so the
+            // server runs on a helper thread and each reply has a deadline.
+            let (tx, rx) = mpsc::channel();
+            let frames = requests.clone();
+            let helper = std::thread::spawn(move || {
+                let mut server = Server::start(cfg).expect("server starts");
+                for request in frames {
+                    let _ = tx.send(server.request(request));
+                }
+                server.shutdown();
+            });
+            let mut replies = Vec::new();
+            for request in &requests {
+                let reply = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{name}: no reply to request {}", request.id));
+                replies.push(reply.body);
+            }
+            helper.join().expect("the helper thread finishes");
+            for reply in &replies[..2] {
+                assert!(
+                    matches!(reply, ResponseBody::Error(e) if e.code == "bad-flow"),
+                    "{name}: {reply:?}"
+                );
+            }
+            assert!(
+                matches!(&replies[2], ResponseBody::Admit(a) if a.admitted),
+                "{name}: {:?}",
+                replies[2]
+            );
+            assert!(
+                matches!(&replies[3], ResponseBody::Admit(a) if !a.admitted),
+                "{name}: {:?}",
+                replies[3]
+            );
+        }
+    }
+}

@@ -198,7 +198,7 @@ fn positive_flow_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fmcf::{Commodity, FmcfProblem, FmcfSolverConfig, PowerFlowCost};
+    use crate::fmcf::{Commodity, FmcfProblem, FmcfScratch, FmcfSolverConfig, PowerFlowCost};
     use dcn_power::PowerFunction;
     use dcn_topology::builders;
 
@@ -236,8 +236,9 @@ mod tests {
         let t = builders::fat_tree(4);
         let hosts = t.hosts();
         let demand = 5.0;
-        let problem = FmcfProblem::new(
-            &t.network,
+        let graph = t.csr();
+        let problem = FmcfProblem::with_graph(
+            &graph,
             vec![Commodity {
                 id: 0,
                 src: hosts[0],
@@ -246,7 +247,10 @@ mod tests {
             }],
         );
         let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 2.0, 1e9));
-        let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
+        let config = FmcfSolverConfig::default();
+        let sol = problem
+            .solve_with(&cost, &config, &mut FmcfScratch::new())
+            .unwrap();
         let parts = decompose_flow(
             &t.network,
             hosts[0],
@@ -272,6 +276,7 @@ mod tests {
         let t = builders::fat_tree(4);
         let hosts = t.hosts();
         let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 2.0, 1e9));
+        let (graph, config) = (t.csr(), FmcfSolverConfig::default());
         let mut scratch = DecomposeScratch::default();
         // A larger network first, so the arenas are oversized and stamped.
         let big = builders::fat_tree(6);
@@ -285,8 +290,8 @@ mod tests {
             &mut scratch,
         );
         for (a, b) in [(0usize, 15usize), (3, 4), (15, 0), (2, 3)] {
-            let problem = FmcfProblem::new(
-                &t.network,
+            let problem = FmcfProblem::with_graph(
+                &graph,
                 vec![Commodity {
                     id: 0,
                     src: hosts[a],
@@ -294,10 +299,11 @@ mod tests {
                     demand: 2.0,
                 }],
             );
-            let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
+            let sol = problem
+                .solve_with(&cost, &config, &mut FmcfScratch::new())
+                .unwrap();
             let flows = sol.commodity_flows(0);
-            let reused =
-                decompose_flow_with(&t.csr(), hosts[a], hosts[b], flows, 1e-9, &mut scratch);
+            let reused = decompose_flow_with(&graph, hosts[a], hosts[b], flows, 1e-9, &mut scratch);
             assert!(!reused.is_empty());
             assert_eq!(
                 reused,

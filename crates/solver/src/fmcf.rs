@@ -48,6 +48,13 @@
 //! unit split. No per-commodity, per-link matrix exists on the solve
 //! path; [`FmcfSolution::commodity_flows`] builds one on demand.
 //!
+//! # The cost
+//!
+//! Every link is priced by one [`PowerFlowCost`], the paper's power
+//! function as a function of the load, and the relaxation's `x_e <= C`
+//! constraint enters the objective as a quadratic penalty on the load
+//! above that power function's capacity.
+//!
 //! # Hot-path layout
 //!
 //! The solver runs on the flat [`GraphCsr`] view and keeps every
@@ -57,21 +64,21 @@
 //!   run **one** multi-target Dijkstra per distinct source (not per
 //!   commodity) through the arena-reuse [`ShortestPathEngine`];
 //! * chosen paths are stored as spans into one shared link buffer, and
-//!   blending is one pass over the loaded links;
-//! * with a cost whose zero-load marginal is the same on every link
-//!   ([`FlowCost::uniform_zero_load_marginal`]) the link weights are
-//!   refreshed on the loaded links only: every other link keeps the
-//!   zero-load weight, which the scratch restores on the links an earlier
-//!   solve loaded rather than refilling all of them;
+//!   the objective, blending and load passes run over the links some
+//!   chosen path touched: every other link carries no load and costs
+//!   exactly `+0.0`;
+//! * the link weights are refreshed on those links only: every other link
+//!   keeps the weight at zero load, which is the same on every link, and
+//!   the scratch restores it on the links an earlier solve loaded rather
+//!   than refilling all of them;
 //! * after the first iteration has warmed the arenas up, a Frank–Wolfe
 //!   iteration performs **zero heap allocations**; the step paths become
 //!   [`Path`]s once, when the solve ends.
 //!
 //! Callers solving many problems on one network (the per-interval
-//! relaxation) should build one [`GraphCsr`], construct problems with
-//! [`FmcfProblem::with_graph`] and pass one scratch to
-//! [`FmcfProblem::solve_with`]; [`FmcfProblem::new`] and
-//! [`FmcfProblem::solve`] remain as one-shot conveniences.
+//! relaxation) build one [`GraphCsr`], construct problems on it with
+//! [`FmcfProblem::with_graph`] and pass one scratch to every
+//! [`FmcfProblem::solve_with`].
 
 use crate::decompose::{decompose_flow_with, DecomposeScratch, WeightedPath};
 use dcn_power::PowerFunction;
@@ -94,40 +101,7 @@ pub struct Commodity {
     pub demand: f64,
 }
 
-/// A convex, separable per-link cost: the objective is
-/// `sum over links of cost(link, load_on_link)`.
-pub trait FlowCost {
-    /// The cost of pushing `load` units of traffic through `link`.
-    fn cost(&self, link: LinkId, load: f64) -> f64;
-
-    /// The derivative of [`FlowCost::cost`] with respect to the load.
-    fn marginal(&self, link: LinkId, load: f64) -> f64;
-
-    /// Returns `true` when `cost(link, 0.0) == 0.0` for **every** link.
-    ///
-    /// When it holds, the Frank–Wolfe solver confines its objective and
-    /// blending passes to the links actually touched by some chosen path
-    /// (unloaded links contribute exactly `+0.0`, so skipping them is
-    /// bit-for-bit neutral). The conservative default keeps the dense
-    /// full-graph passes.
-    fn zero_load_is_free(&self) -> bool {
-        false
-    }
-
-    /// The marginal cost at zero load when it is the same on every link:
-    /// `marginal(link, 0.0)` must return exactly these bits for **every**
-    /// link.
-    ///
-    /// With it and [`FlowCost::zero_load_is_free`], the Frank–Wolfe solver
-    /// refreshes the link weights of an iteration on the loaded links
-    /// only; every other link keeps the weight at zero load. The
-    /// conservative default keeps the dense refresh.
-    fn uniform_zero_load_marginal(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// The power-model cost used throughout the reproduction:
+/// The power-model cost of a link, the same on every link:
 /// `cost(x) = mu * x^alpha + (sigma / C) * x`.
 ///
 /// * With `sigma = 0` this is exactly the paper's speed-scaling cost
@@ -138,10 +112,16 @@ pub trait FlowCost {
 ///   is a lower bound on its true energy share, so the fractional optimum
 ///   under this cost is a valid lower bound for DCFSR (used as the `LB`
 ///   normaliser of Fig. 2).
-#[derive(Debug, Clone, Copy)]
+///
+/// The solver adds a quadratic penalty on the load above the power
+/// function's capacity `C`; [`PowerFlowCost::cost`] does not include it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerFlowCost {
     power: PowerFunction,
 }
+
+/// Weight of the quadratic penalty on a link's load above capacity.
+const OVERLOAD_PENALTY: f64 = 1e3;
 
 impl PowerFlowCost {
     /// Creates the cost from a power function.
@@ -149,30 +129,44 @@ impl PowerFlowCost {
         Self { power }
     }
 
-    /// The underlying power function.
-    pub fn power(&self) -> &PowerFunction {
-        &self.power
-    }
-}
-
-impl FlowCost for PowerFlowCost {
-    fn cost(&self, _link: LinkId, load: f64) -> f64 {
+    /// The cost of pushing `load` units of traffic through a link.
+    pub fn cost(&self, load: f64) -> f64 {
         if load <= 0.0 {
             return 0.0;
         }
         self.power.dynamic_power(load) + self.power.sigma() * load / self.power.capacity()
     }
 
-    fn marginal(&self, _link: LinkId, load: f64) -> f64 {
+    /// The derivative of [`PowerFlowCost::cost`] with respect to the load.
+    pub fn marginal(&self, load: f64) -> f64 {
         self.power.marginal_power(load.max(0.0)) + self.power.sigma() / self.power.capacity()
     }
 
-    fn zero_load_is_free(&self) -> bool {
-        true
+    /// The load above the power function's capacity, or zero.
+    fn overload(&self, load: f64) -> f64 {
+        (load - self.power.capacity()).max(0.0)
     }
 
-    fn uniform_zero_load_marginal(&self) -> Option<f64> {
-        Some(self.marginal(LinkId(0), 0.0))
+    /// A link's term of the objective Frank–Wolfe minimises: the cost
+    /// plus the overload penalty.
+    fn penalised(&self, load: f64) -> f64 {
+        self.cost(load) + OVERLOAD_PENALTY * self.overload(load).powi(2)
+    }
+
+    /// The objective restricted to `active` links (ascending). Equal to
+    /// the sum over every link — bit for bit — because every inactive link
+    /// has exactly zero load, which costs `+0.0`.
+    fn objective_over(&self, loads: &[f64], active: &[LinkId]) -> f64 {
+        active
+            .iter()
+            .map(|&l| self.penalised(loads[l.index()]))
+            .sum()
+    }
+
+    /// A link's weight in the all-or-nothing step: the derivative of
+    /// [`PowerFlowCost::penalised`], clamped at zero.
+    fn weight(&self, load: f64) -> f64 {
+        (self.marginal(load) + 2.0 * OVERLOAD_PENALTY * self.overload(load)).max(0.0)
     }
 }
 
@@ -183,11 +177,6 @@ pub struct FmcfSolverConfig {
     pub max_iterations: usize,
     /// Relative improvement below which the solver declares convergence.
     pub tolerance: f64,
-    /// Optional per-link capacity; loads above it are discouraged by a
-    /// quadratic penalty (the relaxation's `x_e <= C` constraint).
-    pub capacity: Option<f64>,
-    /// Weight of the quadratic capacity penalty.
-    pub capacity_penalty: f64,
     /// Number of golden-section iterations in the line search.
     pub line_search_steps: usize,
 }
@@ -197,8 +186,6 @@ impl Default for FmcfSolverConfig {
         Self {
             max_iterations: 60,
             tolerance: 1e-4,
-            capacity: None,
-            capacity_penalty: 1e3,
             line_search_steps: 40,
         }
     }
@@ -215,32 +202,14 @@ impl FmcfSolverConfig {
             max_iterations: 25,
             tolerance: 1e-3,
             line_search_steps: 24,
-            ..Self::default()
         }
     }
 }
 
-/// The graph a problem runs on: borrowed from the caller (the amortised
-/// path) or built once from a `Network` (the one-shot convenience path).
-#[derive(Debug, Clone)]
-enum GraphRef<'a> {
-    Owned(Box<GraphCsr>),
-    Borrowed(&'a GraphCsr),
-}
-
-impl GraphRef<'_> {
-    fn get(&self) -> &GraphCsr {
-        match self {
-            GraphRef::Owned(g) => g,
-            GraphRef::Borrowed(g) => g,
-        }
-    }
-}
-
-/// A fractional multi-commodity flow problem on a network.
+/// A fractional multi-commodity flow problem on a network's CSR view.
 #[derive(Debug, Clone)]
 pub struct FmcfProblem<'a> {
-    graph: GraphRef<'a>,
+    graph: &'a GraphCsr,
     commodities: Vec<Commodity>,
 }
 
@@ -334,19 +303,18 @@ struct WarmEntry {
     /// hosting a same-size graph nor an in-place link failure can replay a
     /// stale solution.
     graph_epoch: u64,
-    /// Bit-pattern fingerprint of the solver configuration.
-    config_bits: [u64; 5],
-    /// Bit-pattern probe of the cost function (see [`cost_fingerprint`]).
-    cost_bits: [u64; 3],
+    /// The solver configuration of the cached solve.
+    config: FmcfSolverConfig,
+    /// The cost of the cached solve; its power function also sets the
+    /// capacity the overload penalty starts at.
+    cost: PowerFlowCost,
 }
 
 impl WarmEntry {
     /// Whether the cached solve ran on this graph state under this
     /// configuration and cost.
-    fn matches(&self, graph: &GraphCsr, config: &FmcfSolverConfig, cost: &impl FlowCost) -> bool {
-        self.graph_epoch == graph.epoch()
-            && self.config_bits == config_fingerprint(config)
-            && self.cost_bits == cost_fingerprint(cost)
+    fn matches(&self, graph: &GraphCsr, config: &FmcfSolverConfig, cost: &PowerFlowCost) -> bool {
+        self.graph_epoch == graph.epoch() && self.config == *config && self.cost == *cost
     }
 }
 
@@ -421,10 +389,9 @@ pub struct FmcfScratch {
     engine: ShortestPathEngine,
     /// Per-link weights of the current all-or-nothing step.
     weights: Vec<f64>,
-    /// Bits of the weight every link outside `active` holds in `weights`
-    /// (the weight at zero load) while solves refresh the active links
-    /// only; `None` after a dense refresh.
-    idle_weight: Option<u64>,
+    /// Bits of the weight every link outside `active` holds in `weights`:
+    /// the weight at zero load of the previous solve's cost.
+    idle_weight: u64,
     /// Aggregate loads of the all-or-nothing assignment.
     target_loads: Vec<f64>,
     /// Line-search evaluation buffer.
@@ -460,8 +427,8 @@ pub struct FmcfScratch {
     /// Destination batch of the current source group.
     targets: Vec<NodeId>,
     /// Links touched by any chosen path so far, sorted ascending; the
-    /// objective/blending passes are confined to these when the cost is
-    /// [`FlowCost::zero_load_is_free`] (all other loads are exactly zero).
+    /// objective, blending and weight passes are confined to these (every
+    /// other link carries no load).
     active: Vec<LinkId>,
     /// Membership mask of `active`.
     active_mark: Vec<bool>,
@@ -484,11 +451,6 @@ impl FmcfScratch {
     /// Enables or disables warm-started solves (see the
     /// [type docs](FmcfScratch#warm-starts)). Disabling drops the cached
     /// solution, so re-enabling starts cold.
-    ///
-    /// The cache probes the cost function at `LinkId(0)` to fingerprint it,
-    /// which assumes link-homogeneous costs (true for [`PowerFlowCost`]);
-    /// callers alternating *per-link heterogeneous* costs on one scratch
-    /// should disable and re-enable warm starts between them.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.warm_enabled = enabled;
         if !enabled {
@@ -529,36 +491,22 @@ impl FmcfScratch {
         self.dirty.clear();
     }
 
-    /// Sizes the buffers for `commodities` on `graph` and rebuilds the
-    /// source-grouped commodity order.
-    ///
-    /// With `sparse` set, the active-link set starts empty and grows with
-    /// the chosen paths; otherwise every link is active and the solver's
-    /// passes stay dense. With an `idle_weight` (sparse solves only) every
-    /// weight off the active set is left at it: the links the previous
-    /// solve refreshed — its active set — are reset, or all of them when
-    /// the previous solve left another idle weight or link count.
-    fn prepare(
-        &mut self,
-        commodities: &[Commodity],
-        graph: &GraphCsr,
-        sparse: bool,
-        idle_weight: Option<f64>,
-    ) {
+    /// Sizes the buffers for `commodities` on `graph`, rebuilds the
+    /// source-grouped commodity order and empties the active-link set.
+    /// Every weight is left at `idle_weight`: the links the previous solve
+    /// refreshed — its active set — are reset, or all of them when the
+    /// previous solve left another idle weight or link count.
+    fn prepare(&mut self, commodities: &[Commodity], graph: &GraphCsr, idle_weight: f64) {
         let (n, m) = (commodities.len(), graph.link_count());
-        match idle_weight {
-            Some(w) if self.idle_weight == Some(w.to_bits()) && self.weights.len() == m => {
-                for &l in &self.active {
-                    self.weights[l.index()] = w;
-                }
+        if self.idle_weight == idle_weight.to_bits() && self.weights.len() == m {
+            for &l in &self.active {
+                self.weights[l.index()] = idle_weight;
             }
-            Some(w) => {
-                self.weights.clear();
-                self.weights.resize(m, w);
-            }
-            None => self.weights.resize(m, 0.0),
+        } else {
+            self.weights.clear();
+            self.weights.resize(m, idle_weight);
         }
-        self.idle_weight = idle_weight.map(f64::to_bits);
+        self.idle_weight = idle_weight.to_bits();
         self.target_loads.resize(m, 0.0);
         self.blended.resize(m, 0.0);
         self.unit_row.resize(m, 0.0);
@@ -574,10 +522,7 @@ impl FmcfScratch {
             .sort_unstable_by_key(|&c| (commodities[c].src.index(), c));
         self.active.clear();
         self.active_mark.clear();
-        self.active_mark.resize(m, !sparse);
-        if !sparse {
-            self.active.extend((0..m).map(LinkId));
-        }
+        self.active_mark.resize(m, false);
     }
 
     /// Adds the ECMP split of a unit demand from `src` to `dst` (a pair
@@ -652,8 +597,8 @@ impl FmcfScratch {
     }
 
     /// Adds every link of `path_links` to the active set, keeping it
-    /// sorted (ascending link id, the summation order of the dense
-    /// passes).
+    /// sorted: the passes then sum in link order, as a sum over every
+    /// link would.
     fn register_active_paths(&mut self) {
         let mut added = false;
         for &l in &self.path_links {
@@ -705,78 +650,17 @@ impl PartialEq for FmcfSolution {
 }
 
 impl<'a> FmcfProblem<'a> {
-    /// Creates a problem instance, building a one-shot [`GraphCsr`] view of
-    /// the network. Callers with many problems on the same network should
-    /// build the view once and use [`FmcfProblem::with_graph`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any commodity has a non-positive demand or equal endpoints.
-    pub fn new(network: &'a Network, commodities: Vec<Commodity>) -> Self {
-        Self::validate(&commodities);
-        Self {
-            graph: GraphRef::Owned(Box::new(GraphCsr::from_network(network))),
-            commodities,
-        }
-    }
-
     /// Creates a problem instance on a prebuilt CSR view.
     ///
     /// # Panics
     ///
     /// Panics if any commodity has a non-positive demand or equal endpoints.
     pub fn with_graph(graph: &'a GraphCsr, commodities: Vec<Commodity>) -> Self {
-        Self::validate(&commodities);
-        Self {
-            graph: GraphRef::Borrowed(graph),
-            commodities,
-        }
-    }
-
-    fn validate(commodities: &[Commodity]) {
-        for c in commodities {
+        for c in &commodities {
             assert!(c.demand > 0.0, "commodity {} has non-positive demand", c.id);
             assert!(c.src != c.dst, "commodity {} has equal endpoints", c.id);
         }
-    }
-
-    /// The CSR view the problem solves on.
-    pub fn graph(&self) -> &GraphCsr {
-        self.graph.get()
-    }
-
-    fn penalty(&self, load: f64, config: &FmcfSolverConfig) -> f64 {
-        match config.capacity {
-            Some(cap) if load > cap => config.capacity_penalty * (load - cap).powi(2),
-            _ => 0.0,
-        }
-    }
-
-    fn penalty_marginal(&self, load: f64, config: &FmcfSolverConfig) -> f64 {
-        match config.capacity {
-            Some(cap) if load > cap => 2.0 * config.capacity_penalty * (load - cap),
-            _ => 0.0,
-        }
-    }
-
-    /// The objective restricted to `active` links (ascending). Equal to
-    /// the dense sum over every link — bit for bit — because every
-    /// inactive link has exactly zero load (and the cost is either
-    /// zero-load-free, or the active set covers the whole graph).
-    fn objective_over(
-        &self,
-        loads: &[f64],
-        active: &[LinkId],
-        cost: &impl FlowCost,
-        config: &FmcfSolverConfig,
-    ) -> f64 {
-        active
-            .iter()
-            .map(|&l| {
-                let x = loads[l.index()];
-                cost.cost(l, x) + self.penalty(x, config)
-            })
-            .sum()
+        Self { graph, commodities }
     }
 
     /// Routes every commodity on its cheapest path under
@@ -792,7 +676,7 @@ impl<'a> FmcfProblem<'a> {
             targets,
             ..
         } = scratch;
-        let graph = self.graph.get();
+        let graph = self.graph;
         path_links.clear();
 
         let mut i = 0;
@@ -837,7 +721,7 @@ impl<'a> FmcfProblem<'a> {
     /// scaled by the demand: a warmed-up, a fresh and a per-worker scratch
     /// start at the same bits.
     fn cache_splits(&self, scratch: &mut FmcfScratch) -> Result<(), Disconnected> {
-        let graph = self.graph.get();
+        let graph = self.graph;
         scratch.splits.start_solve(graph.epoch());
 
         let mut i = 0;
@@ -880,7 +764,7 @@ impl<'a> FmcfProblem<'a> {
     /// new, changed endpoints, or its cached flow touches a dirty link.
     fn start(
         &self,
-        cost: &impl FlowCost,
+        cost: &PowerFlowCost,
         config: &FmcfSolverConfig,
         scratch: &mut FmcfScratch,
         loads: &mut [f64],
@@ -896,7 +780,7 @@ impl<'a> FmcfProblem<'a> {
         } = &mut *scratch;
         let cached = warm
             .as_ref()
-            .filter(|entry| entry.matches(self.graph.get(), config, cost));
+            .filter(|entry| entry.matches(self.graph, config, cost));
         let rows: HashMap<usize, usize> = cached
             .iter()
             .flat_map(|entry| entry.keys.iter().enumerate().map(|(row, key)| (key.0, row)))
@@ -949,22 +833,6 @@ impl<'a> FmcfProblem<'a> {
         Ok(mixtures)
     }
 
-    /// Solves the problem with Frank–Wolfe under the given convex cost,
-    /// using a fresh scratch (one-shot convenience for
-    /// [`FmcfProblem::solve_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Disconnected`] if some commodity's destination is
-    /// unreachable from its source.
-    pub fn solve(
-        &self,
-        cost: &impl FlowCost,
-        config: &FmcfSolverConfig,
-    ) -> Result<FmcfSolution, Disconnected> {
-        self.solve_with(cost, config, &mut FmcfScratch::new())
-    }
-
     /// Solves the problem with Frank–Wolfe, reusing the caller's scratch
     /// buffers; after the scratch has warmed up, each Frank–Wolfe
     /// iteration is allocation-free.
@@ -975,11 +843,11 @@ impl<'a> FmcfProblem<'a> {
     /// unreachable from its source.
     pub fn solve_with(
         &self,
-        cost: &impl FlowCost,
+        cost: &PowerFlowCost,
         config: &FmcfSolverConfig,
         scratch: &mut FmcfScratch,
     ) -> Result<FmcfSolution, Disconnected> {
-        let graph = self.graph.get();
+        let graph = self.graph;
         let n = self.commodities.len();
         // Loads stay link-indexed even with no commodities so `edge_load`
         // keeps returning 0.0 for every link.
@@ -1004,43 +872,23 @@ impl<'a> FmcfProblem<'a> {
             }
         }
 
-        // With a zero-load-free cost (and a sane capacity) the objective,
-        // blending and load passes can be confined to the links actually
-        // touched by some chosen path: every other load stays exactly 0.0
-        // and contributes exactly +0.0, so the restriction is bit-for-bit
-        // neutral while keeping the per-iteration passes at O(|active|).
-        let sparse = cost.zero_load_is_free() && config.capacity.is_none_or(|c| c >= 0.0);
-        // The weight of an unloaded link, when it is the same on every
-        // link: then only the active links ever need another one.
-        let idle_weight = sparse
-            .then(|| cost.uniform_zero_load_marginal())
-            .flatten()
-            .map(|marginal| (marginal + self.penalty_marginal(0.0, config)).max(0.0));
-        scratch.prepare(&self.commodities, graph, sparse, idle_weight);
+        // Only the links some chosen path touches ever carry load, so only
+        // their weights ever leave the weight at zero load.
+        scratch.prepare(&self.commodities, graph, cost.weight(0.0));
 
         let loads = &mut solution.loads;
         let mut mixtures = self.start(cost, config, scratch, loads)?;
-        let mut objective = self.objective_over(loads, &scratch.active, cost, config);
+        let mut objective = cost.objective_over(loads, &scratch.active);
         // The share of every demand still on the start.
         let mut start_share = 1.0;
 
         for it in 0..config.max_iterations {
             solution.iterations = it + 1;
             // Marginal costs at the current loads. Dijkstra may traverse
-            // any link; off the active set the load is zero, so under an
-            // idle weight those links already hold their weight.
-            let weight_at = |e: usize| {
-                (cost.marginal(LinkId(e), loads[e]) + self.penalty_marginal(loads[e], config))
-                    .max(0.0)
-            };
-            if idle_weight.is_some() {
-                for &l in &scratch.active {
-                    scratch.weights[l.index()] = weight_at(l.index());
-                }
-            } else {
-                for (e, w) in scratch.weights.iter_mut().enumerate() {
-                    *w = weight_at(e);
-                }
+            // any link; off the active set the load is zero and the link
+            // already holds its weight.
+            for &l in &scratch.active {
+                scratch.weights[l.index()] = cost.weight(loads[l.index()]);
             }
             self.all_or_nothing(scratch)?;
             scratch.register_active_paths();
@@ -1076,7 +924,7 @@ impl<'a> FmcfProblem<'a> {
                 for e in scratch.active.iter().map(|l| l.index()) {
                     scratch.blended[e] = (1.0 - gamma) * loads[e] + gamma * scratch.target_loads[e];
                 }
-                self.objective_over(&scratch.blended, &scratch.active, cost, config)
+                cost.objective_over(&scratch.blended, &scratch.active)
             };
             let gamma = golden_section_min(eval, 0.0, 1.0, config.line_search_steps);
             if gamma <= 1e-12 {
@@ -1101,7 +949,7 @@ impl<'a> FmcfProblem<'a> {
                 .extend(scratch.path_spans.iter().map(|&(s, len)| (offset + s, len)));
             scratch.step_shares.push(gamma);
 
-            let new_objective = self.objective_over(loads, &scratch.active, cost, config);
+            let new_objective = cost.objective_over(loads, &scratch.active);
             let improvement = (objective - new_objective) / objective.abs().max(1e-12);
             objective = new_objective;
             if improvement.abs() < config.tolerance {
@@ -1144,8 +992,8 @@ impl<'a> FmcfProblem<'a> {
                 keys: self.commodities.iter().map(warm_key).collect(),
                 solution: solution.clone(),
                 graph_epoch: graph.epoch(),
-                config_bits: config_fingerprint(config),
-                cost_bits: cost_fingerprint(cost),
+                config: *config,
+                cost: *cost,
             });
             scratch.consume_dirty();
         }
@@ -1156,7 +1004,7 @@ impl<'a> FmcfProblem<'a> {
     /// the cached one and no dirty link touches its flows.
     fn try_warm_shortcut(
         &self,
-        cost: &impl FlowCost,
+        cost: &PowerFlowCost,
         config: &FmcfSolverConfig,
         scratch: &FmcfScratch,
     ) -> Option<FmcfSolution> {
@@ -1164,7 +1012,7 @@ impl<'a> FmcfProblem<'a> {
         let loads = &entry.solution.loads;
         let loaded = |l: &LinkId| loads.get(l.index()).is_some_and(|&x| x != 0.0);
         let keys = self.commodities.iter().map(warm_key);
-        let same = entry.matches(self.graph.get(), config, cost)
+        let same = entry.matches(self.graph, config, cost)
             && keys.eq(entry.keys.iter().copied())
             && !scratch.dirty.iter().any(loaded);
         same.then(|| entry.solution.clone())
@@ -1175,29 +1023,6 @@ impl<'a> FmcfProblem<'a> {
 /// warm cache.
 fn warm_key(c: &Commodity) -> (usize, usize, usize, u64) {
     (c.id, c.src.index(), c.dst.index(), c.demand.to_bits())
-}
-
-/// Bit-pattern fingerprint of a solver configuration for warm-cache
-/// validity checks.
-fn config_fingerprint(config: &FmcfSolverConfig) -> [u64; 5] {
-    [
-        config.max_iterations as u64,
-        config.tolerance.to_bits(),
-        config.capacity.map_or(u64::MAX, f64::to_bits),
-        config.capacity_penalty.to_bits(),
-        config.line_search_steps as u64,
-    ]
-}
-
-/// Bit-pattern probe of a cost function at `LinkId(0)`; distinguishes
-/// link-homogeneous costs (different power functions hash differently)
-/// without requiring `PartialEq` on the trait.
-fn cost_fingerprint(cost: &impl FlowCost) -> [u64; 3] {
-    [
-        cost.cost(LinkId(0), 1.0).to_bits(),
-        cost.cost(LinkId(0), 2.0).to_bits(),
-        cost.marginal(LinkId(0), 1.0).to_bits(),
-    ]
 }
 
 impl FmcfSolution {
@@ -1248,24 +1073,20 @@ impl FmcfSolution {
         &self.loads
     }
 
-    /// The objective value under a cost function (no capacity penalty).
+    /// The objective value under a cost, without the overload penalty.
     ///
-    /// Under a [zero-load-free](FlowCost::zero_load_is_free) cost the sum
-    /// runs over the loaded links only and is the dense sum to the bit: an
-    /// unloaded link adds `+0.0`, which changes no partial sum but `-0.0`,
-    /// so one `+ 0.0` at the end stands for all of them.
-    pub fn total_cost(&self, cost: &impl FlowCost) -> f64 {
-        let terms = self.loads.iter().enumerate();
-        if !cost.zero_load_is_free() {
-            return terms.map(|(e, &x)| cost.cost(LinkId(e), x)).sum();
-        }
+    /// The sum runs over the loaded links only and is the sum over every
+    /// link to the bit: an unloaded link adds `+0.0`, which changes no
+    /// partial sum but `-0.0`, so one `+ 0.0` at the end stands for all of
+    /// them.
+    pub fn total_cost(&self, cost: &PowerFlowCost) -> f64 {
         let mut unloaded = false;
-        let sum: f64 = terms
-            .filter(|&(_, &x)| {
+        let sum: f64 = (self.loads.iter())
+            .filter(|&&x| {
                 unloaded |= x == 0.0;
                 x != 0.0
             })
-            .map(|(e, &x)| cost.cost(LinkId(e), x))
+            .map(|&x| cost.cost(x))
             .sum();
         if unloaded {
             sum + 0.0
@@ -1350,6 +1171,20 @@ mod tests {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
     }
 
+    /// Solves `commodities` on `graph` with a fresh scratch.
+    fn solve(
+        graph: &GraphCsr,
+        commodities: Vec<Commodity>,
+        cost: &PowerFlowCost,
+        config: &FmcfSolverConfig,
+    ) -> Result<FmcfSolution, Disconnected> {
+        FmcfProblem::with_graph(graph, commodities).solve_with(
+            cost,
+            config,
+            &mut FmcfScratch::new(),
+        )
+    }
+
     #[test]
     fn golden_section_finds_parabola_minimum() {
         let min = golden_section_min(|x| (x - 0.3).powi(2), 0.0, 1.0, 60);
@@ -1364,16 +1199,19 @@ mod tests {
         // With cost x^2, routing demand d over k identical parallel links is
         // optimal when split evenly: cost k * (d/k)^2 = d^2 / k.
         let t = builders::parallel(4, 100.0);
-        let problem = FmcfProblem::new(
-            &t.network,
-            vec![Commodity {
-                id: 0,
-                src: t.source(),
-                dst: t.sink(),
-                demand: 8.0,
-            }],
-        );
-        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
+        let commodity = Commodity {
+            id: 0,
+            src: t.source(),
+            dst: t.sink(),
+            demand: 8.0,
+        };
+        let sol = solve(
+            &t.csr(),
+            vec![commodity],
+            &quadratic_cost(),
+            &tight_config(),
+        )
+        .unwrap();
         let cost = sol.total_cost(&quadratic_cost());
         assert!(
             close(cost, 8.0 * 8.0 / 4.0, 0.02),
@@ -1413,8 +1251,13 @@ mod tests {
                 demand: 2.0,
             },
         ];
-        let problem = FmcfProblem::new(&t.network, commodities.clone());
-        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
+        let sol = solve(
+            &t.csr(),
+            commodities.clone(),
+            &quadratic_cost(),
+            &tight_config(),
+        )
+        .unwrap();
         for (ci, c) in commodities.iter().enumerate() {
             for node in t.network.nodes() {
                 let net = sol.net_outflow(&t.network, ci, node.id);
@@ -1439,24 +1282,14 @@ mod tests {
         // Two commodities between the same endpoints over two disjoint
         // 2-hop routes: the optimum sends them on different routes.
         let t = builders::parallel(2, 100.0);
-        let problem = FmcfProblem::new(
-            &t.network,
-            vec![
-                Commodity {
-                    id: 0,
-                    src: t.source(),
-                    dst: t.sink(),
-                    demand: 2.0,
-                },
-                Commodity {
-                    id: 1,
-                    src: t.source(),
-                    dst: t.sink(),
-                    demand: 2.0,
-                },
-            ],
-        );
-        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
+        let commodity = |id| Commodity {
+            id,
+            src: t.source(),
+            dst: t.sink(),
+            demand: 2.0,
+        };
+        let commodities = vec![commodity(0), commodity(1)];
+        let sol = solve(&t.csr(), commodities, &quadratic_cost(), &tight_config()).unwrap();
         // Total forward load 4 split over 2 links: 2 each, cost 8 (vs 16 if
         // they shared one link).
         let cost = sol.total_cost(&quadratic_cost());
@@ -1468,40 +1301,31 @@ mod tests {
         // The relaxation must lower-bound the best single-path routing.
         let t = builders::parallel(3, 100.0);
         let demand = 6.0;
-        let problem = FmcfProblem::new(
-            &t.network,
-            vec![Commodity {
-                id: 0,
-                src: t.source(),
-                dst: t.sink(),
-                demand,
-            }],
-        );
+        let commodity = Commodity {
+            id: 0,
+            src: t.source(),
+            dst: t.sink(),
+            demand,
+        };
         let cost_fn = quadratic_cost();
-        let sol = problem.solve(&cost_fn, &tight_config()).unwrap();
+        let sol = solve(&t.csr(), vec![commodity], &cost_fn, &tight_config()).unwrap();
         let single_path_cost = demand * demand; // all on one link
         assert!(sol.total_cost(&cost_fn) <= single_path_cost + 1e-6);
     }
 
     #[test]
-    fn capacity_penalty_spreads_load() {
+    fn the_overload_penalty_spreads_load() {
         let t = builders::parallel(2, 2.0);
-        let problem = FmcfProblem::new(
-            &t.network,
-            vec![Commodity {
-                id: 0,
-                src: t.source(),
-                dst: t.sink(),
-                demand: 4.0,
-            }],
-        );
-        // Nearly linear cost => without capacities a single path would be fine.
-        let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 1.01, 10.0));
-        let config = FmcfSolverConfig {
-            capacity: Some(2.0),
-            ..Default::default()
+        let commodity = Commodity {
+            id: 0,
+            src: t.source(),
+            dst: t.sink(),
+            demand: 4.0,
         };
-        let sol = problem.solve(&cost, &config).unwrap();
+        // Nearly linear cost => without capacities a single path would be fine.
+        let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 1.01, 2.0));
+        let config = FmcfSolverConfig::default();
+        let sol = solve(&t.csr(), vec![commodity], &cost, &config).unwrap();
         for l in t.network.find_links(t.source(), t.sink()) {
             assert!(
                 sol.edge_load(l) <= 2.0 + 0.05,
@@ -1514,61 +1338,30 @@ mod tests {
     #[test]
     fn empty_problem_solves_trivially() {
         let t = builders::line(2);
-        let problem = FmcfProblem::new(&t.network, vec![]);
-        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
+        let sol = solve(&t.csr(), vec![], &quadratic_cost(), &tight_config()).unwrap();
         assert!(sol.converged);
         assert_eq!(sol.commodity_count(), 0);
-    }
-
-    #[test]
-    fn shared_graph_and_scratch_match_the_one_shot_path() {
-        let t = builders::fat_tree(4);
-        let hosts = t.hosts();
-        let graph = t.csr();
-        let mut scratch = FmcfScratch::new();
-        let cost = quadratic_cost();
-        let config = tight_config();
-        // Two different problems reusing one scratch must match their
-        // one-shot counterparts exactly.
-        for (a, b, d) in [(0usize, 10usize, 3.0), (5, 1, 2.0), (2, 14, 1.0)] {
-            let commodities = vec![Commodity {
-                id: 0,
-                src: hosts[a],
-                dst: hosts[b],
-                demand: d,
-            }];
-            let shared = FmcfProblem::with_graph(&graph, commodities.clone())
-                .solve_with(&cost, &config, &mut scratch)
-                .unwrap();
-            let one_shot = FmcfProblem::new(&t.network, commodities)
-                .solve(&cost, &config)
-                .unwrap();
-            assert_eq!(shared, one_shot);
-        }
     }
 
     #[test]
     fn total_loads_is_consistent_with_commodity_flows() {
         let t = builders::fat_tree(4);
         let hosts = t.hosts();
-        let problem = FmcfProblem::new(
-            &t.network,
-            vec![
-                Commodity {
-                    id: 0,
-                    src: hosts[0],
-                    dst: hosts[9],
-                    demand: 2.0,
-                },
-                Commodity {
-                    id: 1,
-                    src: hosts[0],
-                    dst: hosts[12],
-                    demand: 1.0,
-                },
-            ],
-        );
-        let sol = problem.solve(&quadratic_cost(), &tight_config()).unwrap();
+        let commodities = vec![
+            Commodity {
+                id: 0,
+                src: hosts[0],
+                dst: hosts[9],
+                demand: 2.0,
+            },
+            Commodity {
+                id: 1,
+                src: hosts[0],
+                dst: hosts[12],
+                demand: 1.0,
+            },
+        ];
+        let sol = solve(&t.csr(), commodities, &quadratic_cost(), &tight_config()).unwrap();
         let loads = sol.total_loads();
         assert_eq!(loads.len(), t.network.link_count());
         for (e, &load) in loads.iter().enumerate() {
@@ -1584,8 +1377,8 @@ mod tests {
     #[should_panic(expected = "non-positive demand")]
     fn zero_demand_rejected() {
         let t = builders::line(2);
-        FmcfProblem::new(
-            &t.network,
+        FmcfProblem::with_graph(
+            &t.csr(),
             vec![Commodity {
                 id: 0,
                 src: t.hosts()[0],
@@ -1938,27 +1731,19 @@ mod tests {
             let commodities = host_pairs(t.hosts(), 24);
             let problem = FmcfProblem::with_graph(&graph, commodities.clone());
             for (alpha, sigma) in [(2.0, 0.0), (4.0, 0.0), (2.0, 3.0), (4.0, 3.0)] {
-                let cost = PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
                 // Capacity 1 is below most link loads, so the quadratic
-                // penalty is active; no capacity switches it off.
-                for capacity in [None, Some(1.0)] {
-                    let config = FmcfSolverConfig {
-                        capacity,
-                        ..Default::default()
-                    };
+                // penalty is active; at capacity 10 it is not.
+                for capacity in [10.0, 1.0] {
+                    let power = PowerFunction::new(sigma, 1.0, alpha, capacity).unwrap();
+                    let cost = PowerFlowCost::new(power);
+                    let config = FmcfSolverConfig::default();
                     let mut scratch = FmcfScratch::new();
                     let start = start_of(&problem, &mut scratch);
                     let loads = start.total_loads();
-                    if capacity.is_some() {
+                    if capacity == 1.0 {
                         assert!(loads.iter().any(|&x| x > 1.5), "the penalty must be active");
                     }
-                    let weights: Vec<f64> = loads
-                        .iter()
-                        .enumerate()
-                        .map(|(e, &x)| {
-                            cost.marginal(LinkId(e), x) + problem.penalty_marginal(x, &config)
-                        })
-                        .collect();
+                    let weights: Vec<f64> = loads.iter().map(|&x| cost.weight(x)).collect();
                     let at_start: f64 = weights.iter().zip(loads).map(|(w, x)| w * x).sum();
                     let mut engine = ShortestPathEngine::new();
                     let all_or_nothing: f64 = commodities
@@ -1970,15 +1755,11 @@ mod tests {
                             c.demand * path.weight(|l| weights[l.index()])
                         })
                         .sum();
-                    let objective: f64 = loads
-                        .iter()
-                        .enumerate()
-                        .map(|(e, &x)| cost.cost(LinkId(e), x) + problem.penalty(x, &config))
-                        .sum();
+                    let objective: f64 = loads.iter().map(|&x| cost.penalised(x)).sum();
                     let gap = at_start - all_or_nothing;
                     assert!(
                         gap.abs() <= 1e-12 * objective,
-                        "k={k} alpha={alpha} sigma={sigma} capacity={capacity:?}: \
+                        "k={k} alpha={alpha} sigma={sigma} capacity={capacity}: \
                          gap {gap} at objective {objective}"
                     );
 
@@ -2169,16 +1950,11 @@ mod tests {
         }
 
         let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 4.0, 10.0));
-        let config = FmcfSolverConfig {
-            capacity: Some(10.0),
-            ..Default::default()
-        };
+        let config = FmcfSolverConfig::default();
         let mut blended = 0;
         for (graph, hosts) in &corpus {
             let commodities = host_pairs(hosts, 14);
-            let sol = FmcfProblem::with_graph(graph, commodities.clone())
-                .solve(&cost, &config)
-                .unwrap();
+            let sol = solve(graph, commodities.clone(), &cost, &config).unwrap();
             blended += usize::from(sol.iterations > 1);
             assert_conserves(graph, &sol, &commodities, 1e-12);
             for (c, commodity) in commodities.iter().enumerate() {
@@ -2240,7 +2016,8 @@ mod tests {
             dst,
             demand: 1.0,
         };
-        let problem = FmcfProblem::new(&net, vec![commodity(4, b), commodity(7, c)]);
+        let graph = GraphCsr::from_network(&net);
+        let problem = FmcfProblem::with_graph(&graph, vec![commodity(4, b), commodity(7, c)]);
         let mut scratch = FmcfScratch::new();
         for _ in 0..2 {
             assert_eq!(
@@ -2249,10 +2026,15 @@ mod tests {
             );
         }
         // The scratch is none the worse for it.
-        let routable = FmcfProblem::new(&net, vec![commodity(4, b)]);
+        let routable = FmcfProblem::with_graph(&graph, vec![commodity(4, b)]);
         assert_eq!(
             routable.solve_with(&quadratic_cost(), &tight_config(), &mut scratch),
-            routable.solve(&quadratic_cost(), &tight_config())
+            solve(
+                &graph,
+                vec![commodity(4, b)],
+                &quadratic_cost(),
+                &tight_config()
+            )
         );
     }
 
@@ -2261,27 +2043,9 @@ mod tests {
         let f = PowerFunction::new(10.0, 1.0, 2.0, 5.0).unwrap();
         let cost = PowerFlowCost::new(f);
         // cost(x) = x^2 + (10/5) x = x^2 + 2x
-        assert!(close(cost.cost(LinkId(0), 3.0), 9.0 + 6.0, 1e-12));
-        assert!(close(cost.marginal(LinkId(0), 3.0), 6.0 + 2.0, 1e-12));
-        assert_eq!(cost.cost(LinkId(0), 0.0), 0.0);
-    }
-
-    /// A zero-load-free cost that does not vouch for a uniform zero-load
-    /// marginal: the solver refreshes every link weight.
-    struct DenseWeights(PowerFlowCost);
-
-    impl FlowCost for DenseWeights {
-        fn cost(&self, link: LinkId, load: f64) -> f64 {
-            self.0.cost(link, load)
-        }
-
-        fn marginal(&self, link: LinkId, load: f64) -> f64 {
-            self.0.marginal(link, load)
-        }
-
-        fn zero_load_is_free(&self) -> bool {
-            true
-        }
+        assert!(close(cost.cost(3.0), 9.0 + 6.0, 1e-12));
+        assert!(close(cost.marginal(3.0), 6.0 + 2.0, 1e-12));
+        assert_eq!(cost.cost(0.0), 0.0);
     }
 
     /// Solves `pairs` host pairs on `graph` with `scratch` and with a fresh
@@ -2291,15 +2055,11 @@ mod tests {
         graph: &GraphCsr,
         hosts: &[NodeId],
         pairs: usize,
-        cost: &impl FlowCost,
-        capacity: Option<f64>,
+        cost: &PowerFlowCost,
         scratch: &mut FmcfScratch,
     ) -> usize {
         let problem = FmcfProblem::with_graph(graph, host_pairs(hosts, pairs));
-        let config = FmcfSolverConfig {
-            capacity,
-            ..Default::default()
-        };
+        let config = FmcfSolverConfig::default();
         let mut fresh_scratch = FmcfScratch::new();
         let reused = problem.solve_with(cost, &config, scratch).unwrap();
         let fresh = problem
@@ -2316,59 +2076,45 @@ mod tests {
     /// solve wrote may be read. One scratch runs a sequence of solves — the
     /// weight at zero load 0, then non-zero (σ > 0), then 0 again; α 2 and
     /// 3; a capacity the penalty bites at; links failed between solves;
-    /// fat-tree 4 → 8 → 4; a cost that takes the dense refresh — and each
-    /// solution equals a fresh scratch's, gap and iteration count included.
+    /// fat-tree 4 → 8 → 4 — and each solution equals a fresh scratch's, gap
+    /// and iteration count included.
     #[test]
     fn a_reused_scratch_never_reads_a_stale_weight() {
-        let power =
-            |sigma, alpha| PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
+        let power = |sigma, alpha, capacity| {
+            PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, capacity).unwrap())
+        };
         let (t4, t8) = (builders::fat_tree(4), builders::fat_tree(8));
         let (mut g4, g8) = (t4.csr(), t8.csr());
         let (h4, h8) = (t4.hosts(), t8.hosts());
         let up = g4.shortest_path(h4[0], h4[15]).unwrap().links().to_vec();
         let mut scratch = FmcfScratch::new();
         let mut iterations = vec![
-            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0), None, &mut scratch),
-            reused_equals_fresh(&g4, h4, 9, &power(3.0, 2.0), Some(1.0), &mut scratch),
-            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0), Some(1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0, 10.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 9, &power(3.0, 2.0, 1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0, 1.0), &mut scratch),
         ];
         g4.fail_link(up[1]);
         g4.fail_link(up[2]);
         iterations.extend([
-            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0), Some(1.0), &mut scratch),
-            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0), None, &mut scratch),
-            reused_equals_fresh(&g8, h8, 9, &power(0.0, 2.0), None, &mut scratch),
-            reused_equals_fresh(
-                &g8,
-                h8,
-                14,
-                &DenseWeights(power(0.0, 2.0)),
-                None,
-                &mut scratch,
-            ),
-            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0), Some(1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0, 1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 3.0, 10.0), &mut scratch),
+            reused_equals_fresh(&g8, h8, 9, &power(0.0, 2.0, 10.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 9, &power(0.0, 2.0, 1.0), &mut scratch),
         ]);
         g4.restore_link(up[1]);
         g4.restore_link(up[2]);
         iterations.extend([
-            reused_equals_fresh(
-                &g4,
-                h4,
-                14,
-                &DenseWeights(power(3.0, 3.0)),
-                None,
-                &mut scratch,
-            ),
-            reused_equals_fresh(&g4, h4, 9, &power(3.0, 3.0), Some(1.0), &mut scratch),
-            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0), None, &mut scratch),
+            reused_equals_fresh(&g4, h4, 9, &power(3.0, 3.0, 1.0), &mut scratch),
+            reused_equals_fresh(&g4, h4, 14, &power(0.0, 2.0, 10.0), &mut scratch),
         ]);
         // Frank–Wolfe blends on the degraded fabric, so weights moved off
         // the idle weight within a solve, not only at its start.
         assert!(iterations.iter().any(|&i| i > 1), "{iterations:?}");
     }
 
-    /// `total_cost` sums the loaded links only and equals the dense sum to
-    /// the bit, including the `+0.0` of a problem with no commodity.
+    /// `total_cost` sums the loaded links only and equals the sum over
+    /// every link to the bit, including the `+0.0` of a problem with no
+    /// commodity.
     #[test]
     fn total_cost_is_the_dense_sum_to_the_bit() {
         let t = builders::fat_tree(4);
@@ -2378,16 +2124,19 @@ mod tests {
             quadratic_cost(),
         ] {
             for count in [0, 1, 14] {
-                let problem = FmcfProblem::with_graph(&graph, host_pairs(t.hosts(), count));
-                let sol = problem.solve(&cost, &FmcfSolverConfig::default()).unwrap();
-                let loads = sol.total_loads().iter().enumerate();
-                let dense: f64 = loads.map(|(e, &x)| cost.cost(LinkId(e), x)).sum();
+                let commodities = host_pairs(t.hosts(), count);
+                let sol = solve(&graph, commodities, &cost, &FmcfSolverConfig::default()).unwrap();
+                let dense: f64 = sol.total_loads().iter().map(|&x| cost.cost(x)).sum();
                 assert_eq!(sol.total_cost(&cost).to_bits(), dense.to_bits(), "{count}");
             }
         }
-        let empty = FmcfProblem::with_graph(&graph, Vec::new())
-            .solve(&quadratic_cost(), &FmcfSolverConfig::default())
-            .unwrap();
+        let empty = solve(
+            &graph,
+            Vec::new(),
+            &quadratic_cost(),
+            &FmcfSolverConfig::default(),
+        )
+        .unwrap();
         assert_eq!(
             empty.total_cost(&quadratic_cost()).to_bits(),
             0.0f64.to_bits()

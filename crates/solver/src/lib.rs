@@ -8,10 +8,11 @@
 //!   algorithm (FOCS 1995). The paper's Most-Critical-First algorithm for
 //!   DCFS is a variant of YDS run on *virtual weights*, and its correctness
 //!   argument (Theorem 1) reduces to YDS optimality.
-//! * [`fmcf`] — fractional multi-commodity flow with convex, separable link
-//!   costs, solved by the Frank–Wolfe (conditional-gradient) method with
-//!   marginal-cost shortest paths and golden-section line search. This is
-//!   the "solved by convex programming" step of Random-Schedule
+//! * [`fmcf`] — fractional multi-commodity flow under the paper's power
+//!   function as the cost of every link's load (with a penalty above its
+//!   capacity), solved by the Frank–Wolfe (conditional-gradient) method
+//!   with marginal-cost shortest paths and golden-section line search.
+//!   This is the "solved by convex programming" step of Random-Schedule
 //!   (Algorithm 2, line 3); its solutions are path mixtures, which is the
 //!   form line 4 asks for.
 //! * [`decompose`] — Raghavan–Tompson flow-path decomposition of a
@@ -37,6 +38,6 @@ pub mod yds;
 pub use availability::{IntervalScan, TimeAvailability};
 pub use decompose::{decompose_flow, WeightedPath};
 pub use fmcf::{
-    Commodity, Disconnected, FlowCost, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
+    Commodity, Disconnected, FmcfProblem, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
 };
 pub use yds::{edf_schedule, yds_schedule, Job, JobPlacement, YdsSchedule};

@@ -34,12 +34,16 @@
 
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::fmcf::{
-    Commodity, FlowCost, FmcfProblem, FmcfSolverConfig, PowerFlowCost,
+    Commodity, FmcfProblem, FmcfScratch, FmcfSolution, FmcfSolverConfig, PowerFlowCost,
 };
 use deadline_dcn::topology::{
     builders, GraphCsr, LinkId, Network, NodeId, NodeKind, ShortestPathEngine,
 };
 use proptest::prelude::*;
+
+/// The solver's weight of the quadratic penalty on a link's load above
+/// the power function's capacity.
+const OVERLOAD_PENALTY: f64 = 1e3;
 
 /// The pre-refactor adjacency-list algorithms, copied verbatim (modulo
 /// visibility) from `dcn-topology`/`dcn-solver` as they were before the
@@ -262,25 +266,16 @@ mod reference {
     pub fn solve(
         network: &Network,
         commodities: &[Commodity],
-        cost: &impl FlowCost,
+        cost: &PowerFlowCost,
+        capacity: f64,
         config: &FmcfSolverConfig,
         start: Start,
     ) -> (Vec<Vec<f64>>, usize, bool, usize) {
-        let penalty = |load: f64| match config.capacity {
-            Some(cap) if load > cap => config.capacity_penalty * (load - cap).powi(2),
-            _ => 0.0,
-        };
-        let penalty_marginal = |load: f64| match config.capacity {
-            Some(cap) if load > cap => 2.0 * config.capacity_penalty * (load - cap),
-            _ => 0.0,
-        };
-        let objective = |loads: &[f64]| -> f64 {
-            loads
-                .iter()
-                .enumerate()
-                .map(|(e, &x)| cost.cost(LinkId(e), x) + penalty(x))
-                .sum()
-        };
+        let over = |load: f64| (load > capacity).then_some(load - capacity);
+        let penalty = |load: f64| over(load).map_or(0.0, |d| OVERLOAD_PENALTY * d.powi(2));
+        let penalty_marginal = |load: f64| over(load).map_or(0.0, |d| 2.0 * OVERLOAD_PENALTY * d);
+        let objective =
+            |loads: &[f64]| -> f64 { loads.iter().map(|&x| cost.cost(x) + penalty(x)).sum() };
         let all_or_nothing = |weights: &[f64]| -> Option<Vec<Vec<f64>>> {
             let m = network.link_count();
             let mut assignment = vec![vec![0.0; m]; commodities.len()];
@@ -316,8 +311,7 @@ mod reference {
             iterations = it + 1;
             let weights: Vec<f64> = loads
                 .iter()
-                .enumerate()
-                .map(|(e, &x)| (cost.marginal(LinkId(e), x) + penalty_marginal(x)).max(0.0))
+                .map(|&x| (cost.marginal(x) + penalty_marginal(x)).max(0.0))
                 .collect();
             let target = all_or_nothing(&weights).expect("path exists");
             let target_loads = column_sums(&target, m);
@@ -529,21 +523,23 @@ proptest! {
         let commodities = commodities_on(&raw, spec.n);
         let alpha = [2.0, 4.0][alpha_pick as usize];
         let sigma = [0.0, 3.0][sigma_pick as usize];
-        let power = PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap();
+        let power = PowerFunction::new(sigma, 1.0, alpha, 8.0).unwrap();
         let cost = PowerFlowCost::new(power);
         let config = FmcfSolverConfig {
             max_iterations: 30,
             tolerance: 1e-5,
-            capacity: Some(8.0),
             line_search_steps: 20,
-            ..Default::default()
         };
 
-        let (oracle_flows, oracle_iters, oracle_converged, oracle_blends) =
-            reference::solve(&net, &commodities, &cost, &config, reference::Start::EcmpSplit);
-        let solution = FmcfProblem::new(&net, commodities.clone())
-            .solve(&cost, &config)
-            .unwrap();
+        let (oracle_flows, oracle_iters, oracle_converged, oracle_blends) = reference::solve(
+            &net,
+            &commodities,
+            &cost,
+            power.capacity(),
+            &config,
+            reference::Start::EcmpSplit,
+        );
+        let solution = solve(&net, &commodities, &power, &config);
 
         prop_assert_eq!(solution.commodity_count(), commodities.len());
         if oracle_blends == 0 {
@@ -567,8 +563,8 @@ proptest! {
         for (e, (&mine, &theirs)) in solution.total_loads().iter().zip(&oracle_loads).enumerate() {
             prop_assert!(close(mine, theirs, total), "link {}: {} vs {}", e, mine, theirs);
         }
-        let mine = objective(solution.total_loads().iter().copied(), &cost, &config);
-        let theirs = objective(oracle_loads.into_iter(), &cost, &config);
+        let mine = objective(solution.total_loads().iter().copied(), &power);
+        let theirs = objective(oracle_loads.into_iter(), &power);
         prop_assert!(close(mine, theirs, theirs), "objective {} vs {}", mine, theirs);
     }
 
@@ -588,52 +584,60 @@ proptest! {
             [0.0, 3.0][sigma_pick as usize],
             1.0,
             [2.0, 4.0][alpha_pick as usize],
-            10.0,
+            8.0,
         )
         .unwrap();
-        let config = FmcfSolverConfig {
-            capacity: Some(8.0),
-            ..Default::default()
-        };
-        let (new, old, _) = objectives(&net, &commodities, &PowerFlowCost::new(power), &config);
+        let (new, old, _) = objectives(&net, &commodities, &power);
         prop_assert!(new <= old * (1.0 + 1e-3), "ECMP start {} vs single-path start {}", new, old);
     }
 }
 
-/// The penalised objective the solver minimises, from per-link loads.
-fn objective(
-    loads: impl Iterator<Item = f64>,
-    cost: &impl FlowCost,
-    config: &FmcfSolverConfig,
-) -> f64 {
+/// The penalised objective the solver minimises under `power`, from
+/// per-link loads.
+fn objective(loads: impl Iterator<Item = f64>, power: &PowerFunction) -> f64 {
+    let cost = PowerFlowCost::new(*power);
     loads
-        .enumerate()
-        .map(|(e, x)| {
-            let over = config.capacity.map_or(0.0, |cap| (x - cap).max(0.0));
-            cost.cost(LinkId(e), x) + config.capacity_penalty * over * over
+        .map(|x| {
+            let over = (x - power.capacity()).max(0.0);
+            cost.cost(x) + OVERLOAD_PENALTY * over * over
         })
         .sum()
 }
 
-/// The final objectives of one problem under the solver and under the
-/// single-path-start reference, and whether both stopped on the stall
-/// test rather than on the iteration cap.
-fn objectives(
+/// The solver's solution of one problem under `power`, on a fresh CSR
+/// view and scratch.
+fn solve(
     net: &Network,
     commodities: &[Commodity],
-    cost: &impl FlowCost,
+    power: &PowerFunction,
     config: &FmcfSolverConfig,
-) -> (f64, f64, bool) {
-    let solution = FmcfProblem::new(net, commodities.to_vec())
-        .solve(cost, config)
-        .unwrap();
-    let new = objective(solution.total_loads().iter().copied(), cost, config);
-    let (flows, _, reference_converged, _) =
-        reference::solve(net, commodities, cost, config, reference::Start::SinglePath);
+) -> FmcfSolution {
+    let graph = GraphCsr::from_network(net);
+    let cost = PowerFlowCost::new(*power);
+    FmcfProblem::with_graph(&graph, commodities.to_vec())
+        .solve_with(&cost, config, &mut FmcfScratch::new())
+        .unwrap()
+}
+
+/// The final objectives of one problem under the solver and under the
+/// single-path-start reference, at the default configuration, and whether
+/// both stopped on the stall test rather than on the iteration cap.
+fn objectives(net: &Network, commodities: &[Commodity], power: &PowerFunction) -> (f64, f64, bool) {
+    let config = FmcfSolverConfig::default();
+    let solution = solve(net, commodities, power, &config);
+    let new = objective(solution.total_loads().iter().copied(), power);
+    let (flows, _, reference_converged, _) = reference::solve(
+        net,
+        commodities,
+        &PowerFlowCost::new(*power),
+        power.capacity(),
+        &config,
+        reference::Start::SinglePath,
+    );
     let loads = (0..net.link_count()).map(|e| flows.iter().map(|row| row[e]).sum());
     (
         new,
-        objective(loads, cost, config),
+        objective(loads, power),
         solution.converged && reference_converged,
     )
 }
@@ -724,12 +728,8 @@ fn ecmp_start_is_no_worse_than_the_single_path_start_on_asymmetric_fabrics() {
                 })
                 .collect();
             for (alpha, sigma) in [(2.0, 0.0), (4.0, 0.0), (2.0, 3.0)] {
-                let cost = PowerFlowCost::new(PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap());
-                let config = FmcfSolverConfig {
-                    capacity: Some(10.0),
-                    ..Default::default()
-                };
-                let (new, old, both_converged) = objectives(net, &commodities, &cost, &config);
+                let power = PowerFunction::new(sigma, 1.0, alpha, 10.0).unwrap();
+                let (new, old, both_converged) = objectives(net, &commodities, &power);
                 let tolerance = if both_converged { 1e-3 } else { 1e-2 };
                 assert!(
                     new <= old * (1.0 + tolerance),

@@ -19,7 +19,7 @@ use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::decompose::decompose_flow;
 use deadline_dcn::solver::fmcf::{
-    Commodity, FlowCost, FmcfProblem, FmcfSolverConfig, PowerFlowCost,
+    Commodity, FmcfProblem, FmcfScratch, FmcfSolverConfig, PowerFlowCost,
 };
 use deadline_dcn::topology::{builders, LinkId, Path, TopologyEvent};
 
@@ -85,15 +85,12 @@ fn the_recorded_gap_bounds_the_optimum_from_below_on_bcube() {
     let topo = builders::bcube(4, 1);
     let hosts = topo.hosts();
     let cost = PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 4.0, 10.0));
-    let config = FmcfSolverConfig {
-        capacity: Some(10.0),
-        ..Default::default()
-    };
+    let config = FmcfSolverConfig::default();
+    // The solver's objective: the cost plus its penalty (weight 1e3) on
+    // the load above the power function's capacity.
     let objective = |loads: &[f64]| -> f64 {
-        let penalised = |(e, &x): (usize, &f64)| {
-            cost.cost(LinkId(e), x) + config.capacity_penalty * (x - 10.0).max(0.0).powi(2)
-        };
-        loads.iter().enumerate().map(penalised).sum()
+        let penalised = |&x: &f64| cost.cost(x) + 1e3 * (x - 10.0).max(0.0).powi(2);
+        loads.iter().map(penalised).sum()
     };
     let mut rng = StdRng::seed_from_u64(0);
     let commodities: Vec<Commodity> = (0..12)
@@ -109,14 +106,20 @@ fn the_recorded_gap_bounds_the_optimum_from_below_on_bcube() {
             })
         })
         .collect();
-    let problem = FmcfProblem::new(&topo.network, commodities);
-    let solution = problem.solve(&cost, &config).unwrap();
+    let graph = topo.csr();
+    let problem = FmcfProblem::with_graph(&graph, commodities);
+    let solve = |config| {
+        problem
+            .solve_with(&cost, &config, &mut FmcfScratch::new())
+            .unwrap()
+    };
+    let solution = solve(config);
     let long_run = FmcfSolverConfig {
         max_iterations: 20_000,
         tolerance: 0.0,
         ..config
     };
-    let reference = objective(problem.solve(&cost, &long_run).unwrap().total_loads());
+    let reference = objective(solve(long_run).total_loads());
     let reached = objective(solution.total_loads());
     let certified = reached * (1.0 - solution.relative_gap);
     assert!(solution.relative_gap > 0.0 && solution.relative_gap.is_finite());

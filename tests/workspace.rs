@@ -1076,7 +1076,9 @@ fn public_items_nothing_called_stay_deleted() {
     // policy knobs only `Default` set, stay gone: the flow-trace I/O, the
     // VL2, Jellyfish and star builders, `dijkstra_on` and the accessors
     // only their own tests called. RCD's headroom and hybrid's slack
-    // threshold are constants, not fields.
+    // threshold are constants, not fields. The Frank–Wolfe solver takes
+    // the one cost it is given: no cost trait, no one-shot owned-graph
+    // problem, no penalty knob and no probe fingerprint of the cost.
     let root = workspace_root();
     let mut sources = Vec::new();
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
@@ -1125,6 +1127,12 @@ fn public_items_nothing_called_stay_deleted() {
         "headroom: f64",
         "with_slack_threshold",
         "slack_threshold: f64",
+        "trait FlowCost",
+        "fn zero_load_is_free",
+        "fn uniform_zero_load_marginal",
+        "capacity_penalty",
+        "enum GraphRef",
+        "fn cost_fingerprint",
     ];
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
