@@ -92,7 +92,7 @@ fn main() {
     );
     let runs: u64 = cli.runs.unwrap_or(if cli.quick { 1 } else { 2 }) as u64;
     let flows: usize = cli.flows.unwrap_or(if cli.quick { 1000 } else { 2000 });
-    let admission = cli.admission.clone().unwrap_or_default();
+    let admission = cli.admission.unwrap_or_default();
     let policy_names: Vec<String> = cli.policies.clone().unwrap_or_else(|| {
         let mut names = vec!["edf".to_string(), "greedy".to_string()];
         if cli.full {
@@ -167,7 +167,7 @@ fn main() {
                 // One seed per (topology, run), shared across policies so
                 // the comparison columns are like for like.
                 let seed = 10_000 * (cell.topology as u64 + 1) + cell.run;
-                let outcome = run_pass(spec, cell.policy, &admission, &cli, flows, seed);
+                let outcome = run_pass(spec, cell.policy, admission, &cli, flows, seed);
                 // The reference pass audits the same workload under the
                 // full-blast `greedy` policy (the serve-side analogue of
                 // the SP baseline).
@@ -177,7 +177,7 @@ fn main() {
                     Some(run_pass(
                         spec,
                         ServePolicy::Greedy,
-                        &admission,
+                        admission,
                         &cli,
                         flows,
                         seed,
@@ -313,7 +313,7 @@ fn main() {
 fn run_pass(
     spec: TopologySpec,
     policy: ServePolicy,
-    admission: &AdmissionRule,
+    admission: AdmissionRule,
     cli: &ExperimentCli,
     flows: usize,
     seed: u64,
@@ -332,7 +332,7 @@ fn run_pass(
 
     let mut config = ServerConfig::new(spec);
     config.policy = policy;
-    config.admission = admission.clone();
+    config.admission = admission;
     config.seed = seed;
     config.shard_workers = cli.shard_workers.unwrap_or(1);
     if let Some(depth) = cli.queue_depth {

@@ -391,7 +391,7 @@ pub struct OnlineSweep {
 struct SweepCell<'a> {
     topology: usize,
     policy: &'a str,
-    admission: &'a AdmissionRule,
+    admission: AdmissionRule,
     /// Index of the cell's `x` — the seed derives from it, not from the
     /// float, so arbitrary values never collide or overflow.
     x_index: usize,
@@ -446,10 +446,7 @@ pub fn run_online_sweep(
         .map(|t| t.name.as_str())
         .collect::<Vec<_>>()
         .join(", ");
-    let admissions = [
-        AdmissionRule::AdmitAll,
-        AdmissionRule::reject_infeasible(FmcfSolverConfig::coarse()),
-    ];
+    let admissions = [AdmissionRule::AdmitAll, AdmissionRule::RejectInfeasible];
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
     println!(
         "{}: {algorithm} re-solves behind policies [{}] under Poisson arrivals{} on {names} \
@@ -466,7 +463,7 @@ pub fn run_online_sweep(
     let mut grid = Vec::new();
     for topology in 0..topologies.len() {
         for policy in policies {
-            for admission in &admissions {
+            for admission in admissions {
                 for x_index in 0..sweep.xs.len() {
                     for run in 0..runs {
                         grid.push(SweepCell {
@@ -493,7 +490,6 @@ pub fn run_online_sweep(
                 .expect("workload generation succeeds on topologies with >= 2 hosts");
             let instance = instance(topo, &base, x, seed);
             let (result, seconds) = runner::timed(|| {
-                let admission = cell.admission.clone();
                 run_online_flow_set(
                     topo,
                     &instance,
@@ -501,7 +497,7 @@ pub fn run_online_sweep(
                     seed,
                     algorithm,
                     cell.policy,
-                    admission,
+                    cell.admission,
                 )
             });
             let label = format!("{} {}={x} seed={seed}", group(cell), sweep.axis);
@@ -512,7 +508,7 @@ pub fn run_online_sweep(
                 key if key == sweep.axis => x,
                 "admission" => match cell.admission {
                     AdmissionRule::AdmitAll => 0.0,
-                    _ => 1.0,
+                    AdmissionRule::RejectInfeasible => 1.0,
                 },
                 "events" => report.events as f64,
                 "topology_events" => report.topology_events as f64,

@@ -19,7 +19,6 @@ use crate::report::ExperimentReport;
 use dcn_core::online::{AdmissionRule, POLICY_NAMES};
 use dcn_core::AlgorithmRegistry;
 use dcn_server::ServePolicy;
-use dcn_solver::fmcf::FmcfSolverConfig;
 
 /// The number of worker threads to use by default: every available core.
 pub fn default_threads() -> usize {
@@ -166,8 +165,7 @@ pub struct ExperimentCli {
     /// `--queue-depth N`: per-worker queue bound of the `serve` bench's
     /// daemon; `None` keeps the daemon's default.
     pub queue_depth: Option<usize>,
-    /// `--admission R`: admission rule of the `serve` bench's daemon
-    /// (`reject-infeasible` probes with [`FmcfSolverConfig::coarse`]);
+    /// `--admission R`: admission rule of the `serve` bench's daemon;
     /// `None` keeps the binary's default (`admit-all`).
     pub admission: Option<AdmissionRule>,
     /// `--quick`: CI smoke mode (smallest topology, one run per point).
@@ -319,13 +317,12 @@ impl ExperimentCli {
                     "--shard-workers" => cli.shard_workers = Some(parse_value(flag, value)?),
                     "--queue-depth" => cli.queue_depth = Some(parse_value(flag, value)?),
                     "--admission" => {
-                        let rule = AdmissionRule::from_name(value, FmcfSolverConfig::coarse())
-                            .ok_or_else(|| {
-                                format!(
-                                    "--admission expects admit-all or reject-infeasible, got \
-                                     {value:?}"
-                                )
-                            })?;
+                        let rule = AdmissionRule::from_name(value).ok_or_else(|| {
+                            format!(
+                                "--admission expects admit-all or reject-infeasible, got \
+                                 {value:?}"
+                            )
+                        })?;
                         cli.admission = Some(rule);
                     }
                     "--policies" => {
@@ -334,6 +331,12 @@ impl ExperimentCli {
                             return Err(format!(
                                 "--policies expects comma-separated policy names, got {value:?}"
                             ));
+                        }
+                        // A repeated name would run its group twice and pool
+                        // both into one point.
+                        let repeated = (1..names.len()).find(|&i| names[..i].contains(&names[i]));
+                        if let Some(i) = repeated {
+                            return Err(format!("--policies lists {:?} twice", names[i]));
                         }
                         if experiment == "serve" {
                             // The serve bench compares the daemon's own
@@ -648,8 +651,18 @@ mod tests {
                     .unwrap_err();
             assert_eq!(
                 err,
-                "unknown policy \"nope\" (expected one of resolve, edf, srpt, rcd, hybrid)"
+                "unknown policy \"nope\" (expected one of resolve, edf, srpt, hybrid)"
             );
+        }
+        // A repeated name is a usage error everywhere, not a group run twice.
+        for (experiment, flags, list, name) in [
+            ("online", ONLINE, "edf,edf", "edf"),
+            ("failures", FAILURES, "resolve,edf,resolve", "resolve"),
+            ("serve", SERVE, "edf,greedy,edf", "edf"),
+        ] {
+            let err = ExperimentCli::from_args(experiment, flags, &args(&["--policies", list]))
+                .unwrap_err();
+            assert_eq!(err, format!("--policies lists {name:?} twice"));
         }
         // The serve bench speaks the daemon's policy names instead.
         let cli =

@@ -42,9 +42,8 @@
 //! (the event-driven engine that reveals flows at their release times and
 //! re-plans their rates per event through a pluggable [`OnlinePolicy`] —
 //! from full residual re-solves with any wrapped [`Algorithm`] down to
-//! solver-free EDF/SRPT/rapid-close-to-deadline priority rules, built by
-//! name by [`online::create_policy`] — recording admit/miss outcomes
-//! against the offline clairvoyant bound).
+//! solver-free EDF/SRPT priority rules, built by name by
+//! [`online::create_policy`] — recording admit/miss outcomes).
 //!
 //! # Quick start
 //!

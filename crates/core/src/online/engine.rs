@@ -1,9 +1,10 @@
 //! The event-driven core of the online subsystem.
 //!
-//! [`OnlineEngine`] executes a flow set under online arrivals by draining a
-//! typed event queue: **arrival** events (groups of equal release times,
-//! fixed up front), plus the **completion** and **deadline-slack timer**
-//! events that rate-assigning policies predict. At every event batch the
+//! [`OnlineEngine`] executes a flow set under online arrivals by draining an
+//! event queue: **arrival** events (groups of equal release times) and
+//! **topology** events, both fixed up front, plus the one **predicted
+//! instant** of the current rate plan — the earliest flow completion or
+//! deadline watchdog its rates imply. At every event batch the
 //! engine retires served and expired flows, admits new arrivals through the
 //! [`AdmissionRule`], asks the [`OnlinePolicy`] what to do, and commits the
 //! resulting rates — either a policy-computed [`RatePlan`] or the slice of
@@ -20,14 +21,13 @@
 //! first commit or a changed route builds a slice. The plan itself shares
 //! the policy's cached paths ([`RateAssignment::path`]).
 //!
-//! Every decision invalidates all previously predicted completions and
-//! timers, so they are kept apart from the arrivals and topology events in
-//! a `Vec` that each decision clears and refills: the queue always reflects
-//! only the *current* rate plan and holds nothing that is never popped.
-//! With a policy that always resolves ([`super::ResolvePolicy`]) the
-//! queue holds arrival events only and the engine replays the pre-split
-//! `OnlineScheduler` loop exactly, which is what keeps the `resolve` policy
-//! bit-identical to it.
+//! Every decision supersedes whatever the previous plan predicted, and only
+//! the earliest prediction of a plan can ever be popped, so the queue keeps
+//! that one instant beside the fixed events and each batch clears it: the
+//! queue always reflects only the *current* rate plan. With a policy that
+//! always resolves ([`super::ResolvePolicy`]) nothing is ever predicted,
+//! and the engine replays the pre-split `OnlineScheduler` loop exactly,
+//! which is what keeps the `resolve` policy bit-identical to it.
 //!
 //! Engines are assembled through the [`EngineConfig`] builder
 //! ([`OnlineEngine::builder`]), which also carries the one throughput
@@ -46,12 +46,11 @@ use crate::error::SolveError;
 use crate::schedule::{FlowSchedule, Schedule};
 use dcn_flow::{Flow, FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
 use std::collections::BTreeSet;
 
 /// How the online loop decides whether a newly arrived flow is accepted.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdmissionRule {
     /// Every arrival is admitted. Under overload the re-solves may fail or
     /// flows may run out of time; the [`OnlineReport`] records the misses.
@@ -61,56 +60,38 @@ pub enum AdmissionRule {
     /// candidate residual instance (in-flight residuals + the candidate)
     /// fits under every link capacity — the LP-relaxation feasibility
     /// check of [`fractionally_feasible`].
-    RejectInfeasible {
-        /// Frank–Wolfe configuration of the feasibility relaxation.
-        config: FmcfSolverConfig,
-        /// Relative capacity slack tolerated in the fractional loads (the
-        /// relaxation enforces capacities through a penalty, so converged
-        /// solutions may overshoot by a hair).
-        slack: f64,
-    },
+    RejectInfeasible,
 }
 
 impl AdmissionRule {
-    /// The [`AdmissionRule::RejectInfeasible`] rule with the given
-    /// Frank–Wolfe configuration and the default `1e-3` capacity slack.
-    pub fn reject_infeasible(config: FmcfSolverConfig) -> Self {
-        AdmissionRule::RejectInfeasible {
-            config,
-            slack: 1e-3,
-        }
-    }
-
     /// A short stable name for artifacts and tables (`admit-all` /
     /// `reject-infeasible`).
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             AdmissionRule::AdmitAll => "admit-all",
-            AdmissionRule::RejectInfeasible { .. } => "reject-infeasible",
+            AdmissionRule::RejectInfeasible => "reject-infeasible",
         }
     }
 
-    /// The inverse of [`AdmissionRule::name`]: the rule called `name`,
-    /// probing with `config` if it is `reject-infeasible`, or `None` for
-    /// any other name.
-    pub fn from_name(name: &str, config: FmcfSolverConfig) -> Option<Self> {
+    /// The inverse of [`AdmissionRule::name`]: the rule called `name`, or
+    /// `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "admit-all" => Some(AdmissionRule::AdmitAll),
-            "reject-infeasible" => Some(AdmissionRule::reject_infeasible(config)),
+            "reject-infeasible" => Some(AdmissionRule::RejectInfeasible),
             _ => None,
         }
     }
 
     /// Evaluates the rule for one candidate arrival: `AdmitAll` accepts
     /// unconditionally, `RejectInfeasible` probes the fractional
-    /// feasibility of the candidate residual instance. This is the default
-    /// behaviour of [`OnlinePolicy::admission`].
+    /// feasibility of the candidate residual instance.
     ///
     /// # Errors
     ///
     /// Propagates [`fractionally_feasible`] errors.
     pub fn evaluate(
-        &self,
+        self,
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
@@ -118,9 +99,9 @@ impl AdmissionRule {
     ) -> Result<bool, SolveError> {
         match self {
             AdmissionRule::AdmitAll => Ok(true),
-            AdmissionRule::RejectInfeasible { config, slack } => {
+            AdmissionRule::RejectInfeasible => {
                 let (candidate_set, _) = world.residual(Some(candidate))?;
-                fractionally_feasible(ctx, &candidate_set, power, config, *slack)
+                fractionally_feasible(ctx, &candidate_set, power)
             }
         }
     }
@@ -152,8 +133,8 @@ pub struct FlowDecision {
 pub struct OnlineReport {
     /// One decision per flow of the instance, in flow-id order.
     pub decisions: Vec<FlowDecision>,
-    /// Number of event batches processed (arrival groups, plus the
-    /// completion/timer batches a rate-assigning policy generates).
+    /// Number of event batches processed (arrival groups and topology
+    /// instants, plus the predicted instants of rate-assigning policies).
     pub events: usize,
     /// Number of residual re-solves performed (for the `resolve` policy:
     /// one per event with a non-empty residual instance).
@@ -210,7 +191,7 @@ pub struct OnlineOutcome {
 }
 
 /// A read-only view of a driver's [`InFlightLedger`] at one instant, handed
-/// to [`OnlinePolicy`] callbacks and to [`AdmissionRule::evaluate`]: which
+/// to [`OnlinePolicy::on_event`] and to [`AdmissionRule::evaluate`]: which
 /// flows are in flight (by id, or by deadline without a sort), how much
 /// each has received, and the residual-instance constructor the `resolve`
 /// path and the admission probe share.
@@ -268,61 +249,32 @@ impl<'a> WorldView<'a> {
     }
 }
 
-/// One event batch handed to [`OnlinePolicy::on_event`]: everything that
-/// fired at the same instant, split by kind.
-#[derive(Debug, Clone)]
-pub struct OnlineEvent {
+/// One event batch: everything fixed up front that falls due at the same
+/// instant, split by kind.
+#[derive(Debug)]
+struct OnlineEvent {
     /// The engine clock of the batch.
-    pub time: f64,
+    time: f64,
     /// Zero-based index of the batch (drives the re-solve seed schedule:
     /// batch `k` re-seeds the wrapped algorithm with `seed + k`).
-    pub index: usize,
+    index: usize,
     /// Flows released at this instant, ids ascending.
-    pub arrivals: Vec<FlowId>,
-    /// Flows whose predicted completion fired, ids ascending.
-    pub completions: Vec<FlowId>,
-    /// Flows whose deadline-slack timer fired, ids ascending.
-    pub timers: Vec<FlowId>,
-    /// Topology events that took effect at this instant, in stream order.
-    /// They are applied to the context *before* the policy sees the batch,
-    /// so routing decisions already reflect the new link state.
-    pub topology: Vec<TopologyEvent>,
+    arrivals: Vec<FlowId>,
+    /// Topology events that take effect at this instant, in stream order.
+    /// They are applied to the context *before* the policy decides, so
+    /// routing decisions already reflect the new link state.
+    topology: Vec<TopologyEvent>,
 }
 
-/// What is sitting in the event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An event fixed when the run starts. The derived order is the order
+/// within one instant: topology changes first (so the batch's decisions
+/// already see the new link state), then arrivals, each kind by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum QueuedKind {
     /// Index into the run's topology-event stream.
     Topology { index: usize },
     /// Index into the precomputed arrival groups.
     Arrival { group: usize },
-    /// A rate assignment predicts this flow finishes now.
-    Completion { flow: FlowId },
-    /// A policy-requested wake-up (latest-start or deadline watchdog).
-    SlackTimer { flow: FlowId },
-}
-
-impl QueuedKind {
-    /// Ordering rank within one instant: topology changes first (so the
-    /// batch's decisions already see the new link state), then arrivals,
-    /// completions and timers.
-    fn rank(self) -> u8 {
-        match self {
-            QueuedKind::Topology { .. } => 0,
-            QueuedKind::Arrival { .. } => 1,
-            QueuedKind::Completion { .. } => 2,
-            QueuedKind::SlackTimer { .. } => 3,
-        }
-    }
-
-    /// Deterministic tie-break key within one rank.
-    fn key(self) -> usize {
-        match self {
-            QueuedKind::Topology { index } => index,
-            QueuedKind::Arrival { group } => group,
-            QueuedKind::Completion { flow } | QueuedKind::SlackTimer { flow } => flow,
-        }
-    }
 }
 
 /// One queued event.
@@ -332,18 +284,18 @@ struct QueuedEvent {
     kind: QueuedKind,
 }
 
-/// The typed event queue, in two halves. Arrival and topology events are
-/// all known when the run starts and are never invalidated: `fixed` holds
-/// them sorted by `(time, rank, key)` and `next_fixed` is the first one not
-/// popped yet. Completions and timers are predictions of the *current*
-/// plan only — every step supersedes them, so at most the earliest instant
-/// of one plan is ever popped — and live in a `Vec` that
-/// [`EventQueue::invalidate_dynamic`] clears.
+/// The event queue, in two halves. Arrival and topology events are all
+/// known when the run starts and are never invalidated: `fixed` holds them
+/// sorted by `(time, kind)` and `next_fixed` is the first one not popped
+/// yet. The current plan's completions and deadline watchdogs are
+/// predictions that the next batch supersedes, so only their earliest
+/// instant can ever be popped: `predicted` is that instant, and each batch
+/// clears it.
 #[derive(Debug)]
 struct EventQueue {
     fixed: Vec<QueuedEvent>,
     next_fixed: usize,
-    predicted: Vec<QueuedEvent>,
+    predicted: Option<f64>,
 }
 
 impl EventQueue {
@@ -351,58 +303,46 @@ impl EventQueue {
         let mut fixed: Vec<_> = fixed
             .map(|(time, kind)| QueuedEvent { time, kind })
             .collect();
-        fixed.sort_by(|a, b| {
-            let order = |e: &QueuedEvent| (e.kind.rank(), e.kind.key());
-            a.time.total_cmp(&b.time).then(order(a).cmp(&order(b)))
-        });
+        fixed.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.kind.cmp(&b.kind)));
         Self {
             fixed,
             next_fixed: 0,
-            predicted: Vec::new(),
+            predicted: None,
         }
     }
 
-    fn push_completion(&mut self, time: f64, flow: FlowId) {
-        let kind = QueuedKind::Completion { flow };
-        self.predicted.push(QueuedEvent { time, kind });
-    }
-
-    fn push_timer(&mut self, time: f64, flow: FlowId) {
-        let kind = QueuedKind::SlackTimer { flow };
-        self.predicted.push(QueuedEvent { time, kind });
-    }
-
-    /// Drops every queued completion and timer. Called once per processed
-    /// batch, *before* the new plan's events are pushed.
-    fn invalidate_dynamic(&mut self) {
-        self.predicted.clear();
+    /// Records a decision point the current plan predicts at `time`.
+    fn predict(&mut self, time: f64) {
+        self.predicted = Some(earliest(self.predicted, time));
     }
 
     /// The time of the next event.
     fn peek_valid_time(&self) -> Option<f64> {
         let fixed = self.fixed.get(self.next_fixed);
-        let events = fixed.into_iter().chain(&self.predicted);
-        events.map(|e| e.time).min_by(f64::total_cmp)
+        fixed.map_or(self.predicted, |e| Some(earliest(self.predicted, e.time)))
     }
 
-    /// Pops every event at the earliest queued time, in deterministic
-    /// (rank, key) order; later predictions stay queued.
+    /// Pops the earliest instant: every fixed event due then, in `(time,
+    /// kind)` order, and the predicted instant, which the batch's decision
+    /// replaces whether it is due or not.
     fn pop_batch(&mut self) -> Option<(f64, Vec<QueuedEvent>)> {
         let time = self.peek_valid_time()?;
         let due = self.fixed[self.next_fixed..]
             .iter()
             .take_while(|e| e.time == time);
-        let mut batch: Vec<QueuedEvent> = due.copied().collect();
+        let batch: Vec<QueuedEvent> = due.copied().collect();
         self.next_fixed += batch.len();
-        self.predicted.retain(|e| {
-            let due = e.time == time;
-            if due {
-                batch.push(*e);
-            }
-            !due
-        });
-        batch.sort_unstable_by_key(|e| (e.kind.rank(), e.kind.key()));
+        self.predicted = None;
         Some((time, batch))
+    }
+}
+
+/// The earlier of `time` and `current` (when set), by
+/// [`f64::total_cmp`]; a tie keeps `current`.
+fn earliest(current: Option<f64>, time: f64) -> f64 {
+    match current {
+        Some(current) if current.total_cmp(&time).is_le() => current,
+        _ => time,
     }
 }
 
@@ -561,13 +501,12 @@ impl OnlineEngine {
         EngineConfig::default()
     }
 
-    /// Re-seeds the engine and its policy. Event batch `k` re-seeds the
+    /// Re-seeds the engine's re-solves. Event batch `k` re-seeds the
     /// wrapped algorithm with `seed + k`, so the first batch — and
     /// therefore the full-knowledge run with a single arrival event — uses
     /// exactly `seed`, matching an offline solve seeded the same way.
     pub fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
-        self.policy.set_seed(seed);
     }
 
     /// The wrapped re-solve algorithm.
@@ -581,8 +520,8 @@ impl OnlineEngine {
     }
 
     /// The admission rule in use.
-    pub fn admission(&self) -> &AdmissionRule {
-        &self.admission
+    pub fn admission(&self) -> AdmissionRule {
+        self.admission
     }
 
     /// Whether warm-started re-solves are enabled.
@@ -607,7 +546,7 @@ impl OnlineEngine {
     ///   when the wrapped algorithm is bound-only (`lb`) and produces no
     ///   schedule to commit, or when the policy floods the queue without
     ///   converging.
-    /// * Errors of [`OnlinePolicy::on_event`] / [`OnlinePolicy::admission`].
+    /// * Errors of [`OnlinePolicy::on_event`] / [`AdmissionRule::evaluate`].
     pub fn run(
         &mut self,
         ctx: &mut SolverContext<'_>,
@@ -732,9 +671,10 @@ struct EngineRun<'r, 'net> {
     power: &'r PowerFunction,
     events: &'r [TopologyEvent],
     groups: Vec<(f64, Vec<FlowId>)>,
-    /// A policy that keeps requesting timers without progress would spin
-    /// forever; built-in policies need at most a handful of batches per
-    /// flow (one completion, one deadline watchdog, one deferral wake).
+    /// A plan whose predicted instant does not move the clock (a rate so
+    /// high that `remaining / rate` vanishes against `now`) would spin
+    /// forever; built-in policies need at most a couple of batches per flow
+    /// (one completion or one deadline watchdog).
     max_batches: usize,
     queue: EventQueue,
     ledger: InFlightLedger,
@@ -824,8 +764,6 @@ impl<'r, 'net> EngineRun<'r, 'net> {
             time: now,
             index,
             arrivals: Vec::new(),
-            completions: Vec::new(),
-            timers: Vec::new(),
             topology: Vec::new(),
         };
         for entry in entries {
@@ -834,8 +772,6 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 QueuedKind::Arrival { group } => {
                     event.arrivals.extend(self.groups[group].1.iter().copied());
                 }
-                QueuedKind::Completion { flow } => event.completions.push(flow),
-                QueuedKind::SlackTimer { flow } => event.timers.push(flow),
             }
         }
         event.arrivals.sort_unstable();
@@ -846,13 +782,7 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         self.ledger.retire(now);
         self.admit_arrivals(&event)?;
         let world = WorldView::new(&self.ledger, now);
-        let action = self
-            .engine
-            .policy
-            .on_event(self.ctx, self.power, &event, &world)?;
-        // Whatever the policy decided supersedes every previously
-        // predicted completion and timer.
-        self.queue.invalidate_dynamic();
+        let action = self.engine.policy.on_event(self.ctx, self.power, &world)?;
         match action {
             PolicyAction::Resolve => self.commit_resolve(&event),
             PolicyAction::Assign(plan) => {
@@ -911,13 +841,10 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 }
             }
             let world = WorldView::new(&self.ledger, event.time);
-            let admit = self.engine.policy.admission(
-                self.ctx,
-                self.power,
-                &world,
-                id,
-                &self.engine.admission,
-            )?;
+            let admit = self
+                .engine
+                .admission
+                .evaluate(self.ctx, self.power, &world, id)?;
             if admit {
                 self.ledger.admit(id);
             }
@@ -1002,16 +929,12 @@ impl<'r, 'net> EngineRun<'r, 'net> {
                 continue;
             }
             let completion = now + remaining / a.rate;
-            if completion <= entry.flow.deadline {
-                self.queue.push_completion(completion, a.flow);
+            let deadline = entry.flow.deadline;
+            self.queue.predict(if completion <= deadline {
+                completion
             } else {
-                self.queue.push_timer(entry.flow.deadline, a.flow);
-            }
-        }
-        for &(time, flow) in &plan.timers {
-            if time.is_finite() && time > now && flow < self.ledger.entries().len() {
-                self.queue.push_timer(time, flow);
-            }
+                deadline
+            });
         }
         // Commit each assigned rate from now until the next queued event,
         // clamped to the flow's deadline.
@@ -1146,14 +1069,10 @@ mod tests {
 
     #[test]
     fn admission_rules_round_trip_through_their_names() {
-        let config = FmcfSolverConfig::coarse();
-        for rule in [
-            AdmissionRule::AdmitAll,
-            AdmissionRule::reject_infeasible(config),
-        ] {
-            assert_eq!(AdmissionRule::from_name(rule.name(), config), Some(rule));
+        for rule in [AdmissionRule::AdmitAll, AdmissionRule::RejectInfeasible] {
+            assert_eq!(AdmissionRule::from_name(rule.name()), Some(rule));
         }
-        assert_eq!(AdmissionRule::from_name("nope", config), None);
+        assert_eq!(AdmissionRule::from_name("nope"), None);
     }
 
     fn resolve_engine(algorithm: &str, admission: AdmissionRule) -> OnlineEngine {
@@ -1191,7 +1110,7 @@ mod tests {
         let engine = OnlineEngine::builder()
             .algorithm("sp-mcf")
             .policy("hybrid")
-            .admission(AdmissionRule::reject_infeasible(Default::default()))
+            .admission(AdmissionRule::RejectInfeasible)
             .warm_start(true)
             .seed(7)
             .build()
@@ -1217,37 +1136,36 @@ mod tests {
     #[test]
     fn queue_batches_are_deterministic_and_plan_scoped() {
         let arrival = |time, group| (time, QueuedKind::Arrival { group });
-        let mut queue = EventQueue::new([arrival(4.0, 1), arrival(0.0, 0)].into_iter());
-        queue.push_completion(2.0, 5);
-        queue.push_timer(2.0, 3);
-        queue.push_completion(2.0, 1);
-
+        let topology = |time, index| (time, QueuedKind::Topology { index });
+        let fixed = [arrival(4.0, 1), topology(4.0, 0), arrival(0.0, 0)];
+        let mut queue = EventQueue::new(fixed.into_iter());
         let (t0, batch) = queue.pop_batch().unwrap();
         assert_eq!(t0, 0.0);
         assert_eq!(batch.len(), 1);
-        // Same instant: completions (ids ascending) before timers.
+
+        // A plan's predictions collapse to their earliest instant, which
+        // pops as a batch of no fixed events.
+        queue.predict(3.0);
+        queue.predict(2.0);
+        queue.predict(2.5);
+        assert_eq!(queue.peek_valid_time(), Some(2.0));
         let (t1, batch) = queue.pop_batch().unwrap();
         assert_eq!(t1, 2.0);
+        assert!(batch.is_empty());
+
+        // A fixed instant before the prediction pops first, topology before
+        // arrivals, and supersedes the prediction.
+        queue.predict(5.0);
+        let (t2, batch) = queue.pop_batch().unwrap();
+        assert_eq!(t2, 4.0);
         let kinds: Vec<QueuedKind> = batch.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![
-                QueuedKind::Completion { flow: 1 },
-                QueuedKind::Completion { flow: 5 },
-                QueuedKind::SlackTimer { flow: 3 },
+            [
+                QueuedKind::Topology { index: 0 },
+                QueuedKind::Arrival { group: 1 }
             ]
         );
-
-        // Invalidation makes queued dynamic events vanish, arrivals stay.
-        queue.push_completion(3.0, 2);
-        queue.invalidate_dynamic();
-        queue.push_timer(3.5, 7);
-        assert_eq!(queue.peek_valid_time(), Some(3.5));
-        let (t2, batch) = queue.pop_batch().unwrap();
-        assert_eq!(t2, 3.5);
-        assert_eq!(batch.len(), 1);
-        let (t3, _) = queue.pop_batch().unwrap();
-        assert_eq!(t3, 4.0);
         assert!(queue.pop_batch().is_none());
     }
 
@@ -1263,8 +1181,7 @@ mod tests {
         // The feasibility primitive reports the same typed error on an
         // empty residual set.
         assert_eq!(
-            fractionally_feasible(&mut ctx, &empty, &x2(10.0), &Default::default(), 1e-3)
-                .unwrap_err(),
+            fractionally_feasible(&mut ctx, &empty, &x2(10.0)).unwrap_err(),
             SolveError::EmptyFlowSet
         );
     }
@@ -1355,7 +1272,7 @@ mod tests {
     }
 
     #[test]
-    fn reject_infeasible_rejects_only_the_impossible_flow() {
+    fn the_reject_infeasible_rule_rejects_only_the_impossible_flow() {
         // Capacity 10: a volume-100 flow over a unit span needs rate 100.
         let topo = builders::line(3);
         let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
@@ -1367,10 +1284,7 @@ mod tests {
         .unwrap();
         let power = x2(10.0);
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let mut engine = resolve_engine(
-            "sp-mcf",
-            AdmissionRule::reject_infeasible(Default::default()),
-        );
+        let mut engine = resolve_engine("sp-mcf", AdmissionRule::RejectInfeasible);
         engine.set_seed(1);
         let outcome = engine.run(&mut ctx, &flows, &power).unwrap();
         assert_eq!(outcome.report.admitted(), 2);
@@ -1449,10 +1363,7 @@ mod tests {
     #[test]
     fn admission_rule_names_are_stable() {
         assert_eq!(AdmissionRule::AdmitAll.name(), "admit-all");
-        assert_eq!(
-            AdmissionRule::reject_infeasible(Default::default()).name(),
-            "reject-infeasible"
-        );
+        assert_eq!(AdmissionRule::RejectInfeasible.name(), "reject-infeasible");
     }
 
     /// Total volume transmitted on `link` inside `[from, to]` across the
@@ -1545,7 +1456,7 @@ mod tests {
     #[test]
     fn a_failure_is_attributed_through_the_latest_slice_only() {
         /// Serves both flows too slowly to finish: flow 0 on `first` until
-        /// the wake-up at `t = 1` and on `second` after it, flow 1 on
+        /// the decision point at `t = 1` and on `second` after it, flow 1 on
         /// `first` throughout; nothing once the link has failed.
         #[derive(Debug)]
         struct Scripted {
@@ -1560,16 +1471,14 @@ mod tests {
                 &mut self,
                 _ctx: &mut SolverContext<'_>,
                 _power: &PowerFunction,
-                event: &OnlineEvent,
-                _world: &WorldView<'_>,
+                world: &WorldView<'_>,
             ) -> Result<PolicyAction, SolveError> {
                 let mut plan = RatePlan::default();
-                if event.time < 2.0 {
-                    let moved = event.time >= 1.0;
+                if world.now() < 2.0 {
+                    let moved = world.now() >= 1.0;
                     let route = if moved { &self.second } else { &self.first[0] };
                     plan.assign(0, route.clone(), 0.5);
                     plan.assign(1, self.first[1].clone(), 0.5);
-                    plan.wake_at(1.0, 0);
                 }
                 Ok(PolicyAction::Assign(plan))
             }
@@ -1597,7 +1506,12 @@ mod tests {
         detour.fail_link(link);
         let second = detour.shortest_path(hosts[0], hosts[15]).unwrap();
 
-        let events = [TopologyEvent::LinkDown { time: 2.0, link }];
+        // The link is up at t = 1, so its `LinkUp` changes nothing but
+        // gives the instance its decision point there.
+        let events = [
+            TopologyEvent::LinkUp { time: 1.0, link },
+            TopologyEvent::LinkDown { time: 2.0, link },
+        ];
         let outcome = OnlineEngine::builder()
             .policy_instance(Box::new(Scripted { first, second }))
             .build()
@@ -1605,6 +1519,7 @@ mod tests {
             .run_with_events(&mut ctx, &flows, &power, &events)
             .unwrap();
         assert_eq!(outcome.report.events, 3);
+        assert_eq!(outcome.report.topology_events, 1);
         assert_eq!(outcome.report.missed(), 2);
         // Flow 0 rode the link in its first window but had left it when it
         // failed; flow 1 was on it.
@@ -1731,8 +1646,9 @@ mod tests {
 
     #[test]
     fn an_erroring_run_still_rolls_the_topology_back() {
-        /// Resolves until a batch carries a topology event, then errors —
-        /// after the engine already applied the event to the context.
+        /// Resolves until the batch at `t = 1`, which carries the topology
+        /// events, then errors — after the engine already applied them to
+        /// the context.
         #[derive(Debug)]
         struct FailsOnTopology;
         impl OnlinePolicy for FailsOnTopology {
@@ -1743,10 +1659,9 @@ mod tests {
                 &mut self,
                 _ctx: &mut SolverContext<'_>,
                 _power: &PowerFunction,
-                event: &OnlineEvent,
-                _world: &WorldView<'_>,
+                world: &WorldView<'_>,
             ) -> Result<PolicyAction, SolveError> {
-                if event.topology.is_empty() {
+                if world.now() < 1.0 {
                     Ok(PolicyAction::Resolve)
                 } else {
                     Err(SolveError::InvalidInput {
@@ -1827,10 +1742,7 @@ mod tests {
 
         // Reject-infeasible: a commodity with no route is never feasible.
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let mut engine = resolve_engine(
-            "sp-mcf",
-            AdmissionRule::reject_infeasible(Default::default()),
-        );
+        let mut engine = resolve_engine("sp-mcf", AdmissionRule::RejectInfeasible);
         let outcome = engine
             .run_with_events(&mut ctx, &flows, &power, &events)
             .unwrap();

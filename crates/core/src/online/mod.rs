@@ -8,19 +8,20 @@
 //! [`Algorithm`](crate::Algorithm) under dynamic arrivals through a
 //! policy-pluggable event loop:
 //!
-//! * [`engine`] hosts the [`OnlineEngine`]: a typed event queue over
-//!   **arrivals**, predicted **flow completions** and **deadline-slack
-//!   timers**, driving one warm [`SolverContext`] (CSR view, shortest-path
-//!   arenas, Frank–Wolfe buffers — no per-event graph rebuilds) and an
-//!   [`AdmissionRule`] deciding which arrivals are accepted;
-//! * [`policy`] defines the [`OnlinePolicy`] trait (`name`, `on_event`,
-//!   `admission`) and [`create_policy`], which builds one of
-//!   [`POLICY_NAMES`] by name;
-//! * [`policies`] ships five implementations: `resolve` (full residual
+//! * [`engine`] hosts the [`OnlineEngine`]: an event queue over the
+//!   **arrivals** and **topology events** known up front plus the one
+//!   **predicted instant** of the current rate plan (the earliest flow
+//!   completion or deadline watchdog it implies), driving one warm
+//!   [`SolverContext`] (CSR view, shortest-path arenas, Frank–Wolfe
+//!   buffers — no per-event graph rebuilds) and an [`AdmissionRule`]
+//!   deciding which arrivals are accepted;
+//! * [`policy`] defines the [`OnlinePolicy`] trait (`name`, `on_event`)
+//!   and [`create_policy`], which builds one of [`POLICY_NAMES`] by name;
+//! * [`policies`] ships four implementations: `resolve` (full residual
 //!   re-solve at every arrival — the pre-split rolling-horizon loop, bit
-//!   for bit), preemptive `edf` and `srpt` rate reassignment, `rcd`
-//!   (rapid-close-to-deadline deferral) and `hybrid` (EDF until any flow's
-//!   slack falls under a threshold, then one DCFSR re-solve);
+//!   for bit), preemptive `edf` and `srpt` rate reassignment, and `hybrid`
+//!   (EDF until any flow's slack falls under a threshold, then one DCFSR
+//!   re-solve);
 //! * [`ledger`] holds the [`InFlightLedger`]: the one per-flow state
 //!   (admit/deliver/miss flags, live and stranded sets, the retire rule,
 //!   the residual-instance builder) with two users — the engine drives one
@@ -84,11 +85,10 @@ pub mod policies;
 pub mod policy;
 
 pub use engine::{
-    AdmissionRule, EngineConfig, FlowDecision, OnlineEngine, OnlineEvent, OnlineOutcome,
-    OnlineReport, WorldView,
+    AdmissionRule, EngineConfig, FlowDecision, OnlineEngine, OnlineOutcome, OnlineReport, WorldView,
 };
 pub use ledger::{InFlightLedger, LedgerEntry};
-pub use policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};
+pub use policies::{EdfPolicy, HybridPolicy, ResolvePolicy, SrptPolicy};
 pub use policy::{
     create_policy, CapacityLedger, OnlinePolicy, PathCache, PolicyAction, RateAssignment, RatePlan,
     POLICY_NAMES,
@@ -131,9 +131,12 @@ pub fn residual_flow(
 
 /// The LP-relaxation feasibility check behind
 /// [`AdmissionRule::RejectInfeasible`]: solves the per-interval fractional
-/// relaxation of `flows` on the context (warm Frank–Wolfe scratch) and
-/// reports whether every interval's fractional link loads fit under
-/// `min(link capacity, power capacity) * (1 + slack)`.
+/// relaxation of `flows` on the context (warm Frank–Wolfe scratch) with
+/// [`FmcfSolverConfig::coarse`] and reports whether every interval's
+/// fractional link loads fit under `min(link capacity, power capacity)`,
+/// give or take a relative slack of `1e-3` (the relaxation enforces
+/// capacities through a penalty, so converged solutions may overshoot by a
+/// hair).
 ///
 /// # Errors
 ///
@@ -144,15 +147,14 @@ pub fn fractionally_feasible(
     ctx: &mut SolverContext<'_>,
     flows: &FlowSet,
     power: &PowerFunction,
-    config: &FmcfSolverConfig,
-    slack: f64,
 ) -> Result<bool, SolveError> {
-    let relaxation = ctx.relax(flows, power, config)?;
+    const SLACK: f64 = 1e-3;
+    let relaxation = ctx.relax(flows, power, &FmcfSolverConfig::coarse())?;
     let cap = power.capacity();
     for interval in &relaxation.intervals {
         for (index, &load) in interval.solution.total_loads().iter().enumerate() {
             let capacity = ctx.graph().capacity(LinkId(index)).min(cap);
-            if load > capacity * (1.0 + slack) {
+            if load > capacity * (1.0 + SLACK) {
                 return Ok(false);
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::context::SolverContext;
 use crate::error::SolveError;
-use crate::online::engine::{OnlineEvent, WorldView};
+use crate::online::engine::WorldView;
 use crate::online::policy::{CapacityLedger, OnlinePolicy, PathCache, PolicyAction, RatePlan};
 use dcn_power::PowerFunction;
 
@@ -37,7 +37,6 @@ pub(crate) fn edf_plan(
     ledger.reset(ctx, power);
     let mut plan = RatePlan {
         rates: Vec::with_capacity(order.len()),
-        timers: Vec::new(),
     };
     for &id in order {
         let flow = world.flow(id);
@@ -77,7 +76,6 @@ impl OnlinePolicy for EdfPolicy {
         &mut self,
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
-        _event: &OnlineEvent,
         world: &WorldView<'_>,
     ) -> Result<PolicyAction, SolveError> {
         edf_plan(ctx, power, world, &mut self.paths, &mut self.ledger).map(PolicyAction::Assign)
@@ -252,7 +250,6 @@ mod tests {
             &mut self,
             ctx: &mut SolverContext<'_>,
             power: &PowerFunction,
-            event: &OnlineEvent,
             world: &WorldView<'_>,
         ) -> Result<PolicyAction, SolveError> {
             let (paths, ledger) = (&mut self.paths, &mut self.ledger);
@@ -261,8 +258,8 @@ mod tests {
             } else {
                 reference_edf_plan(ctx, power, world, paths, ledger).map(PolicyAction::Assign)
             };
-            let action = self.policy.on_event(ctx, power, event, world);
-            let at = format!("{} at t = {}", self.policy.name(), event.time);
+            let action = self.policy.on_event(ctx, power, world);
+            let at = format!("{} at t = {}", self.policy.name(), world.now());
             let mut tally = self.tally.lock().unwrap();
             tally.events += 1;
             let epoch = ctx.graph().epoch();
@@ -294,7 +291,6 @@ mod tests {
                         let required = flow.required_rate(world.now(), world.remaining(got.flow));
                         tally.clipped += usize::from(got.rate < required);
                     }
-                    assert!(got.timers.is_empty() && want.timers.is_empty());
                     tally.assignments += got.rates.len();
                 }
                 (Ok(PolicyAction::Resolve), Ok(PolicyAction::Resolve)) => tally.resolves += 1,

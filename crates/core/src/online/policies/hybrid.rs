@@ -3,7 +3,7 @@
 use super::edf::edf_plan;
 use crate::context::SolverContext;
 use crate::error::SolveError;
-use crate::online::engine::{OnlineEvent, WorldView};
+use crate::online::engine::WorldView;
 use crate::online::policy::{CapacityLedger, OnlinePolicy, PathCache, PolicyAction};
 use dcn_power::PowerFunction;
 
@@ -40,7 +40,6 @@ impl OnlinePolicy for HybridPolicy {
         &mut self,
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
-        _event: &OnlineEvent,
         world: &WorldView<'_>,
     ) -> Result<PolicyAction, SolveError> {
         self.ledger.reset(ctx, power);

@@ -5,24 +5,22 @@
 //! | `resolve` | re-solve the full residual with the wrapped algorithm    | every event  |
 //! | `edf`     | earliest-deadline-first rates at each flow's required rate | never       |
 //! | `srpt`    | shortest-remaining-processing-time, full available rate  | never        |
-//! | `rcd`     | defer each flow to its latest start, then blast          | never        |
 //! | `hybrid`  | EDF while slack is comfortable, re-solve when it is not  | rarely       |
 //!
 //! `resolve` is the pre-split `OnlineScheduler` behaviour, bit for bit
 //! (pinned by `tests/policy_equivalence.rs`). The priority rules follow
-//! the preemptive-scheduling line of PDQ (Hong et al.) and the
-//! close-to-deadline scheduling of RCD (Noormohammadpour et al.): most
-//! events need only a rate reassignment, not a global Frank–Wolfe pass.
+//! the preemptive-scheduling line of PDQ (Hong et al.): most events need
+//! only a rate reassignment, not a global Frank–Wolfe pass. Each policy
+//! answers with rates or a re-solve and nothing else; the engine derives
+//! the next decision point from the rates itself.
 
 mod edf;
 mod hybrid;
-mod rcd;
 mod resolve;
 mod srpt;
 
 pub use edf::EdfPolicy;
 pub use hybrid::HybridPolicy;
-pub use rcd::RcdPolicy;
 pub use resolve::ResolvePolicy;
 pub use srpt::SrptPolicy;
 
@@ -94,29 +92,6 @@ mod tests {
                 .1
         };
         assert!(end(1) < end(0), "srpt preempts for the shorter flow");
-    }
-
-    #[test]
-    fn rcd_defers_loose_flows_toward_their_deadlines() {
-        let topo = builders::line(3);
-        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
-        // One very loose flow: 4 units, span [0, 100], capacity 10. The
-        // padded latest start is ~99.5; RCD must stay dark long past the
-        // release instead of starting at t=0.
-        let flows = FlowSet::from_tuples([(a, c, 0.0, 100.0, 4.0)]).unwrap();
-        let outcome = run_policy("rcd", &flows, 10.0);
-        assert_eq!(outcome.report.resolves, 0);
-        assert_eq!(outcome.report.missed(), 0);
-        let (start, end) = outcome
-            .schedule
-            .flow_schedule(0)
-            .unwrap()
-            .activity_span()
-            .unwrap();
-        assert!(start > 50.0, "deferred start, got {start}");
-        assert!(end <= 100.0 + 1e-9);
-        let d = &outcome.report.decisions[0];
-        assert!((d.delivered - 4.0).abs() <= 1e-6 * 4.0);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use crate::context::SolverContext;
 use crate::error::SolveError;
-use crate::online::engine::{OnlineEvent, WorldView};
+use crate::online::engine::WorldView;
 use crate::online::policy::{OnlinePolicy, PolicyAction};
 use dcn_power::PowerFunction;
 
 /// Re-solves the full residual instance with the engine's wrapped
 /// algorithm at *every* event — the pre-split `OnlineScheduler` strategy,
-/// bit for bit (it pushes no completion or timer events, so the event
-/// queue holds exactly the arrival groups the old loop iterated).
+/// bit for bit (a re-solve predicts no decision point, so the event queue
+/// holds exactly the arrival groups the old loop iterated).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ResolvePolicy;
 
@@ -22,7 +22,6 @@ impl OnlinePolicy for ResolvePolicy {
         &mut self,
         _ctx: &mut SolverContext<'_>,
         _power: &PowerFunction,
-        _event: &OnlineEvent,
         _world: &WorldView<'_>,
     ) -> Result<PolicyAction, SolveError> {
         Ok(PolicyAction::Resolve)

@@ -2,7 +2,7 @@
 
 use crate::context::SolverContext;
 use crate::error::SolveError;
-use crate::online::engine::{OnlineEvent, WorldView};
+use crate::online::engine::WorldView;
 use crate::online::policy::{CapacityLedger, OnlinePolicy, PathCache, PolicyAction, RatePlan};
 use dcn_flow::FlowId;
 use dcn_power::PowerFunction;
@@ -32,7 +32,6 @@ impl OnlinePolicy for SrptPolicy {
         &mut self,
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
-        _event: &OnlineEvent,
         world: &WorldView<'_>,
     ) -> Result<PolicyAction, SolveError> {
         let mut order: Vec<FlowId> = world.in_flight().collect();

@@ -7,8 +7,8 @@
 //! change: [`RateAssignment::path`] is the cache's `Arc<Path>`, not a copy
 //! of it.
 
-use super::engine::{AdmissionRule, OnlineEvent, WorldView};
-use super::policies::{EdfPolicy, HybridPolicy, RcdPolicy, ResolvePolicy, SrptPolicy};
+use super::engine::WorldView;
+use super::policies::{EdfPolicy, HybridPolicy, ResolvePolicy, SrptPolicy};
 use crate::context::SolverContext;
 use crate::error::SolveError;
 use dcn_flow::FlowId;
@@ -34,19 +34,15 @@ pub struct RateAssignment {
 }
 
 /// A policy-computed set of rates, valid from the current event until the
-/// next one. The engine derives the follow-up events itself: a completion
-/// event where a rate finishes its flow in time, a deadline watchdog where
-/// it cannot, plus any explicitly requested timers.
+/// next one. The engine derives the next decision point itself: the
+/// earliest instant at which a rate finishes its flow, or reaches the
+/// deadline of a flow it cannot finish in time.
 #[derive(Debug, Clone, Default)]
 pub struct RatePlan {
     /// The rate assignments, at most one per flow (the engine keeps the
     /// first and ignores duplicates). In-flight flows without an
     /// assignment simply idle until the next event.
     pub rates: Vec<RateAssignment>,
-    /// Extra wake-up times `(time, flow)` — e.g. the latest-start instant
-    /// of a deferred flow. Times at or before the current event are
-    /// ignored.
-    pub timers: Vec<(f64, FlowId)>,
 }
 
 impl RatePlan {
@@ -54,11 +50,6 @@ impl RatePlan {
     pub fn assign(&mut self, flow: FlowId, path: impl Into<Arc<Path>>, rate: f64) {
         let path = path.into();
         self.rates.push(RateAssignment { flow, path, rate });
-    }
-
-    /// Requests a wake-up at `time` attributed to `flow`.
-    pub fn wake_at(&mut self, time: f64, flow: FlowId) {
-        self.timers.push((time, flow));
     }
 }
 
@@ -77,21 +68,20 @@ pub enum PolicyAction {
 /// A pluggable per-event decision rule of the
 /// [`OnlineEngine`](super::OnlineEngine).
 ///
-/// The engine calls [`OnlinePolicy::admission`] once per arrival (in
-/// flow-id order) and [`OnlinePolicy::on_event`] once per event batch; the
-/// returned [`PolicyAction`] is committed until the next event. Policies
-/// are stateful (`&mut self`) — e.g. the hybrid policy remembers whether a
-/// re-solve was already triggered — and are re-seeded together with the
-/// engine through [`OnlinePolicy::set_seed`].
+/// The engine calls [`OnlinePolicy::on_event`] once per event batch, after
+/// it has applied the batch's topology changes, retired finished and
+/// expired flows and admitted the arrivals through its
+/// [`AdmissionRule`](super::AdmissionRule); the returned [`PolicyAction`]
+/// is committed until the next event. Everything a policy decides from is
+/// in the [`WorldView`]: the clock, the in-flight flows and what each still
+/// needs. The built-in policies keep only caches between events (routes
+/// and the capacity ledger), so a decision depends on nothing but the view
+/// and the context's current graph.
 pub trait OnlinePolicy: fmt::Debug + Send {
     /// The name [`create_policy`] builds the policy by.
     fn name(&self) -> &str;
 
-    /// Re-seeds any internal randomness. The built-in policies are
-    /// deterministic; the default implementation does nothing.
-    fn set_seed(&mut self, _seed: u64) {}
-
-    /// Decides what to do at one event batch.
+    /// Decides what to do at the event batch `world` is viewed at.
     ///
     /// # Errors
     ///
@@ -101,32 +91,12 @@ pub trait OnlinePolicy: fmt::Debug + Send {
         &mut self,
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
-        event: &OnlineEvent,
         world: &WorldView<'_>,
     ) -> Result<PolicyAction, SolveError>;
-
-    /// Decides whether to admit `candidate`, which arrived at
-    /// `world.now()`. The default implementation applies the engine's
-    /// [`AdmissionRule`] unchanged; policies may override it to veto or
-    /// loosen admissions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AdmissionRule::evaluate`] errors.
-    fn admission(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        power: &PowerFunction,
-        world: &WorldView<'_>,
-        candidate: FlowId,
-        rule: &AdmissionRule,
-    ) -> Result<bool, SolveError> {
-        rule.evaluate(ctx, power, world, candidate)
-    }
 }
 
 /// Every name [`create_policy`] knows, in the documented order.
-pub const POLICY_NAMES: [&str; 5] = ["resolve", "edf", "srpt", "rcd", "hybrid"];
+pub const POLICY_NAMES: [&str; 4] = ["resolve", "edf", "srpt", "hybrid"];
 
 /// Instantiates the built-in policy named `name`; its
 /// [`OnlinePolicy::name`] is `name`.
@@ -140,7 +110,6 @@ pub fn create_policy(name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
         "resolve" => Box::new(ResolvePolicy),
         "edf" => Box::new(EdfPolicy::default()),
         "srpt" => Box::new(SrptPolicy::default()),
-        "rcd" => Box::new(RcdPolicy::default()),
         "hybrid" => Box::new(HybridPolicy::default()),
         _ => {
             return Err(SolveError::UnknownPolicy {

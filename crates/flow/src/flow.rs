@@ -160,13 +160,6 @@ impl Flow {
     pub fn slack(&self, now: f64, remaining: f64, rate: f64) -> f64 {
         (self.deadline - now) - remaining / rate
     }
-
-    /// The latest time transmission of `remaining` volume at constant
-    /// `rate` may start and still finish exactly at the deadline — the
-    /// deferral point of rapid-close-to-deadline scheduling.
-    pub fn latest_start(&self, remaining: f64, rate: f64) -> f64 {
-        self.deadline - remaining / rate
-    }
 }
 
 impl fmt::Display for Flow {
@@ -251,9 +244,6 @@ mod tests {
         // Twice the required rate frees half the remaining time.
         assert_eq!(fl.slack(4.0, 6.0, 2.0 * rate), 3.0);
         assert!(fl.slack(9.0, 8.0, 1.0) < 0.0, "unmeetable deadline");
-        // Starting at latest_start finishes exactly at the deadline.
-        let start = fl.latest_start(8.0, 4.0);
-        assert_eq!(start + 8.0 / 4.0, fl.deadline);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use dcn_server::{
     write_frame, Request, RequestBody, ServeOutcome, ServePolicy, Server, ServerConfig, SubmitFlow,
     TopologySpec,
 };
-use dcn_solver::fmcf::FmcfSolverConfig;
 
 const USAGE: &str = "\
 dcn-serve: scheduler-as-a-service daemon
@@ -87,13 +86,12 @@ fn parse_args() -> Result<Cli, String> {
             "--policy" => cli.config.policy = ServePolicy::parse(&value("--policy")?)?,
             "--admission" => {
                 let name = value("--admission")?;
-                cli.config.admission = AdmissionRule::from_name(&name, FmcfSolverConfig::coarse())
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown admission rule {name:?} (expected admit-all or \
-                             reject-infeasible)"
-                        )
-                    })?;
+                cli.config.admission = AdmissionRule::from_name(&name).ok_or_else(|| {
+                    format!(
+                        "unknown admission rule {name:?} (expected admit-all or \
+                         reject-infeasible)"
+                    )
+                })?;
             }
             "--algorithm" => cli.config.algorithm = value("--algorithm")?,
             "--queue-depth" => {

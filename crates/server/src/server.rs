@@ -340,7 +340,7 @@ impl Server {
         let settings = EngineSettings {
             power: config.power,
             policy: config.policy,
-            admission: config.admission.clone(),
+            admission: config.admission,
             algorithm: config.algorithm.clone(),
             seed: config.seed,
         };

@@ -94,8 +94,8 @@ pub struct EngineSettings {
     pub power: PowerFunction,
     /// Rate-planning policy.
     pub policy: ServePolicy,
-    /// Admission rule (`reject-infeasible` probes with
-    /// [`dcn_solver::fmcf::FmcfSolverConfig::coarse`] and a `1e-3` capacity slack).
+    /// Admission rule (`reject-infeasible` probes with the fixed
+    /// relaxation of [`dcn_core::online::fractionally_feasible`]).
     pub admission: AdmissionRule,
     /// Registry name of the algorithm behind [`ServePolicy::Resolve`].
     pub algorithm: String,

@@ -7,9 +7,7 @@
 use std::io::Cursor;
 use std::path::PathBuf;
 
-use dcn_core::online::{
-    OnlineEngine, OnlineEvent, OnlinePolicy, PolicyAction, RatePlan, WorldView,
-};
+use dcn_core::online::{OnlineEngine, OnlinePolicy, PolicyAction, RatePlan, WorldView};
 use dcn_core::{FlowSchedule, SolveError, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
@@ -563,7 +561,6 @@ fn both_drivers_retire_a_flow_delivered_to_exactly_the_volume_tolerance() {
             &mut self,
             ctx: &mut SolverContext<'_>,
             _power: &PowerFunction,
-            _event: &OnlineEvent,
             world: &WorldView<'_>,
         ) -> Result<PolicyAction, SolveError> {
             let mut plan = RatePlan::default();
@@ -755,22 +752,18 @@ fn hostile_requests() -> Vec<Request> {
 #[test]
 fn overflowing_flows_get_a_typed_reply_under_every_policy_and_admission() {
     use dcn_core::online::AdmissionRule;
-    use dcn_solver::FmcfSolverConfig;
     use std::sync::mpsc;
     use std::time::Duration;
 
     let requests = hostile_requests();
     assert_eq!(requests.len(), 4);
-    let admissions = [
-        AdmissionRule::AdmitAll,
-        AdmissionRule::reject_infeasible(FmcfSolverConfig::coarse()),
-    ];
+    let admissions = [AdmissionRule::AdmitAll, AdmissionRule::RejectInfeasible];
     for policy in [ServePolicy::Edf, ServePolicy::Greedy, ServePolicy::Resolve] {
-        for admission in &admissions {
+        for admission in admissions {
             let name = format!("{} {}", policy.name(), admission.name());
             let mut cfg = config();
             cfg.policy = policy;
-            cfg.admission = admission.clone();
+            cfg.admission = admission;
             // A dead shard worker leaves `request` waiting forever, so the
             // server runs on a helper thread and each reply has a deadline.
             let (tx, rx) = mpsc::channel();

@@ -57,8 +57,8 @@ impl Simulator {
     /// pass the stitched policy-committed schedule of an `OnlineOutcome`
     /// together with its report's admission mask. It applies to every
     /// registered `OnlinePolicy` alike — solver re-solves (`resolve`,
-    /// `hybrid`) and direct rate assignments (`edf`, `srpt`, `rcd`)
-    /// commit the same piecewise-constant profiles.
+    /// `hybrid`) and direct rate assignments (`edf`, `srpt`) commit the
+    /// same piecewise-constant profiles.
     ///
     /// # Panics
     ///
@@ -162,7 +162,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_core::online::OnlineEngine;
+    use dcn_core::online::{OnlineEngine, POLICY_NAMES};
     use dcn_core::prelude::*;
     use dcn_core::schedule::FlowSchedule;
     use dcn_core::LinkLoad;
@@ -558,10 +558,10 @@ mod tests {
 
     #[test]
     fn an_overlap_narrower_than_the_old_dedup_is_still_a_violation() {
-        // Two flows hand a full link over 5e-13 s late (what `rcd` commits
-        // under link churn): the aggregate has a segment at twice the
-        // capacity. `verify_on` reads it off `segments()`, and so does the
-        // replay; the global sweep merged the two breakpoints and saw none.
+        // Two flows hand a full link over 5e-13 s late: the aggregate has a
+        // segment at twice the capacity. `verify_on` reads it off
+        // `segments()`, and so does the replay; the global sweep merged the
+        // two breakpoints and saw none.
         let topo = builders::line_with_capacity(3, 10.0);
         let power = x2(10.0);
         let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
@@ -746,9 +746,7 @@ mod tests {
             let events = FailureProcess::new(30.0, 1.0, seed)
                 .generate(topo.network.link_count(), flows.horizon().1);
             let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-            // (Not `rcd`: under churn its hand-offs overlap by ~1e-12 s, see
-            // `an_overlap_narrower_than_the_old_dedup_is_still_a_violation`.)
-            for policy in ["edf", "srpt"] {
+            for policy in POLICY_NAMES {
                 let outcome = OnlineEngine::builder()
                     .policy(policy)
                     .seed(seed)

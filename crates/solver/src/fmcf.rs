@@ -195,8 +195,8 @@ impl FmcfSolverConfig {
     /// A coarser configuration than the default (25 iterations, tolerance
     /// `1e-3`, 24 line-search steps): the benchmark harness relaxes with it
     /// so the fat-tree(8) sweeps finish in minutes, keeping the lower bound
-    /// within a couple of percent of the converged value, and `dcn-server`
-    /// probes `reject-infeasible` admissions with it.
+    /// within a couple of percent of the converged value, and the online
+    /// `reject-infeasible` admission probe relaxes with it.
     pub fn coarse() -> Self {
         Self {
             max_iterations: 25,

@@ -20,9 +20,9 @@
 //! schedules are not produced by any single offline solve. The
 //! deadline-aware policies (`resolve`, `edf`, `hybrid`) are held to the
 //! full contract — zero misses, full delivery; the deadline-oblivious
-//! heuristics (`srpt`, `rcd`) are held to the physics (capacity, span,
-//! energy accounting) plus full delivery of every flow they did not
-//! declare missed.
+//! heuristic `srpt` is held to the physics (capacity, span, energy
+//! accounting) plus full delivery of every flow it did not declare
+//! missed.
 
 mod common;
 
@@ -154,7 +154,7 @@ fn assert_replayed_energy(
     );
 }
 
-/// The relaxed contract for deadline-oblivious policies (`srpt`, `rcd`):
+/// The relaxed contract for the deadline-oblivious policy (`srpt`):
 /// capacity (a) and span (c) hold for everything committed, delivery (b)
 /// holds for every flow the report does **not** declare missed, and the
 /// energy accounting (d) still matches the simulator — misses excuse a
@@ -359,7 +359,7 @@ proptest! {
     /// through the event-driven engine over Poisson arrivals. `resolve`,
     /// `edf` and `hybrid` are deadline-aware, so they additionally owe
     /// zero misses and full delivery (the strict offline contract); the
-    /// preemptive heuristics `srpt` and `rcd` get the relaxed variant.
+    /// preemptive heuristic `srpt` gets the relaxed variant.
     #[test]
     fn every_registered_policy_obeys_the_physics(seed in 0u64..10_000, load in 1u32..8) {
         let power = power();

@@ -119,10 +119,7 @@ fn online_full_knowledge_is_bit_identical_to_offline_sp_mcf() {
                     .generate(topo.hosts())
                     .unwrap(),
             );
-            for admission in [
-                AdmissionRule::AdmitAll,
-                AdmissionRule::reject_infeasible(Default::default()),
-            ] {
+            for admission in [AdmissionRule::AdmitAll, AdmissionRule::RejectInfeasible] {
                 let mut online = OnlineEngine::builder()
                     .algorithm("sp-mcf")
                     .policy("resolve")
@@ -208,7 +205,7 @@ fn online_error_paths_are_typed_not_panics() {
         SolveError::EmptyFlowSet
     );
     assert_eq!(
-        fractionally_feasible(&mut ctx, &empty, &power, &Default::default(), 1e-3).unwrap_err(),
+        fractionally_feasible(&mut ctx, &empty, &power).unwrap_err(),
         SolveError::EmptyFlowSet
     );
 }

@@ -48,7 +48,7 @@ struct LegacyOutcome {
 /// The pre-refactor `OnlineScheduler::run`, verbatim.
 fn legacy_run(
     algorithm: &mut dyn Algorithm,
-    admission: &AdmissionRule,
+    admission: AdmissionRule,
     seed: u64,
     ctx: &mut SolverContext<'_>,
     flows: &FlowSet,
@@ -83,9 +83,9 @@ fn legacy_run(
         for &id in arrivals {
             let admit = match admission {
                 AdmissionRule::AdmitAll => true,
-                AdmissionRule::RejectInfeasible { config, slack } => {
+                AdmissionRule::RejectInfeasible => {
                     let (candidate, _) = residual_instance(flows, &state, *now, Some(id))?;
-                    fractionally_feasible(ctx, &candidate, power, config, *slack)?
+                    fractionally_feasible(ctx, &candidate, power)?
                 }
             };
             if admit {
@@ -294,7 +294,7 @@ fn assert_resolve_matches_legacy(
 
     let legacy = legacy_run(
         registry.create(algorithm).unwrap().as_mut(),
-        &admission,
+        admission,
         seed,
         &mut ctx,
         &flows,
@@ -348,12 +348,7 @@ fn resolve_is_bit_identical_under_both_admission_rules_sp_mcf() {
     for topo in topologies() {
         for seed in [5u64, 29, 311] {
             assert_resolve_matches_legacy(&topo, seed, "sp-mcf", AdmissionRule::AdmitAll);
-            assert_resolve_matches_legacy(
-                &topo,
-                seed,
-                "sp-mcf",
-                AdmissionRule::reject_infeasible(Default::default()),
-            );
+            assert_resolve_matches_legacy(&topo, seed, "sp-mcf", AdmissionRule::RejectInfeasible);
         }
     }
 }

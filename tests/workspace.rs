@@ -1075,10 +1075,13 @@ fn public_items_nothing_called_stay_deleted() {
     // The public items the surface guard above found uncalled, and the two
     // policy knobs only `Default` set, stay gone: the flow-trace I/O, the
     // VL2, Jellyfish and star builders, `dijkstra_on` and the accessors
-    // only their own tests called. RCD's headroom and hybrid's slack
-    // threshold are constants, not fields. The Frank–Wolfe solver takes
-    // the one cost it is given: no cost trait, no one-shot owned-graph
-    // problem, no penalty knob and no probe fingerprint of the cost.
+    // only their own tests called. Hybrid's slack threshold is a
+    // constant, not a field. The Frank–Wolfe solver takes the one cost it
+    // is given: no cost trait, no one-shot owned-graph problem, no penalty
+    // knob and no probe fingerprint of the cost. The online policy layer
+    // keeps only what a policy uses: no `rcd` policy and its latest-start
+    // helper, no wake-up timers, no per-flow predicted events, no public
+    // event batch and no admission probe settings.
     let root = workspace_root();
     let mut sources = Vec::new();
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
@@ -1133,6 +1136,12 @@ fn public_items_nothing_called_stay_deleted() {
         "capacity_penalty",
         "enum GraphRef",
         "fn cost_fingerprint",
+        "RcdPolicy",
+        "fn wake_at",
+        "fn latest_start",
+        "fn reject_infeasible",
+        "pub struct OnlineEvent",
+        "SlackTimer",
     ];
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
