@@ -7,8 +7,8 @@
 //! * **this module** — the solving primitives ([`run_flow_set_algorithms`],
 //!   and [`run_online_flow_set`], which runs one instance through the
 //!   online engine and solves its clairvoyant reference), the declarative
-//!   [`Experiment`] descriptor (name, topologies, workload template,
-//!   **algorithm list**, instance grid), and [`run_online_sweep`], the one
+//!   [`Experiment`] descriptor (name, topologies, **algorithm list**,
+//!   instance grid), and [`run_online_sweep`], the one
 //!   driver of the online sweeps, to which `online` and `failures` each
 //!   hand an [`OnlineSweep`] description;
 //! * **[`runner`]** — the harness's one worker pool, which fans
@@ -43,7 +43,6 @@ use dcn_sim::{SimSummary, Simulator};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::builders::{self, BuiltTopology};
 use dcn_topology::TopologyEvent;
-use serde::Serialize;
 
 use report::{ExperimentReport, InstanceRecord};
 
@@ -58,7 +57,7 @@ pub fn default_algorithms() -> Vec<String> {
 }
 
 /// The result of one (topology, workload, power-function, seed) instance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct InstanceResult {
     /// Number of flows in the instance.
     pub flows: usize,
@@ -652,8 +651,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// The flows one experiment instance solves.
 #[derive(Debug, Clone)]
 pub enum InstanceInput {
-    /// Draw `flows` flows from the experiment's [`UniformWorkload`]
-    /// template (with `num_flows` and `seed` overridden per instance).
+    /// Draw `flows` flows from [`UniformWorkload::paper_defaults`], seeded
+    /// with the instance's seed.
     Uniform {
         /// Number of flows to draw.
         flows: usize,
@@ -682,9 +681,8 @@ pub struct InstanceSpec {
     pub extra: Vec<(String, f64)>,
 }
 
-/// A declarative experiment: a name, the topologies it runs on, an optional
-/// uniform-workload template, the algorithms to compare, and the grid of
-/// instances to solve.
+/// A declarative experiment: a name, the topologies it runs on, the
+/// algorithms to compare, and the grid of instances to solve.
 ///
 /// [`Experiment::run`] fans the grid out over [`runner::run_indexed`] —
 /// every instance is an independent, internally seeded unit of work — and
@@ -698,9 +696,6 @@ pub struct Experiment {
     pub name: String,
     /// The topologies instances reference by index.
     pub topologies: Vec<BuiltTopology>,
-    /// Template for [`InstanceInput::Uniform`] instances; `None` means
-    /// paper defaults.
-    pub workload: Option<UniformWorkload>,
     /// Registry names of the algorithms every instance runs, in order:
     /// primary, reference, extras. Defaults to [`DEFAULT_ALGORITHMS`];
     /// overridden by the `--algorithms` CLI selector.
@@ -733,7 +728,6 @@ impl Experiment {
         Self {
             name: name.into(),
             topologies,
-            workload: None,
             algorithms: default_algorithms(),
             instances: Vec::new(),
             record_timings: false,
@@ -776,14 +770,13 @@ impl Experiment {
             })
         });
         // Record the workload template the uniform instances were drawn
-        // from (num_flows/seed are the per-instance overrides, so the
+        // from (num_flows/seed are the per-instance values, so the
         // template's own values for those two fields are zeroed).
-        let workload = self.workload.clone().or_else(|| {
-            self.instances
-                .iter()
-                .any(|s| matches!(s.input, InstanceInput::Uniform { .. }))
-                .then(|| UniformWorkload::paper_defaults(0, 0))
-        });
+        let workload = self
+            .instances
+            .iter()
+            .any(|s| matches!(s.input, InstanceInput::Uniform { .. }))
+            .then(|| UniformWorkload::paper_defaults(0, 0));
         let (records, coordinates): (Vec<_>, Vec<_>) = self
             .instances
             .iter()
@@ -807,19 +800,11 @@ impl Experiment {
         let spec = &self.instances[i];
         let topo = &self.topologies[spec.topology];
         let flow_set = match &spec.input {
-            InstanceInput::Uniform { flows } => {
-                let mut workload = self
-                    .workload
-                    .clone()
-                    .unwrap_or_else(|| UniformWorkload::paper_defaults(*flows, spec.seed));
-                workload.num_flows = *flows;
-                workload.seed = spec.seed;
-                Cow::Owned(
-                    workload
-                        .generate(topo.hosts())
-                        .expect("workload generation succeeds on topologies with >= 2 hosts"),
-                )
-            }
+            InstanceInput::Uniform { flows } => Cow::Owned(
+                UniformWorkload::paper_defaults(*flows, spec.seed)
+                    .generate(topo.hosts())
+                    .expect("workload generation succeeds on topologies with >= 2 hosts"),
+            ),
             InstanceInput::Explicit(flow_set) => Cow::Borrowed(flow_set),
         };
         run_flow_set_algorithms(

@@ -4,9 +4,10 @@
 //!
 //! Every scheduling/routing scheme in the reproduction — the paper's two
 //! algorithms, the five comparison baselines, the fractional lower bound
-//! and the exhaustive optimum — implements [`Algorithm`] and plugs into a
-//! shared [`SolverContext`], so new workloads and experiment harnesses
-//! select schedulers **by name** instead of wiring bespoke call paths:
+//! and the exhaustive path enumeration — implements [`Algorithm`] and plugs
+//! into a shared [`SolverContext`], so new workloads and experiment
+//! harnesses select schedulers **by name** instead of wiring bespoke call
+//! paths:
 //!
 //! | name | scheme |
 //! |------|--------|
@@ -17,13 +18,13 @@
 //! | `consolidate` | ElasticTree-style link-minimising routing + Most-Critical-First |
 //! | `greedy` | shortest path at full line rate, no energy management |
 //! | `lb` | the per-interval fractional relaxation (bound only, no schedule) |
-//! | `exact` | exhaustive path enumeration + Most-Critical-First (tiny instances) |
+//! | `exact` | the best Most-Critical-First schedule over Yen's k = 3 paths per flow (tiny instances; not the DCFSR optimum) |
 
 use crate::context::SolverContext;
 use crate::dcfs::most_critical_first;
 use crate::dcfsr::{RandomSchedule, RandomScheduleConfig};
 use crate::error::SolveError;
-use crate::routing::{Routing, RoutingError};
+use crate::routing::Routing;
 use crate::schedule::{energy_of, FlowSchedule, Schedule};
 use crate::solution::Solution;
 use dcn_flow::FlowSet;
@@ -121,9 +122,9 @@ impl Algorithm for Dcfsr {
     }
 }
 
-/// A routing strategy followed by the optimal DCFS scheduler
-/// (Most-Critical-First): the shape of the paper's `SP+MCF` baseline and
-/// its ECMP / least-loaded variants.
+/// A routing strategy followed by the DCFS scheduler Most-Critical-First:
+/// the shape of the paper's `SP+MCF` baseline and its ECMP / least-loaded
+/// variants.
 #[derive(Debug, Clone)]
 pub struct RoutedMcf {
     name: &'static str,
@@ -186,7 +187,7 @@ impl Algorithm for RoutedMcf {
 /// [`Algorithm`] (registry name `consolidate`): flows are routed greedily,
 /// in decreasing volume order, onto the candidate shortest path that
 /// activates the fewest *new* links (ties broken by committed volume, then
-/// hop count), then scheduled optimally with Most-Critical-First.
+/// hop count), then scheduled with Most-Critical-First.
 #[derive(Debug, Clone)]
 pub struct ConsolidatingMcf {
     k: usize,
@@ -236,7 +237,7 @@ impl Algorithm for ConsolidatingMcf {
             let f = flows.flow(id);
             let candidates = k_shortest_paths_on(graph, engine, f.src, f.dst, self.k, |_| 1.0);
             if candidates.is_empty() {
-                return Err(SolveError::from(RoutingError::Unreachable { flow: f.id }));
+                return Err(SolveError::Unroutable { flow: f.id });
             }
             let best = candidates
                 .into_iter()
@@ -356,9 +357,10 @@ impl Algorithm for RelaxationLb {
     }
 }
 
-/// Exact DCFSR by exhaustive path enumeration as an [`Algorithm`]
-/// (registry name `exact`) — for tiny instances only; see
-/// [`crate::exact`].
+/// Exhaustive path enumeration as an [`Algorithm`] (registry name
+/// `exact`): the best Most-Critical-First schedule over each flow's
+/// `paths_per_flow` shortest paths, which is not the DCFSR optimum — for
+/// tiny instances only; see [`crate::exact`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExactBrute {
     /// Candidate paths enumerated per flow (Yen's k-shortest by hop

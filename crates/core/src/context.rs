@@ -230,9 +230,7 @@ impl<'net> SolverContext<'net> {
     ///
     /// Returns [`SolveError::Unroutable`] if some flow has no path.
     pub fn route(&mut self, strategy: &Routing, flows: &FlowSet) -> Result<Vec<Path>, SolveError> {
-        strategy
-            .compute_on(&self.graph, flows)
-            .map_err(SolveError::from)
+        strategy.compute_on(&self.graph, flows)
     }
 
     /// Solves the per-interval fractional relaxation of the instance. The
@@ -356,6 +354,17 @@ mod tests {
             ctx.relax(&flows, &x2(), &Default::default()).unwrap_err(),
             SolveError::Unroutable { flow: 1 }
         );
+        // Every registered algorithm names the same flow, whichever
+        // primitive (routing, relaxation, enumeration) finds it first.
+        let registry = crate::AlgorithmRegistry::with_defaults();
+        for name in crate::AlgorithmRegistry::NAMES {
+            let err = registry
+                .create(name)
+                .unwrap()
+                .solve(&mut ctx, &flows, &x2())
+                .unwrap_err();
+            assert_eq!(err, SolveError::Unroutable { flow: 1 }, "{name}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! **Most-Critical-First** — the optimal combinatorial algorithm for DCFS
+//! **Most-Critical-First** — the paper's combinatorial algorithm for DCFS
 //! (paper Algorithm 1, Section III).
 //!
 //! DCFS fixes the routing path of every flow and asks for transmission rates
@@ -27,11 +27,18 @@
 //! on dense instances). If a link cannot fit some flow inside its span, the
 //! flow's rate is raised to the smallest feasible value and the phase is
 //! repeated; only if a flow gets no time at all does the algorithm report
-//! [`DcfsError::Infeasible`].
+//! [`SolveError::Infeasible`].
 //!
-//! Theorem 1 / Corollary 1 of the paper prove the phase-1 rates are optimal
-//! for DCFS; the rate bumps of phase 2 only trigger on instances where the
-//! paper's virtual-circuit assumption itself is unsatisfiable.
+//! Theorem 1 / Corollary 1 of the paper prove the phase-1 rates optimal for
+//! DCFS in the paper's model, where a link serves one flow at a time (hence
+//! the virtual weights). The energy this crate prices lets flows share a
+//! link concurrently (`x_e(t)` is the sum of their rates), and under it
+//! Most-Critical-First is optimal on a single link only, where it is YDS
+//! (`single_link_instance_matches_yds`). On `line(3)` under `x^2`, flows
+//! A→C and A→B on `[0, 1]` with volume 1 cost `3 + 2√2 ≈ 5.828` here, where
+//! Random-Schedule finds a verified `5.0`. The rate bumps of phase 2 only
+//! trigger on instances where the paper's virtual-circuit assumption itself
+//! is unsatisfiable.
 //!
 //! **Cost.** Both the critical-interval search of phase 1 and the (P1)
 //! repair sweep of phase 2 range over every interval `[a, b]` between two of
@@ -80,56 +87,13 @@
 //! it for DCFS); [`crate::schedule::Schedule::verify_on`] reports capacity
 //! violations separately if callers care.
 
+use crate::error::SolveError;
 use crate::schedule::{FlowSchedule, Schedule};
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::{IntervalScan, TimeAvailability};
 use dcn_topology::{LinkId, Network, Path};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Errors raised by [`most_critical_first`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum DcfsError {
-    /// The number of paths does not match the number of flows.
-    PathCountMismatch {
-        /// Number of flows in the instance.
-        flows: usize,
-        /// Number of paths supplied.
-        paths: usize,
-    },
-    /// A path does not connect the corresponding flow's endpoints.
-    PathMismatch {
-        /// The flow whose path is wrong.
-        flow: FlowId,
-    },
-    /// Under the virtual-circuit model the instance cannot meet all
-    /// deadlines: some flows have no available time left on a link of their
-    /// path.
-    Infeasible {
-        /// The link on which the conflict was detected.
-        link: LinkId,
-    },
-}
-
-impl fmt::Display for DcfsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DcfsError::PathCountMismatch { flows, paths } => {
-                write!(f, "{flows} flows but {paths} paths were provided")
-            }
-            DcfsError::PathMismatch { flow } => {
-                write!(f, "path of flow {flow} does not connect its endpoints")
-            }
-            DcfsError::Infeasible { link } => write!(
-                f,
-                "no feasible virtual-circuit schedule: link {link} has no available time left"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DcfsError {}
 
 /// Relative slack on the ceiling a dirty link's last intensity puts on its
 /// next one (module docs, **Cost**): a link is left unrefreshed only if its
@@ -141,23 +105,24 @@ const STALE_SLACK: f64 = 1e-9;
 /// Runs Most-Critical-First on a DCFS instance.
 ///
 /// `paths[i]` must be the routing path of the flow with id `i`. The returned
-/// schedule gives every flow a single constant rate (Lemma 1) and is optimal
-/// for DCFS (Corollary 1).
+/// schedule gives every flow a single constant rate (Lemma 1). It is optimal
+/// for DCFS where a link serves one flow at a time (Corollary 1); under the
+/// energy this crate prices, on a single link only (module docs).
 ///
 /// # Errors
 ///
-/// * [`DcfsError::PathCountMismatch`] / [`DcfsError::PathMismatch`] when the
+/// * [`SolveError::PathCountMismatch`] / [`SolveError::PathMismatch`] when the
 ///   supplied paths do not match the flows.
-/// * [`DcfsError::Infeasible`] when the exclusive (virtual-circuit)
+/// * [`SolveError::Infeasible`] when the exclusive (virtual-circuit)
 ///   occupation of links leaves some flow without available time.
 pub fn most_critical_first(
     network: &Network,
     flows: &FlowSet,
     paths: &[Path],
     power: &PowerFunction,
-) -> Result<Schedule, DcfsError> {
+) -> Result<Schedule, SolveError> {
     if paths.len() != flows.len() {
-        return Err(DcfsError::PathCountMismatch {
+        return Err(SolveError::PathCountMismatch {
             flows: flows.len(),
             paths: paths.len(),
         });
@@ -165,7 +130,7 @@ pub fn most_critical_first(
     for flow in flows.iter() {
         let p = &paths[flow.id];
         if p.source() != flow.src || p.destination() != flow.dst {
-            return Err(DcfsError::PathMismatch { flow: flow.id });
+            return Err(SolveError::PathMismatch { flow: flow.id });
         }
     }
     let _ = network; // the topology is implicit in the paths
@@ -253,10 +218,10 @@ pub fn most_critical_first(
                 .iter()
                 .position(|list| list.iter().any(|&id| remaining[id]))
                 .unwrap_or(critical);
-            return Err(DcfsError::Infeasible { link: LinkId(link) });
+            return Err(SolveError::Infeasible { link: LinkId(link) });
         };
         if !intensity.is_finite() {
-            return Err(DcfsError::Infeasible {
+            return Err(SolveError::Infeasible {
                 link: LinkId(critical),
             });
         }
@@ -277,7 +242,7 @@ pub fn most_critical_first(
         if selected.is_empty() {
             // A critical interval without flows would block time, fix no
             // rate and come back for ever.
-            return Err(DcfsError::Infeasible {
+            return Err(SolveError::Infeasible {
                 link: LinkId(critical),
             });
         }
@@ -343,7 +308,7 @@ fn pack_links(
     flows: &FlowSet,
     link_flows: &[Vec<FlowId>],
     rates: &mut [f64],
-) -> Result<Vec<BTreeMap<LinkId, RateProfile>>, DcfsError> {
+) -> Result<Vec<BTreeMap<LinkId, RateProfile>>, SolveError> {
     use dcn_solver::yds::{edf_schedule, Job};
 
     // Repair pass: the phase-1 rates satisfy the per-link demand condition
@@ -437,7 +402,7 @@ fn pack_links(
             if inside + 1e-6 * needed.max(1.0) < needed {
                 // Cannot happen when the per-link YDS rates are respected;
                 // report the link rather than panic if numerics misbehave.
-                return Err(DcfsError::Infeasible { link });
+                return Err(SolveError::Infeasible { link });
             }
             let mut profile = RateProfile::new();
             for &(s, e) in &placement.windows {
@@ -662,7 +627,7 @@ mod tests {
     fn path_count_mismatch_is_reported() {
         let (topo, flows, paths) = example1();
         let err = most_critical_first(&topo.network, &flows, &paths[..1], &x2()).unwrap_err();
-        assert_eq!(err, DcfsError::PathCountMismatch { flows: 2, paths: 1 });
+        assert_eq!(err, SolveError::PathCountMismatch { flows: 2, paths: 1 });
     }
 
     #[test]
@@ -670,7 +635,7 @@ mod tests {
         let (topo, flows, mut paths) = example1();
         paths.swap(0, 1);
         let err = most_critical_first(&topo.network, &flows, &paths, &x2()).unwrap_err();
-        assert!(matches!(err, DcfsError::PathMismatch { .. }));
+        assert!(matches!(err, SolveError::PathMismatch { .. }));
     }
 
     #[test]

@@ -25,38 +25,15 @@
 //! capacity, the implementation re-samples a bounded number of times and
 //! keeps the least-violating draw, as the paper suggests.
 
+use crate::error::SolveError;
 use crate::relaxation::RelaxationSummary;
 use crate::schedule::{max_excess_of, FlowSchedule, LinkLoad, Schedule};
-use dcn_flow::{FlowId, FlowSet};
+use dcn_flow::FlowSet;
 use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{Network, Path};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::fmt;
-
-/// Errors raised by [`RandomSchedule::run_with_relaxation`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum DcfsrError {
-    /// The relaxation routes nothing for a flow: it has no routing path
-    /// between its endpoints, or the relaxation is not the instance's.
-    Unroutable {
-        /// The flow in question.
-        flow: FlowId,
-    },
-}
-
-impl fmt::Display for DcfsrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DcfsrError::Unroutable { flow } => {
-                write!(f, "flow {flow} has no path between its endpoints")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DcfsrError {}
 
 /// Configuration of [`RandomSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +116,7 @@ impl RandomSchedule {
     ///
     /// # Errors
     ///
-    /// Returns [`DcfsrError::Unroutable`] if the relaxation holds no path
+    /// Returns [`SolveError::Unroutable`] if the relaxation holds no path
     /// for some flow.
     pub fn run_with_relaxation(
         &self,
@@ -147,7 +124,7 @@ impl RandomSchedule {
         flows: &FlowSet,
         power: &PowerFunction,
         relaxation: &RelaxationSummary,
-    ) -> Result<RandomScheduleOutcome, DcfsrError> {
+    ) -> Result<RandomScheduleOutcome, SolveError> {
         let candidates = candidate_paths(flows, relaxation)?;
 
         // Randomized rounding with capacity re-draws.
@@ -195,7 +172,7 @@ impl RandomSchedule {
 fn candidate_paths(
     flows: &FlowSet,
     relaxation: &RelaxationSummary,
-) -> Result<Vec<Vec<CandidatePath>>, DcfsrError> {
+) -> Result<Vec<Vec<CandidatePath>>, SolveError> {
     let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
     for iv in &relaxation.intervals {
         for (c, &flow_id) in iv.flow_ids.iter().enumerate() {
@@ -217,7 +194,7 @@ fn candidate_paths(
     for (flow, entry) in flows.iter().zip(&mut candidates) {
         let total: f64 = entry.iter().map(|c| c.weight).sum();
         if total <= 0.0 {
-            return Err(DcfsrError::Unroutable { flow: flow.id });
+            return Err(SolveError::Unroutable { flow: flow.id });
         }
         for c in entry.iter_mut() {
             c.weight /= total;
@@ -456,7 +433,7 @@ mod tests {
         let err = RandomSchedule::default()
             .run_with_relaxation(&net, &flows, &x2(10.0), &relaxation)
             .unwrap_err();
-        assert_eq!(err, DcfsrError::Unroutable { flow: 0 });
+        assert_eq!(err, SolveError::Unroutable { flow: 0 });
     }
 
     use dcn_flow::FlowSet;

@@ -1,16 +1,11 @@
 //! The unified error type of the context-object API.
 //!
-//! Every [`crate::Algorithm`] reports failures through one typed
-//! [`SolveError`], replacing the mix of per-module error enums, `Option`s
-//! and panics the one-shot entry points grew over time. The per-module
-//! errors ([`DcfsError`], [`DcfsrError`], [`RoutingError`], [`ExactError`])
-//! are what the graph-level primitives return; they convert into
-//! `SolveError` losslessly via `From`.
+//! Every [`crate::Algorithm`] and every graph-level primitive it calls
+//! (routing, Most-Critical-First, Random-Schedule's rounding, exhaustive
+//! enumeration) fails with one typed [`SolveError`]. The errors of the
+//! other crates (an invalid flow, a verification failure, a commodity the
+//! relaxation cannot route) convert into it via `From`.
 
-use crate::dcfs::DcfsError;
-use crate::dcfsr::DcfsrError;
-use crate::exact::ExactError;
-use crate::routing::RoutingError;
 use crate::schedule::ScheduleError;
 use dcn_flow::{FlowError, FlowId};
 use dcn_topology::LinkId;
@@ -18,11 +13,6 @@ use std::fmt;
 
 /// The unified error of [`crate::Algorithm::solve`] and
 /// [`crate::SolverContext`].
-///
-/// Marked `#[non_exhaustive]`: future PRs may add variants (e.g. timeouts
-/// for the async serving layer) without a breaking change, so downstream
-/// matches need a wildcard arm.
-#[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// The topology or the flow set is malformed: non-positive or
@@ -144,55 +134,11 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-impl From<RoutingError> for SolveError {
-    fn from(value: RoutingError) -> Self {
-        match value {
-            RoutingError::Unreachable { flow } => SolveError::Unroutable { flow },
-        }
-    }
-}
-
-impl From<DcfsError> for SolveError {
-    fn from(value: DcfsError) -> Self {
-        match value {
-            DcfsError::PathCountMismatch { flows, paths } => {
-                SolveError::PathCountMismatch { flows, paths }
-            }
-            DcfsError::PathMismatch { flow } => SolveError::PathMismatch { flow },
-            DcfsError::Infeasible { link } => SolveError::Infeasible { link },
-        }
-    }
-}
-
-impl From<DcfsrError> for SolveError {
-    fn from(value: DcfsrError) -> Self {
-        match value {
-            DcfsrError::Unroutable { flow } => SolveError::Unroutable { flow },
-        }
-    }
-}
-
 /// The relaxation names its commodities by flow id.
 impl From<dcn_solver::fmcf::Disconnected> for SolveError {
     fn from(value: dcn_solver::fmcf::Disconnected) -> Self {
         SolveError::Unroutable {
             flow: value.commodity,
-        }
-    }
-}
-
-impl From<ExactError> for SolveError {
-    fn from(value: ExactError) -> Self {
-        match value {
-            ExactError::TooLarge {
-                combinations,
-                budget,
-            } => SolveError::TooLarge {
-                combinations,
-                budget,
-            },
-            ExactError::Unroutable { flow } => SolveError::Unroutable { flow },
-            ExactError::NoFeasibleAssignment => SolveError::NoFeasibleAssignment,
         }
     }
 }
@@ -269,27 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn module_errors_convert_losslessly() {
-        assert_eq!(
-            SolveError::from(RoutingError::Unreachable { flow: 1 }),
-            SolveError::Unroutable { flow: 1 }
-        );
-        assert_eq!(
-            SolveError::from(DcfsError::Infeasible { link: LinkId(2) }),
-            SolveError::Infeasible { link: LinkId(2) }
-        );
-        assert_eq!(
-            SolveError::from(DcfsError::PathCountMismatch { flows: 2, paths: 0 }),
-            SolveError::PathCountMismatch { flows: 2, paths: 0 }
-        );
-        assert_eq!(
-            SolveError::from(DcfsrError::Unroutable { flow: 3 }),
-            SolveError::Unroutable { flow: 3 }
-        );
-        assert_eq!(
-            SolveError::from(ExactError::NoFeasibleAssignment),
-            SolveError::NoFeasibleAssignment
-        );
+    fn flow_errors_are_invalid_input() {
         let flow_err = dcn_flow::Flow::new(
             0,
             dcn_topology::NodeId(0),

@@ -1,69 +1,34 @@
-//! Exact DCFSR by exhaustive path enumeration — for *tiny* instances only.
+//! Exhaustive path enumeration over Most-Critical-First — for *tiny*
+//! instances only.
 //!
 //! DCFSR is strongly NP-hard (Theorem 2), but once every flow's path is
-//! fixed the remaining problem is DCFS, which [`crate::dcfs`] solves
-//! optimally. For instances with a handful of flows it is therefore
-//! possible to compute the true optimum by enumerating candidate paths per
-//! flow (the `k` shortest, which is exhaustive on the small gadget
-//! topologies) and taking the best Most-Critical-First schedule over the
-//! Cartesian product of assignments.
+//! fixed the remaining problem is DCFS. For instances with a handful of
+//! flows this module enumerates candidate paths per flow (Yen's `k`
+//! shortest by hop count, `k = 3` in the registry's `exact`, which is
+//! exhaustive on the small gadget topologies) and keeps the best
+//! Most-Critical-First schedule over the Cartesian product of assignments.
 //!
-//! The test suites and the hardness-gadget experiment use this to measure
-//! the *empirical* approximation ratio of Random-Schedule against the real
-//! optimum instead of only against the fractional lower bound.
+//! That is the DCFSR optimum only where Most-Critical-First is optimal,
+//! i.e. where a link serves one flow at a time (Theorem 1). Under the
+//! concurrent-sharing energy this crate prices it is optimal on a single
+//! link only, so the result is not the optimum: on `line(3)` under `x^2`,
+//! flows A→C and A→B on `[0, 1]` with volume 1 cost `3 + 2√2 ≈ 5.828` here
+//! (as under `sp-mcf`), while Random-Schedule finds `5.0`, and all three
+//! schedules pass verification. The test suites and the hardness-gadget
+//! experiment use it as a reference beside the fractional lower bound.
 
 use crate::dcfs::most_critical_first;
+use crate::error::SolveError;
 use crate::schedule::Schedule;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
 use dcn_topology::{k_shortest_paths_on, Path};
-use std::fmt;
 
-/// Errors raised by [`exact_dcfsr_ctx`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExactError {
-    /// The instance is too large for exhaustive enumeration.
-    TooLarge {
-        /// Number of path assignments that enumeration would need to visit.
-        combinations: u128,
-        /// The configured enumeration budget.
-        budget: u128,
-    },
-    /// Some flow has no path between its endpoints.
-    Unroutable {
-        /// The flow in question.
-        flow: dcn_flow::FlowId,
-    },
-    /// No path assignment admitted a feasible DCFS schedule.
-    NoFeasibleAssignment,
-}
-
-impl fmt::Display for ExactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExactError::TooLarge {
-                combinations,
-                budget,
-            } => write!(
-                f,
-                "exhaustive search would visit {combinations} assignments (budget {budget})"
-            ),
-            ExactError::Unroutable { flow } => {
-                write!(f, "flow {flow} has no path between its endpoints")
-            }
-            ExactError::NoFeasibleAssignment => {
-                write!(f, "no path assignment admits a feasible schedule")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExactError {}
-
-/// The optimum found by exhaustive enumeration.
+/// The best Most-Critical-First schedule found by exhaustive enumeration
+/// (not the DCFSR optimum; see the module docs).
 #[derive(Debug, Clone)]
 pub struct ExactOutcome {
-    /// The optimal schedule.
+    /// The best schedule found.
     pub schedule: Schedule,
     /// Its energy under the instance's power function.
     pub energy: f64,
@@ -73,17 +38,18 @@ pub struct ExactOutcome {
     pub assignments_tried: usize,
 }
 
-/// [`crate::ExactBrute`]'s engine room: computes the exact DCFSR optimum of
-/// a tiny instance by enumerating up to `paths_per_flow` candidate paths
-/// per flow (Yen's k-shortest by hop count, on the context's CSR view and
-/// shortest-path arenas) and solving DCFS for every assignment.
+/// [`crate::ExactBrute`]'s engine room: finds the best Most-Critical-First
+/// schedule of a tiny instance by enumerating up to `paths_per_flow`
+/// candidate paths per flow (Yen's k-shortest by hop count, on the
+/// context's CSR view and shortest-path arenas) and solving DCFS for every
+/// assignment.
 ///
 /// # Errors
 ///
-/// * [`ExactError::TooLarge`] when `paths_per_flow^n` exceeds
+/// * [`SolveError::TooLarge`] when `paths_per_flow^n` exceeds
 ///   `max_assignments`.
-/// * [`ExactError::Unroutable`] when some flow has no path at all.
-/// * [`ExactError::NoFeasibleAssignment`] when every assignment fails
+/// * [`SolveError::Unroutable`] when some flow has no path at all.
+/// * [`SolveError::NoFeasibleAssignment`] when every assignment fails
 ///   (possible only under extreme contention).
 pub fn exact_dcfsr_ctx(
     ctx: &mut crate::SolverContext<'_>,
@@ -91,7 +57,7 @@ pub fn exact_dcfsr_ctx(
     power: &PowerFunction,
     paths_per_flow: usize,
     max_assignments: u128,
-) -> Result<ExactOutcome, ExactError> {
+) -> Result<ExactOutcome, SolveError> {
     let paths_per_flow = paths_per_flow.max(1);
     let network = ctx.network();
     // Candidate paths per flow, over the context's CSR view and engine.
@@ -100,13 +66,13 @@ pub fn exact_dcfsr_ctx(
     for flow in flows.iter() {
         let paths = k_shortest_paths_on(graph, engine, flow.src, flow.dst, paths_per_flow, |_| 1.0);
         if paths.is_empty() {
-            return Err(ExactError::Unroutable { flow: flow.id });
+            return Err(SolveError::Unroutable { flow: flow.id });
         }
         candidates.push(paths);
     }
     let combinations: u128 = candidates.iter().map(|c| c.len() as u128).product();
     if combinations > max_assignments {
-        return Err(ExactError::TooLarge {
+        return Err(SolveError::TooLarge {
             combinations,
             budget: max_assignments,
         });
@@ -145,7 +111,7 @@ pub fn exact_dcfsr_ctx(
                         outcome.assignments_tried = tried;
                         Ok(outcome)
                     }
-                    None => Err(ExactError::NoFeasibleAssignment),
+                    None => Err(SolveError::NoFeasibleAssignment),
                 };
             }
             assignment[pos] += 1;
@@ -176,7 +142,7 @@ mod tests {
         power: &PowerFunction,
         paths_per_flow: usize,
         max_assignments: u128,
-    ) -> Result<ExactOutcome, ExactError> {
+    ) -> Result<ExactOutcome, SolveError> {
         let mut ctx = crate::SolverContext::from_network(network).unwrap();
         exact_dcfsr_ctx(&mut ctx, flows, power, paths_per_flow, max_assignments)
     }
@@ -240,7 +206,7 @@ mod tests {
         )
         .unwrap();
         let err = exact(&topo.network, &flows, &x2(1e9), 4, 1_000).unwrap_err();
-        assert!(matches!(err, ExactError::TooLarge { .. }));
+        assert!(matches!(err, SolveError::TooLarge { .. }));
     }
 
     #[test]
@@ -250,7 +216,7 @@ mod tests {
         let b = net.add_node(dcn_topology::NodeKind::Host, "b");
         let flows = FlowSet::from_tuples([(a, b, 0.0, 1.0, 1.0)]).unwrap();
         let err = exact(&net, &flows, &x2(10.0), 2, 100).unwrap_err();
-        assert_eq!(err, ExactError::Unroutable { flow: 0 });
+        assert_eq!(err, SolveError::Unroutable { flow: 0 });
     }
 
     #[test]

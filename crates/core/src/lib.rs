@@ -8,9 +8,10 @@
 //! algorithm for each:
 //!
 //! * **DCFS** (Deadline-Constrained Flow Scheduling) — routing paths are
-//!   given, only transmission rates and timing are chosen. The optimal
-//!   combinatorial algorithm **Most-Critical-First** (paper Algorithm 1) is
-//!   implemented in [`dcfs`].
+//!   given, only transmission rates and timing are chosen. The paper's
+//!   combinatorial algorithm **Most-Critical-First** (Algorithm 1, optimal
+//!   where a link serves one flow at a time; under the energy priced here,
+//!   on a single link only) is implemented in [`dcfs`].
 //! * **DCFSR** (Deadline-Constrained Flow Scheduling and Routing) — paths
 //!   are chosen too. The problem is strongly NP-hard; the randomized
 //!   approximation algorithm **Random-Schedule** (paper Algorithm 2) is
@@ -20,8 +21,8 @@
 //! # The session API
 //!
 //! Every scheme — the two paper algorithms, the five comparison baselines
-//! of [`algorithm`], the fractional lower bound and the exhaustive optimum
-//! of [`exact`] — is exposed behind one pluggable interface:
+//! of [`algorithm`], the fractional lower bound and the exhaustive path
+//! enumeration of [`exact`] — is exposed behind one pluggable interface:
 //!
 //! * [`SolverContext`] is built **once** per network and owns all warm
 //!   solver state (the CSR graph view, the arena-reuse shortest-path
@@ -91,16 +92,16 @@ pub use algorithm::{
     RelaxationLb, RoutedMcf,
 };
 pub use context::SolverContext;
-pub use dcfs::{most_critical_first, DcfsError};
+pub use dcfs::most_critical_first;
 pub use dcfsr::{RandomSchedule, RandomScheduleConfig, RandomScheduleOutcome};
 pub use error::SolveError;
-pub use exact::{ExactError, ExactOutcome};
+pub use exact::ExactOutcome;
 pub use online::{
     AdmissionRule, EngineConfig, FlowDecision, InFlightLedger, LedgerEntry, OnlineEngine,
     OnlineOutcome, OnlinePolicy, OnlineReport,
 };
 pub use relaxation::{interval_relaxation_with, IntervalRelaxation, RelaxationSummary};
-pub use routing::{Routing, RoutingError};
+pub use routing::Routing;
 pub use schedule::{FlowSchedule, LinkLoad, Schedule, ScheduleError, ScheduleViolation};
 pub use solution::{Diagnostics, Solution};
 

@@ -15,35 +15,13 @@
 //!   for the consolidation-style traffic engineering the paper's related
 //!   work discusses.
 
+use crate::error::SolveError;
 use dcn_flow::FlowSet;
 use dcn_topology::{
     all_shortest_paths_on, k_shortest_paths_on, GraphCsr, Path, ShortestPathEngine,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::fmt;
-
-/// Errors raised while computing routes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RoutingError {
-    /// No path exists between a flow's endpoints.
-    Unreachable {
-        /// The flow that cannot be routed.
-        flow: dcn_flow::FlowId,
-    },
-}
-
-impl fmt::Display for RoutingError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutingError::Unreachable { flow } => {
-                write!(f, "flow {flow} has no path between its endpoints")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RoutingError {}
 
 /// A path-selection strategy: given the network and the flow set, produce
 /// one routing path per flow (indexed by flow id).
@@ -69,15 +47,15 @@ impl Routing {
     ///
     /// # Errors
     ///
-    /// Returns [`RoutingError::Unreachable`] if some flow has no path.
-    pub fn compute_on(&self, graph: &GraphCsr, flows: &FlowSet) -> Result<Vec<Path>, RoutingError> {
+    /// Returns [`SolveError::Unroutable`] if some flow has no path.
+    pub fn compute_on(&self, graph: &GraphCsr, flows: &FlowSet) -> Result<Vec<Path>, SolveError> {
         match self {
             Routing::ShortestPath => flows
                 .iter()
                 .map(|f| {
                     graph
                         .shortest_path(f.src, f.dst)
-                        .ok_or(RoutingError::Unreachable { flow: f.id })
+                        .ok_or(SolveError::Unroutable { flow: f.id })
                 })
                 .collect(),
             Routing::Ecmp { seed } => {
@@ -89,7 +67,7 @@ impl Routing {
                         candidates
                             .choose(&mut rng)
                             .cloned()
-                            .ok_or(RoutingError::Unreachable { flow: f.id })
+                            .ok_or(SolveError::Unroutable { flow: f.id })
                     })
                     .collect()
             }
@@ -113,7 +91,7 @@ impl Routing {
                     let candidates =
                         k_shortest_paths_on(graph, &mut engine, f.src, f.dst, k, |_| 1.0);
                     if candidates.is_empty() {
-                        return Err(RoutingError::Unreachable { flow: f.id });
+                        return Err(SolveError::Unroutable { flow: f.id });
                     }
                     let best = candidates
                         .into_iter()
@@ -229,7 +207,7 @@ mod tests {
             let err = strategy
                 .compute_on(&GraphCsr::from_network(&net), &flows)
                 .unwrap_err();
-            assert_eq!(err, RoutingError::Unreachable { flow: 0 });
+            assert_eq!(err, SolveError::Unroutable { flow: 0 });
         }
     }
 }

@@ -13,10 +13,7 @@ use dcn_topology::Path;
 /// Per-run diagnostics of an [`crate::Algorithm`].
 ///
 /// All fields are optional: every algorithm fills in what it measures and
-/// leaves the rest `None`. Marked `#[non_exhaustive]` so future algorithms
-/// can add fields without breaking downstream constructors — build values
-/// with [`Diagnostics::default`] and set fields individually.
-#[non_exhaustive]
+/// leaves the rest `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Diagnostics {
     /// Rounding draws performed by randomized rounding (`dcfsr`).

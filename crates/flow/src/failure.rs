@@ -11,7 +11,6 @@
 use dcn_topology::{LinkId, TopologyEvent};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// An alternating-renewal failure model: each directed link starts up,
 /// stays up for an `Exp(mean_uptime)` duration, stays down for an
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 ///     assert!(pair[0].time() <= pair[1].time());
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureProcess {
     /// Mean duration of a link's up phase (must be positive and finite).
     pub mean_uptime: f64,

@@ -1,7 +1,6 @@
 //! The deadline-constrained flow model.
 
 use dcn_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a flow within a [`crate::FlowSet`].
@@ -56,7 +55,7 @@ impl std::error::Error for FlowError {}
 
 /// A deadline-constrained flow: `volume` units of data to move from `src`
 /// to `dst` entirely within `[release, deadline]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Identifier of the flow (dense within a flow set).
     pub id: FlowId,

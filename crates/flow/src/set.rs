@@ -2,11 +2,10 @@
 //! DCFSR relaxation.
 
 use crate::{Flow, FlowError, FlowId};
-use serde::{Deserialize, Serialize};
 
 /// A half-open time interval `I_k = [start, end)` between two consecutive
 /// breakpoints of a flow set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Interval index `k` (0-based).
     pub index: usize,
@@ -29,7 +28,7 @@ impl Interval {
 /// `T = {t_0, ..., t_K}` of all distinct release times and deadlines, the
 /// intervals `I_k = [t_{k-1}, t_k]`, the per-interval active-flow sets and
 /// the granularity parameter `lambda = (t_K - t_0) / min_k |I_k|`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSet {
     flows: Vec<Flow>,
 }

@@ -120,7 +120,7 @@ impl UniformWorkload {
 ///
 /// This matches the paper's motivation that user-perceived latency is
 /// bounded by the slowest of many small request/response flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionAggregateWorkload {
     /// Number of request rounds to generate.
     pub requests: usize,
@@ -199,7 +199,7 @@ impl PartitionAggregateWorkload {
 /// MapReduce-style shuffle traffic: every mapper host sends an equal-sized
 /// chunk to every reducer host, and the whole shuffle must finish before a
 /// single stage deadline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleWorkload {
     /// Number of mapper hosts (taken from the front of the host list).
     pub mappers: usize,
@@ -273,7 +273,7 @@ impl ShuffleWorkload {
 /// scale the instance uses (see [`ArrivalProcess::sizes`], which scales by
 /// the base workload's mean volume — load factors stay comparable across
 /// distributions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeDistribution {
     /// The web-search workload: mostly short query/response flows, with
     /// ~5% of flows carrying ~10× the median and the largest ~200×.
@@ -393,7 +393,7 @@ impl SizeDistribution {
 ///     assert!((a.span_length() - b.span_length()).abs() < 1e-12);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalProcess {
     /// Expected number of flows concurrently in flight (must be positive
     /// and finite).
@@ -581,16 +581,6 @@ mod tests {
         let back: UniformWorkload = serde_json::from_str(&serde_json::to_string(&w).unwrap())
             .expect("descriptor JSON round-trips");
         assert_eq!(back, w);
-
-        let pa = PartitionAggregateWorkload::default();
-        let back: PartitionAggregateWorkload =
-            serde_json::from_str(&serde_json::to_string(&pa).unwrap()).unwrap();
-        assert_eq!(back, pa);
-
-        let sh = ShuffleWorkload::default();
-        let back: ShuffleWorkload =
-            serde_json::from_str(&serde_json::to_string(&sh).unwrap()).unwrap();
-        assert_eq!(back, sh);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The combined power-down / speed-scaling link power function (paper Eq. 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when constructing a [`PowerFunction`] with invalid
@@ -43,7 +42,7 @@ impl std::error::Error for PowerFunctionError {}
 ///
 /// All links in a data center are assumed identical, so a single
 /// `PowerFunction` value is shared by every link of a network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerFunction {
     sigma: f64,
     mu: f64,

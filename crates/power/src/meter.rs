@@ -1,11 +1,9 @@
 //! The energy of a schedule over its horizon, split as the paper's
 //! objective splits it.
 
-use serde::{Deserialize, Serialize};
-
 /// The energy consumed by a schedule, split the way the paper's objective
 /// (Eq. 5) splits it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Idle energy: `(T1 - T0) * |E_a| * sigma` — every link that is ever
     /// active pays the idle power for the whole horizon, because the paper

@@ -1,7 +1,5 @@
 //! Piecewise-constant transmission-rate profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-constant, non-negative rate as a function of time.
 ///
 /// Profiles are built by *adding* rate over half-open intervals
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.rate_at(5.0), 1.0);
 /// assert_eq!(p.volume(), 2.0 * 4.0 + 1.0 * 4.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RateProfile {
     /// Raw (start, end, rate) additions, not necessarily disjoint.
     pieces: Vec<(f64, f64, f64)>,

@@ -7,7 +7,7 @@ use dcn_topology::LinkId;
 use serde::{Deserialize, Serialize};
 
 /// What happened to one flow during the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowOutcome {
     /// The flow.
     pub flow: FlowId,

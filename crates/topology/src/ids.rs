@@ -1,19 +1,18 @@
 //! Identifier newtypes for nodes and links.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (switch or host) in a [`crate::Network`].
 ///
 /// Node ids are dense: a network with `n` nodes uses ids `0..n`, so they can
 /// be used directly as indices into per-node state vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifier of a directed link in a [`crate::Network`].
 ///
 /// Link ids are dense: a network with `m` directed links uses ids `0..m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 impl NodeId {
@@ -61,7 +60,7 @@ impl From<usize> for LinkId {
 /// The scheduling algorithms never branch on the role, but topology builders
 /// record it so that workload generators can pick host pairs and experiments
 /// can report per-layer statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An end host (server) attached to the network.
     Host,

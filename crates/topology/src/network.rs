@@ -1,11 +1,10 @@
 //! The directed multigraph used to model a data-center network.
 
 use crate::{LinkId, NodeId, NodeKind, Path};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A node (switch or host) of the network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// The node's identifier.
     pub id: NodeId,
@@ -25,7 +24,7 @@ pub struct Node {
 /// The paper models the power consumed by the two ports of a physical cable
 /// as the power of "the link"; because traffic in the two directions is
 /// independent we represent every cable as two directed links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// The link's identifier.
     pub id: LinkId,
@@ -54,7 +53,7 @@ pub struct Link {
 /// let path = net.shortest_path(a, c).unwrap();
 /// assert_eq!(path.nodes(), &[a, b, c]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,

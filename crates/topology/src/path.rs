@@ -1,7 +1,6 @@
 //! Routing paths: ordered sequences of directed links.
 
 use crate::{LinkId, Network, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors that can occur when constructing a [`Path`].
@@ -69,7 +68,7 @@ pub(crate) fn repeated_node(nodes: &[NodeId]) -> Option<NodeId> {
 /// traverses; the node sequence is derivable from those. The empty path
 /// (source equals destination, no links) is allowed so that flows between
 /// co-located endpoints degenerate gracefully.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     source: NodeId,
     links: Vec<LinkId>,

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 /// The algorithms as they were before the kernel: every `(a, b)` endpoint
 /// pair re-decides containment for every item on the list.
 mod reference {
-    use deadline_dcn::core::{DcfsError, FlowSchedule, Schedule};
+    use deadline_dcn::core::{FlowSchedule, Schedule, SolveError};
     use deadline_dcn::flow::{Flow, FlowId, FlowSet};
     use deadline_dcn::power::{PowerFunction, RateProfile};
     use deadline_dcn::solver::{Job, JobPlacement, TimeAvailability};
@@ -224,7 +224,7 @@ mod reference {
         flows: &FlowSet,
         paths: &[Path],
         power: &PowerFunction,
-    ) -> Result<(Vec<f64>, Schedule), DcfsError> {
+    ) -> Result<(Vec<f64>, Schedule), SolveError> {
         let alpha = power.alpha();
         let virtual_weight: Vec<f64> = flows
             .iter()
@@ -268,7 +268,7 @@ mod reference {
                 })
                 .expect("a flow remains");
             if !intensity.is_finite() {
-                return Err(DcfsError::Infeasible {
+                return Err(SolveError::Infeasible {
                     link: critical_link,
                 });
             }
@@ -366,7 +366,7 @@ mod reference {
                     .map(|&(s, e)| (e.min(flow.deadline) - s.max(flow.release)).max(0.0))
                     .sum();
                 if inside + 1e-6 * needed.max(1.0) < needed {
-                    return Err(DcfsError::Infeasible { link });
+                    return Err(SolveError::Infeasible { link });
                 }
                 let mut profile = RateProfile::new();
                 for &(s, e) in &placement.windows {

@@ -184,6 +184,25 @@ fn no_member_pins_its_own_external_registry_version() {
     }
 }
 
+#[test]
+fn topology_and_power_serialize_nothing() {
+    // Nothing serializes a network, a path, a rate profile or a power
+    // function, so these crates derive no serde traits.
+    let root = workspace_root();
+    for krate in ["topology", "power"] {
+        let mut sources = Vec::new();
+        rust_sources(&root.join("crates").join(krate).join("src"), &mut sources);
+        for path in sources {
+            let source = fs::read_to_string(&path).expect("source readable");
+            assert!(
+                !source.contains("Serialize"),
+                "{}: nothing serializes a `dcn-{krate}` type",
+                path.display()
+            );
+        }
+    }
+}
+
 /// All `.rs` files under `dir`, recursively.
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
@@ -1081,7 +1100,10 @@ fn public_items_nothing_called_stay_deleted() {
     // knob and no probe fingerprint of the cost. The online policy layer
     // keeps only what a policy uses: no `rcd` policy and its latest-start
     // helper, no wake-up timers, no per-flow predicted events, no public
-    // event batch and no admission probe settings.
+    // event batch and no admission probe settings. `dcn-core` fails with
+    // one `SolveError`: no per-module error enums, and no
+    // `#[non_exhaustive]` marker on a type nothing outside the workspace
+    // matches or builds.
     let root = workspace_root();
     let mut sources = Vec::new();
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
@@ -1142,6 +1164,11 @@ fn public_items_nothing_called_stay_deleted() {
         "fn reject_infeasible",
         "pub struct OnlineEvent",
         "SlackTimer",
+        "DcfsError",
+        "DcfsrError",
+        "ExactError",
+        "RoutingError",
+        "non_exhaustive",
     ];
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
