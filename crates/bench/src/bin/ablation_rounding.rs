@@ -14,12 +14,11 @@
 //! ```
 
 use dcn_bench::print_table;
-use dcn_bench::report::{ExperimentReport, InstanceRecord};
+use dcn_bench::report::{ExperimentReport, InstanceRecord, SimSummary};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
 use dcn_core::{Algorithm, RandomSchedule, RandomScheduleConfig, RoutedMcf, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
-use dcn_sim::Simulator;
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::builders;
 
@@ -58,14 +57,8 @@ fn main() {
         let sp = RoutedMcf::shortest_path()
             .solve(&mut ctx, &flow_set, &power)
             .expect("SP+MCF succeeds");
-        let simulator = Simulator::new(power);
-        let sp_sim = simulator
-            .run_ctx(
-                &ctx,
-                &flow_set,
-                sp.schedule.as_ref().expect("sp-mcf schedules"),
-            )
-            .summary();
+        let sp_schedule = sp.schedule.as_ref().expect("sp-mcf schedules");
+        let sp_sim = SimSummary::from(&sp_schedule.audit(ctx.graph(), &flow_set, &power));
         let outcomes = run_indexed(jobs.len(), cli.threads, |i| {
             let (budget, seed) = jobs[i];
             let outcome = RandomSchedule::new(RandomScheduleConfig {
@@ -76,9 +69,7 @@ fn main() {
             })
             .run_with_relaxation(&topo.network, &flow_set, &power, &relaxation)
             .expect("rounding succeeds");
-            let rs_sim = simulator
-                .run_ctx(&ctx, &flow_set, &outcome.schedule)
-                .summary();
+            let rs_sim = SimSummary::from(&outcome.schedule.audit(ctx.graph(), &flow_set, &power));
             (
                 outcome.schedule.energy(&power).total(),
                 outcome.attempts,

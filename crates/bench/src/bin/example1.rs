@@ -11,12 +11,11 @@
 //! ```
 
 use dcn_bench::print_table;
-use dcn_bench::report::{ExperimentReport, InstanceRecord};
+use dcn_bench::report::{ExperimentReport, InstanceRecord, SimSummary};
 use dcn_bench::runner::{timed, ExperimentCli};
 use dcn_core::{Algorithm, RoutedMcf, SolverContext};
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
-use dcn_sim::Simulator;
 use dcn_topology::builders;
 
 fn main() {
@@ -45,9 +44,7 @@ fn main() {
         let s1 = schedule.flow_schedule(0).unwrap().profile.max_rate();
         let s2 = schedule.flow_schedule(1).unwrap().profile.max_rate();
         let energy = schedule.energy(&power).total();
-        let sim = Simulator::new(power)
-            .run_ctx(&ctx, &flows, schedule)
-            .summary();
+        let sim = SimSummary::from(&schedule.audit(ctx.graph(), &flows, &power));
 
         let record = InstanceRecord {
             label: "example1".to_string(),

@@ -50,7 +50,7 @@
 //! Under `--quick` the sweep is followed by a throughput smoke: 100 000
 //! arrivals on a fat-tree(k=16) pushed through the event loop
 //! (solver-free `edf` policy, so the runtime measures the engine,
-//! not Frank–Wolfe), then replayed by the simulator, which must see no
+//! not Frank–Wolfe), then replayed by `Schedule::audit`, which must see no
 //! deadline miss, no link above capacity and the energy the engine
 //! reported, to the bit. It prints its arrivals-per-second rate and the
 //! replay seconds and is kept out of the JSON artifact — wall clock is not
@@ -62,7 +62,6 @@ use dcn_core::online::{OnlineEngine, POLICY_NAMES};
 use dcn_core::SolverContext;
 use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
 use dcn_power::PowerFunction;
-use dcn_sim::Simulator;
 use dcn_topology::builders;
 
 fn main() {
@@ -131,7 +130,7 @@ fn main() {
 /// The `--quick` throughput smoke: 100 000 Poisson arrivals on a
 /// fat-tree(k=16) through the event loop. The solver-free `edf` policy
 /// bounds the runtime by the engine itself rather than by Frank–Wolfe, and
-/// the simulator replays the whole schedule as the end-to-end check.
+/// `Schedule::audit` replays the whole schedule as the end-to-end check.
 /// Results go to stdout only — wall clock varies run to run, so the smoke
 /// never touches the JSON artifact.
 fn throughput_smoke() {
@@ -158,15 +157,12 @@ fn throughput_smoke() {
     });
     // The end-to-end hard-deadline check: replay what was committed.
     let report = &outcome.report;
-    let (replay, replay_seconds) = timed(|| {
-        Simulator::new(power).run_admitted(
-            ctx.graph(),
-            &instance,
-            &outcome.schedule,
-            &report.admitted_mask(),
-        )
-    });
-    assert_eq!(replay.deadline_misses, 0, "the replay saw a deadline miss");
+    let (replay, replay_seconds) = timed(|| outcome.schedule.audit(ctx.graph(), &instance, &power));
+    assert_eq!(
+        replay.misses_among(&report.admitted_mask()),
+        0,
+        "the replay saw a deadline miss"
+    );
     assert_eq!(
         replay.capacity_violations, 0,
         "the replay saw a link above capacity"

@@ -1,7 +1,7 @@
 //! `scaling` — the pipeline's cost and quality at growing fat-tree scale.
 //!
 //! Sweeps the full DCFSR pipeline (relaxation lower bound, Random-Schedule,
-//! SP+MCF, simulator verification) over fat-trees of increasing size and
+//! SP+MCF, the audit of each schedule) over fat-trees of increasing size and
 //! growing flow counts, producing the standard `BENCH_scaling.json`
 //! artifact. The energy ratios stay flat while the instance size grows —
 //! the artifact's role in the perf trajectory is the *feasible envelope*:

@@ -24,7 +24,7 @@
 //! experiment's algorithm list on it — the first algorithm is the
 //! **primary** (the `rs_*` artifact fields), the second the **reference**
 //! (`sp_*`), any further ones land in the record's `extra` dimensions —
-//! and verifies each schedule with the fluid simulator.
+//! and audits each schedule ([`dcn_core::Schedule::audit`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,12 +39,11 @@ use dcn_core::{AlgorithmRegistry, Solution, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
 use dcn_power::PowerFunction;
-use dcn_sim::{SimSummary, Simulator};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::builders::{self, BuiltTopology};
 use dcn_topology::TopologyEvent;
 
-use report::{ExperimentReport, InstanceRecord};
+use report::{ExperimentReport, InstanceRecord, SimSummary};
 
 /// The default algorithm pair of every experiment: Random-Schedule as the
 /// primary, the paper's SP+MCF baseline as the reference.
@@ -67,23 +66,23 @@ pub struct InstanceResult {
     pub alpha: f64,
     /// The fractional lower bound LB.
     pub lower_bound: f64,
-    /// Energy of the primary algorithm (absolute, simulated).
+    /// Energy of the primary algorithm (absolute, audited).
     pub rs_energy: f64,
-    /// Energy of the reference algorithm (absolute, simulated).
+    /// Energy of the reference algorithm (absolute, audited).
     pub sp_energy: f64,
-    /// Number of deadline misses measured by the simulator (must be zero).
+    /// Number of deadline misses the audits found (must be zero).
     pub deadline_misses: usize,
     /// Worst per-link capacity excess of the primary algorithm's schedule.
     pub rs_capacity_excess: f64,
-    /// Simulator verification of the primary schedule.
+    /// Audit digest of the primary schedule.
     pub rs_sim: SimSummary,
-    /// Simulator verification of the reference schedule.
+    /// Audit digest of the reference schedule.
     pub sp_sim: SimSummary,
-    /// Simulated energies of any algorithm beyond the first two, as
+    /// Audited energies of any algorithm beyond the first two, as
     /// `("<name>_energy", energy)` pairs in selection order.
     pub extra_energies: Vec<(String, f64)>,
     /// Wall-clock spent inside the algorithms' `solve` calls, in
-    /// milliseconds (simulator verification excluded). Only surfaces in
+    /// milliseconds (audits excluded). Only surfaces in
     /// the artifact when the experiment opts into `--timings`.
     pub solve_wall_ms: f64,
     /// Total relaxation intervals solved across the instance's algorithms
@@ -104,7 +103,7 @@ pub fn harness_registry() -> AlgorithmRegistry {
 ///
 /// One [`SolverContext`] is built per instance and shared by every
 /// algorithm run (warm CSR view, shortest-path arenas and Frank–Wolfe
-/// buffers) and by the simulator verifications. `algorithms[0]` is the
+/// buffers) and by the audits. `algorithms[0]` is the
 /// primary (`rs_*` fields), `algorithms[1]` the reference (`sp_*`), any
 /// further names land in [`InstanceResult::extra_energies`]. The lower
 /// bound is taken from the first algorithm that computes one (`dcfsr`,
@@ -133,7 +132,6 @@ pub fn run_flow_set_algorithms(
     );
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
-    let simulator = Simulator::new(*power);
 
     struct Ran {
         name: String,
@@ -158,11 +156,11 @@ pub fn run_flow_set_algorithms(
         relaxation_intervals += solution.diagnostics.relaxation_intervals.unwrap_or(0);
         match &solution.schedule {
             Some(schedule) => {
-                let sim = simulator.run_ctx(&ctx, flows, schedule);
+                let audit = schedule.audit(ctx.graph(), flows, power);
                 ran.push(Ran {
                     name: name.clone(),
-                    sim: Some(sim.summary()),
-                    energy: sim.energy.total(),
+                    sim: Some(SimSummary::from(&audit)),
+                    energy: audit.energy.total(),
                     lower_bound: solution.lower_bound,
                     capacity_excess: solution.diagnostics.capacity_excess.unwrap_or(0.0),
                 });
@@ -258,10 +256,10 @@ pub struct OnlineInstanceResult {
     pub offline: Solution,
     /// The fractional lower bound of the (clairvoyant) instance.
     pub lower_bound: f64,
-    /// Simulator verification of the committed online schedule
-    /// (deadline misses counted over admitted flows only).
+    /// Audit digest of the committed online schedule (deadline misses
+    /// counted over admitted flows only).
     pub online_sim: SimSummary,
-    /// Simulator verification of the offline clairvoyant schedule.
+    /// Audit digest of the offline clairvoyant schedule.
     pub offline_sim: SimSummary,
 }
 
@@ -270,14 +268,14 @@ pub struct OnlineInstanceResult {
 /// driven by the named [`dcn_core::OnlinePolicy`] under `admission`
 /// ([`OnlineEngine::run_with_events`]); then solves the same instance with
 /// clairvoyant knowledge — the same algorithm, created afresh and seeded
-/// with `seed` — as the reference, and verifies both schedules with the
-/// fluid simulator. One [`SolverContext`] is shared by every re-solve, the
-/// reference solve and both simulations.
+/// with `seed` — as the reference, and audits both schedules
+/// ([`dcn_core::Schedule::audit`]). One [`SolverContext`] is shared by
+/// every re-solve, the reference solve and both audits.
 ///
 /// The harness never turns warm starts on, so the reference solve starts
 /// cold and no cache of the online run seeds it. The engine rolls its
 /// topology changes back before returning, so the reference and both
-/// simulations see the *pristine* fabric, and the energy gap and the
+/// audits see the *pristine* fabric, and the energy gap and the
 /// failure-attributed misses isolate exactly what the outages cost the
 /// online loop.
 ///
@@ -329,20 +327,16 @@ pub fn run_online_flow_set(
         .lower_bound
         .unwrap_or_else(|| relaxation_bound(&registry, &mut ctx, flows, power));
 
-    let simulator = Simulator::new(*power);
-    let online_sim = simulator
-        .run_admitted(
-            ctx.graph(),
-            flows,
-            &outcome.schedule,
-            &outcome.report.admitted_mask(),
-        )
-        .summary();
+    let online_audit = outcome.schedule.audit(ctx.graph(), flows, power);
+    let online_sim = SimSummary {
+        deadline_misses: online_audit.misses_among(&outcome.report.admitted_mask()),
+        ..SimSummary::from(&online_audit)
+    };
     let offline_schedule = offline
         .schedule
         .as_ref()
         .expect("the clairvoyant reference produces a schedule");
-    let offline_sim = simulator.run_ctx(&ctx, flows, offline_schedule).summary();
+    let offline_sim = SimSummary::from(&offline_schedule.audit(ctx.graph(), flows, power));
     assert_eq!(
         offline_sim.deadline_misses, 0,
         "{algorithm} must meet every deadline with clairvoyant knowledge"

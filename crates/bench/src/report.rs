@@ -10,8 +10,8 @@
 //! [`ExperimentReport::wall_clock_seconds`] and is documented to break the
 //! byte-determinism contract.
 
+use dcn_core::Audit;
 use dcn_flow::workload::UniformWorkload;
-use dcn_sim::SimSummary;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -63,9 +63,9 @@ pub struct InstanceRecord {
     pub deadline_misses: usize,
     /// Worst per-link capacity excess of the primary schedule's rounding.
     pub rs_capacity_excess: f64,
-    /// Simulator verification of the primary schedule, when simulated.
+    /// Audit digest of the primary schedule, when it has one.
     pub rs_sim: Option<SimSummary>,
-    /// Simulator verification of the reference schedule, when simulated.
+    /// Audit digest of the reference schedule, when it has one.
     pub sp_sim: Option<SimSummary>,
     /// Wall-clock of the instance's algorithm `solve` calls in
     /// milliseconds; only populated under `--timings` because timing
@@ -93,6 +93,43 @@ impl InstanceRecord {
     /// Looks an experiment-specific dimension up by name.
     pub fn extra(&self, key: &str) -> Option<f64> {
         self.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+}
+
+/// A compact digest of an [`Audit`], sized for embedding into experiment
+/// artifacts (one per scheduler per instance) where the full per-flow /
+/// per-link breakdown would dominate the file.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SimSummary {
+    /// Number of flows that missed their deadline (or never completed).
+    pub deadline_misses: usize,
+    /// Number of links whose peak rate exceeded the capacity.
+    pub capacity_violations: usize,
+    /// The largest peak utilisation over all links (1.0 = at capacity).
+    pub max_utilization: f64,
+    /// Number of links that carried any traffic.
+    pub active_links: usize,
+    /// Total measured energy under the paper's objective.
+    pub energy: f64,
+}
+
+impl SimSummary {
+    /// Returns `true` when every flow met its deadline and no link exceeded
+    /// its capacity.
+    pub fn all_good(&self) -> bool {
+        self.deadline_misses == 0 && self.capacity_violations == 0
+    }
+}
+
+impl From<&Audit> for SimSummary {
+    fn from(audit: &Audit) -> Self {
+        SimSummary {
+            deadline_misses: audit.deadline_misses,
+            capacity_violations: audit.capacity_violations,
+            max_utilization: audit.max_utilization,
+            active_links: audit.links.len(),
+            energy: audit.energy.total(),
+        }
     }
 }
 
@@ -381,6 +418,39 @@ mod tests {
         r.instances.push(record("b"));
         r.aggregate_points(&[("g".to_string(), 1.0), ("g".to_string(), 1.0)]);
         r
+    }
+
+    #[test]
+    fn summary_digests_the_audit() {
+        let audit = Audit {
+            flows: vec![],
+            links: vec![dcn_core::LinkLoad {
+                link: dcn_topology::LinkId(0),
+                peak_rate: 4.0,
+                busy_time: 1.0,
+                volume: 4.0,
+                dynamic_energy: 16.0,
+            }],
+            energy: dcn_power::EnergyBreakdown {
+                idle: 2.0,
+                dynamic: 16.0,
+                active_links: 1,
+            },
+            deadline_misses: 0,
+            capacity_violations: 0,
+            max_utilization: 0.4,
+            violations: vec![],
+        };
+        let s = SimSummary::from(&audit);
+        assert!(s.all_good());
+        assert_eq!(s.active_links, 1);
+        assert_eq!(s.energy, 18.0);
+        assert_eq!(s.max_utilization, 0.4);
+        let missed = SimSummary {
+            deadline_misses: 1,
+            ..s
+        };
+        assert!(!missed.all_good());
     }
 
     #[test]

@@ -732,7 +732,7 @@ mod tests {
             .iter()
             .zip(solution.schedule.as_ref().unwrap().flow_schedules())
         {
-            assert!((fs.delivered_volume() - flow.volume).abs() < 1e-6);
+            assert!((fs.profile.volume() - flow.volume).abs() < 1e-6);
             assert!(fs.profile.max_rate() <= power.capacity() + 1e-9);
         }
     }

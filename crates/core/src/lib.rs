@@ -102,7 +102,9 @@ pub use online::{
 };
 pub use relaxation::{interval_relaxation_with, IntervalRelaxation, RelaxationSummary};
 pub use routing::Routing;
-pub use schedule::{FlowSchedule, LinkLoad, Schedule, ScheduleError, ScheduleViolation};
+pub use schedule::{
+    Audit, FlowOutcome, FlowSchedule, LinkLoad, Schedule, ScheduleError, ScheduleViolation,
+};
 pub use solution::{Diagnostics, Solution};
 
 /// Convenient glob import of the crate's main types.

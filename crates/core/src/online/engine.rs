@@ -173,7 +173,7 @@ impl OnlineReport {
     }
 
     /// Per-flow admission mask, indexed by flow id (the shape
-    /// `Simulator::run_admitted` consumes).
+    /// [`Audit::misses_among`](crate::Audit::misses_among) consumes).
     pub fn admitted_mask(&self) -> Vec<bool> {
         self.decisions.iter().map(|d| d.admitted).collect()
     }

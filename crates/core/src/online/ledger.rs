@@ -36,9 +36,12 @@ use dcn_flow::{Flow, FlowId, FlowSet};
 
 use super::residual_flow;
 use crate::error::SolveError;
+use crate::schedule::delivers;
 
-/// Relative volume tolerance under which a flow counts as fully delivered
-/// (matches the verification tolerance of [`crate::Schedule`]).
+/// Relative volume tolerance of the retire rule: a live flow this close to
+/// its volume is fully served and leaves the live set. A scheduling rule,
+/// far tighter than the verdict on a run ([`delivers`]'s
+/// `1e-6·max(w, 1)`), which [`InFlightLedger::settle`] applies.
 const VOLUME_TOL: f64 = 1e-9;
 
 /// One flow tracked by an [`InFlightLedger`].
@@ -224,11 +227,11 @@ impl InFlightLedger {
     }
 
     /// Final accounting of a finished run: an admitted flow that never
-    /// received its full volume (to the schedule verification tolerance)
-    /// missed its deadline, whether or not it was ever retired.
+    /// received its volume, as [`delivers`] judges it, missed its deadline,
+    /// whether or not it was ever retired.
     pub(crate) fn settle(&mut self) {
         for entry in &mut self.entries {
-            if entry.admitted && entry.delivered < entry.flow.volume * (1.0 - 1e-6) {
+            if entry.admitted && !delivers(entry.flow.volume, entry.delivered) {
                 entry.missed = true;
             }
         }
@@ -359,6 +362,27 @@ mod tests {
         assert_eq!(ledger.reveal(flow(2, 3.0, 9.0, 1.0)), 2);
         assert_eq!(ledger.pop().unwrap().flow.id, 2);
         assert_eq!(ledger.entries().len(), 2);
+    }
+
+    #[test]
+    fn settle_misses_exactly_the_flows_the_audit_finds_short() {
+        // Short of the volume by less than `delivers` allows is delivered,
+        // by more is a miss.
+        let cases = [
+            (0.5, 8e-7, false),
+            (10.0, 2e-6, false),
+            (0.5, 2e-6, true),
+            (10.0, 2e-5, true),
+        ];
+        let mut ledger = admitted((0..cases.len()).map(|id| flow(id, 0.0, 10.0, cases[id].0)));
+        for (id, &(volume, short, _)) in cases.iter().enumerate() {
+            ledger.credit(id, volume - short);
+        }
+        ledger.settle();
+        for (entry, &(volume, short, missed)) in ledger.entries().iter().zip(&cases) {
+            assert_eq!(entry.missed, missed, "volume {volume} short by {short}");
+            assert_eq!(!entry.missed, delivers(volume, entry.delivered));
+        }
     }
 
     #[test]

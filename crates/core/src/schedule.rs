@@ -24,12 +24,15 @@
 //!
 //! A link's aggregate rate `x_e(t)` is summed once, into one [`LinkLoad`]
 //! per active link ([`Schedule::link_loads`]); the objective, the capacity
-//! excess, [`Schedule::verify_on`] and the simulator all read those.
+//! excess and [`Schedule::audit`] all read those. The audit is the one
+//! verdict on a schedule: [`Schedule::verify_on`] returns its violations,
+//! and every replay of a schedule (deadlines met, loads, energy) is its
+//! report.
 
 use dcn_flow::{FlowId, FlowSet};
 use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
 use dcn_topology::{GraphCsr, LinkId, Network, Path};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// How a single flow is served: the path it follows and its transmission
@@ -91,11 +94,6 @@ impl FlowSchedule {
             profile,
             per_link: Some(link_profiles),
         }
-    }
-
-    /// Total volume delivered to the destination by this schedule.
-    pub fn delivered_volume(&self) -> f64 {
-        self.profile.volume()
     }
 
     /// The profile of the flow on a particular link of its path, if any.
@@ -164,7 +162,7 @@ impl FlowSchedule {
     /// profile and every link the slice transmits on gain its pieces behind
     /// the ones already there, and the path becomes the slice's — the
     /// routing of the latest decision (the per-link profiles keep the links
-    /// of every earlier window, so energy and simulation see the true loads
+    /// of every earlier window, so energy and the audit see the true loads
     /// when the routing changed). Every piece goes through
     /// [`RateProfile::append_rate`]: a slice that carries on where the last
     /// one ended, at its rate, extends the stored piece instead of adding
@@ -268,10 +266,18 @@ impl FlowSchedule {
 
 /// The hard constraint `x_e(t) ≤ C` (Eq. 5) as every check of it reads it:
 /// `rate` is above `capacity` by more than rounding, relative and absolute
-/// (1e-9 each) — the one tolerance of [`Schedule::verify_on`] and of the
-/// simulator's replay.
+/// (1e-9 each) — the one capacity tolerance of [`Schedule::audit`].
 pub fn exceeds_capacity(rate: f64, capacity: f64) -> bool {
     rate > capacity * (1.0 + 1e-9) + 1e-9
+}
+
+/// The demand `w_i` as every verdict on it reads it: a flow of `volume`
+/// counts as delivered once `delivered` is short of it by at most
+/// `1e-6·max(volume, 1)`. [`Schedule::audit`] judges a flow's arrivals and
+/// each link of its path by it, and so does the online ledger's final miss
+/// rule.
+pub fn delivers(volume: f64, delivered: f64) -> bool {
+    delivered + 1e-6 * volume.max(1.0) >= volume
 }
 
 /// What a schedule's aggregate rate `x_e(t)` does on one active link, from
@@ -312,6 +318,86 @@ pub(crate) fn max_excess_of(loads: &[LinkLoad], network: &Network, power: &Power
             (load.peak_rate - capacity).max(0.0)
         })
         .fold(0.0, f64::max)
+}
+
+/// What one flow's arrivals at its destination delivered
+/// ([`Audit::flows`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowOutcome {
+    /// The flow.
+    pub flow: FlowId,
+    /// Data delivered to the destination: the flow's volume once it
+    /// completed, else what arrived over the whole schedule.
+    pub delivered: f64,
+    /// The instant at which the flow [`delivers`] its volume, if it does.
+    pub completion_time: Option<f64>,
+    /// The flow's hard deadline.
+    pub deadline: f64,
+}
+
+impl FlowOutcome {
+    /// Returns `true` if the flow delivered its volume no later than its
+    /// deadline.
+    pub fn deadline_met(&self) -> bool {
+        self.completion_time
+            .is_some_and(|t| t <= self.deadline + 1e-9)
+    }
+
+    /// Slack between completion and deadline (negative when the deadline is
+    /// missed, `-∞` when the flow never completed).
+    pub fn slack(&self) -> f64 {
+        self.completion_time
+            .map_or(f64::NEG_INFINITY, |t| self.deadline - t)
+    }
+}
+
+/// The one verdict on a schedule against its instance ([`Schedule::audit`]):
+/// what each flow delivered and when, what each link carried, the energy,
+/// and every violated constraint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Audit {
+    /// One outcome per flow of the instance, in flow order.
+    pub flows: Vec<FlowOutcome>,
+    /// One load per link that carries traffic, in link order.
+    pub links: Vec<LinkLoad>,
+    /// [`Schedule::energy`], to the bit.
+    pub energy: EnergyBreakdown,
+    /// Number of flows that missed their deadline (or never completed).
+    pub deadline_misses: usize,
+    /// Number of links whose peak rate exceeds their capacity.
+    pub capacity_violations: usize,
+    /// The largest peak utilisation over all links (1.0 = at capacity).
+    pub max_utilization: f64,
+    /// Every violation found; empty exactly when [`Schedule::verify_on`]
+    /// accepts the schedule.
+    pub violations: Vec<ScheduleViolation>,
+}
+
+impl Audit {
+    /// Returns `true` when every flow met its deadline and no link exceeded
+    /// its capacity.
+    pub fn all_good(&self) -> bool {
+        self.deadline_misses == 0 && self.capacity_violations == 0
+    }
+
+    /// The deadline misses among the flows an online admission rule
+    /// admitted (`admitted[flow]`): a rejected flow never transmits, so
+    /// counting it would conflate admission control with scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `admitted` does not have one entry per flow.
+    pub fn misses_among(&self, admitted: &[bool]) -> usize {
+        assert_eq!(
+            admitted.len(),
+            self.flows.len(),
+            "one admission decision per flow"
+        );
+        self.flows
+            .iter()
+            .filter(|f| admitted[f.flow] && !f.deadline_met())
+            .count()
+    }
 }
 
 /// A violation detected when verifying a schedule against its instance.
@@ -526,47 +612,68 @@ impl Schedule {
         max_excess_of(&self.link_loads(power), network, power)
     }
 
-    /// Verifies the schedule against the instance it is supposed to solve,
-    /// on a prebuilt CSR view of the network: every flow must be fully
-    /// delivered, inside its span, along a path from its source to its
-    /// destination, every link of the path must carry the full volume, and
-    /// no link may exceed its capacity.
+    /// Judges the schedule against the instance it is supposed to solve, on
+    /// a prebuilt CSR view of the network, in one pass: every flow must
+    /// deliver its volume ([`delivers`]) inside its span, along a path from
+    /// its source to its destination, with every link of the path carrying
+    /// the volume too, and no link may exceed its capacity
+    /// ([`exceeds_capacity`] against `min(its capacity, power capacity)`).
     ///
-    /// # Errors
-    ///
-    /// Returns a [`ScheduleError`] listing every violation found.
-    pub fn verify_on(
-        &self,
-        graph: &GraphCsr,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<(), ScheduleError> {
+    /// A flow completes where its arrival profile's segments first deliver
+    /// its volume (a flow the tolerance covers entirely, at its release);
+    /// the energy is [`Schedule::energy`]'s fold of the one
+    /// [`Schedule::link_loads`] call. A flow id the schedule lists twice is
+    /// judged by its first entry, as [`Schedule::flow_schedule`] reads it
+    /// (every entry loads the links it names).
+    pub fn audit(&self, graph: &GraphCsr, flows: &FlowSet, power: &PowerFunction) -> Audit {
         let mut violations = Vec::new();
-        // One id -> entry index per call (the first entry of an id wins, as
-        // in `flow_schedule`), not a linear search per flow.
-        let by_id: HashMap<FlowId, &FlowSchedule> =
-            self.flows.iter().rev().map(|fs| (fs.flow, fs)).collect();
+        // Entries indexed back to front, so the first entry of an id stays.
+        let mut entries: Vec<Option<&FlowSchedule>> = vec![None; flows.len()];
+        for fs in self.flows.iter().rev() {
+            if let Some(slot) = entries.get_mut(fs.flow) {
+                *slot = Some(fs);
+            }
+        }
+        let mut outcomes = Vec::with_capacity(flows.len());
         for flow in flows.iter() {
-            let Some(&fs) = by_id.get(&flow.id) else {
+            let mut outcome = FlowOutcome {
+                flow: flow.id,
+                delivered: 0.0,
+                completion_time: None,
+                deadline: flow.deadline,
+            };
+            let Some(fs) = entries[flow.id] else {
                 violations.push(ScheduleViolation::MissingFlow(flow.id));
+                outcomes.push(outcome);
                 continue;
             };
-            // Volume delivered to the destination.
-            let delivered = fs.delivered_volume();
-            if delivered + 1e-6 * flow.volume.max(1.0) < flow.volume {
+            // One walk over the segments of the arrival profile, up to the
+            // one the flow completes in.
+            for (start, end, rate) in fs.profile.segments() {
+                let after = outcome.delivered + rate * (end - start);
+                if delivers(flow.volume, after) {
+                    let finish = start + (flow.volume - outcome.delivered) / rate;
+                    outcome.completion_time = Some(finish.min(end));
+                    break;
+                }
+                outcome.delivered = after;
+            }
+            if outcome.completion_time.is_none() && delivers(flow.volume, 0.0) {
+                outcome.completion_time = Some(flow.release);
+            }
+            if outcome.completion_time.is_some() {
+                outcome.delivered = flow.volume;
+            } else {
                 violations.push(ScheduleViolation::VolumeShortfall {
                     flow: flow.id,
-                    delivered,
+                    delivered: outcome.delivered,
                     required: flow.volume,
                 });
             }
             // Every link of the path must carry the full volume.
             for &link in fs.path.links() {
-                let carried = fs
-                    .link_profile(link)
-                    .map(RateProfile::volume)
-                    .unwrap_or(0.0);
-                if carried + 1e-6 * flow.volume.max(1.0) < flow.volume {
+                let carried = fs.link_profile(link).map_or(0.0, RateProfile::volume);
+                if !delivers(flow.volume, carried) {
                     violations.push(ScheduleViolation::LinkVolumeShortfall {
                         flow: flow.id,
                         link,
@@ -588,11 +695,17 @@ impl Schedule {
             if fs.path.source() != flow.src || fs.path.destination() != flow.dst {
                 violations.push(ScheduleViolation::WrongEndpoints { flow: flow.id });
             }
+            outcomes.push(outcome);
         }
+
         // Link capacities.
-        for load in self.link_loads(power) {
+        let links = self.link_loads(power);
+        let (mut capacity_violations, mut max_utilization) = (0, 0.0f64);
+        for load in &links {
             let capacity = graph.capacity(load.link).min(power.capacity());
+            max_utilization = max_utilization.max(load.peak_rate / capacity);
             if exceeds_capacity(load.peak_rate, capacity) {
+                capacity_violations += 1;
                 violations.push(ScheduleViolation::CapacityExceeded {
                     link: load.link,
                     max_rate: load.peak_rate,
@@ -600,6 +713,31 @@ impl Schedule {
                 });
             }
         }
+        let idle = power.sigma() * (self.horizon.1 - self.horizon.0);
+        Audit {
+            energy: energy_of(&links, idle),
+            deadline_misses: outcomes.iter().filter(|f| !f.deadline_met()).count(),
+            flows: outcomes,
+            links,
+            capacity_violations,
+            max_utilization,
+            violations,
+        }
+    }
+
+    /// Verifies the schedule against the instance it is supposed to solve:
+    /// [`Schedule::audit`] finds no violation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScheduleError`] listing every violation the audit found.
+    pub fn verify_on(
+        &self,
+        graph: &GraphCsr,
+        flows: &FlowSet,
+        power: &PowerFunction,
+    ) -> Result<(), ScheduleError> {
+        let violations = self.audit(graph, flows, power).violations;
         if violations.is_empty() {
             Ok(())
         } else {
@@ -611,6 +749,10 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::POLICY_NAMES;
+    use crate::prelude::*;
+    use dcn_flow::failure::FailureProcess;
+    use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
     use dcn_flow::FlowSet;
     use dcn_topology::builders;
     use rand::prelude::*;
@@ -1195,5 +1337,645 @@ mod tests {
                 assert_eq!(new.activity_span(), old.activity_span(), "seed {seed}");
             }
         }
+    }
+
+    /// The global-sweep replay the audit's per-profile walk replaced, kept
+    /// as its reference: a sweep of the *global* breakpoint list that asks
+    /// every link's and every unfinished flow's profile for its rate in
+    /// every window. Three things in it are deliberately not what the audit
+    /// does, each pinned by a test of its own: a flow id listed twice is
+    /// judged by its last entry, the capacity check has no absolute slack,
+    /// and breakpoints closer than 1e-12 are one (so a narrower overlap is
+    /// never seen). It judges delivery with the one predicate, [`delivers`],
+    /// finds no violations, and reads a link's peak off its runs as
+    /// [`RateProfile::segments`] merges them: a window that carries on the
+    /// run before it at a rate within 1e-12 of the run's is that run, at the
+    /// run's first rate (otherwise a run of appended slices 1 ulp apart
+    /// peaks 1 ulp higher here).
+    fn audit_reference(
+        graph: &GraphCsr,
+        flows: &FlowSet,
+        schedule: &Schedule,
+        power: &PowerFunction,
+    ) -> Audit {
+        let horizon = if flows.is_empty() {
+            schedule.horizon()
+        } else {
+            flows.horizon()
+        };
+
+        // Aggregate link profiles and per-flow arrival (last link) profiles.
+        let link_profiles: BTreeMap<LinkId, RateProfile> = schedule.link_profiles();
+        let arrival_profiles: BTreeMap<usize, RateProfile> = schedule
+            .flow_schedules()
+            .iter()
+            .map(|fs| (fs.flow, fs.profile.clone()))
+            .collect();
+
+        // Global breakpoint sweep.
+        let mut times: Vec<f64> = vec![horizon.0, horizon.1];
+        for p in link_profiles.values().chain(arrival_profiles.values()) {
+            for (s, e, _) in p.segments() {
+                times.push(s);
+                times.push(e);
+            }
+        }
+        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        times.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+
+        // Per-flow delivery tracking.
+        let mut delivered: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut completion: BTreeMap<usize, Option<f64>> = BTreeMap::new();
+        for flow in flows.iter() {
+            delivered.insert(flow.id, 0.0);
+            completion.insert(flow.id, None);
+        }
+
+        // Per-link accumulators.
+        #[derive(Default, Clone)]
+        struct LinkAcc {
+            peak: f64,
+            busy: f64,
+            volume: f64,
+            dynamic_energy: f64,
+            /// The end and the first rate of the run the last window was in.
+            run: Option<(f64, f64)>,
+        }
+        let mut link_acc: BTreeMap<LinkId, LinkAcc> = BTreeMap::new();
+
+        for w in times.windows(2) {
+            let (t0, t1) = (w[0], w[1]);
+            let dt = t1 - t0;
+            if dt <= 0.0 {
+                continue;
+            }
+            let mid = 0.5 * (t0 + t1);
+
+            for (&link, profile) in &link_profiles {
+                let rate = profile.rate_at(mid);
+                if rate <= 0.0 {
+                    continue;
+                }
+                let acc = link_acc.entry(link).or_default();
+                let run_rate = match acc.run {
+                    Some((end, first))
+                        if (end - t0).abs() < 1e-12 && (first - rate).abs() < 1e-12 =>
+                    {
+                        first
+                    }
+                    _ => rate,
+                };
+                acc.run = Some((t1, run_rate));
+                acc.peak = acc.peak.max(run_rate);
+                acc.busy += dt;
+                acc.volume += rate * dt;
+                acc.dynamic_energy += power.dynamic_power(rate) * dt;
+            }
+
+            for flow in flows.iter() {
+                if completion[&flow.id].is_some() {
+                    continue;
+                }
+                let Some(profile) = arrival_profiles.get(&flow.id) else {
+                    continue;
+                };
+                let rate = profile.rate_at(mid);
+                if rate <= 0.0 {
+                    continue;
+                }
+                let before = delivered[&flow.id];
+                let after = before + rate * dt;
+                if delivers(flow.volume, after) {
+                    // Completion happens inside this window.
+                    let finish = t0 + (flow.volume - before) / rate;
+                    completion.insert(flow.id, Some(finish.min(t1)));
+                    delivered.insert(flow.id, flow.volume);
+                } else {
+                    delivered.insert(flow.id, after);
+                }
+            }
+        }
+
+        // Assemble the report.
+        let horizon_length = horizon.1 - horizon.0;
+        let mut links = Vec::new();
+        let mut idle_energy = 0.0;
+        let mut dynamic_energy = 0.0;
+        let mut capacity_violations = 0;
+        let mut max_utilization: f64 = 0.0;
+        for (link, acc) in &link_acc {
+            let capacity = graph.capacity(*link).min(power.capacity());
+            idle_energy += power.sigma() * horizon_length;
+            dynamic_energy += acc.dynamic_energy;
+            if acc.peak > capacity * (1.0 + 1e-9) {
+                capacity_violations += 1;
+            }
+            max_utilization = max_utilization.max(acc.peak / capacity);
+            links.push(LinkLoad {
+                link: *link,
+                peak_rate: acc.peak,
+                busy_time: acc.busy,
+                volume: acc.volume,
+                dynamic_energy: acc.dynamic_energy,
+            });
+        }
+
+        let outcomes: Vec<FlowOutcome> = flows
+            .iter()
+            .map(|flow| FlowOutcome {
+                flow: flow.id,
+                delivered: delivered[&flow.id],
+                completion_time: completion[&flow.id],
+                deadline: flow.deadline,
+            })
+            .collect();
+        Audit {
+            deadline_misses: outcomes.iter().filter(|f| !f.deadline_met()).count(),
+            flows: outcomes,
+            links,
+            energy: EnergyBreakdown {
+                idle: idle_energy,
+                dynamic: dynamic_energy,
+                active_links: link_acc.len(),
+            },
+            capacity_violations,
+            max_utilization,
+            violations: Vec::new(),
+        }
+    }
+
+    fn x2(capacity: f64) -> PowerFunction {
+        PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
+    }
+
+    /// The audit measures `Schedule::energy`, to the bit: both fold the
+    /// same segments of the same link aggregates in the same order.
+    fn assert_energy_bits(audit: &Audit, schedule: &Schedule, power: &PowerFunction) {
+        let analytic = schedule.energy(power);
+        assert_eq!(audit.energy.active_links, analytic.active_links);
+        assert_eq!(audit.energy.idle.to_bits(), analytic.idle.to_bits());
+        assert_eq!(audit.energy.dynamic.to_bits(), analytic.dynamic.to_bits());
+    }
+
+    /// One flow from the first host of `topo` to its last, served on the
+    /// shortest path by `profile`.
+    fn one_flow(
+        topo: &builders::BuiltTopology,
+        (release, deadline, volume): (f64, f64, f64),
+        profile: RateProfile,
+    ) -> (FlowSet, Schedule) {
+        let (src, dst) = (topo.hosts()[0], *topo.hosts().last().unwrap());
+        let flows = FlowSet::from_tuples([(src, dst, release, deadline, volume)]).unwrap();
+        let path = topo.network.shortest_path(src, dst).unwrap();
+        let schedule = Schedule::new(
+            vec![FlowSchedule::uniform(0, path, profile)],
+            flows.horizon(),
+        );
+        (flows, schedule)
+    }
+
+    #[test]
+    fn deadline_met_logic() {
+        let ok = FlowOutcome {
+            flow: 0,
+            delivered: 10.0,
+            completion_time: Some(5.0),
+            deadline: 6.0,
+        };
+        assert!(ok.deadline_met());
+        assert!((ok.slack() - 1.0).abs() < 1e-12);
+
+        let late = FlowOutcome {
+            completion_time: Some(7.0),
+            ..ok
+        };
+        assert!(!late.deadline_met());
+
+        let never = FlowOutcome {
+            completion_time: None,
+            delivered: 3.0,
+            ..ok
+        };
+        assert!(!never.deadline_met());
+        assert_eq!(never.slack(), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn a_short_flow_gets_one_verdict_from_verify_and_the_replay() {
+        // A flow short of its volume by less than `delivers` allows is
+        // delivered for `verify_on` and for the replay alike: it completes
+        // at the end of its transmission, inside its span (a flow the
+        // tolerance covers entirely, sending nothing, at its release).
+        // Short by more, both reject it.
+        let topo = builders::line(2);
+        for (volume, short, completion) in [
+            (10.0, 2e-6, Some(2.0)),
+            (0.5, 5e-7, Some(2.0)),
+            (5e-7, 5e-7, Some(0.0)),
+            (10.0, 2e-5, None),
+            (0.5, 2e-6, None),
+        ] {
+            let rate = (volume - short) / 2.0;
+            let (flows, schedule) = one_flow(
+                &topo,
+                (0.0, 2.0, volume),
+                RateProfile::constant(0.0, 2.0, rate),
+            );
+            let graph = topo.csr();
+            let audit = schedule.audit(&graph, &flows, &x2(10.0));
+            let context = format!("volume {volume} short by {short}");
+            let delivered = completion.is_some();
+            assert_eq!(
+                schedule.verify_on(&graph, &flows, &x2(10.0)).is_ok(),
+                delivered,
+                "{context}"
+            );
+            assert_eq!(audit.deadline_misses, usize::from(!delivered), "{context}");
+            assert_eq!(audit.flows[0].completion_time, completion, "{context}");
+        }
+    }
+
+    #[test]
+    fn simple_constant_rate_flow_is_measured_exactly() {
+        let topo = builders::line(3);
+        let power = PowerFunction::new(1.0, 1.0, 2.0, 10.0).unwrap();
+        let (flows, schedule) =
+            one_flow(&topo, (0.0, 4.0, 8.0), RateProfile::constant(0.0, 4.0, 2.0));
+        let audit = schedule.audit(&topo.csr(), &flows, &power);
+        assert!(audit.all_good());
+        assert!(audit.violations.is_empty());
+        let f = audit.flows[0];
+        assert!((f.delivered - 8.0).abs() < 1e-9);
+        assert!((f.completion_time.unwrap() - 4.0).abs() < 1e-9);
+        assert_eq!(audit.links.len(), 2);
+        assert_energy_bits(&audit, &schedule, &power);
+        assert!((audit.max_utilization - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_audit_measures_the_energy_of_sp_mcf_to_the_bit() {
+        let topo = builders::fat_tree(4);
+        let power = x2(1e9);
+        let flows = UniformWorkload::paper_defaults(30, 4)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        let schedule = solution.schedule.as_ref().unwrap();
+        let audit = schedule.audit(ctx.graph(), &flows, &power);
+        assert_eq!(audit.deadline_misses, 0);
+        assert_energy_bits(&audit, schedule, &power);
+    }
+
+    #[test]
+    fn the_audit_measures_the_energy_of_random_schedule_to_the_bit() {
+        let topo = builders::fat_tree(4);
+        let power = x2(10.0);
+        let flows = UniformWorkload::paper_defaults(25, 9)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = Dcfsr::default().solve(&mut ctx, &flows, &power).unwrap();
+        let schedule = solution.schedule.as_ref().unwrap();
+        let audit = schedule.audit(ctx.graph(), &flows, &power);
+        assert_eq!(audit.deadline_misses, 0);
+        assert_energy_bits(&audit, schedule, &power);
+        assert!(audit.energy.total() >= solution.lower_bound.unwrap() - 1e-6);
+    }
+
+    #[test]
+    fn misses_among_excludes_rejected_flows() {
+        // Two flows, but only flow 0 is scheduled (flow 1 was "rejected").
+        let topo = builders::line(3);
+        let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
+        let flows =
+            FlowSet::from_tuples([(src, dst, 0.0, 4.0, 8.0), (src, dst, 0.0, 4.0, 8.0)]).unwrap();
+        let path = topo.network.shortest_path(src, dst).unwrap();
+        let schedule = Schedule::new(
+            vec![FlowSchedule::uniform(
+                0,
+                path,
+                RateProfile::constant(0.0, 4.0, 2.0),
+            )],
+            (0.0, 4.0),
+        );
+        let audit = schedule.audit(&topo.csr(), &flows, &x2(10.0));
+        // The audit counts the unscheduled flow as a miss ...
+        assert_eq!(audit.deadline_misses, 1);
+        // ... the admission-aware count does not, but still reports it.
+        assert_eq!(audit.misses_among(&[true, false]), 0);
+        assert_eq!(audit.flows.len(), 2);
+        assert_eq!(audit.flows[1].delivered, 0.0);
+        // An admitted flow that misses still counts.
+        assert_eq!(audit.misses_among(&[true, true]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one admission decision per flow")]
+    fn misses_among_rejects_a_short_mask() {
+        let (topo, flows, _) = simple_instance();
+        let schedule = Schedule::new(vec![], (0.0, 4.0));
+        schedule
+            .audit(&topo.csr(), &flows, &x2(10.0))
+            .misses_among(&[]);
+    }
+
+    #[test]
+    fn deadline_miss_is_detected() {
+        // A schedule that only delivers half the data in time.
+        let topo = builders::line(3);
+        let (flows, schedule) =
+            one_flow(&topo, (0.0, 4.0, 8.0), RateProfile::constant(0.0, 2.0, 2.0));
+        let audit = schedule.audit(&topo.csr(), &flows, &x2(10.0));
+        assert_eq!(audit.deadline_misses, 1);
+        assert!(!audit.all_good());
+        let f = audit.flows[0];
+        assert!(f.completion_time.is_none());
+        assert!((f.delivered - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn capacity_violation_is_detected_where_verify_detects_it() {
+        // One constraint, one tolerance: a peak within rounding of a small
+        // capacity (C + 5e-10 at C = 0.1, above the relative slack alone)
+        // verifies and replays clean; past the slack both flag it. A link
+        // below the power function's cap is judged by its own capacity,
+        // and so is the excess Random-Schedule re-draws on.
+        for (capacity, power_cap, rate, violates) in [
+            (3.0, 3.0, 4.0, true),
+            (3.0, 3.0, 3.0, false),
+            (0.1, 0.1, 0.1 + 5e-10, false),
+            (0.1, 0.1, 0.1 + 3e-9, true),
+            (3.0, 10.0, 4.0, true),
+        ] {
+            let topo = builders::line_with_capacity(3, capacity);
+            let power = PowerFunction::speed_scaling_only(1.0, 2.0, power_cap);
+            let (flows, schedule) = one_flow(
+                &topo,
+                (0.0, 2.0, 2.0 * rate),
+                RateProfile::constant(0.0, 2.0, rate),
+            );
+            let graph = topo.csr();
+            let audit = schedule.audit(&graph, &flows, &power);
+            let context = format!("rate {rate} on capacity {capacity}, power cap {power_cap}");
+            assert_eq!(
+                audit.capacity_violations,
+                if violates { 2 } else { 0 },
+                "{context}"
+            );
+            assert_eq!(
+                schedule.verify_on(&graph, &flows, &power).is_err(),
+                violates,
+                "{context}"
+            );
+            assert_eq!(audit.max_utilization > 1.0, rate > capacity, "{context}");
+            assert_eq!(audit.deadline_misses, 0, "{context}");
+            let excess = schedule.max_capacity_excess(&topo.network, &power);
+            assert_eq!(excess > 0.0, rate > capacity, "{context}");
+        }
+    }
+
+    #[test]
+    fn an_overlap_narrower_than_the_old_dedup_is_still_a_violation() {
+        // Two flows hand a full link over 5e-13 s late: the aggregate has a
+        // segment at twice the capacity. The audit reads it off
+        // `segments()`; the global sweep merged the two breakpoints and saw
+        // none.
+        let topo = builders::line_with_capacity(3, 10.0);
+        let power = x2(10.0);
+        let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
+        let flows =
+            FlowSet::from_tuples([(src, dst, 0.0, 2.0, 10.0), (src, dst, 0.0, 2.0, 10.0)]).unwrap();
+        let path = topo.network.shortest_path(src, dst).unwrap();
+        let entry = |flow, from, to| {
+            FlowSchedule::uniform(flow, path.clone(), RateProfile::constant(from, to, 10.0))
+        };
+        let schedule = Schedule::new(
+            vec![entry(0, 0.0, 1.0 + 5e-13), entry(1, 1.0, 2.0)],
+            (0.0, 2.0),
+        );
+        let graph = topo.csr();
+        assert!(schedule.verify_on(&graph, &flows, &power).is_err());
+        let audit = schedule.audit(&graph, &flows, &power);
+        assert_eq!((audit.capacity_violations, audit.max_utilization), (2, 2.0));
+        assert_eq!(audit.deadline_misses, 0);
+        let swept = audit_reference(&graph, &flows, &schedule, &power);
+        assert_eq!((swept.capacity_violations, swept.max_utilization), (0, 1.0));
+    }
+
+    #[test]
+    fn a_flow_id_listed_twice_is_judged_by_its_first_entry_everywhere() {
+        let topo = builders::line(3);
+        let power = x2(10.0);
+        let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
+        let flows = FlowSet::from_tuples([(src, dst, 0.0, 4.0, 8.0)]).unwrap();
+        let path = topo.network.shortest_path(src, dst).unwrap();
+        let entry =
+            |until| FlowSchedule::uniform(0, path.clone(), RateProfile::constant(0.0, until, 2.0));
+        let graph = topo.csr();
+        for (first, delivers) in [(4.0, true), (2.0, false)] {
+            let schedule = Schedule::new(vec![entry(first), entry(6.0 - first)], (0.0, 4.0));
+            let judged = schedule.flow_schedule(0).unwrap();
+            assert_eq!(judged.profile.volume() >= 8.0, delivers);
+            assert_eq!(schedule.verify_on(&graph, &flows, &power).is_ok(), delivers);
+            let audit = schedule.audit(&graph, &flows, &power);
+            assert_eq!(audit.deadline_misses == 0, delivers);
+            assert_eq!(audit.flows[0].delivered, judged.profile.volume());
+            // Both entries load the links they name.
+            assert!(audit
+                .links
+                .iter()
+                .all(|l| l.peak_rate == 4.0 && l.volume == 12.0));
+        }
+    }
+
+    /// The audit and the reference of one schedule: counts, peaks and which
+    /// flows complete are equal, every sum is within 1e-12 relative (the
+    /// walk adds a profile's own segments where the sweep added the global
+    /// windows).
+    fn assert_matches_reference(
+        context: &str,
+        graph: &GraphCsr,
+        flows: &FlowSet,
+        schedule: &Schedule,
+        power: &PowerFunction,
+    ) -> Audit {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        let new = schedule.audit(graph, flows, power);
+        let old = audit_reference(graph, flows, schedule, power);
+        assert_eq!(new.deadline_misses, old.deadline_misses, "{context}");
+        assert_eq!(
+            new.capacity_violations, old.capacity_violations,
+            "{context}"
+        );
+        assert_eq!(new.max_utilization, old.max_utilization, "{context}");
+        assert_eq!(
+            new.energy.active_links, old.energy.active_links,
+            "{context}"
+        );
+        assert!(close(new.energy.idle, old.energy.idle), "{context}");
+        assert!(close(new.energy.dynamic, old.energy.dynamic), "{context}");
+        assert_eq!(new.links.len(), old.links.len(), "{context}");
+        for (n, o) in new.links.iter().zip(&old.links) {
+            assert_eq!((n.link, n.peak_rate), (o.link, o.peak_rate), "{context}");
+            assert!(close(n.busy_time, o.busy_time), "{context}: {n:?} vs {o:?}");
+            assert!(close(n.volume, o.volume), "{context}: {n:?} vs {o:?}");
+            assert!(
+                close(n.dynamic_energy, o.dynamic_energy),
+                "{context}: {n:?} vs {o:?}"
+            );
+        }
+        assert_eq!(new.flows.len(), old.flows.len(), "{context}");
+        for (n, o) in new.flows.iter().zip(&old.flows) {
+            assert_eq!((n.flow, n.deadline), (o.flow, o.deadline));
+            assert!(close(n.delivered, o.delivered), "{context}: {n:?} vs {o:?}");
+            match (n.completion_time, o.completion_time) {
+                (Some(n), Some(o)) => assert!(close(n, o), "{context}: done {n} vs {o}"),
+                (n, o) => assert_eq!(n, o, "{context}: flow completes in one replay only"),
+            }
+        }
+        new
+    }
+
+    /// A hand-built schedule on a `k = 4` fat-tree of capacity 10: uniform
+    /// and per-link entries (every link its own windows), several possibly
+    /// overlapping pieces per profile, some flows delivered exactly, others
+    /// under- or over-delivered, inside their span or not, and rates that
+    /// add up above the capacity.
+    fn random_schedule(
+        rng: &mut StdRng,
+        topo: &builders::BuiltTopology,
+        graph: &GraphCsr,
+    ) -> (FlowSet, Schedule) {
+        let hosts = topo.hosts();
+        let mut tuples = Vec::new();
+        let mut entries = Vec::new();
+        for flow in 0..rng.gen_range(3..=12) {
+            let src = hosts[rng.gen_range(0..hosts.len())];
+            let dst = *hosts.iter().filter(|&&h| h != src).choose(rng).unwrap();
+            let release = rng.gen_range(0.0..5.0);
+            let deadline = release + rng.gen_range(1.0..6.0);
+            let volume = rng.gen_range(0.5..8.0);
+            tuples.push((src, dst, release, deadline, volume));
+            let path = graph.shortest_path(src, dst).unwrap();
+            let exact = rng.gen_bool(0.5);
+            let profile = |rng: &mut StdRng| {
+                if exact {
+                    return RateProfile::constant(release, deadline, volume / (deadline - release));
+                }
+                let mut profile = RateProfile::new();
+                for _ in 0..rng.gen_range(1..=4) {
+                    let start = rng.gen_range(release..deadline);
+                    let end = start + rng.gen_range(0.1..2.0);
+                    profile.add_rate(start, end, rng.gen_range(0.1..6.0));
+                }
+                profile
+            };
+            entries.push(if rng.gen_bool(0.6) {
+                FlowSchedule::uniform(flow, path, profile(rng))
+            } else {
+                let per_link: BTreeMap<LinkId, RateProfile> =
+                    path.links().iter().map(|&l| (l, profile(rng))).collect();
+                let nominal = per_link[path.links().last().unwrap()].clone();
+                FlowSchedule::per_link(flow, path, nominal, per_link)
+            });
+        }
+        let flows = FlowSet::from_tuples(tuples).unwrap();
+        let horizon = flows.horizon();
+        (flows, Schedule::new(entries, horizon))
+    }
+
+    #[test]
+    fn the_per_profile_walk_matches_the_global_sweep_on_random_schedules() {
+        let topo = builders::fat_tree_with_capacity(4, 10.0);
+        let graph = topo.csr();
+        let power = PowerFunction::new(0.5, 1.0, 2.0, 10.0).unwrap();
+        let (mut missing, mut overloaded, mut clean) = (0, 0, 0);
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (flows, schedule) = random_schedule(&mut rng, &topo, &graph);
+            let context = format!("hand-built, seed {seed}");
+            let audit = assert_matches_reference(&context, &graph, &flows, &schedule, &power);
+            assert_energy_bits(&audit, &schedule, &power);
+            missing += usize::from(audit.deadline_misses > 0);
+            overloaded += usize::from(audit.capacity_violations > 0);
+            clean += usize::from(audit.flows.iter().any(FlowOutcome::deadline_met));
+        }
+        assert!(
+            missing > 20 && overloaded > 20 && clean > 20,
+            "{missing} {overloaded} {clean}"
+        );
+
+        // Schedules the online engine appended window by window, under link
+        // churn: a re-routed flow keeps the links of its earlier paths.
+        // `resolve` re-solves with `sp-mcf`, which keeps the test cheap.
+        let mut rerouted = 0;
+        for seed in 0..20 {
+            let base = UniformWorkload::paper_defaults(30, seed)
+                .generate(topo.hosts())
+                .unwrap();
+            let flows = ArrivalProcess::with_load(8.0, seed).apply(&base).unwrap();
+            let events = FailureProcess::new(30.0, 1.0, seed)
+                .generate(topo.network.link_count(), flows.horizon().1);
+            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+            for policy in POLICY_NAMES {
+                let outcome = OnlineEngine::builder()
+                    .algorithm("sp-mcf")
+                    .policy(policy)
+                    .seed(seed)
+                    .build()
+                    .unwrap()
+                    .run_with_events(&mut ctx, &flows, &power, &events)
+                    .unwrap();
+                let schedule = &outcome.schedule;
+                let context = format!("{policy} under churn, seed {seed}");
+                let audit =
+                    assert_matches_reference(&context, ctx.graph(), &flows, schedule, &power);
+                assert_energy_bits(&audit, schedule, &power);
+                rerouted += schedule
+                    .flow_schedules()
+                    .iter()
+                    .filter(|fs| fs.link_profiles().count() > fs.path.len())
+                    .count();
+            }
+        }
+        assert!(rerouted > 20, "{rerouted} flows changed their path");
+    }
+
+    #[test]
+    fn store_and_forward_windows_still_deliver_on_time() {
+        // The per-link windows of Most-Critical-First may differ per link;
+        // the nominal (arrival) profile is what the deadline check sees.
+        let topo = builders::line_with_capacity(4, 1e9);
+        let power = x2(1e9);
+        let flows = FlowSet::from_tuples([
+            (topo.hosts()[0], topo.hosts()[3], 0.0, 6.0, 6.0),
+            (topo.hosts()[1], topo.hosts()[2], 1.0, 3.0, 4.0),
+        ])
+        .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        let audit = solution
+            .schedule
+            .as_ref()
+            .unwrap()
+            .audit(ctx.graph(), &flows, &power);
+        assert_eq!(audit.deadline_misses, 0);
+        assert!(audit.flows.iter().all(FlowOutcome::deadline_met));
+    }
+
+    #[test]
+    fn empty_schedule_produces_empty_audit() {
+        let topo = builders::line(2);
+        let flows = FlowSet::from_flows(vec![]).unwrap();
+        let schedule = Schedule::new(vec![], (0.0, 1.0));
+        let audit = schedule.audit(&topo.csr(), &flows, &x2(10.0));
+        assert!(audit.all_good());
+        assert!(audit.links.is_empty());
+        assert_eq!(audit.energy.total(), 0.0);
     }
 }

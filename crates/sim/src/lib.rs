@@ -1,72 +1,35 @@
-//! Fluid, event-driven network simulator for deadline-constrained flow
-//! schedules.
+//! The fluid replay of a schedule, as a thin wrapper over
+//! [`dcn_core::Schedule::audit`].
 //!
-//! The paper's evaluation is simulation-only (the authors used an
-//! unreleased Python simulator). This crate is the Rust substitute: it
-//! *executes* a [`dcn_core::Schedule`] on a topology at flow-level (fluid)
-//! granularity and measures:
-//!
-//! * per-flow delivery: how much data arrived at the destination, when the
-//!   flow completed, and whether its hard deadline was met;
-//! * per-link load: peak rate and utilisation, busy time, volume, and
-//!   capacity violations;
-//! * energy: the paper's objective (idle energy for every active link over
-//!   the whole horizon, plus the speed-scaling energy integrated over time).
-//!
-//! The link half reads the per-link loads the schedule sums once
-//! ([`dcn_core::Schedule::link_loads`], one [`LinkLoad`] per active link)
-//! and folds their energy with the fold of [`dcn_core::Schedule::energy`]
-//! ([`dcn_core::schedule::energy_of`]), so the two figures are equal to the
-//! bit (the test suites assert exactly that); a link is over capacity by
-//! the one predicate [`dcn_core::Schedule::verify_on`] uses
-//! ([`dcn_core::schedule::exceeds_capacity`]). The flow half walks the
-//! segments of each flow's arrival profile: between a profile's own
-//! breakpoints nothing of it changes, so there is no global breakpoint list
-//! and the cost is linear in what the schedule stores. The independent
-//! oracle is the test-only `Simulator::run_on_reference`, a sweep of the
-//! global breakpoint list that asks every profile for its rate in every
-//! window; the replay is compared against it on random and online
-//! schedules.
-//!
-//! Schedules produced by the event-driven online engine
-//! ([`dcn_core::online`]) are executed the same way — the slices a policy
-//! commits between events, whether solver re-solves or direct rate
-//! assignments, are appended to ordinary per-flow rate profiles — with one
-//! admission-aware entry point: [`Simulator::run_admitted`] excludes
-//! flows the admission rule rejected from the deadline-miss count, so
-//! online reports measure scheduling quality rather than admission
-//! strictness.
-//!
-//! # Example
-//!
-//! ```
-//! use dcn_core::{Algorithm, RoutedMcf, SolverContext};
-//! use dcn_flow::workload::UniformWorkload;
-//! use dcn_power::PowerFunction;
-//! use dcn_sim::Simulator;
-//! use dcn_topology::builders;
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let topo = builders::fat_tree(4);
-//! let power = PowerFunction::speed_scaling_only(1.0, 2.0, 1e9);
-//! let flows = UniformWorkload::paper_defaults(20, 1).generate(topo.hosts())?;
-//! let mut ctx = SolverContext::from_network(&topo.network)?;
-//! let solution = RoutedMcf::shortest_path().solve(&mut ctx, &flows, &power)?;
-//! let schedule = solution.schedule.as_ref().unwrap();
-//!
-//! let report = Simulator::new(power).run_ctx(&ctx, &flows, schedule);
-//! assert_eq!(report.deadline_misses, 0);
-//! assert_eq!(report.energy.total(), schedule.energy(&power).total());
-//! # Ok(())
-//! # }
-//! ```
+//! The audit in `dcn-core` is the one verdict on a schedule: per flow what
+//! arrived and when, per link the loads [`dcn_core::Schedule::link_loads`]
+//! sums once, the energy and every violated constraint. This crate exists
+//! only because the benchmark under `perf/` calls [`Simulator::run_ctx`];
+//! it is deleted once the benchmark calls the audit itself (ROADMAP.md,
+//! item 1). Nothing else in the workspace depends on it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod report;
-mod simulator;
+use dcn_core::{Audit, Schedule, SolverContext};
+use dcn_flow::FlowSet;
+use dcn_power::PowerFunction;
 
-pub use dcn_core::LinkLoad;
-pub use report::{FlowOutcome, SimReport, SimSummary};
-pub use simulator::Simulator;
+/// Replays schedules on networks whose links follow one power function.
+#[derive(Debug, Clone)]
+pub struct Simulator {
+    power: PowerFunction,
+}
+
+impl Simulator {
+    /// Creates a simulator for networks whose links follow `power`.
+    pub fn new(power: PowerFunction) -> Self {
+        Self { power }
+    }
+
+    /// [`Schedule::audit`] of `schedule` for the given instance, on the CSR
+    /// view owned by `ctx`.
+    pub fn run_ctx(&self, ctx: &SolverContext<'_>, flows: &FlowSet, schedule: &Schedule) -> Audit {
+        schedule.audit(ctx.graph(), flows, &self.power)
+    }
+}

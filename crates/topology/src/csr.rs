@@ -17,7 +17,7 @@
 //!
 //! Traversals touch memory sequentially instead of chasing `Vec<Vec<_>>`
 //! pointers, which is what makes the hot paths (the Frank–Wolfe solver's
-//! inner Dijkstra, the simulator's capacity lookups) fast at fat-tree
+//! inner Dijkstra, the schedule audit's capacity lookups) fast at fat-tree
 //! k ≥ 16 scale.
 //!
 //! # Example

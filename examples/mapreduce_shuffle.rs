@@ -16,13 +16,11 @@
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::ShuffleWorkload;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = builders::fat_tree(4);
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
-    let simulator = Simulator::new(power);
     let mut ctx = SolverContext::from_network(&topo.network)?;
 
     println!("topology : {}", topo.name);
@@ -45,8 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rs = Dcfsr::default().solve(&mut ctx, &flows, &power)?;
         let sp = RoutedMcf::shortest_path().solve(&mut ctx, &flows, &power)?;
 
-        let rs_report = simulator.run_ctx(&ctx, &flows, rs.schedule.as_ref().unwrap());
-        let sp_report = simulator.run_ctx(&ctx, &flows, sp.schedule.as_ref().unwrap());
+        let rs_report = rs
+            .schedule
+            .as_ref()
+            .unwrap()
+            .audit(ctx.graph(), &flows, &power);
+        let sp_report = sp
+            .schedule
+            .as_ref()
+            .unwrap()
+            .audit(ctx.graph(), &flows, &power);
         assert_eq!(
             rs_report.deadline_misses, 0,
             "RS must meet the stage deadline"

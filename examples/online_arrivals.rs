@@ -20,7 +20,6 @@ use deadline_dcn::core::online::OnlineEngine;
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,15 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .total_energy()
             .expect("dcfsr produces a schedule");
 
-        // Execute the stitched schedule in the fluid simulator; rejected
-        // flows (none under AdmitAll) would be excluded from the misses.
-        let sim = Simulator::new(power).run_admitted(
-            ctx.graph(),
-            &flows,
-            &outcome.schedule,
-            &report.admitted_mask(),
-        );
-        assert_eq!(sim.deadline_misses, report.missed());
+        // Audit the committed schedule; rejected flows (none under
+        // AdmitAll) would be excluded from the misses.
+        let audit = outcome.schedule.audit(ctx.graph(), &flows, &power);
+        assert_eq!(audit.misses_among(&report.admitted_mask()), report.missed());
 
         println!(
             "{:>6}  {:>8}  {:>9}  {:>10.2}  {:>11.2}  {:>6.3}  {:>6}",

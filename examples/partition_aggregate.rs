@@ -16,7 +16,6 @@
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::PartitionAggregateWorkload;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,14 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ctx = SolverContext::from_network(&topo.network)?;
     let rs = Dcfsr::default().solve(&mut ctx, &flows, &power)?;
     let sp = RoutedMcf::shortest_path().solve(&mut ctx, &flows, &power)?;
-    let simulator = Simulator::new(power);
 
     for (name, solution) in [("Random-Schedule", &rs), ("SP+MCF", &sp)] {
         let schedule = solution
             .schedule
             .as_ref()
             .expect("both algorithms schedule");
-        let report = simulator.run_ctx(&ctx, &flows, schedule);
+        let report = schedule.audit(ctx.graph(), &flows, &power);
         let worst_slack = report
             .flows
             .iter()
@@ -72,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  normalised vs LB  : {:>10.3}",
             report.energy.total() / rs.lower_bound.expect("dcfsr reports the bound")
         );
-        println!("  active links      : {:>10}", report.active_link_count());
+        println!("  active links      : {:>10}", report.links.len());
         println!("  deadline misses   : {:>10}", report.deadline_misses);
         println!("  worst slack       : {:>10.3} time units", worst_slack);
         println!("  mean slack        : {:>10.3} time units\n", mean_slack);

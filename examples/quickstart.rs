@@ -10,7 +10,6 @@
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Algorithm interface.
     let mut ctx = SolverContext::from_network(&topo.network)?;
     let registry = AlgorithmRegistry::with_defaults();
-    let simulator = Simulator::new(power);
 
     let mut solutions = Vec::new();
     for (label, name) in [
@@ -68,14 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (label, solution) in &solutions {
         let schedule = solution.schedule.as_ref().expect("scheduling algorithm");
-        let report = simulator.run_ctx(&ctx, &flows, schedule);
+        let report = schedule.audit(ctx.graph(), &flows, &power);
         let energy = report.energy.total();
         println!(
             "{:<28} {:>12.2} {:>12.3} {:>8} {:>10}",
             label,
             energy,
             energy / lb,
-            report.active_link_count(),
+            report.links.len(),
             report.deadline_misses
         );
     }

@@ -19,9 +19,9 @@
 //! * [`core`] — the paper's algorithms: **Most-Critical-First** (optimal
 //!   DCFS) and **Random-Schedule** (approximate DCFSR), baselines and the
 //!   fractional lower bound, all behind the `SolverContext` + `Algorithm`
-//!   session API with a string-keyed registry.
-//! * [`sim`] — a fluid event-driven simulator that executes schedules and
-//!   measures deadlines, loads and energy.
+//!   session API with a string-keyed registry, and `Schedule::audit`, the
+//!   one verdict on a schedule: deadlines met, link loads, capacity
+//!   violations and energy.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and the
 //! `dcn-bench` crate for the harness regenerating the paper's evaluation.
@@ -52,6 +52,5 @@
 pub use dcn_core as core;
 pub use dcn_flow as flow;
 pub use dcn_power as power;
-pub use dcn_sim as sim;
 pub use dcn_solver as solver;
 pub use dcn_topology as topology;

@@ -7,7 +7,6 @@
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn x2(capacity: f64) -> PowerFunction {
@@ -67,7 +66,6 @@ fn every_registered_algorithm_solves_a_fat_tree_workload() {
 
     let mut ctx = SolverContext::from_network(&topo.network).unwrap();
     let registry = AlgorithmRegistry::with_defaults();
-    let simulator = Simulator::new(power);
 
     let mut lower_bound = None;
     let mut energies = Vec::new();
@@ -85,7 +83,7 @@ fn every_registered_algorithm_solves_a_fat_tree_workload() {
                 schedule
                     .verify_on(&graph, &flows, &power)
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
-                let report = simulator.run_ctx(&ctx, &flows, schedule);
+                let report = schedule.audit(&graph, &flows, &power);
                 assert_eq!(report.deadline_misses, 0, "{name}");
                 energies.push((name, solution.total_energy().unwrap()));
             }

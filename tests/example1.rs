@@ -1,11 +1,10 @@
 //! Integration test: the paper's Example 1 end to end through the public
-//! API of the umbrella crate (routing, scheduling, verification, energy and
-//! simulation all agree with the closed form).
+//! API of the umbrella crate (routing, scheduling, the audit and energy all
+//! agree with the closed form).
 
 use deadline_dcn::core::{most_critical_first, Algorithm, RoutedMcf, Routing, SolverContext};
 use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 
 fn close(a: f64, b: f64) -> bool {
@@ -40,8 +39,8 @@ fn example1_closed_form_through_public_api() {
     let expected_energy = 2.0 * 6.0 * s1 + 8.0 * s2;
     assert!(close(schedule.energy(&power).total(), expected_energy));
 
-    // The simulator measures the same energy and reports zero misses.
-    let report = Simulator::new(power).run_ctx(&ctx, &flows, schedule);
+    // The audit measures the same energy and reports zero misses.
+    let report = schedule.audit(ctx.graph(), &flows, &power);
     assert!(report.all_good());
     assert!(close(report.energy.total(), expected_energy));
 }

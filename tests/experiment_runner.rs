@@ -4,11 +4,10 @@
 //! report schema, so any accidental change to the artifact layout fails CI
 //! instead of silently breaking downstream consumers of `BENCH_*.json`.
 
-use dcn_bench::report::{ExperimentReport, InstanceRecord, SweepPoint, SCHEMA_VERSION};
+use dcn_bench::report::{ExperimentReport, InstanceRecord, SimSummary, SweepPoint, SCHEMA_VERSION};
 use dcn_bench::runner::{run_indexed, ExperimentCli};
 use dcn_bench::{Experiment, InstanceInput, InstanceSpec};
 use dcn_power::PowerFunction;
-use dcn_sim::SimSummary;
 use dcn_topology::builders;
 use std::path::Path;
 

@@ -8,7 +8,7 @@
 //! * (a) no link exceeds its capacity at any rate breakpoint;
 //! * (b) every flow's delivered volume equals its demand;
 //! * (c) no flow transmits outside its `[release, deadline]` span;
-//! * (d) the reported (analytic) energy equals the simulator's re-measured
+//! * (d) the reported (analytic) energy equals the audit's re-measured
 //!   energy to the bit — both fold the segments of the same link
 //!   aggregates `x_e(t)` in the same order, so a difference is a bug.
 //!
@@ -28,12 +28,11 @@ mod common;
 
 use deadline_dcn::core::online::{OnlineEngine, OnlineOutcome, POLICY_NAMES};
 use deadline_dcn::core::prelude::*;
-use deadline_dcn::core::schedule::exceeds_capacity;
+use deadline_dcn::core::schedule::{exceeds_capacity, Audit};
 use deadline_dcn::flow::failure::FailureProcess;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
 use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::{SimReport, Simulator};
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 use deadline_dcn::topology::{GraphCsr, LinkId, TopologyEvent};
 use proptest::prelude::*;
@@ -43,7 +42,7 @@ use proptest::prelude::*;
 /// *claims*, not about contention-induced infeasibility. Kept at 1e4 (three
 /// orders above any workload density) rather than 1e9 because `greedy`
 /// transmits at the full line rate, and `rate * dt` at rate 1e9 quantizes
-/// delivered volume more coarsely than the simulator's completion
+/// delivered volume more coarsely than the audit's completion
 /// tolerance — a float artifact, not scheduling physics.
 const CAPACITY: f64 = 1e4;
 
@@ -98,7 +97,7 @@ fn assert_schedule_invariants(
             .flow_schedule(flow.id)
             .unwrap_or_else(|| panic!("{context}: flow {} has no schedule", flow.id));
         // (b) Delivered volume equals the demand.
-        let delivered = fs.delivered_volume();
+        let delivered = fs.profile.volume();
         assert!(
             (delivered - flow.volume).abs() <= 1e-6 * flow.volume.max(1.0),
             "{context}: flow {} delivers {delivered} of {}",
@@ -118,8 +117,8 @@ fn assert_schedule_invariants(
             );
         }
     }
-    let report = Simulator::new(*power).run_ctx(ctx, flows, schedule);
-    assert_eq!(report.deadline_misses, 0, "{context}: simulator saw misses");
+    let report = schedule.audit(ctx.graph(), flows, power);
+    assert_eq!(report.deadline_misses, 0, "{context}: the audit saw misses");
     assert_eq!(
         report.capacity_violations, 0,
         "{context}: replay over capacity"
@@ -131,7 +130,7 @@ fn assert_schedule_invariants(
 /// to the bit — and that is what was reported.
 fn assert_replayed_energy(
     context: &str,
-    replay: &SimReport,
+    replay: &Audit,
     schedule: &Schedule,
     reported: f64,
     power: &PowerFunction,
@@ -143,13 +142,13 @@ fn assert_replayed_energy(
             replay.energy.dynamic.to_bits()
         ),
         (analytic.idle.to_bits(), analytic.dynamic.to_bits()),
-        "{context}: simulator measures {:?}, the schedule accounts {analytic:?}",
+        "{context}: the audit measures {:?}, the schedule accounts {analytic:?}",
         replay.energy
     );
     assert_eq!(
         replay.energy.total().to_bits(),
         reported.to_bits(),
-        "{context}: simulator measures {} but {reported} was reported",
+        "{context}: the audit measures {} but {reported} was reported",
         replay.energy.total()
     );
 }
@@ -157,7 +156,7 @@ fn assert_replayed_energy(
 /// The relaxed contract for the deadline-oblivious policy (`srpt`):
 /// capacity (a) and span (c) hold for everything committed, delivery (b)
 /// holds for every flow the report does **not** declare missed, and the
-/// energy accounting (d) still matches the simulator — misses excuse a
+/// energy accounting (d) still matches the audit — misses excuse a
 /// flow from delivery, never from physics.
 fn assert_relaxed_policy_invariants(
     context: &str,
@@ -198,7 +197,7 @@ fn assert_relaxed_policy_invariants(
             );
         }
         if !decision.missed {
-            let delivered = fs.delivered_volume();
+            let delivered = fs.profile.volume();
             assert!(
                 (delivered - flow.volume).abs() <= 1e-6 * flow.volume.max(1.0),
                 "{context}: unmissed flow {} delivers {delivered} of {}",
@@ -207,7 +206,7 @@ fn assert_relaxed_policy_invariants(
             );
         }
     }
-    let report = Simulator::new(*power).run_ctx(ctx, flows, schedule);
+    let report = schedule.audit(ctx.graph(), flows, power);
     let reported = outcome.report.online_energy;
     assert_replayed_energy(context, &report, schedule, reported, power);
 }
@@ -593,7 +592,7 @@ fn a_uniform_schedule_stores_one_profile_per_flow() {
 /// per capacity-clipped re-rate) — not one per event the flow was in flight
 /// for. The replay walks each stored profile once, so it is affordable at the
 /// size of the `online_edf` benchmark workload (fat-tree k=8, capacity 10,
-/// 5000 flows at load 32): the simulator sees no deadline miss, no link
+/// 5000 flows at load 32): the audit sees no deadline miss, no link
 /// above capacity, and the energy the engine reported.
 #[test]
 fn an_edf_run_stores_one_piece_per_constant_rate_run_and_replays() {
@@ -631,13 +630,8 @@ fn an_edf_run_stores_one_piece_per_constant_rate_run_and_replays() {
         report.events
     );
 
-    let replay = Simulator::new(power).run_admitted(
-        ctx.graph(),
-        &flows,
-        &outcome.schedule,
-        &report.admitted_mask(),
-    );
-    assert_eq!(replay.deadline_misses, 0);
+    let replay = outcome.schedule.audit(ctx.graph(), &flows, &power);
+    assert_eq!(replay.misses_among(&report.admitted_mask()), 0);
     assert_eq!(replay.capacity_violations, 0);
     assert!(replay.max_utilization > 0.5, "the capacity check bites");
     assert_replayed_energy(

@@ -20,7 +20,6 @@ use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::flow::{Flow, FlowSet};
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 
 fn topologies() -> Vec<BuiltTopology> {
@@ -89,17 +88,19 @@ fn online_full_knowledge_is_bit_identical_to_offline_dcfsr() {
                 "{} seed {seed}: energies diverge",
                 topo.name
             );
-            // The simulator measures the two schedules identically too.
-            let simulator = Simulator::new(power);
-            let online_sim = simulator.run_admitted(
-                ctx.graph(),
-                &flows,
-                &outcome.schedule,
-                &outcome.report.admitted_mask(),
+            // The audit measures the two schedules identically too.
+            let online_audit = outcome.schedule.audit(ctx.graph(), &flows, &power);
+            let offline_audit =
+                clairvoyant
+                    .schedule
+                    .as_ref()
+                    .unwrap()
+                    .audit(ctx.graph(), &flows, &power);
+            assert_eq!(
+                online_audit.misses_among(&outcome.report.admitted_mask()),
+                offline_audit.deadline_misses
             );
-            let offline_sim =
-                simulator.run_ctx(&ctx, &flows, clairvoyant.schedule.as_ref().unwrap());
-            assert_eq!(online_sim, offline_sim);
+            assert_eq!(online_audit, offline_audit);
         }
     }
 }

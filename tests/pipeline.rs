@@ -1,12 +1,11 @@
 //! End-to-end integration tests: every topology builder x every workload
 //! generator, pushed through one `SolverContext` per topology, the
-//! registry's schedulers, verification and the simulator.
+//! registry's schedulers and the audit of their schedules.
 
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::{PartitionAggregateWorkload, ShuffleWorkload, UniformWorkload};
 use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 
 fn x2(capacity: f64) -> PowerFunction {
@@ -23,7 +22,7 @@ fn topologies() -> Vec<BuiltTopology> {
 }
 
 /// SP+MCF and Random-Schedule both meet all deadlines on every topology,
-/// and their (simulated) energy is never below the fractional lower bound.
+/// and their (audited) energy is never below the fractional lower bound.
 #[test]
 fn uniform_workload_all_topologies() {
     let power = x2(1e9);
@@ -48,9 +47,8 @@ fn uniform_workload_all_topologies() {
         ctx.verify(sp_schedule, &flows, &power)
             .unwrap_or_else(|e| panic!("{} SP+MCF: {e}", topo.name));
 
-        let simulator = Simulator::new(power);
-        let rs_report = simulator.run_ctx(&ctx, &flows, rs_schedule);
-        let sp_report = simulator.run_ctx(&ctx, &flows, sp_schedule);
+        let rs_report = rs_schedule.audit(ctx.graph(), &flows, &power);
+        let sp_report = sp_schedule.audit(ctx.graph(), &flows, &power);
         assert_eq!(rs_report.deadline_misses, 0, "{}", topo.name);
         assert_eq!(sp_report.deadline_misses, 0, "{}", topo.name);
         let lb = rs.lower_bound.unwrap();
@@ -100,7 +98,7 @@ fn application_workloads_end_to_end() {
 }
 
 /// Every DCFS-based scheduler of the registry produces a feasible schedule
-/// on the same context; the analytic energy and the simulated energy always
+/// on the same context; the analytic energy and the audited energy always
 /// agree.
 #[test]
 fn registry_schedulers_feasible_and_energy_consistent() {
@@ -109,7 +107,6 @@ fn registry_schedulers_feasible_and_energy_consistent() {
     let flows = UniformWorkload::paper_defaults(30, 3)
         .generate(topo.hosts())
         .unwrap();
-    let simulator = Simulator::new(power);
     let mut ctx = SolverContext::from_network(&topo.network).unwrap();
     let registry = AlgorithmRegistry::with_defaults();
 
@@ -120,11 +117,11 @@ fn registry_schedulers_feasible_and_energy_consistent() {
         let schedule = solution.schedule.as_ref().unwrap();
         ctx.verify(schedule, &flows, &power)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = simulator.run_ctx(&ctx, &flows, schedule);
+        let report = schedule.audit(ctx.graph(), &flows, &power);
         let analytic = solution.total_energy().unwrap();
         assert!(
             (report.energy.total() - analytic).abs() <= 1e-6 * analytic,
-            "{name}: simulated {} vs analytic {analytic}",
+            "{name}: audited {} vs analytic {analytic}",
             report.energy.total()
         );
     }

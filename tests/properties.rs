@@ -4,14 +4,13 @@
 //! * The fractional relaxation is a true lower bound for every scheme.
 //! * Most-Critical-First schedules are always feasible and never cheaper
 //!   than the relaxation.
-//! * The simulator and the analytic energy accounting agree.
+//! * The audit and the analytic energy accounting agree.
 //! * The power model's closed-form optimum (Lemma 3) minimises the power
 //!   rate.
 
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::{Flow, FlowSet};
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::sim::Simulator;
 use deadline_dcn::topology::builders;
 use proptest::prelude::*;
 
@@ -75,12 +74,12 @@ proptest! {
         let lb = solution.lower_bound.unwrap();
         prop_assert!(energy >= lb - 1e-6 * (1.0 + lb));
 
-        let report = Simulator::new(power).run_ctx(&ctx, &flows, schedule);
+        let report = schedule.audit(ctx.graph(), &flows, &power);
         prop_assert_eq!(report.deadline_misses, 0);
     }
 
     /// Most-Critical-First with shortest-path routing is always feasible and
-    /// never beats the fractional lower bound; the simulator agrees with the
+    /// never beats the fractional lower bound; the audit agrees with the
     /// analytic energy.
     #[test]
     fn sp_mcf_feasible_consistent_and_above_lb(flows in arb_flows(14)) {
@@ -95,7 +94,7 @@ proptest! {
         let energy = solution.total_energy().unwrap();
         prop_assert!(energy >= relaxation.lower_bound - 1e-6 * (1.0 + relaxation.lower_bound));
 
-        let report = Simulator::new(power).run_ctx(&ctx, &flows, schedule);
+        let report = schedule.audit(ctx.graph(), &flows, &power);
         prop_assert_eq!(report.deadline_misses, 0);
         prop_assert!((report.energy.total() - energy).abs() <= 1e-6 * (1.0 + energy));
     }

@@ -9,8 +9,10 @@
 //!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root;
 //! * the product crates keep one call path per operation: a superseded
 //!   entry point is deleted, never kept alive behind `#[deprecated]` or a
-//!   cargo feature, the online drivers share one in-flight ledger, and the
-//!   link load is accounted in one place and replayed segment by segment;
+//!   cargo feature, the online drivers share one in-flight ledger, the
+//!   link load is accounted in one place, and `Schedule::audit` is the one
+//!   verdict on a schedule, replaying each profile segment by segment
+//!   (`dcn-sim` is left as a wrapper for `perf/` alone);
 //! * solves run sequentially: the bench runner owns the only worker pool,
 //!   and `perf/` is the only benchmark harness;
 //! * `edf` re-plans without sorting or hashing: it walks the ledger's
@@ -330,26 +332,78 @@ fn solves_are_sequential_and_the_harness_owns_the_only_pool() {
 
 #[test]
 fn the_replay_reads_each_profile_by_its_segments() {
-    // Between a profile's own breakpoints nothing of it changes (PR 23):
-    // the simulator walks `segments()` once per flow, and asks no profile
-    // for its rate window by window. Its link half reads the loads
+    // Between a profile's own breakpoints nothing of it changes: the
+    // audit walks `segments()` once per flow, and asks no profile for
+    // its rate window by window. Its link half reads the loads
     // `Schedule::link_loads` summed, so it integrates no power of its own.
     // The global sweep it replaced lives on below `#[cfg(test)]`, as the
-    // reference.
-    let simulator = fs::read_to_string(workspace_root().join("crates/sim/src/simulator.rs"))
-        .expect("simulator.rs readable");
-    let (product, tests) = simulator
+    // reference. (The rest of `schedule.rs` may: `link_loads` integrates
+    // the power.)
+    let schedule = fs::read_to_string(workspace_root().join("crates/core/src/schedule.rs"))
+        .expect("schedule.rs readable");
+    let (product, tests) = schedule
         .split_once("#[cfg(test)]")
-        .expect("simulator.rs keeps its unit tests");
+        .expect("schedule.rs keeps its unit tests");
+    let lines: Vec<&str> = product.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.starts_with("    pub fn audit("))
+        .expect("`Schedule::audit` is defined in schedule.rs");
+    let end = (start..lines.len())
+        .find(|&j| lines[j] == "    }")
+        .expect("`Schedule::audit` has a body");
+    let audit = lines[start..=end].join("\n");
     assert!(
-        !product.contains("rate_at("),
-        "simulator.rs: `rate_at(` outside the tests — walk `segments()` instead"
+        !audit.contains("rate_at("),
+        "Schedule::audit: `rate_at(` — walk `segments()` instead"
     );
     assert!(
-        !product.contains("dynamic_power("),
-        "simulator.rs: `dynamic_power(` outside the tests — read `Schedule::link_loads`"
+        !audit.contains("dynamic_power("),
+        "Schedule::audit: `dynamic_power(` — read `Schedule::link_loads`"
     );
-    assert!(tests.contains("fn run_on_reference("));
+    assert!(audit.contains(".segments()"));
+    assert!(tests.contains("fn audit_reference("));
+}
+
+#[test]
+fn dcn_sim_is_left_for_the_benchmark_alone() {
+    // One verdict on a schedule: `Schedule::audit` in `dcn-core`. The
+    // `dcn-sim` crate stays only as the wrapper the benchmark under
+    // `perf/` calls, so no workspace member depends on it or names it,
+    // and its second replay and report type stay gone.
+    let root = workspace_root();
+    let sim_manifest = root.join("crates/sim/Cargo.toml");
+    for manifest in member_manifests() {
+        if manifest == sim_manifest {
+            continue;
+        }
+        let text = fs::read_to_string(&manifest).expect("manifest readable");
+        assert!(
+            !text.contains("dcn-sim"),
+            "{}: names `dcn-sim` — call `Schedule::audit` instead",
+            manifest.display()
+        );
+    }
+    let mut sources = Vec::new();
+    for dir in ["src", "examples", "tests", "crates"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    let this_file = root.join("tests/workspace.rs");
+    for path in sources.iter().filter(|p| **p != this_file) {
+        let source = fs::read_to_string(path).expect("source readable");
+        for banned in [
+            "dcn_sim::",
+            "deadline_dcn::sim",
+            "fn run_admitted",
+            "pub struct SimReport",
+        ] {
+            assert!(
+                !source.contains(banned),
+                "{}: `{banned}` — the audit is `Schedule::audit`",
+                path.display()
+            );
+        }
+    }
 }
 
 /// The product half of a source file: everything before its first
@@ -615,10 +669,10 @@ const CALLED_ONLY_BY_TESTS: &[(&str, &str)] = &[
     ),
     (
         "SimSummary::all_good",
-        "crates/sim/src/report.rs::summary_digests_the_report",
+        "crates/bench/src/report.rs::summary_digests_the_audit",
     ),
     (
-        "SimReport::all_good",
+        "Audit::all_good",
         "tests/example1.rs::example1_closed_form_through_public_api",
     ),
     (
