@@ -24,9 +24,10 @@
 //! end of Section III: links serialise flows independently and buffer data
 //! between hops, so a flow does not need a simultaneous free window on its
 //! whole path (the literal cut-through reading of Algorithm 1 can deadlock
-//! on dense instances). If a link cannot fit some flow inside its span, the
-//! flow's rate is raised to the smallest feasible value and the phase is
-//! repeated; only if a flow gets no time at all does the algorithm report
+//! on dense instances). Before packing, one sweep over the links raises
+//! the rates of the flows of every interval whose transmission times
+//! overflow it (program (P1)), just enough for them to fit; only if a flow
+//! then gets no time at all does the algorithm report
 //! [`SolveError::Infeasible`].
 //!
 //! Theorem 1 / Corollary 1 of the paper prove the phase-1 rates optimal for
@@ -36,52 +37,58 @@
 //! Most-Critical-First is optimal on a single link only, where it is YDS
 //! (`single_link_instance_matches_yds`). On `line(3)` under `x^2`, flows
 //! A→C and A→B on `[0, 1]` with volume 1 cost `3 + 2√2 ≈ 5.828` here, where
-//! Random-Schedule finds a verified `5.0`. The rate bumps of phase 2 only
-//! trigger on instances where the paper's virtual-circuit assumption itself
-//! is unsatisfiable.
+//! Random-Schedule finds a verified `5.0`.
 //!
-//! **Cost.** Both the critical-interval search of phase 1 and the (P1)
-//! repair sweep of phase 2 range over every interval `[a, b]` between two of
-//! a link's `P` endpoints, but sum the flows of an interval only when it can
-//! win. Containment is tabulated once per (flow, endpoint) by
-//! [`dcn_solver::IntervalScan`], whose `work_bounds` gives, for one `a` and
-//! all `b` together, an upper bound on the sum over `[a, b]` from a single
-//! running sum; the search takes the exact sum of an interval only if the
-//! bound's intensity beats the incumbent, the sweep only if the bound
-//! exceeds the room in `[a, b]` (it leaves a start point `a` as soon as the
-//! bound over *all* flows released from `a` on fits: a later, wider `b` only
-//! has more room), and the sweep divides `volume / rate` once per flow per
-//! link, again only for flows whose rate it has just raised. What is *not*
-//! restructured is the order of the floating-point sums that are taken: the
-//! weights of an interval are added in the link's list order, exactly as a
-//! filter over the whole list adds them, because the `1e-15` tie-break
-//! between intervals and the `1e-9` repair threshold see the rounding, and
-//! a schedule that differs in the last bit is a different (if equally good)
-//! schedule. The bounds only decide which of those sums are skipped, with a
-//! slack that covers their own rounding (see `dcn_solver::availability`).
+//! Phase 2's raises are routine: phase 1 blocks a critical interval on the
+//! critical link only, so another link of the same flows later prices its
+//! intervals as if those flows took none of its time. On the `offline_dcfs`
+//! instances (fat-tree k=8, 800 flows, seeds 1–4) the sweep raises 200,
+//! 192, 240 and 269 intervals per solve.
+//!
+//! **Cost.** Phase 1's critical-interval search and phase 2's (P1) repair
+//! range over every interval `[a, b]` between two of a link's `P`
+//! endpoints. [`dcn_solver::IntervalScan`] reads containment off two
+//! binary-searched boundaries per flow (`starts_in_available` says why
+//! phase 1's tests allow it) and bounds the sums over `[a, b]` for every `b`
+//! from one running sum. An interval's flows are summed only when its bound
+//! can beat the incumbent or overflow the room, and then in list order, as
+//! a filter over the whole list adds them: the `1e-15` tie-break and the
+//! `1e-9` repair threshold see the rounding, and the bounds' slack covers
+//! their own (`dcn_solver::availability`). The sweep leaves a start `a` once
+//! the bound over every flow released from `a` on fits (a later, wider `b`
+//! only has more room), and re-divides `volume / rate` only for flows whose
+//! rate it has just raised.
 //!
 //! Phase 1 is lazy in the same way across links. A link is *dirty* once a
-//! flow on it has been fixed elsewhere; its last intensity then remains a
-//! ceiling on its next one, because the link only lost flows at unchanged
-//! availability: every interval keeps its available time and sums a subset
-//! of the same positive weights in the same order, and rounded addition and
-//! division are monotone, so no interval's intensity can rise. A round
-//! starts from the best up-to-date candidate, refreshes a dirty link only
-//! if its ceiling is not below the best candidate seen so far, and takes
-//! the maximum over up-to-date candidates only; a link left dirty could
-//! neither win nor tie, so the selected `(link, intensity, start, end)`
-//! sequence is that of refreshing every dirty link every round. The link
-//! whose critical interval was just blocked lost *available time*, which
-//! raises intensities, so it has no ceiling and is always refreshed. Two
-//! effects make a ceiling slightly soft, and `STALE_SLACK` plus an absolute
-//! `1e-15` cover them: the scan returns an intensity within `1e-15` of the
-//! link's maximum, not the maximum (its tie-break), and when the flows that
-//! left take an endpoint with them, an endpoint less than `1e-12` away may
-//! replace it (the scan's dedup), which moves an interval's available time
-//! by less than `1e-12` and its intensity by less than `1e-12 / available`
-//! relative — below `STALE_SLACK` for any interval with more than a
-//! thousandth of a time unit left, and zero on inputs whose endpoints
-//! coincide exactly or not at all.
+//! flow on it has been fixed elsewhere; its last intensity then stays a
+//! ceiling on its next one, because it only lost flows at unchanged
+//! availability (every interval sums a subset of the same positive weights
+//! in the same order over the same time, and rounded addition and division
+//! are monotone). A round starts from the best up-to-date candidate,
+//! refreshes a dirty link only if its ceiling is not below the best
+//! candidate seen so far, and takes the maximum over up-to-date candidates
+//! only; a link left dirty could neither win nor tie, so the selected
+//! `(link, intensity, start, end)` sequence is that of refreshing every
+//! dirty link every round. The link whose critical interval was just
+//! blocked lost *available time* and is always refreshed. `STALE_SLACK` plus
+//! an absolute `1e-15` cover two soft spots of a ceiling: the scan's `1e-15`
+//! tie-break, and an endpoint replaced by one less than `1e-12` away when
+//! the flows that left take it with them (the scan's dedup), which moves an
+//! intensity by under `1e-12 / available` relative — below `STALE_SLACK`
+//! for any interval with more than a thousandth of a time unit left, and
+//! zero where endpoints coincide exactly or not at all.
+//!
+//! **One repair sweep is enough.** A raise multiplies the rates of an
+//! overflowing interval's flows by `(total / capacity_time)·(1 + 1e-12)`,
+//! leaving its sum at `capacity_time / (1 + 1e-12)` up to `(2n + 6)·u`
+//! relative rounding (`u = 2^-53`, `n` flows on the link): below the
+//! `room = capacity_time·(1 + 1e-9)` it is checked against for fewer than
+//! four million flows. A raise only shrinks transmission times, on every
+//! link of the raised flows, and rounded division and in-order addition are
+//! monotone, so no interval's sum grows after the sweep checked it or its
+//! bound skipped it. A second sweep would raise nothing (0 times on the
+//! seeds above; `tests/critical_interval.rs` asserts it of its multi-pass
+//! reference in every differential case).
 //!
 //! The maximum-rate constraint is intentionally ignored (the paper relaxes
 //! it for DCFS); [`crate::schedule::Schedule::verify_on`] reports capacity
@@ -269,8 +276,8 @@ pub fn most_critical_first(
         ceiling[critical] = f64::INFINITY;
     }
 
-    // Phase 2: per-link preemptive EDF packing at the fixed rates, with a
-    // bounded rate-raising loop for the (rare) flows that do not fit.
+    // Phase 2: one (P1) repair sweep over the links, then per-link
+    // preemptive EDF packing at the final rates.
     let mut link_profiles = pack_links(flows, &link_flows, &mut rates)?;
 
     let flow_schedules = flows
@@ -291,16 +298,9 @@ pub fn most_critical_first(
     Ok(Schedule::new(flow_schedules, horizon))
 }
 
-/// Phase 2: turn the fixed rates into an explicit, feasible per-link timing.
-///
-/// First, every flow's rate is raised (if necessary) to the per-link YDS
-/// rate of each link it traverses — the smallest rate at which that link
-/// alone can serve all of its flows within their spans. Phase-1 rates
-/// already exceed those values on the link where the flow was critical, so
-/// this bump only triggers when the paper's virtual-circuit assumption is
-/// itself unsatisfiable. Then every link independently packs its flows with
-/// preemptive EDF at the final rates, which is guaranteed to meet every
-/// deadline.
+/// Phase 2: turn the fixed rates into an explicit, feasible per-link timing:
+/// one (P1) repair sweep over the links (module docs), then preemptive EDF
+/// packing of every link at the final rates, which meets every deadline.
 ///
 /// `link_flows[l]` lists the flows on link `l`. Returns, per flow, its
 /// transmission profile on every link of its path.
@@ -311,58 +311,46 @@ fn pack_links(
 ) -> Result<Vec<BTreeMap<LinkId, RateProfile>>, SolveError> {
     use dcn_solver::yds::{edf_schedule, Job};
 
-    // Repair pass: the phase-1 rates satisfy the per-link demand condition
-    // (program (P1): for every link and every interval, the transmission
-    // times of the contained flows fit) whenever the paper's virtual-circuit
-    // assumption is satisfiable. Cross-link interactions on dense instances
-    // can leave a small deficit on links that were never critical for some
-    // of their flows; scale the rates of the offending flows up just enough
-    // to restore the condition. Raising rates only shrinks transmission
-    // times, so the repair converges monotonically.
+    // Repair sweep: wherever the transmission times of the flows contained
+    // in an interval of a link exceed it (program (P1)), scale the rates of
+    // those flows up just enough to restore the condition.
     let mut bounds = Vec::new();
-    for _pass in 0..16 {
-        let mut changed = false;
-        for flow_ids in link_flows.iter().filter(|list| !list.is_empty()) {
-            let spans: Vec<(f64, f64)> = flow_ids.iter().map(|&id| flows.flow(id).span()).collect();
-            let scan = IntervalScan::new(
-                &spans,
-                |(release, _), a| release >= a - 1e-12,
-                |(_, deadline), b| deadline <= b + 1e-12,
-            );
-            // Transmission time of each flow on this link at its current rate.
-            let mut time: Vec<f64> = flow_ids
-                .iter()
-                .map(|&id| flows.flow(id).volume / rates[id])
-                .collect();
-            for (ia, &a) in scan.points().iter().enumerate() {
-                scan.work_bounds(ia, &time, &mut bounds);
-                for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
-                    let capacity_time = b - a;
-                    let room = capacity_time * (1.0 + 1e-9);
-                    if bounds.last().is_some_and(|&all| all <= room) {
-                        // Every flow released from `a` on fits here, so any
-                        // of them fit every later (wider) b.
-                        break;
+    for flow_ids in link_flows.iter().filter(|list| !list.is_empty()) {
+        let spans: Vec<(f64, f64)> = flow_ids.iter().map(|&id| flows.flow(id).span()).collect();
+        let scan = IntervalScan::new(
+            &spans,
+            |(release, _), a| release >= a - 1e-12,
+            |(_, deadline), b| deadline <= b + 1e-12,
+        );
+        // Transmission time of each flow on this link at its current rate.
+        let mut time: Vec<f64> = flow_ids
+            .iter()
+            .map(|&id| flows.flow(id).volume / rates[id])
+            .collect();
+        for (ia, &a) in scan.points().iter().enumerate() {
+            scan.work_bounds(ia, &time, &mut bounds);
+            for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
+                let capacity_time = b - a;
+                let room = capacity_time * (1.0 + 1e-9);
+                if bounds.last().is_some_and(|&all| all <= room) {
+                    // Every flow released from `a` on fits here, so any
+                    // of them fit every later (wider) b.
+                    break;
+                }
+                if bounds[ib] <= room {
+                    continue;
+                }
+                let total: f64 = scan.within(ia, ib).map(|i| time[i]).sum();
+                if total > room {
+                    let factor = total / capacity_time;
+                    for i in scan.within(ia, ib) {
+                        let id = flow_ids[i];
+                        rates[id] *= factor * (1.0 + 1e-12);
+                        time[i] = flows.flow(id).volume / rates[id];
                     }
-                    if bounds[ib] <= room {
-                        continue;
-                    }
-                    let total: f64 = scan.within(ia, ib).map(|i| time[i]).sum();
-                    if total > room {
-                        let factor = total / capacity_time;
-                        for i in scan.within(ia, ib) {
-                            let id = flow_ids[i];
-                            rates[id] *= factor * (1.0 + 1e-12);
-                            time[i] = flows.flow(id).volume / rates[id];
-                        }
-                        changed = true;
-                        scan.work_bounds(ia, &time, &mut bounds);
-                    }
+                    scan.work_bounds(ia, &time, &mut bounds);
                 }
             }
-        }
-        if !changed {
-            break;
         }
     }
 
@@ -422,6 +410,18 @@ fn pack_links(
 /// containment notion the critical interval uses once earlier critical
 /// intervals have been removed (equivalent to the time-contraction step of
 /// classical YDS). This half: no available time of the span precedes `a`.
+///
+/// [`IntervalScan`] needs this test true on a prefix of the endpoints (and
+/// its mirror [`ends_in_available`] on a suffix). The exact available time
+/// `A(x)` of `[release, x)`, `x = min(a, deadline)`, never falls as `a`
+/// grows. The computed `(x − release) − blocked` has both terms
+/// non-decreasing in floating point, but their difference can fall by an
+/// ulp inside a blocked stretch. It stays within `ε = (k + 2)·u·(deadline −
+/// release)` of `A` (`k` blocked intervals, `u = 2^-53`), so the test can
+/// turn true again only where `A` is within `ε` of `1e-9`: `ε < 1.2e-10` for
+/// spans under `1e3` with under `1e3` blocked intervals, and as `A` sums
+/// gaps between flow endpoints, it takes two endpoints about `1e-9` apart.
+/// There the scan reads one switch, where its binary search meets it.
 fn starts_in_available((release, deadline): (f64, f64), a: f64, avail: &TimeAvailability) -> bool {
     avail.available_between(release, a.min(deadline)) < 1e-9
 }

@@ -8,22 +8,32 @@
 //! intervals and answers those queries; [`IntervalScan`] is the scan over
 //! candidate intervals that both algorithms run on top of it.
 //!
+//! **What the scan keeps.** A span lies in `[a, b]` when it may start at
+//! `a` and ends by `b`, and every caller's two tests are monotone in the
+//! endpoint (exactly for the plain `±1e-12` comparisons, and within a
+//! rounding window Most-Critical-First states for its availability tests).
+//! So the scan keeps, per span, the last endpoint at which it may start and
+//! the first by which it ends, each found by binary search: `O(n log P)`
+//! test calls for `n` spans and `P` endpoints, and no per-(span, endpoint)
+//! table. Its contract: `starts_at` holds on a prefix of the sorted
+//! endpoints, `ends_by` on a suffix.
+//!
 //! **Which sums the scan computes.** The work of an interval is the sum of
 //! its members' weights *in list order* — thresholds downstream see the
 //! rounding, so that order is part of the result — and it costs one pass
-//! over the spans starting at `a` per pair `(a, b)`. Most pairs cannot
-//! matter, and [`IntervalScan::work_bounds`] says so from one running sum
-//! per `a`: each span is bucketed at the first endpoint by which it ends,
-//! and the prefix sum of the buckets up to `b` covers a superset of the
-//! members of `[a, b]`. Both sums add at most `n` non-negative terms with
-//! `n - 1` rounded additions each, whatever the association, so each is
-//! within a factor `(1 ± u)^(n-1)` of its exact value (`u = 2^-53`); the
-//! in-order sum of the subset is therefore at most the prefix sum times
-//! `((1 + u) / (1 - u))^(n-1) ≈ 1 + 2nu`. `SUM_SLACK` is that factor's
-//! excess with room to spare, and every bound is scaled by `1 + SUM_SLACK`
-//! before it is compared, so a skipped pair is one whose exact in-order sum
-//! could not have passed the comparison either: the bound prunes work, never
-//! changes a result.
+//! over the list, two integer compares per span, per pair `(a, b)`. Most
+//! pairs cannot matter, and [`IntervalScan::work_bounds`] says so from one
+//! running sum per `a`: each span that may start at `a` is bucketed at the
+//! first endpoint by which it ends, and the prefix sum of the buckets up to
+//! `b` adds exactly the members of `[a, b]`, in another order. Both sums
+//! add at most `n` non-negative terms with `n - 1` rounded additions each,
+//! whatever the association, so each is within a factor `(1 ± u)^(n-1)` of
+//! its exact value (`u = 2^-53`); the in-order sum is therefore at most the
+//! prefix sum times `((1 + u) / (1 - u))^(n-1) ≈ 1 + 2nu`. `SUM_SLACK` is
+//! that factor's excess with room to spare, and every bound is scaled by
+//! `1 + SUM_SLACK` before it is compared, so a skipped pair is one whose
+//! exact in-order sum could not have passed the comparison either: the bound
+//! prunes work, never changes a result.
 
 /// The set of blocked (unavailable) time intervals on a resource, starting
 /// from a fully available timeline.
@@ -151,31 +161,24 @@ const SUM_SLACK: f64 = 1e-9;
 /// their endpoints — the one scan behind the critical interval of
 /// [`crate::yds_schedule`], of Most-Critical-First and of its (P1) repair.
 ///
-/// Whether span `i` lies in `[a, b]` is the conjunction of a test on
-/// `(i, a)` and a test on `(i, b)`, so both are decided once per (span,
-/// endpoint) — `n * P` evaluations of each test instead of one per (span,
-/// a, b) — and a pair is then answered from the per-`a` member list and the
-/// per-`b` row alone. Members always come back **in list order**, so a sum
-/// over them rounds exactly as a filter over the whole list would; whether
-/// that sum is worth taking is decided first from [`Self::work_bounds`].
+/// Members come back **in list order**, so a sum over them rounds exactly
+/// as a filter over the whole list would; whether that sum is worth taking
+/// is decided first from [`Self::work_bounds`].
 #[derive(Debug)]
 pub struct IntervalScan {
     points: Vec<f64>,
-    /// `starts[offsets[ia]..offsets[ia + 1]]`: the spans that may start at
-    /// `points[ia]`, in list order.
-    starts: Vec<usize>,
-    offsets: Vec<usize>,
-    /// `ends[ib * spans + i]`: span `i` ends by `points[ib]`.
-    ends: Vec<bool>,
+    /// `last_start[i]`: one past the last index into `points` at which span
+    /// `i` may start (`0` if it may start at none).
+    last_start: Vec<usize>,
     /// `first_end[i]`: the first index into `points` at which span `i` ends
     /// (`points.len()` if it never does).
     first_end: Vec<usize>,
-    spans: usize,
 }
 
 impl IntervalScan {
-    /// Tabulates `starts_at(span, a)` and `ends_by(span, b)` over the sorted,
-    /// `1e-12`-deduplicated endpoints of `spans`.
+    /// Finds by binary search, over the sorted, `1e-12`-deduplicated
+    /// endpoints of `spans`, where `starts_at(span, a)` stops holding and
+    /// `ends_by(span, b)` starts to (the contract is in the module docs).
     pub fn new(
         spans: &[(f64, f64)],
         mut starts_at: impl FnMut((f64, f64), f64) -> bool,
@@ -184,28 +187,19 @@ impl IntervalScan {
         let mut points: Vec<f64> = spans.iter().flat_map(|&(r, d)| [r, d]).collect();
         points.sort_by(|a, b| a.partial_cmp(b).expect("finite span endpoints"));
         points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        let mut starts = Vec::new();
-        let mut offsets = vec![0];
-        let mut ends = Vec::with_capacity(points.len() * spans.len());
-        let mut first_end = vec![points.len(); spans.len()];
-        for (ip, &p) in points.iter().enumerate() {
-            starts.extend((0..spans.len()).filter(|&i| starts_at(spans[i], p)));
-            offsets.push(starts.len());
-            for (i, &span) in spans.iter().enumerate() {
-                let ended = ends_by(span, p);
-                ends.push(ended);
-                if ended {
-                    first_end[i] = first_end[i].min(ip);
-                }
-            }
-        }
+        let (last_start, first_end) = spans
+            .iter()
+            .map(|&span| {
+                (
+                    points.partition_point(|&a| starts_at(span, a)),
+                    points.partition_point(|&b| !ends_by(span, b)),
+                )
+            })
+            .unzip();
         Self {
             points,
-            starts,
-            offsets,
-            ends,
+            last_start,
             first_end,
-            spans: spans.len(),
         }
     }
 
@@ -214,30 +208,36 @@ impl IntervalScan {
         &self.points
     }
 
-    /// The spans that may start at `points[ia]`, in list order.
-    pub fn starting_at(&self, ia: usize) -> &[usize] {
-        &self.starts[self.offsets[ia]..self.offsets[ia + 1]]
+    /// The spans that may start at `points[ia]`, in list order, each with
+    /// the first endpoint index by which it ends.
+    fn starting_at(&self, ia: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.last_start
+            .iter()
+            .zip(&self.first_end)
+            .enumerate()
+            .filter(move |&(_, (&last, _))| ia < last)
+            .map(|(i, (_, &end))| (i, end))
     }
 
     /// The spans contained in `[points[ia], points[ib]]`, in list order.
     pub fn within(&self, ia: usize, ib: usize) -> impl Iterator<Item = usize> + '_ {
-        let ends = &self.ends[ib * self.spans..(ib + 1) * self.spans];
-        self.starting_at(ia).iter().copied().filter(|&i| ends[i])
+        self.starting_at(ia)
+            .filter(move |&(_, end)| end <= ib)
+            .map(|(i, _)| i)
     }
 
     /// Fills `bounds[ib]`, for every endpoint index `ib`, with an upper
     /// bound on the in-order sum of `weights` over `within(ia, ib)`: the
-    /// running sum of the weights of `starting_at(ia)`, each bucketed at
-    /// the first endpoint by which its span ends, scaled by `1 + SUM_SLACK`
-    /// (module docs). It holds whether or not `ends_by` is monotone in the
-    /// endpoint, never decreases with `ib`, is `0.0` exactly where no span
-    /// from `ia` on has ended yet, and costs `|starting_at(ia)| + P` for
-    /// all `ib` together. `weights` must be non-negative.
+    /// running sum of the weights of the spans that may start at `ia`, each
+    /// bucketed at the first endpoint by which it ends, scaled by
+    /// `1 + SUM_SLACK` (module docs). It never decreases with `ib`, is
+    /// `0.0` exactly where no span from `ia` on has ended yet, and costs
+    /// `n + P` for all `ib` together. `weights` must be non-negative.
     pub fn work_bounds(&self, ia: usize, weights: &[f64], bounds: &mut Vec<f64>) {
         bounds.clear();
         bounds.resize(self.points.len(), 0.0);
-        for &i in self.starting_at(ia) {
-            if let Some(bucket) = bounds.get_mut(self.first_end[i]) {
+        for (i, end) in self.starting_at(ia) {
+            if let Some(bucket) = bounds.get_mut(end) {
                 *bucket += weights[i];
             }
         }
@@ -475,7 +475,10 @@ mod tests {
     fn interval_scan_lists_members_in_list_order() {
         let scan = plain_scan();
         assert_eq!(scan.points(), &[0.0, 1.0, 2.0, 3.0, 4.0, 8.0]);
-        assert_eq!(scan.starting_at(1), &[1, 2, 3]);
+        assert_eq!(
+            scan.starting_at(1).map(|(i, _)| i).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
         assert_eq!(scan.within(0, 4).collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(scan.within(1, 3).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(scan.within(2, 5).collect::<Vec<_>>(), vec![2]);
@@ -501,32 +504,95 @@ mod tests {
         );
     }
 
-    /// `densest` as a plain loop: the in-order sum of every pair.
-    fn densest_over_all_pairs(
-        scan: &IntervalScan,
-        weights: &[f64],
-        mut intensity: impl FnMut(f64, f64, f64) -> Option<f64>,
-    ) -> Option<(f64, f64, f64)> {
-        let mut best: Option<(f64, f64, f64)> = None;
-        for (ia, &a) in scan.points().iter().enumerate() {
-            for (ib, &b) in scan.points().iter().enumerate().skip(ia + 1) {
-                let work: f64 = scan.within(ia, ib).map(|i| weights[i]).sum();
-                if work <= 0.0 {
-                    continue;
-                }
-                let Some(intensity) = intensity(work, a, b) else {
-                    continue;
-                };
-                if best.is_none_or(|(top, ..)| intensity > top + 1e-15) {
-                    best = Some((intensity, a, b));
-                }
+    /// The per-(span, endpoint) tables the boundary form replaced: both
+    /// predicates evaluated at every endpoint of `scan`.
+    struct ExhaustiveTable {
+        /// `starts[ia][i]`: span `i` may start at `points[ia]`.
+        starts: Vec<Vec<bool>>,
+        /// `ended[ib][i]`: span `i` ends by `points[ib]`.
+        ended: Vec<Vec<bool>>,
+    }
+
+    impl ExhaustiveTable {
+        fn new(
+            scan: &IntervalScan,
+            spans: &[(f64, f64)],
+            starts_at: impl Fn((f64, f64), f64) -> bool,
+            ends_by: impl Fn((f64, f64), f64) -> bool,
+        ) -> Self {
+            let row = |p: f64, test: &dyn Fn((f64, f64), f64) -> bool| {
+                spans
+                    .iter()
+                    .map(|&span| test(span, p))
+                    .collect::<Vec<bool>>()
+            };
+            Self {
+                starts: scan.points().iter().map(|&a| row(a, &starts_at)).collect(),
+                ended: scan.points().iter().map(|&b| row(b, &ends_by)).collect(),
             }
         }
-        best
+
+        /// Whether `starts_at` holds on a prefix and `ends_by` on a suffix
+        /// of the endpoints, for every span: the contract of the scan.
+        fn meets_the_contract(&self) -> bool {
+            let spans = self.starts.first().map_or(0, Vec::len);
+            (0..spans).all(|i| {
+                let column = |rows: &[Vec<bool>]| rows.iter().map(|row| row[i]).collect::<Vec<_>>();
+                column(&self.starts).windows(2).all(|w| w[0] >= w[1])
+                    && column(&self.ended).windows(2).all(|w| w[0] <= w[1])
+            })
+        }
+
+        fn within(&self, ia: usize, ib: usize) -> Vec<usize> {
+            (0..self.starts[ia].len())
+                .filter(|&i| self.starts[ia][i] && self.ended[ib][i])
+                .collect()
+        }
+
+        /// `work_bounds` with each span's bucket found by a linear search.
+        fn work_bounds(&self, ia: usize, weights: &[f64]) -> Vec<f64> {
+            let mut bounds = vec![0.0; self.ended.len()];
+            for i in (0..weights.len()).filter(|&i| self.starts[ia][i]) {
+                if let Some(ib) = self.ended.iter().position(|row| row[i]) {
+                    bounds[ib] += weights[i];
+                }
+            }
+            let mut running = 0.0;
+            for bound in &mut bounds {
+                running += *bound;
+                *bound = running * (1.0 + SUM_SLACK);
+            }
+            bounds
+        }
+
+        /// `densest` as a plain loop: the in-order sum of every pair.
+        fn densest(
+            &self,
+            points: &[f64],
+            weights: &[f64],
+            mut intensity: impl FnMut(f64, f64, f64) -> Option<f64>,
+        ) -> Option<(f64, f64, f64)> {
+            let mut best: Option<(f64, f64, f64)> = None;
+            for (ia, &a) in points.iter().enumerate() {
+                for (ib, &b) in points.iter().enumerate().skip(ia + 1) {
+                    let work: f64 = self.within(ia, ib).iter().map(|&i| weights[i]).sum();
+                    if work <= 0.0 {
+                        continue;
+                    }
+                    let Some(intensity) = intensity(work, a, b) else {
+                        continue;
+                    };
+                    if best.is_none_or(|(top, ..)| intensity > top + 1e-15) {
+                        best = Some((intensity, a, b));
+                    }
+                }
+            }
+            best
+        }
     }
 
     #[test]
-    fn bounded_densest_equals_the_all_pairs_loop() {
+    fn the_boundary_form_equals_the_exhaustive_table() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move |modulus: u64| {
             state = state
@@ -534,42 +600,73 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % modulus
         };
-        for case in 0..200 {
-            // A coarse grid, so endpoints repeat and intensities tie; every
-            // other case draws weights that do not sum exactly.
+        // Offsets that put endpoints `1e-12` apart (or just under or over
+        // the dedup tolerance) next to grid points that tie exactly.
+        const JITTER: [f64; 6] = [0.0, 0.0, 1e-12, -1e-12, 1e-13, 3e-12];
+        for case in 0..300 {
+            // A coarse grid, so endpoints repeat and intensities tie, and a
+            // quarter of the spans duplicate an earlier one; every other
+            // case draws weights that do not sum exactly.
             let n = 1 + next(40) as usize;
-            let spans: Vec<(f64, f64)> = (0..n)
-                .map(|_| {
-                    let release = next(12) as f64;
-                    (release, release + 1.0 + next(6) as f64)
-                })
-                .collect();
+            let mut spans: Vec<(f64, f64)> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let span = match spans.len() {
+                    len if len > 0 && next(4) == 0 => spans[next(len as u64) as usize],
+                    _ => {
+                        let release = next(12) as f64;
+                        let deadline = release + 1.0 + next(6) as f64;
+                        (
+                            release + JITTER[next(6) as usize],
+                            deadline + JITTER[next(6) as usize],
+                        )
+                    }
+                };
+                spans.push(span);
+            }
             let weights: Vec<f64> = (0..n)
                 .map(|_| match case % 2 {
                     0 => 1.0 + next(3) as f64,
                     _ => (1 + next(1000)) as f64 / 7.0,
                 })
                 .collect();
-            // Containment up to some blocked time, as phase 1 of
-            // Most-Critical-First asks for it: not monotone in the endpoint.
+            // Plain containment, as YDS and the (P1) repair ask for it, and
+            // containment up to some blocked time, as phase 1 of
+            // Most-Critical-First does.
             let mut avail = TimeAvailability::new();
-            for _ in 0..next(4) {
-                let start = next(16) as f64;
+            for _ in 0..next(5) {
+                let start = next(16) as f64 + JITTER[next(6) as usize];
                 avail.block(start, start + 1.0 + next(3) as f64);
             }
-            let scans = [
-                IntervalScan::new(
-                    &spans,
-                    |(release, _), a| release >= a - 1e-12,
-                    |(_, deadline), b| deadline <= b + 1e-12,
+            type Test<'a> = &'a dyn Fn((f64, f64), f64) -> bool;
+            let predicates: [(Test, Test); 2] = [
+                (
+                    &|(release, _), a| release >= a - 1e-12,
+                    &|(_, deadline), b| deadline <= b + 1e-12,
                 ),
-                IntervalScan::new(
-                    &spans,
-                    |(r, d), a| avail.available_between(r, a.min(d)) < 1e-9,
-                    |(r, d), b| avail.available_between(b.max(r), d) < 1e-9,
+                (
+                    &|(r, d), a| avail.available_between(r, a.min(d)) < 1e-9,
+                    &|(r, d), b| avail.available_between(b.max(r), d) < 1e-9,
                 ),
             ];
-            for scan in &scans {
+            for (starts_at, ends_by) in predicates {
+                let scan = IntervalScan::new(&spans, starts_at, ends_by);
+                let table = ExhaustiveTable::new(&scan, &spans, starts_at, ends_by);
+                assert!(table.meets_the_contract(), "case {case}");
+                let points = scan.points();
+                let mut bounds = Vec::new();
+                for ia in 0..points.len() {
+                    scan.work_bounds(ia, &weights, &mut bounds);
+                    assert_eq!(bounds, table.work_bounds(ia, &weights), "case {case}");
+                    for ib in ia..points.len() {
+                        assert_eq!(
+                            scan.within(ia, ib).collect::<Vec<_>>(),
+                            table.within(ia, ib),
+                            "case {case}: [{}, {}]",
+                            points[ia],
+                            points[ib]
+                        );
+                    }
+                }
                 let available = |a, b| avail.available_between(a, b);
                 // The two callers' closures, and one that rejects a start.
                 let or_none = |w: f64, a, b| (available(a, b) > 1e-12).then(|| w / available(a, b));
@@ -583,17 +680,17 @@ mod tests {
                 let late_only = |w: f64, a: f64, b: f64| (a >= 3.0).then(|| w / (b - a));
                 assert_eq!(
                     scan.densest(&weights, or_none),
-                    densest_over_all_pairs(scan, &weights, or_none),
+                    table.densest(points, &weights, or_none),
                     "case {case}"
                 );
                 assert_eq!(
                     scan.densest(&weights, or_infinity),
-                    densest_over_all_pairs(scan, &weights, or_infinity),
+                    table.densest(points, &weights, or_infinity),
                     "case {case}"
                 );
                 assert_eq!(
                     scan.densest(&weights, late_only),
-                    densest_over_all_pairs(scan, &weights, late_only),
+                    table.densest(points, &weights, late_only),
                     "case {case}"
                 );
             }

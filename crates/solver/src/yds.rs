@@ -17,8 +17,8 @@
 //!
 //! **Cost.** A round of [`yds_schedule`] over `n` jobs with `P` distinct
 //! endpoints ranges over `P^2 / 2` intervals. Which jobs an interval
-//! contains is decided once per (job, endpoint) by [`IntervalScan`], which
-//! also bounds the work of every interval from one running sum per start
+//! contains is read by [`IntervalScan`] off two boundaries per job, and the
+//! scan bounds the work of every interval from one running sum per start
 //! point; only an interval whose bound could beat the incumbent sums the
 //! works of its members, and then **in job order** — the same terms in the
 //! same order as a filter over the whole job list, so intensities, the

@@ -6,8 +6,10 @@
 //!   bit for bit (`==` on rates and windows, no tolerance), the pre-kernel
 //!   algorithms kept in [`reference`], whose three scans all go through the
 //!   one surviving copy of the pairwise scan, [`reference::pairwise_scan`].
-//!   A pinned instance takes the rate-raising branch of the (P1) repair
-//!   sweep, so the sweep is not only ever compared in its no-op form; one
+//!   The reference repairs (P1) pass after pass and asserts that a second
+//!   pass raises nothing, since the product sweeps once. A pinned instance
+//!   takes the rate-raising branch of that sweep, so the sweep is not only
+//!   ever compared in its no-op form; one
 //!   made of ties (`common::tie_heavy_instance`) has per-link lists long
 //!   enough, and intensities equal often enough, for the bounds that skip
 //!   sums and refreshes to decide something; and the `offline_dcfs`
@@ -16,10 +18,12 @@
 //! * **Oracle** — the final rates satisfy program (P1) on every link
 //!   (`brute::speeds_feasible`), and on instances small enough to enumerate
 //!   the energy is the brute-force optimum (Theorem 1 / Corollary 1).
+//!   Uncapped `edf` stays within the AVR bound of YDS on every link.
 
 mod common;
 
-use deadline_dcn::core::{most_critical_first, Routing, Schedule};
+use deadline_dcn::core::online::OnlineEngine;
+use deadline_dcn::core::{most_critical_first, Routing, Schedule, SolverContext};
 use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::flow::{Flow, FlowSet};
 use deadline_dcn::power::PowerFunction;
@@ -217,14 +221,18 @@ mod reference {
         best
     }
 
-    /// Pre-kernel `most_critical_first` (valid paths assumed); returns the
-    /// phase-1 rates next to the schedule, so a test can tell whether the
-    /// repair sweep raised any of them.
+    /// Pre-kernel `most_critical_first` (valid paths assumed); returns how
+    /// many intervals the first pass of the repair sweep raised next to the
+    /// schedule, so a test can tell the sweep was not a no-op.
+    ///
+    /// # Panics
+    ///
+    /// If a second pass of the sweep raises anything: one sweep is exact.
     pub fn most_critical_first(
         flows: &FlowSet,
         paths: &[Path],
         power: &PowerFunction,
-    ) -> Result<(Vec<f64>, Schedule), SolveError> {
+    ) -> Result<(usize, Schedule), SolveError> {
         let alpha = power.alpha();
         let virtual_weight: Vec<f64> = flows
             .iter()
@@ -308,11 +316,12 @@ mod reference {
                 dirty.push(critical_link);
             }
         }
-        let phase1_rates = rates.clone();
 
-        // (P1) repair sweep.
+        // (P1) repair sweep, pass after pass until one raises nothing;
+        // `raises[p]` counts the intervals pass `p` repaired.
+        let mut raises = Vec::new();
         for _pass in 0..16 {
-            let mut changed = false;
+            let mut raised = 0;
             for flow_ids in all_link_flows.values() {
                 let spans: Vec<(f64, f64)> =
                     flow_ids.iter().map(|&id| flows.flow(id).span()).collect();
@@ -330,15 +339,20 @@ mod reference {
                             for &i in members {
                                 rates[flow_ids[i]] *= factor * (1.0 + 1e-12);
                             }
-                            changed = true;
+                            raised += 1;
                         }
                     },
                 );
             }
-            if !changed {
+            raises.push(raised);
+            if raised == 0 {
                 break;
             }
         }
+        assert!(
+            raises[1..].iter().all(|&r| r == 0),
+            "a second repair pass raised rates: {raises:?}"
+        );
 
         // Per-link EDF packing at the final rates.
         let mut link_profiles: BTreeMap<LinkId, BTreeMap<FlowId, RateProfile>> = BTreeMap::new();
@@ -403,7 +417,7 @@ mod reference {
                 FlowSchedule::per_link(f.id, paths[f.id].clone(), nominal, per_link)
             })
             .collect();
-        Ok((phase1_rates, Schedule::new(flow_schedules, flows.horizon())))
+        Ok((raises[0], Schedule::new(flow_schedules, flows.horizon())))
     }
 }
 
@@ -522,7 +536,8 @@ fn benchmark_size_instances_equal_the_pairwise_reference() {
             .generate(topo.hosts())
             .expect("workload generates");
         let paths = shortest_paths(&topo, &flows);
-        let (_, expected) = reference::most_critical_first(&flows, &paths, &power).unwrap();
+        let (raised, expected) = reference::most_critical_first(&flows, &paths, &power).unwrap();
+        assert!(raised > 0, "seed {seed}: the repair sweep was a no-op");
         let schedule = most_critical_first(&topo.network, &flows, &paths, &power).unwrap();
         assert_eq!(schedule, expected, "seed {seed}");
     }
@@ -533,16 +548,66 @@ fn repair_sweep_raises_rates_identically() {
     let (topo, flows) = rate_raising_instance();
     let paths = shortest_paths(&topo, &flows);
     for alpha in ALPHAS {
-        let (phase1_rates, expected) =
+        let (raised, expected) =
             reference::most_critical_first(&flows, &paths, &power(alpha)).unwrap();
-        let raised = expected
-            .flow_schedules()
-            .iter()
-            .filter(|fs| fs.profile.max_rate() != phase1_rates[fs.flow])
-            .count();
         assert!(raised > 0, "alpha {alpha}: the repair sweep was a no-op");
         let schedule = most_critical_first(&topo.network, &flows, &paths, &power(alpha)).unwrap();
         assert_eq!(schedule, expected, "alpha {alpha}");
+    }
+}
+
+/// Uncapped `edf` at σ = 0 runs every flow at its density from release to
+/// deadline: it is the AVR rule of Yao, Demers and Shenker (FOCS 1995). On
+/// each link of its paths, the link's load is then AVR over the link's
+/// flows and any schedule's load is a single-processor schedule for them,
+/// so `YDS_e ≤ E_e ≤ 2^(α−1)·α^α·YDS_e` (Bansal, Kimbrel and Pruhs, JACM
+/// 2007), and the same holds for the sums over links.
+#[test]
+fn edf_energy_is_within_the_avr_bound_of_yds_on_every_link() {
+    for alpha in [2.0, 3.0] {
+        let power = power(alpha);
+        let avr_bound = 2f64.powf(alpha - 1.0) * alpha.powf(alpha);
+        for (which, seed) in (0..2).flat_map(|which| (1..=3).map(move |seed| (which, seed))) {
+            let at = format!("alpha {alpha}, topology {which}, seed {seed}");
+            let topo = topology(which);
+            let flows = UniformWorkload::paper_defaults(40, seed)
+                .generate(topo.hosts())
+                .expect("workload generates");
+            let mut ctx = SolverContext::from_network(&topo.network).expect("valid network");
+            let outcome = OnlineEngine::builder()
+                .policy("edf")
+                .build()
+                .expect("edf is a policy")
+                .run(&mut ctx, &flows, &power)
+                .expect("edf runs");
+            assert_eq!(outcome.report.missed(), 0, "{at}");
+
+            let mut jobs_on: BTreeMap<LinkId, Vec<Job>> = BTreeMap::new();
+            for fs in outcome.schedule.flow_schedules() {
+                let f = flows.flow(fs.flow);
+                for &link in fs.path.links() {
+                    let job = Job::new(f.id, f.release, f.deadline, f.volume);
+                    jobs_on.entry(link).or_default().push(job);
+                }
+            }
+            let loads = outcome.schedule.link_loads(&power);
+            assert_eq!(loads.len(), jobs_on.len(), "{at}: active links");
+            let (mut edf_sum, mut yds_sum, mut above_yds) = (0.0, 0.0, 0);
+            for load in &loads {
+                let (edf, yds) = (
+                    load.dynamic_energy,
+                    yds_schedule(&jobs_on[&load.link]).energy(&power),
+                );
+                assert!(yds <= edf * (1.0 + 1e-9), "{at}: link {}", load.link);
+                assert!(edf <= avr_bound * yds, "{at}: link {}", load.link);
+                above_yds += usize::from(edf > yds * (1.0 + 1e-6));
+                edf_sum += edf;
+                yds_sum += yds;
+            }
+            assert!(yds_sum <= edf_sum * (1.0 + 1e-9), "{at}: sums");
+            assert!(edf_sum <= avr_bound * yds_sum, "{at}: sums");
+            assert!(above_yds > 0, "{at}: edf is YDS on every link");
+        }
     }
 }
 

@@ -429,6 +429,26 @@ fn edf_walks_the_ledgers_deadline_order_and_sorts_nothing() {
 }
 
 #[test]
+fn most_critical_first_keeps_no_endpoint_table_and_repairs_in_one_sweep() {
+    // `IntervalScan` keeps one start and one end boundary per span, found
+    // by binary search, not a row per (span, endpoint); the exhaustive table
+    // lives on below `#[cfg(test)]`, as the reference of its property test.
+    // One (P1) repair sweep is exact (`dcfs.rs`, **One repair sweep is
+    // enough**), so the product has no pass loop; the pairwise reference in
+    // tests/critical_interval.rs keeps one and asserts its second pass
+    // raises nothing.
+    for (file, banned) in [
+        ("crates/solver/src/availability.rs", "ends: Vec<bool>"),
+        ("crates/core/src/dcfs.rs", "for _pass in"),
+    ] {
+        assert!(
+            !product_part(file).contains(banned),
+            "{file}: `{banned}` is banned — see the comment above"
+        );
+    }
+}
+
+#[test]
 fn the_route_memo_hashes_node_ids_without_siphash() {
     // `PathCache` is probed once per in-flight flow per event: its
     // maps hash node ids with the multiply–xor `NodeHash`, never with the
