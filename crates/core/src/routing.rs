@@ -27,7 +27,8 @@ use rand::rngs::StdRng;
 /// one routing path per flow (indexed by flow id).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Routing {
-    /// Minimum-hop shortest path (deterministic tie-break).
+    /// Minimum-hop shortest path: per flow, [`GraphCsr::shortest_path`]'s,
+    /// read off one [`GraphCsr::bfs_tree`] per source (the same traversal).
     ShortestPath,
     /// Uniformly random choice among all minimum-hop paths, seeded.
     Ecmp {
@@ -47,17 +48,27 @@ impl Routing {
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::Unroutable`] if some flow has no path.
+    /// Returns [`SolveError::Unroutable`] if some flow has no path (for
+    /// `ShortestPath`, the lowest-id such flow).
     pub fn compute_on(&self, graph: &GraphCsr, flows: &FlowSet) -> Result<Vec<Path>, SolveError> {
         match self {
-            Routing::ShortestPath => flows
-                .iter()
-                .map(|f| {
-                    graph
-                        .shortest_path(f.src, f.dst)
-                        .ok_or(SolveError::Unroutable { flow: f.id })
-                })
-                .collect(),
+            Routing::ShortestPath => {
+                // One BFS tree alive at a time, one per source.
+                let mut order: Vec<_> = flows.iter().collect();
+                order.sort_by_key(|f| (f.src, f.id));
+                let mut paths = vec![None; flows.len()];
+                for group in order.chunk_by(|a, b| a.src == b.src) {
+                    let tree = graph.bfs_tree(group[0].src);
+                    for f in group {
+                        paths[f.id] = tree.path_to(graph, f.dst);
+                    }
+                }
+                paths
+                    .into_iter()
+                    .enumerate()
+                    .map(|(flow, path)| path.ok_or(SolveError::Unroutable { flow }))
+                    .collect()
+            }
             Routing::Ecmp { seed } => {
                 let mut rng = StdRng::seed_from_u64(*seed);
                 flows
@@ -147,6 +158,53 @@ mod tests {
             assert_eq!(p.source(), f.src);
             assert_eq!(p.destination(), f.dst);
             assert!(p.len() <= 6, "fat-tree paths are at most 6 hops");
+        }
+    }
+
+    /// The per-flow search [`Routing::ShortestPath`] reads off its trees.
+    fn per_flow_shortest_paths(graph: &GraphCsr, flows: &FlowSet) -> Result<Vec<Path>, SolveError> {
+        flows
+            .iter()
+            .map(|f| {
+                graph
+                    .shortest_path(f.src, f.dst)
+                    .ok_or(SolveError::Unroutable { flow: f.id })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shortest_path_equals_the_per_flow_search_before_and_after_a_cut() {
+        for topo in [
+            builders::fat_tree(4),
+            builders::leaf_spine(4, 2, 3),
+            builders::bcube(4, 1),
+        ] {
+            // Every ordered host pair, sources in descending node order, so
+            // that the lowest-id flow of a cut source comes last in
+            // `(src, id)` order.
+            let hosts = topo.hosts();
+            let flows = FlowSet::from_tuples(hosts.iter().rev().flat_map(|&src| {
+                hosts
+                    .iter()
+                    .filter(move |&&dst| dst != src)
+                    .map(move |&dst| (src, dst, 0.0, 1.0, 1.0))
+            }))
+            .unwrap();
+            let mut graph = topo.csr();
+            let routed = Routing::ShortestPath.compute_on(&graph, &flows);
+            assert!(routed.is_ok(), "{}", topo.name);
+            assert_eq!(routed, per_flow_shortest_paths(&graph, &flows));
+
+            // Cut the first and the last host off as sources.
+            for host in [hosts[0], hosts[hosts.len() - 1]] {
+                for link in graph.out_links(host).to_vec() {
+                    assert!(graph.fail_link(link));
+                }
+            }
+            let routed = Routing::ShortestPath.compute_on(&graph, &flows);
+            assert_eq!(routed, Err(SolveError::Unroutable { flow: 0 }));
+            assert_eq!(routed, per_flow_shortest_paths(&graph, &flows));
         }
     }
 

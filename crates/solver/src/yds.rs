@@ -26,11 +26,13 @@
 //! for bit those of the plain scan (the bound decides which sums are
 //! skipped, with a slack that covers its own rounding; a sum updated
 //! incrementally and *used* would round differently and pick other critical
-//! intervals on ties). [`edf_schedule`] makes one pass over the jobs per
-//! step.
+//! intervals on ties). [`edf_schedule`] sorts its jobs by release once and
+//! picks each step's job off a deadline heap: `O(n log n)` per call plus
+//! `O(log n)` per step.
 
 use crate::{IntervalScan, TimeAvailability};
 use dcn_power::PowerFunction;
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// A job for the single-processor speed-scaling problem.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,65 +175,72 @@ impl YdsSchedule {
 /// Returns one placement per job with its execution windows. Jobs that
 /// cannot be finished within the slots keep whatever windows they received
 /// (callers that pass a feasible instance — as YDS always does — get
-/// complete placements).
+/// complete placements). Each step runs the released (`release <= t +
+/// 1e-12`), unfinished (`remaining > 1e-12`) job of earliest deadline, the
+/// lowest index among equals, off a heap the jobs join in release order; a
+/// job that would run for `<= 1e-15` is done, and the slot goes on.
 pub fn edf_schedule(jobs: &[Job], speed: f64, slots: &[(f64, f64)]) -> Vec<JobPlacement> {
     assert!(speed > 0.0, "EDF speed must be positive, got {speed}");
     let mut remaining: Vec<f64> = jobs.iter().map(|j| j.work).collect();
     let mut windows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); jobs.len()];
+    let mut unreleased: Vec<usize> = (0..jobs.len()).filter(|&i| remaining[i] > 1e-12).collect();
+    unreleased.sort_by_key(|&i| total_key(jobs[i].release));
+    let mut unreleased = unreleased.into_iter().peekable();
+    let mut released = BinaryHeap::new();
 
     for &(slot_start, slot_end) in slots {
         let mut t = slot_start;
         while t < slot_end - 1e-12 {
-            // One pass over the unfinished jobs: the earliest deadline among
-            // those released by time t (the first of equals), and the next
-            // release among the others.
-            let mut candidate: Option<usize> = None;
-            let mut next_release = f64::INFINITY;
-            for (idx, job) in jobs.iter().enumerate() {
-                if remaining[idx] > 1e-12 {
-                    if job.release > t + 1e-12 {
-                        next_release = next_release.min(job.release);
-                    } else if candidate.is_none_or(|best| job.deadline < jobs[best].deadline) {
-                        candidate = Some(idx);
-                    }
-                }
+            while let Some(idx) = unreleased.next_if(|&i| jobs[i].release <= t + 1e-12) {
+                released.push(Reverse((total_key(jobs[idx].deadline), idx)));
             }
-            match candidate {
-                None => {
-                    // Jump to the next release inside this slot, if any.
-                    if next_release >= slot_end {
-                        break;
-                    }
-                    t = next_release;
+            let next_release = unreleased
+                .peek()
+                .map_or(f64::INFINITY, |&i| jobs[i].release);
+            let Some(&Reverse((_, idx))) = released.peek() else {
+                // Jump to the next release inside this slot, if any.
+                if next_release >= slot_end {
+                    break;
                 }
-                Some(idx) => {
-                    let finish_at = t + remaining[idx] / speed;
-                    // Run until the job finishes, a new job is released, or
-                    // the slot ends — whichever comes first.
-                    let run_until = finish_at.min(next_release).min(slot_end);
-                    if run_until <= t + 1e-15 {
-                        break;
-                    }
-                    // Append or extend the last window.
-                    match windows[idx].last_mut() {
-                        Some(last) if (last.1 - t).abs() < 1e-12 => last.1 = run_until,
-                        _ => windows[idx].push((t, run_until)),
-                    }
-                    remaining[idx] -= (run_until - t) * speed;
-                    t = run_until;
-                }
+                t = next_release;
+                continue;
+            };
+            let finish_at = t + remaining[idx] / speed;
+            // Run until the job finishes, a new job is released, or the
+            // slot ends — whichever comes first.
+            let run_until = finish_at.min(next_release).min(slot_end);
+            if run_until <= t + 1e-15 {
+                released.pop();
+                continue;
             }
+            // Append or extend the last window.
+            match windows[idx].last_mut() {
+                Some(last) if (last.1 - t).abs() < 1e-12 => last.1 = run_until,
+                _ => windows[idx].push((t, run_until)),
+            }
+            remaining[idx] -= (run_until - t) * speed;
+            if remaining[idx] <= 1e-12 {
+                released.pop();
+            }
+            t = run_until;
         }
     }
 
     jobs.iter()
-        .enumerate()
-        .map(|(idx, job)| JobPlacement {
+        .zip(windows)
+        .map(|(job, windows)| JobPlacement {
             id: job.id,
             speed,
-            windows: windows[idx].clone(),
+            windows,
         })
         .collect()
+}
+
+/// `x` as an integer in [`f64::total_cmp`] order, with `-0.0` read as `0.0`:
+/// ordering by it is ordering by `<`, ties included.
+fn total_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    bits ^ (((bits as i64 >> 63) as u64 >> 1) | (1 << 63))
 }
 
 /// The optimal single-processor speed-scaling schedule (YDS).
@@ -417,6 +426,40 @@ mod tests {
         let p0 = placements.iter().find(|p| p.id == 0).unwrap();
         assert!(close(p0.work_done(), 4.0));
         assert_eq!(p0.windows, vec![(1.0, 2.0), (4.0, 5.0)]);
+    }
+
+    #[test]
+    fn total_key_orders_as_less_than_does() {
+        let xs = [
+            3.5,
+            -0.0,
+            -1e-300,
+            0.0,
+            -7.25,
+            f64::MIN,
+            1e-300,
+            f64::MAX,
+            -1.0,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(total_key(a).cmp(&total_key(b)), a.partial_cmp(&b).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_negligible_job_does_not_end_its_slot() {
+        // Both jobs share the critical interval [0, 1] at speed ~1e4, where
+        // job 1 (earliest deadline) would run for ~5e-16: it is done, and
+        // job 0 still runs from the start of the slot to its end.
+        let jobs = [Job::new(0, 0.0, 1.0, 1e4), Job::new(1, 0.0, 0.5, 5e-12)];
+        let s = yds_schedule(&jobs);
+        s.validate(&jobs).unwrap();
+        let windows = &s.placement(0).unwrap().windows;
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].0, 0.0);
+        assert_eq!(s.placement(1).unwrap().windows, vec![]);
     }
 
     #[test]

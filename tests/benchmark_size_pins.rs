@@ -1,4 +1,5 @@
-//! Benchmark-size pins of the relaxation's shortest-path step.
+//! Benchmark-size pins of the relaxation's shortest-path step and of
+//! Most-Critical-First.
 //!
 //! The instances of the `online_resolve` and `offline_dcfsr` benchmark
 //! workloads, solved here as the benchmark solves them, keep the bits
@@ -9,7 +10,8 @@
 //! reorder work, never a result. Each instance also keeps its largest
 //! capacity excess and its active-link count, as they read before the
 //! per-link loads were summed once for every reader; offline, the
-//! rounding attempts too. `#[ignore]`d outside CI's release leg.
+//! rounding attempts too. The `offline_dcfs` instances keep `sp-mcf`'s
+//! energy and schedule digest. `#[ignore]`d outside CI's release leg.
 
 use deadline_dcn::core::online::OnlineEngine;
 use deadline_dcn::core::prelude::*;
@@ -124,5 +126,40 @@ fn offline_dcfsr_instances_keep_their_energy_and_lower_bound() {
         );
         assert_eq!(schedule.link_loads(&power).len(), active, "seed {seed}");
         assert_eq!(solution.energy.map(|e| e.active_links), Some(active));
+    }
+}
+
+/// The `offline_dcfs` instances (`sp-mcf` on fat-tree k = 8 at capacity
+/// 100, 800 paper-default flows) keep the energy and schedule they had
+/// while every flow ran its own breadth-first search and EDF packing
+/// rescanned its jobs at every step: one search tree per source and a
+/// deadline heap change the work, never a route or a window.
+#[test]
+#[ignore = "benchmark-size pin; run in release"]
+fn offline_dcfs_instances_keep_their_energy_and_schedule() {
+    let topo = builders::fat_tree_with_capacity(8, 100.0);
+    let power = PowerFunction::speed_scaling_only(1.0, 2.0, 100.0);
+    let registry = AlgorithmRegistry::with_defaults();
+    for (seed, energy, schedule) in [
+        (1, 469273.68064078485, 0xe478_7614_938e_c360u64),
+        (2, 445392.50411236566, 0x4747_f1de_bcf5_aa2e),
+        (3, 445818.5818273328, 0x13de_beba_4b68_71bb),
+    ] {
+        let flows = UniformWorkload::paper_defaults(800, seed)
+            .generate(topo.hosts())
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let solution = registry
+            .create("sp-mcf")
+            .unwrap()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        let got = solution.total_energy().unwrap();
+        assert_eq!(got.to_bits(), f64::to_bits(energy), "seed {seed}: {got}");
+        assert_eq!(
+            digest(solution.schedule.as_ref().unwrap()),
+            schedule,
+            "seed {seed}"
+        );
     }
 }

@@ -28,7 +28,7 @@ use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::flow::{Flow, FlowSet};
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::solver::brute::{brute_force_optimal_energy, speeds_feasible};
-use deadline_dcn::solver::{yds_schedule, Job};
+use deadline_dcn::solver::{edf_schedule, yds_schedule, Job, JobPlacement};
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 use deadline_dcn::topology::{LinkId, Path};
 use proptest::prelude::*;
@@ -553,6 +553,96 @@ fn repair_sweep_raises_rates_identically() {
         assert!(raised > 0, "alpha {alpha}: the repair sweep was a no-op");
         let schedule = most_critical_first(&topo.network, &flows, &paths, &power(alpha)).unwrap();
         assert_eq!(schedule, expected, "alpha {alpha}");
+    }
+}
+
+/// `edf_schedule`'s windows, bit for bit, against the three-scan reference
+/// on the cases its heap and release order decide.
+#[test]
+fn edf_edge_cases_equal_the_three_scan_reference() {
+    let job = |id, release, deadline, work| Job::new(id, release, deadline, work);
+    let cases = [
+        (
+            "equal deadlines: the lowest index wins",
+            vec![
+                job(7, 0.0, 4.0, 1.0),
+                job(3, 0.0, 4.0, 1.0),
+                job(5, 1.0, 4.0, 1.0),
+            ],
+            1.0,
+            vec![(0.0, 4.0)],
+        ),
+        (
+            "equal deadlines of opposite zero signs",
+            vec![
+                job(0, -2.0, 0.0, 0.5),
+                job(1, -2.0, -0.0, 0.5),
+                job(2, -2.0, 1.0, 1.0),
+            ],
+            1.0,
+            vec![(-2.0, 1.0)],
+        ),
+        (
+            "equal releases after the slot starts",
+            vec![
+                job(0, 1.0, 5.0, 1.0),
+                job(1, 1.0, 3.0, 1.0),
+                job(2, 1.0, 4.0, 0.5),
+            ],
+            2.0,
+            vec![(0.0, 6.0)],
+        ),
+        (
+            "a release within 1e-12 of t",
+            vec![job(0, 0.0, 10.0, 1.0), job(1, 1.0 + 5e-13, 2.0, 0.5)],
+            1.0,
+            vec![(0.0, 10.0)],
+        ),
+        (
+            "a release just beyond 1e-12 of t",
+            vec![job(0, 0.0, 1.0, 1.0), job(1, 1.0 + 2e-12, 3.0, 0.5)],
+            1.0,
+            vec![(0.0, 10.0)],
+        ),
+        (
+            "a release inside the gap between two slots",
+            vec![job(0, 0.0, 10.0, 3.0), job(1, 2.0, 4.0, 0.5)],
+            1.0,
+            vec![(0.0, 1.0), (3.0, 5.0)],
+        ),
+        (
+            "a release after the last slot",
+            vec![job(0, 0.0, 10.0, 1.0), job(1, 7.0, 9.0, 1.0)],
+            1.0,
+            vec![(0.0, 2.0), (3.0, 5.0)],
+        ),
+        (
+            "a remainder of at most 1e-12 in the middle of a slot",
+            vec![job(0, 0.0, 10.0, 1.0 + 5e-13), job(1, 1.0, 2.0, 0.5)],
+            1.0,
+            vec![(0.0, 10.0)],
+        ),
+    ];
+    let bits = |placements: Vec<JobPlacement>| -> Vec<(usize, Vec<(u64, u64)>)> {
+        placements
+            .into_iter()
+            .map(|p| {
+                let windows = p.windows.iter().map(|&(s, e)| (s.to_bits(), e.to_bits()));
+                (p.id, windows.collect())
+            })
+            .collect()
+    };
+    for (case, jobs, speed, slots) in cases {
+        let got = edf_schedule(&jobs, speed, &slots);
+        assert!(
+            got.iter().any(|p| !p.windows.is_empty()),
+            "{case}: nothing ran"
+        );
+        assert_eq!(
+            bits(got),
+            bits(reference::edf_schedule(&jobs, speed, &slots)),
+            "{case}"
+        );
     }
 }
 
