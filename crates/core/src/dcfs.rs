@@ -57,26 +57,57 @@
 //! their own (`dcn_solver::availability`). The sweep leaves a start `a` once
 //! the bound over every flow released from `a` on fits (a later, wider `b`
 //! only has more room), and re-divides `volume / rate` only for flows whose
-//! rate it has just raised.
+//! rate it has just raised. A scan costs `O(P^2)` interval steps, so phase 1
+//! scans a link only while its ceiling is not below the best candidate seen
+//! so far (next paragraphs); one sort of each link's `2P` endpoints gives
+//! every link a ceiling before round 1. On the `offline_dcfs` instances
+//! (seeds 1–4) round 1 then scans 24 of the 336 links that carry flows,
+//! 1575–1613 of their 4524–4574 flow incidences, where a ceiling of `+∞`
+//! scanned every link.
 //!
-//! Phase 1 is lazy in the same way across links. A link is *dirty* once a
-//! flow on it has been fixed elsewhere; its last intensity then stays a
-//! ceiling on its next one, because it only lost flows at unchanged
-//! availability (every interval sums a subset of the same positive weights
-//! in the same order over the same time, and rounded addition and division
-//! are monotone). A round starts from the best up-to-date candidate,
-//! refreshes a dirty link only if its ceiling is not below the best
-//! candidate seen so far, and takes the maximum over up-to-date candidates
-//! only; a link left dirty could neither win nor tie, so the selected
-//! `(link, intensity, start, end)` sequence is that of refreshing every
-//! dirty link every round. The link whose critical interval was just
-//! blocked lost *available time* and is always refreshed. `STALE_SLACK` plus
-//! an absolute `1e-15` cover two soft spots of a ceiling: the scan's `1e-15`
-//! tie-break, and an endpoint replaced by one less than `1e-12` away when
-//! the flows that left take it with them (the scan's dedup), which moves an
-//! intensity by under `1e-12 / available` relative — below `STALE_SLACK`
-//! for any interval with more than a thousandth of a time unit left, and
-//! zero where endpoints coincide exactly or not at all.
+//! Phase 1 is lazy in the same way across links. A link is *dirty* until
+//! its first refresh and again once a flow on it has been fixed elsewhere,
+//! and a dirty link carries a *ceiling* on the intensity its next refresh
+//! can find. A round starts from the best up-to-date candidate, refreshes a
+//! dirty link only if its ceiling is not below the best candidate seen so
+//! far, and takes the maximum over up-to-date candidates only; a link left
+//! dirty could neither win nor tie, so the selected `(link, intensity,
+//! start, end)` sequence is that of refreshing every dirty link every
+//! round. A link without flows starts up to date, without a candidate.
+//!
+//! *Until its first refresh* a link's ceiling is the peak of its AVR speed
+//! (Yao, Demers and Shenker, FOCS 1995), `ρ(t) = Σ w'_i / (d_i − r_i)` over
+//! its flows whose span covers `t`, taken in one sorted sweep. On a link
+//! with empty availability the containment tests below admit a flow into
+//! `[a, b]` only if `r_i > a − ε` and `d_i < b + ε` exactly (`ε = 1e-9`; a
+//! rounded difference below a representable bound is below it unrounded).
+//! Each contained span thus lies in `[a − ε, b + ε]`, so the work of `[a,
+//! b]` is at most `∫_{a−ε}^{b+ε} ρ ≤ (b − a + 2ε)·peak`, and each is
+//! shorter than `b − a + 2ε`, so `b − a > s − 2ε` for the link's shortest
+//! span `s`: no interval is denser than `peak·(1 + 2ε/(s − 2ε))`. When `s`
+//! is not above `2ε` (with a `1e-12` relative margin for its rounding) the
+//! ceiling is `+∞`. `AVR_SLACK` covers the rest of the rounding: the
+//! sweep's `2n` additions of rounded densities and the scan's in-order sum
+//! and division, each `O(n·u)` relative (`n` flows on the link, `u =
+//! 2^-53`). The bound holds until the link's first refresh: only the
+//! critical link is ever blocked, and it was up to date, so a link never
+//! refreshed still has empty availability; and a flow fixed elsewhere only
+//! lowers `ρ` and only lengthens the shortest remaining span.
+//!
+//! *After a refresh* the ceiling is the link's last intensity, because a
+//! dirty link only lost flows at unchanged availability (every interval
+//! sums a subset of the same positive weights in the same order over the
+//! same time, and rounded addition and division are monotone). The link
+//! whose critical interval was just blocked lost *available time* and is
+//! always refreshed. `STALE_SLACK` plus an absolute `1e-15` cover two soft
+//! spots of this ceiling: the scan's `1e-15` tie-break, and an endpoint
+//! replaced by one less than `1e-12` away when the flows that left take it
+//! with them (the scan's dedup), which moves an intensity by under `1e-12 /
+//! available` relative — below `STALE_SLACK` for any interval with more
+//! than a thousandth of a time unit left, and zero where endpoints coincide
+//! exactly or not at all. On the `offline_dcfs` instances (seeds 1–3) phase
+//! 1 makes 679, 667 and 674 refreshes per solve; starting every link dirty
+//! at `+∞`, the 432 without flows included, it made 1417, 1406 and 1401.
 //!
 //! **One repair sweep is enough.** A raise multiplies the rates of an
 //! overflowing interval's flows by `(total / capacity_time)·(1 + 1e-12)`,
@@ -103,11 +134,22 @@ use dcn_topology::{LinkId, Network, Path};
 use std::collections::BTreeMap;
 
 /// Relative slack on the ceiling a dirty link's last intensity puts on its
-/// next one (module docs, **Cost**): a link is left unrefreshed only if its
-/// ceiling, inflated by this much and by `1e-15`, is still below the best
-/// up-to-date candidate. A larger value costs a few more refreshes per
-/// round and nothing else.
+/// next one (module docs, "Phase 1 is lazy"): a link is left unrefreshed
+/// only if its ceiling, inflated by this much and by `1e-15`, is still below
+/// the best up-to-date candidate. A larger value costs a few more refreshes
+/// per round and nothing else.
 const STALE_SLACK: f64 = 1e-9;
+
+/// How far a span may reach past `[a, b]` and still count as contained in
+/// it, at both ends ([`starts_in_available`], [`ends_in_available`]); the
+/// `ε` of a link's AVR ceiling (module docs).
+const CONTAINMENT_TOL: f64 = 1e-9;
+
+/// Relative slack on a link's AVR ceiling for the rounding the proof does
+/// not see (module docs): `(3n + 8)·u` stays below it for links of up to a
+/// million flows, far beyond where a scan over `P^2 / 2` intervals is
+/// practical.
+const AVR_SLACK: f64 = 1e-9;
 
 /// Runs Most-Critical-First on a DCFS instance.
 ///
@@ -176,10 +218,20 @@ pub fn most_critical_first(
 
     // Densest `(intensity, start, end)` per link. `ceiling[l]` is the
     // intensity of that candidate (`-inf` without one) while the link is up
-    // to date, and an upper bound on its next one while it is dirty.
+    // to date, and an upper bound on its next one while it is dirty: its AVR
+    // ceiling until its first refresh (module docs).
     let mut candidates: Vec<Option<(f64, f64, f64)>> = vec![None; link_count];
-    let mut dirty = vec![true; link_count];
-    let mut ceiling = vec![f64::INFINITY; link_count];
+    let mut dirty: Vec<bool> = link_flows.iter().map(|list| !list.is_empty()).collect();
+    let mut ceiling: Vec<f64> = link_flows
+        .iter()
+        .map(|list| {
+            if list.is_empty() {
+                f64::NEG_INFINITY
+            } else {
+                avr_ceiling(flows, list, &virtual_weight)
+            }
+        })
+        .collect();
 
     // Whether up-to-date link `l` is a better critical link than `best`:
     // higher intensity, then lower link id.
@@ -423,12 +475,44 @@ fn pack_links(
 /// gaps between flow endpoints, it takes two endpoints about `1e-9` apart.
 /// There the scan reads one switch, where its binary search meets it.
 fn starts_in_available((release, deadline): (f64, f64), a: f64, avail: &TimeAvailability) -> bool {
-    avail.available_between(release, a.min(deadline)) < 1e-9
+    avail.available_between(release, a.min(deadline)) < CONTAINMENT_TOL
 }
 
 /// The other half: no available time of the span follows `b`.
 fn ends_in_available((release, deadline): (f64, f64), b: f64, avail: &TimeAvailability) -> bool {
-    avail.available_between(b.max(release), deadline) < 1e-9
+    avail.available_between(b.max(release), deadline) < CONTAINMENT_TOL
+}
+
+/// A link's AVR ceiling: `peak·(1 + 2ε/(s − 2ε))·(1 + AVR_SLACK)`, `peak`
+/// being the largest sum of the densities `w'_i / (d_i − r_i)` of the
+/// flows in `flows_on_link` (non-empty) whose spans overlap, and `s` their
+/// shortest span; `+∞` when `s` is not above `2ε`. It bounds every
+/// intensity [`best_candidate_on_link`] finds over any subset of those
+/// flows while the link has no blocked time (module docs).
+fn avr_ceiling(flows: &FlowSet, flows_on_link: &[FlowId], virtual_weight: &[f64]) -> f64 {
+    let mut shortest = f64::INFINITY;
+    let mut events = Vec::with_capacity(2 * flows_on_link.len());
+    for &id in flows_on_link {
+        let (release, deadline) = flows.flow(id).span();
+        let span = deadline - release;
+        shortest = shortest.min(span);
+        let density = virtual_weight[id] / span;
+        events.push((release, density));
+        events.push((deadline, -density));
+    }
+    // The rounded shortest span may exceed the exact one by half an ulp.
+    let gap = shortest * (1.0 - 1e-12) - 2.0 * CONTAINMENT_TOL;
+    if gap <= 0.0 {
+        return f64::INFINITY;
+    }
+    // At a shared instant, the flows that end leave before the others start.
+    events.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.total_cmp(&y.1)));
+    let (mut speed, mut peak) = (0.0, 0.0_f64);
+    for (_, change) in events {
+        speed += change;
+        peak = peak.max(speed);
+    }
+    peak * (1.0 + 2.0 * CONTAINMENT_TOL / gap) * (1.0 + AVR_SLACK)
 }
 
 /// The maximum-intensity interval `(intensity, start, end)` on one link, over
@@ -440,6 +524,8 @@ fn best_candidate_on_link(
     virtual_weight: &[f64],
     availability: &TimeAvailability,
 ) -> Option<(f64, f64, f64)> {
+    #[cfg(test)]
+    tests::REFRESHES.with(|n| n.set(n.get() + 1));
     let (spans, weights): (Vec<(f64, f64)>, Vec<f64>) = flows_on_link
         .iter()
         .filter(|&&id| remaining[id])
@@ -465,7 +551,16 @@ mod tests {
     use crate::routing::Routing;
     use dcn_flow::workload::UniformWorkload;
     use dcn_solver::yds::Job;
-    use dcn_topology::builders;
+    use dcn_topology::{builders, NodeId};
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of `best_candidate_on_link` on this thread: phase 1's link
+        /// refreshes.
+        pub(super) static REFRESHES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * (1.0 + a.abs().max(b.abs()))
@@ -665,5 +760,82 @@ mod tests {
             .map(|f| paths[f.id].len() as f64 * power.dynamic_power(f.density()) * f.span_length())
             .sum();
         assert!(schedule.energy(&power).total() >= lower - 1e-6);
+    }
+
+    #[test]
+    fn the_avr_ceiling_bounds_the_first_refresh() {
+        // Spans near 2ε, endpoints 1e-12 apart and repeated weights, at
+        // offsets where an ulp is far below and near 1e-12.
+        let mut finite = 0;
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = [0.0, 1.0, 1e3][seed as usize % 3];
+            let n = rng.gen_range(1..12);
+            let mut tuples = Vec::new();
+            for _ in 0..n {
+                let release = base
+                    + f64::from(rng.gen_range(0..6)) * 1e-9
+                    + f64::from(rng.gen_range(-2..3)) * 1e-12;
+                // One span in twenty is not above 2ε, which makes the
+                // ceiling +∞.
+                let span = match rng.gen_range(0..20) {
+                    0 => 2e-9 + f64::from(rng.gen_range(-2..1)) * 1e-12,
+                    1..=5 => 2e-9 + f64::from(rng.gen_range(1..6)) * 1e-12,
+                    6..=10 => rng.gen_range(2e-9..6e-9),
+                    11..=15 => f64::from(rng.gen_range(3..6)) * 1e-9,
+                    _ => rng.gen_range(1e-8..1.0),
+                };
+                let volume = [1.0, 2.0, rng.gen_range(0.1..3.0)][rng.gen_range(0..3usize)];
+                tuples.push((NodeId(0), NodeId(1), release, release + span, volume));
+            }
+            let flows = FlowSet::from_tuples(tuples).unwrap();
+            let weights: Vec<f64> = flows.iter().map(|f| f.volume).collect();
+            let ids: Vec<FlowId> = (0..flows.len()).collect();
+            let ceiling = avr_ceiling(&flows, &ids, &weights);
+            // The whole list, and a subset as a later round leaves it.
+            let subset: Vec<bool> = ids.iter().map(|_| rng.gen_bool(0.7)).collect();
+            for remaining in [vec![true; ids.len()], subset] {
+                let found = best_candidate_on_link(
+                    &flows,
+                    &ids,
+                    &remaining,
+                    &weights,
+                    &TimeAvailability::new(),
+                );
+                if let Some((intensity, ..)) = found {
+                    assert!(
+                        ceiling >= intensity,
+                        "seed {seed}: ceiling {ceiling} below intensity {intensity}"
+                    );
+                    finite += usize::from(ceiling.is_finite());
+                }
+            }
+        }
+        assert!(finite > 400, "only {finite} finite ceilings were checked");
+    }
+
+    #[test]
+    #[ignore = "benchmark-size refresh count; run in release"]
+    fn avr_ceilings_halve_the_refreshes_on_the_offline_dcfs_instances() {
+        // The `offline_dcfs` instances: `sp-mcf` on fat-tree k = 8 at
+        // capacity 100, 800 paper-default flows. Phase 1 made 1417, 1406
+        // and 1401 refreshes when every link started dirty at `+∞`.
+        let topo = builders::fat_tree_with_capacity(8, 100.0);
+        let power = PowerFunction::speed_scaling_only(1.0, 2.0, 100.0);
+        for (seed, without_ceilings) in [(1, 1417), (2, 1406), (3, 1401)] {
+            let flows = UniformWorkload::paper_defaults(800, seed)
+                .generate(topo.hosts())
+                .unwrap();
+            let paths = Routing::ShortestPath
+                .compute_on(&topo.csr(), &flows)
+                .unwrap();
+            REFRESHES.with(|n| n.set(0));
+            most_critical_first(&topo.network, &flows, &paths, &power).unwrap();
+            let refreshes = REFRESHES.with(Cell::get);
+            assert!(
+                2 * refreshes <= without_ceilings,
+                "seed {seed}: {refreshes} refreshes, {without_ceilings} without ceilings"
+            );
+        }
     }
 }
