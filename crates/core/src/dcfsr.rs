@@ -34,6 +34,7 @@ use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{Network, Path};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// Configuration of [`RandomSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,16 +68,16 @@ impl Default for RandomScheduleConfig {
 /// A candidate routing path of one flow together with its rounded-merge
 /// weight `w̄_P`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CandidatePath {
-    /// The path.
-    pub path: Path,
+pub struct CandidatePath<'r> {
+    /// The path, borrowed from the relaxation the candidates merge.
+    pub path: &'r Path,
     /// The merged weight (a probability after normalisation).
     pub weight: f64,
 }
 
-/// The result of running Random-Schedule.
+/// The result of running Random-Schedule on a relaxation borrowed for `'r`.
 #[derive(Debug, Clone)]
-pub struct RandomScheduleOutcome {
+pub struct RandomScheduleOutcome<'r> {
     /// The produced schedule (one path and one piecewise-constant rate per
     /// flow).
     pub schedule: Schedule,
@@ -91,7 +92,7 @@ pub struct RandomScheduleOutcome {
     /// The chosen draw's [`Schedule::link_loads`].
     pub link_loads: Vec<LinkLoad>,
     /// The candidate path sets the rounding sampled from, indexed by flow.
-    pub candidates: Vec<Vec<CandidatePath>>,
+    pub candidates: Vec<Vec<CandidatePath<'r>>>,
 }
 
 /// The Random-Schedule algorithm (paper Algorithm 2).
@@ -118,13 +119,13 @@ impl RandomSchedule {
     ///
     /// Returns [`SolveError::Unroutable`] if the relaxation holds no path
     /// for some flow.
-    pub fn run_with_relaxation(
+    pub fn run_with_relaxation<'r>(
         &self,
         network: &Network,
         flows: &FlowSet,
         power: &PowerFunction,
-        relaxation: &RelaxationSummary,
-    ) -> Result<RandomScheduleOutcome, SolveError> {
+        relaxation: &'r RelaxationSummary,
+    ) -> Result<RandomScheduleOutcome<'r>, SolveError> {
         let candidates = candidate_paths(flows, relaxation)?;
 
         // Randomized rounding with capacity re-draws.
@@ -166,28 +167,47 @@ impl RandomSchedule {
 /// (Algorithm 2, lines 4–7): `w_P(k)` is the fraction of the flow's
 /// density the relaxation routes on `P` in interval `k` — relative to the
 /// density, so a nearly delivered flow keeps its whole candidate set — and
-/// the merged weight adds `w_P(k) * |I_k| / (d_i - r_i)`. Paths are merged
-/// by content, in interval, flow and path order, so solutions that share
-/// no allocation (per-worker solves) give the same candidates bit for bit.
-fn candidate_paths(
+/// the merged weight adds `w_P(k) * |I_k| / (d_i - r_i)`, in interval,
+/// flow and path order. Paths merge by content, so per-worker solves,
+/// which share no allocation, give the same candidates bit for bit; but a
+/// flow's split (`FmcfSolution::split`, distinct paths) is matched once,
+/// against the entries from before it, and a later interval holding the
+/// same `Arc` — a scratch hands one out per pair — adds by index. Identity
+/// is sound because the borrowed relaxation keeps every compared `Arc`
+/// alive, so no address is freed and reused. Steps match by content.
+fn candidate_paths<'r>(
     flows: &FlowSet,
-    relaxation: &RelaxationSummary,
-) -> Result<Vec<Vec<CandidatePath>>, SolveError> {
+    relaxation: &'r RelaxationSummary,
+) -> Result<Vec<Vec<CandidatePath<'r>>>, SolveError> {
     let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
+    // Per flow, the splits matched so far and where in `slots` the entries
+    // of their paths start.
+    let mut matched: Vec<Vec<(&Arc<_>, usize)>> = vec![Vec::new(); flows.len()];
+    let mut slots: Vec<usize> = Vec::new();
     for iv in &relaxation.intervals {
         for (c, &flow_id) in iv.flow_ids.iter().enumerate() {
             let flow = flows.flow(flow_id);
+            let merged =
+                |rate: f64| rate / flow.density() * iv.interval.length() / flow.span_length();
             let entry = &mut candidates[flow_id];
-            for (path, rate) in iv.solution.paths(c) {
-                let fraction = rate / flow.density();
-                let merged = fraction * iv.interval.length() / flow.span_length();
-                match entry.iter_mut().find(|c| c.path.links() == path.links()) {
-                    Some(existing) => existing.weight += merged,
-                    None => entry.push(CandidatePath {
-                        path: path.clone(),
-                        weight: merged,
-                    }),
+            if let Some((split, flow_per_unit)) = iv.solution.split(c) {
+                let seen = matched[flow_id].iter().find(|(s, _)| Arc::ptr_eq(s, split));
+                if let Some(&(_, at)) = seen {
+                    for (part, &slot) in split.iter().zip(&slots[at..]) {
+                        entry[slot].weight += merged(part.weight * flow_per_unit);
+                    }
+                } else {
+                    matched[flow_id].push((split, slots.len()));
+                    let before = entry.len();
+                    entry.reserve(split.len());
+                    for part in split.iter() {
+                        let weight = merged(part.weight * flow_per_unit);
+                        slots.push(add_candidate(entry, before, &part.path, weight));
+                    }
                 }
+            }
+            for part in iv.solution.steps(c) {
+                add_candidate(entry, entry.len(), &part.path, merged(part.weight));
             }
         }
     }
@@ -203,8 +223,29 @@ fn candidate_paths(
     Ok(candidates)
 }
 
+/// Adds `weight` to the one of the first `before` entries on `path`'s
+/// links, or appends `path` at `weight`; returns the entry's index.
+fn add_candidate<'r>(
+    entry: &mut Vec<CandidatePath<'r>>,
+    before: usize,
+    path: &'r Path,
+    weight: f64,
+) -> usize {
+    let same = |c: &CandidatePath| {
+        #[cfg(test)]
+        tests::COMPARISONS.with(|n| n.set(n.get() + 1));
+        c.path.links() == path.links()
+    };
+    if let Some(i) = entry[..before].iter().position(same) {
+        entry[i].weight += weight;
+        return i;
+    }
+    entry.push(CandidatePath { path, weight });
+    entry.len() - 1
+}
+
 /// Samples one path per flow according to the candidate weights.
-fn sample_paths(candidates: &[Vec<CandidatePath>], rng: &mut StdRng) -> Vec<Path> {
+fn sample_paths<'r>(candidates: &[Vec<CandidatePath<'r>>], rng: &mut StdRng) -> Vec<&'r Path> {
     candidates
         .iter()
         .map(|cands| {
@@ -214,14 +255,10 @@ fn sample_paths(candidates: &[Vec<CandidatePath>], rng: &mut StdRng) -> Vec<Path
             for c in cands {
                 acc += c.weight;
                 if draw <= acc {
-                    return c.path.clone();
+                    return c.path;
                 }
             }
-            cands
-                .last()
-                .expect("candidate list is non-empty")
-                .path
-                .clone()
+            cands.last().expect("candidate list is non-empty").path
         })
         .collect()
 }
@@ -230,7 +267,7 @@ fn sample_paths(candidates: &[Vec<CandidatePath>], rng: &mut StdRng) -> Vec<Path
 /// its density over its whole span along its chosen path, which makes every
 /// link's rate in interval `I_k` exactly the sum of the densities of the
 /// flows it carries (Theorem 4 then guarantees all deadlines are met).
-fn build_schedule(flows: &FlowSet, chosen: &[Path]) -> Schedule {
+fn build_schedule(flows: &FlowSet, chosen: &[&Path]) -> Schedule {
     let horizon = flows.horizon();
     let flow_schedules = flows
         .iter()
@@ -248,12 +285,169 @@ fn build_schedule(flows: &FlowSet, chosen: &[Path]) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::OnlineEngine;
     use crate::{Algorithm, Dcfsr, SolverContext};
-    use dcn_flow::workload::UniformWorkload;
-    use dcn_topology::builders;
+    use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
+    use dcn_topology::{builders, BuiltTopology, LinkId, TopologyEvent};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Link-slice comparisons `candidate_paths` made on this thread.
+        pub(super) static COMPARISONS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
+    }
+
+    /// The merge `candidate_paths` replaced, kept as its reference: every
+    /// path of every interval is looked up among its flow's entries by
+    /// content.
+    fn candidate_paths_by_content<'r>(
+        flows: &FlowSet,
+        relaxation: &'r RelaxationSummary,
+    ) -> Result<Vec<Vec<CandidatePath<'r>>>, SolveError> {
+        let mut candidates: Vec<Vec<CandidatePath>> = vec![Vec::new(); flows.len()];
+        for iv in &relaxation.intervals {
+            for (c, &flow_id) in iv.flow_ids.iter().enumerate() {
+                let flow = flows.flow(flow_id);
+                let entry = &mut candidates[flow_id];
+                for (path, rate) in iv.solution.paths(c) {
+                    let fraction = rate / flow.density();
+                    let merged = fraction * iv.interval.length() / flow.span_length();
+                    match entry.iter_mut().find(|c| c.path.links() == path.links()) {
+                        Some(existing) => existing.weight += merged,
+                        None => entry.push(CandidatePath {
+                            path,
+                            weight: merged,
+                        }),
+                    }
+                }
+            }
+        }
+        for (flow, entry) in flows.iter().zip(&mut candidates) {
+            let total: f64 = entry.iter().map(|c| c.weight).sum();
+            if total <= 0.0 {
+                return Err(SolveError::Unroutable { flow: flow.id });
+            }
+            for c in entry.iter_mut() {
+                c.weight /= total;
+            }
+        }
+        Ok(candidates)
+    }
+
+    /// Asserts that both merges give every flow the same candidate links
+    /// at the same weight bits, and returns how many Frank–Wolfe step
+    /// paths the relaxation holds.
+    fn assert_merges_agree(flows: &FlowSet, relaxation: &RelaxationSummary) -> usize {
+        let merged = candidate_paths(flows, relaxation).unwrap();
+        let reference = candidate_paths_by_content(flows, relaxation).unwrap();
+        let bits = |entry: &[CandidatePath]| -> Vec<(Vec<LinkId>, u64)> {
+            let bits = |c: &CandidatePath| (c.path.links().to_vec(), c.weight.to_bits());
+            entry.iter().map(bits).collect()
+        };
+        for (flow, (got, want)) in merged.iter().zip(&reference).enumerate() {
+            assert_eq!(bits(got), bits(want), "flow {flow}");
+        }
+        let steps = |iv: &crate::IntervalRelaxation| {
+            let commodities = 0..iv.flow_ids.len();
+            commodities
+                .map(|c| iv.solution.steps(c).len())
+                .sum::<usize>()
+        };
+        relaxation.intervals.iter().map(steps).sum()
+    }
+
+    /// Relaxes `flows` on `topo` with `down` failed, warm starts on or off.
+    fn relax_on(
+        topo: &BuiltTopology,
+        down: &[LinkId],
+        warm: bool,
+        flows: &FlowSet,
+        power: &PowerFunction,
+    ) -> RelaxationSummary {
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        for &link in down {
+            assert!(ctx.apply_topology_event(TopologyEvent::LinkDown { time: 0.0, link }));
+        }
+        ctx.set_warm_start(warm);
+        ctx.relax(flows, power, &FmcfSolverConfig::coarse())
+            .unwrap()
+    }
+
+    /// `candidate_paths` merges a split by handle after matching it once;
+    /// the content merge it replaced must give the same candidates, links
+    /// and weight bits, where Frank–Wolfe takes steps: BCube(4, 1) at
+    /// α = 4, and a fat-tree k = 4 with fabric links down, each with warm
+    /// starts off and on. A summary interleaving the intervals of two
+    /// scratches carries one pair's split under two handles — of equal
+    /// content on one graph state, of different content across two.
+    #[test]
+    fn the_split_merge_equals_the_content_merge() {
+        let bcube = builders::bcube(4, 1);
+        let fat_tree = builders::fat_tree(4);
+        let graph = fat_tree.csr();
+        let to_core = |l: &LinkId| {
+            fat_tree.network.node(graph.link_dst(*l)).kind == dcn_topology::NodeKind::CoreSwitch
+        };
+        let links = (0..graph.link_count()).map(LinkId);
+        let down: Vec<LinkId> = links.filter(to_core).step_by(5).take(3).collect();
+        for &(topo, down, alpha) in &[(&bcube, &[][..], 4.0), (&fat_tree, &down[..], 2.0)] {
+            let power = PowerFunction::speed_scaling_only(1.0, alpha, 10.0);
+            let mut steps = 0;
+            for seed in 0..2 {
+                let flows = UniformWorkload::paper_defaults(16, seed)
+                    .generate(topo.hosts())
+                    .unwrap();
+                for warm in [false, true] {
+                    let relaxation = relax_on(topo, down, warm, &flows, &power);
+                    steps += assert_merges_agree(&flows, &relaxation);
+                }
+                let mut mixed = relax_on(topo, down, false, &flows, &power);
+                for other in [down, &[]] {
+                    let second = relax_on(topo, other, true, &flows, &power);
+                    for (k, iv) in second.intervals.into_iter().enumerate() {
+                        if k % 2 == 1 {
+                            mixed.intervals[k] = iv;
+                        }
+                    }
+                    assert_merges_agree(&flows, &mixed);
+                }
+            }
+            assert!(steps > 0, "Frank–Wolfe must take steps on {}", topo.name);
+        }
+    }
+
+    /// The clock-free gate of the split merge: on the `online_resolve`
+    /// instances (fat-tree k = 8 at capacity 10, 300 paper-default flows at
+    /// load 8, `resolve` with warm starts), `candidate_paths` made
+    /// 1 590 640 / 2 051 991 / 1 795 761 link-slice comparisons while every
+    /// path of every interval was matched by content; at most a tenth now.
+    #[test]
+    #[ignore = "benchmark-size comparison count; run in release"]
+    fn the_split_merge_compares_a_tenth_of_the_paths_on_online_resolve() {
+        let topo = builders::fat_tree_with_capacity(8, 10.0);
+        let power = x2(10.0);
+        for (seed, by_content) in [(1, 1_590_640), (2, 2_051_991), (3, 1_795_761)] {
+            let base = UniformWorkload::paper_defaults(300, seed)
+                .generate(topo.hosts())
+                .unwrap();
+            let flows = ArrivalProcess::with_load(8.0, seed).apply(&base).unwrap();
+            let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+            let mut engine = OnlineEngine::builder()
+                .policy("resolve")
+                .warm_start(true)
+                .build()
+                .unwrap();
+            COMPARISONS.with(|n| n.set(0));
+            engine.run(&mut ctx, &flows, &power).unwrap();
+            let comparisons = COMPARISONS.with(Cell::get);
+            assert!(
+                10 * comparisons <= by_content,
+                "seed {seed}: {comparisons} comparisons, {by_content} by content"
+            );
+        }
     }
 
     #[test]

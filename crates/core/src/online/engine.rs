@@ -30,12 +30,14 @@
 //! which is what keeps the `resolve` policy bit-identical to it.
 //!
 //! Engines are assembled through the [`EngineConfig`] builder
-//! ([`OnlineEngine::builder`]), which also carries the one throughput
-//! lever of the online loop: **warm starts**
-//! ([`EngineConfig::warm_start`]) — the context's Frank–Wolfe scratch
-//! caches the previous event's flow matrix and seeds every re-solve from
-//! it, re-routing only commodities whose cached rows touch links dirtied
-//! by committed rates since the last solve.
+//! ([`OnlineEngine::builder`]), which also switches **warm starts**
+//! ([`EngineConfig::warm_start`]): the context's Frank–Wolfe scratch keeps
+//! its last solve's path mixtures and seeds each carried-over commodity
+//! from its own, unless its cached paths touch links dirtied by committed
+//! rates since. No measured throughput gain: on the `online_resolve`
+//! instances every interval solve stops after one iteration either way,
+//! schedules are bit-identical, and warm ran slower than cold in 5 of 6
+//! seed-rounds (EXPERIMENTS.md, "Warm against cold"); see ROADMAP item 8.
 
 use super::fractionally_feasible;
 use super::ledger::InFlightLedger;
@@ -439,9 +441,9 @@ impl EngineConfig {
     }
 
     /// Enables warm-started Frank–Wolfe re-solves (default off): the
-    /// context scratch caches the previous solve's flow matrix and seeds
-    /// the next one from it, re-routing only commodities whose cached rows
-    /// touch links dirtied by committed rates in between.
+    /// context scratch seeds each re-solve from the previous solve's path
+    /// mixtures, re-routing only commodities whose cached paths touch links
+    /// dirtied in between — a different start, not a faster loop.
     pub fn warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
         self

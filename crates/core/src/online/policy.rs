@@ -13,10 +13,9 @@ use crate::context::SolverContext;
 use crate::error::SolveError;
 use dcn_flow::FlowId;
 use dcn_power::PowerFunction;
-use dcn_topology::{BfsTree, NodeId, Path};
+use dcn_topology::{BfsTree, NodeHash, NodeId, Path};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One constant-rate assignment of a [`RatePlan`]: serve `flow` along
@@ -138,43 +137,14 @@ pub fn create_policy(name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
 /// change that invalidated it.
 ///
 /// The pair map is probed once per in-flight flow per event, so both maps
-/// hash their node ids with a multiply–xor hasher instead of SipHash. The
-/// keys are node pairs of the fabric (a `dcn-server` shard admits host
-/// endpoints only), never flow ids: whatever a client sends, the maps hold
-/// at most `n²` keys, and an unkeyed hash can only be aimed at pairs that
-/// exist.
+/// hash with [`NodeHash`]. Their keys are node pairs of the fabric (a
+/// `dcn-server` shard admits host endpoints only), never flow ids.
 #[derive(Debug, Default)]
 pub struct PathCache {
     paths: HashMap<(NodeId, NodeId), Option<Arc<Path>>, NodeHash>,
     trees: HashMap<NodeId, BfsTree, NodeHash>,
     /// Epoch of the graph the memo was filled from (0 = empty).
     epoch: u64,
-}
-
-/// The hasher of [`PathCache`]'s maps.
-type NodeHash = BuildHasherDefault<NodeHasher>;
-
-/// A multiply–xor hasher (the FxHash mix) for keys made of node ids: each
-/// `usize` is folded in with a rotate, an xor and one multiplication.
-#[derive(Debug, Default)]
-struct NodeHasher(u64);
-
-impl Hasher for NodeHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_usize(usize::from(byte));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits; the multiplication mixes
-        // upwards, so bring the well-mixed high bits down.
-        self.0.rotate_left(26)
-    }
 }
 
 impl PathCache {

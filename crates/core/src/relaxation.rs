@@ -33,17 +33,16 @@ pub struct IntervalRelaxation {
     /// Flows active throughout the interval, in commodity order (the `c`-th
     /// commodity of [`Self::solution`] belongs to `flow_ids[c]`).
     pub flow_ids: Vec<FlowId>,
-    /// The fractional multi-commodity flow solution for the interval.
+    /// The fractional multi-commodity flow solution for the interval; its
+    /// [`FmcfSolution::cost`] is the interval's cost **per unit of time**.
     pub solution: FmcfSolution,
-    /// The relaxation cost of the interval **per unit of time**.
-    pub cost_rate: f64,
 }
 
 impl IntervalRelaxation {
     /// The relaxation cost contributed by this interval
-    /// (`cost_rate * |I_k|`).
+    /// (`solution.cost * |I_k|`).
     pub fn cost(&self) -> f64 {
-        self.cost_rate * self.interval.length()
+        self.solution.cost * self.interval.length()
     }
 }
 
@@ -119,12 +118,10 @@ fn solve_interval(
         .collect();
     let problem = FmcfProblem::with_graph(graph, commodities);
     let solution = problem.solve_with(cost, config, scratch)?;
-    let cost_rate = solution.total_cost(cost);
     Ok(IntervalRelaxation {
         interval,
         flow_ids,
         solution,
-        cost_rate,
     })
 }
 
@@ -187,7 +184,10 @@ mod tests {
         );
         assert_eq!(summary.intervals.len(), 3);
         assert_eq!(summary.intervals[1].flow_ids.len(), 0);
-        assert_eq!(summary.intervals[1].cost_rate.to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            summary.intervals[1].solution.cost.to_bits(),
+            0.0f64.to_bits()
+        );
         assert!(summary.lower_bound > 0.0);
     }
 
@@ -227,7 +227,7 @@ mod tests {
         for (a, b) in one_shot.intervals.iter().zip(&shared.intervals) {
             assert_eq!(a.flow_ids, b.flow_ids);
             assert_eq!(a.solution, b.solution);
-            assert_eq!(a.cost_rate, b.cost_rate);
+            assert_eq!(a.solution.cost, b.solution.cost);
         }
     }
 

@@ -64,9 +64,10 @@
 //!   run **one** multi-target Dijkstra per distinct source (not per
 //!   commodity) through the arena-reuse [`ShortestPathEngine`];
 //! * chosen paths are stored as spans into one shared link buffer, and
-//!   the objective, blending and load passes run over the links some
-//!   chosen path touched: every other link carries no load and costs
-//!   exactly `+0.0`;
+//!   the objective, blending and load passes and [`FmcfSolution::cost`]
+//!   run over the links some chosen path touched, in link order (a bitmap,
+//!   re-read when a path sets a new bit): every other link carries no load
+//!   and costs exactly `+0.0`;
 //! * the link weights are refreshed on those links only: every other link
 //!   keeps the weight at zero load, which is the same on every link, and
 //!   the scratch restores it on the links an earlier solve loaded rather
@@ -82,7 +83,7 @@
 
 use crate::decompose::{decompose_flow_with, DecomposeScratch, WeightedPath};
 use dcn_power::PowerFunction;
-use dcn_topology::{GraphCsr, LinkId, Network, NodeId, Path, ShortestPathEngine};
+use dcn_topology::{GraphCsr, LinkId, Network, NodeHash, NodeId, Path, ShortestPathEngine};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -161,6 +162,18 @@ impl PowerFlowCost {
             .iter()
             .map(|&l| self.penalised(loads[l.index()]))
             .sum()
+    }
+
+    /// [`PowerFlowCost::cost`] over `active` (ascending, holding every
+    /// loaded link), the sum over every link to the bit: an unloaded link
+    /// adds `+0.0`, which changes no partial sum but `-0.0`.
+    fn cost_over(&self, loads: &[f64], active: &[LinkId]) -> f64 {
+        let sum: f64 = active.iter().map(|&l| self.cost(loads[l.index()])).sum();
+        if active.len() < loads.len() {
+            sum + 0.0
+        } else {
+            sum
+        }
     }
 
     /// A link's weight in the all-or-nothing step: the derivative of
@@ -338,7 +351,9 @@ struct SplitCache {
     /// Epoch of the graph the splits were computed on (epochs are globally
     /// unique per graph instance and mutation state).
     graph_epoch: u64,
-    pairs: HashMap<(NodeId, NodeId), UnitSplit>,
+    /// Each pair's index into `splits`.
+    pairs: HashMap<(NodeId, NodeId), usize, NodeHash>,
+    splits: Vec<UnitSplit>,
     /// Concatenated `(link, share of a unit demand)` lists, each in the
     /// order the backward pass wrote it.
     shares: Vec<(LinkId, f64)>,
@@ -359,6 +374,7 @@ impl SplitCache {
         {
             self.graph_epoch = graph_epoch;
             self.pairs.clear();
+            self.splits.clear();
             self.shares.clear();
             self.path_links = 0;
         }
@@ -411,6 +427,8 @@ pub struct FmcfScratch {
     step_shares: Vec<f64>,
     /// The ECMP unit splits computed so far on the current graph state.
     splits: SplitCache,
+    /// Per commodity: its pair's index into the split cache.
+    split_of: Vec<usize>,
     /// Share of a unit demand arriving at each node during the backward
     /// pass of an ECMP split (all zero between passes).
     node_share: Vec<f64>,
@@ -426,12 +444,12 @@ pub struct FmcfScratch {
     decompose: DecomposeScratch,
     /// Destination batch of the current source group.
     targets: Vec<NodeId>,
-    /// Links touched by any chosen path so far, sorted ascending; the
-    /// objective, blending and weight passes are confined to these (every
-    /// other link carries no load).
+    /// Links touched by any chosen path so far, ascending; the objective,
+    /// blending and weight passes are confined to these (every other link
+    /// carries no load).
     active: Vec<LinkId>,
-    /// Membership mask of `active`.
-    active_mark: Vec<bool>,
+    /// `active` as a bitmap, 64 links a word.
+    active_bits: Vec<u64>,
     /// Whether solves cache and reuse the previous solution.
     warm_enabled: bool,
     /// The cached previous solution, when warm starts are enabled.
@@ -513,6 +531,7 @@ impl FmcfScratch {
         self.node_share.resize(graph.node_count(), 0.0);
         self.node_queued.resize(graph.node_count(), false);
         self.path_spans.resize(n, (0, 0));
+        self.split_of.resize(n, 0);
         self.step_links.clear();
         self.step_spans.clear();
         self.step_shares.clear();
@@ -521,8 +540,8 @@ impl FmcfScratch {
         self.order
             .sort_unstable_by_key(|&c| (commodities[c].src.index(), c));
         self.active.clear();
-        self.active_mark.clear();
-        self.active_mark.resize(m, false);
+        self.active_bits.clear();
+        self.active_bits.resize(m.div_ceil(64), 0);
     }
 
     /// Adds the ECMP split of a unit demand from `src` to `dst` (a pair
@@ -589,27 +608,32 @@ impl FmcfScratch {
             unit_row[l.index()] = 0.0;
         }
         splits.path_links += paths.iter().map(|part| part.path.len()).sum::<usize>();
-        let split = UnitSplit {
+        splits.pairs.insert((src, dst), splits.splits.len());
+        splits.splits.push(UnitSplit {
             shares: (start, shares.len()),
             paths: paths.into(),
-        };
-        splits.pairs.insert((src, dst), split);
+        });
     }
 
-    /// Adds every link of `path_links` to the active set, keeping it
-    /// sorted: the passes then sum in link order, as a sum over every
-    /// link would.
+    /// Sets the bits of `path_links` and re-reads `active` if one was new:
+    /// the passes then sum in link order, as a sum over every link would.
     fn register_active_paths(&mut self) {
         let mut added = false;
         for &l in &self.path_links {
-            if !self.active_mark[l.index()] {
-                self.active_mark[l.index()] = true;
-                self.active.push(l);
-                added = true;
-            }
+            let (word, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
+            added |= self.active_bits[word] & bit == 0;
+            self.active_bits[word] |= bit;
         }
         if added {
-            self.active.sort_unstable();
+            self.active.clear();
+            for (word, &bits) in self.active_bits.iter().enumerate() {
+                let mut rest = bits;
+                while rest != 0 {
+                    self.active
+                        .push(LinkId(word * 64 + rest.trailing_zeros() as usize));
+                    rest &= rest - 1;
+                }
+            }
         }
     }
 }
@@ -633,6 +657,8 @@ pub struct FmcfSolution {
     /// times `1 - relative_gap` bounds the optimum from below either way.
     /// Infinite when no iteration ran.
     pub relative_gap: f64,
+    /// The solve's [`PowerFlowCost::cost`] of the loads (no overload term).
+    pub cost: f64,
     /// The mixtures as a `commodities x links` row-major matrix, built on
     /// first use by the per-link accessors.
     dense: OnceLock<Vec<f64>>,
@@ -646,6 +672,7 @@ impl PartialEq for FmcfSolution {
             && self.iterations == other.iterations
             && self.converged == other.converged
             && self.relative_gap == other.relative_gap
+            && self.cost.to_bits() == other.cost.to_bits()
     }
 }
 
@@ -712,7 +739,8 @@ impl<'a> FmcfProblem<'a> {
     }
 
     /// Makes sure the split cache holds the ECMP split of every
-    /// commodity's pair on the current graph state.
+    /// commodity's pair on the current graph state, and records its index
+    /// in `split_of`: a pair is looked up once per solve.
     ///
     /// The split of a unit demand depends on the graph state and the
     /// endpoints alone, so it is computed once per `(src, dst)` and graph
@@ -729,13 +757,21 @@ impl<'a> FmcfProblem<'a> {
             let src = self.commodities[scratch.order[i]].src;
             let mut j = i;
             scratch.targets.clear();
+            // Missing pairs are cached in `targets` order from `fresh` on.
+            let fresh = scratch.splits.splits.len();
             while j < scratch.order.len() && self.commodities[scratch.order[j]].src == src {
-                let dst = self.commodities[scratch.order[j]].dst;
-                if !scratch.splits.pairs.contains_key(&(src, dst))
-                    && !scratch.targets.contains(&dst)
-                {
-                    scratch.targets.push(dst);
-                }
+                let c = scratch.order[j];
+                let dst = self.commodities[c].dst;
+                scratch.split_of[c] = match scratch.splits.pairs.get(&(src, dst)) {
+                    Some(&split) => split,
+                    None => match scratch.targets.iter().position(|&t| t == dst) {
+                        Some(t) => fresh + t,
+                        None => {
+                            scratch.targets.push(dst);
+                            fresh + scratch.targets.len() - 1
+                        }
+                    },
+                };
                 j += 1;
             }
             if !scratch.targets.is_empty() {
@@ -744,7 +780,7 @@ impl<'a> FmcfProblem<'a> {
                     .single_source_all_targets(graph, src, &scratch.targets, |_| 1.0);
                 for &c in &scratch.order[i..j] {
                     let Commodity { id, dst, .. } = self.commodities[c];
-                    if scratch.targets.contains(&dst) && !scratch.engine.settled(dst) {
+                    if scratch.split_of[c] >= fresh && !scratch.engine.settled(dst) {
                         return Err(Disconnected { commodity: id });
                     }
                 }
@@ -772,6 +808,7 @@ impl<'a> FmcfProblem<'a> {
         self.cache_splits(scratch)?;
         let FmcfScratch {
             splits,
+            split_of,
             path_links,
             warm,
             dirty,
@@ -781,7 +818,7 @@ impl<'a> FmcfProblem<'a> {
         let cached = warm
             .as_ref()
             .filter(|entry| entry.matches(self.graph, config, cost));
-        let rows: HashMap<usize, usize> = cached
+        let rows: HashMap<usize, usize, NodeHash> = cached
             .iter()
             .flat_map(|entry| entry.keys.iter().enumerate().map(|(row, key)| (key.0, row)))
             .collect();
@@ -789,7 +826,7 @@ impl<'a> FmcfProblem<'a> {
 
         path_links.clear();
         let mut mixtures = Vec::with_capacity(self.commodities.len());
-        for commodity in &self.commodities {
+        for (commodity, &split) in self.commodities.iter().zip(&*split_of) {
             let seed = cached.and_then(|entry| {
                 let row = *rows.get(&commodity.id)?;
                 let (_, src, dst, demand_bits) = entry.keys[row];
@@ -810,12 +847,16 @@ impl<'a> FmcfProblem<'a> {
             });
             let mixture = match seed {
                 Some(seed) => {
-                    seed.add_to(loads);
-                    path_links.extend(seed.paths().flat_map(|(path, _)| path.links()));
+                    for (path, flow) in seed.paths() {
+                        for &l in path.links() {
+                            loads[l.index()] += flow;
+                            path_links.push(l);
+                        }
+                    }
                     seed
                 }
                 None => {
-                    let split = &splits.pairs[&(commodity.src, commodity.dst)];
+                    let split = &splits.splits[split];
                     let (start, len) = split.shares;
                     for &(l, share) in &splits.shares[start..start + len] {
                         loads[l.index()] += commodity.demand * share;
@@ -857,9 +898,11 @@ impl<'a> FmcfProblem<'a> {
             iterations: 0,
             converged: n == 0,
             relative_gap: if n == 0 { 0.0 } else { f64::INFINITY },
+            cost: 0.0,
             dense: OnceLock::new(),
         };
         if n == 0 {
+            solution.cost = cost.cost_over(&solution.loads, &[]);
             return Ok(solution);
         }
         // Warm shortcut: an identical problem with an untouched cache
@@ -985,6 +1028,7 @@ impl<'a> FmcfProblem<'a> {
         for mixture in &mixtures {
             mixture.add_to(loads);
         }
+        solution.cost = cost.cost_over(loads, &scratch.active);
         solution.mixtures = mixtures;
 
         if warm {
@@ -1032,11 +1076,23 @@ impl FmcfSolution {
     }
 
     /// The paths carrying commodity index `c` (position in the problem's
-    /// commodity list) with the flow on each; the flows sum to the demand.
-    /// A path may occur twice: once in the commodity's start, once as a
-    /// Frank–Wolfe step.
+    /// commodity list) with the flow on each — [`FmcfSolution::split`]'s,
+    /// then [`FmcfSolution::steps`] — summing to the demand. A path may
+    /// occur twice: once in the commodity's start, once as a step.
     pub fn paths(&self, c: usize) -> impl Iterator<Item = (&Path, f64)> + '_ {
         self.mixtures[c].paths()
+    }
+
+    /// Commodity `c`'s unit split (distinct paths, one handle per pair and
+    /// split cache) and the flow per unit of its weights.
+    pub fn split(&self, c: usize) -> Option<(&Arc<[WeightedPath]>, f64)> {
+        let (paths, flow) = self.mixtures[c].split.as_ref()?;
+        Some((paths, *flow))
+    }
+
+    /// Commodity `c`'s Frank–Wolfe step paths, distinct, with their flows.
+    pub fn steps(&self, c: usize) -> &[WeightedPath] {
+        &self.mixtures[c].steps
     }
 
     /// The `commodities x links` matrix of per-link flows, built from the
@@ -1071,28 +1127,6 @@ impl FmcfSolution {
     /// Aggregate loads on all links.
     pub fn total_loads(&self) -> &[f64] {
         &self.loads
-    }
-
-    /// The objective value under a cost, without the overload penalty.
-    ///
-    /// The sum runs over the loaded links only and is the sum over every
-    /// link to the bit: an unloaded link adds `+0.0`, which changes no
-    /// partial sum but `-0.0`, so one `+ 0.0` at the end stands for all of
-    /// them.
-    pub fn total_cost(&self, cost: &PowerFlowCost) -> f64 {
-        let mut unloaded = false;
-        let sum: f64 = (self.loads.iter())
-            .filter(|&&x| {
-                unloaded |= x == 0.0;
-                x != 0.0
-            })
-            .map(|&x| cost.cost(x))
-            .sum();
-        if unloaded {
-            sum + 0.0
-        } else {
-            sum
-        }
     }
 
     /// Net out-flow minus in-flow of commodity `c` at `node` — used to check
@@ -1212,7 +1246,7 @@ mod tests {
             &tight_config(),
         )
         .unwrap();
-        let cost = sol.total_cost(&quadratic_cost());
+        let cost = sol.cost;
         assert!(
             close(cost, 8.0 * 8.0 / 4.0, 0.02),
             "cost {cost} should approach the even split optimum 16"
@@ -1292,7 +1326,7 @@ mod tests {
         let sol = solve(&t.csr(), commodities, &quadratic_cost(), &tight_config()).unwrap();
         // Total forward load 4 split over 2 links: 2 each, cost 8 (vs 16 if
         // they shared one link).
-        let cost = sol.total_cost(&quadratic_cost());
+        let cost = sol.cost;
         assert!(close(cost, 8.0, 0.02), "cost {cost} should approach 8");
     }
 
@@ -1310,7 +1344,7 @@ mod tests {
         let cost_fn = quadratic_cost();
         let sol = solve(&t.csr(), vec![commodity], &cost_fn, &tight_config()).unwrap();
         let single_path_cost = demand * demand; // all on one link
-        assert!(sol.total_cost(&cost_fn) <= single_path_cost + 1e-6);
+        assert!(sol.cost <= single_path_cost + 1e-6);
     }
 
     #[test]
@@ -1447,11 +1481,7 @@ mod tests {
         scratch.mark_dirty_links(used);
         let resolved = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         assert!(resolved.iterations >= 1, "shortcut must not fire");
-        assert!(close(
-            resolved.total_cost(&cost),
-            first.total_cost(&cost),
-            1e-6
-        ));
+        assert!(close(resolved.cost, first.cost, 1e-6));
         // The dirty set was consumed: the next re-solve shortcuts again.
         let third = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         assert_eq!(third, resolved);
@@ -1519,10 +1549,10 @@ mod tests {
             }
         }
         assert!(
-            close(warm.total_cost(&cost), cold.total_cost(&cost), 1e-3),
+            close(warm.cost, cold.cost, 1e-3),
             "warm {} vs cold {}",
-            warm.total_cost(&cost),
-            cold.total_cost(&cost)
+            warm.cost,
+            cold.cost
         );
     }
 
@@ -1857,13 +1887,13 @@ mod tests {
         let held = scratch.splits.path_links;
         assert!(held > 0);
         scratch.splits.path_links = SplitCache::MAX_SHARES;
-        let stale = scratch.splits.pairs.values().next().unwrap().paths.clone();
+        let stale = scratch.splits.splits[0].paths.clone();
         assert_eq!(start_of(&problem, &mut scratch), first);
         assert_eq!(scratch.splits.path_links, held);
         assert!(scratch
             .splits
-            .pairs
-            .values()
+            .splits
+            .iter()
             .all(|split| !Arc::ptr_eq(&split.paths, &stale)));
     }
 
@@ -2112,34 +2142,53 @@ mod tests {
         assert!(iterations.iter().any(|&i| i > 1), "{iterations:?}");
     }
 
-    /// `total_cost` sums the loaded links only and equals the sum over
-    /// every link to the bit, including the `+0.0` of a problem with no
-    /// commodity.
+    /// A solve's `cost` sums its active links only and equals the sum over
+    /// every link to the bit: on graphs where Frank–Wolfe blends (BCube at
+    /// α = 4) or not, on one whose every link is loaded, and at the `+0.0`
+    /// of a problem with no commodity.
     #[test]
-    fn total_cost_is_the_dense_sum_to_the_bit() {
-        let t = builders::fat_tree(4);
-        let graph = t.csr();
-        for cost in [
-            PowerFlowCost::new(PowerFunction::new(3.0, 1.0, 2.0, 10.0).unwrap()),
-            quadratic_cost(),
-        ] {
+    fn the_solve_cost_is_the_dense_sum_to_the_bit() {
+        let line = builders::line(2);
+        let (a, b) = (line.hosts()[0], line.hosts()[1]);
+        let commodity = |id, src, dst| Commodity {
+            id,
+            src,
+            dst,
+            demand: 1.5,
+        };
+        let mut cases = vec![(line.csr(), vec![commodity(0, a, b), commodity(1, b, a)])];
+        for t in [builders::fat_tree(4), builders::bcube(4, 1)] {
             for count in [0, 1, 14] {
-                let commodities = host_pairs(t.hosts(), count);
-                let sol = solve(&graph, commodities, &cost, &FmcfSolverConfig::default()).unwrap();
-                let dense: f64 = sol.total_loads().iter().map(|&x| cost.cost(x)).sum();
-                assert_eq!(sol.total_cost(&cost).to_bits(), dense.to_bits(), "{count}");
+                cases.push((t.csr(), host_pairs(t.hosts(), count)));
             }
         }
-        let empty = solve(
-            &graph,
-            Vec::new(),
-            &quadratic_cost(),
-            &FmcfSolverConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            empty.total_cost(&quadratic_cost()).to_bits(),
-            0.0f64.to_bits()
-        );
+        let mut blended = 0;
+        for cost in [
+            PowerFlowCost::new(PowerFunction::new(3.0, 1.0, 2.0, 10.0).unwrap()),
+            PowerFlowCost::new(PowerFunction::speed_scaling_only(1.0, 4.0, 10.0)),
+            quadratic_cost(),
+        ] {
+            for (graph, commodities) in &cases {
+                let sol = solve(graph, commodities.clone(), &cost, &Default::default()).unwrap();
+                let dense: f64 = sol.total_loads().iter().map(|&x| cost.cost(x)).sum();
+                assert_eq!(sol.cost.to_bits(), dense.to_bits(), "{commodities:?}");
+                blended += usize::from(sol.iterations > 1);
+            }
+        }
+        assert!(blended > 0);
+        let loaded = |(graph, commodities): &(GraphCsr, Vec<Commodity>)| {
+            let sol = solve(
+                graph,
+                commodities.clone(),
+                &quadratic_cost(),
+                &Default::default(),
+            );
+            sol.unwrap().total_loads().iter().all(|&x| x > 0.0)
+        };
+        assert!(loaded(&cases[0]), "every link of the line is loaded");
+        let empty = &cases[1];
+        assert!(empty.1.is_empty());
+        let sol = solve(&empty.0, Vec::new(), &quadratic_cost(), &Default::default());
+        assert_eq!(sol.unwrap().cost.to_bits(), 0.0f64.to_bits());
     }
 }

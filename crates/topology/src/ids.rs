@@ -1,6 +1,8 @@
-//! Identifier newtypes for nodes and links.
+//! Identifier newtypes for nodes and links, and the hasher of maps keyed
+//! by them.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node (switch or host) in a [`crate::Network`].
 ///
@@ -52,6 +54,35 @@ impl From<usize> for NodeId {
 impl From<usize> for LinkId {
     fn from(value: usize) -> Self {
         LinkId(value)
+    }
+}
+
+/// The hasher of maps keyed by node ids (and other small dense ids):
+/// [`NodeHasher`] instead of SipHash. Such a map holds at most the `n²`
+/// pairs of the fabric, so an unkeyed hash can only be aimed at keys that
+/// exist.
+pub type NodeHash = BuildHasherDefault<NodeHasher>;
+
+/// A multiply–xor hasher (the FxHash mix) for keys made of node ids: each
+/// `usize` is folded in with a rotate, an xor and one multiplication.
+#[derive(Debug, Default)]
+pub struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_usize(usize::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; the multiplication mixes
+        // upwards, so bring the well-mixed high bits down.
+        self.0.rotate_left(26)
     }
 }
 

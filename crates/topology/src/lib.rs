@@ -58,7 +58,7 @@ pub use builders::BuiltTopology;
 pub use csr::{BfsTree, GraphCsr};
 pub use engine::ShortestPathEngine;
 pub use event::TopologyEvent;
-pub use ids::{LinkId, NodeId, NodeKind};
+pub use ids::{LinkId, NodeHash, NodeHasher, NodeId, NodeKind};
 pub use network::{Link, Network, Node};
 pub use path::{Path, PathError};
 pub use routing::{all_shortest_paths_on, k_shortest_paths_on};

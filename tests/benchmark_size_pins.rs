@@ -11,13 +11,19 @@
 //! capacity excess and its active-link count, as they read before the
 //! per-link loads were summed once for every reader; offline, the
 //! rounding attempts too. The `offline_dcfs` instances keep `sp-mcf`'s
-//! energy and schedule digest. `#[ignore]`d outside CI's release leg.
+//! energy and schedule digest. The `online_resolve` instances also keep
+//! a digest of every re-solve's lower bound, interval count and capacity
+//! excess, as they read while the active links were sorted and the
+//! relaxation's cost rescanned every link. `#[ignore]`d outside CI's
+//! release leg.
 
 use deadline_dcn::core::online::OnlineEngine;
 use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
+use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
 use deadline_dcn::topology::builders::{self, BuiltTopology};
+use std::sync::{Arc, Mutex};
 
 /// Both workloads' fabric and power: fat-tree k = 8 at link capacity 10,
 /// `P(x) = x^2`.
@@ -28,14 +34,20 @@ fn setting() -> (BuiltTopology, PowerFunction) {
     )
 }
 
+/// The FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `word`'s little-endian bytes into the FNV-1a `hash`.
+fn fnv(hash: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 /// FNV-1a over every flow's id, path links and rate segments.
 fn digest(schedule: &Schedule) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut feed = |word: u64| {
-        for b in word.to_le_bytes() {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_BASIS;
+    let mut feed = |word: u64| fnv(&mut hash, word);
     for flow in schedule.flow_schedules() {
         feed(flow.flow as u64);
         for link in flow.path.links() {
@@ -80,6 +92,81 @@ fn online_resolve_instances_keep_their_energy_and_schedule() {
             active,
             "seed {seed}"
         );
+    }
+}
+
+/// `dcfsr` as the engine builds it by name, folding what each re-solve's
+/// relaxation yields — the lower bound's bits, the interval count and the
+/// chosen draw's capacity excess — into a digest the test reads after the
+/// run.
+struct FoldingDcfsr {
+    inner: Dcfsr,
+    digest: Arc<Mutex<u64>>,
+}
+
+impl Algorithm for FoldingDcfsr {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.inner.set_seed(seed);
+    }
+
+    fn solve(
+        &mut self,
+        ctx: &mut SolverContext<'_>,
+        flows: &FlowSet,
+        power: &PowerFunction,
+    ) -> Result<Solution, SolveError> {
+        let solution = self.inner.solve(ctx, flows, power)?;
+        let mut digest = self.digest.lock().unwrap();
+        let diagnostics = &solution.diagnostics;
+        for word in [
+            solution.lower_bound.map(f64::to_bits),
+            diagnostics.relaxation_intervals.map(|n| n as u64),
+            diagnostics.capacity_excess.map(f64::to_bits),
+        ] {
+            fnv(&mut digest, word.expect("dcfsr reports it"));
+        }
+        Ok(solution)
+    }
+}
+
+/// The `online_resolve` instances' relaxations keep their bits, not only
+/// the schedule they round to: the start loads and the interval costs
+/// feed every re-solve's lower bound, which the committed
+/// schedule does not show. Recorded while the active links were sorted
+/// after every registration and the interval cost rescanned every link.
+#[test]
+#[ignore = "benchmark-size pin; run in release"]
+fn online_resolve_relaxations_keep_their_lower_bounds() {
+    let (topo, power) = setting();
+    for (seed, relaxations, schedule) in [
+        (1, 0x6142_7e90_62f5_391du64, 0xf9cd_5ea7_fdd6_5734u64),
+        (2, 0x6af0_7354_7cd8_82ec, 0xacbd_149f_07b3_68da),
+        (3, 0x53de_4521_8254_41ab, 0x8d41_18c3_acc8_e49f),
+    ] {
+        let base = UniformWorkload::paper_defaults(300, seed)
+            .generate(topo.hosts())
+            .unwrap();
+        let flows = ArrivalProcess::with_load(8.0, seed).apply(&base).unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let folded = Arc::new(Mutex::new(FNV_BASIS));
+        let algorithm = FoldingDcfsr {
+            inner: Dcfsr::default(),
+            digest: Arc::clone(&folded),
+        };
+        let mut engine = OnlineEngine::builder()
+            .algorithm_instance(Box::new(algorithm))
+            .policy("resolve")
+            .warm_start(true)
+            .build()
+            .unwrap();
+        let outcome = engine.run(&mut ctx, &flows, &power).unwrap();
+        assert_eq!(digest(&outcome.schedule), schedule, "seed {seed}");
+        let got = *folded.lock().unwrap();
+        assert_eq!(got, relaxations, "seed {seed}: {got:#x}");
     }
 }
 

@@ -168,7 +168,7 @@ fn candidates_equal_the_decomposition_of_the_dense_view() {
         let total: f64 = expected.iter().map(|(_, w)| w).sum();
         assert_eq!(candidates.len(), expected.len(), "flow {id}");
         for (candidate, (path, weight)) in candidates.iter().zip(expected) {
-            assert_eq!(&candidate.path, path, "flow {id}");
+            assert_eq!(candidate.path, path, "flow {id}");
             assert!(
                 (candidate.weight - weight / total).abs() <= 1e-12,
                 "flow {id}: {} vs {}",

@@ -470,6 +470,33 @@ fn the_route_memo_hashes_node_ids_without_siphash() {
 }
 
 #[test]
+fn frank_wolfe_sorts_no_active_set_and_hashes_without_siphash() {
+    // Registering a path sets bits of a link bitmap, and the ascending
+    // active list is re-read from it: nothing is sorted. The split cache's
+    // pair map and the warm-seed row map are probed once per commodity per
+    // solve, so they hash with the multiply–xor `NodeHash`, as `PathCache`
+    // does, never with the default SipHash of `HashMap<K, V>`.
+    let fmcf = product_part("crates/solver/src/fmcf.rs");
+    assert!(
+        !fmcf.contains("active.sort"),
+        "fmcf.rs: `active.sort` is banned — re-read the active bitmap"
+    );
+    let maps: Vec<&str> = fmcf.lines().filter(|l| l.contains("HashMap<")).collect();
+    assert!(
+        maps.iter()
+            .any(|map| map.contains("HashMap<(NodeId, NodeId),")),
+        "fmcf.rs keeps its pair map"
+    );
+    for map in maps {
+        assert!(
+            map.contains(", NodeHash>"),
+            "fmcf.rs: `{}` uses the default hasher — name `NodeHash`",
+            map.trim()
+        );
+    }
+}
+
+#[test]
 fn a_served_flow_is_stored_once() {
     // A shard keeps one `FlowSchedule` per admitted flow: no
     // private plan type, no second, stitched history of what the plans
