@@ -9,9 +9,9 @@
 //!    ([`crate::relaxation`]).
 //! 2. **Candidates**: each flow's fractional solution in an interval is a
 //!    set of weighted paths `Q_i(k)` — the Frank–Wolfe solver keeps its
-//!    iterate in exactly that form
-//!    ([`dcn_solver::fmcf::FmcfSolution::paths`]), so nothing is extracted
-//!    from link flows here — merged across intervals with weights
+//!    iterate in exactly that form ([`dcn_solver::fmcf::FmcfSolution::split`]
+//!    and [`dcn_solver::fmcf::FmcfSolution::steps`]), so nothing is
+//!    extracted from link flows here — merged across intervals with weights
 //!    `w̄_P = sum_k w_P(k) * |I_k| / (d_i - r_i)`.
 //! 3. **Round**: sample one routing path per flow, using `w̄_P` as the
 //!    probability distribution.
@@ -312,7 +312,13 @@ mod tests {
             for (c, &flow_id) in iv.flow_ids.iter().enumerate() {
                 let flow = flows.flow(flow_id);
                 let entry = &mut candidates[flow_id];
-                for (path, rate) in iv.solution.paths(c) {
+                let split = iv.solution.split(c).into_iter().flat_map(|(paths, flow)| {
+                    paths
+                        .iter()
+                        .map(move |part| (&part.path, part.weight * flow))
+                });
+                let steps = iv.solution.steps(c).iter();
+                for (path, rate) in split.chain(steps.map(|part| (&part.path, part.weight))) {
                     let fraction = rate / flow.density();
                     let merged = fraction * iv.interval.length() / flow.span_length();
                     match entry.iter_mut().find(|c| c.path.links() == path.links()) {

@@ -10,7 +10,8 @@
 //! multi-commodity flow (F-MCF) problem with convex link costs, solved here
 //! with the Frank–Wolfe solver of [`dcn_solver::fmcf`]. Each interval's
 //! solution holds every active flow's density as weighted paths
-//! ([`FmcfSolution::paths`]) — the per-interval candidate sets
+//! ([`FmcfSolution::split`], [`FmcfSolution::steps`]) — the per-interval
+//! candidate sets
 //! Random-Schedule merges and rounds ([`crate::dcfsr`]).
 //!
 //! The total relaxation cost `sum_k |I_k| * cost_k` is the lower bound

@@ -64,7 +64,8 @@ pub(crate) struct DecomposeScratch {
 /// This is the one-shot form (it builds a [`GraphCsr`] view of the network
 /// per call) — an oracle for tests and probes. The Frank–Wolfe solver
 /// decomposes one unit split per node pair on its own view and keeps every
-/// solution in path form ([`crate::fmcf::FmcfSolution::paths`]).
+/// solution in path form ([`crate::fmcf::FmcfSolution::split`] and
+/// [`crate::fmcf::FmcfSolution::steps`]).
 ///
 /// # Panics
 ///

@@ -62,7 +62,12 @@
 //!
 //! * the start and the all-or-nothing step group commodities by source and
 //!   run **one** multi-target Dijkstra per distinct source (not per
-//!   commodity) through the arena-reuse [`ShortestPathEngine`];
+//!   commodity) through the arena-reuse [`ShortestPathEngine`]. Its targets
+//!   are hosts, which hang off one switch each: a target host settles with
+//!   its switch, and a link into any other host is never read. Unloaded
+//!   links all weigh the same (0 when σ = 0), so a search still settles
+//!   nearly every switch; what it does not read are the links into hosts
+//!   and into nodes already settled;
 //! * chosen paths are stored as spans into one shared link buffer, and
 //!   the objective, blending and load passes and [`FmcfSolution::cost`]
 //!   run over the links some chosen path touched, in link order (a bitmap,
@@ -74,7 +79,9 @@
 //!   than refilling all of them;
 //! * after the first iteration has warmed the arenas up, a Frank–Wolfe
 //!   iteration performs **zero heap allocations**; the step paths become
-//!   [`Path`]s once, when the solve ends.
+//!   [`Path`]s once, when the solve ends, and the loads are summed from
+//!   the final mixtures then — unless every commodity kept its warm seed
+//!   whole, in which case the start already summed them in that order.
 //!
 //! Callers solving many problems on one network (the per-interval
 //! relaxation) build one [`GraphCsr`], construct problems on it with
@@ -290,16 +297,19 @@ impl Mixture {
     }
 
     /// Drops the split and every step carrying under [`NEGLIGIBLE`] of
-    /// `demand`, and rescales what is left to the demand.
-    fn prune(&mut self, demand: f64) {
+    /// `demand`, and rescales what is left to the demand. Returns whether
+    /// anything was dropped.
+    fn prune(&mut self, demand: f64) -> bool {
         let floor = NEGLIGIBLE * demand;
         let entries = self.steps.len() + usize::from(self.split.is_some());
         self.split.take_if(|(_, flow)| *flow < floor);
         self.steps.retain(|part| part.weight >= floor);
-        if self.steps.len() + usize::from(self.split.is_some()) < entries {
+        let pruned = self.steps.len() + usize::from(self.split.is_some()) < entries;
+        if pruned {
             let kept: f64 = self.paths().map(|(_, flow)| flow).sum();
             self.scale(demand / kept);
         }
+        pruned
     }
 }
 
@@ -458,6 +468,9 @@ pub struct FmcfScratch {
     dirty: Vec<LinkId>,
     /// Membership mask of `dirty` (indexed by link, grown on demand).
     dirty_mark: Vec<bool>,
+    /// Solves that kept their start's loads instead of rebuilding them.
+    #[cfg(test)]
+    kept_start_loads: usize,
 }
 
 impl FmcfScratch {
@@ -798,13 +811,15 @@ impl<'a> FmcfProblem<'a> {
     /// ECMP split of its pair or, under warm starts, at its mixture in the
     /// cached solution scaled to the new demand — unless the commodity is
     /// new, changed endpoints, or its cached flow touches a dirty link.
+    /// Returns the mixtures, and whether every commodity was seeded: then
+    /// `loads` is the mixtures' path-by-path sum.
     fn start(
         &self,
         cost: &PowerFlowCost,
         config: &FmcfSolverConfig,
         scratch: &mut FmcfScratch,
         loads: &mut [f64],
-    ) -> Result<Vec<Mixture>, Disconnected> {
+    ) -> Result<(Vec<Mixture>, bool), Disconnected> {
         self.cache_splits(scratch)?;
         let FmcfScratch {
             splits,
@@ -826,6 +841,7 @@ impl<'a> FmcfProblem<'a> {
 
         path_links.clear();
         let mut mixtures = Vec::with_capacity(self.commodities.len());
+        let mut seeded = true;
         for (commodity, &split) in self.commodities.iter().zip(&*split_of) {
             let seed = cached.and_then(|entry| {
                 let row = *rows.get(&commodity.id)?;
@@ -856,6 +872,7 @@ impl<'a> FmcfProblem<'a> {
                     seed
                 }
                 None => {
+                    seeded = false;
                     let split = &splits.splits[split];
                     let (start, len) = split.shares;
                     for &(l, share) in &splits.shares[start..start + len] {
@@ -871,7 +888,7 @@ impl<'a> FmcfProblem<'a> {
             mixtures.push(mixture);
         }
         scratch.register_active_paths();
-        Ok(mixtures)
+        Ok((mixtures, seeded))
     }
 
     /// Solves the problem with Frank–Wolfe, reusing the caller's scratch
@@ -920,7 +937,7 @@ impl<'a> FmcfProblem<'a> {
         scratch.prepare(&self.commodities, graph, cost.weight(0.0));
 
         let loads = &mut solution.loads;
-        let mut mixtures = self.start(cost, config, scratch, loads)?;
+        let (mut mixtures, seeded) = self.start(cost, config, scratch, loads)?;
         let mut objective = cost.objective_over(loads, &scratch.active);
         // The share of every demand still on the start.
         let mut start_share = 1.0;
@@ -1003,7 +1020,11 @@ impl<'a> FmcfProblem<'a> {
 
         // The mixtures: the start at what is left of its share, then each
         // step's path at the step's share (equal paths merged), without
-        // the negligible entries. The loads are their per-link sum.
+        // the negligible entries. The loads are their per-link sum. When
+        // every commodity kept its seed whole — no step was blended in
+        // and nothing pruned — the start added those very paths at those
+        // flows in this order, and its loads are kept.
+        let mut untouched = seeded && scratch.step_shares.is_empty();
         for (c, (mixture, commodity)) in mixtures.iter_mut().zip(&self.commodities).enumerate() {
             mixture.scale(start_share);
             for (t, &share) in scratch.step_shares.iter().enumerate() {
@@ -1020,13 +1041,20 @@ impl<'a> FmcfProblem<'a> {
                     }),
                 }
             }
-            mixture.prune(commodity.demand);
+            untouched &= !mixture.prune(commodity.demand);
         }
-        for &l in &scratch.active {
-            loads[l.index()] = 0.0;
-        }
-        for mixture in &mixtures {
-            mixture.add_to(loads);
+        if untouched {
+            #[cfg(test)]
+            {
+                scratch.kept_start_loads += 1;
+            }
+        } else {
+            for &l in &scratch.active {
+                loads[l.index()] = 0.0;
+            }
+            for mixture in &mixtures {
+                mixture.add_to(loads);
+            }
         }
         solution.cost = cost.cost_over(loads, &scratch.active);
         solution.mixtures = mixtures;
@@ -1073,14 +1101,6 @@ impl FmcfSolution {
     /// Number of commodities in the solution.
     pub fn commodity_count(&self) -> usize {
         self.mixtures.len()
-    }
-
-    /// The paths carrying commodity index `c` (position in the problem's
-    /// commodity list) with the flow on each — [`FmcfSolution::split`]'s,
-    /// then [`FmcfSolution::steps`] — summing to the demand. A path may
-    /// occur twice: once in the commodity's start, once as a step.
-    pub fn paths(&self, c: usize) -> impl Iterator<Item = (&Path, f64)> + '_ {
-        self.mixtures[c].paths()
     }
 
     /// Commodity `c`'s unit split (distinct paths, one handle per pair and
@@ -1944,6 +1964,105 @@ mod tests {
         assert_conserves(&graph, &warm, &grown, 1e-9);
     }
 
+    /// A solve whose every commodity kept its warm seed whole keeps the
+    /// start's loads: on warm-start sweeps — demands rescaled, commodities
+    /// leaving and arriving — over a fat-tree (whose seeds certify at once),
+    /// the fat-tree with links down and BCube at `α = 4` (which blend),
+    /// every solve's loads equal the rebuild from its mixtures to the bit,
+    /// whether the rebuild was skipped or not.
+    #[test]
+    fn kept_start_loads_are_the_rebuilt_loads() {
+        let t = builders::fat_tree(4);
+        let mut degraded = t.csr();
+        let fabric: Vec<LinkId> = (0..degraded.link_count())
+            .map(LinkId)
+            .filter(|&l| !t.network.node(degraded.link_src(l)).kind.is_host())
+            .filter(|&l| !t.network.node(degraded.link_dst(l)).kind.is_host())
+            .collect();
+        for &l in fabric.iter().step_by(11).take(3) {
+            degraded.fail_link(l);
+        }
+        let b = builders::bcube(4, 1);
+        let quadratic = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
+        let corpus = [
+            (t.csr(), t.hosts.clone(), quadratic),
+            (degraded, t.hosts.clone(), quadratic),
+            (
+                b.csr(),
+                b.hosts,
+                PowerFunction::speed_scaling_only(1.0, 4.0, 10.0),
+            ),
+        ];
+        let config = FmcfSolverConfig::default();
+        let (mut kept, mut rebuilt) = (0, 0);
+        for (graph, hosts, power) in &corpus {
+            let cost = PowerFlowCost::new(*power);
+            let mut scratch = FmcfScratch::new();
+            scratch.set_warm_start(true);
+            let mut live = host_pairs(hosts, 10);
+            let mut next_id = live.iter().map(|c| c.id).max().unwrap() + 1;
+            for step in 0..12 {
+                match step % 3 {
+                    0 => live.iter_mut().for_each(|c| c.demand *= 1.25),
+                    1 => drop(live.remove(step % live.len())),
+                    _ => {
+                        live.push(Commodity {
+                            id: next_id,
+                            src: hosts[next_id % hosts.len()],
+                            dst: hosts[(next_id * 5 + 3) % hosts.len()],
+                            demand: 1.0,
+                        });
+                        next_id += 1;
+                    }
+                }
+                let before = scratch.kept_start_loads;
+                let sol = FmcfProblem::with_graph(graph, live.clone())
+                    .solve_with(&cost, &config, &mut scratch)
+                    .unwrap();
+                let mut sum = vec![0.0; graph.link_count()];
+                for mixture in &sol.mixtures {
+                    mixture.add_to(&mut sum);
+                }
+                let bits = |loads: &[f64]| loads.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sol.loads), bits(&sum), "step {step}");
+                if scratch.kept_start_loads > before {
+                    kept += 1;
+                } else {
+                    rebuilt += 1;
+                }
+            }
+        }
+        assert!(kept >= 4 && rebuilt >= 4, "{kept} kept, {rebuilt} rebuilt");
+
+        // A seed entry under the prune floor goes, and the loads are
+        // rebuilt without it.
+        let graph = t.csr();
+        let cost = PowerFlowCost::new(quadratic);
+        let mut scratch = FmcfScratch::new();
+        scratch.set_warm_start(true);
+        let mut live = host_pairs(&t.hosts, 6);
+        FmcfProblem::with_graph(&graph, live.clone())
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
+        let first = live[0];
+        let sliver = WeightedPath {
+            path: graph.shortest_path(first.src, first.dst).unwrap(),
+            weight: first.demand * 1e-14,
+        };
+        let entry = scratch.warm.as_mut().unwrap();
+        entry.solution.mixtures[0].steps.push(sliver);
+        live.iter_mut().for_each(|c| c.demand *= 2.0);
+        let sol = FmcfProblem::with_graph(&graph, live)
+            .solve_with(&cost, &config, &mut scratch)
+            .unwrap();
+        let mut sum = vec![0.0; graph.link_count()];
+        for mixture in &sol.mixtures {
+            mixture.add_to(&mut sum);
+        }
+        assert_eq!(sol.loads, sum);
+        assert_eq!((sol.iterations, scratch.kept_start_loads), (1, 0));
+    }
+
     /// The mixture is the matrix: on the quality-oracle graphs (fat-trees
     /// with fabric links down, leaf–spine, BCube — where Frank–Wolfe does
     /// blend) every commodity's paths carry its demand, run from its
@@ -1991,7 +2110,7 @@ mod tests {
                 let demand = commodity.demand;
                 let mut row = vec![0.0; graph.link_count()];
                 let mut total = 0.0;
-                for (path, flow) in sol.paths(c) {
+                for (path, flow) in sol.mixtures[c].paths() {
                     assert!(flow >= NEGLIGIBLE * demand);
                     assert_eq!(path.source(), commodity.src);
                     assert_eq!(path.destination(), commodity.dst);

@@ -440,16 +440,6 @@ impl GraphCsr {
         self.pod_count
     }
 
-    /// The unique out-neighbour of `node`, if its out-degree is exactly 1
-    /// (e.g. a host hanging off its edge switch). Used by the search
-    /// engine's leaf-skip optimisation.
-    #[inline]
-    pub fn sole_out_neighbor(&self, node: NodeId) -> Option<NodeId> {
-        let lo = self.out_offsets[node.index()] as usize;
-        let hi = self.out_offsets[node.index() + 1] as usize;
-        (hi - lo == 1).then(|| self.out_dsts[lo])
-    }
-
     /// Every directed link from `src` to `dst` (parallel links), served
     /// from the contiguous out-neighbourhood of `src` without allocating.
     pub fn links_between(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = LinkId> + '_ {

@@ -554,7 +554,7 @@ fn the_relaxation_hands_random_schedule_its_paths() {
     for banned in ["decompose_flow", "live_path"] {
         assert!(
             !dcfsr.contains(banned),
-            "dcfsr.rs: `{banned}` — candidates come from `FmcfSolution::paths`"
+            "dcfsr.rs: `{banned}` — candidates come from `FmcfSolution::split` and `steps`"
         );
     }
     assert!(
@@ -1204,7 +1204,9 @@ fn public_items_nothing_called_stay_deleted() {
     // event batch and no admission probe settings. `dcn-core` fails with
     // one `SolveError`: no per-module error enums, and no
     // `#[non_exhaustive]` marker on a type nothing outside the workspace
-    // matches or builds.
+    // matches or builds. A solution hands its paths out as its split and
+    // its steps, not as a chained iterator of both, and the search engine
+    // reads the pendant index, not a sole-out-neighbour probe.
     let root = workspace_root();
     let mut sources = Vec::new();
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
@@ -1270,6 +1272,8 @@ fn public_items_nothing_called_stay_deleted() {
         "ExactError",
         "RoutingError",
         "non_exhaustive",
+        "pub fn paths(&self, c: usize)",
+        "fn sole_out_neighbor",
     ];
     for path in sources {
         let source = fs::read_to_string(&path).expect("source readable");
