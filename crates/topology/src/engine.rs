@@ -34,19 +34,21 @@
 //!   one in-link — no other link can lower that distance or change that
 //!   parent — and a link into a pendant that is not a target is never
 //!   read: the pendant's only way on leads back to `p`, settled by then,
-//!   so settling it would change no other node. The engine indexes the
-//!   pendants, and every out-adjacency with its links into them moved
-//!   last, once per graph state ([`GraphCsr::epoch`]), on the first
-//!   early-exit search there. A full sweep (no targets) settles every
-//!   reachable node.
+//!   so settling it would change no other node. The engine records each
+//!   node's pendant parent in the node's arena record, once per graph
+//!   state ([`GraphCsr::epoch`]), on the first early-exit search there;
+//!   the check rides on the read that finds a node settled, and a settling
+//!   node finds the pendant targets hanging off it in its own CSR
+//!   adjacency. A full sweep (no targets) settles every reachable node.
 //!
 //! Results are bit-for-bit those of a textbook per-call Dijkstra on a
 //! freshly allocated heap: the same settle order (min distance, ties broken
 //! by smallest node id — the level's lowest set bit *is* the heap's next
 //! pop, because every other live entry has a larger key), the same
 //! strict-improvement relaxation, and the same link insertion order via the
-//! CSR adjacency (moving the links into pendants last changes nothing:
-//! they improve only their pendants). Under early exit the nodes reported
+//! CSR adjacency (a link into a pendant improves only that pendant, so
+//! settling a pendant target before its parent's other links are relaxed
+//! changes nothing else). Under early exit the nodes reported
 //! settled are the textbook's settle sequence without the non-target
 //! pendants, each pendant target moved up to its parent's settle, and cut
 //! where the last target settles: every target keeps its distance bits,
@@ -85,9 +87,10 @@ const NO_PARENT: u32 = u32::MAX;
 /// The pendant-parent entry of a node that is not a pendant.
 const NOT_PENDANT: u32 = u32::MAX;
 
-/// Per-node scratch record: distance, parent link and the three epoch
-/// stamps, packed together so one search step touches one cache line per
-/// node instead of five scattered arrays.
+/// Per-node record: distance, parent link, the four epoch stamps of the
+/// search arena and the node's pendant parent, packed into 32 bytes so one
+/// search step touches one cache line per node instead of seven scattered
+/// arrays.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeState {
     /// Tentative distance; valid only when `seen == epoch`.
@@ -103,7 +106,13 @@ struct NodeState {
     /// Epoch at which a pendant hanging off the node was last marked as a
     /// search target.
     pendant_target: u32,
+    /// The node the node hangs off if it is a pendant, else
+    /// [`NOT_PENDANT`]; valid for the graph state `pendants_of` of the
+    /// engine.
+    pendant_parent: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<NodeState>() == 32);
 
 /// A priority-queue entry: the distance's IEEE-754 bit pattern (which
 /// orders identically to the non-negative finite `f64` it encodes) paired
@@ -247,90 +256,6 @@ impl LevelSet {
     }
 }
 
-/// The pendants of one graph state and its out-adjacency with the links
-/// into them moved last: what a search needs to go around them.
-#[derive(Debug, Clone, Default)]
-struct PendantIndex {
-    /// The [`GraphCsr::epoch`] indexed; 0, which no graph state has,
-    /// before the first.
-    graph_epoch: u64,
-    /// Each node's parent if it is a pendant, else [`NOT_PENDANT`].
-    parent: Vec<u32>,
-    /// Every node's `(link, destination)` out-pairs, in
-    /// `adjacency[offsets[v]..offsets[v + 1]]`: first those that do not
-    /// lead into a pendant, then, from `pendants_from[v]` on, those that
-    /// do, both parts in insertion order.
-    adjacency: Vec<(LinkId, NodeId)>,
-    offsets: Vec<u32>,
-    pendants_from: Vec<u32>,
-}
-
-impl PendantIndex {
-    /// Indexes `graph`'s live adjacency, unless this state is indexed.
-    fn refresh(&mut self, graph: &GraphCsr) {
-        if self.graph_epoch == graph.epoch() {
-            return;
-        }
-        self.graph_epoch = graph.epoch();
-        let n = graph.node_count();
-        self.parent.clear();
-        self.parent.extend((0..n).map(NodeId).map(|v| {
-            let (&[out], &[inn]) = (graph.out_links(v), graph.in_links(v)) else {
-                return NOT_PENDANT;
-            };
-            let p = graph.link_src(inn);
-            if graph.link_dst(out) == p && p != v {
-                p.index() as u32
-            } else {
-                NOT_PENDANT
-            }
-        }));
-        let Self {
-            parent,
-            adjacency,
-            offsets,
-            pendants_from,
-            ..
-        } = self;
-        adjacency.clear();
-        offsets.clear();
-        pendants_from.clear();
-        let into_pendant = |&(_, dst): &(LinkId, NodeId)| parent[dst.index()] != NOT_PENDANT;
-        for v in (0..n).map(NodeId) {
-            offsets.push(adjacency.len() as u32);
-            adjacency.extend(
-                graph
-                    .out_links_with_dsts(v)
-                    .filter(|pair| !into_pendant(pair)),
-            );
-            pendants_from.push(adjacency.len() as u32);
-            adjacency.extend(graph.out_links_with_dsts(v).filter(into_pendant));
-        }
-        offsets.push(adjacency.len() as u32);
-    }
-
-    /// The node `node` hangs off, if it is a pendant.
-    #[inline]
-    fn parent(&self, node: NodeId) -> Option<NodeId> {
-        let p = self.parent[node.index()];
-        (p != NOT_PENDANT).then_some(NodeId(p as usize))
-    }
-
-    /// `node`'s out-pairs that do not lead into a pendant.
-    #[inline]
-    fn past_pendants(&self, node: NodeId) -> &[(LinkId, NodeId)] {
-        let v = node.index();
-        &self.adjacency[self.offsets[v] as usize..self.pendants_from[v] as usize]
-    }
-
-    /// `node`'s out-pairs into the pendants hanging off it.
-    #[inline]
-    fn to_pendants(&self, node: NodeId) -> &[(LinkId, NodeId)] {
-        let v = node.index();
-        &self.adjacency[self.pendants_from[v] as usize..self.offsets[v + 1] as usize]
-    }
-}
-
 /// What the runs of an engine did, counted in tests only.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -364,8 +289,9 @@ pub struct ShortestPathEngine {
     level: LevelSet,
     /// Source of the most recent run.
     src: NodeId,
-    /// The pendant index of the graph state of the latest early-exit run.
-    pendants: PendantIndex,
+    /// The [`GraphCsr::epoch`] whose pendant parents the arena holds; 0,
+    /// which no graph state has, before the first early-exit run.
+    pendants_of: u64,
     /// Work counters of every run so far.
     #[cfg(test)]
     counters: Counters,
@@ -390,7 +316,7 @@ impl ShortestPathEngine {
             heap: QuadHeap::default(),
             level: LevelSet::default(),
             src: NodeId(0),
-            pendants: PendantIndex::default(),
+            pendants_of: 0,
             #[cfg(test)]
             counters: Counters::default(),
             #[cfg(test)]
@@ -417,6 +343,7 @@ impl ShortestPathEngine {
             // reset every 2^32 runs.
             self.states.fill(NodeState::default());
             self.epoch = 1;
+            self.pendants_of = 0;
         }
         self.heap.clear();
         self.src = src;
@@ -438,6 +365,26 @@ impl ShortestPathEngine {
         st.seen = epoch;
         self.push((0.0f64.to_bits(), src.index() as u32));
         remaining
+    }
+
+    /// Records every node's pendant parent in `graph`'s live adjacency,
+    /// unless the arena holds this graph state's.
+    fn index_pendants(&mut self, graph: &GraphCsr) {
+        if self.pendants_of == graph.epoch() {
+            return;
+        }
+        self.pendants_of = graph.epoch();
+        for (v, st) in self.states[..graph.node_count()].iter_mut().enumerate() {
+            let v = NodeId(v);
+            st.pendant_parent = match (graph.out_links(v), graph.in_links(v)) {
+                (&[out], &[inn])
+                    if graph.link_dst(out) == graph.link_src(inn) && graph.link_src(inn) != v =>
+                {
+                    graph.link_src(inn).index() as u32
+                }
+                _ => NOT_PENDANT,
+            };
+        }
     }
 
     #[inline]
@@ -477,20 +424,24 @@ impl ShortestPathEngine {
         w
     }
 
-    /// Relaxes the links of `adjacency` out of a node settled at distance
-    /// `d`, the current level's distance bits being `key`: a link into a
-    /// settled node is passed over unread, and a node improved to the
-    /// level's own distance joins the level instead of the heap.
+    /// Relaxes the out-links of `u`, settled at the distance whose bits
+    /// are `key`: a link into a settled node is passed over unread, and so
+    /// is one into a pendant when the search goes `around_pendants`; a
+    /// node improved to the level's own distance joins the level instead
+    /// of the heap.
     #[inline]
     fn relax(
         &mut self,
-        adjacency: impl Iterator<Item = (LinkId, NodeId)>,
+        graph: &GraphCsr,
+        u: NodeId,
         key: u64,
+        around_pendants: bool,
         link_weight: &mut impl FnMut(LinkId) -> f64,
     ) {
         let (epoch, d) = (self.epoch, f64::from_bits(key));
-        for (lid, v) in adjacency {
-            if self.states[v.index()].done == epoch {
+        for (lid, v) in graph.out_links_with_dsts(u) {
+            let sv = &self.states[v.index()];
+            if sv.done == epoch || (around_pendants && sv.pendant_parent != NOT_PENDANT) {
                 continue;
             }
             let w = self.read_weight(lid, link_weight);
@@ -513,21 +464,22 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Settles the unsettled targets among the pendants `links` lead to
-    /// from a node settled at the distance whose bits are `key`, over
-    /// those links; returns how many settled.
+    /// Settles the unsettled targets among the pendants hanging off `u`,
+    /// settled at the distance whose bits are `key`, over their one
+    /// in-link each; returns how many settled.
     #[inline]
     fn settle_pendant_targets(
         &mut self,
-        links: &[(LinkId, NodeId)],
+        graph: &GraphCsr,
+        u: NodeId,
         key: u64,
         link_weight: &mut impl FnMut(LinkId) -> f64,
     ) -> usize {
         let (epoch, d) = (self.epoch, f64::from_bits(key));
         let mut settled = 0;
-        for &(lid, v) in links {
+        for (lid, v) in graph.out_links_with_dsts(u) {
             let sv = &self.states[v.index()];
-            if sv.target != epoch || sv.done == epoch {
+            if sv.pendant_parent != u.index() as u32 || sv.target != epoch || sv.done == epoch {
                 continue;
             }
             let w = self.read_weight(lid, link_weight);
@@ -567,14 +519,12 @@ impl ShortestPathEngine {
         let mut remaining = self.start(graph, src, targets);
         let early_exit = !targets.is_empty();
         let epoch = self.epoch;
-        // Out of the engine for the run, so the relaxations can read it
-        // while they update the arenas.
-        let mut pendants = std::mem::take(&mut self.pendants);
         if early_exit {
-            pendants.refresh(graph);
+            self.index_pendants(graph);
             for &t in targets {
-                if let Some(p) = pendants.parent(t) {
-                    self.states[p.index()].pendant_target = epoch;
+                let p = self.states[t.index()].pendant_parent;
+                if p != NOT_PENDANT {
+                    self.states[p as usize].pendant_target = epoch;
                 }
             }
         }
@@ -600,21 +550,18 @@ impl ShortestPathEngine {
             let settles_before = self.counters.settles;
             while let Some(u) = self.level.pop_lowest() {
                 let st = *self.settle(u);
-                if !early_exit {
-                    self.relax(graph.out_links_with_dsts(NodeId(u)), key, &mut link_weight);
-                    continue;
+                if early_exit {
+                    remaining -= usize::from(st.target == epoch);
+                    if st.pendant_target == epoch {
+                        remaining -=
+                            self.settle_pendant_targets(graph, NodeId(u), key, &mut link_weight);
+                    }
+                    if remaining == 0 {
+                        self.level.clear();
+                        break 'search;
+                    }
                 }
-                remaining -= usize::from(st.target == epoch);
-                if st.pendant_target == epoch {
-                    let links = pendants.to_pendants(NodeId(u));
-                    remaining -= self.settle_pendant_targets(links, key, &mut link_weight);
-                }
-                if remaining == 0 {
-                    self.level.clear();
-                    break 'search;
-                }
-                let adjacency = pendants.past_pendants(NodeId(u)).iter().copied();
-                self.relax(adjacency, key, &mut link_weight);
+                self.relax(graph, NodeId(u), key, early_exit, &mut link_weight);
             }
             #[cfg(test)]
             {
@@ -622,7 +569,6 @@ impl ShortestPathEngine {
                 self.counters.wide_drains += u64::from(drained >= 2);
             }
         }
-        self.pendants = pendants;
     }
 
     /// Returns `true` if `node` was settled (final distance) by the most
@@ -962,11 +908,22 @@ mod tests {
         (graph.link_dst(out) == p && p != v).then_some(p)
     }
 
+    /// Every node's pendant parent as the engine indexes it.
+    fn indexed_parents(graph: &GraphCsr) -> Vec<Option<NodeId>> {
+        let mut engine = ShortestPathEngine::new();
+        engine.start(graph, NodeId(0), &[]);
+        engine.index_pendants(graph);
+        engine.states[..graph.node_count()]
+            .iter()
+            .map(|st| {
+                (st.pendant_parent != NOT_PENDANT).then_some(NodeId(st.pendant_parent as usize))
+            })
+            .collect()
+    }
+
     /// A node's pendant parent as the engine indexes it.
     fn indexed_parent(graph: &GraphCsr, v: NodeId) -> Option<NodeId> {
-        let mut index = PendantIndex::default();
-        index.refresh(graph);
-        index.parent(v)
+        indexed_parents(graph)[v.index()]
     }
 
     /// The settle sequence the engine must produce, given the reference's:
@@ -1083,11 +1040,10 @@ mod tests {
         let mut targets = Vec::new();
         for case in 0..cases {
             let graph = random_multigraph(&mut rng);
-            let mut index = PendantIndex::default();
-            index.refresh(&graph);
-            for v in (0..graph.node_count()).map(NodeId) {
+            for (v, parent) in indexed_parents(&graph).into_iter().enumerate() {
+                let v = NodeId(v);
                 assert_eq!(
-                    index.parent(v),
+                    parent,
                     pendant_parent_by_definition(&graph, v),
                     "case {case}: {v}"
                 );
