@@ -3,7 +3,7 @@
 //!
 //! Every other experiment solves a batch instance; this one measures the
 //! paper's scheduler *as a service*. Each cell starts an in-process
-//! [`dcn_server::Server`] (the same router + shard-worker daemon behind
+//! [`dcn_server::Server`] (the same router + shard-executor daemon behind
 //! `dcn-serve`), submits the paper's uniform workload through the wire
 //! [`Request`] types in release order as a closed-loop client, and then
 //! audits the daemon's committed rate plans: a snapshot of every shard is

@@ -113,9 +113,11 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 defaults to the binary's own selection; an unknown
 ///                 name is a usage error
 /// --shard-workers N
-///                 worker threads of the `serve` bench's in-process
-///                 daemon; the artifact is byte-identical at any N
-/// --queue-depth N per-worker queue bound of the `serve` bench's daemon
+///                 shard executors of the `serve` bench's in-process
+///                 daemon, the router included (N - 1 worker threads);
+///                 the artifact is byte-identical at any N
+/// --queue-depth N queue bound of each worker thread of the `serve`
+///                 bench's daemon
 /// --admission R   admission rule of the `serve` bench's daemon:
 ///                 admit-all | reject-infeasible
 /// --quick         CI smoke mode: smallest topology, one run per point
@@ -159,11 +161,12 @@ pub struct ExperimentCli {
     /// there is no primary/reference pairing); `None` keeps the binary's
     /// default selection.
     pub policies: Option<Vec<String>>,
-    /// `--shard-workers N`: worker threads of the `serve` bench's
-    /// in-process daemon; `None` keeps the binary's default (1).
+    /// `--shard-workers N`: shard executors of the `serve` bench's
+    /// in-process daemon, the router included; `None` keeps the binary's
+    /// default (1, no worker thread).
     pub shard_workers: Option<usize>,
-    /// `--queue-depth N`: per-worker queue bound of the `serve` bench's
-    /// daemon; `None` keeps the daemon's default.
+    /// `--queue-depth N`: queue bound of each worker thread of the
+    /// `serve` bench's daemon; `None` keeps the daemon's default.
     pub queue_depth: Option<usize>,
     /// `--admission R`: admission rule of the `serve` bench's daemon;
     /// `None` keeps the binary's default (`admit-all`).

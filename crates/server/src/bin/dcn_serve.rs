@@ -4,7 +4,7 @@
 //! TCP listener (`--listen ADDR`), and doubles as a canned-workload
 //! generator (`--gen-requests N`) for smoke tests: the generated stream
 //! is a deterministic function of `--topology` and `--seed`, so replies
-//! can be diffed across runs and worker widths.
+//! can be diffed across runs and `--shard-workers` widths.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpListener;
@@ -36,13 +36,17 @@ MODES:
 OPTIONS:
     --topology SPEC      fabric to schedule on: fat-tree:K or
                          leaf-spine:L,S,H     [default: fat-tree:4]
-    --shard-workers N    worker thread count  [default: 1]
+    --shard-workers N    shard executors, the router included: the router
+                         runs its share of the pod buckets itself and
+                         N-1 worker threads run the rest
+                         [default: 1, no worker thread]
     --policy NAME        edf | greedy | resolve [default: edf]
     --admission NAME     admit-all | reject-infeasible [default: admit-all]
     --algorithm NAME     registry algorithm behind --policy resolve
                          [default: dcfsr]
-    --queue-depth N      per-worker job queue bound; a full queue answers
-                         Busy                 [default: 1024]
+    --queue-depth N      job queue bound of each worker thread; a full
+                         queue answers Busy (the router's own buckets
+                         never do)            [default: 1024]
     --retry-after-ms N   retry hint carried by Busy replies [default: 10]
     --seed N             base seed            [default: 1]
     --snapshot-path P    JSON file written on Snapshot requests and

@@ -2,14 +2,15 @@
 //! rate-plan decisions over a framed JSON protocol.
 //!
 //! The batch crates solve a complete instance at once; this crate keeps
-//! the scheduler *resident*. A [`Server`] owns message-passing shard
-//! workers — one thread per worker, each holding warm
-//! [`worker::ShardEngine`]s (solver context + in-flight ledger) for the
-//! pod buckets it was striped — and a router that hashes every
-//! submission to its source pod's bucket. Replies flow back through a
-//! sequence-ordered mux, so the reply stream for a given request stream
-//! is byte-identical at any `--shard-workers` width; see
-//! [`server`] for the full determinism contract.
+//! the scheduler *resident*. A [`Server`] is a router that hashes every
+//! submission to its source pod's bucket, and `--shard-workers` shard
+//! executors that each hold warm [`worker::ShardEngine`]s (a solver
+//! context and an in-flight ledger) for the pod buckets striped to them.
+//! The router is executor 0 and runs its buckets' jobs itself; the others
+//! are message-passing worker threads (none at the default width 1). Replies
+//! flow back through a sequence-ordered mux, so the reply stream for a
+//! given request stream is byte-identical at any `--shard-workers` width;
+//! see [`server`] for the full determinism contract.
 //!
 //! The pieces:
 //!
@@ -19,8 +20,9 @@
 //! - [`worker`] — the per-shard engine: logical clock, delivery
 //!   crediting, admission (the core `AdmissionRule`) and rate planning
 //!   ([`ServePolicy`]).
-//! - [`server`] — the router, bounded worker queues with `Busy`
-//!   backpressure, and the connection loop ([`Server::serve_connection`]).
+//! - [`server`] — the router and its one job executor, the worker
+//!   threads' bounded queues with `Busy` backpressure, and the connection
+//!   loop ([`Server::serve_connection`]).
 //! - [`snapshot`] — JSON persistence of the complete in-flight state, one
 //!   record per flow; a restarted daemon resumes its admitted flows
 //!   bit-identically.
@@ -36,13 +38,16 @@
 //! bucket once. A schedule stores a piece per rate change of its flow —
 //! one under `edf`/`greedy` until a link event re-plans it — and, for a
 //! flow that moved, its pieces on every link it used. On the benchmark's
-//! `serve_closed` stream
-//! (one closed-loop client, fat-tree k=8, 10 000 frames) the loop takes
-//! about 0.09 s — per frame about 4.5 µs of router → worker thread hop,
-//! 4.5–5 µs of JSON codec at both ends and under 1.7 µs of shard work —
-//! and the 5.3 MB snapshot of that stream restores in 0.05 s
-//! (EXPERIMENTS.md, "Where a served request goes" and "Why the daemon
-//! keeps its pacer").
+//! `serve_closed` stream (one closed-loop client, fat-tree k=8, 10 000
+//! frames) the loop takes about 0.043 s at the default width, where the
+//! router runs every job on the thread that decoded its frame. Per frame
+//! it spends about 3.2 µs in `serve_connection`: 1.0–1.1 µs of routing and
+//! shard work, 1.3–1.6 µs of JSON codec (request decode, reply encode) and
+//! the framing around them; the client's reply decode adds 1.1–1.4 µs. At
+//! a width of 2 or more, a frame whose bucket a worker thread runs also
+//! pays a router → thread → router hop of 5.3–5.7 µs. The 5.3 MB snapshot
+//! of that stream restores in 0.05 s (EXPERIMENTS.md, "Where a served
+//! frame goes" and "Why the daemon keeps its pacer").
 //!
 //! # What the daemon does not guarantee
 //!

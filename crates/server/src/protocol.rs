@@ -67,8 +67,8 @@ pub enum RequestBody {
         flow: u64,
     },
     /// Apply a topology change: take a directed link down or bring it
-    /// back up. Broadcast to every shard worker (a FIFO barrier behind
-    /// all previously dispatched work) before the
+    /// back up. Applied to every shard executor (on a worker thread, a
+    /// FIFO barrier behind all previously dispatched work) before the
     /// [`ResponseBody::LinkAck`] reply, so later submissions are planned
     /// on the updated fabric — never on a stale route.
     LinkEvent {
@@ -170,7 +170,7 @@ pub enum ResponseBody {
     Admit(AdmitReply),
     /// Flow status.
     Status(StatusReply),
-    /// Acknowledges [`RequestBody::LinkEvent`] after every shard worker
+    /// Acknowledges [`RequestBody::LinkEvent`] after every shard executor
     /// has applied it.
     LinkAck {
         /// The directed link the event addressed.
@@ -188,8 +188,9 @@ pub enum ResponseBody {
         /// Total flows (live and retired) captured in the snapshot.
         flows: usize,
     },
-    /// The target shard worker's queue is over the configured depth;
-    /// retry after the suggested backoff.
+    /// The target worker thread's queue is over the configured depth;
+    /// retry after the suggested backoff. The router's own buckets never
+    /// answer it.
     Busy {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,

@@ -1,45 +1,61 @@
-//! The daemon: a router in front of message-passing shard workers.
+//! The daemon: a router that is itself shard executor 0, in front of
+//! message-passing worker threads for executors 1..W−1.
 //!
 //! ```text
-//!                    +--------------------------------------+
-//!   framed requests  |  Server (router)                     |
-//!  ----------------> |  pod_of(src) -> bucket -> worker     |
-//!                    |  seq-stamped jobs, bounded queues    |
-//!                    +----+------------+------------+-------+
-//!                         | mpsc       | mpsc       | mpsc
-//!                    +----v----+  +----v----+  +----v----+
-//!                    | worker 0|  | worker 1|  | worker W |   one thread each,
-//!                    | buckets |  | buckets |  | buckets  |   warm ShardEngine
-//!                    | 0,W,..  |  | 1,W+1,..|  | ...      |   per owned bucket
-//!                    +----+----+  +----+----+  +----+-----+
-//!                         |            |            |
-//!                         +-----> reply mux <-------+
-//!                                (seq-ordered)
-//!                                      |
-//!                     framed replies   v
-//!                    <-----------------+
+//!                    +------------------------------------------+
+//!   framed requests  |  Server (router = shard executor 0)      |
+//!  ----------------> |  pod_of(src) -> bucket -> bucket % W     |
+//!                    |  seq-stamped jobs; executor 0's buckets  |
+//!                    |  0,W,2W,.. run inline (warm ShardEngines)|
+//!                    +----+---------------------------+---------+
+//!                         | bounded mpsc              | bounded mpsc
+//!                    +----v-------+             +-----v------+
+//!                    | executor 1 |     ...     | executor   |   one thread each,
+//!                    | buckets    |             | W-1        |   warm ShardEngine
+//!                    | 1,W+1,..   |             | buckets .. |   per owned bucket
+//!                    +----+-------+             +-----+------+
+//!                         | own reply channel         |
+//!                         +-------> reply mux <-------+
+//!                                 (seq-ordered; executor 0's
+//!                                  replies are immediate)
+//!                                        |
+//!                       framed replies   v
+//!                    <-------------------+
 //! ```
+//!
+//! At the default width 1 the router runs every job on the thread that
+//! decoded its frame: no thread is spawned and no frame crosses a queue.
 //!
 //! Determinism contract: logical shards are *pod buckets* fixed by the
 //! topology (`pod_of(src)`, plus one cross bucket for pod-less sources);
-//! `--shard-workers` only maps buckets onto threads (`bucket % workers`).
-//! The router stamps every request with a global sequence number,
-//! dispatches in arrival order, and the reply mux writes responses back
-//! in sequence order — so the reply stream is byte-identical at any
-//! worker width.
+//! `--shard-workers` only maps buckets onto executors (`bucket % W`,
+//! `W = min(shard_workers, buckets)`, executor 0 the router). The router
+//! stamps every request with a global sequence number, dispatches in
+//! arrival order, and the reply mux writes responses back in sequence
+//! order. A link event or a snapshot applies to the router's engines at
+//! once and reaches every thread through its FIFO queue, so every bucket
+//! sees the same request subsequence and the reply stream is
+//! byte-identical at any width.
+//!
+//! Backpressure: a worker thread's full queue answers `Busy`. Executor 0
+//! never does — its job runs synchronously, so it is its own backpressure.
+//! A worker thread that is gone (stopped, or panicked mid-job) answers
+//! every request it still owed with `internal`; a job that panics on the
+//! router takes the router down with it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use dcn_core::online::AdmissionRule;
 use dcn_core::AlgorithmRegistry;
 use dcn_flow::Flow;
 use dcn_power::PowerFunction;
-use dcn_topology::{builders, BuiltTopology, GraphCsr, LinkId, NodeId};
+use dcn_topology::{builders, BuiltTopology, GraphCsr, LinkId, Network, NodeId};
 
 use crate::protocol::{
     write_frame, AdmitReply, Request, RequestBody, Response, ResponseBody, StatusReply,
@@ -121,6 +137,20 @@ impl TopologySpec {
             } => builders::leaf_spine(leaves, spines, hosts_per_leaf),
         }
     }
+
+    /// The topology, built on first use and shared by every server and
+    /// shard executor of the process after: engines borrow its network for
+    /// as long as the process runs.
+    fn shared(&self) -> &'static BuiltTopology {
+        static BUILT: Mutex<Vec<(TopologySpec, &'static BuiltTopology)>> = Mutex::new(Vec::new());
+        let mut built = BUILT.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, topology)) = built.iter().find(|(spec, _)| spec == self) {
+            return topology;
+        }
+        let topology: &'static BuiltTopology = Box::leak(Box::new(self.build()));
+        built.push((*self, topology));
+        topology
+    }
 }
 
 impl fmt::Display for TopologySpec {
@@ -151,9 +181,12 @@ pub struct ServerConfig {
     pub algorithm: String,
     /// The power function energy and capacities are accounted under.
     pub power: PowerFunction,
-    /// Worker thread count (buckets are striped `bucket % workers`).
+    /// Shard executors, the router included: buckets are striped
+    /// `bucket % W` with `W = min(shard_workers, buckets)`; the router runs
+    /// executor 0's buckets itself, a worker thread each of the others.
     pub shard_workers: usize,
-    /// Bound of each worker's job queue; a full queue answers `Busy`.
+    /// Bound of each worker thread's job queue; a full queue answers
+    /// `Busy`. The router's own buckets have no queue.
     pub queue_depth: usize,
     /// The `retry_after_ms` hint carried by `Busy` replies.
     pub retry_after_ms: u64,
@@ -170,7 +203,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The workload-facing defaults: fat-tree k=4, `edf` policy,
-    /// admit-all, one worker, queue depth 1024, seed 1.
+    /// admit-all, one executor (the router; no worker thread), queue
+    /// depth 1024, seed 1.
     pub fn new(topology: TopologySpec) -> Self {
         Self {
             topology,
@@ -192,7 +226,7 @@ impl ServerConfig {
 /// are answered on the wire instead).
 #[derive(Debug)]
 pub enum ServerError {
-    /// Invalid configuration, incompatible snapshot, or worker startup
+    /// Invalid configuration, incompatible snapshot, or shard startup
     /// failure.
     Config(String),
     /// Filesystem failure around the snapshot file.
@@ -216,39 +250,90 @@ impl From<io::Error> for ServerError {
     }
 }
 
-/// A unit of work on a worker queue.
+/// A request's shard work: what the executor owning its bucket runs on
+/// that bucket's engine, inline on the router (executor 0) or on a worker
+/// thread.
 enum Job {
     /// Admit-or-reject one flow on its bucket's engine.
     Submit {
-        seq: u64,
         req_id: u64,
         bucket: usize,
         flow: Flow,
-        reply: Sender<(u64, Response)>,
     },
     /// Answer a status query from the bucket owning the flow id.
     Query {
-        seq: u64,
         req_id: u64,
         bucket: usize,
         flow: u64,
-        reply: Sender<(u64, Response)>,
     },
-    /// Dump the state of every bucket the worker owns. Rides the same
-    /// FIFO queue as submissions, so it naturally serializes after all
-    /// previously dispatched work — the snapshot barrier.
-    Collect { reply: Sender<Vec<BucketState>> },
-    /// Apply a link failure/recovery to every engine the worker owns.
-    /// Rides the FIFO queue like [`Job::Collect`], so it lands *after*
+}
+
+impl Job {
+    fn req_id(&self) -> u64 {
+        match *self {
+            Job::Submit { req_id, .. } | Job::Query { req_id, .. } => req_id,
+        }
+    }
+}
+
+/// What the router sends a worker thread, on its bounded FIFO queue.
+enum Message {
+    /// Run a job and answer on the thread's reply channel, stamped `seq`.
+    Run { seq: u64, job: Job },
+    /// Dump the state of every bucket the thread owns. Rides the same
+    /// FIFO queue as the jobs, so it serializes after all previously
+    /// dispatched work — the snapshot barrier.
+    Collect(Sender<Vec<BucketState>>),
+    /// Apply a link failure/recovery to every engine the thread owns.
+    /// Rides the FIFO queue like [`Message::Collect`], so it lands *after*
     /// all previously dispatched submissions and *before* all later ones
-    /// — at any worker width, every submission sees the same fabric.
+    /// — at any width, every submission sees the same fabric.
     Topology {
         link: LinkId,
         down: bool,
-        reply: Sender<()>,
+        ack: Sender<()>,
     },
     /// Drain and exit.
     Stop,
+}
+
+/// The warm engines of one executor's buckets, by bucket.
+type Engines = BTreeMap<usize, ShardEngine<'static>>;
+
+/// Shard executor `i + 1`, a thread: its queue, its own reply channel
+/// and the requests it has not answered yet.
+struct WorkerThread {
+    jobs: SyncSender<Message>,
+    replies: Receiver<(u64, Response)>,
+    /// `(seq, request id)` of every job queued to the thread and not yet
+    /// answered, in dispatch order — the order the thread answers in.
+    owed: VecDeque<(u64, u64)>,
+    handle: JoinHandle<()>,
+}
+
+impl WorkerThread {
+    /// The reply to the oldest job the thread owes, waiting for it when
+    /// `block`; `None` when it owes nothing, or has not answered yet and
+    /// `block` is off. A thread that is gone — it stopped or panicked with
+    /// jobs queued — answers each job it owes with `internal`.
+    fn next_reply(&mut self, block: bool) -> Option<(u64, Response)> {
+        let &(seq, req_id) = self.owed.front()?;
+        let received = if block {
+            self.replies.recv().ok()
+        } else {
+            match self.replies.try_recv() {
+                Ok(reply) => Some(reply),
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => None,
+            }
+        };
+        self.owed.pop_front();
+        Some(received.unwrap_or_else(|| (seq, worker_gone(req_id))))
+    }
+}
+
+fn worker_gone(req_id: u64) -> Response {
+    Response::error(req_id, "internal", "shard worker is gone")
 }
 
 /// What [`Server::serve_connection`] ran into at the end of a stream.
@@ -260,16 +345,17 @@ pub enum ServeOutcome {
     Shutdown,
 }
 
-/// A running daemon: router state plus its worker threads.
+/// A running daemon: the router, which is shard executor 0 and runs its
+/// own buckets' jobs inline, and the worker threads of executors 1..W−1.
 pub struct Server {
     config: ServerConfig,
     graph: GraphCsr,
     hosts: Vec<bool>,
     bucket_count: usize,
-    queues: Vec<SyncSender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    reply_tx: Sender<(u64, Response)>,
-    reply_rx: Receiver<(u64, Response)>,
+    /// Executor 0's engines: the buckets `b % W == 0`.
+    engines: Engines,
+    /// Executors 1..W−1, so `W = threads.len() + 1`.
+    threads: Vec<WorkerThread>,
     /// Next global sequence number (== requests dispatched so far).
     seq: u64,
     /// Next flow id (== flows ever enqueued, across restarts).
@@ -280,13 +366,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the topology, restores the snapshot when one exists, and
-    /// spawns the worker threads.
+    /// Shares the topology, restores the snapshot when one exists, builds
+    /// the router's engines and spawns the worker threads (none at width
+    /// 1).
     ///
     /// # Errors
     ///
     /// Rejects invalid configurations (zero workers/queue depth, unknown
-    /// algorithm), unreadable or incompatible snapshots, and worker
+    /// algorithm), unreadable or incompatible snapshots, and engine
     /// startup failures.
     pub fn start(config: ServerConfig) -> Result<Self, ServerError> {
         if config.shard_workers == 0 {
@@ -301,7 +388,7 @@ impl Server {
         AlgorithmRegistry::with_defaults()
             .create(&config.algorithm)
             .map_err(|e| ServerError::Config(e.to_string()))?;
-        let built = config.topology.build();
+        let built = config.topology.shared();
         let mut graph = GraphCsr::from_network(&built.network);
         let mut hosts = vec![false; built.network.node_count()];
         for &h in &built.hosts {
@@ -344,60 +431,61 @@ impl Server {
             algorithm: config.algorithm.clone(),
             seed: config.seed,
         };
-        let workers = config.shard_workers.min(bucket_count);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut queues = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
+        let executors = config.shard_workers.min(bucket_count);
+        let mut buckets_of = |executor: usize| -> Vec<(usize, Option<BucketState>)> {
+            (executor..bucket_count)
+                .step_by(executors)
+                .map(|bucket| (bucket, states.remove(&bucket)))
+                .collect()
+        };
+        let mut threads = Vec::with_capacity(executors - 1);
         let (ready_tx, ready_rx) = mpsc::channel::<Result<(), String>>();
-        for worker in 0..workers {
-            let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-            let buckets: Vec<usize> = (0..bucket_count)
-                .filter(|b| b % workers == worker)
-                .collect();
-            let initial: BTreeMap<usize, BucketState> = buckets
-                .iter()
-                .filter_map(|b| states.remove(b).map(|s| (*b, s)))
-                .collect();
-            let spec = config.topology;
+        for executor in 1..executors {
+            let (job_tx, job_rx) = mpsc::sync_channel::<Message>(config.queue_depth);
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let buckets = buckets_of(executor);
             let settings = settings.clone();
             let down = down.clone();
             let ready = ready_tx.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("shard-worker-{worker}"))
+                .name(format!("shard-worker-{executor}"))
                 .spawn(move || {
-                    // Each worker owns its topology so engines can borrow
-                    // it for the thread's whole lifetime.
-                    let built = spec.build();
-                    let mut engines: BTreeMap<usize, ShardEngine<'_>> = BTreeMap::new();
-                    for &bucket in &buckets {
-                        let engine = match initial.get(&bucket) {
-                            Some(state) => {
-                                ShardEngine::restore(&built.network, settings.clone(), state)
-                            }
-                            None => ShardEngine::new(&built.network, settings.clone(), bucket),
-                        };
-                        match engine {
-                            Ok(mut engine) => {
-                                engine.restore_down_links(&down);
-                                engines.insert(bucket, engine);
-                            }
-                            Err(e) => {
-                                let _ = ready.send(Err(format!(
-                                    "worker {worker} failed to start bucket {bucket}: {e}"
-                                )));
-                                return;
-                            }
+                    match start_engines(&built.network, executor, buckets, &settings, &down) {
+                        Ok(mut engines) => {
+                            let _ = ready.send(Ok(()));
+                            run_worker(&job_rx, &reply_tx, &mut engines);
+                        }
+                        Err(msg) => {
+                            let _ = ready.send(Err(msg));
                         }
                     }
-                    let _ = ready.send(Ok(()));
-                    run_worker(&job_rx, &mut engines);
                 })
                 .map_err(|e| ServerError::Config(format!("cannot spawn worker: {e}")))?;
-            queues.push(job_tx);
-            handles.push(handle);
+            threads.push(WorkerThread {
+                jobs: job_tx,
+                replies: reply_rx,
+                owed: VecDeque::new(),
+                handle,
+            });
         }
         drop(ready_tx);
-        for _ in 0..workers {
+        let mut server = Self {
+            config,
+            graph,
+            hosts,
+            bucket_count,
+            engines: Engines::new(),
+            threads,
+            seq: 0,
+            flows_assigned,
+            assignments,
+            queued_since_snapshot: 0,
+        };
+        // The router builds its own engines while the threads build theirs.
+        // On an error the server drops, which stops and joins the threads.
+        server.engines = start_engines(&built.network, 0, buckets_of(0), &settings, &down)
+            .map_err(ServerError::Config)?;
+        for _ in 1..executors {
             match ready_rx.recv() {
                 Ok(Ok(())) => {}
                 Ok(Err(msg)) => return Err(ServerError::Config(msg)),
@@ -408,21 +496,7 @@ impl Server {
                 }
             }
         }
-
-        Ok(Self {
-            config,
-            graph,
-            hosts,
-            bucket_count,
-            queues,
-            handles,
-            reply_tx,
-            reply_rx,
-            seq: 0,
-            flows_assigned,
-            assignments,
-            queued_since_snapshot: 0,
-        })
+        Ok(server)
     }
 
     /// The configuration the daemon is running under.
@@ -438,9 +512,10 @@ impl Server {
     }
 
     /// Routes one decoded request. Returns the stamped sequence number
-    /// and, for requests the router itself answers (errors, `Busy`,
-    /// snapshots, `Shutdown`), the immediate response; `None` means a
-    /// worker will deliver the reply through the mux channel later.
+    /// and, for requests the router itself answers (jobs of its own
+    /// buckets, errors, `Busy`, snapshots, `Shutdown`), the immediate
+    /// response; `None` means a worker thread will deliver the reply
+    /// through its reply channel later.
     pub fn dispatch(&mut self, request: Request) -> (u64, Option<Response>) {
         let seq = self.seq;
         self.seq += 1;
@@ -506,33 +581,26 @@ impl Server {
                 };
                 let bucket = self.bucket_of(submit.src);
                 let job = Job::Submit {
-                    seq,
                     req_id: id,
                     bucket,
                     flow,
-                    reply: self.reply_tx.clone(),
                 };
-                match self.queues[bucket % self.queues.len()].try_send(job) {
-                    Ok(()) => {
-                        self.flows_assigned += 1;
-                        self.assignments.push(bucket);
-                        self.queued_since_snapshot += 1;
-                        if let Some(every) = self.config.snapshot_every {
-                            if self.queued_since_snapshot >= every {
-                                self.queued_since_snapshot = 0;
-                                // Periodic persistence is best-effort; a
-                                // failed write must not take down serving.
-                                let _ = self.take_snapshot();
-                            }
-                        }
-                        (seq, None)
+                let reply = match self.execute(seq, bucket, job) {
+                    Ok(reply) => reply,
+                    Err(refused) => return (seq, Some(refused)),
+                };
+                self.flows_assigned += 1;
+                self.assignments.push(bucket);
+                self.queued_since_snapshot += 1;
+                if let Some(every) = self.config.snapshot_every {
+                    if self.queued_since_snapshot >= every {
+                        self.queued_since_snapshot = 0;
+                        // Periodic persistence is best-effort; a failed
+                        // write must not take down serving.
+                        let _ = self.take_snapshot();
                     }
-                    Err(TrySendError::Full(_)) => (seq, Some(self.busy(id))),
-                    Err(TrySendError::Disconnected(_)) => (
-                        seq,
-                        Some(Response::error(id, "internal", "shard worker is gone")),
-                    ),
                 }
+                (seq, reply)
             }
             RequestBody::QueryFlow { flow } => {
                 let Some(&bucket) = self.assignments.get(flow as usize) else {
@@ -550,20 +618,11 @@ impl Server {
                     );
                 };
                 let job = Job::Query {
-                    seq,
                     req_id: id,
                     bucket,
                     flow,
-                    reply: self.reply_tx.clone(),
                 };
-                match self.queues[bucket % self.queues.len()].try_send(job) {
-                    Ok(()) => (seq, None),
-                    Err(TrySendError::Full(_)) => (seq, Some(self.busy(id))),
-                    Err(TrySendError::Disconnected(_)) => (
-                        seq,
-                        Some(Response::error(id, "internal", "shard worker is gone")),
-                    ),
-                }
+                (seq, self.execute(seq, bucket, job).unwrap_or_else(Some))
             }
             RequestBody::LinkEvent { link, down } => {
                 if link >= self.graph.link_count() {
@@ -581,38 +640,30 @@ impl Server {
                 }
                 let link_id = LinkId(link);
                 // The router's own graph answers reachability checks for
-                // later submissions; the broadcast updates every shard
-                // engine behind the FIFO barrier before the ack goes out.
+                // later submissions. The router's engines take the event at
+                // once; the threads' take it behind their FIFO barrier,
+                // before the ack goes out.
                 let changed = if down {
                     self.graph.fail_link(link_id)
                 } else {
                     self.graph.restore_link(link_id)
                 };
-                let mut acks = Vec::with_capacity(self.queues.len());
-                for queue in &self.queues {
-                    let (tx, rx) = mpsc::channel();
-                    if queue
-                        .send(Job::Topology {
-                            link: link_id,
-                            down,
-                            reply: tx,
-                        })
-                        .is_err()
-                    {
-                        return (
-                            seq,
-                            Some(Response::error(id, "internal", "shard worker is gone")),
-                        );
+                let mut acks = Vec::with_capacity(self.threads.len());
+                for thread in &self.threads {
+                    let (ack, done) = mpsc::channel();
+                    let event = Message::Topology {
+                        link: link_id,
+                        down,
+                        ack,
+                    };
+                    if thread.jobs.send(event).is_err() {
+                        return (seq, Some(worker_gone(id)));
                     }
-                    acks.push(rx);
+                    acks.push(done);
                 }
-                for ack in acks {
-                    if ack.recv().is_err() {
-                        return (
-                            seq,
-                            Some(Response::error(id, "internal", "shard worker is gone")),
-                        );
-                    }
+                apply_link(&mut self.engines, link_id, down);
+                if acks.iter().any(|done| done.recv().is_err()) {
+                    return (seq, Some(worker_gone(id)));
                 }
                 (
                     seq,
@@ -643,13 +694,32 @@ impl Server {
         }
     }
 
-    fn busy(&self, id: u64) -> Response {
-        Response::new(
-            id,
-            ResponseBody::Busy {
-                retry_after_ms: self.config.retry_after_ms,
-            },
-        )
+    /// Runs `job` on the executor owning `bucket`. Executor 0 is the
+    /// router itself: it runs the job inline and its reply is the immediate
+    /// response. It never answers `Busy` — a synchronous job is its own
+    /// backpressure. Any other executor's job joins its thread's bounded
+    /// queue (`Ok(None)`: the reply comes through that thread's channel);
+    /// a full queue refuses it with `Busy`, a dead thread with `internal`.
+    fn execute(&mut self, seq: u64, bucket: usize, job: Job) -> Result<Option<Response>, Response> {
+        let executor = bucket % (self.threads.len() + 1);
+        let Some(thread) = executor.checked_sub(1) else {
+            return Ok(Some(run_job(&mut self.engines, job)));
+        };
+        let req_id = job.req_id();
+        let thread = &mut self.threads[thread];
+        match thread.jobs.try_send(Message::Run { seq, job }) {
+            Ok(()) => {
+                thread.owed.push_back((seq, req_id));
+                Ok(None)
+            }
+            Err(TrySendError::Full(_)) => Err(Response::new(
+                req_id,
+                ResponseBody::Busy {
+                    retry_after_ms: self.config.retry_after_ms,
+                },
+            )),
+            Err(TrySendError::Disconnected(_)) => Err(worker_gone(req_id)),
+        }
     }
 
     /// Collects every bucket's state (a FIFO barrier behind all
@@ -673,18 +743,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails when a worker died.
+    /// Fails when a worker thread died.
     pub fn collect_snapshot(&mut self) -> Result<SnapshotFile, ServerError> {
-        let mut buckets = Vec::with_capacity(self.bucket_count);
-        for queue in &self.queues {
+        let gone = || ServerError::Config("shard worker is gone".to_string());
+        let mut collected = Vec::with_capacity(self.threads.len());
+        for thread in &self.threads {
             let (tx, rx) = mpsc::channel();
-            queue
-                .send(Job::Collect { reply: tx })
-                .map_err(|_| ServerError::Config("shard worker is gone".to_string()))?;
-            let states = rx
-                .recv()
-                .map_err(|_| ServerError::Config("shard worker is gone".to_string()))?;
-            buckets.extend(states);
+            thread.jobs.send(Message::Collect(tx)).map_err(|_| gone())?;
+            collected.push(rx);
+        }
+        let mut buckets = collect(&self.engines);
+        for rx in collected {
+            buckets.extend(rx.recv().map_err(|_| gone())?);
         }
         buckets.sort_by_key(|b| b.bucket);
         Ok(SnapshotFile {
@@ -709,15 +779,18 @@ impl Server {
         if let Some(response) = immediate {
             return response;
         }
-        loop {
-            match self.reply_rx.recv() {
-                Ok((got, response)) if got == seq => return response,
-                Ok(_) => continue, // A stale reply from an abandoned loop.
-                Err(_) => {
-                    return Response::error(0, "internal", "shard worker is gone");
+        // The job is the last its thread owes; whatever the thread answers
+        // before it belongs to an abandoned loop.
+        let owner = (self.threads.iter_mut())
+            .find(|thread| thread.owed.back().is_some_and(|&(owed, _)| owed == seq));
+        if let Some(thread) = owner {
+            while let Some((got, response)) = thread.next_reply(true) {
+                if got == seq {
+                    return response;
                 }
             }
         }
+        worker_gone(0)
     }
 
     /// Serves one framed request stream: reads frames, routes them, and
@@ -794,7 +867,8 @@ impl Server {
 
     /// Delivers worker replies in sequence order (see [`deliver`]). With
     /// `block`, waits until all outstanding sequence numbers have been
-    /// written.
+    /// written: each wait is on the thread that owes the oldest of them,
+    /// and a dead thread answers what it owes with `internal`.
     fn drain_replies(
         &mut self,
         pending: &mut BTreeMap<u64, Response>,
@@ -802,28 +876,23 @@ impl Server {
         writer: &mut impl Write,
         block: bool,
     ) -> io::Result<()> {
-        loop {
-            while let Ok((seq, response)) = self.reply_rx.try_recv() {
+        for thread in &mut self.threads {
+            while let Some((seq, response)) = thread.next_reply(false) {
                 deliver(pending, next_write, writer, seq, response)?;
             }
-            if !block || *next_write >= self.seq {
-                return Ok(());
-            }
-            match self.reply_rx.recv() {
-                Ok((seq, response)) => deliver(pending, next_write, writer, seq, response)?,
-                Err(_) => {
-                    // Workers are gone; answer what we can and stop.
-                    while *next_write < self.seq {
-                        let response = pending.remove(next_write).unwrap_or_else(|| {
-                            Response::error(0, "internal", "shard worker is gone")
-                        });
-                        write_frame(writer, &response)?;
-                        *next_write += 1;
-                    }
-                    return Ok(());
-                }
+        }
+        while block && *next_write < self.seq {
+            let owner = (self.threads.iter_mut())
+                .filter_map(|thread| Some((thread.owed.front()?.0, thread)))
+                .min_by_key(|&(seq, _)| seq);
+            let Some((_, thread)) = owner else {
+                break;
+            };
+            if let Some((seq, response)) = thread.next_reply(true) {
+                deliver(pending, next_write, writer, seq, response)?;
             }
         }
+        Ok(())
     }
 
     /// Stops and joins every worker thread.
@@ -832,12 +901,11 @@ impl Server {
     }
 
     fn stop_workers(&mut self) {
-        for queue in &self.queues {
-            let _ = queue.send(Job::Stop);
+        for thread in &self.threads {
+            let _ = thread.jobs.send(Message::Stop);
         }
-        self.queues.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.handle.join();
         }
     }
 }
@@ -858,6 +926,10 @@ fn deliver(
     seq: u64,
     response: Response,
 ) -> io::Result<()> {
+    if seq < *next_write {
+        // A reply of an abandoned loop (a connection that failed midway).
+        return Ok(());
+    }
     if seq != *next_write {
         pending.insert(seq, response);
         return Ok(());
@@ -895,73 +967,254 @@ fn check_snapshot_compat(config: &ServerConfig, file: &SnapshotFile) -> Result<(
     Ok(())
 }
 
-/// The worker loop: pull jobs, answer on the reply channel.
-fn run_worker(jobs: &Receiver<Job>, engines: &mut BTreeMap<usize, ShardEngine<'_>>) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Submit {
-                seq,
+/// Builds the engines of the buckets striped to `executor`, each restored
+/// from the snapshot state it has, on the fabric the daemon left.
+fn start_engines(
+    network: &'static Network,
+    executor: usize,
+    buckets: Vec<(usize, Option<BucketState>)>,
+    settings: &EngineSettings,
+    down: &[LinkId],
+) -> Result<Engines, String> {
+    let mut engines = Engines::new();
+    for (bucket, state) in buckets {
+        let engine = match &state {
+            Some(state) => ShardEngine::restore(network, settings.clone(), state),
+            None => ShardEngine::new(network, settings.clone(), bucket),
+        };
+        let mut engine = engine.map_err(|e| {
+            format!("shard executor {executor} failed to start bucket {bucket}: {e}")
+        })?;
+        engine.restore_down_links(down);
+        engines.insert(bucket, engine);
+    }
+    Ok(engines)
+}
+
+/// The one job executor: runs `job` on the engines of the executor that
+/// owns its bucket — the router's own or a worker thread's.
+fn run_job(engines: &mut Engines, job: Job) -> Response {
+    match job {
+        Job::Submit {
+            req_id,
+            bucket,
+            flow,
+        } => {
+            let flow_id = flow.id as u64;
+            let Some(engine) = engines.get_mut(&bucket) else {
+                return misrouted(req_id);
+            };
+            let (plan, reason) = match engine.submit(flow) {
+                Ok(plan) => (Some(plan), None),
+                Err(reason) => (None, Some(reason)),
+            };
+            Response::new(
                 req_id,
-                bucket,
-                flow,
-                reply,
-            } => {
-                let flow_id = flow.id as u64;
-                let response = match engines.get_mut(&bucket) {
-                    Some(engine) => {
-                        let (plan, reason) = match engine.submit(flow) {
-                            Ok(plan) => (Some(plan), None),
-                            Err(reason) => (None, Some(reason)),
-                        };
-                        Response::new(
-                            req_id,
-                            ResponseBody::Admit(AdmitReply {
-                                flow: flow_id,
-                                admitted: plan.is_some(),
-                                reason,
-                                plan,
-                            }),
-                        )
-                    }
-                    None => Response::error(req_id, "internal", "bucket routed to wrong worker"),
-                };
-                let _ = reply.send((seq, response));
-            }
-            Job::Query {
-                seq,
-                req_id,
-                bucket,
-                flow,
-                reply,
-            } => {
-                let response = match engines.get(&bucket) {
-                    Some(engine) => {
-                        let (state, delivered, remaining) = engine.query(flow as usize);
-                        Response::new(
-                            req_id,
-                            ResponseBody::Status(StatusReply {
-                                flow,
-                                state: state.to_string(),
-                                delivered,
-                                remaining,
-                            }),
-                        )
-                    }
-                    None => Response::error(req_id, "internal", "bucket routed to wrong worker"),
-                };
-                let _ = reply.send((seq, response));
-            }
-            Job::Collect { reply } => {
-                let states = engines.values().map(ShardEngine::state).collect();
-                let _ = reply.send(states);
-            }
-            Job::Topology { link, down, reply } => {
-                for engine in engines.values_mut() {
-                    engine.apply_link_event(link, down);
-                }
-                let _ = reply.send(());
-            }
-            Job::Stop => break,
+                ResponseBody::Admit(AdmitReply {
+                    flow: flow_id,
+                    admitted: plan.is_some(),
+                    reason,
+                    plan,
+                }),
+            )
         }
+        Job::Query {
+            req_id,
+            bucket,
+            flow,
+        } => {
+            let Some(engine) = engines.get(&bucket) else {
+                return misrouted(req_id);
+            };
+            let (state, delivered, remaining) = engine.query(flow as usize);
+            Response::new(
+                req_id,
+                ResponseBody::Status(StatusReply {
+                    flow,
+                    state: state.to_string(),
+                    delivered,
+                    remaining,
+                }),
+            )
+        }
+    }
+}
+
+fn misrouted(req_id: u64) -> Response {
+    Response::error(req_id, "internal", "bucket routed to wrong worker")
+}
+
+/// Every bucket state of one executor.
+fn collect(engines: &Engines) -> Vec<BucketState> {
+    engines.values().map(ShardEngine::state).collect()
+}
+
+/// Applies a link failure/recovery to every engine of one executor.
+fn apply_link(engines: &mut Engines, link: LinkId, down: bool) {
+    for engine in engines.values_mut() {
+        engine.apply_link_event(link, down);
+    }
+}
+
+/// A worker thread's loop: handle messages in queue order, answering jobs
+/// on the thread's own reply channel.
+fn run_worker(
+    messages: &Receiver<Message>,
+    replies: &Sender<(u64, Response)>,
+    engines: &mut Engines,
+) {
+    while let Ok(message) = messages.recv() {
+        match message {
+            Message::Run { seq, job } => {
+                let _ = replies.send((seq, run_job(engines, job)));
+            }
+            Message::Collect(reply) => {
+                let _ = reply.send(collect(engines));
+            }
+            Message::Topology { link, down, ack } => {
+                apply_link(engines, link, down);
+                let _ = ack.send(());
+            }
+            Message::Stop => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{read_frame, SubmitFlow};
+    use std::time::Duration;
+
+    fn config(workers: usize) -> ServerConfig {
+        let mut config = ServerConfig::new(TopologySpec::FatTree { k: 4 });
+        config.shard_workers = workers;
+        config
+    }
+
+    /// A submission from pod 1 (hosts 16–19 of the k=4 fat-tree), whose
+    /// bucket executor 1 owns at width 2.
+    fn from_pod_1(id: u64) -> Request {
+        Request::new(
+            id,
+            RequestBody::SubmitFlow(SubmitFlow {
+                src: 16,
+                dst: 24,
+                release: 1.0,
+                deadline: 10.0,
+                volume: 1.0,
+            }),
+        )
+    }
+
+    /// Runs `serve` on a thread of its own and waits at most 10 s for it:
+    /// a router that waits on a dead thread forever fails here (and its
+    /// thread is left behind, as nothing could join it).
+    fn within_timeout<T: Send + 'static>(serve: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(serve());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the router answered within 10 s")
+    }
+
+    /// Stops executor 1 and puts in its place a thread that runs `body`
+    /// on a fresh queue and reply channel.
+    fn replace_thread(
+        server: &mut Server,
+        body: impl FnOnce(Receiver<Message>, Sender<(u64, Response)>) + Send + 'static,
+    ) {
+        let (jobs, messages) = mpsc::sync_channel(4);
+        let (replies_tx, replies) = mpsc::channel();
+        let handle = std::thread::spawn(move || body(messages, replies_tx));
+        let fake = WorkerThread {
+            jobs,
+            replies,
+            owed: VecDeque::new(),
+            handle,
+        };
+        let old = std::mem::replace(&mut server.threads[0], fake);
+        let _ = old.jobs.send(Message::Stop);
+        let _ = old.handle.join();
+    }
+
+    fn assert_internal(response: &Response, id: u64) {
+        match &response.body {
+            ResponseBody::Error(e) => assert_eq!((response.id, e.code.as_str()), (id, "internal")),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_router_is_executor_0_and_width_1_starts_no_thread() {
+        fn send<T: Send>() {}
+        send::<Server>();
+        // Fat-tree k=4: four pod buckets and the cross bucket.
+        for (width, threads) in [(1, 0), (2, 1), (3, 2), (5, 4), (8, 4)] {
+            let server = Server::start(config(width)).expect("server starts");
+            assert_eq!(server.threads.len(), threads, "width {width}");
+            let executors = threads + 1;
+            let own: Vec<usize> = server.engines.keys().copied().collect();
+            let striped: Vec<usize> = (0..5).step_by(executors).collect();
+            assert_eq!(own, striped, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_thread_that_stops_with_a_job_queued_answers_it_with_internal() {
+        let (queued, written) = within_timeout(|| {
+            let mut server = Server::start(config(2)).expect("server starts");
+            // The thread reads its queue only once both the `Stop` and the
+            // submission behind it are in.
+            let (open, gate) = mpsc::channel::<()>();
+            replace_thread(&mut server, move |messages, replies| {
+                let _ = gate.recv();
+                run_worker(&messages, &replies, &mut Engines::new());
+            });
+            let stop = server.threads[0].jobs.send(Message::Stop);
+            let (seq, immediate) = server.dispatch(from_pod_1(7));
+            drop(open);
+            let (mut pending, mut next_write, mut written) = (BTreeMap::new(), seq, Vec::new());
+            let drained = server.drain_replies(&mut pending, &mut next_write, &mut written, true);
+            (
+                stop.is_ok() && drained.is_ok() && immediate.is_none(),
+                written,
+            )
+        });
+        assert!(queued, "the submission was queued behind the Stop");
+        let payload = read_frame(&mut written.as_slice()).expect("a reply frame");
+        let text = String::from_utf8(payload.expect("one reply")).expect("UTF-8");
+        assert_internal(&serde_json::from_str(&text).expect("a Response"), 7);
+    }
+
+    #[test]
+    fn a_thread_that_dies_mid_job_answers_with_internal() {
+        let (reply, after) = within_timeout(|| {
+            let mut server = Server::start(config(2)).expect("server starts");
+            replace_thread(&mut server, |messages, _replies| {
+                while let Ok(message) = messages.recv() {
+                    if let Message::Run { .. } = message {
+                        return;
+                    }
+                }
+            });
+            let reply = server.request(from_pod_1(3));
+            // The dead thread's buckets stay answered; the router's own
+            // (pod 0, hosts 8–11) keep serving.
+            let after = server.request(from_pod_1(4));
+            let mut own = from_pod_1(5);
+            if let RequestBody::SubmitFlow(submit) = &mut own.body {
+                submit.src = 8;
+            }
+            (reply, [after, server.request(own)])
+        });
+        assert_internal(&reply, 3);
+        assert_internal(&after[0], 4);
+        assert!(
+            matches!(&after[1].body, ResponseBody::Admit(a) if a.admitted),
+            "{:?}",
+            after[1]
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Behavioral pins of the daemon: reply streams are byte-identical at
 //! every `--shard-workers` width, a snapshot/restore cycle continues
-//! bit-identically to an uninterrupted run, full queues answer `Busy`
-//! with the configured retry hint, and incompatible or damaged snapshots
+//! bit-identically to an uninterrupted run, a worker thread's full queue
+//! answers `Busy` with the configured retry hint, and incompatible or damaged snapshots
 //! are refused at startup with a typed error.
 
 use std::io::Cursor;
@@ -103,19 +103,53 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn replies_are_byte_identical_at_every_worker_width() {
-    let stream = to_stream(&canned_requests(40, 11));
-    let baseline = serve(config(), &stream);
-    assert!(!baseline.is_empty());
-    for workers in [2, 3, 5, 8] {
-        let mut wide = config();
-        wide.shard_workers = workers;
-        assert_eq!(
-            serve(wide, &stream),
-            baseline,
-            "reply stream diverged at {workers} workers"
+fn replies_and_snapshots_are_byte_identical_at_every_worker_width() {
+    // A link failure and its recovery mid-stream, a snapshot between them.
+    // The link, core-0 → agg-0-0, is a way into pod 0 for flows from
+    // every other pod, so buckets of the router and of the threads see it.
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let link = link_id(&built, 0, 4);
+    let mut requests = canned_requests(60, 11);
+    let third = requests.len() / 3;
+    let event = |id, down| Request::new(id, RequestBody::LinkEvent { link, down });
+    requests.insert(2 * third, event(9_000_002, false));
+    requests.insert(
+        3 * third / 2,
+        Request::new(9_000_001, RequestBody::Snapshot),
+    );
+    requests.insert(third, event(9_000_000, true));
+    let stream = to_stream(&requests);
+    let path = temp_path("widths");
+    let run = |workers: usize| {
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = config();
+        cfg.shard_workers = workers;
+        cfg.snapshot_path = Some(path.clone());
+        let replies = serve(cfg, &stream);
+        let snapshot = std::fs::read(&path).expect("the Snapshot request wrote the file");
+        (replies, snapshot)
+    };
+    let baseline = run(1);
+    let replies = parse_replies(&baseline.0);
+    assert_eq!(replies.len(), requests.len());
+    assert!(replies.iter().any(|r| matches!(
+        r.body,
+        ResponseBody::LinkAck {
+            down: true,
+            changed: true,
+            ..
+        }
+    )));
+    assert!((replies.iter()).any(|r| matches!(r.body, ResponseBody::SnapshotDone { .. })));
+    // Four pod buckets and the cross bucket: width 8 asks for more
+    // executors than there are buckets.
+    for workers in [2, 3, 8] {
+        assert!(
+            run(workers) == baseline,
+            "replies or snapshot diverged at width {workers}"
         );
     }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -338,31 +372,50 @@ fn incompatible_snapshot_is_refused_at_startup() {
 
 #[test]
 fn full_queues_answer_busy_with_the_configured_hint() {
-    // One worker, queue depth 1, solver-priced policy: a burst of
-    // submissions outruns the worker, so the overflow gets `Busy`.
+    // Width 2, queue depth 1, solver-priced policy. The router runs the
+    // even buckets itself and never answers `Busy`, so the burst comes
+    // from pod 1 alone, whose bucket the worker thread runs: its
+    // submissions outrun the thread, and the overflow gets `Busy`.
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let graph = GraphCsr::from_network(&built.network);
+    let burst: Vec<Request> = canned_requests(120, 23)
+        .into_iter()
+        .filter(|r| {
+            matches!(&r.body, RequestBody::SubmitFlow(s) if graph.pod_of(NodeId(s.src)) == Some(1))
+        })
+        .collect();
+    assert!(burst.len() >= 20, "{} submissions from pod 1", burst.len());
     let mut cfg = config();
     cfg.policy = ServePolicy::Resolve;
     cfg.queue_depth = 1;
     cfg.retry_after_ms = 7;
-    let stream = to_stream(&canned_requests(30, 23));
-    let replies = parse_replies(&serve(cfg, &stream));
-    let mut admits = 0usize;
-    let mut busy = 0usize;
-    for reply in &replies {
-        match &reply.body {
-            ResponseBody::Admit(_) | ResponseBody::Status(_) => admits += 1,
-            ResponseBody::Busy { retry_after_ms } => {
-                assert_eq!(*retry_after_ms, 7);
-                busy += 1;
+    let stream = to_stream(&burst);
+    let count = |shard_workers: usize| {
+        let mut cfg = cfg.clone();
+        cfg.shard_workers = shard_workers;
+        let replies = parse_replies(&serve(cfg, &stream));
+        let mut admits = 0usize;
+        let mut busy = 0usize;
+        for reply in &replies {
+            match &reply.body {
+                ResponseBody::Admit(_) => admits += 1,
+                ResponseBody::Busy { retry_after_ms } => {
+                    assert_eq!(*retry_after_ms, 7);
+                    busy += 1;
+                }
+                other => panic!("unexpected reply under backpressure: {other:?}"),
             }
-            other => panic!("unexpected reply under backpressure: {other:?}"),
         }
-    }
-    assert_eq!(admits + busy, replies.len());
+        assert_eq!(admits + busy, replies.len());
+        busy
+    };
     assert!(
-        busy > 0,
-        "queue depth 1 under a 30-submission burst never overflowed"
+        count(2) > 0,
+        "queue depth 1 under a {}-submission burst never overflowed",
+        burst.len()
     );
+    // The same burst on the router's own engine: nothing is refused.
+    assert_eq!(count(1), 0);
 }
 
 #[test]
@@ -764,8 +817,9 @@ fn overflowing_flows_get_a_typed_reply_under_every_policy_and_admission() {
             let mut cfg = config();
             cfg.policy = policy;
             cfg.admission = admission;
-            // A dead shard worker leaves `request` waiting forever, so the
-            // server runs on a helper thread and each reply has a deadline.
+            // A shard job that panics takes down the executor running it
+            // (at width 1 the router itself), so the server runs on a
+            // helper thread and each reply has a deadline.
             let (tx, rx) = mpsc::channel();
             let frames = requests.clone();
             let helper = std::thread::spawn(move || {
