@@ -139,11 +139,6 @@ impl<'net> SolverContext<'net> {
         self.fmcf.set_warm_start(enabled);
     }
 
-    /// Whether warm-started Frank–Wolfe solves are enabled.
-    pub fn warm_start(&self) -> bool {
-        self.fmcf.warm_start()
-    }
-
     /// Marks links whose residual conditions changed since the last solve,
     /// so a warm-started re-solve re-routes the commodities crossing them
     /// (delegates to [`FmcfScratch::mark_dirty_links`]).

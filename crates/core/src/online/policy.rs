@@ -318,13 +318,8 @@ mod tests {
                 }
             }
         }
-        // One tree per source, four bytes per node: the cache never holds
-        // more than `n²` u32 entries of trees.
-        let n = graph.node_count();
-        assert!(cache.trees.len() <= n);
-        for tree in cache.trees.values() {
-            assert_eq!(tree.bytes(), n * std::mem::size_of::<u32>());
-        }
+        // One tree per source: the cache never holds more than `n` trees.
+        assert!(cache.trees.len() <= graph.node_count());
         cut
     }
 

@@ -8,7 +8,6 @@
 
 use crate::schedule::Schedule;
 use dcn_power::EnergyBreakdown;
-use dcn_topology::Path;
 
 /// Per-run diagnostics of an [`crate::Algorithm`].
 ///
@@ -83,14 +82,6 @@ impl Solution {
     pub fn total_energy(&self) -> Option<f64> {
         self.energy.map(|e| e.total())
     }
-
-    /// The routing the schedule chose: one path per scheduled flow, in
-    /// schedule order. `None` for bound-only solutions.
-    pub fn paths(&self) -> Option<Vec<&Path>> {
-        self.schedule
-            .as_ref()
-            .map(|s| s.flow_schedules().iter().map(|fs| &fs.path).collect())
-    }
 }
 
 #[cfg(test)]
@@ -105,12 +96,11 @@ mod tests {
         assert!(s.schedule.is_none());
         assert!(s.energy.is_none());
         assert!(s.total_energy().is_none());
-        assert!(s.paths().is_none());
         assert_eq!(s.diagnostics, Diagnostics::default());
     }
 
     #[test]
-    fn scheduled_solutions_expose_energy_and_paths() {
+    fn scheduled_solutions_expose_energy() {
         let schedule = Schedule::new(Vec::new(), (0.0, 1.0));
         let energy = EnergyBreakdown {
             idle: 1.0,
@@ -120,7 +110,6 @@ mod tests {
         let s = Solution::scheduled("sp-mcf", schedule, energy);
         assert_eq!(s.algorithm(), "sp-mcf");
         assert_eq!(s.total_energy(), Some(3.0));
-        assert_eq!(s.paths().unwrap().len(), 0);
         assert!(s.lower_bound.is_none());
     }
 }

@@ -46,8 +46,8 @@
 //! the framing around them; the client's reply decode adds 1.1–1.4 µs. At
 //! a width of 2 or more, a frame whose bucket a worker thread runs also
 //! pays a router → thread → router hop of 5.3–5.7 µs. The 5.3 MB snapshot
-//! of that stream restores in 0.05 s (EXPERIMENTS.md, "Where a served
-//! frame goes" and "Why the daemon keeps its pacer").
+//! of that stream restores in 0.05 s (EXPERIMENTS.md, "Served request"
+//! and "Why the daemon keeps its pacer").
 //!
 //! # What the daemon does not guarantee
 //!

@@ -491,11 +491,6 @@ impl FmcfScratch {
         }
     }
 
-    /// Whether warm-started solves are enabled.
-    pub fn warm_start(&self) -> bool {
-        self.warm_enabled
-    }
-
     /// Marks `links` as having changed residual conditions (capacity
     /// reservations, completed or preempted flows) since the cached solve.
     /// Cached commodities whose flows touch a dirty link are re-routed
@@ -1593,7 +1588,6 @@ mod tests {
         let problem = FmcfProblem::with_graph(&graph, commodities);
         problem.solve_with(&cost, &config, &mut scratch).unwrap();
         scratch.set_warm_start(false);
-        assert!(!scratch.warm_start());
         // Cold again: must match a fresh scratch bit-for-bit.
         let after = problem.solve_with(&cost, &config, &mut scratch).unwrap();
         let fresh = problem

@@ -147,11 +147,6 @@ pub struct BfsTree {
 }
 
 impl BfsTree {
-    /// The tree's memory footprint in bytes (its parent array).
-    pub fn bytes(&self) -> usize {
-        self.parent.len() * std::mem::size_of::<u32>()
-    }
-
     /// The fewest-hop path from the source to `dst` in `graph` (the graph
     /// the tree was grown on), or `None` when the traversal never reached
     /// `dst`.
@@ -598,7 +593,6 @@ mod tests {
             let g = GraphCsr::from_network(&topo.network);
             for src in topo.network.nodes().map(|n| n.id) {
                 let tree = g.bfs_tree(src);
-                assert_eq!(tree.bytes(), 4 * g.node_count());
                 for dst in topo.network.nodes().map(|n| n.id) {
                     let expected = topo.network.shortest_path(src, dst);
                     assert_eq!(tree.path_to(&g, dst), expected);

@@ -62,7 +62,6 @@ fn warm_resolve_of_the_identical_problem_is_bit_identical() {
 
             let cold = lb.solve(&mut ctx, &flows, &power).unwrap();
             ctx.set_warm_start(true);
-            assert!(ctx.warm_start());
             let warm_first = lb.solve(&mut ctx, &flows, &power).unwrap();
             let warm_second = lb.solve(&mut ctx, &flows, &power).unwrap();
 

@@ -1,30 +1,17 @@
-//! Manifest and feature hygiene for the whole workspace:
+//! Manifest and source hygiene for the whole workspace:
 //!
-//! * every algorithm crate (`crates/*`) and the umbrella crate pull shared
-//!   external dependencies (`rand`, `serde`, ...) exclusively through
-//!   `[workspace.dependencies]`, so the tree can never split into two
-//!   versions of the same dependency;
-//! * the root manifest actually declares those shared dependencies;
-//! * every workspace member (including the offline stand-ins under
-//!   `vendor/`) carries `#![forbid(unsafe_code)]` in its crate root;
-//! * the product crates keep one call path per operation: a superseded
-//!   entry point is deleted, never kept alive behind `#[deprecated]` or a
-//!   cargo feature, the online drivers share one in-flight ledger, the
-//!   link load is accounted in one place, and `Schedule::audit` is the one
-//!   verdict on a schedule, replaying each profile segment by segment
-//!   (`dcn-sim` is left as a wrapper for `perf/` alone);
-//! * solves run sequentially: the bench runner owns the only worker pool,
-//!   and `perf/` is the only benchmark harness;
-//! * `edf` re-plans without sorting or hashing: it walks the ledger's
-//!   deadline index, and the route memo hashes node ids without SipHash;
-//! * a served flow is stored once: a `dcn-server` shard keeps one
-//!   `FlowSchedule` per flow and its snapshot one record per flow;
-//! * the online engine holds no clairvoyant reference: the bench harness
-//!   solves it, and the `online` and `failures` sweeps share its one
-//!   driver.
+//! * shared external dependencies come from `[workspace.dependencies]`,
+//!   and every member (the `vendor/` stand-ins too) forbids unsafe code;
+//! * `BANS` lists the text a superseded design may not bring back, and a
+//!   few tests pin one file's shape;
 //! * every public item of `crates/*/src` has a caller in product code
-//!   (`crates/*/src` outside its tests, `src/`, `examples/`, `perf/src`),
-//!   or is listed with a test that calls it.
+//!   (`crates/*/src` outside its tests, `src/`, `examples/`, `perf/src`)
+//!   or a test listed beside it. A caller is the item's, not a namesake's:
+//!   its line lies in a crate that can see the item's crate, and a method
+//!   call `.name(…)` that closes on the line passes as many arguments as
+//!   the method takes;
+//! * every EXPERIMENTS.md section a source file or the README quotes
+//!   exists.
 //!
 //! The checks parse the manifests line-by-line on purpose: the offline
 //! environment has no `toml` crate, and the subset of TOML that Cargo
@@ -106,41 +93,36 @@ fn workspace_table_declares_all_shared_dependencies() {
     }
 }
 
-#[test]
-fn members_use_workspace_versions_of_shared_dependencies() {
-    let root = workspace_root();
-    for manifest_path in member_manifests() {
-        let manifest = fs::read_to_string(&manifest_path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest_path.display()));
-        let is_vendor_member = manifest_path.starts_with(root.join("vendor"));
+/// Every member's dependency line on a shared dependency, with its
+/// manifest and the dependency's name.
+fn shared_dependency_lines() -> Vec<(PathBuf, String, String)> {
+    let mut out = Vec::new();
+    for manifest in member_manifests() {
+        let text = fs::read_to_string(&manifest).expect("manifest readable");
         for section in ["dependencies", "dev-dependencies", "build-dependencies"] {
-            for line in section_lines(&manifest, section) {
-                let Some(name) = dep_name(&line) else {
-                    continue;
-                };
-                if !SHARED_DEPS.contains(&name) {
-                    continue;
-                }
-                if is_vendor_member {
-                    // Stand-ins may depend on their siblings by relative
-                    // path; that still resolves to the single vendored
-                    // version of the dependency.
-                    assert!(
-                        line.contains("workspace = true") || line.contains("path ="),
-                        "{}: vendored dependency `{name}` must come from the \
-                         workspace or a sibling stand-in, got `{line}`",
-                        manifest_path.display()
-                    );
-                } else {
-                    assert!(
-                        line.contains("workspace = true"),
-                        "{}: dependency `{name}` must use `workspace = true` so all \
-                         members share one version, got `{line}`",
-                        manifest_path.display()
-                    );
+            for line in section_lines(&text, section) {
+                if let Some(name) = dep_name(&line).filter(|n| SHARED_DEPS.contains(n)) {
+                    out.push((manifest.clone(), name.to_string(), line.clone()));
                 }
             }
         }
+    }
+    out
+}
+
+#[test]
+fn members_use_workspace_versions_of_shared_dependencies() {
+    let vendor = workspace_root().join("vendor");
+    for (manifest, name, line) in shared_dependency_lines() {
+        // Stand-ins may depend on their siblings by relative path; that
+        // still resolves to the single vendored version of the dependency.
+        let sibling = manifest.starts_with(&vendor) && line.contains("path =");
+        assert!(
+            line.contains("workspace = true") || sibling,
+            "{}: dependency `{name}` must use `workspace = true` (or, in a stand-in, a \
+             sibling's path) so all members share one version, got `{line}`",
+            manifest.display()
+        );
     }
 }
 
@@ -164,44 +146,13 @@ fn no_member_pins_its_own_external_registry_version() {
     // With no registry access, any `foo = "x.y"` version requirement on a
     // shared dependency would break the build; everything must be a path
     // or workspace reference.
-    for manifest_path in member_manifests() {
-        let manifest = fs::read_to_string(&manifest_path).expect("manifest readable");
-        for section in ["dependencies", "dev-dependencies", "build-dependencies"] {
-            for line in section_lines(&manifest, section) {
-                let Some(name) = dep_name(&line) else {
-                    continue;
-                };
-                if !SHARED_DEPS.contains(&name) {
-                    continue;
-                }
-                let after_eq = line.split_once('=').map(|(_, v)| v.trim()).unwrap_or("");
-                assert!(
-                    !after_eq.starts_with('"'),
-                    "{}: `{line}` pins a registry version of {name}; use \
-                     `workspace = true` instead",
-                    manifest_path.display()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn topology_and_power_serialize_nothing() {
-    // Nothing serializes a network, a path, a rate profile or a power
-    // function, so these crates derive no serde traits.
-    let root = workspace_root();
-    for krate in ["topology", "power"] {
-        let mut sources = Vec::new();
-        rust_sources(&root.join("crates").join(krate).join("src"), &mut sources);
-        for path in sources {
-            let source = fs::read_to_string(&path).expect("source readable");
-            assert!(
-                !source.contains("Serialize"),
-                "{}: nothing serializes a `dcn-{krate}` type",
-                path.display()
-            );
-        }
+    for (manifest, name, line) in shared_dependency_lines() {
+        let after_eq = line.split_once('=').map(|(_, v)| v.trim()).unwrap_or("");
+        assert!(
+            !after_eq.starts_with('"'),
+            "{}: `{line}` pins a registry version of {name}; use `workspace = true` instead",
+            manifest.display()
+        );
     }
 }
 
@@ -223,67 +174,23 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
     // A replaced entry point is removed in the PR that replaces it. Kept
     // "for the transition" it needs an attribute here, an `allow` at every
     // internal caller, a feature to switch it off and a CI leg for the
-    // feature.
+    // feature (`BANS` keeps `#[deprecated` and `cfg(feature` out).
     let root = workspace_root();
-    let mut sources = Vec::new();
-    rust_sources(&root.join("src"), &mut sources);
-    let crates = fs::read_dir(root.join("crates")).expect("crates/ must exist");
-    for entry in crates {
+    let mut volume_tolerances = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
         let crate_dir = entry.expect("readable dir entry").path();
-        rust_sources(&crate_dir.join("src"), &mut sources);
         let manifest = fs::read_to_string(crate_dir.join("Cargo.toml")).expect("manifest readable");
         assert!(
             !manifest.lines().any(|l| l.trim() == "[features]"),
             "{}: no cargo features in product crates",
             crate_dir.display()
         );
+        rust_sources(&crate_dir.join("src"), &mut volume_tolerances);
     }
-    assert!(!sources.is_empty());
-    // The in-flight state of both online drivers lives in
-    // `crates/core/src/online/ledger.rs` alone (PR 16): the second ledger,
-    // the second admission rule and the second volume tolerance stay gone.
-    // A flow's schedule is stored once, in a layout only `schedule.rs`
-    // knows (PR 20): the engine's per-flow slice lists, the public
-    // per-link map with its "empty means uniform" convention and the
-    // capacity ledger's unread dirty tracker stay gone. The event queue
-    // holds only what can still be popped (PR 21): predicted events are
-    // cleared with the plan that made them, not skipped lazily on pop.
-    // A link's load `x_e(t)` is summed once per reading, by
-    // `Schedule::link_loads`, the one caller of `Schedule::link_profiles`
-    // in product code: energy, the capacity excess, `verify_on` and the
-    // replay read its records, so `dcn-power` keeps no meter (PR 23) and
-    // neither a profile nor the schedule a second per-link fold.
-    let mut volume_tolerances = Vec::new();
-    for path in sources {
-        let source = fs::read_to_string(&path).expect("source readable");
-        for banned in [
-            "#[deprecated",
-            "cfg(feature",
-            "ServeAdmission",
-            "struct FlowState",
-            "fn residual_set",
-            "fn stitch(",
-            "commit_index",
-            "pub link_profiles:",
-            "link_profiles.is_empty()",
-            "fn take_dirty",
-            "fn is_live(",
-            "EnergyMeter",
-            "fn energy_meter",
-            "fn dynamic_energy",
-            "fn capacity_excess",
-            "fn active_links",
-        ] {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — delete the superseded item instead",
-                path.display()
-            );
-        }
-        if source.contains("const VOLUME_TOL") {
-            volume_tolerances.push(path);
-        }
-    }
+    volume_tolerances.retain(|p| {
+        let source = fs::read_to_string(p).expect("source readable");
+        source.contains("const VOLUME_TOL")
+    });
     assert_eq!(
         volume_tolerances,
         [root.join("crates/core/src/online/ledger.rs")],
@@ -295,33 +202,9 @@ fn product_crates_keep_no_deprecated_items_and_no_cargo_features() {
 fn solves_are_sequential_and_the_harness_owns_the_only_pool() {
     // Interval-parallel solving had no caller that won by it: a solve runs
     // on its caller's thread, the bench runner's `run_indexed` is the one
-    // worker pool, and `perf/` is the one benchmark harness.
+    // worker pool (`BANS` keeps the parallel knobs out), and `perf/` is the
+    // one benchmark harness.
     let root = workspace_root();
-    let mut sources = Vec::new();
-    rust_sources(&root.join("src"), &mut sources);
-    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
-        rust_sources(
-            &entry.expect("readable dir entry").path().join("src"),
-            &mut sources,
-        );
-    }
-    for path in sources {
-        let source = fs::read_to_string(&path).expect("source readable");
-        for banned in [
-            "ParallelConfig",
-            "set_parallelism",
-            "interval_relaxation_threads",
-            "run_indexed_with",
-            "in_pool_worker",
-            "solver_threads",
-        ] {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — solves run sequentially",
-                path.display()
-            );
-        }
-    }
     for gone in ["vendor/criterion", "crates/bench/benches"] {
         assert!(
             !root.join(gone).exists(),
@@ -369,8 +252,8 @@ fn the_replay_reads_each_profile_by_its_segments() {
 fn dcn_sim_is_left_for_the_benchmark_alone() {
     // One verdict on a schedule: `Schedule::audit` in `dcn-core`. The
     // `dcn-sim` crate stays only as the wrapper the benchmark under
-    // `perf/` calls, so no workspace member depends on it or names it,
-    // and its second replay and report type stay gone.
+    // `perf/` calls, so no workspace member depends on it (nor names it:
+    // see `BANS`).
     let root = workspace_root();
     let sim_manifest = root.join("crates/sim/Cargo.toml");
     for manifest in member_manifests() {
@@ -383,26 +266,6 @@ fn dcn_sim_is_left_for_the_benchmark_alone() {
             "{}: names `dcn-sim` — call `Schedule::audit` instead",
             manifest.display()
         );
-    }
-    let mut sources = Vec::new();
-    for dir in ["src", "examples", "tests", "crates"] {
-        rust_sources(&root.join(dir), &mut sources);
-    }
-    let this_file = root.join("tests/workspace.rs");
-    for path in sources.iter().filter(|p| **p != this_file) {
-        let source = fs::read_to_string(path).expect("source readable");
-        for banned in [
-            "dcn_sim::",
-            "deadline_dcn::sim",
-            "fn run_admitted",
-            "pub struct SimReport",
-        ] {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` — the audit is `Schedule::audit`",
-                path.display()
-            );
-        }
     }
 }
 
@@ -458,12 +321,20 @@ fn the_route_memo_hashes_node_ids_without_siphash() {
         .split_once("pub struct PathCache {")
         .expect("policy.rs declares PathCache");
     let fields = &cache[..cache.find('}').expect("PathCache has a closing brace")];
-    let maps: Vec<&str> = fields.lines().filter(|l| l.contains("HashMap<")).collect();
-    assert!(!maps.is_empty(), "PathCache keeps its pair map");
+    assert_maps_hash_with_node_hash("policy.rs", fields, "HashMap<");
+}
+
+/// Every `HashMap<` line of `text` names `NodeHash`, and one holds `pair`.
+fn assert_maps_hash_with_node_hash(file: &str, text: &str, pair: &str) {
+    let maps: Vec<&str> = text.lines().filter(|l| l.contains("HashMap<")).collect();
+    assert!(
+        maps.iter().any(|map| map.contains(pair)),
+        "{file} keeps its pair map"
+    );
     for map in maps {
         assert!(
             map.contains(", NodeHash>"),
-            "policy.rs: `{}` uses the default hasher — name `NodeHash`",
+            "{file}: `{}` uses the default hasher — name `NodeHash`",
             map.trim()
         );
     }
@@ -481,19 +352,7 @@ fn frank_wolfe_sorts_no_active_set_and_hashes_without_siphash() {
         !fmcf.contains("active.sort"),
         "fmcf.rs: `active.sort` is banned — re-read the active bitmap"
     );
-    let maps: Vec<&str> = fmcf.lines().filter(|l| l.contains("HashMap<")).collect();
-    assert!(
-        maps.iter()
-            .any(|map| map.contains("HashMap<(NodeId, NodeId),")),
-        "fmcf.rs keeps its pair map"
-    );
-    for map in maps {
-        assert!(
-            map.contains(", NodeHash>"),
-            "fmcf.rs: `{}` uses the default hasher — name `NodeHash`",
-            map.trim()
-        );
-    }
+    assert_maps_hash_with_node_hash("fmcf.rs", &fmcf, "HashMap<(NodeId, NodeId),");
 }
 
 #[test]
@@ -507,24 +366,23 @@ fn a_served_flow_is_stored_once() {
         let source = fs::read_to_string(&path).expect("source readable");
         // The tests may still spell out a version 1 snapshot.
         let product = source.split("#[cfg(test)]").next().unwrap_or_default();
-        for line in product.lines() {
-            let code = line.split("//").next().unwrap_or_default();
+        for code in product
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or_default())
+        {
             let plan_type = code
                 .split("struct Plan")
                 .skip(1)
-                .any(|rest| !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_'));
-            for (banned, present) in [
-                ("struct Plan", plan_type),
-                ("committed", code.contains("committed")),
-                ("restore_plans", code.contains("restore_plans")),
-                ("plan_records", code.contains("plan_records")),
-            ] {
-                assert!(
-                    !present,
-                    "{}: `{banned}` is banned — a served flow is stored once",
-                    path.display()
-                );
-            }
+                .any(|rest| !rest.starts_with(is_ident_char));
+            let banned = ["committed", "restore_plans", "plan_records"]
+                .into_iter()
+                .find(|banned| code.contains(banned));
+            assert!(
+                !plan_type && banned.is_none(),
+                "{}: `{}` is banned — a served flow is stored once",
+                path.display(),
+                banned.unwrap_or("struct Plan")
+            );
         }
     }
     let snapshot = product_part("crates/server/src/snapshot.rs");
@@ -564,116 +422,17 @@ fn the_relaxation_hands_random_schedule_its_paths() {
 }
 
 #[test]
-fn the_json_codec_streams_without_a_value_tree() {
-    // Derived types write straight into the output and read straight off
-    // the parser's cursor: the tree round trip and its lookup
-    // helper stay gone from the vendored serde and every product crate.
-    let root = workspace_root();
-    let mut sources = Vec::new();
-    for dir in [
-        "vendor/serde/src",
-        "vendor/serde_derive/src",
-        "vendor/serde_json/src",
-    ] {
-        rust_sources(&root.join(dir), &mut sources);
-    }
-    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
-        rust_sources(&entry.expect("readable dir entry").path(), &mut sources);
-    }
-    assert!(sources.len() > 20);
-    for path in sources {
-        let source = fs::read_to_string(&path).expect("source readable");
-        for banned in ["to_value", "from_value", "map_field", "DeError"] {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — types stream to and from the text",
-                path.display()
-            );
-        }
-    }
-}
-
-#[test]
 fn the_online_comparison_lives_in_one_harness_driver() {
     // `OnlineEngine` runs an instance and nothing else: the clairvoyant
-    // reference is solved by its one user, the bench harness, and the
-    // `online` and `failures` sweeps share one driver there, which builds
-    // every record of theirs in one place.
-    let root = workspace_root();
-    let mut sources = Vec::new();
-    rust_sources(&root.join("src"), &mut sources);
-    rust_sources(&root.join("examples"), &mut sources);
-    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
-        rust_sources(
-            &entry.expect("readable dir entry").path().join("src"),
-            &mut sources,
-        );
-    }
-    for path in sources {
-        let source = fs::read_to_string(&path).expect("source readable");
-        for banned in ["run_vs_offline", "competitive_ratio", "offline_energy"] {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — the harness solves the reference",
-                path.display()
-            );
-        }
-    }
-    let mut bench = Vec::new();
-    rust_sources(&root.join("crates/bench/src"), &mut bench);
-    for path in bench {
-        let source = fs::read_to_string(&path).expect("source readable");
-        assert!(
-            !source.contains("too_many_arguments"),
-            "{}: `too_many_arguments` is banned — pass what the call needs",
-            path.display()
-        );
-    }
+    // reference is solved by its one user, the bench harness (`BANS`), and
+    // the `online` and `failures` sweeps share `run_online_sweep` there,
+    // which builds every record of theirs in one place.
     for bin in ["online", "failures"] {
         let file = format!("crates/bench/src/bin/{bin}.rs");
         assert!(
             !product_part(&file).contains("InstanceRecord {"),
             "{file}: builds an `InstanceRecord` — describe the sweep to `run_online_sweep`"
         );
-    }
-}
-
-#[test]
-fn schedulers_are_built_from_their_names_by_one_match() {
-    // Name → scheduler is a `match` over a `const` name list
-    // (`AlgorithmRegistry::create`, `online::create_policy`); the
-    // closure-factory registries, their registration hooks and the
-    // engine options that carried them are gone, and so are public items
-    // nothing called.
-    let root = workspace_root();
-    let mut sources = Vec::new();
-    for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
-        rust_sources(
-            &entry.expect("readable dir entry").path().join("src"),
-            &mut sources,
-        );
-    }
-    let banned = [
-        "PolicyRegistry",
-        "mod registry",
-        "fn register(",
-        "fn algorithms(",
-        "fn policies(",
-        "fn midpoint",
-        "fn restore_all_links",
-        "LinkEndpoints",
-        "Arc<dyn Fn",
-    ];
-    for path in sources {
-        let source = fs::read_to_string(&path).expect("source readable");
-        for banned in banned {
-            assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — a name table builds schedulers, and unused \
-                 public items stay deleted",
-                path.display()
-            );
-        }
     }
 }
 
@@ -743,6 +502,10 @@ const CALLED_ONLY_BY_TESTS: &[(&str, &str)] = &[
         "tests/critical_interval.rs::yds_equals_the_pairwise_reference",
     ),
     (
+        "YdsSchedule::validate",
+        "crates/solver/src/yds.rs::single_job_runs_at_its_density",
+    ),
+    (
         "YdsSchedule::placements",
         "tests/critical_interval.rs::yds_equals_the_pairwise_reference",
     ),
@@ -776,6 +539,9 @@ const CALLED_ONLY_BY_TESTS: &[(&str, &str)] = &[
 struct ScannedFile {
     /// Path relative to the workspace root.
     rel: String,
+    /// The crates (`crates/<dir>`) whose items this file can name, `None`
+    /// for every crate.
+    sees: Option<Vec<String>>,
     /// The lines, with every `#[cfg(test)]` item of `crates/*/src`
     /// blanked (all of `perf/src` counts: the benchmark's own tests build
     /// against the product).
@@ -793,9 +559,40 @@ struct PubItem {
     name: String,
     /// `Owner::name` for an item inside an `impl` or inline `mod` block.
     key: String,
+    /// A function's parameter count, `self` not counted.
+    arity: Option<usize>,
     /// Lines of `file` that belong to the item: its own text, and for a
     /// type the `impl` blocks of that type.
     span: Vec<(usize, usize)>,
+}
+
+/// The crate directory of a `crates/<dir>/...` path.
+fn crate_of(rel: &str) -> Option<&str> {
+    rel.strip_prefix("crates/")?.split('/').next()
+}
+
+/// The crates whose items a file can name, `None` for every crate (`src/`,
+/// `examples/`): a crate's own and its `dcn-*` dependencies, transitively,
+/// or for `perf/src` what `perf/Cargo.toml` lists.
+fn visible_crates(root: &Path, rel: &str) -> Option<Vec<String>> {
+    let (mut sees, manifest_dir) = match crate_of(rel) {
+        Some(own) => (vec![own.to_string()], root.join("crates").join(own)),
+        None if rel.starts_with("perf/") => (Vec::new(), root.join("perf")),
+        None => return None,
+    };
+    let mut todo = vec![manifest_dir];
+    while let Some(dir) = todo.pop() {
+        let text = fs::read_to_string(dir.join("Cargo.toml")).expect("manifest readable");
+        for line in section_lines(&text, "dependencies") {
+            if let Some(dep) = dep_name(&line).and_then(|d| d.strip_prefix("dcn-")) {
+                if !sees.iter().any(|c| c == dep) {
+                    sees.push(dep.to_string());
+                    todo.push(root.join("crates").join(dep));
+                }
+            }
+        }
+    }
+    Some(sees)
 }
 
 fn indent(line: &str) -> usize {
@@ -806,7 +603,7 @@ fn indent(line: &str) -> usize {
 /// (rustfmt layout: a block closes on the first `}` at its indentation).
 fn item_end(lines: &[String], code: &[String], start: usize) -> usize {
     let head = code[start].trim_end();
-    if head.ends_with(';') || head.ends_with(',') {
+    if head.ends_with([';', ',', '}']) {
         return start;
     }
     let close = " ".repeat(indent(&lines[start])) + "}";
@@ -863,11 +660,16 @@ fn scan_file(root: &Path, path: &Path) -> ScannedFile {
         .expect("scanned files lie in the workspace")
         .to_string_lossy()
         .replace('\\', "/");
-    let mut lines: Vec<String> = fs::read_to_string(path)
-        .expect("source readable")
-        .lines()
-        .map(str::to_string)
-        .collect();
+    let sees = visible_crates(root, &rel);
+    scanned(
+        rel,
+        sees,
+        &fs::read_to_string(path).expect("source readable"),
+    )
+}
+
+fn scanned(rel: String, sees: Option<Vec<String>>, text: &str) -> ScannedFile {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     let mut code = strip_comments_and_strings(&lines);
     let mut i = 0;
     while rel.starts_with("crates/") && i < lines.len() {
@@ -894,7 +696,12 @@ fn scan_file(root: &Path, path: &Path) -> ScannedFile {
             line.clear();
         }
     }
-    ScannedFile { rel, lines, code }
+    ScannedFile {
+        rel,
+        sees,
+        lines,
+        code,
+    }
 }
 
 /// `impl<..> Trait for Type<..> {` or `impl<..> Type<..> {` → `Type`.
@@ -921,24 +728,98 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Whether `line` uses `name`: any mention for a type, a call (`name(`,
-/// `name::<`) or a path (`Type::name`) for a function.
-fn mentions(line: &str, name: &str, kind: &str) -> bool {
+/// Whether `line` uses `item`: any mention for a type; for a function a
+/// call (`name(`, `name::<`) or a path (`Type::name`), where a method call
+/// `.name(…)` whose arguments close on the line must pass as many as the
+/// function takes.
+fn mentions(line: &str, item: &PubItem) -> bool {
+    let name = item.name.as_str();
     line.match_indices(name).any(|(at, _)| {
         let before = &line[..at];
         let after = &line[at + name.len()..];
         if before.ends_with(is_ident_char) || after.starts_with(is_ident_char) {
             return false;
         }
-        if kind != "fn" {
+        if item.kind != "fn" {
             return true;
         }
         if before.trim_end().ends_with(" fn") || before.trim_end() == "fn" {
             return false;
         }
         let after = after.trim_start();
+        if let (true, Some(args)) = (before.ends_with('.'), after.strip_prefix('(')) {
+            return arguments(args, false).is_none_or(|args| Some(args.len()) == item.arity);
+        }
         before.ends_with("::") || after.starts_with('(') || after.starts_with("::<")
     })
+}
+
+/// The top-level arguments of a list whose `(` ends just before `text`,
+/// if it closes in `text`. A `signature` counts `<…>` as brackets.
+fn arguments(text: &str, signature: bool) -> Option<Vec<&str>> {
+    let (mut depth, mut start, mut args) = (0usize, 0, Vec::new());
+    let mut last = '(';
+    let mut chars = text.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            '<' if signature => depth += 1,
+            '>' if signature && !text[..i].ends_with('-') => depth -= 1,
+            // A closure's parameters, `|a, b|`, are not arguments.
+            '|' if depth == 0 && matches!(last, '(' | ',') => {
+                chars.by_ref().find(|&(_, d)| d == '|');
+            }
+            ')' | ']' | '}' if depth > 0 => depth -= 1,
+            ')' | ',' if depth == 0 => {
+                let arg = text[start..i].trim();
+                if !arg.is_empty() {
+                    args.push(arg);
+                }
+                if c == ')' {
+                    return Some(args);
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+        if !c.is_whitespace() {
+            last = c;
+        }
+    }
+    None
+}
+
+/// How many parameters, `self` not counted, the `fn name` whose signature
+/// starts on line `start` takes.
+fn arity(code: &[String], start: usize, name: &str) -> usize {
+    let text = code[start..].join(" ");
+    let sig = &text[text.find(&format!("fn {name}")).expect("a fn line") + 3 + name.len()..];
+    let mut generics = 0;
+    let open = sig
+        .char_indices()
+        .find(|&(i, c)| {
+            match c {
+                '<' => generics += 1,
+                '>' if !sig[..i].ends_with('-') => generics -= 1,
+                _ => {}
+            }
+            c == '(' && generics == 0
+        })
+        .expect("a signature has a parameter list")
+        .0;
+    let params = arguments(&sig[open + 1..], true).expect("a signature closes");
+    params
+        .iter()
+        .filter(|p| {
+            p.split(':')
+                .next()
+                .unwrap_or_default()
+                .trim()
+                .rsplit([' ', '&'])
+                .next()
+                != Some("self")
+        })
+        .count()
 }
 
 fn pub_items(files: &[ScannedFile]) -> Vec<PubItem> {
@@ -995,6 +876,7 @@ fn pub_items(files: &[ScannedFile]) -> Vec<PubItem> {
                 file: f,
                 line,
                 kind,
+                arity: (kind == "fn").then(|| arity(&file.code, line, &name)),
                 name,
                 key,
                 span,
@@ -1046,12 +928,15 @@ fn uncalled_items(files: &[ScannedFile], items: &[PubItem], keep: &[&str]) -> Ve
             let candidates = lines_with
                 .get(item.name.as_str())
                 .map_or(&[][..], Vec::as_slice);
+            let owner = crate_of(&files[item.file].rel);
             candidates
                 .iter()
                 .copied()
                 .filter(|&(f, line)| {
+                    let sees = files[f].sees.as_ref();
                     item.kind != "mod"
-                        && mentions(&files[f].code[line], &item.name, item.kind)
+                        && sees.is_none_or(|s| s.iter().any(|c| Some(c.as_str()) == owner))
+                        && mentions(&files[f].code[line], item)
                         && !in_span(item, f, line)
                 })
                 .collect()
@@ -1148,16 +1033,8 @@ fn every_public_item_has_a_product_caller_or_a_named_test() {
     let keep: Vec<&str> = CALLED_ONLY_BY_TESTS.iter().map(|&(item, _)| item).collect();
     let uncalled: Vec<String> = uncalled_items(&files, &items, &keep)
         .into_iter()
-        .map(|i| {
-            let item = &items[i];
-            format!(
-                "{}:{} pub {} {}",
-                files[item.file].rel,
-                item.line + 1,
-                item.kind,
-                item.key
-            )
-        })
+        .map(|i| (&files[items[i].file].rel, &items[i]))
+        .map(|(rel, item)| format!("{rel}:{} pub {} {}", item.line + 1, item.kind, item.key))
         .collect();
     assert!(
         uncalled.is_empty(),
@@ -1182,106 +1059,221 @@ fn every_public_item_has_a_product_caller_or_a_named_test() {
             .unwrap_or_else(|| panic!("`{key}`: no test `{name}` in {file}"));
         let item = &items[item];
         assert!(
-            body.lines()
-                .skip(1)
-                .any(|l| mentions(l, &item.name, item.kind)),
+            body.lines().skip(1).any(|l| mentions(l, item)),
             "`{key}`: {test} does not call it"
         );
     }
 }
 
 #[test]
-fn public_items_nothing_called_stay_deleted() {
-    // The public items the surface guard above found uncalled, and the two
-    // policy knobs only `Default` set, stay gone: the flow-trace I/O, the
-    // VL2, Jellyfish and star builders, `dijkstra_on` and the accessors
-    // only their own tests called. Hybrid's slack threshold is a
-    // constant, not a field. The Frank–Wolfe solver takes the one cost it
-    // is given: no cost trait, no one-shot owned-graph problem, no penalty
-    // knob and no probe fingerprint of the cost. The online policy layer
-    // keeps only what a policy uses: no `rcd` policy and its latest-start
-    // helper, no wake-up timers, no per-flow predicted events, no public
-    // event batch and no admission probe settings. `dcn-core` fails with
-    // one `SolveError`: no per-module error enums, and no
-    // `#[non_exhaustive]` marker on a type nothing outside the workspace
-    // matches or builds. A solution hands its paths out as its split and
-    // its steps, not as a chained iterator of both, and the search engine
-    // reads the pendant index, not a sole-out-neighbour probe.
+fn the_surface_guard_matches_an_item_not_its_name() {
+    // Two impls share `paths`: `src/` calls the one without arguments, and
+    // only a file that may not see crate `a` calls the other.
+    let uncalled = |perf_sees: &str| -> Vec<String> {
+        let file =
+            |rel: &str, sees: &str, text: &str| scanned(rel.into(), Some(vec![sees.into()]), text);
+        let files = [
+            file(
+                "crates/a/src/lib.rs",
+                "a",
+                "pub struct One;\nimpl One {\n    pub fn paths(&self) {\n    }\n}\n\
+                 pub struct Two;\nimpl Two {\n    pub fn paths(&self, c: usize) {\n    }\n}\n",
+            ),
+            file(
+                "src/main.rs",
+                "a",
+                "fn main(two: a::Two) {\n    a::One.paths();\n}\n",
+            ),
+            file(
+                "perf/src/main.rs",
+                perf_sees,
+                "fn main(two: a::Two) {\n    two.paths(1);\n}\n",
+            ),
+        ];
+        let items = pub_items(&files);
+        let found = uncalled_items(&files, &items, &[]);
+        found.iter().map(|&i| items[i].key.clone()).collect()
+    };
+    assert_eq!(uncalled("b"), ["Two::paths"]);
+    assert!(uncalled("a").is_empty());
+}
+
+#[test]
+fn every_quoted_experiments_section_exists() {
+    // Source docs and the README send a reader to EXPERIMENTS.md by
+    // quoting a section heading (or its start), possibly across `//!`
+    // line breaks: `EXPERIMENTS.md, "A"`, `("A", "B")` or `"A" and "B"`.
     let root = workspace_root();
-    let mut sources = Vec::new();
+    let experiments = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let headings: Vec<&str> = experiments
+        .lines()
+        .filter_map(|l| Some(l.strip_prefix('#')?.trim_start_matches('#').trim()))
+        .collect();
+    let mut paths = vec![root.join("README.md")];
+    rust_sources(&root.join("src"), &mut paths);
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
         rust_sources(
             &entry.expect("readable dir entry").path().join("src"),
-            &mut sources,
+            &mut paths,
         );
     }
-    let banned = [
-        "mod trace",
-        "TraceError",
-        "fn to_json_string",
-        "fn from_json_str",
-        "fn write_json",
-        "fn read_json",
-        "fn vl2",
-        "fn jellyfish",
-        "fn star(",
-        "fn active_at",
-        "fn is_active_at",
-        "fn total_volume",
-        "fn invalid_endpoints",
-        "fn blocked_intervals",
-        "fn is_blocked_at",
-        "fn start_time",
-        "fn finish_time",
-        "fn max_speed",
-        "fn host_ids",
-        "fn switch_ids",
-        "fn out_degree",
-        "fn mu(",
-        "fn with_sigma",
-        "fn optimal_rate_capped",
-        "fn bottleneck_capacity",
-        "fn base_capacity",
-        "fn dijkstra_into",
-        "fn dijkstra_on",
-        "fn custom(",
-        "fn routing(",
-        "-> &RandomScheduleConfig",
-        "fn interval(",
-        "fn commodities(",
-        "fn bucket_count",
-        "fn clear_warm_cache",
-        "with_headroom",
-        "headroom: f64",
-        "with_slack_threshold",
-        "slack_threshold: f64",
-        "trait FlowCost",
-        "fn zero_load_is_free",
-        "fn uniform_zero_load_marginal",
-        "capacity_penalty",
-        "enum GraphRef",
-        "fn cost_fingerprint",
-        "RcdPolicy",
-        "fn wake_at",
-        "fn latest_start",
-        "fn reject_infeasible",
-        "pub struct OnlineEvent",
-        "SlackTimer",
-        "DcfsError",
-        "DcfsrError",
-        "ExactError",
-        "RoutingError",
-        "non_exhaustive",
-        "pub fn paths(&self, c: usize)",
-        "fn sole_out_neighbor",
-    ];
-    for path in sources {
+    let mut quotes = 0;
+    for path in paths {
         let source = fs::read_to_string(&path).expect("source readable");
-        for banned in banned {
+        let text: Vec<&str> = source
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches(['/', '!']).trim())
+            .collect();
+        let text = text.join(" ");
+        for (at, cite) in text.match_indices("EXPERIMENTS.md") {
+            let mut rest = text[at + cite.len()..].trim_start_matches([',', ' ', '(']);
+            while let Some((quote, tail)) = rest.strip_prefix('"').and_then(|q| q.split_once('"')) {
+                quotes += 1;
+                assert!(
+                    headings.iter().any(|h| h.starts_with(quote)),
+                    "{}: EXPERIMENTS.md has no section \"{quote}\"",
+                    path.display()
+                );
+                rest = tail
+                    .trim_start_matches([',', ' '])
+                    .trim_start_matches("and ");
+            }
+        }
+    }
+    assert!(quotes > 0, "no quoted EXPERIMENTS.md section found");
+}
+
+/// Where a ban applies: workspace directories, `*` standing for any one
+/// crate.
+const PRODUCT: &[&str] = &["src", "examples", "crates/*/src"];
+const EVERYWHERE: &[&str] = &[
+    "src",
+    "examples",
+    "tests",
+    "crates",
+    "vendor/serde",
+    "vendor/serde_derive",
+    "vendor/serde_json",
+];
+
+/// Text a superseded design may not bring back: `(scope, needle, why)`.
+/// A file of the scope fails when it contains the needle. A public item
+/// that nothing calls needs no entry — the surface guard above fails on it
+/// whatever its name — so the bans are what the guard cannot see: traits,
+/// fields, attributes, private items, and designs whose items would come
+/// back with callers.
+const BANS: &[(&[&str], &str, &str)] = &[
+    (PRODUCT, "#[deprecated", SUPERSEDED),
+    (PRODUCT, "cfg(feature", SUPERSEDED),
+    (PRODUCT, "ServeAdmission", ONE_LEDGER),
+    (PRODUCT, "struct FlowState", ONE_LEDGER),
+    (PRODUCT, "fn residual_set", ONE_LEDGER),
+    (PRODUCT, "fn stitch(", STORED_ONCE),
+    (PRODUCT, "commit_index", STORED_ONCE),
+    (PRODUCT, "pub link_profiles:", STORED_ONCE),
+    (PRODUCT, "link_profiles.is_empty()", STORED_ONCE),
+    (PRODUCT, "fn take_dirty", STORED_ONCE),
+    (PRODUCT, "fn is_live(", STORED_ONCE),
+    (PRODUCT, "EnergyMeter", LINK_LOADS),
+    (PRODUCT, "fn energy_meter", LINK_LOADS),
+    (PRODUCT, "fn dynamic_energy", LINK_LOADS),
+    (PRODUCT, "fn capacity_excess", LINK_LOADS),
+    (PRODUCT, "fn active_links", LINK_LOADS),
+    (PRODUCT, "ParallelConfig", SEQUENTIAL),
+    (PRODUCT, "set_parallelism", SEQUENTIAL),
+    (PRODUCT, "interval_relaxation_threads", SEQUENTIAL),
+    (PRODUCT, "run_indexed_with", SEQUENTIAL),
+    (PRODUCT, "in_pool_worker", SEQUENTIAL),
+    (PRODUCT, "solver_threads", SEQUENTIAL),
+    (EVERYWHERE, "dcn_sim::", ONE_AUDIT),
+    (EVERYWHERE, "deadline_dcn::sim", ONE_AUDIT),
+    (EVERYWHERE, "fn run_admitted", ONE_AUDIT),
+    (EVERYWHERE, "pub struct SimReport", ONE_AUDIT),
+    (EVERYWHERE, "to_value", STREAMED),
+    (EVERYWHERE, "from_value", STREAMED),
+    (EVERYWHERE, "map_field", STREAMED),
+    (EVERYWHERE, "DeError", STREAMED),
+    (PRODUCT, "run_vs_offline", HARNESS),
+    (PRODUCT, "competitive_ratio", HARNESS),
+    (PRODUCT, "offline_energy", HARNESS),
+    (BENCH, "too_many_arguments", "pass what the call needs"),
+    (NETWORK_AND_POWER, "Serialize", "nothing serializes them"),
+    (PRODUCT, "PolicyRegistry", NAME_TABLE),
+    (PRODUCT, "mod registry", NAME_TABLE),
+    (PRODUCT, "fn register(", NAME_TABLE),
+    (PRODUCT, "fn algorithms(", NAME_TABLE),
+    (PRODUCT, "fn policies(", NAME_TABLE),
+    (PRODUCT, "Arc<dyn Fn", NAME_TABLE),
+    (PRODUCT, "-> &RandomScheduleConfig", KNOBS),
+    (PRODUCT, "headroom: f64", KNOBS),
+    (PRODUCT, "slack_threshold: f64", KNOBS),
+    (PRODUCT, "trait FlowCost", ONE_COST),
+    (PRODUCT, "fn zero_load_is_free", ONE_COST),
+    (PRODUCT, "fn uniform_zero_load_marginal", ONE_COST),
+    (PRODUCT, "capacity_penalty", ONE_COST),
+    (PRODUCT, "enum GraphRef", ONE_COST),
+    (PRODUCT, "fn cost_fingerprint", ONE_COST),
+    (PRODUCT, "RcdPolicy", POLICY),
+    (PRODUCT, "pub struct OnlineEvent", POLICY),
+    (PRODUCT, "SlackTimer", POLICY),
+    (PRODUCT, "DcfsError", ONE_ERROR),
+    (PRODUCT, "DcfsrError", ONE_ERROR),
+    (PRODUCT, "ExactError", ONE_ERROR),
+    (PRODUCT, "RoutingError", ONE_ERROR),
+    (PRODUCT, "non_exhaustive", ONE_ERROR),
+    (
+        PRODUCT,
+        "fn sole_out_neighbor",
+        "the search engine reads its pendant index",
+    ),
+];
+const BENCH: &[&str] = &["crates/bench/src"];
+const NETWORK_AND_POWER: &[&str] = &["crates/topology/src", "crates/power/src"];
+const SUPERSEDED: &str = "a superseded entry point is deleted, not kept behind an attribute";
+const ONE_LEDGER: &str = "the engine and the daemon share one in-flight ledger";
+const STORED_ONCE: &str = "a flow's schedule is stored once, and the queue only what can pop";
+const LINK_LOADS: &str = "`Schedule::link_loads` sums a link's load, once";
+const SEQUENTIAL: &str = "solves run sequentially";
+const ONE_AUDIT: &str = "the audit is `Schedule::audit`";
+const STREAMED: &str = "types stream to and from the text";
+const HARNESS: &str = "the harness solves the clairvoyant reference";
+const NAME_TABLE: &str = "a name table builds schedulers";
+const KNOBS: &str = "a one-value knob is a constant, and a config is its owner's";
+const ONE_COST: &str = "Frank–Wolfe takes the one cost it is given";
+const POLICY: &str = "a policy keeps only what it uses";
+const ONE_ERROR: &str = "`dcn-core` fails with one `SolveError`";
+
+/// Whether `rel` lies in workspace directory `dir` (`*` is one crate).
+fn in_dir(rel: &str, dir: &str) -> bool {
+    match dir.split_once('*') {
+        Some((head, tail)) => rel
+            .strip_prefix(head)
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with(tail.trim_start_matches('/'))),
+        None => rel.starts_with(&format!("{dir}/")),
+    }
+}
+
+#[test]
+fn banned_names_stay_deleted() {
+    let root = workspace_root();
+    let mut paths = Vec::new();
+    for dir in ["src", "examples", "tests", "crates", "vendor"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    for path in paths {
+        let rel = path
+            .strip_prefix(&root)
+            .expect("in the workspace")
+            .to_string_lossy();
+        if rel == "tests/workspace.rs" {
+            continue;
+        }
+        let source = fs::read_to_string(&path).expect("source readable");
+        for &(scope, needle, why) in BANS {
             assert!(
-                !source.contains(banned),
-                "{}: `{banned}` is banned — a public item nothing calls stays deleted",
-                path.display()
+                !(scope.iter().any(|dir| in_dir(&rel, dir)) && source.contains(needle)),
+                "{rel}: `{needle}` is banned — {why}"
             );
         }
     }
