@@ -392,7 +392,7 @@ mod tests {
             dcn_flow::FlowSet::from_tuples([(topo.hosts()[0], topo.hosts()[2], 0.0, 4.0, 8.0)])
                 .unwrap();
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let schedule = Schedule::new(

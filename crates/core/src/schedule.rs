@@ -768,7 +768,7 @@ mod tests {
         let flows =
             FlowSet::from_tuples([(topo.hosts()[0], topo.hosts()[2], 0.0, 4.0, 8.0)]).unwrap();
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let schedule = Schedule::new(
@@ -784,7 +784,7 @@ mod tests {
 
     fn rebuild_with_profile(topo: &builders::BuiltTopology, profile: RateProfile) -> Schedule {
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         Schedule::new(vec![FlowSchedule::uniform(0, path, profile)], (0.0, 4.0))
@@ -838,7 +838,7 @@ mod tests {
     fn link_volume_shortfall_detected() {
         let (topo, flows, _) = simple_instance();
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         // The nominal profile delivers everything, but the second link of
@@ -900,7 +900,7 @@ mod tests {
     fn wrong_endpoints_detected() {
         let (topo, flows, _) = simple_instance();
         let wrong_path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[1])
             .unwrap();
         let schedule = Schedule::new(
@@ -924,11 +924,11 @@ mod tests {
     fn link_profiles_aggregate_sharing_flows() {
         let topo = builders::line(3);
         let path01 = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[1])
             .unwrap();
         let path02 = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let shared_link = path01.links()[0];
@@ -962,7 +962,7 @@ mod tests {
         // links, but shifted windows. Energy must count both links.
         let topo = builders::line(3);
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let mut link_profiles = BTreeMap::new();
@@ -994,7 +994,7 @@ mod tests {
     fn activity_span_covers_all_links() {
         let topo = builders::line(3);
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let mut link_profiles = BTreeMap::new();
@@ -1024,7 +1024,7 @@ mod tests {
     fn equality_is_by_content_whichever_way_a_side_is_stored() {
         let topo = builders::line(3);
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let profile = RateProfile::constant(0.0, 4.0, 2.0);
@@ -1172,7 +1172,7 @@ mod tests {
     fn restricted_drops_links_idle_in_the_window() {
         let topo = builders::line(3);
         let path = topo
-            .network
+            .csr()
             .shortest_path(topo.hosts()[0], topo.hosts()[2])
             .unwrap();
         let (first, second) = (path.links()[0], path.links()[1]);
@@ -1526,7 +1526,7 @@ mod tests {
     ) -> (FlowSet, Schedule) {
         let (src, dst) = (topo.hosts()[0], *topo.hosts().last().unwrap());
         let flows = FlowSet::from_tuples([(src, dst, release, deadline, volume)]).unwrap();
-        let path = topo.network.shortest_path(src, dst).unwrap();
+        let path = topo.csr().shortest_path(src, dst).unwrap();
         let schedule = Schedule::new(
             vec![FlowSchedule::uniform(0, path, profile)],
             flows.horizon(),
@@ -1652,7 +1652,7 @@ mod tests {
         let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
         let flows =
             FlowSet::from_tuples([(src, dst, 0.0, 4.0, 8.0), (src, dst, 0.0, 4.0, 8.0)]).unwrap();
-        let path = topo.network.shortest_path(src, dst).unwrap();
+        let path = topo.csr().shortest_path(src, dst).unwrap();
         let schedule = Schedule::new(
             vec![FlowSchedule::uniform(
                 0,
@@ -1748,7 +1748,7 @@ mod tests {
         let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
         let flows =
             FlowSet::from_tuples([(src, dst, 0.0, 2.0, 10.0), (src, dst, 0.0, 2.0, 10.0)]).unwrap();
-        let path = topo.network.shortest_path(src, dst).unwrap();
+        let path = topo.csr().shortest_path(src, dst).unwrap();
         let entry = |flow, from, to| {
             FlowSchedule::uniform(flow, path.clone(), RateProfile::constant(from, to, 10.0))
         };
@@ -1771,7 +1771,7 @@ mod tests {
         let power = x2(10.0);
         let (src, dst) = (topo.hosts()[0], topo.hosts()[2]);
         let flows = FlowSet::from_tuples([(src, dst, 0.0, 4.0, 8.0)]).unwrap();
-        let path = topo.network.shortest_path(src, dst).unwrap();
+        let path = topo.csr().shortest_path(src, dst).unwrap();
         let entry =
             |until| FlowSchedule::uniform(0, path.clone(), RateProfile::constant(0.0, until, 2.0));
         let graph = topo.csr();

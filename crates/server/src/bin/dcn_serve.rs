@@ -34,8 +34,9 @@ MODES:
                          trailing Shutdown) to stdout and exit
 
 OPTIONS:
-    --topology SPEC      fabric to schedule on: fat-tree:K or
-                         leaf-spine:L,S,H     [default: fat-tree:4]
+    --topology SPEC      fabric to schedule on: fat-tree:K or leaf-spine:L,S,H
+                         [default: fat-tree:4]; one past 2^32-2 nodes or
+                         links is refused, a smaller one may exhaust memory
     --shard-workers N    shard executors, the router included: the router
                          runs its share of the pod buckets itself and
                          N-1 worker threads run the rest

@@ -87,8 +87,13 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns a message describing the expected forms.
+    /// Returns a message describing the expected forms, or the fabric's size.
     pub fn parse(spec: &str) -> Result<Self, String> {
+        let sized = |parsed, nodes: Option<usize>, links: Option<usize>| match nodes.zip(links) {
+            Some((n, m)) if n.max(m) < u32::MAX as usize => Ok(parsed),
+            Some((n, m)) => Err(format!("{spec:?}: {n} nodes, {m} links, past u32 ids")),
+            None => Err(format!("{spec:?} overflows its node or link count")),
+        };
         let (family, params) = spec.split_once(':').unwrap_or((spec, ""));
         match family {
             "fat-tree" => {
@@ -98,27 +103,30 @@ impl TopologySpec {
                 if k < 2 || !k.is_multiple_of(2) {
                     return Err(format!("fat-tree requires an even k >= 2, got {k}"));
                 }
-                Ok(TopologySpec::FatTree { k })
+                // (k/2)² cores; k pods of k switches, (k/2)² hosts, 6·(k/2)² links.
+                let q = (k / 2).checked_mul(k / 2);
+                let nodes = q.and_then(|q| k.checked_mul(k.checked_add(q)?)?.checked_add(q));
+                let links = q.and_then(|q| q.checked_mul(6)?.checked_mul(k));
+                sized(TopologySpec::FatTree { k }, nodes, links)
             }
             "leaf-spine" => {
-                let parts: Vec<usize> = params
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("leaf-spine expects `leaf-spine:L,S,H`, got {spec:?}"))?;
-                let [leaves, spines, hosts_per_leaf] = parts[..] else {
+                let parts: Result<Vec<usize>, _> = params.split(',').map(str::parse).collect();
+                let Ok(&[l, s, h]) = parts.as_deref() else {
                     return Err(format!(
                         "leaf-spine expects `leaf-spine:L,S,H`, got {spec:?}"
                     ));
                 };
-                if leaves == 0 || spines == 0 || hosts_per_leaf == 0 {
+                if l == 0 || s == 0 || h == 0 {
                     return Err("leaf-spine parameters must all be positive".to_string());
                 }
-                Ok(TopologySpec::LeafSpine {
-                    leaves,
-                    spines,
-                    hosts_per_leaf,
-                })
+                let nodes = (h.checked_add(1)).and_then(|h| l.checked_mul(h)?.checked_add(s));
+                let links = (s.checked_add(h)).and_then(|c| l.checked_mul(c)?.checked_mul(2));
+                let parsed = TopologySpec::LeafSpine {
+                    leaves: l,
+                    spines: s,
+                    hosts_per_leaf: h,
+                };
+                sized(parsed, nodes, links)
             }
             other => Err(format!(
                 "unknown topology family {other:?} (expected fat-tree or leaf-spine)"
@@ -1085,6 +1093,28 @@ mod tests {
     use super::*;
     use crate::protocol::{read_frame, SubmitFlow};
     use std::time::Duration;
+
+    #[test]
+    fn topology_specs_past_the_graph_ids_are_refused_by_count() {
+        // 1.5·k³ directed links: k = 1420 is the largest even k under
+        // `u32::MAX`.
+        assert_eq!(
+            TopologySpec::parse("fat-tree:1420"),
+            Ok(TopologySpec::FatTree { k: 1420 })
+        );
+        let err = TopologySpec::parse("fat-tree:1422").unwrap_err();
+        assert!(err.contains("721378467 nodes, 4313105172 links"), "{err}");
+        let err = TopologySpec::parse("fat-tree:4294967296").unwrap_err();
+        assert!(err.contains("overflows its node or link count"), "{err}");
+        let err = TopologySpec::parse("leaf-spine:1,1,4294967296").unwrap_err();
+        assert!(err.contains("4294967298 nodes, 8589934594 links"), "{err}");
+        let err = TopologySpec::parse(&format!("leaf-spine:{},2,2", usize::MAX)).unwrap_err();
+        assert!(err.contains("overflows its node or link count"), "{err}");
+        for bad in ["leaf-spine:1,2", "leaf-spine:1,2,x", "leaf-spine:1,2,3,4"] {
+            let err = TopologySpec::parse(bad).unwrap_err();
+            assert!(err.starts_with("leaf-spine expects"), "{err}");
+        }
+    }
 
     fn config(workers: usize) -> ServerConfig {
         let mut config = ServerConfig::new(TopologySpec::FatTree { k: 4 });

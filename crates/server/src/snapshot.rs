@@ -34,7 +34,7 @@ use std::path::Path as FsPath;
 use dcn_core::{FlowSchedule, LedgerEntry, Schedule};
 use dcn_flow::{Flow, FlowId};
 use dcn_power::RateProfile;
-use dcn_topology::{LinkId, Network, NodeId, Path};
+use dcn_topology::{GraphCsr, LinkId, Network, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::PlanSegment;
@@ -123,8 +123,8 @@ impl FlowRecord {
         }
     }
 
-    /// The ledger entry and the schedule, on `network`, the record
-    /// describes — the schedule exactly as the shard stored it.
+    /// The ledger entry and the schedule, exactly as the shard stored it, on
+    /// `graph` with no link down: a recorded path may cross one down now.
     ///
     /// # Errors
     ///
@@ -135,7 +135,7 @@ impl FlowRecord {
     pub(crate) fn restore(
         &self,
         bucket: usize,
-        network: &Network,
+        graph: &GraphCsr,
     ) -> Result<(LedgerEntry, FlowSchedule), SnapshotError> {
         let invalid = |field: &str, why: &dyn fmt::Display| {
             let flow = self.id;
@@ -155,11 +155,11 @@ impl FlowRecord {
             return Err(invalid("missed", &"a missed flow is retired"));
         }
         let nodes: Vec<NodeId> = self.path.iter().map(|&n| NodeId(n)).collect();
-        let path = Path::from_nodes(network, &nodes).map_err(|e| invalid("path", &e))?;
+        let path = (graph.path_from_nodes(&nodes)).map_err(|e| invalid("path", &e))?;
         let nominal = profile(&self.pieces).map_err(|e| invalid("pieces", &e))?;
         let mut link_profiles = BTreeMap::new();
         for (link, pieces) in &self.links {
-            if *link >= network.link_count() || link_profiles.contains_key(&LinkId(*link)) {
+            if *link >= graph.link_count() || link_profiles.contains_key(&LinkId(*link)) {
                 let why = format_args!("link {link} is unknown or repeated");
                 return Err(invalid("links", &why));
             }
@@ -323,11 +323,12 @@ impl SnapshotFile {
     /// Rejects records that do not describe a valid flow and schedule on
     /// `network`, and snapshots that hold no served flows.
     pub fn schedule(&self, network: &Network) -> Result<Schedule, SnapshotError> {
+        let graph = GraphCsr::from_network(network);
         let mut flow_schedules = Vec::with_capacity(self.flow_count());
         let (mut start, mut end) = (f64::INFINITY, f64::NEG_INFINITY);
         for bucket in &self.buckets {
             for record in &bucket.flows {
-                let (entry, schedule) = record.restore(bucket.bucket, network)?;
+                let (entry, schedule) = record.restore(bucket.bucket, &graph)?;
                 start = start.min(entry.flow.release);
                 end = end.max(entry.flow.deadline);
                 if let Some((_, active_end)) = schedule.activity_span() {
@@ -443,7 +444,7 @@ mod tests {
         let text = serde_json::to_string(&written).unwrap();
         let read: FlowRecord = serde_json::from_str(&text).unwrap();
         assert_eq!(
-            read.restore(0, &built.network).unwrap(),
+            read.restore(0, &built.csr()).unwrap(),
             (entry.clone(), schedule)
         );
 
@@ -451,7 +452,7 @@ mod tests {
         let still = FlowSchedule::uniform(3, first, RateProfile::constant(0.0, 10.0, 0.8));
         let written = FlowRecord::new(&entry, &still);
         assert!(written.links.is_empty());
-        assert_eq!(written.restore(0, &built.network).unwrap(), (entry, still));
+        assert_eq!(written.restore(0, &built.csr()).unwrap(), (entry, still));
     }
 
     #[test]
@@ -463,7 +464,7 @@ mod tests {
             end: 1.5,
             rate: 1.0,
         });
-        let err = overlapping.restore(0, &built.network).unwrap_err();
+        let err = overlapping.restore(0, &built.csr()).unwrap_err();
         assert!(err
             .to_string()
             .contains("`pieces` is invalid: [0.5, 1.5) starts before 1"));

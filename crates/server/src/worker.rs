@@ -418,7 +418,7 @@ impl<'net> ShardEngine<'net> {
         }
     }
 
-    /// Rebuilds a shard engine from a snapshot dump.
+    /// Rebuilds a shard engine from a snapshot dump, on the pristine fabric.
     ///
     /// # Errors
     ///
@@ -440,8 +440,8 @@ impl<'net> ShardEngine<'net> {
         let invalid = |reason: String| SolveError::InvalidInput { reason };
         let mut entries: Vec<LedgerEntry> = Vec::with_capacity(state.flows.len());
         for record in &state.flows {
-            let (entry, schedule) =
-                (record.restore(bucket, network)).map_err(|e| invalid(e.to_string()))?;
+            let restored = record.restore(bucket, engine.ctx.graph());
+            let (entry, schedule) = restored.map_err(|e| invalid(e.to_string()))?;
             if (entries.last()).is_some_and(|last| entry.flow.id <= last.flow.id) {
                 let flow = record.id;
                 return Err(invalid(format!(
@@ -532,9 +532,7 @@ mod tests {
             seed,
         };
         let mut engine = ShardEngine::new(network, settings, 0).expect("engine builds");
-        let failed = network
-            .find_link(NodeId(6), NodeId(4))
-            .expect("fat-tree link");
+        let failed = (built.csr().find_link(NodeId(6), NodeId(4))).expect("fat-tree link");
         let mut logged: BTreeMap<LinkId, f64> = BTreeMap::new();
         let mut paths: BTreeMap<FlowId, Path> = BTreeMap::new();
         let (mut moves, mut clock) = (0, f64::NEG_INFINITY);
@@ -657,8 +655,9 @@ mod tests {
     /// overflows, so it keeps no plan and misses instead of panicking.
     #[test]
     fn a_replan_that_needs_an_unbounded_rate_leaves_the_flow_unplanned() {
-        let network = builders::fat_tree(4).network;
-        let uplink = network.out_links(NodeId(17))[0];
+        let built = builders::fat_tree(4);
+        let uplink = built.csr().out_links(NodeId(17))[0];
+        let network = built.network;
         for policy in [ServePolicy::Edf, ServePolicy::Greedy] {
             let mut engine = engine(&network, policy);
             assert!(engine.submit(flow(0, 0.0, 10.0, 1e300)).is_ok());

@@ -214,7 +214,7 @@ fn snapshot_restore_continues_bit_identically() {
 
 /// The id of the directed link `a → b` of `built`.
 fn link_id(built: &BuiltTopology, a: usize, b: usize) -> usize {
-    let link = built.network.find_link(NodeId(a), NodeId(b));
+    let link = built.csr().find_link(NodeId(a), NodeId(b));
     link.expect("the link exists").0
 }
 
@@ -783,6 +783,76 @@ fn a_link_event_re_plans_what_it_severs() {
     let (status, schedule) = after_a_failure_under_flow_0(8, 6);
     assert_eq!((status.state.as_str(), status.delivered), ("missed", 0.0));
     assert_eq!(schedule.activity_span(), None);
+}
+
+/// A flow that retired before a link on its path failed keeps that path in
+/// the snapshot. Restore resolves recorded paths on the fabric they were
+/// routed on — the engine's fresh context, a pristine view in
+/// `SnapshotFile::schedule` — and only then takes the failed links down:
+/// the down link joins no node pair, so a restore that resolved on the
+/// degraded fabric would refuse the record as a broken path.
+#[test]
+fn a_recorded_path_over_a_link_that_failed_later_restores() {
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let submit = |src: usize, dst: usize, release: f64, deadline: f64| {
+        RequestBody::SubmitFlow(SubmitFlow {
+            src,
+            dst,
+            release,
+            deadline,
+            volume: 4.0,
+        })
+    };
+    let route = [8, 6, 4, 0, 28, 31, 35];
+    let link = link_id(&built, 4, 0);
+    let snapshot_path = temp_path("retired-over-failed");
+    let mut cfg = config();
+    cfg.snapshot_path = Some(snapshot_path.clone());
+    let mut server = Server::start(cfg.clone()).expect("server starts");
+    server.request(Request::new(0, submit(8, 35, 1.0, 50.0)));
+    // Moves flow 0's bucket clock past its deadline: flow 0 retires.
+    server.request(Request::new(1, submit(10, 11, 60.0, 70.0)));
+    let ack = server.request(Request::new(2, RequestBody::LinkEvent { link, down: true }));
+    assert!(matches!(
+        ack.body,
+        ResponseBody::LinkAck { changed: true, .. }
+    ));
+    server.request(Request::new(3, RequestBody::Snapshot));
+    server.shutdown();
+
+    let file = SnapshotFile::load(&snapshot_path).expect("snapshot loads");
+    assert_eq!(file.down_links, [link]);
+    let record = (file.buckets.iter().flat_map(|b| &b.flows)).find(|f| f.id == 0);
+    let record = record.expect("flow 0 is recorded");
+    assert!(record.retired && !record.missed && record.links.is_empty());
+    assert_eq!(record.path, route, "the record crosses the failed link");
+
+    let schedule = (file.schedule(&built.network)).expect("the audit rebuilds");
+    let path = &schedule.flow_schedule(0).expect("flow 0 is audited").path;
+    assert!(path.contains_link(LinkId(link)));
+
+    let mut server = Server::start(cfg).expect("server restores");
+    let status = server.request(Request::new(4, RequestBody::QueryFlow { flow: 0 }));
+    // The restored daemon routes around the failed link.
+    let admit = server.request(Request::new(5, submit(8, 35, 80.0, 90.0)));
+    server.shutdown();
+    let _ = std::fs::remove_file(&snapshot_path);
+    let ResponseBody::Status(status) = status.body else {
+        panic!("a query answers a status");
+    };
+    assert_eq!(status.state, "delivered");
+    assert!((status.delivered - 4.0).abs() < 1e-12, "{status:?}");
+    let ResponseBody::Admit(AdmitReply {
+        plan: Some(plan), ..
+    }) = admit.body
+    else {
+        panic!("the new flow is admitted: {admit:?}");
+    };
+    assert!(
+        !plan.path.windows(2).any(|w| w == [4, 0]),
+        "{:?}",
+        plan.path
+    );
 }
 
 /// The frames of `tests/data/serve_hostile_requests.txt`: a flow whose

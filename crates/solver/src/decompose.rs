@@ -207,7 +207,7 @@ mod tests {
     fn single_path_flow_decomposes_to_that_path() {
         let t = builders::line(3);
         let net = &t.network;
-        let p = net.shortest_path(t.source(), t.sink()).unwrap();
+        let p = t.csr().shortest_path(t.source(), t.sink()).unwrap();
         let mut edge_flow = vec![0.0; net.link_count()];
         for &l in p.links() {
             edge_flow[l.index()] = 2.5;
@@ -222,7 +222,7 @@ mod tests {
     fn split_flow_decomposes_into_both_branches() {
         let t = builders::parallel(2, 10.0);
         let net = &t.network;
-        let links: Vec<_> = net.find_links(t.source(), t.sink()).collect();
+        let links: Vec<_> = t.csr().links_between(t.source(), t.sink()).collect();
         let mut edge_flow = vec![0.0; net.link_count()];
         edge_flow[links[0].index()] = 1.0;
         edge_flow[links[1].index()] = 3.0;
@@ -317,15 +317,15 @@ mod tests {
     fn cycle_flow_is_ignored() {
         // A cycle between two middle nodes plus a genuine src->dst path.
         let t = builders::line(4);
-        let net = &t.network;
+        let (net, graph) = (&t.network, t.csr());
         let mut edge_flow = vec![0.0; net.link_count()];
-        let p = net.shortest_path(t.source(), t.sink()).unwrap();
+        let p = graph.shortest_path(t.source(), t.sink()).unwrap();
         for &l in p.links() {
             edge_flow[l.index()] = 1.0;
         }
         // Add a 2-cycle between hosts 1 and 2.
-        let fwd = net.find_link(t.hosts()[1], t.hosts()[2]).unwrap();
-        let back = net.find_link(t.hosts()[2], t.hosts()[1]).unwrap();
+        let fwd = graph.find_link(t.hosts()[1], t.hosts()[2]).unwrap();
+        let back = graph.find_link(t.hosts()[2], t.hosts()[1]).unwrap();
         edge_flow[fwd.index()] += 0.7;
         edge_flow[back.index()] += 0.7;
         let parts = decompose_flow(net, t.source(), t.sink(), &edge_flow, 1e-9);

@@ -321,12 +321,20 @@ pub fn dumbbell(hosts_per_side: usize, capacity: f64) -> BuiltTopology {
 mod tests {
     use super::*;
 
+    /// Whether every node reaches node 0 and is reached from it.
+    fn strongly_connected(t: &BuiltTopology) -> bool {
+        let (g, root) = (t.csr(), NodeId(0));
+        let tree = g.bfs_tree(root);
+        let reached = (0..g.node_count()).all(|v| tree.path_to(&g, NodeId(v)).is_some());
+        reached && !g.hop_distances_to(root).contains(&usize::MAX)
+    }
+
     #[test]
     fn line_structure() {
         let t = line(3);
         assert_eq!(t.network.node_count(), 3);
         assert_eq!(t.network.link_count(), 4); // 2 cables * 2 directions
-        assert!(t.network.is_strongly_connected());
+        assert!(strongly_connected(&t));
         assert_eq!(t.source(), t.hosts()[0]);
         assert_eq!(t.sink(), t.hosts()[2]);
     }
@@ -342,7 +350,7 @@ mod tests {
         let t = parallel(5, 2.0);
         assert_eq!(t.network.node_count(), 2);
         assert_eq!(t.network.link_count(), 10);
-        assert_eq!(t.network.find_links(t.source(), t.sink()).count(), 5);
+        assert_eq!(t.csr().links_between(t.source(), t.sink()).count(), 5);
         for l in t.network.links() {
             assert_eq!(l.capacity, 2.0);
         }
@@ -355,7 +363,7 @@ mod tests {
         assert_eq!(t.network.switch_count(), 20);
         assert_eq!(t.network.host_count(), 16);
         assert_eq!(t.hosts().len(), 16);
-        assert!(t.network.is_strongly_connected());
+        assert!(strongly_connected(&t));
         // Cables: core-agg k^2/2*k/2? count via formula: 3 * k^3/4 cables.
         let cables = t.network.link_count() / 2;
         assert_eq!(cables, 3 * 4usize.pow(3) / 4);
@@ -366,7 +374,7 @@ mod tests {
         let t = fat_tree(8);
         assert_eq!(t.network.switch_count(), 80, "paper: 80 switches");
         assert_eq!(t.network.host_count(), 128, "paper: 128 servers");
-        assert!(t.network.is_strongly_connected());
+        assert!(strongly_connected(&t));
     }
 
     #[test]
@@ -389,7 +397,7 @@ mod tests {
                     Some(pod)
                 }
             };
-            assert_eq!(t.network.node_pod(node.id), expect, "{}", node.label);
+            assert_eq!(node.pod.map(|p| p as usize), expect, "{}", node.label);
             assert_eq!(g.pod_of(node.id), expect, "{}", node.label);
         }
     }
@@ -417,10 +425,10 @@ mod tests {
     fn fat_tree_intra_pod_path_is_short() {
         let t = fat_tree(4);
         // hosts 0 and 1 share an edge switch: 2-hop path.
-        let p = t.network.shortest_path(t.hosts()[0], t.hosts()[1]).unwrap();
+        let p = t.csr().shortest_path(t.hosts()[0], t.hosts()[1]).unwrap();
         assert_eq!(p.len(), 2);
         // hosts 0 and 2 are in the same pod, different edge switches: 4 hops.
-        let p = t.network.shortest_path(t.hosts()[0], t.hosts()[2]).unwrap();
+        let p = t.csr().shortest_path(t.hosts()[0], t.hosts()[2]).unwrap();
         assert_eq!(p.len(), 4);
     }
 
@@ -432,7 +440,7 @@ mod tests {
         assert_eq!(t.network.host_count(), 16);
         assert_eq!(t.network.switch_count(), 8);
         assert_eq!(t.network.link_count() / 2, 32);
-        assert!(t.network.is_strongly_connected());
+        assert!(strongly_connected(&t));
     }
 
     #[test]
@@ -456,7 +464,7 @@ mod tests {
         assert_eq!(t.network.switch_count(), 6);
         assert_eq!(t.network.host_count(), 32);
         assert_eq!(t.network.link_count() / 2, 4 * 2 + 4 * 8);
-        assert!(t.network.is_strongly_connected());
+        assert!(strongly_connected(&t));
     }
 
     #[test]
@@ -464,9 +472,9 @@ mod tests {
         let d = dumbbell(3, 1.0);
         assert_eq!(d.network.switch_count(), 2);
         assert_eq!(d.network.host_count(), 6);
-        assert!(d.network.is_strongly_connected());
+        assert!(strongly_connected(&d));
         // Crossing the dumbbell takes 3 hops.
-        let p = d.network.shortest_path(d.hosts()[0], d.hosts()[5]).unwrap();
+        let p = d.csr().shortest_path(d.hosts()[0], d.hosts()[5]).unwrap();
         assert_eq!(p.len(), 3);
     }
 

@@ -1,11 +1,11 @@
 //! A flat, cache-friendly compressed-sparse-row (CSR) view of a
 //! [`Network`].
 //!
-//! [`Network`] is the *mutable builder*: nodes and links are appended one at
-//! a time and adjacency lives in per-node `Vec`s, which is convenient to
-//! grow but scatters every neighbourhood across the heap. [`GraphCsr`] is
-//! the *read path*: built once from a finished network, it packs the whole
-//! graph into a handful of contiguous arrays —
+//! [`Network`] is the *store*: the builders append nodes and links to it
+//! one at a time, and it keeps nothing else. [`GraphCsr`] is the *read
+//! path*: built once from a finished network, it is the only adjacency and
+//! runs every traversal, packing the whole graph into a handful of
+//! contiguous arrays —
 //!
 //! * `out_offsets`/`out_link_ids` — the out-adjacency of node `v` is the
 //!   slice `out_link_ids[out_offsets[v]..out_offsets[v + 1]]`, preserving
@@ -15,8 +15,8 @@
 //! * `link_src`/`link_dst`/`link_capacity` — per-link attributes indexed
 //!   directly by [`LinkId`].
 //!
-//! Traversals touch memory sequentially instead of chasing `Vec<Vec<_>>`
-//! pointers, which is what makes the hot paths (the Frank–Wolfe solver's
+//! Traversals touch memory sequentially instead of chasing per-node
+//! vectors, which is what makes the hot paths (the Frank–Wolfe solver's
 //! inner Dijkstra, the schedule audit's capacity lookups) fast at fat-tree
 //! k ≥ 16 scale.
 //!
@@ -29,7 +29,7 @@
 //! let graph = GraphCsr::from_network(&ft.network);
 //! assert_eq!(graph.node_count(), ft.network.node_count());
 //!
-//! // Same BFS shortest path as the Network, served from flat arrays.
+//! // Fewest-hop shortest path, served from flat arrays.
 //! let hosts = ft.hosts();
 //! let path = graph.shortest_path(hosts[0], hosts[15]).unwrap();
 //! assert_eq!(path.len(), 6);
@@ -60,8 +60,8 @@ fn next_epoch() -> u64 {
 }
 
 /// A compressed-sparse-row snapshot of a [`Network`]: contiguous adjacency
-/// and per-link attribute arrays, the read-optimised counterpart of the
-/// mutable builder. See the module-level documentation for the layout.
+/// and per-link attribute arrays, the read path of the network store. See
+/// the module-level documentation for the layout.
 ///
 /// # Dynamic topology
 ///
@@ -186,26 +186,6 @@ impl GraphCsr {
             "network exceeds the CSR u32 id range ({n} nodes, {m} links)"
         );
 
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_link_ids = Vec::with_capacity(m);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_link_ids = Vec::with_capacity(m);
-        let mut out_dsts = Vec::with_capacity(m);
-        out_offsets.push(0);
-        in_offsets.push(0);
-        for node in network.nodes() {
-            out_link_ids.extend_from_slice(network.out_links(node.id));
-            out_dsts.extend(
-                network
-                    .out_links(node.id)
-                    .iter()
-                    .map(|&l| network.link(l).dst),
-            );
-            out_offsets.push(out_link_ids.len() as u32);
-            in_link_ids.extend_from_slice(network.in_links(node.id));
-            in_offsets.push(in_link_ids.len() as u32);
-        }
-
         let mut link_src = Vec::with_capacity(m);
         let mut link_dst = Vec::with_capacity(m);
         let mut link_capacity = Vec::with_capacity(m);
@@ -226,28 +206,29 @@ impl GraphCsr {
             .max()
             .unwrap_or(0);
 
-        let base_capacity = link_capacity.clone();
-        Self {
-            out_offsets,
-            out_link_ids,
-            out_dsts,
-            in_offsets,
-            in_link_ids,
+        let mut graph = Self {
+            out_offsets: Vec::new(),
+            out_link_ids: Vec::new(),
+            out_dsts: Vec::new(),
+            in_offsets: Vec::new(),
+            in_link_ids: Vec::new(),
             link_src,
             link_dst,
+            base_capacity: link_capacity.clone(),
             link_capacity,
-            base_capacity,
             link_up: vec![true; m],
             down_count: 0,
             node_pod,
             pod_count,
             epoch: next_epoch(),
-        }
+        };
+        graph.rebuild_adjacency();
+        graph
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out_offsets.len() - 1
+        self.node_pod.len()
     }
 
     /// Number of directed links (up and down).
@@ -327,11 +308,10 @@ impl GraphCsr {
         true
     }
 
-    /// Rebuilds the four adjacency arrays from the per-link attribute
-    /// arrays, skipping down links. Per-node adjacency in a built view is
-    /// in link-id order ([`Network::add_link`] assigns ids sequentially
-    /// and appends), so a counting rebuild reproduces the original arrays
-    /// exactly when every link is up.
+    /// Builds the adjacency arrays from the per-link attribute arrays,
+    /// skipping down links: the links are bucketed by source and by
+    /// destination in link-id order, so a node's adjacency is in link-id
+    /// (insertion) order and a recovered view equals the pristine one.
     fn rebuild_adjacency(&mut self) {
         let n = self.node_count();
         let m = self.link_count();
@@ -449,12 +429,13 @@ impl GraphCsr {
         self.links_between(src, dst).next()
     }
 
-    /// Breadth-first shortest path (fewest hops) from `src` to `dst`.
+    /// Breadth-first shortest path (fewest hops) from `src` to `dst`, or
+    /// `None` when `dst` is unreachable.
     ///
-    /// Identical tie-breaking (link insertion order) and results as
-    /// [`Network::shortest_path`]; this is the flat-array read path. It
-    /// reads the path off a [`GraphCsr::bfs_tree`] traversal that stops as
-    /// soon as `dst` is discovered.
+    /// Ties are broken by link insertion order: a node is discovered over
+    /// the first of its in-links the traversal reaches. The path is read
+    /// off a [`GraphCsr::bfs_tree`] traversal that stops as soon as `dst`
+    /// is discovered.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Path> {
         self.bfs(src, Some(dst)).path_to(self, dst)
     }
@@ -513,13 +494,15 @@ impl GraphCsr {
         dist
     }
 
-    /// Builds a [`Path`] from a link sequence, validating adjacency and
-    /// simplicity against the CSR data (the counterpart of
-    /// [`Path::from_links`] that does not need the originating network).
+    /// Builds a [`Path`] from a source node and an ordered link sequence,
+    /// validating adjacency and simplicity. A link that is down still
+    /// validates: only the link's endpoints are read.
     ///
     /// # Errors
     ///
-    /// Returns the same [`PathError`] variants as [`Path::from_links`].
+    /// Returns [`PathError::UnknownLink`] if a link id is out of range,
+    /// [`PathError::Disconnected`] if consecutive links do not chain, and
+    /// [`PathError::Loop`] if a node repeats.
     pub fn path_from_links(&self, source: NodeId, links: &[LinkId]) -> Result<Path, PathError> {
         let mut nodes = Vec::with_capacity(links.len() + 1);
         nodes.push(source);
@@ -541,6 +524,33 @@ impl GraphCsr {
         }
         Ok(Path::from_parts(source, links.to_vec(), nodes))
     }
+
+    /// Builds a [`Path`] from a node sequence, joining each consecutive
+    /// pair by its first-inserted up link ([`GraphCsr::find_link`]). A
+    /// down link joins nothing, so a path recorded before a failure
+    /// resolves only on a view without that failure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PathError::Disconnected`] if two consecutive nodes are not
+    /// joined by an up link (or the first of them is not a node of the
+    /// graph), or [`PathError::Loop`] if a node repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty.
+    pub fn path_from_nodes(&self, nodes: &[NodeId]) -> Result<Path, PathError> {
+        assert!(!nodes.is_empty(), "a path needs at least one node");
+        let mut links = Vec::with_capacity(nodes.len() - 1);
+        for (position, w) in nodes.windows(2).enumerate() {
+            let known = w[0].index() < self.node_count();
+            match known.then(|| self.find_link(w[0], w[1])).flatten() {
+                Some(link) => links.push(link),
+                None => return Err(PathError::Disconnected { position }),
+            }
+        }
+        self.path_from_links(nodes[0], &links)
+    }
 }
 
 #[cfg(test)]
@@ -548,58 +558,112 @@ mod tests {
     use super::*;
     use crate::{builders, NodeKind};
 
-    #[test]
-    fn csr_mirrors_the_network_adjacency() {
-        let ft = builders::fat_tree(4);
-        let g = GraphCsr::from_network(&ft.network);
-        assert_eq!(g.node_count(), ft.network.node_count());
-        assert_eq!(g.link_count(), ft.network.link_count());
-        for node in ft.network.nodes() {
-            assert_eq!(g.out_links(node.id), ft.network.out_links(node.id));
-            assert_eq!(g.in_links(node.id), ft.network.in_links(node.id));
+    /// The adjacency as the network once kept it: per-node vectors filled
+    /// in link-id order, then concatenated node by node.
+    fn bucketed_view(network: &Network) -> GraphCsr {
+        let n = network.node_count();
+        let (mut outs, mut ins) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        for link in network.links() {
+            outs[link.src.index()].push(link.id);
+            ins[link.dst.index()].push(link.id);
         }
-        for link in ft.network.links() {
-            assert_eq!(g.link_src(link.id), link.src);
-            assert_eq!(g.link_dst(link.id), link.dst);
-            assert_eq!(g.capacity(link.id), link.capacity);
+        let offsets = |lists: &[Vec<LinkId>]| {
+            let mut offsets = vec![0u32];
+            for list in lists {
+                offsets.push(offsets[offsets.len() - 1] + list.len() as u32);
+            }
+            offsets
+        };
+        let mut view = GraphCsr::from_network(network);
+        view.out_offsets = offsets(&outs);
+        view.in_offsets = offsets(&ins);
+        view.out_link_ids = outs.concat();
+        view.out_dsts = (view.out_link_ids.iter())
+            .map(|&l| network.link(l).dst)
+            .collect();
+        view.in_link_ids = ins.concat();
+        view
+    }
+
+    #[test]
+    fn csr_equals_the_links_bucketed_per_node_in_id_order() {
+        for topo in [
+            builders::line(4),
+            builders::parallel(3, 2.0),
+            builders::fat_tree(4),
+            builders::fat_tree(8),
+            builders::bcube(2, 1),
+            builders::bcube(3, 2),
+            builders::leaf_spine(3, 2, 4),
+            builders::dumbbell(3, 5.0),
+        ] {
+            let g = GraphCsr::from_network(&topo.network);
+            assert_eq!(g, bucketed_view(&topo.network), "{}", topo.name);
+            assert_eq!(g.node_count(), topo.network.node_count());
+            for link in topo.network.links() {
+                assert_eq!(g.link_src(link.id), link.src);
+                assert_eq!(g.link_dst(link.id), link.dst);
+                assert_eq!(g.capacity(link.id), link.capacity);
+            }
         }
     }
 
     #[test]
-    fn links_between_matches_network_find_links() {
+    fn links_between_lists_parallel_links_in_id_order() {
         let mut net = Network::new();
         let s = net.add_node(NodeKind::Host, "s");
         let d = net.add_node(NodeKind::Host, "d");
+        net.add_link(d, s, 2.0);
         for _ in 0..4 {
             net.add_link(s, d, 2.0);
         }
-        net.add_link(d, s, 2.0);
         let g = GraphCsr::from_network(&net);
-        let from_csr: Vec<LinkId> = g.links_between(s, d).collect();
-        let from_net: Vec<LinkId> = net.find_links(s, d).collect();
-        assert_eq!(from_csr, from_net);
-        assert_eq!(from_csr.len(), 4);
-        assert_eq!(g.find_link(s, d), net.find_link(s, d));
-        assert_eq!(g.find_link(d, s), net.find_link(d, s));
+        let between: Vec<LinkId> = g.links_between(s, d).collect();
+        assert_eq!(between, (1..5).map(LinkId).collect::<Vec<_>>());
+        assert_eq!(g.find_link(s, d), Some(LinkId(1)));
+        assert_eq!(g.find_link(d, s), Some(LinkId(0)));
+        assert_eq!(g.find_link(s, s), None);
+    }
+
+    fn triangle() -> (GraphCsr, NodeId, NodeId, NodeId) {
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Host, "a");
+        let b = net.add_node(NodeKind::Switch, "b");
+        let c = net.add_node(NodeKind::Host, "c");
+        net.add_duplex_link(a, b, 1.0);
+        net.add_duplex_link(b, c, 1.0);
+        net.add_duplex_link(a, c, 1.0);
+        (GraphCsr::from_network(&net), a, b, c)
     }
 
     #[test]
-    fn bfs_paths_and_trees_match_the_network_bfs() {
-        for topo in [
-            builders::fat_tree(4),
-            builders::bcube(2, 1),
-            builders::line(4),
-        ] {
-            let g = GraphCsr::from_network(&topo.network);
-            for src in topo.network.nodes().map(|n| n.id) {
-                let tree = g.bfs_tree(src);
-                for dst in topo.network.nodes().map(|n| n.id) {
-                    let expected = topo.network.shortest_path(src, dst);
-                    assert_eq!(tree.path_to(&g, dst), expected);
-                    assert_eq!(g.shortest_path(src, dst), expected);
-                }
-            }
-        }
+    fn shortest_path_direct_beats_two_hop() {
+        let (g, a, _b, c) = triangle();
+        let p = g.shortest_path(a, c).unwrap();
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.source(), a);
+        assert_eq!(p.destination(), c);
+    }
+
+    #[test]
+    fn shortest_path_to_self_is_empty() {
+        let (g, a, _, _) = triangle();
+        let p = g.shortest_path(a, a).unwrap();
+        assert_eq!(p.len(), 0);
+        assert_eq!(p.source(), a);
+        assert_eq!(p.destination(), a);
+    }
+
+    #[test]
+    fn shortest_path_unreachable_is_none() {
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Host, "a");
+        let b = net.add_node(NodeKind::Host, "b");
+        // Only a -> b, not b -> a.
+        net.add_link(a, b, 1.0);
+        let g = GraphCsr::from_network(&net);
+        assert!(g.shortest_path(b, a).is_none());
+        assert!(g.shortest_path(a, b).is_some());
     }
 
     #[test]
@@ -709,11 +773,10 @@ mod tests {
     }
 
     #[test]
-    fn path_from_links_validates_like_path_from_links() {
+    fn path_from_links_rejects_unknown_disconnected_and_looping_links() {
         let topo = builders::line(3);
-        let net = &topo.network;
-        let g = GraphCsr::from_network(net);
-        let p = net.shortest_path(topo.hosts()[0], topo.hosts()[2]).unwrap();
+        let g = GraphCsr::from_network(&topo.network);
+        let p = g.shortest_path(topo.hosts()[0], topo.hosts()[2]).unwrap();
         let rebuilt = g.path_from_links(p.source(), p.links()).unwrap();
         assert_eq!(rebuilt, p);
 
@@ -728,10 +791,31 @@ mod tests {
             Err(PathError::Disconnected { .. })
         ));
         // Loop: forward then backward over the same cable.
-        let back = net.reverse_link(l0).unwrap();
+        let back = g.find_link(g.link_dst(l0), g.link_src(l0)).unwrap();
         assert!(matches!(
             g.path_from_links(topo.hosts()[0], &[l0, back]),
             Err(PathError::Loop { .. })
         ));
+    }
+
+    #[test]
+    fn path_from_nodes_resolves_only_over_up_links() {
+        let topo = builders::line(3);
+        let mut g = GraphCsr::from_network(&topo.network);
+        let hosts = topo.hosts();
+        let p = g.shortest_path(hosts[0], hosts[2]).unwrap();
+        assert_eq!(g.path_from_nodes(p.nodes()), Ok(p.clone()));
+        assert_eq!(
+            g.path_from_nodes(&[NodeId(99), hosts[0]]),
+            Err(PathError::Disconnected { position: 0 })
+        );
+
+        // A down link joins no node pair, but its id still validates.
+        g.fail_link(p.links()[1]);
+        assert_eq!(
+            g.path_from_nodes(p.nodes()),
+            Err(PathError::Disconnected { position: 1 })
+        );
+        assert_eq!(g.path_from_links(p.source(), p.links()), Ok(p));
     }
 }

@@ -18,15 +18,16 @@
 //! * No external graph library is used: the schedulers need stable link ids,
 //!   per-link attributes and deterministic iteration order, which are easier
 //!   to guarantee with a purpose-built structure.
-//! * [`Network`] is the **mutable builder**; the read path of every hot
-//!   loop is the flat CSR view ([`GraphCsr`]) traversed through the
-//!   arena-reuse [`ShortestPathEngine`], which keeps the per-query cost
-//!   allocation-free and cache-friendly.
+//! * [`Network`] is the **store**: the builders append nodes and links to
+//!   it, and it keeps nothing else. The flat CSR view ([`GraphCsr`]) built
+//!   from it is the only adjacency and runs every traversal; hot loops go
+//!   through the arena-reuse [`ShortestPathEngine`] on it, which keeps the
+//!   per-query cost allocation-free and cache-friendly.
 //!
 //! # Example
 //!
 //! ```
-//! use dcn_topology::{Network, builders};
+//! use dcn_topology::builders;
 //!
 //! // The paper's evaluation topology: a k=8 fat-tree with 80 switches and
 //! // 128 hosts.
@@ -36,7 +37,7 @@
 //!
 //! // Shortest path between two hosts in different pods.
 //! let path = ft
-//!     .network
+//!     .csr()
 //!     .shortest_path(ft.hosts()[0], ft.hosts()[127])
 //!     .expect("fat-tree is connected");
 //! assert_eq!(path.len(), 6); // host-edge-agg-core-agg-edge-host

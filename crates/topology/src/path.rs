@@ -1,6 +1,6 @@
 //! Routing paths: ordered sequences of directed links.
 
-use crate::{LinkId, Network, NodeId};
+use crate::{LinkId, NodeId};
 use std::fmt;
 
 /// Errors that can occur when constructing a [`Path`].
@@ -39,7 +39,7 @@ impl fmt::Display for PathError {
 
 impl std::error::Error for PathError {}
 
-/// The simplicity check of the path constructors: the smallest node id
+/// The simplicity check of the path validators: the smallest node id
 /// that occurs more than once in `nodes`, if any.
 ///
 /// Data-center paths are a handful of hops and almost always simple, and
@@ -62,9 +62,12 @@ pub(crate) fn repeated_node(nodes: &[NodeId]) -> Option<NodeId> {
     sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
-/// A simple (loop-free) directed path through a [`Network`].
+/// A simple (loop-free) directed path through a network.
 ///
-/// A path stores its source node and the ordered list of directed links it
+/// [`crate::GraphCsr::path_from_links`] and
+/// [`crate::GraphCsr::path_from_nodes`] build one, validating it against
+/// the graph. A path
+/// stores its source node and the ordered list of directed links it
 /// traverses; the node sequence is derivable from those. The empty path
 /// (source equals destination, no links) is allowed so that flows between
 /// co-located endpoints degenerate gracefully.
@@ -76,48 +79,9 @@ pub struct Path {
 }
 
 impl Path {
-    /// Builds a path from a source node and an ordered link sequence,
-    /// validating adjacency and simplicity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PathError::UnknownLink`] if a link id is out of range,
-    /// [`PathError::Disconnected`] if consecutive links do not chain, and
-    /// [`PathError::Loop`] if a node repeats.
-    pub fn from_links(
-        network: &Network,
-        source: NodeId,
-        links: &[LinkId],
-    ) -> Result<Self, PathError> {
-        let mut nodes = Vec::with_capacity(links.len() + 1);
-        nodes.push(source);
-        let mut cur = source;
-        for (pos, &lid) in links.iter().enumerate() {
-            if lid.index() >= network.link_count() {
-                return Err(PathError::UnknownLink(lid));
-            }
-            let link = network.link(lid);
-            if link.src != cur {
-                return Err(PathError::Disconnected {
-                    position: pos.saturating_sub(1),
-                });
-            }
-            cur = link.dst;
-            nodes.push(cur);
-        }
-        if let Some(node) = repeated_node(&nodes) {
-            return Err(PathError::Loop { node });
-        }
-        Ok(Path {
-            source,
-            links: links.to_vec(),
-            nodes,
-        })
-    }
-
     /// Assembles a path from already-validated parts (crate-internal: used
-    /// by [`crate::GraphCsr`] and the shortest-path engine, whose walks
-    /// produce valid simple paths by construction).
+    /// by [`crate::GraphCsr`]'s validators and the shortest-path engine, whose
+    /// walks produce valid simple paths by construction).
     pub(crate) fn from_parts(source: NodeId, links: Vec<LinkId>, nodes: Vec<NodeId>) -> Self {
         debug_assert_eq!(nodes.len(), links.len() + 1);
         debug_assert_eq!(nodes.first(), Some(&source));
@@ -126,24 +90,6 @@ impl Path {
             links,
             nodes,
         }
-    }
-
-    /// Builds a path from a node sequence, looking up the connecting links.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PathError::Disconnected`] if two consecutive nodes are not
-    /// directly connected, or [`PathError::Loop`] if a node repeats.
-    pub fn from_nodes(network: &Network, nodes: &[NodeId]) -> Result<Self, PathError> {
-        assert!(!nodes.is_empty(), "a path needs at least one node");
-        let mut links = Vec::with_capacity(nodes.len().saturating_sub(1));
-        for (pos, w) in nodes.windows(2).enumerate() {
-            match network.find_link(w[0], w[1]) {
-                Some(l) => links.push(l),
-                None => return Err(PathError::Disconnected { position: pos }),
-            }
-        }
-        Self::from_links(network, nodes[0], &links)
     }
 
     /// The first node of the path.
@@ -205,22 +151,22 @@ impl fmt::Display for Path {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeKind;
+    use crate::{GraphCsr, Network, NodeKind};
 
-    fn line3() -> (Network, Vec<NodeId>) {
+    fn line3() -> (GraphCsr, Vec<NodeId>) {
         let mut net = Network::new();
         let a = net.add_node(NodeKind::Host, "a");
         let b = net.add_node(NodeKind::Switch, "b");
         let c = net.add_node(NodeKind::Host, "c");
         net.add_duplex_link(a, b, 5.0);
         net.add_duplex_link(b, c, 3.0);
-        (net, vec![a, b, c])
+        (GraphCsr::from_network(&net), vec![a, b, c])
     }
 
     #[test]
     fn from_nodes_builds_expected_links() {
-        let (net, ns) = line3();
-        let p = Path::from_nodes(&net, &ns).unwrap();
+        let (graph, ns) = line3();
+        let p = graph.path_from_nodes(&ns).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.source(), ns[0]);
         assert_eq!(p.destination(), ns[2]);
@@ -230,11 +176,11 @@ mod tests {
 
     #[test]
     fn from_links_rejects_disconnected() {
-        let (net, ns) = line3();
+        let (graph, ns) = line3();
         // Take a->b and c->b: not chained.
-        let ab = net.find_link(ns[0], ns[1]).unwrap();
-        let cb = net.find_link(ns[2], ns[1]).unwrap();
-        let err = Path::from_links(&net, ns[0], &[ab, cb]).unwrap_err();
+        let ab = graph.find_link(ns[0], ns[1]).unwrap();
+        let cb = graph.find_link(ns[2], ns[1]).unwrap();
+        let err = graph.path_from_links(ns[0], &[ab, cb]).unwrap_err();
         assert!(matches!(err, PathError::Disconnected { .. }));
     }
 
@@ -254,24 +200,24 @@ mod tests {
 
     #[test]
     fn from_links_rejects_loop() {
-        let (net, ns) = line3();
-        let ab = net.find_link(ns[0], ns[1]).unwrap();
-        let ba = net.find_link(ns[1], ns[0]).unwrap();
-        let err = Path::from_links(&net, ns[0], &[ab, ba]).unwrap_err();
+        let (graph, ns) = line3();
+        let ab = graph.find_link(ns[0], ns[1]).unwrap();
+        let ba = graph.find_link(ns[1], ns[0]).unwrap();
+        let err = graph.path_from_links(ns[0], &[ab, ba]).unwrap_err();
         assert!(matches!(err, PathError::Loop { .. }));
     }
 
     #[test]
     fn unknown_link_is_reported() {
-        let (net, ns) = line3();
-        let err = Path::from_links(&net, ns[0], &[LinkId(99)]).unwrap_err();
+        let (graph, ns) = line3();
+        let err = graph.path_from_links(ns[0], &[LinkId(99)]).unwrap_err();
         assert_eq!(err, PathError::UnknownLink(LinkId(99)));
     }
 
     #[test]
     fn empty_path_is_allowed() {
-        let (net, ns) = line3();
-        let p = Path::from_links(&net, ns[0], &[]).unwrap();
+        let (graph, ns) = line3();
+        let p = graph.path_from_links(ns[0], &[]).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.source(), p.destination());
         assert_eq!(p.weight(|_| 1.0), 0.0);
@@ -279,16 +225,16 @@ mod tests {
 
     #[test]
     fn weight_sums_the_link_weights() {
-        let (net, ns) = line3();
-        let p = Path::from_nodes(&net, &ns).unwrap();
+        let (graph, ns) = line3();
+        let p = graph.path_from_nodes(&ns).unwrap();
         let hops = p.weight(|_| 1.0);
         assert_eq!(hops, 2.0);
     }
 
     #[test]
     fn display_is_readable() {
-        let (net, ns) = line3();
-        let p = Path::from_nodes(&net, &ns).unwrap();
+        let (graph, ns) = line3();
+        let p = graph.path_from_nodes(&ns).unwrap();
         assert_eq!(p.to_string(), "n0 -> n1 -> n2");
     }
 }

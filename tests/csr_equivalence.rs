@@ -9,7 +9,10 @@
 //! shortest paths, BFS paths and full Frank–Wolfe F-MCF solutions must be
 //! identical — bit for bit, including deterministic tie-breaking — to what
 //! the original adjacency-list algorithms produced. The originals are
-//! preserved verbatim in [`reference`] below as the oracle.
+//! preserved verbatim in [`reference`] below as the oracle. `Network` no
+//! longer keeps adjacency lists, so the references carry their own
+//! ([`reference::Lists`], the links bucketed per node in id order, read
+//! from `network.links()`), and the CSR arrays are checked against them.
 //!
 //! The Frank–Wolfe *loop* of the oracle is the pre-refactor one — a
 //! `Vec<Vec<f64>>` flow matrix blended entry by entry — with the two
@@ -47,12 +50,110 @@ const OVERLOAD_PENALTY: f64 = 1e3;
 
 /// The pre-refactor adjacency-list algorithms, copied verbatim (modulo
 /// visibility) from `dcn-topology`/`dcn-solver` as they were before the
-/// CSR core landed.
+/// CSR core landed. They traverse their own adjacency lists, [`Lists`],
+/// which they read from `network.links()` alone.
 mod reference {
     use super::*;
     use deadline_dcn::topology::Path;
     use std::cmp::Ordering;
     use std::collections::{BinaryHeap, VecDeque};
+    use std::ops::Deref;
+
+    /// The per-node adjacency lists `Network` kept before [`GraphCsr`]
+    /// became the only adjacency: every node's out- and in-links in link-id
+    /// (insertion) order. It reads as the network it was built from
+    /// (`Deref`), so the copied algorithms below run on it unchanged.
+    pub struct Lists<'a> {
+        network: &'a Network,
+        out_links: Vec<Vec<LinkId>>,
+        in_links: Vec<Vec<LinkId>>,
+        /// Validates the paths the references return, as
+        /// `Path::from_links(network, …)` did: it reads link endpoints only.
+        validator: GraphCsr,
+    }
+
+    impl Deref for Lists<'_> {
+        type Target = Network;
+
+        fn deref(&self) -> &Network {
+            self.network
+        }
+    }
+
+    impl<'a> Lists<'a> {
+        pub fn of(network: &'a Network) -> Self {
+            let n = network.node_count();
+            let (mut out_links, mut in_links) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+            for link in network.links() {
+                out_links[link.src.index()].push(link.id);
+                in_links[link.dst.index()].push(link.id);
+            }
+            let validator = GraphCsr::from_network(network);
+            Lists {
+                network,
+                out_links,
+                in_links,
+                validator,
+            }
+        }
+
+        /// Outgoing links of `node`, in insertion order.
+        pub fn out_links(&self, node: NodeId) -> &[LinkId] {
+            &self.out_links[node.index()]
+        }
+
+        /// Incoming links of `node`, in insertion order.
+        pub fn in_links(&self, node: NodeId) -> &[LinkId] {
+            &self.in_links[node.index()]
+        }
+
+        fn path(&self, src: NodeId, links: &[LinkId]) -> Option<Path> {
+            self.validator.path_from_links(src, links).ok()
+        }
+
+        /// Breadth-first shortest path (fewest hops) from `src` to `dst`.
+        ///
+        /// Returns `None` when `dst` is unreachable from `src`. Ties are broken
+        /// deterministically by link insertion order.
+        pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Path> {
+            if src == dst {
+                return self.path(src, &[]);
+            }
+            let n = self.node_count();
+            let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
+            let mut visited = vec![false; n];
+            visited[src.index()] = true;
+            let mut queue = VecDeque::new();
+            queue.push_back(src);
+            while let Some(u) = queue.pop_front() {
+                for &lid in &self.out_links[u.index()] {
+                    let v = self.link(lid).dst;
+                    if !visited[v.index()] {
+                        visited[v.index()] = true;
+                        parent_link[v.index()] = Some(lid);
+                        if v == dst {
+                            return Some(self.reconstruct(src, dst, &parent_link));
+                        }
+                        queue.push_back(v);
+                    }
+                }
+            }
+            None
+        }
+
+        fn reconstruct(&self, src: NodeId, dst: NodeId, parent_link: &[Option<LinkId>]) -> Path {
+            let mut links_rev = Vec::new();
+            let mut cur = dst;
+            while cur != src {
+                let lid = parent_link[cur.index()].expect("path reconstruction reached a dead end");
+                links_rev.push(lid);
+                cur = self.link(lid).src;
+            }
+            links_rev.reverse();
+            self.path(src, &links_rev)
+                .expect("reconstructed path must be valid")
+        }
+    }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct HeapEntry {
@@ -80,7 +181,7 @@ mod reference {
 
     /// The original per-call Dijkstra over `Network`'s adjacency lists.
     pub fn dijkstra(
-        network: &Network,
+        network: &Lists,
         src: NodeId,
         dst: NodeId,
         mut link_weight: impl FnMut(LinkId) -> f64,
@@ -120,7 +221,7 @@ mod reference {
         }
 
         if src == dst {
-            return Path::from_links(network, src, &[]).ok();
+            return network.path(src, &[]);
         }
         if dist[dst.index()].is_infinite() {
             return None;
@@ -133,7 +234,7 @@ mod reference {
             cur = network.link(lid).src;
         }
         links_rev.reverse();
-        Path::from_links(network, src, &links_rev).ok()
+        network.path(src, &links_rev)
     }
 
     fn column_sums(rows: &[Vec<f64>], m: usize) -> Vec<f64> {
@@ -195,7 +296,7 @@ mod reference {
 
     /// Hop distance of every node from `src` by breadth-first search over
     /// the adjacency lists (`usize::MAX` = unreachable).
-    fn hop_distances_from(network: &Network, src: NodeId) -> Vec<usize> {
+    fn hop_distances_from(network: &Lists, src: NodeId) -> Vec<usize> {
         let mut dist = vec![usize::MAX; network.node_count()];
         dist[src.index()] = 0;
         let mut queue = VecDeque::from([src]);
@@ -218,7 +319,7 @@ mod reference {
     /// arrives at a node is divided equally over its in-links from nodes
     /// one hop closer to the source; the split of a unit demand is scaled
     /// by the demand.
-    fn ecmp_split(network: &Network, commodities: &[Commodity]) -> Option<Vec<Vec<f64>>> {
+    fn ecmp_split(network: &Lists, commodities: &[Commodity]) -> Option<Vec<Vec<f64>>> {
         let n = network.node_count();
         commodities
             .iter()
@@ -271,6 +372,7 @@ mod reference {
         config: &FmcfSolverConfig,
         start: Start,
     ) -> (Vec<Vec<f64>>, usize, bool, usize) {
+        let network = &Lists::of(network);
         let over = |load: f64| (load > capacity).then_some(load - capacity);
         let penalty = |load: f64| over(load).map_or(0.0, |d| OVERLOAD_PENALTY * d.powi(2));
         let penalty_marginal = |load: f64| over(load).map_or(0.0, |d| 2.0 * OVERLOAD_PENALTY * d);
@@ -464,7 +566,8 @@ proptest! {
         let src = NodeId(s % spec.n);
         let dst = NodeId(t % spec.n);
 
-        let oracle = reference::dijkstra(&net, src, dst, |l| weights[l.index()]);
+        let lists = reference::Lists::of(&net);
+        let oracle = reference::dijkstra(&lists, src, dst, |l| weights[l.index()]);
         let one_shot = ShortestPathEngine::new().shortest_path(
             &GraphCsr::from_network(&net),
             src,
@@ -482,6 +585,21 @@ proptest! {
         prop_assert_eq!(&first, &second);
     }
 
+    /// The CSR adjacency is the links bucketed per node in id order: every
+    /// node's out-links (with their destinations) and in-links equal the
+    /// reference lists read from `network.links()`.
+    #[test]
+    fn csr_adjacency_equals_the_reference_lists(spec in arb_topo()) {
+        let net = build(&spec);
+        let (graph, lists) = (GraphCsr::from_network(&net), reference::Lists::of(&net));
+        for v in (0..spec.n).map(NodeId) {
+            prop_assert_eq!(graph.out_links(v), lists.out_links(v));
+            prop_assert_eq!(graph.in_links(v), lists.in_links(v));
+            let dsts: Vec<NodeId> = lists.out_links(v).iter().map(|&l| net.link(l).dst).collect();
+            prop_assert_eq!(graph.out_links_with_dsts(v).map(|(_, d)| d).collect::<Vec<_>>(), dsts);
+        }
+    }
+
     /// CSR breadth-first shortest paths equal the builder's BFS (same
     /// insertion-order tie-breaking).
     #[test]
@@ -494,7 +612,29 @@ proptest! {
         let graph = GraphCsr::from_network(&net);
         let src = NodeId(s % spec.n);
         let dst = NodeId(t % spec.n);
-        prop_assert_eq!(net.shortest_path(src, dst), graph.shortest_path(src, dst));
+        let lists = reference::Lists::of(&net);
+        prop_assert_eq!(lists.shortest_path(src, dst), graph.shortest_path(src, dst));
+    }
+}
+
+/// Every node's BFS tree, and the single-target BFS, read the reference
+/// BFS's path to every node on the builders' fabrics.
+#[test]
+fn bfs_paths_and_trees_match_the_reference_bfs() {
+    for topo in [
+        builders::fat_tree(4),
+        builders::bcube(2, 1),
+        builders::line(4),
+    ] {
+        let (g, lists) = (topo.csr(), reference::Lists::of(&topo.network));
+        for src in topo.network.nodes().map(|n| n.id) {
+            let tree = g.bfs_tree(src);
+            for dst in topo.network.nodes().map(|n| n.id) {
+                let expected = lists.shortest_path(src, dst);
+                assert_eq!(tree.path_to(&g, dst), expected);
+                assert_eq!(g.shortest_path(src, dst), expected);
+            }
+        }
     }
 }
 

@@ -197,11 +197,7 @@ fn dcfsr_routes_on_shortest_paths_only_on_the_failure_free_fat_tree() {
         ctx.verify(schedule, &flows, &x2()).unwrap();
         for fs in schedule.flow_schedules() {
             let flow = flows.flow(fs.flow);
-            let hops = topo
-                .network
-                .shortest_path(flow.src, flow.dst)
-                .unwrap()
-                .len();
+            let hops = ctx.graph().shortest_path(flow.src, flow.dst).unwrap().len();
             assert_eq!(
                 fs.path.len(),
                 hops,
@@ -226,7 +222,7 @@ fn a_tiny_flow_is_never_routed_across_a_down_link() {
     let topo = builders::fat_tree_with_capacity(4, 10.0);
     let hosts = topo.hosts();
     // The second link of the tiny flow's pristine shortest path.
-    let pristine = topo.network.shortest_path(hosts[1], hosts[14]).unwrap();
+    let pristine = topo.csr().shortest_path(hosts[1], hosts[14]).unwrap();
     let down = pristine.links()[1];
     assert_eq!(down, LinkId(1));
 
