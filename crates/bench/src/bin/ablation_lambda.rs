@@ -81,7 +81,6 @@ fn main() {
     if let Some(algorithms) = cli.algorithms.clone() {
         exp.algorithms = algorithms;
     }
-    exp.record_timings = cli.timings;
     let outcome = exp.run(cli.threads);
     let report = &outcome.report;
     let rows: Vec<Vec<String>> = report

@@ -97,10 +97,6 @@ fn main() {
             rs_capacity_excess: excess,
             rs_sim: Some(rs_sim),
             sp_sim: Some(sp_sim),
-            solve_wall_ms: None,
-            intervals_per_second: None,
-            requests_per_second: None,
-            p99_latency_ms: None,
             extra: vec![
                 ("budget".to_string(), budget as f64),
                 ("attempts".to_string(), attempts as f64),

@@ -47,7 +47,6 @@ fn main() {
     if let Some(algorithms) = cli.algorithms.clone() {
         exp.algorithms = algorithms;
     }
-    exp.record_timings = cli.timings;
     let outcome = exp.run(cli.threads);
     let rows: Vec<Vec<String>> = outcome
         .report

@@ -60,10 +60,6 @@ fn main() {
             rs_capacity_excess: 0.0,
             rs_sim: Some(sim),
             sp_sim: None,
-            solve_wall_ms: None,
-            intervals_per_second: None,
-            requests_per_second: None,
-            p99_latency_ms: None,
             extra: vec![
                 ("s1_measured".to_string(), s1),
                 ("s1_paper".to_string(), s1_paper),

@@ -43,8 +43,7 @@
 //! ["rejected", J], ["missed", M], ["failure_missed", FM], ["load", L],
 //! ["run", r]]`. Same determinism contract as every artifact: the failure
 //! stream is a pure function of the seed (per-link derived RNG streams),
-//! so without `--timings`, fixed seed ⇒ byte-identical JSON for any
-//! `--threads`.
+//! so fixed seed ⇒ byte-identical JSON for any `--threads`.
 
 use dcn_bench::runner::ExperimentCli;
 use dcn_bench::{run_online_sweep, OnlineInstance, OnlineSweep};

@@ -68,7 +68,6 @@ fn main() {
     if let Some(algorithms) = cli.algorithms.clone() {
         exp.algorithms = algorithms;
     }
-    exp.record_timings = cli.timings;
     let outcome = exp.run(cli.threads);
     for power in fig2_power_functions() {
         let group = format!("x^{}", power.alpha());

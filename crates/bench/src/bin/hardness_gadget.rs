@@ -65,10 +65,6 @@ fn main() {
                 rs_capacity_excess: rs.diagnostics.capacity_excess.unwrap_or(0.0),
                 rs_sim: None,
                 sp_sim: None,
-                solve_wall_ms: None,
-                intervals_per_second: None,
-                requests_per_second: None,
-                p99_latency_ms: None,
                 extra: vec![("m".to_string(), m as f64), ("B".to_string(), b)],
             }
         })

@@ -41,11 +41,9 @@
 //! instance's `extra` records the `OnlineReport` counters: `[["load", L],
 //! ["admission", 0|1], ["events", E], ["resolves", R],
 //! ["solve_failures", F], ["admitted", A], ["rejected", J], ["missed", M],
-//! ["run", r]]` (admission 0 = admit-all, 1 = reject-infeasible), and —
-//! only under `--timings`, because wall clock varies run to run —
-//! `events_per_second` and `arrivals_per_second` throughput columns.
-//! Same determinism contract as every artifact: without `--timings`,
-//! fixed seed ⇒ byte-identical JSON for any `--threads`.
+//! ["run", r]]` (admission 0 = admit-all, 1 = reject-infeasible). Same
+//! determinism contract as every artifact: fixed seed ⇒ byte-identical
+//! JSON for any `--threads`.
 //!
 //! Under `--quick` the sweep is followed by a throughput smoke: 100 000
 //! arrivals on a fat-tree(k=16) pushed through the event loop
@@ -69,23 +67,6 @@ fn main() {
         "online",
         &["--runs", "--flows", "--algorithms", "--policies", "--load"],
     );
-    let mut extra = vec![
-        "load",
-        "admission",
-        "events",
-        "resolves",
-        "solve_failures",
-        "admitted",
-        "rejected",
-        "missed",
-        "run",
-    ];
-    if cli.timings {
-        // Wall clock varies run to run, so these columns are opt-in — they
-        // intentionally break the byte-determinism contract, exactly like
-        // the top-level wall_clock field.
-        extra.extend(["events_per_second", "arrivals_per_second"]);
-    }
     let sweep = OnlineSweep {
         name: "online",
         headline: "Online event-driven sweep",
@@ -99,7 +80,17 @@ fn main() {
             }
         }),
         policies: POLICY_NAMES.iter().map(|n| n.to_string()).collect(),
-        extra,
+        extra: vec![
+            "load",
+            "admission",
+            "events",
+            "resolves",
+            "solve_failures",
+            "admitted",
+            "rejected",
+            "missed",
+            "run",
+        ],
         fixed: Vec::new(),
         columns: vec![
             ("rejected", "rejected"),

@@ -13,11 +13,12 @@
 //! cargo run --release -p dcn-bench --bin scaling                  # k=4 and k=8
 //! cargo run --release -p dcn-bench --bin scaling -- --quick       # CI smoke: k=4
 //! cargo run --release -p dcn-bench --bin scaling -- --full        # adds k=16
-//! cargo run --release -p dcn-bench --bin scaling -- --runs 3 --json-out --timings
+//! cargo run --release -p dcn-bench --bin scaling -- --runs 3 --json-out
 //! ```
 //!
-//! `--runs` controls seeds per sweep point; `--timings` embeds wall-clock
-//! seconds (opting out of byte-determinism, as everywhere else).
+//! `--runs` controls seeds per sweep point. The artifact carries energies
+//! only; the run's wall clock goes to stderr, and solve time is measured by
+//! `perf/`.
 
 use dcn_bench::runner::ExperimentCli;
 use dcn_bench::{fig2_power_functions, print_table, Experiment, InstanceInput, InstanceSpec};
@@ -68,7 +69,6 @@ fn main() {
     if let Some(algorithms) = cli.algorithms.clone() {
         exp.algorithms = algorithms;
     }
-    exp.record_timings = cli.timings;
     let outcome = exp.run(cli.threads);
     for &k in ks {
         let group = format!("k={k}");

@@ -1,4 +1,4 @@
-//! `serve` — closed-loop throughput and energy audit of the `dcn-server`
+//! `serve` — closed-loop admission and energy audit of the `dcn-server`
 //! daemon.
 //!
 //! Every other experiment solves a batch instance; this one measures the
@@ -14,7 +14,6 @@
 //! ```text
 //! cargo run --release -p dcn-bench --bin serve                      # default sweep
 //! cargo run --release -p dcn-bench --bin serve -- --quick           # CI smoke
-//! cargo run --release -p dcn-bench --bin serve -- --quick --timings # + req/s, p99
 //! cargo run --release -p dcn-bench --bin serve -- --policies resolve --flows 200
 //! cargo run --release -p dcn-bench --bin serve -- --shard-workers 4 --queue-depth 64
 //! ```
@@ -25,7 +24,7 @@
 //! count and per-worker queue bound; `--flows` the submissions per cell;
 //! `--runs` the seeds per cell.
 //!
-//! **`BENCH_serve.json` schema (v3):** groups are
+//! **`BENCH_serve.json` schema (v4):** groups are
 //! `"<topology>|<policy>|<admission>"`, `x` is the submission count.
 //! `rs_*` fields carry the audited energy of the cell's policy, `sp_*`
 //! the `greedy` (full-blast bottleneck) reference on the same workload,
@@ -37,13 +36,10 @@
 //! `extra` records `[["requests", n], ["admitted", a], ["rejected", j],
 //! ["busy", b], ["missed", m], ["run", r]]` (the worker width is
 //! deliberately **not** a column — the artifact must not depend on it). The
-//! schema-v3 columns `requests_per_second` and `p99_latency_ms` are
-//! populated **only under `--timings`** (wall clock varies run to run)
-//! and stay `null` otherwise, which keeps the default artifact
-//! byte-identical at any `--shard-workers` width — the CI pins that by
-//! `cmp`-ing runs at widths 1 and 2.
-
-use std::time::Instant;
+//! artifact is byte-identical at any `--shard-workers` width — the CI pins
+//! that by `cmp`-ing runs at widths 1, 2 and 3. The served request's wall
+//! clock is measured by `perf/`'s `serve_closed` workload (EXPERIMENTS.md,
+//! "Served request").
 
 use dcn_bench::print_table;
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
@@ -52,7 +48,8 @@ use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
 use dcn_server::{
-    Request, RequestBody, ResponseBody, ServePolicy, Server, ServerConfig, SubmitFlow, TopologySpec,
+    Request, RequestBody, ResponseBody, ServePolicy, Server, ServerConfig, SnapshotError,
+    SubmitFlow, TopologySpec,
 };
 use dcn_topology::builders;
 use dcn_topology::GraphCsr;
@@ -64,8 +61,8 @@ struct Cell {
     run: u64,
 }
 
-/// What one daemon pass produced: admission counters, the audited
-/// schedule metrics, and (optionally) client-side latency samples.
+/// What one daemon pass produced: admission counters and the audited
+/// schedule metrics.
 struct PassOutcome {
     energy: f64,
     capacity_excess: f64,
@@ -73,9 +70,6 @@ struct PassOutcome {
     rejected: usize,
     busy: usize,
     missed: usize,
-    elapsed_seconds: f64,
-    /// Per-submission round-trip latencies in milliseconds.
-    latencies_ms: Vec<f64>,
 }
 
 fn main() {
@@ -155,10 +149,9 @@ fn main() {
         }
     }
 
-    // The daemon owns its worker threads, and the closed-loop wall clock
-    // is the measurement — cells therefore run sequentially instead of
-    // through `run_indexed`, which keeps the timings honest and the
-    // record order (hence the artifact) deterministic.
+    // Each pass starts a daemon with `--shard-workers - 1` threads of its
+    // own, so cells run one at a time rather than through `run_indexed`:
+    // the daemon's width is the run's only parallelism.
     let (records, elapsed_seconds) = timed(|| {
         grid.iter()
             .enumerate()
@@ -186,15 +179,13 @@ fn main() {
                 let sp_energy = reference.as_ref().map_or(outcome.energy, |r| r.energy);
                 let lower_bound = fluid_lower_bound(spec, &power, flows, seed);
                 eprintln!(
-                    "  [serve] {}/{} {}|{} seed={seed} — {} admitted, {} rejected, \
-                     {:.0} req/s",
+                    "  [serve] {}/{} {}|{} seed={seed} — {} admitted, {} rejected",
                     i + 1,
                     grid.len(),
                     spec,
                     cell.policy.name(),
                     outcome.admitted,
                     outcome.rejected,
-                    flows as f64 / outcome.elapsed_seconds.max(f64::MIN_POSITIVE)
                 );
                 let extra = vec![
                     ("requests".to_string(), flows as f64),
@@ -223,15 +214,6 @@ fn main() {
                     rs_capacity_excess: outcome.capacity_excess,
                     rs_sim: None,
                     sp_sim: None,
-                    solve_wall_ms: None,
-                    intervals_per_second: None,
-                    // Wall clock varies run to run, so the serving columns
-                    // are opt-in — they intentionally break the byte-
-                    // determinism contract, exactly like wall_clock_seconds.
-                    requests_per_second: cli
-                        .timings
-                        .then(|| flows as f64 / outcome.elapsed_seconds.max(f64::MIN_POSITIVE)),
-                    p99_latency_ms: cli.timings.then(|| p99(&outcome.latencies_ms)),
                     extra,
                 }
             })
@@ -301,10 +283,6 @@ fn main() {
         "`serve/LB` audits the daemon's committed plans against the fluid per-flow bound; \
          `ratio` compares the policy to the greedy full-blast reference."
     );
-    println!(
-        "Throughput and p99 latency land in the artifact only under --timings \
-         (see EXPERIMENTS.md)."
-    );
     cli.emit(&report, elapsed_seconds);
 }
 
@@ -343,8 +321,6 @@ fn run_pass(
     let mut admitted = 0usize;
     let mut rejected = 0usize;
     let mut busy = 0usize;
-    let mut latencies_ms = Vec::with_capacity(submissions.len());
-    let start = Instant::now();
     for (i, flow) in submissions.iter().enumerate() {
         let body = RequestBody::SubmitFlow(SubmitFlow {
             src: flow.src.0,
@@ -353,7 +329,6 @@ fn run_pass(
             deadline: flow.deadline,
             volume: flow.volume,
         });
-        let sent = Instant::now();
         let mut response = server.request(Request::new(i as u64, body.clone()));
         // A closed-loop client rarely sees Busy (the queue drains between
         // submissions), but honor the backpressure contract anyway.
@@ -361,7 +336,6 @@ fn run_pass(
             busy += 1;
             response = server.request(Request::new(i as u64, body.clone()));
         }
-        latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
         match response.body {
             ResponseBody::Admit(reply) => {
                 if reply.admitted {
@@ -373,7 +347,6 @@ fn run_pass(
             other => panic!("[serve] unexpected reply to a submission: {other:?}"),
         }
     }
-    let elapsed_seconds = start.elapsed().as_secs_f64();
 
     let snapshot = server
         .collect_snapshot()
@@ -381,14 +354,17 @@ fn run_pass(
     server.shutdown();
     let missed = snapshot.missed_count();
     // With reject-infeasible admission every flow of a cell can be turned
-    // away; an empty plan set carries zero energy by definition.
+    // away; an empty plan set carries zero energy by definition. A record
+    // the daemon wrote and its own restore refuses is a bug, never zero
+    // energy.
     let power = PowerFunction::speed_scaling_only(1.0, 2.0, builders::DEFAULT_CAPACITY);
     let (energy, capacity_excess) = match snapshot.schedule(&built.network) {
         Ok(schedule) => (
             schedule.energy(&power).total(),
             schedule.max_capacity_excess(&built.network, &power),
         ),
-        Err(_) => (0.0, 0.0),
+        Err(SnapshotError::Empty) => (0.0, 0.0),
+        Err(e) => panic!("[serve] the daemon's snapshot does not rebuild: {e}"),
     };
 
     PassOutcome {
@@ -398,8 +374,6 @@ fn run_pass(
         rejected,
         busy,
         missed,
-        elapsed_seconds,
-        latencies_ms,
     }
 }
 
@@ -425,15 +399,4 @@ fn fluid_lower_bound(spec: TopologySpec, power: &PowerFunction, flows: usize, se
             hops as f64 * span * power.power(flow.volume / span)
         })
         .sum()
-}
-
-/// The 99th-percentile of a latency sample, in the sample's unit.
-fn p99(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }

@@ -81,13 +81,6 @@ pub struct InstanceResult {
     /// Audited energies of any algorithm beyond the first two, as
     /// `("<name>_energy", energy)` pairs in selection order.
     pub extra_energies: Vec<(String, f64)>,
-    /// Wall-clock spent inside the algorithms' `solve` calls, in
-    /// milliseconds (audits excluded). Only surfaces in
-    /// the artifact when the experiment opts into `--timings`.
-    pub solve_wall_ms: f64,
-    /// Total relaxation intervals solved across the instance's algorithms
-    /// (summed over every algorithm that reports the diagnostic).
-    pub relaxation_intervals: usize,
 }
 
 /// The algorithm registry of the benchmark harness: `dcfsr` and `lb` relax
@@ -142,18 +135,14 @@ pub fn run_flow_set_algorithms(
     }
 
     let mut ran: Vec<Ran> = Vec::with_capacity(algorithms.len());
-    let mut solve_wall_ms = 0.0;
-    let mut relaxation_intervals = 0;
     for name in algorithms {
         let mut algo = registry
             .create(name)
             .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
         algo.set_seed(seed);
-        let (solution, solve_seconds) = runner::timed(|| algo.solve(&mut ctx, flows, power));
-        let solution =
-            solution.unwrap_or_else(|e| panic!("{name} must solve connected instances: {e}"));
-        solve_wall_ms += solve_seconds * 1e3;
-        relaxation_intervals += solution.diagnostics.relaxation_intervals.unwrap_or(0);
+        let solution = algo
+            .solve(&mut ctx, flows, power)
+            .unwrap_or_else(|e| panic!("{name} must solve connected instances: {e}"));
         match &solution.schedule {
             Some(schedule) => {
                 let audit = schedule.audit(ctx.graph(), flows, power);
@@ -212,8 +201,6 @@ pub fn run_flow_set_algorithms(
             .iter()
             .map(|r| (format!("{}_energy", r.name), r.energy))
             .collect(),
-        solve_wall_ms,
-        relaxation_intervals,
     }
 }
 
@@ -405,8 +392,7 @@ struct SweepCell<'a> {
 /// (`events`, `topology_events`, `resolves`, `solve_failures`,
 /// `admitted`, `rejected`, `missed`, `failure_missed`), `admission`
 /// (0 = admit-all, 1 = reject-infeasible), `link_downs` (the instance's
-/// `LinkDown` events), `run`, and the wall-clock `events_per_second` and
-/// `arrivals_per_second`.
+/// `LinkDown` events) and `run`.
 ///
 /// The caller prints its notes and emits the returned report.
 ///
@@ -482,21 +468,18 @@ pub fn run_online_sweep(
                 .generate(topo.hosts())
                 .expect("workload generation succeeds on topologies with >= 2 hosts");
             let instance = instance(topo, &base, x, seed);
-            let (result, seconds) = runner::timed(|| {
-                run_online_flow_set(
-                    topo,
-                    &instance,
-                    &power,
-                    seed,
-                    algorithm,
-                    cell.policy,
-                    cell.admission,
-                )
-            });
+            let result = run_online_flow_set(
+                topo,
+                &instance,
+                &power,
+                seed,
+                algorithm,
+                cell.policy,
+                cell.admission,
+            );
             let label = format!("{} {}={x} seed={seed}", group(cell), sweep.axis);
             eprintln!("  [{}] {}/{} {label}", sweep.name, i + 1, grid.len());
             let report = &result.outcome.report;
-            let per_second = |count: usize| count as f64 / seconds.max(f64::MIN_POSITIVE);
             let value = |key: &str| match key {
                 key if key == sweep.axis => x,
                 "admission" => match cell.admission {
@@ -513,8 +496,6 @@ pub fn run_online_sweep(
                 "missed" => report.missed() as f64,
                 "failure_missed" => report.failure_missed() as f64,
                 "run" => cell.run as f64,
-                "events_per_second" => per_second(report.events),
-                "arrivals_per_second" => per_second(instance.flows.len()),
                 other => match sweep.fixed.iter().find(|(key, _)| *key == other) {
                     Some(&(_, value)) => value,
                     None => panic!("[{}] no extra dimension named {other:?}", sweep.name),
@@ -537,10 +518,6 @@ pub fn run_online_sweep(
                     .max_capacity_excess(&topo.network, &power),
                 rs_sim: Some(result.online_sim),
                 sp_sim: Some(result.offline_sim),
-                solve_wall_ms: None,
-                intervals_per_second: None,
-                requests_per_second: None,
-                p99_latency_ms: None,
                 extra: sweep
                     .extra
                     .iter()
@@ -696,17 +673,11 @@ pub struct Experiment {
     pub algorithms: Vec<String>,
     /// The instance grid, in deterministic order.
     pub instances: Vec<InstanceSpec>,
-    /// Emit the wall-clock columns ([`report::InstanceRecord::solve_wall_ms`]
-    /// and [`report::InstanceRecord::intervals_per_second`]) into the
-    /// artifact (the `--timings` CLI knob). Off by default because timing
-    /// columns are machine-dependent and break byte-for-byte artifact
-    /// comparison.
-    pub record_timings: bool,
 }
 
 /// The outcome of [`Experiment::run`]: the artifact plus the measured
-/// wall-clock (kept outside the report so the default artifact stays
-/// deterministic).
+/// wall-clock, which only the stderr summary of
+/// [`runner::ExperimentCli::emit`] prints.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The assembled report.
@@ -724,7 +695,6 @@ impl Experiment {
             topologies,
             algorithms: default_algorithms(),
             instances: Vec::new(),
-            record_timings: false,
         }
     }
 
@@ -813,20 +783,10 @@ impl Experiment {
 
     /// Builds the artifact record of one solved instance; energies of
     /// algorithms beyond the primary/reference pair are appended to the
-    /// record's `extra` dimensions. The wall-clock columns are populated
-    /// only under [`Experiment::record_timings`] so the default artifact
-    /// stays machine-independent.
+    /// record's `extra` dimensions.
     fn record(&self, spec: &InstanceSpec, result: &InstanceResult) -> InstanceRecord {
         let mut extra = spec.extra.clone();
         extra.extend(result.extra_energies.iter().cloned());
-        let solve_wall_ms = self.record_timings.then_some(result.solve_wall_ms);
-        let intervals_per_second = self
-            .record_timings
-            .then(|| {
-                (result.solve_wall_ms > 0.0 && result.relaxation_intervals > 0)
-                    .then(|| result.relaxation_intervals as f64 / (result.solve_wall_ms / 1e3))
-            })
-            .flatten();
         InstanceRecord {
             label: format!("{} x={} seed={}", spec.group, spec.x, spec.seed),
             flows: result.flows,
@@ -841,10 +801,6 @@ impl Experiment {
             rs_capacity_excess: result.rs_capacity_excess,
             rs_sim: Some(result.rs_sim),
             sp_sim: Some(result.sp_sim),
-            solve_wall_ms,
-            intervals_per_second,
-            requests_per_second: None,
-            p99_latency_ms: None,
             extra,
         }
     }

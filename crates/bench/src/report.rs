@@ -6,9 +6,8 @@
 //! the serialization is **canonical**: field order follows the struct
 //! definitions, floats print via Rust's shortest round-trip formatting, and
 //! nothing in the artifact depends on the machine, the wall clock or the
-//! thread count — unless the run opts into `--timings`, which embeds
-//! [`ExperimentReport::wall_clock_seconds`] and is documented to break the
-//! byte-determinism contract.
+//! thread count. Wall-clock readings go to stderr only; timing claims are
+//! measured by `perf/`.
 
 use dcn_core::Audit;
 use dcn_flow::workload::UniformWorkload;
@@ -19,15 +18,14 @@ use std::path::Path;
 
 /// Version of the report schema; bump on any breaking field change.
 ///
-/// * v2 — added the opt-in per-instance timing columns
-///   [`InstanceRecord::solve_wall_ms`] and
-///   [`InstanceRecord::intervals_per_second`] (both `null` outside
-///   `--timings` runs).
+/// * v2 — added the opt-in per-instance timing columns `solve_wall_ms` and
+///   `intervals_per_second` (both `null` outside `--timings` runs).
 /// * v3 — added the serving-throughput columns
-///   [`InstanceRecord::requests_per_second`] and
-///   [`InstanceRecord::p99_latency_ms`] for the `serve` bench (both
+///   `requests_per_second` and `p99_latency_ms` for the `serve` bench (both
 ///   `null` outside `--timings` runs and for every batch experiment).
-pub const SCHEMA_VERSION: u32 = 3;
+/// * v4 — removed `--timings`, the four columns above and the report's
+///   `wall_clock_seconds`: an artifact carries results only.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// One solved `(topology, workload, power-function, seed)` instance, as it
 /// appears in the JSON artifact.
@@ -67,23 +65,6 @@ pub struct InstanceRecord {
     pub rs_sim: Option<SimSummary>,
     /// Audit digest of the reference schedule, when it has one.
     pub sp_sim: Option<SimSummary>,
-    /// Wall-clock of the instance's algorithm `solve` calls in
-    /// milliseconds; only populated under `--timings` because timing
-    /// columns are machine-dependent and break byte-for-byte artifact
-    /// comparison.
-    pub solve_wall_ms: Option<f64>,
-    /// Relaxation-interval throughput (`intervals / solve seconds`) of the
-    /// instance; only populated under `--timings` and only when the
-    /// instance solved at least one interval in measurable time.
-    pub intervals_per_second: Option<f64>,
-    /// Sustained request throughput of the `serve` bench's closed-loop
-    /// client (`requests / wall seconds`); only populated under
-    /// `--timings`, `null` for every batch experiment.
-    pub requests_per_second: Option<f64>,
-    /// 99th-percentile admission latency of the `serve` bench in
-    /// milliseconds; only populated under `--timings`, `null` for every
-    /// batch experiment.
-    pub p99_latency_ms: Option<f64>,
     /// Experiment-specific dimensions (e.g. `grain`, `lambda`, `budget`,
     /// `m`), in a fixed order.
     pub extra: Vec<(String, f64)>,
@@ -166,9 +147,6 @@ pub struct ExperimentReport {
     pub instances: Vec<InstanceRecord>,
     /// The averaged sweep table, in deterministic order.
     pub points: Vec<SweepPoint>,
-    /// Wall-clock of the run in seconds; only embedded under `--timings`
-    /// because it breaks byte-for-byte determinism across runs.
-    pub wall_clock_seconds: Option<f64>,
 }
 
 impl ExperimentReport {
@@ -181,7 +159,6 @@ impl ExperimentReport {
             workload: None,
             instances: Vec::new(),
             points: Vec::new(),
-            wall_clock_seconds: None,
         }
     }
 
@@ -297,21 +274,6 @@ impl ExperimentReport {
                     record.label
                 ));
             }
-            for (name, value) in [
-                ("solve_wall_ms", record.solve_wall_ms),
-                ("intervals_per_second", record.intervals_per_second),
-                ("requests_per_second", record.requests_per_second),
-                ("p99_latency_ms", record.p99_latency_ms),
-            ] {
-                if let Some(value) = value {
-                    if !value.is_finite() || value < 0.0 {
-                        return Err(format!(
-                            "instance {i} ({}): {name} must be finite and non-negative",
-                            record.label
-                        ));
-                    }
-                }
-            }
             for (key, value) in &record.extra {
                 if key.is_empty() {
                     return Err(format!("instance {i} ({}): empty extra key", record.label));
@@ -404,10 +366,6 @@ mod tests {
             rs_capacity_excess: 0.0,
             rs_sim: None,
             sp_sim: None,
-            solve_wall_ms: None,
-            intervals_per_second: None,
-            requests_per_second: None,
-            p99_latency_ms: None,
             extra: vec![("grain".to_string(), 2.0)],
         }
     }
@@ -505,37 +463,6 @@ mod tests {
         let mut r = report();
         r.points[0].runs = 9;
         assert!(r.validate().unwrap_err().contains("average"));
-
-        let mut r = report();
-        r.instances[0].solve_wall_ms = Some(-1.0);
-        assert!(r.validate().unwrap_err().contains("solve_wall_ms"));
-
-        let mut r = report();
-        r.instances[0].intervals_per_second = Some(f64::INFINITY);
-        assert!(r.validate().unwrap_err().contains("intervals_per_second"));
-
-        let mut r = report();
-        r.instances[0].requests_per_second = Some(-5.0);
-        assert!(r.validate().unwrap_err().contains("requests_per_second"));
-
-        let mut r = report();
-        r.instances[0].p99_latency_ms = Some(f64::NAN);
-        assert!(r.validate().unwrap_err().contains("p99_latency_ms"));
-    }
-
-    #[test]
-    fn timing_columns_default_to_null_and_roundtrip_when_set() {
-        let r = report();
-        let json = r.to_json();
-        assert!(json.contains("\"solve_wall_ms\": null"));
-        assert!(json.contains("\"intervals_per_second\": null"));
-
-        let mut r = report();
-        r.instances[0].solve_wall_ms = Some(12.5);
-        r.instances[0].intervals_per_second = Some(400.0);
-        let back = ExperimentReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.instances[0].solve_wall_ms, Some(12.5));
-        assert_eq!(back.instances[0].intervals_per_second, Some(400.0));
     }
 
     #[test]

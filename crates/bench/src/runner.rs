@@ -85,9 +85,9 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 
 /// The command line shared by all benchmark binaries.
 ///
-/// Every binary accepts `--quick`, `--full`, `--threads`, `--json-out` and
-/// `--timings`, plus the flags it reads, which it names to
-/// [`ExperimentCli::parse`]; any other flag is a usage error.
+/// Every binary accepts `--quick`, `--full`, `--threads` and `--json-out`,
+/// plus the flags it reads, which it names to [`ExperimentCli::parse`]; any
+/// other flag is a usage error.
 ///
 /// ```text
 /// --runs N        seeds averaged per sweep point
@@ -124,9 +124,6 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 /// --full          paper-scale mode (fig2: 10 runs, step 20)
 /// --small         swap the k=8 fat-tree for k=4 (fig2)
 /// --json-out [P]  write the JSON report to P (default BENCH_<name>.json)
-/// --timings       embed wall-clock seconds in the JSON report; timing
-///                 varies run to run, so this intentionally opts out of
-///                 the byte-determinism contract
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentCli {
@@ -177,14 +174,12 @@ pub struct ExperimentCli {
     pub full: bool,
     /// `--small`: swap the k=8 fat-tree for the k=4 one (`fig2`).
     pub small: bool,
-    /// `--timings`: embed wall-clock seconds in the JSON report.
-    pub timings: bool,
     /// `--json-out [PATH]`: where to write the JSON report, if anywhere.
     pub json_out: Option<PathBuf>,
 }
 
 /// The flags every binary accepts.
-const SHARED_FLAGS: &[&str] = &["--quick", "--full", "--threads", "--json-out", "--timings"];
+const SHARED_FLAGS: &[&str] = &["--quick", "--full", "--threads", "--json-out"];
 
 /// Every flag with the value it takes as the usage line shows it (empty
 /// for a switch), in usage order.
@@ -206,7 +201,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--full", ""),
     ("--small", ""),
     ("--json-out", "[PATH]"),
-    ("--timings", ""),
 ];
 
 /// The usage line of a binary that reads `flags` besides the shared ones.
@@ -360,7 +354,6 @@ impl ExperimentCli {
                     "--quick" => cli.quick = true,
                     "--full" => cli.full = true,
                     "--small" => cli.small = true,
-                    "--timings" => cli.timings = true,
                     _ => unreachable!("every switch is matched"),
                 }
                 i += 1;
@@ -399,9 +392,8 @@ impl ExperimentCli {
         PathBuf::from(format!("BENCH_{}.json", self.experiment))
     }
 
-    /// Writes the report to `--json-out` (when given), embedding the
-    /// measured wall-clock only under `--timings`, and prints where it
-    /// went.
+    /// Prints the run's wall clock to stderr, writes the report to
+    /// `--json-out` (when given) and prints where it went.
     ///
     /// # Panics
     ///
@@ -418,9 +410,7 @@ impl ExperimentCli {
         let Some(path) = &self.json_out else {
             return;
         };
-        let mut artifact = report.clone();
-        artifact.wall_clock_seconds = self.timings.then_some(elapsed_seconds);
-        artifact
+        report
             .write(path)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("[{}] report written to {}", self.experiment, path.display());
@@ -711,25 +701,18 @@ mod tests {
             );
         }
         for (experiment, flags) in [("example1", &[][..]), ("online", ONLINE), ("fig2", FIG2)] {
-            let shared = [
-                "--quick",
-                "--full",
-                "--threads",
-                "2",
-                "--json-out",
-                "--timings",
-            ];
+            let shared = ["--quick", "--full", "--threads", "2", "--json-out"];
             assert!(ExperimentCli::from_args(experiment, flags, &args(&shared)).is_ok());
         }
         // The usage line lists what the binary reads and nothing else.
         assert_eq!(
             usage("fig2", FIG2),
             "usage: fig2 [--runs N] [--step N] [--threads N] [--algorithms a,b,...] [--quick] \
-             [--full] [--small] [--json-out [PATH]] [--timings]"
+             [--full] [--small] [--json-out [PATH]]"
         );
         assert_eq!(
             usage("example1", &[]),
-            "usage: example1 [--threads N] [--quick] [--full] [--json-out [PATH]] [--timings]"
+            "usage: example1 [--threads N] [--quick] [--full] [--json-out [PATH]]"
         );
         // The online engine has no batching or sharding flags, and solves
         // have no thread count of their own.

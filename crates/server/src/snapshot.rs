@@ -129,9 +129,9 @@ impl FlowRecord {
     /// # Errors
     ///
     /// [`SnapshotError::InvalidRecord`] for an invalid flow, delivery state
-    /// or path, an unknown or repeated link, or a piece that is not a finite
-    /// forward interval at a finite non-negative rate after the previous
-    /// one.
+    /// or path (one that does not run from `src` to `dst` included), an
+    /// unknown or repeated link, or a piece that is not a finite forward
+    /// interval at a finite non-negative rate after the previous one.
     pub(crate) fn restore(
         &self,
         bucket: usize,
@@ -155,6 +155,11 @@ impl FlowRecord {
             return Err(invalid("missed", &"a missed flow is retired"));
         }
         let nodes: Vec<NodeId> = self.path.iter().map(|&n| NodeId(n)).collect();
+        // Checked before the path resolves: an empty one has no ends.
+        if (nodes.first(), nodes.last()) != (Some(&src), Some(&dst)) {
+            let why = format_args!("{:?} does not run from {src} to {dst}", self.path);
+            return Err(invalid("path", &why));
+        }
         let path = (graph.path_from_nodes(&nodes)).map_err(|e| invalid("path", &e))?;
         let nominal = profile(&self.pieces).map_err(|e| invalid("pieces", &e))?;
         let mut link_profiles = BTreeMap::new();
@@ -415,6 +420,23 @@ mod tests {
                 if why.starts_with("snapshot bucket 0 flow 7: `path` is invalid")),
             "expected an invalid path, got {err:?}"
         );
+    }
+
+    #[test]
+    fn a_path_that_does_not_run_from_src_to_dst_is_refused() {
+        let built = builders::line(3);
+        // Flow 7 runs 0 → 2; each path below is a walk on the line or
+        // empty, so only its ends are wrong.
+        for path in [vec![2, 1, 0], vec![0, 1], vec![1, 2], vec![]] {
+            let snapshot = snapshot_with(vec![bucket(vec![record(path.clone())])]);
+            let err = snapshot.schedule(&built.network).unwrap_err();
+            let why = format!(
+                "snapshot bucket 0 flow 7: `path` is invalid: {path:?} does not run from n0 to n2"
+            );
+            assert_eq!(err, SnapshotError::InvalidRecord(why));
+        }
+        let snapshot = snapshot_with(vec![bucket(vec![record(vec![0, 1, 2])])]);
+        assert!(snapshot.schedule(&built.network).is_ok());
     }
 
     #[test]

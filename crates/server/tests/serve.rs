@@ -585,6 +585,25 @@ fn snapshot_with_an_unknown_down_link_is_a_typed_startup_error() {
 }
 
 #[test]
+fn snapshot_with_a_path_from_dst_to_src_is_a_typed_startup_error() {
+    // Reversed, the path is still a walk over duplex links: only its ends
+    // tell it carries the flow backwards.
+    let mut named = (0, 0, Vec::new());
+    let err = restart_on_damaged_snapshot("reversed-path", |bucket| {
+        let flow = &mut bucket.flows[0];
+        flow.path.reverse();
+        named = (bucket.bucket, flow.id, flow.path.clone());
+    });
+    let (bucket, flow, path) = named;
+    assert!(
+        err.contains(&format!("failed to start bucket {bucket}:"))
+            && err.contains(&format!("bucket {bucket} flow {flow}: `path` is invalid"))
+            && err.contains(&format!("{path:?} does not run from")),
+        "unhelpful refusal: {err}"
+    );
+}
+
+#[test]
 fn snapshot_with_a_negative_delivery_is_a_typed_startup_error() {
     let mut named = (0, 0);
     let err = restart_on_damaged_snapshot("negative-delivered", |bucket| {

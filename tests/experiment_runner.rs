@@ -87,10 +87,6 @@ fn golden_report() -> ExperimentReport {
             energy: 105.5,
         }),
         sp_sim: None,
-        solve_wall_ms: Some(42.5),
-        intervals_per_second: Some(160.0),
-        requests_per_second: None,
-        p99_latency_ms: None,
         extra: vec![("run".to_string(), 0.0)],
     });
     // An online-style exemplar: the event-driven sweep uses three-part
@@ -123,10 +119,6 @@ fn golden_report() -> ExperimentReport {
             active_links: 10,
             energy: 88.0,
         }),
-        solve_wall_ms: None,
-        intervals_per_second: None,
-        requests_per_second: None,
-        p99_latency_ms: None,
         extra: vec![
             ("load".to_string(), 2.0),
             ("admission".to_string(), 0.0),
@@ -140,10 +132,8 @@ fn golden_report() -> ExperimentReport {
         ],
     });
     // A serve-style exemplar: the scheduler-as-a-service bench audits the
-    // daemon's committed plans and is the only producer of the schema-v3
-    // serving columns (`requests_per_second`, `p99_latency_ms`, both
-    // `--timings`-only). Pinned with the columns populated so the v3
-    // layout is under the golden.
+    // daemon's committed plans and records its admission counters in
+    // `extra`, with no audit digests.
     report.instances.push(InstanceRecord {
         label: "fat-tree:8|edf|admit-all flows=1000 seed=10000".to_string(),
         flows: 1000,
@@ -158,10 +148,6 @@ fn golden_report() -> ExperimentReport {
         rs_capacity_excess: 0.0,
         rs_sim: None,
         sp_sim: None,
-        solve_wall_ms: None,
-        intervals_per_second: None,
-        requests_per_second: Some(25_000.0),
-        p99_latency_ms: Some(0.45),
         extra: vec![
             ("requests".to_string(), 1000.0),
             ("admitted".to_string(), 998.0),
@@ -240,4 +226,64 @@ fn shared_cli_round_trips_flags() {
     assert_eq!(cli.threads, 2);
     assert_eq!(cli.json_out.as_deref(), Some(Path::new("BENCH_fig2.json")));
     assert!(ExperimentCli::from_args("fig2", &[], &["--nope".to_string()]).is_err());
+}
+
+/// A command line written for the removed wall-clock switch fails loudly
+/// instead of running without the columns it asked for.
+#[test]
+fn an_old_timings_command_line_is_a_usage_error() {
+    let args: Vec<String> = ["--quick", "--timings", "--json-out"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    for (experiment, flags) in [
+        ("example1", &[][..]),
+        ("fig2", &["--runs", "--step", "--small", "--algorithms"][..]),
+        ("serve", &["--runs", "--flows", "--policies"][..]),
+    ] {
+        assert_eq!(
+            ExperimentCli::from_args(experiment, flags, &args).unwrap_err(),
+            "unknown flag \"--timings\""
+        );
+    }
+}
+
+/// An artifact of the previous schema, its wall-clock keys included, is
+/// refused with the schema-mismatch message rather than read as current.
+#[test]
+fn a_schema_v3_artifact_is_refused() {
+    let v3 = r#"{
+  "schema_version": 3,
+  "experiment": "example1",
+  "topology": "line(n=3)",
+  "workload": null,
+  "instances": [
+    {
+      "label": "example1",
+      "flows": 3,
+      "seed": 0,
+      "alpha": 2.0,
+      "lower_bound": 90.588167,
+      "rs_energy": 90.588167,
+      "sp_energy": 90.588167,
+      "rs_normalized": 1.0,
+      "sp_normalized": 1.0,
+      "deadline_misses": 0,
+      "rs_capacity_excess": 0.0,
+      "rs_sim": null,
+      "sp_sim": null,
+      "solve_wall_ms": null,
+      "intervals_per_second": null,
+      "requests_per_second": null,
+      "p99_latency_ms": null,
+      "extra": []
+    }
+  ],
+  "points": [],
+  "wall_clock_seconds": null
+}"#;
+    assert_eq!(
+        ExperimentReport::from_json(v3).unwrap_err(),
+        format!("schema_version 3 != supported {SCHEMA_VERSION}")
+    );
 }

@@ -1210,6 +1210,13 @@ const BANS: &[(&[&str], &str, &str)] = &[
     (NETWORK_RS, "in_links:", ONE_READ_PATH),
     (NETWORK_RS, "VecDeque", ONE_READ_PATH),
     (NETWORK_RS, "fn reconstruct", ONE_READ_PATH),
+    (EVERYWHERE, "record_timings", RESULTS_ONLY),
+    (EVERYWHERE, "wall_clock_seconds:", RESULTS_ONLY),
+    (EVERYWHERE, "solve_wall_ms:", RESULTS_ONLY),
+    (EVERYWHERE, "intervals_per_second:", RESULTS_ONLY),
+    (EVERYWHERE, "requests_per_second:", RESULTS_ONLY),
+    (EVERYWHERE, "p99_latency_ms:", RESULTS_ONLY),
+    (PRODUCT, "\"--timings\"", RESULTS_ONLY),
 ];
 const BENCH: &[&str] = &["crates/bench/src"];
 const NETWORK_AND_POWER: &[&str] = &["crates/topology/src", "crates/power/src"];
@@ -1227,6 +1234,7 @@ const KNOBS: &str = "a one-value knob is a constant, and a config is its owner's
 const ONE_COST: &str = "Frank–Wolfe takes the one cost it is given";
 const POLICY: &str = "a policy keeps only what it uses";
 const ONE_ERROR: &str = "`dcn-core` fails with one `SolveError`";
+const RESULTS_ONLY: &str = "an artifact carries results; wall clock is `perf/`'s to measure";
 const ONE_READ_PATH: &str =
     "`Network` stores nodes and links; `GraphCsr` is the one adjacency and runs every traversal";
 
