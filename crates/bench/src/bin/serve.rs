@@ -22,7 +22,8 @@
 //! `greedy`; `--full` adds `resolve`); `--admission` the daemon's
 //! admission rule; `--shard-workers` / `--queue-depth` the daemon's worker
 //! count and per-worker queue bound; `--flows` the submissions per cell;
-//! `--runs` the seeds per cell.
+//! `--runs` the seeds per cell; `--threads` how many cells run at once,
+//! each on a daemon of its own.
 //!
 //! **`BENCH_serve.json` schema (v4):** groups are
 //! `"<topology>|<policy>|<admission>"`, `x` is the submission count.
@@ -36,14 +37,15 @@
 //! `extra` records `[["requests", n], ["admitted", a], ["rejected", j],
 //! ["busy", b], ["missed", m], ["run", r]]` (the worker width is
 //! deliberately **not** a column — the artifact must not depend on it). The
-//! artifact is byte-identical at any `--shard-workers` width — the CI pins
-//! that by `cmp`-ing runs at widths 1, 2 and 3. The served request's wall
+//! artifact is byte-identical at any `--shard-workers` width and any
+//! `--threads` — the CI pins that by `cmp`-ing runs at widths 1, 2 and 3,
+//! and two-cell runs at `--threads` 1 and 2. The served request's wall
 //! clock is measured by `perf/`'s `serve_closed` workload (EXPERIMENTS.md,
 //! "Served request").
 
 use dcn_bench::print_table;
 use dcn_bench::report::{ExperimentReport, InstanceRecord};
-use dcn_bench::runner::{timed, ExperimentCli};
+use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
 use dcn_core::online::AdmissionRule;
 use dcn_flow::workload::UniformWorkload;
 use dcn_power::PowerFunction;
@@ -149,75 +151,70 @@ fn main() {
         }
     }
 
-    // Each pass starts a daemon with `--shard-workers - 1` threads of its
-    // own, so cells run one at a time rather than through `run_indexed`:
-    // the daemon's width is the run's only parallelism.
     let (records, elapsed_seconds) = timed(|| {
-        grid.iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let spec = topologies[cell.topology];
-                // One seed per (topology, run), shared across policies so
-                // the comparison columns are like for like.
-                let seed = 10_000 * (cell.topology as u64 + 1) + cell.run;
-                let outcome = run_pass(spec, cell.policy, admission, &cli, flows, seed);
-                // The reference pass audits the same workload under the
-                // full-blast `greedy` policy (the serve-side analogue of
-                // the SP baseline).
-                let reference = if cell.policy == ServePolicy::Greedy {
-                    None
-                } else {
-                    Some(run_pass(
-                        spec,
-                        ServePolicy::Greedy,
-                        admission,
-                        &cli,
-                        flows,
-                        seed,
-                    ))
-                };
-                let sp_energy = reference.as_ref().map_or(outcome.energy, |r| r.energy);
-                let lower_bound = fluid_lower_bound(spec, &power, flows, seed);
-                eprintln!(
-                    "  [serve] {}/{} {}|{} seed={seed} — {} admitted, {} rejected",
-                    i + 1,
-                    grid.len(),
+        run_indexed(grid.len(), cli.threads, |i| {
+            let cell = &grid[i];
+            let spec = topologies[cell.topology];
+            // One seed per (topology, run), shared across policies so
+            // the comparison columns are like for like.
+            let seed = 10_000 * (cell.topology as u64 + 1) + cell.run;
+            let outcome = run_pass(spec, cell.policy, admission, &cli, flows, seed);
+            // The reference pass audits the same workload under the
+            // full-blast `greedy` policy (the serve-side analogue of
+            // the SP baseline).
+            let reference = if cell.policy == ServePolicy::Greedy {
+                None
+            } else {
+                Some(run_pass(
                     spec,
-                    cell.policy.name(),
-                    outcome.admitted,
-                    outcome.rejected,
-                );
-                let extra = vec![
-                    ("requests".to_string(), flows as f64),
-                    ("admitted".to_string(), outcome.admitted as f64),
-                    ("rejected".to_string(), outcome.rejected as f64),
-                    ("busy".to_string(), outcome.busy as f64),
-                    ("missed".to_string(), outcome.missed as f64),
-                    ("run".to_string(), cell.run as f64),
-                ];
-                InstanceRecord {
-                    label: format!(
-                        "{}|{}|{} flows={flows} seed={seed}",
-                        spec,
-                        cell.policy.name(),
-                        admission.name()
-                    ),
+                    ServePolicy::Greedy,
+                    admission,
+                    &cli,
                     flows,
                     seed,
-                    alpha: power.alpha(),
-                    lower_bound,
-                    rs_energy: outcome.energy,
-                    sp_energy,
-                    rs_normalized: outcome.energy / lower_bound,
-                    sp_normalized: sp_energy / lower_bound,
-                    deadline_misses: outcome.missed,
-                    rs_capacity_excess: outcome.capacity_excess,
-                    rs_sim: None,
-                    sp_sim: None,
-                    extra,
-                }
-            })
-            .collect::<Vec<InstanceRecord>>()
+                ))
+            };
+            let sp_energy = reference.as_ref().map_or(outcome.energy, |r| r.energy);
+            let lower_bound = fluid_lower_bound(spec, &power, flows, seed);
+            eprintln!(
+                "  [serve] {}/{} {}|{} seed={seed} — {} admitted, {} rejected",
+                i + 1,
+                grid.len(),
+                spec,
+                cell.policy.name(),
+                outcome.admitted,
+                outcome.rejected,
+            );
+            let extra = vec![
+                ("requests".to_string(), flows as f64),
+                ("admitted".to_string(), outcome.admitted as f64),
+                ("rejected".to_string(), outcome.rejected as f64),
+                ("busy".to_string(), outcome.busy as f64),
+                ("missed".to_string(), outcome.missed as f64),
+                ("run".to_string(), cell.run as f64),
+            ];
+            InstanceRecord {
+                label: format!(
+                    "{}|{}|{} flows={flows} seed={seed}",
+                    spec,
+                    cell.policy.name(),
+                    admission.name()
+                ),
+                flows,
+                seed,
+                alpha: power.alpha(),
+                lower_bound,
+                rs_energy: outcome.energy,
+                sp_energy,
+                rs_normalized: outcome.energy / lower_bound,
+                sp_normalized: sp_energy / lower_bound,
+                deadline_misses: outcome.missed,
+                rs_capacity_excess: outcome.capacity_excess,
+                rs_sim: None,
+                sp_sim: None,
+                extra,
+            }
+        })
     });
 
     let coordinates: Vec<(String, f64)> = grid

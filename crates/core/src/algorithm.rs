@@ -28,7 +28,7 @@ use crate::routing::Routing;
 use crate::schedule::{energy_of, FlowSchedule, Schedule};
 use crate::solution::Solution;
 use dcn_flow::FlowSet;
-use dcn_power::{PowerFunction, RateProfile};
+use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{k_shortest_paths_on, Path};
 use std::fmt;
@@ -123,8 +123,8 @@ impl Algorithm for Dcfsr {
 }
 
 /// A routing strategy followed by the DCFS scheduler Most-Critical-First:
-/// the shape of the paper's `SP+MCF` baseline and its ECMP / least-loaded
-/// variants.
+/// the shape of the paper's `SP+MCF` baseline and its ECMP, least-loaded
+/// and consolidating variants.
 #[derive(Debug, Clone)]
 pub struct RoutedMcf {
     name: &'static str,
@@ -156,6 +156,15 @@ impl RoutedMcf {
             routing: Routing::LeastLoadedKsp { k },
         }
     }
+
+    /// ElasticTree-style link-minimising routing + Most-Critical-First
+    /// (registry name `consolidate`).
+    pub fn consolidate(k: usize) -> Self {
+        Self {
+            name: "consolidate",
+            routing: Routing::Consolidate { k },
+        }
+    }
 }
 
 impl Algorithm for RoutedMcf {
@@ -180,99 +189,6 @@ impl Algorithm for RoutedMcf {
         let schedule = most_critical_first(ctx.network(), flows, &paths, power)?;
         let energy = schedule.energy(power);
         Ok(Solution::scheduled(self.name, schedule, energy))
-    }
-}
-
-/// The consolidation-style (ElasticTree-like) baseline as an
-/// [`Algorithm`] (registry name `consolidate`): flows are routed greedily,
-/// in decreasing volume order, onto the candidate shortest path that
-/// activates the fewest *new* links (ties broken by committed volume, then
-/// hop count), then scheduled with Most-Critical-First.
-#[derive(Debug, Clone)]
-pub struct ConsolidatingMcf {
-    k: usize,
-}
-
-impl ConsolidatingMcf {
-    /// Creates the baseline considering `k` candidate shortest paths per
-    /// flow.
-    pub fn new(k: usize) -> Self {
-        Self { k: k.max(1) }
-    }
-}
-
-impl Default for ConsolidatingMcf {
-    fn default() -> Self {
-        Self::new(4)
-    }
-}
-
-impl Algorithm for ConsolidatingMcf {
-    fn name(&self) -> &str {
-        "consolidate"
-    }
-
-    fn solve(
-        &mut self,
-        ctx: &mut SolverContext<'_>,
-        flows: &FlowSet,
-        power: &PowerFunction,
-    ) -> Result<Solution, SolveError> {
-        ctx.validate_flow_shape(flows)?;
-
-        let mut order: Vec<usize> = (0..flows.len()).collect();
-        order.sort_by(|&a, &b| {
-            flows
-                .flow(b)
-                .volume
-                .partial_cmp(&flows.flow(a).volume)
-                .expect("finite volumes")
-        });
-
-        let (graph, engine) = ctx.parts();
-        let mut active = vec![false; graph.link_count()];
-        let mut committed = vec![0.0_f64; graph.link_count()];
-        let mut paths: Vec<Option<Path>> = vec![None; flows.len()];
-        for id in order {
-            let f = flows.flow(id);
-            let candidates = k_shortest_paths_on(graph, engine, f.src, f.dst, self.k, |_| 1.0);
-            if candidates.is_empty() {
-                return Err(SolveError::Unroutable { flow: f.id });
-            }
-            let best = candidates
-                .into_iter()
-                .min_by(|a, b| {
-                    let new_a = a.links().iter().filter(|l| !active[l.index()]).count();
-                    let new_b = b.links().iter().filter(|l| !active[l.index()]).count();
-                    let load_a = a
-                        .links()
-                        .iter()
-                        .map(|l| committed[l.index()])
-                        .fold(0.0_f64, f64::max);
-                    let load_b = b
-                        .links()
-                        .iter()
-                        .map(|l| committed[l.index()])
-                        .fold(0.0_f64, f64::max);
-                    new_a
-                        .cmp(&new_b)
-                        .then(load_a.partial_cmp(&load_b).expect("finite volumes"))
-                        .then(a.len().cmp(&b.len()))
-                })
-                .expect("candidates non-empty");
-            for &l in best.links() {
-                active[l.index()] = true;
-                committed[l.index()] += f.volume;
-            }
-            paths[id] = Some(best);
-        }
-        let paths: Vec<Path> = paths
-            .into_iter()
-            .map(|p| p.expect("every flow routed"))
-            .collect();
-        let schedule = most_critical_first(ctx.network(), flows, &paths, power)?;
-        let energy = schedule.energy(power);
-        Ok(Solution::scheduled(self.name(), schedule, energy))
     }
 }
 
@@ -358,15 +274,36 @@ impl Algorithm for RelaxationLb {
 }
 
 /// Exhaustive path enumeration as an [`Algorithm`] (registry name
-/// `exact`): the best Most-Critical-First schedule over each flow's
-/// `paths_per_flow` shortest paths, which is not the DCFSR optimum — for
-/// tiny instances only; see [`crate::exact`].
+/// `exact`) — for *tiny* instances only.
+///
+/// DCFSR is strongly NP-hard (Theorem 2), but once every flow's path is
+/// fixed the remaining problem is DCFS. The enumerator takes each flow's
+/// `paths_per_flow` shortest paths (Yen's algorithm by hop count, on the
+/// context's CSR view and shortest-path engine; `k = 3` in the registry,
+/// which is exhaustive on the small gadget topologies) and keeps the best
+/// Most-Critical-First schedule over the Cartesian product of assignments.
+///
+/// That is the DCFSR optimum only where Most-Critical-First is optimal,
+/// i.e. where a link serves one flow at a time (Theorem 1). Under the
+/// concurrent-sharing energy this crate prices it is optimal on a single
+/// link only, so the result is not the optimum: on `line(3)` under `x^2`,
+/// flows A→C and A→B on `[0, 1]` with volume 1 cost `3 + 2√2 ≈ 5.828` here
+/// (as under `sp-mcf`), while Random-Schedule finds `5.0`, and all three
+/// schedules pass verification. The test suites and the hardness-gadget
+/// experiment use it as a reference beside the fractional lower bound.
+///
+/// Besides the typed input errors, a solve fails with
+/// [`SolveError::TooLarge`] when the number of assignments exceeds
+/// `max_assignments`, [`SolveError::Unroutable`] when some flow has no
+/// path at all, and [`SolveError::NoFeasibleAssignment`] when every
+/// assignment fails (possible only under extreme contention).
 #[derive(Debug, Clone, Copy)]
 pub struct ExactBrute {
     /// Candidate paths enumerated per flow (Yen's k-shortest by hop
     /// count).
     pub paths_per_flow: usize,
-    /// Upper bound on `paths_per_flow ^ flows`; larger instances return
+    /// Upper bound on the number of path assignments (at most
+    /// `paths_per_flow ^ flows`); larger instances return
     /// [`SolveError::TooLarge`].
     pub max_assignments: u128,
 }
@@ -399,16 +336,60 @@ impl Algorithm for ExactBrute {
         power: &PowerFunction,
     ) -> Result<Solution, SolveError> {
         ctx.validate_flow_shape(flows)?;
-        let outcome = crate::exact::exact_dcfsr_ctx(
-            ctx,
-            flows,
-            power,
-            self.paths_per_flow,
-            self.max_assignments,
-        )?;
-        let energy = outcome.schedule.energy(power);
-        let mut solution = Solution::scheduled(self.name(), outcome.schedule, energy);
-        solution.diagnostics.assignments_tried = Some(outcome.assignments_tried);
+        let network = ctx.network();
+        let (graph, engine) = ctx.parts();
+        let k = self.paths_per_flow.max(1);
+        let mut candidates: Vec<Vec<Path>> = Vec::with_capacity(flows.len());
+        for flow in flows.iter() {
+            let paths = k_shortest_paths_on(graph, engine, flow.src, flow.dst, k, |_| 1.0);
+            if paths.is_empty() {
+                return Err(SolveError::Unroutable { flow: flow.id });
+            }
+            candidates.push(paths);
+        }
+        let count = candidates
+            .iter()
+            .try_fold(1u128, |n, c| n.checked_mul(c.len() as u128));
+        let Some(count) = count.filter(|&n| n <= self.max_assignments) else {
+            return Err(SolveError::TooLarge {
+                combinations: count.unwrap_or(u128::MAX),
+                budget: self.max_assignments,
+            });
+        };
+
+        let mut best: Option<(EnergyBreakdown, Schedule)> = None;
+        let mut assignment = vec![0usize; flows.len()];
+        loop {
+            let paths: Vec<Path> = assignment
+                .iter()
+                .zip(&candidates)
+                .map(|(&choice, paths)| paths[choice].clone())
+                .collect();
+            if let Ok(schedule) = most_critical_first(network, flows, &paths, power) {
+                let energy = schedule.energy(power);
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| energy.total() < b.total())
+                {
+                    best = Some((energy, schedule));
+                }
+            }
+            // Advance the mixed-radix counter; it carries out of its last
+            // digit once every assignment has been tried.
+            let advanced = assignment
+                .iter_mut()
+                .zip(&candidates)
+                .any(|(digit, paths)| {
+                    *digit = (*digit + 1) % paths.len();
+                    *digit != 0
+                });
+            if !advanced {
+                break;
+            }
+        }
+        let (energy, schedule) = best.ok_or(SolveError::NoFeasibleAssignment)?;
+        let mut solution = Solution::scheduled(self.name(), schedule, energy);
+        solution.diagnostics.assignments_tried = Some(count as usize);
         Ok(solution)
     }
 }
@@ -458,7 +439,7 @@ impl AlgorithmRegistry {
             "sp-mcf" => Box::new(RoutedMcf::shortest_path()),
             "ecmp" => Box::new(RoutedMcf::ecmp(0)),
             "least-loaded" => Box::new(RoutedMcf::least_loaded(4)),
-            "consolidate" => Box::new(ConsolidatingMcf::default()),
+            "consolidate" => Box::new(RoutedMcf::consolidate(4)),
             "greedy" => Box::new(FullRateGreedy),
             "lb" => Box::new(RelaxationLb::new(self.fmcf)),
             "exact" => Box::new(ExactBrute::default()),
@@ -629,6 +610,138 @@ mod tests {
             .unwrap();
     }
 
+    /// One `ExactBrute` solve through a fresh context.
+    fn exact(
+        network: &dcn_topology::Network,
+        flows: &FlowSet,
+        power: &PowerFunction,
+        paths_per_flow: usize,
+        max_assignments: u128,
+    ) -> Result<Solution, SolveError> {
+        let mut ctx = SolverContext::from_network(network).unwrap();
+        ExactBrute::new(paths_per_flow, max_assignments).solve(&mut ctx, flows, power)
+    }
+
+    #[test]
+    fn exact_spreads_flows_over_parallel_links() {
+        // Three identical flows over three parallel links: the optimum uses
+        // one link each at its density.
+        let topo = builders::parallel(3, 100.0);
+        let flows =
+            FlowSet::from_tuples((0..3).map(|_| (topo.source(), topo.sink(), 0.0, 2.0, 4.0)))
+                .unwrap();
+        let power = x2(100.0);
+        let solution = exact(&topo.network, &flows, &power, 3, 1_000).unwrap();
+        // Each flow at density 2 on its own link for 2 time units:
+        // 3 * 2^2 * 2 = 24.
+        let energy = solution.total_energy().unwrap();
+        assert!((energy - 24.0).abs() < 1e-6, "energy {energy}");
+        let mut used: Vec<_> = solution
+            .schedule
+            .unwrap()
+            .flow_schedules()
+            .iter()
+            .map(|fs| fs.path.links()[0])
+            .collect();
+        used.sort();
+        used.dedup();
+        assert_eq!(used.len(), 3);
+    }
+
+    #[test]
+    fn exact_is_a_lower_bound_for_random_schedule() {
+        let topo = builders::parallel(3, 100.0);
+        let flows = FlowSet::from_tuples([
+            (topo.source(), topo.sink(), 0.0, 2.0, 6.0),
+            (topo.source(), topo.sink(), 0.0, 2.0, 4.0),
+            (topo.source(), topo.sink(), 1.0, 3.0, 5.0),
+        ])
+        .unwrap();
+        let power = x2(100.0);
+        let exact = exact(&topo.network, &flows, &power, 3, 10_000)
+            .unwrap()
+            .total_energy()
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let rs = Dcfsr::new(RandomScheduleConfig {
+            max_rounding_attempts: 20,
+            ..Default::default()
+        })
+        .solve(&mut ctx, &flows, &power)
+        .unwrap();
+        let rs_energy = rs.total_energy().unwrap();
+        assert!(
+            rs_energy >= exact - 1e-6,
+            "RS ({rs_energy}) cannot beat the exact optimum ({exact})"
+        );
+        // And the exact optimum itself respects the fractional lower bound.
+        assert!(exact >= rs.lower_bound.unwrap() - 1e-6);
+    }
+
+    #[test]
+    fn budget_is_enforced() {
+        let topo = builders::fat_tree(4);
+        let flows = FlowSet::from_tuples(
+            (0..10).map(|i| (topo.hosts()[i], topo.hosts()[15 - i], 0.0, 10.0, 5.0)),
+        )
+        .unwrap();
+        let err = exact(&topo.network, &flows, &x2(1e9), 4, 1_000).unwrap_err();
+        assert!(matches!(err, SolveError::TooLarge { .. }));
+    }
+
+    #[test]
+    fn an_assignment_count_past_u128_saturates() {
+        // 90 inter-pod flows with three candidate paths each: 3^90 > 2^128.
+        // The count saturates instead of overflowing (or wrapping, in a
+        // release build, to a small-looking number).
+        let topo = builders::fat_tree(4);
+        let hosts = topo.hosts();
+        let flows = FlowSet::from_tuples(
+            (0..90).map(|i| (hosts[i % 16], hosts[(i + 4) % 16], 0.0, 10.0, 5.0)),
+        )
+        .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let err = AlgorithmRegistry::with_defaults()
+            .create("exact")
+            .unwrap()
+            .solve(&mut ctx, &flows, &x2(1e9))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::TooLarge {
+                combinations: u128::MAX,
+                budget: 100_000
+            }
+        );
+    }
+
+    #[test]
+    fn unroutable_flow_is_reported() {
+        let mut net = dcn_topology::Network::new();
+        let a = net.add_node(dcn_topology::NodeKind::Host, "a");
+        let b = net.add_node(dcn_topology::NodeKind::Host, "b");
+        let flows = FlowSet::from_tuples([(a, b, 0.0, 1.0, 1.0)]).unwrap();
+        let err = exact(&net, &flows, &x2(10.0), 2, 100).unwrap_err();
+        assert_eq!(err, SolveError::Unroutable { flow: 0 });
+    }
+
+    #[test]
+    fn single_flow_exact_equals_sp_mcf() {
+        let topo = builders::line_with_capacity(4, 1e9);
+        let flows =
+            FlowSet::from_tuples([(topo.hosts()[0], topo.hosts()[3], 0.0, 5.0, 10.0)]).unwrap();
+        let power = x2(1e9);
+        let exact = exact(&topo.network, &flows, &power, 2, 100)
+            .unwrap()
+            .total_energy()
+            .unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let sp = RoutedMcf::shortest_path()
+            .solve(&mut ctx, &flows, &power)
+            .unwrap();
+        assert!((exact - sp.total_energy().unwrap()).abs() < 1e-9);
+    }
+
     #[test]
     fn empty_flow_set_is_rejected_uniformly() {
         let topo = builders::line(3);
@@ -687,7 +800,7 @@ mod tests {
         let mut schemes: Vec<Box<dyn Algorithm>> = vec![
             Box::new(RoutedMcf::ecmp(4)),
             Box::new(RoutedMcf::least_loaded(4)),
-            Box::new(ConsolidatingMcf::new(4)),
+            Box::new(RoutedMcf::consolidate(4)),
         ];
         for algo in &mut schemes {
             let solution = algo.solve(&mut ctx, &flows, &power).unwrap();
@@ -706,7 +819,7 @@ mod tests {
             .generate(topo.hosts())
             .unwrap();
         let mut ctx = SolverContext::from_network(&topo.network).unwrap();
-        let consolidated = ConsolidatingMcf::new(4)
+        let consolidated = RoutedMcf::consolidate(4)
             .solve(&mut ctx, &flows, &power)
             .unwrap();
         let ecmp = RoutedMcf::ecmp(12).solve(&mut ctx, &flows, &power).unwrap();

@@ -20,9 +20,10 @@
 //!
 //! # The session API
 //!
-//! Every scheme — the two paper algorithms, the five comparison baselines
-//! of [`algorithm`], the fractional lower bound and the exhaustive path
-//! enumeration of [`exact`] — is exposed behind one pluggable interface:
+//! Every scheme of [`algorithm`] — the two paper algorithms, the five
+//! comparison baselines, the fractional lower bound and the exhaustive
+//! path enumeration [`ExactBrute`] — is exposed behind one pluggable
+//! interface:
 //!
 //! * [`SolverContext`] is built **once** per network and owns all warm
 //!   solver state (the CSR graph view, the arena-reuse shortest-path
@@ -80,7 +81,6 @@ pub mod context;
 pub mod dcfs;
 pub mod dcfsr;
 pub mod error;
-pub mod exact;
 pub mod online;
 pub mod relaxation;
 pub mod routing;
@@ -88,14 +88,12 @@ pub mod schedule;
 pub mod solution;
 
 pub use algorithm::{
-    Algorithm, AlgorithmRegistry, ConsolidatingMcf, Dcfsr, ExactBrute, FullRateGreedy,
-    RelaxationLb, RoutedMcf,
+    Algorithm, AlgorithmRegistry, Dcfsr, ExactBrute, FullRateGreedy, RelaxationLb, RoutedMcf,
 };
 pub use context::SolverContext;
 pub use dcfs::most_critical_first;
 pub use dcfsr::{RandomSchedule, RandomScheduleConfig, RandomScheduleOutcome};
 pub use error::SolveError;
-pub use exact::ExactOutcome;
 pub use online::{
     AdmissionRule, EngineConfig, FlowDecision, InFlightLedger, LedgerEntry, OnlineEngine,
     OnlineOutcome, OnlinePolicy, OnlineReport,
@@ -110,8 +108,7 @@ pub use solution::{Diagnostics, Solution};
 /// Convenient glob import of the crate's main types.
 pub mod prelude {
     pub use crate::algorithm::{
-        Algorithm, AlgorithmRegistry, ConsolidatingMcf, Dcfsr, ExactBrute, FullRateGreedy,
-        RelaxationLb, RoutedMcf,
+        Algorithm, AlgorithmRegistry, Dcfsr, ExactBrute, FullRateGreedy, RelaxationLb, RoutedMcf,
     };
     pub use crate::context::SolverContext;
     pub use crate::dcfs::most_critical_first;

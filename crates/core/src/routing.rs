@@ -11,9 +11,12 @@
 //!   all minimum-hop paths (seeded, deterministic).
 //! * [`Routing::LeastLoadedKsp`] — a greedy load-aware heuristic that
 //!   considers the `k` shortest paths of every flow (in volume order) and
-//!   picks the one minimising the resulting maximum link volume; a stand-in
-//!   for the consolidation-style traffic engineering the paper's related
-//!   work discusses.
+//!   picks the one minimising the resulting maximum link volume.
+//! * [`Routing::Consolidate`] — the same greedy loop with the opposite aim,
+//!   ElasticTree-style: the path that activates the fewest links no flow
+//!   uses yet, then the one of least peak committed volume; a stand-in for
+//!   the consolidation-style traffic engineering the paper's related work
+//!   discusses.
 
 use crate::error::SolveError;
 use dcn_flow::FlowSet;
@@ -37,6 +40,12 @@ pub enum Routing {
     },
     /// Greedy volume-aware choice among the `k` shortest paths of each flow.
     LeastLoadedKsp {
+        /// Number of candidate shortest paths per flow.
+        k: usize,
+    },
+    /// Greedy link-minimising choice among the `k` shortest paths of each
+    /// flow.
+    Consolidate {
         /// Number of candidate shortest paths per flow.
         k: usize,
     },
@@ -83,59 +92,75 @@ impl Routing {
                     .collect()
             }
             Routing::LeastLoadedKsp { k } => {
-                let k = (*k).max(1);
-                // Process flows in decreasing volume order (largest first),
-                // greedily balancing the per-link committed volume.
-                let mut order: Vec<usize> = (0..flows.len()).collect();
-                order.sort_by(|&a, &b| {
-                    flows
-                        .flow(b)
-                        .volume
-                        .partial_cmp(&flows.flow(a).volume)
-                        .expect("finite volumes")
-                });
-                let mut engine = ShortestPathEngine::new();
-                let mut link_volume = vec![0.0_f64; graph.link_count()];
-                let mut paths: Vec<Option<Path>> = vec![None; flows.len()];
-                for id in order {
-                    let f = flows.flow(id);
-                    let candidates =
-                        k_shortest_paths_on(graph, &mut engine, f.src, f.dst, k, |_| 1.0);
-                    if candidates.is_empty() {
-                        return Err(SolveError::Unroutable { flow: f.id });
-                    }
-                    let best = candidates
-                        .into_iter()
-                        .min_by(|a, b| {
-                            let load_a = path_peak_volume(a, &link_volume, f.volume);
-                            let load_b = path_peak_volume(b, &link_volume, f.volume);
-                            load_a
-                                .partial_cmp(&load_b)
-                                .expect("finite volumes")
-                                .then(a.len().cmp(&b.len()))
-                        })
-                        .expect("candidates is non-empty");
-                    for &l in best.links() {
-                        link_volume[l.index()] += f.volume;
-                    }
-                    paths[id] = Some(best);
-                }
-                Ok(paths
-                    .into_iter()
-                    .map(|p| p.expect("every flow routed"))
-                    .collect())
+                greedy_k_shortest(graph, flows, *k, |links, volume| {
+                    links
+                        .iter()
+                        .map(|&committed| committed + volume)
+                        .fold(0.0, f64::max)
+                })
             }
+            Routing::Consolidate { k } => greedy_k_shortest(graph, flows, *k, |links, _| {
+                // Volumes are positive, so a link no flow uses yet is at 0.
+                (
+                    links.iter().filter(|&&committed| committed == 0.0).count(),
+                    links.iter().copied().fold(0.0, f64::max),
+                )
+            }),
         }
     }
 }
 
-/// The maximum committed volume over the links of `path` if `volume` more
-/// units were added to each of them.
-fn path_peak_volume(path: &Path, link_volume: &[f64], volume: f64) -> f64 {
-    path.links()
-        .iter()
-        .map(|&l| link_volume[l.index()] + volume)
-        .fold(0.0, f64::max)
+/// The greedy loop of the volume-aware strategies: flows in decreasing
+/// volume order, each onto the one of its `k` hop-count shortest paths
+/// (Yen's algorithm) with the smallest `key`, ties broken by hop count;
+/// the flow's volume is then committed to every link of that path. `key`
+/// reads the volume committed so far on each link of a candidate, in path
+/// order, and the flow's volume.
+fn greedy_k_shortest<K: PartialOrd>(
+    graph: &GraphCsr,
+    flows: &FlowSet,
+    k: usize,
+    key: impl Fn(&[f64], f64) -> K,
+) -> Result<Vec<Path>, SolveError> {
+    let k = k.max(1);
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    order.sort_by(|&a, &b| {
+        flows
+            .flow(b)
+            .volume
+            .partial_cmp(&flows.flow(a).volume)
+            .expect("finite volumes")
+    });
+    let mut engine = ShortestPathEngine::new();
+    let mut committed = vec![0.0_f64; graph.link_count()];
+    let mut on_path = Vec::new();
+    let mut paths: Vec<Option<Path>> = vec![None; flows.len()];
+    for id in order {
+        let f = flows.flow(id);
+        let best = k_shortest_paths_on(graph, &mut engine, f.src, f.dst, k, |_| 1.0)
+            .into_iter()
+            .map(|path| {
+                on_path.clear();
+                on_path.extend(path.links().iter().map(|l| committed[l.index()]));
+                (key(&on_path, f.volume), path)
+            })
+            .min_by(|(key_a, a), (key_b, b)| {
+                key_a
+                    .partial_cmp(key_b)
+                    .expect("finite volumes")
+                    .then(a.len().cmp(&b.len()))
+            })
+            .map(|(_, path)| path)
+            .ok_or(SolveError::Unroutable { flow: f.id })?;
+        for &l in best.links() {
+            committed[l.index()] += f.volume;
+        }
+        paths[id] = Some(best);
+    }
+    Ok(paths
+        .into_iter()
+        .map(|p| p.expect("every flow routed"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -251,6 +276,23 @@ mod tests {
     }
 
     #[test]
+    fn consolidate_packs_volume_onto_one_of_the_parallel_links() {
+        let topo = builders::parallel(4, 10.0);
+        // The flows of `least_loaded_ksp_spreads_volume_on_parallel_links`:
+        // after the first, every link but its one would be a new link.
+        let flows = dcn_flow::FlowSet::from_tuples(
+            (0..4).map(|_| (topo.source(), topo.sink(), 0.0, 10.0, 5.0)),
+        )
+        .unwrap();
+        let paths = Routing::Consolidate { k: 4 }
+            .compute_on(&topo.csr(), &flows)
+            .unwrap();
+        let mut used: Vec<_> = paths.iter().map(|p| p.links()[0]).collect();
+        used.dedup();
+        assert_eq!(used.len(), 1, "every flow should share one link");
+    }
+
+    #[test]
     fn unreachable_flow_is_an_error() {
         // Two disconnected hosts.
         let mut net = dcn_topology::Network::new();
@@ -261,6 +303,7 @@ mod tests {
             Routing::ShortestPath,
             Routing::Ecmp { seed: 0 },
             Routing::LeastLoadedKsp { k: 2 },
+            Routing::Consolidate { k: 2 },
         ] {
             let err = strategy
                 .compute_on(&GraphCsr::from_network(&net), &flows)

@@ -1217,6 +1217,9 @@ const BANS: &[(&[&str], &str, &str)] = &[
     (EVERYWHERE, "requests_per_second:", RESULTS_ONLY),
     (EVERYWHERE, "p99_latency_ms:", RESULTS_ONLY),
     (PRODUCT, "\"--timings\"", RESULTS_ONLY),
+    (PRODUCT, "ConsolidatingMcf", ROUTE_THEN_SCHEDULE),
+    (PRODUCT, "exact_dcfsr_ctx", ROUTE_THEN_SCHEDULE),
+    (PRODUCT, "ExactOutcome", ROUTE_THEN_SCHEDULE),
 ];
 const BENCH: &[&str] = &["crates/bench/src"];
 const NETWORK_AND_POWER: &[&str] = &["crates/topology/src", "crates/power/src"];
@@ -1235,6 +1238,8 @@ const ONE_COST: &str = "Frank–Wolfe takes the one cost it is given";
 const POLICY: &str = "a policy keeps only what it uses";
 const ONE_ERROR: &str = "`dcn-core` fails with one `SolveError`";
 const RESULTS_ONLY: &str = "an artifact carries results; wall clock is `perf/`'s to measure";
+const ROUTE_THEN_SCHEDULE: &str =
+    "a fixed-path baseline is a `Routing` under `RoutedMcf`, and `ExactBrute::solve` enumerates";
 const ONE_READ_PATH: &str =
     "`Network` stores nodes and links; `GraphCsr` is the one adjacency and runs every traversal";
 
