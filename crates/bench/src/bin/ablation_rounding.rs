@@ -101,6 +101,7 @@ fn main() {
                 ("budget".to_string(), budget as f64),
                 ("attempts".to_string(), attempts as f64),
             ],
+            refusal: None,
         });
         coordinates.push(("budget".to_string(), budget as f64));
     }

@@ -66,6 +66,7 @@ fn main() {
                 ("s2_measured".to_string(), s2),
                 ("s2_paper".to_string(), s2_paper),
             ],
+            refusal: None,
         };
         let report = ExperimentReport::assemble(
             "example1",

@@ -12,9 +12,9 @@
 //! ```
 
 use dcn_bench::print_table;
-use dcn_bench::report::{ExperimentReport, InstanceRecord};
+use dcn_bench::report::{ExperimentReport, InstanceRecord, Refusal};
 use dcn_bench::runner::{run_indexed, timed, ExperimentCli};
-use dcn_core::{Algorithm, Dcfsr, RandomScheduleConfig, RoutedMcf, SolverContext};
+use dcn_core::{Algorithm, Dcfsr, RandomScheduleConfig, RoutedMcf, Solution, SolverContext};
 use dcn_flow::workload::hardness;
 use dcn_power::PowerFunction;
 use dcn_topology::builders;
@@ -38,19 +38,26 @@ fn main() {
                 .expect("gadget flows are valid");
 
             let mut ctx = SolverContext::from_network(&topo.network).expect("gadget validates");
-            let rs = Dcfsr::new(RandomScheduleConfig {
+            let mut solve = |algorithm: &mut dyn Algorithm| {
+                let solution = algorithm.solve(&mut ctx, &flows, &power);
+                solution.map_err(|e| Refusal::new(algorithm.name(), &e))
+            };
+            let rs = solve(&mut Dcfsr::new(RandomScheduleConfig {
                 max_rounding_attempts: 50,
                 ..Default::default()
-            })
-            .solve(&mut ctx, &flows, &power)
-            .expect("gadget is connected");
-            let sp = RoutedMcf::shortest_path()
-                .solve(&mut ctx, &flows, &power)
-                .expect("gadget is connected");
+            }));
+            let sp = solve(&mut RoutedMcf::shortest_path());
 
             let optimum = m as f64 * alpha * mu * b.powf(alpha);
-            let rs_energy = rs.total_energy().expect("dcfsr schedules");
-            let sp_energy = sp.total_energy().expect("sp-mcf schedules");
+            let energy = |solution: &Result<Solution, Refusal>| {
+                solution.as_ref().map_or(0.0, |s| {
+                    s.total_energy().expect("dcfsr and sp-mcf schedule")
+                })
+            };
+            let (rs_energy, sp_energy) = (energy(&rs), energy(&sp));
+            let rs_capacity_excess = rs
+                .as_ref()
+                .map_or(0.0, |rs| rs.diagnostics.capacity_excess.unwrap_or(0.0));
             InstanceRecord {
                 label: format!("m={m}"),
                 flows: flows.len(),
@@ -62,10 +69,11 @@ fn main() {
                 rs_normalized: rs_energy / optimum,
                 sp_normalized: sp_energy / optimum,
                 deadline_misses: 0,
-                rs_capacity_excess: rs.diagnostics.capacity_excess.unwrap_or(0.0),
+                rs_capacity_excess,
                 rs_sim: None,
                 sp_sim: None,
                 extra: vec![("m".to_string(), m as f64), ("B".to_string(), b)],
+                refusal: rs.err().or(sp.err()),
             }
         })
     });

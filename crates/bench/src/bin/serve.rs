@@ -213,6 +213,7 @@ fn main() {
                 rs_sim: None,
                 sp_sim: None,
                 extra,
+                refusal: None,
             }
         })
     });

@@ -43,7 +43,7 @@ use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::builders::{self, BuiltTopology};
 use dcn_topology::TopologyEvent;
 
-use report::{ExperimentReport, InstanceRecord, SimSummary};
+use report::{ExperimentReport, InstanceRecord, Refusal, SimSummary};
 
 /// The default algorithm pair of every experiment: Random-Schedule as the
 /// primary, the paper's SP+MCF baseline as the reference.
@@ -74,13 +74,15 @@ pub struct InstanceResult {
     pub deadline_misses: usize,
     /// Worst per-link capacity excess of the primary algorithm's schedule.
     pub rs_capacity_excess: f64,
-    /// Audit digest of the primary schedule.
-    pub rs_sim: SimSummary,
-    /// Audit digest of the reference schedule.
-    pub sp_sim: SimSummary,
-    /// Audited energies of any algorithm beyond the first two, as
-    /// `("<name>_energy", energy)` pairs in selection order.
+    /// Audit digest of the primary schedule; `None` when it refused.
+    pub rs_sim: Option<SimSummary>,
+    /// Audit digest of the reference schedule; `None` when it refused.
+    pub sp_sim: Option<SimSummary>,
+    /// Audited energies of any algorithm beyond the first two that solved,
+    /// as `("<name>_energy", energy)` pairs in selection order.
     pub extra_energies: Vec<(String, f64)>,
+    /// The first algorithm, in selection order, that refused the instance.
+    pub refusal: Option<Refusal>,
 }
 
 /// The algorithm registry of the benchmark harness: `dcfsr` and `lb` relax
@@ -104,13 +106,19 @@ pub fn harness_registry() -> AlgorithmRegistry {
 ///
 /// `seed` re-seeds every algorithm's randomness ([`dcn_core::Algorithm::set_seed`]).
 ///
+/// An algorithm that returns an error instead of a solution (`exact` above
+/// its enumeration budget) is recorded as the result's
+/// [`InstanceResult::refusal`] — the first in selection order — and the
+/// run goes on: a refused primary or reference reads energy `0.0` and no
+/// audit digest, a refused further algorithm adds no extra energy.
+///
 /// # Panics
 ///
 /// Panics when fewer than two algorithms are selected, when a name is not
-/// registered, when the first two algorithms do not produce schedules,
-/// when a scheduler fails, or when a primary/reference schedule misses a
-/// deadline — these are invariants of the experiments, so a violation
-/// indicates a bug rather than an expected error path.
+/// registered, when one of the first two algorithms solves without a
+/// schedule, or when a primary/reference schedule misses a deadline —
+/// these are invariants of the experiments, so a violation indicates a bug
+/// rather than an expected error path.
 pub fn run_flow_set_algorithms(
     topo: &BuiltTopology,
     flows: &FlowSet,
@@ -132,17 +140,31 @@ pub fn run_flow_set_algorithms(
         energy: f64,
         lower_bound: Option<f64>,
         capacity_excess: f64,
+        refused: bool,
     }
 
     let mut ran: Vec<Ran> = Vec::with_capacity(algorithms.len());
+    let mut refusal = None;
     for name in algorithms {
         let mut algo = registry
             .create(name)
             .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
         algo.set_seed(seed);
-        let solution = algo
-            .solve(&mut ctx, flows, power)
-            .unwrap_or_else(|e| panic!("{name} must solve connected instances: {e}"));
+        let solution = match algo.solve(&mut ctx, flows, power) {
+            Ok(solution) => solution,
+            Err(e) => {
+                refusal.get_or_insert_with(|| Refusal::new(name, &e));
+                ran.push(Ran {
+                    name: name.clone(),
+                    sim: None,
+                    energy: 0.0,
+                    lower_bound: None,
+                    capacity_excess: 0.0,
+                    refused: true,
+                });
+                continue;
+            }
+        };
         match &solution.schedule {
             Some(schedule) => {
                 let audit = schedule.audit(ctx.graph(), flows, power);
@@ -152,6 +174,7 @@ pub fn run_flow_set_algorithms(
                     energy: audit.energy.total(),
                     lower_bound: solution.lower_bound,
                     capacity_excess: solution.diagnostics.capacity_excess.unwrap_or(0.0),
+                    refused: false,
                 });
             }
             None => ran.push(Ran {
@@ -160,6 +183,7 @@ pub fn run_flow_set_algorithms(
                 energy: solution.lower_bound.unwrap_or(0.0),
                 lower_bound: solution.lower_bound,
                 capacity_excess: 0.0,
+                refused: false,
             }),
         }
     }
@@ -169,22 +193,20 @@ pub fn run_flow_set_algorithms(
         .find_map(|r| r.lower_bound)
         .unwrap_or_else(|| relaxation_bound(registry, &mut ctx, flows, power));
 
-    let rs_sim = ran[0]
-        .sim
-        .expect("the primary algorithm must produce a schedule");
-    let sp_sim = ran[1]
-        .sim
-        .expect("the reference algorithm must produce a schedule");
-    assert_eq!(
-        rs_sim.deadline_misses, 0,
-        "{} must meet every deadline",
-        ran[0].name
-    );
-    assert_eq!(
-        sp_sim.deadline_misses, 0,
-        "{} must meet every deadline",
-        ran[1].name
-    );
+    for (r, role) in ran.iter().zip(["primary", "reference"]) {
+        assert!(
+            r.sim.is_some() || r.refused,
+            "the {role} algorithm must produce a schedule"
+        );
+        if let Some(sim) = r.sim {
+            assert_eq!(
+                sim.deadline_misses, 0,
+                "{} must meet every deadline",
+                r.name
+            );
+        }
+    }
+    let (rs_sim, sp_sim) = (ran[0].sim, ran[1].sim);
 
     InstanceResult {
         flows: flows.len(),
@@ -193,14 +215,20 @@ pub fn run_flow_set_algorithms(
         lower_bound,
         rs_energy: ran[0].energy,
         sp_energy: ran[1].energy,
-        deadline_misses: rs_sim.deadline_misses + sp_sim.deadline_misses,
+        deadline_misses: [rs_sim, sp_sim]
+            .iter()
+            .flatten()
+            .map(|s| s.deadline_misses)
+            .sum(),
         rs_capacity_excess: ran[0].capacity_excess,
         rs_sim,
         sp_sim,
         extra_energies: ran[2..]
             .iter()
+            .filter(|r| !r.refused)
             .map(|r| (format!("{}_energy", r.name), r.energy))
             .collect(),
+        refusal,
     }
 }
 
@@ -238,16 +266,17 @@ pub struct OnlineInstance {
 pub struct OnlineInstanceResult {
     /// What the online loop decided and committed.
     pub outcome: OnlineOutcome,
-    /// The clairvoyant reference: the same seeded algorithm solving the
-    /// full instance.
-    pub offline: Solution,
+    /// The clairvoyant reference — the same seeded algorithm solving the
+    /// full instance — or its refusal.
+    pub offline: Result<Solution, Refusal>,
     /// The fractional lower bound of the (clairvoyant) instance.
     pub lower_bound: f64,
     /// Audit digest of the committed online schedule (deadline misses
     /// counted over admitted flows only).
     pub online_sim: SimSummary,
-    /// Audit digest of the offline clairvoyant schedule.
-    pub offline_sim: SimSummary,
+    /// Audit digest of the offline clairvoyant schedule; `None` when the
+    /// reference refused.
+    pub offline_sim: Option<SimSummary>,
 }
 
 /// Runs one **online** instance: executes its flows and events through an
@@ -268,16 +297,16 @@ pub struct OnlineInstanceResult {
 ///
 /// The lower bound is taken from the reference solution when the algorithm
 /// computes one (`dcfsr`); otherwise the `lb` algorithm is run
-/// additionally.
+/// additionally. A reference solve that returns an error (`exact` above
+/// its enumeration budget) is kept as the result's typed refusal.
 ///
 /// # Panics
 ///
 /// Panics when the algorithm or policy name is not registered, when an
 /// event is malformed (non-finite time or out-of-range link), when the
-/// online loop or the reference solve fails (connected benchmark instances
-/// must solve), or when the *clairvoyant* schedule misses a deadline —
-/// offline feasibility is an invariant of the experiments; online misses
-/// and rejections are data, not bugs.
+/// online loop fails, or when the *clairvoyant* schedule misses a
+/// deadline — offline feasibility is an invariant of the experiments;
+/// online misses and rejections are data, not bugs.
 pub fn run_online_flow_set(
     topo: &BuiltTopology,
     instance: &OnlineInstance,
@@ -309,9 +338,11 @@ pub fn run_online_flow_set(
     reference.set_seed(seed);
     let offline = reference
         .solve(&mut ctx, flows, power)
-        .unwrap_or_else(|e| panic!("{algorithm} must solve connected instances: {e}"));
+        .map_err(|e| Refusal::new(algorithm, &e));
     let lower_bound = offline
-        .lower_bound
+        .as_ref()
+        .ok()
+        .and_then(|offline| offline.lower_bound)
         .unwrap_or_else(|| relaxation_bound(&registry, &mut ctx, flows, power));
 
     let online_audit = outcome.schedule.audit(ctx.graph(), flows, power);
@@ -319,15 +350,18 @@ pub fn run_online_flow_set(
         deadline_misses: online_audit.misses_among(&outcome.report.admitted_mask()),
         ..SimSummary::from(&online_audit)
     };
-    let offline_schedule = offline
-        .schedule
-        .as_ref()
-        .expect("the clairvoyant reference produces a schedule");
-    let offline_sim = SimSummary::from(&offline_schedule.audit(ctx.graph(), flows, power));
-    assert_eq!(
-        offline_sim.deadline_misses, 0,
-        "{algorithm} must meet every deadline with clairvoyant knowledge"
-    );
+    let offline_sim = offline.as_ref().ok().map(|offline| {
+        let schedule = offline
+            .schedule
+            .as_ref()
+            .expect("the clairvoyant reference produces a schedule");
+        let sim = SimSummary::from(&schedule.audit(ctx.graph(), flows, power));
+        assert_eq!(
+            sim.deadline_misses, 0,
+            "{algorithm} must meet every deadline with clairvoyant knowledge"
+        );
+        sim
+    });
     OnlineInstanceResult {
         outcome,
         offline,
@@ -479,6 +513,9 @@ pub fn run_online_sweep(
             );
             let label = format!("{} {}={x} seed={seed}", group(cell), sweep.axis);
             eprintln!("  [{}] {}/{} {label}", sweep.name, i + 1, grid.len());
+            if let Err(Refusal { algorithm, reason }) = &result.offline {
+                eprintln!("  [{}] {algorithm} refused: {reason}", sweep.name);
+            }
             let report = &result.outcome.report;
             let value = |key: &str| match key {
                 key if key == sweep.axis => x,
@@ -501,6 +538,7 @@ pub fn run_online_sweep(
                     None => panic!("[{}] no extra dimension named {other:?}", sweep.name),
                 },
             };
+            let reference_energy = result.offline_sim.map_or(0.0, |sim| sim.energy);
             InstanceRecord {
                 label,
                 flows: instance.flows.len(),
@@ -508,21 +546,22 @@ pub fn run_online_sweep(
                 alpha: power.alpha(),
                 lower_bound: result.lower_bound,
                 rs_energy: result.online_sim.energy,
-                sp_energy: result.offline_sim.energy,
+                sp_energy: reference_energy,
                 rs_normalized: result.online_sim.energy / result.lower_bound,
-                sp_normalized: result.offline_sim.energy / result.lower_bound,
+                sp_normalized: reference_energy / result.lower_bound,
                 deadline_misses: report.missed(),
                 rs_capacity_excess: result
                     .outcome
                     .schedule
                     .max_capacity_excess(&topo.network, &power),
                 rs_sim: Some(result.online_sim),
-                sp_sim: Some(result.offline_sim),
+                sp_sim: result.offline_sim,
                 extra: sweep
                     .extra
                     .iter()
                     .map(|&key| (key.to_string(), value(key)))
                     .collect(),
+                refusal: result.offline.err(),
             }
         })
     });
@@ -730,6 +769,9 @@ impl Experiment {
                     "  [{}] {n}/{total} {} x={} seed={}",
                     self.name, spec.group, spec.x, spec.seed
                 );
+                if let Some(Refusal { algorithm, reason }) = &result.refusal {
+                    eprintln!("  [{}] {algorithm} refused: {reason}", self.name);
+                }
                 result
             })
         });
@@ -799,9 +841,10 @@ impl Experiment {
             sp_normalized: result.sp_energy / result.lower_bound,
             deadline_misses: result.deadline_misses,
             rs_capacity_excess: result.rs_capacity_excess,
-            rs_sim: Some(result.rs_sim),
-            sp_sim: Some(result.sp_sim),
+            rs_sim: result.rs_sim,
+            sp_sim: result.sp_sim,
             extra,
+            refusal: result.refusal.clone(),
         }
     }
 
@@ -865,6 +908,68 @@ mod tests {
         }
     }
 
+    /// `exact` above its enumeration budget is a typed refusal in the
+    /// record, not a panic: as the reference, as a further algorithm and
+    /// as the primary; the report skips the refused instances' points and
+    /// round-trips, and an instance `exact` does solve keeps a point.
+    #[test]
+    fn a_refusing_algorithm_is_recorded_not_fatal() {
+        let topo = builders::fat_tree(4);
+        let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
+        let flows = UniformWorkload::paper_defaults(20, 3)
+            .generate(topo.hosts())
+            .unwrap();
+        let registry = harness_registry();
+        let names = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let r = run_flow_set_algorithms(
+            &topo,
+            &flows,
+            &power,
+            3,
+            &names(&["dcfsr", "exact"]),
+            &registry,
+        );
+        let refusal = r.refusal.expect("exact refuses 20 flows");
+        assert_eq!(refusal.algorithm, "exact");
+        assert!(refusal.reason.contains("budget"), "{}", refusal.reason);
+        assert!(r.rs_sim.is_some() && r.sp_sim.is_none());
+        assert_eq!(r.sp_energy, 0.0);
+
+        let r = run_flow_set_algorithms(
+            &topo,
+            &flows,
+            &power,
+            3,
+            &names(&["exact", "sp-mcf", "exact", "ecmp"]),
+            &registry,
+        );
+        assert_eq!(r.refusal.unwrap().algorithm, "exact");
+        assert!(r.rs_sim.is_none() && r.sp_sim.is_some());
+        assert_eq!(r.extra_energies.len(), 1);
+        assert_eq!(r.extra_energies[0].0, "ecmp_energy");
+
+        let mut exp = Experiment::new("unit", vec![topo]);
+        exp.algorithms = names(&["dcfsr", "exact"]);
+        for n in [3usize, 20] {
+            exp.push(InstanceSpec {
+                group: "g".to_string(),
+                x: n as f64,
+                topology: 0,
+                power,
+                input: InstanceInput::Uniform { flows: n },
+                seed: 3,
+                extra: Vec::new(),
+            });
+        }
+        let report = exp.run(1).report;
+        assert!(report.instances[0].refusal.is_none());
+        assert!(report.instances[1].refusal.is_some());
+        assert_eq!(report.points.len(), 1);
+        assert_eq!(report.points[0].x, 3.0);
+        let text = report.to_json();
+        assert_eq!(ExperimentReport::from_json(&text).unwrap().to_json(), text);
+    }
+
     #[test]
     fn reference_only_selection_still_gets_a_lower_bound() {
         // Neither sp-mcf nor ecmp computes LB as a by-product; the harness
@@ -909,13 +1014,15 @@ mod tests {
         assert!(r.lower_bound > 0.0);
         assert_eq!(r.outcome.report.admitted(), 12);
         assert!(r.outcome.report.resolves >= 1);
+        let offline_sim = r.offline_sim.unwrap();
         assert!(r.online_sim.energy / r.lower_bound >= 1.0 - 1e-9);
-        assert!(r.offline_sim.energy / r.lower_bound >= 1.0 - 1e-9);
-        assert_eq!(r.offline_sim.deadline_misses, 0);
+        assert!(offline_sim.energy / r.lower_bound >= 1.0 - 1e-9);
+        assert_eq!(offline_sim.deadline_misses, 0);
         // The engine's and the reference's energies agree with their
         // replays up to the analytic/simulated agreement.
-        let ratio = r.outcome.report.online_energy / r.offline.total_energy().unwrap();
-        let simulated = r.online_sim.energy / r.offline_sim.energy;
+        let offline = r.offline.unwrap().total_energy().unwrap();
+        let ratio = r.outcome.report.online_energy / offline;
+        let simulated = r.online_sim.energy / offline_sim.energy;
         assert!((ratio - simulated).abs() < 1e-6 * (1.0 + simulated));
     }
 
@@ -949,9 +1056,9 @@ mod tests {
         assert_eq!(r.outcome.report.resolves, 1);
         assert_eq!(
             r.outcome.report.online_energy.to_bits(),
-            r.offline.total_energy().unwrap().to_bits()
+            r.offline.unwrap().total_energy().unwrap().to_bits()
         );
-        assert_eq!(r.online_sim.energy, r.offline_sim.energy);
+        assert_eq!(r.online_sim.energy, r.offline_sim.unwrap().energy);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use std::path::Path;
 ///   `requests_per_second` and `p99_latency_ms` for the `serve` bench (both
 ///   `null` outside `--timings` runs and for every batch experiment).
 /// * v4 — removed `--timings`, the four columns above and the report's
-///   `wall_clock_seconds`: an artifact carries results only.
+///   `wall_clock_seconds`: an artifact carries results only. An instance
+///   record may carry a `refusal` (written only when present, so a run
+///   nothing refused keeps its bytes).
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// One solved `(topology, workload, power-function, seed)` instance, as it
@@ -37,7 +39,7 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// closed form). `lower_bound` is the normaliser: the fractional LB for the
 /// sweeps, the analytic optimum for the hardness gadget, the closed-form
 /// energy for `example1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct InstanceRecord {
     /// Human-readable instance label, e.g. `"x^2 flows=80 seed=80003"`.
     pub label: String,
@@ -68,6 +70,73 @@ pub struct InstanceRecord {
     /// Experiment-specific dimensions (e.g. `grain`, `lambda`, `budget`,
     /// `m`), in a fixed order.
     pub extra: Vec<(String, f64)>,
+    /// The first algorithm, in selection order, that refused the instance.
+    /// A refused primary or reference reads energy `0.0` and no audit; a
+    /// refused further algorithm has no `extra` energy. A record with a
+    /// refusal is averaged into no [`SweepPoint`].
+    pub refusal: Option<Refusal>,
+}
+
+/// An algorithm's typed refusal of an instance: the error it returned in
+/// place of a schedule, e.g. `exact` on an instance above its enumeration
+/// budget.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Refusal {
+    /// The algorithm's name.
+    pub algorithm: String,
+    /// The error it returned, as displayed.
+    pub reason: String,
+}
+
+impl Refusal {
+    /// The refusal of `algorithm` with `error`.
+    pub fn new(algorithm: &str, error: &dcn_core::SolveError) -> Self {
+        Self {
+            algorithm: algorithm.to_string(),
+            reason: error.to_string(),
+        }
+    }
+}
+
+/// The fields in declaration order, as the derive writes them, with
+/// `refusal` only when present.
+impl Serialize for InstanceRecord {
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.open('{');
+        w.key("label");
+        self.label.serialize(w);
+        w.key("flows");
+        self.flows.serialize(w);
+        w.key("seed");
+        self.seed.serialize(w);
+        w.key("alpha");
+        self.alpha.serialize(w);
+        w.key("lower_bound");
+        self.lower_bound.serialize(w);
+        w.key("rs_energy");
+        self.rs_energy.serialize(w);
+        w.key("sp_energy");
+        self.sp_energy.serialize(w);
+        w.key("rs_normalized");
+        self.rs_normalized.serialize(w);
+        w.key("sp_normalized");
+        self.sp_normalized.serialize(w);
+        w.key("deadline_misses");
+        self.deadline_misses.serialize(w);
+        w.key("rs_capacity_excess");
+        self.rs_capacity_excess.serialize(w);
+        w.key("rs_sim");
+        self.rs_sim.serialize(w);
+        w.key("sp_sim");
+        self.sp_sim.serialize(w);
+        w.key("extra");
+        self.extra.serialize(w);
+        if let Some(refusal) = &self.refusal {
+            w.key("refusal");
+            refusal.serialize(w);
+        }
+        w.close('}');
+    }
 }
 
 impl InstanceRecord {
@@ -274,6 +343,11 @@ impl ExperimentReport {
                     record.label
                 ));
             }
+            if let Some(refusal) = &record.refusal {
+                if refusal.algorithm.is_empty() || refusal.reason.is_empty() {
+                    return Err(format!("instance {i} ({}): empty refusal", record.label));
+                }
+            }
             for (key, value) in &record.extra {
                 if key.is_empty() {
                     return Err(format!("instance {i} ({}): empty extra key", record.label));
@@ -311,7 +385,8 @@ impl ExperimentReport {
 
     /// Groups instances by `(group, x)` in first-appearance order and
     /// appends the averaged [`SweepPoint`]s, using each record's
-    /// `rs_normalized` / `sp_normalized`.
+    /// `rs_normalized` / `sp_normalized`. Records with a refusal are left
+    /// out, and so is a point none of whose records is left.
     ///
     /// `coordinates` supplies the `(group, x)` pair of every instance, in
     /// the same order as `self.instances`.
@@ -324,7 +399,11 @@ impl ExperimentReport {
         // Insertion-ordered grouping: no HashMap, so the output order (and
         // therefore the JSON bytes) never depends on hasher state.
         let mut groups: Vec<((&String, u64), Vec<usize>)> = Vec::new();
-        for (i, (group, x)) in coordinates.iter().enumerate() {
+        let solved = coordinates
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.instances[i].refusal.is_none());
+        for (i, (group, x)) in solved {
             let key = (group, x.to_bits());
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
@@ -367,6 +446,7 @@ mod tests {
             rs_sim: None,
             sp_sim: None,
             extra: vec![("grain".to_string(), 2.0)],
+            refusal: None,
         }
     }
 
@@ -418,6 +498,32 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.instances[0].extra("grain"), Some(2.0));
         assert_eq!(back.instances[0].extra("absent"), None);
+    }
+
+    /// A refusal is written, last, only when present, reads back, and is
+    /// checked for content; the refused record averages into no point.
+    #[test]
+    fn a_refusal_is_written_only_when_present() {
+        let mut r = report();
+        assert!(!r.to_json().contains("refusal"));
+        let refusal = Refusal {
+            algorithm: "exact".to_string(),
+            reason: "exhaustive search would visit 4096 assignments (budget 100)".to_string(),
+        };
+        r.instances[1].refusal = Some(refusal.clone());
+        let text = r.to_json();
+        let back = ExperimentReport::from_json(&text).unwrap();
+        assert_eq!(back.instances[1].refusal, Some(refusal));
+        assert_eq!(back.to_json(), text);
+        r.instances[1].refusal.as_mut().unwrap().reason.clear();
+        assert!(ExperimentReport::from_json(&r.to_json())
+            .unwrap_err()
+            .contains("empty refusal"));
+
+        r.points.clear();
+        r.instances[1].refusal = back.instances[1].refusal.clone();
+        r.aggregate_points(&[("g".to_string(), 1.0), ("g".to_string(), 1.0)]);
+        assert_eq!(r.points[0].runs, 1);
     }
 
     #[test]

@@ -38,6 +38,19 @@
 //! after the shortest-path step: when `g <= tolerance · |F(x)|` the solve
 //! is converged and the line search is not run.
 //!
+//! `∇F(x)·s` needs only each commodity's shortest distance, not its path,
+//! and at the start — where a symmetric fabric's solve ends — a node
+//! potential proves those distances without a search (the dual side of the
+//! gap certificate). Per source, the potential π runs over a cached
+//! hop-layer program of the source's root (the source, or the switch a
+//! pendant host hangs off): π(v) is the least `π(u) + w(u, v)` over v's
+//! in-links from the previous breadth-first layer. If `π(v) <= π(u) +
+//! w(u, v)` then holds on every other link of the program, each π(t) is
+//! the search's distance to the bit, and a gap within tolerance ends the
+//! solve after one iteration with no all-or-nothing step. A potential that
+//! fails the check, a gap above tolerance, every later iteration and any
+//! solve with a link down take the search as before.
+//!
 //! # The iterate is a path mixture
 //!
 //! A Frank–Wolfe iterate is `β · start + Σ_t c_t · (path of step t)` per
@@ -67,7 +80,16 @@
 //!   its switch, and a link into any other host is never read. Unloaded
 //!   links all weigh the same (0 when σ = 0), so a search still settles
 //!   nearly every switch; what it does not read are the links into hosts
-//!   and into nodes already settled;
+//!   and into nodes already settled. The start searches once per source
+//!   with a pair not in the split cache; the all-or-nothing step searches
+//!   unless the first iteration's certificate ends the solve;
+//! * the certificate's hop-layer programs are `u32` slices of their exact
+//!   size, one program per root and graph state, built on a root's first
+//!   use: on a failure-free k = 8 fat-tree a program lists the 79 other
+//!   switches and the 508 links between switches that do not enter its
+//!   edge switch, 2 980 bytes, so the 32 edge switches' programs hold
+//!   95 KB (and the node-indexed tables beside them 14 KB). Pendant hosts
+//!   enter no program: a target host reads its switch's potential;
 //! * chosen paths are stored as spans into one shared link buffer, and
 //!   the objective, blending and load passes and [`FmcfSolution::cost`]
 //!   run over the links some chosen path touched, in link order (a bitmap,
@@ -391,6 +413,215 @@ impl SplitCache {
     }
 }
 
+/// The entry of a node-indexed table of [`HopPrograms`] that holds no node.
+const NONE: u32 = u32::MAX;
+
+/// One root's hop-layer program, each slice allocated to its exact size.
+#[derive(Debug, Clone)]
+struct HopProgram {
+    /// The nodes the root reaches without entering a pendant, but the
+    /// root, in breadth-first layers, each with the ends of its spans in
+    /// `ins` and `checks`.
+    nodes: Box<[(u32, u32, u32)]>,
+    /// A node's live in-links from the previous layer.
+    ins: Box<[u32]>,
+    /// A node's live in-links from any other program node.
+    checks: Box<[u32]>,
+}
+
+/// The hop-layer programs that certify the first all-or-nothing step
+/// without a search (see the [module docs](self#stopping-on-the-gap)).
+///
+/// A source's *root* is the source itself or, for a pendant source (one
+/// live link each way, to one node: a fat-tree host), the node it hangs
+/// off. Programs are built once per root and graph state; a pendant that
+/// is not the root enters none and is reached from its parent, and no
+/// link into the root is checked, since no simple path from the source
+/// enters it.
+#[derive(Debug, Clone, Default)]
+struct HopPrograms {
+    /// Epoch of the graph the programs were built on.
+    graph_epoch: u64,
+    /// Per node: the node it hangs off if it is a pendant (the search
+    /// engine's rule), else [`NONE`].
+    pendant_parent: Vec<u32>,
+    /// Per node: its program once built.
+    programs: Vec<Option<HopProgram>>,
+    /// Entries the built programs hold.
+    held: usize,
+    /// Per node: its layer while a program is built, else [`NONE`].
+    layer: Vec<u32>,
+    /// The nodes, ins and checks of the program being built.
+    draft_nodes: Vec<(u32, u32, u32)>,
+    draft_ins: Vec<u32>,
+    draft_checks: Vec<u32>,
+    /// Per node: its potential under the latest run that reached it.
+    pi: Vec<f64>,
+    /// Per node: the run that last wrote `pi`.
+    stamp: Vec<u32>,
+    /// The latest run.
+    run: u32,
+}
+
+impl HopPrograms {
+    /// Program entries kept before every program is dropped and rebuilt
+    /// on demand (a few MB), so a large fabric's programs stay bounded.
+    const MAX_ENTRIES: usize = 1 << 19;
+
+    /// Drops every program built on another graph state, or all of them
+    /// once they hold too much, and indexes the pendants of a new state.
+    fn start_solve(&mut self, graph: &GraphCsr) {
+        if self.graph_epoch == graph.epoch() && self.held <= Self::MAX_ENTRIES {
+            return;
+        }
+        let parent = |v: NodeId| match (graph.out_links(v), graph.in_links(v)) {
+            (&[out], &[inn])
+                if graph.link_dst(out) == graph.link_src(inn) && graph.link_src(inn) != v =>
+            {
+                graph.link_src(inn).index() as u32
+            }
+            _ => NONE,
+        };
+        let n = graph.node_count();
+        *self = Self {
+            graph_epoch: graph.epoch(),
+            pendant_parent: (0..n).map(|v| parent(NodeId(v))).collect(),
+            programs: vec![None; n],
+            layer: vec![NONE; n],
+            pi: vec![0.0; n],
+            stamp: vec![0; n],
+            ..Self::default()
+        };
+    }
+
+    /// Builds `root`'s program: a breadth-first search that never enters
+    /// a pendant, then each reached node's in-links from reached nodes,
+    /// sorted into `ins` (from the previous layer) and `checks` (the rest).
+    fn build(&mut self, graph: &GraphCsr, root: NodeId) -> HopProgram {
+        let Self {
+            pendant_parent,
+            layer,
+            draft_nodes: nodes,
+            draft_ins: ins,
+            draft_checks: checks,
+            ..
+        } = self;
+        nodes.clear();
+        ins.clear();
+        checks.clear();
+        layer[root.index()] = 0;
+        let (mut u, mut head) = (root.index(), 0);
+        loop {
+            for (_, v) in graph.out_links_with_dsts(NodeId(u)) {
+                let v = v.index();
+                if layer[v] == NONE && pendant_parent[v] == NONE {
+                    layer[v] = layer[u] + 1;
+                    nodes.push((v as u32, 0, 0));
+                }
+            }
+            let Some(&(next, ..)) = nodes.get(head) else {
+                break;
+            };
+            (u, head) = (next as usize, head + 1);
+        }
+        for node in nodes.iter_mut() {
+            let v = node.0 as usize;
+            for &l in graph.in_links(NodeId(v)) {
+                let u = graph.link_src(l).index();
+                if layer[u] == layer[v] - 1 {
+                    ins.push(l.index() as u32);
+                } else if layer[u] != NONE {
+                    checks.push(l.index() as u32);
+                }
+            }
+            (node.1, node.2) = (ins.len() as u32, checks.len() as u32);
+        }
+        layer[root.index()] = NONE;
+        for &(v, ..) in nodes.iter() {
+            layer[v as usize] = NONE;
+        }
+        self.held += nodes.len() + ins.len() + checks.len();
+        HopProgram {
+            nodes: nodes.as_slice().into(),
+            ins: ins.as_slice().into(),
+            checks: checks.as_slice().into(),
+        }
+    }
+
+    /// Computes the potential π from `src` under `weights` over its root's
+    /// program — π(v) the least `π(u) + w(u, v)` over v's in-links from the
+    /// previous layer — and returns whether `π(v) <= π(u) + w(u, v)` holds
+    /// on every other link of the program. Then π(v) is what a search from
+    /// `src` would find, to the bit: it is the left-to-right float sum of
+    /// a real path, so no less than the least such sum, and feasibility
+    /// gives no more along the search's own path, float addition being
+    /// monotone and the weights non-negative.
+    fn potentials(&mut self, graph: &GraphCsr, src: NodeId, weights: &[f64]) -> bool {
+        let parent = self.pendant_parent[src.index()];
+        let (root, at_root) = if parent == NONE {
+            (src, 0.0)
+        } else {
+            // The search's own sum: its source sits at `0.0`.
+            let out = graph.out_links(src)[0];
+            (NodeId(parent as usize), 0.0 + weights[out.index()])
+        };
+        if self.programs[root.index()].is_none() {
+            self.programs[root.index()] = Some(self.build(graph, root));
+        }
+        self.run = self.run.wrapping_add(1);
+        if self.run == 0 {
+            self.stamp.fill(0);
+            self.run = 1;
+        }
+        let Self {
+            programs,
+            pi,
+            stamp,
+            run,
+            ..
+        } = self;
+        let program = programs[root.index()].as_ref().expect("built above");
+        pi[root.index()] = at_root;
+        stamp[root.index()] = *run;
+        let mut k = 0;
+        for &(v, end, _) in program.nodes.iter() {
+            let mut least = f64::INFINITY;
+            for &l in &program.ins[k..end as usize] {
+                let u = graph.link_src(LinkId(l as usize));
+                least = least.min(pi[u.index()] + weights[l as usize]);
+            }
+            (pi[v as usize], stamp[v as usize], k) = (least, *run, end as usize);
+        }
+        let mut k = 0;
+        program.nodes.iter().all(|&(v, _, end)| {
+            let checks = &program.checks[k..end as usize];
+            k = end as usize;
+            let pi_v = pi[v as usize];
+            checks.iter().all(|&l| {
+                let u = graph.link_src(LinkId(l as usize));
+                pi_v <= pi[u.index()] + weights[l as usize]
+            })
+        })
+    }
+
+    /// The potential of `dst` under the latest [`HopPrograms::potentials`]
+    /// run — over its one in-link if it is a pendant outside the program —
+    /// or `None` when the run did not reach it or reached it at infinity.
+    fn distance(&self, graph: &GraphCsr, dst: NodeId, weights: &[f64]) -> Option<f64> {
+        let reached = |v: usize| self.stamp[v] == self.run;
+        let pi = if reached(dst.index()) {
+            self.pi[dst.index()]
+        } else {
+            let parent = self.pendant_parent[dst.index()];
+            if parent == NONE || !reached(parent as usize) {
+                return None;
+            }
+            self.pi[parent as usize] + weights[graph.in_links(dst)[0].index()]
+        };
+        pi.is_finite().then_some(pi)
+    }
+}
+
 /// Reusable solver state: the shortest-path engine arenas and every
 /// per-iteration buffer. One scratch can (and should) be shared across the
 /// many [`FmcfProblem::solve_with`] calls of an interval sweep; it grows to
@@ -468,9 +699,22 @@ pub struct FmcfScratch {
     dirty: Vec<LinkId>,
     /// Membership mask of `dirty` (indexed by link, grown on demand).
     dirty_mark: Vec<bool>,
+    /// The hop-layer programs of the current graph state.
+    programs: HopPrograms,
+    /// Per commodity: its certified distance in the first iteration.
+    target_dist: Vec<f64>,
     /// Solves that kept their start's loads instead of rebuilding them.
     #[cfg(test)]
     kept_start_loads: usize,
+    /// Solves that exited on a certified gap, with no search.
+    #[cfg(test)]
+    certified_exits: usize,
+    /// All-or-nothing steps run.
+    #[cfg(test)]
+    aon_rounds: usize,
+    /// Whether solves skip the certificate.
+    #[cfg(test)]
+    uncertified: bool,
 }
 
 impl FmcfScratch {
@@ -539,6 +783,7 @@ impl FmcfScratch {
         self.node_share.resize(graph.node_count(), 0.0);
         self.node_queued.resize(graph.node_count(), false);
         self.path_spans.resize(n, (0, 0));
+        self.target_dist.resize(n, 0.0);
         self.split_of.resize(n, 0);
         self.step_links.clear();
         self.step_spans.clear();
@@ -713,6 +958,10 @@ impl<'a> FmcfProblem<'a> {
         } = scratch;
         let graph = self.graph;
         path_links.clear();
+        #[cfg(test)]
+        {
+            scratch.aon_rounds += 1;
+        }
 
         let mut i = 0;
         while i < order.len() {
@@ -744,6 +993,36 @@ impl<'a> FmcfProblem<'a> {
             i = j;
         }
         Ok(())
+    }
+
+    /// The linearised cost `Σ demand · dist(dst)` of the all-or-nothing
+    /// step under `scratch.weights`, summed in commodity order, certified
+    /// by one [`HopPrograms::potentials`] run per distinct source instead
+    /// of a search; `None` when a source's potential is not feasible or a
+    /// destination is out of its reach.
+    fn certified_at_target(&self, scratch: &mut FmcfScratch) -> Option<f64> {
+        let FmcfScratch {
+            programs,
+            weights,
+            order,
+            target_dist,
+            ..
+        } = scratch;
+        let graph = self.graph;
+        programs.start_solve(graph);
+        let mut i = 0;
+        while i < order.len() {
+            let src = self.commodities[order[i]].src;
+            if !programs.potentials(graph, src, weights) {
+                return None;
+            }
+            while let Some(&c) = order.get(i).filter(|&&c| self.commodities[c].src == src) {
+                target_dist[c] = programs.distance(graph, self.commodities[c].dst, weights)?;
+                i += 1;
+            }
+        }
+        let dists = self.commodities.iter().zip(&*target_dist);
+        Some(dists.map(|(c, &dist)| c.demand * dist).sum())
     }
 
     /// Makes sure the split cache holds the ECMP split of every
@@ -945,14 +1224,35 @@ impl<'a> FmcfProblem<'a> {
             for &l in &scratch.active {
                 scratch.weights[l.index()] = cost.weight(loads[l.index()]);
             }
-            self.all_or_nothing(scratch)?;
-            scratch.register_active_paths();
-
             // The Frank–Wolfe gap: the linearised cost of the iterate less
-            // that of the all-or-nothing assignment.
+            // that of the all-or-nothing assignment. (Links the step adds
+            // to the active set carry no load and add `+0.0`.)
             let weight = |l: &LinkId| scratch.weights[l.index()];
             let active = scratch.active.iter();
             let at_iterate: f64 = active.map(|l| weight(l) * loads[l.index()]).sum();
+            // (0/0, an instance of no cost at all, is a zero gap.)
+            let gap = |at_target: f64| ((at_iterate - at_target) / objective.abs()).max(0.0);
+
+            // At the start the step's cost may be certified without a
+            // search; a gap within tolerance then ends the solve.
+            let certify = it == 0 && graph.down_link_count() == 0;
+            #[cfg(test)]
+            let certify = certify && !scratch.uncertified;
+            if let Some(at_target) = certify.then(|| self.certified_at_target(scratch)).flatten() {
+                if gap(at_target) <= config.tolerance {
+                    solution.relative_gap = gap(at_target);
+                    solution.converged = true;
+                    #[cfg(test)]
+                    {
+                        scratch.certified_exits += 1;
+                    }
+                    break;
+                }
+            }
+
+            self.all_or_nothing(scratch)?;
+            scratch.register_active_paths();
+            let weight = |l: &LinkId| scratch.weights[l.index()];
             let spans = self.commodities.iter().zip(&scratch.path_spans);
             let at_target: f64 = spans
                 .map(|(commodity, &(start, len))| {
@@ -960,8 +1260,7 @@ impl<'a> FmcfProblem<'a> {
                     commodity.demand * path.iter().map(weight).sum::<f64>()
                 })
                 .sum();
-            // (0/0, an instance of no cost at all, is a zero gap.)
-            solution.relative_gap = ((at_iterate - at_target) / objective.abs()).max(0.0);
+            solution.relative_gap = gap(at_target);
             if solution.relative_gap <= config.tolerance {
                 solution.converged = true;
                 break;
@@ -2257,5 +2556,243 @@ mod tests {
         assert!(empty.1.is_empty());
         let sol = solve(&empty.0, Vec::new(), &quadratic_cost(), &Default::default());
         assert_eq!(sol.unwrap().cost.to_bits(), 0.0f64.to_bits());
+    }
+
+    /// A splitmix64 stream: seeded weights without a dependency.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self, below: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % below as u64) as usize
+        }
+    }
+
+    /// The graphs the certificate is held to: fat-trees k = 4 and 8,
+    /// leaf–spine, BCube(4,1), two lines (the shorter one's two nodes are
+    /// each other's pendants), two parallel links, and a fat-tree with one
+    /// aggregation–core link down.
+    fn certificate_corpus() -> Vec<(&'static str, GraphCsr, Vec<NodeId>)> {
+        let mut corpus: Vec<_> = [
+            ("fat-tree(4)", builders::fat_tree(4)),
+            ("fat-tree(8)", builders::fat_tree(8)),
+            ("leaf-spine", builders::leaf_spine(4, 3, 4)),
+            ("bcube(4,1)", builders::bcube(4, 1)),
+            ("line(2)", builders::line(2)),
+            ("line(3)", builders::line(3)),
+            ("parallel(2)", builders::parallel(2, 10.0)),
+        ]
+        .into_iter()
+        .map(|(name, t)| (name, t.csr(), t.hosts))
+        .collect();
+        let t = builders::fat_tree(4);
+        corpus.push(("fat-tree(4), one link down", agg_core_down(&t), t.hosts));
+        corpus
+    }
+
+    /// A fat-tree's graph with its first aggregation-to-core link down.
+    fn agg_core_down(t: &builders::BuiltTopology) -> GraphCsr {
+        let mut graph = t.csr();
+        let kind = |v: NodeId| t.network.node(v).kind;
+        let up = (0..graph.link_count())
+            .map(LinkId)
+            .find(|&l| {
+                kind(graph.link_src(l)) == NodeKind::AggregationSwitch
+                    && kind(graph.link_dst(l)) == NodeKind::CoreSwitch
+            })
+            .unwrap();
+        graph.fail_link(up);
+        graph
+    }
+
+    /// Every distance the certificate accepts is the search's to the bit,
+    /// under seeded weights from small sets with exact zeros (ties
+    /// everywhere). Lowering a non-forward link's weight until a detour
+    /// over it is strictly cheaper than a node's potential makes the
+    /// certificate refuse.
+    #[test]
+    fn the_certificate_accepts_only_the_search_distances() {
+        let sets: [&[f64]; 3] = [&[0.0, 0.5, 1.0], &[0.0, 0.0, 1.0, 2.0], &[2.0, 2.5, 3.0]];
+        let mut stream = Stream(7);
+        let mut engine = ShortestPathEngine::new();
+        let mut programs = HopPrograms::default();
+        for (name, graph, hosts) in certificate_corpus() {
+            let (mut accepted, mut refused, mut detours) = (0, 0, 0);
+            for trial in 0..24 {
+                let set = sets[trial % sets.len()];
+                let mut weights: Vec<f64> = (0..graph.link_count())
+                    .map(|_| set[stream.next(set.len())])
+                    .collect();
+                programs.start_solve(&graph);
+                for &src in &hosts {
+                    if !programs.potentials(&graph, src, &weights) {
+                        refused += 1;
+                        continue;
+                    }
+                    accepted += 1;
+                    engine.single_source_all_targets(&graph, src, &[], |l| weights[l.index()]);
+                    for &dst in hosts.iter().filter(|&&dst| dst != src) {
+                        let certified = programs.distance(&graph, dst, &weights).unwrap();
+                        let searched = engine.distance(dst).unwrap();
+                        assert_eq!(
+                            certified.to_bits(),
+                            searched.to_bits(),
+                            "{name}: {src} -> {dst}"
+                        );
+                    }
+
+                    // A link into an earlier or the same hop layer, from a
+                    // node of lower potential: at weight zero it is a
+                    // strictly cheaper detour.
+                    let parent = programs.pendant_parent[src.index()];
+                    let root = if parent == NONE {
+                        src.index()
+                    } else {
+                        parent as usize
+                    };
+                    engine.single_source_all_targets(&graph, NodeId(root), &[], |_| 1.0);
+                    let hops: Vec<Option<f64>> = (0..graph.node_count())
+                        .map(|v| engine.distance(NodeId(v)))
+                        .collect();
+                    let reached = |v: usize| programs.stamp[v] == programs.run;
+                    let detour = (0..graph.link_count()).map(LinkId).find(|&l| {
+                        let (u, v) = (graph.link_src(l).index(), graph.link_dst(l).index());
+                        graph.is_link_up(l)
+                            && reached(u)
+                            && reached(v)
+                            && v != root
+                            && hops[v] <= hops[u]
+                            && programs.pi[u] < programs.pi[v]
+                    });
+                    let Some(l) = detour else { continue };
+                    let v = graph.link_dst(l);
+                    let pi_v = programs.pi[v.index()];
+                    let kept = std::mem::replace(&mut weights[l.index()], 0.0);
+                    assert!(!programs.potentials(&graph, src, &weights), "{name}: {l}");
+                    engine.single_source_all_targets(&graph, src, &[], |l| weights[l.index()]);
+                    assert!(engine.distance(v).unwrap() < pi_v, "{name}: {l}");
+                    weights[l.index()] = kept;
+                    detours += 1;
+                }
+            }
+            assert!(accepted > 0, "{name}: nothing accepted");
+            if !name.starts_with("line") && !name.starts_with("parallel") {
+                assert!(
+                    refused > 0 && detours > 0,
+                    "{name}: {refused} refused, {detours} detours"
+                );
+            }
+        }
+    }
+
+    /// The certificate changes no solve: with it switched off, one scratch
+    /// per side solves the certificate corpus (cold, then as a warm-start
+    /// sweep) under costs that certify and costs that blend, and every
+    /// solution is `==`, its gap's bits too. The switched-off side runs
+    /// one all-or-nothing step more per certified exit, and no other.
+    #[test]
+    fn solves_are_equal_with_and_without_the_certificate() {
+        let costs = [
+            PowerFunction::speed_scaling_only(1.0, 2.0, 10.0),
+            PowerFunction::speed_scaling_only(1.0, 4.0, 10.0),
+            PowerFunction::new(3.0, 1.0, 2.0, 1.0).unwrap(),
+        ];
+        let config = FmcfSolverConfig::default();
+        let (mut on, mut off) = (FmcfScratch::new(), FmcfScratch::new());
+        off.uncertified = true;
+        let mut blended = 0;
+        for (name, graph, hosts) in certificate_corpus() {
+            for power in costs {
+                let cost = PowerFlowCost::new(power);
+                for warm in [false, true] {
+                    on.set_warm_start(warm);
+                    off.set_warm_start(warm);
+                    let mut live = host_pairs(&hosts, 14);
+                    for step in 0..4 {
+                        live.iter_mut().for_each(|c| c.demand *= 1.25);
+                        if step == 2 {
+                            live.remove(0);
+                        }
+                        let problem = FmcfProblem::with_graph(&graph, live.clone());
+                        let a = problem.solve_with(&cost, &config, &mut on).unwrap();
+                        let b = problem.solve_with(&cost, &config, &mut off).unwrap();
+                        assert_eq!(a, b, "{name} {power:?} warm {warm} step {step}");
+                        assert_eq!(a.relative_gap.to_bits(), b.relative_gap.to_bits());
+                        blended += usize::from(a.iterations > 1);
+                    }
+                }
+            }
+        }
+        assert!(on.certified_exits > 0 && blended > 0);
+        assert_eq!(on.aon_rounds + on.certified_exits, off.aon_rounds);
+        assert_eq!(off.certified_exits, 0);
+    }
+
+    /// Relaxes `flows` interval by interval on one scratch, as the
+    /// per-interval relaxation does under the default configuration, and
+    /// returns the non-empty intervals, the certified exits among them and
+    /// the all-or-nothing steps run.
+    fn relax_counts(
+        graph: &GraphCsr,
+        flows: &dcn_flow::FlowSet,
+        power: PowerFunction,
+    ) -> (usize, usize, usize) {
+        let cost = PowerFlowCost::new(power);
+        let mut scratch = FmcfScratch::new();
+        let mut solved = 0;
+        for interval in flows.intervals() {
+            let commodities: Vec<Commodity> = flows
+                .active_in_interval(&interval)
+                .into_iter()
+                .map(|id| {
+                    let f = flows.flow(id);
+                    Commodity {
+                        id,
+                        src: f.src,
+                        dst: f.dst,
+                        demand: f.density(),
+                    }
+                })
+                .collect();
+            solved += usize::from(!commodities.is_empty());
+            FmcfProblem::with_graph(graph, commodities)
+                .solve_with(&cost, &FmcfSolverConfig::default(), &mut scratch)
+                .unwrap();
+        }
+        (solved, scratch.certified_exits, scratch.aon_rounds)
+    }
+
+    /// The clock-free gate of the certificate: on the `offline_dcfsr`
+    /// benchmark instance (fat-tree k = 8, 60 flows, seed 1, `P(x) = x^2`)
+    /// every interval exits certified and no all-or-nothing step runs.
+    /// With a link down, and on BCube(4,1) at `α = 4`, the solves take the
+    /// search exactly as often as before the certificate existed (the
+    /// counts are the iterations those solves ran then): the fallback
+    /// never adds one.
+    #[test]
+    fn the_offline_instance_exits_certified_without_a_search() {
+        use dcn_flow::workload::UniformWorkload;
+        let flows = |hosts: &[NodeId]| {
+            UniformWorkload::paper_defaults(60, 1)
+                .generate(hosts)
+                .unwrap()
+        };
+        let x2 = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
+        let t = builders::fat_tree_with_capacity(8, 10.0);
+        let fat_tree_flows = flows(t.hosts());
+        assert_eq!(relax_counts(&t.csr(), &fat_tree_flows, x2), (119, 119, 0));
+        assert_eq!(
+            relax_counts(&agg_core_down(&t), &fat_tree_flows, x2),
+            (119, 0, 119)
+        );
+        let b = builders::bcube_with_capacity(4, 1, 10.0);
+        let x4 = PowerFunction::speed_scaling_only(1.0, 4.0, 10.0);
+        assert_eq!(
+            relax_counts(&b.csr(), &flows(b.hosts()), x4),
+            (119, 0, 6926)
+        );
     }
 }

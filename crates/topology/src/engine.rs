@@ -2,10 +2,11 @@
 //!
 //! The schedulers in this workspace call Dijkstra in tight loops — the
 //! Frank–Wolfe multi-commodity flow solver runs one search per distinct
-//! commodity source per iteration per interval. A naive implementation
-//! re-allocates its distance/parent/visited vectors and a fresh binary heap
-//! on every call; [`ShortestPathEngine`] owns all of that scratch state and
-//! reuses it:
+//! commodity source per iteration per interval, except in a first
+//! iteration whose gap a node potential certifies without one. A naive
+//! implementation re-allocates its distance/parent/visited vectors and a
+//! fresh binary heap on every call; [`ShortestPathEngine`] owns all of that
+//! scratch state and reuses it:
 //!
 //! * `dist`/`parent` arenas are invalidated in `O(1)` between runs by a
 //!   **generation counter** (`seen`/`done` epoch stamps) instead of

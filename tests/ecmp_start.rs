@@ -3,8 +3,11 @@
 //! paper's own setting (fat-tree, `P(x) = x^2`, the Fig. 2 workload):
 //!
 //! * the relaxation of a failure-free fat-tree exits every interval after
-//!   one iteration, on a zero gap — pinned as deterministic counters, not
-//!   a wall-clock — and off the symmetric case the gap is a certificate;
+//!   one iteration, on a zero gap — pinned as deterministic counts, not a
+//!   wall-clock. The solver proves that gap with a hop-layer node
+//!   potential instead of a search; its own unit tests count the searches
+//!   (none on this instance). Off the symmetric case the gap is a
+//!   certificate too;
 //! * Random-Schedule then routes on hop-count shortest paths only (the
 //!   single-path start left a little flow on detours over unloaded links,
 //!   whose marginal cost is zero);
@@ -31,7 +34,11 @@ fn x2() -> PowerFunction {
 /// `offline_dcfsr` instance every non-empty interval exits after one
 /// Frank–Wolfe iteration (2933 over 119 intervals with the single-path
 /// start), converged, on a relative gap that is zero up to rounding — so
-/// no line search runs.
+/// no line search runs. That iteration's gap is certified without an
+/// all-or-nothing search (`fmcf`'s
+/// `the_offline_instance_exits_certified_without_a_search` counts 119
+/// certified exits and no search); the iteration count is the same either
+/// way.
 #[test]
 fn relaxation_needs_at_most_two_iterations_per_interval_on_the_fat_tree() {
     let topo = builders::fat_tree_with_capacity(8, 10.0);

@@ -88,6 +88,7 @@ fn golden_report() -> ExperimentReport {
         }),
         sp_sim: None,
         extra: vec![("run".to_string(), 0.0)],
+        refusal: None,
     });
     // An online-style exemplar: the event-driven sweep uses three-part
     // `"<topology>|<policy>|<admission>"` group labels and records the
@@ -130,6 +131,7 @@ fn golden_report() -> ExperimentReport {
             ("missed".to_string(), 0.0),
             ("run".to_string(), 0.0),
         ],
+        refusal: None,
     });
     // A serve-style exemplar: the scheduler-as-a-service bench audits the
     // daemon's committed plans and records its admission counters in
@@ -156,6 +158,7 @@ fn golden_report() -> ExperimentReport {
             ("missed".to_string(), 0.0),
             ("run".to_string(), 0.0),
         ],
+        refusal: None,
     });
     report.points.push(SweepPoint {
         group: "x^2".to_string(),
