@@ -57,8 +57,7 @@ fn main() {
         let sp = RoutedMcf::shortest_path()
             .solve(&mut ctx, &flow_set, &power)
             .expect("SP+MCF succeeds");
-        let sp_schedule = sp.schedule.as_ref().expect("sp-mcf schedules");
-        let sp_sim = SimSummary::from(&sp_schedule.audit(ctx.graph(), &flow_set, &power));
+        let sp_sim = SimSummary::from(sp.audit.as_ref().expect("sp-mcf schedules"));
         let outcomes = run_indexed(jobs.len(), cli.threads, |i| {
             let (budget, seed) = jobs[i];
             let outcome = RandomSchedule::new(RandomScheduleConfig {
@@ -69,12 +68,11 @@ fn main() {
             })
             .run_with_relaxation(&topo.network, &flow_set, &power, &relaxation)
             .expect("rounding succeeds");
-            let rs_sim = SimSummary::from(&outcome.schedule.audit(ctx.graph(), &flow_set, &power));
+            let audit = outcome.schedule.audit(ctx.graph(), &flow_set, &power);
             (
-                outcome.schedule.energy(&power).total(),
                 outcome.attempts,
-                outcome.capacity_excess,
-                rs_sim,
+                audit.capacity_excess,
+                SimSummary::from(&audit),
             )
         });
         (relaxation, sp_sim, outcomes)
@@ -82,7 +80,8 @@ fn main() {
 
     let mut records = Vec::with_capacity(jobs.len());
     let mut coordinates = Vec::with_capacity(jobs.len());
-    for (&(budget, seed), &(energy, attempts, excess, rs_sim)) in jobs.iter().zip(&outcomes) {
+    for (&(budget, seed), &(attempts, excess, rs_sim)) in jobs.iter().zip(&outcomes) {
+        let energy = rs_sim.energy;
         records.push(InstanceRecord {
             label: format!("budget={budget} seed={seed}"),
             flows,

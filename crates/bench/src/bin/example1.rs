@@ -34,8 +34,12 @@ fn main() {
             .solve(&mut ctx, &flows, &power)
             .expect("example instance is feasible");
         let schedule = solution.schedule.as_ref().expect("sp-mcf schedules");
-        ctx.verify(schedule, &flows, &power)
-            .expect("optimal schedule is feasible");
+        let audit = solution.audit.as_ref().expect("sp-mcf schedules");
+        assert!(
+            audit.violations.is_empty(),
+            "infeasible: {:?}",
+            audit.violations
+        );
 
         let s2_paper = (8.0 + 6.0 * 2f64.sqrt()) / 3.0;
         let s1_paper = s2_paper / 2f64.sqrt();
@@ -43,8 +47,8 @@ fn main() {
 
         let s1 = schedule.flow_schedule(0).unwrap().profile.max_rate();
         let s2 = schedule.flow_schedule(1).unwrap().profile.max_rate();
-        let energy = schedule.energy(&power).total();
-        let sim = SimSummary::from(&schedule.audit(ctx.graph(), &flows, &power));
+        let energy = audit.energy.total();
+        let sim = SimSummary::from(audit);
 
         let record = InstanceRecord {
             label: "example1".to_string(),

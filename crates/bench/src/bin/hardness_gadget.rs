@@ -55,9 +55,9 @@ fn main() {
                 })
             };
             let (rs_energy, sp_energy) = (energy(&rs), energy(&sp));
-            let rs_capacity_excess = rs
-                .as_ref()
-                .map_or(0.0, |rs| rs.diagnostics.capacity_excess.unwrap_or(0.0));
+            let rs_capacity_excess = rs.as_ref().map_or(0.0, |rs| {
+                rs.audit.as_ref().expect("dcfsr schedules").capacity_excess
+            });
             InstanceRecord {
                 label: format!("m={m}"),
                 flows: flows.len(),

@@ -134,99 +134,69 @@ pub fn run_flow_set_algorithms(
     let mut ctx =
         SolverContext::from_network(&topo.network).expect("builder topologies always validate");
 
-    struct Ran {
-        name: String,
-        sim: Option<SimSummary>,
-        energy: f64,
-        lower_bound: Option<f64>,
-        capacity_excess: f64,
-        refused: bool,
-    }
-
-    let mut ran: Vec<Ran> = Vec::with_capacity(algorithms.len());
+    // One solution per name, `None` where the algorithm refused.
     let mut refusal = None;
-    for name in algorithms {
-        let mut algo = registry
-            .create(name)
-            .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
-        algo.set_seed(seed);
-        let solution = match algo.solve(&mut ctx, flows, power) {
-            Ok(solution) => solution,
-            Err(e) => {
-                refusal.get_or_insert_with(|| Refusal::new(name, &e));
-                ran.push(Ran {
-                    name: name.clone(),
-                    sim: None,
-                    energy: 0.0,
-                    lower_bound: None,
-                    capacity_excess: 0.0,
-                    refused: true,
-                });
-                continue;
-            }
-        };
-        match &solution.schedule {
-            Some(schedule) => {
-                let audit = schedule.audit(ctx.graph(), flows, power);
-                ran.push(Ran {
-                    name: name.clone(),
-                    sim: Some(SimSummary::from(&audit)),
-                    energy: audit.energy.total(),
-                    lower_bound: solution.lower_bound,
-                    capacity_excess: solution.diagnostics.capacity_excess.unwrap_or(0.0),
-                    refused: false,
-                });
-            }
-            None => ran.push(Ran {
-                name: name.clone(),
-                sim: None,
-                energy: solution.lower_bound.unwrap_or(0.0),
-                lower_bound: solution.lower_bound,
-                capacity_excess: 0.0,
-                refused: false,
-            }),
-        }
-    }
-
-    let lower_bound = ran
+    let solved: Vec<Option<Solution>> = algorithms
         .iter()
-        .find_map(|r| r.lower_bound)
-        .unwrap_or_else(|| relaxation_bound(registry, &mut ctx, flows, power));
+        .map(|name| {
+            let mut algo = registry
+                .create(name)
+                .unwrap_or_else(|e| panic!("cannot select algorithm: {e}"));
+            algo.set_seed(seed);
+            match algo.solve(&mut ctx, flows, power) {
+                Ok(solution) => Some(solution),
+                Err(e) => {
+                    refusal.get_or_insert_with(|| Refusal::new(name, &e));
+                    None
+                }
+            }
+        })
+        .collect();
 
-    for (r, role) in ran.iter().zip(["primary", "reference"]) {
-        assert!(
-            r.sim.is_some() || r.refused,
-            "the {role} algorithm must produce a schedule"
-        );
-        if let Some(sim) = r.sim {
-            assert_eq!(
-                sim.deadline_misses, 0,
-                "{} must meet every deadline",
-                r.name
-            );
-        }
-    }
-    let (rs_sim, sp_sim) = (ran[0].sim, ran[1].sim);
+    let lower_bound = solved
+        .iter()
+        .flatten()
+        .find_map(|s| s.lower_bound)
+        .unwrap_or_else(|| relaxation_bound(registry, &mut ctx, flows, power));
+    // A schedule's energy, or the bound of an algorithm that computes only
+    // that (`lb`); a refusal reads 0.0.
+    let energy = |solution: &Option<Solution>| {
+        solution
+            .as_ref()
+            .map_or(0.0, |s| s.total_energy().or(s.lower_bound).unwrap_or(0.0))
+    };
+    let [rs_sim, sp_sim] = [0, 1].map(|i| {
+        let role = ["primary", "reference"][i];
+        let audit = solved[i].as_ref()?.audit.as_ref();
+        let audit = audit.unwrap_or_else(|| panic!("the {role} algorithm must produce a schedule"));
+        let name = &algorithms[i];
+        assert_eq!(audit.deadline_misses, 0, "{name} must meet every deadline");
+        Some(SimSummary::from(audit))
+    });
 
     InstanceResult {
         flows: flows.len(),
         seed,
         alpha: power.alpha(),
         lower_bound,
-        rs_energy: ran[0].energy,
-        sp_energy: ran[1].energy,
+        rs_energy: energy(&solved[0]),
+        sp_energy: energy(&solved[1]),
         deadline_misses: [rs_sim, sp_sim]
             .iter()
             .flatten()
             .map(|s| s.deadline_misses)
             .sum(),
-        rs_capacity_excess: ran[0].capacity_excess,
+        rs_capacity_excess: solved[0]
+            .as_ref()
+            .and_then(|s| s.audit.as_ref())
+            .map_or(0.0, |audit| audit.capacity_excess),
         rs_sim,
         sp_sim,
-        extra_energies: ran[2..]
+        extra_energies: algorithms[2..]
             .iter()
-            .filter(|r| !r.refused)
-            .map(|r| (format!("{}_energy", r.name), r.energy))
+            .zip(&solved[2..])
+            .filter(|(_, solution)| solution.is_some())
+            .map(|(name, solution)| (format!("{name}_energy"), energy(solution)))
             .collect(),
         refusal,
     }
@@ -274,6 +244,8 @@ pub struct OnlineInstanceResult {
     /// Audit digest of the committed online schedule (deadline misses
     /// counted over admitted flows only).
     pub online_sim: SimSummary,
+    /// The committed online schedule's [`dcn_core::Audit::capacity_excess`].
+    pub online_capacity_excess: f64,
     /// Audit digest of the offline clairvoyant schedule; `None` when the
     /// reference refused.
     pub offline_sim: Option<SimSummary>,
@@ -351,11 +323,11 @@ pub fn run_online_flow_set(
         ..SimSummary::from(&online_audit)
     };
     let offline_sim = offline.as_ref().ok().map(|offline| {
-        let schedule = offline
-            .schedule
+        let audit = offline
+            .audit
             .as_ref()
             .expect("the clairvoyant reference produces a schedule");
-        let sim = SimSummary::from(&schedule.audit(ctx.graph(), flows, power));
+        let sim = SimSummary::from(audit);
         assert_eq!(
             sim.deadline_misses, 0,
             "{algorithm} must meet every deadline with clairvoyant knowledge"
@@ -367,6 +339,7 @@ pub fn run_online_flow_set(
         offline,
         lower_bound,
         online_sim,
+        online_capacity_excess: online_audit.capacity_excess,
         offline_sim,
     }
 }
@@ -550,10 +523,7 @@ pub fn run_online_sweep(
                 rs_normalized: result.online_sim.energy / result.lower_bound,
                 sp_normalized: reference_energy / result.lower_bound,
                 deadline_misses: report.missed(),
-                rs_capacity_excess: result
-                    .outcome
-                    .schedule
-                    .max_capacity_excess(&topo.network, &power),
+                rs_capacity_excess: result.online_capacity_excess,
                 rs_sim: Some(result.online_sim),
                 sp_sim: result.offline_sim,
                 extra: sweep
@@ -886,6 +856,23 @@ mod tests {
         assert!(r.sp_energy / r.lower_bound >= 1.0 - 1e-9);
         assert_eq!(r.deadline_misses, 0);
         assert!(r.extra_energies.is_empty());
+    }
+
+    /// The primary's capacity excess is its audit's, whichever algorithm
+    /// the primary is: `sp-mcf` overloads 20 links of this instance, and
+    /// the record said 0 while only `dcfsr` reported an excess.
+    #[test]
+    fn every_primary_reports_its_audits_capacity_excess() {
+        let topo = builders::fat_tree(4);
+        let power = PowerFunction::speed_scaling_only(1.0, 2.0, 10.0);
+        let flows = UniformWorkload::paper_defaults(200, 1)
+            .generate(topo.hosts())
+            .unwrap();
+        let names = ["sp-mcf".to_string(), "dcfsr".to_string()];
+        let r = run_flow_set_algorithms(&topo, &flows, &power, 1, &names, &harness_registry());
+        let rs_sim = r.rs_sim.unwrap();
+        assert_eq!(rs_sim.capacity_violations, 20);
+        assert!(r.rs_capacity_excess > 0.0, "{}", r.rs_capacity_excess);
     }
 
     #[test]

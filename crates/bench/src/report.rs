@@ -477,6 +477,7 @@ mod tests {
             deadline_misses: 0,
             capacity_violations: 0,
             max_utilization: 0.4,
+            capacity_excess: 0.0,
             violations: vec![],
         };
         let s = SimSummary::from(&audit);

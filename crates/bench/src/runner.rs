@@ -98,8 +98,11 @@ pub fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 ///                 cores)
 /// --algorithms L  comma-separated registry names to compare (primary,
 ///                 reference, extras), e.g. dcfsr,sp-mcf,ecmp,greedy;
+///                 exactly one name for `online` and `failures`, which
+///                 run it online and as the clairvoyant reference;
 ///                 defaults to the experiment's own selection; a name the
-///                 harness registry does not know is a usage error
+///                 harness registry does not know, or a list of the wrong
+///                 length, is a usage error
 /// --load L        comma-separated load factors swept by the `online`
 ///                 binary, e.g. 0.5,1,2,4 (`failures` runs at one)
 /// --rates L       comma-separated link failure rates (failures per link
@@ -140,7 +143,8 @@ pub struct ExperimentCli {
     /// `--threads N`: worker-pool size; defaults to every available core.
     pub threads: usize,
     /// `--algorithms a,b,...`: registry names to compare (primary,
-    /// reference, extras); `None` keeps the experiment's default.
+    /// reference, extras; one name for `online` and `failures`); `None`
+    /// keeps the experiment's default.
     pub algorithms: Option<Vec<String>>,
     /// `--load a,b,...`: load factors for the `online` sweep (one value for
     /// `failures`); `None` keeps the binary's default.
@@ -282,11 +286,24 @@ impl ExperimentCli {
                     "--threads" => cli.threads = parse_value(flag, value)?,
                     "--algorithms" => {
                         let names: Vec<String> = split_list(value).map(str::to_string).collect();
-                        if names.len() < 2 {
+                        // The online sweeps run one algorithm, online and as
+                        // the clairvoyant reference; the others compare a
+                        // primary with a reference.
+                        let single = matches!(experiment, "online" | "failures");
+                        if single && names.len() > 1 {
                             return Err(format!(
-                                "--algorithms expects at least a primary and a reference \
-                                 (comma-separated), got {value:?}"
+                                "--algorithms takes one algorithm for {experiment}; {} would be \
+                                 dropped",
+                                names[1..].join(",")
                             ));
+                        }
+                        if names.len() < if single { 1 } else { 2 } {
+                            let wanted = if single {
+                                "one algorithm"
+                            } else {
+                                "at least a primary and a reference (comma-separated)"
+                            };
+                            return Err(format!("--algorithms expects {wanted}, got {value:?}"));
                         }
                         check_known("algorithm", &names, &AlgorithmRegistry::NAMES)?;
                         cli.algorithms = Some(names);

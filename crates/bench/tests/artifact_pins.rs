@@ -95,7 +95,7 @@ fn quick_artifacts_keep_their_bytes() {
         pinned += 1;
     }
     fs::remove_dir_all(&dir).ok();
-    assert!(pinned >= 14, "artifact_digests.txt pins {pinned} runs");
+    assert!(pinned >= 15, "artifact_digests.txt pins {pinned} runs");
     if bless {
         fs::write(&path, blessed).expect("digest file writes");
         return;
@@ -148,5 +148,27 @@ fn every_binary_refuses_a_flag_it_does_not_read() {
             .unwrap_or_else(|| panic!("{bin} printed no usage line: {stderr}"));
         assert!(!usage.contains(flag), "{bin}'s usage lists {flag}: {usage}");
         assert!(usage.contains("[--quick]"), "{usage}");
+    }
+}
+
+/// An `--algorithms` list of a length the binary does not read: `online`
+/// and `failures` run one algorithm (before they were refused, a second
+/// name was dropped), `fig2` compares a primary with a reference.
+const WRONG_ALGORITHM_COUNTS: &[(&str, &str, &str)] = &[
+    ("online", "exact,sp-mcf", "sp-mcf would be dropped"),
+    ("failures", "dcfsr,greedy", "greedy would be dropped"),
+    ("fig2", "dcfsr", "at least a primary and a reference"),
+];
+
+#[test]
+fn every_binary_refuses_an_algorithms_list_it_cannot_run() {
+    for &(bin, list, says) in WRONG_ALGORITHM_COUNTS {
+        let out = Command::new(binary(bin))
+            .args(["--quick", "--algorithms", list])
+            .output()
+            .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {list}: {stderr}");
+        assert!(stderr.contains(says), "{bin} {list}: {stderr}");
     }
 }

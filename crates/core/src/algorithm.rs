@@ -25,10 +25,10 @@ use crate::dcfs::most_critical_first;
 use crate::dcfsr::{RandomSchedule, RandomScheduleConfig};
 use crate::error::SolveError;
 use crate::routing::Routing;
-use crate::schedule::{energy_of, FlowSchedule, Schedule};
+use crate::schedule::{FlowSchedule, Schedule};
 use crate::solution::Solution;
 use dcn_flow::FlowSet;
-use dcn_power::{EnergyBreakdown, PowerFunction, RateProfile};
+use dcn_power::{PowerFunction, RateProfile};
 use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{k_shortest_paths_on, Path};
 use std::fmt;
@@ -76,7 +76,8 @@ impl fmt::Debug for dyn Algorithm {
 /// → candidate paths → randomized rounding → density scheduling.
 ///
 /// The solution carries the fractional lower bound (computed as a
-/// by-product of the relaxation) and the rounding diagnostics.
+/// by-product of the relaxation) and the rounding diagnostics; its audit
+/// reads the chosen draw's link loads, which the re-draw rule summed.
 #[derive(Debug, Clone, Default)]
 pub struct Dcfsr {
     config: RandomScheduleConfig,
@@ -111,12 +112,13 @@ impl Algorithm for Dcfsr {
             power,
             &relaxation,
         )?;
-        let (start, end) = outcome.schedule.horizon();
-        let energy = energy_of(&outcome.link_loads, power.sigma() * (end - start));
-        let mut solution = Solution::scheduled(self.name(), outcome.schedule, energy);
+        let audit =
+            outcome
+                .schedule
+                .audit_with_loads(ctx.graph(), flows, power, outcome.link_loads);
+        let mut solution = Solution::scheduled(self.name(), outcome.schedule, audit);
         solution.lower_bound = Some(relaxation.lower_bound);
         solution.diagnostics.rounding_attempts = Some(outcome.attempts);
-        solution.diagnostics.capacity_excess = Some(outcome.capacity_excess);
         solution.diagnostics.relaxation_intervals = Some(relaxation.intervals.len());
         Ok(solution)
     }
@@ -187,8 +189,8 @@ impl Algorithm for RoutedMcf {
         ctx.validate_flow_shape(flows)?;
         let paths = ctx.route(&self.routing, flows)?;
         let schedule = most_critical_first(ctx.network(), flows, &paths, power)?;
-        let energy = schedule.energy(power);
-        Ok(Solution::scheduled(self.name, schedule, energy))
+        let audit = schedule.audit(ctx.graph(), flows, power);
+        Ok(Solution::scheduled(self.name, schedule, audit))
     }
 }
 
@@ -197,7 +199,8 @@ impl Algorithm for RoutedMcf {
 /// full line rate from its release time.
 ///
 /// The schedule ignores contention, so it may exceed link capacities when
-/// many flows collide; [`SolverContext::verify`] reports that separately.
+/// many flows collide; the solution's audit counts those links
+/// ([`crate::Audit::capacity_violations`]).
 /// It exists to quantify how much energy headroom deadline-aware
 /// scheduling exploits.
 #[derive(Debug, Clone, Copy, Default)]
@@ -235,8 +238,8 @@ impl Algorithm for FullRateGreedy {
             })
             .collect();
         let schedule = Schedule::new(flow_schedules, horizon);
-        let energy = schedule.energy(power);
-        Ok(Solution::scheduled(self.name(), schedule, energy))
+        let audit = schedule.audit(ctx.graph(), flows, power);
+        Ok(Solution::scheduled(self.name(), schedule, audit))
     }
 }
 
@@ -357,7 +360,7 @@ impl Algorithm for ExactBrute {
             });
         };
 
-        let mut best: Option<(EnergyBreakdown, Schedule)> = None;
+        let mut best: Option<(f64, Schedule)> = None;
         let mut assignment = vec![0usize; flows.len()];
         loop {
             let paths: Vec<Path> = assignment
@@ -366,11 +369,8 @@ impl Algorithm for ExactBrute {
                 .map(|(&choice, paths)| paths[choice].clone())
                 .collect();
             if let Ok(schedule) = most_critical_first(network, flows, &paths, power) {
-                let energy = schedule.energy(power);
-                if best
-                    .as_ref()
-                    .is_none_or(|(b, _)| energy.total() < b.total())
-                {
+                let energy = schedule.energy(power).total();
+                if best.as_ref().is_none_or(|&(b, _)| energy < b) {
                     best = Some((energy, schedule));
                 }
             }
@@ -387,8 +387,9 @@ impl Algorithm for ExactBrute {
                 break;
             }
         }
-        let (energy, schedule) = best.ok_or(SolveError::NoFeasibleAssignment)?;
-        let mut solution = Solution::scheduled(self.name(), schedule, energy);
+        let (_, schedule) = best.ok_or(SolveError::NoFeasibleAssignment)?;
+        let audit = schedule.audit(ctx.graph(), flows, power);
+        let mut solution = Solution::scheduled(self.name(), schedule, audit);
         solution.diagnostics.assignments_tried = Some(count as usize);
         Ok(solution)
     }
@@ -508,9 +509,14 @@ mod tests {
             solution.diagnostics.rounding_attempts,
             Some(legacy.attempts)
         );
+        let audit = solution.audit.as_ref().unwrap();
+        assert_eq!(audit.links, legacy.link_loads);
         assert_eq!(
-            solution.diagnostics.capacity_excess,
-            Some(legacy.capacity_excess)
+            audit.capacity_excess.to_bits(),
+            legacy
+                .schedule
+                .max_capacity_excess(&topo.network, &power)
+                .to_bits()
         );
     }
 
@@ -864,11 +870,12 @@ mod tests {
         let optimal = RoutedMcf::shortest_path()
             .solve(&mut ctx, &flows, &power)
             .unwrap();
+        let dynamic = |solution: &Solution| solution.audit.as_ref().unwrap().energy.dynamic;
         assert!(
-            greedy.energy.unwrap().dynamic > optimal.energy.unwrap().dynamic,
+            dynamic(&greedy) > dynamic(&optimal),
             "greedy {} vs optimal {}",
-            greedy.energy.unwrap().dynamic,
-            optimal.energy.unwrap().dynamic
+            dynamic(&greedy),
+            dynamic(&optimal)
         );
     }
 

@@ -86,10 +86,9 @@ pub struct RandomScheduleOutcome<'r> {
     pub lower_bound: f64,
     /// Number of rounding draws actually performed.
     pub attempts: usize,
-    /// Largest amount by which any link exceeds its capacity in the chosen
-    /// draw (`0.0` when the schedule respects all capacities).
-    pub capacity_excess: f64,
-    /// The chosen draw's [`Schedule::link_loads`].
+    /// The chosen draw's [`Schedule::link_loads`]: the draw with the least
+    /// capacity excess ([`Schedule::max_capacity_excess`]), the first one
+    /// within capacity.
     pub link_loads: Vec<LinkLoad>,
     /// The candidate path sets the rounding sampled from, indexed by flow.
     pub candidates: Vec<Vec<CandidatePath<'r>>>,
@@ -137,7 +136,7 @@ impl RandomSchedule {
             let chosen = sample_paths(&candidates, &mut rng);
             let schedule = build_schedule(flows, &chosen);
             let loads = schedule.link_loads(power);
-            let excess = max_excess_of(&loads, network, power);
+            let excess = max_excess_of(&loads, |link| network.link(link).capacity, power);
             let better = match &best {
                 None => true,
                 Some((_, _, best_excess)) => excess < *best_excess,
@@ -149,14 +148,12 @@ impl RandomSchedule {
                 break;
             }
         }
-        let (schedule, link_loads, capacity_excess) =
-            best.expect("at least one rounding attempt is made");
+        let (schedule, link_loads, _) = best.expect("at least one rounding attempt is made");
 
         Ok(RandomScheduleOutcome {
             schedule,
             lower_bound: relaxation.lower_bound,
             attempts,
-            capacity_excess,
             link_loads,
             candidates,
         })

@@ -299,7 +299,7 @@ pub struct LinkLoad {
 
 /// [`Schedule::energy`] of `loads`, folded in their order, where each link's
 /// idle share is `idle` (`σ` over the horizon accounted for).
-pub fn energy_of(loads: &[LinkLoad], idle: f64) -> EnergyBreakdown {
+fn energy_of(loads: &[LinkLoad], idle: f64) -> EnergyBreakdown {
     let mut energy = EnergyBreakdown::default();
     for load in loads {
         energy.active_links += 1;
@@ -309,14 +309,18 @@ pub fn energy_of(loads: &[LinkLoad], idle: f64) -> EnergyBreakdown {
     energy
 }
 
-/// [`Schedule::max_capacity_excess`] of `loads`.
-pub(crate) fn max_excess_of(loads: &[LinkLoad], network: &Network, power: &PowerFunction) -> f64 {
+/// The largest amount by which a peak of `loads` exceeds
+/// `min(capacity(link), power capacity)`, or zero: the one fold behind
+/// [`Schedule::max_capacity_excess`] (the network's capacities) and
+/// [`Audit::capacity_excess`] (the audited graph's).
+pub(crate) fn max_excess_of(
+    loads: &[LinkLoad],
+    capacity: impl Fn(LinkId) -> f64,
+    power: &PowerFunction,
+) -> f64 {
     loads
         .iter()
-        .map(|load| {
-            let capacity = network.link(load.link).capacity.min(power.capacity());
-            (load.peak_rate - capacity).max(0.0)
-        })
+        .map(|load| (load.peak_rate - capacity(load.link).min(power.capacity())).max(0.0))
         .fold(0.0, f64::max)
 }
 
@@ -368,6 +372,9 @@ pub struct Audit {
     pub capacity_violations: usize,
     /// The largest peak utilisation over all links (1.0 = at capacity).
     pub max_utilization: f64,
+    /// The largest amount by which a link's peak rate exceeds its capacity,
+    /// or zero ([`Schedule::max_capacity_excess`] on the audited graph).
+    pub capacity_excess: f64,
     /// Every violation found; empty exactly when [`Schedule::verify_on`]
     /// accepts the schedule.
     pub violations: Vec<ScheduleViolation>,
@@ -609,7 +616,11 @@ impl Schedule {
     /// capacity `C` — its own in `network`, capped by `power`'s, as
     /// [`Schedule::verify_on`] judges it — or zero when none does.
     pub fn max_capacity_excess(&self, network: &Network, power: &PowerFunction) -> f64 {
-        max_excess_of(&self.link_loads(power), network, power)
+        max_excess_of(
+            &self.link_loads(power),
+            |link| network.link(link).capacity,
+            power,
+        )
     }
 
     /// Judges the schedule against the instance it is supposed to solve, on
@@ -626,6 +637,18 @@ impl Schedule {
     /// judged by its first entry, as [`Schedule::flow_schedule`] reads it
     /// (every entry loads the links it names).
     pub fn audit(&self, graph: &GraphCsr, flows: &FlowSet, power: &PowerFunction) -> Audit {
+        self.audit_with_loads(graph, flows, power, self.link_loads(power))
+    }
+
+    /// [`Schedule::audit`] on `links`, the schedule's
+    /// [`Schedule::link_loads`] under `power`, already built by its caller.
+    pub(crate) fn audit_with_loads(
+        &self,
+        graph: &GraphCsr,
+        flows: &FlowSet,
+        power: &PowerFunction,
+        links: Vec<LinkLoad>,
+    ) -> Audit {
         let mut violations = Vec::new();
         // Entries indexed back to front, so the first entry of an id stays.
         let mut entries: Vec<Option<&FlowSchedule>> = vec![None; flows.len()];
@@ -699,7 +722,6 @@ impl Schedule {
         }
 
         // Link capacities.
-        let links = self.link_loads(power);
         let (mut capacity_violations, mut max_utilization) = (0, 0.0f64);
         for load in &links {
             let capacity = graph.capacity(load.link).min(power.capacity());
@@ -716,6 +738,7 @@ impl Schedule {
         let idle = power.sigma() * (self.horizon.1 - self.horizon.0);
         Audit {
             energy: energy_of(&links, idle),
+            capacity_excess: max_excess_of(&links, |link| graph.capacity(link), power),
             deadline_misses: outcomes.iter().filter(|f| !f.deadline_met()).count(),
             flows: outcomes,
             links,
@@ -1462,7 +1485,7 @@ mod tests {
         let mut idle_energy = 0.0;
         let mut dynamic_energy = 0.0;
         let mut capacity_violations = 0;
-        let mut max_utilization: f64 = 0.0;
+        let (mut max_utilization, mut capacity_excess): (f64, f64) = (0.0, 0.0);
         for (link, acc) in &link_acc {
             let capacity = graph.capacity(*link).min(power.capacity());
             idle_energy += power.sigma() * horizon_length;
@@ -1471,6 +1494,7 @@ mod tests {
                 capacity_violations += 1;
             }
             max_utilization = max_utilization.max(acc.peak / capacity);
+            capacity_excess = capacity_excess.max(acc.peak - capacity);
             links.push(LinkLoad {
                 link: *link,
                 peak_rate: acc.peak,
@@ -1500,6 +1524,7 @@ mod tests {
             },
             capacity_violations,
             max_utilization,
+            capacity_excess,
             violations: Vec::new(),
         }
     }
@@ -1811,6 +1836,7 @@ mod tests {
             "{context}"
         );
         assert_eq!(new.max_utilization, old.max_utilization, "{context}");
+        assert_eq!(new.capacity_excess, old.capacity_excess, "{context}");
         assert_eq!(
             new.energy.active_links, old.energy.active_links,
             "{context}"

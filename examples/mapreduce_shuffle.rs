@@ -43,16 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rs = Dcfsr::default().solve(&mut ctx, &flows, &power)?;
         let sp = RoutedMcf::shortest_path().solve(&mut ctx, &flows, &power)?;
 
-        let rs_report = rs
-            .schedule
-            .as_ref()
-            .unwrap()
-            .audit(ctx.graph(), &flows, &power);
-        let sp_report = sp
-            .schedule
-            .as_ref()
-            .unwrap()
-            .audit(ctx.graph(), &flows, &power);
+        let rs_report = rs.audit.as_ref().unwrap();
+        let sp_report = sp.audit.as_ref().unwrap();
         assert_eq!(
             rs_report.deadline_misses, 0,
             "RS must meet the stage deadline"

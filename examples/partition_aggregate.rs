@@ -47,11 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sp = RoutedMcf::shortest_path().solve(&mut ctx, &flows, &power)?;
 
     for (name, solution) in [("Random-Schedule", &rs), ("SP+MCF", &sp)] {
-        let schedule = solution
-            .schedule
-            .as_ref()
-            .expect("both algorithms schedule");
-        let report = schedule.audit(ctx.graph(), &flows, &power);
+        let report = solution.audit.as_ref().expect("both algorithms schedule");
         let worst_slack = report
             .flows
             .iter()

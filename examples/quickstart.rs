@@ -65,8 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fractional lower bound", lb, 1.0, "-", "-"
     );
     for (label, solution) in &solutions {
-        let schedule = solution.schedule.as_ref().expect("scheduling algorithm");
-        let report = schedule.audit(ctx.graph(), &flows, &power);
+        let report = solution.audit.as_ref().expect("scheduling algorithm");
         let energy = report.energy.total();
         println!(
             "{:<28} {:>12.2} {:>12.3} {:>8} {:>10}",
@@ -79,11 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!();
-    let diagnostics = &solutions[0].1.diagnostics;
+    let rs = &solutions[0].1;
     println!(
         "Random-Schedule used {} rounding attempt(s); worst link over-capacity by {:.3}",
-        diagnostics.rounding_attempts.unwrap_or(0),
-        diagnostics.capacity_excess.unwrap_or(0.0)
+        rs.diagnostics.rounding_attempts.unwrap_or(0),
+        rs.audit.as_ref().expect("dcfsr schedules").capacity_excess
     );
     Ok(())
 }

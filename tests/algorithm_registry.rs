@@ -8,7 +8,7 @@ use deadline_dcn::core::prelude::*;
 use deadline_dcn::flow::workload::UniformWorkload;
 use deadline_dcn::flow::FlowSet;
 use deadline_dcn::power::PowerFunction;
-use deadline_dcn::topology::builders;
+use deadline_dcn::topology::{builders, NodeKind, TopologyEvent};
 
 fn x2(capacity: f64) -> PowerFunction {
     PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
@@ -216,4 +216,120 @@ fn exact_keeps_its_bits_on_a_fixed_corpus() {
         hash, 0x8d6b_4785_9ae1_8b0a,
         "exact's energy, assignments or paths moved"
     );
+}
+
+/// Every scheduling algorithm's solution carries the audit its schedule
+/// gets on the context's graph, to the bit: the one verdict is built where
+/// the schedule is made, so no caller has to judge it again. Its energy is
+/// `Schedule::energy`'s, bit for bit (what the benchmark's traced
+/// composition compares), and its capacity excess is
+/// `Schedule::max_capacity_excess`'s. The corpus: fat-tree k = 4 with 10
+/// to 20 flows on seeds 1–5, the `line(3)` shared-hop instance,
+/// `parallel(2)`, and fat-tree k = 4 with one aggregation–core link down
+/// in the context (`dcfsr` audits the draw's own loads against the CSR
+/// view, where that link's capacity is 0). `exact` runs on the instances
+/// of at most five flows, which its enumeration budget covers.
+#[test]
+fn every_solution_carries_its_schedules_audit() {
+    let fat_tree = builders::fat_tree(4);
+    let line = builders::line(3);
+    let [a, b, c] = [line.hosts()[0], line.hosts()[1], line.hosts()[2]];
+    let parallel = builders::parallel(2, 10.0);
+    let aggregation_to_core = fat_tree
+        .network
+        .links()
+        .find(|link| {
+            let kind = |node| fat_tree.network.node(node).kind;
+            kind(link.src) == NodeKind::AggregationSwitch && kind(link.dst) == NodeKind::CoreSwitch
+        })
+        .expect("a fat-tree has aggregation-core links")
+        .id;
+
+    let mut corpus = Vec::new();
+    for seed in 1..=5 {
+        for n in [10, 15, 20] {
+            let flows = UniformWorkload::paper_defaults(n, seed)
+                .generate(fat_tree.hosts())
+                .unwrap();
+            corpus.push((&fat_tree, None, flows));
+        }
+    }
+    corpus.push((
+        &line,
+        None,
+        FlowSet::from_tuples([(a, c, 0.0, 1.0, 1.0), (a, b, 0.0, 1.0, 1.0)]).unwrap(),
+    ));
+    corpus.push((
+        &parallel,
+        None,
+        FlowSet::from_tuples((0..3).map(|i| {
+            let release = i as f64;
+            (
+                parallel.source(),
+                parallel.sink(),
+                release,
+                release + 2.0,
+                4.0,
+            )
+        }))
+        .unwrap(),
+    ));
+    for (n, seed) in [(5, 3), (15, 4)] {
+        let flows = UniformWorkload::paper_defaults(n, seed)
+            .generate(fat_tree.hosts())
+            .unwrap();
+        corpus.push((&fat_tree, Some(aggregation_to_core), flows));
+    }
+
+    let power = x2(10.0);
+    let registry = AlgorithmRegistry::with_defaults();
+    let mut audited = 0;
+    for (topo, down, flows) in &corpus {
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        if let Some(link) = *down {
+            assert!(ctx.apply_topology_event(TopologyEvent::LinkDown { time: 0.0, link }));
+        }
+        for name in AlgorithmRegistry::NAMES {
+            if name == "lb" || (name == "exact" && flows.len() > 5) {
+                continue;
+            }
+            let context = format!(
+                "{name} on {} ({} flows, {down:?} down)",
+                topo.name,
+                flows.len()
+            );
+            let mut algorithm = registry.create(name).unwrap();
+            algorithm.set_seed(flows.len() as u64);
+            let solution = algorithm
+                .solve(&mut ctx, flows, &power)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let schedule = solution.schedule.as_ref().expect("the algorithm schedules");
+            let audit = solution.audit.as_ref().expect("a schedule comes audited");
+            assert_eq!(
+                audit,
+                &schedule.audit(ctx.graph(), flows, &power),
+                "{context}"
+            );
+            assert_eq!(
+                solution.total_energy().map(f64::to_bits),
+                Some(schedule.energy(&power).total().to_bits()),
+                "{context}"
+            );
+            assert_eq!(
+                audit.capacity_excess.to_bits(),
+                schedule
+                    .max_capacity_excess(&topo.network, &power)
+                    .to_bits(),
+                "{context}"
+            );
+            if let Some(link) = *down {
+                assert!(
+                    audit.links.iter().all(|load| load.link != link),
+                    "{context}"
+                );
+            }
+            audited += 1;
+        }
+    }
+    assert_eq!(audited, (15 + 1 + 1 + 2) * 6 + 3, "every solve was audited");
 }

@@ -125,7 +125,10 @@ impl Algorithm for FoldingDcfsr {
         for word in [
             solution.lower_bound.map(f64::to_bits),
             diagnostics.relaxation_intervals.map(|n| n as u64),
-            diagnostics.capacity_excess.map(f64::to_bits),
+            solution
+                .audit
+                .as_ref()
+                .map(|audit| audit.capacity_excess.to_bits()),
         ] {
             fnv(&mut digest, word.expect("dcfsr reports it"));
         }
@@ -205,14 +208,15 @@ fn offline_dcfsr_instances_keep_their_energy_and_lower_bound() {
         let schedule = solution.schedule.as_ref().unwrap();
         let excess = schedule.max_capacity_excess(&topo.network, &power);
         assert_eq!(excess.to_bits(), 0f64.to_bits(), "seed {seed}: {excess}");
-        assert_eq!(bits(solution.diagnostics.capacity_excess), Some(0));
+        let audit = solution.audit.as_ref().unwrap();
+        assert_eq!(audit.capacity_excess.to_bits(), 0f64.to_bits());
         assert_eq!(
             solution.diagnostics.rounding_attempts,
             Some(1),
             "seed {seed}"
         );
         assert_eq!(schedule.link_loads(&power).len(), active, "seed {seed}");
-        assert_eq!(solution.energy.map(|e| e.active_links), Some(active));
+        assert_eq!(audit.energy.active_links, active, "seed {seed}");
     }
 }
 

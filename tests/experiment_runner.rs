@@ -6,7 +6,10 @@
 
 use dcn_bench::report::{ExperimentReport, InstanceRecord, SimSummary, SweepPoint, SCHEMA_VERSION};
 use dcn_bench::runner::{run_indexed, ExperimentCli};
-use dcn_bench::{Experiment, InstanceInput, InstanceSpec};
+use dcn_bench::{
+    run_online_sweep, Experiment, InstanceInput, InstanceSpec, OnlineInstance, OnlineSweep,
+};
+use dcn_flow::workload::ArrivalProcess;
 use dcn_power::PowerFunction;
 use dcn_topology::builders;
 use std::path::Path;
@@ -229,6 +232,82 @@ fn shared_cli_round_trips_flags() {
     assert_eq!(cli.threads, 2);
     assert_eq!(cli.json_out.as_deref(), Some(Path::new("BENCH_fig2.json")));
     assert!(ExperimentCli::from_args("fig2", &[], &["--nope".to_string()]).is_err());
+}
+
+/// `online` and `failures` run one algorithm, online and as the
+/// clairvoyant reference: a single name parses, and a longer list, whose
+/// later names the run would drop, is a usage error naming them. The
+/// experiments that compare a primary with a reference still refuse one
+/// name.
+#[test]
+fn the_algorithms_list_has_the_length_its_experiment_reads() {
+    let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let online = &["--runs", "--flows", "--algorithms", "--policies", "--load"][..];
+    for experiment in ["online", "failures"] {
+        let cli = ExperimentCli::from_args(experiment, online, &args(&["--algorithms", "exact"]))
+            .expect("one name parses");
+        assert_eq!(cli.algorithms, Some(vec!["exact".to_string()]));
+        let err = ExperimentCli::from_args(
+            experiment,
+            online,
+            &args(&["--algorithms", "exact,sp-mcf,ecmp"]),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "--algorithms takes one algorithm for {experiment}; sp-mcf,ecmp would be \
+                 dropped"
+            )
+        );
+    }
+    let fig2 = &["--runs", "--step", "--small", "--algorithms"][..];
+    let err =
+        ExperimentCli::from_args("fig2", fig2, &args(&["--algorithms", "dcfsr"])).unwrap_err();
+    assert!(
+        err.starts_with("--algorithms expects at least a primary"),
+        "{err}"
+    );
+}
+
+/// Naming the default algorithm of an online sweep runs the default sweep:
+/// the artifacts are equal byte for byte.
+#[test]
+fn an_online_sweep_on_its_named_default_algorithm_is_the_default_sweep() {
+    let sweep = OnlineSweep {
+        name: "online",
+        headline: "Online event-driven sweep",
+        setting: String::new(),
+        axis: "load",
+        xs: vec![2.0],
+        policies: vec!["resolve".to_string()],
+        extra: vec!["load", "resolves", "missed"],
+        fixed: Vec::new(),
+        columns: vec![("resolves", "resolves")],
+    };
+    let run = |list: &[&str]| {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        let flags = &["--runs", "--flows", "--algorithms", "--policies", "--load"];
+        let cli = ExperimentCli::from_args("online", flags, &args).expect("flags parse");
+        let outcome = run_online_sweep(&cli, &sweep, |_, base, load, seed| OnlineInstance {
+            flows: ArrivalProcess::with_load(load, seed)
+                .apply(base)
+                .expect("arrival rewrite preserves validity"),
+            events: Vec::new(),
+        });
+        outcome.report.to_json()
+    };
+    let default = run(&["--quick", "--flows", "6", "--threads", "1"]);
+    let named = run(&[
+        "--quick",
+        "--flows",
+        "6",
+        "--threads",
+        "1",
+        "--algorithms",
+        "dcfsr",
+    ]);
+    assert_eq!(default, named);
 }
 
 /// A command line written for the removed wall-clock switch fails loudly

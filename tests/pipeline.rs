@@ -144,8 +144,8 @@ fn idle_power_accounting_is_consistent() {
         .solve(&mut ctx, &flows, &power)
         .unwrap();
 
-    let rs_energy = rs.energy.unwrap();
-    let sp_energy = sp.energy.unwrap();
+    let rs_energy = rs.audit.unwrap().energy;
+    let sp_energy = sp.audit.unwrap().energy;
     let lb = rs.lower_bound.unwrap();
     assert!(rs_energy.idle > 0.0);
     assert!(sp_energy.idle > 0.0);

@@ -221,21 +221,27 @@ fn the_replay_reads_each_profile_by_its_segments() {
     // `Schedule::link_loads` summed, so it integrates no power of its own.
     // The global sweep it replaced lives on below `#[cfg(test)]`, as the
     // reference. (The rest of `schedule.rs` may: `link_loads` integrates
-    // the power.)
+    // the power.) `Schedule::audit` hands its loads to the one body,
+    // `audit_with_loads`, which `dcfsr` calls with its draw's loads.
     let schedule = fs::read_to_string(workspace_root().join("crates/core/src/schedule.rs"))
         .expect("schedule.rs readable");
     let (product, tests) = schedule
         .split_once("#[cfg(test)]")
         .expect("schedule.rs keeps its unit tests");
     let lines: Vec<&str> = product.lines().collect();
-    let start = lines
-        .iter()
-        .position(|l| l.starts_with("    pub fn audit("))
-        .expect("`Schedule::audit` is defined in schedule.rs");
-    let end = (start..lines.len())
-        .find(|&j| lines[j] == "    }")
-        .expect("`Schedule::audit` has a body");
-    let audit = lines[start..=end].join("\n");
+    let body = |signature: &str| {
+        let start = lines
+            .iter()
+            .position(|l| l.starts_with(signature))
+            .unwrap_or_else(|| panic!("`{signature}` is defined in schedule.rs"));
+        let end = (start..lines.len())
+            .find(|&j| lines[j] == "    }")
+            .unwrap_or_else(|| panic!("`{signature}` has a body"));
+        lines[start..=end].join("\n")
+    };
+    assert!(body("    pub fn audit(")
+        .contains("self.audit_with_loads(graph, flows, power, self.link_loads(power))"));
+    let audit = body("    pub(crate) fn audit_with_loads(");
     assert!(
         !audit.contains("rate_at("),
         "Schedule::audit: `rate_at(` — walk `segments()` instead"
@@ -267,6 +273,44 @@ fn dcn_sim_is_left_for_the_benchmark_alone() {
             manifest.display()
         );
     }
+}
+
+#[test]
+fn a_solution_is_audited_once() {
+    // An algorithm audits the schedule it makes, and its `Solution`
+    // carries that audit: the harness and the examples read it instead of
+    // judging the schedule again. What they still audit is what no
+    // `Solution` carries — an online engine's committed schedule and a raw
+    // Random-Schedule draw — at these sites only.
+    let root = workspace_root();
+    let mut paths = Vec::new();
+    for dir in ["crates/bench/src", "examples"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    let mut sites: Vec<(String, usize)> = paths
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(&root).expect("in the workspace");
+            let source = fs::read_to_string(path).expect("source readable");
+            (
+                rel.to_string_lossy().into_owned(),
+                source.matches(".audit(").count(),
+            )
+        })
+        .filter(|&(_, calls)| calls > 0)
+        .collect();
+    sites.sort();
+    let expected = [
+        ("crates/bench/src/bin/ablation_rounding.rs", 1),
+        ("crates/bench/src/bin/online.rs", 1),
+        ("crates/bench/src/lib.rs", 1),
+        ("examples/online_arrivals.rs", 1),
+    ];
+    assert_eq!(
+        sites,
+        expected.map(|(file, calls)| (file.to_string(), calls)),
+        "read `Solution::audit` instead of auditing a solution's schedule"
+    );
 }
 
 /// The product half of a source file: everything before its first
@@ -1124,7 +1168,7 @@ fn every_quoted_experiments_section_exists() {
 }
 
 /// Where a ban applies: workspace directories or files, `*` standing for
-/// any one crate.
+/// any one crate, `!` excluding one.
 const PRODUCT: &[&str] = &["src", "examples", "crates/*/src"];
 const EVERYWHERE: &[&str] = &[
     "src",
@@ -1220,8 +1264,17 @@ const BANS: &[(&[&str], &str, &str)] = &[
     (PRODUCT, "ConsolidatingMcf", ROUTE_THEN_SCHEDULE),
     (PRODUCT, "exact_dcfsr_ctx", ROUTE_THEN_SCHEDULE),
     (PRODUCT, "ExactOutcome", ROUTE_THEN_SCHEDULE),
+    (PRODUCT, "diagnostics.capacity_excess", AUDITED_ONCE),
+    (PRODUCT, "capacity_excess: Option", AUDITED_ONCE),
+    (OUTSIDE_SCHEDULE_RS, "energy_of(", AUDITED_ONCE),
 ];
 const BENCH: &[&str] = &["crates/bench/src"];
+const OUTSIDE_SCHEDULE_RS: &[&str] = &[
+    "src",
+    "examples",
+    "crates/*/src",
+    "!crates/core/src/schedule.rs",
+];
 const NETWORK_AND_POWER: &[&str] = &["crates/topology/src", "crates/power/src"];
 const NETWORK_RS: &[&str] = &["crates/topology/src/network.rs"];
 const SUPERSEDED: &str = "a superseded entry point is deleted, not kept behind an attribute";
@@ -1240,8 +1293,19 @@ const ONE_ERROR: &str = "`dcn-core` fails with one `SolveError`";
 const RESULTS_ONLY: &str = "an artifact carries results; wall clock is `perf/`'s to measure";
 const ROUTE_THEN_SCHEDULE: &str =
     "a fixed-path baseline is a `Routing` under `RoutedMcf`, and `ExactBrute::solve` enumerates";
+const AUDITED_ONCE: &str =
+    "a `Solution` carries its schedule's `Audit`, built where the schedule is made";
 const ONE_READ_PATH: &str =
     "`Network` stores nodes and links; `GraphCsr` is the one adjacency and runs every traversal";
+
+/// Whether `rel` lies in a ban's `scope`: in one of its directories or
+/// files, and in none of those it excludes with a leading `!`.
+fn in_scope(rel: &str, scope: &[&str]) -> bool {
+    let (excluded, included): (Vec<&str>, Vec<&str>) =
+        scope.iter().partition(|dir| dir.starts_with('!'));
+    included.iter().any(|dir| in_dir(rel, dir))
+        && !excluded.iter().any(|dir| in_dir(rel, &dir[1..]))
+}
 
 /// Whether `rel` lies in workspace directory `dir` (`*` is one crate), or
 /// is the file `dir`.
@@ -1273,7 +1337,7 @@ fn banned_names_stay_deleted() {
         let source = fs::read_to_string(&path).expect("source readable");
         for &(scope, needle, why) in BANS {
             assert!(
-                !(scope.iter().any(|dir| in_dir(&rel, dir)) && source.contains(needle)),
+                !(in_scope(&rel, scope) && source.contains(needle)),
                 "{rel}: `{needle}` is banned — {why}"
             );
         }
