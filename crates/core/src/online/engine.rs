@@ -18,8 +18,13 @@
 //! that arrived or left — have the new window appended to their stored
 //! profile in place, where it extends the last piece
 //! ([`RateProfile::append_rate`], which also states the tolerance); only a
-//! first commit or a changed route builds a slice. The plan itself shares
-//! the policy's cached paths ([`RateAssignment::path`]).
+//! first commit or a changed route builds a slice. The engine owns the
+//! run's route table ([`PathCache`]) and lends it to the policy, whose plan
+//! names each route by a `Copy` handle ([`RateAssignment::route`]). A flow
+//! whose stored schedule was found uniform along a route is extended
+//! without comparing paths for as long as the plan names that same handle;
+//! a re-solve slice, a route change or a topology change (which starts a
+//! new generation of handles) sends it back to the comparison.
 //!
 //! Every decision supersedes whatever the previous plan predicted, and only
 //! the earliest prediction of a plan can ever be popped, so the queue keeps
@@ -41,7 +46,9 @@
 
 use super::fractionally_feasible;
 use super::ledger::InFlightLedger;
-use super::policy::{create_policy, OnlinePolicy, PolicyAction, RateAssignment, RatePlan};
+use super::policy::{
+    create_policy, OnlinePolicy, PathCache, PolicyAction, RateAssignment, RatePlan, Route,
+};
 use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
@@ -676,6 +683,13 @@ struct EngineRun<'r, 'net> {
     /// Per flow id: the links its *latest* committed slice transmits on —
     /// the plan a `LinkDown` severs.
     latest_links: Vec<Vec<LinkId>>,
+    /// The run's route table, lent to the policy at every event.
+    routes: PathCache,
+    /// Per flow id: the route its stored schedule was last found uniform
+    /// along. Set only by a successful [`FlowSchedule::append_uniform`]
+    /// and cleared by every [`EngineRun::push_commit`], so a plan naming
+    /// this handle extends the schedule without comparing paths.
+    uniform_route: Vec<Option<Route>>,
     /// Links whose committed rates changed since the last re-solve; fed
     /// into the warm scratch as the dirty set before the next one. Only
     /// recorded under warm starts, each link once (`dirty_mark`).
@@ -721,6 +735,8 @@ impl<'r, 'net> EngineRun<'r, 'net> {
             schedules: Vec::new(),
             slot: vec![None; flows.len()],
             latest_links: vec![Vec::new(); flows.len()],
+            routes: PathCache::new(),
+            uniform_route: vec![None; flows.len()],
             dirty: Vec::new(),
             dirty_mark: vec![false; link_count],
             batches: 0,
@@ -768,7 +784,12 @@ impl<'r, 'net> EngineRun<'r, 'net> {
         self.ledger.retire(now);
         self.admit_arrivals(&event)?;
         let world = WorldView::new(&self.ledger, now);
-        let action = self.engine.policy.on_event(self.ctx, self.power, &world)?;
+        let routes = &mut self.routes;
+        routes.sync(self.ctx.graph());
+        let action = self
+            .engine
+            .policy
+            .on_event(self.ctx, self.power, &world, routes)?;
         match action {
             PolicyAction::Resolve => self.commit_resolve(&event),
             PolicyAction::Assign(plan) => {
@@ -939,14 +960,20 @@ impl<'r, 'net> EngineRun<'r, 'net> {
     /// previous event, carried on — has the window appended to it in
     /// place: same schedule, same credit and the same latest links as
     /// [`EngineRun::push_commit`] of the one-piece slice, which is built
-    /// only for a first commit or a changed route.
+    /// only for a first commit or a changed route. The paths are compared
+    /// only when the route is not the handle the schedule was last found
+    /// uniform along.
     fn commit_rate(&mut self, a: RateAssignment, now: f64, until: f64) {
+        let path = self.routes.path(a.route);
+        let known = self.uniform_route[a.flow] == Some(a.route);
         let stored = self.slot[a.flow].map(|slot| &mut self.schedules[slot]);
-        if stored.is_some_and(|fs| fs.append_uniform(&a.path, now, until, a.rate)) {
+        if stored.is_some_and(|fs| fs.append_uniform(path, known, now, until, a.rate)) {
+            self.uniform_route[a.flow] = Some(a.route);
             self.credit_commit(a.flow, (until - now) * a.rate);
         } else {
             let profile = RateProfile::constant(now, until, a.rate);
-            self.push_commit(FlowSchedule::uniform(a.flow, (*a.path).clone(), profile));
+            let slice = FlowSchedule::uniform(a.flow, path.clone(), profile);
+            self.push_commit(slice);
         }
     }
 
@@ -954,10 +981,11 @@ impl<'r, 'net> EngineRun<'r, 'net> {
     /// opens the entry), credits the delivered volume, and records the
     /// slice's links as the flow's latest plan and as warm-start dirt.
     fn push_commit(&mut self, committed: FlowSchedule) {
+        let flow = committed.flow;
+        self.uniform_route[flow] = None;
         if committed.profile.is_empty() && committed.link_profiles().next().is_none() {
             return;
         }
-        let flow = committed.flow;
         let latest = &mut self.latest_links[flow];
         latest.clear();
         latest.extend(committed.link_profiles().map(|(link, _)| link));
@@ -1047,7 +1075,6 @@ mod tests {
     use crate::solution::Solution;
     use dcn_flow::Flow;
     use dcn_topology::{builders, GraphCsr, Path};
-    use std::sync::Arc;
 
     fn x2(capacity: f64) -> PowerFunction {
         PowerFunction::speed_scaling_only(1.0, 2.0, capacity)
@@ -1452,13 +1479,14 @@ mod tests {
                 _ctx: &mut SolverContext<'_>,
                 _power: &PowerFunction,
                 world: &WorldView<'_>,
+                routes: &mut PathCache,
             ) -> Result<PolicyAction, SolveError> {
                 let mut plan = RatePlan::default();
                 if world.now() < 2.0 {
                     let moved = world.now() >= 1.0;
                     let route = if moved { &self.second } else { &self.first[0] };
-                    plan.assign(0, route.clone(), 0.5);
-                    plan.assign(1, self.first[1].clone(), 0.5);
+                    plan.assign(0, routes.insert(route.clone()), 0.5);
+                    plan.assign(1, routes.insert(self.first[1].clone()), 0.5);
                 }
                 Ok(PolicyAction::Assign(plan))
             }
@@ -1527,15 +1555,17 @@ mod tests {
         let other = graph.shortest_path(hosts[1], hosts[14]).unwrap();
         graph.fail_link(first.links()[2]);
         let second = graph.shortest_path(hosts[0], hosts[15]).unwrap();
+        let paths = [&first, &other, &second];
+        // (flow, index into `paths`, start, end, rate)
         let windows = [
-            (0, &first, 0.0, 1.0, 2.0),
-            (1, &other, 0.0, 1.0, 1.0),
-            (0, &first, 1.0, 2.0, 2.0),  // carried on: extends the piece
-            (1, &other, 1.0, 2.0, 1.5),  // re-rated: a second piece
-            (0, &second, 2.0, 3.0, 2.0), // re-routed: expands per link
-            (1, &other, 2.5, 3.0, 1.5),  // after a gap: a third piece
-            (0, &second, 3.0, 4.0, 2.0),
-            (1, &other, 3.0, 4.0, 1.5),
+            (0, 0, 0.0, 1.0, 2.0),
+            (1, 1, 0.0, 1.0, 1.0),
+            (0, 0, 1.0, 2.0, 2.0), // carried on: extends the piece
+            (1, 1, 1.0, 2.0, 1.5), // re-rated: a second piece
+            (0, 2, 2.0, 3.0, 2.0), // re-routed: expands per link
+            (1, 1, 2.5, 3.0, 1.5), // after a gap: a third piece
+            (0, 2, 3.0, 4.0, 2.0),
+            (1, 1, 3.0, 4.0, 1.5),
         ];
         let commit = |in_place: bool| {
             let mut ctx = SolverContext::from_network(&topo.network).unwrap();
@@ -1547,19 +1577,27 @@ mod tests {
             let mut run = EngineRun::new(&mut engine, &mut ctx, &flows, &power, &[]);
             run.ledger.admit(0);
             run.ledger.admit(1);
+            run.routes.sync(run.ctx.graph());
+            let routes = paths.map(|path| run.routes.insert(path.clone()));
             let mut dirty = Vec::new();
-            for &(flow, route, now, until, rate) in &windows {
+            for &(flow, path, now, until, rate) in &windows {
                 if in_place {
-                    let path = Arc::new(route.clone());
-                    run.commit_rate(RateAssignment { flow, path, rate }, now, until);
+                    let route = routes[path];
+                    run.commit_rate(RateAssignment { flow, route, rate }, now, until);
                 } else {
                     let profile = RateProfile::constant(now, until, rate);
-                    run.push_commit(FlowSchedule::uniform(flow, route.clone(), profile));
+                    run.push_commit(FlowSchedule::uniform(flow, paths[path].clone(), profile));
                 }
                 // What a re-solve after this window would be handed.
                 dirty.push(std::mem::take(&mut run.dirty));
                 run.dirty_mark.fill(false);
             }
+            // Flow 1 is extended by its handle; flow 0, per link, by none.
+            let known = [None, Some(routes[1])];
+            assert_eq!(
+                run.uniform_route,
+                if in_place { &known[..] } else { &[None; 2] }
+            );
             let entries = run.ledger.entries().iter();
             let delivered: Vec<u64> = entries.map(|e| e.delivered.to_bits()).collect();
             (run.schedules, delivered, run.latest_links, dirty)
@@ -1585,6 +1623,199 @@ mod tests {
             let end = if second.contains_link(link) { 4.0 } else { 2.0 };
             assert_eq!(profile.pieces(), [(start, end, 2.0)], "link {link}");
         }
+    }
+
+    /// Commits flow `flow` along `route` at rate 2 over `[now, now + 1)`.
+    fn commit_unit(run: &mut EngineRun<'_, '_>, flow: FlowId, route: Route, now: f64) {
+        let rate = 2.0;
+        run.commit_rate(RateAssignment { flow, route, rate }, now, now + 1.0);
+    }
+
+    #[test]
+    fn a_recommitted_route_extends_by_handle_and_an_equal_path_by_comparison() {
+        let topo = builders::line(3);
+        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
+        let flows = FlowSet::from_tuples([(a, c, 0.0, 10.0, 50.0)]).unwrap();
+        let power = x2(10.0);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut engine = OnlineEngine::builder().policy("edf").build().unwrap();
+        let mut run = EngineRun::new(&mut engine, &mut ctx, &flows, &power, &[]);
+        run.ledger.admit(0);
+        run.routes.sync(run.ctx.graph());
+        let route = run.routes.route(run.ctx, 0, a, c).unwrap();
+        let twin = run.routes.insert(run.routes.path(route).clone());
+        assert_ne!(route, twin, "the same path under a second handle");
+
+        // The first commit builds a slice; the second finds the schedule
+        // uniform along the route by comparison and remembers the handle;
+        // the third extends by the handle alone.
+        commit_unit(&mut run, 0, route, 0.0);
+        assert_eq!(run.uniform_route[0], None);
+        commit_unit(&mut run, 0, route, 1.0);
+        assert_eq!(run.uniform_route[0], Some(route));
+        commit_unit(&mut run, 0, route, 2.0);
+        assert_eq!(run.uniform_route[0], Some(route));
+        // The twin is not the remembered handle: the paths are compared,
+        // found equal, and the piece still extends.
+        commit_unit(&mut run, 0, twin, 3.0);
+        assert_eq!(run.uniform_route[0], Some(twin));
+
+        let stored = &run.schedules;
+        assert_eq!(stored.len(), 1);
+        assert_eq!(stored[0].profile.pieces(), [(0.0, 4.0, 2.0)]);
+        assert!(stored[0]
+            .link_profiles()
+            .all(|(_, p)| std::ptr::eq(p, &stored[0].profile)));
+        assert_eq!(run.ledger.entries()[0].delivered, 8.0);
+    }
+
+    #[test]
+    fn after_a_link_down_no_old_route_equals_a_new_one_and_a_moved_flow_goes_per_link() {
+        let topo = builders::fat_tree(4);
+        let hosts = topo.hosts();
+        let flows = FlowSet::from_tuples([
+            (hosts[0], hosts[15], 0.0, 10.0, 50.0),
+            (hosts[1], hosts[14], 0.0, 10.0, 50.0),
+        ])
+        .unwrap();
+        let power = x2(10.0);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut engine = OnlineEngine::builder().policy("edf").build().unwrap();
+        let mut run = EngineRun::new(&mut engine, &mut ctx, &flows, &power, &[]);
+        run.ledger.admit(0);
+        run.routes.sync(run.ctx.graph());
+        let old = run.routes.route(run.ctx, 0, hosts[0], hosts[15]).unwrap();
+        let other = run.routes.route(run.ctx, 1, hosts[1], hosts[14]).unwrap();
+        let inserted = run.routes.insert(run.routes.path(old).clone());
+        let first = run.routes.path(old).clone();
+        commit_unit(&mut run, 0, old, 0.0);
+        commit_unit(&mut run, 0, old, 1.0);
+        assert_eq!(run.uniform_route[0], Some(old));
+
+        let link = first.links()[2];
+        assert!(run
+            .ctx
+            .apply_topology_event(TopologyEvent::LinkDown { time: 2.0, link }));
+        run.routes.sync(run.ctx.graph());
+        let new = run.routes.route(run.ctx, 0, hosts[0], hosts[15]).unwrap();
+        let fresh = [
+            new,
+            run.routes.route(run.ctx, 1, hosts[1], hosts[14]).unwrap(),
+            run.routes.insert(first.clone()),
+        ];
+        for handle in fresh {
+            assert!([old, other, inserted].iter().all(|&stale| stale != handle));
+        }
+        let second = run.routes.path(new).clone();
+        assert!(!second.contains_link(link), "re-routed around the failure");
+        commit_unit(&mut run, 0, new, 2.0);
+        commit_unit(&mut run, 0, new, 3.0);
+        assert_eq!(
+            run.uniform_route[0], None,
+            "a per-link schedule is never uniform"
+        );
+
+        // What the engine stored when every commit compared paths: one
+        // nominal run, and each link carrying the part of it that rode it.
+        let stored = &run.schedules[0];
+        assert_eq!(stored.profile.pieces(), [(0.0, 4.0, 2.0)]);
+        assert_eq!(stored.path, second);
+        for (link, profile) in stored.link_profiles() {
+            let start = if first.contains_link(link) { 0.0 } else { 2.0 };
+            let end = if second.contains_link(link) { 4.0 } else { 2.0 };
+            assert_eq!(profile.pieces(), [(start, end, 2.0)], "link {link}");
+        }
+        assert_eq!(run.latest_links[0], second.links());
+    }
+
+    /// Re-issues every route of the wrapped policy's plans under a handle
+    /// of its own, so the engine never finds a schedule by its handle and
+    /// compares paths at every commit.
+    #[derive(Debug)]
+    struct FreshHandles(Box<dyn OnlinePolicy>);
+
+    impl OnlinePolicy for FreshHandles {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn on_event(
+            &mut self,
+            ctx: &mut SolverContext<'_>,
+            power: &PowerFunction,
+            world: &WorldView<'_>,
+            routes: &mut PathCache,
+        ) -> Result<PolicyAction, SolveError> {
+            let mut action = self.0.on_event(ctx, power, world, routes)?;
+            if let PolicyAction::Assign(plan) = &mut action {
+                for a in &mut plan.rates {
+                    a.route = routes.insert(routes.path(a.route).clone());
+                }
+            }
+            Ok(action)
+        }
+    }
+
+    #[test]
+    fn route_handles_commit_what_comparing_every_path_commits() {
+        // A power-capped rate of 1 makes flows contend, so `hybrid`
+        // re-solves; link churn re-routes flows and starts new
+        // generations of handles.
+        let topo = builders::fat_tree(4);
+        let power = x2(1.0);
+        let mut tally = [0usize; 3];
+        for seed in 1..=2 {
+            let base = dcn_flow::workload::UniformWorkload::paper_defaults(150, seed)
+                .generate(topo.hosts())
+                .unwrap();
+            let flows = dcn_flow::workload::ArrivalProcess::with_load(12.0, seed)
+                .apply(&base)
+                .unwrap();
+            let events = dcn_flow::failure::FailureProcess::new(400.0, 2.0, seed)
+                .generate(topo.network.link_count(), flows.horizon().1);
+            for policy in ["edf", "srpt", "hybrid"] {
+                let engine = |policy: Box<dyn OnlinePolicy>| {
+                    let builder = OnlineEngine::builder().algorithm("sp-mcf");
+                    builder.policy_instance(policy).build().unwrap()
+                };
+                let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+                let mut by_handle = engine(create_policy(policy).unwrap());
+                let mut run = EngineRun::new(&mut by_handle, &mut ctx, &flows, &power, &events);
+                while let Some(batch) = run.queue.pop_batch() {
+                    let resolves = run.resolves;
+                    run.step(batch).unwrap();
+                    if run.resolves > resolves {
+                        // A re-solve slice was pushed for every live flow:
+                        // the next plan cannot extend one by its handle.
+                        tally[0] += 1;
+                        assert!(run.ledger.live().all(|id| run.uniform_route[id].is_none()));
+                    } else {
+                        tally[1] += run.uniform_route.iter().flatten().count();
+                    }
+                }
+                tally[2] += run.topology_applied;
+                let got = run.finish(flows.horizon());
+
+                let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+                let fresh = FreshHandles(create_policy(policy).unwrap());
+                let want = engine(Box::new(fresh))
+                    .run_with_events(&mut ctx, &flows, &power, &events)
+                    .unwrap();
+                let case = format!("{policy}, seed {seed}");
+                assert_eq!(got.schedule, want.schedule, "{case}");
+                assert_eq!(got.report.decisions, want.report.decisions, "{case}");
+                assert_eq!(got.report.events, want.report.events, "{case}");
+                assert_eq!(
+                    got.report.online_energy.to_bits(),
+                    want.report.online_energy.to_bits(),
+                    "{case}"
+                );
+            }
+        }
+        let [resolved, known, link_events] = tally;
+        assert!(
+            resolved > 0 && known > 1000 && link_events > 10,
+            "{tally:?}"
+        );
     }
 
     #[test]
@@ -1640,6 +1871,7 @@ mod tests {
                 _ctx: &mut SolverContext<'_>,
                 _power: &PowerFunction,
                 world: &WorldView<'_>,
+                _routes: &mut PathCache,
             ) -> Result<PolicyAction, SolveError> {
                 if world.now() < 1.0 {
                     Ok(PolicyAction::Resolve)

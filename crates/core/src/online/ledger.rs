@@ -209,19 +209,26 @@ impl InFlightLedger {
     /// Retires every live flow that is fully served or whose deadline has
     /// passed at `now` (the latter is marked missed). Returns the retired
     /// ids in ascending order.
+    ///
+    /// One walk of the deadline index drops them from it in place; only the
+    /// few retired ids are sorted, and looked up in the id set.
     pub fn retire(&mut self, now: f64) -> Vec<FlowId> {
         let mut retired = Vec::new();
-        for &id in &self.live {
-            let entry = &mut self.entries[id];
+        let entries = &mut self.entries;
+        self.by_deadline.retain(|&id| {
+            let entry = &mut entries[id];
             let served = entry.served();
-            if served || entry.flow.deadline <= now {
+            let retires = served || entry.flow.deadline <= now;
+            if retires {
                 entry.in_flight = false;
                 entry.missed = !served;
                 retired.push(id);
             }
-        }
-        for &id in &retired {
-            self.live_remove(id);
+            !retires
+        });
+        retired.sort_unstable();
+        for id in &retired {
+            self.live.remove(id);
         }
         retired
     }

@@ -91,7 +91,7 @@ pub use ledger::{InFlightLedger, LedgerEntry};
 pub use policies::{EdfPolicy, HybridPolicy, ResolvePolicy, SrptPolicy};
 pub use policy::{
     create_policy, CapacityLedger, OnlinePolicy, PathCache, PolicyAction, RateAssignment, RatePlan,
-    POLICY_NAMES,
+    Route, POLICY_NAMES,
 };
 
 /// Builds the residual copy of `flow` as seen at online time `now`: the

@@ -18,7 +18,9 @@ use dcn_power::PowerFunction;
 /// drift), so the plan only changes when the flow population does.
 ///
 /// The deadline order is the one the in-flight ledger maintains
-/// ([`WorldView::in_flight_by_deadline`]), so a re-plan sorts nothing. The
+/// ([`WorldView::in_flight_by_deadline`]), so a re-plan sorts nothing, and
+/// each flow's route is the one `routes` remembers for its ledger id, so it
+/// hashes nothing either. The
 /// pack itself is redone in full at every event: each required rate is
 /// re-derived from the credited remainder, which differs in its last bits
 /// from the rate committed at the previous event, so re-packing only the
@@ -30,7 +32,7 @@ pub(crate) fn edf_plan(
     ctx: &SolverContext<'_>,
     power: &PowerFunction,
     world: &WorldView<'_>,
-    paths: &mut PathCache,
+    routes: &mut PathCache,
     ledger: &mut CapacityLedger,
 ) -> Result<RatePlan, SolveError> {
     let order = world.in_flight_by_deadline();
@@ -44,15 +46,16 @@ pub(crate) fn edf_plan(
         if remaining <= 0.0 {
             continue;
         }
-        let path = paths.shortest(ctx, id, flow.src, flow.dst)?;
+        let route = routes.route(ctx, id, flow.src, flow.dst)?;
+        let path = routes.path(route);
         let rate = flow
             .required_rate(world.now(), remaining)
-            .min(ledger.available(&path));
+            .min(ledger.available(path));
         if rate <= 0.0 {
             continue; // saturated path: idle until capacity frees up
         }
-        ledger.reserve(&path, rate);
-        plan.assign(id, path, rate);
+        ledger.reserve(path, rate);
+        plan.assign(id, route, rate);
     }
     Ok(plan)
 }
@@ -63,7 +66,6 @@ pub(crate) fn edf_plan(
 /// and the engine records their misses.
 #[derive(Debug, Default)]
 pub struct EdfPolicy {
-    paths: PathCache,
     ledger: CapacityLedger,
 }
 
@@ -77,8 +79,9 @@ impl OnlinePolicy for EdfPolicy {
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
+        routes: &mut PathCache,
     ) -> Result<PolicyAction, SolveError> {
-        edf_plan(ctx, power, world, &mut self.paths, &mut self.ledger).map(PolicyAction::Assign)
+        edf_plan(ctx, power, world, routes, &mut self.ledger).map(PolicyAction::Assign)
     }
 }
 
@@ -103,7 +106,7 @@ mod tests {
     /// endpoint pairs, each filled by `GraphCsr::shortest_path`.
     #[derive(Debug, Default)]
     struct SipPathCache {
-        paths: HashMap<(NodeId, NodeId), Option<Arc<Path>>>,
+        paths: HashMap<(NodeId, NodeId), Option<Path>>,
         epoch: u64,
     }
 
@@ -114,7 +117,7 @@ mod tests {
             flow: FlowId,
             src: NodeId,
             dst: NodeId,
-        ) -> Result<Arc<Path>, SolveError> {
+        ) -> Result<Path, SolveError> {
             let graph = ctx.graph();
             if self.epoch != graph.epoch() {
                 self.paths.clear();
@@ -122,11 +125,14 @@ mod tests {
             }
             self.paths
                 .entry((src, dst))
-                .or_insert_with(|| graph.shortest_path(src, dst).map(Arc::new))
+                .or_insert_with(|| graph.shortest_path(src, dst))
                 .clone()
                 .ok_or(SolveError::Unroutable { flow })
         }
     }
+
+    /// A plan as the reference spells it: flow, path and rate.
+    type ReferencePlan = Vec<(FlowId, Path, f64)>;
 
     /// The reference: the live set collected in id order and sorted by
     /// deadline at every event.
@@ -136,7 +142,7 @@ mod tests {
         world: &WorldView<'_>,
         paths: &mut SipPathCache,
         ledger: &mut CapacityLedger,
-    ) -> Result<RatePlan, SolveError> {
+    ) -> Result<ReferencePlan, SolveError> {
         let mut order: Vec<FlowId> = world.in_flight().collect();
         order.sort_by(|&a, &b| {
             world
@@ -146,7 +152,7 @@ mod tests {
                 .then(a.cmp(&b))
         });
         ledger.reset(ctx, power);
-        let mut plan = RatePlan::default();
+        let mut plan = Vec::new();
         for id in order {
             let flow = world.flow(id);
             let remaining = world.remaining(id);
@@ -161,20 +167,20 @@ mod tests {
                 continue;
             }
             ledger.reserve(&path, rate);
-            plan.assign(id, path, rate);
+            plan.push((id, path, rate));
         }
         Ok(plan)
     }
 
     /// `HybridPolicy::on_event` (its 0.1 slack threshold) over the
-    /// reference planner.
+    /// reference planner; `None` is a re-solve.
     fn reference_hybrid(
         ctx: &SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
         paths: &mut SipPathCache,
         ledger: &mut CapacityLedger,
-    ) -> Result<PolicyAction, SolveError> {
+    ) -> Result<Option<ReferencePlan>, SolveError> {
         ledger.reset(ctx, power);
         for id in world.in_flight() {
             let flow = world.flow(id);
@@ -190,10 +196,10 @@ mod tests {
                 flow.slack(world.now(), remaining, full) / flow.time_to_deadline(world.now())
             };
             if fraction < 0.1 {
-                return Ok(PolicyAction::Resolve);
+                return Ok(None);
             }
         }
-        reference_edf_plan(ctx, power, world, paths, ledger).map(PolicyAction::Assign)
+        reference_edf_plan(ctx, power, world, paths, ledger).map(Some)
     }
 
     /// What the differential saw, so a run that never clipped a rate, never
@@ -251,14 +257,15 @@ mod tests {
             ctx: &mut SolverContext<'_>,
             power: &PowerFunction,
             world: &WorldView<'_>,
+            routes: &mut PathCache,
         ) -> Result<PolicyAction, SolveError> {
             let (paths, ledger) = (&mut self.paths, &mut self.ledger);
             let expected = if self.hybrid {
                 reference_hybrid(ctx, power, world, paths, ledger)
             } else {
-                reference_edf_plan(ctx, power, world, paths, ledger).map(PolicyAction::Assign)
+                reference_edf_plan(ctx, power, world, paths, ledger).map(Some)
             };
-            let action = self.policy.on_event(ctx, power, world);
+            let action = self.policy.on_event(ctx, power, world, routes);
             let at = format!("{} at t = {}", self.policy.name(), world.now());
             let mut tally = self.tally.lock().unwrap();
             tally.events += 1;
@@ -276,14 +283,15 @@ mod tests {
             }
             tally.last_live = live;
             match (&expected, &action) {
-                (Ok(PolicyAction::Assign(want)), Ok(PolicyAction::Assign(got))) => {
-                    assert_eq!(got.rates.len(), want.rates.len(), "{at}: assignment count");
-                    for (got, want) in got.rates.iter().zip(&want.rates) {
-                        assert_eq!(got.flow, want.flow, "{at}: flow order");
-                        assert_eq!(got.path.links(), want.path.links(), "{at}: route");
+                (Ok(Some(want)), Ok(PolicyAction::Assign(got))) => {
+                    assert_eq!(got.rates.len(), want.len(), "{at}: assignment count");
+                    for (got, (flow, path, rate)) in got.rates.iter().zip(want) {
+                        assert_eq!(got.flow, *flow, "{at}: flow order");
+                        let route = routes.path(got.route);
+                        assert_eq!(route.links(), path.links(), "{at}: route");
                         assert_eq!(
                             got.rate.to_bits(),
-                            want.rate.to_bits(),
+                            rate.to_bits(),
                             "{at}: rate of flow {}",
                             got.flow
                         );
@@ -293,7 +301,7 @@ mod tests {
                     }
                     tally.assignments += got.rates.len();
                 }
-                (Ok(PolicyAction::Resolve), Ok(PolicyAction::Resolve)) => tally.resolves += 1,
+                (Ok(None), Ok(PolicyAction::Resolve)) => tally.resolves += 1,
                 (Err(want), Err(got)) => assert_eq!(got, want, "{at}"),
                 (want, got) => panic!("{at}: reference {want:?}, planner {got:?}"),
             }

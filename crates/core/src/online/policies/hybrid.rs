@@ -23,7 +23,6 @@ use dcn_power::PowerFunction;
 /// deadline misses.
 #[derive(Debug, Default)]
 pub struct HybridPolicy {
-    paths: PathCache,
     ledger: CapacityLedger,
 }
 
@@ -41,6 +40,7 @@ impl OnlinePolicy for HybridPolicy {
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
+        routes: &mut PathCache,
     ) -> Result<PolicyAction, SolveError> {
         self.ledger.reset(ctx, power);
         for id in world.in_flight() {
@@ -49,8 +49,8 @@ impl OnlinePolicy for HybridPolicy {
             if remaining <= 0.0 {
                 continue;
             }
-            let path = self.paths.shortest(ctx, id, flow.src, flow.dst)?;
-            let full = self.ledger.available(&path);
+            let route = routes.route(ctx, id, flow.src, flow.dst)?;
+            let full = self.ledger.available(routes.path(route));
             let time_left = flow.time_to_deadline(world.now());
             // Slack fraction against the uncontended full path rate: 1.0
             // means the flow barely needs the wire, 0.0 means it must
@@ -65,6 +65,6 @@ impl OnlinePolicy for HybridPolicy {
                 return Ok(PolicyAction::Resolve);
             }
         }
-        edf_plan(ctx, power, world, &mut self.paths, &mut self.ledger).map(PolicyAction::Assign)
+        edf_plan(ctx, power, world, routes, &mut self.ledger).map(PolicyAction::Assign)
     }
 }

@@ -3,7 +3,7 @@
 use crate::context::SolverContext;
 use crate::error::SolveError;
 use crate::online::engine::WorldView;
-use crate::online::policy::{OnlinePolicy, PolicyAction};
+use crate::online::policy::{OnlinePolicy, PathCache, PolicyAction};
 use dcn_power::PowerFunction;
 
 /// Re-solves the full residual instance with the engine's wrapped
@@ -23,6 +23,7 @@ impl OnlinePolicy for ResolvePolicy {
         _ctx: &mut SolverContext<'_>,
         _power: &PowerFunction,
         _world: &WorldView<'_>,
+        _routes: &mut PathCache,
     ) -> Result<PolicyAction, SolveError> {
         Ok(PolicyAction::Resolve)
     }

@@ -19,7 +19,6 @@ use dcn_power::PowerFunction;
 /// deadlines; the engine records the misses.
 #[derive(Debug, Default)]
 pub struct SrptPolicy {
-    paths: PathCache,
     ledger: CapacityLedger,
 }
 
@@ -33,6 +32,7 @@ impl OnlinePolicy for SrptPolicy {
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
+        routes: &mut PathCache,
     ) -> Result<PolicyAction, SolveError> {
         let mut order: Vec<FlowId> = world.in_flight().collect();
         order.sort_by(|&a, &b| {
@@ -48,13 +48,14 @@ impl OnlinePolicy for SrptPolicy {
             if world.remaining(id) <= 0.0 {
                 continue;
             }
-            let path = self.paths.shortest(ctx, id, flow.src, flow.dst)?;
-            let rate = self.ledger.available(&path);
+            let route = routes.route(ctx, id, flow.src, flow.dst)?;
+            let path = routes.path(route);
+            let rate = self.ledger.available(path);
             if rate <= 0.0 {
                 continue; // saturated path: wait for the current head to finish
             }
-            self.ledger.reserve(&path, rate);
-            plan.assign(id, path, rate);
+            self.ledger.reserve(path, rate);
+            plan.assign(id, route, rate);
         }
         Ok(PolicyAction::Assign(plan))
     }

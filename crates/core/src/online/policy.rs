@@ -3,9 +3,10 @@
 //! with, [`create_policy`], which builds a policy from its name, and two
 //! small shared helpers ([`PathCache`], [`CapacityLedger`]) the
 //! rate-assigning policies build their plans with. A plan is rebuilt at
-//! every event for every in-flight flow, so it shares what does not
-//! change: [`RateAssignment::path`] is the cache's `Arc<Path>`, not a copy
-//! of it.
+//! every event for every in-flight flow, so it copies no route: the engine
+//! owns the run's [`PathCache`] and lends it to every
+//! [`OnlinePolicy::on_event`], and a [`RateAssignment`] names its route by
+//! the cache's [`Route`] handle, a pair of integers.
 
 use super::engine::WorldView;
 use super::policies::{EdfPolicy, HybridPolicy, ResolvePolicy, SrptPolicy};
@@ -13,20 +14,19 @@ use crate::context::SolverContext;
 use crate::error::SolveError;
 use dcn_flow::FlowId;
 use dcn_power::PowerFunction;
-use dcn_topology::{BfsTree, NodeHash, NodeId, Path};
+use dcn_topology::{BfsTree, GraphCsr, NodeHash, NodeId, Path};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// One constant-rate assignment of a [`RatePlan`]: serve `flow` along
-/// `path` at `rate` until the next event.
-#[derive(Debug, Clone)]
+/// `route` at `rate` until the next event.
+#[derive(Debug, Clone, Copy)]
 pub struct RateAssignment {
     /// The flow to serve (original instance id).
     pub flow: FlowId,
-    /// The routing of the assignment: a shared handle, so that a plan
-    /// built from [`PathCache`] routes copies no path.
-    pub path: Arc<Path>,
+    /// The routing of the assignment: a handle into the [`PathCache`] the
+    /// engine lent the policy.
+    pub route: Route,
     /// The constant rate, in volume per unit time. Assignments with a
     /// non-positive or non-finite rate are ignored by the engine.
     pub rate: f64,
@@ -35,7 +35,8 @@ pub struct RateAssignment {
 /// A policy-computed set of rates, valid from the current event until the
 /// next one. The engine derives the next decision point itself: the
 /// earliest instant at which a rate finishes its flow, or reaches the
-/// deadline of a flow it cannot finish in time.
+/// deadline of a flow it cannot finish in time. Its assignments are plain
+/// values, so building and dropping a plan touches no path.
 #[derive(Debug, Clone, Default)]
 pub struct RatePlan {
     /// The rate assignments, at most one per flow (the engine keeps the
@@ -46,9 +47,8 @@ pub struct RatePlan {
 
 impl RatePlan {
     /// Adds one assignment.
-    pub fn assign(&mut self, flow: FlowId, path: impl Into<Arc<Path>>, rate: f64) {
-        let path = path.into();
-        self.rates.push(RateAssignment { flow, path, rate });
+    pub fn assign(&mut self, flow: FlowId, route: Route, rate: f64) {
+        self.rates.push(RateAssignment { flow, route, rate });
     }
 }
 
@@ -80,7 +80,9 @@ pub trait OnlinePolicy: fmt::Debug + Send {
     /// The name [`create_policy`] builds the policy by.
     fn name(&self) -> &str;
 
-    /// Decides what to do at the event batch `world` is viewed at.
+    /// Decides what to do at the event batch `world` is viewed at. The
+    /// routes of a [`RatePlan`] are handles into `routes`, the run's one
+    /// route table.
     ///
     /// # Errors
     ///
@@ -91,6 +93,7 @@ pub trait OnlinePolicy: fmt::Debug + Send {
         ctx: &mut SolverContext<'_>,
         power: &PowerFunction,
         world: &WorldView<'_>,
+        routes: &mut PathCache,
     ) -> Result<PolicyAction, SolveError>;
 }
 
@@ -118,12 +121,31 @@ pub fn create_policy(name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
     })
 }
 
-/// A memo of fewest-hop paths per endpoint pair. The rate-assigning
+/// A route of a [`PathCache`]: which generation of the cache's table it was
+/// handed out from, and where in it. Two handles are equal only when they
+/// name the same stored [`Path`], and a handle from before the cache
+/// dropped its routes (a topology change) never equals a fresh one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    generation: u32,
+    index: u32,
+}
+
+impl Route {
+    /// An empty memo slot: no cache hands out generation 0.
+    const UNSET: Route = Route {
+        generation: 0,
+        index: 0,
+    };
+}
+
+/// The route table of an online run: fewest-hop paths per endpoint pair,
+/// each stored once and handed out as a [`Route`]. The rate-assigning
 /// policies route every flow on its BFS shortest path (the same
 /// tie-breaking as [`dcn_topology::GraphCsr::shortest_path`]); the cache
-/// makes that a one-time cost per endpoint pair per run, and hands the
-/// route out as a shared handle (`Arc`, because policies are `Send`), so
-/// re-planning a flow at every event copies no path.
+/// makes that a one-time cost per endpoint pair per run, and the engine,
+/// which owns the run's cache, reads a plan's paths back with
+/// [`PathCache::path`].
 ///
 /// A pair miss is read off the source's [`BfsTree`], grown once per source
 /// and kept at four bytes per node: a fabric with `h` hosts costs at most
@@ -133,16 +155,27 @@ pub fn create_policy(name: &str) -> Result<Box<dyn OnlinePolicy>, SolveError> {
 ///
 /// Paths and trees are keyed to the graph's
 /// [`dcn_topology::GraphCsr::epoch`]: a link failure or recovery bumps the
-/// epoch and clears both, so a cached route can never survive the topology
-/// change that invalidated it.
+/// epoch, which drops both and starts a new generation of handles, so a
+/// cached route can never survive the topology change that invalidated it.
 ///
-/// The pair map is probed once per in-flight flow per event, so both maps
-/// hash with [`NodeHash`]. Their keys are node pairs of the fabric (a
-/// `dcn-server` shard admits host endpoints only), never flow ids.
+/// [`PathCache::route`] is asked for every in-flight flow at every event,
+/// so it remembers each flow's route by ledger id, a slot of a `Vec`, and
+/// probes the pair map only on a flow's first lookup in a generation. The
+/// pair map and the trees hash with [`NodeHash`]; their keys are node pairs
+/// of the fabric (a `dcn-server` shard admits host endpoints only), never
+/// flow ids.
 #[derive(Debug, Default)]
 pub struct PathCache {
-    paths: HashMap<(NodeId, NodeId), Option<Arc<Path>>, NodeHash>,
+    pairs: HashMap<(NodeId, NodeId), Option<u32>, NodeHash>,
     trees: HashMap<NodeId, BfsTree, NodeHash>,
+    /// The routes of the current generation, indexed by [`Route::index`].
+    paths: Vec<Path>,
+    /// Each flow's route by ledger id; a slot of an older generation (or
+    /// [`Route::UNSET`]) is empty.
+    flows: Vec<Route>,
+    /// Bumped whenever `paths` is dropped, from 0 to 1 by the first sync:
+    /// every route handed out since carries it.
+    generation: u32,
     /// Epoch of the graph the memo was filled from (0 = empty).
     epoch: u64,
 }
@@ -153,8 +186,53 @@ impl PathCache {
         Self::default()
     }
 
+    /// Drops every route and tree when `graph` is not the graph they were
+    /// read off, starting a new generation of handles (which empties every
+    /// memo slot).
+    pub(crate) fn sync(&mut self, graph: &GraphCsr) {
+        if self.epoch != graph.epoch() {
+            self.pairs.clear();
+            self.trees.clear();
+            self.paths.clear();
+            self.generation += 1;
+            self.epoch = graph.epoch();
+        }
+    }
+
+    /// The route of ledger id `flow` from `src` to `dst`: the fewest-hop
+    /// path, computed on first use (and recomputed after any topology
+    /// mutation). A ledger id names one endpoint pair for the life of the
+    /// cache, so later lookups of `flow` read its memo slot and hash
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::Unroutable`] (attributed to `flow`) when the
+    /// endpoints are disconnected.
+    pub fn route(
+        &mut self,
+        ctx: &SolverContext<'_>,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<Route, SolveError> {
+        self.sync(ctx.graph());
+        if let Some(&route) = self.flows.get(flow) {
+            if route.generation == self.generation {
+                return Ok(route);
+            }
+        }
+        let route = self.pair(ctx.graph(), flow, src, dst)?;
+        if flow >= self.flows.len() {
+            self.flows.resize(flow + 1, Route::UNSET);
+        }
+        self.flows[flow] = route;
+        Ok(route)
+    }
+
     /// The fewest-hop path from `src` to `dst`, computed on first use (and
-    /// recomputed after any topology mutation).
+    /// recomputed after any topology mutation): one pair probe, nothing
+    /// remembered per flow. `flow` only names the flow an error is about.
     ///
     /// # Errors
     ///
@@ -166,23 +244,65 @@ impl PathCache {
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
-    ) -> Result<Arc<Path>, SolveError> {
-        let graph = ctx.graph();
-        if self.epoch != graph.epoch() {
-            self.paths.clear();
-            self.trees.clear();
-            self.epoch = graph.epoch();
-        }
-        let trees = &mut self.trees;
-        self.paths
-            .entry((src, dst))
-            .or_insert_with(|| {
-                let tree = trees.entry(src).or_insert_with(|| graph.bfs_tree(src));
-                tree.path_to(graph, dst).map(Arc::new)
-            })
-            .clone()
-            .ok_or(SolveError::Unroutable { flow })
+    ) -> Result<&Path, SolveError> {
+        self.sync(ctx.graph());
+        let route = self.pair(ctx.graph(), flow, src, dst)?;
+        Ok(self.path(route))
     }
+
+    /// The pair map's route from `src` to `dst`, read off `src`'s tree on a
+    /// miss; the cache is in sync with `graph`.
+    fn pair(
+        &mut self,
+        graph: &GraphCsr,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<Route, SolveError> {
+        let (trees, paths) = (&mut self.trees, &mut self.paths);
+        let index = *self.pairs.entry((src, dst)).or_insert_with(|| {
+            let tree = trees.entry(src).or_insert_with(|| graph.bfs_tree(src));
+            Some(store(paths, tree.path_to(graph, dst)?))
+        });
+        let index = index.ok_or(SolveError::Unroutable { flow })?;
+        Ok(Route {
+            generation: self.generation,
+            index,
+        })
+    }
+
+    /// Stores `path` as a route of its own, for a policy that routes its
+    /// own way; a path equal to a cached one still gets a handle of its
+    /// own. Like every route, it is dropped when the cache next meets a
+    /// changed graph (the engine syncs the cache before each
+    /// [`OnlinePolicy::on_event`], so it lives at least until the plan is
+    /// committed).
+    pub fn insert(&mut self, path: Path) -> Route {
+        Route {
+            generation: self.generation,
+            index: store(&mut self.paths, path),
+        }
+    }
+
+    /// The path `route` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a handle of an older generation: the topology it was
+    /// routed on has changed since.
+    pub fn path(&self, route: Route) -> &Path {
+        assert_eq!(
+            route.generation, self.generation,
+            "a route handle outlived the topology it was routed on"
+        );
+        &self.paths[route.index as usize]
+    }
+}
+
+/// Appends `path` to a generation's routes and returns its index.
+fn store(paths: &mut Vec<Path>, path: Path) -> u32 {
+    paths.push(path);
+    u32::try_from(paths.len() - 1).expect("a generation holds fewer than 2^32 routes")
 }
 
 /// A per-link residual-capacity ledger for greedy rate packing: start from
@@ -279,14 +399,51 @@ mod tests {
     #[test]
     fn path_cache_memoises_and_reports_unroutable() {
         let topo = builders::line(3);
-        let ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
         let mut cache = PathCache::new();
         let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
-        let first = cache.shortest(&ctx, 0, a, c).unwrap();
-        let second = cache.shortest(&ctx, 1, a, c).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "one shared route");
-        assert_eq!(*first, ctx.graph().shortest_path(a, c).unwrap());
-        assert_eq!(cache.paths.len(), 1);
+        let first = cache.route(&ctx, 0, a, c).unwrap();
+        let second = cache.route(&ctx, 1, a, c).unwrap();
+        assert_eq!(first, second, "one stored route per pair");
+        assert_eq!(*cache.path(first), ctx.graph().shortest_path(a, c).unwrap());
+        assert_eq!((cache.pairs.len(), cache.paths.len()), (1, 1));
+        assert_eq!(cache.flows, [first, second], "each flow remembers it");
+        assert_eq!(cache.route(&ctx, 1, a, c).unwrap(), second);
+
+        // A path inserted by hand is a route of its own, even when equal.
+        let own = cache.insert(cache.path(first).clone());
+        assert_ne!(own, first);
+        assert_eq!(cache.path(own), cache.path(first));
+
+        // The graph changes: every old handle is stale, the memo is
+        // re-filled, and a cut pair is unroutable for the asking flow.
+        let link = cache.path(first).links()[0];
+        let down = dcn_topology::TopologyEvent::LinkDown { time: 1.0, link };
+        assert!(ctx.apply_topology_event(down));
+        assert_eq!(
+            cache.route(&ctx, 1, a, c).unwrap_err(),
+            SolveError::Unroutable { flow: 1 }
+        );
+        assert!(cache.paths.is_empty() && cache.flows[1] == second);
+        let up = dcn_topology::TopologyEvent::LinkUp { time: 2.0, link };
+        assert!(ctx.apply_topology_event(up));
+        let fresh = cache.route(&ctx, 1, a, c).unwrap();
+        assert!(fresh != first && fresh != second && fresh != own);
+        assert_eq!(cache.flows[1], fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "outlived the topology")]
+    fn a_stale_route_is_refused() {
+        let topo = builders::line(3);
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut cache = PathCache::new();
+        let (a, c) = (topo.hosts()[0], topo.hosts()[2]);
+        let old = cache.route(&ctx, 0, a, c).unwrap();
+        let link = cache.path(old).links()[0];
+        assert!(ctx.apply_topology_event(dcn_topology::TopologyEvent::LinkDown { time: 1.0, link }));
+        cache.sync(ctx.graph());
+        cache.path(old);
     }
 
     /// Every ordered node pair through `cache` against the graph's own
@@ -357,7 +514,7 @@ mod tests {
                     "{}: the epoch bump drops the trees",
                     topo.name
                 );
-                assert_eq!(cache.paths.len(), 1);
+                assert_eq!((cache.pairs.len(), cache.paths.len()), (1, 1));
                 let cut = assert_cache_routes_like_the_graph(&ctx, &mut cache);
                 let down = matches!(event, TopologyEvent::LinkDown { .. });
                 if topo.name.starts_with("dumbbell") && down {

@@ -254,9 +254,22 @@ impl FlowSchedule {
     /// [`FlowSchedule::append`] of the uniform slice at `rate` over
     /// `[start, end)` along `path`, without building it, when that leaves
     /// this schedule stored once: it is uniform along `path` already.
-    /// Returns `false`, with nothing done, when it is not.
-    pub(crate) fn append_uniform(&mut self, path: &Path, start: f64, end: f64, rate: f64) -> bool {
-        let stays_uniform = self.per_link.is_none() && self.path == *path;
+    /// `known` is the caller's word that it is, which skips comparing the
+    /// paths. Returns `false`, with nothing done, when it is not.
+    pub(crate) fn append_uniform(
+        &mut self,
+        path: &Path,
+        known: bool,
+        start: f64,
+        end: f64,
+        rate: f64,
+    ) -> bool {
+        let uniform_along = |fs: &Self| fs.per_link.is_none() && fs.path == *path;
+        debug_assert!(
+            !known || uniform_along(self),
+            "not uniform along the known route"
+        );
+        let stays_uniform = known || uniform_along(self);
         if stays_uniform {
             self.profile.append_rate(start, end, rate);
         }

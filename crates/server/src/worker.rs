@@ -38,7 +38,7 @@ use dcn_core::{
 };
 use dcn_flow::{Flow, FlowId};
 use dcn_power::{PowerFunction, RateProfile};
-use dcn_topology::{LinkId, Network, Path, TopologyEvent};
+use dcn_topology::{LinkId, Network, TopologyEvent};
 
 use crate::protocol::{PlanSegment, WirePlan};
 use crate::snapshot::{BucketState, FlowRecord};
@@ -123,6 +123,8 @@ pub struct ShardEngine<'net> {
     /// Global ids of the flows turned away (snapshots carry no flow data
     /// for them, so they never stay in the ledger).
     rejected: BTreeSet<FlowId>,
+    /// Fewest-hop routes by endpoint pair: a submission routes once, with
+    /// one pair probe, and nothing is kept per flow.
     paths: PathCache,
     clock: f64,
     events: u64,
@@ -288,7 +290,7 @@ impl<'net> ShardEngine<'net> {
         }
         let duration = (volume / rate).min(span);
         let profile = RateProfile::constant(start, start + duration, rate);
-        Ok(FlowSchedule::uniform(flow.id, Path::clone(&path), profile))
+        Ok(FlowSchedule::uniform(flow.id, path.clone(), profile))
     }
 
     /// Re-solves the whole residual instance and re-plans every live flow
@@ -488,7 +490,7 @@ mod tests {
     use crate::snapshot::{SnapshotFile, SNAPSHOT_VERSION};
     use dcn_core::Schedule;
     use dcn_flow::workload::{ArrivalProcess, UniformWorkload};
-    use dcn_topology::{builders, NodeId};
+    use dcn_topology::{builders, NodeId, Path};
     use std::collections::BTreeMap;
 
     /// The shard's state as the audit reads it.

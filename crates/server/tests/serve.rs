@@ -7,7 +7,7 @@
 use std::io::Cursor;
 use std::path::PathBuf;
 
-use dcn_core::online::{OnlineEngine, OnlinePolicy, PolicyAction, RatePlan, WorldView};
+use dcn_core::online::{OnlineEngine, OnlinePolicy, PathCache, PolicyAction, RatePlan, WorldView};
 use dcn_core::{FlowSchedule, SolveError, SolverContext};
 use dcn_flow::workload::UniformWorkload;
 use dcn_flow::FlowSet;
@@ -634,6 +634,7 @@ fn both_drivers_retire_a_flow_delivered_to_exactly_the_volume_tolerance() {
             ctx: &mut SolverContext<'_>,
             _power: &PowerFunction,
             world: &WorldView<'_>,
+            routes: &mut PathCache,
         ) -> Result<PolicyAction, SolveError> {
             let mut plan = RatePlan::default();
             for id in world.in_flight() {
@@ -642,7 +643,7 @@ fn both_drivers_retire_a_flow_delivered_to_exactly_the_volume_tolerance() {
                     .graph()
                     .shortest_path(flow.src, flow.dst)
                     .expect("fat-tree hosts are connected");
-                plan.assign(id, path, self.0);
+                plan.assign(id, routes.insert(path), self.0);
             }
             Ok(PolicyAction::Assign(plan))
         }

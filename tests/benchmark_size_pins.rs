@@ -19,9 +19,10 @@
 
 use deadline_dcn::core::online::OnlineEngine;
 use deadline_dcn::core::prelude::*;
+use deadline_dcn::flow::failure::FailureProcess;
 use deadline_dcn::flow::workload::{ArrivalProcess, UniformWorkload};
 use deadline_dcn::flow::FlowSet;
-use deadline_dcn::power::PowerFunction;
+use deadline_dcn::power::{PowerFunction, RateProfile};
 use deadline_dcn::topology::builders::{self, BuiltTopology};
 use std::sync::{Arc, Mutex};
 
@@ -252,5 +253,142 @@ fn offline_dcfs_instances_keep_their_energy_and_schedule() {
             schedule,
             "seed {seed}"
         );
+    }
+}
+
+/// FNV-1a over every flow's id, path links and stored pieces, then each of
+/// its links with that link's pieces: a flow that changed route keeps a
+/// profile per link, which the nominal profile alone does not show.
+fn link_digest(schedule: &Schedule) -> u64 {
+    let mut hash = FNV_BASIS;
+    for flow in schedule.flow_schedules() {
+        fnv(&mut hash, flow.flow as u64);
+        for link in flow.path.links() {
+            fnv(&mut hash, link.index() as u64);
+        }
+        fnv_pieces(&mut hash, &flow.profile);
+        for (link, profile) in flow.link_profiles() {
+            fnv(&mut hash, link.index() as u64);
+            fnv_pieces(&mut hash, profile);
+        }
+    }
+    hash
+}
+
+/// Folds `profile`'s piece count and pieces, as stored, into `hash`.
+fn fnv_pieces(hash: &mut u64, profile: &RateProfile) {
+    fnv(hash, profile.pieces().len() as u64);
+    for &(start, end, rate) in profile.pieces() {
+        for word in [start, end, rate] {
+            fnv(hash, word.to_bits());
+        }
+    }
+}
+
+/// The `online_edf` benchmark's instances (`edf`, 5000 arrivals at load 32,
+/// seeds 1-3, the energies of EXPERIMENTS.md's "Online event loop") and the
+/// rate-assigning policies around them: `srpt` at load 32, `hybrid` at
+/// load 64, an overloaded `edf` at load 512 that misses, and runs through
+/// link failures (mean uptime twice the horizon, mean outage 5), whose
+/// re-routed flows keep per-link schedules. Each keeps its energy bits, its
+/// miss count and a digest of every flow's path, pieces and per-link pieces
+/// with the delivered volumes and the event count, as they were while
+/// plans carried their routes as shared `Path`s compared in full at every
+/// commit.
+#[test]
+#[ignore = "benchmark-size pin; run in release"]
+fn online_edf_instances_keep_their_energy_and_schedule() {
+    let (topo, power) = setting();
+    // ((policy, flows, load, seed, link failures), energy, misses, digest)
+    let cases = [
+        (
+            ("edf", 5000, 32.0, 1, false),
+            262181.527542233,
+            0,
+            0x02cc_ba23_df2c_0827u64,
+        ),
+        (
+            ("edf", 5000, 32.0, 2, false),
+            255105.20439454008,
+            0,
+            0xca11_5905_697e_e374,
+        ),
+        (
+            ("edf", 5000, 32.0, 3, false),
+            261476.70726718564,
+            0,
+            0xd843_b65b_9f8f_e512,
+        ),
+        (
+            ("srpt", 2000, 32.0, 1, false),
+            1142501.4950665655,
+            0,
+            0x024b_c079_dd25_d73e,
+        ),
+        (
+            ("hybrid", 2000, 64.0, 1, false),
+            153909.04869372674,
+            0,
+            0x07d9_10aa_5b3e_7ac4,
+        ),
+        (
+            ("edf", 3000, 512.0, 1, false),
+            788323.4657342648,
+            1541,
+            0x3269_635f_154e_9c45,
+        ),
+        (
+            ("edf", 2000, 32.0, 1, true),
+            106534.20018748278,
+            7,
+            0xbc02_a38d_58ac_5621,
+        ),
+        (
+            ("edf", 2000, 32.0, 2, true),
+            103371.8753530763,
+            1,
+            0x75aa_e17b_db7f_6e3c,
+        ),
+        (
+            ("srpt", 2000, 32.0, 1, true),
+            1141303.0038422071,
+            2,
+            0xf491_54a9_1c16_60b5,
+        ),
+        (
+            ("hybrid", 2000, 64.0, 1, true),
+            153217.28240528068,
+            12,
+            0x4525_18ec_fb66_aa2e,
+        ),
+    ];
+    for ((policy, count, load, seed, failures), energy, missed, schedule) in cases {
+        let base = UniformWorkload::paper_defaults(count, seed)
+            .generate(topo.hosts())
+            .unwrap();
+        let flows = ArrivalProcess::with_load(load, seed).apply(&base).unwrap();
+        let horizon = flows.horizon().1;
+        let events = match failures {
+            true => FailureProcess::new(2.0 * horizon, 5.0, seed)
+                .generate(topo.network.link_count(), horizon),
+            false => Vec::new(),
+        };
+        let mut ctx = SolverContext::from_network(&topo.network).unwrap();
+        let mut engine = OnlineEngine::builder().policy(policy).build().unwrap();
+        let outcome = engine
+            .run_with_events(&mut ctx, &flows, &power, &events)
+            .unwrap();
+        let report = &outcome.report;
+        let mut hash = link_digest(&outcome.schedule);
+        fnv(&mut hash, report.events as u64);
+        for decision in &report.decisions {
+            fnv(&mut hash, decision.delivered.to_bits());
+        }
+        let case = format!("{policy}, {count} flows at load {load}, seed {seed}");
+        let got = report.online_energy;
+        assert_eq!(got.to_bits(), f64::to_bits(energy), "{case}: {got}");
+        assert_eq!(report.missed(), missed, "{case}");
+        assert_eq!(hash, schedule, "{case}: {hash:#x}");
+        assert_eq!(report.topology_events > 0, failures, "{case}");
     }
 }

@@ -357,15 +357,20 @@ fn most_critical_first_keeps_no_endpoint_table_and_repairs_in_one_sweep() {
 
 #[test]
 fn the_route_memo_hashes_node_ids_without_siphash() {
-    // `PathCache` is probed once per in-flight flow per event: its
-    // maps hash node ids with the multiply–xor `NodeHash`, never with the
-    // default SipHash of `HashMap<K, V>`.
+    // `PathCache` is asked for every in-flight flow's route at every event:
+    // it remembers each flow's route in a `Vec` slot by ledger id, stores
+    // each path once in a `Vec`, and its pair and tree maps hash node ids
+    // with the multiply–xor `NodeHash`, never with the default SipHash of
+    // `HashMap<K, V>`.
     let policy = product_part("crates/core/src/online/policy.rs");
     let (_, cache) = policy
         .split_once("pub struct PathCache {")
         .expect("policy.rs declares PathCache");
     let fields = &cache[..cache.find('}').expect("PathCache has a closing brace")];
-    assert_maps_hash_with_node_hash("policy.rs", fields, "HashMap<");
+    assert_maps_hash_with_node_hash("policy.rs", fields, "HashMap<(NodeId, NodeId),");
+    for field in ["paths: Vec<Path>,", "flows: Vec<Route>,"] {
+        assert!(fields.contains(field), "PathCache keeps `{field}`");
+    }
 }
 
 /// Every `HashMap<` line of `text` names `NodeHash`, and one holds `pair`.
@@ -1124,7 +1129,7 @@ fn the_surface_guard_matches_an_item_not_its_name() {
 
 #[test]
 fn every_quoted_experiments_section_exists() {
-    // Source docs and the README send a reader to EXPERIMENTS.md by
+    // Source docs, the README and the ROADMAP send a reader to EXPERIMENTS.md by
     // quoting a section heading (or its start), possibly across `//!`
     // line breaks: `EXPERIMENTS.md, "A"`, `("A", "B")` or `"A" and "B"`.
     let root = workspace_root();
@@ -1133,7 +1138,7 @@ fn every_quoted_experiments_section_exists() {
         .lines()
         .filter_map(|l| Some(l.strip_prefix('#')?.trim_start_matches('#').trim()))
         .collect();
-    let mut paths = vec![root.join("README.md")];
+    let mut paths = vec![root.join("README.md"), root.join("ROADMAP.md")];
     rust_sources(&root.join("src"), &mut paths);
     for entry in fs::read_dir(root.join("crates")).expect("crates/ must exist") {
         rust_sources(
@@ -1267,7 +1272,9 @@ const BANS: &[(&[&str], &str, &str)] = &[
     (PRODUCT, "diagnostics.capacity_excess", AUDITED_ONCE),
     (PRODUCT, "capacity_excess: Option", AUDITED_ONCE),
     (OUTSIDE_SCHEDULE_RS, "energy_of(", AUDITED_ONCE),
+    (ONLINE, "Arc<Path>", ROUTE_HANDLES),
 ];
+const ONLINE: &[&str] = &["crates/core/src/online"];
 const BENCH: &[&str] = &["crates/bench/src"];
 const OUTSIDE_SCHEDULE_RS: &[&str] = &[
     "src",
@@ -1295,6 +1302,7 @@ const ROUTE_THEN_SCHEDULE: &str =
     "a fixed-path baseline is a `Routing` under `RoutedMcf`, and `ExactBrute::solve` enumerates";
 const AUDITED_ONCE: &str =
     "a `Solution` carries its schedule's `Audit`, built where the schedule is made";
+const ROUTE_HANDLES: &str = "a rate plan names its route by the engine's `Copy` `Route` handle";
 const ONE_READ_PATH: &str =
     "`Network` stores nodes and links; `GraphCsr` is the one adjacency and runs every traversal";
 
